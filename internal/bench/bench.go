@@ -83,7 +83,10 @@ func registry() []benchDef {
 		{"rowops/addrowvector/32x784", benchAddRowVector},
 		{"rowops/sumrows/256x784", benchSumRows},
 		{"pipeline/classify-direct/batch16", benchClassifyDirect},
-		{"pipeline/infer/batch16", benchInfer},
+		{"pipeline/infer/batch2", benchInfer(2)},
+		{"pipeline/infer/batch4", benchInfer(4)},
+		{"pipeline/infer/batch16", benchInfer(16)},
+		{"pipeline/infer/batch32", benchInfer(32)},
 		{"pipeline/forward-batch16-t4", benchInferThreads(4)},
 		{"pipeline/infer-traced/batch16", benchInferTraced},
 		{"pipeline/infer-scratch/batch16", benchInferScratch},
@@ -312,18 +315,24 @@ func benchClassifyDirect(b *testing.B) {
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 }
 
-// benchInfer measures the full serving path (AE plan + classifier plan).
-func benchInfer(b *testing.B) {
-	pipe := perfPipeline()
-	x := perfBatch(16)
-	dst := make([]int, 16)
-	pipe.InferInto(dst, x) // compile plans outside the window
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pipe.InferInto(dst, x)
+// benchInfer measures the full serving path (AE plan + classifier plan) at
+// one batch size. The small batches are the ones the engine forms under
+// light load; read next to batch 16 and 32 they show what a batch costs
+// beyond its images — before the dense weights were packed at compile, a
+// batch of 2 cost more than half a batch of 16.
+func benchInfer(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		pipe := perfPipeline()
+		x := perfBatch(n)
+		dst := make([]int, n)
+		pipe.InferInto(dst, x) // compile plans outside the window
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pipe.InferInto(dst, x)
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 }
 
 // benchInferThreads measures the full serving forward pass with intra-GEMM

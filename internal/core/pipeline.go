@@ -45,7 +45,8 @@ type Pipeline struct {
 	// plansAE/plansCls record which networks the cached set was compiled
 	// from: replacing the exported AE/Classifier fields invalidates the
 	// cache (and the sticky failures) on the next call. In-place weight
-	// updates need no invalidation — plans share the parameter tensors.
+	// updates need no invalidation — plans read the parameter tensors, and
+	// re-pack what they hold packed after a Param.Touch.
 	plansAE  *models.ConvertingAE
 	plansCls *nn.Sequential
 	scratch  *tensor.Scratch // dynamic-shape fallback, lazily allocated
@@ -54,8 +55,9 @@ type Pipeline struct {
 // PlanSet bundles the compiled AE and classifier plans of one pipeline at a
 // fixed batch capacity. Like a scratch arena, a PlanSet owns its buffers
 // and serves one goroutine; compile one per worker via Pipeline.Plans (or
-// ClassifierPlans for the AE-free easy route). The plans share the
-// pipeline's parameter tensors, so they always serve the current weights.
+// ClassifierPlans for the AE-free easy route). The plans read the
+// pipeline's parameters, not copies, and serve their values as of the last
+// nn.Param.Touch (the optimisers and the checkpoint loader call it).
 type PlanSet struct {
 	ae  *nn.Plan
 	cls *nn.Plan
@@ -146,8 +148,7 @@ func (ps *PlanSet) Logits(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // InferInto classifies a batch through both plans into dst (length
-// x.Shape[0]). Zero heap allocations once warm (serial regime; parallel
-// fan-out spawns goroutines).
+// x.Shape[0]). Zero heap allocations once warm, and no goroutine started.
 func (ps *PlanSet) InferInto(dst []int, x *tensor.Tensor) {
 	ps.cls.Execute(nil, ps.ae.Execute(nil, x)).ArgMaxRows(dst)
 }

@@ -10,8 +10,9 @@ import (
 // is a Sequential of plan-compilable layers, so nn.Compile works directly;
 // these helpers pin that property with model-specific labels and give the
 // serving layer (core.Pipeline, internal/engine) one place to build its
-// per-worker plans. Compiled plans share the underlying parameter tensors,
-// so they always serve the model's current weights.
+// per-worker plans. Compiled plans read the model's parameters rather than
+// copies of them, and serve their values as of the last nn.Param.Touch
+// (see the weights contract in nn/plan.go).
 
 // CompilePlan compiles the converting autoencoder's inference plan for
 // batches of up to batchCap images. The L1 activity regularizer is an

@@ -65,6 +65,7 @@ func LoadParams(r io.Reader, nets ...*nn.Sequential) error {
 			return fmt.Errorf("models: parameter %q has %d values, model wants %d", name, len(vals), p.Value.Len())
 		}
 		copy(p.Value.Data, vals)
+		p.Touch()
 	}
 	for name := range ck.Params {
 		if _, ok := params[name]; !ok {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -19,6 +20,34 @@ type Dense struct {
 	// pack retains the blocked-GEMM packing panels of the backward
 	// products across training steps.
 	pack tensor.PackScratch
+	// packedW is W in the micro-kernel's packed-B form, made by the first
+	// compiled plan that needs it and shared by every plan of the network.
+	packedW atomic.Pointer[packedWeights]
+}
+
+// packedWeights is one immutable packed copy of a weight matrix, keyed by
+// what it was made from.
+type packedWeights struct {
+	key uint64
+	b   tensor.PackedB
+}
+
+// packed returns W packed for the active micro-kernel. The copy depends on
+// the weights (Param.Touch counts their versions) and on the kernel's
+// sliver width; both go into one key, so telling that the shared copy is
+// still good costs a load and one integer compare. When it is not, a fresh
+// copy is packed and published for the other plans. Plans on different
+// goroutines may race to repack; each publishes a complete copy and the
+// last one stays.
+func (d *Dense) packed() *tensor.PackedB {
+	key := d.W.gen<<8 | uint64(tensor.PackedWidth())
+	pw := d.packedW.Load()
+	if pw == nil || pw.key != key {
+		pw = &packedWeights{key: key}
+		pw.b.Pack(d.W.Value.Data, d.In, d.Out)
+		d.packedW.Store(pw)
+	}
+	return &pw.b
 }
 
 // NewDense creates a dense layer with He-initialized weights (suitable for

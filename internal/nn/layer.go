@@ -25,10 +25,21 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	// gen counts Touch calls: the version of Value that copies derived from
+	// it (the packed weights compiled plans run on) are checked against.
+	gen uint64
 }
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
+
+// Touch records that Value's elements were changed in place. Whatever writes
+// a parameter after its network may have been compiled calls it — the
+// optimisers and the checkpoint loader do — and compiled plans then serve
+// the new values from their next Execute. A write without a Touch may be
+// served stale. Like the write itself, not safe concurrently with inference.
+func (p *Param) Touch() { p.gen++ }
 
 // Layer is a differentiable network stage.
 //

@@ -26,6 +26,25 @@ import (
 // region for their im2col column matrix and channel-major GEMM output,
 // sized to the largest conv step. Everything lives in a single []float32
 // owned by the plan.
+//
+// What a step's GEMM reads as its B operand is bound to the micro-kernel
+// ahead of the product wherever the product takes the blocked path
+// (tensor.BlockedGEMM; single rows and small shapes read B row-major as
+// before, so every shape keeps its dispatch and its bits). A dense step's
+// weights are packed once, at Compile, into the kernel's sliver layout and
+// kept on the layer, one copy for all plans of the network; Execute packs
+// nothing constant. A conv step's column matrix is expanded straight into
+// that layout, in the conv scratch region, and never exists row-major. A
+// plan runs on the goroutine that calls Execute and starts none of its own;
+// only a GEMM large enough for tensor.SetGEMMThreads fans out, over the
+// tensor package's pool.
+//
+// Weights contract: a plan serves the parameter values as of their last
+// Param.Touch. Conv weights and all biases are read in place; packed dense
+// weights are re-packed by the first Execute after a Touch (and after the
+// active micro-kernel's sliver width changes), at the price of one integer
+// compare per dense step per Execute. The optimisers and the checkpoint
+// loader Touch what they write.
 
 // planOp discriminates the precompiled step kinds.
 type planOp uint8
@@ -46,8 +65,8 @@ const (
 )
 
 // planStep is one precompiled stage of a Plan. Steps reference their source
-// layers' parameter tensors directly (read-only at inference), so a plan
-// always serves the layers' current weights.
+// layers (read-only at inference) rather than copies of their parameters;
+// see the weights contract above.
 type planStep struct {
 	op      planOp
 	name    string             // fused label, e.g. "conv1+relu1"
@@ -61,8 +80,10 @@ type planStep struct {
 	conv  *Conv2D
 	pool  *MaxPool2D
 
-	// conv-only scratch offsets into Plan.buf.
-	colOff, gemmOff int
+	// conv-only scratch into Plan.buf: colOff/colLen hold the batch's
+	// column matrix (packed for the blocked path, row-major otherwise),
+	// gemmOff the channel-major GEMM output.
+	colOff, colLen, gemmOff int
 
 	// Compile-time cost model, filled by annotateCosts: modelled
 	// floating-point work and activation traffic per sample, plus the
@@ -85,7 +106,7 @@ type Plan struct {
 	outW     int
 	steps    []planStep
 	buf      []float32
-	pack     tensor.PackScratch // plan-owned GEMM packing panels
+	pack     tensor.PackScratch // plan-owned GEMM A panel and accumulator tile
 	outHdr   tensor.Tensor      // reusable view header returned by Execute
 
 	// Tracing, attached by EnableTracing. All nil/empty by default, in
@@ -167,6 +188,9 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			}
 			p.steps = append(p.steps, planStep{op: opDense, name: l.Name(), dense: l, outW: l.Out})
 			width = l.Out
+			if tensor.BlockedGEMM(batchCap, l.In, l.Out) {
+				l.packed() // some batch ≤ batchCap takes the blocked path: pack W now
+			}
 		case *Conv2D:
 			if err := shaped(l.Name(), l.InSize()); err != nil {
 				return nil, err
@@ -234,10 +258,12 @@ func actFLOPs(act tensor.EpilogueAct) int64 {
 // time; Execute scales the per-image figures by the live batch size.
 //
 // The byte model counts activation traffic per image (reads of the step's
-// input, writes of its output, and for convolutions the im2col column
-// matrix written then re-read and the channel-major GEMM output written
-// then regrouped) plus the parameter bytes read once per execution. It is
-// a traffic model, not a cache simulation: it is meant to rank steps by
+// input, writes of its output, and for convolutions the zero-padded frame
+// the image is copied through, the column matrix written once — in packed
+// form — and read once by the kernel, and the channel-major GEMM output
+// written then regrouped) plus the parameter bytes read once per
+// execution; packed dense weights are the size of the weights. It is a
+// traffic model, not a cache simulation: it is meant to rank steps by
 // arithmetic intensity, exactly how the paper's §IV ledger attributes
 // latency to stages.
 func (p *Plan) annotateCosts() {
@@ -263,9 +289,14 @@ func (p *Plan) annotateCosts() {
 			st.flopsPerImg = 2*colRows*colCols*int64(c.OutC) + // GEMM
 				outEls + // bias
 				actFLOPs(st.act)*outEls
-			// input read + col written and re-read + GEMM out written,
-			// re-read, and regrouped into the output slot.
-			st.ioPerImg = f32 * (int64(c.InSize()) + 2*colRows*colCols + 3*outEls)
+			// input read + padded frame written and re-read + col written
+			// and read + GEMM out written, re-read, and regrouped into the
+			// output slot.
+			frame := int64(0)
+			if c.Dims.Pad > 0 {
+				frame = int64(c.Dims.InC) * int64(c.Dims.InH+2*c.Dims.Pad) * int64(c.Dims.InW+2*c.Dims.Pad)
+			}
+			st.ioPerImg = f32 * (int64(c.InSize()) + 2*frame + 2*colRows*colCols + 3*outEls)
 			st.fixedBytes = f32 * (int64(c.OutC)*colRows + int64(c.OutC))
 		case opPool:
 			pl := st.pool
@@ -295,7 +326,8 @@ func (p *Plan) planBuffer() {
 		}
 		if st.op == opConv {
 			c := st.conv
-			need := (c.Dims.ColRows() + c.OutC) * p.batchCap * c.Dims.ColCols()
+			st.colLen = tensor.Im2ColPackedLen(p.batchCap, c.Dims)
+			need := st.colLen + c.OutC*p.batchCap*c.Dims.ColCols()
 			if need > convScratch {
 				convScratch = need
 			}
@@ -308,7 +340,7 @@ func (p *Plan) planBuffer() {
 		st.outOff = slotOff[i%2]
 		if st.op == opConv {
 			st.colOff = convBase
-			st.gemmOff = convBase + st.conv.Dims.ColRows()*p.batchCap*st.conv.Dims.ColCols()
+			st.gemmOff = convBase + st.colLen
 		}
 	}
 	p.buf = make([]float32, convBase+convScratch)
@@ -331,8 +363,9 @@ func (p *Plan) OutWidth() int { return p.outW }
 // introspection: the profiling table, the /metrics per-step series, and
 // tests. FLOPsPerImage counts GEMM multiply-adds as 2 FLOPs plus bias and
 // activation work; BytesPerImage counts the step's activation traffic
-// (including conv im2col and regroup copies); FixedBytes is the parameter
-// traffic paid once per execution regardless of batch size.
+// (including the conv frame, packed column matrix and regroup copies);
+// FixedBytes is the parameter traffic paid once per execution regardless of
+// batch size.
 type StepInfo struct {
 	Index         int
 	Name          string
@@ -419,10 +452,9 @@ func (p *Plan) String() string {
 // result is returned as a plan-owned view, valid only until the next
 // Execute — copy out anything that must live longer. When dst is non-nil
 // (n×outW, caller-owned) the final step writes straight into it and dst is
-// returned. Once warm, Execute performs zero heap allocations in the serial
-// regime; large GEMM steps additionally fan out across the tensor package's
-// persistent worker pool when tensor.SetGEMMThreads allows (batch-row
-// fan-out spawns goroutines, intra-GEMM fan-out recycles pool workers).
+// returned. Once warm, Execute performs zero heap allocations and starts no
+// goroutine; large GEMM steps fan out across the tensor package's
+// persistent worker pool when tensor.SetGEMMThreads allows.
 func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != p.inW {
 		panic(fmt.Sprintf("nn: plan %s: input shape %v, want (N, %d)", p.name, x.Shape, p.inW))
@@ -460,7 +492,7 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		case opConv:
 			p.runConv(st, cur, out, n)
 		case opPool:
-			p.runPool(st, cur, out, n)
+			st.pool.poolInfer(cur, out, 0, n)
 		case opAct:
 			runAct(st, cur, out, n)
 		}
@@ -500,11 +532,17 @@ func (p *Plan) view(n int, data []float32) *tensor.Tensor {
 }
 
 // runDense executes y = act(xW + b) with the bias and activation fused into
-// the GEMM epilogue, plus the optional fused row softmax.
+// the GEMM epilogue, plus the optional fused row softmax. A batch that takes
+// the blocked path multiplies by the layer's packed weights; a single row
+// (gemv) or a shape below the blocked gate reads W itself.
 func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	d := st.dense
-	tensor.GEMMEpilogue(in, d.W.Value.Data, out, n, d.In, d.Out,
-		tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}, &p.pack)
+	ep := tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}
+	if tensor.BlockedGEMM(n, d.In, d.Out) {
+		tensor.GEMMEpiloguePacked(in, d.packed(), out, n, ep, &p.pack)
+	} else {
+		tensor.GEMMEpilogue(in, d.W.Value.Data, out, n, d.In, d.Out, ep, &p.pack)
+	}
 	if st.softmax {
 		for i := 0; i < n; i++ {
 			SoftmaxRow(out[i*d.Out : (i+1)*d.Out])
@@ -513,46 +551,25 @@ func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 }
 
 // runConv executes the batched convolution step: one im2col expansion of
-// the whole batch, one GEMM whose epilogue applies the per-channel bias and
-// activation in its write-back tail, and a pure regroup copy to
-// sample-major layout.
+// the whole batch — straight into the kernel's packed layout when the
+// product takes the blocked path — one GEMM whose epilogue applies the
+// per-channel bias and activation in its write-back tail, and a pure
+// regroup copy to sample-major layout.
 func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 	c := st.conv
 	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
 	batchCols := n * colCols
-
-	col := p.buf[st.colOff : st.colOff+colRows*batchCols]
-	if !tensor.ShouldParallel(n, colRows*colCols) {
-		c.im2colRange(in, col, batchCols, 0, n)
-	} else {
-		tensor.ParallelFor(n, colRows*colCols, func(i0, i1 int) {
-			c.im2colRange(in, col, batchCols, i0, i1)
-		})
-	}
-
+	col := p.buf[st.colOff : st.colOff+st.colLen]
 	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
-	tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols,
-		tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}, &p.pack)
-
-	if !tensor.ShouldParallel(n, c.OutC*colCols) {
-		c.scatterRange(gemmOut, out, nil, colCols, batchCols, 0, n)
+	ep := tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}
+	if tensor.BlockedGEMM(c.OutC, colRows, batchCols) {
+		b := tensor.Im2ColPacked(col, in, n, c.Dims)
+		tensor.GEMMEpiloguePacked(c.W.Value.Data, &b, gemmOut, c.OutC, ep, &p.pack)
 	} else {
-		tensor.ParallelFor(n, c.OutC*colCols, func(i0, i1 int) {
-			c.scatterRange(gemmOut, out, nil, colCols, batchCols, i0, i1)
-		})
+		c.im2colRange(in, col, batchCols, 0, n)
+		tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, &p.pack)
 	}
-}
-
-// runPool executes a max-pooling step.
-func (p *Plan) runPool(st *planStep, in, out []float32, n int) {
-	pl := st.pool
-	if !tensor.ShouldParallel(n, pl.InSize()*pl.Pool) {
-		pl.poolRange(in, out, nil, 0, n)
-	} else {
-		tensor.ParallelFor(n, pl.InSize()*pl.Pool, func(i0, i1 int) {
-			pl.poolRange(in, out, nil, i0, i1)
-		})
-	}
+	c.scatterRange(gemmOut, out, nil, colCols, batchCols, 0, n)
 }
 
 // runAct executes a standalone activation step (copy-apply into the output

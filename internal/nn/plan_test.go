@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -155,27 +157,101 @@ func TestPlanBatchCapPanics(t *testing.T) {
 	p.Execute(nil, tensor.New(5, 144))
 }
 
-// TestPlanExecuteZeroAlloc is the tentpole's allocation contract: a warm
-// Plan.Execute performs no heap allocations (AllocsPerRun pins GOMAXPROCS
-// to 1, the serial-kernel regime the single-core edge deployment runs in).
+// allocsPerRunMulticore is testing.AllocsPerRun without its pin to one
+// proc: it counts mallocs over runs warm calls of f at two procs or the
+// host's count, whichever is more, with the collector off. A fan-out that
+// only happens on multicore — a goroutine per row range, the closure it
+// needs — shows up here and not under AllocsPerRun.
+func allocsPerRunMulticore(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestPlanExecuteZeroAlloc is the plan's allocation contract: a warm
+// Plan.Execute performs no heap allocation and starts no goroutine, at one
+// row, at a full batch of 32, and on more than one proc — with the intra-GEMM
+// pool both off and sized to the procs, since a plan may run under either.
 func TestPlanExecuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
 	}
-	net := scratchTestNet(rng.New(11))
-	p, err := Compile(net, 16)
-	if err != nil {
-		t.Fatal(err)
+	for _, net := range []*Sequential{scratchTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
+		p, err := Compile(net, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2} {
+			prev := tensor.SetGEMMThreads(threads)
+			for _, n := range []int{1, 2, 32} {
+				x := tensor.New(n, p.InWidth())
+				x.RandUniform(rng.New(uint64(n)), -1, 1)
+				before := runtime.NumGoroutine()
+				if allocs := allocsPerRunMulticore(30, func() { p.Execute(nil, x) }); allocs != 0 {
+					t.Errorf("%s batch %d, %d GEMM threads: %d allocs per warm Execute, want 0", net.Name(), n, threads, allocs)
+				}
+				if threads == 1 && runtime.NumGoroutine() > before {
+					t.Errorf("%s batch %d: Execute left %d new goroutines", net.Name(), n, runtime.NumGoroutine()-before)
+				}
+			}
+			tensor.SetGEMMThreads(prev)
+		}
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, n := range []int{1, 16} {
-		x := tensor.New(n, 144)
-		x.RandUniform(rng.New(uint64(n)), -1, 1)
-		p.Execute(nil, x)
-		p.Execute(nil, x)
-		allocs := testing.AllocsPerRun(30, func() { p.Execute(nil, x) })
-		if allocs != 0 {
-			t.Errorf("Plan.Execute batch %d: %v allocs per warm call, want 0", n, allocs)
+}
+
+// lightweightShapedNet has the lightweight classifier's shapes: at batch 32
+// its conv and pool steps carry the work the plans used to split over
+// goroutines.
+func lightweightShapedNet(r *rng.RNG) *Sequential {
+	return NewSequential("lightweight-shaped",
+		MustConv2D("conv1", 1, 28, 28, 3, 5, 5, 1, 2, r),
+		NewReLU("relu1"),
+		MustMaxPool2D("pool1", 3, 28, 28, 2, 2),
+		MustConv2D("bconv", 3, 14, 14, 3, 3, 3, 1, 0, r),
+		NewReLU("brelu"),
+		MustMaxPool2D("bpool", 3, 12, 12, 2, 2),
+		NewDense("bfc", 3*6*6, 10, r),
+	)
+}
+
+// TestPoolInferMatchesGeneralLoop holds the inference pooling path to the
+// general loop (the one that also records the arg-max) bit for bit: odd
+// planes, windows that overlap or skip columns, windows the stride leaves
+// short of the edge, and planes carrying NaN, ±Inf and −0.
+func TestPoolInferMatchesGeneralLoop(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.Copysign(0, -1)), 0}
+	for _, g := range []struct{ c, h, w, pool, stride int }{
+		{3, 28, 28, 2, 2}, {3, 12, 12, 2, 2}, {2, 7, 9, 2, 2}, {1, 5, 5, 3, 2}, {2, 9, 7, 3, 1},
+		{1, 6, 11, 2, 3}, {4, 5, 4, 2, 1}, {1, 3, 3, 3, 3}, {2, 8, 8, 1, 1}, {1, 10, 9, 4, 3},
+	} {
+		p, err := NewMaxPool2D("pool", g.c, g.h, g.w, g.pool, g.stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 3
+		x := tensor.New(n, p.InSize())
+		x.RandUniform(rng.New(uint64(g.h*g.w+g.pool)), -1, 1)
+		r := rng.New(7)
+		for i := 0; i < len(x.Data)/3; i++ { // a third of the plane is special values
+			x.Data[r.Intn(len(x.Data))] = specials[r.Intn(len(specials))]
+		}
+		outW := g.c * p.OutH * p.OutW
+		want, got := make([]float32, n*outW), make([]float32, n*outW)
+		p.poolRange(x.Data, want, make([]int32, n*outW), 0, n)
+		p.poolInfer(x.Data, got, 0, n)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%+v: poolInfer[%d] = %v (%#x), general loop %v (%#x)", g, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
 		}
 	}
 }

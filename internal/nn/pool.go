@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"cbnet/internal/tensor"
 )
@@ -106,6 +107,10 @@ func (p *MaxPool2D) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.
 // args is non-nil it also records the winning input index of every output
 // element for the backward pass.
 func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
+	if args == nil {
+		p.poolInfer(x, y, i0, i1)
+		return
+	}
 	outWidth := p.C * p.OutH * p.OutW
 	for i := i0; i < i1; i++ {
 		in := x[i*p.InSize() : (i+1)*p.InSize()]
@@ -144,6 +149,62 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 			}
 		}
 	}
+}
+
+// poolInfer is poolRange for inference: no winning index to keep, and no
+// edge tests — a window never leaves the plane, since the last one starts at
+// (Out−1)·Stride ≤ H−Pool. Each window is scanned in the same order with
+// the same v > best test from the same first element, so NaN and −Inf come
+// out as they do from poolRange. The running maximum is carried as a bit
+// pattern, which makes the update a conditional move under the float
+// compare instead of a branch: which of two neighbouring activations is
+// larger is not something a predictor learns.
+func (p *MaxPool2D) poolInfer(x, y []float32, i0, i1 int) {
+	planes := (i1 - i0) * p.C
+	in := x[i0*p.InSize() : i1*p.InSize()]
+	out := y[i0*p.C*p.OutH*p.OutW : i1*p.C*p.OutH*p.OutW]
+	oi := 0
+	for pl := 0; pl < planes; pl++ {
+		plane := in[pl*p.H*p.W : (pl+1)*p.H*p.W]
+		for oy := 0; oy < p.OutH; oy++ {
+			rows := plane[oy*p.Stride*p.W:]
+			if p.Pool == 2 {
+				// The window of every shipped network, unrolled.
+				top, bot := rows[:p.W], rows[p.W:2*p.W]
+				for ox := 0; ox < p.OutW; ox++ {
+					x0 := ox * p.Stride
+					best := math.Float32bits(top[x0])
+					best = selectGreater(best, top[x0+1])
+					best = selectGreater(best, bot[x0])
+					best = selectGreater(best, bot[x0+1])
+					out[oi] = math.Float32frombits(best)
+					oi++
+				}
+				continue
+			}
+			for ox := 0; ox < p.OutW; ox++ {
+				x0 := ox * p.Stride
+				best := math.Float32bits(rows[x0])
+				for ky := 0; ky < p.Pool; ky++ {
+					for _, v := range rows[ky*p.W+x0:][:p.Pool] {
+						best = selectGreater(best, v)
+					}
+				}
+				out[oi] = math.Float32frombits(best)
+				oi++
+			}
+		}
+	}
+}
+
+// selectGreater is `if v > best { best = v }` with best held as its bit
+// pattern: the float compare decides, an integer conditional move assigns.
+func selectGreater(best uint32, v float32) uint32 {
+	b := math.Float32bits(v)
+	if v > math.Float32frombits(best) {
+		best = b
+	}
+	return best
 }
 
 // Backward routes each output gradient to the input position that won the

@@ -58,6 +58,7 @@ func (s *SGD) Step(params []*nn.Param) {
 				w[i] += v[i]
 			}
 		}
+		p.Touch()
 		p.ZeroGrad()
 	}
 }
@@ -112,6 +113,7 @@ func (a *Adam) Step(params []*nn.Param) {
 			vHat := v[i] / b2t
 			w[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
 		}
+		p.Touch()
 		p.ZeroGrad()
 	}
 }

@@ -45,7 +45,7 @@ func GEMM(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	case m == 1:
 		gemvRow(a, b, c, k, n, alpha, beta)
 	case useBlocked(m, k, n):
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, alpha, beta, Epilogue{}, nil)
+		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, alpha, beta, Epilogue{}, nil, nil)
 	default:
 		gemmNaive(a, b, c, m, k, n, alpha, beta)
 	}
@@ -107,7 +107,7 @@ func checkTransOut(c *Tensor, m, n int, what string) {
 func matMulTransA(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 	if useBlocked(m, k, n) {
 		// op(A)[i,p] = a[p*m+i]: unit row stride, column stride m.
-		gemmBlocked(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, 1, beta, Epilogue{}, ps)
+		gemmBlocked(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
 	}
 	if beta == 0 {
@@ -174,7 +174,7 @@ func checkTransB(a, b *Tensor) (m, k, n int) {
 func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 	if useBlocked(m, k, n) {
 		// op(B)[p,j] = b[j*k+p]: row stride 1, column stride k.
-		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps)
+		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
 	}
 	acc := beta == 1
@@ -315,13 +315,16 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 // costs on the order of a few thousand flops' worth of time, so a worker
 // whose slice is only a row or two of light work loses more to scheduling
 // than it computes. Light rows therefore need minRowsPerWorker rows each
-// before another worker pays off (BenchmarkParallelRowsFloor); rows heavy
-// enough to dwarf the handoff (heavyRowFlops, ~an 8×64×64 GEMM each) may
-// split all the way down to one row per worker — that is the engine's
-// batch-level fan-out over a handful of expensive images.
+// before another worker pays off; rows heavy enough to dwarf the handoff
+// (heavyRowFlops: a row that would cross the parallel threshold by itself)
+// may split all the way down to one row per worker — that is the batch-level
+// fan-out over a handful of expensive images. BenchmarkParallelRowsFloor
+// holds the line between the two: two rows of half a threshold each run as
+// fast on one goroutine as on two (161–208 µs against 197–213 µs on the
+// 2-core reference host), without the four allocations of the split.
 const (
 	minRowsPerWorker = 4
-	heavyRowFlops    = parallelThreshold / 8
+	heavyRowFlops    = parallelThreshold
 )
 
 // maxRowWorkers returns how many goroutines row-sliced work over rows rows
@@ -331,13 +334,9 @@ func maxRowWorkers(rows, flops int) int {
 	if flops < parallelThreshold || workers < 2 || rows < 2 {
 		return 1
 	}
-	if workers > rows {
-		workers = rows
-	}
+	workers = min(workers, rows)
 	if flops/rows < heavyRowFlops {
-		if cap := rows / minRowsPerWorker; cap < workers {
-			workers = cap
-		}
+		workers = min(workers, max(rows/minRowsPerWorker, 1))
 	}
 	return workers
 }

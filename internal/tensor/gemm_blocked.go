@@ -88,7 +88,8 @@ type PackScratch struct {
 }
 
 // PanelBytes returns the current packing-panel footprint in bytes, for
-// capacity introspection in tests.
+// capacity introspection in tests. Products whose B operand is a PackedB
+// never grow the B panel.
 func (ps *PackScratch) PanelBytes() int {
 	return 4 * (cap(ps.buf.ap) + cap(ps.buf.bp))
 }
@@ -138,9 +139,12 @@ type gemmPanel struct {
 // A non-identity ep is applied to each C tile on the final depth block,
 // right after its write-back while the tile is cache-resident. A non-nil ps
 // supplies the caller-owned packing panels; otherwise they come from the
-// shared pool. Panels big enough to amortize the barrier fan out over the
-// worker pool, up to GEMMThreads goroutines per call.
-func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, alpha, beta float32, ep Epilogue, ps *PackScratch) {
+// shared pool. A non-nil pb is op(B) already in packed form
+// (gemm_packed.go): its panels are used as they are, b and its strides are
+// ignored, and no B panel is packed or grown. Panels big enough to amortize
+// the barrier fan out over the worker pool, up to GEMMThreads goroutines per
+// call.
+func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, alpha, beta float32, ep Epilogue, ps *PackScratch, pb *PackedB) {
 	var db *gemmBuf
 	if ps != nil {
 		db = &ps.buf
@@ -153,7 +157,10 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 	pn := gemmPanel{a: a, ars: ars, acs: acs, c: c, m: m, n: n, alpha: alpha, ep: ep, kern: kern}
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
-		bp := db.ensureB(blockKC * roundUp(nc, kern.nr))
+		var bp []float32
+		if pb == nil {
+			bp = db.ensureB(blockKC * roundUp(nc, kern.nr))
+		}
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
 			pn.jc, pn.pc, pn.kc, pn.nc = jc, pc, kc, nc
@@ -162,8 +169,12 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 				pn.beta = beta
 			}
 			pn.applyEp = !ep.isIdentity() && pc+kc == k
-			packB(b, brs, bcs, pc, jc, kc, nc, kern.nr, bp)
-			pn.bp = bp
+			if pb != nil {
+				pn.bp = pb.panel(jc, pc, kc, nc)
+			} else {
+				packB(b, brs, bcs, pc, jc, kc, nc, kern.nr, bp)
+				pn.bp = bp
+			}
 			mBlocks := (m + blockMC - 1) / blockMC
 			slivers := (nc + kern.nr - 1) / kern.nr
 			threads := gemmFanout(2*m*kc*nc, mBlocks, slivers)

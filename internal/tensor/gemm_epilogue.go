@@ -43,6 +43,16 @@ func (ep *Epilogue) isIdentity() bool {
 	return ep.Act == EpActNone && ep.RowBias == nil && ep.ColBias == nil
 }
 
+// checkBias panics when a bias is shorter than the m×n product it serves.
+func (ep *Epilogue) checkBias(m, n int) {
+	if ep.RowBias != nil && len(ep.RowBias) < m {
+		panic(fmt.Sprintf("tensor: GEMM epilogue row bias len %d, want ≥ %d", len(ep.RowBias), m))
+	}
+	if ep.ColBias != nil && len(ep.ColBias) < n {
+		panic(fmt.Sprintf("tensor: GEMM epilogue col bias len %d, want ≥ %d", len(ep.ColBias), n))
+	}
+}
+
 // Sigmoid32 is the logistic function computed through float64 — the single
 // definition every sigmoid path (nn layer, scratch path, fused epilogue,
 // plan step) shares so their outputs agree bitwise. nn.Sigmoid32 aliases
@@ -64,19 +74,14 @@ func GEMMEpilogue(a, b, c []float32, m, k, n int, ep Epilogue, ps *PackScratch) 
 		panic(fmt.Sprintf("tensor: GEMMEpilogue operand sizes %d/%d/%d too small for (%d×%d)·(%d×%d)",
 			len(a), len(b), len(c), m, k, k, n))
 	}
-	if ep.RowBias != nil && len(ep.RowBias) < m {
-		panic(fmt.Sprintf("tensor: GEMMEpilogue row bias len %d, want ≥ %d", len(ep.RowBias), m))
-	}
-	if ep.ColBias != nil && len(ep.ColBias) < n {
-		panic(fmt.Sprintf("tensor: GEMMEpilogue col bias len %d, want ≥ %d", len(ep.ColBias), n))
-	}
+	ep.checkBias(m, n)
 	switch {
 	case m == 0 || n == 0:
 	case m == 1:
 		gemvRow(a, b, c, k, n, 1, 0)
 		epilogueTile(c, n, 0, 0, 1, n, &ep)
 	case useBlocked(m, k, n):
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, ep, ps)
+		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, ep, ps, nil)
 	default:
 		gemmNaive(a, b, c, m, k, n, 1, 0)
 		if ep.isIdentity() {
@@ -123,10 +128,18 @@ func epilogueTile(c []float32, ldc, i0, j0, mEff, nEff int, ep *Epilogue) {
 		}
 		switch ep.Act {
 		case EpActReLU:
+			// relu as a select on the bit pattern under the float compare:
+			// the same v < 0 as `if v < 0 { v = 0 }` (−0 and NaN stay),
+			// compiled to a conditional move where the float form is a
+			// branch — and the sign of a pre-activation is close to a coin
+			// toss, so that branch mispredicts every other element on real
+			// inputs.
 			for j, v := range row {
+				b := math.Float32bits(v)
 				if v < 0 {
-					row[j] = 0
+					b = 0
 				}
+				row[j] = math.Float32frombits(b)
 			}
 		case EpActSigmoid:
 			for j, v := range row {

@@ -192,3 +192,28 @@ func TestTransAccZeroAlloc(t *testing.T) {
 		t.Errorf("MatMulTransAAcc with warm PackScratch: %v allocs per call, want 0", allocs)
 	}
 }
+
+// TestReLUBitsMatchFloatCompare holds the epilogue's bit-pattern relu to
+// the float compare-and-assign it stands for, on every special value and a
+// sweep of patterns across the whole float32 range.
+func TestReLUBitsMatchFloatCompare(t *testing.T) {
+	patterns := []uint32{0, 0x80000000, 1, 0x80000001, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000,
+		0x7F800001, 0xFF800001, 0x7FC00000, 0xFFC00000, 0xFFFFFFFF, 0x3F800000, 0xBF800000}
+	for b := uint32(0); b < 0xFFFF0000; b += 0xFFF1 {
+		patterns = append(patterns, b)
+	}
+	row := make([]float32, len(patterns))
+	for i, b := range patterns {
+		row[i] = math.Float32frombits(b)
+	}
+	epilogueTile(row, len(row), 0, 0, 1, len(row), &Epilogue{Act: EpActReLU})
+	for i, b := range patterns {
+		want := math.Float32frombits(b)
+		if want < 0 {
+			want = 0
+		}
+		if math.Float32bits(row[i]) != math.Float32bits(want) {
+			t.Fatalf("relu(%#08x) = %#08x, float compare gives %#08x", b, math.Float32bits(row[i]), math.Float32bits(want))
+		}
+	}
+}

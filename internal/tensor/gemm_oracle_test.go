@@ -52,7 +52,7 @@ func checkGEMMOracle(t *testing.T, m, k, n int, alpha, beta float32) {
 	gemmNaive(a, b, want, m, k, n, alpha, beta)
 
 	got := append([]float32(nil), cInit...)
-	gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, alpha, beta, Epilogue{}, nil)
+	gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, alpha, beta, Epilogue{}, nil, nil)
 
 	if d := maxAbsDiff(got, want); d > oracleTol {
 		t.Fatalf("blocked GEMM %dx%dx%d alpha=%v beta=%v: max abs diff %g vs naive", m, k, n, alpha, beta, d)
@@ -233,7 +233,7 @@ func FuzzBlockedGEMM(f *testing.F) {
 		want := append([]float32(nil), cInit...)
 		gemmNaive(a, b, want, m, k, n, alpha, beta)
 		got := append([]float32(nil), cInit...)
-		gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, alpha, beta, Epilogue{}, nil)
+		gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, alpha, beta, Epilogue{}, nil, nil)
 		if d := maxAbsDiff(got, want); d > oracleTol {
 			t.Fatalf("fuzz %dx%dx%d alpha=%v beta=%v: max abs diff %g", m, k, n, alpha, beta, d)
 		}
@@ -267,7 +267,9 @@ func BenchmarkGEMMBlocked256(b *testing.B) {
 	if !blockedEnabled {
 		b.Skip("no FMA micro-kernel on this CPU")
 	}
-	benchGEMM(b, 256, 256, 256, func(a, bb, c []float32) { gemmBlocked(a, 256, 1, bb, 256, 1, c, 256, 256, 256, 1, 0, Epilogue{}, nil) })
+	benchGEMM(b, 256, 256, 256, func(a, bb, c []float32) {
+		gemmBlocked(a, 256, 1, bb, 256, 1, c, 256, 256, 256, 1, 0, Epilogue{}, nil, nil)
+	})
 }
 
 // BenchmarkGEMMLeNetShapes covers the matrix shapes the models actually

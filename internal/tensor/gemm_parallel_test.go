@@ -46,12 +46,12 @@ func TestParallelBlockedMatchesSerial(t *testing.T) {
 
 			forceParallel(t, 1)
 			want := append([]float32(nil), cInit...)
-			gemmBlocked(a, s.k, 1, b, s.n, 1, want, s.m, s.k, s.n, 1, 1, s.ep, nil)
+			gemmBlocked(a, s.k, 1, b, s.n, 1, want, s.m, s.k, s.n, 1, 1, s.ep, nil, nil)
 
 			for _, threads := range []int{2, 4, 8} {
 				SetGEMMThreads(threads)
 				got := append([]float32(nil), cInit...)
-				gemmBlocked(a, s.k, 1, b, s.n, 1, got, s.m, s.k, s.n, 1, 1, s.ep, nil)
+				gemmBlocked(a, s.k, 1, b, s.n, 1, got, s.m, s.k, s.n, 1, 1, s.ep, nil, nil)
 				if d := maxAbsDiff(got, want); d != 0 {
 					t.Fatalf("threads=%d: parallel result differs from serial by %g (want bitwise equal)", threads, d)
 				}
@@ -88,7 +88,7 @@ func TestParallelBlockedConcurrentGEMMs(t *testing.T) {
 			var ps PackScratch
 			c := make([]float32, m*n)
 			for it := 0; it < iters; it++ {
-				gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps)
+				gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps, nil)
 				if d := maxAbsDiff(c, want); d > oracleTol {
 					errs <- fmt.Errorf("caller %d iter %d: max abs diff %g", g, it, d)
 					return
@@ -140,7 +140,7 @@ func TestParallelBlockedZeroAllocs(t *testing.T) {
 	fillDeterministic(b, 93)
 	var ps PackScratch
 	run := func() {
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps)
+		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps, nil)
 	}
 	run() // warm: start pool workers, grow panels
 	run()
@@ -151,46 +151,36 @@ func TestParallelBlockedZeroAllocs(t *testing.T) {
 
 // TestParallelRowsFloor pins the light-row fan-out floor: light per-row
 // work below minRowsPerWorker rows per worker stays serial, heavy rows may
-// still split fine-grained.
+// still split fine-grained. It runs at two procs whatever the host has, so
+// a one-core runner checks the same table.
 func TestParallelRowsFloor(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// maxRowWorkers is 1 whenever GOMAXPROCS is 1; the floor logic is
-		// still covered via the explicit table below on multicore CI.
-		t.Skip("needs GOMAXPROCS >= 2 to observe fan-out")
-	}
-	gmp := runtime.GOMAXPROCS(0)
+	gmp := max(runtime.GOMAXPROCS(0), 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
 	for _, tc := range []struct {
 		rows, flops int
-		wantMax     int
+		want        int
 	}{
 		{2, 2 * heavyRowFlops, 2},                     // heavy rows: fan out even at 2 rows
-		{2, parallelThreshold, 1},                     // 2 light-ish rows: stay serial
+		{2, parallelThreshold, 1},                     // 2 rows of half a threshold: stay serial
+		{2, parallelThreshold - 1, 1},                 // below the threshold nothing fans out
+		{3, 3 * (heavyRowFlops - 1), 1},               // fewer light rows than one worker's floor
 		{6, 6 * (heavyRowFlops - 1), 1},               // 6 light rows: 6/4 = 1 worker
 		{8 * gmp, 8 * gmp * (heavyRowFlops - 1), gmp}, // plenty of rows: full fan-out
-		{0, parallelThreshold * 10, 1},                // degenerate
+		{1, parallelThreshold * 10, 1},                // one row cannot split
 	} {
-		got := maxRowWorkers(tc.rows, tc.flops)
-		if tc.rows == 0 {
-			continue // parallelRows early-returns; maxRowWorkers unused
+		if got := maxRowWorkers(tc.rows, tc.flops); got != tc.want {
+			t.Errorf("maxRowWorkers(rows=%d, flops=%d) = %d, want %d (floor %d rows/worker, heavy row %d flops)",
+				tc.rows, tc.flops, got, tc.want, minRowsPerWorker, heavyRowFlops)
 		}
-		if got > tc.wantMax || got < 1 {
-			t.Errorf("maxRowWorkers(rows=%d, flops=%d) = %d, want ≤ %d", tc.rows, tc.flops, got, tc.wantMax)
-		}
-	}
-	if w := maxRowWorkers(2, 2*heavyRowFlops); w != 2 {
-		t.Errorf("heavy 2-row case: got %d workers, want 2", w)
-	}
-	if w := maxRowWorkers(6, 6*(heavyRowFlops-1)); w != 1 {
-		t.Errorf("light 6-row case: got %d workers, want 1 (floor %d rows/worker)", w, minRowsPerWorker)
 	}
 }
 
-// BenchmarkParallelRowsFloor backs the minRowsPerWorker constant: the
-// light-rows shape that the floor keeps serial, measured against a forced
-// 2-way fan-out of the same work. On multicore hosts the forced split is
-// slower (goroutine handoff dominates); the floor's serial pick wins.
+// BenchmarkParallelRowsFloor backs the heavyRowFlops constant: two rows of
+// half a parallel threshold each, which the floor keeps serial, measured
+// against a forced 2-way fan-out of the same work. The split buys nothing
+// on the 2-core reference host and allocates; the floor's serial pick wins.
 func BenchmarkParallelRowsFloor(b *testing.B) {
-	const rows, k, n = 2, 1024, 129 // light rows: n*k ≈ 132k flops < heavyRowFlops×rows share
+	const rows, k, n = 2, 1024, 129 // n*k ≈ 132k flops a row: just over the threshold together, light each
 	a := make([]float32, rows*k)
 	bb := make([]float32, k*n)
 	c := make([]float32, rows*n)
@@ -234,7 +224,7 @@ func BenchmarkGEMMBlockedThreads(b *testing.B) {
 			prev := SetGEMMThreads(threads)
 			defer SetGEMMThreads(prev)
 			benchGEMM(b, 256, 256, 256, func(a, bb, c []float32) {
-				gemmBlocked(a, 256, 1, bb, 256, 1, c, 256, 256, 256, 1, 0, Epilogue{}, nil)
+				gemmBlocked(a, 256, 1, bb, 256, 1, c, 256, 256, 256, 1, 0, Epilogue{}, nil, nil)
 			})
 		})
 	}

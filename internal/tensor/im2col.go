@@ -23,12 +23,13 @@ func NewConvDims(inC, inH, inW, kh, kw, stride, pad int) (ConvDims, error) {
 	if pad < 0 {
 		return d, fmt.Errorf("tensor: negative padding %d", pad)
 	}
-	oh := (inH+2*pad-kh)/stride + 1
-	ow := (inW+2*pad-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
+	// Tested on the sizes, not on the output extent: a kernel that overhangs
+	// the padded input by less than a stride truncates to one output pixel.
+	if kh > inH+2*pad || kw > inW+2*pad {
 		return d, fmt.Errorf("tensor: kernel %dx%d does not fit input %dx%d (pad %d)", kh, kw, inH, inW, pad)
 	}
-	d.OutH, d.OutW = oh, ow
+	d.OutH = (inH+2*pad-kh)/stride + 1
+	d.OutW = (inW+2*pad-kw)/stride + 1
 	return d, nil
 }
 
@@ -76,29 +77,151 @@ func Im2ColInto(img []float32, d ConvDims, col []float32, rowStride, colOff int)
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
 				dst := col[r*rowStride+colOff : r*rowStride+colOff+cols]
-				di := 0
+				// Output columns [lo, hi) of every row read inside the
+				// image; the rest is padding.
+				lo, hi := d.validSpan(kx)
 				for oy := 0; oy < d.OutH; oy++ {
+					seg := dst[oy*d.OutW : (oy+1)*d.OutW]
 					iy := oy*d.Stride + ky - d.Pad
-					if iy < 0 || iy >= d.InH {
-						for ox := 0; ox < d.OutW; ox++ {
-							dst[di] = 0
-							di++
-						}
+					if iy < 0 || iy >= d.InH || lo == hi {
+						clear(seg)
 						continue
 					}
-					rowBase := iy * d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix < 0 || ix >= d.InW {
-							dst[di] = 0
-						} else {
-							dst[di] = plane[rowBase+ix]
-						}
-						di++
+					clear(seg[:lo])
+					clear(seg[hi:])
+					ix := lo*d.Stride + kx - d.Pad
+					if d.Stride == 1 {
+						// One contiguous run of the input row.
+						copy(seg[lo:hi], plane[iy*d.InW+ix:])
+						continue
+					}
+					for t := lo; t < hi; t++ {
+						seg[t] = plane[iy*d.InW+ix]
+						ix += d.Stride
 					}
 				}
 				r++
 			}
+		}
+	}
+}
+
+// validSpan returns the range [lo, hi) of output columns ox whose input
+// column ox·Stride+kx−Pad falls inside the image: from ceil((Pad−kx)/Stride)
+// up to, not including, ceil((InW+Pad−kx)/Stride), clipped to the output
+// row. lo ≤ hi; a kernel column that only ever reads padding gives lo = hi.
+func (d ConvDims) validSpan(kx int) (lo, hi int) {
+	if d.Pad > kx {
+		lo = min((d.Pad-kx+d.Stride-1)/d.Stride, d.OutW)
+	}
+	if d.InW+d.Pad > kx {
+		hi = min((d.InW+d.Pad-kx+d.Stride-1)/d.Stride, d.OutW)
+	}
+	return lo, max(lo, hi)
+}
+
+// Im2ColPackedLen returns the storage, in float32s, Im2ColPacked needs for
+// n images of geometry d under any registered kernel: the packed operand
+// plus, for a padded convolution, one zero-padded copy of an image.
+func Im2ColPackedLen(n int, d ConvDims) int {
+	need := d.ColRows() * roundUp(n*d.ColCols(), maxNR)
+	if d.Pad > 0 {
+		need += d.InC * (d.InH + 2*d.Pad) * (d.InW + 2*d.Pad)
+	}
+	return need
+}
+
+// Im2ColPacked expands the n images of in (sample-major rows of
+// InC·InH·InW) into the batched column matrix of Im2ColInto —
+// (InC·KH·KW) × (n·OutH·OutW), sample i in columns [i·ColCols, (i+1)·ColCols)
+// — written directly in PackedB form for the active kernel, so the
+// convolution GEMM reads it with no row-major copy in between and no
+// packing pass. dst (Im2ColPackedLen(n, d) float32s) provides the storage
+// and backs the returned operand.
+//
+// Each image is first copied into a zero-padded frame, so that no element
+// needs a bounds test; the loop then runs over spans of output columns that
+// share an output row and a sliver, where every (c, ky, kx) row of the
+// matrix is one run of a frame row, nr floats below the previous one.
+func Im2ColPacked(dst, in []float32, n int, d ConvDims) PackedB {
+	k, cols := d.ColRows(), d.ColCols()
+	imgLen := d.InC * d.InH * d.InW
+	if len(in) < n*imgLen {
+		panic(fmt.Sprintf("tensor: Im2ColPacked input len %d, want ≥ %d", len(in), n*imgLen))
+	}
+	if len(dst) < Im2ColPackedLen(n, d) {
+		panic(fmt.Sprintf("tensor: Im2ColPacked dst len %d, want ≥ %d", len(dst), Im2ColPackedLen(n, d)))
+	}
+	nr := activeKernel.nr
+	pb := PackedB{k: k, n: n * cols, nr: nr}
+	pb.data = dst[:k*roundUp(pb.n, nr)]
+	fh, fw := d.InH+2*d.Pad, d.InW+2*d.Pad
+	var frame []float32
+	if d.Pad > 0 {
+		frame = dst[len(dst)-d.InC*fh*fw:]
+		clear(frame)
+	}
+	for i := 0; i < n; i++ {
+		img := in[i*imgLen : (i+1)*imgLen]
+		if d.Pad > 0 {
+			for cy := 0; cy < d.InC*d.InH; cy++ {
+				c, y := cy/d.InH, cy%d.InH
+				copy(frame[(c*fh+y+d.Pad)*fw+d.Pad:], img[cy*d.InW:(cy+1)*d.InW])
+			}
+			img = frame
+		}
+		for oy := 0; oy < d.OutH; oy++ {
+			j := i*cols + oy*d.OutW
+			for ox0 := 0; ox0 < d.OutW; {
+				cnt := min(d.OutW-ox0, nr-(j+ox0)%nr)
+				pb.im2colSpan(img, d, fh, fw, j+ox0, oy, ox0, cnt)
+				ox0 += cnt
+			}
+		}
+	}
+	if pad := pb.n % nr; pad != 0 {
+		// The last sliver's columns past n: packB's zero padding.
+		pb.zeroColumns(pb.n, nr-pad)
+	}
+	return pb
+}
+
+// im2colSpan writes matrix columns [j, j+cnt) — output pixels (oy, ox0…) of
+// the image whose padded frame (InC × fh × fw) is img, all inside one sliver
+// — for every depth row.
+func (pb *PackedB) im2colSpan(img []float32, d ConvDims, fh, fw, j, oy, ox0, cnt int) {
+	r, pcEnd, off := 0, 0, 0
+	for c := 0; c < d.InC; c++ {
+		for ky := 0; ky < d.KH; ky++ {
+			row := img[(c*fh+oy*d.Stride+ky)*fw+ox0*d.Stride:]
+			for kx := 0; kx < d.KW; kx++ {
+				if r == pcEnd { // entering the depth block that starts at r
+					off = pb.at(r, j)
+					pcEnd = r + blockKC
+				}
+				seg := pb.data[off : off+cnt]
+				if d.Stride == 1 {
+					copy(seg, row[kx:])
+				} else {
+					for t := range seg {
+						seg[t] = row[kx+t*d.Stride]
+					}
+				}
+				r++
+				off += pb.nr
+			}
+		}
+	}
+}
+
+// zeroColumns clears matrix columns [j, j+cnt), all inside one sliver, for
+// every depth row.
+func (pb *PackedB) zeroColumns(j, cnt int) {
+	for pc := 0; pc < pb.k; pc += blockKC {
+		off := pb.at(pc, j)
+		for p := pc; p < min(pc+blockKC, pb.k); p++ {
+			clear(pb.data[off : off+cnt])
+			off += pb.nr
 		}
 	}
 }

@@ -30,6 +30,7 @@ func TestNewConvDimsErrors(t *testing.T) {
 		c, h, w, kh, kw, stride, pad int
 	}{
 		{"kernel too big", 1, 4, 4, 5, 5, 1, 0},
+		{"kernel overhangs the padded input by less than a stride", 1, 3, 2, 7, 7, 3, 2},
 		{"zero stride", 1, 8, 8, 3, 3, 0, 0},
 		{"negative pad", 1, 8, 8, 3, 3, 1, -1},
 		{"zero channels", 0, 8, 8, 3, 3, 1, 0},
