@@ -14,6 +14,7 @@ package cbnet
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,32 +361,6 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkInferScratch is the dynamic-dispatch compatibility path: the
-// 16-image pipeline forward over Sequential.InferScratch with every buffer
-// borrowed from a warm arena — per-call interface dispatch, per-layer
-// bias/activation sweeps. The gap to BenchmarkPlanExecute is what plan
-// compilation (fused GEMM epilogues, preplanned buffers, flat step loop)
-// buys on identical arithmetic.
-func BenchmarkInferScratch(b *testing.B) {
-	br := models.NewBranchyLeNet(rng.New(4), 0.05)
-	pipe := &core.Pipeline{
-		AE:         models.NewTableIAE(dataset.MNIST, rng.New(5)),
-		Classifier: models.ExtractLightweight(br),
-	}
-	x := hostBatch(16)
-	dst := make([]int, 16)
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		converted := pipe.ConvertScratch(x, s)
-		pipe.LogitsScratch(converted, s).ArgMaxRows(dst)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
-}
-
 // BenchmarkPlanExecute is the engine worker's actual hot loop: the compiled
 // AE and classifier plans executed back to back. -benchmem must report
 // 0 allocs/op.
@@ -617,13 +592,16 @@ func BenchmarkPlanExecuteTraced(b *testing.B) {
 }
 
 // TestTracingOverhead enforces the observability layer's hard budget:
-// fully traced plan execution must stay within 2% of untraced. Each
-// attempt benchmarks both variants back to back; wall-clock noise is
-// damped by passing on the first attempt that lands inside the budget
-// (the overhead itself is a few atomic stores per step, well under 1%).
+// fully traced plan execution must stay within 2% of untraced (the overhead
+// itself is a few atomic stores per step, well under 1%). The two sets run
+// in short alternating rounds and an attempt is read as the median of the
+// traced/untraced ratios of adjacent rounds, so a host that changes speed or
+// runs other packages' tests meanwhile moves both sides of a pair alike
+// instead of deciding the verdict; what noise is left in the median is damped
+// by passing on the first attempt inside the budget.
 func TestTracingOverhead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmarking pair takes seconds")
+		t.Skip("timing rounds take seconds")
 	}
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
@@ -641,29 +619,41 @@ func TestTracingOverhead(t *testing.T) {
 	traced.EnableTracing(trace.NewRecorder(256), trace.NewMeter())
 	x := hostBatch(16)
 	dst := make([]int, 16)
-	run := func(ps *core.PlanSet) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ps.InferInto(dst, x)
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
+	const (
+		pairs  = 160
+		calls  = 5 // per round: a few ms, short against host drift
+		budget = 1.02
+	)
+	round := func(ps *core.PlanSet) float64 {
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			ps.InferInto(dst, x)
+		}
+		return float64(time.Since(start))
 	}
-	plain.InferInto(dst, x) // warm both outside the measured windows
-	traced.InferInto(dst, x)
+	round(plain) // warm both outside the measured rounds
+	round(traced)
 
-	const budget = 1.02
+	ratios := make([]float64, pairs)
 	var worst float64
 	for attempt := 0; attempt < 3; attempt++ {
-		p, tr := run(plain), run(traced)
-		ratio := tr / p
-		t.Logf("attempt %d: untraced %.0f ns/op, traced %.0f ns/op, ratio %.4f", attempt, p, tr, ratio)
-		if ratio <= budget {
+		for i := range ratios {
+			if i%2 == 0 { // alternate which side of the pair goes first
+				p := round(plain)
+				ratios[i] = round(traced) / p
+			} else {
+				tr := round(traced)
+				ratios[i] = tr / round(plain)
+			}
+		}
+		sort.Float64s(ratios)
+		median := ratios[pairs/2]
+		t.Logf("attempt %d: traced/untraced over %d paired rounds: median %.4f, quartiles %.4f–%.4f",
+			attempt, pairs, median, ratios[pairs/4], ratios[3*pairs/4])
+		if median <= budget {
 			return
 		}
-		if ratio > worst {
-			worst = ratio
-		}
+		worst = max(worst, median)
 	}
-	t.Errorf("traced execution consistently over budget: worst ratio %.4f > %.2f", worst, budget)
+	t.Errorf("traced execution consistently over budget: worst median ratio %.4f > %.2f", worst, budget)
 }

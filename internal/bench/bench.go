@@ -89,7 +89,6 @@ func registry() []benchDef {
 		{"pipeline/infer/batch32", benchInfer(32)},
 		{"pipeline/forward-batch16-t4", benchInferThreads(4)},
 		{"pipeline/infer-traced/batch16", benchInferTraced},
-		{"pipeline/infer-scratch/batch16", benchInferScratch},
 		{"engine/throughput/routed", benchEngineThroughput},
 		{"engine/slo-observe", benchSLOObserve},
 		{"engine/breaker-observe", benchBreakerObserve},
@@ -374,27 +373,6 @@ func benchInferTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps.InferInto(dst, x)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
-}
-
-// benchInferScratch measures the retained dynamic-dispatch compatibility
-// path (Sequential.InferScratch over a bump arena), the baseline the
-// compiled-plan rows are read against.
-func benchInferScratch(b *testing.B) {
-	pipe := perfPipeline()
-	x := perfBatch(16)
-	dst := make([]int, 16)
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	// Grow the arena to its steady-state footprint outside the window.
-	pipe.LogitsScratch(pipe.ConvertScratch(x, s), s).ArgMaxRows(dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		converted := pipe.ConvertScratch(x, s)
-		pipe.LogitsScratch(converted, s).ArgMaxRows(dst)
 	}
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 }

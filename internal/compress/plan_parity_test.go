@@ -105,31 +105,3 @@ func TestVariantPlanParityOracle(t *testing.T) {
 		tensor.SetBlockedKernelForTest(prev)
 	}
 }
-
-// TestVariantPlanBitwiseVsInferScratch pins the fusion invariant for the
-// variant routes under production dispatch: the engine's variant workers
-// serve from compiled plans while InferScratch is the reference batched
-// path, and fused epilogues must not change a single bit between them.
-func TestVariantPlanBitwiseVsInferScratch(t *testing.T) {
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	for _, m := range variantParityNets(t) {
-		p, err := nn.Compile(m.net, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		for _, n := range []int{1, 7, 16} {
-			x := tensor.New(n, dataset.Pixels)
-			x.RandUniform(rng.New(uint64(n)*17+uint64(dataset.Pixels)), 0, 1)
-			s.Reset()
-			want := m.net.InferScratch(x, s)
-			got := p.Execute(nil, x)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s batch %d: plan[%d] = %v, scratch = %v (not bitwise equal)",
-						m.name, n, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
-}

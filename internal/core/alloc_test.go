@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -129,7 +132,7 @@ func TestPooledWrappersBounded(t *testing.T) {
 }
 
 // TestInferIntoMatchesInfer guards the plan-backed fast paths against each
-// other and against the dynamic scratch compatibility path.
+// other and against the layers' own Forward, the ground truth.
 func TestInferIntoMatchesInfer(t *testing.T) {
 	pipe := allocTestPipeline()
 	x := testBatch(16)
@@ -149,16 +152,17 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 		}
 	}
 
-	// The dynamic InferScratch path stays the reference: the compiled plans
-	// must agree with it prediction-for-prediction.
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	converted := pipe.ConvertScratch(x, s)
-	scratchPreds := make([]int, 16)
-	pipe.LogitsScratch(converted, s).ArgMaxRows(scratchPreds)
+	forward := make([]int, 16)
+	pipe.Classifier.Forward(pipe.Convert(x), false).ArgMaxRows(forward)
 	for i := range want {
-		if want[i] != scratchPreds[i] {
-			t.Fatalf("plan pred[%d] = %d, scratch path = %d", i, want[i], scratchPreds[i])
+		if want[i] != forward[i] {
+			t.Fatalf("plan pred[%d] = %d, Forward = %d", i, want[i], forward[i])
+		}
+	}
+	pipe.Classifier.Forward(x, false).ArgMaxRows(forward)
+	for i := range wantD {
+		if wantD[i] != forward[i] {
+			t.Fatalf("plan direct pred[%d] = %d, Forward = %d", i, wantD[i], forward[i])
 		}
 	}
 }
@@ -169,21 +173,28 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 func TestPipelinePlanCacheInvalidation(t *testing.T) {
 	pipe := allocTestPipeline()
 	x := testBatch(8)
-	_ = pipe.Infer(x) // compile + cache plans for the original networks
+	before := pipe.ClassifyDirect(x) // compile + cache plans for the original networks
 
 	br2 := models.NewBranchyLeNet(rng.New(99), 0.05)
 	pipe.Classifier = models.ExtractLightweight(br2)
 	got := pipe.ClassifyDirect(x)
 
-	// Reference: the dynamic path always reads the current field.
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
+	// Reference: a set compiled from the current field just now.
+	fresh, err := PlanSetFor(pipe.Classifier, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]int, 8)
-	pipe.LogitsScratch(x, s).ArgMaxRows(want)
+	fresh.ClassifyDirectInto(want, x)
+	differs := false
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pred[%d] = %d after classifier swap, want %d (stale plan cache?)", i, got[i], want[i])
 		}
+		differs = differs || want[i] != before[i]
+	}
+	if !differs {
+		t.Fatal("the two classifiers agree on every row: the test cannot see a stale cache")
 	}
 }
 
@@ -206,4 +217,29 @@ func TestPipelinePlanGrowth(t *testing.T) {
 			t.Fatalf("pred[%d] changed after plan growth: %d vs %d", i, predsBig[i], preds[i])
 		}
 	}
+}
+
+// mysteryLayer is an nn.Layer of a type the plan compiler has no step for.
+type mysteryLayer struct{ *nn.ReLU }
+
+// TestInferPanicsOnUncompilableClassifier: the pipeline runs on compiled
+// plans only, so a classifier the compiler rejects panics with the
+// compiler's error — network and layer named — on first use.
+func TestInferPanicsOnUncompilableClassifier(t *testing.T) {
+	pipe := allocTestPipeline()
+	pipe.Classifier = nn.NewSequential("odd-net", append([]nn.Layer{mysteryLayer{nn.NewReLU("mystery")}}, pipe.Classifier.Layers...)...)
+	defer func() {
+		r := recover()
+		if r == nil {
+			return // the Error below has fired
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{"odd-net", "mystery"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("Infer panicked with %q, want it to name %q", msg, want)
+			}
+		}
+	}()
+	pipe.Infer(testBatch(2))
+	t.Error("Infer ran a classifier the plan compiler rejects")
 }

@@ -30,31 +30,30 @@ import (
 //
 // Serving runs on compiled execution plans (nn.Compile): the pipeline keeps
 // a private, mutex-guarded PlanSet for its own methods and hands fresh sets
-// to concurrent callers via Plans (engine workers own one each). When a
-// network contains layers the plan compiler does not support, the pipeline
-// transparently falls back to the dynamic InferScratch path.
+// to concurrent callers via Plans (engine workers own one each). The
+// networks are built in code, not read from outside, so one the compiler
+// rejects is a programming error: Plans returns it, the pipeline's own
+// inference methods panic with it.
 type Pipeline struct {
 	AE         *models.ConvertingAE
 	Classifier *nn.Sequential
 
-	// mu guards the lazily compiled plan set (and the fallback arena) used
-	// by the pipeline's own inference methods.
-	mu            sync.Mutex
-	plans         *PlanSet
-	aeErr, clsErr bool // sticky per-network compile failures
+	// mu guards the lazily compiled plan set used by the pipeline's own
+	// inference methods.
+	mu    sync.Mutex
+	plans *PlanSet
 	// plansAE/plansCls record which networks the cached set was compiled
 	// from: replacing the exported AE/Classifier fields invalidates the
-	// cache (and the sticky failures) on the next call. In-place weight
-	// updates need no invalidation — plans read the parameter tensors, and
-	// re-pack what they hold packed after a Param.Touch.
+	// cache on the next call. In-place weight updates need no invalidation
+	// — plans read the parameter tensors, and re-pack what they hold packed
+	// after a Param.Touch.
 	plansAE  *models.ConvertingAE
 	plansCls *nn.Sequential
-	scratch  *tensor.Scratch // dynamic-shape fallback, lazily allocated
 }
 
 // PlanSet bundles the compiled AE and classifier plans of one pipeline at a
-// fixed batch capacity. Like a scratch arena, a PlanSet owns its buffers
-// and serves one goroutine; compile one per worker via Pipeline.Plans (or
+// fixed batch capacity. A PlanSet owns its buffers and serves one
+// goroutine; compile one per worker via Pipeline.Plans (or
 // ClassifierPlans for the AE-free easy route). The plans read the
 // pipeline's parameters, not copies, and serve their values as of the last
 // nn.Param.Touch (the optimisers and the checkpoint loader call it).
@@ -142,9 +141,16 @@ func (ps *PlanSet) Convert(x *tensor.Tensor) *tensor.Tensor {
 	return ps.ae.Execute(nil, x)
 }
 
-// Logits runs the classifier plan alone, returning plan-owned logits.
-func (ps *PlanSet) Logits(x *tensor.Tensor) *tensor.Tensor {
-	return ps.cls.Execute(nil, x)
+// Logits runs the set on a batch and returns the classifier's logits: a set
+// with an AE plan converts first and hands back the converted images beside
+// them, a classifier-only set classifies x as it is and returns nil there.
+// Both results are plan-owned views, valid until the set's next execution.
+func (ps *PlanSet) Logits(x *tensor.Tensor) (logits, converted *tensor.Tensor) {
+	if ps.ae != nil {
+		converted = ps.ae.Execute(nil, x)
+		x = converted
+	}
+	return ps.cls.Execute(nil, x), converted
 }
 
 // InferInto classifies a batch through both plans into dst (length
@@ -160,17 +166,12 @@ func (ps *PlanSet) ClassifyDirectInto(dst []int, x *tensor.Tensor) {
 }
 
 // planSetLocked returns a plan set able to take batches of n rows, growing
-// (recompiling) the pipeline's private set on demand. The two networks
-// compile independently: a non-compilable AE still leaves the classifier
-// plan serving ClassifyDirectInto, and vice versa — callers check the
-// sub-plans they need and fall back to InferScratch per network. p.mu must
-// be held.
+// (recompiling) the pipeline's private set on demand. It panics with the
+// compiler's error when either network does not compile. p.mu must be held.
 func (p *Pipeline) planSetLocked(n int) *PlanSet {
 	if p.plansAE != p.AE || p.plansCls != p.Classifier {
-		// The networks were swapped out from under the cache: recompile
-		// and give previously failing networks another chance.
+		// The networks were swapped out from under the cache: recompile.
 		p.plans = nil
-		p.aeErr, p.clsErr = false, false
 		p.plansAE, p.plansCls = p.AE, p.Classifier
 	}
 	if p.plans != nil && n <= p.plans.cap {
@@ -180,52 +181,18 @@ func (p *Pipeline) planSetLocked(n int) *PlanSet {
 	if c < 16 {
 		c = 16
 	}
-	ps := &PlanSet{cap: c}
-	if !p.aeErr {
-		if plan, err := p.AE.CompilePlan(c); err == nil {
-			ps.ae = plan
-		} else {
-			p.aeErr = true
-		}
-	}
-	if !p.clsErr {
-		if plan, err := nn.Compile(p.Classifier, c); err == nil {
-			ps.cls = plan
-		} else {
-			p.clsErr = true
-		}
+	ps, err := p.Plans(c)
+	if err != nil {
+		panic(err)
 	}
 	p.plans = ps
 	return ps
-}
-
-// scratchLocked returns the pipeline's retained fallback arena. p.mu must
-// be held.
-func (p *Pipeline) scratchLocked() *tensor.Scratch {
-	if p.scratch == nil {
-		p.scratch = &tensor.Scratch{}
-	}
-	p.scratch.Reset()
-	return p.scratch
 }
 
 // Convert runs only the autoencoder stage, returning the transformed
 // images.
 func (p *Pipeline) Convert(x *tensor.Tensor) *tensor.Tensor {
 	return p.AE.Net.Forward(x, false)
-}
-
-// ConvertScratch runs the autoencoder stage with all buffers borrowed from
-// the scratch arena — the dynamic-shape compatibility path. The result is
-// arena-owned: copy out anything that must survive the arena's reset.
-func (p *Pipeline) ConvertScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return p.AE.Net.InferScratch(x, s)
-}
-
-// LogitsScratch runs only the lightweight classifier on the compatibility
-// path, returning arena-owned logits.
-func (p *Pipeline) LogitsScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return p.Classifier.InferScratch(x, s)
 }
 
 // Infer classifies a batch through the full pipeline.
@@ -243,13 +210,7 @@ func (p *Pipeline) Infer(x *tensor.Tensor) []int {
 func (p *Pipeline) InferInto(dst []int, x *tensor.Tensor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ps := p.planSetLocked(x.Shape[0]); ps.ae != nil && ps.cls != nil {
-		ps.InferInto(dst, x)
-		return
-	}
-	s := p.scratchLocked()
-	converted := p.AE.Net.InferScratch(x, s)
-	p.Classifier.InferScratch(converted, s).ArgMaxRows(dst)
+	p.planSetLocked(x.Shape[0]).InferInto(dst, x)
 }
 
 // ClassifyDirect classifies a batch with the lightweight classifier alone,
@@ -269,12 +230,7 @@ func (p *Pipeline) ClassifyDirect(x *tensor.Tensor) []int {
 func (p *Pipeline) ClassifyDirectInto(dst []int, x *tensor.Tensor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ps := p.planSetLocked(x.Shape[0]); ps.cls != nil {
-		ps.ClassifyDirectInto(dst, x)
-		return
-	}
-	s := p.scratchLocked()
-	p.Classifier.InferScratch(x, s).ArgMaxRows(dst)
+	p.planSetLocked(x.Shape[0]).ClassifyDirectInto(dst, x)
 }
 
 // Accuracy returns pipeline classification accuracy over a dataset.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"runtime/debug"
 	"testing"
 )
@@ -21,20 +20,7 @@ func TestRunBatchZeroAlloc(t *testing.T) {
 	pipe := testPipeline()
 	e := New(pipe, Config{MaxBatch: n, Workers: 1})
 	defer e.Close()
-	// AllocsPerRun counts process-wide mallocs, and the engine's own
-	// workers compile their startup PlanSets asynchronously; push one
-	// request through each route so both workers are past startup before
-	// the measurement window opens.
-	for _, img := range [][]float32{easyImage(7), hardImage(7)} {
-		if _, err := e.Submit(context.Background(), Request{Pixels: img}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	w := e.newWorker(e.hard, 99)
-	if w.ps == nil {
-		t.Fatal("test pipeline should plan-compile")
-	}
 
 	batch := make([]*request, n)
 	for i := range batch {

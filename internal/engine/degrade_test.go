@@ -328,8 +328,11 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 // controller is flapping between levels and workers are wedged, asserting
 // every caller is answered (race-clean; no hung goroutines).
 func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
+	// Gate every route so admitted requests pile up.
+	gate := make(gateFault)
 	e := New(testPipeline(), Config{
 		MaxBatch: 4, MaxWait: time.Hour, Workers: 1, QueueDepth: 64,
+		Fault: gate,
 		Degrade: DegradeConfig{
 			Enabled:       true,
 			Interval:      time.Millisecond,
@@ -346,16 +349,6 @@ func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
 		}
 		return 0
 	})
-
-	// Gate both built-in routes so admitted requests pile up.
-	gate := make(chan struct{})
-	for _, rt := range []*route{e.easy, e.hard} {
-		orig := rt.infer
-		rt.infer = func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			<-gate
-			return orig(w, x)
-		}
-	}
 
 	const n = 24
 	var wg sync.WaitGroup

@@ -355,24 +355,8 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		}
 	}
 	e.jitterState.Store(uint64(time.Now().UnixNano()) | 1)
-	e.easy = e.newRoute(RouteEasy,
-		func(batchCap int) (*core.PlanSet, error) { return pipe.ClassifierPlans(batchCap) },
-		func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			if w.ps != nil {
-				return w.ps.Logits(x), nil
-			}
-			return pipe.LogitsScratch(x, w.s), nil
-		})
-	e.hard = e.newRoute(RouteHard,
-		func(batchCap int) (*core.PlanSet, error) { return pipe.Plans(batchCap) },
-		func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			if w.ps != nil {
-				converted := w.ps.Convert(x)
-				return w.ps.Logits(converted), converted
-			}
-			converted := pipe.ConvertScratch(x, w.s)
-			return pipe.LogitsScratch(converted, w.s), converted
-		})
+	e.easy = e.newRoute(RouteEasy, pipe.ClassifierPlans)
+	e.hard = e.newRoute(RouteHard, pipe.Plans)
 	for _, v := range cfg.Variants {
 		net := v.Net
 		if v.Name == "" || net == nil {
@@ -381,23 +365,23 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		if _, dup := e.byName[v.Name]; dup {
 			panic(fmt.Sprintf("engine: duplicate route name %q", v.Name))
 		}
-		e.newRoute(v.Name,
-			func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) },
-			func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-				if w.ps != nil {
-					return w.ps.Logits(x), nil
-				}
-				return net.InferScratch(x, w.s), nil
-			})
+		e.newRoute(v.Name, func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) })
 	}
+	e.live = e.routes
 	if cfg.DisableRouting {
 		// Only the hard route serves: leave the rest unstarted rather
 		// than idling workers that can never receive traffic.
-		e.startRoute(e.hard, cfg.Workers)
-	} else {
-		for _, rt := range e.routes {
-			e.startRoute(rt, cfg.Workers)
+		e.live = []*route{e.hard}
+	}
+	// Every worker's plans compile before any goroutine starts, so a
+	// network the compiler rejects panics here, in the caller of New.
+	for _, rt := range e.live {
+		for i := 0; i < cfg.Workers; i++ {
+			rt.workers = append(rt.workers, e.newWorker(rt, i))
 		}
+	}
+	for _, rt := range e.live {
+		e.startRoute(rt)
 	}
 	tensor.SetGEMMThreads(gemmThreadsFor(cfg))
 	if cfg.Degrade.Enabled {
@@ -407,14 +391,13 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	return e
 }
 
-func (e *Engine) startRoute(rt *route, workers int) {
+func (e *Engine) startRoute(rt *route) {
 	rt.started = true
-	e.live = append(e.live, rt)
 	e.wg.Add(1)
 	go e.batchLoop(rt)
-	for i := 0; i < workers; i++ {
+	for _, w := range rt.workers {
 		e.wg.Add(1)
-		go e.workerLoop(rt, i)
+		go e.workerLoop(rt, w)
 	}
 }
 

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"cbnet/internal/core"
 	"cbnet/internal/dataset"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -315,4 +318,28 @@ func TestIssueRequestIDMonotonic(t *testing.T) {
 	if res.RequestID <= b {
 		t.Errorf("auto-assigned ID %d not after pre-issued %d", res.RequestID, b)
 	}
+}
+
+// mysteryLayer is an nn.Layer of a type the plan compiler has no step for.
+type mysteryLayer struct{ *nn.ReLU }
+
+// TestNewPanicsOnUncompilableVariant: a variant network the plan compiler
+// rejects is a configuration error New reports by panicking, naming the
+// route, the network and the layer — there is no slower path to serve it on.
+func TestNewPanicsOnUncompilableVariant(t *testing.T) {
+	net := nn.NewSequential("odd-net", nn.NewDense("fc", dataset.Pixels, dataset.NumClasses, rng.New(1)), mysteryLayer{nn.NewReLU("mystery")})
+	defer func() {
+		r := recover()
+		if r == nil {
+			return // the Error below has fired
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{"odd-route", "odd-net", "mystery"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("New panicked with %q, want it to name %q", msg, want)
+			}
+		}
+	}()
+	New(testPipeline(), Config{Workers: 1, Variants: []Variant{{Name: "odd-route", Net: net}}}).Close()
+	t.Error("New accepted a variant the plan compiler rejects")
 }

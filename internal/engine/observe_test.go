@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"cbnet/internal/chaos"
 	"cbnet/internal/metrics"
 	"cbnet/internal/trace"
 )
@@ -138,15 +141,57 @@ func TestStatsGaugesAndP95(t *testing.T) {
 	if snap.UptimeSeconds <= 0 {
 		t.Error("uptime not positive")
 	}
+	requireIdleGauges(t, e)
 	for _, r := range snap.Routes {
-		if r.Queued != 0 || r.InFlight != 0 {
-			t.Errorf("route %s idle but queued=%d inflight=%d", r.Route, r.Queued, r.InFlight)
-		}
 		if r.Images > 0 {
 			lat := r.QueueWaitMS
 			if lat.P95 < lat.P50 || lat.P99 < lat.P95 {
 				t.Errorf("route %s quantiles not ordered: %+v", r.Route, lat)
 			}
 		}
+	}
+}
+
+// requireIdleGauges reports an error for every route that reads a request
+// queued or in flight; every caller of the engine must hold its answer.
+func requireIdleGauges(t *testing.T, e *Engine) bool {
+	t.Helper()
+	idle := true
+	for _, r := range e.Stats().Routes {
+		if r.Queued != 0 || r.InFlight != 0 {
+			t.Errorf("route %s idle but queued=%d inflight=%d", r.Route, r.Queued, r.InFlight)
+			idle = false
+		}
+	}
+	return idle
+}
+
+// TestInFlightGaugeSettlesBeforeReply: a caller that holds the answer to the
+// only request in the engine — a result or an infer error — must read both
+// gauges at zero. A worker that replied first and took the request off the
+// gauge second lost this race on a second proc about once in a thousand
+// rounds (the TestStatsGaugesAndP95 flake).
+func TestInFlightGaugeSettlesBeforeReply(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	failing := chaos.NewInjector()
+	failing.SetErrorEvery(1)
+	for name, cfg := range map[string]Config{
+		"served": {MaxBatch: 1, Workers: 1},
+		"failed": {MaxBatch: 1, Workers: 1, Fault: failing},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := New(testPipeline(), cfg)
+			defer e.Close()
+			imgs := [][]float32{easyImage(3), hardImage(3)}
+			for round := 0; round < 8000; round++ {
+				_, err := e.Submit(context.Background(), Request{Pixels: imgs[round%2]})
+				if cfg.Fault == nil && err != nil || cfg.Fault != nil && !errors.Is(err, ErrInferFailed) {
+					t.Fatalf("round %d: Submit err = %v", round, err)
+				}
+				if !requireIdleGauges(t, e) {
+					t.Fatalf("round %d: the only request was answered", round)
+				}
+			}
+		})
 	}
 }

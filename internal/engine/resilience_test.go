@@ -120,6 +120,8 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	if s.BisectRuns == 0 || uint64(s.BisectRuns) != s.BudgetSpent {
 		t.Fatalf("bisectRuns=%d budgetSpent=%d, want equal and nonzero", s.BisectRuns, s.BudgetSpent)
 	}
+	// Served halves and the convicted singleton each left the gauge once.
+	requireIdleGauges(t, e)
 }
 
 // TestRetryBudgetBoundsBisect wedges the whole engine (every batch fails)
@@ -342,16 +344,8 @@ func TestRunBatchZeroAllocResilience(t *testing.T) {
 	e := New(pipe, Config{MaxBatch: n, Workers: 1,
 		Resilience: ResilienceConfig{Enabled: true}})
 	defer e.Close()
-	for _, img := range [][]float32{easyImage(7), hardImage(7)} {
-		if _, err := e.Submit(context.Background(), Request{Pixels: img}); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	w := e.newWorker(e.hard, 99)
-	if w.ps == nil {
-		t.Fatal("test pipeline should plan-compile")
-	}
 	batch := make([]*request, n)
 	for i := range batch {
 		batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}

@@ -34,9 +34,9 @@ func planParityNets() []planParityNet {
 // identical arithmetic and must agree to ≤1e-6 (observed exactly 0). Under
 // production dispatch, Forward's per-sample conv products and the plan's
 // batched products may pick different — individually oracle-tested —
-// kernels, so agreement there is to the blocked-vs-axpy oracle tolerance;
-// the plan must additionally match the batched InferScratch path bit for
-// bit, since fused epilogues change no rounding.
+// kernels, so agreement there is to the blocked-vs-axpy oracle tolerance
+// (nn.TestShippedPlansBitwiseVsUnpackedReference holds the same plans to
+// their unpacked steps bit for bit).
 func TestPlanParityOracle(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -71,34 +71,6 @@ func TestPlanParityOracle(t *testing.T) {
 			}
 		}
 		tensor.SetBlockedKernelForTest(prev)
-	}
-}
-
-// TestPlanBitwiseVsInferScratch asserts the fusion invariant under
-// production dispatch: the plan and the arena path run the same batched
-// GEMM compositions, so fusing bias+activation into the epilogue must not
-// change a single bit.
-func TestPlanBitwiseVsInferScratch(t *testing.T) {
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	for _, m := range planParityNets() {
-		p, err := nn.Compile(m.net, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		for _, n := range []int{1, 7, 16} {
-			x := tensor.New(n, m.inW)
-			x.RandUniform(rng.New(uint64(n)*17+uint64(m.inW)), 0, 1)
-			s.Reset()
-			want := m.net.InferScratch(x, s)
-			got := p.Execute(nil, x)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s batch %d: plan[%d] = %v, scratch = %v (not bitwise equal)",
-						m.name, n, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
 	}
 }
 

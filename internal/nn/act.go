@@ -48,18 +48,6 @@ func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardScratch clamps negatives to zero into an arena-borrowed output.
-func (r *ReLU) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	y := s.Tensor(x.Shape...)
-	for i, v := range x.Data {
-		if v < 0 {
-			v = 0
-		}
-		y.Data[i] = v
-	}
-	return y
-}
-
 // Backward zeroes gradients where the forward input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastMask == nil {
@@ -107,18 +95,8 @@ func (s *Sigmoid) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardScratch applies the logistic function into an arena-borrowed
-// output.
-func (s *Sigmoid) ForwardScratch(x *tensor.Tensor, sc *tensor.Scratch) *tensor.Tensor {
-	y := sc.Tensor(x.Shape...)
-	for i, v := range x.Data {
-		y.Data[i] = Sigmoid32(v)
-	}
-	return y
-}
-
 // Sigmoid32 aliases tensor.Sigmoid32, the single logistic definition every
-// sigmoid path (layer, scratch, fused epilogue, plan step) shares so their
+// sigmoid path (layer, fused epilogue, plan step) shares so their
 // outputs agree bitwise.
 func Sigmoid32(v float32) float32 { return tensor.Sigmoid32(v) }
 
@@ -170,20 +148,6 @@ func (s *Softmax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	}
 	if training {
 		s.lastOut = y
-	}
-	return y
-}
-
-// ForwardScratch applies the row softmax into an arena-borrowed output.
-func (s *Softmax) ForwardScratch(x *tensor.Tensor, sc *tensor.Scratch) *tensor.Tensor {
-	if len(x.Shape) != 2 {
-		panic(fmt.Sprintf("softmax %s: input shape %v, want 2-D", s.LayerName, x.Shape))
-	}
-	y := sc.Tensor(x.Shape...)
-	copy(y.Data, x.Data)
-	n, w := y.Shape[0], y.Shape[1]
-	for i := 0; i < n; i++ {
-		SoftmaxRow(y.Data[i*w : (i+1)*w])
 	}
 	return y
 }

@@ -100,19 +100,6 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardScratch computes y = xW + b into an arena-borrowed output,
-// allocating nothing once the arena is warm.
-func (d *Dense) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	if len(x.Shape) != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("dense %s: input shape %v, want (N, %d)", d.LayerName, x.Shape, d.In))
-	}
-	n := x.Shape[0]
-	y := s.Tensor(n, d.Out)
-	tensor.GEMM(x.Data, d.W.Value.Data, y.Data, n, d.In, d.Out, 1, 0)
-	y.AddRowVector(d.B.Value)
-	return y
-}
-
 // Backward accumulates dW = xᵀ·dy and db = Σ_batch dy, and returns
 // dx = dy·Wᵀ. The gradient products accumulate directly into the parameter
 // gradients through the layer's retained packing panels, so a training step

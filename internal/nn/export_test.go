@@ -2,6 +2,10 @@ package nn
 
 import "cbnet/internal/tensor"
 
+// MixedTestNet hands the package's mixed test network to the external
+// tests, which walk it through ReferenceExecute beside the shipped ones.
+var MixedTestNet = mixedTestNet
+
 // ReferenceExecute runs p's compiled steps on x the way plans ran before
 // their operands were bound to the micro-kernel: dense weights read
 // row-major through tensor.GEMMEpilogue, the column matrix expanded
@@ -36,7 +40,7 @@ func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 			gemmOut := make([]float32, c.OutC*batchCols)
 			tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols,
 				tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}, nil)
-			c.scatterRange(gemmOut, out, nil, colCols, batchCols, 0, n)
+			c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
 		case opPool:
 			st.pool.poolRange(cur, out, make([]int32, len(out)), 0, n)
 		case opAct:

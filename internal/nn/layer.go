@@ -58,15 +58,6 @@ type Layer interface {
 	OutSize(inSize int) (int, error)
 }
 
-// ScratchLayer is the optional interface of layers with an allocation-free
-// inference path: ForwardScratch behaves exactly like Forward(x, false) but
-// borrows its output (and any intermediates) from the scratch arena instead
-// of the heap. The returned tensor is only valid until the arena is reset;
-// callers that need it longer must copy it out.
-type ScratchLayer interface {
-	ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor
-}
-
 // Sequential chains layers, feeding each one's output to the next.
 type Sequential struct {
 	// SeqName labels the network in checkpoints and cost reports.
@@ -86,24 +77,6 @@ func (s *Sequential) Name() string { return s.SeqName }
 func (s *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	for _, l := range s.Layers {
 		x = l.Forward(x, training)
-	}
-	return x
-}
-
-// InferScratch runs the stack in inference mode with all intermediate and
-// output tensors borrowed from the scratch arena. Layers that implement
-// ScratchLayer allocate nothing in steady state; the rest fall back to
-// Forward(x, false) (identity-at-inference layers like Dropout and
-// ActivityRegularizer return their input unchanged, so they allocate
-// nothing either). The result is arena-owned: extract or copy what you
-// need before resetting s.
-func (s *Sequential) InferScratch(x *tensor.Tensor, sc *tensor.Scratch) *tensor.Tensor {
-	for _, l := range s.Layers {
-		if sl, ok := l.(ScratchLayer); ok {
-			x = sl.ForwardScratch(x, sc)
-		} else {
-			x = l.Forward(x, false)
-		}
 	}
 	return x
 }

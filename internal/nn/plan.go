@@ -15,9 +15,10 @@ import (
 // Dense+Softmax, …), and assigns every intermediate a fixed offset in one
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
 // steps — no interface dispatch, no type assertions, and zero steady-state
-// heap allocations — while Sequential.InferScratch remains the
-// compatibility path for dynamic shapes and layer types the compiler does
-// not know.
+// heap allocations. It is the only way a trained network runs outside
+// training: Layer.Forward stays for the training loop and as the oracle the
+// plan tests compare against, and a network with a layer type the compiler
+// does not know is rejected at Compile, not served some other way.
 //
 // Buffer planning is ping-pong liveness: only one intermediate is live
 // between consecutive steps, so step i reads slot i%2−1 and writes slot
@@ -97,8 +98,8 @@ type planStep struct {
 
 // Plan is a compiled inference program for one Sequential at a fixed batch
 // capacity. A Plan owns its intermediate buffer and is therefore
-// single-goroutine, like a scratch arena: engine workers each compile their
-// own. The layers' weights are shared and read-only.
+// single-goroutine: engine workers each compile their own. The layers'
+// weights are shared and read-only.
 type Plan struct {
 	name     string
 	batchCap int
@@ -121,8 +122,8 @@ type Plan struct {
 
 // Compile builds the static execution plan of net for batches of up to
 // batchCap rows. It fails on non-positive capacities, on layer types it has
-// no step for (fall back to InferScratch), and on networks whose input
-// width cannot be inferred (no shape-bearing layer).
+// no step for, and on networks whose input width cannot be inferred (no
+// shape-bearing layer).
 func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	if net == nil {
 		return nil, fmt.Errorf("nn: Compile of nil network")
@@ -230,7 +231,7 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 				}
 			}
 		default:
-			return nil, fmt.Errorf("nn: Compile %s: no plan step for layer %s (%T); use InferScratch", net.Name(), l.Name(), l)
+			return nil, fmt.Errorf("nn: Compile %s: no plan step for layer %s (%T): add one to Compile, inference runs on plans only", net.Name(), l.Name(), l)
 		}
 	}
 	if width < 0 {
@@ -569,7 +570,7 @@ func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 		c.im2colRange(in, col, batchCols, 0, n)
 		tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, &p.pack)
 	}
-	c.scatterRange(gemmOut, out, nil, colCols, batchCols, 0, n)
+	c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
 }
 
 // runAct executes a standalone activation step (copy-apply into the output

@@ -28,7 +28,8 @@ type shippedNet struct {
 // harness or the degradation ladder: the converting autoencoders of Table I
 // with both output activations, the lightweight classifier, LeNet, the
 // early-exit branch alone, the BranchyNet main net, and the pruned, SubFlow
-// and pruned-lightweight variants.
+// and pruned-lightweight variants — plus the package's mixed test net, for
+// the step kinds no shipped network has (a sigmoid fused into a conv).
 func shippedNets(t *testing.T) []shippedNet {
 	t.Helper()
 	br := models.NewBranchyLeNet(rng.New(11), 0.05)
@@ -42,9 +43,11 @@ func shippedNets(t *testing.T) []shippedNet {
 		{"lenet", models.NewLeNet(rng.New(16)), dataset.Pixels},
 		{"branch", br.Branch, 3 * 14 * 14},
 		{"main-net", models.ExtractMainNet(br), dataset.Pixels},
+		{"mixed-test", nn.MixedTestNet(rng.New(42)), 144},
 	}
 	base := models.NewLeNet(rng.New(41))
 	for _, cfg := range []compress.PruneConfig{
+		{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: 1},
 		{Conv2Keep: 0.5, Conv3Keep: 0.5, FC1Keep: 0.5},
 		{Conv2Keep: 0.25, Conv3Keep: 0.5, FC1Keep: 0.75},
 	} {
@@ -58,18 +61,24 @@ func shippedNets(t *testing.T) []shippedNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range []float64{0.3, 0.7} {
+	for _, u := range []float64{0.25, 0.3, 0.5, 0.7, 1.0} {
 		p, err := sf.NetworkAt(u)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nets = append(nets, shippedNet{"subflow-" + p.Name(), p, dataset.Pixels})
 	}
-	pl, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range []compress.LightweightPruneConfig{
+		{Conv1Keep: 1. / 3., BranchKeep: 1. / 3.},
+		{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.},
+	} {
+		pl, err := compress.PruneLightweight(light, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, shippedNet{"light-pruned-" + cfg.String(), pl, dataset.Pixels})
 	}
-	return append(nets, shippedNet{"light-pruned", pl, dataset.Pixels})
+	return nets
 }
 
 func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {

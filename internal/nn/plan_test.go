@@ -11,12 +11,31 @@ import (
 	"cbnet/internal/tensor"
 )
 
+// mixedTestNet has a step of every kind the compiler emits: convs with and
+// without padding, relu and sigmoid fused into a conv, a pool, dense layers
+// bare and with a fused softmax, and the two identity-at-inference layers
+// (Dropout, ActivityRegularizer) the compiler drops.
+func mixedTestNet(r *rng.RNG) *Sequential {
+	return NewSequential("mixed-test",
+		MustConv2D("conv1", 1, 12, 12, 4, 3, 3, 1, 1, r),
+		NewReLU("relu1"),
+		MustMaxPool2D("pool1", 4, 12, 12, 2, 2),
+		MustConv2D("conv2", 4, 6, 6, 6, 3, 3, 1, 0, r),
+		NewSigmoid("sig"),
+		NewDense("fc1", 6*4*4, 32, r),
+		NewDropout("drop", 0.3, rng.New(5)),
+		NewActivityRegularizer("reg", 1e-6),
+		NewDense("fc2", 32, 10, r),
+		NewSoftmax("sm"),
+	)
+}
+
 // TestCompileFusionAndElision pins the compiler's structural output on the
 // mixed test net: identity layers vanish, activations fold into their
 // producing GEMM steps, and a dense layer with no trailing activation stays
 // a bare step.
 func TestCompileFusionAndElision(t *testing.T) {
-	net := scratchTestNet(rng.New(42))
+	net := mixedTestNet(rng.New(42))
 	p, err := Compile(net, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -39,39 +58,11 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(NewSequential("empty", NewDropout("d", 0.5, r)), 8); err == nil {
 		t.Error("no shape-bearing layer: want error")
 	}
-	if _, err := Compile(scratchTestNet(r), 0); err == nil {
+	if _, err := Compile(mixedTestNet(r), 0); err == nil {
 		t.Error("non-positive batch capacity: want error")
 	}
 	if _, err := Compile(NewSequential("mismatch", NewDense("a", 4, 8, r), NewDense("b", 9, 2, r)), 8); err == nil {
 		t.Error("width mismatch between layers: want error")
-	}
-}
-
-// TestPlanMatchesInferScratch asserts the strong invariant: the fused plan
-// computes bit-identical outputs to the unfused scratch path, which runs
-// the same batched GEMM compositions with separate bias/activation sweeps.
-func TestPlanMatchesInferScratch(t *testing.T) {
-	net := scratchTestNet(rng.New(42))
-	p, err := Compile(net, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	for _, n := range []int{1, 3, 16} {
-		x := tensor.New(n, 144)
-		x.RandUniform(rng.New(uint64(n)), -1, 1)
-		s.Reset()
-		want := net.InferScratch(x, s)
-		got := p.Execute(nil, x)
-		if !got.SameShape(want) {
-			t.Fatalf("batch %d: plan shape %v, want %v", n, got.Shape, want.Shape)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("batch %d: plan output[%d] = %v, scratch = %v (not bitwise equal)", n, i, got.Data[i], want.Data[i])
-			}
-		}
 	}
 }
 
@@ -90,7 +81,7 @@ func TestPlanMatchesForward(t *testing.T) {
 		{"production-dispatch", tensor.BlockedKernelEnabled(), 1e-5},
 	} {
 		prev := tensor.SetBlockedKernelForTest(forced.blocked)
-		net := scratchTestNet(rng.New(7))
+		net := mixedTestNet(rng.New(7))
 		p, err := Compile(net, 16)
 		if err != nil {
 			tensor.SetBlockedKernelForTest(prev)
@@ -116,7 +107,7 @@ func TestPlanMatchesForward(t *testing.T) {
 // the engine worker's usage pattern, including executions into a
 // caller-owned destination.
 func TestPlanRepeatedMixedBatches(t *testing.T) {
-	net := scratchTestNet(rng.New(9))
+	net := mixedTestNet(rng.New(9))
 	p, err := Compile(net, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +136,7 @@ func TestPlanRepeatedMixedBatches(t *testing.T) {
 }
 
 func TestPlanBatchCapPanics(t *testing.T) {
-	p, err := Compile(scratchTestNet(rng.New(3)), 4)
+	p, err := Compile(mixedTestNet(rng.New(3)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +175,7 @@ func TestPlanExecuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
 	}
-	for _, net := range []*Sequential{scratchTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
+	for _, net := range []*Sequential{mixedTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
 		p, err := Compile(net, 32)
 		if err != nil {
 			t.Fatal(err)

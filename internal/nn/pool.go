@@ -85,24 +85,6 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardScratch max-pools into an arena-borrowed output, allocating
-// nothing once the arena is warm.
-func (p *MaxPool2D) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	n := x.Shape[0]
-	if len(x.Shape) != 2 || x.Shape[1] != p.InSize() {
-		panic(fmt.Sprintf("maxpool %s: input shape %v, want (N, %d)", p.LayerName, x.Shape, p.InSize()))
-	}
-	y := s.Tensor(n, p.C*p.OutH*p.OutW)
-	if !tensor.ShouldParallel(n, p.InSize()*p.Pool) {
-		p.poolRange(x.Data, y.Data, nil, 0, n)
-	} else {
-		tensor.ParallelFor(n, p.InSize()*p.Pool, func(i0, i1 int) {
-			p.poolRange(x.Data, y.Data, nil, i0, i1)
-		})
-	}
-	return y
-}
-
 // poolRange pools samples [i0, i1) of the flattened batch x into y; when
 // args is non-nil it also records the winning input index of every output
 // element for the backward pass.

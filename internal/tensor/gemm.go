@@ -226,7 +226,7 @@ func GEMMNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 // C's row i sequentially. It is the small-problem fallback and the oracle
 // the blocked kernel is tested against.
 func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
-	if !ShouldParallel(m, n*k) {
+	if !shouldParallel(m, n*k) {
 		gemmNaiveRange(a, b, c, k, n, alpha, beta, 0, m)
 		return
 	}
@@ -378,11 +378,11 @@ func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
 	parallelRows(n, n*costPerItem, fn)
 }
 
-// ShouldParallel reports whether ParallelFor would actually fan [0, items)
+// shouldParallel reports whether ParallelFor would actually fan [0, items)
 // out to multiple goroutines. Allocation-sensitive callers use it to take a
 // direct serial call — constructing the closure ParallelFor needs forces a
 // heap allocation even when the work ends up running inline.
-func ShouldParallel(items, costPerItem int) bool {
+func shouldParallel(items, costPerItem int) bool {
 	return maxRowWorkers(items, items*costPerItem) > 1
 }
 
@@ -405,7 +405,7 @@ func MatVec(a, x *Tensor) *Tensor {
 // MatVecInto computes y = A × x over raw slices without allocating.
 func MatVecInto(y, a, x []float32, m, k int) {
 	x = x[:k]
-	if !ShouldParallel(m, k) {
+	if !shouldParallel(m, k) {
 		matVecRange(y, a, x, k, 0, m)
 		return
 	}
@@ -440,7 +440,7 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 	}
 	n := t.Shape[1]
 	vd := v.Data[:n]
-	if !ShouldParallel(t.Shape[0], n) {
+	if !shouldParallel(t.Shape[0], n) {
 		addRowVectorRange(t.Data, vd, n, 0, t.Shape[0])
 		return
 	}
@@ -478,7 +478,7 @@ func (t *Tensor) SumRows() *Tensor {
 	if n == 0 {
 		return out
 	}
-	if !ShouldParallel(n, m) {
+	if !shouldParallel(n, m) {
 		sumRowsRange(out.Data, t.Data, m, n, 0, n)
 		return out
 	}
@@ -502,7 +502,7 @@ func (t *Tensor) SumRowsInto(acc *Tensor) {
 	if n == 0 {
 		return
 	}
-	if !ShouldParallel(n, m) {
+	if !shouldParallel(n, m) {
 		sumRowsRange(acc.Data, t.Data, m, n, 0, n)
 		return
 	}

@@ -87,7 +87,7 @@ func GEMMEpilogue(a, b, c []float32, m, k, n int, ep Epilogue, ps *PackScratch) 
 		if ep.isIdentity() {
 			return
 		}
-		if !ShouldParallel(m, 4*n) {
+		if !shouldParallel(m, 4*n) {
 			epilogueTile(c, n, 0, 0, m, n, &ep)
 			return
 		}

@@ -176,6 +176,18 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
+func TestArgMaxRows(t *testing.T) {
+	m := FromSlice([]float32{1, 3, 2, 9, 0, -1, -5, -2, -3}, 3, 3)
+	dst := make([]int, 3)
+	m.ArgMaxRows(dst)
+	want := []int{1, 0, 1}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("ArgMaxRows = %v, want %v", dst, want)
+		}
+	}
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
