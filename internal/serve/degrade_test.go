@@ -24,7 +24,7 @@ import (
 // serverWithEngineConfig builds a server around an untrained pipeline with
 // full control over the engine config — chaos injectors, degradation
 // ladders, worker counts.
-func serverWithEngineConfig(t *testing.T, cfg engine.Config, opts Options) *Server {
+func serverWithEngineConfig(t testing.TB, cfg engine.Config, opts Options) *Server {
 	t.Helper()
 	r := rng.New(1)
 	b := models.NewBranchyLeNet(r, 0.05)

@@ -44,8 +44,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"image"
-	"image/png"
 	"io"
 	"log/slog"
 	"net/http"
@@ -544,7 +542,7 @@ type ClassifyResponse struct {
 // failClassify answers one failed /classify request: the error body and
 // the log record both carry the request ID, the availability SLO sees the
 // outcome (bad = 5xx), and the flight ring records the rejection.
-func (s *Server) failClassify(w http.ResponseWriter, reqID uint64, status int, msg string) {
+func (s *Server) failClassify(w http.ResponseWriter, st *classifyState, reqID uint64, status int, msg string) {
 	s.availT.Observe(status < 500)
 	kind := flight.KindError
 	switch status {
@@ -561,45 +559,73 @@ func (s *Server) failClassify(w http.ResponseWriter, reqID uint64, status int, m
 		s.flight.NoteReject(now)
 	}
 	s.log.Warn("classify failed", "requestId", reqID, "status", status, "err", msg)
-	writeError(w, status, reqID, msg)
+	st.reply = appendErrorBody(st.reply[:0], reqID, msg)
+	writeBody(w, status, st.reply)
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
+	st := statePool.Get().(*classifyState)
+	if s.classify(w, r, st) {
+		putState(st)
+	}
+}
+
+// maxDeadline clamps a client-requested deadline.
+const maxDeadline = 10 * time.Minute
+
+// parseDeadline reads a DeadlineHeader value: a positive millisecond count,
+// clamped into [1ns, maxDeadline] before it becomes a Duration, so that no
+// accepted header converts to a zero or overflowed (negative) deadline that
+// would read as "no deadline".
+func parseDeadline(h string) (time.Duration, bool) {
+	ms, err := strconv.ParseFloat(h, 64)
+	if err != nil || !(ms > 0) {
+		return 0, false
+	}
+	ns := ms * float64(time.Millisecond)
+	return time.Duration(min(max(ns, 1), float64(maxDeadline))), true
+}
+
+// classify serves one /classify request out of st and reports whether st may
+// be pooled again. It may not once the engine has queued the request and
+// Submit has given up on it (deadline, cancellation): the queued request
+// still points at st.pixels and a worker will read them. A nil error means
+// the worker is done with them; ErrPoisoned, ErrOverloaded and ErrClosed
+// mean the request was never queued.
+func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifyState) (recycle bool) {
 	// The request ID is issued before decoding so every outcome —
 	// including 400/413 rejections that never reach the engine — carries
 	// a correlatable requestId in its response, logs, and flight events.
 	reqID := s.Engine.IssueRequestID()
+	isPNG := r.Header.Get("Content-Type") == "image/png"
+	format := "json"
+	if isPNG {
+		format = "png"
+	}
+	if err := st.readBody(w, r); err != nil {
+		s.failClassify(w, st, reqID, decodeStatus(err), fmt.Sprintf("decoding %s: %v", format, err))
+		return true
+	}
 	var pixels []float32
 	var includeConverted bool
-	switch ct := r.Header.Get("Content-Type"); {
-	case ct == "image/png":
-		img, err := png.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			s.failClassify(w, reqID, decodeStatus(err), fmt.Sprintf("decoding png: %v", err))
-			return
-		}
-		pixels, err = pngToPixels(img)
-		if err != nil {
-			s.failClassify(w, reqID, http.StatusBadRequest, err.Error())
-			return
-		}
-	default:
-		var req ClassifyRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			s.failClassify(w, reqID, decodeStatus(err), fmt.Sprintf("decoding json: %v", err))
-			return
-		}
-		pixels = req.Pixels
-		includeConverted = req.IncludeConverted
+	var err error
+	if isPNG {
+		pixels, err = st.decodePNG()
+	} else {
+		pixels, includeConverted, err = st.decodeJSON()
+	}
+	if err != nil {
+		s.failClassify(w, st, reqID, http.StatusBadRequest, err.Error())
+		return true
 	}
 	if len(pixels) != dataset.Pixels {
-		s.failClassify(w, reqID, http.StatusBadRequest, fmt.Sprintf("got %d pixels, want %d", len(pixels), dataset.Pixels))
-		return
+		s.failClassify(w, st, reqID, http.StatusBadRequest, fmt.Sprintf("got %d pixels, want %d", len(pixels), dataset.Pixels))
+		return true
 	}
 	for i, v := range pixels {
-		if v < 0 || v > 1 {
-			s.failClassify(w, reqID, http.StatusBadRequest, fmt.Sprintf("pixel %d = %v outside [0,1]", i, v))
-			return
+		if !(v >= 0 && v <= 1) { // written so that NaN fails
+			s.failClassify(w, st, reqID, http.StatusBadRequest, fmt.Sprintf("pixel %d = %v outside [0,1]", i, v))
+			return true
 		}
 	}
 
@@ -610,15 +636,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	deadline := s.defaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, err := strconv.ParseFloat(h, 64)
-		if err != nil || ms <= 0 {
-			s.failClassify(w, reqID, http.StatusBadRequest,
+		var ok bool
+		if deadline, ok = parseDeadline(h); !ok {
+			s.failClassify(w, st, reqID, http.StatusBadRequest,
 				fmt.Sprintf("invalid %s header %q: want a positive millisecond count", DeadlineHeader, h))
-			return
-		}
-		deadline = time.Duration(ms * float64(time.Millisecond))
-		if deadline > 10*time.Minute {
-			deadline = 10 * time.Minute
+			return true
 		}
 	}
 	if deadline > 0 {
@@ -641,34 +663,34 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		// observed service rate, so clients wait proportionally to real
 		// overload.
 		w.Header().Set("Retry-After", strconv.Itoa(s.Engine.RetryAfterSeconds()))
-		s.failClassify(w, reqID, http.StatusServiceUnavailable, "engine overloaded, retry later")
-		return
+		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, "engine overloaded, retry later")
+		return true
 	case errors.Is(err, engine.ErrClosed):
-		s.failClassify(w, reqID, http.StatusServiceUnavailable, "server shutting down")
-		return
+		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, "server shutting down")
+		return true
 	case errors.Is(err, engine.ErrPoisoned):
 		// The input's fingerprint matches a quarantined poison pill: a
 		// bit-identical submission previously crashed or failed inference
 		// and was convicted by bisection. 422 (not 5xx) because the input
 		// itself is the problem — resubmitting it will never succeed, and
 		// the rejection must not burn the availability budget.
-		s.failClassify(w, reqID, http.StatusUnprocessableEntity, "input quarantined as a poison pill")
-		return
+		s.failClassify(w, st, reqID, http.StatusUnprocessableEntity, "input quarantined as a poison pill")
+		return true
 	case errors.Is(err, engine.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		// The deadline (header or server default) ran out before the
 		// request executed. 504 distinguishes "too slow" from admission
 		// shedding, and it counts against availability like other 5xx.
-		s.failClassify(w, reqID, http.StatusGatewayTimeout, "deadline expired before completion")
-		return
+		s.failClassify(w, st, reqID, http.StatusGatewayTimeout, "deadline expired before completion")
+		return false
 	case errors.Is(err, context.Canceled):
 		// The client has gone away; any status we write is best-effort.
 		// The abandoned slot still consumed capacity, so it counts
 		// against availability like other 5xx outcomes.
-		s.failClassify(w, reqID, http.StatusServiceUnavailable, err.Error())
-		return
+		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, err.Error())
+		return false
 	default:
-		s.failClassify(w, reqID, http.StatusInternalServerError, err.Error())
-		return
+		s.failClassify(w, st, reqID, http.StatusInternalServerError, err.Error())
+		return false
 	}
 	wall := time.Since(start)
 	wallMS := float64(wall.Microseconds()) / 1e3
@@ -684,15 +706,18 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		T: trace.Now(), Kind: flight.KindComplete, RequestID: reqID,
 		Route: routeID, Status: http.StatusOK, DurNs: int64(wall), BatchSize: res.BatchSize,
 	})
-	s.log.Debug("classify",
-		"requestId", reqID,
-		"route", res.Route,
-		"batchSize", res.BatchSize,
-		"class", res.Class,
-		"wallMs", wallMS,
-		"energyMj", energyMJ)
+	// Checked first: the arguments are boxed before Debug can decline them.
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("classify",
+			"requestId", reqID,
+			"route", res.Route,
+			"batchSize", res.BatchSize,
+			"class", res.Class,
+			"wallMs", wallMS,
+			"energyMj", energyMJ)
+	}
 
-	resp := ClassifyResponse{
+	st.reply = appendClassifyResponse(st.reply[:0], &ClassifyResponse{
 		RequestID:        res.RequestID,
 		Class:            res.Class,
 		Route:            res.Route,
@@ -703,12 +728,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		EnergyEstimateMJ: energyMJ,
 		QueueWaitMS:      float64(res.QueueWait.Microseconds()) / 1e3,
 		Converted:        res.Converted,
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
+	writeBody(w, http.StatusOK, st.reply)
+	return true
 }
 
-// decodeStatus maps a body-decode error to 413 when the 1 MiB request cap
-// was hit, 400 otherwise.
+// decodeStatus maps a body-read error to 413 when the request cap was hit,
+// 400 otherwise.
 func decodeStatus(err error) int {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
@@ -717,32 +743,8 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// pngToPixels converts a decoded PNG to a flattened grayscale [0,1] image.
-func pngToPixels(img image.Image) ([]float32, error) {
-	b := img.Bounds()
-	if b.Dx() != dataset.Side || b.Dy() != dataset.Side {
-		return nil, fmt.Errorf("image is %dx%d, want %dx%d", b.Dx(), b.Dy(), dataset.Side, dataset.Side)
-	}
-	out := make([]float32, dataset.Pixels)
-	i := 0
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			r, g, bl, _ := img.At(x, y).RGBA() // 16-bit channels
-			// ITU-R BT.601 luma.
-			luma := (0.299*float64(r) + 0.587*float64(g) + 0.114*float64(bl)) / 65535
-			out[i] = float32(luma)
-			i++
-		}
-	}
-	return out, nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, reqID uint64, msg string) {
-	writeJSON(w, status, map[string]any{"error": msg, "requestId": reqID})
 }

@@ -281,7 +281,11 @@ func pngRoundTrip(img image.Image) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pngToPixels(decoded)
+	var out [dataset.Pixels]float32
+	if err := pngToPixels(decoded, &out); err != nil {
+		return nil, err
+	}
+	return out[:], nil
 }
 
 func TestClassifyReportsRoute(t *testing.T) {
