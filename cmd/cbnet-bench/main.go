@@ -1,23 +1,20 @@
-// Command cbnet-bench regenerates the paper's tables and figures, and
-// captures machine-readable host performance snapshots.
+// Command cbnet-bench regenerates the paper's tables and figures, prints
+// the offline per-step profile and energy tables, and runs the chaos
+// drills.
 //
 // Usage:
 //
 //	cbnet-bench -exp table2                 # one experiment
 //	cbnet-bench -exp all -train 6000        # everything, bigger training set
-//	cbnet-bench -exp perf                   # perf snapshot → BENCH_<date>.json
-//	cbnet-bench -exp perf -json -           # perf snapshot to stdout
-//	cbnet-bench -exp perf -filter gemm      # only the GEMM benchmarks
-//	cbnet-bench -exp perf -diff BENCH_x.json  # fail on >20% regression vs snapshot
 //	cbnet-bench -exp profile               # per-plan-step time/GFLOPS tables
 //	cbnet-bench -exp energy                # projected joules per model × device
 //	cbnet-bench -exp overload              # flash-crowd chaos drill: ladder vs baseline
 //	cbnet-bench -exp faultisolation        # poison-pill + circuit-breaker chaos drill
 //
-// Experiments: table1, table2, fig3, fig5, fig6, fig7, fig8, perf, profile,
+// Experiments: table1, table2, fig3, fig5, fig6, fig7, fig8, profile,
 // energy, overload, faultisolation, all ("all" covers the paper
-// experiments; perf, profile, energy, overload, and faultisolation run
-// only when asked).
+// experiments; profile, energy, overload, and faultisolation run only
+// when asked).
 //
 // "overload" throws the same 5×-capacity trapezoidal flash crowd (chaos
 // latency injection pins per-route capacity) at two identical engines —
@@ -46,10 +43,8 @@
 // model × device, plus a per-step energy breakdown on the Pi 4 — the
 // offline twin of the /metrics cbnet_energy_* series.
 //
-// With -diff, the fresh capture is compared benchmark-by-benchmark against
-// the named baseline snapshot; any benchmark slower than the baseline by
-// more than -tolerance (or allocating more) exits nonzero, which is the CI
-// perf gate.
+// Performance numbers come from elsewhere: `go run ./benchmark` for the
+// repository benchmark, `go test -bench` in the package that owns the code.
 package main
 
 import (
@@ -58,26 +53,20 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"cbnet/internal/bench"
 	"cbnet/internal/dataset"
 	"cbnet/internal/harness"
 )
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment id: "+strings.Join(harness.ExperimentIDs(), ", ")+", perf, profile, energy, or all")
+		exp    = flag.String("exp", "all", "experiment id: "+strings.Join(harness.ExperimentIDs(), ", ")+", profile, energy, or all")
 		trainN = flag.Int("train", 2000, "training-set size per dataset")
 		testN  = flag.Int("test", 600, "test-set size per dataset")
 		seed   = flag.Uint64("seed", 42, "master seed")
 		reps   = flag.Int("reps", 3, "repetitions for scalability experiments")
 		drop   = flag.Float64("maxdrop", 0.02, "accuracy tolerance for exit-threshold tuning")
 		verb   = flag.Bool("v", false, "verbose training progress")
-		jsonTo = flag.String("json", "", "perf snapshot destination: a path, '-' for stdout, or empty for BENCH_<date>.json")
-		filter = flag.String("filter", "", "comma-separated substrings selecting perf benchmarks (empty = all)")
-		diffTo = flag.String("diff", "", "baseline BENCH_<date>.json to compare the fresh perf capture against")
-		tol    = flag.Float64("tolerance", 0.2, "fractional ns/op slowdown tolerated by -diff before failing")
 	)
 	flag.Parse()
 
@@ -113,29 +102,6 @@ func main() {
 		return
 	}
 
-	if *exp == "perf" {
-		// Load the baseline before capturing: -json may legitimately
-		// overwrite the very snapshot being diffed against.
-		var base *bench.Snapshot
-		if *diffTo != "" {
-			b, err := bench.ReadSnapshot(*diffTo)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cbnet-bench:", err)
-				os.Exit(1)
-			}
-			base = &b
-		}
-		snap, err := runPerf(*jsonTo, *filter)
-		if err == nil && base != nil {
-			err = diffPerf(snap, *base, *diffTo, *tol)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cbnet-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var log io.Writer
 	if *verb {
 		log = os.Stderr
@@ -148,61 +114,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cbnet-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runPerf captures a perf snapshot and writes it as JSON, printing the
-// human-readable summary to stderr so piping the JSON stays clean. The
-// snapshot is returned for -diff.
-func runPerf(jsonTo, filter string) (bench.Snapshot, error) {
-	var filters []string
-	for _, f := range strings.Split(filter, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			filters = append(filters, f)
-		}
-	}
-	now := time.Now()
-	snap := bench.Run(now, filters...)
-	fmt.Fprint(os.Stderr, snap.Summary())
-	if len(snap.Results) == 0 {
-		return snap, fmt.Errorf("no perf benchmarks match filter %q (have: %s)", filter, strings.Join(bench.Names(), ", "))
-	}
-	if jsonTo == "-" {
-		return snap, snap.WriteJSON(os.Stdout)
-	}
-	if jsonTo == "" {
-		jsonTo = "BENCH_" + now.UTC().Format("2006-01-02") + ".json"
-	}
-	f, err := os.Create(jsonTo)
-	if err != nil {
-		return snap, err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return snap, err
-	}
-	if err := f.Close(); err != nil {
-		return snap, err
-	}
-	fmt.Fprintln(os.Stderr, "wrote", jsonTo)
-	return snap, nil
-}
-
-// diffPerf compares a fresh capture against the baseline snapshot and fails
-// on any benchmark that slowed beyond the tolerance (or began allocating).
-func diffPerf(cur, base bench.Snapshot, baselinePath string, tolerance float64) error {
-	deltas := bench.Compare(base, cur, tolerance)
-	if len(deltas) == 0 {
-		return fmt.Errorf("no benchmarks in common with baseline %s", baselinePath)
-	}
-	fmt.Fprintf(os.Stderr, "perf diff vs %s (tolerance %.0f%%):\n%s", baselinePath, 100*tolerance, bench.FormatDeltas(deltas))
-	if missing := bench.MissingFromCurrent(base, cur); len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "warning: baseline benchmark(s) not in this capture (renamed/removed?): %s\n",
-			strings.Join(missing, ", "))
-	}
-	if regs := bench.Regressions(deltas); len(regs) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% vs %s", len(regs), 100*tolerance, baselinePath)
-	}
-	return nil
 }
 
 func run(r *harness.Runner, exp string) error {

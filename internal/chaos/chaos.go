@@ -46,8 +46,6 @@ type Injector struct {
 	batches        atomic.Uint64
 	injectedErrors atomic.Uint64
 	injectedPanics atomic.Uint64
-	poisonHits     atomic.Uint64
-	stuckBatches   atomic.Uint64
 }
 
 // NewInjector returns an injector with every fault disabled.
@@ -86,12 +84,6 @@ func (i *Injector) SetPoisonValue(v float32) { i.poisonBits.Store(math.Float32bi
 // ErrInjected until cleared. Route "*" wedges all routes; "" un-wedges.
 func (i *Injector) SetStuck(route string) { i.stuckRoute.Store(route) }
 
-// PoisonHits reports how many batches were panicked by the poison value.
-func (i *Injector) PoisonHits() uint64 { return i.poisonHits.Load() }
-
-// StuckBatches reports how many batches were failed by a stuck route.
-func (i *Injector) StuckBatches() uint64 { return i.stuckBatches.Load() }
-
 // InjectedErrors reports how many batches were failed with ErrInjected.
 func (i *Injector) InjectedErrors() uint64 { return i.injectedErrors.Load() }
 
@@ -115,7 +107,6 @@ func (i *Injector) BeforeInfer(route string, batchSize int) error {
 	}
 	n := i.batches.Add(1)
 	if stuck, _ := i.stuckRoute.Load().(string); stuck != "" && (stuck == "*" || stuck == route) {
-		i.stuckBatches.Add(1)
 		i.injectedErrors.Add(1)
 		return fmt.Errorf("%w: route %s is stuck", ErrInjected, route)
 	}
@@ -142,7 +133,6 @@ func (i *Injector) BeforeInferBatch(route string, x *tensor.Tensor) error {
 	cols := x.Shape[1]
 	for row := 0; row < x.Shape[0]; row++ {
 		if math.Float32bits(x.Data[row*cols]) == bits {
-			i.poisonHits.Add(1)
 			panic(fmt.Sprintf("chaos: poison pixel in %s batch row %d", route, row))
 		}
 	}

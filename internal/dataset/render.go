@@ -79,14 +79,6 @@ func (c *Canvas) Line(x0, y0, x1, y1, thickness, intensity float64) {
 	}
 }
 
-// Polyline draws connected line segments through the points
-// (xs[i], ys[i]).
-func (c *Canvas) Polyline(xs, ys []float64, thickness, intensity float64) {
-	for i := 0; i+1 < len(xs); i++ {
-		c.Line(xs[i], ys[i], xs[i+1], ys[i+1], thickness, intensity)
-	}
-}
-
 // Arc draws an elliptical arc centred at (cx,cy) with radii (rx,ry) from
 // angle a0 to a1 (radians, y-down screen convention), approximated by a
 // 48-segment polyline.
@@ -119,48 +111,6 @@ func (c *Canvas) Bezier(x0, y0, cx, cy, x1, y1, thickness, intensity float64) {
 		y := mt*mt*y0 + 2*mt*t*cy + t*t*y1
 		c.Line(prevX, prevY, x, y, thickness, intensity)
 		prevX, prevY = x, y
-	}
-}
-
-// FillRect fills the axis-aligned rectangle [x0,x1]×[y0,y1] with
-// anti-aliased edges.
-func (c *Canvas) FillRect(x0, y0, x1, y1, intensity float64) {
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	if y1 < y0 {
-		y0, y1 = y1, y0
-	}
-	for y := int(math.Floor(y0)) - 1; y <= int(math.Ceil(y1))+1; y++ {
-		for x := int(math.Floor(x0)) - 1; x <= int(math.Ceil(x1))+1; x++ {
-			px, py := float64(x), float64(y)
-			covX := math.Min(px+0.5, x1) - math.Max(px-0.5, x0)
-			covY := math.Min(py+0.5, y1) - math.Max(py-0.5, y0)
-			if covX <= 0 || covY <= 0 {
-				continue
-			}
-			if covX > 1 {
-				covX = 1
-			}
-			if covY > 1 {
-				covY = 1
-			}
-			c.blend(x, y, float32(intensity*covX*covY))
-		}
-	}
-}
-
-// FillEllipse fills a solid ellipse.
-func (c *Canvas) FillEllipse(cx, cy, rx, ry, intensity float64) {
-	for y := int(math.Floor(cy - ry - 1)); y <= int(math.Ceil(cy+ry+1)); y++ {
-		for x := int(math.Floor(cx - rx - 1)); x <= int(math.Ceil(cx+rx+1)); x++ {
-			nx := (float64(x) - cx) / rx
-			ny := (float64(y) - cy) / ry
-			// Signed distance approximation in normalized space,
-			// rescaled by the smaller radius for a soft edge.
-			d := (math.Hypot(nx, ny) - 1) * math.Min(rx, ry)
-			c.blend(x, y, float32(intensity*coverage(d, 0)))
-		}
 	}
 }
 

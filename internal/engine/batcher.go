@@ -21,6 +21,12 @@ const (
 	RouteHard RouteName = "hard"
 )
 
+// traceRing is the capacity of each worker's span ring buffer (recent spans
+// served by /debug/trace). Tracing is always on — span emission is a handful
+// of atomic stores per plan step, bounded at <2% of plan execution by the
+// regression tests.
+const traceRing = 256
+
 // worker is one inference goroutine's private state. The serving path runs
 // on compiled execution plans — ps is the worker's own PlanSet, sized to
 // MaxBatch and compiled in New, so steady-state batches execute with zero
@@ -217,7 +223,7 @@ func (e *Engine) newWorker(rt *route, idx int) *worker {
 		ps:        ps,
 		buf:       make([]float32, e.cfg.MaxBatch*dataset.Pixels),
 		preds:     make([]int, e.cfg.MaxBatch),
-		rec:       trace.NewRecorder(e.cfg.TraceRing),
+		rec:       trace.NewRecorder(traceRing),
 		routeName: trace.Intern(string(rt.name)),
 	}
 	w.x = tensor.Tensor{Shape: []int{0, dataset.Pixels}}

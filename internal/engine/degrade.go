@@ -64,11 +64,12 @@ type DegradeConfig struct {
 	// step back up. Default 10 — deliberately slower than escalation so a
 	// recovering server does not oscillate.
 	RelaxTicks int
-	// BurnThreshold escalates when the SLO burn signal (see
-	// Engine.SetDegradeBurnSignal) reaches this rate. Default 14.4, the
-	// fast-window page threshold from internal/slo.
-	BurnThreshold float64
 }
+
+// burnThreshold escalates when the SLO burn signal (see
+// Engine.SetDegradeBurnSignal) reaches this rate: the fast-window page
+// threshold from internal/slo.
+const burnThreshold = 14.4
 
 func (c DegradeConfig) withDefaults() DegradeConfig {
 	if c.Ladder == nil {
@@ -88,9 +89,6 @@ func (c DegradeConfig) withDefaults() DegradeConfig {
 	}
 	if c.RelaxTicks <= 0 {
 		c.RelaxTicks = 10
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 14.4
 	}
 	return c
 }
@@ -238,7 +236,7 @@ func (e *Engine) degradeLoop() {
 		// serving rung until the budget stops burning.
 		atShed := d.cfg.Ladder[lvl].Shed
 		nextIsShed := lvl+1 < len(d.cfg.Ladder) && d.cfg.Ladder[lvl+1].Shed
-		burnHot := burn >= d.cfg.BurnThreshold && !nextIsShed && !atShed
+		burnHot := burn >= burnThreshold && !nextIsShed && !atShed
 		// Breaker evidence feeds the controller the same way burn does,
 		// but escalate-only and scoped to the routes the *current* rung
 		// actually uses (see breakerHotAt): an open breaker pushes traffic
@@ -247,7 +245,7 @@ func (e *Engine) degradeLoop() {
 		// probes that heal it. Like burn, it never enters the shed rung.
 		breakerHot := !nextIsShed && !atShed && e.breakerHotAt(lvl)
 		hot := pressure >= d.cfg.EscalateQueueFrac || burnHot || breakerHot
-		cool := pressure <= d.cfg.RelaxQueueFrac && (burn < d.cfg.BurnThreshold || atShed)
+		cool := pressure <= d.cfg.RelaxQueueFrac && (burn < burnThreshold || atShed)
 		switch {
 		case hot && lvl < len(d.cfg.Ladder)-1:
 			hotStreak++
@@ -257,7 +255,7 @@ func (e *Engine) degradeLoop() {
 				reason := fmt.Sprintf("queue pressure %.2f", pressure)
 				if pressure < d.cfg.EscalateQueueFrac {
 					reason = fmt.Sprintf("burn rate %.1f", burn)
-					if breakerHot && burn < d.cfg.BurnThreshold {
+					if breakerHot && burn < burnThreshold {
 						reason = "breaker open on serving route"
 					}
 				}

@@ -130,11 +130,6 @@ type Config struct {
 	// path (the paper's always-convert baseline). Variant routes are not
 	// started and the degradation controller is forced off in this mode.
 	DisableRouting bool
-	// TraceRing is the capacity of each worker's span ring buffer
-	// (recent spans served by /debug/trace). Default 256. Tracing is
-	// always on — span emission is a handful of atomic stores per plan
-	// step, bounded at <2% of plan execution by the regression tests.
-	TraceRing int
 	// Variants adds extra compiled routes beyond the easy/hard pair.
 	// New panics on duplicate or reserved names and nil networks.
 	Variants []Variant
@@ -179,11 +174,7 @@ func (c Config) withDefaults() Config {
 	if c.HardnessThreshold == 0 {
 		c.HardnessThreshold = DefaultHardnessThreshold
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
 	c.Degrade = c.Degrade.withDefaults()
-	c.Resilience = c.Resilience.withDefaults()
 	return c
 }
 
@@ -512,12 +503,16 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	}
 	r.enqueued = time.Now()
 	r.tEnq = trace.Now()
+	// On the gauges before on the queue: a worker that picks the request up
+	// at once takes it off them, and a scrape in between must not read -1.
+	rt.stats.queued.Inc()
+	rt.stats.inflight.Inc()
 	select {
 	case rt.queue <- r:
-		rt.stats.queued.Inc()
-		rt.stats.inflight.Inc()
 		e.mu.RUnlock()
 	default:
+		rt.stats.queued.Add(-1)
+		rt.stats.inflight.Add(-1)
 		e.mu.RUnlock()
 		e.stats.rejected.Inc()
 		return Result{}, ErrOverloaded

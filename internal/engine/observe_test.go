@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cbnet/internal/chaos"
@@ -193,5 +195,57 @@ func TestInFlightGaugeSettlesBeforeReply(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gaugeProbe is a FaultInjector that reads its route's gauges from the
+// worker, just before the forward pass: the earliest point at which a scrape
+// can catch a request the worker already holds.
+type gaugeProbe struct {
+	e   *Engine
+	bad atomic.Pointer[string]
+}
+
+func (p *gaugeProbe) BeforeInfer(route string, batchSize int) error {
+	st := p.e.byName[RouteName(route)].stats
+	if q, in := st.queued.Value(), st.inflight.Value(); q < 0 || in < int64(batchSize) {
+		msg := fmt.Sprintf("route %s holds a batch of %d but queued=%d inflight=%d", route, batchSize, q, in)
+		p.bad.CompareAndSwap(nil, &msg)
+	}
+	return nil
+}
+
+// TestGaugesRiseBeforeEnqueue: a request is on the gauges before a worker
+// can take it off them. Submit that sent on the queue first and counted
+// second let the worker decrement first, and /stats or /metrics could read
+// cbnet_route_queued or cbnet_route_inflight at -1. The window is two
+// instructions wide, so it takes the OS descheduling the submitter inside it:
+// a spinning goroutine per core keeps more threads runnable than cores.
+func TestGaugesRiseBeforeEnqueue(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU() + 2))
+	var stop atomic.Bool
+	defer stop.Store(true)
+	for i := 0; i < runtime.NumCPU(); i++ {
+		go func() {
+			for !stop.Load() {
+			}
+		}()
+	}
+	probe := &gaugeProbe{}
+	e := New(testPipeline(), Config{MaxBatch: 1, Workers: 1, Fault: probe})
+	defer e.Close()
+	probe.e = e
+	imgs := [][]float32{easyImage(3), hardImage(3)}
+	rounds := 20000
+	if raceEnabled {
+		rounds = 2000 // the spinners starve an instrumented engine
+	}
+	for round := 0; round < rounds; round++ {
+		if _, err := e.Submit(context.Background(), Request{Pixels: imgs[round%2]}); err != nil {
+			t.Fatalf("round %d: Submit err = %v", round, err)
+		}
+		if msg := probe.bad.Load(); msg != nil {
+			t.Fatalf("round %d: %s", round, *msg)
+		}
 	}
 }

@@ -31,18 +31,12 @@ type ResilienceConfig struct {
 	Budget resilience.BudgetConfig
 	// Quarantine tunes the poison-pill fingerprint ring.
 	Quarantine resilience.QuarantineConfig
-	// MaxBisectDepth bounds the bisection recursion; sub-batches still
-	// failing at this depth fail as a group. Default 6 (isolates a
-	// single culprit in batches up to 64).
-	MaxBisectDepth int
 }
 
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.MaxBisectDepth <= 0 {
-		c.MaxBisectDepth = 6
-	}
-	return c
-}
+// maxBisectDepth bounds the bisection recursion; sub-batches still failing
+// at this depth fail as a group. 6 isolates a single culprit in batches up
+// to 64.
+const maxBisectDepth = 6
 
 // BreakerTransition describes one circuit-breaker state change, delivered
 // to OnBreaker observers (the serve layer logs it and records a flight
@@ -169,7 +163,7 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 		if len(sub) == 0 {
 			return
 		}
-		if depth > e.cfg.Resilience.MaxBisectDepth || !e.res.budget.Allow() {
+		if depth > maxBisectDepth || !e.res.budget.Allow() {
 			e.failSubBatch(rt, sub, inferErr)
 			return
 		}

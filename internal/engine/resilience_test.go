@@ -364,3 +364,67 @@ func TestRunBatchZeroAllocResilience(t *testing.T) {
 		t.Errorf("resilience-armed runBatch: %v allocs per warm batch, want 0", allocs)
 	}
 }
+
+// BenchmarkBisectOverhead measures the failure-isolation worst case end to
+// end: a 16-request coalesced batch carrying one never-seen-before poison
+// pill panics, and bisection re-runs sub-batches until the 15 innocents
+// are served and the pill is convicted. The injected 5ms batch latency
+// wedges the worker so the round coalesces (and dominates the result, which
+// keeps it stable); the retry budget is made effectively infinite so the
+// drill is never cut short.
+func BenchmarkBisectOverhead(b *testing.B) {
+	const poisonVal = float32(0.55555)
+	inj := chaos.NewInjector()
+	inj.SetLatency("", 5*time.Millisecond)
+	inj.SetPoisonValue(poisonVal)
+	e := New(testPipeline(), Config{
+		MaxBatch: 32, MaxWait: 20 * time.Millisecond, Workers: 1, QueueDepth: 256,
+		HardnessThreshold: 1000, // one route: the whole round coalesces
+		Fault:             inj,
+		Resilience: ResilienceConfig{
+			Enabled: true,
+			Budget:  resilience.BudgetConfig{Ratio: 1, Burst: 1 << 20, Initial: 1 << 20},
+			// A breaker that cannot trip (100% failures over a window the
+			// drill's successes always dilute): this measures bisection,
+			// and an open breaker would divert the stream mid-measurement.
+			Breaker: resilience.BreakerConfig{Window: 256, MinSamples: 256, FailureThreshold: 1},
+		},
+	})
+	defer e.Close()
+
+	imgs := make([][]float32, 15)
+	for i := range imgs {
+		imgs[i] = easyImage(uint64(i))
+	}
+	pill := easyImage(35)
+	pill[0] = poisonVal
+	ctx := context.Background()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh fingerprint each round, so the pill is bisected and
+		// convicted again instead of being rejected at admission.
+		pill[1] = float32(i%997) / 997
+		pill[2] = float32(i/997%997) / 997
+		go e.Submit(ctx, Request{Pixels: imgs[0]}) // wedge the worker
+		time.Sleep(2 * time.Millisecond)
+		var wg sync.WaitGroup
+		for _, img := range imgs {
+			wg.Add(1)
+			go func(img []float32) {
+				defer wg.Done()
+				_, _ = e.Submit(ctx, Request{Pixels: img})
+			}(img)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = e.Submit(ctx, Request{Pixels: pill})
+		}()
+		wg.Wait()
+	}
+	b.StopTimer()
+	if snap := e.Resilience(); snap != nil && b.N > 0 {
+		b.ReportMetric(float64(snap.BisectSaved)/float64(b.N), "saved/op")
+	}
+}

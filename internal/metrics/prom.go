@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -186,15 +185,4 @@ type HistSample struct {
 	Hist   *Histogram
 	// Scale multiplies bounds and sum in the exposition (0 means 1).
 	Scale float64
-}
-
-// SortVec orders labelled samples lexicographically by their rendered
-// labels, for deterministic output when samples come from a map.
-func SortVec(samples []VecSample) {
-	sort.Slice(samples, func(i, j int) bool {
-		var a, b strings.Builder
-		samples[i].Labels.render(&a)
-		samples[j].Labels.render(&b)
-		return a.String() < b.String()
-	})
 }

@@ -240,14 +240,6 @@ func (b *BranchyNet) EarlyExitRate(ds *dataset.Dataset) float64 {
 	return float64(n) / float64(ds.Len())
 }
 
-// LabelEasyHard runs early-exit inference over ds and labels each sample
-// easy (true) when it exits at the branch — the paper's procedure for
-// building the converting autoencoder's training labels (§III-A2, Fig. 4).
-func (b *BranchyNet) LabelEasyHard(ds *dataset.Dataset) []bool {
-	res := b.InferDataset(ds)
-	return res.Exited
-}
-
 // TuneThreshold sweeps candidate entropy thresholds on a validation set and
 // returns the one maximizing exitRate while keeping accuracy within
 // maxAccuracyDrop of the trunk-only accuracy — the "thresholds were tuned to

@@ -171,9 +171,15 @@ func allocsPerRunMulticore(runs int, f func()) uint64 {
 // Plan.Execute performs no heap allocation and starts no goroutine, at one
 // row, at a full batch of 32, and on more than one proc — with the intra-GEMM
 // pool both off and sized to the procs, since a plan may run under either.
+// The contract is the blocked kernel's: without one (CBNET_GEMM_KERNEL=
+// generic-8x8, or a CPU with no FMA kernel) the larger shapes take
+// gemmNaive's goroutine fan-out, which allocates per call.
 func TestPlanExecuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
+	}
+	if !tensor.BlockedKernelEnabled() {
+		t.Skip("no blocked GEMM kernel: gemmNaive fans out over goroutines and allocates")
 	}
 	for _, net := range []*Sequential{mixedTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
 		p, err := Compile(net, 32)
@@ -249,10 +255,14 @@ func TestPoolInferMatchesGeneralLoop(t *testing.T) {
 
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
-// retained packing panels are warm.
+// retained packing panels are warm. Panels exist only on the blocked path;
+// without a blocked kernel the products run gemmNaive's goroutine fan-out.
 func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
+	}
+	if !tensor.BlockedKernelEnabled() {
+		t.Skip("no blocked GEMM kernel: gemmNaive fans out over goroutines and allocates")
 	}
 	d := NewDense("fc", 128, 64, rng.New(5))
 	x := tensor.New(32, 128)

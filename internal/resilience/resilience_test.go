@@ -380,3 +380,21 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBreakerObserve measures the resilience tax added to every
+// healthy micro-batch: one circuit-breaker admission check plus one outcome
+// observation and one retry-budget deposit — a handful of atomics that
+// must stay at zero allocations (pinned by the AllocsPerRun test above;
+// this benchmark guards the latency).
+func BenchmarkBreakerObserve(b *testing.B) {
+	br := NewBreaker(BreakerConfig{}, nil)
+	bud := NewBudget(BudgetConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if br.Allow() {
+			br.Observe(true)
+		}
+		bud.OnSuccess()
+	}
+}

@@ -14,9 +14,11 @@ import (
 	"time"
 
 	"cbnet/internal/chaos"
+	"cbnet/internal/compress"
 	"cbnet/internal/dataset"
 	"cbnet/internal/engine"
 	"cbnet/internal/flight"
+	"cbnet/internal/models"
 	"cbnet/internal/resilience"
 	"cbnet/internal/rng"
 )
@@ -368,5 +370,63 @@ func TestDumpFlightShutdown(t *testing.T) {
 	}
 	if len(dump.Events) == 0 {
 		t.Fatal("shutdown dump carries no events")
+	}
+}
+
+// TestReadyzVariantBreakerOpen: the ladder pins traffic to a variant route,
+// so an open breaker there holds readiness down like one on easy or hard. A
+// /readyz that asked about the two built-in routes only reported ready with
+// the pinned route wedged.
+func TestReadyzVariantBreakerOpen(t *testing.T) {
+	pruned, err := compress.PruneLightweight(models.ExtractLightweight(models.NewBranchyLeNet(rng.New(1), 0.05)),
+		compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.NewInjector()
+	inj.SetStuck("pruned")
+	s := serverWithEngineConfig(t, engine.Config{
+		Workers:  1,
+		Fault:    inj,
+		Variants: []engine.Variant{{Name: "pruned", Net: pruned}},
+		Degrade: engine.DegradeConfig{
+			Enabled:  true,
+			Interval: time.Hour, // the level moves only when the test moves it
+			Ladder: []engine.DegradeRung{
+				{Name: "full"},
+				{Name: "pruned", Route: "pruned"},
+				{Name: "shed", Shed: true},
+			},
+		},
+		Resilience: engine.ResilienceConfig{
+			Enabled: true,
+			Breaker: resilience.BreakerConfig{
+				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+				Cooldown: time.Minute, Probes: 1,
+			},
+		},
+	}, Options{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	if code, rr := getReady(t, srv.URL); code != http.StatusOK || !rr.Ready {
+		t.Fatalf("healthy server: readyz = %d %+v, want 200 ready", code, rr)
+	}
+	s.Engine.SetDegradeLevel(1)
+	for i := 0; i < 2; i++ {
+		resp, _ := postPixels(t, srv.URL, serveEasyImage(uint64(i)))
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("stuck pruned request %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	if !s.Engine.BreakerOpen("pruned") {
+		t.Fatal("pruned breaker still closed after two singleton failures")
+	}
+	code, rr := getReady(t, srv.URL)
+	if code != http.StatusServiceUnavailable || rr.Ready {
+		t.Fatalf("variant breaker open: readyz = %d %+v, want 503 not-ready", code, rr)
+	}
+	if len(rr.Reasons) != 1 || rr.Reasons[0] != "breaker open: route pruned" {
+		t.Fatalf("reasons %v, want the pruned breaker alone", rr.Reasons)
 	}
 }

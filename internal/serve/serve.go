@@ -59,6 +59,7 @@ import (
 	"cbnet/internal/engine"
 	"cbnet/internal/flight"
 	"cbnet/internal/metrics"
+	"cbnet/internal/resilience"
 	"cbnet/internal/slo"
 	"cbnet/internal/trace"
 )
@@ -378,9 +379,12 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Engine.Shedding() {
 		reasons = append(reasons, "shedding: degradation ladder at its floor rung")
 	}
-	for _, name := range []engine.RouteName{engine.RouteEasy, engine.RouteHard} {
-		if s.Engine.BreakerOpen(name) {
-			reasons = append(reasons, fmt.Sprintf("breaker open: route %s", name))
+	if res := s.Engine.Resilience(); res != nil {
+		// Every live route, variants included: the ladder pins traffic to them.
+		for _, b := range res.Breakers {
+			if b.State == resilience.Open.String() {
+				reasons = append(reasons, fmt.Sprintf("breaker open: route %s", b.Route))
+			}
 		}
 	}
 	status := http.StatusOK

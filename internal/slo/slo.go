@@ -326,9 +326,6 @@ func NewMonitor(trackers []*Tracker, onTrip func(Trip)) *Monitor {
 	return &Monitor{trackers: trackers, onTrip: onTrip}
 }
 
-// Trackers returns the monitored trackers in registration order.
-func (m *Monitor) Trackers() []*Tracker { return m.trackers }
-
 // Tracker returns the tracker for the named objective, or nil.
 func (m *Monitor) Tracker(name string) *Tracker {
 	for _, t := range m.trackers {

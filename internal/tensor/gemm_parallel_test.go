@@ -213,8 +213,8 @@ func BenchmarkParallelRowsFloor(b *testing.B) {
 
 // BenchmarkGEMMBlockedThreads is the scaling curve: one 256³ GEMM at
 // 1/2/4/8 intra-GEMM threads. On a single-core host the extra threads
-// time-slice (documented in BENCH snapshots via gomaxprocs); on multicore
-// the curve is the tentpole's acceptance measurement.
+// time-slice; on multicore the curve is the tentpole's acceptance
+// measurement.
 func BenchmarkGEMMBlockedThreads(b *testing.B) {
 	if !blockedEnabled {
 		b.Skip("no FMA micro-kernel on this CPU")

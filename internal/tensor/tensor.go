@@ -51,12 +51,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
-// NumDims returns the number of dimensions.
-func (t *Tensor) NumDims() int { return len(t.Shape) }
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.Shape) != len(o.Shape) {
@@ -141,13 +135,6 @@ func (t *Tensor) Fill(v float32) {
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
 	}
 }
 
