@@ -580,7 +580,7 @@ func BenchmarkPlanExecuteTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps.EnableTracing(trace.NewRecorder(256), trace.NewMeter())
+	ps.EnableTracing(trace.NewRecorder(256), trace.NewMeter(), "")
 	x := hostBatch(16)
 	dst := make([]int, 16)
 	b.ReportAllocs()
@@ -616,7 +616,7 @@ func TestTracingOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced.EnableTracing(trace.NewRecorder(256), trace.NewMeter())
+	traced.EnableTracing(trace.NewRecorder(256), trace.NewMeter(), "")
 	x := hostBatch(16)
 	dst := make([]int, 16)
 	const (

@@ -5,89 +5,70 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"cbnet/internal/core"
 	"cbnet/internal/device"
-	"cbnet/internal/energy"
-	"cbnet/internal/nn"
-	"cbnet/internal/rng"
-	"cbnet/internal/tensor"
-	"cbnet/internal/trace"
 )
 
-// runEnergy compiles every shipped model into a traced execution plan, runs
-// warm batches to measure the real step mix, then prices that mix on each
-// edge device profile through the paper's §IV device/power models — the
-// offline twin of the serving stack's cbnet_energy_* series.
-func runEnergy(w io.Writer, batch, iters int) error {
-	profiles := device.All()
-	meter := trace.NewMeter()
+// runEnergy prints what one image costs under the paper's §IV-C device
+// model: every shipped model's layer walk (device.SequentialCost) priced on
+// each device profile by core.PriceImage — the function behind /classify's
+// energyEstimateMj and the /metrics cbnet_energy_* series — and the Pi 4
+// split of the same walk layer by layer. A model, not a measurement: nothing
+// is executed or timed here.
+func runEnergy(w io.Writer) error {
 	models := profiledModels()
-	for _, m := range models {
-		plan, err := nn.Compile(m.net, batch)
-		if err != nil {
-			return fmt.Errorf("%s: %w", m.name, err)
-		}
-		// Scope the meter series by model name so the projection groups
-		// per model the way the engine groups per route.
-		plan.EnableTracingScoped(nil, meter, m.name)
-		x := tensor.New(batch, m.inW)
-		x.RandUniform(rng.New(99), 0, 1)
-		for i := 0; i < iters; i++ {
-			plan.Execute(nil, x)
-		}
-	}
-	steps := meter.Snapshot()
 
-	routes := energy.ProjectRoutes(profiles, steps)
-	lookup := map[[2]string]energy.RouteProjection{}
-	for _, rp := range routes {
-		lookup[[2]string{rp.Scope, rp.Device}] = rp
-	}
-
-	fmt.Fprintf(w, "Projected per-image cost of each model on each device profile\n")
-	fmt.Fprintf(w, "(measured step mix over batch %d × %d iterations, priced by the paper's device/power models)\n\n", batch, iters)
+	fmt.Fprintf(w, "Modelled per-image cost of each model on each device profile\n")
+	fmt.Fprintf(w, "(framework-layer walk priced by the paper's device/power models; not a measurement)\n\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "model\tdevice\tms/img\tmJ/img\tavg W\t\n")
 	for _, m := range models {
-		for _, p := range profiles {
-			rp, ok := lookup[[2]string{m.name, p.Name}]
-			if !ok {
-				continue
-			}
-			watts := 0.0
-			if rp.SecondsPerImage > 0 {
-				watts = rp.JoulesPerImage / rp.SecondsPerImage
+		cost := device.SequentialCost(m.net)
+		for _, p := range device.All() {
+			secs, joules, err := core.PriceImage(p, cost)
+			if err != nil {
+				return fmt.Errorf("%s on %s: %w", m.name, p.Name, err)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.2f\t\n",
-				m.name, p.Name, rp.SecondsPerImage*1e3, rp.JoulesPerImage*1e3, watts)
+				m.name, p.Name, secs*1e3, joules*1e3, joules/secs)
 		}
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 
-	// Step-level breakdown on the Raspberry Pi 4 — the paper's headline
-	// deployment target — showing where each model's joules go.
-	pi, err := device.ByName("RaspberryPi4")
-	if err != nil {
-		return err
-	}
-	perStep := map[string][]energy.StepProjection{}
-	totals := map[string]float64{}
-	for _, sp := range energy.Project([]device.Profile{pi}, steps) {
-		perStep[sp.Scope] = append(perStep[sp.Scope], sp)
-		totals[sp.Scope] += sp.JoulesPerImage
-	}
-	fmt.Fprintf(w, "\nPer-step energy breakdown on %s (mJ/img and share of the model's step total)\n\n", pi.Name)
+	// Layer-level breakdown on the Raspberry Pi 4 — the paper's headline
+	// deployment target — showing where each model's joules go. The Pi's
+	// draw does not depend on the layer (Eq. 2), so the rows, with the
+	// once-per-image overhead, add up to the model's figure above.
+	pi := device.RaspberryPi4()
+	fmt.Fprintf(w, "\nPer-layer energy breakdown on %s (mJ/img and share of the model's total)\n\n", pi.Name)
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "model\tstep\top\tms/img\tmJ/img\t%%energy\t\n")
+	fmt.Fprintf(tw, "model\tlayer\tms/img\tmJ/img\t%%energy\t\n")
 	for _, m := range models {
-		for _, sp := range perStep[m.name] {
-			share := 0.0
-			if totals[m.name] > 0 {
-				share = 100 * sp.JoulesPerImage / totals[m.name]
+		costs := device.LayerCosts(m.net)
+		_, total, err := core.PriceImage(pi, device.SequentialCost(m.net))
+		if err != nil {
+			return fmt.Errorf("%s on %s: %w", m.name, pi.Name, err)
+		}
+		row := func(label string, secs, kernel float64) error {
+			joules, err := core.EnergyPerImage(pi, secs, kernel)
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", m.name, label, err)
 			}
-			fmt.Fprintf(tw, "%s\t%02d-%s\t%s\t%.3f\t%.3f\t%.1f\t\n",
-				m.name, sp.Index, sp.Step, sp.Op, sp.SecondsPerImage*1e3, sp.JoulesPerImage*1e3, share)
+			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.1f\t\n", m.name, label, secs*1e3, joules*1e3, 100*joules/total)
+			return nil
+		}
+		for i, l := range m.net.Layers {
+			if costs[i] == (device.Cost{}) {
+				continue // not dispatched at inference
+			}
+			if err := row(fmt.Sprintf("%02d-%s", i, l.Name()), pi.MarginalLatency(costs[i]), pi.KernelTime(costs[i])); err != nil {
+				return err
+			}
+		}
+		if err := row("per-image overhead", pi.InferOverhead, 0); err != nil {
+			return err
 		}
 	}
 	return tw.Flush()

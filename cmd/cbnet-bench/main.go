@@ -1,13 +1,13 @@
 // Command cbnet-bench regenerates the paper's tables and figures, prints
-// the offline per-step profile and energy tables, and runs the chaos
-// drills.
+// the offline per-step profile and the device-model energy table, and runs
+// the chaos drills.
 //
 // Usage:
 //
 //	cbnet-bench -exp table2                 # one experiment
 //	cbnet-bench -exp all -train 6000        # everything, bigger training set
 //	cbnet-bench -exp profile               # per-plan-step time/GFLOPS tables
-//	cbnet-bench -exp energy                # projected joules per model × device
+//	cbnet-bench -exp energy                # modelled joules per model × device
 //	cbnet-bench -exp overload              # flash-crowd chaos drill: ladder vs baseline
 //	cbnet-bench -exp faultisolation        # poison-pill + circuit-breaker chaos drill
 //
@@ -37,11 +37,14 @@
 // the compile-time FLOP model, and arithmetic intensity — the offline twin
 // of the serving stack's /metrics cbnet_plan_step_* series.
 //
-// "energy" runs the same traced plans and prices the measured step mix on
-// every shipped device profile (Pi 4, cloud instance, K80) through the
-// paper's §IV power models: millijoules and milliseconds per image per
-// model × device, plus a per-step energy breakdown on the Pi 4 — the
-// offline twin of the /metrics cbnet_energy_* series.
+// "energy" executes nothing: it walks the same models' framework layers
+// (device.SequentialCost, the Table-II-calibrated cost model) and prices
+// the walk on every shipped device profile (Pi 4, cloud instance, K80)
+// through core.PriceImage — Profile.Latency and the paper's §IV-C power
+// equations, the one function behind /classify's energyEstimateMj and the
+// /metrics cbnet_energy_* series. It prints milliseconds and millijoules
+// per image per model × device, plus the Pi 4 split of the same walk layer
+// by layer. A device model, not a measurement.
 //
 // Performance numbers come from elsewhere: `go run ./benchmark` for the
 // repository benchmark, `go test -bench` in the package that owns the code.
@@ -79,7 +82,7 @@ func main() {
 	}
 
 	if *exp == "energy" {
-		if err := runEnergy(os.Stdout, 16, 50); err != nil {
+		if err := runEnergy(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "cbnet-bench:", err)
 			os.Exit(1)
 		}

@@ -43,13 +43,13 @@ func runProfile(w io.Writer, batch, iters int) error {
 			return fmt.Errorf("%s: %w", m.name, err)
 		}
 		meter := trace.NewMeter()
-		plan.EnableTracing(nil, meter)
+		plan.EnableTracing(nil, meter, "")
 
 		x := tensor.New(batch, m.inW)
 		x.RandUniform(rng.New(99), 0, 1)
 		plan.Execute(nil, x) // warm: touch every buffer once untimed
 		meter = trace.NewMeter()
-		plan.EnableTracing(nil, meter)
+		plan.EnableTracing(nil, meter, "")
 		for i := 0; i < iters; i++ {
 			plan.Execute(nil, x)
 		}

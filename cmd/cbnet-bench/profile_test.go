@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cbnet/internal/core"
+	"cbnet/internal/device"
 )
 
 // TestRunProfile runs the per-step profile sweep with a small iteration
@@ -27,5 +33,43 @@ func TestRunProfile(t *testing.T) {
 	}
 	if !strings.Contains(out, "conv1+relu1") {
 		t.Error("profile output missing fused step names")
+	}
+}
+
+// TestRunEnergy checks the energy table is the layer model and nothing else:
+// every model × device row is there, and on the Pi 4 the per-layer rows plus
+// the per-image overhead add up to the model's row.
+func TestRunEnergy(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runEnergy(&buf); err != nil {
+		t.Fatal(err)
+	}
+	models, layers, _ := strings.Cut(buf.String(), "Per-layer energy breakdown")
+	for _, m := range profiledModels() {
+		_, want, err := core.PriceImage(device.RaspberryPi4(), device.SequentialCost(m.net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range device.All() {
+			if !regexp.MustCompile(`(?m)^\s*` + m.name + `\s+` + regexp.QuoteMeta(p.Name) + `\s`).MatchString(models) {
+				t.Errorf("no row for %s on %s", m.name, p.Name)
+			}
+		}
+		var sum float64
+		for _, line := range strings.Split(layers, "\n") {
+			f := strings.Fields(line)
+			if len(f) < 5 || f[0] != m.name {
+				continue
+			}
+			mj, err := strconv.ParseFloat(f[len(f)-2], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			sum += mj
+		}
+		// Rows are printed to 1e-3 mJ; a model has at most a dozen.
+		if math.Abs(sum-want*1e3) > 0.01 {
+			t.Errorf("%s: per-layer rows sum to %.3f mJ, model total is %.3f mJ", m.name, sum, want*1e3)
+		}
 	}
 }

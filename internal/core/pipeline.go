@@ -53,8 +53,8 @@ type Pipeline struct {
 
 // PlanSet bundles the compiled AE and classifier plans of one pipeline at a
 // fixed batch capacity. A PlanSet owns its buffers and serves one
-// goroutine; compile one per worker via Pipeline.Plans (or
-// ClassifierPlans for the AE-free easy route). The plans read the
+// goroutine; compile one per worker via Pipeline.Plans (or PlanSetFor on
+// the classifier for the AE-free easy route). The plans read the
 // pipeline's parameters, not copies, and serve their values as of the last
 // nn.Param.Touch (the optimisers and the checkpoint loader call it).
 type PlanSet struct {
@@ -77,22 +77,11 @@ func (p *Pipeline) Plans(batchCap int) (*PlanSet, error) {
 	return &PlanSet{ae: ae, cls: cls, cap: batchCap}, nil
 }
 
-// ClassifierPlans compiles a classifier-only plan set — the easy route
-// never runs the autoencoder, so its workers skip the AE plan's buffer
-// entirely. Convert and InferInto panic on such a set.
-func (p *Pipeline) ClassifierPlans(batchCap int) (*PlanSet, error) {
-	cls, err := nn.Compile(p.Classifier, batchCap)
-	if err != nil {
-		return nil, fmt.Errorf("core: classifier plan: %w", err)
-	}
-	return &PlanSet{cls: cls, cap: batchCap}, nil
-}
-
-// PlanSetFor compiles a standalone pixels→logits network (a pruned or
-// early-exit family member from internal/compress or models) into a
-// classifier-only plan set, so the engine can host it as a variant route
-// with the exact worker wiring the built-in routes use. Convert and
-// InferInto panic on such a set, like on ClassifierPlans.
+// PlanSetFor compiles a standalone pixels→logits network — the pipeline's
+// own classifier for the easy route, which never runs the autoencoder, or a
+// pruned or early-exit family member from internal/compress or models —
+// into a classifier-only plan set, so the engine hosts every AE-free route
+// with the same worker wiring. Convert and InferInto panic on such a set.
 func PlanSetFor(net *nn.Sequential, batchCap int) (*PlanSet, error) {
 	cls, err := nn.Compile(net, batchCap)
 	if err != nil {
@@ -105,21 +94,16 @@ func PlanSetFor(net *nn.Sequential, batchCap int) (*PlanSet, error) {
 func (ps *PlanSet) BatchCap() int { return ps.cap }
 
 // EnableTracing attaches a span recorder and/or step meter to every plan in
-// the set (see nn.Plan.EnableTracing). Call before the set's first
-// execution; either argument may be nil.
-func (ps *PlanSet) EnableTracing(rec *trace.Recorder, m *trace.Meter) {
-	ps.EnableTracingScoped(rec, m, "")
-}
-
-// EnableTracingScoped is EnableTracing with a meter scope (the engine
-// route the set serves), so identical plans on different routes keep
-// separate per-step series (see nn.Plan.EnableTracingScoped).
-func (ps *PlanSet) EnableTracingScoped(rec *trace.Recorder, m *trace.Meter, scope string) {
+// the set under a meter scope — the engine route the set serves, "" outside
+// an engine — so identical plans on different routes keep separate per-step
+// series (see nn.Plan.EnableTracing). Call before the set's first execution;
+// either of rec and m may be nil.
+func (ps *PlanSet) EnableTracing(rec *trace.Recorder, m *trace.Meter, scope string) {
 	if ps.ae != nil {
-		ps.ae.EnableTracingScoped(rec, m, scope)
+		ps.ae.EnableTracing(rec, m, scope)
 	}
 	if ps.cls != nil {
-		ps.cls.EnableTracingScoped(rec, m, scope)
+		ps.cls.EnableTracing(rec, m, scope)
 	}
 }
 
@@ -390,6 +374,16 @@ func EnergyPerImage(prof device.Profile, latency, kernelTime float64) (float64, 
 		return 0, err
 	}
 	return power.Energy(watts, latency)
+}
+
+// PriceImage is the one path from a network's per-image work to what it
+// costs on a device: the modelled latency in seconds and, through
+// EnergyPerImage, the modelled energy in joules. Every energy figure the
+// process reports for a route or a model is this function of a device.Cost.
+func PriceImage(prof device.Profile, c device.Cost) (seconds, joules float64, err error) {
+	seconds = prof.Latency(c)
+	joules, err = EnergyPerImage(prof, seconds, prof.KernelTime(c))
+	return seconds, joules, err
 }
 
 // BranchyLatency returns BranchyNet's expected per-image latency: the stem

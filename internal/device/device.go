@@ -75,13 +75,13 @@ func LayerCost(l nn.Layer) Cost {
 	}
 }
 
-// SequentialCost sums the per-image cost of every layer in net, tracking
-// activation widths so elementwise layers are charged for the tensors they
-// actually touch.
-func SequentialCost(net *nn.Sequential) Cost {
-	var total Cost
+// LayerCosts returns the per-image cost of each layer in net, index-aligned
+// with net.Layers, tracking activation widths so elementwise layers are
+// charged for the tensors they actually touch.
+func LayerCosts(net *nn.Sequential) []Cost {
+	costs := make([]Cost, len(net.Layers))
 	width := -1
-	for _, l := range net.Layers {
+	for i, l := range net.Layers {
 		c := LayerCost(l)
 		// Charge elementwise layers for their activation width.
 		switch t := l.(type) {
@@ -103,6 +103,15 @@ func SequentialCost(net *nn.Sequential) Cost {
 		if w, err := l.OutSize(width); err == nil {
 			width = w
 		}
+		costs[i] = c
+	}
+	return costs
+}
+
+// SequentialCost sums LayerCosts: the per-image cost of the whole network.
+func SequentialCost(net *nn.Sequential) Cost {
+	var total Cost
+	for _, c := range LayerCosts(net) {
 		total = total.Add(c)
 	}
 	return total

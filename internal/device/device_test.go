@@ -57,6 +57,38 @@ func TestSequentialCostAddsUp(t *testing.T) {
 	}
 }
 
+// TestLayerCostsAlignWithLayers: the per-layer slice SequentialCost sums is
+// index-aligned with the network, charges an activation for the width it
+// follows, and leaves inference-identity layers at zero.
+func TestLayerCostsAlignWithLayers(t *testing.T) {
+	ae := models.NewTableIAE(0, rng.New(7)).Net
+	costs := LayerCosts(ae)
+	if len(costs) != len(ae.Layers) {
+		t.Fatalf("%d costs for %d layers", len(costs), len(ae.Layers))
+	}
+	var sum Cost
+	for i, l := range ae.Layers {
+		switch l.(type) {
+		case *nn.Dense:
+			if costs[i].DenseMACs == 0 || costs[i].Layers != 1 {
+				t.Errorf("layer %d (%s): dense cost %+v", i, l.Name(), costs[i])
+			}
+		case *nn.ReLU:
+			if want := costs[i-1].ElemOps; costs[i].ElemOps != want {
+				t.Errorf("layer %d (%s): %d elementwise ops, want the preceding dense width %d", i, l.Name(), costs[i].ElemOps, want)
+			}
+		case *nn.ActivityRegularizer:
+			if costs[i] != (Cost{}) {
+				t.Errorf("layer %d (%s): identity at inference, cost %+v", i, l.Name(), costs[i])
+			}
+		}
+		sum = sum.Add(costs[i])
+	}
+	if sum != SequentialCost(ae) {
+		t.Fatalf("layer costs sum to %+v, SequentialCost says %+v", sum, SequentialCost(ae))
+	}
+}
+
 func TestCostAdd(t *testing.T) {
 	a := Cost{ConvMACs: 1, DenseMACs: 2, PoolOps: 3, ElemOps: 4, Layers: 5}
 	b := Cost{ConvMACs: 10, DenseMACs: 20, PoolOps: 30, ElemOps: 40, Layers: 50}

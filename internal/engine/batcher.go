@@ -6,6 +6,7 @@ import (
 
 	"cbnet/internal/core"
 	"cbnet/internal/dataset"
+	"cbnet/internal/device"
 	"cbnet/internal/resilience"
 	"cbnet/internal/tensor"
 	"cbnet/internal/trace"
@@ -54,6 +55,10 @@ type route struct {
 	name    RouteName
 	queue   chan *request   // admission-bounded; closed by Engine.Close
 	batches chan []*request // formed micro-batches; closed by the batcher
+	// cost is the per-image work of the network(s) the route runs, recorded
+	// here once; every modelled latency and energy figure for the route —
+	// /classify, the flight ring, /metrics — is core.PriceImage of it.
+	cost device.Cost
 	// plans compiles one worker's PlanSet at a given batch capacity: AE +
 	// classifier on the hard route, a classifier alone everywhere else.
 	plans   func(batchCap int) (*core.PlanSet, error)
@@ -67,9 +72,10 @@ type route struct {
 // launches its batcher and workers. The split lets DisableRouting keep
 // unused routes constructed (so Close can close their queues uniformly)
 // without idling goroutines on them.
-func (e *Engine) newRoute(name RouteName, plans func(batchCap int) (*core.PlanSet, error)) *route {
+func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap int) (*core.PlanSet, error)) *route {
 	rt := &route{
 		name:  name,
+		cost:  cost,
 		queue: make(chan *request, e.cfg.QueueDepth),
 		// Unbuffered on purpose: a send succeeds exactly when a worker is
 		// parked in receive, which is what makes the batcher
@@ -91,6 +97,24 @@ func (e *Engine) newRoute(name RouteName, plans func(batchCap int) (*core.PlanSe
 // order (easy, hard, then variants). Fixed at New, so callers may iterate
 // without locking.
 func (e *Engine) liveRoutes() []*route { return e.live }
+
+// RouteCost is one live route's per-image work under the §IV-C layer model
+// (device.SequentialCost of the networks it runs).
+type RouteCost struct {
+	Route RouteName
+	Cost  device.Cost
+}
+
+// RouteCosts returns what one image costs on each live route, in
+// registration order. The serve layer prices these once on its device
+// profile (core.PriceImage) instead of re-deriving a route's networks.
+func (e *Engine) RouteCosts() []RouteCost {
+	costs := make([]RouteCost, len(e.live))
+	for i, rt := range e.live {
+		costs[i] = RouteCost{Route: rt.name, Cost: rt.cost}
+	}
+	return costs
+}
 
 // shedExpired answers a request whose deadline passed while it sat in the
 // admission queue: the caller gets ErrDeadline and the request never
@@ -228,7 +252,7 @@ func (e *Engine) newWorker(rt *route, idx int) *worker {
 	}
 	w.x = tensor.Tensor{Shape: []int{0, dataset.Pixels}}
 	e.registerTrack(fmt.Sprintf("%s/worker%d", rt.name, idx), w.rec)
-	ps.EnableTracingScoped(w.rec, e.meter, string(rt.name))
+	ps.EnableTracing(w.rec, e.meter, string(rt.name))
 	return w
 }
 
@@ -257,79 +281,34 @@ func (e *Engine) safeInfer(rt *route, w *worker, x *tensor.Tensor) (logits, conv
 	return logits, converted, nil
 }
 
-// runBatch assembles the batch tensor in the worker's buffer, runs the
-// route's forward pass on its plans, and answers every request in the
-// batch. Everything a requester keeps (class, converted image) is
-// extracted or copied before the function returns, because the next batch
-// reuses the plan buffers.
-func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
-	// Last shed point: a deadline can expire between batch formation and a
-	// worker picking the batch up (all workers wedged). Compact the batch
-	// in place so dead requests don't ride the forward pass.
-	live := batch[:0]
-	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			rt.stats.queued.Add(-1)
-			rt.stats.inflight.Add(-1)
-			e.stats.expired.Inc()
-			r.done <- outcome{err: ErrDeadline}
-			continue
-		}
-		live = append(live, r)
-	}
-	batch = live
-	if len(batch) == 0 {
-		return
-	}
+// execBatch assembles the batch tensor in the worker's buffer, runs the
+// route's forward pass on its plans under trace ID id and reports the
+// outcome to the route's breaker. On success it answers every request in
+// the batch; on failure it answers none and returns the error, leaving the
+// caller to bisect or fail the batch. Everything a requester keeps (class,
+// converted image) is extracted or copied before it returns, because the
+// next batch reuses the plan buffers. tDone is the trace clock at the end of
+// the forward pass, for the caller's spans.
+func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64) (tDone int64, err error) {
 	n := len(batch)
-	batchID := e.batchSeq.Add(1)
 	w.x.Shape[0] = n
 	w.x.Data = w.buf[:n*dataset.Pixels]
 	for i, r := range batch {
 		copy(w.x.Data[i*dataset.Pixels:(i+1)*dataset.Pixels], r.pixels)
 	}
-	preds := w.preds[:n]
-
-	// Lifecycle spans: per-request queue spans (admission → execution
-	// start, Ref = batch ID for correlation) and the batcher's coalescing
-	// window, all emitted here because the worker is the ring's single
-	// writer.
-	t0 := trace.Now()
-	for _, r := range batch {
-		w.rec.Emit(trace.Span{ID: r.id, Ref: batchID, Kind: trace.KindQueue,
-			Name: w.routeName, Batch: n, Start: r.tEnq, Dur: t0 - r.tEnq})
-	}
-	if open := batch[0].tOpen; open != 0 {
-		w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindBatchForm,
-			Name: w.routeName, Batch: n, Start: open, Dur: t0 - open})
-	}
-	rt.stats.queued.Add(-int64(n))
-	w.ps.SetTraceID(batchID)
+	w.ps.SetTraceID(id)
 
 	start := time.Now()
-	logits, converted, inferErr := e.safeInfer(rt, w, &w.x)
+	logits, converted, err := e.safeInfer(rt, w, &w.x)
 	inferDur := time.Since(start)
-	tExec := trace.Now()
-	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindExecute,
-		Name: w.routeName, Batch: n, Start: t0, Dur: tExec - t0})
-
+	tDone = trace.Now()
 	if rt.breaker != nil {
-		rt.breaker.Observe(inferErr == nil)
+		rt.breaker.Observe(err == nil)
 	}
-	if inferErr != nil {
-		// With resilience armed, a multi-request batch is bisected so
-		// only the culprit fails; otherwise (or for singletons, where
-		// there is nothing to split) fail this batch's callers. Either
-		// way the worker survives; the next batch is a fresh plan run.
-		if e.res != nil && n > 1 {
-			e.bisect(rt, w, batch, batchID, inferErr)
-		} else {
-			e.failSubBatch(rt, batch, inferErr)
-		}
-		w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindRespond,
-			Name: w.routeName, Batch: n, Start: tExec, Dur: trace.Now() - tExec})
-		return
+	if err != nil {
+		return tDone, err
 	}
+	preds := w.preds[:n]
 	logits.ArgMaxRows(preds)
 
 	rt.stats.observeBatch(n, inferDur)
@@ -355,6 +334,58 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 			e.res.budget.OnSuccess()
 		}
 		r.done <- outcome{res: res}
+	}
+	return tDone, nil
+}
+
+// runBatch sheds what expired since batch formation, executes the rest
+// (execBatch) and emits the batch's lifecycle spans. A failed forward pass
+// is bisected or failed here; either way the worker survives.
+func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
+	// Last shed point: a deadline can expire between batch formation and a
+	// worker picking the batch up (all workers wedged). Compact the batch
+	// in place so dead requests don't ride the forward pass.
+	live := batch[:0]
+	for _, r := range batch {
+		if !e.shedExpired(rt, r) {
+			live = append(live, r)
+		}
+	}
+	batch = live
+	if len(batch) == 0 {
+		return
+	}
+	n := len(batch)
+	batchID := e.batchSeq.Add(1)
+
+	// Lifecycle spans: per-request queue spans (admission → execution
+	// start, Ref = batch ID for correlation) and the batcher's coalescing
+	// window, all emitted here because the worker is the ring's single
+	// writer.
+	t0 := trace.Now()
+	for _, r := range batch {
+		w.rec.Emit(trace.Span{ID: r.id, Ref: batchID, Kind: trace.KindQueue,
+			Name: w.routeName, Batch: n, Start: r.tEnq, Dur: t0 - r.tEnq})
+	}
+	if open := batch[0].tOpen; open != 0 {
+		w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindBatchForm,
+			Name: w.routeName, Batch: n, Start: open, Dur: t0 - open})
+	}
+	rt.stats.queued.Add(-int64(n))
+
+	tExec, inferErr := e.execBatch(rt, w, batch, batchID)
+	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindExecute,
+		Name: w.routeName, Batch: n, Start: t0, Dur: tExec - t0})
+	if inferErr != nil {
+		// With resilience armed, a multi-request batch is bisected so
+		// only the culprit fails; otherwise (or for singletons, where
+		// there is nothing to split) fail this batch's callers. The next
+		// batch is a fresh plan run.
+		if e.res != nil && n > 1 {
+			e.bisect(rt, w, batch, batchID, inferErr)
+		} else {
+			e.failSubBatch(rt, batch, inferErr)
+		}
 	}
 	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindRespond,
 		Name: w.routeName, Batch: n, Start: tExec, Dur: trace.Now() - tExec})

@@ -12,6 +12,7 @@ import (
 
 	"cbnet/internal/chaos"
 	"cbnet/internal/compress"
+	"cbnet/internal/device"
 	"cbnet/internal/models"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -410,5 +411,36 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 		if c := math.Ceil(jittered); c < lo || c > hi {
 			t.Fatalf("ceil(jittered) %v outside [%v,%v]", c, lo, hi)
 		}
+	}
+}
+
+// TestRouteCostsPriceEachRouteAsItsOwnNetwork: the engine reports one cost
+// per live route — the classifier for easy, AE + classifier for hard, a
+// variant's own network for the variant — and only the hard route when
+// routing is disabled.
+func TestRouteCostsPriceEachRouteAsItsOwnNetwork(t *testing.T) {
+	v := subflowVariant(t)
+	e := testEngine(t, Config{Workers: 1, Variants: []Variant{v}})
+	want := []RouteCost{
+		{RouteEasy, e.pipe.DirectCost()},
+		{RouteHard, e.pipe.Cost()},
+		{v.Name, device.SequentialCost(v.Net)},
+	}
+	got := e.RouteCosts()
+	if len(got) != len(want) {
+		t.Fatalf("%d route costs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("route cost %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if want[2].Cost == want[0].Cost || want[2].Cost == want[1].Cost {
+		t.Fatal("variant costs the same as a built-in route: the test distinguishes nothing")
+	}
+
+	always := testEngine(t, Config{Workers: 1, DisableRouting: true, Variants: []Variant{v}})
+	if got := always.RouteCosts(); len(got) != 1 || got[0] != want[1] {
+		t.Errorf("always-convert engine reports %+v, want the hard route alone", got)
 	}
 }

@@ -43,6 +43,7 @@ import (
 
 	"cbnet/internal/core"
 	"cbnet/internal/dataset"
+	"cbnet/internal/device"
 	"cbnet/internal/nn"
 	"cbnet/internal/resilience"
 	"cbnet/internal/tensor"
@@ -346,17 +347,18 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		}
 	}
 	e.jitterState.Store(uint64(time.Now().UnixNano()) | 1)
-	e.easy = e.newRoute(RouteEasy, pipe.ClassifierPlans)
-	e.hard = e.newRoute(RouteHard, pipe.Plans)
+	// The one place a route is paired with what an image costs on it: the
+	// classifier alone, the AE pipeline, a variant's own network.
+	e.easy = e.newRoute(RouteEasy, pipe.DirectCost(), classifierPlans(pipe.Classifier))
+	e.hard = e.newRoute(RouteHard, pipe.Cost(), pipe.Plans)
 	for _, v := range cfg.Variants {
-		net := v.Net
-		if v.Name == "" || net == nil {
+		if v.Name == "" || v.Net == nil {
 			panic(fmt.Sprintf("engine: variant %q needs a name and a network", v.Name))
 		}
 		if _, dup := e.byName[v.Name]; dup {
 			panic(fmt.Sprintf("engine: duplicate route name %q", v.Name))
 		}
-		e.newRoute(v.Name, func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) })
+		e.newRoute(v.Name, device.SequentialCost(v.Net), classifierPlans(v.Net))
 	}
 	e.live = e.routes
 	if cfg.DisableRouting {
@@ -380,6 +382,12 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		go e.degradeLoop()
 	}
 	return e
+}
+
+// classifierPlans compiles net alone into a worker's plan set: the shape of
+// every route that runs no autoencoder.
+func classifierPlans(net *nn.Sequential) func(batchCap int) (*core.PlanSet, error) {
+	return func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) }
 }
 
 func (e *Engine) startRoute(rt *route) {

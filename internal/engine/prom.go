@@ -5,8 +5,8 @@ import (
 	"io"
 	"time"
 
+	"cbnet/internal/core"
 	"cbnet/internal/device"
-	"cbnet/internal/energy"
 	"cbnet/internal/metrics"
 )
 
@@ -137,35 +137,28 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	p.GaugeVec("cbnet_plan_step_gflops", "Achieved GFLOPS per compiled plan step (cumulative FLOPs over cumulative time).", gflops)
 	p.GaugeVec("cbnet_plan_step_arithmetic_intensity", "FLOPs per byte moved per compiled plan step.", intensity)
 
-	// Live energy attribution: the measured per-step traffic above, costed
-	// through the paper's device/power models at scrape time. Joules are
-	// projected per shipped edge profile (Pi4 / cloud instance / K80), so
-	// the x86 host reports what the served mix would have cost at the
-	// edge. Cold path — nothing here touches the workers.
-	profiles := device.All()
-	var joules []metrics.VecSample
-	for _, sp := range energy.Project(profiles, steps) {
-		ls := metrics.Labels{
-			metrics.L("device", sp.Device),
-			metrics.L("plan", sp.Plan),
-			metrics.L("route", sp.Scope),
-			metrics.L("step", fmt.Sprintf("%02d-%s", sp.Index, sp.Step)),
+	// Energy: each live route's recorded per-image cost, priced on every
+	// shipped edge profile (Pi 4 / cloud instance / K80) by core.PriceImage —
+	// the same figure /classify answers with on the server's own profile —
+	// and scaled by the images the route has served. A device model, not a
+	// measurement: the x86 host reports what the served mix would have cost
+	// at the edge. Cold path — nothing here touches the workers.
+	var joules, perImage, perImageSecs []metrics.VecSample
+	for _, prof := range device.All() {
+		for i, rt := range routes {
+			secs, j, err := core.PriceImage(prof, rt.cost)
+			if err != nil {
+				continue
+			}
+			ls := metrics.Labels{metrics.L("device", prof.Name), metrics.L("route", string(rt.name))}
+			joules = append(joules, metrics.VecSample{Labels: ls, Value: j * images[i].Value})
+			perImage = append(perImage, metrics.VecSample{Labels: ls, Value: j})
+			perImageSecs = append(perImageSecs, metrics.VecSample{Labels: ls, Value: secs})
 		}
-		joules = append(joules, metrics.VecSample{Labels: ls, Value: sp.Joules})
 	}
-	p.CounterVec("cbnet_energy_joules_total", "Projected energy per plan step on each device profile (measured step traffic × device model).", joules)
-
-	var perImage, perImageSecs []metrics.VecSample
-	for _, rp := range energy.ProjectRoutes(profiles, steps) {
-		ls := metrics.Labels{
-			metrics.L("device", rp.Device),
-			metrics.L("route", rp.Scope),
-		}
-		perImage = append(perImage, metrics.VecSample{Labels: ls, Value: rp.JoulesPerImage})
-		perImageSecs = append(perImageSecs, metrics.VecSample{Labels: ls, Value: rp.SecondsPerImage})
-	}
-	p.GaugeVec("cbnet_energy_joules_per_image", "Projected per-image energy of each route's plan steps on each device profile.", perImage)
-	p.GaugeVec("cbnet_energy_seconds_per_image", "Projected per-image latency of each route's plan steps on each device profile.", perImageSecs)
+	p.CounterVec("cbnet_energy_joules_total", "Modelled energy of the images each route has served, on each device profile (per-image model × route images).", joules)
+	p.GaugeVec("cbnet_energy_joules_per_image", "Modelled per-image energy of each route on each device profile (§IV-C layer model).", perImage)
+	p.GaugeVec("cbnet_energy_seconds_per_image", "Modelled per-image latency of each route on each device profile (§IV-C layer model).", perImageSecs)
 
 	return p.Err()
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cbnet/internal/dataset"
 	"cbnet/internal/metrics"
 	"cbnet/internal/resilience"
 	"cbnet/internal/trace"
@@ -195,53 +194,16 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 }
 
 // runSubBatch re-runs a sub-batch through the route's forward pass on the
-// worker's own buffers, delivering results on success. Returns false when
-// the sub-batch still fails. Each re-run is traced as a bisect span whose
-// Ref links the failed parent batch.
+// worker's own buffers (execBatch), delivering results on success. Returns
+// false when the sub-batch still fails. Each re-run is traced as a bisect
+// span whose Ref links the failed parent batch.
 func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint64) bool {
-	n := len(sub)
 	subID := e.batchSeq.Add(1)
-	w.x.Shape[0] = n
-	w.x.Data = w.buf[:n*dataset.Pixels]
-	for i, r := range sub {
-		copy(w.x.Data[i*dataset.Pixels:(i+1)*dataset.Pixels], r.pixels)
-	}
-	w.ps.SetTraceID(subID)
 	t0 := trace.Now()
-	start := time.Now()
-	logits, converted, err := e.safeInfer(rt, w, &w.x)
-	inferDur := time.Since(start)
+	tDone, err := e.execBatch(rt, w, sub, subID)
 	w.rec.Emit(trace.Span{ID: subID, Ref: parentID, Kind: trace.KindBisect,
-		Name: w.routeName, Batch: n, Start: t0, Dur: trace.Now() - t0})
-	if rt.breaker != nil {
-		rt.breaker.Observe(err == nil)
-	}
-	if err != nil {
-		return false
-	}
-	preds := w.preds[:n]
-	logits.ArgMaxRows(preds)
-	rt.stats.observeBatch(n, inferDur)
-	rt.stats.inflight.Add(-int64(n))
-	for i, r := range sub {
-		res := Result{
-			RequestID: r.id,
-			Class:     preds[i],
-			Route:     string(rt.name),
-			Hardness:  r.hardness,
-			BatchSize: n,
-			QueueWait: start.Sub(r.enqueued),
-			Infer:     inferDur,
-		}
-		if r.wantConverted && converted != nil {
-			res.Converted = append([]float32(nil), converted.Data[i*dataset.Pixels:(i+1)*dataset.Pixels]...)
-		}
-		rt.stats.observeRequest(res.QueueWait)
-		e.stats.completed.Inc()
-		e.res.budget.OnSuccess()
-		r.done <- outcome{res: res}
-	}
-	return true
+		Name: w.routeName, Batch: len(sub), Start: t0, Dur: tDone - t0})
+	return err == nil
 }
 
 // failSubBatch answers a group of suspects with the original infer error,

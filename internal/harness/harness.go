@@ -163,20 +163,16 @@ func (r *Runner) TableII() ([]TableIIRow, error) {
 		var lenetE, branchyE, cbE [3]float64
 		var lenetL, branchyL, cbL [3]float64
 		for i, p := range profiles {
-			lenetL[i] = p.Latency(lenetCost)
-			branchyL[i] = core.BranchyLatency(p, sys.Branchy, exitRate)
-			cbL[i] = p.Latency(cbCost)
 			var err error
-			lenetE[i], err = core.EnergyPerImage(p, lenetL[i], p.KernelTime(lenetCost))
-			if err != nil {
+			if lenetL[i], lenetE[i], err = core.PriceImage(p, lenetCost); err != nil {
 				return nil, err
 			}
+			branchyL[i] = core.BranchyLatency(p, sys.Branchy, exitRate)
 			branchyE[i], err = core.EnergyPerImage(p, branchyL[i], core.BranchyKernelTime(p, sys.Branchy, exitRate))
 			if err != nil {
 				return nil, err
 			}
-			cbE[i], err = core.EnergyPerImage(p, cbL[i], p.KernelTime(cbCost))
-			if err != nil {
+			if cbL[i], cbE[i], err = core.PriceImage(p, cbCost); err != nil {
 				return nil, err
 			}
 		}

@@ -400,18 +400,12 @@ func (p *Plan) Steps() []StepInfo {
 // plan. Either may be nil. The recorder must belong to the same single
 // goroutine that calls Execute (engine workers own one each); meter series
 // are shared and atomic, so plans compiled for the same network on
-// different workers fold into one per-step series. Call before serving —
-// attachment interns names and allocates; Execute afterwards does not.
-func (p *Plan) EnableTracing(rec *trace.Recorder, m *trace.Meter) {
-	p.EnableTracingScoped(rec, m, "")
-}
-
-// EnableTracingScoped is EnableTracing with a meter scope — typically the
-// engine route ("easy"/"hard") the plan executes under — so the same
-// network serving two routes yields two distinguishable per-step series.
-// Each step also registers its operation class ("dense"/"conv"/...) with
-// the meter, which the energy projector keys device rates on.
-func (p *Plan) EnableTracingScoped(rec *trace.Recorder, m *trace.Meter, scope string) {
+// different workers fold into one per-step series. scope keys those series —
+// typically the engine route ("easy"/"hard") the plan executes under, so the
+// same network serving two routes yields two distinguishable series; pass ""
+// outside an engine. Call before serving — attachment interns names and
+// allocates; Execute afterwards does not.
+func (p *Plan) EnableTracing(rec *trace.Recorder, m *trace.Meter, scope string) {
 	p.rec = rec
 	if p.nameIDs == nil {
 		p.nameIDs = make([]trace.NameID, len(p.steps))
@@ -420,11 +414,10 @@ func (p *Plan) EnableTracingScoped(rec *trace.Recorder, m *trace.Meter, scope st
 		}
 	}
 	if m != nil {
-		ops := map[planOp]string{opDense: "dense", opConv: "conv", opPool: "pool", opAct: "act"}
 		p.stats = make([]*trace.StepStats, len(p.steps))
 		for i := range p.steps {
 			st := &p.steps[i]
-			p.stats[i] = m.ScopedStep(scope, ops[st.op], p.name, st.name, i, st.flopsPerImg, st.ioPerImg, st.fixedBytes)
+			p.stats[i] = m.Step(scope, p.name, st.name, i, st.flopsPerImg, st.ioPerImg, st.fixedBytes)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func TestTracedExecuteEmitsSpans(t *testing.T) {
 	}
 	rec := trace.NewRecorder(64)
 	m := trace.NewMeter()
-	p.EnableTracing(rec, m)
+	p.EnableTracing(rec, m, "")
 	p.SetTraceID(42)
 
 	x := tensor.New(8, inW)
@@ -130,7 +130,7 @@ func TestTracedExecuteMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced.EnableTracing(trace.NewRecorder(32), trace.NewMeter())
+	traced.EnableTracing(trace.NewRecorder(32), trace.NewMeter(), "")
 
 	x := tensor.New(4, inW)
 	x.RandUniform(rng.New(5), 0, 1)
@@ -155,7 +155,7 @@ func TestTracedExecuteZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.EnableTracing(trace.NewRecorder(64), trace.NewMeter())
+	p.EnableTracing(trace.NewRecorder(64), trace.NewMeter(), "")
 	x := tensor.New(8, inW)
 	x.RandUniform(rng.New(7), 0, 1)
 	p.Execute(nil, x)

@@ -11,13 +11,11 @@ import (
 	"time"
 
 	"cbnet/internal/chaos"
-	"cbnet/internal/core"
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/engine"
 	"cbnet/internal/flight"
 	"cbnet/internal/metrics"
-	"cbnet/internal/models"
 	"cbnet/internal/rng"
 )
 
@@ -26,12 +24,7 @@ import (
 // ladders, worker counts.
 func serverWithEngineConfig(t testing.TB, cfg engine.Config, opts Options) *Server {
 	t.Helper()
-	r := rng.New(1)
-	b := models.NewBranchyLeNet(r, 0.05)
-	pipe := &core.Pipeline{
-		AE:         models.NewTableIAE(dataset.MNIST, r),
-		Classifier: models.ExtractLightweight(b),
-	}
+	pipe := testPipeline()
 	s := NewWithOptions(pipe, engine.New(pipe, cfg), device.RaspberryPi4(), dataset.MNIST, opts)
 	t.Cleanup(s.Close)
 	return s

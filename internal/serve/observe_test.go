@@ -10,26 +10,14 @@ import (
 	"strings"
 	"testing"
 
-	"cbnet/internal/core"
 	"cbnet/internal/dataset"
-	"cbnet/internal/device"
 	"cbnet/internal/engine"
 	"cbnet/internal/metrics"
-	"cbnet/internal/models"
-	"cbnet/internal/rng"
 )
 
 func testServerWithOptions(t *testing.T, opts Options) *Server {
 	t.Helper()
-	r := rng.New(1)
-	b := models.NewBranchyLeNet(r, 0.05)
-	pipe := &core.Pipeline{
-		AE:         models.NewTableIAE(dataset.MNIST, r),
-		Classifier: models.ExtractLightweight(b),
-	}
-	s := NewWithOptions(pipe, engine.New(pipe, engine.Config{}), device.RaspberryPi4(), dataset.MNIST, opts)
-	t.Cleanup(s.Close)
-	return s
+	return serverWithEngineConfig(t, engine.Config{}, opts)
 }
 
 func classifyOnce(t *testing.T, url string) ClassifyResponse {

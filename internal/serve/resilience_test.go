@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"cbnet/internal/chaos"
-	"cbnet/internal/compress"
 	"cbnet/internal/dataset"
 	"cbnet/internal/engine"
 	"cbnet/internal/flight"
-	"cbnet/internal/models"
 	"cbnet/internal/resilience"
 	"cbnet/internal/rng"
 )
@@ -378,26 +376,11 @@ func TestDumpFlightShutdown(t *testing.T) {
 // /readyz that asked about the two built-in routes only reported ready with
 // the pinned route wedged.
 func TestReadyzVariantBreakerOpen(t *testing.T) {
-	pruned, err := compress.PruneLightweight(models.ExtractLightweight(models.NewBranchyLeNet(rng.New(1), 0.05)),
-		compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := chaos.NewInjector()
 	inj.SetStuck("pruned")
-	s := serverWithEngineConfig(t, engine.Config{
-		Workers:  1,
-		Fault:    inj,
-		Variants: []engine.Variant{{Name: "pruned", Net: pruned}},
-		Degrade: engine.DegradeConfig{
-			Enabled:  true,
-			Interval: time.Hour, // the level moves only when the test moves it
-			Ladder: []engine.DegradeRung{
-				{Name: "full"},
-				{Name: "pruned", Route: "pruned"},
-				{Name: "shed", Shed: true},
-			},
-		},
+	s, _ := serverWithPrunedRung(t, engine.Config{
+		Workers: 1,
+		Fault:   inj,
 		Resilience: engine.ResilienceConfig{
 			Enabled: true,
 			Breaker: resilience.BreakerConfig{
@@ -405,7 +388,7 @@ func TestReadyzVariantBreakerOpen(t *testing.T) {
 				Cooldown: time.Minute, Probes: 1,
 			},
 		},
-	}, Options{})
+	})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

@@ -12,7 +12,8 @@
 //	GET  /stats         inference-engine counters, batch histograms, latencies
 //	GET  /metrics       Prometheus text exposition (per-route counters,
 //	                    latency histograms, per-plan-step time/FLOPs series,
-//	                    projected per-device energy, SLO burn rates)
+//	                    modelled per-route energy on each device profile,
+//	                    SLO burn rates)
 //	GET  /slo           machine-readable SLO verdict: per-objective budget
 //	                    remaining and multi-window burn rates
 //	GET  /debug/trace   recent engine spans as Chrome trace-event JSON —
@@ -74,14 +75,9 @@ type Server struct {
 	// Family is reported by /info.
 	Family dataset.Family
 
-	// Per-route model-latency and model-energy estimates, fixed at load
-	// time so the classify hot path doesn't re-walk the pipeline layers
-	// per request. Energy is the paper's §IV-C model evaluated on Profile,
-	// in millijoules per image.
-	fullLatencyMS   float64
-	directLatencyMS float64
-	fullEnergyMJ    float64
-	directEnergyMJ  float64
+	// routes is what one image costs on each of the engine's live routes,
+	// priced once at build time on Profile (see routePrice).
+	routes []routePrice
 
 	// SLO monitor: availability over all terminal responses (bad = 5xx),
 	// latency over successful responses (bad = wall time above the p99
@@ -94,11 +90,6 @@ type Server struct {
 	// Flight recorder: request lifecycle ring + log tail, auto-dumped on
 	// SLO burn trips and 503 bursts.
 	flight *flight.Recorder
-
-	// Pre-interned route labels for flight events (no string handling at
-	// event time).
-	routeEasyID trace.NameID
-	routeHardID trace.NameID
 
 	// defaultDeadline bounds requests that carry no deadline header.
 	defaultDeadline time.Duration
@@ -144,15 +135,27 @@ type Options struct {
 	DefaultDeadline time.Duration
 }
 
-// New builds a server around a trained pipeline with a default-configured
-// engine.
-func New(p *core.Pipeline, prof device.Profile, family dataset.Family) *Server {
-	return NewWithEngine(p, engine.New(p, engine.Config{}), prof, family)
+// routePrice is one engine route as /classify reports it: the §IV-C device
+// model's latency and energy for one image on the server's Profile — a
+// model, not a measurement — and the route's pre-interned flight label (no
+// string handling at event time).
+type routePrice struct {
+	name      string
+	id        trace.NameID
+	latencyMS float64
+	energyMJ  float64 // millijoules per image
 }
 
-// NewWithEngine builds a server around an explicitly configured engine.
-func NewWithEngine(p *core.Pipeline, eng *engine.Engine, prof device.Profile, family dataset.Family) *Server {
-	return NewWithOptions(p, eng, prof, family, Options{})
+// priceOf returns the price of the route an engine result names. The engine
+// answers only from routes it reported in RouteCosts, so the zero value is
+// never served.
+func (s *Server) priceOf(route string) routePrice {
+	for _, rp := range s.routes {
+		if rp.name == route {
+			return rp
+		}
+	}
+	return routePrice{}
 }
 
 // NewWithOptions builds a server with explicit observability options.
@@ -168,25 +171,26 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 		Engine:          eng,
 		Profile:         prof,
 		Family:          family,
-		fullLatencyMS:   prof.Latency(p.Cost()) * 1e3,
-		directLatencyMS: prof.Latency(p.DirectCost()) * 1e3,
 		latTargetMS:     float64(opts.SLOLatencyP99) / float64(time.Millisecond),
-		routeEasyID:     trace.Intern(string(engine.RouteEasy)),
-		routeHardID:     trace.Intern(string(engine.RouteHard)),
 		defaultDeadline: opts.DefaultDeadline,
 		log:             opts.Logger,
 	}
 	if s.log == nil {
 		s.log = slog.Default()
 	}
-	// Route-level energy estimates from the paper's §IV-C model, priced
-	// once at build time (millijoules per image on Profile).
-	fullCost, directCost := p.Cost(), p.DirectCost()
-	if e, err := core.EnergyPerImage(prof, prof.Latency(fullCost), prof.KernelTime(fullCost)); err == nil {
-		s.fullEnergyMJ = e * 1e3
-	}
-	if e, err := core.EnergyPerImage(prof, prof.Latency(directCost), prof.KernelTime(directCost)); err == nil {
-		s.directEnergyMJ = e * 1e3
+	// The engine recorded each route's cost where it built the route; price
+	// it here once so the classify hot path only looks the answer up.
+	for _, rc := range eng.RouteCosts() {
+		secs, joules, err := core.PriceImage(prof, rc.Cost)
+		if err != nil {
+			s.log.Warn("route not priced", "route", string(rc.Route), "device", prof.Name, "err", err)
+		}
+		s.routes = append(s.routes, routePrice{
+			name:      string(rc.Route),
+			id:        trace.Intern(string(rc.Route)),
+			latencyMS: secs * 1e3,
+			energyMJ:  joules * 1e3,
+		})
 	}
 
 	// Flight recorder first (the SLO monitor's trip callback lands on it);
@@ -522,8 +526,8 @@ type ClassifyResponse struct {
 	// spans in /debug/trace and the server's structured logs.
 	RequestID uint64 `json:"requestId"`
 	Class     int    `json:"class"`
-	// Route is the engine path taken: "easy" (classifier only) or "hard"
-	// (AE + classifier).
+	// Route is the engine path taken: "easy" (classifier only), "hard"
+	// (AE + classifier), or the variant a degradation rung pinned.
 	Route string `json:"route"`
 	// Hardness is the request's §V heuristic score (0 when routing is
 	// disabled).
@@ -531,12 +535,14 @@ type ClassifyResponse struct {
 	// BatchSize is the micro-batch this request was served in.
 	BatchSize int `json:"batchSize"`
 	// ModelLatencyMS is the calibrated edge-device estimate for the route
-	// actually taken; WallLatencyMS is this host's actual processing time
-	// including batching queue wait.
+	// named in Route — a device model, not a measurement; WallLatencyMS is
+	// this host's actual processing time including batching queue wait.
 	ModelLatencyMS float64 `json:"modelLatencyMs"`
 	WallLatencyMS  float64 `json:"wallLatencyMs"`
 	// EnergyEstimateMJ is the paper's §IV-C energy model evaluated for the
-	// route taken on the server's device profile, in millijoules/image.
+	// route named in Route on the server's device profile, in
+	// millijoules/image — a device model, not a measurement, and the same
+	// figure /metrics exports as cbnet_energy_joules_per_image.
 	EnergyEstimateMJ float64 `json:"energyEstimateMj"`
 	// QueueWaitMS is the time spent coalescing before the forward pass.
 	QueueWaitMS float64   `json:"queueWaitMs"`
@@ -699,16 +705,13 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 	wall := time.Since(start)
 	wallMS := float64(wall.Microseconds()) / 1e3
 
-	modelMS, energyMJ, routeID := s.fullLatencyMS, s.fullEnergyMJ, s.routeHardID
-	if res.Route == string(engine.RouteEasy) {
-		modelMS, energyMJ, routeID = s.directLatencyMS, s.directEnergyMJ, s.routeEasyID
-	}
+	price := s.priceOf(res.Route)
 
 	s.availT.Observe(true)
 	s.latT.Observe(wallMS <= s.latTargetMS)
 	s.flight.Record(flight.Event{
 		T: trace.Now(), Kind: flight.KindComplete, RequestID: reqID,
-		Route: routeID, Status: http.StatusOK, DurNs: int64(wall), BatchSize: res.BatchSize,
+		Route: price.id, Status: http.StatusOK, DurNs: int64(wall), BatchSize: res.BatchSize,
 	})
 	// Checked first: the arguments are boxed before Debug can decline them.
 	if s.log.Enabled(ctx, slog.LevelDebug) {
@@ -718,7 +721,7 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 			"batchSize", res.BatchSize,
 			"class", res.Class,
 			"wallMs", wallMS,
-			"energyMj", energyMJ)
+			"energyMj", price.energyMJ)
 	}
 
 	st.reply = appendClassifyResponse(st.reply[:0], &ClassifyResponse{
@@ -727,9 +730,9 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		Route:            res.Route,
 		Hardness:         res.Hardness,
 		BatchSize:        res.BatchSize,
-		ModelLatencyMS:   modelMS,
+		ModelLatencyMS:   price.latencyMS,
 		WallLatencyMS:    wallMS,
-		EnergyEstimateMJ: energyMJ,
+		EnergyEstimateMJ: price.energyMJ,
 		QueueWaitMS:      float64(res.QueueWait.Microseconds()) / 1e3,
 		Converted:        res.Converted,
 	})

@@ -13,25 +13,26 @@ import (
 
 	"cbnet/internal/core"
 	"cbnet/internal/dataset"
-	"cbnet/internal/device"
 	"cbnet/internal/engine"
 	"cbnet/internal/models"
 	"cbnet/internal/rng"
 )
 
-// testServer builds a server around an untrained pipeline — handler
+// testPipeline is the untrained pipeline every test server wraps — handler
 // behaviour (routing, validation, encoding) does not depend on weights.
-func testServer(t *testing.T) *Server {
-	t.Helper()
+func testPipeline() *core.Pipeline {
 	r := rng.New(1)
 	b := models.NewBranchyLeNet(r, 0.05)
-	pipe := &core.Pipeline{
+	return &core.Pipeline{
 		AE:         models.NewTableIAE(dataset.MNIST, r),
 		Classifier: models.ExtractLightweight(b),
 	}
-	s := New(pipe, device.RaspberryPi4(), dataset.MNIST)
-	t.Cleanup(s.Close)
-	return s
+}
+
+// testServer builds a server with a default-configured engine.
+func testServer(t *testing.T) *Server {
+	t.Helper()
+	return serverWithEngineConfig(t, engine.Config{}, Options{})
 }
 
 func TestHealthz(t *testing.T) {

@@ -42,10 +42,6 @@ type StepStats struct {
 	Plan  string
 	Step  string
 	Index int
-	// Op is the step's operation class ("dense", "conv", "pool", "act"),
-	// used by the energy model to pick the matching device rate. Empty
-	// when the caller didn't attach one.
-	Op string
 
 	// FLOPsPerImage is the modelled work per sample.
 	FLOPsPerImage int64
@@ -60,19 +56,12 @@ type StepStats struct {
 	images atomic.Int64
 }
 
-// Step returns the shared stats handle for (plan, step) in the empty
-// scope, creating it on first use. Cold path only. A nil meter returns
-// nil, which Observe tolerates.
-func (m *Meter) Step(plan, step string, index int, flopsPerImage, bytesPerImage, fixedBytes int64) *StepStats {
-	return m.ScopedStep("", "", plan, step, index, flopsPerImage, bytesPerImage, fixedBytes)
-}
-
-// ScopedStep is Step with a scope (typically the engine route the plan
-// executes under) and the step's operation class attached, so downstream
-// consumers — the route-labelled /metrics series and the per-op energy
-// model — can tell identical plans on different routes apart. Cold path
-// only.
-func (m *Meter) ScopedStep(scope, op, plan, step string, index int, flopsPerImage, bytesPerImage, fixedBytes int64) *StepStats {
+// Step returns the shared stats handle for (scope, plan, step), creating it
+// on first use. The scope — typically the engine route the plan executes
+// under, "" for unscoped use — lets the route-labelled /metrics series tell
+// identical plans on different routes apart. Cold path only. A nil meter
+// returns nil, which Observe tolerates.
+func (m *Meter) Step(scope, plan, step string, index int, flopsPerImage, bytesPerImage, fixedBytes int64) *StepStats {
 	if m == nil {
 		return nil
 	}
@@ -83,7 +72,7 @@ func (m *Meter) ScopedStep(scope, op, plan, step string, index int, flopsPerImag
 		return s
 	}
 	s := &StepStats{
-		Scope: scope, Plan: plan, Step: step, Index: index, Op: op,
+		Scope: scope, Plan: plan, Step: step, Index: index,
 		FLOPsPerImage: flopsPerImage, BytesPerImage: bytesPerImage, FixedBytes: fixedBytes,
 	}
 	m.index[k] = s
@@ -108,19 +97,11 @@ type StepSnapshot struct {
 	Plan   string
 	Step   string
 	Index  int
-	Op     string
 	Execs  int64
 	Images int64
 	Nanos  int64
 	FLOPs  int64 // Images × FLOPsPerImage
 	Bytes  int64 // Images × BytesPerImage + Execs × FixedBytes
-
-	// The compile-time cost model, carried through so consumers (the
-	// energy projector) can cost hypothetical executions without
-	// re-deriving per-image figures from the cumulative counters.
-	FLOPsPerImage int64
-	BytesPerImage int64
-	FixedBytes    int64
 }
 
 // GFLOPS returns the cumulative achieved compute rate.
@@ -154,11 +135,10 @@ func (m *Meter) Snapshot() []StepSnapshot {
 	for _, s := range series {
 		execs, images, ns := s.execs.Load(), s.images.Load(), s.ns.Load()
 		out = append(out, StepSnapshot{
-			Scope: s.Scope, Plan: s.Plan, Step: s.Step, Index: s.Index, Op: s.Op,
+			Scope: s.Scope, Plan: s.Plan, Step: s.Step, Index: s.Index,
 			Execs: execs, Images: images, Nanos: ns,
-			FLOPs:         images * s.FLOPsPerImage,
-			Bytes:         images*s.BytesPerImage + execs*s.FixedBytes,
-			FLOPsPerImage: s.FLOPsPerImage, BytesPerImage: s.BytesPerImage, FixedBytes: s.FixedBytes,
+			FLOPs: images * s.FLOPsPerImage,
+			Bytes: images*s.BytesPerImage + execs*s.FixedBytes,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

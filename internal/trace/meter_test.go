@@ -12,7 +12,7 @@ import (
 // garbage (negative or infinite GFLOPS) when that happens.
 func TestMeterCounterWraparound(t *testing.T) {
 	m := NewMeter()
-	s := m.Step("p", "s", 0, 1000, 10, 0)
+	s := m.Step("", "p", "s", 0, 1000, 10, 0)
 	s.Observe(math.MaxInt64, 1)
 	s.Observe(100, 1) // wraps: MaxInt64 + 100 overflows negative
 
@@ -42,7 +42,7 @@ func TestMeterSnapshotUnderConcurrentEmit(t *testing.T) {
 		flopsPI = 7
 	)
 	m := NewMeter()
-	shared := m.ScopedStep("easy", "dense", "plan", "shared", 0, flopsPI, 3, 2)
+	shared := m.Step("easy", "plan", "shared", 0, flopsPI, 3, 2)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -53,7 +53,7 @@ func TestMeterSnapshotUnderConcurrentEmit(t *testing.T) {
 			<-start
 			// Each writer also registers its own series mid-flight, so
 			// snapshots race with index growth, not just counter adds.
-			own := m.ScopedStep("hard", "act", "plan", string(rune('a'+g)), g+1, 1, 1, 0)
+			own := m.Step("hard", "plan", string(rune('a'+g)), g+1, 1, 1, 0)
 			for i := 0; i < perG; i++ {
 				shared.Observe(10, 2)
 				own.Observe(1, 1)
@@ -106,12 +106,12 @@ func TestMeterSnapshotUnderConcurrentEmit(t *testing.T) {
 // hard routes' energy attribution apart.
 func TestScopedStepSeparatesScopes(t *testing.T) {
 	m := NewMeter()
-	a := m.ScopedStep("easy", "dense", "p", "s", 0, 1, 1, 0)
-	b := m.ScopedStep("hard", "dense", "p", "s", 0, 1, 1, 0)
+	a := m.Step("easy", "p", "s", 0, 1, 1, 0)
+	b := m.Step("hard", "p", "s", 0, 1, 1, 0)
 	if a == b {
 		t.Fatal("scopes share a series")
 	}
-	if again := m.ScopedStep("easy", "dense", "p", "s", 0, 1, 1, 0); again != a {
+	if again := m.Step("easy", "p", "s", 0, 1, 1, 0); again != a {
 		t.Fatal("re-registration did not return the existing handle")
 	}
 	a.Observe(5, 1)

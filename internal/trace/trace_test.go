@@ -123,12 +123,12 @@ func TestEmitZeroAlloc(t *testing.T) {
 func TestMeterAggregation(t *testing.T) {
 	m := NewMeter()
 	// Two plans compiled for the same network share the series.
-	a := m.Step("cls", "conv1+relu1", 0, 1000, 100, 4000)
-	b := m.Step("cls", "conv1+relu1", 0, 1000, 100, 4000)
+	a := m.Step("", "cls", "conv1+relu1", 0, 1000, 100, 4000)
+	b := m.Step("", "cls", "conv1+relu1", 0, 1000, 100, 4000)
 	if a != b {
 		t.Fatal("same (plan, step) returned distinct handles")
 	}
-	m.Step("ae", "enc", 0, 10, 20, 30)
+	m.Step("", "ae", "enc", 0, 10, 20, 30)
 	a.Observe(500, 16)
 	a.Observe(300, 8)
 
@@ -157,7 +157,7 @@ func TestMeterAggregation(t *testing.T) {
 
 func TestMeterObserveZeroAlloc(t *testing.T) {
 	m := NewMeter()
-	s := m.Step("p", "s", 0, 1, 1, 1)
+	s := m.Step("", "p", "s", 0, 1, 1, 1)
 	allocs := testing.AllocsPerRun(100, func() { s.Observe(100, 16) })
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v per call, want 0", allocs)
@@ -166,7 +166,7 @@ func TestMeterObserveZeroAlloc(t *testing.T) {
 
 func TestNilMeterIsSafe(t *testing.T) {
 	var m *Meter
-	s := m.Step("p", "s", 0, 1, 1, 1)
+	s := m.Step("", "p", "s", 0, 1, 1, 1)
 	s.Observe(1, 1) // nil StepStats
 	if snap := m.Snapshot(); snap != nil {
 		t.Fatalf("nil meter snapshot = %v", snap)
