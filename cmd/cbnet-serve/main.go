@@ -9,6 +9,10 @@
 //	     -d '{"pixels": [ ...784 floats... ]}'
 //	curl localhost:8080/stats
 //
+// -workers is how the server uses its cores: that many inference goroutines
+// per route, each running one micro-batch at a time on the goroutine that
+// took it. Nothing beneath a worker fans out.
+//
 // -degrade arms the graceful-degradation autopilot: the server mounts a
 // pruned early-exit variant as an extra engine route and walks the ladder
 // full → early-exit → pruned → shed as SLO burn or queue pressure rises
@@ -62,8 +66,7 @@ func main() {
 		name      = flag.String("dataset", "mnist", "dataset family: mnist, fmnist, kmnist")
 		addr      = flag.String("addr", ":8080", "listen address")
 		devName   = flag.String("device", "RaspberryPi4", "device profile for latency estimates")
-		workers   = flag.Int("workers", 0, "inference workers per route (0 = auto)")
-		gemmThr   = flag.Int("gemm-threads", 0, "goroutines one large GEMM may fan out across inside a worker (0 = auto: workers x routes x gemm-threads <= GOMAXPROCS; negative = force serial)")
+		workers   = flag.Int("workers", 0, "inference workers per route, the server's only parallelism (0 = auto: GOMAXPROCS/2)")
 		maxBatch  = flag.Int("max-batch", 32, "micro-batch flush size")
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
 		queue     = flag.Int("queue-depth", 256, "per-route admission queue bound")
@@ -97,7 +100,6 @@ func main() {
 	slog.SetDefault(logger)
 	cfg := engine.Config{
 		Workers:           *workers,
-		GEMMThreads:       *gemmThr,
 		MaxBatch:          *maxBatch,
 		MaxWait:           *maxWait,
 		QueueDepth:        *queue,

@@ -145,15 +145,6 @@ type Config struct {
 	// budget. Off by default — the zero value keeps whole-batch failure
 	// semantics.
 	Resilience ResilienceConfig
-	// GEMMThreads is the intra-GEMM fan-out: how many goroutines one
-	// large GEMM inside a worker's forward pass may spread its macro
-	// kernel across (tensor.SetGEMMThreads — process-wide, so the last
-	// engine constructed wins). Zero sizes it automatically so that
-	// workers × live routes × gemm-threads ≤ GOMAXPROCS — with default
-	// worker counts that is 1, keeping parallelism at the batch level and
-	// routes out of each other's cores; shrink Workers to trade batch
-	// concurrency for single-GEMM latency. Negative forces 1 (serial).
-	GEMMThreads int
 }
 
 func (c Config) withDefaults() Config {
@@ -292,29 +283,6 @@ func (e *Engine) registerTrack(name string, rec *trace.Recorder) {
 	e.trackMu.Unlock()
 }
 
-// gemmThreadsFor resolves the Config.GEMMThreads policy after defaults and
-// DisableRouting folding: explicit positive values pass through, negative
-// forces serial, zero divides GOMAXPROCS by the total inference goroutine
-// count (workers × live routes) so intra-GEMM fan-out never oversubscribes
-// the engine's own concurrency.
-func gemmThreadsFor(cfg Config) int {
-	if cfg.GEMMThreads > 0 {
-		return cfg.GEMMThreads
-	}
-	if cfg.GEMMThreads < 0 {
-		return 1
-	}
-	routes := 2 + len(cfg.Variants)
-	if cfg.DisableRouting {
-		routes = 1
-	}
-	n := runtime.GOMAXPROCS(0) / (cfg.Workers * routes)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // New builds and starts an engine over a trained pipeline. It panics on
 // structurally invalid Variants or Degrade ladders — both are programmer
 // configuration, not runtime input.
@@ -373,10 +341,13 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 			rt.workers = append(rt.workers, e.newWorker(rt, i))
 		}
 	}
+	// Workers × routes are this process's parallelism: a forward pass
+	// beneath a worker must not fan out again, so tensor's one fan-out is
+	// set to width 1 (process-wide; training after New runs serial too).
+	tensor.SetGEMMThreads(1)
 	for _, rt := range e.live {
 		e.startRoute(rt)
 	}
-	tensor.SetGEMMThreads(gemmThreadsFor(cfg))
 	if cfg.Degrade.Enabled {
 		e.deg = newDegrader(cfg.Degrade, e.byName)
 		go e.degradeLoop()

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"cbnet/internal/rng"
@@ -13,10 +12,10 @@ import (
 // implemented as im2col + GEMM. The weight has shape
 // (OutC, InC*KH*KW) and the bias (OutC).
 //
-// The batch dimension is processed by a goroutine pool: each worker owns a
-// private im2col buffer and, in the backward pass, private weight/bias
-// gradient accumulators that are reduced after the fan-in — the classic
-// data-parallel gradient pattern.
+// The batch dimension is split over up to tensor.GEMMThreads goroutines: each
+// worker owns a private im2col buffer and, in the backward pass, private
+// weight/bias gradient accumulators that are reduced after the fan-in — the
+// classic data-parallel gradient pattern.
 type Conv2D struct {
 	LayerName string
 	Dims      tensor.ConvDims
@@ -174,7 +173,10 @@ func (c *Conv2D) scatterRange(src, dst []float32, colCols, batchCols, i0, i1 int
 
 // Backward computes parameter gradients and the input gradient. Each worker
 // accumulates into private dW/db buffers which are then reduced serially, so
-// no locks are held inside the hot loop.
+// no locks are held inside the hot loop. The loop is its own rather than
+// tensor.ParallelFor because a worker needs its index to find those buffers;
+// its width is the same tensor.GEMMThreads, the caller works the first share
+// itself, and at width 1 no goroutine starts.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastInput == nil || c.lastCols == nil {
 		panic(fmt.Sprintf("conv %s: Backward before training-mode Forward", c.LayerName))
@@ -187,54 +189,44 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	dx := tensor.New(n, c.InSize())
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(tensor.GEMMThreads(), n))
 	c.bwd.ensure(workers, c.OutC, colRows, colCols)
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		i0 := w * chunk
-		if i0 >= n {
-			continue
-		}
-		i1 := i0 + chunk
-		if i1 > n {
-			i1 = n
-		}
+	share := func(w int) {
 		dW, dB := c.bwd.dWs[w], c.bwd.dBs[w]
 		dcol := c.bwd.dcols[w]
 		pack := &c.bwd.packs[w]
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			dcolMat := tensor.FromSlice(dcol, colRows, colCols)
-			for i := i0; i < i1; i++ {
-				gOut := tensor.FromSlice(grad.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
-				col := tensor.FromSlice(c.lastCols[i*colRows*colCols:(i+1)*colRows*colCols], colRows, colCols)
-				// dW += gOut · colᵀ, accumulated in place through the
-				// worker's retained packing panels.
-				tensor.MatMulTransBAcc(dW, gOut, col, pack)
-				// db += spatial sums of gOut
-				for oc := 0; oc < c.OutC; oc++ {
-					row := gOut.Data[oc*colCols : (oc+1)*colCols]
-					var s float32
-					for _, v := range row {
-						s += v
-					}
-					dB.Data[oc] += s
+		dcolMat := tensor.FromSlice(dcol, colRows, colCols)
+		for i := w * chunk; i < min((w+1)*chunk, n); i++ {
+			gOut := tensor.FromSlice(grad.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
+			col := tensor.FromSlice(c.lastCols[i*colRows*colCols:(i+1)*colRows*colCols], colRows, colCols)
+			// dW += gOut · colᵀ, accumulated in place through the
+			// worker's retained packing panels.
+			tensor.MatMulTransBAcc(dW, gOut, col, pack)
+			// db += spatial sums of gOut
+			for oc := 0; oc < c.OutC; oc++ {
+				row := gOut.Data[oc*colCols : (oc+1)*colCols]
+				var s float32
+				for _, v := range row {
+					s += v
 				}
-				// dcol = Wᵀ · gOut, then scatter back to image space.
-				tensor.MatMulTransAInto(dcolMat, c.W.Value, gOut, pack)
-				img := dx.Data[i*c.InSize() : (i+1)*c.InSize()]
-				tensor.Col2Im(dcol, c.Dims, img)
+				dB.Data[oc] += s
 			}
-		}(i0, i1)
+			// dcol = Wᵀ · gOut, then scatter back to image space.
+			tensor.MatMulTransAInto(dcolMat, c.W.Value, gOut, pack)
+			img := dx.Data[i*c.InSize() : (i+1)*c.InSize()]
+			tensor.Col2Im(dcol, c.Dims, img)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w*chunk < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share(w)
+		}()
+	}
+	share(0)
 	wg.Wait()
 	for w := 0; w < workers; w++ {
 		c.W.Grad.AddInPlace(c.bwd.dWs[w])

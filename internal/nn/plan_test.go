@@ -167,39 +167,32 @@ func allocsPerRunMulticore(runs int, f func()) uint64 {
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
-// TestPlanExecuteZeroAlloc is the plan's allocation contract: a warm
-// Plan.Execute performs no heap allocation and starts no goroutine, at one
-// row, at a full batch of 32, and on more than one proc — with the intra-GEMM
-// pool both off and sized to the procs, since a plan may run under either.
-// The contract is the blocked kernel's: without one (CBNET_GEMM_KERNEL=
-// generic-8x8, or a CPU with no FMA kernel) the larger shapes take
-// gemmNaive's goroutine fan-out, which allocates per call.
+// TestPlanExecuteZeroAlloc is the plan's allocation contract: at fan-out
+// width 1, the width every engine worker runs at, a warm Plan.Execute
+// performs no heap allocation and starts no goroutine, at one row, at a full
+// batch of 32, and on more than one proc — on every kernel: the blocked path
+// never fans out, the scalar path of a host without an FMA kernel
+// (CBNET_GEMM_KERNEL=generic-8x8) does not at width 1.
 func TestPlanExecuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
 	}
-	if !tensor.BlockedKernelEnabled() {
-		t.Skip("no blocked GEMM kernel: gemmNaive fans out over goroutines and allocates")
-	}
+	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(1))
 	for _, net := range []*Sequential{mixedTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
 		p, err := Compile(net, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, threads := range []int{1, 2} {
-			prev := tensor.SetGEMMThreads(threads)
-			for _, n := range []int{1, 2, 32} {
-				x := tensor.New(n, p.InWidth())
-				x.RandUniform(rng.New(uint64(n)), -1, 1)
-				before := runtime.NumGoroutine()
-				if allocs := allocsPerRunMulticore(30, func() { p.Execute(nil, x) }); allocs != 0 {
-					t.Errorf("%s batch %d, %d GEMM threads: %d allocs per warm Execute, want 0", net.Name(), n, threads, allocs)
-				}
-				if threads == 1 && runtime.NumGoroutine() > before {
-					t.Errorf("%s batch %d: Execute left %d new goroutines", net.Name(), n, runtime.NumGoroutine()-before)
-				}
+		for _, n := range []int{1, 2, 32} {
+			x := tensor.New(n, p.InWidth())
+			x.RandUniform(rng.New(uint64(n)), -1, 1)
+			before := runtime.NumGoroutine()
+			if allocs := allocsPerRunMulticore(30, func() { p.Execute(nil, x) }); allocs != 0 {
+				t.Errorf("%s batch %d: %d allocs per warm Execute, want 0", net.Name(), n, allocs)
 			}
-			tensor.SetGEMMThreads(prev)
+			if runtime.NumGoroutine() > before {
+				t.Errorf("%s batch %d: Execute left %d new goroutines", net.Name(), n, runtime.NumGoroutine()-before)
+			}
 		}
 	}
 }
@@ -256,13 +249,14 @@ func TestPoolInferMatchesGeneralLoop(t *testing.T) {
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
 // retained packing panels are warm. Panels exist only on the blocked path;
-// without a blocked kernel the products run gemmNaive's goroutine fan-out.
+// without a blocked kernel the transposed products run their scalar loops,
+// which hand parallelRows a closure (two allocations a step, at any width).
 func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	if !tensor.BlockedKernelEnabled() {
-		t.Skip("no blocked GEMM kernel: gemmNaive fans out over goroutines and allocates")
+		t.Skip("no blocked GEMM kernel: no panels to retain, and the scalar transposed products build a closure each")
 	}
 	d := NewDense("fc", 128, 64, rng.New(5))
 	x := tensor.New(32, 128)

@@ -151,8 +151,9 @@ func TestScanClassifyTakesClientBodies(t *testing.T) {
 	}
 }
 
-// Measured 7 and 55 on go1.24 linux/amd64, and one more of each under
-// -race, where sync.Pool drops a share of its Puts.
+// Measured 7 and 55 on go1.24 linux/amd64; the budgets leave one of slack.
+// Not held under -race, where sync.Pool drops a share of its Puts and the
+// count wanders past any fixed budget.
 const (
 	jsonAllocBudget = 8
 	pngAllocBudget  = 56
@@ -449,6 +450,14 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	if code := wait("the surviving request", doneB); code != http.StatusOK {
 		t.Fatalf("surviving request: status %d, want 200", code)
 	}
+	// B's answer does not mean A's re-run is through: when B went first, A's
+	// is past the gate but may not have recorded its row yet. Every request
+	// sent — the primer, the eight, A and B — completes in the engine.
+	for deadline := time.Now().Add(10 * time.Second); s.Engine.Stats().Completed < 11; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 11 requests completed in the engine", s.Engine.Stats().Completed)
+		}
+	}
 
 	gate.mu.Lock()
 	defer gate.mu.Unlock()
@@ -475,6 +484,9 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 // counts; what is left is net/http's mux, the engine's request and reply
 // channel, the two header values and, for PNG, image/png's decoder.
 func TestClassifyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops entries; an allocation budget is only meaningful without -race")
+	}
 	s := serverWithEngineConfig(t, engine.Config{}, quietOptions)
 	img := serveEasyImage(4)
 	jsonBody, _ := json.Marshal(ClassifyRequest{Pixels: img})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // parallelThreshold is the minimum number of multiply-accumulate operations
@@ -327,10 +328,32 @@ const (
 	heavyRowFlops    = parallelThreshold
 )
 
+// gemmThreadsVal is the fan-out width: the most goroutines (caller's share
+// included) one call into this package spreads its rows over. Default
+// GOMAXPROCS.
+var gemmThreadsVal atomic.Int64
+
+func init() { gemmThreadsVal.Store(int64(runtime.GOMAXPROCS(0))) }
+
+// SetGEMMThreads sets the process-wide fan-out width — how many goroutines
+// parallelRows, the package's one fan-out, may split a large row range
+// across (ParallelFor, the scalar GEMM/gemv fallbacks and the row sweeps go
+// through it; nn's Conv2D.Backward reads the same value) — and returns the
+// previous setting. Values below 1 clamp to 1, the width at which nothing in
+// tensor or nn starts a goroutine on any kernel; values above GOMAXPROCS are
+// honored rather than clamped. The blocked GEMM never fans out. A process
+// whose parallelism lives above this package (engine workers) sets 1.
+func SetGEMMThreads(n int) int {
+	return int(gemmThreadsVal.Swap(int64(max(n, 1))))
+}
+
+// GEMMThreads reports the current fan-out width.
+func GEMMThreads() int { return int(gemmThreadsVal.Load()) }
+
 // maxRowWorkers returns how many goroutines row-sliced work over rows rows
-// totalling flops flops deserves (1 = stay serial).
+// totalling flops flops deserves (1 = stay serial), at most GEMMThreads.
 func maxRowWorkers(rows, flops int) int {
-	workers := runtime.GOMAXPROCS(0)
+	workers := GEMMThreads()
 	if flops < parallelThreshold || workers < 2 || rows < 2 {
 		return 1
 	}
@@ -370,10 +393,10 @@ func parallelRows(rows, flops int, fn func(i0, i1 int)) {
 }
 
 // ParallelFor splits [0, n) into contiguous chunks and runs fn on each chunk,
-// fanning out to GOMAXPROCS goroutines when n*costPerItem (an approximate
-// flop count) exceeds the parallelization threshold. fn must be safe to call
-// concurrently on disjoint ranges. It is the batch-level work-sharing
-// primitive used by the layer and training code.
+// fanning out to at most GEMMThreads goroutines when n*costPerItem (an
+// approximate flop count) exceeds the parallelization threshold. fn must be
+// safe to call concurrently on disjoint ranges. It is the batch-level
+// work-sharing primitive used by the layer and training code.
 func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
 	parallelRows(n, n*costPerItem, fn)
 }

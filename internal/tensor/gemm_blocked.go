@@ -22,11 +22,10 @@ import "sync"
 // AVX-512, 8×8 over NEON quads on arm64, with the portable generic kernel
 // as the universal fallback and oracle reference.
 //
-// Large panels are partitioned over the persistent worker pool
-// (gemm_pool.go): the IC (row-block) and JR (sliver-chunk) loops become a
-// task grid drained by up to GEMMThreads goroutines, each packing A blocks
-// into its own buffers while sharing the one packed B panel; a barrier per
-// (jc, pc) panel preserves the depth-accumulation and epilogue ordering.
+// A blocked GEMM runs on the goroutine that calls it, one A row block after
+// another against the packed B panel: parallelism is the caller's business —
+// engine workers across batches in serving, ParallelFor across samples in
+// training — and nothing fans out beneath either.
 //
 // Packing uses zero padding up to the mr/nr multiple, so the micro-kernel
 // never sees a partial tile; the write-back handles ragged C edges.
@@ -65,9 +64,9 @@ func SetBlockedKernelForTest(enabled bool) bool {
 
 // gemmBuf is the reusable packing scratch for one goroutine's share of a
 // blocked GEMM. Buffers grow to the block maxima on first use and are then
-// recycled — through gemmBufPool for ad-hoc callers, held for life by pool
-// workers and PackScratch owners — so steady-state GEMM calls allocate
-// nothing. The accumulator is sized for the largest registered tile.
+// recycled — through gemmBufPool for ad-hoc callers, held for life by
+// PackScratch owners — so steady-state GEMM calls allocate nothing. The
+// accumulator is sized for the largest registered tile.
 type gemmBuf struct {
 	ap  []float32
 	bp  []float32
@@ -113,8 +112,7 @@ func (g *gemmBuf) ensureB(n int) []float32 {
 func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // gemmPanel carries one (jc, pc) panel's full geometry: operand views, the
-// shared packed B panel, scaling, and the kernel in use. It is the unit
-// both the serial sweep and the pool job operate on.
+// shared packed B panel, scaling, and the kernel in use.
 type gemmPanel struct {
 	a        []float32
 	ars, acs int
@@ -141,9 +139,7 @@ type gemmPanel struct {
 // supplies the caller-owned packing panels; otherwise they come from the
 // shared pool. A non-nil pb is op(B) already in packed form
 // (gemm_packed.go): its panels are used as they are, b and its strides are
-// ignored, and no B panel is packed or grown. Panels big enough to amortize
-// the barrier fan out over the worker pool, up to GEMMThreads goroutines per
-// call.
+// ignored, and no B panel is packed or grown.
 func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, alpha, beta float32, ep Epilogue, ps *PackScratch, pb *PackedB) {
 	var db *gemmBuf
 	if ps != nil {
@@ -175,49 +171,27 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 				packB(b, brs, bcs, pc, jc, kc, nc, kern.nr, bp)
 				pn.bp = bp
 			}
-			mBlocks := (m + blockMC - 1) / blockMC
-			slivers := (nc + kern.nr - 1) / kern.nr
-			threads := gemmFanout(2*m*kc*nc, mBlocks, slivers)
-			if threads < 2 {
-				for ib := 0; ib < mBlocks; ib++ {
-					pn.blockSerial(db, ib)
-				}
-				continue
+			for ic := 0; ic < m; ic += blockMC {
+				pn.blockSerial(db, ic)
 			}
-			// Chunk the JR loop only when the row blocks alone cannot
-			// feed every thread; two chunks per thread keeps the cursor
-			// load-balanced without over-fragmenting packed-A reuse.
-			nChunks := 1
-			if mBlocks < 2*threads {
-				nChunks = min(slivers, (2*threads+mBlocks-1)/mBlocks)
-			}
-			sliversPerChunk := (slivers + nChunks - 1) / nChunks
-			nChunks = (slivers + sliversPerChunk - 1) / sliversPerChunk
-			runPanelParallel(&pn, db, threads, mBlocks, nChunks, sliversPerChunk)
 		}
 	}
 }
 
-// blockSerial packs A row block ib and sweeps the full JR range — the
-// no-goroutine path, one packed block reused across every sliver.
-func (pn *gemmPanel) blockSerial(wb *gemmBuf, ib int) {
-	ic := ib * blockMC
-	mc := min(blockMC, pn.m-ic)
-	ap := wb.ensureA(roundUp(mc, pn.kern.mr) * pn.kc)
-	packA(pn.a, pn.ars, pn.acs, ic, pn.pc, mc, pn.kc, pn.kern.mr, ap)
-	pn.sweep(wb, ic, mc, 0, pn.nc)
-}
-
-// sweep runs the micro-kernel over the tile grid of one packed A block
-// (rows ic..ic+mc) crossed with the packed B slivers covering columns
-// [jr0, jr1), applying the epilogue to each tile right after its write-back
-// on the final depth block. wb.ap must hold the block's packed slivers.
-func (pn *gemmPanel) sweep(wb *gemmBuf, ic, mc, jr0, jr1 int) {
+// blockSerial packs the A row block starting at row ic into mr-row slivers
+// and runs the micro-kernel over its tile grid against every packed B sliver
+// of the panel — one packed block reused across the full JR range — applying
+// the epilogue to each tile right after its write-back on the final depth
+// block.
+func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 	mr, nr := pn.kern.mr, pn.kern.nr
-	for jr := jr0; jr < jr1; jr += nr {
+	mc := min(blockMC, pn.m-ic)
+	ap := wb.ensureA(roundUp(mc, mr) * pn.kc)
+	packA(pn.a, pn.ars, pn.acs, ic, pn.pc, mc, pn.kc, mr, ap)
+	for jr := 0; jr < pn.nc; jr += nr {
 		bs := pn.bp[(jr/nr)*pn.kc*nr:][:pn.kc*nr]
 		for ir := 0; ir < mc; ir += mr {
-			as := wb.ap[(ir/mr)*pn.kc*mr:][:pn.kc*mr]
+			as := ap[(ir/mr)*pn.kc*mr:][:pn.kc*mr]
 			pn.kern.fn(pn.kc, as, bs, &wb.acc)
 			mEff, nEff := min(mr, mc-ir), min(nr, pn.nc-jr)
 			writeTile(pn.c, pn.n, ic+ir, pn.jc+jr, mEff, nEff, nr, &wb.acc, pn.alpha, pn.beta)

@@ -51,31 +51,28 @@ func TestPackedBMatchesGEMMEpilogue(t *testing.T) {
 		shape{blockMC + 3, 64, 4 * maxNR},            // several row blocks
 	)
 	forEachKernel(t, func(t *testing.T) {
-		for _, threads := range []int{1, 2} {
-			forceParallel(t, threads)
-			for _, s := range shapes {
-				a := make([]float32, s.m*s.k)
-				b := make([]float32, s.k*s.n)
-				fillDeterministic(a, uint32(7*s.m+s.k))
-				fillDeterministic(b, uint32(11*s.n+s.k))
-				b[2] = float32(math.NaN()) // a NaN column through every epilogue
-				if !BlockedGEMM(s.m, s.k, s.n) {
-					if s.m > 1 {
-						t.Fatalf("%v: expected a blocked-path shape", s)
-					}
-					continue // single rows stay on gemv and the raw operand
+		for _, s := range shapes {
+			a := make([]float32, s.m*s.k)
+			b := make([]float32, s.k*s.n)
+			fillDeterministic(a, uint32(7*s.m+s.k))
+			fillDeterministic(b, uint32(11*s.n+s.k))
+			b[2] = float32(math.NaN()) // a NaN column through every epilogue
+			if !BlockedGEMM(s.m, s.k, s.n) {
+				if s.m > 1 {
+					t.Fatalf("%v: expected a blocked-path shape", s)
 				}
-				var pb PackedB
-				pb.Pack(b, s.k, s.n)
-				for ei, ep := range epilogueVariants(s.m, s.n) {
-					want := make([]float32, s.m*s.n)
-					got := make([]float32, s.m*s.n)
-					fillDeterministic(got, 5) // stored, never read
-					GEMMEpilogue(a, b, want, s.m, s.k, s.n, ep, nil)
-					GEMMEpiloguePacked(a, &pb, got, s.m, ep, nil)
-					if i, ok := bitsEqual(got, want); !ok {
-						t.Fatalf("threads=%d %v epilogue %d: packed[%d]=%v, unpacked %v", threads, s, ei, i, got[i], want[i])
-					}
+				continue // single rows stay on gemv and the raw operand
+			}
+			var pb PackedB
+			pb.Pack(b, s.k, s.n)
+			for ei, ep := range epilogueVariants(s.m, s.n) {
+				want := make([]float32, s.m*s.n)
+				got := make([]float32, s.m*s.n)
+				fillDeterministic(got, 5) // stored, never read
+				GEMMEpilogue(a, b, want, s.m, s.k, s.n, ep, nil)
+				GEMMEpiloguePacked(a, &pb, got, s.m, ep, nil)
+				if i, ok := bitsEqual(got, want); !ok {
+					t.Fatalf("%v epilogue %d: packed[%d]=%v, unpacked %v", s, ei, i, got[i], want[i])
 				}
 			}
 		}
@@ -117,7 +114,6 @@ func TestPackedGEMMZeroAllocsNoBPanel(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	defer SetBlockedKernelForTest(SetBlockedKernelForTest(true))
-	forceParallel(t, 1)
 	const m, k, n = 32, 300, 200
 	a := make([]float32, m*k)
 	b := make([]float32, k*n)
@@ -141,8 +137,6 @@ func BenchmarkGEMMPackedVsUnpacked(b *testing.B) {
 	if !blockedEnabled {
 		b.Skip("no FMA micro-kernel on this CPU")
 	}
-	prev := SetGEMMThreads(1)
-	defer SetGEMMThreads(prev)
 	for _, s := range []struct{ m, k, n int }{{2, 784, 512}, {32, 784, 512}, {3, 25, 32 * 784}} {
 		a := make([]float32, s.m*s.k)
 		bb := make([]float32, s.k*s.n)

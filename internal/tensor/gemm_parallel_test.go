@@ -1,106 +1,22 @@
 package tensor
 
 import (
-	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// The parallel blocked path must produce the same bits as the serial one
-// (the task grid only re-orders independent tile write-backs, never the
-// depth accumulation), stay allocation-free warm, and tolerate many GEMMs
-// sharing the worker pool concurrently.
+// parallelRows is the package's one fan-out and SetGEMMThreads the one owner
+// of its width: these tests pin the width's contract, the light-row floor
+// under it, and that every row-sliced entry point obeys it.
 
-// forceParallel pins the intra-GEMM fan-out for a test and restores it.
+// forceParallel pins the fan-out width for a test and restores it.
 func forceParallel(t testing.TB, threads int) {
 	t.Helper()
 	prev := SetGEMMThreads(threads)
 	t.Cleanup(func() { SetGEMMThreads(prev) })
-}
-
-// TestParallelBlockedMatchesSerial compares the parallel sweep bit-for-bit
-// against the serial sweep under the same kernel: shapes spanning multiple
-// MC row blocks, multiple KC depth blocks (the per-panel barrier), ragged
-// edges, and an epilogue.
-func TestParallelBlockedMatchesSerial(t *testing.T) {
-	bias := make([]float32, 4*maxNR+5)
-	fillDeterministic(bias, 61)
-	for _, s := range []struct {
-		m, k, n int
-		ep      Epilogue
-	}{
-		{blockMC + 9, 40, 512, Epilogue{}},                                               // 2 row blocks
-		{64, 2*blockKC + 3, 300, Epilogue{}},                                             // 3 depth blocks: barrier ordering
-		{3*blockMC - 1, blockKC + 1, 4*maxNR + 5, Epilogue{}},                            // both, ragged everywhere
-		{blockMC + 1, blockKC + 1, 4*maxNR + 5, Epilogue{Act: EpActReLU, ColBias: bias}}, // epilogue on final depth block
-	} {
-		name := fmt.Sprintf("%dx%dx%d-ep=%v", s.m, s.k, s.n, s.ep.Act)
-		t.Run(name, func(t *testing.T) {
-			a := make([]float32, s.m*s.k)
-			b := make([]float32, s.k*s.n)
-			cInit := make([]float32, s.m*s.n)
-			fillDeterministic(a, 71)
-			fillDeterministic(b, 73)
-			fillDeterministic(cInit, 79)
-
-			forceParallel(t, 1)
-			want := append([]float32(nil), cInit...)
-			gemmBlocked(a, s.k, 1, b, s.n, 1, want, s.m, s.k, s.n, 1, 1, s.ep, nil, nil)
-
-			for _, threads := range []int{2, 4, 8} {
-				SetGEMMThreads(threads)
-				got := append([]float32(nil), cInit...)
-				gemmBlocked(a, s.k, 1, b, s.n, 1, got, s.m, s.k, s.n, 1, 1, s.ep, nil, nil)
-				if d := maxAbsDiff(got, want); d != 0 {
-					t.Fatalf("threads=%d: parallel result differs from serial by %g (want bitwise equal)", threads, d)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelBlockedConcurrentGEMMs runs many goroutines each doing
-// intra-parallel blocked GEMMs against a shared worker pool — the serving
-// shape (engine workers × gemm-threads) — and checks every result. Run
-// with -race this is the pool's data-race oracle.
-func TestParallelBlockedConcurrentGEMMs(t *testing.T) {
-	forceParallel(t, 4)
-	const m, k, n = 96, 300, 256
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	fillDeterministic(a, 83)
-	fillDeterministic(b, 89)
-	want := make([]float32, m*n)
-	gemmNaive(a, b, want, m, k, n, 1, 0)
-
-	callers := 4
-	iters := 8
-	if testing.Short() {
-		iters = 2
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var ps PackScratch
-			c := make([]float32, m*n)
-			for it := 0; it < iters; it++ {
-				gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps, nil)
-				if d := maxAbsDiff(c, want); d > oracleTol {
-					errs <- fmt.Errorf("caller %d iter %d: max abs diff %g", g, it, d)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestSetGEMMThreads pins the knob's clamp/restore contract.
@@ -117,45 +33,126 @@ func TestSetGEMMThreads(t *testing.T) {
 	if got := GEMMThreads(); got != 1 {
 		t.Fatalf("GEMMThreads()=%d after SetGEMMThreads(0), want clamp to 1", got)
 	}
-	// Oversubscription is allowed (tests on small hosts exercise the pool).
+	// Oversubscription is allowed: the width, not the machine, decides.
 	SetGEMMThreads(runtime.GOMAXPROCS(0) + 7)
 	if got := GEMMThreads(); got != runtime.GOMAXPROCS(0)+7 {
 		t.Fatalf("GEMMThreads()=%d, oversubscription should be honored", got)
 	}
 }
 
-// TestParallelBlockedZeroAllocs proves the parallel warm path allocates
-// nothing: pool-owned packing buffers, recycled job descriptors, reused
-// barrier channel.
-func TestParallelBlockedZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
+// mallocsPerRun counts mallocs per warm call of f at the procs the caller
+// has set (testing.AllocsPerRun pins one proc, where a fan-out sized from
+// the procs would hide), with the collector off.
+func mallocsPerRun(runs int, f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
-	forceParallel(t, 4)
-	const m, k, n = 256, 256, 256
-	a := make([]float32, m*k)
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestFanOutWidthIsGEMMThreads: the width SetGEMMThreads holds, not the
+// machine's proc count, decides every fan-out in the package. At width 1 on
+// two or more procs, shapes far above parallelThreshold run their whole
+// range in one call on the calling goroutine and allocate nothing; at width
+// 4 on a single proc the same shapes split four ways. The scalar GEMM paths
+// are reached with the blocked dispatch off, as on a CPU without an FMA
+// kernel.
+func TestFanOutWidthIsGEMMThreads(t *testing.T) {
+	defer SetBlockedKernelForTest(SetBlockedKernelForTest(false))
+	const rows, k, n = 256, 64, 512 // light rows; product and epilogue sweep both far above the threshold
+	a := make([]float32, rows*k)
 	b := make([]float32, k*n)
-	c := make([]float32, m*n)
-	fillDeterministic(a, 91)
-	fillDeterministic(b, 93)
-	var ps PackScratch
-	run := func() {
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, Epilogue{}, &ps, nil)
+	c := make([]float32, rows*n)
+	bias := make([]float32, n)
+	fillDeterministic(a, 103)
+	fillDeterministic(b, 107)
+	fillDeterministic(bias, 109)
+	const matRows = 8 * rows // the row sweeps do a flop an element: a matrix far above the threshold by itself
+	mat := FromSlice(make([]float32, matRows*n), matRows, n)
+	fillDeterministic(mat.Data, 113)
+	rowVec, colAcc := FromSlice(bias, n), New(n)
+	x, y := make([]float32, n), make([]float32, matRows)
+	fillDeterministic(x, 127)
+	ep := Epilogue{Act: EpActReLU, ColBias: bias}
+
+	// calls and covered record how a callback-taking entry point cut [0, rows).
+	var calls, covered atomic.Int64
+	count := func(i0, i1 int) {
+		calls.Add(1)
+		covered.Add(int64(i1 - i0))
 	}
-	run() // warm: start pool workers, grow panels
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("parallel blocked GEMM allocates %v/op warm, want 0", allocs)
+	entries := []struct {
+		name        string
+		rows, flops int  // what the entry point hands maxRowWorkers
+		ranged      bool // run passes count as the range function
+		run         func()
+	}{
+		{"parallelRows", rows, rows * n * k, true, func() { parallelRows(rows, rows*n*k, count) }},
+		{"ParallelFor", rows, rows * n * k, true, func() { ParallelFor(rows, n*k, count) }},
+		{"gemmNaive", rows, rows * n * k, false, func() { gemmNaive(a, b, c, rows, k, n, 1, 0) }},
+		{"GEMMEpilogue", rows, 4 * rows * n, false, func() { GEMMEpilogue(a, b, c, rows, k, n, ep, nil) }},
+		{"MatVecInto", matRows, matRows * n, false, func() { MatVecInto(y, mat.Data, x, matRows, n) }},
+		{"AddRowVector", matRows, matRows * n, false, func() { mat.AddRowVector(rowVec) }},
+		{"SumRowsInto", n, n * matRows, false, func() { mat.SumRowsInto(colAcc) }},
+	}
+
+	procs := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(procs)
+	forceParallel(t, 1)
+	for _, e := range entries {
+		goroutines := runtime.NumGoroutine()
+		const runs = 10
+		calls.Store(0)
+		covered.Store(0)
+		if allocs := mallocsPerRun(runs, e.run); allocs != 0 && !raceEnabled {
+			t.Errorf("width 1: %s allocates %d per call, want 0 (it fanned out)", e.name, allocs)
+		}
+		if extra := runtime.NumGoroutine() - goroutines; extra > 0 {
+			t.Errorf("width 1: %s left %d new goroutines", e.name, extra)
+		}
+		if e.ranged && (calls.Load() != runs+1 || covered.Load() != (runs+1)*rows) {
+			t.Errorf("width 1: %s made %d calls covering %d rows in %d runs, want one call with the whole range each",
+				e.name, calls.Load(), covered.Load(), runs+1)
+		}
+	}
+	c1 := append([]float32(nil), c...) // GEMMEpilogue's output at width 1
+
+	// Width 4 on one proc: the machine has nothing to offer, the width
+	// splits all the same.
+	runtime.GOMAXPROCS(1)
+	SetGEMMThreads(4)
+	for _, e := range entries {
+		if got := maxRowWorkers(e.rows, e.flops); got != 4 {
+			t.Errorf("width 4: %s would split %d ways (rows=%d flops=%d), want 4", e.name, got, e.rows, e.flops)
+		}
+		calls.Store(0)
+		covered.Store(0)
+		if allocs := mallocsPerRun(1, e.run); allocs == 0 {
+			t.Errorf("width 4, GOMAXPROCS 1: %s allocates nothing, so it started no goroutine", e.name)
+		}
+		if e.ranged && (calls.Load() != 2*4 || covered.Load() != 2*rows) {
+			t.Errorf("width 4, GOMAXPROCS 1: %s made %d calls covering %d rows in 2 runs, want 4 ranges a run",
+				e.name, calls.Load(), covered.Load())
+		}
+	}
+	GEMMEpilogue(a, b, c, rows, k, n, ep, nil)
+	if i, ok := bitsEqual(c, c1); !ok {
+		t.Errorf("GEMMEpilogue at width 4 differs from width 1 at [%d]: %v vs %v", i, c[i], c1[i])
 	}
 }
 
 // TestParallelRowsFloor pins the light-row fan-out floor: light per-row
 // work below minRowsPerWorker rows per worker stays serial, heavy rows may
-// still split fine-grained. It runs at two procs whatever the host has, so
-// a one-core runner checks the same table.
+// still split fine-grained. It sets the width itself, so every runner
+// checks the same table whatever its core count.
 func TestParallelRowsFloor(t *testing.T) {
-	gmp := max(runtime.GOMAXPROCS(0), 2)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+	const gmp = 2
+	forceParallel(t, gmp)
 	for _, tc := range []struct {
 		rows, flops int
 		want        int
@@ -189,6 +186,7 @@ func BenchmarkParallelRowsFloor(b *testing.B) {
 	work := func(i0, i1 int) {
 		gemmNaiveRange(a, bb, c, k, n, 1, 0, i0, i1)
 	}
+	forceParallel(b, rows)
 	b.Run("floor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -209,23 +207,4 @@ func BenchmarkParallelRowsFloor(b *testing.B) {
 			wg.Wait()
 		}
 	})
-}
-
-// BenchmarkGEMMBlockedThreads is the scaling curve: one 256³ GEMM at
-// 1/2/4/8 intra-GEMM threads. On a single-core host the extra threads
-// time-slice; on multicore the curve is the tentpole's acceptance
-// measurement.
-func BenchmarkGEMMBlockedThreads(b *testing.B) {
-	if !blockedEnabled {
-		b.Skip("no FMA micro-kernel on this CPU")
-	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			prev := SetGEMMThreads(threads)
-			defer SetGEMMThreads(prev)
-			benchGEMM(b, 256, 256, 256, func(a, bb, c []float32) {
-				gemmBlocked(a, 256, 1, bb, 256, 1, c, 256, 256, 256, 1, 0, Epilogue{}, nil, nil)
-			})
-		})
-	}
 }
