@@ -257,13 +257,13 @@ func breakerDrill(w io.Writer) []string {
 	edgeList := fmt.Sprint(edges)
 	mu.Unlock()
 	fmt.Fprintf(w, "faultisolation: breaker drill — transitions %s  diverted %d\n",
-		edgeList, e.Resilience().Diverted)
+		edgeList, e.Stats().Diverted)
 	for _, want := range []string{"hard:closed->open", "hard:open->half-open", "hard:half-open->closed"} {
 		if !got[want] {
 			fail = append(fail, fmt.Sprintf("breaker: missing transition %s (saw %s)", want, edgeList))
 		}
 	}
-	if e.Resilience().Diverted < 1 {
+	if e.Stats().Diverted < 1 {
 		fail = append(fail, "breaker: no request was diverted off the open breaker")
 	}
 	return fail

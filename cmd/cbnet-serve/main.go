@@ -13,21 +13,25 @@
 // per route, each running one micro-batch at a time on the goroutine that
 // took it. Nothing beneath a worker fans out.
 //
-// -degrade arms the graceful-degradation autopilot: the server mounts a
-// pruned early-exit variant as an extra engine route and walks the ladder
-// full → early-exit → pruned → shed as SLO burn or queue pressure rises
-// (watch cbnet_degrade_level on /metrics). -default-deadline bounds each
-// request's end-to-end time; clients override per request with the
-// X-CBNet-Deadline-Ms header. The -chaos-* flags wire a fault injector into
-// the inference path for overload drills — never enable them in production.
+// -degrade arms graceful degradation: the server mounts a pruned early-exit
+// variant as an extra engine route, and a request whose preferred route's
+// queue is half full is answered by the next route down the ladder hard →
+// easy → pruned instead of waiting or being refused (watch
+// cbnet_requests_diverted_total and cbnet_route_images_total on /metrics).
+// The choice is made per request from the queues as they are; nothing is
+// refused for lack of room until every route is half full. -default-deadline
+// bounds each request's end-to-end time; clients override per request with
+// the X-CBNet-Deadline-Ms header. The -chaos-* flags wire a fault injector
+// into the inference path for overload drills — never enable them in
+// production.
 //
 // -resilience (on by default) arms the fault-isolation layer: failed
 // micro-batches are bisected so one bad input cannot fail its co-batched
 // neighbours, convicted poison pills are quarantined and rejected 422 at
 // admission, each route carries a circuit breaker that diverts traffic off
 // a failing variant, and a retry budget bounds the extra inference work.
-// GET /readyz reports not-ready while draining, shedding, or a serving
-// route's breaker is open.
+// GET /readyz reports not-ready while draining, while no route has room, or
+// while a serving route's breaker is open.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503, the
 // listener stops, in-flight requests drain through the engine, a final
@@ -80,10 +84,9 @@ func main() {
 		sloAvail  = flag.Float64("slo-availability", 0.999, "availability SLO target in (0,1): non-5xx responses over all terminal responses")
 		flightDir = flag.String("flight-dir", "", "directory for flight-recorder auto-dumps on SLO burn trips and 503 bursts (empty keeps dumps in memory, served at /debug/flight)")
 
-		deadline        = flag.Duration("default-deadline", 0, "per-request deadline applied when the client sends no X-CBNet-Deadline-Ms header (0 = none)")
-		degrade         = flag.Bool("degrade", false, "enable the graceful-degradation ladder: full -> early-exit -> pruned -> shed, driven by SLO burn and queue pressure")
-		degradeInterval = flag.Duration("degrade-interval", 100*time.Millisecond, "degradation controller evaluation period")
-		resilienceOn    = flag.Bool("resilience", true, "arm the fault-isolation layer: batch bisection, poison-pill quarantine, per-route circuit breakers, retry budget")
+		deadline     = flag.Duration("default-deadline", 0, "per-request deadline applied when the client sends no X-CBNet-Deadline-Ms header (0 = none)")
+		degrade      = flag.Bool("degrade", false, "graceful degradation: mount a pruned variant and spill each request whose preferred route is half full down the ladder hard -> easy -> pruned")
+		resilienceOn = flag.Bool("resilience", true, "arm the fault-isolation layer: batch bisection, poison-pill quarantine, per-route circuit breakers, retry budget")
 
 		chaosLatency    = flag.String("chaos-infer-latency", "", "inject per-batch inference latency, e.g. 'hard=12ms,easy=4ms' ('all=...' sets the default); drills only")
 		chaosErrEvery   = flag.Int64("chaos-error-every", 0, "fail every Nth inference batch with an injected error (0 = off); drills only")
@@ -105,7 +108,7 @@ func main() {
 		QueueDepth:        *queue,
 		HardnessThreshold: *threshold,
 		DisableRouting:    *noRoute,
-		Degrade:           engine.DegradeConfig{Enabled: *degrade, Interval: *degradeInterval},
+		Degrade:           engine.DegradeConfig{Enabled: *degrade},
 		Resilience:        engine.ResilienceConfig{Enabled: *resilienceOn},
 	}
 	if *chaosLatency != "" || *chaosErrEvery > 0 || *chaosPanicEvery > 0 || *chaosPoison != 0 || *chaosStuck != "" {
@@ -245,22 +248,16 @@ func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Optio
 	}
 	pipe := &core.Pipeline{AE: ae, Classifier: models.ExtractLightweight(branchy)}
 	if cfg.Degrade.Enabled {
-		// The ladder's third rung is a structurally-pruned copy of the
+		// The ladder's last route is a structurally-pruned copy of the
 		// early-exit network, mounted as a first-class engine route. It
 		// shares no tensors with the serving classifier, so pruning cannot
 		// perturb the healthy path.
 		pruned, err := compress.PruneLightweight(pipe.Classifier,
 			compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
 		if err != nil {
-			return nil, fmt.Errorf("building pruned degrade rung: %w", err)
+			return nil, fmt.Errorf("building pruned variant: %w", err)
 		}
 		cfg.Variants = append(cfg.Variants, engine.Variant{Name: "pruned", Net: pruned})
-		cfg.Degrade.Ladder = []engine.DegradeRung{
-			{Name: "full"},
-			{Name: "exit", Route: engine.RouteEasy},
-			{Name: "pruned", Route: "pruned"},
-			{Name: "shed", Shed: true},
-		}
 	}
 	return serve.NewWithOptions(pipe, engine.New(pipe, cfg), prof, family, opts), nil
 }

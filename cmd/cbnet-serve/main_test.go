@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestBuildServerMountsDegradeLadder(t *testing.T) {
 	cfg := engine.Config{
 		Workers:           1,
 		HardnessThreshold: engine.DefaultHardnessThreshold,
-		Degrade:           engine.DegradeConfig{Enabled: true, Interval: time.Hour},
+		Degrade:           engine.DegradeConfig{Enabled: true},
 	}
 	srv, err := buildServer(dir, "mnist", "RaspberryPi4", cfg, serve.Options{}, false)
 	if err != nil {
@@ -118,14 +119,8 @@ func TestBuildServerMountsDegradeLadder(t *testing.T) {
 	}
 	defer srv.Close()
 	ladder := srv.Engine.DegradeLadder()
-	want := []string{"full", "exit", "pruned", "shed"}
-	if len(ladder) != len(want) {
-		t.Fatalf("ladder %v, want %v", ladder, want)
-	}
-	for i := range want {
-		if ladder[i] != want[i] {
-			t.Fatalf("ladder %v, want %v", ladder, want)
-		}
+	if want := []string{"hard", "easy", "pruned"}; !slices.Equal(ladder, want) {
+		t.Fatalf("ladder %v, want %v: -degrade mounts the pruned variant as the last route", ladder, want)
 	}
 }
 

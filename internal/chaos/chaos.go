@@ -56,7 +56,7 @@ func NewInjector() *Injector {
 // SetLatency adds an artificial delay to every batch on the named route;
 // route "" sets the default applied to routes without a specific entry.
 // Per-route latency is what makes degradation observable in miniature:
-// give the hard route a large delay and the cheap rungs small ones, and
+// give the hard route a large delay and the cheaper routes small ones, and
 // the ladder's capacity steps become real.
 func (i *Injector) SetLatency(route string, d time.Duration) {
 	i.mu.Lock()

@@ -14,6 +14,7 @@ import (
 	"cbnet/internal/compress"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
+	"cbnet/internal/resilience"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -33,37 +34,53 @@ func subflowVariant(t *testing.T) Variant {
 	return Variant{Name: "subflow-0.5", Net: net}
 }
 
-// TestVariantRouteServesAndMatchesForward pins the tentpole contract: a
-// compression-family network registered as a variant route serves real
-// traffic when the ladder pins to it, and its compiled answers agree with
-// the network's own Forward pass.
+// openBreaker sticks the named route and submits hard-preferring requests
+// until its breaker opens; the routes before it on the ladder must already
+// refuse, so the failures land on it. The tests arm a 2-sample window.
+func openBreaker(t *testing.T, e *Engine, inj *chaos.Injector, name RouteName) {
+	t.Helper()
+	inj.SetStuck(string(name))
+	for i := uint64(0); !e.BreakerOpen(name); i++ {
+		if i == 10 {
+			t.Fatalf("%s breaker still closed after %d stuck requests", name, i)
+		}
+		if _, err := e.Submit(context.Background(), Request{Pixels: stubbornHardImage(t, i)}); !errors.Is(err, ErrInferFailed) {
+			t.Fatalf("stuck %s submit: err = %v, want ErrInferFailed", name, err)
+		}
+	}
+	inj.SetStuck("")
+}
+
+// TestVariantRouteServesAndMatchesForward: a compression-family network
+// registered as a variant route serves real traffic once the routes before
+// it on the ladder refuse, and its compiled answers agree with the network's
+// own Forward pass. When the variant refuses too the request is shed, with
+// its own counter.
 func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 	v := subflowVariant(t)
+	inj := chaos.NewInjector()
 	e := testEngine(t, Config{
 		Workers:  1,
 		Variants: []Variant{v},
-		Degrade: DegradeConfig{
+		Fault:    inj,
+		Degrade:  DegradeConfig{Enabled: true},
+		Resilience: ResilienceConfig{
 			Enabled: true,
-			// A long interval keeps the controller from moving the level
-			// under the test's feet; transitions come from SetDegradeLevel.
-			Interval: time.Hour,
-			Ladder: []DegradeRung{
-				{Name: "full"},
-				{Name: "sub", Route: v.Name},
-				{Name: "shed", Shed: true},
-			},
+			// Two failures open a breaker and nothing in the test's lifetime
+			// closes it again.
+			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
 		},
 	})
+	openBreaker(t, e, inj, RouteHard)
+	openBreaker(t, e, inj, RouteEasy)
 
-	img := hardImage(21)
-	// Level 1 pins every request to the variant.
-	e.SetDegradeLevel(1)
+	img := stubbornHardImage(t, 21)
 	res, err := e.Submit(context.Background(), Request{Pixels: img})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Route != string(v.Name) {
-		t.Fatalf("route %q, want %q at degrade level 1", res.Route, v.Name)
+		t.Fatalf("route %q, want %q with hard and easy refusing", res.Route, v.Name)
 	}
 	x := tensor.FromSlice(append([]float32(nil), img...), 1, len(img))
 	logits := v.Net.Forward(x, false)
@@ -77,151 +94,22 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		t.Fatalf("variant route class %d, Forward argmax %d", res.Class, want)
 	}
 
-	// Level 2 sheds outright, with its own counter.
-	e.SetDegradeLevel(2)
+	openBreaker(t, e, inj, v.Name)
 	if _, err := e.Submit(context.Background(), Request{Pixels: img}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("shed rung err = %v, want ErrOverloaded", err)
-	}
-	if got := e.Stats().Shed; got != 1 {
-		t.Fatalf("shed counter %d, want 1", got)
-	}
-
-	// Back to level 0: normal routing resumes and /stats sees the ladder.
-	e.SetDegradeLevel(0)
-	res, err = e.Submit(context.Background(), Request{Pixels: img})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Route != string(RouteEasy) && res.Route != string(RouteHard) {
-		t.Fatalf("route %q after relax, want normal routing", res.Route)
+		t.Fatalf("every route refusing: err = %v, want ErrOverloaded", err)
 	}
 	s := e.Stats()
-	if s.Degrade == nil || len(s.Degrade.Levels) != 3 || s.Degrade.Transitions < 3 {
-		t.Fatalf("degrade snapshot %+v, want 3 levels and >=3 transitions", s.Degrade)
+	if s.Shed != 1 || s.Rejected != 0 {
+		t.Fatalf("shed %d rejected %d, want 1/0: a request no route takes is shed, not rejected", s.Shed, s.Rejected)
 	}
-	if s.Degrade.Levels[1].Images == 0 {
-		t.Fatal("no admissions attributed to the pinned rung")
+	// Two requests failed on easy; one was served by the variant and one
+	// failed there (half of a 2-sample window): four answers from a route
+	// the request did not prefer.
+	if s.Diverted != 4 {
+		t.Fatalf("diverted %d, want 4", s.Diverted)
 	}
-}
-
-// TestDegradeControllerEscalatesAndRelaxes drives the hysteresis state
-// machine with an injected burn signal: the level must climb to the
-// deepest SERVING rung while the signal burns — burn evidence never
-// justifies shedding, because shed 503s feed the burn signal and would pin
-// the ladder down (see degradeLoop) — and walk back to 0 when it clears,
-// with every transition observed in order.
-func TestDegradeControllerEscalatesAndRelaxes(t *testing.T) {
-	e := testEngine(t, Config{
-		Workers: 1,
-		Degrade: DegradeConfig{
-			Enabled:       true,
-			Interval:      2 * time.Millisecond,
-			EscalateTicks: 2,
-			RelaxTicks:    3,
-			Ladder: []DegradeRung{
-				{Name: "full"},
-				{Name: "exit", Route: RouteEasy},
-				{Name: "exit-pinned", Route: RouteEasy},
-				{Name: "shed", Shed: true},
-			},
-		},
-	})
-	var burning atomic.Bool
-	e.SetDegradeBurnSignal(func() float64 {
-		if burning.Load() {
-			return 100
-		}
-		return 0
-	})
-	var mu sync.Mutex
-	var seen []DegradeTransition
-	e.OnDegrade(func(tr DegradeTransition) {
-		mu.Lock()
-		seen = append(seen, tr)
-		mu.Unlock()
-	})
-
-	waitLevel := func(want int) {
-		t.Helper()
-		for start := time.Now(); e.DegradeLevel() != want; {
-			if time.Since(start) > 10*time.Second {
-				t.Fatalf("level stuck at %d, want %d", e.DegradeLevel(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	burning.Store(true)
-	waitLevel(2) // deepest serving rung: full → exit → exit-pinned
-	// Burn alone must never push into the shed rung, no matter how long it
-	// stays hot: give the controller ~25 more ticks to get it wrong.
-	time.Sleep(50 * time.Millisecond)
-	if lvl := e.DegradeLevel(); lvl != 2 {
-		t.Fatalf("burn signal drove level to %d; shedding requires queue pressure", lvl)
-	}
-	burning.Store(false)
-	waitLevel(0)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 4 {
-		t.Fatalf("saw %d transitions %+v, want 4 (0→1→2→1→0)", len(seen), seen)
-	}
-	wantLevels := [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}}
-	for i, tr := range seen {
-		if tr.From != wantLevels[i][0] || tr.To != wantLevels[i][1] {
-			t.Fatalf("transition %d = %d→%d (%s), want %d→%d", i, tr.From, tr.To, tr.Reason, wantLevels[i][0], wantLevels[i][1])
-		}
-	}
-	if seen[0].Reason == "" || !strings.Contains(seen[0].Reason, "burn") {
-		t.Errorf("escalation reason %q should name the burn signal", seen[0].Reason)
-	}
-
-	var sb strings.Builder
-	if err := e.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"cbnet_degrade_level 0",
-		"cbnet_degrade_transitions_total 4",
-		`cbnet_degrade_routed_images_total{level="0-full"}`,
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestShedRungRelaxesDespiteBurn reproduces the feedback loop the
-// controller must break: shedding answers 503, 503s torch the SLO burn
-// signal, and a controller that trusts burn for relaxation would sit at
-// the shed rung until the multi-minute window forgave the errors it
-// caused itself. With queues empty, the shed rung must relax on queue
-// evidence alone — and then hold at the cheapest serving rung while the
-// burn signal stays hot.
-func TestShedRungRelaxesDespiteBurn(t *testing.T) {
-	e := testEngine(t, Config{
-		Workers: 1,
-		Degrade: DegradeConfig{
-			Enabled:       true,
-			Interval:      2 * time.Millisecond,
-			EscalateTicks: 2,
-			RelaxTicks:    3,
-		},
-	})
-	e.SetDegradeBurnSignal(func() float64 { return 1000 }) // availability trashed by the shed itself
-	e.SetDegradeLevel(2)                                   // default ladder: full → exit → shed
-
-	for start := time.Now(); e.DegradeLevel() != 1; {
-		if time.Since(start) > 10*time.Second {
-			t.Fatalf("shed rung never relaxed (level %d) — burn signal pinned the ladder", e.DegradeLevel())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ~25 controller ticks at the exit rung: the hot burn signal must hold
-	// the ladder there — no relax to full, no re-escalation to shed.
-	time.Sleep(50 * time.Millisecond)
-	if lvl := e.DegradeLevel(); lvl != 1 {
-		t.Fatalf("level %d after settling, want 1 (burn holds the cheapest serving rung)", lvl)
+	if got := strings.Join(s.Ladder, " "); got != "hard easy "+string(v.Name) {
+		t.Fatalf("stats ladder %q, want the walk order hard easy %s", got, v.Name)
 	}
 }
 
@@ -325,51 +213,53 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainDuringDegradeTransitions closes the engine while the
-// controller is flapping between levels and workers are wedged, asserting
+// TestShutdownDrainWhileSpilling closes the engine while a
+// crowd is spilling from route to route behind wedged workers, asserting
 // every caller is answered (race-clean; no hung goroutines).
-func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
-	// Gate every route so admitted requests pile up.
+func TestShutdownDrainWhileSpilling(t *testing.T) {
+	// Gate every route so admitted requests pile up: hard fills to its
+	// mark, the overflow lands on easy, and once easy is at its mark too
+	// the rest is shed.
 	gate := make(gateFault)
 	e := New(testPipeline(), Config{
-		MaxBatch: 4, MaxWait: time.Hour, Workers: 1, QueueDepth: 64,
-		Fault: gate,
-		Degrade: DegradeConfig{
-			Enabled:       true,
-			Interval:      time.Millisecond,
-			EscalateTicks: 1,
-			RelaxTicks:    1,
-		},
-	})
-	// Flapping burn signal: the controller crosses levels continuously
-	// while requests are in flight.
-	var flip atomic.Int64
-	e.SetDegradeBurnSignal(func() float64 {
-		if flip.Add(1)%2 == 0 {
-			return 100
-		}
-		return 0
+		MaxBatch: 4, MaxWait: time.Hour, Workers: 1, QueueDepth: 8,
+		Fault:   gate,
+		Degrade: DegradeConfig{Enabled: true},
 	})
 
 	const n = 24
+	img := stubbornHardImage(t, 0) // the whole crowd prefers hard
 	var wg sync.WaitGroup
-	var answered atomic.Int64
+	var answered, served atomic.Int64
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(i))})
+			_, err := e.Submit(context.Background(), Request{Pixels: img})
 			switch {
-			case err == nil, errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):
+			case err == nil:
+				served.Add(1)
+				answered.Add(1)
+			case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):
 				answered.Add(1)
 			default:
 				t.Errorf("unexpected drain outcome: %v", err)
 			}
 		}(i)
 	}
-	// Let some requests land and the controller move, then shut down
-	// concurrently with the flapping.
-	time.Sleep(20 * time.Millisecond)
+	// Let the crowd land, then shut down while it is still wedged.
+	for start := time.Now(); ; {
+		if s := e.Stats(); s.Submitted+s.Shed+s.Rejected == n {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("crowd never landed: %+v", e.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s := e.Stats(); s.Diverted == 0 || s.Shed == 0 {
+		t.Fatalf("diverted %d shed %d: the crowd was meant to spill and then overflow", s.Diverted, s.Shed)
+	}
 	closed := make(chan struct{})
 	go func() {
 		e.Close()
@@ -380,37 +270,89 @@ func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung during degrade transitions")
+		t.Fatal("Close hung with requests spread over the ladder")
 	}
 	wg.Wait()
 	if answered.Load() != n {
 		t.Fatalf("%d/%d callers answered across shutdown", answered.Load(), n)
 	}
+	if got, want := served.Load(), e.Stats().Submitted; got != want {
+		t.Fatalf("%d served, %d admitted: Close must drain every admitted request", got, want)
+	}
 }
 
-// TestRetryAfterJitterBounds: queue-derived waits above the floor must
-// stay within ±10% of the modelled wait (plus the ceil), across many
-// draws.
+// TestRetryAfterJitterBounds: a modelled wait w above the floor is hinted
+// within ±10% of w, rounded up — [ceil(0.9w), ceil(1.1w)] — across many
+// draws, and the draws do spread; at or below the floor and above the
+// ceiling the hint is the bound itself.
 func TestRetryAfterJitterBounds(t *testing.T) {
-	e := testEngine(t, Config{Workers: 1})
+	const w = 10.0
+	lo, hi := int(math.Ceil(0.9*w)), int(math.Ceil(1.1*w))
+	seen := map[int]bool{}
 	for i := 0; i < 1000; i++ {
-		j := e.jitter()
-		if j < 0 || j >= 1 {
-			t.Fatalf("jitter draw %v outside [0,1)", j)
+		got := retryAfter(w)
+		if got < lo || got > hi {
+			t.Fatalf("retryAfter(%v) = %d outside [%d,%d]", w, got, lo, hi)
+		}
+		seen[got] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("1000 hints for a %vs wait were all %v: no jitter", w, seen)
+	}
+	for _, c := range []struct {
+		wait float64
+		want int
+	}{{0, 1}, {0.3, 1}, {1, 1}, {1000, 60}} {
+		if got := retryAfter(c.wait); got != c.want {
+			t.Errorf("retryAfter(%v) = %d, want %d", c.wait, got, c.want)
 		}
 	}
-	// Jittering a wait w yields w*[0.9,1.1): ceil keeps it within
-	// [ceil(0.9w), ceil(1.1w)].
-	const w = 10.0
-	lo, hi := math.Ceil(0.9*w), math.Ceil(1.1*w)
-	for i := 0; i < 100; i++ {
-		jittered := w * (0.9 + 0.2*e.jitter())
-		if jittered < 0.9*w || jittered >= 1.1*w {
-			t.Fatalf("jittered wait %v outside ±10%% of %v", jittered, w)
+}
+
+// TestRetryAfterIgnoresIdleTime: the hint is the time the queue takes to
+// drain at the rate the workers have shown while busy. Measured against
+// uptime instead, an hour of idling would turn a queue that drains in
+// milliseconds into the 60 s clamp.
+func TestRetryAfterIgnoresIdleTime(t *testing.T) {
+	gate := make(gateFault, 8)
+	for i := 0; i < cap(gate); i++ {
+		gate <- struct{}{} // the first batches pass straight through
+	}
+	e := testEngine(t, Config{
+		MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: 16, Fault: gate,
+		HardnessThreshold: 1000, // everything on easy
+	})
+	t.Cleanup(func() { close(gate) }) // runs before Close: the wedged worker must finish
+	for i := uint64(0); i < 8; i++ {
+		if _, err := e.Submit(context.Background(), Request{Pixels: easyImage(i)}); err != nil {
+			t.Fatal(err)
 		}
-		if c := math.Ceil(jittered); c < lo || c > hi {
-			t.Fatalf("ceil(jittered) %v outside [%v,%v]", c, lo, hi)
+	}
+	e.stats.start = e.stats.start.Add(-time.Hour)
+
+	// The gate is used up: the next batch wedges the worker, the one after
+	// waits in the batcher's hands, and 16 more fill the queue.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("%s: submitted %d, queue %d", what, e.Stats().Submitted, len(e.easy.queue))
+			}
 		}
+	}
+	for i := uint64(0); i < 2; i++ {
+		go e.Submit(context.Background(), Request{Pixels: easyImage(i)})
+	}
+	waitFor("worker and batcher never took their requests", func() bool {
+		return e.Stats().Submitted == 10 && len(e.easy.queue) == 0
+	})
+	for i := uint64(0); i < 16; i++ {
+		go e.Submit(context.Background(), Request{Pixels: easyImage(i)})
+	}
+	waitFor("queue never filled", func() bool { return len(e.easy.queue) == 16 })
+	if got := e.RetryAfterSeconds(); got > 2 {
+		t.Fatalf("RetryAfterSeconds = %d for 16 queued images on a route that answered 8 in %.1f ms of forward passes; want the drain time (≤ 2 s), not a rate diluted by an idle hour",
+			got, e.easy.stats.inferMS.Sum())
 	}
 }
 

@@ -16,26 +16,33 @@
 //     take the full AE+classifier path. Each route has its own batcher and
 //     workers so slow hard batches never stall easy traffic.
 //
-// Beyond the built-in easy/hard pair, the engine hosts a registry of
-// variant routes — arbitrary pixels→logits networks (pruned, early-exit,
-// SubFlow/AdaDeep family members) compiled into plans — and an optional
-// degradation controller that walks traffic down a quality ladder
-// (full → early-exit → pruned → shed) as SLO budget burns or queues fill,
-// climbing back when pressure clears. Overload then costs accuracy before
-// it costs availability.
+// Beyond the built-in easy/hard pair, the engine hosts variant routes —
+// arbitrary pixels→logits networks (pruned, early-exit, SubFlow/AdaDeep
+// family members) compiled into plans. Together they form one ladder, hard →
+// easy → variants, ordered from the paper-faithful path to the cheapest.
+//
+// One function, place (router.go), gives each request its route or the
+// reason it has none, from the request and the routes' state at that
+// moment: an expired context is ErrDeadline, a quarantined input is
+// ErrPoisoned, and otherwise the request takes the first route — starting
+// at the one its hardness score prefers — that has queue room
+// (Config.Degrade) and whose circuit breaker admits (Config.Resilience);
+// none is ErrOverloaded. Overload therefore costs the overflow its accuracy
+// before it costs anyone an answer, and there is no controller, level or
+// timer behind the decision.
 //
 // Admission is bounded: when a route's queue is full, Submit fails fast
 // with ErrOverloaded so the caller can shed load instead of piling up
-// goroutines. Requests whose context is already expired are refused at
-// admission and shed again at batch formation (ErrDeadline), so a dead
-// request never occupies a batch slot. Close drains every accepted request
-// before returning.
+// goroutines. Requests whose deadline passes while queued are shed again at
+// batch formation (ErrDeadline), so a dead request never occupies a batch
+// slot. Close drains every accepted request before returning.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,9 +57,10 @@ import (
 	"cbnet/internal/trace"
 )
 
-// ErrOverloaded is returned by Submit when the target route's admission
-// queue is full, or when the degradation controller is at a shed rung.
-// Callers should surface it as backpressure (HTTP 503).
+// ErrOverloaded is returned by Submit when no route would take the request
+// (every candidate past its spill mark or behind an open breaker) or the
+// chosen route's admission queue is full. Callers should surface it as
+// backpressure (HTTP 503).
 var ErrOverloaded = errors.New("engine: overloaded, queue full")
 
 // ErrClosed is returned by Submit after Close has begun.
@@ -97,10 +105,10 @@ type BatchFaultInjector interface {
 // Variant registers one extra inference route: a standalone pixels→logits
 // network from the compression family (pruned lightweight, SubFlow or
 // AdaDeep subnet, a different early exit). The engine compiles it into a
-// plan per worker exactly like the built-in routes; traffic reaches it via
-// a degradation-ladder rung that pins to its name.
+// plan per worker exactly like the built-in routes; traffic reaches it when
+// place finds the routes before it on the ladder full or broken.
 type Variant struct {
-	// Name labels the route in stats, metrics, and ladder rungs. Must be
+	// Name labels the route in stats and metrics. Must be
 	// non-empty and distinct from "easy", "hard", and other variants.
 	Name RouteName
 	// Net maps a (batch × 784) pixel tensor to (batch × classes) logits.
@@ -121,7 +129,8 @@ type Config struct {
 	// fill the machine.
 	Workers int
 	// QueueDepth bounds each route's admission queue; a full queue makes
-	// Submit return ErrOverloaded. Default 256.
+	// Submit return ErrOverloaded. With Degrade on, a route stops taking
+	// new requests at half of it (spillMark). Default 256.
 	QueueDepth int
 	// HardnessThreshold routes images with HardnessScore >= threshold to
 	// the full AE path. Zero selects DefaultHardnessThreshold; to convert
@@ -129,13 +138,14 @@ type Config struct {
 	HardnessThreshold float64
 	// DisableRouting forces every request down the full AE+classifier
 	// path (the paper's always-convert baseline). Variant routes are not
-	// started and the degradation controller is forced off in this mode.
+	// started and Degrade is forced off in this mode: there is nowhere to
+	// spill to.
 	DisableRouting bool
 	// Variants adds extra compiled routes beyond the easy/hard pair.
 	// New panics on duplicate or reserved names and nil networks.
 	Variants []Variant
-	// Degrade configures the graceful-degradation controller; the zero
-	// value leaves it off.
+	// Degrade arms the spill down the ladder; the zero value leaves it
+	// off.
 	Degrade DegradeConfig
 	// Fault, when non-nil, intercepts every batch before its forward pass
 	// (see FaultInjector). Testing and chaos drills only.
@@ -166,7 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.HardnessThreshold == 0 {
 		c.HardnessThreshold = DefaultHardnessThreshold
 	}
-	c.Degrade = c.Degrade.withDefaults()
 	return c
 }
 
@@ -195,7 +204,7 @@ type Result struct {
 	// Route names the path taken ("easy", "hard", or a variant name).
 	Route string
 	// Hardness is the request's heuristic score (0 when routing is
-	// disabled or the degradation ladder pinned the route).
+	// disabled), whichever route answered.
 	Hardness float64
 	// BatchSize is the size of the micro-batch this request rode in.
 	BatchSize int
@@ -235,15 +244,16 @@ type Engine struct {
 	cfg  Config
 	pipe *core.Pipeline
 	// routes is every constructed route; live is the subset actually
-	// started (serving traffic); byName resolves ladder rungs. All three
-	// are fixed at New, so reads need no lock.
+	// started (serving traffic), in registration order; ladder is the same
+	// subset in the order place walks it: hard, easy, then the variants.
+	// All are fixed at New, so reads need no lock.
 	routes []*route
 	live   []*route
+	ladder []*route
 	byName map[RouteName]*route
 	easy   *route
 	hard   *route
 	stats  *engineStats
-	deg    *degrader
 	res    *resilienceState
 	fault  FaultInjector
 	// batchFault is fault pre-asserted to its batch-level extension, so
@@ -256,9 +266,6 @@ type Engine struct {
 	meter    *trace.Meter
 	reqID    atomic.Uint64
 	batchSeq atomic.Uint64
-
-	// jitterState seeds the xorshift generator behind Retry-After jitter.
-	jitterState atomic.Uint64
 
 	// trackMu guards tracks, the registry of per-goroutine span
 	// recorders drained by /debug/trace. Workers register on startup
@@ -284,16 +291,15 @@ func (e *Engine) registerTrack(name string, rec *trace.Recorder) {
 }
 
 // New builds and starts an engine over a trained pipeline. It panics on
-// structurally invalid Variants or Degrade ladders — both are programmer
-// configuration, not runtime input.
+// structurally invalid Variants — programmer configuration, not runtime
+// input.
 func New(pipe *core.Pipeline, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	if cfg.DisableRouting {
 		// Every request is pinned to the hard route; fold the easy
 		// route's worker budget into it, so Config() keeps reporting the
-		// per-route worker count actually running. The degradation ladder
-		// needs the route registry, so the always-convert baseline turns
-		// it off.
+		// per-route worker count actually running. With one route there is
+		// nowhere to spill to.
 		cfg.Workers *= 2
 		cfg.Degrade.Enabled = false
 	}
@@ -314,7 +320,6 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 			quar:   resilience.NewQuarantine(cfg.Resilience.Quarantine),
 		}
 	}
-	e.jitterState.Store(uint64(time.Now().UnixNano()) | 1)
 	// The one place a route is paired with what an image costs on it: the
 	// classifier alone, the AE pipeline, a variant's own network.
 	e.easy = e.newRoute(RouteEasy, pipe.DirectCost(), classifierPlans(pipe.Classifier))
@@ -329,10 +334,12 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		e.newRoute(v.Name, device.SequentialCost(v.Net), classifierPlans(v.Net))
 	}
 	e.live = e.routes
+	e.ladder = append([]*route{e.hard, e.easy}, e.routes[2:]...)
 	if cfg.DisableRouting {
 		// Only the hard route serves: leave the rest unstarted rather
 		// than idling workers that can never receive traffic.
 		e.live = []*route{e.hard}
+		e.ladder = e.live
 	}
 	// Every worker's plans compile before any goroutine starts, so a
 	// network the compiler rejects panics here, in the caller of New.
@@ -347,10 +354,6 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	tensor.SetGEMMThreads(1)
 	for _, rt := range e.live {
 		e.startRoute(rt)
-	}
-	if cfg.Degrade.Enabled {
-		e.deg = newDegrader(cfg.Degrade, e.byName)
-		go e.degradeLoop()
 	}
 	return e
 }
@@ -380,76 +383,46 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) IssueRequestID() uint64 { return e.reqID.Add(1) }
 
 // RetryAfterSeconds estimates how long an overloaded client should back
-// off: the fullest route's queue occupancy divided by the engine's
-// observed service rate (images completed per second since start), so the
-// hint scales with real overload instead of being a constant. Waits above
-// the 1s floor are jittered ±10% so synchronized clients don't all retry
-// on the same second and re-spike the queue. Clamped to [1, 60] whole
-// seconds; with no throughput history it falls back to 1.
+// off: the time the fullest route needs to drain its queue at the rate its
+// workers have shown while busy (images per second of forward-pass time,
+// times the workers draining in parallel), so the hint scales with real
+// overload and does not decay while the server idles. With no throughput
+// history it falls back to 1.
 func (e *Engine) RetryAfterSeconds() int {
-	uptime := time.Since(e.stats.start).Seconds()
-	if uptime <= 0 {
-		return 1
-	}
 	worst := 1.0
 	for _, rt := range e.live {
-		rate := float64(rt.stats.images.Value()) / uptime
-		if rate <= 0 {
+		busy := rt.stats.inferMS.Sum() / 1e3
+		if busy <= 0 {
 			continue
 		}
-		// Workers drain the route in parallel; the queue clears at the
-		// route's aggregate rate.
+		rate := float64(rt.stats.images.Value()) / busy * float64(len(rt.workers))
 		if wait := float64(len(rt.queue)) / rate; wait > worst {
 			worst = wait
 		}
 	}
-	if worst > 1 {
-		worst *= 0.9 + 0.2*e.jitter()
-	}
-	if worst > 60 {
-		worst = 60
-	}
-	if worst < 1 {
-		worst = 1
-	}
-	return int(worst + 0.999) // ceil: never hint a shorter wait than modelled
+	return retryAfter(worst)
 }
 
-// jitter draws a uniform float in [0,1) from a lock-free xorshift
-// generator — cheap enough for the 503 path and dependency-free.
-func (e *Engine) jitter() float64 {
-	for {
-		old := e.jitterState.Load()
-		x := old
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if e.jitterState.CompareAndSwap(old, x) {
-			return float64(x>>11) / (1 << 53)
-		}
+// retryAfter turns a modelled wait into the Retry-After hint: waits above
+// the 1s floor are jittered ±10% so synchronized clients don't all retry on
+// the same second and re-spike the queue, then clamped to [1, 60] and
+// rounded up to whole seconds — never a shorter wait than modelled.
+func retryAfter(wait float64) int {
+	if wait > 1 {
+		wait *= 0.9 + 0.2*rand.Float64()
 	}
+	return int(min(max(wait, 1), 60) + 0.999)
 }
 
 // Submit classifies one image, blocking until its batch completes, ctx is
-// done, or admission fails. A request rejected with ErrOverloaded or
-// ErrDeadline consumed no inference capacity. If ctx expires after
-// admission the request is executed only if its batch forms before the
-// expiry; the batcher sheds already-dead requests at formation time.
+// done, or admission fails: place refuses the request, or the queue of the
+// route it chose is full at the send. A request rejected with ErrOverloaded,
+// ErrPoisoned or ErrDeadline consumed no inference capacity. If ctx expires
+// after admission the request is executed only if its batch forms before
+// the expiry; the batcher sheds already-dead requests at formation time.
 func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	if len(req.Pixels) != dataset.Pixels {
 		return Result{}, fmt.Errorf("engine: got %d pixels, want %d", len(req.Pixels), dataset.Pixels)
-	}
-	if err := ctx.Err(); err != nil {
-		// Dead on arrival: refuse before touching a queue.
-		if errors.Is(err, context.DeadlineExceeded) {
-			e.stats.expired.Inc()
-			return Result{}, ErrDeadline
-		}
-		return Result{}, err
-	}
-	fp, clean := e.admitFingerprint(req.Pixels)
-	if !clean {
-		return Result{}, ErrPoisoned
 	}
 	id := req.ID
 	if id == 0 {
@@ -460,19 +433,11 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		ctx:           ctx,
 		pixels:        req.Pixels,
 		wantConverted: req.IncludeConverted,
-		fp:            fp,
 		done:          make(chan outcome, 1),
 	}
-	rt, shed := e.routeFor(r)
-	if shed {
-		e.stats.shed.Inc()
-		return Result{}, ErrOverloaded
-	}
-	rt, admitted := e.divert(rt, r)
-	if !admitted {
-		// Every candidate route's breaker is open: shed with backpressure
-		// so clients retry after the cooldown instead of piling on.
-		return Result{}, ErrOverloaded
+	rt, err := e.place(r)
+	if err != nil {
+		return Result{}, err
 	}
 
 	e.mu.RLock()
@@ -497,7 +462,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, ErrOverloaded
 	}
 	e.stats.submitted.Inc()
-	e.deg.noteAdmitted()
 
 	select {
 	case out := <-r.done:
@@ -525,6 +489,5 @@ func (e *Engine) Close() {
 		close(rt.queue)
 	}
 	e.mu.Unlock()
-	e.deg.stopController()
 	e.wg.Wait()
 }

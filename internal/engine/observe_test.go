@@ -50,6 +50,8 @@ func TestWritePrometheus(t *testing.T) {
 		"cbnet_uptime_seconds",
 		"cbnet_requests_submitted_total 8",
 		"cbnet_requests_completed_total 8",
+		"cbnet_requests_shed_total 0",
+		"cbnet_requests_diverted_total 0",
 		`cbnet_route_images_total{route="easy"}`,
 		`cbnet_route_images_total{route="hard"}`,
 		`cbnet_route_inflight{route="hard"} 0`,
@@ -61,6 +63,12 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+
+	// One counter per fact: a request place finds no route for is shed,
+	// whichever reason.
+	if gone := "cbnet_requests_breaker_rejected_total"; strings.Contains(out, gone) {
+		t.Errorf("exposition still carries %q", gone)
 	}
 
 	// Per-plan-step series exist for both plans with plan/step labels.

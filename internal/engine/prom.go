@@ -26,29 +26,16 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		nil, float64(e.stats.completed.Value()))
 	p.Counter("cbnet_requests_rejected_total", "Requests shed at admission (queue full).",
 		nil, float64(e.stats.rejected.Value()))
-	p.Counter("cbnet_requests_shed_total", "Requests refused by the degradation ladder's shed rung.",
+	p.Counter("cbnet_requests_shed_total", "Requests no route would take: every candidate past its spill mark or behind an open breaker.",
 		nil, float64(e.stats.shed.Value()))
+	p.Counter("cbnet_requests_diverted_total", "Requests placed on a route other than the preferred one (queue past its spill mark or breaker open).",
+		nil, float64(e.stats.diverted.Value()))
 	p.Counter("cbnet_requests_deadline_expired_total", "Requests refused or dropped because their deadline had already passed.",
 		nil, float64(e.stats.expired.Value()))
 	p.Counter("cbnet_infer_failures_total", "Requests failed by inference errors or recovered worker panics.",
 		nil, float64(e.stats.inferFailed.Value()))
 	p.Counter("cbnet_requests_abandoned_total", "Requests whose caller context expired after admission.",
 		nil, float64(e.stats.abandoned.Value()))
-
-	if d := e.deg; d != nil {
-		p.Gauge("cbnet_degrade_level", "Current rung of the graceful-degradation ladder (0 = normal routing).",
-			nil, float64(d.level.Load()))
-		p.Counter("cbnet_degrade_transitions_total", "Degradation ladder level changes.",
-			nil, float64(d.transitions.Value()))
-		var routed []metrics.VecSample
-		for i, rung := range d.cfg.Ladder {
-			routed = append(routed, metrics.VecSample{
-				Labels: metrics.Labels{metrics.L("level", fmt.Sprintf("%d-%s", i, rung.Name))},
-				Value:  float64(d.routed[i].Value()),
-			})
-		}
-		p.CounterVec("cbnet_degrade_routed_images_total", "Requests admitted while each degradation rung was active.", routed)
-	}
 
 	if r := e.res; r != nil {
 		var state, trans []metrics.VecSample
@@ -76,10 +63,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 			nil, float64(r.quar.Hits()))
 		p.Counter("cbnet_requests_poisoned_total", "Requests rejected at admission as quarantined poison pills.",
 			nil, float64(r.poisoned.Value()))
-		p.Counter("cbnet_requests_diverted_total", "Requests rerouted off an open circuit breaker.",
-			nil, float64(r.diverted.Value()))
-		p.Counter("cbnet_requests_breaker_rejected_total", "Requests shed because every candidate route's breaker was open.",
-			nil, float64(r.breakerRejects.Value()))
 		p.Counter("cbnet_bisect_runs_total", "Sub-batch re-runs executed while isolating batch failures.",
 			nil, float64(r.bisectRuns.Value()))
 		p.Counter("cbnet_bisect_saved_total", "Innocent requests served by bisection that whole-batch failure would have failed.",

@@ -18,8 +18,8 @@ import (
 var ErrPoisoned = errors.New("engine: input quarantined as a poison pill")
 
 // ResilienceConfig arms the fault-isolation layer: batch bisection on
-// infer failure, poison-pill quarantine at admission, per-route circuit
-// breakers with ladder divert, and a retry budget bounding re-runs. The
+// infer failure, the poison-pill quarantine and per-route circuit breakers
+// that place consults, and a retry budget bounding re-runs. The
 // zero value leaves it off (failures keep today's whole-batch semantics).
 type ResilienceConfig struct {
 	// Enabled turns the layer on.
@@ -52,12 +52,10 @@ type resilienceState struct {
 	budget *resilience.Budget
 	quar   *resilience.Quarantine
 
-	poisoned       metrics.Counter // admissions rejected by quarantine
-	diverted       metrics.Counter // requests rerouted off an open breaker
-	breakerRejects metrics.Counter // requests shed with every candidate open
-	bisectRuns     metrics.Counter // sub-batch re-runs executed
-	bisectSaved    metrics.Counter // innocent requests served via bisection
-	culprits       metrics.Counter // requests convicted and quarantined
+	poisoned    metrics.Counter // admissions rejected by quarantine
+	bisectRuns  metrics.Counter // sub-batch re-runs executed
+	bisectSaved metrics.Counter // innocent requests served via bisection
+	culprits    metrics.Counter // requests convicted and quarantined
 
 	onBreaker atomic.Value // func(BreakerTransition)
 }
@@ -92,55 +90,6 @@ func (e *Engine) BreakerOpen(name RouteName) bool {
 		return false
 	}
 	return rt.breaker.State() == resilience.Open
-}
-
-// Shedding reports whether the degradation ladder is currently at a shed
-// rung (every Submit refused). Surfaced by /readyz.
-func (e *Engine) Shedding() bool {
-	rung := e.currentRung()
-	return rung != nil && rung.Shed
-}
-
-// admitFingerprint screens one admission against the quarantine. It
-// returns the request's content fingerprint, or ok=false when the input
-// is a known poison pill. Allocation-free.
-func (e *Engine) admitFingerprint(pixels []float32) (fp uint64, ok bool) {
-	if e.res == nil {
-		return 0, true
-	}
-	fp = resilience.Fingerprint(pixels)
-	if e.res.quar.Check(fp) {
-		e.res.poisoned.Inc()
-		return fp, false
-	}
-	return fp, true
-}
-
-// divert applies the route's circuit breaker at admission. A closed (or
-// probing half-open) breaker admits to the chosen route; an open one
-// walks the live routes in registration order and takes the first whose
-// breaker admits — traffic rides the next rung instead of failing.
-// Requests that need the converted image never divert (only the AE path
-// produces one); they ride the hard route as extra probes. When every
-// candidate is open the request is shed (ErrOverloaded upstream).
-func (e *Engine) divert(rt *route, r *request) (*route, bool) {
-	if e.res == nil || rt.breaker == nil || rt.breaker.Allow() {
-		return rt, true
-	}
-	if r.wantConverted {
-		return rt, true
-	}
-	for _, cand := range e.live {
-		if cand == rt {
-			continue
-		}
-		if cand.breaker == nil || cand.breaker.Allow() {
-			e.res.diverted.Inc()
-			return cand, true
-		}
-	}
-	e.res.breakerRejects.Inc()
-	return nil, false
 }
 
 // bisect isolates the culprit(s) of a failed multi-request batch by
@@ -216,51 +165,20 @@ func (e *Engine) failSubBatch(rt *route, sub []*request, inferErr error) {
 	}
 }
 
-// breakerHotAt reports whether any route the given ladder level actually
-// routes traffic to has an open breaker. This scoping is what keeps the
-// controller and the breakers from deadlocking each other: if an open
-// breaker on (say) the hard route could hold the ladder at a rung pinned
-// to easy, no traffic would ever reach hard again, its half-open probes
-// would never run, and the breaker could never close. Scoped to the
-// current rung's routes, breaker evidence escalates away from a broken
-// route and then stops counting, so relaxation (driven purely by queue
-// pressure cooling) re-exposes traffic and the probes can heal the
-// breaker. The cost is a bounded escalate/relax oscillation while a
-// breaker stays open — RelaxTicks per cycle, during which divert keeps
-// requests off the broken route anyway.
-func (e *Engine) breakerHotAt(lvl int) bool {
-	if e.res == nil || e.deg == nil {
-		return false
-	}
-	rung := e.deg.cfg.Ladder[lvl]
-	if rung.Shed {
-		return false
-	}
-	open := func(rt *route) bool {
-		return rt != nil && rt.breaker != nil && rt.breaker.State() == resilience.Open
-	}
-	if rung.Route != "" {
-		return open(e.byName[rung.Route])
-	}
-	return open(e.easy) || open(e.hard)
-}
-
 // ResilienceSnapshot is the /stats (and Resilience()) view of the
 // fault-isolation layer.
 type ResilienceSnapshot struct {
-	Breakers        []BreakerSnapshot `json:"breakers"`
-	BudgetTokens    float64           `json:"budgetTokens"`
-	BudgetSpent     uint64            `json:"budgetSpent"`
-	BudgetDenied    uint64            `json:"budgetDenied"`
-	QuarantineSize  int               `json:"quarantineSize"`
-	QuarantineAdds  uint64            `json:"quarantineAdds"`
-	QuarantineHits  uint64            `json:"quarantineHits"`
-	Poisoned        int64             `json:"poisoned"`
-	Diverted        int64             `json:"diverted"`
-	BreakerRejected int64             `json:"breakerRejected"`
-	BisectRuns      int64             `json:"bisectRuns"`
-	BisectSaved     int64             `json:"bisectSaved"`
-	Culprits        int64             `json:"culprits"`
+	Breakers       []BreakerSnapshot `json:"breakers"`
+	BudgetTokens   float64           `json:"budgetTokens"`
+	BudgetSpent    uint64            `json:"budgetSpent"`
+	BudgetDenied   uint64            `json:"budgetDenied"`
+	QuarantineSize int               `json:"quarantineSize"`
+	QuarantineAdds uint64            `json:"quarantineAdds"`
+	QuarantineHits uint64            `json:"quarantineHits"`
+	Poisoned       int64             `json:"poisoned"`
+	BisectRuns     int64             `json:"bisectRuns"`
+	BisectSaved    int64             `json:"bisectSaved"`
+	Culprits       int64             `json:"culprits"`
 }
 
 // BreakerSnapshot is one route's breaker state.
@@ -279,18 +197,16 @@ func (e *Engine) Resilience() *ResilienceSnapshot {
 		return nil
 	}
 	s := &ResilienceSnapshot{
-		BudgetTokens:    e.res.budget.Tokens(),
-		BudgetSpent:     e.res.budget.Spent(),
-		BudgetDenied:    e.res.budget.Denied(),
-		QuarantineSize:  e.res.quar.Size(),
-		QuarantineAdds:  e.res.quar.Adds(),
-		QuarantineHits:  e.res.quar.Hits(),
-		Poisoned:        e.res.poisoned.Value(),
-		Diverted:        e.res.diverted.Value(),
-		BreakerRejected: e.res.breakerRejects.Value(),
-		BisectRuns:      e.res.bisectRuns.Value(),
-		BisectSaved:     e.res.bisectSaved.Value(),
-		Culprits:        e.res.culprits.Value(),
+		BudgetTokens:   e.res.budget.Tokens(),
+		BudgetSpent:    e.res.budget.Spent(),
+		BudgetDenied:   e.res.budget.Denied(),
+		QuarantineSize: e.res.quar.Size(),
+		QuarantineAdds: e.res.quar.Adds(),
+		QuarantineHits: e.res.quar.Hits(),
+		Poisoned:       e.res.poisoned.Value(),
+		BisectRuns:     e.res.bisectRuns.Value(),
+		BisectSaved:    e.res.bisectSaved.Value(),
+		Culprits:       e.res.culprits.Value(),
 	}
 	for _, rt := range e.live {
 		if rt.breaker == nil {

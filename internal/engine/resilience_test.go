@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -212,7 +213,7 @@ func TestBreakerDivertsAndRecovers(t *testing.T) {
 	if res.Route != string(RouteEasy) {
 		t.Fatalf("divert route = %q, want easy", res.Route)
 	}
-	if s := e.Resilience(); s.Diverted == 0 {
+	if s := e.Stats(); s.Diverted == 0 {
 		t.Fatal("diverted counter never moved")
 	}
 
@@ -249,24 +250,20 @@ func TestBreakerDivertsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestDegradeEscalatesOnBreakerOpen proves breaker state feeds the
-// degradation controller like SLO burn does: an open breaker on a rung-0
-// serving route escalates the ladder one rung (never into shed), and once
-// the route heals the ladder relaxes home.
-func TestDegradeEscalatesOnBreakerOpen(t *testing.T) {
+// TestOpenBreakerHealsWithoutALadderRule: with the ladder armed and the
+// hard route stuck, hard's breaker opens and hard-preferring traffic is
+// answered by easy; once the route heals, the traffic that still prefers it
+// is what probes it — open → half-open → closed — with no controller in the
+// process to re-expose it: the only goroutines the engine ever starts are
+// its batchers and workers.
+func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
+	before := runtime.NumGoroutine()
 	inj := chaos.NewInjector()
 	inj.SetStuck(string(RouteHard))
 	e := testEngine(t, Config{
 		MaxBatch: 4, Workers: 1,
-		Fault: inj,
-		Degrade: DegradeConfig{
-			Enabled:  true,
-			Interval: 10 * time.Millisecond,
-			// Escalate fast, relax fast: the test wants transitions, not
-			// production hysteresis.
-			EscalateTicks: 1,
-			RelaxTicks:    2,
-		},
+		Fault:   inj,
+		Degrade: DegradeConfig{Enabled: true},
 		Resilience: ResilienceConfig{
 			Enabled: true,
 			Breaker: resilience.BreakerConfig{
@@ -275,11 +272,15 @@ func TestDegradeEscalatesOnBreakerOpen(t *testing.T) {
 			},
 		},
 	})
+	// One batcher and one worker on each of easy and hard.
+	if got := runtime.NumGoroutine() - before; got > 4 {
+		t.Fatalf("New started %d goroutines, want at most 2 routes × (batcher + worker)", got)
+	}
 	var mu sync.Mutex
-	var reasons []string
-	e.OnDegrade(func(tr DegradeTransition) {
+	var edges []string
+	e.OnBreaker(func(tr BreakerTransition) {
 		mu.Lock()
-		reasons = append(reasons, tr.Reason)
+		edges = append(edges, string(tr.Route)+":"+tr.From.String()+"->"+tr.To.String())
 		mu.Unlock()
 	})
 
@@ -289,45 +290,41 @@ func TestDegradeEscalatesOnBreakerOpen(t *testing.T) {
 	if !e.BreakerOpen(RouteHard) {
 		t.Fatal("hard breaker did not open")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.DegradeLevel() < 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if lvl := e.DegradeLevel(); lvl < 1 {
-		t.Fatal("ladder never escalated on an open breaker")
-	}
-	mu.Lock()
-	sawBreaker := false
-	for _, r := range reasons {
-		if strings.Contains(r, "breaker") {
-			sawBreaker = true
+	// While it is open (or probing and failing) nobody is refused: whatever
+	// hard's breaker does not admit, easy answers.
+	for i := 0; i < 20; i++ {
+		res, err := e.Submit(context.Background(), Request{Pixels: stubbornHardImage(t, 50)})
+		if err == nil && res.Route != string(RouteEasy) {
+			t.Fatalf("served by %q with hard stuck, want easy", res.Route)
 		}
+		if err != nil && !errors.Is(err, ErrInferFailed) {
+			t.Fatalf("hard stuck: err = %v, want an answer from easy or a failed probe", err)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	mu.Unlock()
-	if !sawBreaker {
-		t.Fatalf("no transition cited the breaker: %v", reasons)
-	}
-	// Breaker evidence must never push into the shed rung (default ladder:
-	// full, exit, shed) — exit's pinned easy route is healthy.
-	if lvl := e.DegradeLevel(); lvl >= 2 {
-		t.Fatalf("breaker evidence reached the shed rung (level %d)", lvl)
+	if e.Shedding() {
+		t.Fatal("Shedding() with empty queues: an open breaker is not a full ladder")
 	}
 
-	// Heal: keep traffic flowing so relaxation re-exposes the hard route
-	// and its probes close the breaker; the ladder then settles at 0.
 	inj.SetStuck("")
-	settled := false
-	for time.Now().Before(deadline) {
-		e.Submit(context.Background(), Request{Pixels: stubbornHardImage(t, 9)})
-		if e.DegradeLevel() == 0 && !e.BreakerOpen(RouteHard) {
-			settled = true
+	healed := false
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		res, err := e.Submit(context.Background(), Request{Pixels: stubbornHardImage(t, 9)})
+		if err == nil && res.Route == string(RouteHard) && !e.BreakerOpen(RouteHard) {
+			healed = true
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if !settled {
-		t.Fatalf("engine never healed: level=%d breakerOpen=%v",
-			e.DegradeLevel(), e.BreakerOpen(RouteHard))
+	if !healed {
+		t.Fatalf("hard never healed: breakerOpen=%v", e.BreakerOpen(RouteHard))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	joined := strings.Join(edges, ",")
+	for _, want := range []string{"hard:closed->open", "hard:open->half-open", "hard:half-open->closed"} {
+		if !strings.Contains(joined, want) {
+			t.Fatalf("breaker edges %q missing %q", joined, want)
+		}
 	}
 }
 

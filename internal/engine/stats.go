@@ -14,7 +14,8 @@ type engineStats struct {
 	submitted   metrics.Counter // admitted requests
 	completed   metrics.Counter // answered requests
 	rejected    metrics.Counter // ErrOverloaded at admission (queue full)
-	shed        metrics.Counter // ErrOverloaded from the degradation ladder's shed rung
+	shed        metrics.Counter // ErrOverloaded from place: no route had room or an admitting breaker
+	diverted    metrics.Counter // placed on a route other than the preferred one
 	expired     metrics.Counter // ErrDeadline at admission or batch formation
 	inferFailed metrics.Counter // requests failed by infer errors / recovered panics
 	abandoned   metrics.Counter // caller ctx expired after admission
@@ -105,19 +106,25 @@ type Snapshot struct {
 	Submitted     int64   `json:"submitted"`
 	Completed     int64   `json:"completed"`
 	Rejected      int64   `json:"rejected"`
-	// Shed counts requests refused because the degradation ladder sat at
-	// a shed rung; DeadlineExpired counts requests refused (admission) or
+	// Rejected counts requests that found their route's queue full at the
+	// send; Shed counts requests no route would take (every candidate past
+	// its spill mark or behind an open breaker); Diverted counts requests
+	// answered by a route other than the one they preferred, for either
+	// reason; DeadlineExpired counts requests refused (admission) or
 	// dropped (batch formation) because their deadline had already
 	// passed; InferFailed counts requests failed by inference errors or
 	// recovered worker panics.
-	Shed             int64               `json:"shed"`
-	DeadlineExpired  int64               `json:"deadlineExpired"`
-	InferFailed      int64               `json:"inferFailed"`
-	Abandoned        int64               `json:"abandoned"`
-	ThroughputPerSec float64             `json:"throughputPerSec"`
-	Routes           []RouteSnapshot     `json:"routes"`
-	Degrade          *DegradeSnapshot    `json:"degrade,omitempty"`
-	Resilience       *ResilienceSnapshot `json:"resilience,omitempty"`
+	Shed             int64           `json:"shed"`
+	Diverted         int64           `json:"diverted"`
+	DeadlineExpired  int64           `json:"deadlineExpired"`
+	InferFailed      int64           `json:"inferFailed"`
+	Abandoned        int64           `json:"abandoned"`
+	ThroughputPerSec float64         `json:"throughputPerSec"`
+	Routes           []RouteSnapshot `json:"routes"`
+	// Ladder lists the route names in the order place walks them; present
+	// when the spill is armed.
+	Ladder     []string            `json:"ladder,omitempty"`
+	Resilience *ResilienceSnapshot `json:"resilience,omitempty"`
 }
 
 // Stats returns a point-in-time view of the engine's counters and
@@ -131,10 +138,11 @@ func (e *Engine) Stats() Snapshot {
 		Completed:       e.stats.completed.Value(),
 		Rejected:        e.stats.rejected.Value(),
 		Shed:            e.stats.shed.Value(),
+		Diverted:        e.stats.diverted.Value(),
 		DeadlineExpired: e.stats.expired.Value(),
 		InferFailed:     e.stats.inferFailed.Value(),
 		Abandoned:       e.stats.abandoned.Value(),
-		Degrade:         e.deg.snapshot(),
+		Ladder:          e.DegradeLadder(),
 		Resilience:      e.Resilience(),
 	}
 	if uptime > 0 {

@@ -40,9 +40,6 @@ const (
 	KindError
 	// KindAbandon marks a caller that gave up before its result.
 	KindAbandon
-	// KindDegrade marks a degradation-ladder transition: Status carries
-	// the new level, Route the interned destination rung name.
-	KindDegrade
 	// KindBreaker marks a circuit-breaker state transition: Status
 	// carries the new state (0 closed, 1 open, 2 half-open), Route the
 	// interned name of the guarded route.
@@ -65,8 +62,6 @@ func (k EventKind) String() string {
 		return "error"
 	case KindAbandon:
 		return "abandon"
-	case KindDegrade:
-		return "degrade"
 	case KindBreaker:
 		return "breaker"
 	case KindQuarantine:

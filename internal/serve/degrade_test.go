@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +17,6 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/engine"
-	"cbnet/internal/flight"
 	"cbnet/internal/metrics"
 	"cbnet/internal/rng"
 )
@@ -124,75 +126,146 @@ func TestInvalidDeadlineHeader400(t *testing.T) {
 	}
 }
 
-// TestDegradeTransitionsSurfaceEverywhere pins the observability contract
-// for ladder moves: a transition lands in the flight recorder, on /metrics
-// (still passing the exposition linter), in /stats, and the ladder itself
-// on /info.
-func TestDegradeTransitionsSurfaceEverywhere(t *testing.T) {
-	s := serverWithEngineConfig(t, engine.Config{
-		Workers: 1,
-		Degrade: engine.DegradeConfig{Enabled: true, Interval: time.Hour},
-	}, Options{})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	classifyOnce(t, srv.URL)
+// routeFault is a FaultInjector for steering traffic without a crowd:
+// forward passes on the routes in hold wait until release is closed, so a
+// handful of requests fills their queues, and every batch on stuck fails.
+type routeFault struct {
+	release chan struct{}
+	hold    map[string]bool
+	stuck   string
+}
 
-	s.Engine.SetDegradeLevel(1)
+func (f *routeFault) BeforeInfer(route string, _ int) error {
+	if route == f.stuck {
+		return errors.New("route is stuck")
+	}
+	if f.hold[route] {
+		<-f.release
+	}
+	return nil
+}
 
-	// /info advertises the ladder.
-	resp, err := http.Get(srv.URL + "/info")
-	if err != nil {
-		t.Fatal(err)
+// spillConfig is an engine whose queues fill with three requests: one in
+// the forward pass, one in the batcher's hands, one queued — half of
+// QueueDepth 2, the spill mark.
+func spillConfig(fault engine.FaultInjector) engine.Config {
+	return engine.Config{
+		Workers: 1, MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 2,
+		Fault:   fault,
+		Degrade: engine.DegradeConfig{Enabled: true},
 	}
-	var info InfoResponse
-	err = json.NewDecoder(resp.Body).Decode(&info)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.DegradeLadder) < 3 {
-		t.Fatalf("/info degradeLadder %v, want the full ladder", info.DegradeLadder)
-	}
+}
 
-	// The transition is a flight event carrying the destination rung.
-	resp, err = http.Get(srv.URL + "/debug/flight")
+// fillRoute posts img, which the engine must place on the named held route,
+// until that route's queue sits at its spill mark (see spillConfig). The
+// returned function waits for the answers, which arrive once the test
+// releases the hold, and requires them all to be 200.
+func fillRoute(t *testing.T, s *Server, url, route string, img []float32) (wait func()) {
+	t.Helper()
+	body, err := json.Marshal(ClassifyRequest{Pixels: img})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump flight.Dump
-	err = json.NewDecoder(resp.Body).Decode(&dump)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	stat := func() engine.RouteSnapshot {
+		for _, r := range s.Engine.Stats().Routes {
+			if r.Route == route {
+				return r
+			}
+		}
+		t.Fatalf("no route %q", route)
+		return engine.RouteSnapshot{}
 	}
-	found := false
-	for _, e := range dump.Events {
-		if e.Kind == "degrade" && e.Status == 1 {
-			found = true
+	const want = 3
+	codes := make(chan int, want)
+	for i := int64(1); i <= want; i++ {
+		go func() {
+			resp, err := http.Post(url+"/classify", "application/json", bytes.NewReader(body))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+		// Placed, and pulled off the queue as far as it is going to be: the
+		// next request must find the queue as this one left it.
+		settled := func() bool {
+			r := stat()
+			return r.InFlight == i && int64(r.QueueDepth) == max(0, i-2)
+		}
+		for start := time.Now(); !settled(); time.Sleep(time.Millisecond) {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("request %d never settled on route %s: %+v", i, route, stat())
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("no degrade event with status 1 in flight dump (%d events)", len(dump.Events))
+	return func() {
+		t.Helper()
+		for i := 0; i < want; i++ {
+			if code := <-codes; code != http.StatusOK {
+				t.Errorf("request held on %s answered %d, want 200", route, code)
+			}
+		}
+	}
+}
+
+// TestSpillSurfacesEverywhere: with hard's queue at its mark, the next hard
+// image is answered by easy, and every surface says so in one vocabulary —
+// the reply names the route and still carries the score, /info and /stats
+// list the ladder in walk order, /stats and /metrics count the diversion,
+// and the exposition stays lint-clean.
+func TestSpillSurfacesEverywhere(t *testing.T) {
+	fault := &routeFault{release: make(chan struct{}), hold: map[string]bool{"hard": true}}
+	s, _ := serverWithPrunedRung(t, spillConfig(fault))
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	hard := serveHardImage(t, 1)
+	wait := fillRoute(t, s, srv.URL, "hard", hard)
+	resp, cr := postPixels(t, srv.URL, hard)
+	if resp.StatusCode != http.StatusOK || cr.Route != "easy" {
+		t.Fatalf("overflow request: status %d route %q, want 200 from easy", resp.StatusCode, cr.Route)
+	}
+	if _, h := engine.RouteOf(hard, engine.DefaultHardnessThreshold); cr.Hardness != h {
+		t.Fatalf("overflow reply hardness %v, want the score %v", cr.Hardness, h)
+	}
+	close(fault.release)
+	wait()
+
+	wantLadder := []string{"hard", "easy", "pruned"}
+	var info InfoResponse
+	getJSON(t, srv.URL+"/info", &info)
+	if !slices.Equal(info.DegradeLadder, wantLadder) {
+		t.Fatalf("/info degradeLadder %v, want %v", info.DegradeLadder, wantLadder)
+	}
+	var stats map[string]any
+	getJSON(t, srv.URL+"/stats", &stats)
+	if got := fmt.Sprint(stats["ladder"]); got != "[hard easy pruned]" {
+		t.Fatalf("/stats ladder %v, want %v", stats["ladder"], wantLadder)
+	}
+	if stats["diverted"] != 1.0 || stats["shed"] != 0.0 {
+		t.Fatalf("/stats diverted %v shed %v, want 1 and 0", stats["diverted"], stats["shed"])
+	}
+	if _, ok := stats["degrade"]; ok {
+		t.Fatal("/stats still carries a degrade object")
 	}
 
-	// /metrics exposes the level gauge and transition counter, lint-clean.
-	resp, err = http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	raw, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := metrics.LintExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("scrape fails lint with degrade series: %v", err)
+		t.Fatalf("scrape fails lint: %v", err)
 	}
 	page := string(raw)
 	for _, want := range []string{
-		"cbnet_degrade_level 1",
-		"cbnet_degrade_transitions_total 1",
-		"cbnet_requests_shed_total",
+		"cbnet_requests_diverted_total 1",
+		"cbnet_requests_shed_total 0",
 		"cbnet_requests_deadline_expired_total",
 		"cbnet_infer_failures_total",
 	} {
@@ -200,52 +273,59 @@ func TestDegradeTransitionsSurfaceEverywhere(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+}
 
-	// /stats carries the degrade snapshot.
-	resp, err = http.Get(srv.URL + "/stats")
+// getJSON decodes one GET endpoint into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, ok := stats["degrade"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats missing degrade snapshot: %v", stats)
-	}
-	if lvl, _ := deg["level"].(float64); lvl != 1 {
-		t.Fatalf("/stats degrade level %v, want 1", deg["level"])
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("%s: %v", url, err)
 	}
 }
 
-// TestShedRung503 drives the ladder to its shed rung and checks requests
-// are refused with 503 + Retry-After instead of queued.
-func TestShedRung503(t *testing.T) {
-	s := serverWithEngineConfig(t, engine.Config{
-		Workers: 1,
-		Degrade: engine.DegradeConfig{Enabled: true, Interval: time.Hour},
-	}, Options{})
+// saturate fills every route of a two-route server to its spill mark and
+// returns the server with the function that lets the held requests go.
+func saturate(t *testing.T) (s *Server, url string, release func()) {
+	t.Helper()
+	fault := &routeFault{release: make(chan struct{}), hold: map[string]bool{"hard": true, "easy": true}}
+	s = serverWithEngineConfig(t, spillConfig(fault), Options{})
 	srv := httptest.NewServer(s)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	waitHard := fillRoute(t, s, srv.URL, "hard", serveHardImage(t, 1))
+	waitEasy := fillRoute(t, s, srv.URL, "easy", serveEasyImage(2))
+	return s, srv.URL, func() {
+		t.Helper()
+		close(fault.release)
+		waitHard()
+		waitEasy()
+	}
+}
 
-	ladder := s.Engine.DegradeLadder()
-	s.Engine.SetDegradeLevel(len(ladder) - 1) // shed rung is always last
-	resp := classifyWithHeaders(t, srv.URL, nil)
+// TestShedRung503: when no route has room the request is refused with 503 +
+// Retry-After instead of queued, and served again the moment one has.
+func TestShedRung503(t *testing.T) {
+	s, url, release := saturate(t)
+	resp := classifyWithHeaders(t, url, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d at shed rung, want 503", resp.StatusCode)
+		t.Fatalf("status %d with every route at its mark, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed 503 missing Retry-After")
 	}
+	if st := s.Engine.Stats(); st.Shed != 1 || st.Rejected != 0 {
+		t.Fatalf("shed %d rejected %d, want 1/0", st.Shed, st.Rejected)
+	}
 
-	s.Engine.SetDegradeLevel(0)
-	resp = classifyWithHeaders(t, srv.URL, nil)
+	release()
+	resp = classifyWithHeaders(t, url, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d after recovery, want 200", resp.StatusCode)
+		t.Fatalf("status %d after the queues drained, want 200", resp.StatusCode)
 	}
 }

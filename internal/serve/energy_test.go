@@ -12,12 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"cbnet/internal/chaos"
 	"cbnet/internal/compress"
 	"cbnet/internal/core"
 	"cbnet/internal/device"
 	"cbnet/internal/engine"
 	"cbnet/internal/flight"
 	"cbnet/internal/nn"
+	"cbnet/internal/resilience"
 )
 
 // scrape fetches /metrics and returns every sample keyed by its series as
@@ -65,9 +67,9 @@ func relClose(got, want float64) bool {
 }
 
 // serverWithPrunedRung builds a test server whose engine mounts the pruned
-// lightweight classifier as a variant route behind a full → pruned → shed
-// ladder that moves only when the test moves it, the way cbnet-serve
-// -degrade wires it. It returns the pruned network beside the server.
+// lightweight classifier as a variant route at the end of an armed ladder,
+// the way cbnet-serve -degrade wires it. It returns the pruned network
+// beside the server.
 func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequential) {
 	t.Helper()
 	pruned, err := compress.PruneLightweight(testPipeline().Classifier,
@@ -76,16 +78,37 @@ func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequent
 		t.Fatal(err)
 	}
 	cfg.Variants = []engine.Variant{{Name: "pruned", Net: pruned}}
-	cfg.Degrade = engine.DegradeConfig{
-		Enabled:  true,
-		Interval: time.Hour,
-		Ladder: []engine.DegradeRung{
-			{Name: "full"},
-			{Name: "pruned", Route: "pruned"},
-			{Name: "shed", Shed: true},
-		},
-	}
+	cfg.Degrade = engine.DegradeConfig{Enabled: true}
 	return serverWithEngineConfig(t, cfg, Options{}), pruned
+}
+
+// stickyBreakers arms cfg with a chaos injector and breakers a test can
+// close a route with: two failures open one (one, after a success) and
+// nothing closes it again within a test's lifetime.
+func stickyBreakers(cfg engine.Config) (engine.Config, *chaos.Injector) {
+	inj := chaos.NewInjector()
+	cfg.Fault = inj
+	cfg.Resilience = engine.ResilienceConfig{
+		Enabled: true,
+		Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
+	}
+	return cfg, inj
+}
+
+// closeRoute sticks the named route and posts img — which must land on it —
+// until the route's breaker opens: from then on the engine passes it over.
+func closeRoute(t *testing.T, s *Server, url string, inj *chaos.Injector, route engine.RouteName, img []float32) {
+	t.Helper()
+	inj.SetStuck(string(route))
+	for i := 0; !s.Engine.BreakerOpen(route); i++ {
+		if i == 10 {
+			t.Fatalf("%s breaker still closed after %d stuck requests", route, i)
+		}
+		if resp, _ := postPixels(t, url, img); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("stuck %s request: status %d, want 500", route, resp.StatusCode)
+		}
+	}
+	inj.SetStuck("")
 }
 
 // TestEnergyFiguresAgree pins the one energy ledger: with the pruned variant
@@ -97,7 +120,8 @@ func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequent
 // /classify answered a pruned request with the full pipeline's figures
 // (+98 %) under a flight label of "hard".
 func TestEnergyFiguresAgree(t *testing.T) {
-	s, pruned := serverWithPrunedRung(t, engine.Config{Workers: 1})
+	cfg, inj := stickyBreakers(engine.Config{Workers: 1})
+	s, pruned := serverWithPrunedRung(t, cfg)
 	pipe, prof := s.Pipeline, s.Profile
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -138,11 +162,12 @@ func TestEnergyFiguresAgree(t *testing.T) {
 	for i := uint64(0); i < 2; i++ {
 		post("hard", serveHardImage(t, 100*i))
 	}
-	s.Engine.SetDegradeLevel(1)
+	// With hard and easy closed, the ladder's last route answers.
+	closeRoute(t, s, srv.URL, inj, engine.RouteHard, serveHardImage(t, 0))
+	closeRoute(t, s, srv.URL, inj, engine.RouteEasy, serveEasyImage(0))
 	for i := uint64(0); i < 4; i++ {
 		post("pruned", serveEasyImage(10+i))
 	}
-	s.Engine.SetDegradeLevel(0)
 
 	// The flight ring names the route each request completed on.
 	resp, err := http.Get(srv.URL + "/debug/flight")
@@ -203,7 +228,8 @@ func TestEnergyFiguresAgree(t *testing.T) {
 // every counter and gauge /stats reports is the same number as its cbnet_*
 // sample on /metrics — both read the engine's one set of counters.
 func TestStatsAgreeWithMetrics(t *testing.T) {
-	s, _ := serverWithPrunedRung(t, engine.Config{Workers: 1})
+	cfg, inj := stickyBreakers(engine.Config{Workers: 1})
+	s, _ := serverWithPrunedRung(t, cfg)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -211,13 +237,17 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		postPixels(t, srv.URL, serveEasyImage(i))
 	}
 	postPixels(t, srv.URL, serveHardImage(t, 0))
-	s.Engine.SetDegradeLevel(1)
-	postPixels(t, srv.URL, serveEasyImage(7))
-	s.Engine.SetDegradeLevel(2) // shed rung: one refused request
-	if resp, _ := postPixels(t, srv.URL, serveEasyImage(8)); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed rung answered %d, want 503", resp.StatusCode)
+	// Close the ladder from the top: one request diverted to pruned and
+	// served, then one that no route takes.
+	closeRoute(t, s, srv.URL, inj, engine.RouteHard, serveHardImage(t, 0))
+	closeRoute(t, s, srv.URL, inj, engine.RouteEasy, serveEasyImage(0))
+	if resp, cr := postPixels(t, srv.URL, serveEasyImage(7)); resp.StatusCode != http.StatusOK || cr.Route != "pruned" {
+		t.Fatalf("hard and easy closed: status %d route %q, want 200 from pruned", resp.StatusCode, cr.Route)
 	}
-	s.Engine.SetDegradeLevel(0)
+	closeRoute(t, s, srv.URL, inj, "pruned", serveEasyImage(0))
+	if resp, _ := postPixels(t, srv.URL, serveEasyImage(8)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("every route closed: answered %d, want 503", resp.StatusCode)
+	}
 	// A dead-on-arrival deadline: counted as expired, never queued.
 	if resp := classifyWithHeaders(t, srv.URL, map[string]string{DeadlineHeader: "0.000001"}); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired request answered %d, want 504", resp.StatusCode)
@@ -246,11 +276,16 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	check("cbnet_requests_completed_total", st.Completed)
 	check("cbnet_requests_rejected_total", st.Rejected)
 	check("cbnet_requests_shed_total", st.Shed)
+	check("cbnet_requests_diverted_total", st.Diverted)
 	check("cbnet_requests_deadline_expired_total", st.DeadlineExpired)
 	check("cbnet_infer_failures_total", st.InferFailed)
 	check("cbnet_requests_abandoned_total", st.Abandoned)
-	if st.Completed != 7 || st.Shed != 1 || st.DeadlineExpired != 1 {
-		t.Errorf("/stats completed %d shed %d deadlineExpired %d, want 7/1/1", st.Completed, st.Shed, st.DeadlineExpired)
+	// Diverted: the one pruned served and the one that failed opening its
+	// breaker. InferFailed: one per breaker opened (each route had a success
+	// in its 2-sample window).
+	if st.Completed != 7 || st.Shed != 1 || st.Diverted != 2 || st.InferFailed != 3 || st.DeadlineExpired != 1 {
+		t.Errorf("/stats completed %d shed %d diverted %d inferFailed %d deadlineExpired %d, want 7/1/2/3/1",
+			st.Completed, st.Shed, st.Diverted, st.InferFailed, st.DeadlineExpired)
 	}
 	if len(st.Routes) != 3 {
 		t.Fatalf("/stats lists %d routes, want 3", len(st.Routes))

@@ -104,29 +104,22 @@ func TestReadyzDraining(t *testing.T) {
 	}
 }
 
-// TestReadyzShedRung: the degradation ladder's floor rung refuses work, so
-// readiness must drop while it is active and recover when the ladder does.
+// TestReadyzShedRung: with every route's queue at its spill mark the next
+// request would be refused, so readiness drops — and it is back the moment
+// the queues drain, with nothing to relax first.
 func TestReadyzShedRung(t *testing.T) {
-	s := serverWithEngineConfig(t, engine.Config{
-		Workers: 1,
-		Degrade: engine.DegradeConfig{Enabled: true, Interval: time.Hour},
-	}, Options{})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	ladder := s.Engine.DegradeLadder()
-	s.Engine.SetDegradeLevel(len(ladder) - 1) // shed rung is always last
-	code, rr := getReady(t, srv.URL)
+	_, url, release := saturate(t)
+	code, rr := getReady(t, url)
 	if code != http.StatusServiceUnavailable || rr.Ready {
-		t.Fatalf("shedding server: readyz = %d %+v, want 503 not-ready", code, rr)
+		t.Fatalf("saturated server: readyz = %d %+v, want 503 not-ready", code, rr)
 	}
-	if len(rr.Reasons) == 0 || !strings.Contains(rr.Reasons[0], "shedding") {
-		t.Fatalf("reasons %v, want shedding", rr.Reasons)
+	if len(rr.Reasons) != 1 || rr.Reasons[0] != "shedding: no route has room" {
+		t.Fatalf("reasons %v, want shedding alone", rr.Reasons)
 	}
 
-	s.Engine.SetDegradeLevel(0)
-	if code, rr := getReady(t, srv.URL); code != http.StatusOK || !rr.Ready {
-		t.Fatalf("recovered server: readyz = %d %+v, want 200 ready", code, rr)
+	release()
+	if code, rr := getReady(t, url); code != http.StatusOK || !rr.Ready {
+		t.Fatalf("drained server: readyz = %d %+v, want 200 ready", code, rr)
 	}
 }
 
@@ -371,31 +364,29 @@ func TestDumpFlightShutdown(t *testing.T) {
 	}
 }
 
-// TestReadyzVariantBreakerOpen: the ladder pins traffic to a variant route,
-// so an open breaker there holds readiness down like one on easy or hard. A
+// TestReadyzVariantBreakerOpen: overflow lands on a variant route, so an
+// open breaker there holds readiness down like one on easy or hard. A
 // /readyz that asked about the two built-in routes only reported ready with
-// the pinned route wedged.
+// the variant wedged.
 func TestReadyzVariantBreakerOpen(t *testing.T) {
-	inj := chaos.NewInjector()
-	inj.SetStuck("pruned")
-	s, _ := serverWithPrunedRung(t, engine.Config{
-		Workers: 1,
-		Fault:   inj,
-		Resilience: engine.ResilienceConfig{
-			Enabled: true,
-			Breaker: resilience.BreakerConfig{
-				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
-				Cooldown: time.Minute, Probes: 1,
-			},
+	fault := &routeFault{release: make(chan struct{}), hold: map[string]bool{"easy": true}, stuck: "pruned"}
+	cfg := spillConfig(fault)
+	cfg.Resilience = engine.ResilienceConfig{
+		Enabled: true,
+		Breaker: resilience.BreakerConfig{
+			Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+			Cooldown: time.Minute, Probes: 1,
 		},
-	})
+	}
+	s, _ := serverWithPrunedRung(t, cfg)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	if code, rr := getReady(t, srv.URL); code != http.StatusOK || !rr.Ready {
 		t.Fatalf("healthy server: readyz = %d %+v, want 200 ready", code, rr)
 	}
-	s.Engine.SetDegradeLevel(1)
+	// Easy at its mark: the easy images after that are pruned's.
+	wait := fillRoute(t, s, srv.URL, "easy", serveEasyImage(0))
 	for i := 0; i < 2; i++ {
 		resp, _ := postPixels(t, srv.URL, serveEasyImage(uint64(i)))
 		if resp.StatusCode != http.StatusInternalServerError {
@@ -405,6 +396,8 @@ func TestReadyzVariantBreakerOpen(t *testing.T) {
 	if !s.Engine.BreakerOpen("pruned") {
 		t.Fatal("pruned breaker still closed after two singleton failures")
 	}
+	close(fault.release)
+	wait()
 	code, rr := getReady(t, srv.URL)
 	if code != http.StatusServiceUnavailable || rr.Ready {
 		t.Fatalf("variant breaker open: readyz = %d %+v, want 503 not-ready", code, rr)

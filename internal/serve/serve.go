@@ -5,9 +5,8 @@
 //
 //	GET  /healthz       liveness probe
 //	GET  /readyz        readiness probe: 503 with machine-readable reasons
-//	                    while draining, shedding at the degradation
-//	                    ladder's floor, or a serving route's circuit
-//	                    breaker is open
+//	                    while draining, while no route has queue room, or
+//	                    while a serving route's circuit breaker is open
 //	GET  /info          model and device-profile metadata
 //	GET  /stats         inference-engine counters, batch histograms, latencies
 //	GET  /metrics       Prometheus text exposition (per-route counters,
@@ -35,9 +34,13 @@
 // Each /classify call may carry a deadline: the X-CBNet-Deadline-Ms header
 // (or Options.DefaultDeadline when absent) bounds its end-to-end time, and
 // a request whose deadline expires before its batch runs is answered 504
-// without consuming inference capacity. When the engine's degradation
-// ladder is enabled, overload walks traffic down the configured quality
-// rungs before anything is refused.
+// without consuming inference capacity. When the engine's Degrade switch is
+// on, a request whose preferred route is half full is answered by the next
+// route down the ladder (hard → easy → variants) instead of waiting or being
+// refused; the engine decides that per request (engine.place), and this
+// package only reports it: the route a reply names, "diverted" and "ladder"
+// on /stats, cbnet_requests_diverted_total on /metrics. SLO burn is not an
+// input to that decision; the monitor still trips flight dumps.
 package serve
 
 import (
@@ -230,24 +233,6 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 	})
 	s.sloMon.Start(time.Second)
 
-	// Degradation wiring: ladder transitions land in the log and the
-	// flight ring (Status carries the new level, Route the rung name), and
-	// the controller samples the latency objective's fast-window burn rate
-	// as its escalation signal. The availability tracker is deliberately
-	// excluded: ladder-induced 503s count against availability, so feeding
-	// that burn back into the controller would hold the ladder down for as
-	// long as the window remembers the 503s it caused — a positive feedback
-	// loop. Latency burn measures distress on requests actually served,
-	// which escalating to a cheaper rung genuinely fixes. All no-ops when
-	// the engine's ladder is off.
-	eng.OnDegrade(func(tr engine.DegradeTransition) {
-		s.log.Warn("degrade transition",
-			"from", tr.FromRung, "to", tr.ToRung, "level", tr.To, "reason", tr.Reason)
-		s.flight.Record(flight.Event{
-			T: trace.Now(), Kind: flight.KindDegrade,
-			Route: trace.Intern(tr.ToRung), Status: tr.To,
-		})
-	})
 	// Fault-isolation wiring: circuit-breaker transitions land in the log
 	// and the flight ring (Status carries the new state — 0 closed, 1 open,
 	// 2 half-open — Route the breaker's route). No-op when the engine's
@@ -259,13 +244,6 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 			T: trace.Now(), Kind: flight.KindBreaker,
 			Route: trace.Intern(string(tr.Route)), Status: int(tr.To),
 		})
-	})
-	eng.SetDegradeBurnSignal(func() float64 {
-		snap := s.latT.Snapshot(time.Now())
-		if len(snap.Windows) == 0 {
-			return 0
-		}
-		return snap.Windows[0].BurnRate
 	})
 
 	mux := http.NewServeMux()
@@ -362,9 +340,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // ReadyResponse is the /readyz payload. Ready is false while the server
-// drains, the degradation ladder sheds, or a serving route's circuit
-// breaker is open; Reasons lists every cause currently holding readiness
-// down.
+// drains, no route has queue room, or a serving route's circuit breaker is
+// open; Reasons lists every cause currently holding readiness down.
 type ReadyResponse struct {
 	Ready   bool     `json:"ready"`
 	Reasons []string `json:"reasons,omitempty"`
@@ -372,19 +349,20 @@ type ReadyResponse struct {
 
 // handleReady is the readiness probe: unlike /healthz (liveness — is the
 // process up), it answers "should a load balancer send traffic here right
-// now". 503 while draining, while the ladder sits at a shed rung, or
-// while a breaker holds a serving route open (traffic is being diverted
-// or refused, so a replica with healthy routes is a better target).
+// now". 503 while draining, while every route of the ladder is at or past
+// its spill mark (the next request would be refused), or while a breaker
+// holds a serving route open (traffic is being diverted or refused, so a
+// replica with healthy routes is a better target).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	var reasons []string
 	if s.draining.Load() {
 		reasons = append(reasons, "draining: shutdown in progress")
 	}
 	if s.Engine.Shedding() {
-		reasons = append(reasons, "shedding: degradation ladder at its floor rung")
+		reasons = append(reasons, "shedding: no route has room")
 	}
 	if res := s.Engine.Resilience(); res != nil {
-		// Every live route, variants included: the ladder pins traffic to them.
+		// Every live route, variants included: the overflow lands on them.
 		for _, b := range res.Breakers {
 			if b.State == resilience.Open.String() {
 				reasons = append(reasons, fmt.Sprintf("breaker open: route %s", b.Route))
@@ -411,8 +389,8 @@ type InfoResponse struct {
 	Workers           int     `json:"workers"`
 	HardnessThreshold float64 `json:"hardnessThreshold"`
 	RoutingEnabled    bool    `json:"routingEnabled"`
-	// DegradeLadder lists the graceful-degradation rungs in order; absent
-	// when the controller is off.
+	// DegradeLadder lists the route names in the order an overflowing
+	// request tries them; absent when the spill is off.
 	DegradeLadder []string `json:"degradeLadder,omitempty"`
 	// DefaultDeadlineMS is the per-request deadline applied when the
 	// client sends no DeadlineHeader (absent = none).
@@ -527,7 +505,7 @@ type ClassifyResponse struct {
 	RequestID uint64 `json:"requestId"`
 	Class     int    `json:"class"`
 	// Route is the engine path taken: "easy" (classifier only), "hard"
-	// (AE + classifier), or the variant a degradation rung pinned.
+	// (AE + classifier), or a variant the overflow spilled to.
 	Route string `json:"route"`
 	// Hardness is the request's §V heuristic score (0 when routing is
 	// disabled).
