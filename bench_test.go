@@ -14,6 +14,7 @@ package cbnet
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,7 @@ import (
 	"cbnet/internal/engine"
 	"cbnet/internal/harness"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -362,26 +364,55 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 }
 
 // BenchmarkPlanExecute is the engine worker's actual hot loop: the compiled
-// AE and classifier plans executed back to back. -benchmem must report
-// 0 allocs/op.
+// AE and classifier plans executed back to back (pipeline-b16), then each
+// plan alone at the paper's one hard image and at the engine's batch, in
+// GFLOP/s of its cost model — the step-level figures the benchmark's
+// nn.clf_gflops_b32 and core.convert_us_b1 move with. -benchmem must report
+// 0 allocs/op throughout.
 func BenchmarkPlanExecute(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
 		AE:         models.NewTableIAE(dataset.MNIST, rng.New(5)),
 		Classifier: models.ExtractLightweight(br),
 	}
-	ps, err := pipe.Plans(16)
-	if err != nil {
-		b.Fatal(err)
+	b.Run("pipeline-b16", func(b *testing.B) {
+		ps, err := pipe.Plans(16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := hostBatch(16)
+		dst := make([]int, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ps.InferInto(dst, x)
+		}
+		b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
+	})
+	for _, m := range []struct {
+		name string
+		net  *nn.Sequential
+	}{{"clf", pipe.Classifier}, {"ae", pipe.AE.Net}} {
+		for _, n := range []int{1, 32} {
+			b.Run(fmt.Sprintf("%s/b%d", m.name, n), func(b *testing.B) {
+				p, err := nn.Compile(m.net, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var flops int64
+				for _, st := range p.Steps() {
+					flops += int64(n) * st.FLOPsPerImage
+				}
+				x := hostBatch(n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Execute(nil, x)
+				}
+				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
 	}
-	x := hostBatch(16)
-	dst := make([]int, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.InferInto(dst, x)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 }
 
 // BenchmarkHostClassifyDirectPlan is the zero-allocation easy-route path at

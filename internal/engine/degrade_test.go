@@ -227,7 +227,10 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 		Degrade: DegradeConfig{Enabled: true},
 	})
 
-	const n = 24
+	// More callers than two wedged routes can hold at their fullest: four
+	// executing, four formed and waiting for the worker, and a queue that
+	// racing submitters may fill past its mark of four to its depth of eight.
+	const n = 48
 	img := stubbornHardImage(t, 0) // the whole crowd prefers hard
 	var wg sync.WaitGroup
 	var answered, served atomic.Int64

@@ -121,8 +121,7 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 			return
 		}
 		if len(sub) == 1 {
-			convicted = append(convicted, sub[0])
-			e.failSubBatch(rt, sub, inferErr)
+			convicted = append(convicted, sub[0]) // answered below, once quarantined
 			return
 		}
 		mid := len(sub) / 2
@@ -140,6 +139,10 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 			e.res.culprits.Inc()
 		}
 	}
+	// A culprit hears of its failure only after the quarantine holds its
+	// fingerprint: a caller that resubmits the moment it is answered is
+	// turned away at admission instead of failing a second batch.
+	e.failSubBatch(rt, convicted, inferErr)
 }
 
 // runSubBatch re-runs a sub-batch through the route's forward pass on the

@@ -24,9 +24,11 @@ import (
 // between consecutive steps, so step i reads slot i%2−1 and writes slot
 // i%2, and each slot is sized to the widest tensor it ever holds at the
 // plan's batch capacity. Convolution steps additionally share one scratch
-// region for their im2col column matrix and channel-major GEMM output,
-// sized to the largest conv step. Everything lives in a single []float32
-// owned by the plan.
+// region — an im2col column matrix and a channel-major GEMM output, or for
+// a direct step one padded frame and one output plane — sized to the
+// largest conv step under the micro-kernel and blocked gate in force at
+// Compile (tests that swap either do it before compiling). Everything lives
+// in a single []float32 owned by the plan.
 //
 // What a step's GEMM reads as its B operand is bound to the micro-kernel
 // ahead of the product wherever the product takes the blocked path
@@ -35,8 +37,14 @@ import (
 // weights are packed once, at Compile, into the kernel's sliver layout and
 // kept on the layer, one copy for all plans of the network; Execute packs
 // nothing constant. A conv step's column matrix is expanded straight into
-// that layout, in the conv scratch region, and never exists row-major. A
-// plan runs on the goroutine that calls Execute. Its blocked GEMMs never fan
+// that layout, in the conv scratch region, and never exists row-major — and
+// where the blocked product would fill fewer rows than the kernel's tile
+// (tensor.DirectConv: conv1 and bconv, every conv of the lightweight
+// classifier) there is no column matrix at all: the step accumulates each
+// output plane over the image's padded frame, the blocked path's arithmetic
+// tap for tap.
+//
+// A plan runs on the goroutine that calls Execute. Its blocked GEMMs never fan
 // out; at tensor.SetGEMMThreads(1) — what engine.New sets — nothing beneath
 // Execute starts a goroutine on any kernel, and at a wider setting only the
 // scalar GEMM fallback (a host without an FMA kernel, a shape the blocked
@@ -58,7 +66,9 @@ const (
 	opDense planOp = iota
 	// opConv is a fused convolution stage: batched im2col, one GEMM with
 	// the per-channel bias and activation in its write-back epilogue, and
-	// a pure regroup copy to sample-major layout.
+	// a pure regroup copy to sample-major layout — or, for a step
+	// tensor.DirectConv serves, the direct convolution with the same
+	// epilogue.
 	opConv
 	// opPool is a max-pooling stage.
 	opPool
@@ -84,8 +94,9 @@ type planStep struct {
 	pool  *MaxPool2D
 
 	// conv-only scratch into Plan.buf: colOff/colLen hold the batch's
-	// column matrix (packed for the blocked path, row-major otherwise),
-	// gemmOff the channel-major GEMM output.
+	// column matrix (packed for the blocked path, row-major otherwise) or
+	// the direct path's frame and plane, gemmOff the channel-major GEMM
+	// output.
 	colOff, colLen, gemmOff int
 
 	// Compile-time cost model, filled by annotateCosts: modelled
@@ -264,7 +275,9 @@ func actFLOPs(act tensor.EpilogueAct) int64 {
 // input, writes of its output, and for convolutions the zero-padded frame
 // the image is copied through, the column matrix written once — in packed
 // form — and read once by the kernel, and the channel-major GEMM output
-// written then regrouped) plus the parameter bytes read once per
+// written then regrouped; a direct step has its frame and, in place of the
+// column matrix and the channel-major output, each output plane written and
+// compacted into the output) plus the parameter bytes read once per
 // execution; packed dense weights are the size of the weights. It is a
 // traffic model, not a cache simulation: it is meant to rank steps by
 // arithmetic intensity, exactly how the paper's §IV ledger attributes
@@ -292,14 +305,20 @@ func (p *Plan) annotateCosts() {
 			st.flopsPerImg = 2*colRows*colCols*int64(c.OutC) + // GEMM
 				outEls + // bias
 				actFLOPs(st.act)*outEls
-			// input read + padded frame written and re-read + col written
-			// and read + GEMM out written, re-read, and regrouped into the
-			// output slot.
-			frame := int64(0)
-			if c.Dims.Pad > 0 {
-				frame = int64(c.Dims.InC) * int64(c.Dims.InH+2*c.Dims.Pad) * int64(c.Dims.InW+2*c.Dims.Pad)
+			frame := int64(c.Dims.InC) * int64(c.Dims.InH+2*c.Dims.Pad) * int64(c.Dims.InW+2*c.Dims.Pad)
+			if tensor.DirectConv(c.OutC, c.Dims, p.batchCap) {
+				// input read + frame written and re-read + each plane
+				// written, re-read and compacted into the output slot.
+				st.ioPerImg = f32 * (int64(c.InSize()) + 2*frame + 3*outEls)
+			} else {
+				// input read + padded frame written and re-read + col
+				// written and read + GEMM out written, re-read, and
+				// regrouped into the output slot.
+				if c.Dims.Pad == 0 {
+					frame = 0
+				}
+				st.ioPerImg = f32 * (int64(c.InSize()) + 2*frame + 2*colRows*colCols + 3*outEls)
 			}
-			st.ioPerImg = f32 * (int64(c.InSize()) + 2*frame + 2*colRows*colCols + 3*outEls)
 			st.fixedBytes = f32 * (int64(c.OutC)*colRows + int64(c.OutC))
 		case opPool:
 			pl := st.pool
@@ -329,9 +348,21 @@ func (p *Plan) planBuffer() {
 		}
 		if st.op == opConv {
 			c := st.conv
+			colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
+			gemmOut := c.OutC * p.batchCap * colCols
 			st.colLen = tensor.Im2ColPackedLen(p.batchCap, c.Dims)
-			need := st.colLen + c.OutC*p.batchCap*c.Dims.ColCols()
-			if need > convScratch {
+			if tensor.DirectConv(c.OutC, c.Dims, p.batchCap) {
+				// The frame and one plane; no batch writes a packed column
+				// matrix. Batches below the blocked gate still expand a
+				// row-major one for the scalar GEMM.
+				sub := 0
+				for sub < p.batchCap && !tensor.BlockedGEMM(c.OutC, colRows, (sub+1)*colCols) {
+					sub++
+				}
+				st.colLen = max(tensor.ConvDirectLen(c.Dims), colRows*sub*colCols)
+				gemmOut = c.OutC * sub * colCols
+			}
+			if need := st.colLen + gemmOut; need > convScratch {
 				convScratch = need
 			}
 		}
@@ -366,7 +397,8 @@ func (p *Plan) OutWidth() int { return p.outW }
 // introspection: the profiling table, the /metrics per-step series, and
 // tests. FLOPsPerImage counts GEMM multiply-adds as 2 FLOPs plus bias and
 // activation work; BytesPerImage counts the step's activation traffic
-// (including the conv frame, packed column matrix and regroup copies);
+// (including the conv frame, and the packed column matrix and regroup copies
+// or the direct path's planes);
 // FixedBytes is the parameter traffic paid once per execution regardless of
 // batch size.
 type StepInfo struct {
@@ -545,18 +577,24 @@ func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	}
 }
 
-// runConv executes the batched convolution step: one im2col expansion of
-// the whole batch — straight into the kernel's packed layout when the
-// product takes the blocked path — one GEMM whose epilogue applies the
-// per-channel bias and activation in its write-back tail, and a pure
-// regroup copy to sample-major layout.
+// runConv executes the batched convolution step. Where the product takes the
+// blocked path: the direct convolution if the step is one tensor.DirectConv
+// serves, otherwise one im2col expansion of the whole batch straight into
+// the kernel's packed layout, one GEMM whose epilogue applies the
+// per-channel bias and activation in its write-back tail, and a pure regroup
+// copy to sample-major layout. Below the gate: the same three stages over a
+// row-major column matrix and the scalar GEMM.
 func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 	c := st.conv
 	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
 	batchCols := n * colCols
 	col := p.buf[st.colOff : st.colOff+st.colLen]
-	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
 	ep := tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}
+	if tensor.DirectConv(c.OutC, c.Dims, n) {
+		tensor.ConvDirect(col, in, n, c.Dims, c.W.Value.Data, c.OutC, ep, out)
+		return
+	}
+	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
 	if tensor.BlockedGEMM(c.OutC, colRows, batchCols) {
 		b := tensor.Im2ColPacked(col, in, n, c.Dims)
 		tensor.GEMMEpiloguePacked(c.W.Value.Data, &b, gemmOut, c.OutC, ep, &p.pack)

@@ -143,7 +143,8 @@ func requireClose(t *testing.T, what string, got, want *tensor.Tensor) {
 // TestPlanServesTouchedWeights pins the weights contract: a plan compiled
 // before the weights change serves the new values after an optimiser step
 // and after a checkpoint load into the same tensors — both Touch what they
-// write — including the dense weights it holds packed.
+// write — including the dense weights it holds packed, and a conv kernel
+// written alone: conv steps, direct ones too, read their weights in place.
 func TestPlanServesTouchedWeights(t *testing.T) {
 	const batch = 8
 	for _, m := range []shippedNet{
@@ -192,6 +193,31 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireClose(t, m.name+" after a checkpoint load", p.Execute(nil, x), other.Forward(x, false))
+
+		// One conv kernel and its bias rewritten in place.
+		for _, l := range m.net.Layers {
+			conv, ok := l.(*nn.Conv2D)
+			if !ok {
+				continue
+			}
+			loaded := append([]float32(nil), p.Execute(nil, x).Data...)
+			for i := range conv.W.Value.Data {
+				conv.W.Value.Data[i] = -conv.W.Value.Data[i]
+			}
+			conv.W.Touch()
+			conv.B.Value.Data[0] += 0.25
+			conv.B.Touch()
+			rewritten := p.Execute(nil, x)
+			requireClose(t, m.name+" after rewriting "+conv.Name(), rewritten, m.net.Forward(x, false))
+			moved := false
+			for i := range loaded {
+				moved = moved || loaded[i] != rewritten.Data[i]
+			}
+			if !moved {
+				t.Fatalf("%s: rewriting %s changed no output", m.name, conv.Name())
+			}
+			break
+		}
 	}
 }
 

@@ -248,16 +248,15 @@ func TestPoolInferMatchesGeneralLoop(t *testing.T) {
 
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
-// retained packing panels are warm. Panels exist only on the blocked path;
-// without a blocked kernel the transposed products run their scalar loops,
-// which hand parallelRows a closure (two allocations a step, at any width).
+// retained packing panels are warm — and on a host without a blocked kernel,
+// where the transposed products run their scalar loops, once those run
+// inline: at width 1, the one setting at which nothing under tensor builds a
+// fan-out closure.
 func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	if !tensor.BlockedKernelEnabled() {
-		t.Skip("no blocked GEMM kernel: no panels to retain, and the scalar transposed products build a closure each")
-	}
+	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(1))
 	d := NewDense("fc", 128, 64, rng.New(5))
 	x := tensor.New(32, 128)
 	x.RandUniform(rng.New(6), -1, 1)

@@ -165,3 +165,80 @@ func TestTracedExecuteZeroAlloc(t *testing.T) {
 		t.Errorf("traced Execute: %v allocs per warm call, want 0", allocs)
 	}
 }
+
+// TestDirectConvStepCostAndBuffer: under a kernel with a tap-accumulate
+// routine the lightweight classifier's conv steps are direct steps — same
+// modelled FLOPs as through im2col, fewer modelled bytes (the frame and the
+// planes in place of the column matrix and the channel-major output), and a
+// conv scratch that holds one frame, one plane and the row-major matrix of
+// the batches below the blocked gate, which still run and still match the
+// reference.
+func TestDirectConvStepCostAndBuffer(t *testing.T) {
+	r := rng.New(31)
+	net := NewSequential("lightweight-shaped",
+		MustConv2D("conv1", 1, 28, 28, 3, 5, 5, 1, 2, r),
+		NewReLU("relu1"),
+		MustMaxPool2D("pool1", 3, 28, 28, 2, 2),
+		MustConv2D("bconv", 3, 14, 14, 3, 3, 3, 1, 0, r),
+		NewReLU("brelu"),
+		MustMaxPool2D("bpool", 3, 12, 12, 2, 2),
+		NewDense("bfc", 3*6*6, 10, r),
+		NewSoftmax("sm"),
+	)
+	defer tensor.SetBlockedKernelForTest(tensor.SetBlockedKernelForTest(true))
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
+	tensor.SetGEMMKernelForTest("generic-8x8")
+	viaIm2Col, err := Compile(net, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv1 := net.Layers[0].(*Conv2D)
+	direct := 0
+	for _, k := range tensor.GEMMKernels() {
+		tensor.SetGEMMKernelForTest(k.Name)
+		if !k.Available || !tensor.DirectConv(conv1.OutC, conv1.Dims, 32) {
+			continue
+		}
+		direct++
+		p, err := Compile(net, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.buf) >= len(viaIm2Col.buf) {
+			t.Errorf("%s: plan buffer %d floats, no smaller than the %d of the im2col plan", k.Name, len(p.buf), len(viaIm2Col.buf))
+		}
+		was := viaIm2Col.Steps()
+		for i, st := range p.Steps() {
+			if st.FLOPsPerImage != was[i].FLOPsPerImage || st.FixedBytes != was[i].FixedBytes {
+				t.Errorf("%s %s: FLOPs %d fixed bytes %d, through im2col %d / %d", k.Name, st.Name, st.FLOPsPerImage, st.FixedBytes, was[i].FLOPsPerImage, was[i].FixedBytes)
+			}
+			if st.Op != "conv" {
+				if st.BytesPerImage != was[i].BytesPerImage {
+					t.Errorf("%s %s: bytes %d, want the %d of a step that did not change", k.Name, st.Name, st.BytesPerImage, was[i].BytesPerImage)
+				}
+				continue
+			}
+			if st.BytesPerImage >= was[i].BytesPerImage {
+				t.Errorf("%s %s: %d bytes an image, through im2col %d", k.Name, st.Name, st.BytesPerImage, was[i].BytesPerImage)
+			}
+		}
+		// conv1: 784 in, a 32×32 frame written and read, three 784-element
+		// planes written, read and compacted.
+		if got, want := p.Steps()[0].BytesPerImage, int64(4*(784+2*32*32+3*3*784)); got != want {
+			t.Errorf("%s conv1: %d bytes an image, want %d", k.Name, got, want)
+		}
+		for _, n := range []int{1, 2, 3, 32} { // bconv is scalar at 1 and 2
+			x := tensor.New(n, 784)
+			x.RandUniform(rng.New(uint64(n)), 0, 1)
+			got, want := p.Execute(nil, x), p.ReferenceExecute(x)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s batch %d: output[%d] = %v, reference %v", k.Name, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	if direct == 0 {
+		t.Skip("no kernel with a tap-accumulate routine on this CPU")
+	}
+}

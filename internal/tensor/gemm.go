@@ -116,24 +116,32 @@ func matMulTransA(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 			c.Data[i] = 0
 		}
 	}
-	// cᵢⱼ = Σ_p a_{p,i} b_{p,j}: for each p, rank-1 update of C rows.
-	// Parallelize over row blocks of C (i), accumulating locally.
+	if !shouldParallel(m, n*k) {
+		matMulTransARange(a.Data, b.Data, c.Data, m, k, n, 0, m)
+		return
+	}
 	parallelRows(m, m*n*k, func(i0, i1 int) {
-		for p := 0; p < k; p++ {
-			arow := a.Data[p*m : (p+1)*m]
-			brow := b.Data[p*n : (p+1)*n]
-			for i := i0; i < i1; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				crow := c.Data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+		matMulTransARange(a.Data, b.Data, c.Data, m, k, n, i0, i1)
+	})
+}
+
+// matMulTransARange accumulates rows [i0, i1) of C += Aᵀ×B: cᵢⱼ = Σ_p
+// a_{p,i} b_{p,j}, for each p a rank-1 update of those rows.
+func matMulTransARange(a, b, c []float32, m, k, n, i0, i1 int) {
+	for p := 0; p < k; p++ {
+		arow := a[p*m : (p+1)*m]
+		brow := b[p*n : (p+1)*n]
+		for i := i0; i < i1; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			crow := c[i*n : (i+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // MatMulTransB computes C = A × Bᵀ without materializing Bᵀ.
@@ -178,25 +186,33 @@ func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
 	}
-	acc := beta == 1
+	if !shouldParallel(m, n*k) {
+		matMulTransBRange(a.Data, b.Data, c.Data, k, n, beta == 1, 0, m)
+		return
+	}
 	parallelRows(m, m*n*k, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				if acc {
-					crow[j] += s
-				} else {
-					crow[j] = s
-				}
+		matMulTransBRange(a.Data, b.Data, c.Data, k, n, beta == 1, i0, i1)
+	})
+}
+
+// matMulTransBRange computes rows [i0, i1) of C = A×Bᵀ, added to C when acc.
+func matMulTransBRange(a, b, c []float32, k, n int, acc bool, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			var s float32
+			for p, av := range arow {
+				s += av * brow[p]
+			}
+			if acc {
+				crow[j] += s
+			} else {
+				crow[j] = s
 			}
 		}
-	})
+	}
 }
 
 func checkMatMul(a, b *Tensor) (m, k, n int) {
@@ -270,9 +286,16 @@ func gemmNaiveRange(a, b, c []float32, k, n int, alpha, beta float32, i0, i1 int
 // fused into one pass over c, so each c element costs one load/store per
 // eight flops instead of per two. The m==1 shape (ClassifyDirect on one
 // image) is too small to amortize micro-kernel packing, but not too small
-// for instruction-level parallelism.
+// for instruction-level parallelism: where the active kernel comes with
+// vector bodies (axpy4, axpy1) they run both passes over the leading vector
+// multiple of c, in the association the Go loops below spell out —
+// c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3), multiply and add unfused — and
+// the Go loops finish the n mod width tail, so a row has the same bits
+// under every kernel (of an amd64 build whose Go loops the compiler leaves
+// unfused — any below GOAMD64=v3; no other architecture has the bodies).
 func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 	c = c[:n]
+	vec := activeKernel.vec
 	if beta == 0 {
 		for j := range c {
 			c[j] = 0
@@ -299,15 +322,15 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 		cnt = 0
 		a0, a1, a2, a3 := coef[0], coef[1], coef[2], coef[3]
 		b0, b1, b2, b3 := brow[0], brow[1], brow[2], brow[3]
-		for j := range c {
+		for j := axpy4(vec, c, b0, b1, b2, b3, a0, a1, a2, a3); j < n; j++ {
 			c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
 	}
 	for g := 0; g < cnt; g++ {
 		av := coef[g]
 		row := brow[g]
-		for j, bv := range row {
-			c[j] += av * bv
+		for j := axpy1(vec, c, row, av); j < n; j++ {
+			c[j] += av * row[j]
 		}
 	}
 }

@@ -25,8 +25,8 @@ func xgetbv0() (eax, edx uint32)
 // downclocking concerns on modern parts.
 func archKernels() []kernelDesc {
 	return []kernelDesc{
-		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel},
-		{name: "avx2-8x8", mr: 8, nr: 8, fma: true, available: hasAVX2FMA(), priority: 10, fn: fmaKernel},
+		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel, vec: vecAVX512},
+		{name: "avx2-8x8", mr: 8, nr: 8, fma: true, available: hasAVX2FMA(), priority: 10, fn: fmaKernel, vec: vecAVX2},
 	}
 }
 

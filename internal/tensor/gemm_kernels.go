@@ -28,6 +28,19 @@ const (
 // with row stride nr (overwritten, not accumulated).
 type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 
+// vecISA names the instruction set of the two vector loops that sit outside
+// the blocked GEMM — the direct convolution's tap-accumulate kernel
+// (conv_direct.go) and the bodies of gemvRow's fused passes — for the
+// registry entry whose CPUID gate covers them. vecNone: convolutions go
+// through im2col and gemvRow runs its Go loops.
+type vecISA uint8
+
+const (
+	vecNone vecISA = iota
+	vecAVX2
+	vecAVX512
+)
+
 // kernelDesc is one registered micro-kernel.
 type kernelDesc struct {
 	name      string // e.g. "avx512-8x16"; "generic-<mr>x<nr>" are the references
@@ -36,6 +49,7 @@ type kernelDesc struct {
 	available bool // CPU (and OS state) support detected at init
 	priority  int  // selection rank among available kernels; higher wins
 	fn        microKernelFunc
+	vec       vecISA // the vector loops available with this kernel
 }
 
 // kernelTable lists every registered kernel; activeKernel is the selected

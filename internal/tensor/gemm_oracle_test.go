@@ -240,6 +240,76 @@ func FuzzBlockedGEMM(f *testing.F) {
 	})
 }
 
+func absAll(v []float32) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = float32(math.Abs(float64(x)))
+	}
+	return out
+}
+
+// FuzzGEMMKernelsVsNaive holds every micro-kernel this CPU runs to the naive
+// reference over ragged shapes — rows, depths and widths that are no
+// multiple of any tile, past one depth block and one row block — through the
+// blocked driver and through GEMM's own dispatch (for a single row that is
+// gemvRow and its vector bodies), on operands that round.
+func FuzzGEMMKernelsVsNaive(f *testing.F) {
+	f.Add(uint16(1), uint16(784), uint16(37), float32(1), float32(0), uint32(3))
+	f.Add(uint16(3), uint16(25), uint16(784), float32(1), float32(0), uint32(5))
+	f.Add(uint16(129), uint16(257), uint16(17), float32(1), float32(1), uint32(7))
+	f.Add(uint16(9), uint16(300), uint16(199), float32(-0.5), float32(2), uint32(11))
+	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint16, alpha, beta float32, seed uint32) {
+		m, k, n := int(mRaw)%160+1, int(kRaw)%300+1, int(nRaw)%200+1
+		if !(math.Abs(float64(alpha)) <= 4 && math.Abs(float64(beta)) <= 4) {
+			return // NaN, Inf, or a scale under which the tolerance means nothing
+		}
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		cInit := make([]float32, m*n)
+		fillMantissa(a, seed)
+		fillMantissa(b, seed+101)
+		fillMantissa(cInit, seed+211)
+		want := append([]float32(nil), cInit...)
+		GEMMNaive(a, b, want, m, k, n, alpha, beta)
+		// Two summation orders of one element differ by at most 2·k·u times
+		// the sum of its terms' magnitudes (u = 2⁻²⁴), fused or not: far
+		// below a dropped, doubled or misplaced term, which is what a ragged
+		// edge gets wrong.
+		mag := make([]float32, m*n)
+		for i, v := range cInit {
+			mag[i] = float32(math.Abs(float64(v)))
+		}
+		GEMMNaive(absAll(a), absAll(b), mag, m, k, n, float32(math.Abs(float64(alpha))), float32(math.Abs(float64(beta))))
+		within := func(got []float32) (int, bool) {
+			for i := range want {
+				if math.Abs(float64(got[i])-float64(want[i])) > 2*float64(k+2)/(1<<24)*float64(mag[i])+1e-30 {
+					return i, false
+				}
+			}
+			return 0, true
+		}
+
+		defer SetBlockedKernelForTest(SetBlockedKernelForTest(true))
+		defer SetGEMMKernelForTest(GEMMKernelName())
+		for _, kern := range GEMMKernels() {
+			if !kern.Available {
+				continue
+			}
+			SetGEMMKernelForTest(kern.Name)
+			got := append([]float32(nil), cInit...)
+			gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, alpha, beta, Epilogue{}, nil, nil)
+			if i, ok := within(got); !ok {
+				t.Fatalf("%s blocked %dx%dx%d alpha=%v beta=%v: c[%d] = %v, naive %v", kern.Name, m, k, n, alpha, beta, i, got[i], want[i])
+			}
+			copy(got, cInit)
+			GEMM(a, b, got, m, k, n, alpha, beta)
+			if i, ok := within(got); !ok {
+				t.Fatalf("%s dispatch %dx%dx%d alpha=%v beta=%v: c[%d] = %v, naive %v", kern.Name, m, k, n, alpha, beta, i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Kernel benchmarks. The GFLOPS metric makes before/after comparisons
 // machine-independent; BenchmarkGEMMNaive256 is the retained baseline the
@@ -306,22 +376,6 @@ func BenchmarkMatVec(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkGemvRow(b *testing.B) {
-	// The single-image dense shape of the ClassifyDirect fast path.
-	const k, n = 784, 128
-	a := make([]float32, k)
-	bb := make([]float32, k*n)
-	c := make([]float32, n)
-	fillDeterministic(a, 13)
-	fillDeterministic(bb, 17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gemvRow(a, bb, c, k, n, 1, 0)
-	}
-	b.ReportMetric(2*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 func BenchmarkAddRowVector(b *testing.B) {

@@ -164,10 +164,7 @@ func Im2ColPacked(dst, in []float32, n int, d ConvDims) PackedB {
 	for i := 0; i < n; i++ {
 		img := in[i*imgLen : (i+1)*imgLen]
 		if d.Pad > 0 {
-			for cy := 0; cy < d.InC*d.InH; cy++ {
-				c, y := cy/d.InH, cy%d.InH
-				copy(frame[(c*fh+y+d.Pad)*fw+d.Pad:], img[cy*d.InW:(cy+1)*d.InW])
-			}
+			d.fillFrame(frame, img)
 			img = frame
 		}
 		for oy := 0; oy < d.OutH; oy++ {
@@ -184,6 +181,17 @@ func Im2ColPacked(dst, in []float32, n int, d ConvDims) PackedB {
 		pb.zeroColumns(pb.n, nr-pad)
 	}
 	return pb
+}
+
+// fillFrame copies one image into the interior of its zero-padded frame
+// (InC × (InH+2·Pad) × (InW+2·Pad)); the border is the caller's to clear,
+// once for any number of images.
+func (d ConvDims) fillFrame(frame, img []float32) {
+	fh, fw := d.InH+2*d.Pad, d.InW+2*d.Pad
+	for cy := 0; cy < d.InC*d.InH; cy++ {
+		c, y := cy/d.InH, cy%d.InH
+		copy(frame[(c*fh+y+d.Pad)*fw+d.Pad:], img[cy*d.InW:(cy+1)*d.InW])
+	}
 }
 
 // im2colSpan writes matrix columns [j, j+cnt) — output pixels (oy, ox0…) of
