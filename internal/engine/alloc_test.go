@@ -35,7 +35,7 @@ func TestRunBatchZeroAlloc(t *testing.T) {
 			const n = 16
 			e := New(testPipeline(), Config{MaxBatch: n, Workers: 1})
 			defer e.Close()
-			w := e.newWorker(e.hard, 99)
+			w := e.newWorker(e.hard)
 
 			batch := make([]*request, n)
 			for i := range batch {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -41,10 +42,9 @@ type worker struct {
 	x     tensor.Tensor
 	preds []int
 
-	// rec is the worker's private span ring: runBatch writes the batch's
-	// lifecycle spans (queue, batch-form, execute, respond) into it, and
-	// the worker's plans append their per-step spans. Single-writer by
-	// construction — only this worker's goroutine emits.
+	// rec is the worker's span ring, one track of /debug/trace: runBatch
+	// writes the batch's lifecycle spans (queue, batch-form, execute,
+	// respond) into it, and the worker's plans append their per-step spans.
 	rec *trace.Recorder
 	// routeName is the pre-interned route label for execute spans.
 	routeName trace.NameID
@@ -57,7 +57,7 @@ type route struct {
 	batches chan []*request // formed micro-batches; closed by the batcher
 	// cost is the per-image work of the network(s) the route runs, recorded
 	// here once; every modelled latency and energy figure for the route —
-	// /classify, the flight ring, /metrics — is core.PriceImage of it.
+	// /classify, a flight dump, /metrics — is core.PriceImage of it.
 	cost device.Cost
 	// plans compiles one worker's PlanSet at a given batch capacity: AE +
 	// classifier on the hard route, a classifier alone everywhere else.
@@ -65,7 +65,6 @@ type route struct {
 	workers []*worker // built by New for the routes it starts
 	stats   *routeStats
 	breaker *resilience.Breaker // nil unless resilience is armed
-	started bool                // true once startRoute has launched its goroutines
 }
 
 // newRoute constructs a route and registers it; startRoute actually
@@ -93,11 +92,6 @@ func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap 
 	return rt
 }
 
-// liveRoutes returns the routes actually serving traffic, in registration
-// order (easy, hard, then variants). Fixed at New, so callers may iterate
-// without locking.
-func (e *Engine) liveRoutes() []*route { return e.live }
-
 // RouteCost is one live route's per-image work under the §IV-C layer model
 // (device.SequentialCost of the networks it runs).
 type RouteCost struct {
@@ -116,6 +110,32 @@ func (e *Engine) RouteCosts() []RouteCost {
 	return costs
 }
 
+// answer delivers one request's outcome and is the only send on a done
+// channel. Every way a request leaves the engine after admission passes
+// through here, so the books are kept in one place: a served request counts
+// as completed, leaves its queue wait in the route's histogram and credits
+// the retry budget; a request shed at its deadline (it was still queued)
+// comes off the queued gauge and counts as expired; anything else counts as
+// failed. The in-flight gauge drops before the send: a caller holding its
+// answer must not read itself in flight.
+func (e *Engine) answer(rt *route, r *request, out outcome) {
+	switch {
+	case out.err == nil:
+		rt.stats.queueWaitMS.Observe(float64(out.res.QueueWait) / float64(time.Millisecond))
+		e.stats.completed.Inc()
+		if e.res != nil {
+			e.res.budget.OnSuccess()
+		}
+	case errors.Is(out.err, ErrDeadline):
+		rt.stats.queued.Add(-1)
+		e.stats.expired.Inc()
+	default:
+		e.stats.inferFailed.Inc()
+	}
+	rt.stats.inflight.Add(-1)
+	r.done <- out
+}
+
 // shedExpired answers a request whose deadline passed while it sat in the
 // admission queue: the caller gets ErrDeadline and the request never
 // occupies a batch slot. Returns true when the request was shed.
@@ -123,10 +143,7 @@ func (e *Engine) shedExpired(rt *route, r *request) bool {
 	if r.ctx == nil || r.ctx.Err() == nil {
 		return false
 	}
-	rt.stats.queued.Add(-1)
-	rt.stats.inflight.Add(-1)
-	e.stats.expired.Inc()
-	r.done <- outcome{err: ErrDeadline}
+	e.answer(rt, r, outcome{err: ErrDeadline})
 	return true
 }
 
@@ -232,13 +249,13 @@ func (e *Engine) workerLoop(rt *route, w *worker) {
 }
 
 // newWorker builds one worker's private state: batch buffers, a compiled
-// PlanSet, and a registered span recorder wired into both the lifecycle
-// spans and the plans' per-step spans. It panics when the route's network
+// PlanSet, and a span recorder wired into both the lifecycle spans and the
+// plans' per-step spans. It panics when the route's network
 // does not compile: New calls it before any goroutine starts, so that is a
 // configuration panic like a nameless variant. The zero-alloc regression
 // test reuses this exact wiring, so the traced production path is what gets
 // measured.
-func (e *Engine) newWorker(rt *route, idx int) *worker {
+func (e *Engine) newWorker(rt *route) *worker {
 	ps, err := rt.plans(e.cfg.MaxBatch)
 	if err != nil {
 		panic(fmt.Sprintf("engine: route %q: %v", rt.name, err))
@@ -251,7 +268,6 @@ func (e *Engine) newWorker(rt *route, idx int) *worker {
 		routeName: trace.Intern(string(rt.name)),
 	}
 	w.x = tensor.Tensor{Shape: []int{0, dataset.Pixels}}
-	e.registerTrack(fmt.Sprintf("%s/worker%d", rt.name, idx), w.rec)
 	ps.EnableTracing(w.rec, e.meter, string(rt.name))
 	return w
 }
@@ -287,9 +303,10 @@ func (e *Engine) safeInfer(rt *route, w *worker, x *tensor.Tensor) (logits, conv
 // the batch; on failure it answers none and returns the error, leaving the
 // caller to bisect or fail the batch. Everything a requester keeps (class,
 // converted image) is extracted or copied before it returns, because the
-// next batch reuses the plan buffers. tDone is the trace clock at the end of
-// the forward pass, for the caller's spans.
-func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64) (tDone int64, err error) {
+// next batch reuses the plan buffers. t0 is the caller's stamp at the start
+// of this run and tDone the one taken at the end of the forward pass: the
+// caller's span, Result.Infer and the inferMs sample are all tDone − t0.
+func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64, t0 int64) (tDone int64, err error) {
 	n := len(batch)
 	w.x.Shape[0] = n
 	w.x.Data = w.buf[:n*dataset.Pixels]
@@ -298,9 +315,7 @@ func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64) (t
 	}
 	w.ps.SetTraceID(id)
 
-	start := time.Now()
 	logits, converted, err := e.safeInfer(rt, w, &w.x)
-	inferDur := time.Since(start)
 	tDone = trace.Now()
 	if rt.breaker != nil {
 		rt.breaker.Observe(err == nil)
@@ -311,10 +326,8 @@ func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64) (t
 	preds := w.preds[:n]
 	logits.ArgMaxRows(preds)
 
-	rt.stats.observeBatch(n, inferDur)
-	// The gauge drops before the first reply, as at the deadline-shed
-	// sites: a caller holding every answer must not read itself in flight.
-	rt.stats.inflight.Add(-int64(n))
+	infer := time.Duration(tDone - t0)
+	rt.stats.observeBatch(n, infer)
 	for i, r := range batch {
 		res := Result{
 			RequestID: r.id,
@@ -322,18 +335,13 @@ func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64) (t
 			Route:     string(rt.name),
 			Hardness:  r.hardness,
 			BatchSize: n,
-			QueueWait: start.Sub(r.enqueued),
-			Infer:     inferDur,
+			QueueWait: time.Duration(r.tRun - r.tEnq),
+			Infer:     infer,
 		}
 		if r.wantConverted && converted != nil {
 			res.Converted = append([]float32(nil), converted.Data[i*dataset.Pixels:(i+1)*dataset.Pixels]...)
 		}
-		rt.stats.observeRequest(res.QueueWait)
-		e.stats.completed.Inc()
-		if e.res != nil {
-			e.res.budget.OnSuccess()
-		}
-		r.done <- outcome{res: res}
+		e.answer(rt, r, outcome{res: res})
 	}
 	return tDone, nil
 }
@@ -358,12 +366,12 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 	n := len(batch)
 	batchID := e.batchSeq.Add(1)
 
-	// Lifecycle spans: per-request queue spans (admission → execution
-	// start, Ref = batch ID for correlation) and the batcher's coalescing
-	// window, all emitted here because the worker is the ring's single
-	// writer.
+	// One stamp ends every request's queue wait (Ref = batch ID for
+	// correlation), ends the batcher's coalescing window and starts the
+	// execute span, so the stages tile the request's time in the engine.
 	t0 := trace.Now()
 	for _, r := range batch {
+		r.tRun = t0
 		w.rec.Emit(trace.Span{ID: r.id, Ref: batchID, Kind: trace.KindQueue,
 			Name: w.routeName, Batch: n, Start: r.tEnq, Dur: t0 - r.tEnq})
 	}
@@ -373,7 +381,7 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 	}
 	rt.stats.queued.Add(-int64(n))
 
-	tExec, inferErr := e.execBatch(rt, w, batch, batchID)
+	tExec, inferErr := e.execBatch(rt, w, batch, batchID, t0)
 	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindExecute,
 		Name: w.routeName, Batch: n, Start: t0, Dur: tExec - t0})
 	if inferErr != nil {

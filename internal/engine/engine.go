@@ -36,6 +36,18 @@
 // goroutines. Requests whose deadline passes while queued are shed again at
 // batch formation (ErrDeadline), so a dead request never occupies a batch
 // slot. Close drains every accepted request before returning.
+//
+// A request's time in the engine is written down once. Each stage boundary
+// — admission, the batcher opening a batch, a worker picking it up, the end
+// of the forward pass, the last reply — is one trace.Now() reading, and the
+// worker's spans (queue, batch-form, execute, respond, plan steps), the
+// Result's QueueWait and Infer and the two latency histograms are all
+// differences of those readings, so they cannot disagree and adjacent
+// stages add up (see Result for what each covers). Every admitted request
+// is answered in one function, answer, which owns the done-channel send and
+// the gauge, counter, histogram and retry-budget bookkeeping that goes with
+// it. Any goroutine may write a worker's span ring; /debug/trace reads the
+// rings by walking the live routes' workers (TraceTracks).
 package engine
 
 import (
@@ -208,9 +220,14 @@ type Result struct {
 	Hardness float64
 	// BatchSize is the size of the micro-batch this request rode in.
 	BatchSize int
-	// QueueWait is the time from admission to batch execution start.
+	// QueueWait is the time from admission to the moment a worker picked the
+	// request's batch up: its queue span's duration, and its sample in
+	// cbnet_queue_wait_seconds.
 	QueueWait time.Duration
-	// Infer is the forward-pass time of the whole batch.
+	// Infer is the time the worker then spent on the whole batch — copying
+	// the images into the batch tensor and the forward pass — up to the last
+	// plan step's end: the batch's execute (or, re-run after a failure,
+	// bisect) span's duration, and its sample in cbnet_infer_seconds.
 	Infer time.Duration
 	// Converted is the AE output image, set only when requested.
 	Converted []float32
@@ -223,20 +240,20 @@ type outcome struct {
 	err error
 }
 
-// request is the internal unit flowing through a route.
+// request is the internal unit flowing through a route. Its stamps are
+// trace.Now() readings, each taken once where the stage boundary is crossed;
+// spans, Result durations and histogram samples are all differences of them.
 type request struct {
 	id            uint64
 	ctx           context.Context // caller context; checked again at batch formation
 	pixels        []float32
 	wantConverted bool
 	hardness      float64
-	fp            uint64 // content fingerprint (resilience armed), else 0
-	enqueued      time.Time
-	tEnq          int64 // trace.Now() at admission, for the queue span
-	tOpen         int64 // trace.Now() when the batcher opened this batch
-	// (stamped on the batch's first request only); the worker
-	// turns it into the batch-form span.
-	done chan outcome // buffered(1): workers never block on delivery
+	fp            uint64       // content fingerprint (resilience armed), else 0
+	tEnq          int64        // admission
+	tOpen         int64        // the batcher opened this batch (its first request only)
+	tRun          int64        // a worker picked the batch up: queue wait ends, execution starts
+	done          chan outcome // buffered(1): answer never blocks
 }
 
 // Engine coalesces single-image requests into batched forward passes.
@@ -267,27 +284,9 @@ type Engine struct {
 	reqID    atomic.Uint64
 	batchSeq atomic.Uint64
 
-	// trackMu guards tracks, the registry of per-goroutine span
-	// recorders drained by /debug/trace. Workers register on startup
-	// (cold path).
-	trackMu sync.Mutex
-	tracks  []traceTrack
-
 	mu     sync.RWMutex // guards closed and the queue-close handoff
 	closed bool
 	wg     sync.WaitGroup // batchers + workers
-}
-
-// traceTrack pairs a recorder with its display name.
-type traceTrack struct {
-	name string
-	rec  *trace.Recorder
-}
-
-func (e *Engine) registerTrack(name string, rec *trace.Recorder) {
-	e.trackMu.Lock()
-	e.tracks = append(e.tracks, traceTrack{name: name, rec: rec})
-	e.trackMu.Unlock()
 }
 
 // New builds and starts an engine over a trained pipeline. It panics on
@@ -306,7 +305,7 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	e := &Engine{
 		cfg:    cfg,
 		pipe:   pipe,
-		stats:  newEngineStats(cfg),
+		stats:  newEngineStats(),
 		meter:  trace.NewMeter(),
 		byName: make(map[RouteName]*route),
 		fault:  cfg.Fault,
@@ -345,7 +344,7 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	// network the compiler rejects panics here, in the caller of New.
 	for _, rt := range e.live {
 		for i := 0; i < cfg.Workers; i++ {
-			rt.workers = append(rt.workers, e.newWorker(rt, i))
+			rt.workers = append(rt.workers, e.newWorker(rt))
 		}
 	}
 	// Workers × routes are this process's parallelism: a forward pass
@@ -365,7 +364,6 @@ func classifierPlans(net *nn.Sequential) func(batchCap int) (*core.PlanSet, erro
 }
 
 func (e *Engine) startRoute(rt *route) {
-	rt.started = true
 	e.wg.Add(1)
 	go e.batchLoop(rt)
 	for _, w := range rt.workers {
@@ -445,7 +443,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		e.mu.RUnlock()
 		return Result{}, ErrClosed
 	}
-	r.enqueued = time.Now()
 	r.tEnq = trace.Now()
 	// On the gauges before on the queue: a worker that picks the request up
 	// at once takes it off them, and a scrape in between must not read -1.
@@ -465,10 +462,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 
 	select {
 	case out := <-r.done:
-		if out.err != nil {
-			return Result{}, out.err
-		}
-		return out.res, nil
+		return out.res, out.err // res is zero beside an error
 	case <-ctx.Done():
 		e.stats.abandoned.Inc()
 		return Result{}, ctx.Err()

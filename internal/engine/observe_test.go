@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cbnet/internal/chaos"
 	"cbnet/internal/metrics"
@@ -105,8 +107,8 @@ func TestRequestIDsAndTraceTracks(t *testing.T) {
 	}
 
 	tracks := e.TraceTracks()
-	if len(tracks) == 0 {
-		t.Fatal("no trace tracks registered")
+	if len(tracks) != 2 || tracks[0].Name != "easy/worker0" || tracks[1].Name != "hard/worker0" {
+		t.Fatalf("tracks %+v, want one per worker of each live route", tracks)
 	}
 	kinds := map[trace.Kind]bool{}
 	var sawReqID bool
@@ -128,7 +130,7 @@ func TestRequestIDsAndTraceTracks(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.WriteTrace(&buf); err != nil {
+	if err := trace.WriteChrome(&buf, tracks); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -255,5 +257,87 @@ func TestGaugesRiseBeforeEnqueue(t *testing.T) {
 		if msg := probe.bad.Load(); msg != nil {
 			t.Fatalf("round %d: %s", round, *msg)
 		}
+	}
+}
+
+// TestSpansAgreeWithStats: a request's stages are stamped once, so the three
+// places a stage's time is reported cannot disagree. With fewer spans than a
+// worker's ring holds, per route: one queue span per image served, the queue
+// spans' durations sum to the queueWaitMs histogram's and the execute spans'
+// to inferMs's, every Result.QueueWait and Result.Infer is the duration of
+// that request's queue span and of its batch's execute span, and the queue
+// span ends on the stamp the execute span starts on.
+func TestSpansAgreeWithStats(t *testing.T) {
+	e := New(testPipeline(), Config{MaxBatch: 4, Workers: 1})
+	defer e.Close()
+	const pairs = 6 // 12 requests × (queue + 3 batch spans + plan steps) stays under traceRing on either route
+	results := map[uint64]Result{}
+	for i := uint64(0); i < pairs; i++ {
+		for _, img := range [][]float32{easyImage(i), hardImage(i)} {
+			res, err := e.Submit(context.Background(), Request{Pixels: img})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[res.RequestID] = res
+		}
+	}
+	// A caller holds its answer before the worker has written the batch's
+	// execute span; Close waits the workers out.
+	e.Close()
+	agree := func(what string, spanNs int64, histMs float64) {
+		t.Helper()
+		if got := float64(spanNs) / 1e6; math.Abs(got-histMs) > 1e-9*histMs {
+			t.Errorf("%s: spans sum to %v ms, histogram to %v ms", what, got, histMs)
+		}
+	}
+	served := int64(0)
+	for _, rt := range e.live {
+		var spans []trace.Span
+		for _, w := range rt.workers {
+			if w.rec.Dropped() != 0 {
+				t.Fatalf("route %s: a single-writer ring dropped %d spans", rt.name, w.rec.Dropped())
+			}
+			spans = append(spans, w.rec.Snapshot()...)
+		}
+		if len(spans) >= traceRing {
+			t.Fatalf("route %s: %d spans wrapped the ring; lower pairs", rt.name, len(spans))
+		}
+		execute := map[uint64]trace.Span{} // by batch ID
+		for _, s := range spans {
+			if s.Kind == trace.KindExecute {
+				execute[s.ID] = s
+			}
+		}
+		var queues, queueNs, executeNs int64
+		for _, s := range execute {
+			executeNs += s.Dur
+		}
+		for _, s := range spans {
+			if s.Kind != trace.KindQueue {
+				continue
+			}
+			queues++
+			queueNs += s.Dur
+			res, ex := results[s.ID], execute[s.Ref]
+			if res.Route != string(rt.name) {
+				t.Errorf("queue span of request %d on route %s, its result says %q", s.ID, rt.name, res.Route)
+			}
+			if int64(res.QueueWait) != s.Dur || int64(res.Infer) != ex.Dur {
+				t.Errorf("request %d: Result says queue %v infer %v, its spans %v and %v",
+					s.ID, res.QueueWait, res.Infer, time.Duration(s.Dur), time.Duration(ex.Dur))
+			}
+			if s.Start+s.Dur != ex.Start {
+				t.Errorf("request %d: queue span ends at %d, batch %d's execute span starts at %d", s.ID, s.Start+s.Dur, s.Ref, ex.Start)
+			}
+		}
+		if images := rt.stats.images.Value(); queues != images || images == 0 {
+			t.Errorf("route %s: %d queue spans for %d images", rt.name, queues, images)
+		}
+		served += queues
+		agree(string(rt.name)+" queue wait", queueNs, rt.stats.queueWaitMS.Sum())
+		agree(string(rt.name)+" infer", executeNs, rt.stats.inferMS.Sum())
+	}
+	if served != 2*pairs {
+		t.Errorf("%d queue spans for %d requests", served, 2*pairs)
 	}
 }

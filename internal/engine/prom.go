@@ -39,7 +39,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 
 	if r := e.res; r != nil {
 		var state, trans []metrics.VecSample
-		for _, rt := range e.liveRoutes() {
+		for _, rt := range e.live {
 			if rt.breaker == nil {
 				continue
 			}
@@ -69,7 +69,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 			nil, float64(r.bisectSaved.Value()))
 	}
 
-	routes := e.liveRoutes()
+	routes := e.live
 	var images, batches, queued, inflight, depth []metrics.VecSample
 	var queueWait, infer, sizes []metrics.HistSample
 	for _, rt := range routes {

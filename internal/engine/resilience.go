@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"cbnet/internal/metrics"
 	"cbnet/internal/resilience"
@@ -38,13 +37,12 @@ type ResilienceConfig struct {
 const maxBisectDepth = 6
 
 // BreakerTransition describes one circuit-breaker state change, delivered
-// to OnBreaker observers (the serve layer logs it and records a flight
-// event).
+// to OnBreaker observers (the serve layer logs it and writes a breaker span
+// to its track).
 type BreakerTransition struct {
 	Route RouteName
 	From  resilience.State
 	To    resilience.State
-	At    time.Time
 }
 
 // resilienceState is the engine side of the fault-isolation layer.
@@ -65,7 +63,7 @@ type resilienceState struct {
 // Submit admitting the first probe). Cold path.
 func (e *Engine) breakerChanged(rt *route, from, to resilience.State) {
 	if fn, ok := e.res.onBreaker.Load().(func(BreakerTransition)); ok && fn != nil {
-		fn(BreakerTransition{Route: rt.name, From: from, To: to, At: time.Now()})
+		fn(BreakerTransition{Route: rt.name, From: from, To: to})
 	}
 }
 
@@ -152,19 +150,16 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint64) bool {
 	subID := e.batchSeq.Add(1)
 	t0 := trace.Now()
-	tDone, err := e.execBatch(rt, w, sub, subID)
+	tDone, err := e.execBatch(rt, w, sub, subID, t0)
 	w.rec.Emit(trace.Span{ID: subID, Ref: parentID, Kind: trace.KindBisect,
 		Name: w.routeName, Batch: len(sub), Start: t0, Dur: tDone - t0})
 	return err == nil
 }
 
-// failSubBatch answers a group of suspects with the original infer error,
-// taking them off the in-flight gauge first (see runBatch).
+// failSubBatch answers a group of suspects with the original infer error.
 func (e *Engine) failSubBatch(rt *route, sub []*request, inferErr error) {
-	e.stats.inferFailed.Add(int64(len(sub)))
-	rt.stats.inflight.Add(-int64(len(sub)))
 	for _, r := range sub {
-		r.done <- outcome{err: inferErr}
+		e.answer(rt, r, outcome{err: inferErr})
 	}
 }
 

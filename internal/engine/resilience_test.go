@@ -342,7 +342,7 @@ func TestRunBatchZeroAllocResilience(t *testing.T) {
 		Resilience: ResilienceConfig{Enabled: true}})
 	defer e.Close()
 
-	w := e.newWorker(e.hard, 99)
+	w := e.newWorker(e.hard)
 	batch := make([]*request, n)
 	for i := range batch {
 		batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}

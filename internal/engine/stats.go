@@ -32,7 +32,7 @@ type routeStats struct {
 	inferMS     *metrics.Histogram
 }
 
-func newEngineStats(cfg Config) *engineStats {
+func newEngineStats() *engineStats {
 	return &engineStats{
 		start:  time.Now(),
 		routes: make(map[RouteName]*routeStats),
@@ -60,10 +60,6 @@ func (r *routeStats) observeBatch(n int, infer time.Duration) {
 	r.images.Add(int64(n))
 	r.batchSizes.Observe(float64(n))
 	r.inferMS.Observe(float64(infer) / float64(time.Millisecond))
-}
-
-func (r *routeStats) observeRequest(queueWait time.Duration) {
-	r.queueWaitMS.Observe(float64(queueWait) / float64(time.Millisecond))
 }
 
 // RouteSnapshot is the exported per-route stats view.
@@ -148,7 +144,7 @@ func (e *Engine) Stats() Snapshot {
 	if uptime > 0 {
 		snap.ThroughputPerSec = float64(snap.Completed) / uptime
 	}
-	for _, rt := range e.liveRoutes() {
+	for _, rt := range e.live {
 		rs := rt.stats
 		r := RouteSnapshot{
 			Route:         string(rt.name),

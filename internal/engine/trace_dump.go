@@ -1,27 +1,22 @@
 package engine
 
 import (
-	"io"
+	"fmt"
 
 	"cbnet/internal/trace"
 )
 
-// TraceTracks snapshots every registered span ring — one track per worker
-// goroutine, carrying its recent lifecycle and plan-step spans.
+// TraceTracks snapshots every worker's span ring — one track per worker
+// goroutine of every live route, carrying its recent lifecycle and plan-step
+// spans. Routes and their workers are fixed at New, so the walk needs no
+// lock. The serve layer renders these below its own request track
+// (/debug/trace, and the same document inside a flight dump).
 func (e *Engine) TraceTracks() []trace.Track {
-	e.trackMu.Lock()
-	regs := make([]traceTrack, len(e.tracks))
-	copy(regs, e.tracks)
-	e.trackMu.Unlock()
-	out := make([]trace.Track, 0, len(regs))
-	for _, r := range regs {
-		out = append(out, trace.Track{Name: r.name, Spans: r.rec.Snapshot()})
+	var out []trace.Track
+	for _, rt := range e.live {
+		for i, w := range rt.workers {
+			out = append(out, trace.Track{Name: fmt.Sprintf("%s/worker%d", rt.name, i), Spans: w.rec.Snapshot()})
+		}
 	}
 	return out
-}
-
-// WriteTrace dumps the recent spans of every worker as Chrome trace-event
-// JSON — load it in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func (e *Engine) WriteTrace(w io.Writer) error {
-	return trace.WriteChrome(w, e.TraceTracks())
 }

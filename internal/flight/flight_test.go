@@ -2,133 +2,85 @@ package flight
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cbnet/internal/trace"
 )
 
-func TestRingRoundTrip(t *testing.T) {
-	r := NewRing(8)
+// TestDumpListsServeTrack: a dump's events are the serve track's spans, in
+// stream order under the JSON keys operators and CI read: tMs is when the
+// outcome was stamped (the span's end), status the span's Step, route the
+// interned name, seq the stream position — so a wrapped ring shows as a gap
+// between the count and the first seq.
+func TestDumpListsServeTrack(t *testing.T) {
+	events := trace.NewRecorder(4)
+	rec := New(Config{}, events)
 	route := trace.Intern("easy")
-	for i := 1; i <= 5; i++ {
-		r.Record(Event{
-			T: int64(i) * 1000, Kind: KindComplete, RequestID: uint64(i),
-			Route: route, Status: 200, DurNs: 5000, BatchSize: 4,
-		})
+	events.Emit(trace.Span{ID: 1, Kind: trace.KindAdmit, Start: 500})
+	events.Emit(trace.Span{ID: 1, Kind: trace.KindAdmit, Start: 1_000_000})
+	events.Emit(trace.Span{ID: 1, Kind: trace.KindComplete, Name: route, Step: 200, Batch: 4, Start: 1_000_000, Dur: 2_500_000})
+	events.Emit(trace.Span{ID: 2, Kind: trace.KindAbandon, Step: 503, Start: 4_000_000})
+	events.Emit(trace.Span{Kind: trace.KindBreaker, Name: route, Step: 1, Start: 5_000_000})
+
+	raw, err := json.Marshal(rec.Snapshot("manual"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := r.Snapshot()
-	if len(got) != 5 {
-		t.Fatalf("got %d events, want 5", len(got))
+	var d struct {
+		Trigger       string           `json:"trigger"`
+		Events        []map[string]any `json:"events"`
+		DroppedEvents *uint64          `json:"droppedEvents"`
 	}
-	for i, e := range got {
-		if e.RequestID != uint64(i+1) {
-			t.Fatalf("event %d: requestID %d, want %d", i, e.RequestID, i+1)
-		}
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d: seq %d, want %d", i, e.Seq, i+1)
-		}
-		if e.Kind != KindComplete || e.Status != 200 || e.BatchSize != 4 || e.Route != route {
-			t.Fatalf("event %d fields corrupted: %+v", i, e)
-		}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Trigger != "manual" || d.DroppedEvents == nil || *d.DroppedEvents != 0 {
+		t.Fatalf("dump header: %s", raw)
+	}
+	want := []map[string]any{
+		{"seq": 2.0, "tMs": 1.0, "kind": "admit", "requestId": 1.0},
+		{"seq": 3.0, "tMs": 3.5, "kind": "complete", "requestId": 1.0, "route": "easy", "status": 200.0, "durMs": 2.5, "batchSize": 4.0},
+		{"seq": 4.0, "tMs": 4.0, "kind": "abandon", "requestId": 2.0, "status": 503.0},
+		{"seq": 5.0, "tMs": 5.0, "kind": "breaker", "route": "easy", "status": 1.0},
+	}
+	if !reflect.DeepEqual(d.Events, want) {
+		t.Fatalf("events\n got %v\nwant %v", d.Events, want)
 	}
 }
 
-func TestRingWraps(t *testing.T) {
-	r := NewRing(4)
-	for i := 1; i <= 10; i++ {
-		r.Record(Event{RequestID: uint64(i), Kind: KindAdmit})
-	}
-	got := r.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("got %d events, want 4 (capacity)", len(got))
-	}
-	for i, e := range got {
-		if e.RequestID != uint64(7+i) {
-			t.Fatalf("event %d: requestID %d, want %d (oldest evicted)", i, e.RequestID, 7+i)
-		}
-	}
-}
-
-func TestRingNilSafe(t *testing.T) {
-	var r *Ring
-	r.Record(Event{})
-	if r.Snapshot() != nil || r.Dropped() != 0 {
-		t.Fatal("nil ring must be inert")
-	}
-	var rec *Recorder
-	rec.Record(Event{})
-	rec.NoteReject(0)
-	rec.Trip("x")
-	rec.SetContext(nil)
-	if rec.Logs() != nil {
-		t.Fatal("nil recorder Logs() must be nil")
-	}
-	if d := rec.Snapshot("manual"); d == nil || d.Trigger != "manual" {
-		t.Fatal("nil recorder Snapshot must return an empty dump")
-	}
-}
-
-func TestRingConcurrentWriters(t *testing.T) {
-	r := NewRing(256)
-	var wg sync.WaitGroup
-	const writers, per = 8, 5000
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Record(Event{RequestID: uint64(w*per + i), Kind: KindComplete, Status: 200})
-				if i%500 == 0 {
-					r.Snapshot()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := r.Snapshot()
-	if len(got)+int(r.Dropped()) == 0 {
-		t.Fatal("no events recorded")
-	}
-	// All surviving events must be well-formed (no torn mixes).
-	for _, e := range got {
-		if e.Kind != KindComplete || e.Status != 200 {
-			t.Fatalf("torn event: %+v", e)
-		}
-	}
-}
-
-func TestRecordAllocFree(t *testing.T) {
-	r := NewRing(64)
-	e := Event{T: 1, Kind: KindComplete, RequestID: 7, Status: 200, DurNs: 100, BatchSize: 2}
-	allocs := testing.AllocsPerRun(1000, func() { r.Record(e) })
-	if allocs != 0 {
-		t.Fatalf("Record allocates %v per run, want 0", allocs)
+// TestTracklessRecorderDumpsAnEmptyList: without a serve track (the policy
+// tests below) a dump still carries an events array, not null.
+func TestTracklessRecorderDumpsAnEmptyList(t *testing.T) {
+	if d := New(Config{}, nil).Snapshot("manual"); d.Trigger != "manual" || d.Events == nil || len(d.Events) != 0 || d.DroppedEvents != 0 {
+		t.Fatalf("trackless recorder dumped %+v", d)
 	}
 }
 
 func TestBurstDetectorTripsAndDumps(t *testing.T) {
 	dir := t.TempDir()
+	events := trace.NewRecorder(16)
 	rec := New(Config{
 		Dir:            dir,
 		BurstThreshold: 5,
 		BurstWindow:    time.Second,
-		Context: func() map[string]any {
-			return map[string]any{"queueDepth": 42}
-		},
+	}, events)
+	rec.SetContext(func() map[string]any {
+		return map[string]any{"queueDepth": 42}
 	})
 	var dumped *Dump
 	rec.onDump = func(d *Dump) { dumped = d }
 
 	base := trace.Now()
 	for i := 0; i < 5; i++ {
-		rec.Record(Event{T: base, Kind: KindReject, RequestID: uint64(i), Status: 503})
+		events.Emit(trace.Span{ID: uint64(i), Kind: trace.KindReject, Step: 503, Start: base})
 		rec.NoteReject(base + int64(i)*int64(time.Millisecond))
 	}
 	if dumped == nil {
@@ -162,7 +114,7 @@ func TestBurstDetectorTripsAndDumps(t *testing.T) {
 }
 
 func TestBurstBelowThresholdDoesNotTrip(t *testing.T) {
-	rec := New(Config{BurstThreshold: 5, BurstWindow: time.Second})
+	rec := New(Config{BurstThreshold: 5, BurstWindow: time.Second}, nil)
 	tripped := false
 	rec.onDump = func(*Dump) { tripped = true }
 	// 4 rejects in the window, then 4 more spaced far apart.
@@ -179,7 +131,7 @@ func TestBurstBelowThresholdDoesNotTrip(t *testing.T) {
 }
 
 func TestCooldownSuppressesRepeatDumps(t *testing.T) {
-	rec := New(Config{Cooldown: time.Hour})
+	rec := New(Config{Cooldown: time.Hour}, nil)
 	dumps := 0
 	rec.onDump = func(*Dump) { dumps++ }
 	rec.Trip("slo trip one")
@@ -195,30 +147,30 @@ func TestCooldownSuppressesRepeatDumps(t *testing.T) {
 }
 
 func TestLogBufferTee(t *testing.T) {
-	rec := New(Config{LogLines: 3})
+	rec := New(Config{}, nil)
 	h := rec.Logs().Wrap(slog.NewTextHandler(io.Discard, nil))
 	log := slog.New(h).With("route", "easy")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < logLines+2; i++ {
 		log.Info("served", "requestId", i)
 	}
 	tail := rec.Logs().Tail()
-	if len(tail) != 3 {
-		t.Fatalf("tail holds %d lines, want 3", len(tail))
+	if len(tail) != logLines {
+		t.Fatalf("tail holds %d lines, want %d", len(tail), logLines)
 	}
-	if !strings.Contains(tail[2], "requestId=4") || !strings.Contains(tail[2], "route=easy") {
-		t.Fatalf("newest line malformed: %q", tail[2])
+	if newest := tail[logLines-1]; !strings.HasSuffix(newest, fmt.Sprintf("requestId=%d", logLines+1)) || !strings.Contains(newest, "route=easy") {
+		t.Fatalf("newest line malformed: %q", newest)
 	}
-	if !strings.Contains(tail[0], "requestId=2") {
+	if !strings.HasSuffix(tail[0], "requestId=2") {
 		t.Fatalf("oldest retained line should be requestId=2: %q", tail[0])
 	}
 	d := rec.Snapshot("manual")
-	if len(d.Logs) != 3 {
-		t.Fatalf("dump carries %d log lines, want 3", len(d.Logs))
+	if len(d.Logs) != logLines {
+		t.Fatalf("dump carries %d log lines, want %d", len(d.Logs), logLines)
 	}
 }
 
 func TestLogBufferGroups(t *testing.T) {
-	rec := New(Config{LogLines: 4})
+	rec := New(Config{}, nil)
 	h := rec.Logs().Wrap(slog.NewTextHandler(io.Discard, nil))
 	slog.New(h).WithGroup("engine").Info("drained", "inflight", 0)
 	tail := rec.Logs().Tail()

@@ -31,9 +31,6 @@ func newLogBuffer(n int) *LogBuffer {
 
 // append stores one rendered line, evicting the oldest when full.
 func (b *LogBuffer) append(line string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.lines[b.head] = line
 	b.head = (b.head + 1) % len(b.lines)
@@ -45,9 +42,6 @@ func (b *LogBuffer) append(line string) {
 
 // Tail returns the retained lines, oldest first.
 func (b *LogBuffer) Tail() []string {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]string, 0, b.filled)

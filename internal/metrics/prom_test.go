@@ -177,12 +177,11 @@ func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Inc()
 	g.Inc()
-	g.Dec()
+	g.Add(-1)
 	if g.Value() != 1 {
 		t.Fatalf("gauge = %d, want 1", g.Value())
 	}
-	g.Add(5)
-	g.Set(-2)
+	g.Add(-3)
 	if g.Value() != -2 {
 		t.Fatalf("gauge = %d, want -2", g.Value())
 	}

@@ -41,14 +41,8 @@ type Gauge struct {
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Add moves the gauge by delta (either sign).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Set pins the gauge to v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }

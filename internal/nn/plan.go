@@ -503,15 +503,18 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 	}
 	last := len(p.steps) - 1
 	traced := p.rec != nil || p.stats != nil
+	// The clock is read once per step boundary, k+1 times for k steps: step
+	// i ends on the stamp step i+1 starts on, so the step spans tile the
+	// plan's interval and their durations add up to it.
 	var t0 int64
+	if traced {
+		t0 = trace.Now()
+	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		out := p.buf[st.outOff : st.outOff+n*st.outW]
 		if i == last && dst != nil {
 			out = dst.Data[:n*st.outW]
-		}
-		if traced {
-			t0 = trace.Now()
 		}
 		switch st.op {
 		case opDense:
@@ -524,7 +527,8 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 			runAct(st, cur, out, n)
 		}
 		if traced {
-			dur := trace.Now() - t0
+			t1 := trace.Now()
+			dur := t1 - t0
 			if p.stats != nil {
 				p.stats[i].Observe(dur, n)
 			}
@@ -541,6 +545,7 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 					Bytes: int64(n)*st.ioPerImg + st.fixedBytes,
 				})
 			}
+			t0 = t1
 		}
 		cur = out
 	}

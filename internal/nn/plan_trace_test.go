@@ -119,6 +119,56 @@ func TestTracedExecuteEmitsSpans(t *testing.T) {
 	}
 }
 
+// TestStepSpansTileThePlan: the traced loop reads the clock once per step
+// boundary, so within one Execute step i+1 starts on the stamp step i ends
+// on, the durations add up to last end − first start, and the meter's
+// nanoseconds are the same sum.
+func TestStepSpansTileThePlan(t *testing.T) {
+	net, inW := traceTestNet(t)
+	p, err := Compile(net, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(64)
+	m := trace.NewMeter()
+	p.EnableTracing(rec, m, "")
+	x := tensor.New(8, inW)
+	x.RandUniform(rng.New(3), 0, 1)
+	before := trace.Now()
+	p.Execute(nil, x)
+	after := trace.Now()
+
+	spans := rec.Snapshot()
+	k := len(p.Steps())
+	if len(spans) != k || k < 2 {
+		t.Fatalf("%d spans for a %d-step plan", len(spans), k)
+	}
+	var sum int64
+	for i, s := range spans {
+		if s.Step != i {
+			t.Fatalf("span %d is step %d", i, s.Step)
+		}
+		if i+1 < k && spans[i+1].Start != s.Start+s.Dur {
+			t.Errorf("step %d ends at %d, step %d starts at %d", i, s.Start+s.Dur, i+1, spans[i+1].Start)
+		}
+		sum += s.Dur
+	}
+	first, last := spans[0], spans[k-1]
+	if whole := last.Start + last.Dur - first.Start; sum != whole {
+		t.Errorf("step durations sum to %d ns, the plan's interval is %d ns", sum, whole)
+	}
+	if first.Start < before || last.Start+last.Dur > after {
+		t.Errorf("plan interval [%d, %d] outside the call's [%d, %d]", first.Start, last.Start+last.Dur, before, after)
+	}
+	var metered int64
+	for _, series := range m.Snapshot() {
+		metered += series.Nanos
+	}
+	if metered != sum {
+		t.Errorf("meter holds %d ns, the spans %d ns", metered, sum)
+	}
+}
+
 // TestTracedExecuteMatchesUntraced: tracing must not change the arithmetic.
 func TestTracedExecuteMatchesUntraced(t *testing.T) {
 	net, inW := traceTestNet(t)

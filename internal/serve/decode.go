@@ -24,10 +24,14 @@ const maxBodyBytes = 1 << 20
 // pool, so one near-cap request does not pin a megabyte per pooled state.
 const maxPooledBody = 64 << 10
 
-// classifyState is the memory one /classify request works in: the raw body,
-// the decoded image and the reply bytes. States are pooled; see
+// classifyState is the memory one /classify request works in: its ID and
+// admission stamp (trace.Now() when the engine was handed it, 0 before), the
+// raw body, the decoded image and the reply bytes. States are pooled; see
 // Server.classify for when one may go back.
 type classifyState struct {
+	id       uint64
+	admitted int64
+
 	body   []byte
 	rd     bytes.Reader // over body, for png.Decode
 	pixels [dataset.Pixels]float32

@@ -15,10 +15,14 @@
 //	                    SLO burn rates)
 //	GET  /slo           machine-readable SLO verdict: per-objective budget
 //	                    remaining and multi-window burn rates
-//	GET  /debug/trace   recent engine spans as Chrome trace-event JSON —
-//	                    load in Perfetto or chrome://tracing
-//	GET  /debug/flight  flight-recorder dump: recent request lifecycle
-//	                    events + spans + queue gauges + SLO state + log tail
+//	GET  /debug/trace   recent spans as Chrome trace-event JSON — the
+//	                    "serve" track (one bar per request, admission to
+//	                    reply) above one track per engine worker (queue,
+//	                    batch-form, execute, respond, plan steps); load in
+//	                    Perfetto or chrome://tracing
+//	GET  /debug/flight  flight-recorder dump: the serve track as a list of
+//	                    request outcomes + the /debug/trace document +
+//	                    queue gauges + SLO state + log tail
 //	GET  /debug/pprof   Go profiler, only when Options.EnablePprof is set
 //	POST /classify  classify one image; accepts either
 //	                  application/json  {"pixels": [784 floats in 0..1]}
@@ -41,9 +45,16 @@
 // package only reports it: the route a reply names, "diverted" and "ladder"
 // on /stats, cbnet_requests_diverted_total on /metrics. SLO burn is not an
 // input to that decision; the monitor still trips flight dumps.
+//
+// A /classify outcome is recorded in one place, Server.finish: one
+// trace.Span on the serve track (kind admit, complete, reject, error,
+// abandon or quarantine; the engine's breaker transitions land there too),
+// stamped on the engine's clock (trace.Now). The reply's wallLatencyMs, the
+// latency SLO's verdict and the dump's durMs are that span's duration.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -90,8 +101,11 @@ type Server struct {
 	latT        *slo.Tracker
 	latTargetMS float64
 
-	// Flight recorder: request lifecycle ring + log tail, auto-dumped on
-	// SLO burn trips and 503 bursts.
+	// events is the serve track: one span per /classify outcome and breaker
+	// transition, written from whichever goroutine saw it. The flight
+	// recorder (log tail, 503-burst detector, dump policy) lists it in every
+	// dump, auto-dumped on SLO burn trips and 503 bursts.
+	events *trace.Recorder
 	flight *flight.Recorder
 
 	// defaultDeadline bounds requests that carry no deadline header.
@@ -140,7 +154,7 @@ type Options struct {
 
 // routePrice is one engine route as /classify reports it: the §IV-C device
 // model's latency and energy for one image on the server's Profile — a
-// model, not a measurement — and the route's pre-interned flight label (no
+// model, not a measurement — and the route's pre-interned span name (no
 // string handling at event time).
 type routePrice struct {
 	name      string
@@ -206,7 +220,8 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 			opts.FlightDir = ""
 		}
 	}
-	s.flight = flight.New(flight.Config{Dir: opts.FlightDir})
+	s.events = trace.NewRecorder(eventRing)
+	s.flight = flight.New(flight.Config{Dir: opts.FlightDir}, s.events)
 	s.flight.SetContext(s.flightContext)
 	// Route the server's own records through the flight log tee so dumps
 	// always carry the request-log tail; cmd/cbnet-serve additionally
@@ -234,15 +249,15 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 	s.sloMon.Start(time.Second)
 
 	// Fault-isolation wiring: circuit-breaker transitions land in the log
-	// and the flight ring (Status carries the new state — 0 closed, 1 open,
-	// 2 half-open — Route the breaker's route). No-op when the engine's
+	// and on the serve track (Step carries the new state — 0 closed, 1 open,
+	// 2 half-open — Name the breaker's route). No-op when the engine's
 	// resilience layer is off.
 	eng.OnBreaker(func(tr engine.BreakerTransition) {
 		s.log.Warn("breaker transition",
 			"route", string(tr.Route), "from", tr.From.String(), "to", tr.To.String())
-		s.flight.Record(flight.Event{
-			T: trace.Now(), Kind: flight.KindBreaker,
-			Route: trace.Intern(string(tr.Route)), Status: int(tr.To),
+		s.events.Emit(trace.Span{
+			Kind: trace.KindBreaker, Name: trace.Intern(string(tr.Route)),
+			Step: int(tr.To), Start: trace.Now(),
 		})
 	})
 
@@ -267,14 +282,12 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 	return s
 }
 
-// mustTracker builds an SLO tracker, falling back to the objective's
-// defaults on config error (targets are validated by the callers above, so
-// this only guards future drift).
+// mustTracker builds an SLO tracker. Its callers validated the target, so an
+// error is a programming error.
 func mustTracker(cfg slo.Config, now time.Time) *slo.Tracker {
 	t, err := slo.NewTracker(cfg, now)
 	if err != nil {
-		cfg.Objective.Target = 0.999
-		t, _ = slo.NewTracker(cfg, now)
+		panic(err)
 	}
 	return t
 }
@@ -283,31 +296,27 @@ func mustTracker(cfg slo.Config, now time.Time) *slo.Tracker {
 // logger's handler with it so dumps carry the last N log records.
 func (s *Server) FlightLogs() *flight.LogBuffer { return s.flight.Logs() }
 
+// eventRing is how many request outcomes the serve track holds: two spans
+// a request (admit, then its outcome), so the last ~500 requests.
+const eventRing = 1024
+
+// tracks is every span ring of the process as /debug/trace draws it: the
+// serve track's request bars above the engine's worker tracks.
+func (s *Server) tracks() []trace.Track {
+	return append([]trace.Track{{Name: "serve", Spans: s.events.Snapshot()}}, s.Engine.TraceTracks()...)
+}
+
 // flightContext gathers the correlated state attached to every flight
-// dump: engine queue gauges, per-worker span tracks, and SLO snapshots.
+// dump: engine queue gauges, SLO snapshots, and the /debug/trace document.
 func (s *Server) flightContext() map[string]any {
-	tracks := s.Engine.TraceTracks()
-	spans := make([]map[string]any, 0, len(tracks))
-	for _, tr := range tracks {
-		rendered := make([]map[string]any, 0, len(tr.Spans))
-		for _, sp := range tr.Spans {
-			rendered = append(rendered, map[string]any{
-				"id":      sp.ID,
-				"ref":     sp.Ref,
-				"kind":    sp.Kind.String(),
-				"name":    sp.Name.String(),
-				"step":    sp.Step,
-				"batch":   sp.Batch,
-				"startMs": float64(sp.Start) / 1e6,
-				"durMs":   float64(sp.Dur) / 1e6,
-			})
-		}
-		spans = append(spans, map[string]any{"track": tr.Name, "spans": rendered})
+	var spans bytes.Buffer
+	if err := trace.WriteChrome(&spans, s.tracks()); err != nil {
+		s.log.Warn("trace dump failed", "err", err)
 	}
 	return map[string]any{
 		"stats": s.Engine.Stats(),
 		"slo":   s.sloMon.Snapshot(time.Now()),
-		"spans": spans,
+		"spans": json.RawMessage(spans.Bytes()),
 	}
 }
 
@@ -485,7 +494,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.Engine.WriteTrace(w); err != nil {
+	if err := trace.WriteChrome(w, s.tracks()); err != nil {
 		s.log.Warn("trace dump failed", "err", err)
 	}
 }
@@ -500,8 +509,9 @@ type ClassifyRequest struct {
 
 // ClassifyResponse is the /classify result.
 type ClassifyResponse struct {
-	// RequestID correlates this response with the engine's lifecycle
-	// spans in /debug/trace and the server's structured logs.
+	// RequestID correlates this response with its spans in /debug/trace
+	// (the serve track's request bar, the engine's queue span) and the
+	// server's structured logs.
 	RequestID uint64 `json:"requestId"`
 	Class     int    `json:"class"`
 	// Route is the engine path taken: "easy" (classifier only), "hard"
@@ -527,28 +537,60 @@ type ClassifyResponse struct {
 	Converted   []float32 `json:"converted,omitempty"`
 }
 
-// failClassify answers one failed /classify request: the error body and
-// the log record both carry the request ID, the availability SLO sees the
-// outcome (bad = 5xx), and the flight ring records the rejection.
-func (s *Server) failClassify(w http.ResponseWriter, st *classifyState, reqID uint64, status int, msg string) {
-	s.availT.Observe(status < 500)
-	kind := flight.KindError
-	switch status {
-	case http.StatusServiceUnavailable:
-		kind = flight.KindReject
-	case http.StatusUnprocessableEntity:
-		// Only quarantined poison pills are answered 422.
-		kind = flight.KindQuarantine
-	}
+// finish is the one place a /classify request ends: it stamps the outcome,
+// writes the request's span to the serve track, feeds the SLO trackers
+// (availability: bad = 5xx; latency, served requests only: bad = wall time
+// over the p99 objective) and the 503-burst detector (rejects only — a
+// client that hung up is no overload), logs, and writes the reply. kind
+// tells a refusal from an error from a caller that went away; res is the
+// engine's answer when kind is KindComplete, and msg the error otherwise. A
+// request the engine was handed (st.admitted != 0) spans admission to now;
+// one turned away before that is a point.
+func (s *Server) finish(ctx context.Context, w http.ResponseWriter, st *classifyState, kind trace.Kind, status int, res *engine.Result, msg string) {
 	now := trace.Now()
-	s.flight.Record(flight.Event{T: now, Kind: kind, RequestID: reqID, Status: status})
-	if status == http.StatusServiceUnavailable {
-		// Feed the 503-burst detector (may auto-dump).
-		s.flight.NoteReject(now)
+	sp := trace.Span{ID: st.id, Kind: kind, Step: status, Start: now}
+	if st.admitted != 0 {
+		sp.Start, sp.Dur = st.admitted, now-st.admitted
 	}
-	s.log.Warn("classify failed", "requestId", reqID, "status", status, "err", msg)
-	st.reply = appendErrorBody(st.reply[:0], reqID, msg)
-	writeBody(w, status, st.reply)
+	s.availT.Observe(status < 500)
+	if kind != trace.KindComplete {
+		s.events.Emit(sp)
+		if kind == trace.KindReject {
+			s.flight.NoteReject(now) // may auto-dump
+		}
+		s.log.Warn("classify failed", "requestId", st.id, "status", status, "err", msg)
+		st.reply = appendErrorBody(st.reply[:0], st.id, msg)
+		writeBody(w, status, st.reply)
+		return
+	}
+	price := s.priceOf(res.Route)
+	sp.Name, sp.Batch = price.id, res.BatchSize
+	s.events.Emit(sp)
+	wallMS := float64(time.Duration(sp.Dur).Microseconds()) / 1e3
+	s.latT.Observe(wallMS <= s.latTargetMS)
+	// Checked first: the arguments are boxed before Debug can decline them.
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("classify",
+			"requestId", st.id,
+			"route", res.Route,
+			"batchSize", res.BatchSize,
+			"class", res.Class,
+			"wallMs", wallMS,
+			"energyMj", price.energyMJ)
+	}
+	st.reply = appendClassifyResponse(st.reply[:0], &ClassifyResponse{
+		RequestID:        res.RequestID,
+		Class:            res.Class,
+		Route:            res.Route,
+		Hardness:         res.Hardness,
+		BatchSize:        res.BatchSize,
+		ModelLatencyMS:   price.latencyMS,
+		WallLatencyMS:    wallMS,
+		EnergyEstimateMJ: price.energyMJ,
+		QueueWaitMS:      float64(res.QueueWait.Microseconds()) / 1e3,
+		Converted:        res.Converted,
+	})
+	writeBody(w, http.StatusOK, st.reply)
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -583,15 +625,16 @@ func parseDeadline(h string) (time.Duration, bool) {
 func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifyState) (recycle bool) {
 	// The request ID is issued before decoding so every outcome —
 	// including 400/413 rejections that never reach the engine — carries
-	// a correlatable requestId in its response, logs, and flight events.
-	reqID := s.Engine.IssueRequestID()
+	// a correlatable requestId in its response, logs, and spans.
+	st.id, st.admitted = s.Engine.IssueRequestID(), 0
+	ctx := r.Context()
 	isPNG := r.Header.Get("Content-Type") == "image/png"
 	format := "json"
 	if isPNG {
 		format = "png"
 	}
 	if err := st.readBody(w, r); err != nil {
-		s.failClassify(w, st, reqID, decodeStatus(err), fmt.Sprintf("decoding %s: %v", format, err))
+		s.finish(ctx, w, st, trace.KindError, decodeStatus(err), nil, fmt.Sprintf("decoding %s: %v", format, err))
 		return true
 	}
 	var pixels []float32
@@ -603,16 +646,16 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		pixels, includeConverted, err = st.decodeJSON()
 	}
 	if err != nil {
-		s.failClassify(w, st, reqID, http.StatusBadRequest, err.Error())
+		s.finish(ctx, w, st, trace.KindError, http.StatusBadRequest, nil, err.Error())
 		return true
 	}
 	if len(pixels) != dataset.Pixels {
-		s.failClassify(w, st, reqID, http.StatusBadRequest, fmt.Sprintf("got %d pixels, want %d", len(pixels), dataset.Pixels))
+		s.finish(ctx, w, st, trace.KindError, http.StatusBadRequest, nil, fmt.Sprintf("got %d pixels, want %d", len(pixels), dataset.Pixels))
 		return true
 	}
 	for i, v := range pixels {
 		if !(v >= 0 && v <= 1) { // written so that NaN fails
-			s.failClassify(w, st, reqID, http.StatusBadRequest, fmt.Sprintf("pixel %d = %v outside [0,1]", i, v))
+			s.finish(ctx, w, st, trace.KindError, http.StatusBadRequest, nil, fmt.Sprintf("pixel %d = %v outside [0,1]", i, v))
 			return true
 		}
 	}
@@ -621,12 +664,11 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 	// The context carries it into the engine, where an expired request is
 	// shed at admission or batch formation instead of wasting a worker
 	// slot.
-	ctx := r.Context()
 	deadline := s.defaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		var ok bool
 		if deadline, ok = parseDeadline(h); !ok {
-			s.failClassify(w, st, reqID, http.StatusBadRequest,
+			s.finish(ctx, w, st, trace.KindError, http.StatusBadRequest, nil,
 				fmt.Sprintf("invalid %s header %q: want a positive millisecond count", DeadlineHeader, h))
 			return true
 		}
@@ -637,24 +679,27 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		defer cancel()
 	}
 
-	s.flight.Record(flight.Event{T: trace.Now(), Kind: flight.KindAdmit, RequestID: reqID})
-	start := time.Now()
+	// The one stamp the request's bar starts on; finish reads the other.
+	st.admitted = trace.Now()
+	s.events.Emit(trace.Span{ID: st.id, Kind: trace.KindAdmit, Start: st.admitted})
 	res, err := s.Engine.Submit(ctx, engine.Request{
-		ID:               reqID,
+		ID:               st.id,
 		Pixels:           pixels,
 		IncludeConverted: includeConverted,
 	})
 	switch {
 	case err == nil:
+		s.finish(ctx, w, st, trace.KindComplete, http.StatusOK, &res, "")
+		return true
 	case errors.Is(err, engine.ErrOverloaded):
 		// Back-off hint derived from live queue depth and the engine's
 		// observed service rate, so clients wait proportionally to real
 		// overload.
 		w.Header().Set("Retry-After", strconv.Itoa(s.Engine.RetryAfterSeconds()))
-		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, "engine overloaded, retry later")
+		s.finish(ctx, w, st, trace.KindReject, http.StatusServiceUnavailable, nil, "engine overloaded, retry later")
 		return true
 	case errors.Is(err, engine.ErrClosed):
-		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, "server shutting down")
+		s.finish(ctx, w, st, trace.KindReject, http.StatusServiceUnavailable, nil, "server shutting down")
 		return true
 	case errors.Is(err, engine.ErrPoisoned):
 		// The input's fingerprint matches a quarantined poison pill: a
@@ -662,60 +707,26 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		// and was convicted by bisection. 422 (not 5xx) because the input
 		// itself is the problem — resubmitting it will never succeed, and
 		// the rejection must not burn the availability budget.
-		s.failClassify(w, st, reqID, http.StatusUnprocessableEntity, "input quarantined as a poison pill")
+		s.finish(ctx, w, st, trace.KindQuarantine, http.StatusUnprocessableEntity, nil, "input quarantined as a poison pill")
 		return true
 	case errors.Is(err, engine.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		// The deadline (header or server default) ran out before the
 		// request executed. 504 distinguishes "too slow" from admission
 		// shedding, and it counts against availability like other 5xx.
-		s.failClassify(w, st, reqID, http.StatusGatewayTimeout, "deadline expired before completion")
+		s.finish(ctx, w, st, trace.KindError, http.StatusGatewayTimeout, nil, "deadline expired before completion")
 		return false
 	case errors.Is(err, context.Canceled):
 		// The client has gone away; any status we write is best-effort.
 		// The abandoned slot still consumed capacity, so it counts
-		// against availability like other 5xx outcomes.
-		s.failClassify(w, st, reqID, http.StatusServiceUnavailable, err.Error())
+		// against availability like other 5xx outcomes — but it is an
+		// abandon, not a reject: a wave of hang-ups says nothing about
+		// load and must not trip the 503-burst dump.
+		s.finish(ctx, w, st, trace.KindAbandon, http.StatusServiceUnavailable, nil, err.Error())
 		return false
 	default:
-		s.failClassify(w, st, reqID, http.StatusInternalServerError, err.Error())
+		s.finish(ctx, w, st, trace.KindError, http.StatusInternalServerError, nil, err.Error())
 		return false
 	}
-	wall := time.Since(start)
-	wallMS := float64(wall.Microseconds()) / 1e3
-
-	price := s.priceOf(res.Route)
-
-	s.availT.Observe(true)
-	s.latT.Observe(wallMS <= s.latTargetMS)
-	s.flight.Record(flight.Event{
-		T: trace.Now(), Kind: flight.KindComplete, RequestID: reqID,
-		Route: price.id, Status: http.StatusOK, DurNs: int64(wall), BatchSize: res.BatchSize,
-	})
-	// Checked first: the arguments are boxed before Debug can decline them.
-	if s.log.Enabled(ctx, slog.LevelDebug) {
-		s.log.Debug("classify",
-			"requestId", reqID,
-			"route", res.Route,
-			"batchSize", res.BatchSize,
-			"class", res.Class,
-			"wallMs", wallMS,
-			"energyMj", price.energyMJ)
-	}
-
-	st.reply = appendClassifyResponse(st.reply[:0], &ClassifyResponse{
-		RequestID:        res.RequestID,
-		Class:            res.Class,
-		Route:            res.Route,
-		Hardness:         res.Hardness,
-		BatchSize:        res.BatchSize,
-		ModelLatencyMS:   price.latencyMS,
-		WallLatencyMS:    wallMS,
-		EnergyEstimateMJ: price.energyMJ,
-		QueueWaitMS:      float64(res.QueueWait.Microseconds()) / 1e3,
-		Converted:        res.Converted,
-	})
-	writeBody(w, http.StatusOK, st.reply)
-	return true
 }
 
 // decodeStatus maps a body-read error to 413 when the request cap was hit,

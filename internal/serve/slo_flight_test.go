@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,11 +12,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/flight"
 	"cbnet/internal/metrics"
 	"cbnet/internal/rng"
+	"cbnet/internal/trace"
 )
 
 // TestErrorPathsCarryRequestID covers the satellite fix: every error
@@ -271,5 +274,125 @@ func TestRejectBurstAutoDumpsFlight(t *testing.T) {
 	}
 	if !strings.Contains(live.LastTrigger, "503-burst") {
 		t.Fatalf("live dump lastTrigger %q, want 503-burst", live.LastTrigger)
+	}
+}
+
+// TestAbandonIsNotAnOverload: a client that hangs up is answered 503 and
+// counted against availability, but it is filed as an abandon, not as an
+// admission-control reject — a dozen hang-ups inside a second used to
+// auto-dump a "503-burst" and burn the dump cooldown. The availability
+// target is loose and 20 requests are served first, so that the 12 bad
+// responses — still counted — stay under every burn threshold and the only
+// thing that could dump is the burst detector.
+func TestAbandonIsNotAnOverload(t *testing.T) {
+	dir := t.TempDir()
+	s := testServerWithOptions(t, Options{FlightDir: dir, SLOAvailability: 0.5})
+	img := dataset.RenderSample(dataset.MNIST, 1, false, rng.New(4))
+	body, _ := json.Marshal(ClassifyRequest{Pixels: img})
+	gone, hangUp := context.WithCancel(context.Background())
+	hangUp()
+	for i := 0; i < 32; i++ {
+		ctx, want := context.Background(), http.StatusOK
+		if i >= 20 {
+			ctx, want = gone, http.StatusServiceUnavailable
+		}
+		req := httptest.NewRequest("POST", "/classify", bytes.NewReader(body)).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("request %d: status %d, want %d", i, rec.Code, want)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json")); len(files) != 0 {
+		t.Fatalf("12 hang-ups wrote flight dumps %v", files)
+	}
+	dump := s.flight.Snapshot("test")
+	if dump.LastTrigger != "" {
+		t.Fatalf("lastTrigger %q after 12 hang-ups, want none", dump.LastTrigger)
+	}
+	kinds := map[string]int{}
+	for _, e := range dump.Events {
+		if e.Status == http.StatusServiceUnavailable {
+			kinds[e.Kind]++
+		}
+	}
+	if kinds["abandon"] != 12 || kinds["reject"] != 0 {
+		t.Fatalf("503 events by kind %v, want 12 abandon and no reject", kinds)
+	}
+	for _, o := range s.sloMon.Snapshot(time.Now()) {
+		if o.Objective == "availability" && o.Windows[0].Bad != 12 {
+			t.Fatalf("availability saw %d bad responses, want 12", o.Windows[0].Bad)
+		}
+	}
+}
+
+// TestReplyLatencyIsTheCompleteSpan: the reply's wallLatencyMs is not a
+// second measurement — it is the duration of the request's complete span on
+// the serve track (in the reply's whole microseconds), the span names the
+// route the reply names, and /debug/trace draws that track first.
+func TestReplyLatencyIsTheCompleteSpan(t *testing.T) {
+	s := testServer(t)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	cr := classifyOnce(t, srv.URL)
+
+	var complete, admit *trace.Span
+	for _, sp := range s.events.Snapshot() {
+		if sp.ID != cr.RequestID {
+			continue
+		}
+		switch sp.Kind {
+		case trace.KindComplete:
+			complete = &sp
+		case trace.KindAdmit:
+			admit = &sp
+		}
+	}
+	if complete == nil || admit == nil {
+		t.Fatalf("serve track holds no admit+complete pair for request %d", cr.RequestID)
+	}
+	if got := float64(time.Duration(complete.Dur).Microseconds()) / 1e3; got != cr.WallLatencyMS {
+		t.Errorf("wallLatencyMs %v, complete span lasted %v ms", cr.WallLatencyMS, got)
+	}
+	if complete.Name.String() != cr.Route || complete.Step != http.StatusOK || complete.Batch != cr.BatchSize {
+		t.Errorf("complete span %+v (route %s) does not describe reply %+v", *complete, complete.Name, cr)
+	}
+	if admit.Start != complete.Start || admit.Dur != 0 {
+		t.Errorf("admit span %+v does not mark the start of complete span %+v", *admit, *complete)
+	}
+	if wait := float64(cr.QueueWaitMS); wait > cr.WallLatencyMS {
+		t.Errorf("queueWaitMs %v exceeds wallLatencyMs %v on one clock", wait, cr.WallLatencyMS)
+	}
+
+	resp, err := http.Get(srv.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			TID  int            `json:"tid"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if first := doc.TraceEvents[0]; first.Ph != "M" || first.TID != 0 || first.Args["name"] != "serve" {
+		t.Fatalf("first track is %+v, want the serve track", first)
+	}
+	found := false
+	for _, ev := range doc.TraceEvents {
+		if ev.TID == 0 && ev.Cat == "complete" && ev.Args["id"] == float64(cr.RequestID) {
+			found = ev.Name == cr.Route && ev.Args["status"] == float64(http.StatusOK) && ev.Dur == float64(complete.Dur)/1e3
+		}
+	}
+	if !found {
+		t.Errorf("serve track of /debug/trace has no complete event for request %d matching its span", cr.RequestID)
 	}
 }

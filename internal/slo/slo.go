@@ -150,9 +150,6 @@ func NewTracker(cfg Config, now time.Time) (*Tracker, error) {
 	}, nil
 }
 
-// Objective returns the tracked objective.
-func (t *Tracker) Objective() Objective { return t.obj }
-
 // Observe records one event outcome. Lock-free and allocation-free; safe
 // for concurrent use from any goroutine. Nil-safe so unconfigured SLOs cost
 // one branch.
@@ -326,16 +323,6 @@ func NewMonitor(trackers []*Tracker, onTrip func(Trip)) *Monitor {
 	return &Monitor{trackers: trackers, onTrip: onTrip}
 }
 
-// Tracker returns the tracker for the named objective, or nil.
-func (m *Monitor) Tracker(name string) *Tracker {
-	for _, t := range m.trackers {
-		if t.obj.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
 // Advance rolls every tracker to now and dispatches trips.
 func (m *Monitor) Advance(now time.Time) []Trip {
 	var all []Trip
@@ -362,12 +349,8 @@ func (m *Monitor) Snapshot(now time.Time) []Snapshot {
 }
 
 // Start launches the periodic advance loop; Stop (idempotent) halts it.
-// interval defaults to 1s when non-positive — trip detection latency is one
-// interval.
+// Trip detection latency is one interval, which must be positive.
 func (m *Monitor) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
 	go func() {

@@ -227,16 +227,13 @@ func TestMonitorDispatchAndSnapshot(t *testing.T) {
 		fired = append(fired, tp)
 		mu.Unlock()
 	})
-	if m.Tracker("latency") != lat || m.Tracker("nope") != nil {
-		t.Fatal("Tracker lookup broken")
-	}
 	for i := 0; i < 100; i++ {
 		avail.Observe(false)
 		lat.Observe(true)
 	}
 	snaps := m.Snapshot(now.Add(time.Second))
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(snaps))
+	if len(snaps) != 2 || snaps[0].Objective != "availability" || snaps[1].Objective != "latency" {
+		t.Fatalf("snapshots %+v, want availability then latency (registration order)", snaps)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -9,8 +9,10 @@ import (
 // Chrome trace-event rendering: the /debug/trace endpoint dumps recent
 // spans in the trace-event JSON format that chrome://tracing and Perfetto
 // (ui.perfetto.dev) open directly. Each recorder becomes one named thread
-// track, each span one complete ("X") event with its cost model in args.
-// Rendering is a cold path; allocation here is fine.
+// track, each span one complete ("X") event with its cost model (plan steps)
+// or HTTP status (request outcomes) in args. This is the only span renderer:
+// a flight dump embeds the same document. Rendering is a cold path;
+// allocation here is fine.
 
 // Track is one recorder's snapshot labelled for display.
 type Track struct {
@@ -56,15 +58,22 @@ func WriteChrome(w io.Writer, tracks []Track) error {
 			if s.Ref != 0 {
 				args["ref"] = s.Ref
 			}
-			if s.Kind == KindPlanStep {
+			name := s.Name.String()
+			switch {
+			case s.Kind == KindPlanStep:
 				args["step"] = s.Step
 				args["flops"] = s.FLOPs
 				args["bytes"] = s.Bytes
 				args["gflops"] = s.GFLOPS()
 				args["intensity"] = s.Intensity()
+			case s.Kind >= KindAdmit: // the request outcomes, declared last
+				args["status"] = s.Step
+				if s.Name == 0 { // no route answered
+					name = s.Kind.String()
+				}
 			}
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: s.Name.String(),
+				Name: name,
 				Cat:  s.Kind.String(),
 				Ph:   "X",
 				TS:   float64(s.Start) / 1e3,

@@ -1,26 +1,36 @@
-// Package trace is the serving stack's span recorder: a zero-allocation,
-// per-goroutine ring buffer of timing spans designed to live inside the
-// plan executor's hot loop.
+// Package trace is the serving stack's one lifecycle record: a Span is the
+// only schema a request's stages are written in, a Recorder the only ring
+// they are written to, and Now the only clock they are stamped on. The
+// engine's workers each own a Recorder (queue, batch-form, execute, respond
+// and plan-step spans); the serve layer owns one more for request outcomes
+// (admit, complete, reject, ...), written from every handler goroutine.
 //
 // The design constraints come from the inference path's zero-alloc promise
 // (see internal/nn's Plan.Execute and internal/engine's runBatch):
 //
-//   - Emit must not allocate and must not take a lock. Each Recorder is
-//     single-writer — one per engine worker, batcher, or profiling loop —
-//     so the write path is a handful of atomic stores into preallocated
-//     slots.
-//   - Readers (the /debug/trace endpoint) run concurrently with writers.
-//     Every slot is guarded by a per-slot sequence counter (a seqlock):
-//     the writer bumps it to odd before mutating and to even after, and a
-//     reader discards any slot whose sequence was odd or changed while it
-//     was being read. All slot fields are atomics, so the scheme is also
-//     race-detector-clean.
+//   - Emit must not allocate, take a lock or wait, and is safe from any
+//     goroutine. A writer claims the next stream position with one atomic
+//     add, then locks that position's slot by swapping its sequence counter
+//     from the even value it read to the odd value its position owns. If the
+//     slot is odd or already holds a later position — another writer is
+//     inside it, which takes the ring wrapping a full revolution during one
+//     write — the span is dropped and counted (Dropped) instead.
+//   - Readers (the /debug/trace and /debug/flight endpoints) run
+//     concurrently with writers. The sequence counter is a per-slot seqlock
+//     that also names what the slot holds: 2p+1 while position p is being
+//     written, 2p+2 once it is stable. A reader keeps a slot only if the
+//     counter names the position it expects before and after reading the
+//     fields, so it never returns a torn, unwritten or superseded span. All
+//     slot fields are atomics, so the scheme is also race-detector-clean.
 //   - Span names are interned once on the cold path (Intern) and carried
-//     as 32-bit IDs, keeping slots fixed-size and Emit free of string
-//     handling.
+//     as 32-bit IDs, keeping slots fixed-size (64 bytes) and Emit free of
+//     string handling.
 //
 // Timestamps are nanoseconds since the package's epoch (process start),
-// taken from the monotonic clock via Now.
+// taken from the monotonic clock via Now. Stages that meet share the stamp
+// they meet at — a queue span ends on the stamp its batch's execute span
+// starts on, plan step i ends where step i+1 starts — so the parts of a
+// request add up to its whole.
 package trace
 
 import (
@@ -53,23 +63,42 @@ const (
 	// KindBisect covers one fault-isolation re-run of a sub-batch after
 	// its parent batch failed; Ref links to the failed parent batch.
 	KindBisect
+
+	// The kinds below are request outcomes, written by the serve layer to
+	// its own track: ID is the request ID, Step the HTTP status delivered,
+	// Name the route that answered (when one did), and the span runs from
+	// admission to the reply (a request refused before admission is a point).
+
+	// KindAdmit marks a request handed to the engine (zero duration).
+	KindAdmit
+	// KindComplete covers a served request, admission to reply.
+	KindComplete
+	// KindReject marks an admission-control 503 (overload, shutdown).
+	KindReject
+	// KindError marks any other error response (400/413/500/504...).
+	KindError
+	// KindAbandon marks a caller that went away before its result.
+	KindAbandon
+	// KindQuarantine marks a request refused at admission because its
+	// content fingerprint matched a quarantined poison pill.
+	KindQuarantine
+	// KindBreaker marks a circuit-breaker transition: Name is the guarded
+	// route, Step the new state (0 closed, 1 open, 2 half-open).
+	KindBreaker
 )
+
+// kindNames are the kinds as /debug/trace categories and flight-dump kinds.
+var kindNames = [...]string{
+	KindPlanStep: "plan-step", KindQueue: "queue", KindBatchForm: "batch-form",
+	KindExecute: "execute", KindRespond: "respond", KindBisect: "bisect",
+	KindAdmit: "admit", KindComplete: "complete", KindReject: "reject", KindError: "error",
+	KindAbandon: "abandon", KindQuarantine: "quarantine", KindBreaker: "breaker",
+}
 
 // String names the kind for trace rendering.
 func (k Kind) String() string {
-	switch k {
-	case KindPlanStep:
-		return "plan-step"
-	case KindQueue:
-		return "queue"
-	case KindBatchForm:
-		return "batch-form"
-	case KindExecute:
-		return "execute"
-	case KindRespond:
-		return "respond"
-	case KindBisect:
-		return "bisect"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -120,13 +149,14 @@ func (id NameID) String() string {
 
 // Span is one recorded interval. ID correlates spans belonging to the same
 // request or batch; Ref links across the two (a queue span's Ref is the
-// batch it was served in, an execute span's Ref is its first request).
+// batch it was served in, a bisect span's Ref the batch that failed).
 type Span struct {
+	Seq   uint64 // 1-based position in the recorder's stream, drops counted; set by Snapshot, ignored by Emit
 	ID    uint64
 	Ref   uint64
 	Kind  Kind
 	Name  NameID
-	Step  int   // plan step index (KindPlanStep), else 0
+	Step  int   // plan step index (KindPlanStep); HTTP status on a request outcome (same 16-bit slot field)
 	Batch int   // batch size the span covered
 	Start int64 // ns since the trace epoch
 	Dur   int64 // ns
@@ -152,7 +182,8 @@ func (s Span) Intensity() float64 {
 }
 
 // slot is one ring cell. Every field is atomic so concurrent snapshots are
-// race-free; seq is the per-slot seqlock (odd while the writer is inside).
+// race-free; seq is the per-slot seqlock: 2p+1 while the writer of stream
+// position p is inside, 2p+2 once that span is stable, 0 if never written.
 type slot struct {
 	seq   atomic.Uint64
 	id    atomic.Uint64
@@ -178,39 +209,35 @@ func unpackMeta(m uint64) (kind Kind, step, batch int, name NameID) {
 	return Kind(m >> 56), int(m >> 40 & 0xFFFF), int(m >> 24 & 0xFFFF), NameID(m & 0xFFFFFF)
 }
 
-// Recorder is a fixed-capacity ring of spans with a single writer. Emit
-// overwrites the oldest span once full. The zero Recorder (or a nil one)
-// drops everything, so tracing can be left unwired at zero cost.
+// Recorder is a fixed-capacity ring of spans any goroutine may write to.
+// Emit overwrites the oldest span once full. The zero Recorder (or a nil
+// one) drops everything, so tracing can be left unwired at zero cost.
 type Recorder struct {
-	slots []slot
-	head  atomic.Uint64 // next write position; only the writer advances it
+	slots   []slot
+	head    atomic.Uint64 // stream positions claimed so far
+	dropped atomic.Uint64
 }
 
 // NewRecorder builds a recorder holding the most recent capacity spans.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &Recorder{slots: make([]slot, capacity)}
 }
 
-// Cap returns the ring capacity, 0 for a nil or zero recorder.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
-// Emit records one span. It is lock-free, allocation-free, and must only be
-// called from the recorder's single writer goroutine. A nil or zero
-// recorder discards the span.
+// Emit records one span. It is lock-free, allocation-free and safe from any
+// goroutine: when another writer holds the slot (the ring wrapped a full
+// revolution during that writer's Emit) the span is dropped and counted
+// rather than waited for. A nil or zero recorder discards the span.
 func (r *Recorder) Emit(s Span) {
 	if r == nil || len(r.slots) == 0 {
 		return
 	}
-	sl := &r.slots[r.head.Load()%uint64(len(r.slots))]
-	sl.seq.Add(1) // odd: write in progress
+	pos := r.head.Add(1) - 1
+	sl := &r.slots[pos%uint64(len(r.slots))]
+	seq := sl.seq.Load()
+	if seq%2 != 0 || seq > 2*pos || !sl.seq.CompareAndSwap(seq, 2*pos+1) {
+		r.dropped.Add(1)
+		return
+	}
 	sl.id.Store(s.ID)
 	sl.ref.Store(s.Ref)
 	sl.meta.Store(packMeta(s.Kind, s.Step, s.Batch, s.Name))
@@ -218,30 +245,35 @@ func (r *Recorder) Emit(s Span) {
 	sl.dur.Store(s.Dur)
 	sl.flops.Store(s.FLOPs)
 	sl.bytes.Store(s.Bytes)
-	sl.seq.Add(1) // even: stable
-	r.head.Add(1)
+	sl.seq.Store(2*pos + 2)
+}
+
+// Dropped returns how many spans were lost to slot contention.
+func (r *Recorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.dropped.Load()
 }
 
 // Snapshot returns the recorded spans, oldest first. It is safe to call
-// concurrently with Emit: slots the writer is overwriting during the read
-// are skipped rather than returned torn.
+// concurrently with Emit: a slot that does not hold the stream position the
+// walk expects — still being written, dropped, or already overwritten — is
+// skipped rather than returned torn or out of place.
 func (r *Recorder) Snapshot() []Span {
 	if r == nil || len(r.slots) == 0 {
 		return nil
 	}
 	head := r.head.Load()
-	n := head
-	if n > uint64(len(r.slots)) {
-		n = uint64(len(r.slots))
-	}
+	n := min(head, uint64(len(r.slots)))
 	out := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		sl := &r.slots[(head-n+i)%uint64(len(r.slots))]
-		seq0 := sl.seq.Load()
-		if seq0%2 != 0 {
-			continue // writer inside this slot
+	for pos := head - n; pos < head; pos++ {
+		sl := &r.slots[pos%uint64(len(r.slots))]
+		stable := 2*pos + 2
+		if sl.seq.Load() != stable {
+			continue
 		}
-		var s Span
+		s := Span{Seq: pos + 1}
 		s.ID = sl.id.Load()
 		s.Ref = sl.ref.Load()
 		s.Kind, s.Step, s.Batch, s.Name = unpackMeta(sl.meta.Load())
@@ -249,7 +281,7 @@ func (r *Recorder) Snapshot() []Span {
 		s.Dur = sl.dur.Load()
 		s.FLOPs = sl.flops.Load()
 		s.Bytes = sl.bytes.Load()
-		if sl.seq.Load() != seq0 {
+		if sl.seq.Load() != stable {
 			continue // overwritten while reading
 		}
 		out = append(out, s)

@@ -34,7 +34,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
 	for i, s := range spans {
-		if s.ID != uint64(i+1) || s.Step != i || s.Batch != 16 || s.Dur != 50 {
+		if s.ID != uint64(i+1) || s.Seq != uint64(i+1) || s.Step != i || s.Batch != 16 || s.Dur != 50 {
 			t.Fatalf("span %d = %+v", i, s)
 		}
 	}
@@ -56,8 +56,8 @@ func TestRecorderWrapKeepsNewest(t *testing.T) {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}
 	for i, s := range spans {
-		if s.ID != uint64(6+i) {
-			t.Fatalf("span %d has ID %d, want %d (oldest-first of the newest 4)", i, s.ID, 6+i)
+		if s.ID != uint64(6+i) || s.Seq != uint64(7+i) {
+			t.Fatalf("span %d has ID %d seq %d, want %d and %d (oldest-first of the newest 4)", i, s.ID, s.Seq, 6+i, 7+i)
 		}
 	}
 }
@@ -68,8 +68,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil recorder snapshot = %v", got)
 	}
-	if r.Cap() != 0 {
-		t.Fatal("nil recorder capacity != 0")
+	if r.Dropped() != 0 {
+		t.Fatal("nil recorder counts drops")
 	}
 }
 
@@ -109,6 +109,86 @@ func TestConcurrentSnapshot(t *testing.T) {
 	<-done
 }
 
+// TestRecorderConcurrentWriters is the multi-writer contract the serve track
+// relies on (every handler goroutine emits into one recorder): eight writers
+// wrapping a small ring while readers snapshot. No returned span may be torn
+// or out of place, and every Emit is either in the stream or counted dropped.
+func TestRecorderConcurrentWriters(t *testing.T) {
+	const writers, per, ring = 8, 5000, 64
+	r := NewRecorder(ring)
+	check := func(spans []Span) {
+		var last uint64
+		for _, s := range spans {
+			if s.Kind != KindComplete || s.Step != 200 || s.Start != int64(s.ID*3) || s.Dur != int64(s.ID*7) {
+				t.Errorf("torn span: %+v", s)
+				return
+			}
+			if s.Seq <= last {
+				t.Errorf("seq %d after %d: snapshot not in stream order", s.Seq, last)
+				return
+			}
+			last = s.Seq
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				id := uint64(w*per + i + 1)
+				r.Emit(Span{ID: id, Kind: KindComplete, Step: 200, Start: int64(id * 3), Dur: int64(id * 7)})
+				if i%500 == 0 {
+					check(r.Snapshot())
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	spans := r.Snapshot()
+	check(spans)
+	// Quiescent: every claimed position either holds its span or was dropped,
+	// and a drop leaves the slot to the span it collided with, so the last
+	// revolution is all there but for the drops that fell in it.
+	if head := r.head.Load(); head != writers*per {
+		t.Fatalf("claimed %d positions, want %d", head, writers*per)
+	}
+	if dropped := int(r.Dropped()); len(spans) > ring || len(spans)+dropped < ring {
+		t.Fatalf("%d spans + %d dropped do not cover the ring's %d slots", len(spans), dropped, ring)
+	}
+	seen := map[uint64]bool{}
+	for _, s := range spans {
+		if seen[s.ID] {
+			t.Fatalf("span %d recorded twice", s.ID)
+		}
+		seen[s.ID] = true
+	}
+}
+
+// TestEmitDropsOnHeldSlot: a writer that finds its slot held by another
+// (odd sequence) or already holding a later position drops its span and
+// counts it; the slot's own span survives.
+func TestEmitDropsOnHeldSlot(t *testing.T) {
+	r := NewRecorder(2)
+	r.Emit(Span{ID: 1})
+	r.slots[1].seq.Store(2*1 + 1) // a writer of position 1 is inside slot 1
+	r.Emit(Span{ID: 2})
+	if r.Dropped() != 1 {
+		t.Fatalf("dropped %d, want 1", r.Dropped())
+	}
+	r.slots[1].seq.Store(0)
+	// Position 2 wraps onto slot 0, which a faster writer of position 4
+	// already filled.
+	r.slots[0].seq.Store(2*4 + 2)
+	r.Emit(Span{ID: 3})
+	if r.Dropped() != 2 {
+		t.Fatalf("dropped %d, want 2", r.Dropped())
+	}
+	if got := r.Snapshot(); len(got) != 0 {
+		t.Fatalf("snapshot returned spans out of place: %+v", got)
+	}
+}
+
 func TestEmitZeroAlloc(t *testing.T) {
 	r := NewRecorder(64)
 	name := Intern("alloc-test")
@@ -118,6 +198,31 @@ func TestEmitZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Emit allocates %v per call, want 0", allocs)
 	}
+}
+
+// BenchmarkRecorderEmit prices one Emit: serial is the engine worker's case
+// (one writer per ring), parallel the serve track's (every handler goroutine
+// claims positions in one ring). Run the parallel case with -cpu 2 or more.
+func BenchmarkRecorderEmit(b *testing.B) {
+	name := Intern("bench")
+	sp := Span{ID: 1, Kind: KindComplete, Name: name, Step: 200, Batch: 4, Start: 1, Dur: 10}
+	b.Run("serial", func(b *testing.B) {
+		r := NewRecorder(1024)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Emit(sp)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		r := NewRecorder(1024)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				r.Emit(sp)
+			}
+		})
+		b.ReportMetric(float64(r.Dropped())/float64(b.N), "dropped/op")
+	})
 }
 
 func TestMeterAggregation(t *testing.T) {
