@@ -507,7 +507,7 @@ func BenchmarkEngineSequentialBaseline(b *testing.B) {
 func BenchmarkEngineThroughput(b *testing.B) {
 	pipe := benchPipeline()
 	e := engine.New(pipe, engine.Config{
-		MaxBatch: 32, MaxWait: 500 * time.Microsecond, QueueDepth: 4096,
+		MaxBatch: 32, QueueDepth: 4096,
 	})
 	defer e.Close()
 	imgs := benchTraffic()
@@ -540,7 +540,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 func BenchmarkEngineBatchedAlwaysConvert(b *testing.B) {
 	pipe := benchPipeline()
 	e := engine.New(pipe, engine.Config{
-		MaxBatch: 32, MaxWait: 500 * time.Microsecond, QueueDepth: 4096,
+		MaxBatch: 32, QueueDepth: 4096,
 		DisableRouting: true,
 	})
 	defer e.Close()

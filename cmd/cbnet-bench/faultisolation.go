@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -29,8 +30,8 @@ const faultPoisonPixel = float32(0.66666)
 // crashing client retries). The first encounter panics its batch; bisection
 // must serve ≥99% of the innocents, convict the pill, and quarantine its
 // fingerprint so every later encounter is rejected at admission without
-// touching a worker. The retry budget must account for every bisection
-// sub-run.
+// touching a worker — at no more than 2⌈log₂ n⌉ re-runs per poisoned batch,
+// and without the route's breaker moving: a bad input is not a bad route.
 //
 // Breaker drill — the hard route wedges solid. Its circuit breaker must
 // trip within the configured sample window, divert hard-scoring traffic to
@@ -90,7 +91,7 @@ func poisonDrill(w io.Writer) []string {
 	inj.SetLatency("", 5*time.Millisecond)
 	inj.SetPoisonValue(faultPoisonPixel)
 	e := engine.New(faultPipeline(), engine.Config{
-		MaxBatch: 32, MaxWait: 50 * time.Millisecond, Workers: 1,
+		MaxBatch: 32, Workers: 1,
 		HardnessThreshold: 1000, // score everything easy: one route, one batch per round
 		Fault:             inj,
 		Resilience:        engine.ResilienceConfig{Enabled: true},
@@ -100,7 +101,11 @@ func poisonDrill(w io.Writer) []string {
 	pill := faultImage(99)
 	pill[0] = faultPoisonPixel
 
+	snap := e.Resilience()
 	var innocentsOffered, innocentsServed, pillFailed, pillRejected, pillOther int
+	// A lone pill costs two re-runs a level: its half fails, the sibling is served.
+	maxRunsPerRound := int64(2 * bits.Len(uint(batchSize)))
+	worstRound := int64(0)
 	seed := uint64(1000)
 	for round := 0; round < rounds; round++ {
 		images := make([][]float32, 0, batchSize+1)
@@ -131,6 +136,9 @@ func poisonDrill(w io.Writer) []string {
 			}(i, img)
 		}
 		wg.Wait()
+		runsBefore := snap.BisectRuns
+		snap = e.Resilience()
+		worstRound = max(worstRound, snap.BisectRuns-runsBefore)
 
 		for i, err := range errs {
 			if i == poisonIdx {
@@ -151,14 +159,17 @@ func poisonDrill(w io.Writer) []string {
 		}
 	}
 
-	snap := e.Resilience()
 	servedFrac := float64(innocentsServed) / float64(innocentsOffered)
 	fmt.Fprintf(w, "faultisolation: poison drill — %d rounds × %d innocents, pill every %d rounds\n",
 		rounds, batchSize, poisonEvery)
 	fmt.Fprintf(w, "  innocents served %d/%d (%.1f%%)  pill: failed-in-batch %d, rejected-at-admission %d, other %d\n",
 		innocentsServed, innocentsOffered, 100*servedFrac, pillFailed, pillRejected, pillOther)
-	fmt.Fprintf(w, "  bisect runs %d (saved %d)  budget spent %d denied %d  quarantine size %d hits %d\n",
-		snap.BisectRuns, snap.BisectSaved, snap.BudgetSpent, snap.BudgetDenied, snap.QuarantineSize, snap.QuarantineHits)
+	var breakerMoves uint64
+	for _, b := range snap.Breakers {
+		breakerMoves += b.Transitions
+	}
+	fmt.Fprintf(w, "  bisect runs %d (saved %d, worst round %d of ≤%d)  quarantine size %d hits %d  breaker transitions %d\n",
+		snap.BisectRuns, snap.BisectSaved, worstRound, maxRunsPerRound, snap.QuarantineSize, snap.QuarantineHits, breakerMoves)
 
 	var fail []string
 	if servedFrac < 0.99 {
@@ -176,8 +187,11 @@ func poisonDrill(w io.Writer) []string {
 	if snap.Culprits < 1 || snap.QuarantineSize < 1 {
 		fail = append(fail, fmt.Sprintf("poison: %d culprits / %d quarantined, want ≥1 each", snap.Culprits, snap.QuarantineSize))
 	}
-	if snap.BisectRuns == 0 || uint64(snap.BisectRuns) != snap.BudgetSpent {
-		fail = append(fail, fmt.Sprintf("poison: bisect runs %d vs budget spent %d — every sub-run must hold a token", snap.BisectRuns, snap.BudgetSpent))
+	if worstRound == 0 || worstRound > maxRunsPerRound {
+		fail = append(fail, fmt.Sprintf("poison: a round cost %d bisection re-runs, want 1..%d for one pill in %d", worstRound, maxRunsPerRound, batchSize+1))
+	}
+	if breakerMoves != 0 {
+		fail = append(fail, fmt.Sprintf("poison: %d breaker transitions — bad inputs must not open a route's breaker", breakerMoves))
 	}
 	return fail
 }

@@ -142,7 +142,6 @@ func overloadRun(name string, arrivals []time.Duration, degrade bool) (*overload
 	cfg := engine.Config{
 		Workers:    1,
 		MaxBatch:   4,
-		MaxWait:    500 * time.Microsecond,
 		QueueDepth: 64,
 		Fault:      inj,
 		Variants:   []engine.Variant{{Name: "pruned", Net: pruned}},

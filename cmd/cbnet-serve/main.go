@@ -21,17 +21,17 @@
 // The choice is made per request from the queues as they are; nothing is
 // refused for lack of room until every route is half full. -default-deadline
 // bounds each request's end-to-end time; clients override per request with
-// the X-CBNet-Deadline-Ms header. The -chaos-* flags wire a fault injector
-// into the inference path for overload drills — never enable them in
-// production.
+// the X-CBNet-Deadline-Ms header. -chaos wires a fault injector into the
+// inference path for drills (chaos.ParseSpec has the grammar) — never set it
+// in production.
 //
-// -resilience (on by default) arms the fault-isolation layer: failed
-// micro-batches are bisected so one bad input cannot fail its co-batched
-// neighbours, convicted poison pills are quarantined and rejected 422 at
-// admission, each route carries a circuit breaker that diverts traffic off
-// a failing variant, and a retry budget bounds the extra inference work.
-// GET /readyz reports not-ready while draining, while no route has room, or
-// while a serving route's breaker is open.
+// The fault-isolation layer is always armed: failed micro-batches are
+// bisected so one bad input cannot fail its co-batched neighbours, convicted
+// poison pills are quarantined and rejected 422 at admission, and each route
+// carries a circuit breaker, told once per batch whether the route could
+// serve anyone, that diverts traffic off a failing route. GET /readyz reports
+// not-ready while draining, while no route has room, or while a serving
+// route's breaker is open.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503, the
 // listener stops, in-flight requests drain through the engine, a final
@@ -49,7 +49,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +71,6 @@ func main() {
 		devName   = flag.String("device", "RaspberryPi4", "device profile for latency estimates")
 		workers   = flag.Int("workers", 0, "inference workers per route, the server's only parallelism (0 = auto: GOMAXPROCS/2)")
 		maxBatch  = flag.Int("max-batch", 32, "micro-batch flush size")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
 		queue     = flag.Int("queue-depth", 256, "per-route admission queue bound")
 		threshold = flag.Float64("hardness-threshold", engine.DefaultHardnessThreshold, "route images scoring at or above this to the full AE path")
 		noRoute   = flag.Bool("no-routing", false, "disable hardness routing (always convert)")
@@ -81,18 +79,10 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "mount Go's profiler under /debug/pprof (exposes stacks and heap; keep off on shared networks)")
 		demo      = flag.Bool("demo", false, "serve an untrained pipeline without checkpoints — endpoint smoke tests only, predictions are meaningless")
 		sloP99    = flag.Duration("slo-p99", 50*time.Millisecond, "latency SLO: 99% of successful requests complete within this wall time")
-		sloAvail  = flag.Float64("slo-availability", 0.999, "availability SLO target in (0,1): non-5xx responses over all terminal responses")
 		flightDir = flag.String("flight-dir", "", "directory for flight-recorder auto-dumps on SLO burn trips and 503 bursts (empty keeps dumps in memory, served at /debug/flight)")
-
-		deadline     = flag.Duration("default-deadline", 0, "per-request deadline applied when the client sends no X-CBNet-Deadline-Ms header (0 = none)")
-		degrade      = flag.Bool("degrade", false, "graceful degradation: mount a pruned variant and spill each request whose preferred route is half full down the ladder hard -> easy -> pruned")
-		resilienceOn = flag.Bool("resilience", true, "arm the fault-isolation layer: batch bisection, poison-pill quarantine, per-route circuit breakers, retry budget")
-
-		chaosLatency    = flag.String("chaos-infer-latency", "", "inject per-batch inference latency, e.g. 'hard=12ms,easy=4ms' ('all=...' sets the default); drills only")
-		chaosErrEvery   = flag.Int64("chaos-error-every", 0, "fail every Nth inference batch with an injected error (0 = off); drills only")
-		chaosPanicEvery = flag.Int64("chaos-panic-every", 0, "panic every Nth inference batch to exercise worker recovery (0 = off); drills only")
-		chaosPoison     = flag.Float64("chaos-poison-pixel", 0, "panic any batch holding a row whose first pixel equals this value bit-exactly — a content-keyed poison pill for quarantine drills (0 = off); drills only")
-		chaosStuck      = flag.String("chaos-stuck-route", "", "fail every batch on the named route ('all' wedges every route) until restart — a breaker drill (empty = off); drills only")
+		deadline  = flag.Duration("default-deadline", 0, "per-request deadline applied when the client sends no X-CBNet-Deadline-Ms header (0 = none)")
+		degrade   = flag.Bool("degrade", false, "graceful degradation: mount a pruned variant and spill each request whose preferred route is half full down the ladder hard -> easy -> pruned")
+		chaosSpec = flag.String("chaos", "", "inject faults into the inference path, e.g. 'latency=hard:25ms/easy:6ms,poison=0.77777,stuck=all,error-every=N,panic-every=N'; drills only")
 	)
 	flag.Parse()
 	logger, err := buildLogger(*logFormat, *logLevel)
@@ -104,47 +94,27 @@ func main() {
 	cfg := engine.Config{
 		Workers:           *workers,
 		MaxBatch:          *maxBatch,
-		MaxWait:           *maxWait,
 		QueueDepth:        *queue,
 		HardnessThreshold: *threshold,
 		DisableRouting:    *noRoute,
 		Degrade:           engine.DegradeConfig{Enabled: *degrade},
-		Resilience:        engine.ResilienceConfig{Enabled: *resilienceOn},
+		Resilience:        engine.ResilienceConfig{Enabled: true},
 	}
-	if *chaosLatency != "" || *chaosErrEvery > 0 || *chaosPanicEvery > 0 || *chaosPoison != 0 || *chaosStuck != "" {
-		inj := chaos.NewInjector()
-		lats, err := parseChaosLatency(*chaosLatency)
+	if *chaosSpec != "" {
+		inj, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {
 			logger.Error("exiting", "err", err)
 			os.Exit(1)
 		}
-		for route, d := range lats {
-			inj.SetLatency(route, d)
-		}
-		inj.SetErrorEvery(*chaosErrEvery)
-		inj.SetPanicEvery(*chaosPanicEvery)
-		inj.SetPoisonValue(float32(*chaosPoison))
-		stuck := *chaosStuck
-		if stuck == "all" {
-			stuck = "*"
-		}
-		inj.SetStuck(stuck)
 		cfg.Fault = inj
-		logger.Warn("chaos injection armed — drills only, never production",
-			"latency", *chaosLatency, "errorEvery", *chaosErrEvery, "panicEvery", *chaosPanicEvery,
-			"poisonPixel", *chaosPoison, "stuckRoute", *chaosStuck)
+		logger.Warn("chaos injection armed — drills only, never production", "chaos", *chaosSpec)
 	}
 	opts := serve.Options{
 		EnablePprof:     *pprofOn,
 		Logger:          logger,
 		SLOLatencyP99:   *sloP99,
-		SLOAvailability: *sloAvail,
 		FlightDir:       *flightDir,
 		DefaultDeadline: *deadline,
-	}
-	if *sloAvail <= 0 || *sloAvail >= 1 {
-		logger.Error("exiting", "err", fmt.Errorf("slo-availability %v must be in (0,1)", *sloAvail))
-		os.Exit(1)
 	}
 	if err := run(*ckpt, *name, *addr, *devName, cfg, opts, *demo); err != nil {
 		logger.Error("exiting", "err", err)
@@ -170,39 +140,11 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
-// parseChaosLatency parses a "route=duration,route=duration" injection
-// spec; the pseudo-route "all" sets the default latency applied to routes
-// without a specific entry.
-func parseChaosLatency(spec string) (map[string]time.Duration, error) {
-	out := make(map[string]time.Duration)
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		route, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || route == "" {
-			return nil, fmt.Errorf("chaos-infer-latency: %q is not route=duration", part)
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("chaos-infer-latency: bad duration in %q", part)
-		}
-		if route == "all" {
-			route = ""
-		}
-		out[route] = d
-	}
-	return out, nil
-}
-
 // validateEngineConfig rejects nonsensical flag combinations before the
 // engine normalises zero values to defaults.
 func validateEngineConfig(cfg engine.Config) error {
 	if cfg.MaxBatch < 0 {
 		return fmt.Errorf("max-batch %d must be non-negative (0 selects the default)", cfg.MaxBatch)
-	}
-	if cfg.MaxWait < 0 {
-		return fmt.Errorf("max-wait %v must be non-negative (0 selects the default)", cfg.MaxWait)
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("workers %d must be non-negative", cfg.Workers)
@@ -287,14 +229,11 @@ func run(ckpt, name, addr, devName string, cfg engine.Config, opts serve.Options
 		"profile", srv.Profile.Name,
 		"workersPerRoute", ecfg.Workers,
 		"maxBatch", ecfg.MaxBatch,
-		"maxWait", ecfg.MaxWait,
 		"pprof", opts.EnablePprof,
 		"sloP99", opts.SLOLatencyP99,
-		"sloAvailability", opts.SLOAvailability,
 		"flightDir", opts.FlightDir,
 		"defaultDeadline", opts.DefaultDeadline,
 		"degradeLadder", srv.Engine.DegradeLadder(),
-		"resilience", ecfg.Resilience.Enabled,
 		"demo", demo)
 	if demo {
 		slog.Warn("demo mode: pipeline is untrained, predictions are meaningless")

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/engine"
@@ -53,7 +52,6 @@ func TestValidateEngineConfig(t *testing.T) {
 	thr := engine.DefaultHardnessThreshold
 	bad := []engine.Config{
 		{MaxBatch: -1, HardnessThreshold: thr},
-		{MaxWait: -time.Millisecond, HardnessThreshold: thr},
 		{Workers: -2, HardnessThreshold: thr},
 		{QueueDepth: -1, HardnessThreshold: thr},
 		{HardnessThreshold: -0.5},
@@ -81,27 +79,6 @@ func TestBuildServerFromCheckpoints(t *testing.T) {
 	}
 	if srv.Engine == nil || srv.Engine.Config().Workers != 1 {
 		t.Fatalf("engine config not applied")
-	}
-}
-
-func TestParseChaosLatency(t *testing.T) {
-	lats, err := parseChaosLatency("hard=12ms, easy=4ms,all=1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lats["hard"] != 12*time.Millisecond || lats["easy"] != 4*time.Millisecond {
-		t.Fatalf("per-route latencies %v", lats)
-	}
-	if lats[""] != time.Millisecond {
-		t.Fatalf("'all' should map to the default entry, got %v", lats)
-	}
-	if got, _ := parseChaosLatency(""); len(got) != 0 {
-		t.Fatalf("empty spec should parse to no entries, got %v", got)
-	}
-	for _, bad := range []string{"hard", "=5ms", "hard=banana", "hard=-1ms"} {
-		if _, err := parseChaosLatency(bad); err == nil {
-			t.Errorf("spec %q should be rejected", bad)
-		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"cbnet/internal/tensor"
 )
 
 func TestInjectorFaultSchedules(t *testing.T) {
@@ -141,5 +143,69 @@ func TestCohortsSpreadSkew(t *testing.T) {
 	// rate is further along the profile.
 	if cs[4].RateAt(500*time.Millisecond) <= cs[0].RateAt(500*time.Millisecond) {
 		t.Fatal("positive skew should lead the wave")
+	}
+}
+
+func TestParseLatency(t *testing.T) {
+	inj := NewInjector()
+	if err := inj.setLatencies("hard:12ms/easy:4ms/all:1ms"); err != nil {
+		t.Fatal(err)
+	}
+	if inj.lat["hard"] != 12*time.Millisecond || inj.lat["easy"] != 4*time.Millisecond {
+		t.Fatalf("per-route latencies %v", inj.lat)
+	}
+	if inj.defaultLat != time.Millisecond {
+		t.Fatalf("'all' should set the default latency, got %v", inj.defaultLat)
+	}
+	for _, bad := range []string{"", "hard", ":5ms", "hard:banana", "hard:-1ms", "hard:1ms/"} {
+		if err := NewInjector().setLatencies(bad); err == nil {
+			t.Errorf("latency %q should be rejected", bad)
+		}
+	}
+}
+
+// TestParseSpec: every fault a drill can name on the command line reaches
+// the injector, and a spec that names anything else is refused whole.
+func TestParseSpec(t *testing.T) {
+	inj, err := ParseSpec("latency=all:1ms, poison=0.77777,stuck=hard,error-every=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := inj.BeforeInfer("hard", 1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("stuck=hard: hard batch err = %v, want ErrInjected", err)
+	}
+	if d := time.Since(start); d < time.Millisecond {
+		t.Fatalf("latency=all:1ms: batch took %v", d)
+	}
+	_ = inj.BeforeInfer("easy", 1) // batch 2
+	if err := inj.BeforeInfer("easy", 1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("error-every=3: third batch err = %v, want ErrInjected", err)
+	}
+	x := tensor.New(2, 4)
+	x.Data[4] = 0.77777
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("poison=0.77777: a batch holding the pixel did not panic")
+			}
+		}()
+		_ = inj.BeforeInferBatch("easy", x)
+	}()
+
+	if inj, err = ParseSpec("stuck=all,panic-every=1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.BeforeInfer("pruned", 1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("stuck=all: err = %v, want ErrInjected on any route", err)
+	}
+	for _, bad := range []string{
+		"", "latency", "latency=hard", "poison=x", "poison=0", "stuck=", "stuck",
+		"error-every=0", "panic-every=-1", "error-every=soon", "jitter=1ms",
+		"stuck=hard,", "stuck=hard,jitter=1",
+	} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("spec %q should be rejected", bad)
+		}
 	}
 }

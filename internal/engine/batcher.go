@@ -113,19 +113,16 @@ func (e *Engine) RouteCosts() []RouteCost {
 // answer delivers one request's outcome and is the only send on a done
 // channel. Every way a request leaves the engine after admission passes
 // through here, so the books are kept in one place: a served request counts
-// as completed, leaves its queue wait in the route's histogram and credits
-// the retry budget; a request shed at its deadline (it was still queued)
-// comes off the queued gauge and counts as expired; anything else counts as
-// failed. The in-flight gauge drops before the send: a caller holding its
-// answer must not read itself in flight.
+// as completed and leaves its queue wait in the route's histogram; a request
+// shed at its deadline (it was still queued) comes off the queued gauge and
+// counts as expired; anything else counts as failed. The in-flight gauge
+// drops before the send: a caller holding its answer must not read itself in
+// flight.
 func (e *Engine) answer(rt *route, r *request, out outcome) {
 	switch {
 	case out.err == nil:
 		rt.stats.queueWaitMS.Observe(float64(out.res.QueueWait) / float64(time.Millisecond))
 		e.stats.completed.Inc()
-		if e.res != nil {
-			e.res.budget.OnSuccess()
-		}
 	case errors.Is(out.err, ErrDeadline):
 		rt.stats.queued.Add(-1)
 		e.stats.expired.Inc()
@@ -148,32 +145,25 @@ func (e *Engine) shedExpired(rt *route, r *request) bool {
 }
 
 // batchLoop is the route's single coalescing goroutine. A batch opens when
-// the first request arrives and flushes on the earliest of three triggers:
+// the first request arrives and is handed to a worker on the earliest of
+// three triggers:
 //
 //   - it reaches MaxBatch;
 //   - the queue is empty and a worker is idle (work-conserving flush —
-//     holding requests while capacity sits idle only adds latency, and in
-//     closed-loop traffic it deadlocks throughput against MaxWait);
-//   - it has been open for MaxWait (bounds latency when workers are busy).
+//     holding requests while capacity sits idle only adds latency);
+//   - the queue closes (engine shutdown).
 //
 // Batches therefore form exactly while all workers are occupied: under
 // load they grow toward MaxBatch, and a lone request on an idle engine is
-// dispatched immediately. Requests whose context already expired are shed
-// here, at batch formation, instead of wasting a worker slot. When the
-// queue closes (engine shutdown) the loop flushes whatever is pending and
-// exits, so every admitted request is always answered.
+// dispatched immediately. No timer bounds the wait: a batch that is not full
+// is already on offer to the next worker that frees up, and until one does
+// there is nobody to run it. Requests whose context already expired are shed
+// here, at batch formation, instead of wasting a worker slot. When the queue
+// closes the loop flushes whatever is pending and exits, so every admitted
+// request is always answered.
 func (e *Engine) batchLoop(rt *route) {
 	defer e.wg.Done()
 	defer close(rt.batches)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	stopTimer := func() {
-		if !timer.Stop() {
-			<-timer.C
-		}
-	}
 	for {
 		// Wait for the request that opens the next batch.
 		first, ok := <-rt.queue
@@ -185,53 +175,30 @@ func (e *Engine) batchLoop(rt *route) {
 		}
 		first.tOpen = trace.Now()
 		batch := append(make([]*request, 0, e.cfg.MaxBatch), first)
-		timer.Reset(e.cfg.MaxWait)
-		sent, deadline := false, false
-		for !sent && !deadline && len(batch) < e.cfg.MaxBatch {
-			// Drain work that is already queued before anything else.
+		open, sent := true, false
+		for open && !sent && len(batch) < e.cfg.MaxBatch {
+			var r *request
 			select {
-			case r, ok := <-rt.queue:
-				if !ok {
-					stopTimer()
-					rt.batches <- batch
-					return
-				}
-				if !e.shedExpired(rt, r) {
-					batch = append(batch, r)
-				}
-				continue
+			case r, open = <-rt.queue:
+				// Work that is already queued comes before anything else.
 			default:
-			}
-			// Queue empty: hand off now if a worker is parked.
-			select {
-			case rt.batches <- batch:
-				sent = true
-				continue
-			default:
-			}
-			// Workers busy and queue empty: block until more work, a
-			// freed worker, or the deadline.
-			select {
-			case r, ok := <-rt.queue:
-				if !ok {
-					stopTimer()
-					rt.batches <- batch
-					return
+				// Queue empty: block until more work or a parked worker.
+				select {
+				case r, open = <-rt.queue:
+				case rt.batches <- batch:
+					sent = true
+					continue
 				}
-				if !e.shedExpired(rt, r) {
-					batch = append(batch, r)
-				}
-			case rt.batches <- batch:
-				sent = true
-			case <-timer.C:
-				deadline = true
 			}
-		}
-		if !deadline {
-			stopTimer()
+			if open && !e.shedExpired(rt, r) {
+				batch = append(batch, r)
+			}
 		}
 		if !sent {
 			rt.batches <- batch
+		}
+		if !open {
+			return
 		}
 	}
 }
@@ -297,16 +264,13 @@ func (e *Engine) safeInfer(rt *route, w *worker, x *tensor.Tensor) (logits, conv
 	return logits, converted, nil
 }
 
-// execBatch assembles the batch tensor in the worker's buffer, runs the
-// route's forward pass on its plans under trace ID id and reports the
-// outcome to the route's breaker. On success it answers every request in
-// the batch; on failure it answers none and returns the error, leaving the
-// caller to bisect or fail the batch. Everything a requester keeps (class,
-// converted image) is extracted or copied before it returns, because the
-// next batch reuses the plan buffers. t0 is the caller's stamp at the start
-// of this run and tDone the one taken at the end of the forward pass: the
-// caller's span, Result.Infer and the inferMs sample are all tDone − t0.
-func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64, t0 int64) (tDone int64, err error) {
+// forward assembles the batch tensor in the worker's buffer and runs the
+// route's forward pass on its plans under trace ID id. It answers nobody and
+// tells the breaker nothing: the caller replies, bisects or fails the batch.
+// tDone is the stamp taken at the end of the forward pass; the caller's span,
+// Result.Infer and the inferMs sample are all tDone minus its own start
+// stamp. The tensors are the plans' buffers, overwritten by the next run.
+func (e *Engine) forward(rt *route, w *worker, batch []*request, id uint64) (logits, converted *tensor.Tensor, tDone int64, err error) {
 	n := len(batch)
 	w.x.Shape[0] = n
 	w.x.Data = w.buf[:n*dataset.Pixels]
@@ -314,19 +278,17 @@ func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64, t0
 		copy(w.x.Data[i*dataset.Pixels:(i+1)*dataset.Pixels], r.pixels)
 	}
 	w.ps.SetTraceID(id)
+	logits, converted, err = e.safeInfer(rt, w, &w.x)
+	return logits, converted, trace.Now(), err
+}
 
-	logits, converted, err := e.safeInfer(rt, w, &w.x)
-	tDone = trace.Now()
-	if rt.breaker != nil {
-		rt.breaker.Observe(err == nil)
-	}
-	if err != nil {
-		return tDone, err
-	}
+// reply answers every request of a batch whose forward pass ran. Everything
+// a requester keeps (class, converted image) is extracted or copied here,
+// because the next batch reuses the plan buffers.
+func (e *Engine) reply(rt *route, w *worker, batch []*request, logits, converted *tensor.Tensor, infer time.Duration) {
+	n := len(batch)
 	preds := w.preds[:n]
 	logits.ArgMaxRows(preds)
-
-	infer := time.Duration(tDone - t0)
 	rt.stats.observeBatch(n, infer)
 	for i, r := range batch {
 		res := Result{
@@ -343,12 +305,16 @@ func (e *Engine) execBatch(rt *route, w *worker, batch []*request, id uint64, t0
 		}
 		e.answer(rt, r, outcome{res: res})
 	}
-	return tDone, nil
 }
 
-// runBatch sheds what expired since batch formation, executes the rest
-// (execBatch) and emits the batch's lifecycle spans. A failed forward pass
-// is bisected or failed here; either way the worker survives.
+// runBatch sheds what expired since batch formation, runs the rest through
+// the forward pass, gives the route's breaker its one verdict on the batch
+// and then answers it, emitting the batch's lifecycle spans. The verdict is
+// about the route, not the inputs: ok when the forward pass ran or bisection
+// served anyone (a bad input; the route works), failed when nobody could be
+// served. Bisection's re-runs are not batches and the breaker never hears of
+// them, so one poison pill cannot open a breaker. Whatever happens, the
+// worker survives.
 func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 	// Last shed point: a deadline can expire between batch formation and a
 	// worker picking the batch up (all workers wedged). Compact the batch
@@ -381,19 +347,30 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 	}
 	rt.stats.queued.Add(-int64(n))
 
-	tExec, inferErr := e.execBatch(rt, w, batch, batchID, t0)
+	logits, converted, tExec, inferErr := e.forward(rt, w, batch, batchID)
 	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindExecute,
 		Name: w.routeName, Batch: n, Start: t0, Dur: tExec - t0})
+	var failed []*request
 	if inferErr != nil {
-		// With resilience armed, a multi-request batch is bisected so
-		// only the culprit fails; otherwise (or for singletons, where
-		// there is nothing to split) fail this batch's callers. The next
-		// batch is a fresh plan run.
+		// With resilience armed, a multi-request batch is bisected so only
+		// the culprit fails; otherwise (or for singletons, where there is
+		// nothing to split) the batch's callers fail. The next batch is a
+		// fresh plan run.
+		failed = batch
 		if e.res != nil && n > 1 {
-			e.bisect(rt, w, batch, batchID, inferErr)
-		} else {
-			e.failSubBatch(rt, batch, inferErr)
+			failed = e.bisect(rt, w, batch, batchID)
 		}
+	}
+	// Before the answers: a caller holding a failure must find the breaker
+	// already knows of it.
+	if rt.breaker != nil {
+		rt.breaker.Observe(len(failed) < n)
+	}
+	if inferErr == nil {
+		e.reply(rt, w, batch, logits, converted, time.Duration(tExec-t0))
+	}
+	for _, r := range failed {
+		e.answer(rt, r, outcome{err: inferErr})
 	}
 	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindRespond,
 		Name: w.routeName, Batch: n, Start: tExec, Dur: trace.Now() - tExec})

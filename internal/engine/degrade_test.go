@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +150,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 // expires while queued behind a wedged worker is shed at batch formation
 // without consuming a worker slot.
 func TestDeadlineAdmissionAndFormation(t *testing.T) {
-	e, gate := gateEngine(t, Config{MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: 8})
+	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 8})
 
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
@@ -222,7 +221,7 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 	// the rest is shed.
 	gate := make(gateFault)
 	e := New(testPipeline(), Config{
-		MaxBatch: 4, MaxWait: time.Hour, Workers: 1, QueueDepth: 8,
+		MaxBatch: 4, Workers: 1, QueueDepth: 8,
 		Fault:   gate,
 		Degrade: DegradeConfig{Enabled: true},
 	})
@@ -281,81 +280,6 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 	}
 	if got, want := served.Load(), e.Stats().Submitted; got != want {
 		t.Fatalf("%d served, %d admitted: Close must drain every admitted request", got, want)
-	}
-}
-
-// TestRetryAfterJitterBounds: a modelled wait w above the floor is hinted
-// within ±10% of w, rounded up — [ceil(0.9w), ceil(1.1w)] — across many
-// draws, and the draws do spread; at or below the floor and above the
-// ceiling the hint is the bound itself.
-func TestRetryAfterJitterBounds(t *testing.T) {
-	const w = 10.0
-	lo, hi := int(math.Ceil(0.9*w)), int(math.Ceil(1.1*w))
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		got := retryAfter(w)
-		if got < lo || got > hi {
-			t.Fatalf("retryAfter(%v) = %d outside [%d,%d]", w, got, lo, hi)
-		}
-		seen[got] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("1000 hints for a %vs wait were all %v: no jitter", w, seen)
-	}
-	for _, c := range []struct {
-		wait float64
-		want int
-	}{{0, 1}, {0.3, 1}, {1, 1}, {1000, 60}} {
-		if got := retryAfter(c.wait); got != c.want {
-			t.Errorf("retryAfter(%v) = %d, want %d", c.wait, got, c.want)
-		}
-	}
-}
-
-// TestRetryAfterIgnoresIdleTime: the hint is the time the queue takes to
-// drain at the rate the workers have shown while busy. Measured against
-// uptime instead, an hour of idling would turn a queue that drains in
-// milliseconds into the 60 s clamp.
-func TestRetryAfterIgnoresIdleTime(t *testing.T) {
-	gate := make(gateFault, 8)
-	for i := 0; i < cap(gate); i++ {
-		gate <- struct{}{} // the first batches pass straight through
-	}
-	e := testEngine(t, Config{
-		MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: 16, Fault: gate,
-		HardnessThreshold: 1000, // everything on easy
-	})
-	t.Cleanup(func() { close(gate) }) // runs before Close: the wedged worker must finish
-	for i := uint64(0); i < 8; i++ {
-		if _, err := e.Submit(context.Background(), Request{Pixels: easyImage(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.stats.start = e.stats.start.Add(-time.Hour)
-
-	// The gate is used up: the next batch wedges the worker, the one after
-	// waits in the batcher's hands, and 16 more fill the queue.
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
-			if time.Since(start) > 10*time.Second {
-				t.Fatalf("%s: submitted %d, queue %d", what, e.Stats().Submitted, len(e.easy.queue))
-			}
-		}
-	}
-	for i := uint64(0); i < 2; i++ {
-		go e.Submit(context.Background(), Request{Pixels: easyImage(i)})
-	}
-	waitFor("worker and batcher never took their requests", func() bool {
-		return e.Stats().Submitted == 10 && len(e.easy.queue) == 0
-	})
-	for i := uint64(0); i < 16; i++ {
-		go e.Submit(context.Background(), Request{Pixels: easyImage(i)})
-	}
-	waitFor("queue never filled", func() bool { return len(e.easy.queue) == 16 })
-	if got := e.RetryAfterSeconds(); got > 2 {
-		t.Fatalf("RetryAfterSeconds = %d for 16 queued images on a route that answered 8 in %.1f ms of forward passes; want the drain time (≤ 2 s), not a rate diluted by an idle hour",
-			got, e.easy.stats.inferMS.Sum())
 	}
 }
 

@@ -3,7 +3,7 @@
 // needs once a device handles more than one client.
 //
 // Callers submit single images; the engine coalesces them into
-// micro-batches (flushed on a size or deadline trigger, SEIFER-style
+// micro-batches (flushed when full or when a worker is free, SEIFER-style
 // pipelined scheduling), runs batches on a worker pool, and answers each
 // caller individually. Two properties make it faster than the naive
 // one-request-one-forward loop:
@@ -45,16 +45,15 @@
 // differences of those readings, so they cannot disagree and adjacent
 // stages add up (see Result for what each covers). Every admitted request
 // is answered in one function, answer, which owns the done-channel send and
-// the gauge, counter, histogram and retry-budget bookkeeping that goes with
-// it. Any goroutine may write a worker's span ring; /debug/trace reads the
-// rings by walking the live routes' workers (TraceTracks).
+// the gauge, counter and histogram bookkeeping that goes with it. Any
+// goroutine may write a worker's span ring; /debug/trace reads the rings by
+// walking the live routes' workers (TraceTracks).
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -133,9 +132,6 @@ type Config struct {
 	// MaxBatch flushes a route's pending requests once this many have
 	// coalesced. Default 32.
 	MaxBatch int
-	// MaxWait flushes a partial batch this long after its first request
-	// arrived, bounding the latency cost of batching. Default 2ms.
-	MaxWait time.Duration
 	// Workers is the number of inference goroutines per route.
 	// Default max(1, GOMAXPROCS/2) so the two routes together roughly
 	// fill the machine.
@@ -163,18 +159,14 @@ type Config struct {
 	// (see FaultInjector). Testing and chaos drills only.
 	Fault FaultInjector
 	// Resilience arms the fault-isolation layer: batch bisection,
-	// poison-pill quarantine, per-route circuit breakers, and the retry
-	// budget. Off by default — the zero value keeps whole-batch failure
-	// semantics.
+	// poison-pill quarantine and per-route circuit breakers. Off by default
+	// — the zero value keeps whole-batch failure semantics.
 	Resilience ResilienceConfig
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0) / 2
@@ -314,10 +306,7 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	if cfg.Resilience.Enabled {
 		// Built before the routes so newRoute can attach a breaker to
 		// each as it is constructed.
-		e.res = &resilienceState{
-			budget: resilience.NewBudget(cfg.Resilience.Budget),
-			quar:   resilience.NewQuarantine(cfg.Resilience.Quarantine),
-		}
+		e.res = &resilienceState{quar: resilience.NewQuarantine(cfg.Resilience.Quarantine)}
 	}
 	// The one place a route is paired with what an image costs on it: the
 	// classifier alone, the AE pipeline, a variant's own network.
@@ -379,38 +368,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // it on arrival — before decoding or admission — so every response and log
 // record carries a requestId even when the request never reaches Submit.
 func (e *Engine) IssueRequestID() uint64 { return e.reqID.Add(1) }
-
-// RetryAfterSeconds estimates how long an overloaded client should back
-// off: the time the fullest route needs to drain its queue at the rate its
-// workers have shown while busy (images per second of forward-pass time,
-// times the workers draining in parallel), so the hint scales with real
-// overload and does not decay while the server idles. With no throughput
-// history it falls back to 1.
-func (e *Engine) RetryAfterSeconds() int {
-	worst := 1.0
-	for _, rt := range e.live {
-		busy := rt.stats.inferMS.Sum() / 1e3
-		if busy <= 0 {
-			continue
-		}
-		rate := float64(rt.stats.images.Value()) / busy * float64(len(rt.workers))
-		if wait := float64(len(rt.queue)) / rate; wait > worst {
-			worst = wait
-		}
-	}
-	return retryAfter(worst)
-}
-
-// retryAfter turns a modelled wait into the Retry-After hint: waits above
-// the 1s floor are jittered ±10% so synchronized clients don't all retry on
-// the same second and re-spike the queue, then clamped to [1, 60] and
-// rounded up to whole seconds — never a shorter wait than modelled.
-func retryAfter(wait float64) int {
-	if wait > 1 {
-		wait *= 0.9 + 0.2*rand.Float64()
-	}
-	return int(min(max(wait, 1), 60) + 0.999)
-}
 
 // Submit classifies one image, blocking until its batch completes, ctx is
 // done, or admission fails: place refuses the request, or the queue of the

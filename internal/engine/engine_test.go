@@ -151,7 +151,7 @@ func TestBatchCoalescing(t *testing.T) {
 	// coalesce instead of racing the worker's throughput (the un-gated
 	// version flaked when the worker drained requests one by one faster
 	// than the submitters could queue them).
-	e, gate := gateEngine(t, Config{MaxBatch: 16, MaxWait: 20 * time.Millisecond, Workers: 1})
+	e, gate := gateEngine(t, Config{MaxBatch: 16, Workers: 1})
 	const n = 24
 	results := make(chan Result, n)
 	for i := 0; i < n; i++ {
@@ -197,7 +197,7 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 func TestSubmitContextCanceled(t *testing.T) {
-	e := testEngine(t, Config{MaxWait: 50 * time.Millisecond})
+	e := testEngine(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Submit(ctx, Request{Pixels: easyImage(19)})
@@ -253,7 +253,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MaxBatch <= 0 || cfg.MaxWait <= 0 || cfg.Workers <= 0 || cfg.QueueDepth <= 0 {
+	if cfg.MaxBatch <= 0 || cfg.Workers <= 0 || cfg.QueueDepth <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.HardnessThreshold != DefaultHardnessThreshold {
@@ -271,27 +271,6 @@ func TestDisableRoutingFoldsWorkerBudget(t *testing.T) {
 	on := testEngine(t, Config{Workers: 3})
 	if got := on.Config().Workers; got != 3 {
 		t.Fatalf("Config().Workers = %d, want 3 with routing enabled", got)
-	}
-}
-
-// TestRetryAfterSeconds: the backoff hint must stay a positive whole
-// number of seconds within [1, 60] regardless of traffic history, and
-// stay at the floor while queues are empty.
-func TestRetryAfterSeconds(t *testing.T) {
-	e := testEngine(t, Config{Workers: 1})
-	if got := e.RetryAfterSeconds(); got != 1 {
-		t.Errorf("fresh engine RetryAfterSeconds = %d, want 1 (no history, empty queues)", got)
-	}
-	for i := uint64(0); i < 8; i++ {
-		if _, err := e.Submit(context.Background(), Request{Pixels: easyImage(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.RetryAfterSeconds(); got < 1 || got > 60 {
-		t.Errorf("RetryAfterSeconds = %d, want within [1, 60]", got)
-	}
-	if got := e.RetryAfterSeconds(); got != 1 {
-		t.Errorf("drained queues RetryAfterSeconds = %d, want the 1s floor", got)
 	}
 }
 

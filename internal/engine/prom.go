@@ -49,12 +49,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 		}
 		p.GaugeVec("cbnet_breaker_state", "Circuit breaker state per route (0 closed, 1 open, 2 half-open).", state)
 		p.CounterVec("cbnet_breaker_transitions_total", "Circuit breaker state changes per route.", trans)
-		p.Gauge("cbnet_retry_budget_tokens", "Retry-budget tokens currently available for bisection re-runs.",
-			nil, r.budget.Tokens())
-		p.Counter("cbnet_retry_budget_spent_total", "Retry-budget tokens spent on bisection re-runs.",
-			nil, float64(r.budget.Spent()))
-		p.Counter("cbnet_retry_budget_denied_total", "Bisection re-runs denied because the retry budget was dry.",
-			nil, float64(r.budget.Denied()))
 		p.Gauge("cbnet_quarantine_size", "Poison-pill fingerprints currently quarantined.",
 			nil, float64(r.quar.Size()))
 		p.Counter("cbnet_quarantine_adds_total", "Poison-pill fingerprints convicted by bisection.",

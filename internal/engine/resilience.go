@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"math/bits"
 	"sync/atomic"
+	"time"
 
 	"cbnet/internal/metrics"
 	"cbnet/internal/resilience"
@@ -17,24 +19,17 @@ import (
 var ErrPoisoned = errors.New("engine: input quarantined as a poison pill")
 
 // ResilienceConfig arms the fault-isolation layer: batch bisection on
-// infer failure, the poison-pill quarantine and per-route circuit breakers
-// that place consults, and a retry budget bounding re-runs. The
-// zero value leaves it off (failures keep today's whole-batch semantics).
+// infer failure, the poison-pill quarantine and the per-route circuit
+// breakers that place consults. The zero value leaves it off (a failed batch
+// fails all its callers).
 type ResilienceConfig struct {
 	// Enabled turns the layer on.
 	Enabled bool
 	// Breaker tunes the per-route circuit breakers.
 	Breaker resilience.BreakerConfig
-	// Budget tunes the retry-token bucket funding bisection re-runs.
-	Budget resilience.BudgetConfig
 	// Quarantine tunes the poison-pill fingerprint ring.
 	Quarantine resilience.QuarantineConfig
 }
-
-// maxBisectDepth bounds the bisection recursion; sub-batches still failing
-// at this depth fail as a group. 6 isolates a single culprit in batches up
-// to 64.
-const maxBisectDepth = 6
 
 // BreakerTransition describes one circuit-breaker state change, delivered
 // to OnBreaker observers (the serve layer logs it and writes a breaker span
@@ -47,8 +42,7 @@ type BreakerTransition struct {
 
 // resilienceState is the engine side of the fault-isolation layer.
 type resilienceState struct {
-	budget *resilience.Budget
-	quar   *resilience.Quarantine
+	quar *resilience.Quarantine
 
 	poisoned    metrics.Counter // admissions rejected by quarantine
 	bisectRuns  metrics.Counter // sub-batch re-runs executed
@@ -92,84 +86,82 @@ func (e *Engine) BreakerOpen(name RouteName) bool {
 
 // bisect isolates the culprit(s) of a failed multi-request batch by
 // recursively re-running halves on the same worker (same PlanSet, same
-// batch buffer). Each sub-run spends one retry-budget token; when the
-// bucket runs dry — or the depth bound is hit — the remaining suspects
-// fail as a group with the original error, so a hard-failing route
-// degrades to exactly the pre-bisection behavior instead of amplifying
-// load. Singleton failures are convicted as poison pills and quarantined,
-// but only if at least one sibling from the batch was served: a
-// route-wide fault fails every singleton too, and quarantining innocents
-// on that evidence would turn an outage into a blocklist. Cold path —
-// it only runs after a batch already failed.
-func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64, inferErr error) {
-	served := 0
+// batch buffer), answering every request a re-run serves. It returns the
+// requests it could not serve, unanswered: runBatch answers them once the
+// route's breaker has the batch's verdict, so len(batch) − len(failed) is
+// what bisection saved.
+//
+// A lone bad input costs at most two sub-runs a level, 2⌈log₂ n⌉ in all:
+// the half that holds it fails and splits, its sibling is served. A fault
+// in the route fails every sub-run instead, and the leftmost descent to a
+// singleton plus that singleton's sibling — ⌈log₂ n⌉ + 1 sub-runs — is
+// enough to say so: with nothing served by then the rest fail as a group,
+// which is what the batch would have done without bisection. A singleton
+// that fails is convicted as a poison pill and quarantined, but only if a
+// sibling from the batch was served: a route-wide fault fails every
+// singleton too, and quarantining innocents on that evidence would turn an
+// outage into a blocklist. Cold path — it only runs after a batch failed.
+func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64) (failed []*request) {
+	runs, served := 0, 0
 	var convicted []*request
-	var run func(sub []*request, depth int)
-	run = func(sub []*request, depth int) {
-		if len(sub) == 0 {
+	var run func(sub []*request)
+	run = func(sub []*request) {
+		// More than ⌈log₂ n⌉ re-runs and nobody served: the route, not an input.
+		if served == 0 && runs > bits.Len(uint(len(batch)-1)) {
+			failed = append(failed, sub...)
 			return
 		}
-		if depth > maxBisectDepth || !e.res.budget.Allow() {
-			e.failSubBatch(rt, sub, inferErr)
-			return
-		}
-		e.res.bisectRuns.Inc()
+		runs++
 		if e.runSubBatch(rt, w, sub, parentID) {
 			served += len(sub)
 			return
 		}
 		if len(sub) == 1 {
-			convicted = append(convicted, sub[0]) // answered below, once quarantined
+			convicted = append(convicted, sub[0])
 			return
 		}
 		mid := len(sub) / 2
-		run(sub[:mid], depth+1)
-		run(sub[mid:], depth+1)
+		run(sub[:mid])
+		run(sub[mid:])
 	}
 	// The full batch is already known to fail: start from the halves.
 	mid := len(batch) / 2
-	run(batch[:mid], 1)
-	run(batch[mid:], 1)
+	run(batch[:mid])
+	run(batch[mid:])
+	e.res.bisectRuns.Add(int64(runs))
 	e.res.bisectSaved.Add(int64(served))
 	if served > 0 {
+		// In the quarantine before the culprit hears of its failure: a caller
+		// that resubmits the moment it is answered is turned away at
+		// admission instead of failing a second batch.
 		for _, r := range convicted {
 			e.res.quar.Add(r.fp)
 			e.res.culprits.Inc()
 		}
 	}
-	// A culprit hears of its failure only after the quarantine holds its
-	// fingerprint: a caller that resubmits the moment it is answered is
-	// turned away at admission instead of failing a second batch.
-	e.failSubBatch(rt, convicted, inferErr)
+	return append(failed, convicted...)
 }
 
 // runSubBatch re-runs a sub-batch through the route's forward pass on the
-// worker's own buffers (execBatch), delivering results on success. Returns
-// false when the sub-batch still fails. Each re-run is traced as a bisect
-// span whose Ref links the failed parent batch.
+// worker's own buffers, answering its requests on success. Returns false
+// when the sub-batch still fails. Each re-run is traced as a bisect span
+// whose Ref links the failed parent batch; the breaker hears nothing of it.
 func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint64) bool {
 	subID := e.batchSeq.Add(1)
 	t0 := trace.Now()
-	tDone, err := e.execBatch(rt, w, sub, subID, t0)
+	logits, converted, tDone, err := e.forward(rt, w, sub, subID)
 	w.rec.Emit(trace.Span{ID: subID, Ref: parentID, Kind: trace.KindBisect,
 		Name: w.routeName, Batch: len(sub), Start: t0, Dur: tDone - t0})
-	return err == nil
-}
-
-// failSubBatch answers a group of suspects with the original infer error.
-func (e *Engine) failSubBatch(rt *route, sub []*request, inferErr error) {
-	for _, r := range sub {
-		e.answer(rt, r, outcome{err: inferErr})
+	if err == nil {
+		e.reply(rt, w, sub, logits, converted, time.Duration(tDone-t0))
 	}
+	return err == nil
 }
 
 // ResilienceSnapshot is the /stats (and Resilience()) view of the
 // fault-isolation layer.
 type ResilienceSnapshot struct {
 	Breakers       []BreakerSnapshot `json:"breakers"`
-	BudgetTokens   float64           `json:"budgetTokens"`
-	BudgetSpent    uint64            `json:"budgetSpent"`
-	BudgetDenied   uint64            `json:"budgetDenied"`
 	QuarantineSize int               `json:"quarantineSize"`
 	QuarantineAdds uint64            `json:"quarantineAdds"`
 	QuarantineHits uint64            `json:"quarantineHits"`
@@ -195,9 +187,6 @@ func (e *Engine) Resilience() *ResilienceSnapshot {
 		return nil
 	}
 	s := &ResilienceSnapshot{
-		BudgetTokens:   e.res.budget.Tokens(),
-		BudgetSpent:    e.res.budget.Spent(),
-		BudgetDenied:   e.res.budget.Denied(),
 		QuarantineSize: e.res.quar.Size(),
 		QuarantineAdds: e.res.quar.Adds(),
 		QuarantineHits: e.res.quar.Hits(),

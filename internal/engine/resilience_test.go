@@ -74,7 +74,7 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	inj.SetLatency("", 10*time.Millisecond)
 	inj.SetPoisonValue(poisonPixel)
 	e := testEngine(t, Config{
-		MaxBatch: 16, MaxWait: 50 * time.Millisecond, Workers: 1,
+		MaxBatch: 16, Workers: 1,
 		// Score everything easy so the whole batch lands on one route.
 		HardnessThreshold: 1000,
 		Fault:             inj,
@@ -118,55 +118,160 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	if s.Poisoned != 1 || s.QuarantineHits != 1 {
 		t.Fatalf("poisoned=%d hits=%d, want 1/1", s.Poisoned, s.QuarantineHits)
 	}
-	if s.BisectRuns == 0 || uint64(s.BisectRuns) != s.BudgetSpent {
-		t.Fatalf("bisectRuns=%d budgetSpent=%d, want equal and nonzero", s.BisectRuns, s.BudgetSpent)
+	if s.BisectRuns < 1 || s.BisectRuns > 8 {
+		t.Fatalf("bisectRuns = %d, want 1..8: one pill costs two re-runs a level, four levels in 16", s.BisectRuns)
 	}
 	// Served halves and the convicted singleton each left the gauge once.
 	requireIdleGauges(t, e)
 }
 
-// TestRetryBudgetBoundsBisect wedges the whole engine (every batch fails)
-// with a nearly-empty retry budget: bisection must stop exactly when the
-// bucket runs dry, failing the remaining suspects as groups instead of
-// amplifying a route-wide outage into a retry storm.
-func TestRetryBudgetBoundsBisect(t *testing.T) {
-	inj := chaos.NewInjector()
-	inj.SetLatency("", 10*time.Millisecond)
-	inj.SetStuck("*")
-	e := testEngine(t, Config{
-		MaxBatch: 8, MaxWait: 50 * time.Millisecond, Workers: 1,
-		HardnessThreshold: 1000,
-		Fault:             inj,
-		Resilience: ResilienceConfig{
-			Enabled: true,
-			Budget:  resilience.BudgetConfig{Ratio: 0.001, Burst: 2, Initial: 2},
-		},
-	})
+// handBatch gives a worker one batch of exactly these images, as the batcher
+// would have formed it, and returns each request's error once all are
+// answered: the fault-isolation tests below are about what a batch of a given
+// size and composition does, which coalescing by timing cannot pin.
+func handBatch(e *Engine, rt *route, w *worker, images [][]float32) []error {
+	batch := make([]*request, len(images))
+	for i, img := range images {
+		batch[i] = &request{id: e.IssueRequestID(), pixels: img,
+			fp: resilience.Fingerprint(img), done: make(chan outcome, 1)}
+	}
+	rt.stats.queued.Add(int64(len(batch)))
+	rt.stats.inflight.Add(int64(len(batch)))
+	e.runBatch(rt, batch, w)
+	errs := make([]error, len(batch))
+	for i, r := range batch {
+		errs[i] = (<-r.done).err
+	}
+	return errs
+}
 
-	images := make([][]float32, 8)
+// easyBreaker is the easy route's breaker as /stats shows it.
+func easyBreaker(t *testing.T, e *Engine) BreakerSnapshot {
+	t.Helper()
+	for _, b := range e.Resilience().Breakers {
+		if b.Route == string(RouteEasy) {
+			return b
+		}
+	}
+	t.Fatal("no breaker for the easy route")
+	return BreakerSnapshot{}
+}
+
+// TestPillOnAColdRouteLeavesTheBreakerClosed: a route that has served one
+// batch gets a full batch holding one poison pill. Bisection re-runs up to
+// 2⌈log₂ n⌉ sub-batches to find it and about half of them fail; when each
+// re-run was a sample in the breaker's window, that alone reached the default
+// MinSamples at a failure rate of one half and opened the breaker — one bad
+// input took the route out of service for a cooldown. The breaker hears one
+// verdict for the batch, and it is ok: the route served the innocents.
+func TestPillOnAColdRouteLeavesTheBreakerClosed(t *testing.T) {
+	for _, n := range []int{16, 32} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			inj := chaos.NewInjector()
+			inj.SetPoisonValue(poisonPixel)
+			e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
+				Resilience: ResilienceConfig{Enabled: true}})
+			w := e.newWorker(e.easy)
+			if errs := handBatch(e, e.easy, w, [][]float32{easyImage(999)}); errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+			images := make([][]float32, n)
+			for i := range images {
+				images[i] = easyImage(uint64(i))
+			}
+			images[at] = poisonedImage(uint64(n))
+			for i, err := range handBatch(e, e.easy, w, images) {
+				if i == at && !errors.Is(err, ErrInferFailed) {
+					t.Fatalf("batch %d, pill at %d: pill err = %v, want ErrInferFailed", n, at, err)
+				}
+				if i != at && err != nil {
+					t.Fatalf("batch %d, pill at %d: innocent %d failed: %v", n, at, i, err)
+				}
+			}
+			b := easyBreaker(t, e)
+			if b.State != "closed" || b.Transitions != 0 {
+				t.Fatalf("batch %d, pill at %d: breaker %s after %d transitions, want closed and 0: a bad input is not a bad route",
+					n, at, b.State, b.Transitions)
+			}
+			if b.WindowSamples != 2 || b.WindowFailures != 0 {
+				t.Fatalf("batch %d, pill at %d: breaker window %d samples / %d failures, want 2 / 0 (two batches, both served)",
+					n, at, b.WindowSamples, b.WindowFailures)
+			}
+			if _, err := e.Submit(context.Background(), Request{Pixels: images[at]}); !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("batch %d, pill at %d: resubmitted pill err = %v, want ErrPoisoned", n, at, err)
+			}
+			requireIdleGauges(t, e)
+		}
+	}
+}
+
+// TestBisectConvictsAtAnyBatchSize: bisection reaches a singleton whatever
+// MaxBatch is. A depth cap sized for 64 left the pill in a 128-batch paired
+// with a neighbour: both failed and neither was convicted.
+func TestBisectConvictsAtAnyBatchSize(t *testing.T) {
+	const n, at = 128, 77
+	inj := chaos.NewInjector()
+	inj.SetPoisonValue(poisonPixel)
+	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
+		Resilience: ResilienceConfig{Enabled: true}})
+	images := make([][]float32, n)
 	for i := range images {
 		images[i] = easyImage(uint64(i))
 	}
-	errs := wedgeAndCoalesce(t, e, images)
-	for i, err := range errs {
-		if !errors.Is(err, ErrInferFailed) {
-			t.Fatalf("request %d on a stuck engine: err = %v, want ErrInferFailed", i, err)
+	images[at] = poisonedImage(n)
+	failed := 0
+	for i, err := range handBatch(e, e.easy, e.newWorker(e.easy), images) {
+		if err != nil {
+			failed++
+		}
+		if i == at && !errors.Is(err, ErrInferFailed) {
+			t.Fatalf("pill err = %v, want ErrInferFailed", err)
 		}
 	}
 	s := e.Resilience()
-	if s.BudgetSpent > 2 {
-		t.Fatalf("budgetSpent = %d, want <= the 2-token budget", s.BudgetSpent)
+	if failed != 1 || s.Culprits != 1 || s.QuarantineSize != 1 {
+		t.Fatalf("%d of %d failed, %d culprits, %d quarantined; want 1, 1, 1", failed, n, s.Culprits, s.QuarantineSize)
 	}
-	if s.BudgetDenied == 0 {
-		t.Fatal("budget never denied a re-run on a stuck engine")
+	if s.BisectRuns > 14 {
+		t.Fatalf("bisectRuns = %d, want at most 2⌈log₂ 128⌉ = 14", s.BisectRuns)
 	}
-	if uint64(s.BisectRuns) != s.BudgetSpent {
-		t.Fatalf("bisectRuns=%d budgetSpent=%d, want equal", s.BisectRuns, s.BudgetSpent)
+}
+
+// TestRouteFaultBoundsBisect wedges the route (every forward pass fails):
+// bisection descends to the first singleton, tries its sibling, and with
+// nothing served after ⌈log₂ n⌉ + 1 re-runs fails the rest as a group instead
+// of re-running a broken route 2n − 2 times. Nobody is convicted on that
+// evidence, and the breaker counts batches: one failure for each.
+func TestRouteFaultBoundsBisect(t *testing.T) {
+	const n, batches = 8, 3
+	inj := chaos.NewInjector()
+	inj.SetStuck("*")
+	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
+		Resilience: ResilienceConfig{Enabled: true}})
+	w := e.newWorker(e.easy)
+	images := make([][]float32, n)
+	for i := range images {
+		images[i] = easyImage(uint64(i))
 	}
-	// Sibling-success guard: a route-wide fault convicts nobody.
-	if s.Culprits != 0 || s.QuarantineSize != 0 {
-		t.Fatalf("culprits=%d quarantineSize=%d on a stuck engine, want 0/0", s.Culprits, s.QuarantineSize)
+	for b := 1; b <= batches; b++ {
+		for i, err := range handBatch(e, e.easy, w, images) {
+			if !errors.Is(err, ErrInferFailed) {
+				t.Fatalf("request %d on a stuck route: err = %v, want ErrInferFailed", i, err)
+			}
+		}
+		s := e.Resilience()
+		if s.BisectRuns > int64(4*b) {
+			t.Fatalf("bisectRuns = %d after %d stuck batches of %d, want at most ⌈log₂ 8⌉ + 1 = 4 each", s.BisectRuns, b, n)
+		}
+		if s.BisectSaved != 0 || s.Culprits != 0 || s.QuarantineSize != 0 {
+			t.Fatalf("saved=%d culprits=%d quarantineSize=%d on a stuck route, want 0/0/0", s.BisectSaved, s.Culprits, s.QuarantineSize)
+		}
+		if br := easyBreaker(t, e); br.WindowSamples != int64(b) || br.WindowFailures != int64(b) {
+			t.Fatalf("breaker window %d samples / %d failures after %d failed batches, want one failure a batch",
+				br.WindowSamples, br.WindowFailures, b)
+		}
 	}
+	requireIdleGauges(t, e)
 }
 
 // TestBreakerDivertsAndRecovers sticks the hard route, drives hard-scoring
@@ -329,9 +434,8 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 }
 
 // TestRunBatchZeroAllocResilience re-pins the steady-state zero-alloc
-// contract with the fault-isolation layer armed: fingerprint accounting,
-// breaker observes, and budget earning on the happy path must all stay
-// off the heap.
+// contract with the fault-isolation layer armed: the batch's verdict to the
+// breaker must stay off the heap.
 func TestRunBatchZeroAllocResilience(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
@@ -367,25 +471,17 @@ func TestRunBatchZeroAllocResilience(t *testing.T) {
 // pill panics, and bisection re-runs sub-batches until the 15 innocents
 // are served and the pill is convicted. The injected 5ms batch latency
 // wedges the worker so the round coalesces (and dominates the result, which
-// keeps it stable); the retry budget is made effectively infinite so the
-// drill is never cut short.
+// keeps it stable).
 func BenchmarkBisectOverhead(b *testing.B) {
 	const poisonVal = float32(0.55555)
 	inj := chaos.NewInjector()
 	inj.SetLatency("", 5*time.Millisecond)
 	inj.SetPoisonValue(poisonVal)
 	e := New(testPipeline(), Config{
-		MaxBatch: 32, MaxWait: 20 * time.Millisecond, Workers: 1, QueueDepth: 256,
+		MaxBatch: 32, Workers: 1, QueueDepth: 256,
 		HardnessThreshold: 1000, // one route: the whole round coalesces
 		Fault:             inj,
-		Resilience: ResilienceConfig{
-			Enabled: true,
-			Budget:  resilience.BudgetConfig{Ratio: 1, Burst: 1 << 20, Initial: 1 << 20},
-			// A breaker that cannot trip (100% failures over a window the
-			// drill's successes always dilute): this measures bisection,
-			// and an open breaker would divert the stream mid-measurement.
-			Breaker: resilience.BreakerConfig{Window: 256, MinSamples: 256, FailureThreshold: 1},
-		},
+		Resilience:        ResilienceConfig{Enabled: true},
 	})
 	defer e.Close()
 

@@ -115,7 +115,7 @@ func TestPlace(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			gate := make(gateFault)
 			e := testEngine(t, Config{
-				MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: 4,
+				MaxBatch: 1, Workers: 1, QueueDepth: 4,
 				Fault:          gate,
 				DisableRouting: c.noRouting,
 				Variants:       []Variant{pruned},
@@ -220,7 +220,7 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	const depth = 8
 	gate := make(gateFault)
 	e := testEngine(t, Config{
-		MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: depth,
+		MaxBatch: 1, Workers: 1, QueueDepth: depth,
 		Fault:   gate,
 		Degrade: DegradeConfig{Enabled: true},
 	})

@@ -15,7 +15,7 @@ import (
 // with mixed traffic while a poller reads stats, validating -race
 // cleanliness and that no request is lost or double-answered.
 func TestStressConcurrentSubmitters(t *testing.T) {
-	e := testEngine(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 4, QueueDepth: 1024})
+	e := testEngine(t, Config{MaxBatch: 8, Workers: 4, QueueDepth: 1024})
 	const goroutines = 16
 	const perG = 20
 	images := make([][]float32, goroutines)
@@ -121,7 +121,7 @@ func TestBackpressureOverload(t *testing.T) {
 	// channel + worker), so a submit loop must eventually observe
 	// ErrOverloaded — and every admitted request must still succeed once
 	// the gate opens.
-	e, gate := gateEngine(t, Config{MaxBatch: 1, MaxWait: time.Hour, Workers: 1, QueueDepth: 2})
+	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 2})
 
 	var wg sync.WaitGroup
 	var succeeded atomic.Int64
@@ -194,7 +194,7 @@ func TestBackpressureOverload(t *testing.T) {
 
 func TestShutdownDrainsAdmitted(t *testing.T) {
 	const n = 12
-	e, gate := gateEngine(t, Config{MaxBatch: 4, MaxWait: time.Hour, Workers: 2, QueueDepth: 64})
+	e, gate := gateEngine(t, Config{MaxBatch: 4, Workers: 2, QueueDepth: 64})
 
 	var wg sync.WaitGroup
 	var done atomic.Int64

@@ -99,8 +99,13 @@ func TestNewLatentHeadShapes(t *testing.T) {
 }
 
 // TestEncoderPipelineEndToEnd trains a full system, builds the decoder-free
-// variant, and verifies it is cheaper than the full CBNet pipeline while
-// staying in a usable accuracy band.
+// variant, and holds it against the path it would replace: on degraded
+// renders — the inputs the converting autoencoder exists for — classifying
+// the bottleneck code must be no less accurate than decoding it and running
+// the lightweight classifier on the reconstruction, at a lower device cost.
+// (On the repository benchmark's fixture and pools it is 0.302 against 0.2925
+// on the hard pool and 1.000 against 0.991 on the easy one, at 0.56 ms /
+// 3.25 mJ against 2.04 ms / 11.94 mJ on the Pi 4 model; see ROADMAP item 2.)
 func TestEncoderPipelineEndToEnd(t *testing.T) {
 	std, err := dataset.LoadStandard(dataset.MNIST, 600, 200, 6)
 	if err != nil {
@@ -117,16 +122,28 @@ func TestEncoderPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := ep.Accuracy(std.Test)
-	full := sys.CBNet.Accuracy(std.Test)
-	t.Logf("decoder-free accuracy %.3f vs full CBNet %.3f", acc, full)
-	if acc < 0.5 {
-		t.Errorf("decoder-free accuracy %.3f unusable", acc)
+	for name, ds := range map[string]*dataset.Dataset{
+		"degraded renders": dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 400, HardFraction: 1, Seed: 9}),
+		"the test mix":     std.Test,
+	} {
+		acc, full := ep.Accuracy(ds), sys.CBNet.Accuracy(ds)
+		t.Logf("%s: decoder-free accuracy %.3f vs AE→classifier %.3f", name, acc, full)
+		if acc < full {
+			t.Errorf("decoder-free accuracy %.3f on %s, below AE→classifier's %.3f", acc, name, full)
+		}
 	}
 	pi := device.RaspberryPi4()
-	if pi.Latency(ep.Cost()) >= pi.Latency(sys.CBNet.Cost()) {
-		t.Errorf("decoder-free pipeline (%.4gms) should be cheaper than full CBNet (%.4gms)",
-			pi.Latency(ep.Cost())*1e3, pi.Latency(sys.CBNet.Cost())*1e3)
+	freeS, freeJ, err := core.PriceImage(pi, ep.Cost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	convS, convJ, err := core.PriceImage(pi, sys.CBNet.Cost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freeS >= convS || freeJ >= convJ {
+		t.Errorf("decoder-free pipeline (%.3g ms, %.3g mJ) should be cheaper than full CBNet (%.3g ms, %.3g mJ)",
+			freeS*1e3, freeJ*1e3, convS*1e3, convJ*1e3)
 	}
 }
 

@@ -1,16 +1,18 @@
 // Package resilience holds the serving stack's fault-isolation
-// primitives: a per-route circuit Breaker, a retry-token Budget, and a
-// poison-pill Quarantine. The engine wires them together with batch
-// bisection (internal/engine) so that one malformed input, one flaky
-// route, or one hard failure costs only itself — never its co-batch, its
-// route's innocent traffic, or the fleet's retry capacity.
+// primitives: a per-route circuit Breaker and a poison-pill Quarantine.
+// The engine wires them together with batch bisection (internal/engine) so
+// that one malformed input or one failing route costs only itself — never
+// its co-batch or its route's innocent traffic. A Breaker is told about
+// batches, once each, and about nothing else: the re-runs bisection makes
+// to find a bad input are not evidence about the route, so one poison pill
+// cannot open a breaker.
 //
 // Everything on a request's happy path — Breaker.Observe/Allow,
-// Budget.OnSuccess/Allow, Quarantine.Check, Fingerprint — is built on
-// atomics only: no locks, no heap allocations, regression-tested with
-// AllocsPerRun the same way internal/slo pins Observe. State transitions
-// (a breaker tripping open, a probe closing it) are cold paths and may do
-// real work (callbacks, ring resets).
+// Quarantine.Check, Fingerprint — is built on atomics only: no locks, no
+// heap allocations, regression-tested with AllocsPerRun the same way
+// internal/slo pins Observe. State transitions (a breaker tripping open, a
+// probe closing it) are cold paths and may do real work (callbacks, ring
+// resets).
 package resilience
 
 import "math"

@@ -238,63 +238,6 @@ func TestBreakerConcurrent(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	b := NewBudget(BudgetConfig{Ratio: 0.5, Burst: 3, Initial: 2})
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("initial tokens must fund two retries")
-	}
-	if b.Allow() {
-		t.Fatal("bucket should be dry")
-	}
-	if b.Spent() != 2 || b.Denied() != 1 {
-		t.Fatalf("spent=%d denied=%d, want 2/1", b.Spent(), b.Denied())
-	}
-	// Two successes at ratio 0.5 earn one whole token.
-	b.OnSuccess()
-	if b.Allow() {
-		t.Fatal("half a token must not fund a retry")
-	}
-	b.OnSuccess()
-	if !b.Allow() {
-		t.Fatal("earned token must fund a retry")
-	}
-	// Burst cap: unlimited successes can't bank more than Burst tokens.
-	for i := 0; i < 100; i++ {
-		b.OnSuccess()
-	}
-	if got := b.Tokens(); got != 3 {
-		t.Fatalf("tokens = %v, want burst cap 3", got)
-	}
-}
-
-func TestBudgetConcurrent(t *testing.T) {
-	b := NewBudget(BudgetConfig{Ratio: 1, Burst: 1 << 20, Initial: 1})
-	const goroutines, iters = 8, 2000
-	var granted atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				b.OnSuccess()
-				if b.Allow() {
-					granted.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Conservation: grants never exceed earnings plus the seed.
-	earned := int64(goroutines*iters) + 1
-	if granted.Load() > earned {
-		t.Fatalf("granted %d retries from %d earned tokens", granted.Load(), earned)
-	}
-	if granted.Load() != int64(b.Spent()) {
-		t.Fatalf("granted=%d but Spent()=%d", granted.Load(), b.Spent())
-	}
-}
-
 func TestQuarantine(t *testing.T) {
 	q := NewQuarantine(QuarantineConfig{Capacity: 4})
 	if q.Check(42) {
@@ -360,7 +303,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		px[i] = float32(i) / 784
 	}
 	b, _ := testBreaker(BreakerConfig{}, nil)
-	bud := NewBudget(BudgetConfig{})
 	q := NewQuarantine(QuarantineConfig{})
 	q.Add(12345)
 	checks := []struct {
@@ -370,8 +312,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"Fingerprint", func() { _ = Fingerprint(px) }},
 		{"Breaker.Observe", func() { b.Observe(true) }},
 		{"Breaker.Allow", func() { _ = b.Allow() }},
-		{"Budget.OnSuccess", func() { bud.OnSuccess() }},
-		{"Budget.Allow", func() { _ = bud.Allow(); bud.OnSuccess() }},
 		{"Quarantine.Check", func() { _ = q.Check(Fingerprint(px)) }},
 	}
 	for _, c := range checks {
@@ -383,18 +323,15 @@ func TestHotPathZeroAlloc(t *testing.T) {
 
 // BenchmarkBreakerObserve measures the resilience tax added to every
 // healthy micro-batch: one circuit-breaker admission check plus one outcome
-// observation and one retry-budget deposit — a handful of atomics that
-// must stay at zero allocations (pinned by the AllocsPerRun test above;
-// this benchmark guards the latency).
+// observation — a handful of atomics that must stay at zero allocations
+// (pinned by the AllocsPerRun test above; this benchmark guards the latency).
 func BenchmarkBreakerObserve(b *testing.B) {
 	br := NewBreaker(BreakerConfig{}, nil)
-	bud := NewBudget(BudgetConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if br.Allow() {
 			br.Observe(true)
 		}
-		bud.OnSuccess()
 	}
 }

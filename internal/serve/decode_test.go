@@ -363,7 +363,7 @@ func (g *gateInjector) BeforeInferBatch(route string, x *tensor.Tensor) error {
 func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	gate := &gateInjector{entered: make(chan int), verdict: make(chan error)}
 	s := serverWithEngineConfig(t, engine.Config{
-		MaxBatch: 2, MaxWait: time.Minute, Workers: 1,
+		MaxBatch: 2, Workers: 1,
 		HardnessThreshold: 1000, // everything easy, except includeConverted
 		Fault:             gate,
 		Resilience:        engine.ResilienceConfig{Enabled: true},

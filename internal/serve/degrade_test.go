@@ -150,7 +150,7 @@ func (f *routeFault) BeforeInfer(route string, _ int) error {
 // QueueDepth 2, the spill mark.
 func spillConfig(fault engine.FaultInjector) engine.Config {
 	return engine.Config{
-		Workers: 1, MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 2,
+		Workers: 1, MaxBatch: 1, QueueDepth: 2,
 		Fault:   fault,
 		Degrade: engine.DegradeConfig{Enabled: true},
 	}

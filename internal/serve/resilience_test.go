@@ -237,7 +237,7 @@ func TestPoisonQuarantine422(t *testing.T) {
 	inj.SetLatency("", 20*time.Millisecond)
 	inj.SetPoisonValue(servePoisonPixel)
 	s := serverWithEngineConfig(t, engine.Config{
-		MaxBatch: 16, MaxWait: 100 * time.Millisecond, Workers: 1,
+		MaxBatch: 16, Workers: 1,
 		HardnessThreshold: 1000, // score everything easy: one route, one batch
 		Fault:             inj,
 		Resilience:        engine.ResilienceConfig{Enabled: true},

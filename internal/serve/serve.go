@@ -405,8 +405,8 @@ type InfoResponse struct {
 	// client sends no DeadlineHeader (absent = none).
 	DefaultDeadlineMS float64 `json:"defaultDeadlineMs,omitempty"`
 	// ResilienceEnabled reports whether the fault-isolation layer (batch
-	// bisection, poison-pill quarantine, per-route circuit breakers, retry
-	// budget) is armed; when true, /readyz also tracks breaker state.
+	// bisection, poison-pill quarantine, per-route circuit breakers) is
+	// armed; when true, /readyz also tracks breaker state.
 	ResilienceEnabled bool `json:"resilienceEnabled"`
 }
 
@@ -692,10 +692,8 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		s.finish(ctx, w, st, trace.KindComplete, http.StatusOK, &res, "")
 		return true
 	case errors.Is(err, engine.ErrOverloaded):
-		// Back-off hint derived from live queue depth and the engine's
-		// observed service rate, so clients wait proportionally to real
-		// overload.
-		w.Header().Set("Retry-After", strconv.Itoa(s.Engine.RetryAfterSeconds()))
+		// A full queue here drains in well under a second.
+		w.Header().Set("Retry-After", "1")
 		s.finish(ctx, w, st, trace.KindReject, http.StatusServiceUnavailable, nil, "engine overloaded, retry later")
 		return true
 	case errors.Is(err, engine.ErrClosed):
