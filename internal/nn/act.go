@@ -86,19 +86,12 @@ func (s *Sigmoid) OutSize(inSize int) (int, error) { return inSize, nil }
 // Forward applies the logistic function elementwise.
 func (s *Sigmoid) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	y := x.Clone()
-	for i, v := range y.Data {
-		y.Data[i] = Sigmoid32(v)
-	}
+	tensor.SigmoidSlice(y.Data, y.Data)
 	if training {
 		s.lastOut = y
 	}
 	return y
 }
-
-// Sigmoid32 aliases tensor.Sigmoid32, the single logistic definition every
-// sigmoid path (layer, fused epilogue, plan step) shares so their
-// outputs agree bitwise.
-func Sigmoid32(v float32) float32 { return tensor.Sigmoid32(v) }
 
 // Backward uses dσ/dx = σ(1−σ).
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {

@@ -622,9 +622,7 @@ func runAct(st *planStep, in, out []float32, n int) {
 			out[i] = v
 		}
 	case tensor.EpActSigmoid:
-		for i, v := range in {
-			out[i] = Sigmoid32(v)
-		}
+		tensor.SigmoidSlice(out[:len(in)], in)
 	default:
 		copy(out, in)
 	}

@@ -109,9 +109,7 @@ func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int,
 				copy(dst[oy*d.OutW:(oy+1)*d.OutW], plane[oy*fw:])
 			}
 			if ep.Act == EpActSigmoid {
-				for j, v := range dst {
-					dst[j] = Sigmoid32(v)
-				}
+				SigmoidSlice(dst, dst)
 			}
 		}
 	}

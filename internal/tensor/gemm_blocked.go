@@ -14,7 +14,7 @@ import "sync"
 //	      pack A[ic:ic+mc, pc:pc+kc] into mr-row slivers
 //	      for jr, ir over the panel:   // register-tiled micro-kernel
 //	        acc[mr×nr] = Asliver × Bsliver
-//	        C[ic+ir, jc+jr] = beta*C + alpha*acc
+//	        C[ic+ir, jc+jr] = beta*C + alpha*acc   // the tile's write-back
 //
 // The mr×nr micro-kernel keeps the full accumulator tile in registers and
 // streams both packed slivers sequentially. Its tile shape comes from the
@@ -29,6 +29,15 @@ import "sync"
 //
 // Packing uses zero padding up to the mr/nr multiple, so the micro-kernel
 // never sees a partial tile; the write-back handles ragged C edges.
+//
+// The write-back has two forms that produce the same bits. writeTile and
+// epilogueTile are the Go loops, the reference, and what ragged edge tiles,
+// general alpha/beta and hosts without a vector ISA run. A full tile of a
+// product with alpha 1 and beta 0 or 1 — every product the layers and the
+// plans issue — goes through tileTail instead: one vector routine of the
+// active kernel's vecISA that takes the accumulator rows through C's
+// addition, the bias and the relu in the Go loops' order and stores each row
+// once, on every depth block.
 const (
 	blockKC = 256  // depth block: an mr×kc A sliver (8 KB) stays L1-resident
 	blockMC = 128  // row block: the packed A panel (mc×kc ≈ 128 KB) fits L2
@@ -122,10 +131,48 @@ type gemmPanel struct {
 	jc, pc   int
 	kc, nc   int
 	alpha    float32
-	beta     float32 // effective beta for this depth block (1 past pc=0)
-	ep       Epilogue
-	applyEp  bool // final depth block: run the epilogue on write-back
+	beta     float32  // effective beta for this depth block (1 past pc=0)
+	ep       Epilogue // the tiles' epilogue: the caller's, less its sigmoid
+	applyEp  bool     // final depth block: run ep on write-back
+	sigmoid  bool     // final depth block: sweep the finished rows with SigmoidSlice
+	tail     int      // tileTail flags for this panel's full tiles; −1: they take the Go loops
 	kern     kernelDesc
+}
+
+// tileTail's flags: which of its stages a tile's write-back runs.
+const (
+	tailAccumulate = 1 << iota // add C (beta == 1); without it C is not read
+	tailColBias                // add bias[j] to column j of the tile
+	tailRowBias                // add bias[i] to row i of the tile
+	tailReLU                   // floor at 0; −0 and NaN pass
+)
+
+// tailFlags returns the tileTail flags that stand for writeTile (+
+// epilogueTile when applyEp) on a full tile of this panel, or −1 when the
+// active kernel has no vector tail or the scaling is not one it covers.
+func (pn *gemmPanel) tailFlags() int {
+	if pn.kern.vec == vecNone || pn.alpha != 1 || (pn.beta != 0 && pn.beta != 1) {
+		return -1
+	}
+	flags := 0
+	if pn.beta == 1 {
+		flags |= tailAccumulate
+	}
+	if !pn.applyEp {
+		return flags
+	}
+	switch {
+	case pn.ep.RowBias != nil && pn.ep.ColBias != nil:
+		return -1
+	case pn.ep.ColBias != nil:
+		flags |= tailColBias
+	case pn.ep.RowBias != nil:
+		flags |= tailRowBias
+	}
+	if pn.ep.Act == EpActReLU {
+		flags |= tailReLU
+	}
+	return flags
 }
 
 // gemmBlocked computes C = alpha·op(A)·op(B) + beta·C for row-major C
@@ -134,8 +181,9 @@ type gemmPanel struct {
 // the same driver serves the plain, transposed-A, and transposed-B products
 // without materializing a transpose.
 //
-// A non-identity ep is applied to each C tile on the final depth block,
-// right after its write-back while the tile is cache-resident. A non-nil ps
+// A non-identity ep is applied on the final depth block: bias and relu to
+// each C tile as part of its write-back, a sigmoid to the rows of each
+// finished row block (blockSerial). A non-nil ps
 // supplies the caller-owned packing panels; otherwise they come from the
 // shared pool. A non-nil pb is op(B) already in packed form
 // (gemm_packed.go): its panels are used as they are, b and its strides are
@@ -150,6 +198,10 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 		db = pooled
 	}
 	kern := activeKernel
+	sigmoid := ep.Act == EpActSigmoid
+	if sigmoid {
+		ep.Act = EpActNone
+	}
 	pn := gemmPanel{a: a, ars: ars, acs: acs, c: c, m: m, n: n, alpha: alpha, ep: ep, kern: kern}
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
@@ -164,7 +216,9 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 			if pc == 0 {
 				pn.beta = beta
 			}
-			pn.applyEp = !ep.isIdentity() && pc+kc == k
+			last := pc+kc == k
+			pn.applyEp, pn.sigmoid = last && !ep.isIdentity(), last && sigmoid
+			pn.tail = pn.tailFlags()
 			if pb != nil {
 				pn.bp = pb.panel(jc, pc, kc, nc)
 			} else {
@@ -180,24 +234,45 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 
 // blockSerial packs the A row block starting at row ic into mr-row slivers
 // and runs the micro-kernel over its tile grid against every packed B sliver
-// of the panel — one packed block reused across the full JR range — applying
-// the epilogue to each tile right after its write-back on the final depth
-// block.
+// of the panel — one packed block reused across the full JR range. Each
+// tile's write-back (with the bias and relu on the final depth block) is
+// tileTail for a full tile of a panel that has one, writeTile and
+// epilogueTile otherwise. A sigmoid is elementwise, so it waits for the
+// block: one SigmoidSlice per finished row, in long vector runs, instead of
+// nr elements at a time per tile.
 func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 	mr, nr := pn.kern.mr, pn.kern.nr
 	mc := min(blockMC, pn.m-ic)
 	ap := wb.ensureA(roundUp(mc, mr) * pn.kc)
-	packA(pn.a, pn.ars, pn.acs, ic, pn.pc, mc, pn.kc, mr, ap)
+	packA(pn.kern.vec, pn.a, pn.ars, pn.acs, ic, pn.pc, mc, pn.kc, mr, ap)
 	for jr := 0; jr < pn.nc; jr += nr {
 		bs := pn.bp[(jr/nr)*pn.kc*nr:][:pn.kc*nr]
 		for ir := 0; ir < mc; ir += mr {
 			as := ap[(ir/mr)*pn.kc*mr:][:pn.kc*mr]
 			pn.kern.fn(pn.kc, as, bs, &wb.acc)
 			mEff, nEff := min(mr, mc-ir), min(nr, pn.nc-jr)
-			writeTile(pn.c, pn.n, ic+ir, pn.jc+jr, mEff, nEff, nr, &wb.acc, pn.alpha, pn.beta)
-			if pn.applyEp {
-				epilogueTile(pn.c, pn.n, ic+ir, pn.jc+jr, mEff, nEff, &pn.ep)
+			i0, j0 := ic+ir, pn.jc+jr
+			if pn.tail >= 0 && mEff == mr && nEff == nr {
+				var bias []float32
+				switch {
+				case pn.tail&tailColBias != 0:
+					bias = pn.ep.ColBias[j0:]
+				case pn.tail&tailRowBias != 0:
+					bias = pn.ep.RowBias[i0:]
+				}
+				tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, &wb.acc, bias, pn.tail)
+				continue
 			}
+			writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, &wb.acc, pn.alpha, pn.beta)
+			if pn.applyEp {
+				epilogueTile(pn.c, pn.n, i0, j0, mEff, nEff, &pn.ep)
+			}
+		}
+	}
+	if pn.sigmoid {
+		for i := ic; i < ic+mc; i++ {
+			row := pn.c[i*pn.n+pn.jc:][:pn.nc]
+			SigmoidSlice(row, row)
 		}
 	}
 }
@@ -205,23 +280,30 @@ func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 // packA copies the mc×kc block of op(A) at (ic, pc) into mr-row slivers:
 // sliver s holds, for each depth p, the mr consecutive values
 // op(A)[ic+s*mr .. ic+s*mr+mr, pc+p], zero-padded past the last row.
-func packA(a []float32, ars, acs, ic, pc, mc, kc, mr int, dst []float32) {
+func packA(isa vecISA, a []float32, ars, acs, ic, pc, mc, kc, mr int, dst []float32) {
 	di := 0
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
 		sliver := dst[di : di+kc*mr]
 		if acs == 1 {
-			// Row-major A: read each source row sequentially, scatter into
-			// the sliver's strided lanes.
+			// Row-major A: a full eight-row sliver is transposed 8×8 blocks
+			// at a time by the vector body (packRows8) where the kernel has
+			// one; what it leaves — the last kc mod 8 depths, a ragged
+			// sliver, every sliver on other hosts — reads each source row
+			// sequentially and scatters into the sliver's strided lanes.
 			if rows < mr {
 				for i := range sliver {
 					sliver[i] = 0
 				}
 			}
+			p0 := 0
+			if mr == 8 && rows == mr {
+				p0 = packRows8(isa, sliver, a[(ic+ir)*ars+pc:], ars, kc)
+			}
 			for ii := 0; ii < rows; ii++ {
 				row := a[(ic+ir+ii)*ars+pc:][:kc]
-				for p, v := range row {
-					sliver[p*mr+ii] = v
+				for p := p0; p < kc; p++ {
+					sliver[p*mr+ii] = row[p]
 				}
 			}
 		} else {

@@ -7,10 +7,12 @@ import (
 
 // GEMM epilogues: bias broadcast and activation fused into the product's
 // write-back instead of run as separate memory-bound sweeps. On the blocked
-// path the epilogue is applied in the micro-kernel write-back tail
-// (gemm_blocked.go) while the C tile is still cache-hot; the gemv and axpy
-// fallbacks apply it as a single row sweep after the product, so every
-// dispatch path computes bit-identical results.
+// path bias and relu are part of each tile's write-back (gemm_blocked.go)
+// and a sigmoid sweeps the rows of each finished row block while they are
+// cache-hot; the gemv and axpy fallbacks apply the epilogue as a single row
+// sweep after the product. Every stage is elementwise and every form of it —
+// Go loop or vector routine — produces the Go loop's bits, so every dispatch
+// path computes bit-identical results.
 
 // EpilogueAct selects the activation a GEMM epilogue applies after the bias.
 type EpilogueAct uint8
@@ -20,9 +22,8 @@ const (
 	EpActNone EpilogueAct = iota
 	// EpActReLU clamps negatives to zero, matching nn.ReLU.
 	EpActReLU
-	// EpActSigmoid applies the logistic function, matching nn.Sigmoid
-	// (computed through float64 like the layer, so fused and unfused
-	// paths agree bitwise).
+	// EpActSigmoid applies the logistic function through SigmoidSlice, as
+	// nn.Sigmoid does, so fused and unfused paths agree bitwise.
 	EpActSigmoid
 )
 
@@ -54,11 +55,33 @@ func (ep *Epilogue) checkBias(m, n int) {
 }
 
 // Sigmoid32 is the logistic function computed through float64 — the single
-// definition every sigmoid path (nn layer, scratch path, fused epilogue,
-// plan step) shares so their outputs agree bitwise. nn.Sigmoid32 aliases
-// it.
+// definition of a sigmoid's bits. Every sigmoid path (nn layer, fused
+// epilogue, plan step, direct convolution) applies it through SigmoidSlice,
+// so their outputs agree bitwise.
 func Sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
+}
+
+// sigmoidBlock is how many elements SigmoidSlice hands Sigmoid32 when the
+// vector body stops at an untrusted lane: the widest routine's block.
+const sigmoidBlock = 16
+
+// SigmoidSlice sets dst[i] = Sigmoid32(src[i]) for every i; dst may be src
+// and src must be at least as long. With a vector ISA the body runs in
+// float64 lanes (sigmoidVec) and stores only results it can show to be
+// Sigmoid32's; it stops at a block with a lane it does not trust — within
+// the margin of a rounding tie (SIGMOID_TIE_MARGIN in vec_amd64.s, with the
+// error budget), |x| > 80, NaN — which, like the tail shorter than a block,
+// Sigmoid32 computes before the body is re-entered.
+func SigmoidSlice(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := 0; i < len(dst); {
+		i += sigmoidVec(activeKernel.vec, dst[i:], src[i:])
+		end := min(i+sigmoidBlock, len(dst))
+		for ; i < end; i++ {
+			dst[i] = Sigmoid32(src[i])
+		}
+	}
 }
 
 // GEMMEpilogue computes C = act((A×B) + bias) over raw row-major slices: A
@@ -108,9 +131,11 @@ func epilogueParallel(c []float32, m, n int, ep Epilogue) {
 // epilogueTile applies ep to the mEff×nEff tile of C whose top-left element
 // is (i0, j0): bias first (row then column, global indices), activation
 // after, matching the unfused layer order (Dense/Conv2D then activation).
-// On the blocked path it is the micro-kernel write-back tail, run once per
-// tile on the final depth block while the tile is still cache-resident; the
-// scalar paths call it with one tile spanning whole rows.
+// The gemv and axpy paths call it with one tile spanning whole rows. On the
+// blocked path it follows writeTile on the final depth block for the tiles
+// tileTail does not take (ragged edges, general alpha/beta, no vector ISA)
+// and is the reference tileTail is held to; the sigmoid never reaches it
+// there (gemmBlocked holds it back for the row sweep).
 func epilogueTile(c []float32, ldc, i0, j0, mEff, nEff int, ep *Epilogue) {
 	for i := 0; i < mEff; i++ {
 		row := c[(i0+i)*ldc+j0 : (i0+i)*ldc+j0+nEff]
@@ -142,9 +167,7 @@ func epilogueTile(c []float32, ldc, i0, j0, mEff, nEff int, ep *Epilogue) {
 				row[j] = math.Float32frombits(b)
 			}
 		case EpActSigmoid:
-			for j, v := range row {
-				row[j] = Sigmoid32(v)
-			}
+			SigmoidSlice(row, row)
 		}
 	}
 }

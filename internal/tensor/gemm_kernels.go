@@ -28,11 +28,13 @@ const (
 // with row stride nr (overwritten, not accumulated).
 type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 
-// vecISA names the instruction set of the two vector loops that sit outside
-// the blocked GEMM — the direct convolution's tap-accumulate kernel
+// vecISA names the instruction set of the vector loops that sit outside the
+// micro-kernel — the write-back tail of a full tile (tileTail), the body of
+// SigmoidSlice, the direct convolution's tap-accumulate kernel
 // (conv_direct.go) and the bodies of gemvRow's fused passes — for the
-// registry entry whose CPUID gate covers them. vecNone: convolutions go
-// through im2col and gemvRow runs its Go loops.
+// registry entry whose CPUID gate covers them. vecNone: tiles are written
+// back by writeTile and epilogueTile, SigmoidSlice is a loop over Sigmoid32,
+// convolutions go through im2col and gemvRow runs its Go loops.
 type vecISA uint8
 
 const (
@@ -40,6 +42,19 @@ const (
 	vecAVX2
 	vecAVX512
 )
+
+// width is the number of float32 lanes of the instruction set's vectors —
+// the nr of its micro-kernel's tile, the step of its gemv and sigmoid
+// bodies; 0 for vecNone.
+func (isa vecISA) width() int {
+	switch isa {
+	case vecAVX512:
+		return 16
+	case vecAVX2:
+		return 8
+	}
+	return 0
+}
 
 // kernelDesc is one registered micro-kernel.
 type kernelDesc struct {

@@ -362,10 +362,3 @@ func (t *Tensor) String() string {
 	}
 	return fmt.Sprintf("Tensor%v[%d elements]", t.Shape, len(t.Data))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,6 +9,21 @@ package tensor
 // coefficient group) stay on the stack.
 
 //go:noescape
+func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags int)
+
+//go:noescape
+func tileTailAVX2(c *float32, ldc int, acc, bias *float32, flags int)
+
+//go:noescape
+func packRows8AVX2(dst, src *float32, lda, blocks int)
+
+//go:noescape
+func sigmoidAVX512(dst, src *float32, n int) int
+
+//go:noescape
+func sigmoidAVX2(dst, src *float32, n int) int
+
+//go:noescape
 func tapConvAVX512(plane, frame, w *float32, off *int, taps, blocks int, bias, floor float32)
 
 //go:noescape
@@ -25,6 +40,66 @@ func axpy1AVX512(c, b *float32, n int, a float32)
 
 //go:noescape
 func axpy1AVX2(c, b *float32, n int, a float32)
+
+// tileTail is the write-back of one full tile of the instruction set's
+// micro-kernel (8×16 for AVX-512, 8×8 for AVX2): acc's rows, plus C under
+// tailAccumulate, plus bias under tailColBias (one value per tile column) or
+// tailRowBias (one per tile row), floored at 0 under tailReLU, stored to the
+// tile whose first element is c[0] and whose rows are ldc apart. bias is
+// read only under a bias flag; the two bias flags do not combine.
+func tileTail(isa vecISA, c []float32, ldc int, acc *[maxMR * maxNR]float32, bias []float32, flags int) {
+	nr := isa.width()
+	_ = c[(maxMR-1)*ldc+nr-1]
+	var bp *float32 // stays nil, and unread, without a bias flag
+	switch {
+	case flags&tailColBias != 0:
+		bp = &bias[:nr][0]
+	case flags&tailRowBias != 0:
+		bp = &bias[:maxMR][0]
+	}
+	switch isa {
+	case vecAVX512:
+		tileTailAVX512(&c[0], ldc, &acc[0], bp, flags)
+	case vecAVX2:
+		tileTailAVX2(&c[0], ldc, &acc[0], bp, flags)
+	default:
+		panic("tensor: active kernel has no tile write-back routine")
+	}
+}
+
+// packRows8 packs the leading depths of one full eight-row sliver of a
+// row-major A — dst[p·8+i] = src[i·lda+p] — in whole 8×8 blocks and returns
+// how many depths that was; packA's Go loop finishes the rest. Both
+// instruction sets run the AVX2 transpose: the sliver is eight rows under
+// either.
+func packRows8(isa vecISA, dst, src []float32, lda, kc int) int {
+	n := kc &^ 7
+	if isa == vecNone || n == 0 {
+		return 0
+	}
+	_, _ = dst[n*8-1], src[7*lda+n-1]
+	packRows8AVX2(&dst[0], &src[0], lda, n/8)
+	return n
+}
+
+// sigmoidVec runs the instruction set's sigmoid body over the leading whole
+// blocks of dst (which may be src, and is no longer than it) and returns how
+// many elements it stored: it stops early at a block holding a lane it does
+// not trust (SIGMOID_TIE_MARGIN in vec_amd64.s), which the caller computes
+// with Sigmoid32.
+func sigmoidVec(isa vecISA, dst, src []float32) int {
+	switch isa {
+	case vecAVX512:
+		if n := len(dst) &^ 15; n > 0 {
+			return sigmoidAVX512(&dst[0], &src[:n][0], n)
+		}
+	case vecAVX2:
+		if n := len(dst) &^ 7; n > 0 {
+			return sigmoidAVX2(&dst[0], &src[:n][0], n)
+		}
+	}
+	return 0
+}
 
 // tapConv accumulates one output plane of a direct convolution: for every p
 // in [0, len(plane)), a multiple of tapBlock, plane[p] = max(Σ_t
@@ -51,18 +126,6 @@ func tapConv(isa vecISA, plane, frame, w []float32, off []int, bias, floor float
 	default:
 		panic("tensor: active kernel has no direct-convolution routine")
 	}
-}
-
-// width is the number of float32 lanes of the instruction set's gemv
-// bodies; 0 for vecNone.
-func (isa vecISA) width() int {
-	switch isa {
-	case vecAVX512:
-		return 16
-	case vecAVX2:
-		return 8
-	}
-	return 0
 }
 
 // axpy4 runs gemvRow's fused four-row pass, c[j] += ((a0·b0[j] + a1·b1[j]) +
