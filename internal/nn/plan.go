@@ -359,7 +359,7 @@ func (p *Plan) planBuffer() {
 				for sub < p.batchCap && !tensor.BlockedGEMM(c.OutC, colRows, (sub+1)*colCols) {
 					sub++
 				}
-				st.colLen = max(tensor.ConvDirectLen(c.Dims), colRows*sub*colCols)
+				st.colLen = max(tensor.ConvDirectLen(c.Dims, c.OutC), colRows*sub*colCols)
 				gemmOut = c.OutC * sub * colCols
 			}
 			if need := st.colLen + gemmOut; need > convScratch {

@@ -246,6 +246,52 @@ func TestPoolInferMatchesGeneralLoop(t *testing.T) {
 	}
 }
 
+// TestMaxPool2MatchesGo holds inference pooling of 2×2 stride-2 windows —
+// tensor.MaxPool2, a vector body under every kernel that has one and the Go
+// loop under the generic kernels — to the general loop that also records the
+// arg-max, bit for bit: output rows of 1 to 40 values (so every partial last
+// chunk and rows of two and more whole ones), even and odd heights and
+// widths, batches of 1 to 5, a third of the inputs ±0, ±Inf, denormals or
+// NaNs of distinct payloads, quiet and signalling.
+func TestMaxPool2MatchesGo(t *testing.T) {
+	specials := []uint32{
+		0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x00000001, 0x807FFFFF,
+		0x7FC00001, 0xFFC12345, 0x7F800002, 0xFFA54321, 0x7FFFFFFF,
+	}
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
+	for _, k := range tensor.GEMMKernels() {
+		if !k.Available {
+			continue
+		}
+		tensor.SetGEMMKernelForTest(k.Name)
+		for outW := 1; outW <= 40; outW++ {
+			for _, g := range []struct{ c, h, w int }{
+				{1 + outW%3, 2 + outW%5, 2 * outW},
+				{1 + outW%2, 3 + 2*(outW%3), 2*outW + 1},
+			} {
+				p := MustMaxPool2D("pool", g.c, g.h, g.w, 2, 2)
+				n := 1 + outW%5
+				x := tensor.New(n, p.InSize())
+				x.RandUniform(rng.New(uint64(outW*100+g.w)), -1, 1)
+				r := rng.New(uint64(outW))
+				for i := 0; i < len(x.Data)/3; i++ {
+					x.Data[r.Intn(len(x.Data))] = math.Float32frombits(specials[r.Intn(len(specials))])
+				}
+				outLen := n * g.c * p.OutH * p.OutW
+				want, got := make([]float32, outLen), make([]float32, outLen)
+				p.poolRange(x.Data, want, make([]int32, outLen), 0, n)
+				p.poolInfer(x.Data, got, 0, n)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s %+v n=%d: pooled[%d] = %#08x, general loop %#08x", k.Name, g, n, i,
+							math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
 // retained packing panels are warm — and on a host without a blocked kernel,

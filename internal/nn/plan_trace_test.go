@@ -220,7 +220,7 @@ func TestTracedExecuteZeroAlloc(t *testing.T) {
 // routine the lightweight classifier's conv steps are direct steps — same
 // modelled FLOPs as through im2col, fewer modelled bytes (the frame and the
 // planes in place of the column matrix and the channel-major output), and a
-// conv scratch that holds one frame, one plane and the row-major matrix of
+// conv scratch that holds one frame, one group of planes and the row-major matrix of
 // the batches below the blocked gate, which still run and still match the
 // reference.
 func TestDirectConvStepCostAndBuffer(t *testing.T) {

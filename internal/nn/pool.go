@@ -137,33 +137,25 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 // edge tests — a window never leaves the plane, since the last one starts at
 // (Out−1)·Stride ≤ H−Pool. Each window is scanned in the same order with
 // the same v > best test from the same first element, so NaN and −Inf come
-// out as they do from poolRange. The running maximum is carried as a bit
-// pattern, which makes the update a conditional move under the float
-// compare instead of a branch: which of two neighbouring activations is
-// larger is not something a predictor learns.
+// out as they do from poolRange. The 2×2 stride-2 window of every shipped
+// network is tensor.MaxPool2 (a vector body under a vector ISA); other
+// windows carry the running maximum as a bit pattern, which makes the update
+// a conditional move under the float compare instead of a branch: which of
+// two neighbouring activations is larger is not something a predictor
+// learns.
 func (p *MaxPool2D) poolInfer(x, y []float32, i0, i1 int) {
 	planes := (i1 - i0) * p.C
 	in := x[i0*p.InSize() : i1*p.InSize()]
 	out := y[i0*p.C*p.OutH*p.OutW : i1*p.C*p.OutH*p.OutW]
+	if p.Pool == 2 && p.Stride == 2 {
+		tensor.MaxPool2(out, in, planes, p.H, p.W)
+		return
+	}
 	oi := 0
 	for pl := 0; pl < planes; pl++ {
 		plane := in[pl*p.H*p.W : (pl+1)*p.H*p.W]
 		for oy := 0; oy < p.OutH; oy++ {
 			rows := plane[oy*p.Stride*p.W:]
-			if p.Pool == 2 {
-				// The window of every shipped network, unrolled.
-				top, bot := rows[:p.W], rows[p.W:2*p.W]
-				for ox := 0; ox < p.OutW; ox++ {
-					x0 := ox * p.Stride
-					best := math.Float32bits(top[x0])
-					best = selectGreater(best, top[x0+1])
-					best = selectGreater(best, bot[x0])
-					best = selectGreater(best, bot[x0+1])
-					out[oi] = math.Float32frombits(best)
-					oi++
-				}
-				continue
-			}
 			for ox := 0; ox < p.OutW; ox++ {
 				x0 := ox * p.Stride
 				best := math.Float32bits(rows[x0])

@@ -22,8 +22,15 @@ import (
 
 // tapBlock is how many plane positions a tap-accumulate routine covers per
 // block of accumulators; planes are rounded up to it and frames carry that
-// much slack, so a routine never needs a partial block.
-const tapBlock = 64
+// much slack, so a routine never needs a partial block. tapGroup is how many
+// output planes one pass over the frame accumulates: each tap's frame block
+// is loaded once and multiplied into every plane of the group, which takes
+// twelve accumulators under either ISA (three planes of 4 ZMM, or of 4 YMM
+// over half a block) — three times the independent chains of one plane.
+const (
+	tapBlock = 64
+	tapGroup = 3
+)
 
 // DirectConv reports whether ConvDirect serves the convolution of n images
 // of geometry d into outC channels: the product would take the blocked path
@@ -42,24 +49,26 @@ func DirectConv(outC int, d ConvDims, n int) bool {
 func (d ConvDims) planeLen() int { return (d.OutH-1)*(d.InW+2*d.Pad) + d.OutW }
 
 // ConvDirectLen returns the scratch, in float32s, ConvDirect needs for
-// geometry d: one frame with its slack and one rounded-up plane.
-func ConvDirectLen(d ConvDims) int {
-	return d.InC*(d.InH+2*d.Pad)*(d.InW+2*d.Pad) + tapBlock + roundUp(d.planeLen(), tapBlock)
+// geometry d into outC channels: one frame with its slack and one rounded-up
+// plane for each channel of a group.
+func ConvDirectLen(d ConvDims, outC int) int {
+	return d.InC*(d.InH+2*d.Pad)*(d.InW+2*d.Pad) + tapBlock + min(outC, tapGroup)*roundUp(d.planeLen(), tapBlock)
 }
 
 // ConvDirect convolves the n images of in (sample-major rows of
 // InC·InH·InW) with the outC×ColRows row-major kernels w, applies ep (a
 // RowBias per output channel and an activation; no ColBias) and writes out
 // sample-major, n rows of outC·OutH·OutW. DirectConv(outC, d, n) must hold.
-// scratch (ConvDirectLen(d) float32s) is overwritten. w and the bias are
-// read in place, nothing is packed.
+// scratch (ConvDirectLen(d, outC) float32s) is overwritten. w and the bias
+// are read in place, nothing is packed. The channels are taken tapGroup at a
+// time, the last group holding what is left.
 func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int, ep Epilogue, out []float32) {
 	if !DirectConv(outC, d, n) {
 		panic(fmt.Sprintf("tensor: ConvDirect on a convolution the direct path does not serve (%+v, %d channels, %d images, kernel %s)", d, outC, n, activeKernel.name))
 	}
 	k, cols := d.ColRows(), d.ColCols()
 	imgLen := d.InC * d.InH * d.InW
-	if len(in) < n*imgLen || len(w) < outC*k || len(out) < n*outC*cols || len(scratch) < ConvDirectLen(d) {
+	if len(in) < n*imgLen || len(w) < outC*k || len(out) < n*outC*cols || len(scratch) < ConvDirectLen(d, outC) {
 		panic(fmt.Sprintf("tensor: ConvDirect operand sizes in %d w %d out %d scratch %d too small for %d images of %+v into %d channels",
 			len(in), len(w), len(out), len(scratch), n, d, outC))
 	}
@@ -71,7 +80,8 @@ func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int,
 	fh, fw := d.InH+2*d.Pad, d.InW+2*d.Pad
 	frameLen := d.InC * fh * fw
 	frame := scratch[:frameLen+tapBlock]
-	plane := scratch[frameLen+tapBlock:][:roundUp(d.planeLen(), tapBlock)]
+	stride := roundUp(d.planeLen(), tapBlock)
+	planes := scratch[frameLen+tapBlock:][:min(outC, tapGroup)*stride]
 	if d.Pad > 0 {
 		clear(frame[:frameLen]) // the border; every image overwrites the interior
 	}
@@ -89,6 +99,7 @@ func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int,
 	if ep.Act == EpActReLU {
 		floor = 0
 	}
+	var bias [tapGroup]float32
 	for i := 0; i < n; i++ {
 		img := in[i*imgLen : (i+1)*imgLen]
 		if d.Pad == 0 {
@@ -96,20 +107,23 @@ func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int,
 		} else {
 			d.fillFrame(frame, img)
 		}
-		for oc := 0; oc < outC; oc++ {
-			// x + (−0) is x for every x, −0 included: the bias of a
-			// channel that has none.
-			bias := float32(math.Copysign(0, -1))
-			if ep.RowBias != nil {
-				bias = ep.RowBias[oc]
+		for oc := 0; oc < outC; oc += tapGroup {
+			g := min(tapGroup, outC-oc)
+			for j := range g {
+				// x + (−0) is x for every x, −0 included: the bias of a
+				// channel that has none.
+				bias[j] = float32(math.Copysign(0, -1))
+				if ep.RowBias != nil {
+					bias[j] = ep.RowBias[oc+j]
+				}
 			}
-			tapConv(activeKernel.vec, plane, frame, w[oc*k:(oc+1)*k], off[:k], bias, floor)
-			dst := out[(i*outC+oc)*cols:][:cols]
-			for oy := 0; oy < d.OutH; oy++ {
-				copy(dst[oy*d.OutW:(oy+1)*d.OutW], plane[oy*fw:])
-			}
-			if ep.Act == EpActSigmoid {
-				SigmoidSlice(dst, dst)
+			tapConv(activeKernel.vec, planes, stride, frame, w[oc*k:(oc+g)*k], off[:k], bias[:g], floor)
+			for j := range g {
+				dst := out[(i*outC+oc+j)*cols:][:cols]
+				compactRows(activeKernel.vec, dst, planes[j*stride:], d.OutH, d.OutW, fw)
+				if ep.Act == EpActSigmoid {
+					SigmoidSlice(dst, dst)
+				}
 			}
 		}
 	}

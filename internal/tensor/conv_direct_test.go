@@ -26,8 +26,10 @@ func convViaIm2Col(col, chanMajor, out, in []float32, n int, d ConvDims, w []flo
 
 // checkDirectConv holds ConvDirect to convViaIm2Col for every epilogue a
 // conv step can carry, under the active kernel. It reports whether the
-// direct path serves the shape at all. special scatters ±0, ±Inf and NaN
-// through the image and the weights.
+// direct path serves the shape at all. special scatters ±0, ±Inf and NaNs
+// of two payloads through the image, zeros and +Inf through the weights, and
+// gives the second channel a NaN bias of a third payload, so that where a
+// NaN sum meets it the bias add shows which operand it keeps.
 func checkDirectConv(t *testing.T, d ConvDims, outC, n int, seed uint32, special bool) bool {
 	t.Helper()
 	if !DirectConv(outC, d, n) {
@@ -40,12 +42,16 @@ func checkDirectConv(t *testing.T, d ConvDims, outC, n int, seed uint32, special
 	fillMantissa(w, seed+17)
 	fillMantissa(bias, seed+29)
 	if special {
-		odd := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+		odd := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.Float32frombits(0x7FC00001), math.Float32frombits(0xFFC00A5A)}
 		for i := 0; i < len(in); i += 7 {
 			in[i] = odd[(i/7)%len(odd)]
 		}
 		for i := 3; i < len(w); i += 11 {
 			w[i] = odd[(i/11)%3] // zeros and +Inf; NaN weights would leave nothing to compare
+		}
+		if outC > 1 {
+			bias[1] = math.Float32frombits(0x7FC12345)
 		}
 	}
 	for _, ep := range []Epilogue{
@@ -57,7 +63,7 @@ func checkDirectConv(t *testing.T, d ConvDims, outC, n int, seed uint32, special
 	} {
 		want := make([]float32, n*outC*d.ColCols())
 		convViaIm2Col(make([]float32, Im2ColPackedLen(n, d)), make([]float32, len(want)), want, in, n, d, w, outC, ep, nil)
-		scratch := make([]float32, ConvDirectLen(d))
+		scratch := make([]float32, ConvDirectLen(d, outC))
 		fillDeterministic(scratch, 5) // stale frame and slack must not show
 		got := make([]float32, len(want))
 		ConvDirect(scratch, in, n, d, w, outC, ep, got)
@@ -118,15 +124,18 @@ func TestDirectConvMatchesIm2ColGEMM(t *testing.T) {
 }
 
 // FuzzDirectConvGeometry drives the comparison over arbitrary small
-// geometries, channel counts and batches under every kernel this CPU runs.
-// The seed corpus under testdata/fuzz holds planes that are and are not a
-// vector multiple, and frames whose last tap reads the final element.
+// geometries and batches under every kernel this CPU runs, each at every
+// channel count the direct path serves (1 to mr−1): whole plane groups,
+// groups with one or two planes left over, and a lone short group. The
+// seed corpus under testdata/fuzz holds planes that are and are not a vector
+// multiple, and frames whose last tap reads the final element; outC is kept
+// in the signature so the corpus still decodes, and no longer chooses.
 func FuzzDirectConvGeometry(f *testing.F) {
 	f.Add(uint8(1), uint8(28), uint8(28), uint8(5), uint8(5), uint8(2), uint8(3), uint8(2), uint32(1), false)
 	f.Add(uint8(3), uint8(14), uint8(14), uint8(3), uint8(3), uint8(0), uint8(3), uint8(5), uint32(2), true)
 	f.Add(uint8(1), uint8(8), uint8(8), uint8(8), uint8(8), uint8(0), uint8(7), uint8(200), uint32(3), true)
 	f.Add(uint8(2), uint8(5), uint8(31), uint8(3), uint8(3), uint8(1), uint8(2), uint8(40), uint32(4), false)
-	f.Fuzz(func(t *testing.T, c, h, w, kh, kw, pad, outC, n uint8, seed uint32, special bool) {
+	f.Fuzz(func(t *testing.T, c, h, w, kh, kw, pad, _, n uint8, seed uint32, special bool) {
 		d, err := NewConvDims(int(c%12)+1, int(h%33), int(w%33), int(kh%9), int(kw%9), 1, int(pad%4))
 		if err != nil {
 			t.Skip()
@@ -136,15 +145,18 @@ func FuzzDirectConvGeometry(f *testing.F) {
 		for _, k := range GEMMKernels() {
 			if k.Available {
 				SetGEMMKernelForTest(k.Name)
-				checkDirectConv(t, d, int(outC%9)+1, int(n)+1, seed, special)
+				for outC := 1; outC < k.MR; outC++ {
+					checkDirectConv(t, d, outC, int(n)+1, seed, special)
+				}
 			}
 		}
 	})
 }
 
 // BenchmarkDirectConv times the two conv steps of the lightweight classifier
-// at the engine's batch, direct against the im2col + GEMM + regroup they ran
-// before, in GFLOP/s of the convolution itself.
+// at the engine's batch, direct — their three channels as one plane group,
+// compacted by the vector row copy — against the im2col + GEMM + regroup
+// they ran before, in GFLOP/s of the convolution itself.
 func BenchmarkDirectConv(b *testing.B) {
 	for _, g := range []struct {
 		name            string
@@ -174,7 +186,7 @@ func BenchmarkDirectConv(b *testing.B) {
 			if !DirectConv(outC, d, n) {
 				b.Skip("no tap-accumulate routine under " + GEMMKernelName())
 			}
-			scratch := make([]float32, ConvDirectLen(d))
+			scratch := make([]float32, ConvDirectLen(d, outC))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ConvDirect(scratch, ins[i%len(ins)], n, d, w, outC, ep, out)

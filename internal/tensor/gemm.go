@@ -242,6 +242,18 @@ func GEMMNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 // the i-p-j axpy formulation: the innermost loop streams both B's row p and
 // C's row i sequentially. It is the small-problem fallback and the oracle
 // the blocked kernel is tested against.
+//
+// Where C is no wider than one vector of the active kernel's ISA (the
+// classifier head's 10 classes on AVX-512) and alpha is 1, beta 0 or 1, the
+// rows run in narrowGEMM instead: each row's C stays in one masked register
+// for the whole depth loop, and for every p the row's update is the Go
+// loop's — bv·av, then that product plus C, unfused and in those operand
+// roles (the order the compiler gives `crow[j] += av * bv`) — merged into C
+// under a mask of av ≠ 0. That mask is the Go loop's zero-skip without its
+// branch: an av of ±0 leaves C as it was, a NaN av is applied. Each element
+// therefore has the Go loop's bits, NaN payloads included. `av *= 1` is
+// left out: it changes no av but a signalling NaN, which it quiets — and the
+// product quiets it the same way.
 func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	if !shouldParallel(m, n*k) {
 		gemmNaiveRange(a, b, c, k, n, alpha, beta, 0, m)
@@ -253,6 +265,10 @@ func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 }
 
 func gemmNaiveRange(a, b, c []float32, k, n int, alpha, beta float32, i0, i1 int) {
+	if alpha == 1 && (beta == 0 || beta == 1) &&
+		narrowGEMM(activeKernel.vec, a[i0*k:i1*k], b, c[i0*n:i1*n], i1-i0, k, n, beta == 1) {
+		return
+	}
 	for i := i0; i < i1; i++ {
 		crow := c[i*n : (i+1)*n]
 		if beta == 0 {

@@ -30,11 +30,13 @@ type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 
 // vecISA names the instruction set of the vector loops that sit outside the
 // micro-kernel — the write-back tail of a full tile (tileTail), the body of
-// SigmoidSlice, the direct convolution's tap-accumulate kernel
-// (conv_direct.go) and the bodies of gemvRow's fused passes — for the
+// SigmoidSlice, the direct convolution's tap-accumulate kernel and row
+// compaction (conv_direct.go), the bodies of gemvRow's fused passes, the 2×2
+// max-pool body (MaxPool2) and the narrow product (gemmNaiveRange) — for the
 // registry entry whose CPUID gate covers them. vecNone: tiles are written
 // back by writeTile and epilogueTile, SigmoidSlice is a loop over Sigmoid32,
-// convolutions go through im2col and gemvRow runs its Go loops.
+// convolutions go through im2col, and gemvRow, MaxPool2 and gemmNaiveRange
+// run their Go loops.
 type vecISA uint8
 
 const (

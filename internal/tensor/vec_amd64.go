@@ -5,8 +5,8 @@ package tensor
 // Bindings for the vector loops of vec_amd64.s. Each entry point checks the
 // slices it is handed against what the routine will touch, then calls the
 // routine of the registry entry's instruction set directly — a static,
-// noescape call, so the callers' stack operands (the tap offsets, gemvRow's
-// coefficient group) stay on the stack.
+// noescape call, so the callers' stack operands (the tap offsets and a plane
+// group's biases, gemvRow's coefficient group) stay on the stack.
 
 //go:noescape
 func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags int)
@@ -24,10 +24,28 @@ func sigmoidAVX512(dst, src *float32, n int) int
 func sigmoidAVX2(dst, src *float32, n int) int
 
 //go:noescape
-func tapConvAVX512(plane, frame, w *float32, off *int, taps, blocks int, bias, floor float32)
+func tapConvAVX512(planes, frame, w *float32, off *int, taps, blocks, group, stride int, bias *float32, floor float32)
 
 //go:noescape
-func tapConvAVX2(plane, frame, w *float32, off *int, taps, blocks int, bias, floor float32)
+func tapConvAVX2(planes, frame, w *float32, off *int, taps, blocks, group, stride int, bias *float32, floor float32)
+
+//go:noescape
+func compactRowsAVX512(dst, src *float32, rows, w, stride int)
+
+//go:noescape
+func compactRowsAVX2(dst, src *float32, rows, w, stride int)
+
+//go:noescape
+func maxPool2AVX512(dst, src *float32, w, outW, rows int)
+
+//go:noescape
+func maxPool2AVX2(dst, src *float32, w, outW, rows int)
+
+//go:noescape
+func narrowGEMMAVX512(a, b, c *float32, m, k, n, accumulate int)
+
+//go:noescape
+func narrowGEMMAVX2(a, b, c *float32, m, k, n, accumulate int)
 
 //go:noescape
 func axpy4AVX512(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
@@ -101,13 +119,16 @@ func sigmoidVec(isa vecISA, dst, src []float32) int {
 	return 0
 }
 
-// tapConv accumulates one output plane of a direct convolution: for every p
-// in [0, len(plane)), a multiple of tapBlock, plane[p] = max(Σ_t
-// w[t]·frame[p+off[t]] + bias, floor) — one fused multiply-add per tap, t
-// ascending, from a zero accumulator, then the epilogue's bias add and its
+// tapConv accumulates a group of g = len(bias) ≤ tapGroup output planes of a
+// direct convolution from one pass over the frame: plane j is
+// planes[j·stride:][:stride], its kernel w[j·len(off):][:len(off)], and for
+// every p in [0, stride), a multiple of tapBlock, plane_j[p] = max(Σ_t
+// w_j[t]·frame[p+off[t]] + bias[j], floor) — one fused multiply-add per tap,
+// t ascending, from a zero accumulator, then the epilogue's bias add and its
 // relu (floor 0; floor −Inf applies none, and a NaN or −0 sum passes either
-// floor untouched). frame must reach len(plane) + max(off) elements.
-func tapConv(isa vecISA, plane, frame, w []float32, off []int, bias, floor float32) {
+// floor untouched). Each frame block is loaded once per tap for the whole
+// group. frame must reach stride + max(off) elements.
+func tapConv(isa vecISA, planes []float32, stride int, frame, w []float32, off []int, bias []float32, floor float32) {
 	reach := 0
 	for _, o := range off {
 		if o < 0 {
@@ -115,17 +136,77 @@ func tapConv(isa vecISA, plane, frame, w []float32, off []int, bias, floor float
 		}
 		reach = max(reach, o)
 	}
-	if len(off) == 0 || len(plane) == 0 || len(plane)%tapBlock != 0 || len(frame) < len(plane)+reach || len(w) < len(off) {
-		panic("tensor: direct-convolution operands do not cover the plane")
+	g := len(bias)
+	if len(off) == 0 || g == 0 || g > tapGroup || stride == 0 || stride%tapBlock != 0 ||
+		len(planes) < g*stride || len(frame) < stride+reach || len(w) < g*len(off) {
+		panic("tensor: direct-convolution operands do not cover the planes")
 	}
 	switch isa {
 	case vecAVX512:
-		tapConvAVX512(&plane[0], &frame[0], &w[0], &off[0], len(off), len(plane)/tapBlock, bias, floor)
+		tapConvAVX512(&planes[0], &frame[0], &w[0], &off[0], len(off), stride/tapBlock, g, stride, &bias[0], floor)
 	case vecAVX2:
-		tapConvAVX2(&plane[0], &frame[0], &w[0], &off[0], len(off), len(plane)/tapBlock, bias, floor)
+		tapConvAVX2(&planes[0], &frame[0], &w[0], &off[0], len(off), stride/tapBlock, g, stride, &bias[0], floor)
 	default:
 		panic("tensor: active kernel has no direct-convolution routine")
 	}
+}
+
+// compactRows copies rows rows of w floats, stride floats apart from src, to
+// dst back to back — a direct-convolution plane, laid over the frame's
+// width, into the output's OutH×OutW — a vector at a time.
+func compactRows(isa vecISA, dst, src []float32, rows, w, stride int) {
+	if rows == 0 || w == 0 {
+		return
+	}
+	_, _ = dst[rows*w-1], src[(rows-1)*stride+w-1]
+	switch isa {
+	case vecAVX512:
+		compactRowsAVX512(&dst[0], &src[0], rows, w, stride)
+	case vecAVX2:
+		compactRowsAVX2(&dst[0], &src[0], rows, w, stride)
+	default:
+		panic("tensor: active kernel has no row-compaction routine")
+	}
+}
+
+// maxPool2Vec is MaxPool2's vector body over rows output rows of outW
+// values, rows stored back to back in dst: output row r pools the input row
+// pair src[2r·w:] and src[(2r+1)·w:], a vector of outputs at a time and the
+// row's last, shorter chunk under a mask.
+func maxPool2Vec(isa vecISA, dst, src []float32, w, outW, rows int) {
+	if rows == 0 {
+		return
+	}
+	_, _ = dst[rows*outW-1], src[(2*rows-1)*w+2*outW-1]
+	switch isa {
+	case vecAVX512:
+		maxPool2AVX512(&dst[0], &src[0], w, outW, rows)
+	case vecAVX2:
+		maxPool2AVX2(&dst[0], &src[0], w, outW, rows)
+	default:
+		panic("tensor: active kernel has no max-pool routine")
+	}
+}
+
+// narrowGEMM is gemmNaiveRange's body for alpha 1, beta 0 or 1 (accumulate)
+// and a C no wider than one vector: the m rows of C = A·B (+ C), A m×k, B
+// k×n. It reports whether it ran; without a vector ISA, for a wider C or an
+// empty depth it leaves the product to the Go loop.
+func narrowGEMM(isa vecISA, a, b, c []float32, m, k, n int, accumulate bool) bool {
+	if m == 0 || k == 0 || n == 0 || n > isa.width() {
+		return false
+	}
+	_, _, _ = a[m*k-1], b[k*n-1], c[m*n-1]
+	acc := 0
+	if accumulate {
+		acc = 1
+	}
+	if isa == vecAVX512 {
+		narrowGEMMAVX512(&a[0], &b[0], &c[0], m, k, n, acc)
+	} else {
+		narrowGEMMAVX2(&a[0], &b[0], &c[0], m, k, n, acc)
+	}
+	return true
 }
 
 // axpy4 runs gemvRow's fused four-row pass, c[j] += ((a0·b0[j] + a1·b1[j]) +

@@ -4,10 +4,13 @@
 
 // The vector loops that sit outside the micro-kernel: the write-back tail of
 // a full blocked-GEMM tile (gemm_blocked.go), the body of SigmoidSlice
-// (gemm_epilogue.go), the tap-accumulate kernel of the direct convolution
-// (conv_direct.go) and the bodies of gemvRow's fused passes (gemm.go). Each
-// comes in an AVX-512 and an AVX2 form, selected by the vecISA of the
-// registry entry whose CPUID gate covers it (gemm_amd64.go).
+// (gemm_epilogue.go), the tap-accumulate kernel and the row compaction of the
+// direct convolution (conv_direct.go), the 2×2 max-pool body (maxpool.go),
+// the narrow product of gemmNaiveRange and the bodies of gemvRow's fused
+// passes (gemm.go). Each comes in an AVX-512 and an AVX2 form, selected by
+// the vecISA of the registry entry whose CPUID gate covers it
+// (gemm_amd64.go); the AVX-512 forms use AVX-512F instructions only, the
+// gate's one feature.
 
 // func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags int)
 //
@@ -556,131 +559,792 @@ ysigdone:
 	VZEROUPPER
 	RET
 
-// func tapConvAVX512(plane, frame, w *float32, off *int, taps, blocks int, bias, floor float32)
+// ZFRAME loads the frame block of tap CX — the 64 positions at frame +
+// off[t] — into Z0–Z3, once for every plane of the group.
+#define ZFRAME \
+	MOVQ    (R8)(CX*8), R9; \
+	LEAQ    (DI)(R9*4), R9; \
+	VMOVUPS (R9), Z0; \
+	VMOVUPS 64(R9), Z1; \
+	VMOVUPS 128(R9), Z2; \
+	VMOVUPS 192(R9), Z3
+
+// ZTAP is one plane's share of tap CX: the weight of its kernel at wp
+// broadcast, then four fused multiply-adds with the frame block.
+#define ZTAP(wp, a0, a1, a2, a3) \
+	VBROADCASTSS (wp)(CX*4), Z4; \
+	VFMADD231PS  Z0, Z4, a0; \
+	VFMADD231PS  Z1, Z4, a1; \
+	VFMADD231PS  Z2, Z4, a2; \
+	VFMADD231PS  Z3, Z4, a3
+
+// ZOUT finishes one plane's block: the bias b added, the floor (Z23)
+// applied, the 64 values stored at p.
+#define ZOUT(b, a0, a1, a2, a3, p) \
+	VADDPS  b, a0, a0; \
+	VADDPS  b, a1, a1; \
+	VADDPS  b, a2, a2; \
+	VADDPS  b, a3, a3; \
+	VMAXPS  a0, Z23, a0; \
+	VMAXPS  a1, Z23, a1; \
+	VMAXPS  a2, Z23, a2; \
+	VMAXPS  a3, Z23, a3; \
+	VMOVUPS a0, (p); \
+	VMOVUPS a1, 64(p); \
+	VMOVUPS a2, 128(p); \
+	VMOVUPS a3, 192(p)
+
+#define ZZERO(a0, a1, a2, a3) \
+	VPXORD a0, a0, a0; \
+	VPXORD a1, a1, a1; \
+	VPXORD a2, a2, a2; \
+	VPXORD a3, a3, a3
+
+// func tapConvAVX512(planes, frame, w *float32, off *int, taps, blocks, group, stride int, bias *float32, floor float32)
 //
-// For each of blocks consecutive 64-position blocks of plane:
-// plane[p] = max(Σ_t w[t]·frame[p+off[t]] + bias, floor). The sum runs t
-// ascending, one VFMADD231PS per tap from a zero accumulator — operand for
-// operand the micro-kernel's acc = fma(b, a, acc), with the tap's weight in
-// the broadcast (A) slot and the frame in the streamed (B) slot. The bias is
-// one VADDPS, the epilogue's row[j] += rb; the floor is VMAXPS with the sum
-// as second source, which hands back the sum itself when it is NaN or a zero
-// of either sign — the epilogue's `if v < 0 { v = 0 }` for floor 0, nothing
-// for floor −Inf. Four ZMM accumulators are in flight per block; taps ≥ 1.
-TEXT ·tapConvAVX512(SB), NOSPLIT, $0-56
-	MOVQ plane+0(FP), DX
+// For each of blocks consecutive 64-position blocks and each plane j of the
+// group (1, 2 or 3 planes, plane j at planes + j·stride floats, its kernel at
+// w + j·taps): plane_j[p] = max(Σ_t w_j[t]·frame[p+off[t]] + bias[j],
+// floor). The sum runs t ascending, one VFMADD231PS per tap from a zero
+// accumulator — operand for operand the micro-kernel's acc = fma(b, a, acc),
+// with the tap's weight in the broadcast (A) slot and the frame in the
+// streamed (B) slot. The bias is one VADDPS, the epilogue's row[j] += rb; the
+// floor is VMAXPS with the sum as second source, which hands back the sum
+// itself when it is NaN or a zero of either sign — the epilogue's `if v < 0
+// { v = 0 }` for floor 0, nothing for floor −Inf. Per tap the frame block is
+// loaded once and each plane's weight broadcast into four FMAs: twelve ZMM
+// accumulators in flight for a group of three. taps ≥ 1.
+TEXT ·tapConvAVX512(SB), NOSPLIT, $0-76
+	MOVQ planes+0(FP), DX
 	MOVQ frame+8(FP), DI
 	MOVQ w+16(FP), SI
 	MOVQ off+24(FP), R8
 	MOVQ taps+32(FP), R10
 	MOVQ blocks+40(FP), R11
-	VBROADCASTSS bias+48(FP), Z5
-	VBROADCASTSS floor+52(FP), Z6
+	MOVQ group+48(FP), AX
+	MOVQ stride+56(FP), R12
+	MOVQ bias+64(FP), BX
+	VBROADCASTSS floor+72(FP), Z23
+	SHLQ $2, R12          // plane stride, bytes
+	LEAQ (SI)(R10*4), R13 // the second plane's kernel
+	VBROADCASTSS (BX), Z20
+	CMPQ AX, $2
+	JLT  zg1
+	VBROADCASTSS 4(BX), Z21
+	CMPQ AX, $2
+	JEQ  zg2
+	VBROADCASTSS 8(BX), Z22
+	LEAQ (R13)(R10*4), BX // the third plane's kernel
 
-zblock:
+zg3:
+	ZZERO(Z8, Z9, Z10, Z11)
+	ZZERO(Z12, Z13, Z14, Z15)
+	ZZERO(Z16, Z17, Z18, Z19)
+	XORQ CX, CX
+
+zg3tap:
+	ZFRAME
+	ZTAP(SI, Z8, Z9, Z10, Z11)
+	ZTAP(R13, Z12, Z13, Z14, Z15)
+	ZTAP(BX, Z16, Z17, Z18, Z19)
+	INCQ CX
+	CMPQ CX, R10
+	JLT  zg3tap
+	ZOUT(Z20, Z8, Z9, Z10, Z11, DX)
+	LEAQ (DX)(R12*1), AX
+	ZOUT(Z21, Z12, Z13, Z14, Z15, AX)
+	LEAQ (DX)(R12*2), AX
+	ZOUT(Z22, Z16, Z17, Z18, Z19, AX)
+	ADDQ $256, DX
+	ADDQ $256, DI
+	DECQ R11
+	JNZ  zg3
+	VZEROUPPER
+	RET
+
+zg2:
+	ZZERO(Z8, Z9, Z10, Z11)
+	ZZERO(Z12, Z13, Z14, Z15)
+	XORQ CX, CX
+
+zg2tap:
+	ZFRAME
+	ZTAP(SI, Z8, Z9, Z10, Z11)
+	ZTAP(R13, Z12, Z13, Z14, Z15)
+	INCQ CX
+	CMPQ CX, R10
+	JLT  zg2tap
+	ZOUT(Z20, Z8, Z9, Z10, Z11, DX)
+	LEAQ (DX)(R12*1), AX
+	ZOUT(Z21, Z12, Z13, Z14, Z15, AX)
+	ADDQ $256, DX
+	ADDQ $256, DI
+	DECQ R11
+	JNZ  zg2
+	VZEROUPPER
+	RET
+
+zg1:
+	ZZERO(Z8, Z9, Z10, Z11)
+	XORQ CX, CX
+
+zg1tap:
+	ZFRAME
+	ZTAP(SI, Z8, Z9, Z10, Z11)
+	INCQ CX
+	CMPQ CX, R10
+	JLT  zg1tap
+	ZOUT(Z20, Z8, Z9, Z10, Z11, DX)
+	ADDQ $256, DX
+	ADDQ $256, DI
+	DECQ R11
+	JNZ  zg1
+	VZEROUPPER
+	RET
+
+// YFRAME points R9 at the frame block of tap CX.
+#define YFRAME \
+	MOVQ (R8)(CX*8), R9; \
+	LEAQ (DI)(R9*4), R9
+
+// YTAP3 loads the frame vector at offset o of the block once and multiplies
+// it into the three planes' accumulators with their weights (Y13–Y15).
+#define YTAP3(o, a, b, c) \
+	VMOVUPS     o(R9), Y12; \
+	VFMADD231PS Y12, Y13, a; \
+	VFMADD231PS Y12, Y14, b; \
+	VFMADD231PS Y12, Y15, c
+
+#define YTAP2(o, a, b) \
+	VMOVUPS     o(R9), Y12; \
+	VFMADD231PS Y12, Y13, a; \
+	VFMADD231PS Y12, Y14, b
+
+// YOUT is ZOUT for a 32-position half block, the floor in Y12.
+#define YOUT(b, a0, a1, a2, a3, p) \
+	VADDPS  b, a0, a0; \
+	VADDPS  b, a1, a1; \
+	VADDPS  b, a2, a2; \
+	VADDPS  b, a3, a3; \
+	VMAXPS  a0, Y12, a0; \
+	VMAXPS  a1, Y12, a1; \
+	VMAXPS  a2, Y12, a2; \
+	VMAXPS  a3, Y12, a3; \
+	VMOVUPS a0, (p); \
+	VMOVUPS a1, 32(p); \
+	VMOVUPS a2, 64(p); \
+	VMOVUPS a3, 96(p)
+
+#define YZERO(a0, a1, a2, a3) \
+	VXORPS a0, a0, a0; \
+	VXORPS a1, a1, a1; \
+	VXORPS a2, a2, a2; \
+	VXORPS a3, a3, a3
+
+// func tapConvAVX2(planes, frame, w *float32, off *int, taps, blocks, group, stride int, bias *float32, floor float32)
+//
+// tapConvAVX512 in 32-position half blocks of four YMM per plane, which is
+// what sixteen registers hold for a group of three: twelve accumulators
+// (Y0–Y11), each frame vector loaded once per tap into Y12 and multiplied by
+// the group's weights in Y13–Y15. The bias and floor are broadcast after the
+// taps, into the registers the taps used. The operations and their operand
+// roles are tapConvAVX512's.
+TEXT ·tapConvAVX2(SB), NOSPLIT, $0-76
+	MOVQ planes+0(FP), DX
+	MOVQ frame+8(FP), DI
+	MOVQ w+16(FP), SI
+	MOVQ off+24(FP), R8
+	MOVQ taps+32(FP), R10
+	MOVQ blocks+40(FP), R11
+	MOVQ group+48(FP), AX
+	MOVQ stride+56(FP), R12
+	SHLQ $2, R12          // plane stride, bytes
+	SHLQ $1, R11          // half blocks
+	LEAQ (SI)(R10*4), R13 // the second plane's kernel
+	LEAQ (R13)(R10*4), BX // the third plane's kernel
+	CMPQ AX, $2
+	JLT  yg1
+	JEQ  yg2
+
+yg3:
+	YZERO(Y0, Y1, Y2, Y3)
+	YZERO(Y4, Y5, Y6, Y7)
+	YZERO(Y8, Y9, Y10, Y11)
+	XORQ CX, CX
+
+yg3tap:
+	YFRAME
+	VBROADCASTSS (SI)(CX*4), Y13
+	VBROADCASTSS (R13)(CX*4), Y14
+	VBROADCASTSS (BX)(CX*4), Y15
+	YTAP3(0, Y0, Y4, Y8)
+	YTAP3(32, Y1, Y5, Y9)
+	YTAP3(64, Y2, Y6, Y10)
+	YTAP3(96, Y3, Y7, Y11)
+	INCQ CX
+	CMPQ CX, R10
+	JLT  yg3tap
+	MOVQ bias+64(FP), R9
+	VBROADCASTSS floor+72(FP), Y12
+	VBROADCASTSS (R9), Y13
+	VBROADCASTSS 4(R9), Y14
+	VBROADCASTSS 8(R9), Y15
+	YOUT(Y13, Y0, Y1, Y2, Y3, DX)
+	LEAQ (DX)(R12*1), AX
+	YOUT(Y14, Y4, Y5, Y6, Y7, AX)
+	LEAQ (DX)(R12*2), AX
+	YOUT(Y15, Y8, Y9, Y10, Y11, AX)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	DECQ R11
+	JNZ  yg3
+	VZEROUPPER
+	RET
+
+yg2:
+	YZERO(Y0, Y1, Y2, Y3)
+	YZERO(Y4, Y5, Y6, Y7)
+	XORQ CX, CX
+
+yg2tap:
+	YFRAME
+	VBROADCASTSS (SI)(CX*4), Y13
+	VBROADCASTSS (R13)(CX*4), Y14
+	YTAP2(0, Y0, Y4)
+	YTAP2(32, Y1, Y5)
+	YTAP2(64, Y2, Y6)
+	YTAP2(96, Y3, Y7)
+	INCQ CX
+	CMPQ CX, R10
+	JLT  yg2tap
+	MOVQ bias+64(FP), R9
+	VBROADCASTSS floor+72(FP), Y12
+	VBROADCASTSS (R9), Y13
+	VBROADCASTSS 4(R9), Y14
+	YOUT(Y13, Y0, Y1, Y2, Y3, DX)
+	LEAQ (DX)(R12*1), AX
+	YOUT(Y14, Y4, Y5, Y6, Y7, AX)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	DECQ R11
+	JNZ  yg2
+	VZEROUPPER
+	RET
+
+yg1:
+	YZERO(Y0, Y1, Y2, Y3)
+	XORQ CX, CX
+
+yg1tap:
+	YFRAME
+	VBROADCASTSS (SI)(CX*4), Y13
+	VFMADD231PS  (R9), Y13, Y0
+	VFMADD231PS  32(R9), Y13, Y1
+	VFMADD231PS  64(R9), Y13, Y2
+	VFMADD231PS  96(R9), Y13, Y3
+	INCQ CX
+	CMPQ CX, R10
+	JLT  yg1tap
+	MOVQ bias+64(FP), R9
+	VBROADCASTSS floor+72(FP), Y12
+	VBROADCASTSS (R9), Y13
+	YOUT(Y13, Y0, Y1, Y2, Y3, DX)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	DECQ R11
+	JNZ  yg1
+	VZEROUPPER
+	RET
+
+// poolIdx holds, as bytes, the VPERMT2PS indices that pick the even and then
+// the odd floats out of the 32 a pair of ZMM registers hold.
+DATA poolIdx<>+0(SB)/8, $0x0E0C0A0806040200
+DATA poolIdx<>+8(SB)/8, $0x1E1C1A1816141210
+DATA poolIdx<>+16(SB)/8, $0x0F0D0B0907050301
+DATA poolIdx<>+24(SB)/8, $0x1F1D1B1917151311
+GLOBL poolIdx<>(SB), RODATA|NOPTR, $32
+
+// laneMask is eight set int32 lanes and then eight clear ones: the 32 bytes
+// at laneMask<>+32−4c are a VMASKMOVPS mask of the first c lanes, c ≤ 8.
+DATA laneMask<>+0(SB)/8, $-1
+DATA laneMask<>+8(SB)/8, $-1
+DATA laneMask<>+16(SB)/8, $-1
+DATA laneMask<>+24(SB)/8, $-1
+DATA laneMask<>+32(SB)/8, $0
+DATA laneMask<>+40(SB)/8, $0
+DATA laneMask<>+48(SB)/8, $0
+DATA laneMask<>+56(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $64
+
+// ZPOOL pools one chunk of sixteen windows: the top row's 32 inputs in
+// Z0:Z1, the bottom row's in Z2:Z3, the maxima to Z4. Even and odd lanes
+// split apart (VPERMT2PS), best = top[x0], then best = max(v, best) for v =
+// top[x0+1], bot[x0], bot[x0+1] — VMAXPS with v as first source and best as
+// second, which returns best when either is NaN or both are zeros: the Go
+// loop's `if v > best { best = v }`.
+#define ZPOOL \
+	VMOVAPS   Z0, Z4; \
+	VPERMT2PS Z1, Z30, Z4; \
+	VPERMT2PS Z1, Z31, Z0; \
+	VMOVAPS   Z2, Z5; \
+	VPERMT2PS Z3, Z30, Z5; \
+	VPERMT2PS Z3, Z31, Z2; \
+	VMAXPS    Z4, Z0, Z4; \
+	VMAXPS    Z4, Z5, Z4; \
+	VMAXPS    Z4, Z2, Z4
+
+// func maxPool2AVX512(dst, src *float32, w, outW, rows int)
+//
+// 2×2 stride-2 max-pooling of rows output rows of outW values (stored back
+// to back at dst), output row r from the input rows at src + 2r·w and src +
+// (2r+1)·w: sixteen outputs per chunk, the row's last chunk of outW mod 16
+// outputs under masks — its loads are masked, so nothing past the row pair
+// is read, and its store is masked. rows ≥ 1.
+TEXT ·maxPool2AVX512(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ outW+24(FP), BX
+	MOVQ rows+32(FP), R11
+	SHLQ $2, R8 // input row stride, bytes
+	VPMOVZXBD poolIdx<>+0(SB), Z30
+	VPMOVZXBD poolIdx<>+16(SB), Z31
+	MOVQ BX, CX
+	ANDQ $15, CX // the outputs of the last chunk
+	MOVQ CX, AX
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX
+	KMOVW DX, K1 // their lanes
+	ADDQ CX, CX
+	MOVQ $1, DX
+	SHLQ CX, DX
+	DECQ DX
+	KMOVW DX, K2 // their inputs' lanes in the first vector of a row
+	SHRQ $16, DX
+	KMOVW DX, K3 // and in the second
+	SHRQ $4, BX  // whole chunks
+
+zprow:
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	TESTQ R10, R10
+	JZ    zptail
+
+zpchunk:
+	VMOVUPS (R9), Z0
+	VMOVUPS 64(R9), Z1
+	VMOVUPS (R9)(R8*1), Z2
+	VMOVUPS 64(R9)(R8*1), Z3
+	ZPOOL
+	VMOVUPS Z4, (DI)
+	ADDQ    $128, R9
+	ADDQ    $64, DI
+	DECQ    R10
+	JNZ     zpchunk
+
+zptail:
+	TESTQ     AX, AX
+	JZ        zpnext
+	VMOVUPS.Z (R9), K2, Z0
+	VMOVUPS.Z 64(R9), K3, Z1
+	VMOVUPS.Z (R9)(R8*1), K2, Z2
+	VMOVUPS.Z 64(R9)(R8*1), K3, Z3
+	ZPOOL
+	VMOVUPS   Z4, K1, (DI)
+	LEAQ      (DI)(AX*4), DI
+
+zpnext:
+	LEAQ (SI)(R8*2), SI
+	DECQ R11
+	JNZ  zprow
+	VZEROUPPER
+	RET
+
+// YPOOL is ZPOOL for eight windows: the top row's 16 inputs in Y0:Y1, the
+// bottom row's in Y2:Y3. VSHUFPS splits even and odd lanes within each
+// 128-bit half, which leaves the windows in the order 0 1 4 5 2 3 6 7; the
+// maxima are taken in that order, lane by lane as ZPOOL takes them, and
+// VPERMPD puts the pairs back in order.
+#define YPOOL \
+	VSHUFPS $0x88, Y1, Y0, Y4; \
+	VSHUFPS $0xDD, Y1, Y0, Y5; \
+	VSHUFPS $0x88, Y3, Y2, Y6; \
+	VSHUFPS $0xDD, Y3, Y2, Y7; \
+	VMAXPS  Y4, Y5, Y4; \
+	VMAXPS  Y4, Y6, Y4; \
+	VMAXPS  Y4, Y7, Y4; \
+	VPERMPD $0xD8, Y4, Y4
+
+// func maxPool2AVX2(dst, src *float32, w, outW, rows int)
+//
+// maxPool2AVX512 in chunks of eight outputs, the last chunk's loads and
+// store through VMASKMOVPS.
+TEXT ·maxPool2AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ outW+24(FP), BX
+	MOVQ rows+32(FP), R11
+	SHLQ $2, R8 // input row stride, bytes
+	MOVQ BX, AX
+	ANDQ $7, AX // the outputs of the last chunk
+	LEAQ laneMask<>+32(SB), R12
+	MOVQ AX, R9
+	SHLQ $2, R9
+	MOVQ R12, R10
+	SUBQ R9, R10
+	VMOVUPS (R10), Y13 // their lanes
+	LEAQ (AX)(AX*1), R9
+	MOVQ $8, R10
+	CMPQ R9, R10
+	CMOVQLT R9, R10 // their inputs: this many in the first vector of a row
+	SUBQ R10, R9    // and the rest in the second
+	SHLQ $2, R10
+	MOVQ R12, R13
+	SUBQ R10, R13
+	VMOVUPS (R13), Y14
+	SHLQ $2, R9
+	MOVQ R12, R13
+	SUBQ R9, R13
+	VMOVUPS (R13), Y15
+	SHRQ $3, BX // whole chunks
+
+yprow:
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	TESTQ R10, R10
+	JZ    yptail
+
+ypchunk:
+	VMOVUPS (R9), Y0
+	VMOVUPS 32(R9), Y1
+	VMOVUPS (R9)(R8*1), Y2
+	VMOVUPS 32(R9)(R8*1), Y3
+	YPOOL
+	VMOVUPS Y4, (DI)
+	ADDQ    $64, R9
+	ADDQ    $32, DI
+	DECQ    R10
+	JNZ     ypchunk
+
+yptail:
+	TESTQ      AX, AX
+	JZ         ypnext
+	VMASKMOVPS (R9), Y14, Y0
+	VMASKMOVPS 32(R9), Y15, Y1
+	VMASKMOVPS (R9)(R8*1), Y14, Y2
+	VMASKMOVPS 32(R9)(R8*1), Y15, Y3
+	YPOOL
+	VMASKMOVPS Y4, Y13, (DI)
+	LEAQ       (DI)(AX*4), DI
+
+ypnext:
+	LEAQ (SI)(R8*2), SI
+	DECQ R11
+	JNZ  yprow
+	VZEROUPPER
+	RET
+
+// func compactRowsAVX512(dst, src *float32, rows, w, stride int)
+//
+// Copies rows rows of w floats, stride floats apart from src, to dst back to
+// back: sixteen floats a move, a row's last w mod 16 under a mask on the
+// load and the store, so nothing past a row is read or written. Moves only:
+// every bit pattern survives. rows ≥ 1.
+TEXT ·compactRowsAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R11
+	MOVQ w+24(FP), BX
+	MOVQ stride+32(FP), R8
+	SHLQ $2, R8
+	MOVQ BX, CX
+	ANDQ $15, CX
+	MOVQ CX, AX
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX
+	KMOVW DX, K1 // a row's last, partial vector
+	SHRQ $4, BX  // whole vectors a row
+
+zcrow:
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	TESTQ R10, R10
+	JZ    zctail
+
+zcvec:
+	VMOVUPS (R9), Z0
+	VMOVUPS Z0, (DI)
+	ADDQ    $64, R9
+	ADDQ    $64, DI
+	DECQ    R10
+	JNZ     zcvec
+
+zctail:
+	TESTQ     AX, AX
+	JZ        zcnext
+	VMOVUPS.Z (R9), K1, Z0
+	VMOVUPS   Z0, K1, (DI)
+	LEAQ      (DI)(AX*4), DI
+
+zcnext:
+	ADDQ R8, SI
+	DECQ R11
+	JNZ  zcrow
+	VZEROUPPER
+	RET
+
+// func compactRowsAVX2(dst, src *float32, rows, w, stride int)
+//
+// compactRowsAVX512 eight floats a move, the partial vector through
+// VMASKMOVPS.
+TEXT ·compactRowsAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R11
+	MOVQ w+24(FP), BX
+	MOVQ stride+32(FP), R8
+	SHLQ $2, R8
+	MOVQ BX, AX
+	ANDQ $7, AX
+	LEAQ laneMask<>+32(SB), R9
+	MOVQ AX, R10
+	SHLQ $2, R10
+	SUBQ R10, R9
+	VMOVUPS (R9), Y1 // a row's last, partial vector
+	SHRQ $3, BX      // whole vectors a row
+
+ycrow:
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	TESTQ R10, R10
+	JZ    yctail
+
+ycvec:
+	VMOVUPS (R9), Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	DECQ    R10
+	JNZ     ycvec
+
+yctail:
+	TESTQ      AX, AX
+	JZ         ycnext
+	VMASKMOVPS (R9), Y1, Y0
+	VMASKMOVPS Y0, Y1, (DI)
+	LEAQ       (DI)(AX*4), DI
+
+ycnext:
+	ADDQ R8, SI
+	DECQ R11
+	JNZ  ycrow
+	VZEROUPPER
+	RET
+
+// ZNROW is one row's step p of the narrow product (CX = 4p, the row of A at
+// ap, the row of B in Z4): av broadcast; kk = the n-column mask K1 where av
+// ≠ 0 — unordered counts as unequal, so a NaN av is applied and ±0 is not;
+// bv·av with B's row as first source, then that product plus C with the
+// product as first source — gemmNaiveRange's MULSS and ADDSS, operand for
+// operand — written into C only under kk.
+#define ZNROW(ap, cz, kk) \
+	VBROADCASTSS (ap)(CX*1), Z5; \
+	VCMPPS       $4, Z31, Z5, K1, kk; \
+	VMULPS       Z5, Z4, Z6; \
+	VADDPS       cz, Z6, kk, cz
+
+// func narrowGEMMAVX512(a, b, c *float32, m, k, n, accumulate int)
+//
+// C = A·B, or C += A·B when accumulate is 1, for A m×k, B k×n, C m×n, all
+// row-major, 1 ≤ n ≤ 16 and k ≥ 1: gemmNaiveRange for alpha 1 and beta 0 or
+// 1. Each row of C lives in one ZMM for the whole depth loop (masked to n
+// columns on load and store, B's rows loaded under the same mask), four rows
+// at a time — four independent addition chains sharing each row of B — and
+// the rows left over one at a time.
+TEXT ·narrowGEMMAVX512(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DX
+	MOVQ c+16(FP), DI
+	MOVQ m+24(FP), AX
+	MOVQ k+32(FP), R11
+	MOVQ n+40(FP), CX
+	MOVL $1, R8
+	SHLL CX, R8
+	DECL R8
+	KMOVW R8, K1 // C's n columns
+	MOVQ CX, R8
+	SHLQ $2, R8  // row stride of B and C, bytes
+	SHLQ $2, R11 // row stride of A, bytes
+	VPXORD Z31, Z31, Z31
+
+zn4:
+	CMPQ   AX, $4
+	JLT    zn1
+	LEAQ   (SI)(R11*1), R12
+	LEAQ   (R12)(R11*1), R13
+	LEAQ   (R13)(R11*1), BX
+	LEAQ   (DI)(R8*2), R10
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
 	VPXORD Z3, Z3, Z3
-	XORQ   CX, CX
+	CMPQ   accumulate+48(FP), $0
+	JEQ    zn4go
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z (DI)(R8*1), K1, Z1
+	VMOVUPS.Z (R10), K1, Z2
+	VMOVUPS.Z (R10)(R8*1), K1, Z3
 
-ztap:
-	MOVQ         (R8)(CX*8), R9
-	VBROADCASTSS (SI)(CX*4), Z4
-	VFMADD231PS  (DI)(R9*4), Z4, Z0
-	VFMADD231PS  64(DI)(R9*4), Z4, Z1
-	VFMADD231PS  128(DI)(R9*4), Z4, Z2
-	VFMADD231PS  192(DI)(R9*4), Z4, Z3
-	INCQ         CX
-	CMPQ         CX, R10
-	JLT          ztap
+zn4go:
+	MOVQ DX, R9
+	XORQ CX, CX
 
-	VADDPS  Z5, Z0, Z0
-	VADDPS  Z5, Z1, Z1
-	VADDPS  Z5, Z2, Z2
-	VADDPS  Z5, Z3, Z3
-	VMAXPS  Z0, Z6, Z0
-	VMAXPS  Z1, Z6, Z1
-	VMAXPS  Z2, Z6, Z2
-	VMAXPS  Z3, Z6, Z3
-	VMOVUPS Z0, (DX)
-	VMOVUPS Z1, 64(DX)
-	VMOVUPS Z2, 128(DX)
-	VMOVUPS Z3, 192(DX)
-	ADDQ    $256, DX
-	ADDQ    $256, DI
-	DECQ    R11
-	JNZ     zblock
+zn4p:
+	VMOVUPS.Z (R9), K1, Z4
+	ZNROW(SI, Z0, K2)
+	ZNROW(R12, Z1, K3)
+	ZNROW(R13, Z2, K4)
+	ZNROW(BX, Z3, K5)
+	ADDQ      R8, R9
+	ADDQ      $4, CX
+	CMPQ      CX, R11
+	JLT       zn4p
+	VMOVUPS   Z0, K1, (DI)
+	VMOVUPS   Z1, K1, (DI)(R8*1)
+	VMOVUPS   Z2, K1, (R10)
+	VMOVUPS   Z3, K1, (R10)(R8*1)
+	LEAQ      (DI)(R8*4), DI
+	LEAQ      (SI)(R11*4), SI
+	SUBQ      $4, AX
+	JMP       zn4
+
+zn1:
+	TESTQ  AX, AX
+	JZ     zndone
+	VPXORD Z0, Z0, Z0
+	CMPQ   accumulate+48(FP), $0
+	JEQ    zn1go
+	VMOVUPS.Z (DI), K1, Z0
+
+zn1go:
+	MOVQ DX, R9
+	XORQ CX, CX
+
+zn1p:
+	VMOVUPS.Z (R9), K1, Z4
+	ZNROW(SI, Z0, K2)
+	ADDQ      R8, R9
+	ADDQ      $4, CX
+	CMPQ      CX, R11
+	JLT       zn1p
+	VMOVUPS   Z0, K1, (DI)
+	ADDQ      R8, DI
+	ADDQ      R11, SI
+	DECQ      AX
+	JMP       zn1
+
+zndone:
 	VZEROUPPER
 	RET
 
-// func tapConvAVX2(plane, frame, w *float32, off *int, taps, blocks int, bias, floor float32)
-//
-// tapConvAVX512 over eight YMM accumulators: the same 64 positions a block.
-TEXT ·tapConvAVX2(SB), NOSPLIT, $0-56
-	MOVQ plane+0(FP), DX
-	MOVQ frame+8(FP), DI
-	MOVQ w+16(FP), SI
-	MOVQ off+24(FP), R8
-	MOVQ taps+32(FP), R10
-	MOVQ blocks+40(FP), R11
-	VBROADCASTSS bias+48(FP), Y9
-	VBROADCASTSS floor+52(FP), Y10
+// YNROW is ZNROW without opmasks: the av ≠ 0 mask is a vector (Y6) and the
+// merge a VBLENDVPS that takes product plus C where it is set and C where it
+// is clear.
+#define YNROW(ap, cy) \
+	VBROADCASTSS (ap)(CX*1), Y5; \
+	VCMPPS       $4, Y15, Y5, Y6; \
+	VMULPS       Y5, Y4, Y7; \
+	VADDPS       cy, Y7, Y7; \
+	VBLENDVPS    Y6, Y7, cy, cy
 
-yblock:
+// func narrowGEMMAVX2(a, b, c *float32, m, k, n, accumulate int)
+//
+// narrowGEMMAVX512 for 1 ≤ n ≤ 8, one YMM a row, its loads and stores
+// through VMASKMOVPS.
+TEXT ·narrowGEMMAVX2(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DX
+	MOVQ c+16(FP), DI
+	MOVQ m+24(FP), AX
+	MOVQ k+32(FP), R11
+	MOVQ n+40(FP), R8
+	SHLQ $2, R8  // row stride of B and C, bytes
+	SHLQ $2, R11 // row stride of A, bytes
+	LEAQ laneMask<>+32(SB), R9
+	SUBQ R8, R9
+	VMOVUPS (R9), Y14 // C's n columns
+	VXORPS  Y15, Y15, Y15
+
+yn4:
+	CMPQ   AX, $4
+	JLT    yn1
+	LEAQ   (SI)(R11*1), R12
+	LEAQ   (R12)(R11*1), R13
+	LEAQ   (R13)(R11*1), BX
+	LEAQ   (DI)(R8*2), R10
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ   CX, CX
+	CMPQ   accumulate+48(FP), $0
+	JEQ    yn4go
+	VMASKMOVPS (DI), Y14, Y0
+	VMASKMOVPS (DI)(R8*1), Y14, Y1
+	VMASKMOVPS (R10), Y14, Y2
+	VMASKMOVPS (R10)(R8*1), Y14, Y3
 
-ytap:
-	MOVQ         (R8)(CX*8), R9
-	VBROADCASTSS (SI)(CX*4), Y8
-	VFMADD231PS  (DI)(R9*4), Y8, Y0
-	VFMADD231PS  32(DI)(R9*4), Y8, Y1
-	VFMADD231PS  64(DI)(R9*4), Y8, Y2
-	VFMADD231PS  96(DI)(R9*4), Y8, Y3
-	VFMADD231PS  128(DI)(R9*4), Y8, Y4
-	VFMADD231PS  160(DI)(R9*4), Y8, Y5
-	VFMADD231PS  192(DI)(R9*4), Y8, Y6
-	VFMADD231PS  224(DI)(R9*4), Y8, Y7
-	INCQ         CX
-	CMPQ         CX, R10
-	JLT          ytap
+yn4go:
+	MOVQ DX, R9
+	XORQ CX, CX
 
-	VADDPS  Y9, Y0, Y0
-	VADDPS  Y9, Y1, Y1
-	VADDPS  Y9, Y2, Y2
-	VADDPS  Y9, Y3, Y3
-	VADDPS  Y9, Y4, Y4
-	VADDPS  Y9, Y5, Y5
-	VADDPS  Y9, Y6, Y6
-	VADDPS  Y9, Y7, Y7
-	VMAXPS  Y0, Y10, Y0
-	VMAXPS  Y1, Y10, Y1
-	VMAXPS  Y2, Y10, Y2
-	VMAXPS  Y3, Y10, Y3
-	VMAXPS  Y4, Y10, Y4
-	VMAXPS  Y5, Y10, Y5
-	VMAXPS  Y6, Y10, Y6
-	VMAXPS  Y7, Y10, Y7
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VMOVUPS Y4, 128(DX)
-	VMOVUPS Y5, 160(DX)
-	VMOVUPS Y6, 192(DX)
-	VMOVUPS Y7, 224(DX)
-	ADDQ    $256, DX
-	ADDQ    $256, DI
-	DECQ    R11
-	JNZ     yblock
+yn4p:
+	VMASKMOVPS (R9), Y14, Y4
+	YNROW(SI, Y0)
+	YNROW(R12, Y1)
+	YNROW(R13, Y2)
+	YNROW(BX, Y3)
+	ADDQ       R8, R9
+	ADDQ       $4, CX
+	CMPQ       CX, R11
+	JLT        yn4p
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y14, (DI)(R8*1)
+	VMASKMOVPS Y2, Y14, (R10)
+	VMASKMOVPS Y3, Y14, (R10)(R8*1)
+	LEAQ       (DI)(R8*4), DI
+	LEAQ       (SI)(R11*4), SI
+	SUBQ       $4, AX
+	JMP        yn4
+
+yn1:
+	TESTQ  AX, AX
+	JZ     yndone
+	VXORPS Y0, Y0, Y0
+	CMPQ   accumulate+48(FP), $0
+	JEQ    yn1go
+	VMASKMOVPS (DI), Y14, Y0
+
+yn1go:
+	MOVQ DX, R9
+	XORQ CX, CX
+
+yn1p:
+	VMASKMOVPS (R9), Y14, Y4
+	YNROW(SI, Y0)
+	ADDQ       R8, R9
+	ADDQ       $4, CX
+	CMPQ       CX, R11
+	JLT        yn1p
+	VMASKMOVPS Y0, Y14, (DI)
+	ADDQ       R8, DI
+	ADDQ       R11, SI
+	DECQ       AX
+	JMP        yn1
+
+yndone:
 	VZEROUPPER
 	RET
 
