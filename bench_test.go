@@ -1,6 +1,7 @@
 // Package cbnet's root benchmark suite regenerates every table and figure
 // of the paper (via the harness) and adds the ablation studies listed in
-// DESIGN.md §4 plus real host wall-clock benches of the inference engine.
+// README.md ("Reproduction substitutions") plus real host wall-clock benches
+// of the inference engine.
 //
 // Run everything:
 //
@@ -148,7 +149,7 @@ func BenchmarkFig7(b *testing.B) { benchScalability(b, dataset.FashionMNIST) }
 func BenchmarkFig8(b *testing.B) { benchScalability(b, dataset.KMNIST) }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4).
+// Ablations (README.md, "Reproduction substitutions").
 
 // BenchmarkAblationThreshold sweeps BranchyNet's entropy exit threshold on
 // the trained MNIST system, mapping the exit-rate / accuracy / latency

@@ -38,14 +38,15 @@
 // the compile-time FLOP model, and arithmetic intensity — the offline twin
 // of the serving stack's /metrics cbnet_plan_step_* series.
 //
-// "energy" executes nothing: it walks the same models' framework layers
-// (device.SequentialCost, the Table-II-calibrated cost model) and prices
-// the walk on every shipped device profile (Pi 4, cloud instance, K80)
-// through core.PriceImage — Profile.Latency and the paper's §IV-C power
-// equations, the one function behind /classify's energyEstimateMj and the
-// /metrics cbnet_energy_* series. It prints milliseconds and millijoules
-// per image per model × device, plus the Pi 4 split of the same walk layer
-// by layer. A device model, not a measurement.
+// "energy" executes nothing: it takes the work the plan compiler counts for
+// the same models (device.SequentialCost, the Table-II-calibrated cost
+// model) and prices it on every shipped device profile (Pi 4, cloud
+// instance, K80) through core.PriceImage — Profile.Latency and the paper's
+// §IV-C power equations, the one function behind /classify's
+// energyEstimateMj and the /metrics cbnet_energy_* series. It prints
+// milliseconds and millijoules per image per model × device, plus the Pi 4
+// split of the same work plan step by plan step. A device model, not a
+// measurement.
 //
 // Performance numbers come from elsewhere: `go run ./benchmark` for the
 // repository benchmark, `go test -bench` in the package that owns the code.

@@ -36,15 +36,15 @@ func TestRunProfile(t *testing.T) {
 	}
 }
 
-// TestRunEnergy checks the energy table is the layer model and nothing else:
-// every model × device row is there, and on the Pi 4 the per-layer rows plus
+// TestRunEnergy checks the energy table is the device model and nothing else:
+// every model × device row is there, and on the Pi 4 the per-step rows plus
 // the per-image overhead add up to the model's row.
 func TestRunEnergy(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runEnergy(&buf); err != nil {
 		t.Fatal(err)
 	}
-	models, layers, _ := strings.Cut(buf.String(), "Per-layer energy breakdown")
+	models, steps, _ := strings.Cut(buf.String(), "Per-step energy breakdown")
 	for _, m := range profiledModels() {
 		_, want, err := core.PriceImage(device.RaspberryPi4(), device.SequentialCost(m.net))
 		if err != nil {
@@ -56,7 +56,7 @@ func TestRunEnergy(t *testing.T) {
 			}
 		}
 		var sum float64
-		for _, line := range strings.Split(layers, "\n") {
+		for _, line := range strings.Split(steps, "\n") {
 			f := strings.Fields(line)
 			if len(f) < 5 || f[0] != m.name {
 				continue
@@ -69,7 +69,7 @@ func TestRunEnergy(t *testing.T) {
 		}
 		// Rows are printed to 1e-3 mJ; a model has at most a dozen.
 		if math.Abs(sum-want*1e3) > 0.01 {
-			t.Errorf("%s: per-layer rows sum to %.3f mJ, model total is %.3f mJ", m.name, sum, want*1e3)
+			t.Errorf("%s: per-step rows sum to %.3f mJ, model total is %.3f mJ", m.name, sum, want*1e3)
 		}
 	}
 }

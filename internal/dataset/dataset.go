@@ -4,11 +4,12 @@
 // samples.
 //
 // The real datasets cannot be downloaded in this offline environment; the
-// substitution (DESIGN.md §1) preserves the properties CBNet depends on:
-// 10 balanced classes learnable by a small CNN, and a dataset-dependent
-// mixture of easy (clean, canonical) and hard (blurred, noisy, occluded,
-// deformed) samples. Hard fractions follow the paper's measured early-exit
-// statistics: ≈5% for MNIST, ≈23% for FMNIST and ≈37% for KMNIST.
+// substitution (README.md, "Reproduction substitutions") preserves the
+// properties CBNet depends on: 10 balanced classes learnable by a small CNN,
+// and a dataset-dependent mixture of easy (clean, canonical) and hard
+// (blurred, noisy, occluded, deformed) samples. Hard fractions follow the
+// paper's measured early-exit statistics: ≈5% for MNIST, ≈23% for FMNIST and
+// ≈37% for KMNIST.
 package dataset
 
 import (

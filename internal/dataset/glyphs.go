@@ -9,8 +9,9 @@ import (
 
 // Family identifies one of the paper's three image-classification datasets.
 // Because this environment has no network access, each family is synthesized
-// procedurally (see DESIGN.md §1); the glyph geometry below gives each of
-// the 10 classes per family a distinct, learnable shape.
+// procedurally (see README.md, "Reproduction substitutions"); the glyph
+// geometry below gives each of the 10 classes per family a distinct,
+// learnable shape.
 type Family int
 
 // The three dataset families evaluated in the paper.

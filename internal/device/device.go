@@ -3,17 +3,18 @@
 // N1 instance, and N1 + Nvidia Tesla K80), which is unavailable in this
 // environment.
 //
-// Per-layer work is counted exactly from the network architecture
-// (multiply-accumulates for conv and dense layers, comparisons for pooling,
-// elementwise ops for activations) and converted to time through per-device
-// throughput and overhead constants calibrated so that the baseline LeNet
-// latency matches the paper's Table II anchors (12.735 ms on the Pi,
-// 1.322 ms on the cloud instance, 0.266 ms with the K80). Conv and dense
-// throughputs are calibrated separately: on all three platforms the paper's
-// measurements imply dense GEMMs run at far higher effective MAC rates than
-// the framework's convolutions, which is what makes the dense converting
-// autoencoder cheap relative to its raw MAC count (§IV-D: the autoencoder
-// contributes at most 25% of CBNet's inference time).
+// The work it prices is counted in one place: nn.Compile, as it lowers a
+// network into plan steps (multiply-accumulates for conv and dense steps,
+// comparisons for pooling, elementwise ops for biases and activations, and
+// the source layers each step fused). A Profile converts that work to time
+// through per-device throughput and overhead constants calibrated so that the
+// baseline LeNet latency matches the paper's Table II anchors (12.735 ms on
+// the Pi, 1.322 ms on the cloud instance, 0.266 ms with the K80). Conv and
+// dense throughputs are calibrated separately: on all three platforms the
+// paper's measurements imply dense GEMMs run at far higher effective MAC
+// rates than the framework's convolutions, which is what makes the dense
+// converting autoencoder cheap relative to its raw MAC count (§IV-D: the
+// autoencoder contributes at most 25% of CBNet's inference time).
 package device
 
 import (
@@ -22,14 +23,9 @@ import (
 	"cbnet/internal/nn"
 )
 
-// Cost is the per-image work of a network (or network fragment).
-type Cost struct {
-	ConvMACs  int // multiply-accumulates in convolution layers
-	DenseMACs int // multiply-accumulates in fully-connected layers
-	PoolOps   int // comparisons in pooling layers
-	ElemOps   int // elementwise ops in activations/regularizers
-	Layers    int // layer invocations (drives per-layer overhead)
-}
+// Cost is the per-image work of a network (or network fragment): the sum of
+// its compiled plan steps' nn.Work.
+type Cost nn.Work
 
 // Add returns the sum of two costs (sequential composition).
 func (c Cost) Add(o Cost) Cost {
@@ -45,74 +41,18 @@ func (c Cost) Add(o Cost) Cost {
 // TotalMACs returns conv plus dense multiply-accumulates.
 func (c Cost) TotalMACs() int { return c.ConvMACs + c.DenseMACs }
 
-// LayerCost returns the per-image work of a single layer. Unknown layer
-// types (custom experiments) cost only their invocation overhead.
-func LayerCost(l nn.Layer) Cost {
-	switch t := l.(type) {
-	case *nn.Conv2D:
-		outHW := t.Dims.OutH * t.Dims.OutW
-		return Cost{
-			ConvMACs: t.OutC * outHW * t.Dims.ColRows(),
-			ElemOps:  t.OutC * outHW, // bias adds
-			Layers:   1,
-		}
-	case *nn.Dense:
-		return Cost{DenseMACs: t.In * t.Out, ElemOps: t.Out, Layers: 1}
-	case *nn.MaxPool2D:
-		return Cost{PoolOps: t.C * t.OutH * t.OutW * t.Pool * t.Pool, Layers: 1}
-	case *nn.ReLU, *nn.Sigmoid, *nn.Dropout:
-		return Cost{Layers: 1} // elementwise, folded into ElemOps below
-	case *nn.ActivityRegularizer:
-		// Training-time annotation only: at inference it is the identity
-		// and frameworks do not dispatch it.
-		return Cost{}
-	case *nn.Softmax:
-		return Cost{Layers: 1}
-	case *nn.Sequential:
-		return SequentialCost(t)
-	default:
-		return Cost{Layers: 1}
-	}
-}
-
-// LayerCosts returns the per-image cost of each layer in net, index-aligned
-// with net.Layers, tracking activation widths so elementwise layers are
-// charged for the tensors they actually touch.
-func LayerCosts(net *nn.Sequential) []Cost {
-	costs := make([]Cost, len(net.Layers))
-	width := -1
-	for i, l := range net.Layers {
-		c := LayerCost(l)
-		// Charge elementwise layers for their activation width.
-		switch t := l.(type) {
-		case *nn.ReLU, *nn.Sigmoid, *nn.Dropout:
-			if width > 0 {
-				c.ElemOps += width
-			}
-		case *nn.Softmax:
-			if width > 0 {
-				c.ElemOps += 4 * width // exp, max, sum, divide
-			}
-		case *nn.Conv2D:
-			width = t.OutC * t.Dims.OutH * t.Dims.OutW
-		case *nn.Dense:
-			width = t.Out
-		case *nn.MaxPool2D:
-			width = t.C * t.OutH * t.OutW
-		}
-		if w, err := l.OutSize(width); err == nil {
-			width = w
-		}
-		costs[i] = c
-	}
-	return costs
-}
-
-// SequentialCost sums LayerCosts: the per-image cost of the whole network.
+// SequentialCost returns the per-image cost of the whole network: the sum of
+// its steps' work, compiled at batch capacity 1. It panics on a network
+// nn.Compile rejects, as the engine does: a network nothing can run has no
+// cost.
 func SequentialCost(net *nn.Sequential) Cost {
+	p, err := nn.Compile(net, 1)
+	if err != nil {
+		panic(err)
+	}
 	var total Cost
-	for _, c := range LayerCosts(net) {
-		total = total.Add(c)
+	for _, st := range p.Steps() {
+		total = total.Add(Cost(st.Work))
 	}
 	return total
 }

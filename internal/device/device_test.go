@@ -4,40 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"cbnet/internal/dataset"
 	"cbnet/internal/models"
 	"cbnet/internal/nn"
 	"cbnet/internal/rng"
+	"cbnet/internal/tensor"
 )
-
-func TestLayerCostConv(t *testing.T) {
-	r := rng.New(1)
-	// conv 1→3, 5×5, pad 2 on 28×28: 3·28·28·25 MACs.
-	c := nn.MustConv2D("c", 1, 28, 28, 3, 5, 5, 1, 2, r)
-	cost := LayerCost(c)
-	if want := 3 * 28 * 28 * 25; cost.ConvMACs != want {
-		t.Fatalf("conv MACs %d, want %d", cost.ConvMACs, want)
-	}
-	if cost.Layers != 1 {
-		t.Fatalf("layers %d", cost.Layers)
-	}
-}
-
-func TestLayerCostDense(t *testing.T) {
-	r := rng.New(2)
-	d := nn.NewDense("d", 100, 30, r)
-	cost := LayerCost(d)
-	if cost.DenseMACs != 3000 {
-		t.Fatalf("dense MACs %d, want 3000", cost.DenseMACs)
-	}
-}
-
-func TestLayerCostPool(t *testing.T) {
-	p := nn.MustMaxPool2D("p", 3, 28, 28, 2, 2)
-	cost := LayerCost(p)
-	if want := 3 * 14 * 14 * 4; cost.PoolOps != want {
-		t.Fatalf("pool ops %d, want %d", cost.PoolOps, want)
-	}
-}
 
 func TestSequentialCostAddsUp(t *testing.T) {
 	r := rng.New(3)
@@ -57,36 +29,149 @@ func TestSequentialCostAddsUp(t *testing.T) {
 	}
 }
 
-// TestLayerCostsAlignWithLayers: the per-layer slice SequentialCost sums is
-// index-aligned with the network, charges an activation for the width it
-// follows, and leaves inference-identity layers at zero.
-func TestLayerCostsAlignWithLayers(t *testing.T) {
-	ae := models.NewTableIAE(0, rng.New(7)).Net
-	costs := LayerCosts(ae)
-	if len(costs) != len(ae.Layers) {
-		t.Fatalf("%d costs for %d layers", len(costs), len(ae.Layers))
+// TestShippedNetworkCosts pins every field of each shipped network's cost,
+// under every micro-kernel this CPU runs. Table II, the routing prices and
+// every modelled joule rest on these counts; a kernel moves a conv step
+// between the direct and the im2col path (DirectConv's OutC < mr) but must
+// not move its work.
+func TestShippedNetworkCosts(t *testing.T) {
+	br := models.NewBranchyLeNet(rng.New(1), 0.05)
+	ae := func(f dataset.Family, out models.OutputActivation) *nn.Sequential {
+		return models.NewConvertingAE(models.TableIArch(f), out, models.L1Coefficient, rng.New(2)).Net
 	}
-	var sum Cost
-	for i, l := range ae.Layers {
-		switch l.(type) {
-		case *nn.Dense:
-			if costs[i].DenseMACs == 0 || costs[i].Layers != 1 {
-				t.Errorf("layer %d (%s): dense cost %+v", i, l.Name(), costs[i])
-			}
-		case *nn.ReLU:
-			if want := costs[i-1].ElemOps; costs[i].ElemOps != want {
-				t.Errorf("layer %d (%s): %d elementwise ops, want the preceding dense width %d", i, l.Name(), costs[i].ElemOps, want)
-			}
-		case *nn.ActivityRegularizer:
-			if costs[i] != (Cost{}) {
-				t.Errorf("layer %d (%s): identity at inference, cost %+v", i, l.Name(), costs[i])
+	cases := []struct {
+		name string
+		net  *nn.Sequential
+		want Cost
+	}{
+		{"lightweight", models.ExtractLightweight(br), Cost{70464, 1080, 2784, 5578, 7}},
+		{"lenet", models.NewLeNet(rng.New(3)), Cost{726000, 22344, 7152, 14994, 11}},
+		{"stem", br.Stem, Cost{58800, 0, 2352, 4704, 3}},
+		{"branch", br.Branch, Cost{11664, 1080, 432, 874, 4}},
+		{"trunk", br.Trunk, Cost{667200, 22344, 4800, 10290, 8}},
+		{"ae-mnist", ae(dataset.MNIST, models.OutputSigmoid), Cost{0, 953088, 0, 3936, 7}},
+		{"ae-fmnist", ae(dataset.FashionMNIST, models.OutputSigmoid), Cost{0, 665600, 0, 3232, 7}},
+		{"ae-kmnist", ae(dataset.KMNIST, models.OutputSigmoid), Cost{0, 635392, 0, 3008, 6}},
+		{"ae-fmnist-softmax", ae(dataset.FashionMNIST, models.OutputSoftmax), Cost{0, 665600, 0, 5584, 7}},
+	}
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
+	for _, k := range tensor.GEMMKernels() {
+		if !k.Available {
+			continue
+		}
+		tensor.SetGEMMKernelForTest(k.Name)
+		for _, c := range cases {
+			if got := SequentialCost(c.net); got != c.want {
+				t.Errorf("%s under %s: %+v, want %+v", c.name, k.Name, got, c.want)
 			}
 		}
-		sum = sum.Add(costs[i])
 	}
-	if sum != SequentialCost(ae) {
-		t.Fatalf("layer costs sum to %+v, SequentialCost says %+v", sum, SequentialCost(ae))
+}
+
+// stepCosts compiles net at batch capacity 32 and returns each step's work
+// by step name, plus their sum.
+func stepCosts(t *testing.T, net *nn.Sequential) (map[string]Cost, Cost) {
+	t.Helper()
+	p, err := nn.Compile(net, 32)
+	if err != nil {
+		t.Fatal(err)
 	}
+	steps := map[string]Cost{}
+	var sum Cost
+	for _, st := range p.Steps() {
+		steps[st.Name] = Cost(st.Work)
+		sum = sum.Add(Cost(st.Work))
+	}
+	return steps, sum
+}
+
+// checkSteps holds each named step of net to its pinned work. A fused step
+// carries every source layer it absorbed — one dispatch each, and one
+// elementwise op per element for a relu or a sigmoid on top of the
+// producer's bias adds.
+func checkSteps(t *testing.T, net *nn.Sequential, want map[string]Cost) {
+	t.Helper()
+	steps, _ := stepCosts(t, net)
+	for name, w := range want {
+		got, ok := steps[name]
+		if !ok {
+			t.Errorf("%s: no step %s", net.Name(), name)
+			continue
+		}
+		if got != w {
+			t.Errorf("%s %s: %+v, want %+v", net.Name(), name, got, w)
+		}
+	}
+}
+
+func TestLayerCostConv(t *testing.T) {
+	r := rng.New(1)
+	// conv 1→3, 5×5, pad 2 on 28×28: 3·28·28·25 MACs and a bias add per output.
+	c := nn.MustConv2D("c", 1, 28, 28, 3, 5, 5, 1, 2, r)
+	want := Cost{ConvMACs: 3 * 28 * 28 * 25, ElemOps: 3 * 28 * 28, Layers: 1}
+	if got := SequentialCost(nn.NewSequential("conv", c)); got != want {
+		t.Fatalf("conv cost %+v, want %+v", got, want)
+	}
+	checkSteps(t, models.NewLeNet(rng.New(4)), map[string]Cost{
+		"conv1+relu1": {ConvMACs: 3 * 784 * 25, ElemOps: 2 * 3 * 784, Layers: 2},
+	})
+}
+
+func TestLayerCostDense(t *testing.T) {
+	r := rng.New(2)
+	d := nn.NewDense("d", 100, 30, r)
+	want := Cost{DenseMACs: 3000, ElemOps: 30, Layers: 1}
+	if got := SequentialCost(nn.NewSequential("dense", d)); got != want {
+		t.Fatalf("dense cost %+v, want %+v", got, want)
+	}
+	checkSteps(t, models.NewLeNet(rng.New(4)), map[string]Cost{
+		"fc1+relu4": {DenseMACs: 256 * 84, ElemOps: 2 * 84, Layers: 2},
+		"fc2":       {DenseMACs: 84 * 10, ElemOps: 10, Layers: 1},
+	})
+	checkSteps(t, models.NewTableIAE(dataset.MNIST, rng.New(5)).Net, map[string]Cost{
+		"ae_fc4+ae_out": {DenseMACs: 32 * 784, ElemOps: 2 * 784, Layers: 2},
+	})
+}
+
+func TestLayerCostPool(t *testing.T) {
+	p := nn.MustMaxPool2D("p", 3, 28, 28, 2, 2)
+	want := Cost{PoolOps: 3 * 14 * 14 * 4, Layers: 1}
+	if got := SequentialCost(nn.NewSequential("pool", p)); got != want {
+		t.Fatalf("pool cost %+v, want %+v", got, want)
+	}
+	checkSteps(t, models.NewLeNet(rng.New(4)), map[string]Cost{
+		"pool1": {PoolOps: 3 * 14 * 14 * 4, Layers: 1},
+	})
+}
+
+// TestLayerCostsAlignWithLayers: a network's cost is the sum of its plan
+// steps' work at any batch capacity, every source layer is priced once, and
+// the elided activity regularizer is no layer at all.
+func TestLayerCostsAlignWithLayers(t *testing.T) {
+	lenet := models.NewLeNet(rng.New(4))
+	ae := models.NewTableIAE(dataset.MNIST, rng.New(5)).Net
+	for _, net := range []*nn.Sequential{lenet, ae} {
+		if _, sum := stepCosts(t, net); sum != SequentialCost(net) {
+			t.Errorf("%s: steps at capacity 32 sum to %+v, SequentialCost says %+v", net.Name(), sum, SequentialCost(net))
+		}
+	}
+	if got := SequentialCost(lenet).Layers; got != len(lenet.Layers) {
+		t.Errorf("LeNet: %d layers priced of %d", got, len(lenet.Layers))
+	}
+	if got := SequentialCost(ae).Layers; got != len(ae.Layers)-1 {
+		t.Errorf("AE: %d layers priced of %d, want all but the activity regularizer", got, len(ae.Layers))
+	}
+}
+
+// TestSequentialCostPanicsOnUncompilable: a network the compiler has no plan
+// for has no cost either.
+func TestSequentialCostPanicsOnUncompilable(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SequentialCost of a nested Sequential did not panic")
+		}
+	}()
+	SequentialCost(nn.NewSequential("outer", models.NewLeNet(rng.New(6))))
 }
 
 func TestCostAdd(t *testing.T) {

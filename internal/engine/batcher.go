@@ -92,7 +92,7 @@ func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap 
 	return rt
 }
 
-// RouteCost is one live route's per-image work under the §IV-C layer model
+// RouteCost is one live route's per-image work under the §IV-C device model
 // (device.SequentialCost of the networks it runs).
 type RouteCost struct {
 	Route RouteName

@@ -319,6 +319,11 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		if _, dup := e.byName[v.Name]; dup {
 			panic(fmt.Sprintf("engine: duplicate route name %q", v.Name))
 		}
+		// Refused here, by route name, before SequentialCost would panic
+		// naming only the network.
+		if _, err := nn.Compile(v.Net, 1); err != nil {
+			panic(fmt.Sprintf("engine: route %q: %v", v.Name, err))
+		}
 		e.newRoute(v.Name, device.SequentialCost(v.Net), classifierPlans(v.Net))
 	}
 	e.live = e.routes

@@ -3,7 +3,8 @@
 // architectures), Fig. 3 (BranchyNet speedup vs hard-sample fraction),
 // Table II (latency / energy / accuracy across datasets and devices),
 // Fig. 5 (comparison with AdaDeep and SubFlow), and Figs. 6–8 (scalability
-// sweeps). See DESIGN.md §3 for the experiment index.
+// sweeps). README.md, "Reproduction substitutions", indexes the experiments
+// and the substitutions they run under.
 package harness
 
 import (
@@ -128,7 +129,7 @@ func FormatTableI() string {
 		sb.WriteString(row + "\n")
 	}
 	sb.WriteString(fmt.Sprintf("%-17s| %-13s| %-13s| %s\n", "FullyConnected4", "784 sigmoid*", "784 sigmoid*", "784 sigmoid*"))
-	sb.WriteString("* paper lists Softmax; see DESIGN.md §1 for the documented substitution\n")
+	sb.WriteString("* paper lists Softmax; see README.md, \"Reproduction substitutions\"\n")
 	return sb.String()
 }
 

@@ -109,8 +109,9 @@ func TestTableIIShape(t *testing.T) {
 			// the winner flips within a small absolute margin: the paper
 			// reports CBNet ahead 1.22×, while our synthetic MNIST exits a
 			// couple of points more often (≈97% vs 94.9%), leaving
-			// BranchyNet ahead instead; EXPERIMENTS.md records this as the
-			// one ordering deviation, so it is not asserted here.
+			// BranchyNet ahead instead; README.md ("Reproduction
+			// substitutions") records this as the one ordering deviation, so
+			// it is not asserted here.
 			if f != dataset.MNIST && cb.LatencyMS[i] >= branchy.LatencyMS[i] {
 				t.Errorf("%s device %d: CBNet %v not below BranchyNet %v",
 					f, i, cb.LatencyMS[i], branchy.LatencyMS[i])
@@ -216,7 +217,7 @@ func TestFig5Shape(t *testing.T) {
 	// runs a couple of points above the paper's, so allow near-parity);
 	// AdaDeep and SubFlow in between; LeNet slowest.
 	if lat["CBNet"] >= lat["BranchyNet"]*1.3 {
-		t.Errorf("CBNet %v should be within 30%% of BranchyNet %v (MNIST knife-edge, see EXPERIMENTS.md)", lat["CBNet"], lat["BranchyNet"])
+		t.Errorf("CBNet %v should be within 30%% of BranchyNet %v (MNIST knife-edge, see README.md \"Reproduction substitutions\")", lat["CBNet"], lat["BranchyNet"])
 	}
 	if !(lat["AdaDeep"] < lat["LeNet"]) {
 		t.Errorf("AdaDeep %v should beat LeNet %v", lat["AdaDeep"], lat["LeNet"])

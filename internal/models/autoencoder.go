@@ -17,7 +17,7 @@ type OutputActivation int
 // output trained with MSE only reconstructs images whose pixels sum to one,
 // so the pipeline sum-normalizes targets in that mode; the default Sigmoid
 // mode reconstructs [0,1] images directly and is used for the headline
-// experiments (see DESIGN.md §1 for this documented substitution).
+// experiments (see README.md, "Reproduction substitutions").
 const (
 	OutputSigmoid OutputActivation = iota
 	OutputSoftmax

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
 
@@ -245,65 +244,4 @@ func (a *ActivityRegularizer) Penalty() float64 {
 		return 0
 	}
 	return float64(a.Lambda) * a.lastIn.AbsSum()
-}
-
-// Dropout randomly zeroes activations during training with probability Rate
-// and rescales survivors by 1/(1−Rate) (inverted dropout), so inference is
-// an identity.
-type Dropout struct {
-	LayerName string
-	Rate      float32
-	rng       *rng.RNG
-	lastMask  []float32
-}
-
-// NewDropout creates a dropout layer with its own RNG stream.
-func NewDropout(name string, rate float32, r *rng.RNG) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("dropout %s: rate %v outside [0,1)", name, rate))
-	}
-	return &Dropout{LayerName: name, Rate: rate, rng: r}
-}
-
-// Name returns the layer's label.
-func (d *Dropout) Name() string { return d.LayerName }
-
-// Params returns nil.
-func (d *Dropout) Params() []*Param { return nil }
-
-// OutSize is the identity.
-func (d *Dropout) OutSize(inSize int) (int, error) { return inSize, nil }
-
-// Forward drops activations in training mode; identity at inference.
-func (d *Dropout) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if !training || d.Rate == 0 {
-		return x
-	}
-	y := x.Clone()
-	scale := 1 / (1 - d.Rate)
-	d.lastMask = make([]float32, len(y.Data))
-	for i := range y.Data {
-		if d.rng.Float32() < d.Rate {
-			y.Data[i] = 0
-		} else {
-			d.lastMask[i] = scale
-			y.Data[i] *= scale
-		}
-	}
-	return y
-}
-
-// Backward scales gradients by the same mask used in Forward.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.Rate == 0 {
-		return grad
-	}
-	if d.lastMask == nil {
-		panic(fmt.Sprintf("dropout %s: Backward before training-mode Forward", d.LayerName))
-	}
-	dx := grad.Clone()
-	for i := range dx.Data {
-		dx.Data[i] *= d.lastMask[i]
-	}
-	return dx
 }

@@ -1,7 +1,7 @@
 // Package nn implements the neural-network layers used by the CBNet
 // reproduction: fully-connected and convolutional layers, max pooling, and
 // the activation functions from the paper's Table I (relu, linear, softmax)
-// plus sigmoid and dropout.
+// plus sigmoid and the L1 activity regularizer.
 //
 // All layers consume and produce 2-D tensors of shape (batch, features);
 // spatial layers carry their own channel/height/width geometry and interpret
@@ -45,9 +45,10 @@ func (p *Param) Touch() { p.gen++ }
 //
 // Forward runs the layer on a (batch, features) input. When training is
 // true, layers may cache activations needed by Backward and apply
-// train-only behaviour (e.g. dropout). Backward must be called after a
-// training-mode Forward with the gradient of the loss with respect to the
-// layer output, and returns the gradient with respect to the layer input.
+// train-only behaviour (e.g. the activity regularizer's penalty). Backward
+// must be called after a training-mode Forward with the gradient of the loss
+// with respect to the layer output, and returns the gradient with respect to
+// the layer input.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, training bool) *tensor.Tensor

@@ -284,41 +284,6 @@ func TestActivityRegularizerGradient(t *testing.T) {
 	}
 }
 
-func TestDropoutInferenceIdentity(t *testing.T) {
-	r := rng.New(9)
-	d := NewDropout("do", 0.5, r)
-	x := randInput(r, 2, 10)
-	y := d.Forward(x, false)
-	for i := range x.Data {
-		if y.Data[i] != x.Data[i] {
-			t.Fatal("dropout modified inference output")
-		}
-	}
-}
-
-func TestDropoutTrainingDropsAndScales(t *testing.T) {
-	r := rng.New(10)
-	d := NewDropout("do", 0.5, r)
-	x := tensor.New(1, 10000)
-	x.Fill(1)
-	y := d.Forward(x, true)
-	zeros := 0
-	for _, v := range y.Data {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(float64(v)-2) > 1e-6 {
-			t.Fatalf("survivor scaled to %v, want 2", v)
-		}
-	}
-	if zeros < 4500 || zeros > 5500 {
-		t.Fatalf("dropped %d of 10000, want ≈5000", zeros)
-	}
-	// The expected value is preserved.
-	if m := y.Mean(); math.Abs(m-1) > 0.05 {
-		t.Fatalf("mean after dropout %v, want ≈1", m)
-	}
-}
-
 func TestSequentialStacksAndValidates(t *testing.T) {
 	r := rng.New(11)
 	net := NewSequential("net",

@@ -9,10 +9,11 @@ import (
 )
 
 // The plan compiler: ahead-of-time inference compilation for Sequential
-// networks. Compile runs shape inference once, drops inference-identity
-// layers (Dropout, ActivityRegularizer), fuses activations into their
-// producing GEMM's epilogue (Conv2D+ReLU, Dense+ReLU, Dense+Sigmoid,
-// Dense+Softmax, …), and assigns every intermediate a fixed offset in one
+// networks. Compile runs shape inference once, drops the inference-identity
+// ActivityRegularizer, fuses activations into their producing GEMM's
+// epilogue (Conv2D+ReLU, Dense+ReLU, Dense+Sigmoid, Dense+Softmax, …),
+// counts each step's work (Work: the one count of a network's work, which
+// device.Cost prices), and assigns every intermediate a fixed offset in one
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
 // steps — no interface dispatch, no type assertions, and zero steady-state
 // heap allocations. It is the only way a trained network runs outside
@@ -99,14 +100,42 @@ type planStep struct {
 	// output.
 	colOff, colLen, gemmOff int
 
-	// Compile-time cost model, filled by annotateCosts: modelled
-	// floating-point work and activation traffic per sample, plus the
-	// per-execution parameter traffic that is independent of batch size.
-	// Spans and the meter derive achieved GFLOPS and arithmetic intensity
-	// from these (see StepInfo for the model's definition).
+	// Compile-time cost model: the per-sample work counted as the step is
+	// lowered, and, filled by annotateCosts, its FLOPs, the activation
+	// traffic per sample and the per-execution parameter traffic that is
+	// independent of batch size. Spans and the meter derive achieved GFLOPS
+	// and arithmetic intensity from these (see StepInfo for the model's
+	// definition).
+	work        Work
 	flopsPerImg int64
 	ioPerImg    int64
 	fixedBytes  int64
+}
+
+// Work is a step's per-image work by op class. Compile counts it as it
+// lowers each layer, and nothing else counts a network's work: device.Cost is
+// the sum of a plan's Work, priced per device.
+type Work struct {
+	ConvMACs  int // multiply-accumulates in convolutions
+	DenseMACs int // multiply-accumulates in dense products
+	PoolOps   int // comparisons in pooling windows
+	ElemOps   int // bias adds and activation ops (actOps)
+	Layers    int // source layers fused into the step: dispatch overhead
+}
+
+// flops is the work in floating-point operations: two per multiply-accumulate
+// and one per every other op.
+func (w Work) flops() int64 {
+	return 2*int64(w.ConvMACs+w.DenseMACs) + int64(w.PoolOps+w.ElemOps)
+}
+
+// actOps is the elementwise work of an activation over width elements: one
+// op per element (relu, sigmoid), four for a softmax (exp, max, sum, divide).
+func actOps(softmax bool, width int) int {
+	if softmax {
+		return 4 * width
+	}
+	return width
 }
 
 // Plan is a compiled inference program for one Sequential at a fixed batch
@@ -170,6 +199,8 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 		st.act = act
 		st.softmax = softmax
 		st.name += "+" + name
+		st.work.ElemOps += actOps(softmax, st.outW)
+		st.work.Layers++
 		return true
 	}
 	// standalone appends an unfused activation step.
@@ -177,7 +208,8 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 		if width < 0 {
 			return fmt.Errorf("nn: Compile %s: activation %s before any shape-bearing layer", net.Name(), name)
 		}
-		p.steps = append(p.steps, planStep{op: opAct, name: name, act: act, softmax: softmax, outW: width})
+		p.steps = append(p.steps, planStep{op: opAct, name: name, act: act, softmax: softmax, outW: width,
+			work: Work{ElemOps: actOps(softmax, width), Layers: 1}})
 		return nil
 	}
 	shaped := func(name string, in int) error {
@@ -194,13 +226,14 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 
 	for _, l := range net.Layers {
 		switch l := l.(type) {
-		case *Dropout, *ActivityRegularizer:
-			// Identity at inference: elided.
+		case *ActivityRegularizer:
+			// Identity at inference: elided, no work.
 		case *Dense:
 			if err := shaped(l.Name(), l.In); err != nil {
 				return nil, err
 			}
-			p.steps = append(p.steps, planStep{op: opDense, name: l.Name(), dense: l, outW: l.Out})
+			p.steps = append(p.steps, planStep{op: opDense, name: l.Name(), dense: l, outW: l.Out,
+				work: Work{DenseMACs: l.In * l.Out, ElemOps: l.Out, Layers: 1}}) // + bias adds
 			width = l.Out
 			if tensor.BlockedGEMM(batchCap, l.In, l.Out) {
 				l.packed() // some batch ≤ batchCap takes the blocked path: pack W now
@@ -213,7 +246,8 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("nn: Compile %s: %w", net.Name(), err)
 			}
-			p.steps = append(p.steps, planStep{op: opConv, name: l.Name(), conv: l, outW: out})
+			p.steps = append(p.steps, planStep{op: opConv, name: l.Name(), conv: l, outW: out,
+				work: Work{ConvMACs: out * l.Dims.ColRows(), ElemOps: out, Layers: 1}}) // + bias adds
 			width = out
 		case *MaxPool2D:
 			if err := shaped(l.Name(), l.InSize()); err != nil {
@@ -223,7 +257,8 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("nn: Compile %s: %w", net.Name(), err)
 			}
-			p.steps = append(p.steps, planStep{op: opPool, name: l.Name(), pool: l, outW: out})
+			p.steps = append(p.steps, planStep{op: opPool, name: l.Name(), pool: l, outW: out,
+				work: Work{PoolOps: out * l.Pool * l.Pool, Layers: 1}})
 			width = out
 		case *ReLU:
 			if !fuse(tensor.EpActReLU, false, l.Name()) {
@@ -256,20 +291,10 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	return p, nil
 }
 
-// actFLOPs is the modelled per-element cost of a fused activation.
-func actFLOPs(act tensor.EpilogueAct) int64 {
-	switch act {
-	case tensor.EpActReLU:
-		return 1
-	case tensor.EpActSigmoid:
-		return 4 // negate, exp, add, divide
-	}
-	return 0
-}
-
-// annotateCosts fills each step's compile-time FLOP/byte model. Shapes are
-// fully known after shape inference, so the model costs nothing at run
-// time; Execute scales the per-image figures by the live batch size.
+// annotateCosts derives each step's FLOPs from its work and fills its
+// compile-time byte model. Shapes are fully known after shape inference, so
+// the model costs nothing at run time; Execute scales the per-image figures
+// by the live batch size.
 //
 // The byte model counts activation traffic per image (reads of the step's
 // input, writes of its output, and for convolutions the zero-padded frame
@@ -286,25 +311,16 @@ func (p *Plan) annotateCosts() {
 	const f32 = 4 // bytes per element
 	for i := range p.steps {
 		st := &p.steps[i]
-		softmaxFLOPs := int64(0)
-		if st.softmax {
-			softmaxFLOPs = 5 * int64(st.outW) // max, sub, exp, sum, div
-		}
+		st.flopsPerImg = st.work.flops()
 		switch st.op {
 		case opDense:
 			d := st.dense
-			st.flopsPerImg = 2*int64(d.In)*int64(d.Out) + // GEMM
-				int64(d.Out) + // bias
-				actFLOPs(st.act)*int64(d.Out) + softmaxFLOPs
 			st.ioPerImg = f32 * int64(d.In+d.Out)
 			st.fixedBytes = f32 * int64(d.In*d.Out+d.Out)
 		case opConv:
 			c := st.conv
 			colRows, colCols := int64(c.Dims.ColRows()), int64(c.Dims.ColCols())
-			outEls := int64(c.OutC) * colCols
-			st.flopsPerImg = 2*colRows*colCols*int64(c.OutC) + // GEMM
-				outEls + // bias
-				actFLOPs(st.act)*outEls
+			outEls := int64(st.outW)
 			frame := int64(c.Dims.InC) * int64(c.Dims.InH+2*c.Dims.Pad) * int64(c.Dims.InW+2*c.Dims.Pad)
 			if tensor.DirectConv(c.OutC, c.Dims, p.batchCap) {
 				// input read + frame written and re-read + each plane
@@ -321,15 +337,8 @@ func (p *Plan) annotateCosts() {
 			}
 			st.fixedBytes = f32 * (int64(c.OutC)*colRows + int64(c.OutC))
 		case opPool:
-			pl := st.pool
-			st.flopsPerImg = int64(st.outW) * int64(pl.Pool) * int64(pl.Pool) // window compares
-			st.ioPerImg = f32 * int64(pl.InSize()+st.outW)
+			st.ioPerImg = f32 * int64(st.pool.InSize()+st.outW)
 		case opAct:
-			perEl := actFLOPs(st.act)
-			if perEl == 0 && !st.softmax {
-				perEl = 1 // pure copy step: count the move
-			}
-			st.flopsPerImg = perEl*int64(st.outW) + softmaxFLOPs
 			st.ioPerImg = f32 * 2 * int64(st.outW)
 		}
 	}
@@ -394,14 +403,15 @@ func (p *Plan) InWidth() int { return p.inW }
 func (p *Plan) OutWidth() int { return p.outW }
 
 // StepInfo describes one compiled step's static shape and cost model for
-// introspection: the profiling table, the /metrics per-step series, and
-// tests. FLOPsPerImage counts GEMM multiply-adds as 2 FLOPs plus bias and
-// activation work; BytesPerImage counts the step's activation traffic
-// (including the conv frame, and the packed column matrix and regroup copies
-// or the direct path's planes);
-// FixedBytes is the parameter traffic paid once per execution regardless of
-// batch size.
+// introspection: the device model's costs, the profiling and energy tables,
+// the /metrics per-step series, and tests. Work is the step's per-image work
+// by op class and FLOPsPerImage is 2·(ConvMACs+DenseMACs) + PoolOps +
+// ElemOps; BytesPerImage counts the step's activation traffic (including the
+// conv frame, and the packed column matrix and regroup copies or the direct
+// path's planes); FixedBytes is the parameter traffic paid once per execution
+// regardless of batch size.
 type StepInfo struct {
+	Work
 	Index         int
 	Name          string
 	Op            string // "dense", "conv", "pool", "act"
@@ -418,6 +428,7 @@ func (p *Plan) Steps() []StepInfo {
 	for i := range p.steps {
 		st := &p.steps[i]
 		out[i] = StepInfo{
+			Work:          st.work,
 			Index:         i,
 			Name:          st.name,
 			Op:            ops[st.op],

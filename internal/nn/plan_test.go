@@ -13,8 +13,8 @@ import (
 
 // mixedTestNet has a step of every kind the compiler emits: convs with and
 // without padding, relu and sigmoid fused into a conv, a pool, dense layers
-// bare and with a fused softmax, and the two identity-at-inference layers
-// (Dropout, ActivityRegularizer) the compiler drops.
+// bare and with a fused softmax, and the identity-at-inference
+// ActivityRegularizer the compiler drops.
 func mixedTestNet(r *rng.RNG) *Sequential {
 	return NewSequential("mixed-test",
 		MustConv2D("conv1", 1, 12, 12, 4, 3, 3, 1, 1, r),
@@ -23,7 +23,6 @@ func mixedTestNet(r *rng.RNG) *Sequential {
 		MustConv2D("conv2", 4, 6, 6, 6, 3, 3, 1, 0, r),
 		NewSigmoid("sig"),
 		NewDense("fc1", 6*4*4, 32, r),
-		NewDropout("drop", 0.3, rng.New(5)),
 		NewActivityRegularizer("reg", 1e-6),
 		NewDense("fc2", 32, 10, r),
 		NewSoftmax("sm"),
@@ -55,7 +54,7 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(NewSequential("bad", NewReLU("r"), NewDense("fc", 4, 2, r)), 8); err == nil {
 		t.Error("leading activation with unknown width: want error")
 	}
-	if _, err := Compile(NewSequential("empty", NewDropout("d", 0.5, r)), 8); err == nil {
+	if _, err := Compile(NewSequential("empty", NewActivityRegularizer("reg", 1e-6)), 8); err == nil {
 		t.Error("no shape-bearing layer: want error")
 	}
 	if _, err := Compile(mixedTestNet(r), 0); err == nil {

@@ -37,10 +37,14 @@ func TestPlanStepCostModel(t *testing.T) {
 		t.Fatalf("%d steps: %v", len(steps), p.StepNames())
 	}
 
-	// Dense step FLOPs are exact: 2·In·Out + Out bias + Out relu.
+	// Dense step work is exact: In·Out MACs, Out bias adds + Out relu ops,
+	// two source layers; FLOPs are 2·MACs + the other ops.
 	fc1 := steps[2]
 	if fc1.Op != "dense" || fc1.Name != "fc1+relu2" {
 		t.Fatalf("step 2 = %+v", fc1)
+	}
+	if want := (Work{DenseMACs: 100 * 32, ElemOps: 32 + 32, Layers: 2}); fc1.Work != want {
+		t.Fatalf("fc1 work = %+v, want %+v", fc1.Work, want)
 	}
 	wantFC1 := int64(2*100*32 + 32 + 32)
 	if fc1.FLOPsPerImage != wantFC1 {
@@ -60,9 +64,12 @@ func TestPlanStepCostModel(t *testing.T) {
 		t.Fatalf("conv FLOPs/img = %d, want %d", conv.FLOPsPerImage, wantConv)
 	}
 
-	// The fc2+sm step carries the softmax surcharge.
+	// The fc2+sm step carries the softmax surcharge: four ops an element.
 	fc2 := steps[3]
-	wantFC2 := int64(2*32*10+10) + 5*10
+	if want := (Work{DenseMACs: 32 * 10, ElemOps: 10 + 4*10, Layers: 2}); fc2.Work != want {
+		t.Fatalf("fc2 work = %+v, want %+v", fc2.Work, want)
+	}
+	wantFC2 := int64(2*32*10+10) + 4*10
 	if fc2.FLOPsPerImage != wantFC2 {
 		t.Fatalf("fc2 FLOPs/img = %d, want %d", fc2.FLOPsPerImage, wantFC2)
 	}
@@ -259,8 +266,8 @@ func TestDirectConvStepCostAndBuffer(t *testing.T) {
 		}
 		was := viaIm2Col.Steps()
 		for i, st := range p.Steps() {
-			if st.FLOPsPerImage != was[i].FLOPsPerImage || st.FixedBytes != was[i].FixedBytes {
-				t.Errorf("%s %s: FLOPs %d fixed bytes %d, through im2col %d / %d", k.Name, st.Name, st.FLOPsPerImage, st.FixedBytes, was[i].FLOPsPerImage, was[i].FixedBytes)
+			if st.Work != was[i].Work || st.FixedBytes != was[i].FixedBytes {
+				t.Errorf("%s %s: work %+v fixed bytes %d, through im2col %+v / %d", k.Name, st.Name, st.Work, st.FixedBytes, was[i].Work, was[i].FixedBytes)
 			}
 			if st.Op != "conv" {
 				if st.BytesPerImage != was[i].BytesPerImage {

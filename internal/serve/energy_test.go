@@ -114,9 +114,9 @@ func closeRoute(t *testing.T, s *Server, url string, inj *chaos.Injector, route 
 // TestEnergyFiguresAgree pins the one energy ledger: with the pruned variant
 // mounted and traffic on every live route, /metrics, /classify and the
 // flight ring each report, for a route, core.PriceImage of that route's own
-// layer walk — the lightweight classifier for easy, AE + classifier for
+// device.Cost — the lightweight classifier for easy, AE + classifier for
 // hard, the pruned network for pruned. Before the ledger was one, /metrics
-// re-priced the fused plan steps (hard −8.5 %, easy −3.1 % on the Pi 4) and
+// priced the fused plan steps separately (hard −8.5 %, easy −3.1 % on the Pi 4) and
 // /classify answered a pruned request with the full pipeline's figures
 // (+98 %) under a flight label of "hard".
 func TestEnergyFiguresAgree(t *testing.T) {
