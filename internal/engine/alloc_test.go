@@ -10,7 +10,7 @@ import (
 
 // TestRunBatchZeroAlloc pins the plan-backed worker's steady state: once
 // its PlanSet is warm, running a fully traced hard-route batch — assemble
-// input, emit queue/batch-form/execute/respond spans, execute the AE and
+// input, emit queue/execute/respond spans, execute the AE and
 // classifier plans with per-step span and meter recording, argmax, answer
 // every request — performs zero heap allocations and starts no goroutine.
 // The count is taken at two procs at least (testing.AllocsPerRun would pin
@@ -41,7 +41,6 @@ func TestRunBatchZeroAlloc(t *testing.T) {
 			for i := range batch {
 				batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}
 			}
-			batch[0].tOpen = 1 // exercise the batch-form span emission too
 			run := func() {
 				e.runBatch(e.hard, batch, w)
 				for _, r := range batch {

@@ -144,11 +144,37 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 }
 
+// wedgeWorkers submits one long-lived request per worker of a gateEngine
+// (MaxBatch 1) and returns once every worker holds one at the gate; the
+// returned wait joins the wedged callers after the test opens the gate.
+func wedgeWorkers(t *testing.T, e *Engine) (wedged int, wait func()) {
+	t.Helper()
+	wedged = e.Config().Workers
+	var wg sync.WaitGroup
+	for i := 0; i < wedged; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(2 + i))}); err != nil {
+				t.Errorf("wedged request failed: %v", err)
+			}
+		}(i)
+	}
+	// Admitted and off the queue: each worker has taken one.
+	for start := time.Now(); e.Stats().Submitted < int64(wedged) || len(e.hard.queue) > 0; {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("wedge requests never reached the workers")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return wedged, wg.Wait
+}
+
 // TestDeadlineAdmissionAndFormation covers both shedding points: a
 // request that arrives already expired is refused at admission with
 // ErrDeadline and never counted as submitted; a request whose deadline
-// expires while queued behind a wedged worker is shed at batch formation
-// without consuming a worker slot.
+// expires while queued behind wedged workers is shed by the worker that
+// takes it, without riding a forward pass.
 func TestDeadlineAdmissionAndFormation(t *testing.T) {
 	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 8})
 
@@ -162,28 +188,9 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 	}
 
 	// Wedge every worker (DisableRouting folds the easy budget in, so
-	// Workers=1 becomes two hard-route workers) with long-lived requests,
-	// then queue a short-deadline one behind them.
-	wedged := e.Config().Workers
-	var wg sync.WaitGroup
-	for i := 0; i < wedged; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(2 + i))}); err != nil {
-				t.Errorf("wedged request failed: %v", err)
-			}
-		}(i)
-	}
-	for start := time.Now(); e.Stats().Submitted < int64(wedged); {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("wedge requests never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Give the batcher time to hand each wedge batch to a worker, so the
-	// short-deadline request below cannot race onto a parked worker.
-	time.Sleep(20 * time.Millisecond)
+	// Workers=1 becomes two hard-route workers), then queue a short-deadline
+	// request behind them.
+	wedged, wait := wedgeWorkers(t, e)
 	shortCtx, cancelShort := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancelShort()
 	if _, err := e.Submit(shortCtx, Request{Pixels: hardImage(3)}); !errors.Is(err, context.DeadlineExceeded) {
@@ -191,11 +198,11 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 	}
 
 	close(gate)
-	wg.Wait()
-	// The stale queue entry must be shed at formation, not executed.
+	wait()
+	// The stale queue entry must be shed, not executed.
 	for start := time.Now(); e.Stats().DeadlineExpired < 2; {
 		if time.Since(start) > 10*time.Second {
-			t.Fatalf("formation shed never happened: %+v", e.Stats())
+			t.Fatalf("the worker never shed the expired request: %+v", e.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -209,6 +216,43 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 	}
 	if images != int64(wedged) {
 		t.Fatalf("route images %d, want %d: the expired request must not reach a worker", images, wedged)
+	}
+}
+
+// TestHangUpIsNotAnExpiredDeadline: a request whose caller cancels while it
+// waits behind wedged workers is shed like an expired one, but it is counted
+// once, as abandoned — no deadline expired, nothing failed.
+func TestHangUpIsNotAnExpiredDeadline(t *testing.T) {
+	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 8})
+	wedged, wait := wedgeWorkers(t, e)
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(ctx, Request{Pixels: hardImage(3)})
+		errc <- err
+	}()
+	for start := time.Now(); e.Stats().Submitted < int64(wedged)+1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the request never queued behind the wedged workers")
+		}
+	}
+	hangUp()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("hung-up caller err = %v, want context.Canceled", err)
+	}
+
+	close(gate)
+	wait()
+	for start := time.Now(); e.hard.stats.inflight.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("the worker never shed the cancelled request: %+v", e.Stats())
+		}
+	}
+	s := e.Stats()
+	if s.Abandoned != 1 || s.DeadlineExpired != 0 || s.InferFailed != 0 || s.Completed != int64(wedged) {
+		t.Fatalf("abandoned %d deadlineExpired %d inferFailed %d completed %d, want 1/0/0/%d",
+			s.Abandoned, s.DeadlineExpired, s.InferFailed, s.Completed, wedged)
 	}
 }
 
@@ -227,8 +271,8 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 	})
 
 	// More callers than two wedged routes can hold at their fullest: four
-	// executing, four formed and waiting for the worker, and a queue that
-	// racing submitters may fill past its mark of four to its depth of eight.
+	// executing and a queue that racing submitters may fill past its mark of
+	// four to its depth of eight.
 	const n = 48
 	img := stubbornHardImage(t, 0) // the whole crowd prefers hard
 	var wg sync.WaitGroup

@@ -2,18 +2,16 @@
 // CBNet pipeline — the serving layer the paper's edge-deployment story
 // needs once a device handles more than one client.
 //
-// Callers submit single images; the engine coalesces them into
-// micro-batches (flushed when full or when a worker is free, SEIFER-style
-// pipelined scheduling), runs batches on a worker pool, and answers each
-// caller individually. Two properties make it faster than the naive
-// one-request-one-forward loop:
+// Callers submit single images; a route's workers pull them from its queue
+// in micro-batches (see workerLoop) and answer each caller individually.
+// Two properties make it faster than the naive one-request-one-forward loop:
 //
 //   - Batching: a 32-row GEMM amortises im2col/weight traffic far better
 //     than 32 one-row forwards.
 //   - Hardness-aware routing: the §V heuristic (generalize.HardnessScore)
 //     sends easy images straight to the lightweight classifier, skipping
 //     the autoencoder's share of pipeline latency entirely; hard images
-//     take the full AE+classifier path. Each route has its own batcher and
+//     take the full AE+classifier path. Each route has its own queue and
 //     workers so slow hard batches never stall easy traffic.
 //
 // Beyond the built-in easy/hard pair, the engine hosts variant routes —
@@ -33,21 +31,21 @@
 //
 // Admission is bounded: when a route's queue is full, Submit fails fast
 // with ErrOverloaded so the caller can shed load instead of piling up
-// goroutines. Requests whose deadline passes while queued are shed again at
-// batch formation (ErrDeadline), so a dead request never occupies a batch
-// slot. Close drains every accepted request before returning.
+// goroutines. A request whose context ended while it was queued is shed by
+// the worker that takes it, so it never occupies a batch slot. Close drains
+// every accepted request before returning.
 //
 // A request's time in the engine is written down once. Each stage boundary
-// — admission, the batcher opening a batch, a worker picking it up, the end
-// of the forward pass, the last reply — is one trace.Now() reading, and the
-// worker's spans (queue, batch-form, execute, respond, plan steps), the
-// Result's QueueWait and Infer and the two latency histograms are all
-// differences of those readings, so they cannot disagree and adjacent
-// stages add up (see Result for what each covers). Every admitted request
-// is answered in one function, answer, which owns the done-channel send and
-// the gauge, counter and histogram bookkeeping that goes with it. Any
-// goroutine may write a worker's span ring; /debug/trace reads the rings by
-// walking the live routes' workers (TraceTracks).
+// — admission, a worker taking its batch, the end of the forward pass, the
+// last reply — is one trace.Now() reading, and the worker's spans (queue,
+// execute, respond, plan steps), the Result's QueueWait and Infer and the
+// two latency histograms are all differences of those readings, so they
+// cannot disagree and adjacent stages add up (see Result for what each
+// covers). Every admitted request is answered in one function, answer,
+// which owns the done-channel send and the gauge, counter and histogram
+// bookkeeping that goes with it. Any goroutine may write a worker's span
+// ring; /debug/trace reads the rings by walking the live routes' workers
+// (TraceTracks).
 package engine
 
 import (
@@ -78,9 +76,9 @@ var ErrOverloaded = errors.New("engine: overloaded, queue full")
 var ErrClosed = errors.New("engine: closed")
 
 // ErrDeadline is returned by Submit when the request's context deadline
-// had already expired at admission or by the time its batch formed; the
-// request consumed no inference capacity. Callers should surface it as a
-// timeout (HTTP 504), distinct from load shedding.
+// had already expired at admission or by the time a worker took it from the
+// queue; the request consumed no inference capacity. Callers should surface
+// it as a timeout (HTTP 504), distinct from load shedding.
 var ErrDeadline = errors.New("engine: request deadline expired")
 
 // ErrInferFailed is returned by Submit when the batch's forward pass
@@ -129,8 +127,8 @@ type Variant struct {
 // Config tunes the engine. The zero value is usable: every field has a
 // sensible default applied by New.
 type Config struct {
-	// MaxBatch flushes a route's pending requests once this many have
-	// coalesced. Default 32.
+	// MaxBatch caps how many queued requests a worker takes into one
+	// batch. Default 32.
 	MaxBatch int
 	// Workers is the number of inference goroutines per route.
 	// Default max(1, GOMAXPROCS/2) so the two routes together roughly
@@ -169,10 +167,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 32
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / 2
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
+		c.Workers = max(1, runtime.GOMAXPROCS(0)/2)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -225,8 +220,8 @@ type Result struct {
 	Converted []float32
 }
 
-// outcome is what a worker (or the batch-formation shed path) delivers to
-// one waiting caller: a result or a terminal error.
+// outcome is what a worker delivers to one waiting caller: a result or a
+// terminal error.
 type outcome struct {
 	res Result
 	err error
@@ -237,14 +232,13 @@ type outcome struct {
 // spans, Result durations and histogram samples are all differences of them.
 type request struct {
 	id            uint64
-	ctx           context.Context // caller context; checked again at batch formation
+	ctx           context.Context // caller context; checked again when a worker takes the request
 	pixels        []float32
 	wantConverted bool
 	hardness      float64
 	fp            uint64       // content fingerprint (resilience armed), else 0
 	tEnq          int64        // admission
-	tOpen         int64        // the batcher opened this batch (its first request only)
-	tRun          int64        // a worker picked the batch up: queue wait ends, execution starts
+	tRun          int64        // a worker took the batch: queue wait ends, execution starts
 	done          chan outcome // buffered(1): answer never blocks
 }
 
@@ -278,7 +272,7 @@ type Engine struct {
 
 	mu     sync.RWMutex // guards closed and the queue-close handoff
 	closed bool
-	wg     sync.WaitGroup // batchers + workers
+	wg     sync.WaitGroup // workers
 }
 
 // New builds and starts an engine over a trained pipeline. It panics on
@@ -345,8 +339,11 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	// beneath a worker must not fan out again, so tensor's one fan-out is
 	// set to width 1 (process-wide; training after New runs serial too).
 	tensor.SetGEMMThreads(1)
+	e.wg.Add(len(e.live) * cfg.Workers)
 	for _, rt := range e.live {
-		e.startRoute(rt)
+		for _, w := range rt.workers {
+			go e.workerLoop(rt, w)
+		}
 	}
 	return e
 }
@@ -355,15 +352,6 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 // every route that runs no autoencoder.
 func classifierPlans(net *nn.Sequential) func(batchCap int) (*core.PlanSet, error) {
 	return func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) }
-}
-
-func (e *Engine) startRoute(rt *route) {
-	e.wg.Add(1)
-	go e.batchLoop(rt)
-	for _, w := range rt.workers {
-		e.wg.Add(1)
-		go e.workerLoop(rt, w)
-	}
 }
 
 // Config returns the engine's effective (defaulted) configuration.
@@ -377,9 +365,9 @@ func (e *Engine) IssueRequestID() uint64 { return e.reqID.Add(1) }
 // Submit classifies one image, blocking until its batch completes, ctx is
 // done, or admission fails: place refuses the request, or the queue of the
 // route it chose is full at the send. A request rejected with ErrOverloaded,
-// ErrPoisoned or ErrDeadline consumed no inference capacity. If ctx expires
-// after admission the request is executed only if its batch forms before
-// the expiry; the batcher sheds already-dead requests at formation time.
+// ErrPoisoned or ErrDeadline consumed no inference capacity. If ctx ends
+// after admission the request is executed only if a worker takes it first;
+// the worker sheds it otherwise.
 func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	if len(req.Pixels) != dataset.Pixels {
 		return Result{}, fmt.Errorf("engine: got %d pixels, want %d", len(req.Pixels), dataset.Pixels)
@@ -406,15 +394,13 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, ErrClosed
 	}
 	r.tEnq = trace.Now()
-	// On the gauges before on the queue: a worker that picks the request up
-	// at once takes it off them, and a scrape in between must not read -1.
-	rt.stats.queued.Inc()
+	// On the gauge before on the queue: a worker that answers the request at
+	// once takes it off again, and a scrape in between must not read -1.
 	rt.stats.inflight.Inc()
 	select {
 	case rt.queue <- r:
 		e.mu.RUnlock()
 	default:
-		rt.stats.queued.Add(-1)
 		rt.stats.inflight.Add(-1)
 		e.mu.RUnlock()
 		e.stats.rejected.Inc()
@@ -424,11 +410,14 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 
 	select {
 	case out := <-r.done:
-		return out.res, out.err // res is zero beside an error
+		if !errors.Is(out.err, context.Canceled) {
+			return out.res, out.err // res is zero beside an error
+		}
+		// Shed by a worker before this select saw the cancellation.
 	case <-ctx.Done():
-		e.stats.abandoned.Inc()
-		return Result{}, ctx.Err()
 	}
+	e.stats.abandoned.Inc()
+	return Result{}, ctx.Err()
 }
 
 // Close stops admission, drains every accepted request through the

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,44 +147,51 @@ func TestDisableRoutingPinsHard(t *testing.T) {
 	}
 }
 
+// TestBatchCoalescing: a worker takes what is queued, up to MaxBatch, in one
+// go. The route's only worker is held at a gate by a primer until the rest
+// of the burst (23 requests) is queued behind it; once the gate opens it
+// runs the primer alone, then exactly MaxBatch of the queued requests, then
+// the 7 left over.
 func TestBatchCoalescing(t *testing.T) {
-	// Wedge the single worker's first batch on a gate until every request
-	// of the burst has been admitted, so the followers deterministically
-	// coalesce instead of racing the worker's throughput (the un-gated
-	// version flaked when the worker drained requests one by one faster
-	// than the submitters could queue them).
-	e, gate := gateEngine(t, Config{MaxBatch: 16, Workers: 1})
+	gate := make(gateFault)
+	e := testEngine(t, Config{MaxBatch: 16, Workers: 1, Fault: gate,
+		HardnessThreshold: 1000}) // everything scores easy: one route, one worker
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before Close, should the test stop early
 	const n = 24
 	results := make(chan Result, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
+	submit := func(i int) {
+		go func() {
 			res, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(i))})
 			if err != nil {
 				t.Error(err)
-				results <- Result{}
-				return
 			}
 			results <- res
-		}(i)
+		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().Submitted < n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests admitted", e.Stats().Submitted, n)
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, e.Stats())
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
-	close(gate) // release the wedged batch and everything queued behind it
-	maxBatch := 0
+	submit(0)
+	waitFor("the primer never reached the worker", func() bool {
+		return e.Stats().Submitted == 1 && len(e.easy.queue) == 0
+	})
+	for i := 1; i < n; i++ {
+		submit(i)
+	}
+	waitFor("the burst never queued", func() bool { return len(e.easy.queue) == n-1 })
+	release() // the primer and everything queued behind it
+	sizes := map[int]int{}
 	for i := 0; i < n; i++ {
-		if res := <-results; res.BatchSize > maxBatch {
-			maxBatch = res.BatchSize
-		}
+		sizes[(<-results).BatchSize]++
 	}
-	if maxBatch < 2 {
-		t.Fatalf("no coalescing observed: max batch size %d", maxBatch)
-	}
-	if maxBatch > 16 {
-		t.Fatalf("batch size %d exceeds MaxBatch", maxBatch)
+	if want := map[int]int{1: 1, 16: 16, 7: 7}; !maps.Equal(sizes, want) {
+		t.Fatalf("requests by batch size %v, want %v: the primer alone, then MaxBatch, then the rest", sizes, want)
 	}
 }
 

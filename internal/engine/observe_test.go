@@ -57,7 +57,7 @@ func TestWritePrometheus(t *testing.T) {
 		`cbnet_route_images_total{route="easy"}`,
 		`cbnet_route_images_total{route="hard"}`,
 		`cbnet_route_inflight{route="hard"} 0`,
-		`cbnet_route_queued{route="hard"} 0`,
+		`cbnet_route_queue_depth{route="hard"} 0`,
 		`cbnet_queue_wait_seconds_bucket{route="easy",le="+Inf"}`,
 		`cbnet_infer_seconds_count{route="hard"}`,
 		`cbnet_batch_size_sum{route="hard"}`,
@@ -170,8 +170,8 @@ func requireIdleGauges(t *testing.T, e *Engine) bool {
 	t.Helper()
 	idle := true
 	for _, r := range e.Stats().Routes {
-		if r.Queued != 0 || r.InFlight != 0 {
-			t.Errorf("route %s idle but queued=%d inflight=%d", r.Route, r.Queued, r.InFlight)
+		if r.QueueDepth != 0 || r.InFlight != 0 {
+			t.Errorf("route %s idle but queueDepth=%d inflight=%d", r.Route, r.QueueDepth, r.InFlight)
 			idle = false
 		}
 	}
@@ -210,25 +210,28 @@ func TestInFlightGaugeSettlesBeforeReply(t *testing.T) {
 
 // gaugeProbe is a FaultInjector that reads its route's gauges from the
 // worker, just before the forward pass: the earliest point at which a scrape
-// can catch a request the worker already holds.
+// can catch a request the worker already holds. With one worker per route
+// nothing leaves the queue while the probe runs, so every request still in
+// it, and the batch, must be in flight.
 type gaugeProbe struct {
 	e   *Engine
 	bad atomic.Pointer[string]
 }
 
 func (p *gaugeProbe) BeforeInfer(route string, batchSize int) error {
-	st := p.e.byName[RouteName(route)].stats
-	if q, in := st.queued.Value(), st.inflight.Value(); q < 0 || in < int64(batchSize) {
-		msg := fmt.Sprintf("route %s holds a batch of %d but queued=%d inflight=%d", route, batchSize, q, in)
+	rt := p.e.byName[RouteName(route)]
+	q := len(rt.queue)
+	if in := rt.stats.inflight.Value(); in < int64(q+batchSize) {
+		msg := fmt.Sprintf("route %s holds a batch of %d but queueDepth=%d inflight=%d", route, batchSize, q, in)
 		p.bad.CompareAndSwap(nil, &msg)
 	}
 	return nil
 }
 
-// TestGaugesRiseBeforeEnqueue: a request is on the gauges before a worker
-// can take it off them. Submit that sent on the queue first and counted
-// second let the worker decrement first, and /stats or /metrics could read
-// cbnet_route_queued or cbnet_route_inflight at -1. The window is two
+// TestGaugesRiseBeforeEnqueue: a request is on the gauge before a worker
+// can take it off. Submit that sent on the queue first and counted second
+// let the worker decrement first, and /stats or /metrics could read
+// cbnet_route_inflight at -1. The window is two
 // instructions wide, so it takes the OS descheduling the submitter inside it:
 // a spinning goroutine per core keeps more threads runnable than cores.
 func TestGaugesRiseBeforeEnqueue(t *testing.T) {
@@ -270,7 +273,7 @@ func TestGaugesRiseBeforeEnqueue(t *testing.T) {
 func TestSpansAgreeWithStats(t *testing.T) {
 	e := New(testPipeline(), Config{MaxBatch: 4, Workers: 1})
 	defer e.Close()
-	const pairs = 6 // 12 requests × (queue + 3 batch spans + plan steps) stays under traceRing on either route
+	const pairs = 6 // 12 requests × (queue + 2 batch spans + plan steps) stays under traceRing on either route
 	results := map[uint64]Result{}
 	for i := uint64(0); i < pairs; i++ {
 		for _, img := range [][]float32{easyImage(i), hardImage(i)} {

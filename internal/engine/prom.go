@@ -64,14 +64,13 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	}
 
 	routes := e.live
-	var images, batches, queued, inflight, depth []metrics.VecSample
+	var images, batches, inflight, depth []metrics.VecSample
 	var queueWait, infer, sizes []metrics.HistSample
 	for _, rt := range routes {
 		ls := metrics.Labels{metrics.L("route", string(rt.name))}
 		rs := rt.stats
 		images = append(images, metrics.VecSample{Labels: ls, Value: float64(rs.images.Value())})
 		batches = append(batches, metrics.VecSample{Labels: ls, Value: float64(rs.batches.Value())})
-		queued = append(queued, metrics.VecSample{Labels: ls, Value: float64(rs.queued.Value())})
 		inflight = append(inflight, metrics.VecSample{Labels: ls, Value: float64(rs.inflight.Value())})
 		depth = append(depth, metrics.VecSample{Labels: ls, Value: float64(len(rt.queue))})
 		queueWait = append(queueWait, metrics.HistSample{Labels: ls, Hist: rs.queueWaitMS, Scale: 1e-3})
@@ -80,7 +79,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	}
 	p.CounterVec("cbnet_route_images_total", "Images inferred per route.", images)
 	p.CounterVec("cbnet_route_batches_total", "Micro-batches executed per route.", batches)
-	p.GaugeVec("cbnet_route_queued", "Admitted requests whose batch has not started executing.", queued)
 	p.GaugeVec("cbnet_route_inflight", "Admitted requests not yet answered.", inflight)
 	p.GaugeVec("cbnet_route_queue_depth", "Requests sitting in the admission channel.", depth)
 	p.HistogramVec("cbnet_queue_wait_seconds", "Admission-to-execution wait per request.", queueWait)

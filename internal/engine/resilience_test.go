@@ -125,8 +125,8 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	requireIdleGauges(t, e)
 }
 
-// handBatch gives a worker one batch of exactly these images, as the batcher
-// would have formed it, and returns each request's error once all are
+// handBatch gives a worker one batch of exactly these images, as if it had
+// pulled them from the queue, and returns each request's error once all are
 // answered: the fault-isolation tests below are about what a batch of a given
 // size and composition does, which coalescing by timing cannot pin.
 func handBatch(e *Engine, rt *route, w *worker, images [][]float32) []error {
@@ -135,7 +135,6 @@ func handBatch(e *Engine, rt *route, w *worker, images [][]float32) []error {
 		batch[i] = &request{id: e.IssueRequestID(), pixels: img,
 			fp: resilience.Fingerprint(img), done: make(chan outcome, 1)}
 	}
-	rt.stats.queued.Add(int64(len(batch)))
 	rt.stats.inflight.Add(int64(len(batch)))
 	e.runBatch(rt, batch, w)
 	errs := make([]error, len(batch))
@@ -360,7 +359,7 @@ func TestBreakerDivertsAndRecovers(t *testing.T) {
 // answered by easy; once the route heals, the traffic that still prefers it
 // is what probes it — open → half-open → closed — with no controller in the
 // process to re-expose it: the only goroutines the engine ever starts are
-// its batchers and workers.
+// its workers.
 func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 	before := runtime.NumGoroutine()
 	inj := chaos.NewInjector()
@@ -377,9 +376,9 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 			},
 		},
 	})
-	// One batcher and one worker on each of easy and hard.
-	if got := runtime.NumGoroutine() - before; got > 4 {
-		t.Fatalf("New started %d goroutines, want at most 2 routes × (batcher + worker)", got)
+	// One worker on each of easy and hard.
+	if got := runtime.NumGoroutine() - before; got > 2 {
+		t.Fatalf("New started %d goroutines, want at most 2 routes × 1 worker", got)
 	}
 	var mu sync.Mutex
 	var edges []string
@@ -451,7 +450,6 @@ func TestRunBatchZeroAllocResilience(t *testing.T) {
 	for i := range batch {
 		batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}
 	}
-	batch[0].tOpen = 1
 	run := func() {
 		e.runBatch(e.hard, batch, w)
 		for _, r := range batch {

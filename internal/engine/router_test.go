@@ -26,13 +26,12 @@ func scoringImage(t *testing.T, want RouteName) []float32 {
 	return nil
 }
 
-// wedge parks the engine's workers and batchers (every route holds one
-// request at the gate and one in its batcher's hands), so that whatever a
-// test then puts on a queue stays there.
+// wedge parks the engine's workers (at MaxBatch 1 each holds one request at
+// the gate), so that whatever a test then puts on a queue stays there.
 func wedge(t *testing.T, e *Engine) {
 	t.Helper()
 	for _, rt := range e.live {
-		for i := 0; i < 2; i++ {
+		for range rt.workers {
 			rt.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
 		}
 	}

@@ -16,7 +16,7 @@ type engineStats struct {
 	rejected    metrics.Counter // ErrOverloaded at admission (queue full)
 	shed        metrics.Counter // ErrOverloaded from place: no route had room or an admitting breaker
 	diverted    metrics.Counter // placed on a route other than the preferred one
-	expired     metrics.Counter // ErrDeadline at admission or batch formation
+	expired     metrics.Counter // ErrDeadline at admission or when a worker took the request
 	inferFailed metrics.Counter // requests failed by infer errors / recovered panics
 	abandoned   metrics.Counter // caller ctx expired after admission
 	routes      map[RouteName]*routeStats
@@ -25,7 +25,6 @@ type engineStats struct {
 type routeStats struct {
 	images      metrics.Counter
 	batches     metrics.Counter
-	queued      metrics.Gauge // admitted, batch not yet executing
 	inflight    metrics.Gauge // admitted, result not yet delivered
 	batchSizes  *metrics.Histogram
 	queueWaitMS *metrics.Histogram
@@ -69,11 +68,10 @@ type RouteSnapshot struct {
 	Batches       int64            `json:"batches"`
 	MeanBatchSize float64          `json:"meanBatchSize"`
 	BatchSizeHist []metrics.Bucket `json:"batchSizeHist"`
-	QueueDepth    int              `json:"queueDepth"`
-	QueueCap      int              `json:"queueCap"`
-	// Queued counts admitted requests whose batch has not started
-	// executing; InFlight counts admitted requests not yet answered.
-	Queued      int64           `json:"queued"`
+	// QueueDepth counts admitted requests no worker has taken yet;
+	// InFlight counts admitted requests not yet answered.
+	QueueDepth  int             `json:"queueDepth"`
+	QueueCap    int             `json:"queueCap"`
 	InFlight    int64           `json:"inFlight"`
 	QueueWaitMS LatencySnapshot `json:"queueWaitMs"`
 	InferMS     LatencySnapshot `json:"inferMs"`
@@ -107,8 +105,8 @@ type Snapshot struct {
 	// its spill mark or behind an open breaker); Diverted counts requests
 	// answered by a route other than the one they preferred, for either
 	// reason; DeadlineExpired counts requests refused (admission) or
-	// dropped (batch formation) because their deadline had already
-	// passed; InferFailed counts requests failed by inference errors or
+	// dropped (by the worker that took them) because their deadline had
+	// already passed; InferFailed counts requests failed by inference errors or
 	// recovered worker panics.
 	Shed             int64           `json:"shed"`
 	Diverted         int64           `json:"diverted"`
@@ -153,7 +151,6 @@ func (e *Engine) Stats() Snapshot {
 			BatchSizeHist: rs.batchSizes.Buckets(),
 			QueueDepth:    len(rt.queue),
 			QueueCap:      cap(rt.queue),
-			Queued:        rs.queued.Value(),
 			InFlight:      rs.inflight.Value(),
 			QueueWaitMS:   latencySnapshot(rs.queueWaitMS),
 			InferMS:       latencySnapshot(rs.inferMS),

@@ -117,8 +117,8 @@ func gateEngine(t *testing.T, cfg Config) (*Engine, chan struct{}) {
 }
 
 func TestBackpressureOverload(t *testing.T) {
-	// With the worker wedged, capacity is finite (queue + batcher + batch
-	// channel + worker), so a submit loop must eventually observe
+	// With the workers wedged, capacity is finite (the queue plus one
+	// request per worker), so a submit loop must eventually observe
 	// ErrOverloaded — and every admitted request must still succeed once
 	// the gate opens.
 	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 2})
@@ -155,7 +155,7 @@ func TestBackpressureOverload(t *testing.T) {
 		// Flood with short-deadline requests: they pass admission (their
 		// contexts are still live), stack up behind the wedged worker, and
 		// abandon after a millisecond — leaving the queue full. The stale
-		// entries are shed at batch formation once the gate opens.
+		// entries are shed by the worker that takes them once the gate opens.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		_, err := e.Submit(ctx, Request{Pixels: hardImage(1)})
 		cancel()

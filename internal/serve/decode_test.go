@@ -403,7 +403,7 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	doneA := serveAsync(ctxA, bodyOf(pixA, false))
 	doneB := serveAsync(context.Background(), bodyOf(pixB, false))
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st := s.Engine.Stats(); st.Routes[0].Queued == 2 {
+		if st := s.Engine.Stats(); st.Routes[0].QueueDepth == 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -145,9 +145,8 @@ func (f *routeFault) BeforeInfer(route string, _ int) error {
 	return nil
 }
 
-// spillConfig is an engine whose queues fill with three requests: one in
-// the forward pass, one in the batcher's hands, one queued — half of
-// QueueDepth 2, the spill mark.
+// spillConfig is an engine whose queues fill with two requests: one in the
+// forward pass and one queued — half of QueueDepth 2, the spill mark.
 func spillConfig(fault engine.FaultInjector) engine.Config {
 	return engine.Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 2,
@@ -175,7 +174,7 @@ func fillRoute(t *testing.T, s *Server, url, route string, img []float32) (wait 
 		t.Fatalf("no route %q", route)
 		return engine.RouteSnapshot{}
 	}
-	const want = 3
+	const want = 2
 	codes := make(chan int, want)
 	for i := int64(1); i <= want; i++ {
 		go func() {
@@ -191,7 +190,7 @@ func fillRoute(t *testing.T, s *Server, url, route string, img []float32) (wait 
 		// next request must find the queue as this one left it.
 		settled := func() bool {
 			r := stat()
-			return r.InFlight == i && int64(r.QueueDepth) == max(0, i-2)
+			return r.InFlight == i && int64(r.QueueDepth) == i-1
 		}
 		for start := time.Now(); !settled(); time.Sleep(time.Millisecond) {
 			if time.Since(start) > 10*time.Second {

@@ -294,7 +294,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		labels := fmt.Sprintf(`{route=%q}`, r.Route)
 		check("cbnet_route_images_total"+labels, r.Images)
 		check("cbnet_route_batches_total"+labels, r.Batches)
-		check("cbnet_route_queued"+labels, r.Queued)
+		check("cbnet_route_queue_depth"+labels, int64(r.QueueDepth))
 		check("cbnet_route_inflight"+labels, r.InFlight)
 		if r.Images == 0 {
 			t.Errorf("route %s served nothing: the comparison is vacuous", r.Route)

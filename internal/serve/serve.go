@@ -18,8 +18,8 @@
 //	GET  /debug/trace   recent spans as Chrome trace-event JSON — the
 //	                    "serve" track (one bar per request, admission to
 //	                    reply) above one track per engine worker (queue,
-//	                    batch-form, execute, respond, plan steps); load in
-//	                    Perfetto or chrome://tracing
+//	                    execute, respond, plan steps); load in Perfetto or
+//	                    chrome://tracing
 //	GET  /debug/flight  flight-recorder dump: the serve track as a list of
 //	                    request outcomes + the /debug/trace document +
 //	                    queue gauges + SLO state + log tail
@@ -532,7 +532,8 @@ type ClassifyResponse struct {
 	// millijoules/image — a device model, not a measurement, and the same
 	// figure /metrics exports as cbnet_energy_joules_per_image.
 	EnergyEstimateMJ float64 `json:"energyEstimateMj"`
-	// QueueWaitMS is the time spent coalescing before the forward pass.
+	// QueueWaitMS is the time spent in the route's queue before a worker
+	// took the request into a batch.
 	QueueWaitMS float64   `json:"queueWaitMs"`
 	Converted   []float32 `json:"converted,omitempty"`
 }
@@ -662,8 +663,8 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 
 	// Resolve the request deadline: header first, server default second.
 	// The context carries it into the engine, where an expired request is
-	// shed at admission or batch formation instead of wasting a worker
-	// slot.
+	// shed at admission or by the worker that takes it instead of wasting a
+	// batch slot.
 	deadline := s.defaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		var ok bool

@@ -1,8 +1,8 @@
 // Package trace is the serving stack's one lifecycle record: a Span is the
 // only schema a request's stages are written in, a Recorder the only ring
 // they are written to, and Now the only clock they are stamped on. The
-// engine's workers each own a Recorder (queue, batch-form, execute, respond
-// and plan-step spans); the serve layer owns one more for request outcomes
+// engine's workers each own a Recorder (queue, execute, respond and
+// plan-step spans); the serve layer owns one more for request outcomes
 // (admit, complete, reject, ...), written from every handler goroutine.
 //
 // The design constraints come from the inference path's zero-alloc promise
@@ -54,8 +54,6 @@ const (
 	KindPlanStep Kind = iota
 	// KindQueue covers one request's admission-to-execution wait.
 	KindQueue
-	// KindBatchForm covers a batcher coalescing one micro-batch.
-	KindBatchForm
 	// KindExecute covers one batch's forward pass on a worker.
 	KindExecute
 	// KindRespond covers delivering one batch's results to its callers.
@@ -89,8 +87,8 @@ const (
 
 // kindNames are the kinds as /debug/trace categories and flight-dump kinds.
 var kindNames = [...]string{
-	KindPlanStep: "plan-step", KindQueue: "queue", KindBatchForm: "batch-form",
-	KindExecute: "execute", KindRespond: "respond", KindBisect: "bisect",
+	KindPlanStep: "plan-step", KindQueue: "queue", KindExecute: "execute",
+	KindRespond: "respond", KindBisect: "bisect",
 	KindAdmit: "admit", KindComplete: "complete", KindReject: "reject", KindError: "error",
 	KindAbandon: "abandon", KindQuarantine: "quarantine", KindBreaker: "breaker",
 }
