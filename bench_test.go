@@ -535,14 +535,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineBatchedAlwaysConvert isolates the batching/pipelining gain
-// with routing disabled: identical per-image work to the sequential
-// baseline. On a single core this mostly measures dense-layer GEMM
-// amortisation; with more cores the worker pool multiplies it.
+// with every request forced down the AE route (IncludeConverted): identical
+// per-image work to the sequential baseline. On a single core this mostly
+// measures dense-layer GEMM amortisation; with more cores the worker pool
+// multiplies it.
 func BenchmarkEngineBatchedAlwaysConvert(b *testing.B) {
 	pipe := benchPipeline()
 	e := engine.New(pipe, engine.Config{
 		MaxBatch: 32, QueueDepth: 4096,
-		DisableRouting: true,
 	})
 	defer e.Close()
 	imgs := benchTraffic()
@@ -553,7 +553,7 @@ func BenchmarkEngineBatchedAlwaysConvert(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			img := imgs[int(next.Add(1))%len(imgs)]
-			if _, err := e.Submit(ctx, engine.Request{Pixels: img}); err != nil {
+			if _, err := e.Submit(ctx, engine.Request{Pixels: img, IncludeConverted: true}); err != nil {
 				b.Error(err)
 				return
 			}
@@ -564,17 +564,16 @@ func BenchmarkEngineBatchedAlwaysConvert(b *testing.B) {
 }
 
 // benchSingleStream measures single-stream request latency through the
-// engine (MaxBatch 1: no coalescing delay), with or without routing.
+// engine (MaxBatch 1: no coalescing delay), routed by hardness or forced
+// down the AE route.
 func benchSingleStream(b *testing.B, routed bool, img []float32) {
 	pipe := benchPipeline()
-	e := engine.New(pipe, engine.Config{
-		MaxBatch: 1, Workers: 1, DisableRouting: !routed,
-	})
+	e := engine.New(pipe, engine.Config{MaxBatch: 1, Workers: 1})
 	defer e.Close()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Submit(ctx, engine.Request{Pixels: img}); err != nil {
+		if _, err := e.Submit(ctx, engine.Request{Pixels: img, IncludeConverted: !routed}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -585,7 +584,7 @@ func benchSingleStream(b *testing.B, routed bool, img []float32) {
 // latency must come in below the always-convert variant.
 func BenchmarkEngineRoutedEasy(b *testing.B) {
 	img := dataset.RenderSample(dataset.MNIST, 4, false, rng.New(34))
-	if name, _ := engine.RouteOf(img, engine.DefaultHardnessThreshold); name != engine.RouteEasy {
+	if name, _ := engine.RouteOf(img); name != engine.RouteEasy {
 		b.Fatal("benchmark render unexpectedly scored hard")
 	}
 	benchSingleStream(b, true, img)

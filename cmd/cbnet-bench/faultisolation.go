@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,20 +63,36 @@ func faultPipeline() *core.Pipeline {
 	}
 }
 
-func faultImage(seed uint64) []float32 {
-	return dataset.RenderSample(dataset.MNIST, int(seed)%dataset.NumClasses, false, rng.New(seed))
-}
-
 // faultHardImage scans seeds for a degraded sample that deterministically
-// scores hard under the default threshold.
+// scores hard.
 func faultHardImage(seed uint64) ([]float32, error) {
 	for s := seed; s < seed+1000; s++ {
 		img := dataset.RenderSample(dataset.MNIST, int(s)%dataset.NumClasses, true, rng.New(s))
-		if name, _ := engine.RouteOf(img, engine.DefaultHardnessThreshold); name == engine.RouteHard {
+		if name, _ := engine.RouteOf(img); name == engine.RouteHard {
 			return img, nil
 		}
 	}
 	return nil, fmt.Errorf("no hard-scoring image in 1000 seeds")
+}
+
+// faultEasyImages is faultHardImage's mirror: n clean renders from distinct
+// seeds, scanning up from seed, that score easy once mark (if not nil) has
+// edited them.
+func faultEasyImages(seed uint64, n int, mark func([]float32)) ([][]float32, error) {
+	var out [][]float32
+	for s := seed; len(out) < n && s < seed+uint64(n)+1000; s++ {
+		img := dataset.RenderSample(dataset.MNIST, int(s)%dataset.NumClasses, false, rng.New(s))
+		if mark != nil {
+			mark(img)
+		}
+		if name, _ := engine.RouteOf(img); name == engine.RouteEasy {
+			out = append(out, img)
+		}
+	}
+	if len(out) < n {
+		return nil, fmt.Errorf("%d of %d easy-scoring images in %d seeds", len(out), n, n+1000)
+	}
+	return out, nil
 }
 
 // poisonDrill throws rounds of coalesced batches at a wedged single-worker
@@ -87,43 +104,49 @@ func poisonDrill(w io.Writer) []string {
 		poisonEvery = 3
 	)
 
+	// Primer, innocents and pill all score easy: one route, one batch per
+	// round.
+	primer, err := faultEasyImages(1, 1, nil)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	innocents, err := faultEasyImages(1001, rounds*batchSize, nil)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	pill, err := faultEasyImages(99, 1, func(img []float32) { img[0] = faultPoisonPixel })
+	if err != nil {
+		return []string{err.Error()}
+	}
+
 	inj := chaos.NewInjector()
 	inj.SetLatency("", 5*time.Millisecond)
 	inj.SetPoisonValue(faultPoisonPixel)
 	e := engine.New(faultPipeline(), engine.Config{
 		MaxBatch: 32, Workers: 1,
-		HardnessThreshold: 1000, // score everything easy: one route, one batch per round
-		Fault:             inj,
-		Resilience:        engine.ResilienceConfig{Enabled: true},
+		Fault:      inj,
+		Resilience: engine.ResilienceConfig{Enabled: true},
 	})
 	defer e.Close()
-
-	pill := faultImage(99)
-	pill[0] = faultPoisonPixel
 
 	snap := e.Resilience()
 	var innocentsOffered, innocentsServed, pillFailed, pillRejected, pillOther int
 	// A lone pill costs two re-runs a level: its half fails, the sibling is served.
 	maxRunsPerRound := int64(2 * bits.Len(uint(batchSize)))
 	worstRound := int64(0)
-	seed := uint64(1000)
 	for round := 0; round < rounds; round++ {
-		images := make([][]float32, 0, batchSize+1)
-		for i := 0; i < batchSize; i++ {
-			seed++
-			images = append(images, faultImage(seed))
-		}
+		images := slices.Clone(innocents[round*batchSize : (round+1)*batchSize])
 		poisonIdx := -1
 		if round%poisonEvery == 0 {
 			poisonIdx = len(images) / 2
 			images = append(images, nil)
 			copy(images[poisonIdx+1:], images[poisonIdx:])
-			images[poisonIdx] = pill
+			images[poisonIdx] = pill[0]
 		}
 
 		// Wedge the single worker with a primer, then coalesce the round's
 		// images into one batch behind it.
-		go e.Submit(context.Background(), engine.Request{Pixels: faultImage(1)})
+		go e.Submit(context.Background(), engine.Request{Pixels: primer[0]})
 		time.Sleep(2 * time.Millisecond)
 		errs := make([]error, len(images))
 		var wg sync.WaitGroup

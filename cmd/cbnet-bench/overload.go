@@ -154,7 +154,7 @@ func overloadRun(name string, arrivals []time.Duration, degrade bool) (*overload
 	// The whole crowd prefers hard, so every image easy or pruned serves is
 	// overflow.
 	img := dataset.RenderSample(dataset.MNIST, 3, true, rng.New(11))
-	if route, h := engine.RouteOf(img, engine.DefaultHardnessThreshold); route != engine.RouteHard {
+	if route, h := engine.RouteOf(img); route != engine.RouteHard {
 		return nil, fmt.Errorf("%s: the crowd's image scores %.2f (%s), want one that prefers hard", name, h, route)
 	}
 	var mu sync.Mutex

@@ -4,26 +4,29 @@
 //
 // Usage:
 //
-//	cbnet-serve -ckpt ./ckpt -dataset fmnist -addr :8080 -workers 4 -max-batch 32
+//	cbnet-serve -ckpt ./ckpt -dataset fmnist -addr :8080 -workers 4
 //	curl -X POST localhost:8080/classify -H 'Content-Type: application/json' \
 //	     -d '{"pixels": [ ...784 floats... ]}'
 //	curl localhost:8080/stats
 //
 // -workers is how the server uses its cores: that many inference goroutines
-// per route, each running one micro-batch at a time on the goroutine that
-// took it. Nothing beneath a worker fans out.
+// per route, each running one micro-batch of up to 32 images at a time on
+// the goroutine that took it. Nothing beneath a worker fans out.
 //
-// -degrade arms graceful degradation: the server mounts a pruned early-exit
-// variant as an extra engine route, and a request whose preferred route's
-// queue is half full is answered by the next route down the ladder hard →
-// easy → pruned instead of waiting or being refused (watch
+// The server has one serving shape. Every image is scored against
+// engine.DefaultHardnessThreshold: easy ones skip the autoencoder, hard ones
+// take it, and a client that wants the paper's always-convert answer asks
+// for it per request with "includeConverted". A pruned early-exit variant is
+// mounted as a third route, and a request whose preferred route's queue is
+// half full is answered by the next route down the ladder hard → easy →
+// pruned instead of waiting or being refused (watch
 // cbnet_requests_diverted_total and cbnet_route_images_total on /metrics).
 // The choice is made per request from the queues as they are; nothing is
-// refused for lack of room until every route is half full. -default-deadline
-// bounds each request's end-to-end time; clients override per request with
-// the X-CBNet-Deadline-Ms header. -chaos wires a fault injector into the
-// inference path for drills (chaos.ParseSpec has the grammar) — never set it
-// in production.
+// refused for lack of room until every route is half full. A client bounds a
+// request's end-to-end time with the X-CBNet-Deadline-Ms header; the SLO
+// objectives are fixed (see internal/serve). -chaos wires a fault injector
+// into the inference path for drills (chaos.ParseSpec has the grammar) —
+// never set it in production.
 //
 // The fault-isolation layer is always armed: failed micro-batches are
 // bisected so one bad input cannot fail its co-batched neighbours, convicted
@@ -70,18 +73,12 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		devName   = flag.String("device", "RaspberryPi4", "device profile for latency estimates")
 		workers   = flag.Int("workers", 0, "inference workers per route, the server's only parallelism (0 = auto: GOMAXPROCS/2)")
-		maxBatch  = flag.Int("max-batch", 32, "micro-batch flush size")
-		queue     = flag.Int("queue-depth", 256, "per-route admission queue bound")
-		threshold = flag.Float64("hardness-threshold", engine.DefaultHardnessThreshold, "route images scoring at or above this to the full AE path")
-		noRoute   = flag.Bool("no-routing", false, "disable hardness routing (always convert)")
+		queue     = flag.Int("queue-depth", 256, "per-route admission queue bound; past half of it a route passes new requests down the ladder")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug logs every request)")
 		pprofOn   = flag.Bool("pprof", false, "mount Go's profiler under /debug/pprof (exposes stacks and heap; keep off on shared networks)")
 		demo      = flag.Bool("demo", false, "serve an untrained pipeline without checkpoints — endpoint smoke tests only, predictions are meaningless")
-		sloP99    = flag.Duration("slo-p99", 50*time.Millisecond, "latency SLO: 99% of successful requests complete within this wall time")
 		flightDir = flag.String("flight-dir", "", "directory for flight-recorder auto-dumps on SLO burn trips and 503 bursts (empty keeps dumps in memory, served at /debug/flight)")
-		deadline  = flag.Duration("default-deadline", 0, "per-request deadline applied when the client sends no X-CBNet-Deadline-Ms header (0 = none)")
-		degrade   = flag.Bool("degrade", false, "graceful degradation: mount a pruned variant and spill each request whose preferred route is half full down the ladder hard -> easy -> pruned")
 		chaosSpec = flag.String("chaos", "", "inject faults into the inference path, e.g. 'latency=hard:25ms/easy:6ms,poison=0.77777,stuck=all,error-every=N,panic-every=N'; drills only")
 	)
 	flag.Parse()
@@ -91,15 +88,7 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(logger)
-	cfg := engine.Config{
-		Workers:           *workers,
-		MaxBatch:          *maxBatch,
-		QueueDepth:        *queue,
-		HardnessThreshold: *threshold,
-		DisableRouting:    *noRoute,
-		Degrade:           engine.DegradeConfig{Enabled: *degrade},
-		Resilience:        engine.ResilienceConfig{Enabled: true},
-	}
+	cfg := engine.Config{Workers: *workers, QueueDepth: *queue}
 	if *chaosSpec != "" {
 		inj, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {
@@ -110,11 +99,9 @@ func main() {
 		logger.Warn("chaos injection armed — drills only, never production", "chaos", *chaosSpec)
 	}
 	opts := serve.Options{
-		EnablePprof:     *pprofOn,
-		Logger:          logger,
-		SLOLatencyP99:   *sloP99,
-		FlightDir:       *flightDir,
-		DefaultDeadline: *deadline,
+		EnablePprof: *pprofOn,
+		Logger:      logger,
+		FlightDir:   *flightDir,
 	}
 	if err := run(*ckpt, *name, *addr, *devName, cfg, opts, *demo); err != nil {
 		logger.Error("exiting", "err", err)
@@ -140,30 +127,24 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
-// validateEngineConfig rejects nonsensical flag combinations before the
-// engine normalises zero values to defaults.
+// validateEngineConfig rejects negative flag values before the engine
+// normalises zero values to defaults.
 func validateEngineConfig(cfg engine.Config) error {
-	if cfg.MaxBatch < 0 {
-		return fmt.Errorf("max-batch %d must be non-negative (0 selects the default)", cfg.MaxBatch)
-	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("workers %d must be non-negative", cfg.Workers)
 	}
 	if cfg.QueueDepth < 0 {
 		return fmt.Errorf("queue-depth %d must be non-negative (0 selects the default)", cfg.QueueDepth)
 	}
-	// The engine treats 0 as "use the default", so an explicit 0 here
-	// would silently route with the 1.05 default instead of sending
-	// everything to the AE path — reject it and point at -no-routing.
-	if cfg.HardnessThreshold <= 0 {
-		return fmt.Errorf("hardness-threshold %v must be positive (use -no-routing to convert every image)", cfg.HardnessThreshold)
-	}
 	return nil
 }
 
 // buildServer assembles the HTTP server from checkpoints (or, in demo
 // mode, from freshly initialised untrained networks); split from run so
-// tests can exercise validation and loading without binding a socket.
+// tests can exercise validation and loading without binding a socket. cfg
+// carries what the flags set; the serving shape around it is fixed here: the
+// pruned rung mounted at the end of the ladder, the spill and the
+// fault-isolation layer armed.
 func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Options, demo bool) (*serve.Server, error) {
 	family, err := dataset.FamilyByName(name)
 	if err != nil {
@@ -189,18 +170,18 @@ func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Optio
 		}
 	}
 	pipe := &core.Pipeline{AE: ae, Classifier: models.ExtractLightweight(branchy)}
-	if cfg.Degrade.Enabled {
-		// The ladder's last route is a structurally-pruned copy of the
-		// early-exit network, mounted as a first-class engine route. It
-		// shares no tensors with the serving classifier, so pruning cannot
-		// perturb the healthy path.
-		pruned, err := compress.PruneLightweight(pipe.Classifier,
-			compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
-		if err != nil {
-			return nil, fmt.Errorf("building pruned variant: %w", err)
-		}
-		cfg.Variants = append(cfg.Variants, engine.Variant{Name: "pruned", Net: pruned})
+	// The ladder's last route is a structurally-pruned copy of the
+	// early-exit network, mounted as a first-class engine route. It shares
+	// no tensors with the serving classifier, so pruning cannot perturb the
+	// healthy path.
+	pruned, err := compress.PruneLightweight(pipe.Classifier,
+		compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	if err != nil {
+		return nil, fmt.Errorf("building pruned variant: %w", err)
 	}
+	cfg.Variants = append(cfg.Variants, engine.Variant{Name: "pruned", Net: pruned})
+	cfg.Degrade = engine.DegradeConfig{Enabled: true}
+	cfg.Resilience = engine.ResilienceConfig{Enabled: true}
 	return serve.NewWithOptions(pipe, engine.New(pipe, cfg), prof, family, opts), nil
 }
 
@@ -230,9 +211,7 @@ func run(ckpt, name, addr, devName string, cfg engine.Config, opts serve.Options
 		"workersPerRoute", ecfg.Workers,
 		"maxBatch", ecfg.MaxBatch,
 		"pprof", opts.EnablePprof,
-		"sloP99", opts.SLOLatencyP99,
 		"flightDir", opts.FlightDir,
-		"defaultDeadline", opts.DefaultDeadline,
 		"degradeLadder", srv.Engine.DegradeLadder(),
 		"demo", demo)
 	if demo {

@@ -45,19 +45,12 @@ func TestFamilyByName(t *testing.T) {
 }
 
 func TestValidateEngineConfig(t *testing.T) {
-	valid := engine.Config{HardnessThreshold: engine.DefaultHardnessThreshold}
-	if err := validateEngineConfig(valid); err != nil {
-		t.Fatalf("default-threshold config should be valid: %v", err)
+	if err := validateEngineConfig(engine.Config{}); err != nil {
+		t.Fatalf("default config should be valid: %v", err)
 	}
-	thr := engine.DefaultHardnessThreshold
 	bad := []engine.Config{
-		{MaxBatch: -1, HardnessThreshold: thr},
-		{Workers: -2, HardnessThreshold: thr},
-		{QueueDepth: -1, HardnessThreshold: thr},
-		{HardnessThreshold: -0.5},
-		// 0 would silently become the default inside the engine, so the
-		// CLI rejects it outright.
-		{HardnessThreshold: 0},
+		{Workers: -2},
+		{QueueDepth: -1},
 	}
 	for i, cfg := range bad {
 		if err := validateEngineConfig(cfg); err == nil {
@@ -69,7 +62,7 @@ func TestValidateEngineConfig(t *testing.T) {
 func TestBuildServerFromCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	writeCheckpoints(t, dir, dataset.FashionMNIST)
-	srv, err := buildServer(dir, "fmnist", "RaspberryPi4", engine.Config{Workers: 1, HardnessThreshold: engine.DefaultHardnessThreshold}, serve.Options{}, false)
+	srv, err := buildServer(dir, "fmnist", "RaspberryPi4", engine.Config{Workers: 1}, serve.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +78,14 @@ func TestBuildServerFromCheckpoints(t *testing.T) {
 func TestBuildServerMountsDegradeLadder(t *testing.T) {
 	dir := t.TempDir()
 	writeCheckpoints(t, dir, dataset.MNIST)
-	cfg := engine.Config{
-		Workers:           1,
-		HardnessThreshold: engine.DefaultHardnessThreshold,
-		Degrade:           engine.DegradeConfig{Enabled: true},
-	}
-	srv, err := buildServer(dir, "mnist", "RaspberryPi4", cfg, serve.Options{}, false)
+	srv, err := buildServer(dir, "mnist", "RaspberryPi4", engine.Config{Workers: 1}, serve.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	ladder := srv.Engine.DegradeLadder()
 	if want := []string{"hard", "easy", "pruned"}; !slices.Equal(ladder, want) {
-		t.Fatalf("ladder %v, want %v: -degrade mounts the pruned variant as the last route", ladder, want)
+		t.Fatalf("ladder %v, want %v: the pruned variant is mounted as the last route and the spill armed", ladder, want)
 	}
 }
 
@@ -110,7 +98,7 @@ func TestBuildServerRejectsUnknownDataset(t *testing.T) {
 func TestBuildServerRejectsUnknownDevice(t *testing.T) {
 	dir := t.TempDir()
 	writeCheckpoints(t, dir, dataset.MNIST)
-	if _, err := buildServer(dir, "mnist", "Cray-1", engine.Config{HardnessThreshold: engine.DefaultHardnessThreshold}, serve.Options{}, false); err == nil {
+	if _, err := buildServer(dir, "mnist", "Cray-1", engine.Config{}, serve.Options{}, false); err == nil {
 		t.Fatal("expected device error")
 	}
 }
@@ -118,13 +106,13 @@ func TestBuildServerRejectsUnknownDevice(t *testing.T) {
 func TestBuildServerRejectsBadEngineConfig(t *testing.T) {
 	dir := t.TempDir()
 	writeCheckpoints(t, dir, dataset.MNIST)
-	if _, err := buildServer(dir, "mnist", "RaspberryPi4", engine.Config{MaxBatch: -4, HardnessThreshold: engine.DefaultHardnessThreshold}, serve.Options{}, false); err == nil {
+	if _, err := buildServer(dir, "mnist", "RaspberryPi4", engine.Config{QueueDepth: -4}, serve.Options{}, false); err == nil {
 		t.Fatal("expected engine-config error")
 	}
 }
 
 func TestBuildServerMissingCheckpoint(t *testing.T) {
-	_, err := buildServer(t.TempDir(), "mnist", "RaspberryPi4", engine.Config{HardnessThreshold: engine.DefaultHardnessThreshold}, serve.Options{}, false)
+	_, err := buildServer(t.TempDir(), "mnist", "RaspberryPi4", engine.Config{}, serve.Options{}, false)
 	if err == nil {
 		t.Fatal("expected missing-checkpoint error")
 	}

@@ -117,7 +117,7 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 // and traffic succeeds again once the fault clears.
 func TestWorkerPanicRecovery(t *testing.T) {
 	inj := chaos.NewInjector()
-	e := testEngine(t, Config{Workers: 1, DisableRouting: true, Fault: inj})
+	e := testEngine(t, Config{Workers: 1, Fault: inj})
 
 	inj.SetPanicEvery(1)
 	if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(1)}); !errors.Is(err, ErrInferFailed) {
@@ -144,21 +144,23 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 }
 
-// wedgeWorkers submits one long-lived request per worker of a gateEngine
-// (MaxBatch 1) and returns once every worker holds one at the gate; the
-// returned wait joins the wedged callers after the test opens the gate.
+// wedgeWorkers submits one long-lived hard-scoring request per worker of a
+// gateEngine (MaxBatch 1) and returns once every hard-route worker holds one
+// at the gate; the returned wait joins the wedged callers after the test
+// opens the gate.
 func wedgeWorkers(t *testing.T, e *Engine) (wedged int, wait func()) {
 	t.Helper()
 	wedged = e.Config().Workers
 	var wg sync.WaitGroup
 	for i := 0; i < wedged; i++ {
+		img := stubbornHardImage(t, uint64(2+i))
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(2 + i))}); err != nil {
+			if _, err := e.Submit(context.Background(), Request{Pixels: img}); err != nil {
 				t.Errorf("wedged request failed: %v", err)
 			}
-		}(i)
+		}()
 	}
 	// Admitted and off the queue: each worker has taken one.
 	for start := time.Now(); e.Stats().Submitted < int64(wedged) || len(e.hard.queue) > 0; {
@@ -180,20 +182,20 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 
 	expired, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	if _, err := e.Submit(expired, Request{Pixels: hardImage(1)}); !errors.Is(err, ErrDeadline) {
+	hard := stubbornHardImage(t, 3)
+	if _, err := e.Submit(expired, Request{Pixels: hard}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("pre-expired submit err = %v, want ErrDeadline", err)
 	}
 	if s := e.Stats(); s.DeadlineExpired != 1 || s.Submitted != 0 {
 		t.Fatalf("admission shed: expired=%d submitted=%d, want 1/0", s.DeadlineExpired, s.Submitted)
 	}
 
-	// Wedge every worker (DisableRouting folds the easy budget in, so
-	// Workers=1 becomes two hard-route workers), then queue a short-deadline
+	// Wedge every hard-route worker, then queue a short-deadline hard
 	// request behind them.
 	wedged, wait := wedgeWorkers(t, e)
 	shortCtx, cancelShort := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancelShort()
-	if _, err := e.Submit(shortCtx, Request{Pixels: hardImage(3)}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.Submit(shortCtx, Request{Pixels: hard}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned caller err = %v, want context.DeadlineExceeded", err)
 	}
 
@@ -227,9 +229,10 @@ func TestHangUpIsNotAnExpiredDeadline(t *testing.T) {
 	wedged, wait := wedgeWorkers(t, e)
 
 	ctx, hangUp := context.WithCancel(context.Background())
+	hard := stubbornHardImage(t, 3)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.Submit(ctx, Request{Pixels: hardImage(3)})
+		_, err := e.Submit(ctx, Request{Pixels: hard})
 		errc <- err
 	}()
 	for start := time.Now(); e.Stats().Submitted < int64(wedged)+1; time.Sleep(time.Millisecond) {
@@ -328,15 +331,14 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 }
 
 // TestRouteCostsPriceEachRouteAsItsOwnNetwork: the engine reports one cost
-// per live route — the classifier for easy, AE + classifier for hard, a
-// variant's own network for the variant — and only the hard route when
-// routing is disabled.
+// per route, in ladder order — AE + classifier for hard, the classifier for
+// easy, a variant's own network for the variant.
 func TestRouteCostsPriceEachRouteAsItsOwnNetwork(t *testing.T) {
 	v := subflowVariant(t)
 	e := testEngine(t, Config{Workers: 1, Variants: []Variant{v}})
 	want := []RouteCost{
-		{RouteEasy, e.pipe.DirectCost()},
 		{RouteHard, e.pipe.Cost()},
+		{RouteEasy, e.pipe.DirectCost()},
 		{v.Name, device.SequentialCost(v.Net)},
 	}
 	got := e.RouteCosts()
@@ -350,10 +352,5 @@ func TestRouteCostsPriceEachRouteAsItsOwnNetwork(t *testing.T) {
 	}
 	if want[2].Cost == want[0].Cost || want[2].Cost == want[1].Cost {
 		t.Fatal("variant costs the same as a built-in route: the test distinguishes nothing")
-	}
-
-	always := testEngine(t, Config{Workers: 1, DisableRouting: true, Variants: []Variant{v}})
-	if got := always.RouteCosts(); len(got) != 1 || got[0] != want[1] {
-		t.Errorf("always-convert engine reports %+v, want the hard route alone", got)
 	}
 }

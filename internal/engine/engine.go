@@ -8,11 +8,12 @@
 //
 //   - Batching: a 32-row GEMM amortises im2col/weight traffic far better
 //     than 32 one-row forwards.
-//   - Hardness-aware routing: the §V heuristic (generalize.HardnessScore)
-//     sends easy images straight to the lightweight classifier, skipping
-//     the autoencoder's share of pipeline latency entirely; hard images
-//     take the full AE+classifier path. Each route has its own queue and
-//     workers so slow hard batches never stall easy traffic.
+//   - Hardness-aware routing: the §V heuristic (generalize.HardnessScore,
+//     cut at DefaultHardnessThreshold) sends easy images straight to the
+//     lightweight classifier, skipping the autoencoder's share of pipeline
+//     latency entirely; hard images, and any request that asks for the
+//     converted image, take the full AE+classifier path. Each route has its
+//     own queue and workers so slow hard batches never stall easy traffic.
 //
 // Beyond the built-in easy/hard pair, the engine hosts variant routes —
 // arbitrary pixels→logits networks (pruned, early-exit, SubFlow/AdaDeep
@@ -44,7 +45,7 @@
 // covers). Every admitted request is answered in one function, answer,
 // which owns the done-channel send and the gauge, counter and histogram
 // bookkeeping that goes with it. Any goroutine may write a worker's span
-// ring; /debug/trace reads the rings by walking the live routes' workers
+// ring; /debug/trace reads the rings by walking every route's workers
 // (TraceTracks).
 package engine
 
@@ -138,15 +139,6 @@ type Config struct {
 	// Submit return ErrOverloaded. With Degrade on, a route stops taking
 	// new requests at half of it (spillMark). Default 256.
 	QueueDepth int
-	// HardnessThreshold routes images with HardnessScore >= threshold to
-	// the full AE path. Zero selects DefaultHardnessThreshold; to convert
-	// every image use DisableRouting instead.
-	HardnessThreshold float64
-	// DisableRouting forces every request down the full AE+classifier
-	// path (the paper's always-convert baseline). Variant routes are not
-	// started and Degrade is forced off in this mode: there is nowhere to
-	// spill to.
-	DisableRouting bool
 	// Variants adds extra compiled routes beyond the easy/hard pair.
 	// New panics on duplicate or reserved names and nil networks.
 	Variants []Variant
@@ -171,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.HardnessThreshold == 0 {
-		c.HardnessThreshold = DefaultHardnessThreshold
 	}
 	return c
 }
@@ -202,8 +191,7 @@ type Result struct {
 	Class int
 	// Route names the path taken ("easy", "hard", or a variant name).
 	Route string
-	// Hardness is the request's heuristic score (0 when routing is
-	// disabled), whichever route answered.
+	// Hardness is the request's heuristic score, whichever route answered.
 	Hardness float64
 	// BatchSize is the size of the micro-batch this request rode in.
 	BatchSize int
@@ -246,13 +234,9 @@ type request struct {
 type Engine struct {
 	cfg  Config
 	pipe *core.Pipeline
-	// routes is every constructed route; live is the subset actually
-	// started (serving traffic), in registration order; ladder is the same
-	// subset in the order place walks it: hard, easy, then the variants.
-	// All are fixed at New, so reads need no lock.
+	// routes is every route, registered in the order place walks them:
+	// hard, easy, then the variants. Fixed at New, so reads need no lock.
 	routes []*route
-	live   []*route
-	ladder []*route
 	byName map[RouteName]*route
 	easy   *route
 	hard   *route
@@ -280,14 +264,6 @@ type Engine struct {
 // input.
 func New(pipe *core.Pipeline, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	if cfg.DisableRouting {
-		// Every request is pinned to the hard route; fold the easy
-		// route's worker budget into it, so Config() keeps reporting the
-		// per-route worker count actually running. With one route there is
-		// nowhere to spill to.
-		cfg.Workers *= 2
-		cfg.Degrade.Enabled = false
-	}
 	e := &Engine{
 		cfg:    cfg,
 		pipe:   pipe,
@@ -303,9 +279,9 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		e.res = &resilienceState{quar: resilience.NewQuarantine(cfg.Resilience.Quarantine)}
 	}
 	// The one place a route is paired with what an image costs on it: the
-	// classifier alone, the AE pipeline, a variant's own network.
-	e.easy = e.newRoute(RouteEasy, pipe.DirectCost(), classifierPlans(pipe.Classifier))
+	// AE pipeline, the classifier alone, a variant's own network.
 	e.hard = e.newRoute(RouteHard, pipe.Cost(), pipe.Plans)
+	e.easy = e.newRoute(RouteEasy, pipe.DirectCost(), classifierPlans(pipe.Classifier))
 	for _, v := range cfg.Variants {
 		if v.Name == "" || v.Net == nil {
 			panic(fmt.Sprintf("engine: variant %q needs a name and a network", v.Name))
@@ -320,17 +296,9 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		}
 		e.newRoute(v.Name, device.SequentialCost(v.Net), classifierPlans(v.Net))
 	}
-	e.live = e.routes
-	e.ladder = append([]*route{e.hard, e.easy}, e.routes[2:]...)
-	if cfg.DisableRouting {
-		// Only the hard route serves: leave the rest unstarted rather
-		// than idling workers that can never receive traffic.
-		e.live = []*route{e.hard}
-		e.ladder = e.live
-	}
 	// Every worker's plans compile before any goroutine starts, so a
 	// network the compiler rejects panics here, in the caller of New.
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		for i := 0; i < cfg.Workers; i++ {
 			rt.workers = append(rt.workers, e.newWorker(rt))
 		}
@@ -339,8 +307,8 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	// beneath a worker must not fan out again, so tensor's one fan-out is
 	// set to width 1 (process-wide; training after New runs serial too).
 	tensor.SetGEMMThreads(1)
-	e.wg.Add(len(e.live) * cfg.Workers)
-	for _, rt := range e.live {
+	e.wg.Add(len(e.routes) * cfg.Workers)
+	for _, rt := range e.routes {
 		for _, w := range rt.workers {
 			go e.workerLoop(rt, w)
 		}
@@ -383,7 +351,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		wantConverted: req.IncludeConverted,
 		done:          make(chan outcome, 1),
 	}
-	rt, err := e.place(r)
+	rt, diverted, err := e.place(r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -405,6 +373,11 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		e.mu.RUnlock()
 		e.stats.rejected.Inc()
 		return Result{}, ErrOverloaded
+	}
+	// Counted once the request is on a queue: a diversion refused at the
+	// send is a rejection, not an answer from another route.
+	if diverted {
+		e.stats.diverted.Inc()
 	}
 	e.stats.submitted.Inc()
 

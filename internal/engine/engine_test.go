@@ -102,10 +102,10 @@ func TestRoutingCalibration(t *testing.T) {
 		easyAsEasy, hardAsHard := 0, 0
 		for i := 0; i < n; i++ {
 			cls := r.Intn(dataset.NumClasses)
-			if name, _ := RouteOf(dataset.RenderSample(fam, cls, false, r), DefaultHardnessThreshold); name == RouteEasy {
+			if name, _ := RouteOf(dataset.RenderSample(fam, cls, false, r)); name == RouteEasy {
 				easyAsEasy++
 			}
-			if name, _ := RouteOf(dataset.RenderSample(fam, cls, true, r), DefaultHardnessThreshold); name == RouteHard {
+			if name, _ := RouteOf(dataset.RenderSample(fam, cls, true, r)); name == RouteHard {
 				hardAsHard++
 			}
 		}
@@ -121,7 +121,7 @@ func TestRoutingCalibration(t *testing.T) {
 func TestIncludeConvertedForcesHardRoute(t *testing.T) {
 	e := testEngine(t, Config{})
 	img := easyImage(11)
-	if name, _ := RouteOf(img, e.Config().HardnessThreshold); name != RouteEasy {
+	if name, _ := RouteOf(img); name != RouteEasy {
 		t.Skip("render unexpectedly hard; cannot exercise the forced-route path")
 	}
 	res, err := e.Submit(context.Background(), Request{Pixels: img, IncludeConverted: true})
@@ -136,17 +136,6 @@ func TestIncludeConvertedForcesHardRoute(t *testing.T) {
 	}
 }
 
-func TestDisableRoutingPinsHard(t *testing.T) {
-	e := testEngine(t, Config{DisableRouting: true})
-	res, err := e.Submit(context.Background(), Request{Pixels: easyImage(13)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Route != string(RouteHard) {
-		t.Fatalf("route %q, want hard with routing disabled", res.Route)
-	}
-}
-
 // TestBatchCoalescing: a worker takes what is queued, up to MaxBatch, in one
 // go. The route's only worker is held at a gate by a primer until the rest
 // of the burst (23 requests) is queued behind it; once the gate opens it
@@ -154,15 +143,15 @@ func TestDisableRoutingPinsHard(t *testing.T) {
 // the 7 left over.
 func TestBatchCoalescing(t *testing.T) {
 	gate := make(gateFault)
-	e := testEngine(t, Config{MaxBatch: 16, Workers: 1, Fault: gate,
-		HardnessThreshold: 1000}) // everything scores easy: one route, one worker
+	e := testEngine(t, Config{MaxBatch: 16, Workers: 1, Fault: gate})
 	release := sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(release) // before Close, should the test stop early
 	const n = 24
+	images := stubbornEasyImages(t, 0, n, nil) // one route, one worker
 	results := make(chan Result, n)
 	submit := func(i int) {
 		go func() {
-			res, err := e.Submit(context.Background(), Request{Pixels: hardImage(uint64(i))})
+			res, err := e.Submit(context.Background(), Request{Pixels: images[i]})
 			if err != nil {
 				t.Error(err)
 			}
@@ -264,22 +253,6 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.MaxBatch <= 0 || cfg.Workers <= 0 || cfg.QueueDepth <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.HardnessThreshold != DefaultHardnessThreshold {
-		t.Fatalf("threshold %v", cfg.HardnessThreshold)
-	}
-}
-
-func TestDisableRoutingFoldsWorkerBudget(t *testing.T) {
-	// With routing off, the easy route's worker budget moves to the hard
-	// route, and Config() reports the per-route count actually running.
-	e := testEngine(t, Config{Workers: 3, DisableRouting: true})
-	if got := e.Config().Workers; got != 6 {
-		t.Fatalf("Config().Workers = %d, want 6 (easy budget folded into hard)", got)
-	}
-	on := testEngine(t, Config{Workers: 3})
-	if got := on.Config().Workers; got != 3 {
-		t.Fatalf("Config().Workers = %d, want 3 with routing enabled", got)
 	}
 }
 

@@ -107,8 +107,8 @@ func TestRequestIDsAndTraceTracks(t *testing.T) {
 	}
 
 	tracks := e.TraceTracks()
-	if len(tracks) != 2 || tracks[0].Name != "easy/worker0" || tracks[1].Name != "hard/worker0" {
-		t.Fatalf("tracks %+v, want one per worker of each live route", tracks)
+	if len(tracks) != 2 || tracks[0].Name != "hard/worker0" || tracks[1].Name != "easy/worker0" {
+		t.Fatalf("tracks %+v, want one per worker of each route, in ladder order", tracks)
 	}
 	kinds := map[trace.Kind]bool{}
 	var sawReqID bool
@@ -294,7 +294,7 @@ func TestSpansAgreeWithStats(t *testing.T) {
 		}
 	}
 	served := int64(0)
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		var spans []trace.Span
 		for _, w := range rt.workers {
 			if w.rec.Dropped() != 0 {

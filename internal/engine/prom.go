@@ -39,7 +39,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 
 	if r := e.res; r != nil {
 		var state, trans []metrics.VecSample
-		for _, rt := range e.live {
+		for _, rt := range e.routes {
 			if rt.breaker == nil {
 				continue
 			}
@@ -63,10 +63,9 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 			nil, float64(r.bisectSaved.Value()))
 	}
 
-	routes := e.live
 	var images, batches, inflight, depth []metrics.VecSample
 	var queueWait, infer, sizes []metrics.HistSample
-	for _, rt := range routes {
+	for _, rt := range e.routes {
 		ls := metrics.Labels{metrics.L("route", string(rt.name))}
 		rs := rt.stats
 		images = append(images, metrics.VecSample{Labels: ls, Value: float64(rs.images.Value())})
@@ -112,7 +111,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	p.GaugeVec("cbnet_plan_step_gflops", "Achieved GFLOPS per compiled plan step (cumulative FLOPs over cumulative time).", gflops)
 	p.GaugeVec("cbnet_plan_step_arithmetic_intensity", "FLOPs per byte moved per compiled plan step.", intensity)
 
-	// Energy: each live route's recorded per-image cost, priced on every
+	// Energy: each route's recorded per-image cost, priced on every
 	// shipped edge profile (Pi 4 / cloud instance / K80) by core.PriceImage —
 	// the same figure /classify answers with on the server's own profile —
 	// and scaled by the images the route has served. A device model, not a
@@ -120,7 +119,7 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	// at the edge. Cold path — nothing here touches the workers.
 	var joules, perImage, perImageSecs []metrics.VecSample
 	for _, prof := range device.All() {
-		for i, rt := range routes {
+		for i, rt := range e.routes {
 			secs, j, err := core.PriceImage(prof, rt.cost)
 			if err != nil {
 				continue

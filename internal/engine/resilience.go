@@ -195,7 +195,7 @@ func (e *Engine) Resilience() *ResilienceSnapshot {
 		BisectSaved:    e.res.bisectSaved.Value(),
 		Culprits:       e.res.culprits.Value(),
 	}
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		if rt.breaker == nil {
 			continue
 		}

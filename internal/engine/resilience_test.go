@@ -18,14 +18,6 @@ import (
 // poison pill in these tests.
 const poisonPixel = float32(0.77777)
 
-// poisonedImage returns a fixed image whose first pixel carries the
-// poison value; seed varies the rest so tests can mint distinct pills.
-func poisonedImage(seed uint64) []float32 {
-	img := easyImage(seed)
-	img[0] = poisonPixel
-	return img
-}
-
 // stubbornHardImage returns an image that actually scores hard under the
 // default threshold — hardImage renders degraded inputs whose scores
 // *centre* above it, but individual seeds can fall below, and the breaker
@@ -34,7 +26,7 @@ func stubbornHardImage(t *testing.T, seed uint64) []float32 {
 	t.Helper()
 	for s := seed; s < seed+1000; s++ {
 		img := hardImage(s)
-		if name, _ := RouteOf(img, DefaultHardnessThreshold); name == RouteHard {
+		if name, _ := RouteOf(img); name == RouteHard {
 			return img
 		}
 	}
@@ -42,12 +34,41 @@ func stubbornHardImage(t *testing.T, seed uint64) []float32 {
 	return nil
 }
 
+// stubbornEasyImages is stubbornHardImage's mirror: n clean renders from
+// distinct seeds, scanning up from seed, that score easy once mark (if not
+// nil) has edited them — so that a test can keep a whole batch on the easy
+// route.
+func stubbornEasyImages(t testing.TB, seed uint64, n int, mark func([]float32)) [][]float32 {
+	t.Helper()
+	var out [][]float32
+	for s := seed; len(out) < n && s < seed+uint64(n)+1000; s++ {
+		img := easyImage(s)
+		if mark != nil {
+			mark(img)
+		}
+		if name, _ := RouteOf(img); name == RouteEasy {
+			out = append(out, img)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("%d of %d easy-scoring images in %d seeds", len(out), n, n+1000)
+	}
+	return out
+}
+
+// poisonedImage returns the first clean render from seed up whose first
+// pixel carries the poison value and that still scores easy.
+func poisonedImage(t testing.TB, seed uint64) []float32 {
+	t.Helper()
+	return stubbornEasyImages(t, seed, 1, func(img []float32) { img[0] = poisonPixel })[0]
+}
+
 // wedgeAndCoalesce submits a primer request to occupy the single worker
 // for the injector's latency, then fires the given images concurrently so
 // they coalesce into one batch behind it, returning each submit's error.
 func wedgeAndCoalesce(t *testing.T, e *Engine, images [][]float32) []error {
 	t.Helper()
-	go e.Submit(context.Background(), Request{Pixels: easyImage(999)})
+	go e.Submit(context.Background(), Request{Pixels: stubbornEasyImages(t, 999, 1, nil)[0]})
 	// The idle engine dispatches the primer immediately; by the time it
 	// sleeps in the injector the queue is free for the real batch.
 	time.Sleep(3 * time.Millisecond)
@@ -75,17 +96,13 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	inj.SetPoisonValue(poisonPixel)
 	e := testEngine(t, Config{
 		MaxBatch: 16, Workers: 1,
-		// Score everything easy so the whole batch lands on one route.
-		HardnessThreshold: 1000,
-		Fault:             inj,
-		Resilience:        ResilienceConfig{Enabled: true},
+		Fault:      inj,
+		Resilience: ResilienceConfig{Enabled: true},
 	})
 
-	images := make([][]float32, 16)
-	for i := range images {
-		images[i] = easyImage(uint64(i))
-	}
-	images[5] = poisonedImage(1)
+	// Every image scores easy, so the whole batch lands on one route.
+	images := stubbornEasyImages(t, 0, 16, nil)
+	images[5] = poisonedImage(t, 1)
 	errs := wedgeAndCoalesce(t, e, images)
 
 	for i, err := range errs {
@@ -101,7 +118,7 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	}
 
 	// The convicted fingerprint is rejected at admission from now on.
-	if _, err := e.Submit(context.Background(), Request{Pixels: poisonedImage(1)}); !errors.Is(err, ErrPoisoned) {
+	if _, err := e.Submit(context.Background(), Request{Pixels: poisonedImage(t, 1)}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("resubmitted poison: err = %v, want ErrPoisoned", err)
 	}
 
@@ -178,7 +195,7 @@ func TestPillOnAColdRouteLeavesTheBreakerClosed(t *testing.T) {
 			for i := range images {
 				images[i] = easyImage(uint64(i))
 			}
-			images[at] = poisonedImage(uint64(n))
+			images[at] = poisonedImage(t, uint64(n))
 			for i, err := range handBatch(e, e.easy, w, images) {
 				if i == at && !errors.Is(err, ErrInferFailed) {
 					t.Fatalf("batch %d, pill at %d: pill err = %v, want ErrInferFailed", n, at, err)
@@ -217,7 +234,7 @@ func TestBisectConvictsAtAnyBatchSize(t *testing.T) {
 	for i := range images {
 		images[i] = easyImage(uint64(i))
 	}
-	images[at] = poisonedImage(n)
+	images[at] = poisonedImage(t, n)
 	failed := 0
 	for i, err := range handBatch(e, e.easy, e.newWorker(e.easy), images) {
 		if err != nil {
@@ -477,18 +494,14 @@ func BenchmarkBisectOverhead(b *testing.B) {
 	inj.SetPoisonValue(poisonVal)
 	e := New(testPipeline(), Config{
 		MaxBatch: 32, Workers: 1, QueueDepth: 256,
-		HardnessThreshold: 1000, // one route: the whole round coalesces
-		Fault:             inj,
-		Resilience:        ResilienceConfig{Enabled: true},
+		Fault:      inj,
+		Resilience: ResilienceConfig{Enabled: true},
 	})
 	defer e.Close()
 
-	imgs := make([][]float32, 15)
-	for i := range imgs {
-		imgs[i] = easyImage(uint64(i))
-	}
-	pill := easyImage(35)
-	pill[0] = poisonVal
+	// Innocents and pill all score easy: one route, the whole round coalesces.
+	imgs := stubbornEasyImages(b, 0, 15, nil)
+	pill := stubbornEasyImages(b, 35, 1, func(img []float32) { img[0] = poisonVal })[0]
 	ctx := context.Background()
 
 	b.ResetTimer()

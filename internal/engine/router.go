@@ -9,12 +9,12 @@ import (
 )
 
 // RouteOf scores one image with the §V hardness heuristic and decides its
-// route under the given threshold: scores below it go classifier-only
-// (easy), everything else takes the full AE path. Exposed so tools and
-// tests can ask "where would this image go?" without an engine.
-func RouteOf(pixels []float32, threshold float64) (RouteName, float64) {
+// route: scores below DefaultHardnessThreshold go classifier-only (easy),
+// everything else takes the full AE path. Exposed so tools and tests can ask
+// "where would this image go?" without an engine.
+func RouteOf(pixels []float32) (RouteName, float64) {
 	h := generalize.HardnessScore(pixels)
-	if h < threshold {
+	if h < DefaultHardnessThreshold {
 		return RouteEasy, h
 	}
 	return RouteHard, h
@@ -25,7 +25,7 @@ func RouteOf(pixels []float32, threshold float64) (RouteName, float64) {
 type DegradeConfig struct {
 	// Enabled makes place pass over a route whose queue has reached
 	// spillMark and try the next one down the ladder (hard, easy, then
-	// Config.Variants in the order given). DisableRouting forces it off.
+	// Config.Variants in the order given).
 	Enabled bool
 }
 
@@ -46,61 +46,57 @@ func (rt *route) pastMark() bool {
 
 // place is the one function that gives a request a route, or the reason it
 // has none. In order: a context already expired is ErrDeadline; a
-// quarantined fingerprint is ErrPoisoned; the preferred route is hard when
-// routing is disabled, else RouteOf's answer; then the ladder is walked
-// from the preferred route, wrapping, and the first route with room (spill
-// armed) whose breaker admits (resilience armed) takes the request. The
-// queue is asked before the breaker because Breaker.Allow spends a
-// half-open probe. No route left is ErrOverloaded.
+// quarantined fingerprint is ErrPoisoned; the preferred route is RouteOf's
+// answer; then the ladder is walked from the preferred route, wrapping, and
+// the first route with room (spill armed) whose breaker admits (resilience
+// armed) takes the request. The queue is asked before the breaker because
+// Breaker.Allow spends a half-open probe. No route left is ErrOverloaded.
+// The bool reports a diversion, a route other than the preferred one; Submit
+// counts it once the request is on that route's queue.
 //
 // Nothing here remembers the last decision: a route is passed over only
 // while its own queue or breaker says so, which is also why an open
 // breaker needs no rule to get its probes — the next request that prefers
 // the route asks it.
-func (e *Engine) place(r *request) (*route, error) {
+func (e *Engine) place(r *request) (*route, bool, error) {
 	if err := r.ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			e.stats.expired.Inc()
-			return nil, ErrDeadline
+			return nil, false, ErrDeadline
 		}
-		return nil, err
+		return nil, false, err
 	}
 	if e.res != nil {
 		r.fp = resilience.Fingerprint(r.pixels)
 		if e.res.quar.Check(r.fp) {
 			e.res.poisoned.Inc()
-			return nil, ErrPoisoned
+			return nil, false, ErrPoisoned
 		}
 	}
-	first := 0 // e.ladder[0] is hard
-	if !e.cfg.DisableRouting {
-		var name RouteName
-		name, r.hardness = RouteOf(r.pixels, e.cfg.HardnessThreshold)
-		if name == RouteEasy {
-			first = 1
-		}
-	}
+	var name RouteName
+	name, r.hardness = RouteOf(r.pixels)
 	if r.wantConverted {
 		// Only the AE path produces the converted image, so there is no
 		// decision to take: the request rides hard whatever its queue and
 		// breaker say, and the send or the forward pass answers honestly.
-		return e.hard, nil
+		return e.hard, false, nil
 	}
-	for i := range e.ladder {
-		rt := e.ladder[(first+i)%len(e.ladder)]
+	first := 0 // e.routes[0] is hard
+	if name == RouteEasy {
+		first = 1
+	}
+	for i := range e.routes {
+		rt := e.routes[(first+i)%len(e.routes)]
 		if e.cfg.Degrade.Enabled && rt.pastMark() {
 			continue
 		}
 		if rt.breaker != nil && !rt.breaker.Allow() {
 			continue
 		}
-		if i > 0 {
-			e.stats.diverted.Inc()
-		}
-		return rt, nil
+		return rt, i > 0, nil
 	}
 	e.stats.shed.Inc()
-	return nil, ErrOverloaded
+	return nil, false, ErrOverloaded
 }
 
 // Shedding reports whether place would refuse a request for lack of room
@@ -110,7 +106,7 @@ func (e *Engine) Shedding() bool {
 	if !e.cfg.Degrade.Enabled {
 		return false
 	}
-	for _, rt := range e.ladder {
+	for _, rt := range e.routes {
 		if !rt.pastMark() {
 			return false
 		}
@@ -124,8 +120,8 @@ func (e *Engine) DegradeLadder() []string {
 	if !e.cfg.Degrade.Enabled {
 		return nil
 	}
-	names := make([]string, len(e.ladder))
-	for i, rt := range e.ladder {
+	names := make([]string, len(e.routes))
+	for i, rt := range e.routes {
 		names[i] = string(rt.name)
 	}
 	return names

@@ -9,33 +9,25 @@ import (
 	"cbnet/internal/resilience"
 )
 
-// scoringImage returns a clean render that RouteOf sends to want under the
-// default threshold.
+// scoringImage returns a render that RouteOf sends to want.
 func scoringImage(t *testing.T, want RouteName) []float32 {
 	t.Helper()
 	if want == RouteHard {
 		return stubbornHardImage(t, 0)
 	}
-	for s := uint64(0); s < 1000; s++ {
-		img := easyImage(s)
-		if name, _ := RouteOf(img, DefaultHardnessThreshold); name == RouteEasy {
-			return img
-		}
-	}
-	t.Fatal("no easy-scoring image in 1000 seeds")
-	return nil
+	return stubbornEasyImages(t, 0, 1, nil)[0]
 }
 
 // wedge parks the engine's workers (at MaxBatch 1 each holds one request at
 // the gate), so that whatever a test then puts on a queue stays there.
 func wedge(t *testing.T, e *Engine) {
 	t.Helper()
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		for range rt.workers {
 			rt.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
 		}
 	}
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		for start := time.Now(); len(rt.queue) > 0; time.Sleep(time.Millisecond) {
 			if time.Since(start) > 10*time.Second {
 				t.Fatalf("%s never took its wedge requests", rt.name)
@@ -46,8 +38,8 @@ func wedge(t *testing.T, e *Engine) {
 
 // TestPlace holds the one placement function to a table over everything it
 // reads: the route the score prefers, each route's queue fill, each route's
-// breaker, IncludeConverted, DisableRouting, and the two switches. Queues
-// hold 4, so the spill mark is 2 queued requests.
+// breaker, IncludeConverted, and the two switches. Queues hold 4, so the
+// spill mark is 2 queued requests.
 func TestPlace(t *testing.T) {
 	const (
 		below  = 1 // one short of the mark
@@ -62,7 +54,6 @@ func TestPlace(t *testing.T) {
 		name      string
 		degrade   bool
 		resil     bool
-		noRouting bool
 		prefer    RouteName
 		converted bool
 		ctx       context.Context
@@ -76,7 +67,6 @@ func TestPlace(t *testing.T) {
 		{name: "off/easy", prefer: RouteEasy, want: RouteEasy},
 		{name: "off/hard", prefer: RouteHard, want: RouteHard},
 		{name: "off/easy-converted", prefer: RouteEasy, converted: true, want: RouteHard},
-		{name: "off/no-routing", noRouting: true, prefer: RouteEasy, want: RouteHard},
 		{name: "off/full-queues-ignored", prefer: RouteHard, fill: fill{4, 4, 4}, want: RouteHard},
 		{name: "off/expired", prefer: RouteEasy, ctx: expired, wantErr: ErrDeadline},
 
@@ -88,7 +78,6 @@ func TestPlace(t *testing.T) {
 		{name: "spill/easy-at-mark", degrade: true, prefer: RouteEasy, fill: fill{easy: atMark}, want: "pruned"},
 		{name: "spill/wraps-to-hard", degrade: true, prefer: RouteEasy, fill: fill{easy: atMark, variant: atMark}, want: RouteHard},
 		{name: "spill/converted-stays", degrade: true, prefer: RouteHard, converted: true, fill: fill{hard: atMark}, want: RouteHard},
-		{name: "spill/no-routing-forces-it-off", degrade: true, noRouting: true, prefer: RouteHard, fill: fill{hard: 4}, want: RouteHard},
 		{name: "spill/expired-before-room", degrade: true, prefer: RouteHard, ctx: expired, fill: fill{atMark, atMark, atMark}, wantErr: ErrDeadline},
 
 		// Breakers armed: the first route from the preferred one that admits.
@@ -99,7 +88,6 @@ func TestPlace(t *testing.T) {
 		{name: "breaker/easy-open-wraps", resil: true, prefer: RouteEasy, open: open{easy: true, variant: true}, want: RouteHard},
 		{name: "breaker/converted-stays", resil: true, prefer: RouteHard, converted: true, open: open{hard: true}, want: RouteHard},
 		{name: "breaker/fill-ignored", resil: true, prefer: RouteHard, fill: fill{hard: 4}, want: RouteHard},
-		{name: "breaker/no-routing-nowhere-to-go", resil: true, noRouting: true, prefer: RouteHard, open: open{hard: true}, wantErr: ErrOverloaded},
 		{name: "breaker/poisoned", resil: true, prefer: RouteEasy, poisoned: true, wantErr: ErrPoisoned},
 		{name: "breaker/expired-before-poisoned", resil: true, prefer: RouteEasy, poisoned: true, ctx: expired, wantErr: ErrDeadline},
 
@@ -115,10 +103,9 @@ func TestPlace(t *testing.T) {
 			gate := make(gateFault)
 			e := testEngine(t, Config{
 				MaxBatch: 1, Workers: 1, QueueDepth: 4,
-				Fault:          gate,
-				DisableRouting: c.noRouting,
-				Variants:       []Variant{pruned},
-				Degrade:        DegradeConfig{Enabled: c.degrade},
+				Fault:    gate,
+				Variants: []Variant{pruned},
+				Degrade:  DegradeConfig{Enabled: c.degrade},
 				Resilience: ResilienceConfig{
 					Enabled: c.resil,
 					Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
@@ -136,7 +123,7 @@ func TestPlace(t *testing.T) {
 				RouteEasy: {c.fill.easy, c.open.easy},
 				"pruned":  {c.fill.variant, c.open.variant},
 			}
-			for _, rt := range e.live {
+			for _, rt := range e.routes {
 				st := state[rt.name]
 				for i := 0; i < st.fill; i++ {
 					rt.queue <- &request{ctx: context.Background(), pixels: img, done: make(chan outcome, 1)}
@@ -154,7 +141,7 @@ func TestPlace(t *testing.T) {
 			if r.ctx == nil {
 				r.ctx = context.Background()
 			}
-			got, err := e.place(r)
+			got, diverted, err := e.place(r)
 			if !errors.Is(err, c.wantErr) {
 				t.Fatalf("place err = %v, want %v", err, c.wantErr)
 			}
@@ -173,13 +160,13 @@ func TestPlace(t *testing.T) {
 			}
 
 			// The invariants, whatever the row says.
-			preferred := parentRouteFor(img, c.converted, c.noRouting)
+			preferred := parentRouteFor(img, c.converted)
 			if c.converted {
 				if got != e.hard {
 					t.Errorf("IncludeConverted placed on %s: only hard produces the converted image", got.name)
 				}
 			} else {
-				if c.degrade && !c.noRouting && got.pastMark() {
+				if c.degrade && got.pastMark() {
 					t.Errorf("placed on %s with %d of %d queued: at or past its mark with the spill armed",
 						got.name, len(got.queue), cap(got.queue))
 				}
@@ -190,10 +177,10 @@ func TestPlace(t *testing.T) {
 			if !c.degrade && !c.resil && got.name != preferred {
 				t.Errorf("both switches off: placed on %s, the rule before there was a ladder answers %s", got.name, preferred)
 			}
-			if wantDiverted := got.name != preferred; (stats.Diverted == 1) != wantDiverted {
-				t.Errorf("diverted %d with %s preferred and %s chosen", stats.Diverted, preferred, got.name)
+			if diverted != (got.name != preferred) {
+				t.Errorf("diverted %v with %s preferred and %s chosen", diverted, preferred, got.name)
 			}
-			if _, h := RouteOf(img, DefaultHardnessThreshold); !c.noRouting && r.hardness != h {
+			if _, h := RouteOf(img); r.hardness != h {
 				t.Errorf("request hardness %v, want the score %v whichever route answers", r.hardness, h)
 			}
 		})
@@ -201,13 +188,12 @@ func TestPlace(t *testing.T) {
 }
 
 // parentRouteFor is the routing rule before there was anything to spill or
-// divert: hard when routing is off or the converted image is wanted, else
-// the score's route.
-func parentRouteFor(pixels []float32, converted, noRouting bool) RouteName {
-	if noRouting || converted {
+// divert: hard when the converted image is wanted, else the score's route.
+func parentRouteFor(pixels []float32, converted bool) RouteName {
+	if converted {
 		return RouteHard
 	}
-	name, _ := RouteOf(pixels, DefaultHardnessThreshold)
+	name, _ := RouteOf(pixels)
 	return name
 }
 
@@ -226,7 +212,7 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	wedge(t, e)
 
 	img := stubbornHardImage(t, 3)
-	_, score := RouteOf(img, DefaultHardnessThreshold)
+	_, score := RouteOf(img)
 	results := make(chan Result, depth)
 	submit := func() {
 		go func() {
@@ -263,9 +249,6 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	if !e.Shedding() {
 		t.Fatal("Shedding() false with every route at its mark")
 	}
-	if s := e.Stats(); s.Diverted != depth/2 {
-		t.Fatalf("diverted %d, want the %d overflow requests", s.Diverted, depth/2)
-	}
 
 	close(gate)
 	byRoute := map[string]int{}
@@ -279,7 +262,40 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	if byRoute["hard"] != depth/2 || byRoute["easy"] != depth/2 {
 		t.Fatalf("answers by route %v, want %d each from hard and easy", byRoute, depth/2)
 	}
+	if s := e.Stats(); s.Diverted != depth/2 {
+		t.Fatalf("diverted %d, want the %d overflow requests", s.Diverted, depth/2)
+	}
 	if e.Shedding() {
 		t.Fatal("Shedding() still true with the queues drained: nothing has to relax")
+	}
+}
+
+// TestRefusedDiversionIsNotCounted: a request diverted to a route whose
+// queue turns out full at the send was never answered by that route. It is
+// rejected, and only rejected: place had counted the diversion before the
+// send, so the same request read as both diverted and rejected.
+func TestRefusedDiversionIsNotCounted(t *testing.T) {
+	gate := make(gateFault)
+	e := testEngine(t, Config{
+		MaxBatch: 1, Workers: 1, QueueDepth: 2,
+		Fault: gate,
+		Resilience: ResilienceConfig{
+			Enabled: true,
+			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
+		},
+	})
+	t.Cleanup(func() { close(gate) }) // before Close: the wedged workers must finish
+	wedge(t, e)
+	for len(e.easy.queue) < cap(e.easy.queue) {
+		e.easy.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
+	}
+	e.hard.breaker.Observe(false)
+	e.hard.breaker.Observe(false)
+
+	if _, err := e.Submit(context.Background(), Request{Pixels: scoringImage(t, RouteHard)}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("hard breaker open, easy queue full: err = %v, want ErrOverloaded", err)
+	}
+	if s := e.Stats(); s.Diverted != 0 || s.Rejected != 1 {
+		t.Fatalf("diverted %d rejected %d, want 0 and 1", s.Diverted, s.Rejected)
 	}
 }

@@ -142,7 +142,7 @@ func (e *Engine) Stats() Snapshot {
 	if uptime > 0 {
 		snap.ThroughputPerSec = float64(snap.Completed) / uptime
 	}
-	for _, rt := range e.live {
+	for _, rt := range e.routes {
 		rs := rt.stats
 		r := RouteSnapshot{
 			Route:         string(rt.name),

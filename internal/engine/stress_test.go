@@ -104,12 +104,11 @@ func (g gateFault) BeforeInfer(string, int) error {
 	return nil
 }
 
-// gateEngine wires a test engine whose hard route blocks on a gate, so
-// tests can saturate queues deterministically.
+// gateEngine wires a test engine whose routes block on a gate, so tests can
+// saturate queues deterministically.
 func gateEngine(t *testing.T, cfg Config) (*Engine, chan struct{}) {
 	t.Helper()
 	gate := make(gateFault)
-	cfg.DisableRouting = true
 	cfg.Fault = gate
 	e := New(testPipeline(), cfg)
 	t.Cleanup(e.Close)

@@ -64,14 +64,12 @@ type route struct {
 	// plans compiles one worker's PlanSet at a given batch capacity: AE +
 	// classifier on the hard route, a classifier alone everywhere else.
 	plans   func(batchCap int) (*core.PlanSet, error)
-	workers []*worker // built by New for the routes it starts
+	workers []*worker // built by New
 	stats   *routeStats
 	breaker *resilience.Breaker // nil unless resilience is armed
 }
 
-// newRoute constructs a route and registers it; New starts workers only on
-// the live ones. DisableRouting thus keeps unused routes constructed (so
-// Close can close their queues uniformly) without idling goroutines on them.
+// newRoute constructs a route and registers it at the end of the ladder.
 func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap int) (*core.PlanSet, error)) *route {
 	rt := &route{
 		name:  name,
@@ -89,19 +87,19 @@ func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap 
 	return rt
 }
 
-// RouteCost is one live route's per-image work under the §IV-C device model
+// RouteCost is one route's per-image work under the §IV-C device model
 // (device.SequentialCost of the networks it runs).
 type RouteCost struct {
 	Route RouteName
 	Cost  device.Cost
 }
 
-// RouteCosts returns what one image costs on each live route, in
-// registration order. The serve layer prices these once on its device
-// profile (core.PriceImage) instead of re-deriving a route's networks.
+// RouteCosts returns what one image costs on each route, in ladder order.
+// The serve layer prices these once on its device profile (core.PriceImage)
+// instead of re-deriving a route's networks.
 func (e *Engine) RouteCosts() []RouteCost {
-	costs := make([]RouteCost, len(e.live))
-	for i, rt := range e.live {
+	costs := make([]RouteCost, len(e.routes))
+	for i, rt := range e.routes {
 		costs[i] = RouteCost{Route: rt.name, Cost: rt.cost}
 	}
 	return costs

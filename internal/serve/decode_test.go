@@ -261,10 +261,10 @@ func TestParseDeadline(t *testing.T) {
 }
 
 // TestAbsurdDeadlineHeaderStillBounds drives the same values through the
-// handler against a server-wide default that a broken conversion silently
-// replaced with "no deadline".
+// handler: a conversion that broke them into a zero or negative duration
+// would serve the request with no deadline at all.
 func TestAbsurdDeadlineHeaderStillBounds(t *testing.T) {
-	s := serverWithEngineConfig(t, engine.Config{}, Options{Logger: quietOptions.Logger, DefaultDeadline: time.Minute})
+	s := serverWithEngineConfig(t, engine.Config{}, quietOptions)
 	body := pixelsJSON(dataset.Pixels, "0.5", "")
 	for header, want := range map[string]int{
 		"1e30": http.StatusOK, "+Inf": http.StatusOK,
@@ -364,10 +364,11 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	gate := &gateInjector{entered: make(chan int), verdict: make(chan error)}
 	s := serverWithEngineConfig(t, engine.Config{
 		MaxBatch: 2, Workers: 1,
-		HardnessThreshold: 1000, // everything easy, except includeConverted
-		Fault:             gate,
-		Resilience:        engine.ResilienceConfig{Enabled: true},
+		Fault:      gate,
+		Resilience: engine.ResilienceConfig{Enabled: true},
 	}, quietOptions)
+	// The primer, A and B score easy; the others ask for the converted image.
+	easy := serveEasyImages(t, 1, 3, nil)
 
 	bodyOf := func(px []float32, converted bool) []byte {
 		b, err := json.Marshal(ClassifyRequest{Pixels: px, IncludeConverted: converted})
@@ -394,18 +395,23 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 
 	// A primer occupies the route's only worker so that the two requests
 	// behind it coalesce into one batch.
-	primer := serveAsync(context.Background(), bodyOf(serveEasyImage(1), false))
+	primer := serveAsync(context.Background(), bodyOf(easy[0], false))
 	wait("the primer's forward pass", gate.entered)
 
-	pixA, pixB := serveEasyImage(2), serveEasyImage(3)
+	pixA, pixB := easy[1], easy[2]
 	ctxA, abandonA := context.WithCancel(context.Background())
 	defer abandonA()
 	doneA := serveAsync(ctxA, bodyOf(pixA, false))
 	doneB := serveAsync(context.Background(), bodyOf(pixB, false))
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st := s.Engine.Stats(); st.Routes[0].QueueDepth == 2 {
-			break
+	easyQueued := func() int {
+		for _, r := range s.Engine.Stats().Routes {
+			if r.Route == string(engine.RouteEasy) {
+				return r.QueueDepth
+			}
 		}
+		return 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); easyQueued() != 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the two requests never queued behind the primer")
 		}

@@ -75,37 +75,6 @@ func TestDeadlineHeader504(t *testing.T) {
 	}
 }
 
-// TestDefaultDeadline504 applies the same timeout through the server-wide
-// default instead of a header.
-func TestDefaultDeadline504(t *testing.T) {
-	inj := chaos.NewInjector()
-	inj.SetLatency("", 300*time.Millisecond)
-	s := serverWithEngineConfig(t, engine.Config{Workers: 1, Fault: inj},
-		Options{DefaultDeadline: 20 * time.Millisecond})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	resp := classifyWithHeaders(t, srv.URL, nil)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504 from DefaultDeadline", resp.StatusCode)
-	}
-
-	// The default is advertised on /info in milliseconds.
-	ir, err := http.Get(srv.URL + "/info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ir.Body.Close()
-	var info InfoResponse
-	if err := json.NewDecoder(ir.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	if info.DefaultDeadlineMS != 20 {
-		t.Fatalf("/info defaultDeadlineMs = %v, want 20", info.DefaultDeadlineMS)
-	}
-}
-
 // TestInvalidDeadlineHeader400 rejects malformed and non-positive deadline
 // headers before any engine work happens.
 func TestInvalidDeadlineHeader400(t *testing.T) {
@@ -225,7 +194,7 @@ func TestSpillSurfacesEverywhere(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || cr.Route != "easy" {
 		t.Fatalf("overflow request: status %d route %q, want 200 from easy", resp.StatusCode, cr.Route)
 	}
-	if _, h := engine.RouteOf(hard, engine.DefaultHardnessThreshold); cr.Hardness != h {
+	if _, h := engine.RouteOf(hard); cr.Hardness != h {
 		t.Fatalf("overflow reply hardness %v, want the score %v", cr.Hardness, h)
 	}
 	close(fault.release)

@@ -68,7 +68,7 @@ func relClose(got, want float64) bool {
 
 // serverWithPrunedRung builds a test server whose engine mounts the pruned
 // lightweight classifier as a variant route at the end of an armed ladder,
-// the way cbnet-serve -degrade wires it. It returns the pruned network
+// the way cbnet-serve wires it. It returns the pruned network
 // beside the server.
 func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequential) {
 	t.Helper()

@@ -36,12 +36,33 @@ func serveHardImage(t *testing.T, seed uint64) []float32 {
 	t.Helper()
 	for s := seed; s < seed+1000; s++ {
 		img := dataset.RenderSample(dataset.MNIST, int(s)%dataset.NumClasses, true, rng.New(s))
-		if name, _ := engine.RouteOf(img, engine.DefaultHardnessThreshold); name == engine.RouteHard {
+		if name, _ := engine.RouteOf(img); name == engine.RouteHard {
 			return img
 		}
 	}
 	t.Fatal("no hard-scoring image in 1000 seeds")
 	return nil
+}
+
+// serveEasyImages is serveHardImage's mirror: n clean renders from distinct
+// seeds, scanning up from seed, that score easy once mark (if not nil) has
+// edited them — so that a test can keep a whole batch on the easy route.
+func serveEasyImages(t *testing.T, seed uint64, n int, mark func([]float32)) [][]float32 {
+	t.Helper()
+	var out [][]float32
+	for s := seed; len(out) < n && s < seed+uint64(n)+1000; s++ {
+		img := serveEasyImage(s)
+		if mark != nil {
+			mark(img)
+		}
+		if name, _ := engine.RouteOf(img); name == engine.RouteEasy {
+			out = append(out, img)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("%d of %d easy-scoring images in %d seeds", len(out), n, n+1000)
+	}
+	return out
 }
 
 func postPixels(t *testing.T, url string, pixels []float32) (*http.Response, ClassifyResponse) {
@@ -238,15 +259,16 @@ func TestPoisonQuarantine422(t *testing.T) {
 	inj.SetPoisonValue(servePoisonPixel)
 	s := serverWithEngineConfig(t, engine.Config{
 		MaxBatch: 16, Workers: 1,
-		HardnessThreshold: 1000, // score everything easy: one route, one batch
-		Fault:             inj,
-		Resilience:        engine.ResilienceConfig{Enabled: true},
+		Fault:      inj,
+		Resilience: engine.ResilienceConfig{Enabled: true},
 	}, Options{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	poison := serveEasyImage(7)
-	poison[0] = servePoisonPixel
+	// Primer, innocents and pill all score easy: one route, one batch.
+	primer := serveEasyImages(t, 999, 1, nil)[0]
+	innocents := serveEasyImages(t, 10, 6, nil)
+	poison := serveEasyImages(t, 7, 1, func(img []float32) { img[0] = servePoisonPixel })[0]
 
 	// HTTP scheduling is jittery, so retry the wedge-and-coalesce drill
 	// until the poison lands in a multi-request batch and is convicted
@@ -258,17 +280,17 @@ func TestPoisonQuarantine422(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, _ := postPixels(t, srv.URL, serveEasyImage(999))
+			r, _ := postPixels(t, srv.URL, primer)
 			_ = r
 		}()
 		time.Sleep(10 * time.Millisecond)
 		// ...so these coalesce into one batch behind it.
-		innocentOK := make([]bool, 6)
-		for i := 0; i < 6; i++ {
+		innocentOK := make([]bool, len(innocents))
+		for i, img := range innocents {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r, _ := postPixels(t, srv.URL, serveEasyImage(uint64(10+i)))
+				r, _ := postPixels(t, srv.URL, img)
 				innocentOK[i] = r.StatusCode == http.StatusOK
 			}(i)
 		}

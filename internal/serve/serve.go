@@ -35,16 +35,19 @@
 // autoencoder (hardness-aware routing), and a full admission queue surfaces
 // as 503 Service Unavailable so clients back off instead of piling on.
 //
-// Each /classify call may carry a deadline: the X-CBNet-Deadline-Ms header
-// (or Options.DefaultDeadline when absent) bounds its end-to-end time, and
-// a request whose deadline expires before its batch runs is answered 504
-// without consuming inference capacity. When the engine's Degrade switch is
-// on, a request whose preferred route is half full is answered by the next
-// route down the ladder (hard → easy → variants) instead of waiting or being
-// refused; the engine decides that per request (engine.place), and this
-// package only reports it: the route a reply names, "diverted" and "ladder"
-// on /stats, cbnet_requests_diverted_total on /metrics. SLO burn is not an
-// input to that decision; the monitor still trips flight dumps.
+// A /classify call may carry a deadline in the X-CBNet-Deadline-Ms header;
+// it bounds the request's end-to-end time, and a request whose deadline
+// expires before its batch runs is answered 504 without consuming inference
+// capacity. A call without the header has no deadline. When the engine's
+// spill is armed (cbnet-serve always arms it), a request whose preferred
+// route is half full is answered by the next route down the ladder (hard →
+// easy → variants) instead of waiting or being refused; the engine decides
+// that per request (engine.place), and this package only reports it: the
+// route a reply names, "diverted" and "ladder" on /stats,
+// cbnet_requests_diverted_total on /metrics. The SLO objectives are fixed:
+// 99% of successful requests within 50 ms of wall time, and 99.9% of all
+// terminal responses not 5xx. SLO burn is not an input to routing; the
+// monitor trips flight dumps.
 //
 // A /classify outcome is recorded in one place, Server.finish: one
 // trace.Span on the serve track (kind admit, complete, reject, error,
@@ -89,17 +92,16 @@ type Server struct {
 	// Family is reported by /info.
 	Family dataset.Family
 
-	// routes is what one image costs on each of the engine's live routes,
+	// routes is what one image costs on each of the engine's routes,
 	// priced once at build time on Profile (see routePrice).
 	routes []routePrice
 
 	// SLO monitor: availability over all terminal responses (bad = 5xx),
-	// latency over successful responses (bad = wall time above the p99
-	// objective). Observations are one atomic add each.
-	sloMon      *slo.Monitor
-	availT      *slo.Tracker
-	latT        *slo.Tracker
-	latTargetMS float64
+	// latency over successful responses (bad = wall time above
+	// sloLatencyP99). Observations are one atomic add each.
+	sloMon *slo.Monitor
+	availT *slo.Tracker
+	latT   *slo.Tracker
 
 	// events is the serve track: one span per /classify outcome and breaker
 	// transition, written from whichever goroutine saw it. The flight
@@ -107,9 +109,6 @@ type Server struct {
 	// dump, auto-dumped on SLO burn trips and 503 bursts.
 	events *trace.Recorder
 	flight *flight.Recorder
-
-	// defaultDeadline bounds requests that carry no deadline header.
-	defaultDeadline time.Duration
 
 	// draining flips when Close starts; /readyz reports 503 from then on
 	// so load balancers stop routing here before in-flight work finishes.
@@ -120,9 +119,18 @@ type Server struct {
 }
 
 // DeadlineHeader carries a per-request deadline in milliseconds (a
-// positive number, fractional allowed); it overrides
-// Options.DefaultDeadline for that request.
+// positive number, fractional allowed).
 const DeadlineHeader = "X-CBNet-Deadline-Ms"
+
+// The service-level objectives the SLO monitor holds the server to.
+const (
+	// sloLatencyP99 is the latency objective: 99% of successful requests
+	// complete (wall time, including queueing) within it.
+	sloLatencyP99 = 50 * time.Millisecond
+	// sloAvailability is the availability target over all terminal
+	// responses (bad = 5xx).
+	sloAvailability = 0.999
+)
 
 // Options tunes the server's observability surface.
 type Options struct {
@@ -136,20 +144,10 @@ type Options struct {
 	// to capture records logged elsewhere in the process too, wrap their
 	// handler with Server.FlightLogs().Wrap — cmd/cbnet-serve does.
 	Logger *slog.Logger
-	// SLOLatencyP99 is the latency objective: 99% of successful requests
-	// must complete (wall time, including queueing) within it. Zero
-	// selects 50ms.
-	SLOLatencyP99 time.Duration
-	// SLOAvailability is the availability target over all terminal
-	// responses (bad = 5xx). Zero selects 0.999; must be in (0,1).
-	SLOAvailability float64
 	// FlightDir, when non-empty, receives flight-recorder auto-dump files
 	// on SLO burn-rate trips and 503 bursts. Empty keeps dumps in memory
 	// (still served by GET /debug/flight).
 	FlightDir string
-	// DefaultDeadline bounds each /classify request's end-to-end time when
-	// the client sends no DeadlineHeader. Zero applies no default.
-	DefaultDeadline time.Duration
 }
 
 // routePrice is one engine route as /classify reports it: the §IV-C device
@@ -177,20 +175,12 @@ func (s *Server) priceOf(route string) routePrice {
 
 // NewWithOptions builds a server with explicit observability options.
 func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, family dataset.Family, opts Options) *Server {
-	if opts.SLOLatencyP99 <= 0 {
-		opts.SLOLatencyP99 = 50 * time.Millisecond
-	}
-	if opts.SLOAvailability <= 0 || opts.SLOAvailability >= 1 {
-		opts.SLOAvailability = 0.999
-	}
 	s := &Server{
-		Pipeline:        p,
-		Engine:          eng,
-		Profile:         prof,
-		Family:          family,
-		latTargetMS:     float64(opts.SLOLatencyP99) / float64(time.Millisecond),
-		defaultDeadline: opts.DefaultDeadline,
-		log:             opts.Logger,
+		Pipeline: p,
+		Engine:   eng,
+		Profile:  prof,
+		Family:   family,
+		log:      opts.Logger,
 	}
 	if s.log == nil {
 		s.log = slog.Default()
@@ -231,13 +221,13 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 	now := time.Now()
 	s.availT = mustTracker(slo.Config{Objective: slo.Objective{
 		Name:        "availability",
-		Target:      opts.SLOAvailability,
+		Target:      sloAvailability,
 		Description: "non-5xx responses over all terminal responses",
 	}}, now)
 	s.latT = mustTracker(slo.Config{Objective: slo.Objective{
 		Name:        "latency",
 		Target:      0.99,
-		Description: fmt.Sprintf("successful responses within %v wall time", opts.SLOLatencyP99),
+		Description: fmt.Sprintf("successful responses within %v wall time", sloLatencyP99),
 	}}, now)
 	s.sloMon = slo.NewMonitor([]*slo.Tracker{s.availT, s.latT}, func(tp slo.Trip) {
 		s.log.Warn("slo burn-rate trip",
@@ -371,7 +361,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		reasons = append(reasons, "shedding: no route has room")
 	}
 	if res := s.Engine.Resilience(); res != nil {
-		// Every live route, variants included: the overflow lands on them.
+		// Every route, variants included: the overflow lands on them.
 		for _, b := range res.Breakers {
 			if b.State == resilience.Open.String() {
 				reasons = append(reasons, fmt.Sprintf("breaker open: route %s", b.Route))
@@ -397,13 +387,9 @@ type InfoResponse struct {
 	MaxBatch          int     `json:"maxBatch"`
 	Workers           int     `json:"workers"`
 	HardnessThreshold float64 `json:"hardnessThreshold"`
-	RoutingEnabled    bool    `json:"routingEnabled"`
 	// DegradeLadder lists the route names in the order an overflowing
 	// request tries them; absent when the spill is off.
 	DegradeLadder []string `json:"degradeLadder,omitempty"`
-	// DefaultDeadlineMS is the per-request deadline applied when the
-	// client sends no DeadlineHeader (absent = none).
-	DefaultDeadlineMS float64 `json:"defaultDeadlineMs,omitempty"`
 	// ResilienceEnabled reports whether the fault-isolation layer (batch
 	// bisection, poison-pill quarantine, per-route circuit breakers) is
 	// armed; when true, /readyz also tracks breaker state.
@@ -422,10 +408,8 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		AEShareOfLatency:  s.Pipeline.AECostShare(s.Profile),
 		MaxBatch:          cfg.MaxBatch,
 		Workers:           cfg.Workers,
-		HardnessThreshold: cfg.HardnessThreshold,
-		RoutingEnabled:    !cfg.DisableRouting,
+		HardnessThreshold: engine.DefaultHardnessThreshold,
 		DegradeLadder:     s.Engine.DegradeLadder(),
-		DefaultDeadlineMS: float64(s.defaultDeadline) / float64(time.Millisecond),
 		ResilienceEnabled: cfg.Resilience.Enabled,
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -517,8 +501,7 @@ type ClassifyResponse struct {
 	// Route is the engine path taken: "easy" (classifier only), "hard"
 	// (AE + classifier), or a variant the overflow spilled to.
 	Route string `json:"route"`
-	// Hardness is the request's §V heuristic score (0 when routing is
-	// disabled).
+	// Hardness is the request's §V heuristic score.
 	Hardness float64 `json:"hardness"`
 	// BatchSize is the micro-batch this request was served in.
 	BatchSize int `json:"batchSize"`
@@ -541,7 +524,7 @@ type ClassifyResponse struct {
 // finish is the one place a /classify request ends: it stamps the outcome,
 // writes the request's span to the serve track, feeds the SLO trackers
 // (availability: bad = 5xx; latency, served requests only: bad = wall time
-// over the p99 objective) and the 503-burst detector (rejects only — a
+// over sloLatencyP99) and the 503-burst detector (rejects only — a
 // client that hung up is no overload), logs, and writes the reply. kind
 // tells a refusal from an error from a caller that went away; res is the
 // engine's answer when kind is KindComplete, and msg the error otherwise. A
@@ -568,7 +551,7 @@ func (s *Server) finish(ctx context.Context, w http.ResponseWriter, st *classify
 	sp.Name, sp.Batch = price.id, res.BatchSize
 	s.events.Emit(sp)
 	wallMS := float64(time.Duration(sp.Dur).Microseconds()) / 1e3
-	s.latT.Observe(wallMS <= s.latTargetMS)
+	s.latT.Observe(wallMS <= float64(sloLatencyP99)/float64(time.Millisecond))
 	// Checked first: the arguments are boxed before Debug can decline them.
 	if s.log.Enabled(ctx, slog.LevelDebug) {
 		s.log.Debug("classify",
@@ -661,20 +644,16 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		}
 	}
 
-	// Resolve the request deadline: header first, server default second.
-	// The context carries it into the engine, where an expired request is
-	// shed at admission or by the worker that takes it instead of wasting a
-	// batch slot.
-	deadline := s.defaultDeadline
+	// The deadline header, if any, rides the context into the engine, where
+	// an expired request is shed at admission or by the worker that takes it
+	// instead of wasting a batch slot.
 	if h := r.Header.Get(DeadlineHeader); h != "" {
-		var ok bool
-		if deadline, ok = parseDeadline(h); !ok {
+		deadline, ok := parseDeadline(h)
+		if !ok {
 			s.finish(ctx, w, st, trace.KindError, http.StatusBadRequest, nil,
 				fmt.Sprintf("invalid %s header %q: want a positive millisecond count", DeadlineHeader, h))
 			return true
 		}
-	}
-	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
@@ -709,8 +688,7 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 		s.finish(ctx, w, st, trace.KindQuarantine, http.StatusUnprocessableEntity, nil, "input quarantined as a poison pill")
 		return true
 	case errors.Is(err, engine.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		// The deadline (header or server default) ran out before the
-		// request executed. 504 distinguishes "too slow" from admission
+		// The header's deadline ran out before the request executed. 504 distinguishes "too slow" from admission
 		// shedding, and it counts against availability like other 5xx.
 		s.finish(ctx, w, st, trace.KindError, http.StatusGatewayTimeout, nil, "deadline expired before completion")
 		return false

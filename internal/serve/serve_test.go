@@ -395,7 +395,7 @@ func TestInfoReportsEngineConfig(t *testing.T) {
 	if info.MaxBatch <= 0 || info.Workers <= 0 {
 		t.Fatalf("engine config missing from info: %+v", info)
 	}
-	if !info.RoutingEnabled || info.HardnessThreshold != engine.DefaultHardnessThreshold {
+	if info.HardnessThreshold != engine.DefaultHardnessThreshold {
 		t.Fatalf("routing config wrong in info: %+v", info)
 	}
 }
