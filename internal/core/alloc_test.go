@@ -17,10 +17,9 @@ import (
 // The serving path's zero-allocation promise: once a pipeline's compiled
 // plans have been built, steady-state classification performs no heap
 // allocations — on one proc or several, at one row or a full batch of 32,
-// under any micro-kernel. The count is taken at two procs at least
-// (testing.AllocsPerRun would pin the run to one) and at fan-out width 1
-// (tensor.SetGEMMThreads), the width engine.New sets and the one the plan
-// compiler's promise is made for.
+// under any micro-kernel, at whatever tensor.SetGEMMThreads width the
+// process runs (nothing beneath a plan fans out). The count is taken at two
+// procs at least (testing.AllocsPerRun would pin the run to one).
 
 func allocTestPipeline() *Pipeline {
 	br := models.NewBranchyLeNet(rng.New(11), 0.05)
@@ -39,15 +38,9 @@ func testBatch(n int) *tensor.Tensor {
 // measureSteadyState warms the plans with two full passes, then counts the
 // mallocs of 30 more at two procs or the host's, whichever is more. GC is
 // disabled during the measurement so sync.Pool eviction can't charge
-// unrelated allocations to the hot path. The fan-out width is pinned to 1,
-// as engine.New pins it (and as TestDenseBackwardPackScratchAllocs does in
-// nn): at the default width — GOMAXPROCS — a kernel without a blocked path
-// (generic-8x8) would split every scalar product's rows through
-// parallelRows, whose closures and goroutines are the allocations a wider
-// width pays on purpose, not ones the serving path makes.
+// unrelated allocations to the hot path.
 func measureSteadyState(f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	f()

@@ -14,9 +14,9 @@ import (
 // classifier plans with per-step span and meter recording, argmax, answer
 // every request — performs zero heap allocations and starts no goroutine.
 // The count is taken at two procs at least (testing.AllocsPerRun would pin
-// one, where nothing could fan out anyway) and under both GEMM dispatches:
-// the host's, and the scalar one a CPU without an FMA kernel gets, whose
-// products would split their rows at any fan-out width but the 1 New sets.
+// one) and under both GEMM dispatches: the host's, and the scalar one a CPU
+// without an FMA kernel gets. Neither fans out beneath a plan, at any
+// tensor.SetGEMMThreads width, and New leaves the width as it found it.
 // The worker comes from e.newWorker, i.e. exactly the production wiring
 // with tracing attached.
 func TestRunBatchZeroAlloc(t *testing.T) {

@@ -303,10 +303,8 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 			rt.workers = append(rt.workers, e.newWorker(rt))
 		}
 	}
-	// Workers × routes are this process's parallelism: a forward pass
-	// beneath a worker must not fan out again, so tensor's one fan-out is
-	// set to width 1 (process-wide; training after New runs serial too).
-	tensor.SetGEMMThreads(1)
+	// Workers × routes are this process's parallelism: a compiled plan runs
+	// on its worker's goroutine and fans out no further, at any width.
 	e.wg.Add(len(e.routes) * cfg.Workers)
 	for _, rt := range e.routes {
 		for _, w := range rt.workers {

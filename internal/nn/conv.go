@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -12,10 +11,12 @@ import (
 // implemented as im2col + GEMM. The weight has shape
 // (OutC, InC*KH*KW) and the bias (OutC).
 //
-// The batch dimension is split over up to tensor.GEMMThreads goroutines: each
-// worker owns a private im2col buffer and, in the backward pass, private
-// weight/bias gradient accumulators that are reduced after the fan-in — the
-// classic data-parallel gradient pattern.
+// Both passes split the batch through tensor.ParallelFor. The forward pass
+// gives each chunk a private im2col buffer. The backward pass cuts the batch
+// into backwardChunks chunks, whatever the width, gives each chunk private
+// weight/bias gradient accumulators and reduces them in chunk order: the
+// classic data-parallel gradient pattern, with bits that do not depend on the
+// host's core count.
 type Conv2D struct {
 	LayerName string
 	Dims      tensor.ConvDims
@@ -32,8 +33,16 @@ type Conv2D struct {
 	bwd convBackward
 }
 
+// backwardChunks is how many contiguous chunks Conv2D.Backward cuts a batch
+// of at least that many samples into, each with its own gradient accumulators,
+// reduced in chunk order. The chunking fixes the order of the float additions
+// and so the trained bits. 2 is the split the benchmark fixture was trained
+// with on the 2-core reference host, when the chunk count was the core count.
+// Fixing it keeps that fixture's bits and makes them every host's bits.
+const backwardChunks = 2
+
 // convBackward is the retained backward-pass scratch of one Conv2D: slot w
-// belongs to worker w of the data-parallel gradient fan-out.
+// belongs to chunk w of the data-parallel gradient split.
 type convBackward struct {
 	dWs   []*tensor.Tensor
 	dBs   []*tensor.Tensor
@@ -41,16 +50,16 @@ type convBackward struct {
 	packs []tensor.PackScratch
 }
 
-// ensure grows the scratch to cover workers slots and zeroes the gradient
+// ensure grows the scratch to cover chunks slots and zeroes the gradient
 // accumulators of the slots about to be used.
-func (s *convBackward) ensure(workers, outC, colRows, colCols int) {
-	for len(s.dWs) < workers {
+func (s *convBackward) ensure(chunks, outC, colRows, colCols int) {
+	for len(s.dWs) < chunks {
 		s.dWs = append(s.dWs, tensor.New(outC, colRows))
 		s.dBs = append(s.dBs, tensor.New(outC))
 		s.dcols = append(s.dcols, make([]float32, colRows*colCols))
 		s.packs = append(s.packs, tensor.PackScratch{})
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < chunks; w++ {
 		s.dWs[w].Zero()
 		s.dBs[w].Zero()
 	}
@@ -123,7 +132,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 
 	perSampleCost := colRows * colCols * c.OutC
 	tensor.ParallelFor(n, perSampleCost, func(i0, i1 int) {
-		col := make([]float32, colRows*colCols)
+		var col []float32
+		if !training {
+			col = make([]float32, colRows*colCols)
+		}
 		for i := i0; i < i1; i++ {
 			img := x.Data[i*c.InSize() : (i+1)*c.InSize()]
 			buf := col
@@ -171,12 +183,10 @@ func (c *Conv2D) scatterRange(src, dst []float32, colCols, batchCols, i0, i1 int
 	}
 }
 
-// Backward computes parameter gradients and the input gradient. Each worker
-// accumulates into private dW/db buffers which are then reduced serially, so
-// no locks are held inside the hot loop. The loop is its own rather than
-// tensor.ParallelFor because a worker needs its index to find those buffers;
-// its width is the same tensor.GEMMThreads, the caller works the first share
-// itself, and at width 1 no goroutine starts.
+// Backward computes parameter gradients and the input gradient. Each of
+// backwardChunks chunks of the batch accumulates into private dW/db buffers,
+// so no locks are held inside the hot loop; tensor.ParallelFor runs the
+// chunks, and the buffers are reduced serially in chunk order after it.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastInput == nil || c.lastCols == nil {
 		panic(fmt.Sprintf("conv %s: Backward before training-mode Forward", c.LayerName))
@@ -189,9 +199,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	dx := tensor.New(n, c.InSize())
 
-	workers := max(1, min(tensor.GEMMThreads(), n))
-	c.bwd.ensure(workers, c.OutC, colRows, colCols)
-	chunk := (n + workers - 1) / workers
+	chunks := max(1, min(backwardChunks, n))
+	c.bwd.ensure(chunks, c.OutC, colRows, colCols)
+	chunk := (n + chunks - 1) / chunks
 	share := func(w int) {
 		dW, dB := c.bwd.dWs[w], c.bwd.dBs[w]
 		dcol := c.bwd.dcols[w]
@@ -201,7 +211,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			gOut := tensor.FromSlice(grad.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
 			col := tensor.FromSlice(c.lastCols[i*colRows*colCols:(i+1)*colRows*colCols], colRows, colCols)
 			// dW += gOut · colᵀ, accumulated in place through the
-			// worker's retained packing panels.
+			// chunk's retained packing panels.
 			tensor.MatMulTransBAcc(dW, gOut, col, pack)
 			// db += spatial sums of gOut
 			for oc := 0; oc < c.OutC; oc++ {
@@ -218,17 +228,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			tensor.Col2Im(dcol, c.Dims, img)
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w*chunk < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	// Two products a sample: the dW update and dcol.
+	tensor.ParallelFor(chunks, 2*chunk*colRows*colCols*c.OutC, func(w0, w1 int) {
+		for w := w0; w < w1; w++ {
 			share(w)
-		}()
-	}
-	share(0)
-	wg.Wait()
-	for w := 0; w < workers; w++ {
+		}
+	})
+	for w := 0; w < chunks; w++ {
 		c.W.Grad.AddInPlace(c.bwd.dWs[w])
 		c.B.Grad.AddInPlace(c.bwd.dBs[w])
 	}

@@ -45,11 +45,9 @@ import (
 // output plane over the image's padded frame, the blocked path's arithmetic
 // tap for tap.
 //
-// A plan runs on the goroutine that calls Execute. Its blocked GEMMs never fan
-// out; at tensor.SetGEMMThreads(1) — what engine.New sets — nothing beneath
-// Execute starts a goroutine on any kernel, and at a wider setting only the
-// scalar GEMM fallback (a host without an FMA kernel, a shape the blocked
-// gate turns away) splits its rows.
+// A plan runs on the goroutine that calls Execute, and nothing beneath
+// Execute starts a goroutine, on any kernel and at any tensor.SetGEMMThreads
+// width: tensor's one fan-out, ParallelFor, serves the training layers only.
 //
 // Weights contract: a plan serves the parameter values as of their last
 // Param.Touch. Conv weights and all biases are read in place; packed dense
@@ -491,8 +489,8 @@ func (p *Plan) String() string {
 // result is returned as a plan-owned view, valid only until the next
 // Execute — copy out anything that must live longer. When dst is non-nil
 // (n×outW, caller-owned) the final step writes straight into it and dst is
-// returned. Once warm, Execute performs zero heap allocations and, at
-// tensor.SetGEMMThreads(1), starts no goroutine.
+// returned. Once warm, Execute performs zero heap allocations and starts no
+// goroutine.
 func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != p.inW {
 		panic(fmt.Sprintf("nn: plan %s: input shape %v, want (N, %d)", p.name, x.Shape, p.inW))

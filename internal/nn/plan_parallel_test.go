@@ -8,9 +8,8 @@ import (
 	"cbnet/internal/tensor"
 )
 
-// wideTestNet is big enough that its dense GEMM steps cross the tensor
-// package's parallel threshold: on a host without an FMA kernel they are the
-// products that would fan out at a width above 1.
+// wideTestNet has dense GEMM steps far above the tensor package's parallel
+// threshold.
 func wideTestNet(r *rng.RNG) *Sequential {
 	return NewSequential("wide-test",
 		NewDense("fc1", 784, 512, r),
@@ -52,8 +51,6 @@ func TestPlansRepackSharedWeightsConcurrently(t *testing.T) {
 	}
 	x := tensor.New(batch, 784)
 	fillPlanTestInput(x.Data, 3)
-	prev := tensor.SetGEMMThreads(1)
-	defer tensor.SetGEMMThreads(prev)
 
 	for round := 0; round < 3; round++ {
 		for _, p := range net.Params() {

@@ -149,9 +149,9 @@ func TestPlanBatchCapPanics(t *testing.T) {
 
 // allocsPerRunMulticore is testing.AllocsPerRun without its pin to one
 // proc: it counts mallocs over runs warm calls of f at two procs or the
-// host's count, whichever is more, with the collector off. A fan-out that
-// only happens on multicore — a goroutine per row range, the closure it
-// needs — shows up here and not under AllocsPerRun.
+// host's count, whichever is more, with the collector off. A fan-out sized
+// from the procs — a goroutine per range, the closure it needs — would show
+// up here and not under AllocsPerRun.
 func allocsPerRunMulticore(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -166,17 +166,16 @@ func allocsPerRunMulticore(runs int, f func()) uint64 {
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
-// TestPlanExecuteZeroAlloc is the plan's allocation contract: at fan-out
-// width 1, the width every engine worker runs at, a warm Plan.Execute
-// performs no heap allocation and starts no goroutine, at one row, at a full
-// batch of 32, and on more than one proc — on every kernel: the blocked path
-// never fans out, the scalar path of a host without an FMA kernel
-// (CBNET_GEMM_KERNEL=generic-8x8) does not at width 1.
+// TestPlanExecuteZeroAlloc is the plan's allocation contract: a warm
+// Plan.Execute performs no heap allocation and starts no goroutine, at one
+// row, at a full batch of 32, on more than one proc and at the process's
+// fan-out width, whatever it is — on every kernel: neither the blocked path
+// nor the scalar path of a host without an FMA kernel
+// (CBNET_GEMM_KERNEL=generic-8x8) fans out.
 func TestPlanExecuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
 	}
-	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(1))
 	for _, net := range []*Sequential{mixedTestNet(rng.New(11)), wideTestNet(rng.New(12)), lightweightShapedNet(rng.New(13))} {
 		p, err := Compile(net, 32)
 		if err != nil {
@@ -293,15 +292,13 @@ func TestMaxPool2MatchesGo(t *testing.T) {
 
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
-// retained packing panels are warm — and on a host without a blocked kernel,
-// where the transposed products run their scalar loops, once those run
-// inline: at width 1, the one setting at which nothing under tensor builds a
-// fan-out closure.
+// retained packing panels are warm — on a host without a blocked kernel too,
+// where the transposed products and the bias sum run their scalar loops,
+// inline at every fan-out width.
 func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(1))
 	d := NewDense("fc", 128, 64, rng.New(5))
 	x := tensor.New(32, 128)
 	x.RandUniform(rng.New(6), -1, 1)

@@ -123,9 +123,7 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 						}
 					}
 					out[oi] = best
-					if args != nil {
-						args[i*outWidth+oi] = bestIdx
-					}
+					args[i*outWidth+oi] = bestIdx
 					oi++
 				}
 			}

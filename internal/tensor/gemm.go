@@ -7,11 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// parallelThreshold is the minimum number of multiply-accumulate operations
-// (m*n*k) before MatMul fans work out to multiple goroutines. Below it the
-// goroutine handoff costs more than it saves.
-const parallelThreshold = 64 * 64 * 64
-
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n).
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
@@ -104,39 +99,28 @@ func checkTransOut(c *Tensor, m, n int, what string) {
 	}
 }
 
-// matMulTransA computes C = Aᵀ×B + beta·C (beta must be 0 or 1).
+// matMulTransA computes C = Aᵀ×B + beta·C (beta must be 0 or 1). Off the
+// blocked path cᵢⱼ = Σ_p a_{p,i} b_{p,j}, for each p a rank-1 update of C.
 func matMulTransA(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 	if useBlocked(m, k, n) {
 		// op(A)[i,p] = a[p*m+i]: unit row stride, column stride m.
 		gemmBlocked(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
 	}
+	cd := c.Data[:m*n]
 	if beta == 0 {
-		for i := range c.Data[:m*n] {
-			c.Data[i] = 0
+		for i := range cd {
+			cd[i] = 0
 		}
 	}
-	if !shouldParallel(m, n*k) {
-		matMulTransARange(a.Data, b.Data, c.Data, m, k, n, 0, m)
-		return
-	}
-	parallelRows(m, m*n*k, func(i0, i1 int) {
-		matMulTransARange(a.Data, b.Data, c.Data, m, k, n, i0, i1)
-	})
-}
-
-// matMulTransARange accumulates rows [i0, i1) of C += Aᵀ×B: cᵢⱼ = Σ_p
-// a_{p,i} b_{p,j}, for each p a rank-1 update of those rows.
-func matMulTransARange(a, b, c []float32, m, k, n, i0, i1 int) {
 	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i := i0; i < i1; i++ {
-			av := arow[i]
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			crow := c[i*n : (i+1)*n]
+			crow := cd[i*n : (i+1)*n]
 			for j, bv := range brow {
 				crow[j] += av * bv
 			}
@@ -186,22 +170,12 @@ func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
 	}
-	if !shouldParallel(m, n*k) {
-		matMulTransBRange(a.Data, b.Data, c.Data, k, n, beta == 1, 0, m)
-		return
-	}
-	parallelRows(m, m*n*k, func(i0, i1 int) {
-		matMulTransBRange(a.Data, b.Data, c.Data, k, n, beta == 1, i0, i1)
-	})
-}
-
-// matMulTransBRange computes rows [i0, i1) of C = A×Bᵀ, added to C when acc.
-func matMulTransBRange(a, b, c []float32, k, n int, acc bool, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
+	acc := beta == 1
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := c.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
+			brow := b.Data[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
 				s += av * brow[p]
@@ -255,21 +229,11 @@ func GEMMNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 // left out: it changes no av but a signalling NaN, which it quiets — and the
 // product quiets it the same way.
 func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
-	if !shouldParallel(m, n*k) {
-		gemmNaiveRange(a, b, c, k, n, alpha, beta, 0, m)
-		return
-	}
-	parallelRows(m, m*n*k, func(i0, i1 int) {
-		gemmNaiveRange(a, b, c, k, n, alpha, beta, i0, i1)
-	})
-}
-
-func gemmNaiveRange(a, b, c []float32, k, n int, alpha, beta float32, i0, i1 int) {
 	if alpha == 1 && (beta == 0 || beta == 1) &&
-		narrowGEMM(activeKernel.vec, a[i0*k:i1*k], b, c[i0*n:i1*n], i1-i0, k, n, beta == 1) {
+		narrowGEMM(activeKernel.vec, a[:m*k], b, c[:m*n], m, k, n, beta == 1) {
 		return
 	}
-	for i := i0; i < i1; i++ {
+	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
 		if beta == 0 {
 			for j := range crow {
@@ -351,37 +315,40 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 	}
 }
 
-// Fan-out floor for row-sliced work: a goroutine handoff + WaitGroup wake
-// costs on the order of a few thousand flops' worth of time, so a worker
-// whose slice is only a row or two of light work loses more to scheduling
-// than it computes. Light rows therefore need minRowsPerWorker rows each
-// before another worker pays off; rows heavy enough to dwarf the handoff
-// (heavyRowFlops: a row that would cross the parallel threshold by itself)
-// may split all the way down to one row per worker — that is the batch-level
-// fan-out over a handful of expensive images. BenchmarkParallelRowsFloor
-// holds the line between the two: two rows of half a threshold each run as
-// fast on one goroutine as on two (161–208 µs against 197–213 µs on the
-// 2-core reference host), without the four allocations of the split.
+// ParallelFor is the package's one fan-out, and the only code in tensor or
+// nn that starts a goroutine. The training layers' per-sample loops are its
+// only callers: every kernel beneath them, scalar or blocked, runs on the
+// goroutine that calls it, so one product never splits inside another's split.
+//
+// parallelThreshold is the least work, in approximate flops, that it spreads
+// over more than one goroutine: below it the handoff costs more than it saves.
+// A goroutine handoff + WaitGroup wake costs on the order of a few thousand
+// flops' worth of time, so a worker whose slice is only an item or two of
+// light work loses more to scheduling than it computes. Light items therefore
+// need minRowsPerWorker items each before another worker pays off; items heavy
+// enough to dwarf the handoff (heavyRowFlops: one that would cross the
+// threshold by itself) may split all the way down to one a worker — a batch
+// of a handful of expensive images. BenchmarkParallelRowsFloor holds the line
+// between the two: two items of half a threshold each run as fast on one
+// goroutine as on two (161–208 µs against 197–213 µs on the 2-core reference
+// host), without the four allocations of the split.
 const (
-	minRowsPerWorker = 4
-	heavyRowFlops    = parallelThreshold
+	parallelThreshold = 64 * 64 * 64
+	minRowsPerWorker  = 4
+	heavyRowFlops     = parallelThreshold
 )
 
-// gemmThreadsVal is the fan-out width: the most goroutines (caller's share
-// included) one call into this package spreads its rows over. Default
-// GOMAXPROCS.
+// gemmThreadsVal is the fan-out width: the most goroutines one ParallelFor
+// spreads its range over. Default GOMAXPROCS.
 var gemmThreadsVal atomic.Int64
 
 func init() { gemmThreadsVal.Store(int64(runtime.GOMAXPROCS(0))) }
 
-// SetGEMMThreads sets the process-wide fan-out width — how many goroutines
-// parallelRows, the package's one fan-out, may split a large row range
-// across (ParallelFor, the scalar GEMM/gemv fallbacks and the row sweeps go
-// through it; nn's Conv2D.Backward reads the same value) — and returns the
-// previous setting. Values below 1 clamp to 1, the width at which nothing in
-// tensor or nn starts a goroutine on any kernel; values above GOMAXPROCS are
-// honored rather than clamped. The blocked GEMM never fans out. A process
-// whose parallelism lives above this package (engine workers) sets 1.
+// SetGEMMThreads sets the process-wide width of ParallelFor and returns the
+// previous setting. Values below 1 clamp to 1, at which ParallelFor runs its
+// whole range on the calling goroutine; values above GOMAXPROCS are honored
+// rather than clamped. Nothing else reads it: no kernel fans out at any width,
+// so serving, whose parallelism is the engine's workers, never needs to set it.
 func SetGEMMThreads(n int) int {
 	return int(gemmThreadsVal.Swap(int64(max(n, 1))))
 }
@@ -389,8 +356,8 @@ func SetGEMMThreads(n int) int {
 // GEMMThreads reports the current fan-out width.
 func GEMMThreads() int { return int(gemmThreadsVal.Load()) }
 
-// maxRowWorkers returns how many goroutines row-sliced work over rows rows
-// totalling flops flops deserves (1 = stay serial), at most GEMMThreads.
+// maxRowWorkers returns how many goroutines rows items totalling flops flops
+// deserve (1 = stay serial), at most GEMMThreads.
 func maxRowWorkers(rows, flops int) int {
 	workers := GEMMThreads()
 	if flops < parallelThreshold || workers < 2 || rows < 2 {
@@ -403,117 +370,42 @@ func maxRowWorkers(rows, flops int) int {
 	return workers
 }
 
-// parallelRows splits [0, rows) into contiguous chunks and runs fn on each,
-// in parallel when the problem (measured in flops) is large enough.
-func parallelRows(rows, flops int, fn func(i0, i1 int)) {
-	if rows == 0 {
+// ParallelFor splits [0, n) into contiguous chunks and runs fn on each chunk,
+// on up to GEMMThreads goroutines when n*costPerItem (an approximate flop
+// count) reaches parallelThreshold, and as one call fn(0, n) on the calling
+// goroutine otherwise. fn must be safe to call concurrently on disjoint
+// ranges, and must not depend on how the range was cut for its bits.
+func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
+	if n == 0 {
 		return
 	}
-	workers := maxRowWorkers(rows, flops)
+	workers := maxRowWorkers(n, n*costPerItem)
 	if workers < 2 {
-		fn(0, rows)
+		fn(0, n)
 		return
 	}
-	chunk := (rows + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		i0 := w * chunk
-		if i0 >= rows {
-			break
-		}
-		i1 := min(i0+chunk, rows)
+	for i0 := 0; i0 < n; i0 += chunk {
+		i1 := min(i0+chunk, n)
 		wg.Add(1)
-		go func(i0, i1 int) {
+		go func() {
 			defer wg.Done()
 			fn(i0, i1)
-		}(i0, i1)
+		}()
 	}
 	wg.Wait()
 }
 
-// ParallelFor splits [0, n) into contiguous chunks and runs fn on each chunk,
-// fanning out to at most GEMMThreads goroutines when n*costPerItem (an
-// approximate flop count) exceeds the parallelization threshold. fn must be
-// safe to call concurrently on disjoint ranges. It is the batch-level
-// work-sharing primitive used by the layer and training code.
-func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
-	parallelRows(n, n*costPerItem, fn)
-}
-
-// shouldParallel reports whether ParallelFor would actually fan [0, items)
-// out to multiple goroutines. Allocation-sensitive callers use it to take a
-// direct serial call — constructing the closure ParallelFor needs forces a
-// heap allocation even when the work ends up running inline.
-func shouldParallel(items, costPerItem int) bool {
-	return maxRowWorkers(items, items*costPerItem) > 1
-}
-
-// MatVec computes y = A × x for a 2-D A (m×k) and 1-D x (k). Rows are
-// processed with four independent accumulator chains (the loads of x and a
-// row pipeline across them) and split over goroutines for large matrices.
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 {
-		panic("tensor: MatVec wants matrix × vector")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	if x.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dims %d vs %d", k, x.Shape[0]))
-	}
-	y := New(m)
-	MatVecInto(y.Data, a.Data, x.Data, m, k)
-	return y
-}
-
-// MatVecInto computes y = A × x over raw slices without allocating.
-func MatVecInto(y, a, x []float32, m, k int) {
-	x = x[:k]
-	if !shouldParallel(m, k) {
-		matVecRange(y, a, x, k, 0, m)
-		return
-	}
-	parallelRows(m, m*k, func(i0, i1 int) {
-		matVecRange(y, a, x, k, i0, i1)
-	})
-}
-
-func matVecRange(y, a, x []float32, k, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := a[i*k : (i+1)*k]
-		var s0, s1, s2, s3 float32
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			s0 += row[p] * x[p]
-			s1 += row[p+1] * x[p+1]
-			s2 += row[p+2] * x[p+2]
-			s3 += row[p+3] * x[p+3]
-		}
-		for ; p < k; p++ {
-			s0 += row[p] * x[p]
-		}
-		y[i] = s0 + s1 + s2 + s3
-	}
-}
-
-// AddRowVector adds vector v (length n) to every row of the m×n matrix t,
-// fanning rows out to goroutines for large matrices.
+// AddRowVector adds vector v (length n) to every row of the m×n matrix t.
 func (t *Tensor) AddRowVector(v *Tensor) {
 	if len(t.Shape) != 2 || len(v.Shape) != 1 || t.Shape[1] != v.Shape[0] {
 		panic(fmt.Sprintf("tensor: AddRowVector shapes %v + %v", t.Shape, v.Shape))
 	}
 	n := t.Shape[1]
 	vd := v.Data[:n]
-	if !shouldParallel(t.Shape[0], n) {
-		addRowVectorRange(t.Data, vd, n, 0, t.Shape[0])
-		return
-	}
-	parallelRows(t.Shape[0], t.Shape[0]*n, func(i0, i1 int) {
-		addRowVectorRange(t.Data, vd, n, i0, i1)
-	})
-}
-
-func addRowVectorRange(data, vd []float32, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := data[i*n : (i+1)*n]
+	for i := 0; i < t.Shape[0]; i++ {
+		row := t.Data[i*n : (i+1)*n]
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			row[j] += vd[j]
@@ -528,25 +420,12 @@ func addRowVectorRange(data, vd []float32, n, i0, i1 int) {
 }
 
 // SumRows returns the column-wise sum of a 2-D tensor as a length-n vector.
-// Work is split across column blocks (each worker owns a disjoint slice of
-// the output) and the row loop is unrolled four ways so the accumulator
-// loads amortize over four streams.
 func (t *Tensor) SumRows() *Tensor {
 	if len(t.Shape) != 2 {
 		panic("tensor: SumRows on non-matrix")
 	}
-	m, n := t.Shape[0], t.Shape[1]
-	out := New(n)
-	if n == 0 {
-		return out
-	}
-	if !shouldParallel(n, m) {
-		sumRowsRange(out.Data, t.Data, m, n, 0, n)
-		return out
-	}
-	parallelRows(n, n*m, func(j0, j1 int) {
-		sumRowsRange(out.Data, t.Data, m, n, j0, j1)
-	})
+	out := New(t.Shape[1])
+	sumRows(out.Data, t.Data, t.Shape[0], t.Shape[1])
 	return out
 }
 
@@ -561,32 +440,25 @@ func (t *Tensor) SumRowsInto(acc *Tensor) {
 	if len(acc.Shape) != 1 || acc.Shape[0] != n {
 		panic(fmt.Sprintf("tensor: SumRowsInto acc shape %v, want [%d]", acc.Shape, n))
 	}
-	if n == 0 {
-		return
-	}
-	if !shouldParallel(n, m) {
-		sumRowsRange(acc.Data, t.Data, m, n, 0, n)
-		return
-	}
-	parallelRows(n, n*m, func(j0, j1 int) {
-		sumRowsRange(acc.Data, t.Data, m, n, j0, j1)
-	})
+	sumRows(acc.Data, t.Data, m, n)
 }
 
-func sumRowsRange(out, data []float32, m, n, j0, j1 int) {
-	acc := out[j0:j1]
+// sumRows adds the m rows of the m×n matrix data into out. The row loop is
+// unrolled four ways so the accumulator loads amortize over four streams.
+func sumRows(out, data []float32, m, n int) {
+	acc := out[:n]
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		r0 := data[i*n+j0 : i*n+j1]
-		r1 := data[(i+1)*n+j0 : (i+1)*n+j1]
-		r2 := data[(i+2)*n+j0 : (i+2)*n+j1]
-		r3 := data[(i+3)*n+j0 : (i+3)*n+j1]
+		r0 := data[i*n : (i+1)*n]
+		r1 := data[(i+1)*n : (i+2)*n]
+		r2 := data[(i+2)*n : (i+3)*n]
+		r3 := data[(i+3)*n : (i+4)*n]
 		for j := range acc {
 			acc[j] += (r0[j] + r1[j]) + (r2[j] + r3[j])
 		}
 	}
 	for ; i < m; i++ {
-		row := data[i*n+j0 : i*n+j1]
+		row := data[i*n : (i+1)*n]
 		for j := range row {
 			acc[j] += row[j]
 		}

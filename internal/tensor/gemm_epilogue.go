@@ -107,25 +107,8 @@ func GEMMEpilogue(a, b, c []float32, m, k, n int, ep Epilogue, ps *PackScratch) 
 		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, ep, ps, nil)
 	default:
 		gemmNaive(a, b, c, m, k, n, 1, 0)
-		if ep.isIdentity() {
-			return
-		}
-		if !shouldParallel(m, 4*n) {
-			epilogueTile(c, n, 0, 0, m, n, &ep)
-			return
-		}
-		epilogueParallel(c, m, n, ep)
+		epilogueTile(c, n, 0, 0, m, n, &ep)
 	}
-}
-
-// epilogueParallel fans the epilogue sweep of an m×n matrix out over row
-// ranges. It lives in its own frame so the closure capture only
-// heap-allocates ep on this (already allocating) parallel path, keeping the
-// serial callers allocation-free.
-func epilogueParallel(c []float32, m, n int, ep Epilogue) {
-	parallelRows(m, 4*m*n, func(i0, i1 int) {
-		epilogueTile(c, n, i0, 0, i1-i0, n, &ep)
-	})
 }
 
 // epilogueTile applies ep to the mEff×nEff tile of C whose top-left element

@@ -32,10 +32,10 @@ type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 // micro-kernel — the write-back tail of a full tile (tileTail), the body of
 // SigmoidSlice, the direct convolution's tap-accumulate kernel and row
 // compaction (conv_direct.go), the bodies of gemvRow's fused passes, the 2×2
-// max-pool body (MaxPool2) and the narrow product (gemmNaiveRange) — for the
+// max-pool body (MaxPool2) and the narrow product (gemmNaive) — for the
 // registry entry whose CPUID gate covers them. vecNone: tiles are written
 // back by writeTile and epilogueTile, SigmoidSlice is a loop over Sigmoid32,
-// convolutions go through im2col, and gemvRow, MaxPool2 and gemmNaiveRange
+// convolutions go through im2col, and gemvRow, MaxPool2 and gemmNaive
 // run their Go loops.
 type vecISA uint8
 

@@ -29,7 +29,7 @@ func saltZerosAndNaNs(data []float32, seed uint32) {
 
 // TestNarrowGEMMMatchesGoLoop holds gemmNaive under every kernel with a
 // narrow-product body to the same call with that kernel's vec taken away —
-// gemmNaiveRange's Go loop — bit for bit: every n up to the vector width,
+// gemmNaive's Go loop — bit for bit: every n up to the vector width,
 // depths 1 to 300, row counts around the body's four-row groups, beta 0 and
 // 1, A rich in ±0 and NaN, B and C salted with NaN payloads, infinities and
 // denormals. Products of fillMantissa's values round, so a fused or reordered

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -357,23 +356,6 @@ func BenchmarkGEMMLeNetShapes(b *testing.B) {
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			benchGEMM(b, s.m, s.k, s.n, func(a, bb, c []float32) { GEMM(a, bb, c, s.m, s.k, s.n, 1, 0) })
-		})
-	}
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	for _, s := range []struct{ m, k int }{{84, 256}, {256, 1200}} {
-		b.Run(fmt.Sprintf("%dx%d", s.m, s.k), func(b *testing.B) {
-			a := New(s.m, s.k)
-			x := New(s.k)
-			fillDeterministic(a.Data, 7)
-			fillDeterministic(x.Data, 9)
-			y := make([]float32, s.m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatVecInto(y, a.Data, x.Data, s.m, s.k)
-			}
 		})
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// parallelRows is the package's one fan-out and SetGEMMThreads the one owner
+// ParallelFor is the package's one fan-out and SetGEMMThreads the one owner
 // of its width: these tests pin the width's contract, the light-row floor
-// under it, and that every row-sliced entry point obeys it.
+// under it, and that no kernel or row sweep fans out beneath it.
 
 // forceParallel pins the fan-out width for a test and restores it.
 func forceParallel(t testing.TB, threads int) {
@@ -56,93 +56,62 @@ func mallocsPerRun(runs int, f func()) uint64 {
 }
 
 // TestFanOutWidthIsGEMMThreads: the width SetGEMMThreads holds, not the
-// machine's proc count, decides every fan-out in the package. At width 1 on
-// two or more procs, shapes far above parallelThreshold run their whole
-// range in one call on the calling goroutine and allocate nothing; at width
-// 4 on a single proc the same shapes split four ways. The scalar GEMM paths
+// machine's proc count, decides how far ParallelFor splits — and nothing else
+// in the package fans out at any width. At width 4 on a single proc,
+// ParallelFor still cuts a range far above parallelThreshold into four
+// chunks, while the scalar products and the row sweeps, on shapes just as far
+// above it, allocate nothing and start no goroutine. The scalar GEMM paths
 // are reached with the blocked dispatch off, as on a CPU without an FMA
 // kernel.
 func TestFanOutWidthIsGEMMThreads(t *testing.T) {
 	defer SetBlockedKernelForTest(SetBlockedKernelForTest(false))
 	const rows, k, n = 256, 64, 512 // light rows; product and epilogue sweep both far above the threshold
-	a := make([]float32, rows*k)
-	b := make([]float32, k*n)
-	c := make([]float32, rows*n)
+	a := FromSlice(make([]float32, rows*k), rows, k)
+	b := FromSlice(make([]float32, k*n), k, n)
+	c := FromSlice(make([]float32, rows*n), rows, n)
+	at := FromSlice(make([]float32, k*rows), k, rows) // MatMulTransAInto's A
+	bt := FromSlice(make([]float32, n*k), n, k)       // MatMulTransBInto's B
 	bias := make([]float32, n)
-	fillDeterministic(a, 103)
-	fillDeterministic(b, 107)
-	fillDeterministic(bias, 109)
+	for i, d := range [][]float32{a.Data, b.Data, at.Data, bt.Data, bias} {
+		fillDeterministic(d, uint32(103+4*i))
+	}
 	const matRows = 8 * rows // the row sweeps do a flop an element: a matrix far above the threshold by itself
 	mat := FromSlice(make([]float32, matRows*n), matRows, n)
-	fillDeterministic(mat.Data, 113)
+	fillDeterministic(mat.Data, 127)
 	rowVec, colAcc := FromSlice(bias, n), New(n)
-	x, y := make([]float32, n), make([]float32, matRows)
-	fillDeterministic(x, 127)
 	ep := Epilogue{Act: EpActReLU, ColBias: bias}
 
-	// calls and covered record how a callback-taking entry point cut [0, rows).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	forceParallel(t, 4)
+
 	var calls, covered atomic.Int64
-	count := func(i0, i1 int) {
+	ParallelFor(rows, n*k, func(i0, i1 int) {
 		calls.Add(1)
 		covered.Add(int64(i1 - i0))
-	}
-	entries := []struct {
-		name        string
-		rows, flops int  // what the entry point hands maxRowWorkers
-		ranged      bool // run passes count as the range function
-		run         func()
-	}{
-		{"parallelRows", rows, rows * n * k, true, func() { parallelRows(rows, rows*n*k, count) }},
-		{"ParallelFor", rows, rows * n * k, true, func() { ParallelFor(rows, n*k, count) }},
-		{"gemmNaive", rows, rows * n * k, false, func() { gemmNaive(a, b, c, rows, k, n, 1, 0) }},
-		{"GEMMEpilogue", rows, 4 * rows * n, false, func() { GEMMEpilogue(a, b, c, rows, k, n, ep, nil) }},
-		{"MatVecInto", matRows, matRows * n, false, func() { MatVecInto(y, mat.Data, x, matRows, n) }},
-		{"AddRowVector", matRows, matRows * n, false, func() { mat.AddRowVector(rowVec) }},
-		{"SumRowsInto", n, n * matRows, false, func() { mat.SumRowsInto(colAcc) }},
+	})
+	if calls.Load() != 4 || covered.Load() != rows {
+		t.Errorf("width 4, GOMAXPROCS 1: ParallelFor made %d calls covering %d of %d items, want 4 covering all",
+			calls.Load(), covered.Load(), rows)
 	}
 
-	procs := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
-	defer runtime.GOMAXPROCS(procs)
-	forceParallel(t, 1)
-	for _, e := range entries {
+	for _, e := range []struct {
+		name string
+		run  func()
+	}{
+		{"gemmNaive", func() { gemmNaive(a.Data, b.Data, c.Data, rows, k, n, 1, 0) }},
+		{"GEMMEpilogue", func() { GEMMEpilogue(a.Data, b.Data, c.Data, rows, k, n, ep, nil) }},
+		{"MatMulTransAInto", func() { MatMulTransAInto(c, at, b, nil) }},
+		{"MatMulTransBInto", func() { MatMulTransBInto(c, a, bt, nil) }},
+		{"AddRowVector", func() { mat.AddRowVector(rowVec) }},
+		{"SumRowsInto", func() { mat.SumRowsInto(colAcc) }},
+	} {
 		goroutines := runtime.NumGoroutine()
-		const runs = 10
-		calls.Store(0)
-		covered.Store(0)
-		if allocs := mallocsPerRun(runs, e.run); allocs != 0 && !raceEnabled {
-			t.Errorf("width 1: %s allocates %d per call, want 0 (it fanned out)", e.name, allocs)
+		if allocs := mallocsPerRun(10, e.run); allocs != 0 && !raceEnabled {
+			t.Errorf("width 4: %s allocates %d per call, want 0 (it fanned out)", e.name, allocs)
 		}
 		if extra := runtime.NumGoroutine() - goroutines; extra > 0 {
-			t.Errorf("width 1: %s left %d new goroutines", e.name, extra)
+			t.Errorf("width 4: %s left %d new goroutines", e.name, extra)
 		}
-		if e.ranged && (calls.Load() != runs+1 || covered.Load() != (runs+1)*rows) {
-			t.Errorf("width 1: %s made %d calls covering %d rows in %d runs, want one call with the whole range each",
-				e.name, calls.Load(), covered.Load(), runs+1)
-		}
-	}
-	c1 := append([]float32(nil), c...) // GEMMEpilogue's output at width 1
-
-	// Width 4 on one proc: the machine has nothing to offer, the width
-	// splits all the same.
-	runtime.GOMAXPROCS(1)
-	SetGEMMThreads(4)
-	for _, e := range entries {
-		if got := maxRowWorkers(e.rows, e.flops); got != 4 {
-			t.Errorf("width 4: %s would split %d ways (rows=%d flops=%d), want 4", e.name, got, e.rows, e.flops)
-		}
-		calls.Store(0)
-		covered.Store(0)
-		if allocs := mallocsPerRun(1, e.run); allocs == 0 {
-			t.Errorf("width 4, GOMAXPROCS 1: %s allocates nothing, so it started no goroutine", e.name)
-		}
-		if e.ranged && (calls.Load() != 2*4 || covered.Load() != 2*rows) {
-			t.Errorf("width 4, GOMAXPROCS 1: %s made %d calls covering %d rows in 2 runs, want 4 ranges a run",
-				e.name, calls.Load(), covered.Load())
-		}
-	}
-	GEMMEpilogue(a, b, c, rows, k, n, ep, nil)
-	if i, ok := bitsEqual(c, c1); !ok {
-		t.Errorf("GEMMEpilogue at width 4 differs from width 1 at [%d]: %v vs %v", i, c[i], c1[i])
 	}
 }
 
@@ -184,13 +153,13 @@ func BenchmarkParallelRowsFloor(b *testing.B) {
 	fillDeterministic(a, 97)
 	fillDeterministic(bb, 101)
 	work := func(i0, i1 int) {
-		gemmNaiveRange(a, bb, c, k, n, 1, 0, i0, i1)
+		gemmNaive(a[i0*k:i1*k], bb, c[i0*n:i1*n], i1-i0, k, n, 1, 0)
 	}
 	forceParallel(b, rows)
 	b.Run("floor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			parallelRows(rows, rows*n*k, work)
+			ParallelFor(rows, n*k, work)
 		}
 	})
 	b.Run("forced-split", func(b *testing.B) {

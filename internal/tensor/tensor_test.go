@@ -293,15 +293,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float32{1, 0, -1}, 3)
-	y := MatVec(a, x)
-	if y.Data[0] != -2 || y.Data[1] != -2 {
-		t.Fatalf("MatVec = %v", y.Data)
-	}
-}
-
 func TestAddRowVectorSumRows(t *testing.T) {
 	m := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := FromSlice([]float32{10, 20, 30}, 3)

@@ -188,7 +188,7 @@ func maxPool2Vec(isa vecISA, dst, src []float32, w, outW, rows int) {
 	}
 }
 
-// narrowGEMM is gemmNaiveRange's body for alpha 1, beta 0 or 1 (accumulate)
+// narrowGEMM is gemmNaive's body for alpha 1, beta 0 or 1 (accumulate)
 // and a C no wider than one vector: the m rows of C = A·B (+ C), A m×k, B
 // k×n. It reports whether it ran; without a vector ISA, for a wider C or an
 // empty depth it leaves the product to the Go loop.

@@ -6,7 +6,7 @@
 // a full blocked-GEMM tile (gemm_blocked.go), the body of SigmoidSlice
 // (gemm_epilogue.go), the tap-accumulate kernel and the row compaction of the
 // direct convolution (conv_direct.go), the 2×2 max-pool body (maxpool.go),
-// the narrow product of gemmNaiveRange and the bodies of gemvRow's fused
+// the narrow product of gemmNaive and the bodies of gemvRow's fused
 // passes (gemm.go). Each comes in an AVX-512 and an AVX2 form, selected by
 // the vecISA of the registry entry whose CPUID gate covers it
 // (gemm_amd64.go); the AVX-512 forms use AVX-512F instructions only, the
@@ -1148,7 +1148,7 @@ ycnext:
 // ap, the row of B in Z4): av broadcast; kk = the n-column mask K1 where av
 // ≠ 0 — unordered counts as unequal, so a NaN av is applied and ±0 is not;
 // bv·av with B's row as first source, then that product plus C with the
-// product as first source — gemmNaiveRange's MULSS and ADDSS, operand for
+// product as first source — gemmNaive's MULSS and ADDSS, operand for
 // operand — written into C only under kk.
 #define ZNROW(ap, cz, kk) \
 	VBROADCASTSS (ap)(CX*1), Z5; \
@@ -1159,7 +1159,7 @@ ycnext:
 // func narrowGEMMAVX512(a, b, c *float32, m, k, n, accumulate int)
 //
 // C = A·B, or C += A·B when accumulate is 1, for A m×k, B k×n, C m×n, all
-// row-major, 1 ≤ n ≤ 16 and k ≥ 1: gemmNaiveRange for alpha 1 and beta 0 or
+// row-major, 1 ≤ n ≤ 16 and k ≥ 1: gemmNaive for alpha 1 and beta 0 or
 // 1. Each row of C lives in one ZMM for the whole depth loop (masked to n
 // columns on load and store, B's rows loaded under the same mask), four rows
 // at a time — four independent addition chains sharing each row of B — and

@@ -4,7 +4,7 @@ package tensor
 
 // No vector loops outside the micro-kernel on this architecture: every
 // registry entry is vecNone, tiles are written back by writeTile and
-// epilogueTile, SigmoidSlice, gemvRow, MaxPool2 and gemmNaiveRange run their
+// epilogueTile, SigmoidSlice, gemvRow, MaxPool2 and gemmNaive run their
 // Go loops and no convolution takes the direct path.
 
 func tileTail(vecISA, []float32, int, *[maxMR * maxNR]float32, []float32, int) {
