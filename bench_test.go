@@ -319,37 +319,6 @@ func hostBatch(n int) *tensor.Tensor {
 	return x
 }
 
-func BenchmarkHostLeNetForward(b *testing.B) {
-	net := models.NewLeNet(rng.New(1))
-	x := hostBatch(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.Forward(x, false)
-	}
-}
-
-func BenchmarkHostLightweightForward(b *testing.B) {
-	br := models.NewBranchyLeNet(rng.New(2), 0.05)
-	net := models.ExtractLightweight(br)
-	x := hostBatch(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.Forward(x, false)
-	}
-}
-
-func BenchmarkHostAEForward(b *testing.B) {
-	ae := models.NewTableIAE(dataset.MNIST, rng.New(3))
-	x := hostBatch(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ae.Net.Forward(x, false)
-	}
-}
-
 func BenchmarkHostCBNetPipeline(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
@@ -366,10 +335,10 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 
 // BenchmarkPlanExecute is the engine worker's actual hot loop: the compiled
 // AE and classifier plans executed back to back (pipeline-b16), then each
-// plan alone at the paper's one hard image and at the engine's batch, in
-// GFLOP/s of its cost model — the step-level figures the benchmark's
-// nn.clf_gflops_b32 and core.convert_us_b1 move with. -benchmem must report
-// 0 allocs/op throughout.
+// plan alone, and LeNet's beside them, at the paper's one hard image and at
+// the engine's batch, in GFLOP/s of its cost model — the step-level figures
+// the benchmark's nn.clf_gflops_b32 and core.convert_us_b1 move with.
+// -benchmem must report 0 allocs/op throughout.
 func BenchmarkPlanExecute(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
@@ -393,7 +362,7 @@ func BenchmarkPlanExecute(b *testing.B) {
 	for _, m := range []struct {
 		name string
 		net  *nn.Sequential
-	}{{"clf", pipe.Classifier}, {"ae", pipe.AE.Net}} {
+	}{{"clf", pipe.Classifier}, {"ae", pipe.AE.Net}, {"lenet", models.NewLeNet(rng.New(1))}} {
 		for _, n := range []int{1, 32} {
 			b.Run(fmt.Sprintf("%s/b%d", m.name, n), func(b *testing.B) {
 				p, err := nn.Compile(m.net, n)
@@ -633,6 +602,9 @@ func BenchmarkPlanExecuteTraced(b *testing.B) {
 func TestTracingOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing rounds take seconds")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation slows the traced and untraced paths unequally")
 	}
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{

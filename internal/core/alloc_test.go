@@ -154,13 +154,13 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 	}
 
 	forward := make([]int, 16)
-	pipe.Classifier.Forward(pipe.Convert(x), false).ArgMaxRows(forward)
+	pipe.Classifier.Forward(pipe.AE.Net.Forward(x)).ArgMaxRows(forward)
 	for i := range want {
 		if want[i] != forward[i] {
 			t.Fatalf("plan pred[%d] = %d, Forward = %d", i, want[i], forward[i])
 		}
 	}
-	pipe.Classifier.Forward(x, false).ArgMaxRows(forward)
+	pipe.Classifier.Forward(x).ArgMaxRows(forward)
 	for i := range wantD {
 		if wantD[i] != forward[i] {
 			t.Fatalf("plan direct pred[%d] = %d, Forward = %d", i, wantD[i], forward[i])

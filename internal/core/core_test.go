@@ -341,7 +341,7 @@ func TestClassifyDirectMatchesClassifierOnly(t *testing.T) {
 	if len(preds) != 4 {
 		t.Fatalf("got %d predictions, want 4", len(preds))
 	}
-	logits := pipe.Classifier.Forward(x, false)
+	logits := pipe.Classifier.Forward(x)
 	for i, p := range preds {
 		if want := logits.Row(i).ArgMax(); p != want {
 			t.Fatalf("row %d: direct pred %d, classifier argmax %d", i, p, want)

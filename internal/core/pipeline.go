@@ -173,10 +173,10 @@ func (p *Pipeline) planSetLocked(n int) *PlanSet {
 	return ps
 }
 
-// Convert runs only the autoencoder stage, returning the transformed
-// images.
+// Convert runs only the autoencoder stage on a compiled plan, returning the
+// transformed images as a caller-owned tensor.
 func (p *Pipeline) Convert(x *tensor.Tensor) *tensor.Tensor {
-	return p.AE.Net.Forward(x, false)
+	return nn.Run(p.AE.Net, x)
 }
 
 // Infer classifies a batch through the full pipeline.

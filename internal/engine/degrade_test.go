@@ -82,7 +82,7 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		t.Fatalf("route %q, want %q with hard and easy refusing", res.Route, v.Name)
 	}
 	x := tensor.FromSlice(append([]float32(nil), img...), 1, len(img))
-	logits := v.Net.Forward(x, false)
+	logits := v.Net.Forward(x)
 	want := 0
 	for j, l := range logits.Data {
 		if l > logits.Data[want] {

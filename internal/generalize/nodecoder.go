@@ -108,7 +108,7 @@ func BuildEncoderPipeline(ae *models.ConvertingAE, ds *dataset.Dataset, o TrainO
 				labels[j] = ds.Labels[p]
 			}
 			x := tensor.FromSlice(xBuf.Data[:bs*w], bs, w)
-			logits := head.Forward(x, true)
+			logits := head.Forward(x)
 			l, grad := loss.CrossEntropy(logits, labels)
 			head.Backward(grad)
 			optimizer.Step(head.Params())
@@ -121,7 +121,7 @@ func BuildEncoderPipeline(ae *models.ConvertingAE, ds *dataset.Dataset, o TrainO
 	return &EncoderPipeline{Encoder: encoder, Head: head}, nil
 }
 
-// encodeAll runs the encoder over the whole dataset in inference mode.
+// encodeAll runs the encoder's compiled plan (nn.Run) over the whole dataset.
 func encodeAll(encoder *nn.Sequential, ds *dataset.Dataset) *tensor.Tensor {
 	const bs = 256
 	n := ds.Len()
@@ -136,7 +136,7 @@ func encodeAll(encoder *nn.Sequential, ds *dataset.Dataset) *tensor.Tensor {
 			i1 = n
 		}
 		x, _ := ds.Batch(i0, i1)
-		codes := encoder.Forward(x, false)
+		codes := nn.Run(encoder, x)
 		copy(out.Data[i0*w:i1*w], codes.Data)
 	}
 	return out
@@ -144,8 +144,7 @@ func encodeAll(encoder *nn.Sequential, ds *dataset.Dataset) *tensor.Tensor {
 
 // Infer classifies a batch of images.
 func (p *EncoderPipeline) Infer(x *tensor.Tensor) []int {
-	codes := p.Encoder.Forward(x, false)
-	logits := p.Head.Forward(codes, false)
+	logits := nn.Run(p.Head, nn.Run(p.Encoder, x))
 	preds := make([]int, x.Shape[0])
 	for i := range preds {
 		preds[i] = logits.Row(i).ArgMax()

@@ -109,9 +109,9 @@ func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg JointTrainConfig) err
 				labels[j] = ds.Labels[p]
 			}
 
-			stemOut := b.Stem.Forward(x, true)
-			branchLogits := b.Branch.Forward(stemOut, true)
-			mainLogits := b.Trunk.Forward(stemOut, true)
+			stemOut := b.Stem.Forward(x)
+			branchLogits := b.Branch.Forward(stemOut)
+			mainLogits := b.Trunk.Forward(stemOut)
 
 			lb, gb := loss.CrossEntropy(branchLogits, labels)
 			lm, gm := loss.CrossEntropy(mainLogits, labels)
@@ -152,8 +152,8 @@ func (b *BranchyNet) Infer(x *tensor.Tensor) InferenceResult {
 		Exited:        make([]bool, n),
 		BranchEntropy: make([]float64, n),
 	}
-	stemOut := b.Stem.Forward(x, false)
-	branchLogits := b.Branch.Forward(stemOut, false)
+	stemOut := nn.Run(b.Stem, x)
+	branchLogits := nn.Run(b.Branch, stemOut)
 	k := dataset.NumClasses
 
 	var hardRows []int
@@ -176,7 +176,7 @@ func (b *BranchyNet) Infer(x *tensor.Tensor) InferenceResult {
 		for j, i := range hardRows {
 			copy(sub.Data[j*stemW:(j+1)*stemW], stemOut.Data[i*stemW:(i+1)*stemW])
 		}
-		mainLogits := b.Trunk.Forward(sub, false)
+		mainLogits := nn.Run(b.Trunk, sub)
 		for j, i := range hardRows {
 			res.Pred[i] = mainLogits.Row(j).ArgMax()
 		}

@@ -2,12 +2,16 @@ package models
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"cbnet/internal/dataset"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -69,76 +73,98 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
-// TestConcurrentInference verifies that inference-mode forwards are safe to
-// run from multiple goroutines on a shared model: inference mode caches
-// nothing, so a single loaded model can serve parallel requests (the edge
-// deployment pattern).
+// TestConcurrentInference runs every inference path on one shared model from
+// eight goroutines at once — BranchyNet's early-exit Infer, and nn.Run on the
+// lightweight classifier and the autoencoder — and holds each result bit for
+// bit to a serial run of the same input on a twin built from the same seed.
+// Each call compiles its own plans, with private buffers; what the plans
+// share is the layers' parameters, read only, and Dense's packed weights,
+// which the goroutines race to pack first on the fresh shared model and
+// publish through an atomic pointer: a single loaded model serves parallel
+// requests (the edge deployment pattern). Run it under -race.
 func TestConcurrentInference(t *testing.T) {
-	r := rng.New(7)
-	b := NewBranchyLeNet(r, 0.2)
-	lw := ExtractLightweight(b)
-	ae := NewTableIAE(dataset.MNIST, r)
-
+	type model struct {
+		b      *BranchyNet
+		lw, ae *nn.Sequential
+	}
+	build := func() model {
+		r := rng.New(7)
+		b := NewBranchyLeNet(r, 0.2)
+		return model{b: b, lw: ExtractLightweight(b), ae: NewTableIAE(dataset.MNIST, r).Net}
+	}
+	type result struct {
+		infer   InferenceResult
+		lw, rec []float32
+	}
+	run := func(m model, x *tensor.Tensor) result {
+		return result{infer: m.b.Infer(x), lw: nn.Run(m.lw, x).Data, rec: nn.Run(m.ae, x).Data}
+	}
 	const workers = 8
+	serial, shared := build(), build()
+	inputs := make([]*tensor.Tensor, workers)
+	want := make([]result, workers)
+	for w := range inputs {
+		inputs[w] = tensor.New(4+4*w, dataset.Pixels)
+		inputs[w].RandUniform(rng.New(uint64(w+100)), 0, 1)
+		want[w] = run(serial, inputs[w])
+	}
+
+	got := make([][]result, workers)
 	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
+	for w := range got {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func() {
 			defer wg.Done()
-			wr := rng.New(seed)
-			x := tensor.New(4, dataset.Pixels)
-			x.RandUniform(wr, 0, 1)
-			for i := 0; i < 20; i++ {
-				out := lw.Forward(x, false)
-				if out.Shape[1] != dataset.NumClasses {
-					errs <- "bad lightweight output shape"
-					return
-				}
-				rec := ae.Net.Forward(x, false)
-				if rec.Shape[1] != dataset.Pixels {
-					errs <- "bad AE output shape"
-					return
-				}
-				res := b.Infer(x)
-				if len(res.Pred) != 4 {
-					errs <- "bad branchy result size"
-					return
-				}
+			for i := 0; i < 5; i++ {
+				got[w] = append(got[w], run(shared, inputs[w]))
 			}
-		}(uint64(w + 100))
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	for w, rs := range got {
+		for i, g := range rs {
+			if !reflect.DeepEqual(g.infer, want[w].infer) {
+				t.Errorf("worker %d round %d: Infer %+v, serial %+v", w, i, g.infer, want[w].infer)
+			}
+			requireBits(t, fmt.Sprintf("worker %d round %d: lightweight", w, i), g.lw, want[w].lw)
+			requireBits(t, fmt.Sprintf("worker %d round %d: autoencoder", w, i), g.rec, want[w].rec)
+		}
 	}
 }
 
-// TestConcurrentInferenceDeterministic confirms concurrent inference gives
-// the same predictions as serial inference.
+// TestConcurrentInferenceDeterministic confirms concurrent inference on one
+// shared LeNet gives the same outputs, bit for bit, as serial inference.
 func TestConcurrentInferenceDeterministic(t *testing.T) {
 	r := rng.New(8)
 	net := NewLeNet(r)
 	x := tensor.New(8, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	want := net.Forward(x, false)
+	want := nn.Run(net, x)
 
 	var wg sync.WaitGroup
 	results := make([]*tensor.Tensor, 6)
 	for w := range results {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			results[w] = net.Forward(x, false)
-		}(w)
+			results[w] = nn.Run(net, x)
+		}()
 	}
 	wg.Wait()
 	for w, got := range results {
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("worker %d diverged at element %d", w, i)
-			}
+		requireBits(t, fmt.Sprintf("worker %d", w), got.Data, want.Data)
+	}
+}
+
+// requireBits fails unless got and want hold the same float32 bit patterns.
+func requireBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, serial %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, serial %v", what, i, got[i], want[i])
 		}
 	}
 }

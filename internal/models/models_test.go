@@ -24,7 +24,7 @@ func TestLeNetShapes(t *testing.T) {
 	}
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := net.Forward(x, false)
+	y := net.Forward(x)
 	if y.Shape[0] != 2 || y.Shape[1] != dataset.NumClasses {
 		t.Fatalf("forward shape %v", y.Shape)
 	}
@@ -119,7 +119,7 @@ func TestConvertingAEShapes(t *testing.T) {
 		}
 		x := tensor.New(3, dataset.Pixels)
 		x.RandUniform(r, 0, 1)
-		y := ae.Net.Forward(x, false)
+		y := ae.Net.Forward(x)
 		if y.Shape[0] != 3 || y.Shape[1] != dataset.Pixels {
 			t.Fatalf("%v: forward shape %v", f, y.Shape)
 		}
@@ -137,7 +137,7 @@ func TestConvertingAESoftmaxOutput(t *testing.T) {
 	ae := NewConvertingAE(TableIArch(dataset.MNIST), OutputSoftmax, L1Coefficient, r)
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := ae.Net.Forward(x, false)
+	y := ae.Net.Forward(x)
 	for i := 0; i < 2; i++ {
 		var s float64
 		for j := 0; j < dataset.Pixels; j++ {

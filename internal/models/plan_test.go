@@ -56,7 +56,7 @@ func TestPlanParityOracle(t *testing.T) {
 			for _, n := range []int{1, 7, 16} {
 				x := tensor.New(n, m.inW)
 				x.RandUniform(rng.New(uint64(n)*31+uint64(m.inW)), 0, 1)
-				want := m.net.Forward(x, false)
+				want := m.net.Forward(x)
 				got := p.Execute(nil, x)
 				if !got.SameShape(want) {
 					t.Fatalf("%s/%s batch %d: plan shape %v, want %v", mode.name, m.name, n, got.Shape, want.Shape)

@@ -25,21 +25,13 @@ func (r *ReLU) Params() []*Param { return nil }
 // OutSize is the identity: activations preserve width.
 func (r *ReLU) OutSize(inSize int) (int, error) { return inSize, nil }
 
-// Forward clamps negatives to zero.
-func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+// Forward clamps negatives to zero with the compiled plan's rule (v < 0, so
+// −0 and NaN pass through) and masks the gradient to v > 0.
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	y := x.Clone()
-	if training {
-		r.lastMask = make([]bool, len(y.Data))
-		for i, v := range y.Data {
-			if v > 0 {
-				r.lastMask[i] = true
-			} else {
-				y.Data[i] = 0
-			}
-		}
-		return y
-	}
+	r.lastMask = make([]bool, len(y.Data))
 	for i, v := range y.Data {
+		r.lastMask[i] = v > 0
 		if v < 0 {
 			y.Data[i] = 0
 		}
@@ -50,7 +42,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // Backward zeroes gradients where the forward input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastMask == nil {
-		panic(fmt.Sprintf("relu %s: Backward before training-mode Forward", r.LayerName))
+		panic(fmt.Sprintf("relu %s: Backward before Forward", r.LayerName))
 	}
 	if len(grad.Data) != len(r.lastMask) {
 		panic(fmt.Sprintf("relu %s: grad size %d, want %d", r.LayerName, len(grad.Data), len(r.lastMask)))
@@ -83,19 +75,17 @@ func (s *Sigmoid) Params() []*Param { return nil }
 func (s *Sigmoid) OutSize(inSize int) (int, error) { return inSize, nil }
 
 // Forward applies the logistic function elementwise.
-func (s *Sigmoid) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
 	y := x.Clone()
 	tensor.SigmoidSlice(y.Data, y.Data)
-	if training {
-		s.lastOut = y
-	}
+	s.lastOut = y
 	return y
 }
 
 // Backward uses dσ/dx = σ(1−σ).
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if s.lastOut == nil {
-		panic(fmt.Sprintf("sigmoid %s: Backward before training-mode Forward", s.LayerName))
+		panic(fmt.Sprintf("sigmoid %s: Backward before Forward", s.LayerName))
 	}
 	dx := grad.Clone()
 	for i, g := range dx.Data {
@@ -128,7 +118,7 @@ func (s *Softmax) Params() []*Param { return nil }
 func (s *Softmax) OutSize(inSize int) (int, error) { return inSize, nil }
 
 // Forward applies a numerically-stable row softmax.
-func (s *Softmax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (s *Softmax) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 2 {
 		panic(fmt.Sprintf("softmax %s: input shape %v, want 2-D", s.LayerName, x.Shape))
 	}
@@ -138,16 +128,14 @@ func (s *Softmax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		row := y.Data[i*w : (i+1)*w]
 		SoftmaxRow(row)
 	}
-	if training {
-		s.lastOut = y
-	}
+	s.lastOut = y
 	return y
 }
 
 // Backward applies the softmax Jacobian: dx_i = y_i (g_i − Σ_j y_j g_j).
 func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if s.lastOut == nil {
-		panic(fmt.Sprintf("softmax %s: Backward before training-mode Forward", s.LayerName))
+		panic(fmt.Sprintf("softmax %s: Backward before Forward", s.LayerName))
 	}
 	n, w := grad.Shape[0], grad.Shape[1]
 	dx := tensor.New(n, w)
@@ -211,19 +199,17 @@ func (a *ActivityRegularizer) Params() []*Param { return nil }
 // OutSize is the identity.
 func (a *ActivityRegularizer) OutSize(inSize int) (int, error) { return inSize, nil }
 
-// Forward passes activations through unchanged, caching them in training
-// mode so Backward can add the penalty gradient.
-func (a *ActivityRegularizer) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if training {
-		a.lastIn = x
-	}
+// Forward passes activations through unchanged, caching them so Backward
+// can add the penalty gradient.
+func (a *ActivityRegularizer) Forward(x *tensor.Tensor) *tensor.Tensor {
+	a.lastIn = x
 	return x
 }
 
 // Backward adds λ·sign(a) to the incoming gradient.
 func (a *ActivityRegularizer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if a.lastIn == nil {
-		panic(fmt.Sprintf("activityreg %s: Backward before training-mode Forward", a.LayerName))
+		panic(fmt.Sprintf("activityreg %s: Backward before Forward", a.LayerName))
 	}
 	dx := grad.Clone()
 	for i, v := range a.lastIn.Data {

@@ -12,18 +12,18 @@ import (
 // (OutC, InC*KH*KW) and the bias (OutC).
 //
 // Both passes split the batch through tensor.ParallelFor. The forward pass
-// gives each chunk a private im2col buffer. The backward pass cuts the batch
-// into backwardChunks chunks, whatever the width, gives each chunk private
-// weight/bias gradient accumulators and reduces them in chunk order: the
-// classic data-parallel gradient pattern, with bits that do not depend on the
-// host's core count.
+// expands each sample into its own slice of one batch column buffer, kept
+// for Backward. The backward pass cuts the batch into backwardChunks chunks,
+// whatever the width, gives each chunk private weight/bias gradient
+// accumulators and reduces them in chunk order: the classic data-parallel
+// gradient pattern, with bits that do not depend on the host's core count.
 type Conv2D struct {
 	LayerName string
 	Dims      tensor.ConvDims
 	OutC      int
 	W, B      *Param
 
-	// lastInput and lastCols cache training-mode state for Backward.
+	// lastInput and lastCols cache the last Forward's state for Backward.
 	lastInput *tensor.Tensor
 	lastCols  []float32 // batch of im2col matrices, one per sample
 
@@ -114,7 +114,7 @@ func (c *Conv2D) OutSize(inSize int) (int, error) {
 }
 
 // Forward convolves every sample in the batch.
-func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	if len(x.Shape) != 2 || x.Shape[1] != c.InSize() {
 		panic(fmt.Sprintf("conv %s: input shape %v, want (N, %d)", c.LayerName, x.Shape, c.InSize()))
@@ -123,25 +123,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	outWidth := c.OutC * colCols
 	y := tensor.New(n, outWidth)
 
-	var cols []float32
-	if training {
-		c.lastInput = x
-		cols = make([]float32, n*colRows*colCols)
-		c.lastCols = cols
-	}
+	c.lastInput = x
+	cols := make([]float32, n*colRows*colCols)
+	c.lastCols = cols
 
 	perSampleCost := colRows * colCols * c.OutC
 	tensor.ParallelFor(n, perSampleCost, func(i0, i1 int) {
-		var col []float32
-		if !training {
-			col = make([]float32, colRows*colCols)
-		}
 		for i := i0; i < i1; i++ {
 			img := x.Data[i*c.InSize() : (i+1)*c.InSize()]
-			buf := col
-			if training {
-				buf = cols[i*colRows*colCols : (i+1)*colRows*colCols]
-			}
+			buf := cols[i*colRows*colCols : (i+1)*colRows*colCols]
 			tensor.Im2Col(img, c.Dims, buf)
 			colMat := tensor.FromSlice(buf, colRows, colCols)
 			out := tensor.FromSlice(y.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
@@ -189,7 +179,7 @@ func (c *Conv2D) scatterRange(src, dst []float32, colCols, batchCols, i0, i1 int
 // chunks, and the buffers are reduced serially in chunk order after it.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastInput == nil || c.lastCols == nil {
-		panic(fmt.Sprintf("conv %s: Backward before training-mode Forward", c.LayerName))
+		panic(fmt.Sprintf("conv %s: Backward before Forward", c.LayerName))
 	}
 	n := grad.Shape[0]
 	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()

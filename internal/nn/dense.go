@@ -15,7 +15,7 @@ type Dense struct {
 	In, Out   int
 	W, B      *Param
 
-	// cached training-mode input for the backward pass
+	// the last Forward's input, cached for the backward pass
 	lastInput *tensor.Tensor
 	// pack retains the blocked-GEMM packing panels of the backward
 	// products across training steps.
@@ -88,13 +88,11 @@ func (d *Dense) OutSize(inSize int) (int, error) {
 }
 
 // Forward computes y = xW + b.
-func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("dense %s: input shape %v, want (N, %d)", d.LayerName, x.Shape, d.In))
 	}
-	if training {
-		d.lastInput = x
-	}
+	d.lastInput = x
 	y := tensor.MatMul(x, d.W.Value)
 	y.AddRowVector(d.B.Value)
 	return y
@@ -106,7 +104,7 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // allocates only the returned dx.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
-		panic(fmt.Sprintf("dense %s: Backward before training-mode Forward", d.LayerName))
+		panic(fmt.Sprintf("dense %s: Backward before Forward", d.LayerName))
 	}
 	tensor.MatMulTransAAcc(d.W.Grad, d.lastInput, grad, &d.pack)
 	grad.SumRowsInto(d.B.Grad)

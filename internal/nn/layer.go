@@ -43,15 +43,14 @@ func (p *Param) Touch() { p.gen++ }
 
 // Layer is a differentiable network stage.
 //
-// Forward runs the layer on a (batch, features) input. When training is
-// true, layers may cache activations needed by Backward and apply
-// train-only behaviour (e.g. the activity regularizer's penalty). Backward
-// must be called after a training-mode Forward with the gradient of the loss
-// with respect to the layer output, and returns the gradient with respect to
-// the layer input.
+// Forward is the training pass: it runs the layer on a (batch, features)
+// input and caches what Backward needs. Backward must be called after
+// Forward with the gradient of the loss with respect to the layer output,
+// and returns the gradient with respect to the layer input. Inference runs
+// on compiled plans (Compile, Run), never through Forward.
 type Layer interface {
 	Name() string
-	Forward(x *tensor.Tensor, training bool) *tensor.Tensor
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	// OutSize returns the per-sample output width given the per-sample
@@ -74,10 +73,10 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Name returns the network's label.
 func (s *Sequential) Name() string { return s.SeqName }
 
-// Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+// Forward runs all layers in order, the training pass.
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
-		x = l.Forward(x, training)
+		x = l.Forward(x)
 	}
 	return x
 }

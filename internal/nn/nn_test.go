@@ -14,7 +14,7 @@ import (
 // net forward under small parameter perturbations then gives numerical
 // derivatives to compare against Backward.
 func lossOf(net Layer, x *tensor.Tensor, c []float32) float64 {
-	y := net.Forward(x, false)
+	y := net.Forward(x)
 	var s float64
 	for i, v := range y.Data {
 		s += float64(c[i]) * float64(v)
@@ -27,7 +27,7 @@ func lossOf(net Layer, x *tensor.Tensor, c []float32) float64 {
 func checkGradients(t *testing.T, net Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	r := rng.New(99)
-	y := net.Forward(x, true)
+	y := net.Forward(x)
 	c := make([]float32, len(y.Data))
 	for i := range c {
 		c[i] = r.NormFloat32()
@@ -89,7 +89,7 @@ func TestDenseGradients(t *testing.T) {
 func TestDenseForwardShape(t *testing.T) {
 	r := rng.New(1)
 	d := NewDense("d", 4, 6, r)
-	y := d.Forward(randInput(r, 2, 4), false)
+	y := d.Forward(randInput(r, 2, 4))
 	if y.Shape[0] != 2 || y.Shape[1] != 6 {
 		t.Fatalf("shape %v, want [2 6]", y.Shape)
 	}
@@ -106,7 +106,7 @@ func TestDenseBias(t *testing.T) {
 	d := NewDense("d", 2, 2, r)
 	d.W.Value.Zero()
 	d.B.Value.Data[0], d.B.Value.Data[1] = 3, -4
-	y := d.Forward(randInput(r, 1, 2), false)
+	y := d.Forward(randInput(r, 1, 2))
 	if y.Data[0] != 3 || y.Data[1] != -4 {
 		t.Fatalf("bias not applied: %v", y.Data)
 	}
@@ -151,7 +151,7 @@ func TestMaxPoolForward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 16)
-	y := p.Forward(x, false)
+	y := p.Forward(x)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -163,7 +163,7 @@ func TestMaxPoolForward(t *testing.T) {
 func TestMaxPoolBackwardRouting(t *testing.T) {
 	p := MustMaxPool2D("p", 1, 2, 2, 2, 2)
 	x := tensor.FromSlice([]float32{1, 9, 3, 4}, 1, 4)
-	_ = p.Forward(x, true)
+	_ = p.Forward(x)
 	g := tensor.FromSlice([]float32{5}, 1, 1)
 	dx := p.Backward(g)
 	want := []float32{0, 5, 0, 0}
@@ -198,11 +198,26 @@ func TestReLUGradients(t *testing.T) {
 	checkGradients(t, NewReLU("r"), x, 2e-2)
 }
 
+// TestReLUForward also pins the plan's rule (zero where v < 0): −0 and NaN
+// pass through Forward as they pass through runAct and EpActReLU, while
+// Backward masks their gradient.
 func TestReLUForward(t *testing.T) {
-	x := tensor.FromSlice([]float32{-1, 0, 2}, 1, 3)
-	y := NewReLU("r").Forward(x, false)
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	x := tensor.FromSlice([]float32{-1, 0, 2, negZero, nan}, 1, 5)
+	r := NewReLU("r")
+	y := r.Forward(x)
 	if y.Data[0] != 0 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("relu = %v", y.Data)
+	}
+	if math.Float32bits(y.Data[3]) != math.Float32bits(negZero) || !math.IsNaN(float64(y.Data[4])) {
+		t.Fatalf("relu(−0, NaN) = %v, %v; want −0, NaN as the plan gives", y.Data[3], y.Data[4])
+	}
+	g := r.Backward(tensor.FromSlice([]float32{1, 1, 1, 1, 1}, 1, 5))
+	for i, want := range []float32{0, 0, 1, 0, 0} {
+		if g.Data[i] != want {
+			t.Fatalf("relu grad = %v", g.Data)
+		}
 	}
 }
 
@@ -213,7 +228,7 @@ func TestSigmoidGradients(t *testing.T) {
 
 func TestSigmoidRange(t *testing.T) {
 	r := rng.New(6)
-	y := NewSigmoid("s").Forward(randInput(r, 4, 16), false)
+	y := NewSigmoid("s").Forward(randInput(r, 4, 16))
 	for _, v := range y.Data {
 		if v <= 0 || v >= 1 {
 			t.Fatalf("sigmoid out of (0,1): %v", v)
@@ -228,7 +243,7 @@ func TestSoftmaxGradients(t *testing.T) {
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := rng.New(7)
-	y := NewSoftmax("sm").Forward(randInput(r, 5, 11), false)
+	y := NewSoftmax("sm").Forward(randInput(r, 5, 11))
 	for i := 0; i < 5; i++ {
 		var s float64
 		for j := 0; j < 11; j++ {
@@ -242,7 +257,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxStableWithLargeLogits(t *testing.T) {
 	x := tensor.FromSlice([]float32{1000, 1001, 999}, 1, 3)
-	y := NewSoftmax("sm").Forward(x, false)
+	y := NewSoftmax("sm").Forward(x)
 	var s float64
 	for _, v := range y.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -259,7 +274,7 @@ func TestActivityRegularizerIdentityForward(t *testing.T) {
 	r := rng.New(8)
 	x := randInput(r, 2, 5)
 	a := NewActivityRegularizer("ar", 0.1)
-	y := a.Forward(x, false)
+	y := a.Forward(x)
 	for i := range x.Data {
 		if y.Data[i] != x.Data[i] {
 			t.Fatal("activity regularizer altered forward values")
@@ -270,7 +285,7 @@ func TestActivityRegularizerIdentityForward(t *testing.T) {
 func TestActivityRegularizerGradient(t *testing.T) {
 	a := NewActivityRegularizer("ar", 0.5)
 	x := tensor.FromSlice([]float32{2, -3, 0}, 1, 3)
-	_ = a.Forward(x, true)
+	_ = a.Forward(x)
 	g := tensor.FromSlice([]float32{1, 1, 1}, 1, 3)
 	dx := a.Backward(g)
 	want := []float32{1.5, 0.5, 1}
@@ -331,7 +346,7 @@ func TestZeroGradClears(t *testing.T) {
 	r := rng.New(14)
 	net := NewSequential("n", NewDense("d", 3, 2, r))
 	x := randInput(r, 2, 3)
-	y := net.Forward(x, true)
+	y := net.Forward(x)
 	g := tensor.New(y.Shape...)
 	g.Fill(1)
 	net.Backward(g)
@@ -358,8 +373,8 @@ func TestQuickSoftmaxShiftInvariance(t *testing.T) {
 		for i := range shift.Data {
 			shift.Data[i] += c
 		}
-		a := NewSoftmax("a").Forward(x, false)
-		b := NewSoftmax("b").Forward(shift, false)
+		a := NewSoftmax("a").Forward(x)
+		b := NewSoftmax("b").Forward(shift)
 		for i := range a.Data {
 			if math.Abs(float64(a.Data[i]-b.Data[i])) > 1e-4 {
 				return false
@@ -378,8 +393,8 @@ func TestQuickReLUIdempotent(t *testing.T) {
 		r := rng.New(seed)
 		x := tensor.New(1, 20)
 		x.RandNormal(r, 0, 2)
-		once := NewReLU("a").Forward(x, false)
-		twice := NewReLU("b").Forward(once, false)
+		once := NewReLU("a").Forward(x)
+		twice := NewReLU("b").Forward(once)
 		for i := range once.Data {
 			if once.Data[i] != twice.Data[i] {
 				return false

@@ -17,9 +17,10 @@ import (
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
 // steps — no interface dispatch, no type assertions, and zero steady-state
 // heap allocations. It is the only way a trained network runs outside
-// training: Layer.Forward stays for the training loop and as the oracle the
-// plan tests compare against, and a network with a layer type the compiler
-// does not know is rejected at Compile, not served some other way.
+// training — serving compiles once per worker, everything else calls Run:
+// Layer.Forward is the training pass, and the oracle the plan tests compare
+// against, and a network with a layer type the compiler does not know is
+// rejected at Compile, not run some other way.
 //
 // Buffer planning is ping-pong liveness: only one intermediate is live
 // between consecutive steps, so step i reads slot i%2−1 and writes slot
@@ -562,6 +563,19 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		return dst
 	}
 	return p.view(n, cur)
+}
+
+// Run compiles net at x's batch size and executes it into a fresh
+// caller-owned tensor: inference outside a serving loop (evaluation,
+// labelling, encoding) in one call. The networks are built in code, so one
+// the compiler rejects is a programming error and Run panics with it.
+func Run(net *Sequential, x *tensor.Tensor) *tensor.Tensor {
+	n := x.Shape[0]
+	p, err := Compile(net, max(1, n))
+	if err != nil {
+		panic(err)
+	}
+	return p.Execute(tensor.New(n, p.outW), x)
 }
 
 // view returns the plan-owned output header over data.

@@ -88,7 +88,7 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 // FuzzCompileMatchesForward holds the compiler to the layers it compiles:
 // a random small network either is refused with an error — exactly when
 // fuzzNet says it must be, and never by a panic — or compiles at a random
-// capacity into a plan whose Execute agrees with Forward(x, false), within a
+// capacity into a plan whose Execute agrees with Forward(x), within a
 // bound that grows with the stack's depth, at one row, a ragged batch and
 // the full capacity, one plan serving all three.
 // Shape inference, the dropped identity layers, activations fused and
@@ -130,7 +130,7 @@ func FuzzCompileMatchesForward(f *testing.F) {
 		for _, n := range []int{1, 1 + int(seed%uint64(batchCap)), batchCap} {
 			x := tensor.New(n, p.InWidth())
 			x.RandUniform(rng.New(seed+uint64(n)), -1, 1)
-			want := net.Forward(x, false)
+			want := net.Forward(x)
 			got := p.Execute(nil, x)
 			if !got.SameShape(want) {
 				t.Fatalf("%v batch %d: plan shape %v, forward %v", p.StepNames(), n, got.Shape, want.Shape)

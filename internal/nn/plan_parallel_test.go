@@ -59,7 +59,7 @@ func TestPlansRepackSharedWeightsConcurrently(t *testing.T) {
 			}
 			p.Touch()
 		}
-		want := net.Forward(x, false)
+		want := net.Forward(x)
 		var wg sync.WaitGroup
 		errs := make(chan string, workers)
 		for w, p := range plans {

@@ -158,19 +158,19 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		}
 		x := tensor.New(batch, m.inW)
 		x.RandUniform(rng.New(24), 0, 1)
-		requireClose(t, m.name+" as compiled", p.Execute(nil, x), m.net.Forward(x, false))
+		requireClose(t, m.name+" as compiled", p.Execute(nil, x), m.net.Forward(x))
 		before := append([]float32(nil), p.Execute(nil, x).Data...)
 
 		// One optimiser step on a large learning rate, so that stale
 		// weights could not pass for the new ones.
-		y := m.net.Forward(x, true)
+		y := m.net.Forward(x)
 		target := tensor.New(y.Shape...)
 		target.RandUniform(rng.New(25), 0, 1)
 		_, grad := loss.MSE(y, target)
 		m.net.Backward(grad)
 		opt.NewSGD(0.5, 0).Step(m.net.Params())
 		after := p.Execute(nil, x)
-		requireClose(t, m.name+" after an optimiser step", after, m.net.Forward(x, false))
+		requireClose(t, m.name+" after an optimiser step", after, m.net.Forward(x))
 		moved := false
 		for i := range before {
 			moved = moved || before[i] != after.Data[i]
@@ -192,7 +192,7 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		if err := models.LoadParams(&ckpt, m.net); err != nil {
 			t.Fatal(err)
 		}
-		requireClose(t, m.name+" after a checkpoint load", p.Execute(nil, x), other.Forward(x, false))
+		requireClose(t, m.name+" after a checkpoint load", p.Execute(nil, x), other.Forward(x))
 
 		// One conv kernel and its bias rewritten in place.
 		for _, l := range m.net.Layers {
@@ -208,7 +208,7 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 			conv.B.Value.Data[0] += 0.25
 			conv.B.Touch()
 			rewritten := p.Execute(nil, x)
-			requireClose(t, m.name+" after rewriting "+conv.Name(), rewritten, m.net.Forward(x, false))
+			requireClose(t, m.name+" after rewriting "+conv.Name(), rewritten, m.net.Forward(x))
 			moved := false
 			for i := range loaded {
 				moved = moved || loaded[i] != rewritten.Data[i]

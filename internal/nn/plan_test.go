@@ -89,7 +89,7 @@ func TestPlanMatchesForward(t *testing.T) {
 		for _, n := range []int{1, 7, 16} {
 			x := tensor.New(n, 144)
 			x.RandUniform(rng.New(uint64(n+3)), -1, 1)
-			want := net.Forward(x, false)
+			want := net.Forward(x)
 			got := p.Execute(nil, x)
 			for i := range want.Data {
 				d := got.Data[i] - want.Data[i]
@@ -114,7 +114,7 @@ func TestPlanRepeatedMixedBatches(t *testing.T) {
 	for round, n := range []int{4, 1, 16, 2, 16, 8} {
 		x := tensor.New(n, 144)
 		x.RandUniform(rng.New(uint64(round+1)), -1, 1)
-		want := net.Forward(x, false)
+		want := net.Forward(x)
 		var got *tensor.Tensor
 		if round%2 == 0 {
 			got = p.Execute(nil, x)
@@ -304,7 +304,7 @@ func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	x.RandUniform(rng.New(6), -1, 1)
 	grad := tensor.New(32, 64)
 	grad.RandUniform(rng.New(7), -1, 1)
-	d.Forward(x, true)
+	d.Forward(x)
 	d.Backward(grad) // warm panels
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(20, func() { _ = d.Backward(grad) })

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"cbnet/internal/tensor"
 )
@@ -16,8 +15,8 @@ type MaxPool2D struct {
 	Pool, Stride int
 	OutH, OutW   int
 
-	// lastArg records, for each training-mode output element, the flat
-	// input index that produced the max, for gradient routing.
+	// lastArg records, for each output element of the last Forward, the
+	// flat input index that produced the max, for gradient routing.
 	lastArg   []int32
 	lastBatch int
 }
@@ -66,19 +65,16 @@ func (p *MaxPool2D) OutSize(inSize int) (int, error) {
 }
 
 // Forward max-pools every sample.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	if len(x.Shape) != 2 || x.Shape[1] != p.InSize() {
 		panic(fmt.Sprintf("maxpool %s: input shape %v, want (N, %d)", p.LayerName, x.Shape, p.InSize()))
 	}
 	outWidth := p.C * p.OutH * p.OutW
 	y := tensor.New(n, outWidth)
-	var args []int32
-	if training {
-		args = make([]int32, n*outWidth)
-		p.lastArg = args
-		p.lastBatch = n
-	}
+	args := make([]int32, n*outWidth)
+	p.lastArg = args
+	p.lastBatch = n
 	tensor.ParallelFor(n, p.InSize()*p.Pool, func(i0, i1 int) {
 		p.poolRange(x.Data, y.Data, args, i0, i1)
 	})
@@ -89,10 +85,6 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // args is non-nil it also records the winning input index of every output
 // element for the backward pass.
 func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
-	if args == nil {
-		p.poolInfer(x, y, i0, i1)
-		return
-	}
 	outWidth := p.C * p.OutH * p.OutW
 	for i := i0; i < i1; i++ {
 		in := x[i*p.InSize() : (i+1)*p.InSize()]
@@ -123,7 +115,9 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 						}
 					}
 					out[oi] = best
-					args[i*outWidth+oi] = bestIdx
+					if args != nil {
+						args[i*outWidth+oi] = bestIdx
+					}
 					oi++
 				}
 			}
@@ -131,59 +125,28 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 	}
 }
 
-// poolInfer is poolRange for inference: no winning index to keep, and no
-// edge tests — a window never leaves the plane, since the last one starts at
-// (Out−1)·Stride ≤ H−Pool. Each window is scanned in the same order with
-// the same v > best test from the same first element, so NaN and −Inf come
-// out as they do from poolRange. The 2×2 stride-2 window of every shipped
-// network is tensor.MaxPool2 (a vector body under a vector ISA); other
-// windows carry the running maximum as a bit pattern, which makes the update
-// a conditional move under the float compare instead of a branch: which of
-// two neighbouring activations is larger is not something a predictor
-// learns.
+// poolInfer is the plan's pooling step over samples [i0, i1). The 2×2
+// stride-2 window of every shipped network is tensor.MaxPool2 (a vector body
+// under a vector ISA), which scans each window in poolRange's order with the
+// same v > best test from the same first element, so NaN and −Inf come out
+// as they do from Forward. Any other window runs poolRange itself, keeping no
+// winning index.
 func (p *MaxPool2D) poolInfer(x, y []float32, i0, i1 int) {
+	if p.Pool != 2 || p.Stride != 2 {
+		p.poolRange(x, y, nil, i0, i1)
+		return
+	}
 	planes := (i1 - i0) * p.C
 	in := x[i0*p.InSize() : i1*p.InSize()]
 	out := y[i0*p.C*p.OutH*p.OutW : i1*p.C*p.OutH*p.OutW]
-	if p.Pool == 2 && p.Stride == 2 {
-		tensor.MaxPool2(out, in, planes, p.H, p.W)
-		return
-	}
-	oi := 0
-	for pl := 0; pl < planes; pl++ {
-		plane := in[pl*p.H*p.W : (pl+1)*p.H*p.W]
-		for oy := 0; oy < p.OutH; oy++ {
-			rows := plane[oy*p.Stride*p.W:]
-			for ox := 0; ox < p.OutW; ox++ {
-				x0 := ox * p.Stride
-				best := math.Float32bits(rows[x0])
-				for ky := 0; ky < p.Pool; ky++ {
-					for _, v := range rows[ky*p.W+x0:][:p.Pool] {
-						best = selectGreater(best, v)
-					}
-				}
-				out[oi] = math.Float32frombits(best)
-				oi++
-			}
-		}
-	}
-}
-
-// selectGreater is `if v > best { best = v }` with best held as its bit
-// pattern: the float compare decides, an integer conditional move assigns.
-func selectGreater(best uint32, v float32) uint32 {
-	b := math.Float32bits(v)
-	if v > math.Float32frombits(best) {
-		best = b
-	}
-	return best
+	tensor.MaxPool2(out, in, planes, p.H, p.W)
 }
 
 // Backward routes each output gradient to the input position that won the
 // max in the forward pass.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p.lastArg == nil {
-		panic(fmt.Sprintf("maxpool %s: Backward before training-mode Forward", p.LayerName))
+		panic(fmt.Sprintf("maxpool %s: Backward before Forward", p.LayerName))
 	}
 	n := grad.Shape[0]
 	outWidth := p.C * p.OutH * p.OutW

@@ -50,7 +50,7 @@ func trainAtWidth(width int) map[string]uint64 {
 	}
 	adam := opt.NewAdam(0.01)
 	for step := 0; step < 3; step++ {
-		_, grad := loss.CrossEntropy(net.Forward(x, true), labels)
+		_, grad := loss.CrossEntropy(net.Forward(x), labels)
 		net.Backward(grad)
 		adam.Step(net.Params())
 	}

@@ -130,12 +130,12 @@ func TestOptimizerTrainsNetwork(t *testing.T) {
 		}
 	}
 	for epoch := 0; epoch < 200; epoch++ {
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		_, grad := loss.CrossEntropy(logits, labels)
 		net.Backward(grad)
 		adam.Step(net.Params())
 	}
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	correct := 0
 	for i := 0; i < n; i++ {
 		if logits.Row(i).ArgMax() == labels[i] {

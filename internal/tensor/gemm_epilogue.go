@@ -20,7 +20,8 @@ type EpilogueAct uint8
 const (
 	// EpActNone applies no activation.
 	EpActNone EpilogueAct = iota
-	// EpActReLU clamps negatives to zero, matching nn.ReLU.
+	// EpActReLU clamps negatives to zero (v < 0, so −0 and NaN stay),
+	// matching nn.ReLU.
 	EpActReLU
 	// EpActSigmoid applies the logistic function through SigmoidSlice, as
 	// nn.Sigmoid does, so fused and unfused paths agree bitwise.

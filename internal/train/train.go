@@ -2,10 +2,11 @@
 // models: classifier training with softmax cross-entropy (LeNet, BranchyNet
 // branches) and regression training with MSE (the converting autoencoder).
 //
-// Parallelism lives in the compute kernels rather than in the loop: the
-// convolution layers fan the batch out over a goroutine pool and the dense
-// layers ride the parallel GEMM, so a single sequential epoch driver keeps
-// optimizer semantics simple while all cores stay busy.
+// Parallelism lives in the layers rather than in the loop: the convolution
+// and pooling layers split the batch's samples over tensor.ParallelFor,
+// while every GEMM, the dense layers' included, runs serially on the
+// goroutine that calls it. A single sequential epoch driver keeps optimizer
+// semantics simple.
 package train
 
 import (
@@ -90,7 +91,7 @@ func Classifier(net *nn.Sequential, ds *dataset.Dataset, cfg Config) (*History, 
 			for j, p := range perm[i0:i1] {
 				labels[j] = ds.Labels[p]
 			}
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			l, grad := loss.CrossEntropy(logits, labels)
 			epochLoss += l * float64(bs)
 			correct += int(loss.Accuracy(logits, labels)*float64(bs) + 0.5)
@@ -143,7 +144,7 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 			bs := i1 - i0
 			x := gatherRows(xBuf, inputs, perm[i0:i1])
 			tg := gatherRows(tBuf, targets, perm[i0:i1])
-			pred := net.Forward(x, true)
+			pred := net.Forward(x)
 			l, grad := loss.MSE(pred, tg)
 			if extraLoss != nil {
 				l += extraLoss()
@@ -165,8 +166,8 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 	return h, nil
 }
 
-// EvalClassifier returns net's accuracy on ds, running in inference mode in
-// batches of 256.
+// EvalClassifier returns net's accuracy on ds, running net's compiled plan
+// (nn.Run) in batches of 256.
 func EvalClassifier(net *nn.Sequential, ds *dataset.Dataset) float64 {
 	const bs = 256
 	n := ds.Len()
@@ -180,7 +181,7 @@ func EvalClassifier(net *nn.Sequential, ds *dataset.Dataset) float64 {
 			i1 = n
 		}
 		x, labels := ds.Batch(i0, i1)
-		logits := net.Forward(x, false)
+		logits := nn.Run(net, x)
 		correct += int(loss.Accuracy(logits, labels)*float64(i1-i0) + 0.5)
 	}
 	return float64(correct) / float64(n)
