@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +116,16 @@ func TestRoutingCalibration(t *testing.T) {
 		if hardAsHard < 50*n/100 {
 			t.Errorf("%v: only %d/%d degraded renders routed hard", fam, hardAsHard, n)
 		}
+	}
+}
+
+// TestRouteOfNaNIsHard: one NaN on the border, where no Laplacian centre
+// sits, makes the score NaN, and a NaN score is never below the threshold.
+func TestRouteOfNaNIsHard(t *testing.T) {
+	img := stubbornEasyImages(t, 0, 1, nil)[0]
+	img[5] = float32(math.NaN())
+	if name, h := RouteOf(img); name != RouteHard || !math.IsNaN(h) {
+		t.Fatalf("RouteOf with a border NaN = %s, %v; want hard, NaN", name, h)
 	}
 }
 

@@ -1,7 +1,9 @@
 package generalize
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -156,37 +158,91 @@ func TestBuildEncoderPipelineEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestNthElementMatchesSort pins the quickselect used by HardnessScore to
-// the full-sort order statistics it replaced.
-func TestNthElementMatchesSort(t *testing.T) {
+// TestSelectKeyMatchesSort pins the in-bucket select to a full sort: the
+// key at k, the partition around it, and an even bucket left untouched.
+func TestSelectKeyMatchesSort(t *testing.T) {
 	r := rng.New(4242)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(900)
-		vals := make([]float64, n)
-		for i := range vals {
-			switch trial % 3 {
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(dataset.Pixels)
+		keys := make([]uint32, n)
+		for i := range keys {
+			switch trial % 4 {
 			case 0:
-				vals[i] = r.Float64()
+				keys[i] = uint32(r.Uint64())
 			case 1:
-				vals[i] = 0 // constant input
+				keys[i] = 0x80000000 // one 8-bit level: an even bucket
+			case 2:
+				keys[i] = uint32(i) // pre-sorted
 			default:
-				vals[i] = float64(i) / float64(n) // pre-sorted input
+				keys[i] = uint32(r.Intn(3)) // long runs of ties
 			}
 		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
+		sorted := append([]uint32(nil), keys...)
+		slices.Sort(sorted)
 		for _, k := range []int{0, n / 2, n * 95 / 100, n - 1} {
-			scratch := append([]float64(nil), vals...)
-			if got := nthElement(scratch, k); got != sorted[k] {
-				t.Fatalf("trial %d: nthElement(k=%d) = %v, sorted[k] = %v", trial, k, got, sorted[k])
+			s := append([]uint32(nil), keys...)
+			got, even := selectKey(s, k)
+			if got != sorted[k] {
+				t.Fatalf("trial %d: selectKey(k=%d) = %#x, sorted[k] = %#x", trial, k, got, sorted[k])
+			}
+			if even != (sorted[0] == sorted[n-1]) {
+				t.Fatalf("trial %d: even = %v for keys %#x..%#x", trial, even, sorted[0], sorted[n-1])
+			}
+			if even {
+				if !slices.Equal(s, keys) {
+					t.Fatalf("trial %d: an even bucket was reordered", trial)
+				}
+				continue
+			}
+			if slices.Max(s[:k+1]) != got || slices.Min(s[k:]) != got {
+				t.Fatalf("trial %d: s is not partitioned around s[%d]", trial, k)
+			}
+			slices.Sort(s)
+			if !slices.Equal(s, sorted) {
+				t.Fatalf("trial %d: selectKey lost or duplicated keys", trial)
 			}
 		}
 	}
 }
 
-// referenceHardnessScore is the original full-sort implementation, kept as
-// the oracle for the quickselect-based fast path.
-func referenceHardnessScore(img []float32) float64 {
+// TestBucketOf pins the bucket edges, the top bucket and the clamp of every
+// value outside [0,1], and gives each 8-bit level a bucket of its own.
+func TestBucketOf(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		v    float32
+		want uint16
+	}{
+		{0, 0}, {float32(math.Copysign(0, -1)), 0}, {-1e-30, 0}, {-0.5, 0}, {-inf, 0},
+		{math.SmallestNonzeroFloat32, 0},
+		{1.0 / 256, 1}, {math.Nextafter32(1.0/256, 0), 0},
+		{255.0 / 256, 255}, {math.Nextafter32(1, 0), 255},
+		{1, 256}, {math.Nextafter32(1, 2), 256}, {1.5, 256}, {1e30, 256}, {inf, 256},
+		{math.MaxFloat32, 256},
+	} {
+		if got := bucketOf(c.v); got != c.want {
+			t.Errorf("bucketOf(%g) = %d, want %d", c.v, got, c.want)
+		}
+	}
+	for k := 0; k <= 256; k++ {
+		if got := bucketOf(float32(k) / 256); got != uint16(k) {
+			t.Errorf("bucketOf(%d/256) = %d", k, got)
+		}
+	}
+	prev := -1
+	for g := 0; g < 256; g++ {
+		b := int(bucketOf(level8(uint8(g))))
+		if b <= prev {
+			t.Fatalf("8-bit level %d in bucket %d, level %d in bucket %d", g, b, g-1, prev)
+		}
+		prev = b
+	}
+}
+
+// referenceStats is pixelStats as first written: the Laplacian loop skips
+// dark centres, and the order statistics and the background are read off
+// the pixels sorted with sort.Float64s.
+func referenceStats(img []float32) (sharp, p50, p95, bg float64) {
 	const side = dataset.Side
 	var lap float64
 	var lapN int
@@ -202,7 +258,6 @@ func referenceHardnessScore(img []float32) float64 {
 			lapN++
 		}
 	}
-	sharp := 0.0
 	if lapN > 0 {
 		sharp = lap / float64(lapN)
 	}
@@ -211,31 +266,244 @@ func referenceHardnessScore(img []float32) float64 {
 		sorted[i] = float64(v)
 	}
 	sort.Float64s(sorted)
-	p95 := sorted[len(sorted)*95/100]
-	p50 := sorted[len(sorted)/2]
-	contrast := p95 - p50
-	var bg float64
+	p95 = sorted[len(sorted)*95/100]
+	p50 = sorted[len(sorted)/2]
 	for _, v := range sorted[:len(sorted)/2] {
 		bg += v
 	}
 	bg /= float64(len(sorted) / 2)
-	return 1.2*(1-clamp01(sharp)) + 1.0*(1-clamp01(contrast*1.4)) + 3.0*clamp01(bg*4)
+	return sharp, p50, p95, bg
 }
 
-// TestHardnessScoreMatchesSortReference checks the quickselect fast path
-// against the original full-sort formula, bit for bit.
-func TestHardnessScoreMatchesSortReference(t *testing.T) {
-	r := rng.New(777)
-	for trial := 0; trial < 40; trial++ {
-		fam := []dataset.Family{dataset.MNIST, dataset.FashionMNIST, dataset.KMNIST}[trial%3]
-		img := dataset.RenderSample(fam, trial%dataset.NumClasses, trial%2 == 0, r)
-		if got, want := HardnessScore(img), referenceHardnessScore(img); got != want {
-			t.Fatalf("trial %d: fast %v != reference %v", trial, got, want)
+func referenceHardnessScore(img []float32) float64 {
+	sharp, p50, p95, bg := referenceStats(img)
+	return 1.2*(1-clamp01(sharp)) + 1.0*(1-clamp01((p95-p50)*1.4)) + 3.0*clamp01(bg*4)
+}
+
+// level8 is an 8-bit gray level as a PNG decodes it: color.Gray's 16-bit
+// channels through the BT.601 luma, as in serve's decoder and the
+// benchmark's pools.
+func level8(g uint8) float32 {
+	y := float64(uint32(g) * 0x101)
+	return float32((0.299*y + 0.587*y + 0.114*y) / 65535)
+}
+
+// quantise8 is a PNG round trip of a render.
+func quantise8(img []float32) []float32 {
+	out := make([]float32, len(img))
+	for i, v := range img {
+		out[i] = level8(uint8(v*255 + 0.5))
+	}
+	return out
+}
+
+// exactBackground is the condition under which HardnessScore's background
+// sum is exact in any order: every pixel in [0,1], every nonzero one ≥ 2⁻²¹.
+func exactBackground(img []float32) bool {
+	for _, v := range img {
+		if !(v >= 0 && v <= 1) || (v != 0 && v < 1.0/(1<<21)) {
+			return false
 		}
 	}
-	// Degenerate images exercise the constant-input path.
-	flat := make([]float32, dataset.Pixels)
-	if got, want := HardnessScore(flat), referenceHardnessScore(flat); got != want {
-		t.Fatalf("flat image: fast %v != reference %v", got, want)
+	return true
+}
+
+// sameFloat is bit equality, with every NaN equal to every other.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkAgainstReference holds HardnessScore to the sort: sharpness and both
+// order statistics equal (== lets −0 stand for +0), and the score bit-equal
+// where the background sum is exact, else on the same side of the routing
+// threshold (engine.DefaultHardnessThreshold, 1.05).
+func checkAgainstReference(t *testing.T, what string, img []float32) {
+	t.Helper()
+	sharp, p50, p95, _ := pixelStats((*[dataset.Pixels]float32)(img))
+	rSharp, r50, r95, _ := referenceStats(img)
+	if !sameFloat(sharp, rSharp) || !(p50 == r50 || sameFloat(p50, r50)) || !(p95 == r95 || sameFloat(p95, r95)) {
+		t.Fatalf("%s: sharp, p50, p95 = %v, %v, %v; sort gives %v, %v, %v", what, sharp, p50, p95, rSharp, r50, r95)
+	}
+	got, want := HardnessScore(img), referenceHardnessScore(img)
+	if exactBackground(img) {
+		if !sameFloat(got, want) {
+			t.Fatalf("%s: score %v (%#x), sort gives %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	} else if (got < 1.05) != (want < 1.05) {
+		t.Fatalf("%s: score %v, sort gives %v: other sides of 1.05", what, got, want)
+	}
+}
+
+// TestHardnessScoreMatchesSortReference checks the bucket select against
+// the full-sort formula, bit for bit, on 6 000 renders — three families,
+// easy and hard, each raw and 8-bit quantised — and on the candidates the
+// repository benchmark's pools are drawn from (FMNIST, the easy stream raw,
+// the hard stream through PNG).
+func TestHardnessScoreMatchesSortReference(t *testing.T) {
+	r := rng.New(777)
+	for _, fam := range []dataset.Family{dataset.MNIST, dataset.FashionMNIST, dataset.KMNIST} {
+		for _, hard := range []bool{false, true} {
+			for i := 0; i < 500; i++ {
+				img := dataset.RenderSample(fam, i%dataset.NumClasses, hard, r)
+				what := fmt.Sprintf("%v hard=%v #%d", fam, hard, i)
+				checkAgainstReference(t, what, img)
+				checkAgainstReference(t, what+" 8-bit", quantise8(img))
+			}
+		}
+	}
+	easy, hard := rng.New(1^0xEA5E), rng.New(1^0x4A2D)
+	for i := 0; i < 1000; i++ {
+		checkAgainstReference(t, fmt.Sprintf("easy pool #%d", i), dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, false, easy))
+		checkAgainstReference(t, fmt.Sprintf("hard pool #%d", i), quantise8(dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, true, hard)))
+	}
+	checkAgainstReference(t, "flat image", make([]float32, dataset.Pixels))
+}
+
+// TestHardnessScoreSpecialValues pins what the score does with pixels
+// outside [0,1]: negatives and values above 1 (1e30 in the top bucket),
+// both zeros, infinities, and NaN, which makes the score NaN.
+func TestHardnessScoreSpecialValues(t *testing.T) {
+	base := dataset.RenderSample(dataset.MNIST, 3, false, rng.New(5))
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	set := func(vals map[int]float32) []float32 {
+		img := append([]float32(nil), base...)
+		for i, v := range vals {
+			img[i] = v
+		}
+		return img
+	}
+	fill := func(v float32, n int) []float32 {
+		img := append([]float32(nil), base...)
+		for i := 0; i < n; i++ {
+			img[(i*37)%dataset.Pixels] = v
+		}
+		return img
+	}
+	negZeros := append([]float32(nil), base...)
+	for i, v := range negZeros {
+		if v == 0 {
+			negZeros[i] = negZero
+		}
+	}
+	for what, img := range map[string][]float32{
+		"negatives":            set(map[int]float32{0: -0.5, 30: -1e-3, 400: -3}),
+		"above one":            set(map[int]float32{1: 1.5, 29: 1e30, 406: 2}),
+		"many above one":       fill(1e30, 60),
+		"-0 background":        negZeros,
+		"-0 and +0 median":     fill(negZero, 400),
+		"+Inf":                 set(map[int]float32{2: inf, 407: inf}),
+		"-Inf":                 set(map[int]float32{3: -inf, 408: -inf}),
+		"+Inf at the 95th":     fill(inf, 45),
+		"-Inf at the median":   fill(-inf, 400),
+		"+Inf and -Inf":        set(map[int]float32{4: inf, 409: -inf}),
+		"all above one":        fill(7, dataset.Pixels),
+		"all negative":         fill(-7, dataset.Pixels),
+		"max float":            set(map[int]float32{405: math.MaxFloat32}),
+		"smallest subnormal":   fill(math.SmallestNonzeroFloat32, 300),
+		"bucket edges at 392":  fill(1.0/256, 450),
+		"one level everywhere": fill(0.5, dataset.Pixels),
+	} {
+		checkAgainstReference(t, what, img)
+	}
+	for what, at := range map[string]int{"corner": 0, "border": 5, "interior": 14*dataset.Side + 14} {
+		for _, nan := range []float32{float32(math.NaN()), math.Float32frombits(0xffc00001)} {
+			img := set(map[int]float32{at: nan})
+			if h := HardnessScore(img); !math.IsNaN(h) {
+				t.Errorf("NaN (%#x) at the %s: score %v, want NaN", math.Float32bits(nan), what, h)
+			}
+		}
+	}
+}
+
+// TestHardnessScoreAllocates0: the score sits on every admission.
+func TestHardnessScoreAllocates0(t *testing.T) {
+	img := dataset.RenderSample(dataset.FashionMNIST, 2, true, rng.New(6))
+	if n := testing.AllocsPerRun(100, func() { HardnessScore(img) }); n != 0 {
+		t.Fatalf("HardnessScore allocates %v times a call", n)
+	}
+}
+
+// fuzzImage builds 784 pixels from fuzz bytes. Each pixel or run starts
+// with an op byte: an 8-bit level, raw float32 bits clamped to [0,1] (NaN
+// to 0, −0 kept), a bucket edge k/256 or 1.0 or its neighbour float, or a
+// run of up to 1 021 equal pixels, long enough to straddle the median.
+func fuzzImage(data []byte) []float32 {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	img := make([]float32, dataset.Pixels)
+	for i := 0; i < len(img); {
+		op, b := next(), next()
+		v := level8(b)
+		n := 1
+		switch op % 4 {
+		case 1:
+			v = math.Float32frombits(uint32(b) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
+			if !(v >= 0) {
+				v = 0
+			}
+			v = min(v, 1)
+		case 2:
+			v = float32(int(b)+int(op>>2&1)) / 256
+			switch op >> 3 % 3 {
+			case 1:
+				v = math.Nextafter32(v, 0)
+			case 2:
+				v = min(math.Nextafter32(v, 2), 1)
+			}
+		case 3:
+			n = 1 + 4*int(next())
+		}
+		for ; n > 0 && i < len(img); n-- {
+			img[i] = v
+			i++
+		}
+	}
+	return img
+}
+
+// FuzzHardnessScore holds HardnessScore to the sort over fuzzed pixels:
+// bit-equal where the background sum is exact, on the same side of the
+// routing threshold otherwise.
+func FuzzHardnessScore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 120, 3, 40, 60, 3, 255, 200})    // ties across rank 392
+	f.Add([]byte{3, 7, 110, 2, 3, 3, 30, 255, 1, 1, 0}) // an edge, then 1.0
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 0, 0, 0x80, 0x80})   // subnormal and −0
+	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 5, 2, 255})    // 1.0, a level, an edge
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, fmt.Sprintf("% x", data), fuzzImage(data))
+	})
+}
+
+// BenchmarkHardnessScore scores a rotation of 64 renders, so the branch
+// predictor cannot learn one image: easy is a clean raw render, hard a
+// degraded render through PNG, as in the repository benchmark's pools.
+func BenchmarkHardnessScore(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		hard bool
+	}{{"easy", false}, {"hard", true}} {
+		r := rng.New(9)
+		imgs := make([][]float32, 64)
+		for i := range imgs {
+			imgs[i] = dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, c.hard, r)
+			if c.hard {
+				imgs[i] = quantise8(imgs[i])
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			i := 0
+			for b.Loop() {
+				HardnessScore(imgs[i%len(imgs)])
+				i++
+			}
+		})
 	}
 }

@@ -16,84 +16,207 @@ import (
 // HardnessScore rates how hard a 28×28 image looks from pixel statistics
 // alone — no trained network required. Higher means harder. The score
 // combines the degradations the hard pipeline (and real-world hard inputs)
-// exhibit: blur (low Laplacian energy), heavy noise (high median absolute
-// pixel-to-pixel variation off-glyph), and washed-out contrast.
+// exhibit: blur (low Laplacian energy), heavy noise (a bright background:
+// the mean of the dimmest half of the pixels), and washed-out contrast (the
+// spread between the median and the 95th percentile).
+//
+// It runs on the serving engine's admission path, where it must cost less
+// than the autoencoder pass it lets an easy image skip, so a bucket count
+// and a small in-bucket select stand in for a sort and no pass over the
+// pixels branches on their values. The result is that of sorting the
+// pixels with sort.Float64s and reading the formula off the sorted slice.
+// The sharpness term, both order statistics and so the contrast are equal
+// to the sorted version's, up to the sign of a zero order statistic, which
+// changes no score. The background sum adds the same values in another
+// order, which gives the same bits whenever that float64 sum is exact: it
+// is for every image in [0,1] whose nonzero pixels are ≥ 2⁻²¹ (every term
+// is then a multiple of 2⁻⁴⁴ and the sum is below 2⁹), so for every image
+// a PNG decodes to. A NaN pixel anywhere makes the score NaN, which routes
+// hard.
 func HardnessScore(img []float32) float64 {
 	if len(img) != dataset.Pixels {
 		panic(fmt.Sprintf("generalize: image length %d, want %d", len(img), dataset.Pixels))
 	}
-	const side = dataset.Side
-
-	// Sharpness: mean absolute 4-neighbour Laplacian over inked pixels.
-	var lap float64
-	var lapN int
-	for y := 1; y < side-1; y++ {
-		for x := 1; x < side-1; x++ {
-			c := float64(img[y*side+x])
-			if c < 0.05 {
-				continue
-			}
-			l := 4*c - float64(img[(y-1)*side+x]) - float64(img[(y+1)*side+x]) -
-				float64(img[y*side+x-1]) - float64(img[y*side+x+1])
-			lap += math.Abs(l)
-			lapN++
-		}
-	}
-	sharp := 0.0
-	if lapN > 0 {
-		sharp = lap / float64(lapN)
-	}
-
-	// Contrast: the spread between bright and dark percentiles. The two
-	// order statistics come from quickselect rather than a full sort —
-	// this sits on the serving engine's admission path, where the O(n)
-	// selection is worth several microseconds per request over
-	// sort.Float64s. Values are identical to the sorted version.
-	var scratch [dataset.Pixels]float64
-	for i, v := range img {
-		scratch[i] = float64(v)
-	}
-	mid := len(scratch) / 2
-	p50 := nthElement(scratch[:], mid)
-	// After selecting mid, scratch[:mid] holds the dimmest half (in some
-	// order); the 95th percentile lives in the upper partition.
-	p95 := nthElement(scratch[mid:], len(scratch)*95/100-mid)
+	sharp, p50, p95, bg := pixelStats((*[dataset.Pixels]float32)(img))
 	contrast := p95 - p50
-
-	// Background activity: mean intensity of the dimmest half of pixels —
-	// clean glyphs have near-zero backgrounds, noisy ones don't.
-	var bg float64
-	for _, v := range scratch[:mid] {
-		bg += v
-	}
-	bg /= float64(mid)
-
 	// Hard images are blurry (low sharp), washed out (low contrast) and
 	// noisy (high bg). Weights scale each term to comparable magnitude.
 	return 1.2*(1-clamp01(sharp)) + 1.0*(1-clamp01(contrast*1.4)) + 3.0*clamp01(bg*4)
 }
 
-// nthElement partially sorts s so that s[k] holds the value it would have
-// after a full sort, everything before it is ≤ s[k], and everything after
-// is ≥ s[k] (Hoare quickselect with median-of-three pivoting). It returns
-// s[k].
-func nthElement(s []float64, k int) float64 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot guards against the sorted/constant inputs
-		// common in near-empty images.
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
+const (
+	// rank50 and rank95 are the sorted positions of the median and of the
+	// 95th percentile; the background is the mean of the ranks below rank50.
+	rank50 = dataset.Pixels / 2
+	rank95 = dataset.Pixels * 95 / 100
+	// buckets splits [0,1) into 1/256-wide value buckets and gives 1.0 one
+	// of its own, so that each 8-bit level (a multiple of 1/255) has a
+	// bucket to itself.
+	buckets = 257
+)
+
+// pixelStats returns the terms HardnessScore combines: the mean absolute
+// 4-neighbour Laplacian over inked pixels, the median, the 95th percentile
+// and the mean of the dimmest half of the pixels. All four are NaN if a
+// pixel is.
+func pixelStats(img *[dataset.Pixels]float32) (sharp, p50, p95, bg float64) {
+	// Count the pixels in each value bucket. Four interleaved counters keep
+	// a run of one bucket (a blank background) from waiting on a single
+	// counter's store.
+	var count [buckets][4]uint16
+	var bucket [dataset.Pixels]uint16
+	var nan int32
+	for i, v := range img {
+		// Negative only for a magnitude above +Inf's.
+		nan |= 0x7f800000 - int32(math.Float32bits(v)&0x7fffffff)
+		b := bucketOf(v)
+		bucket[i] = b
+		count[b][i&3]++
+	}
+	if nan < 0 {
+		n := math.NaN()
+		return n, n, n, n
+	}
+
+	// Sharpness, summed in raster order. A dark centre adds +0 where the
+	// sorted version skips it, which leaves every partial sum's bits as
+	// they were.
+	const side = dataset.Side
+	var lap float64
+	var lapN uint64
+	for y := 1; y < side-1; y++ {
+		up, row, dn := img[(y-1)*side:][:side], img[y*side:][:side], img[(y+1)*side:][:side]
+		left, c := float64(row[0]), float64(row[1])
+		for x := 1; x < side-1; x++ {
+			right := float64(row[x+1])
+			l := 4*c - float64(up[x]) - float64(dn[x]) - left - right
+			inked := -b2u(!(c < 0.05)) // all ones or zero; a NaN centre counts
+			lap += math.Float64frombits(math.Float64bits(l) & (inked >> 1))
+			lapN -= inked
+			left, c = c, right
 		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
+	}
+	if lapN > 0 {
+		sharp = lap / float64(lapN)
+	}
+
+	// Find the bucket holding each rank: the median's walking up from the
+	// dark end, the 95th percentile's walking down from the bright end (a
+	// glyph's background and its ink sit near either end). below50 and
+	// below95 count the pixels in lower buckets.
+	b50, below50 := 0, 0
+	for ; below50+bucketCount(&count[b50]) <= rank50; b50++ {
+		below50 += bucketCount(&count[b50])
+	}
+	b95, above95 := buckets-1, 0
+	for ; above95+bucketCount(&count[b95]) < dataset.Pixels-rank95; b95-- {
+		above95 += bucketCount(&count[b95])
+	}
+	below95 := dataset.Pixels - above95 - bucketCount(&count[b95])
+	top := b95
+	if top == b50 {
+		top = -1 // one bucket holds both ranks: gather it once
+	}
+
+	// Gather the two buckets' pixels as order-preserving keys, b50's from
+	// the front of keys and b95's from the back, and add up every pixel
+	// below b50. Each pixel is written to both ends and only an end whose
+	// bucket it is moves on, so a write at the other end is overwritten.
+	var keys [dataset.Pixels]uint32
+	n50, n95 := 0, 0
+	for i, v := range img {
+		k, b := orderKey(v), int(bucket[i])
+		keys[n50] = k
+		keys[len(keys)-1-n95] = k
+		n50 += int(b2u(b == b50))
+		n95 += int(b2u(b == top))
+		bg += math.Float64frombits(math.Float64bits(float64(v)) & -b2u(b < b50))
+	}
+
+	in50, k50 := keys[:n50], rank50-below50
+	key, even := selectKey(in50, k50)
+	p50 = keyValue(key)
+	// The dimmest half ends with the bucket's k50 smallest keys, which the
+	// select left in in50[:k50].
+	switch {
+	case !even:
+		for _, k := range in50[:k50] {
+			bg += keyValue(k)
 		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
+	case k50 > 0:
+		bg += float64(k50) * p50
+	}
+	bg /= rank50
+
+	switch {
+	case top >= 0:
+		key, _ = selectKey(keys[len(keys)-n95:], rank95-below95)
+	case !even:
+		key, _ = selectKey(in50[k50+1:], rank95-rank50-1)
+	}
+	p95 = keyValue(key)
+	return sharp, p50, p95, bg
+}
+
+// bucketOf returns v's value bucket, ⌊256·v⌋ clamped to [0, 256]. The clamp
+// works on the float's bits, before the conversion to an integer (whose
+// result out of range differs between amd64 and arm64), and without a
+// branch: every negative value, −0 included, counts as +0, and everything
+// above 1, +Inf and a positive NaN included, counts as 1. A non-negative
+// float's bits order as its value does.
+func bucketOf(v float32) uint16 {
+	b := int32(math.Float32bits(v))
+	b &^= b >> 31 // negative → +0
+	over := b - 0x3f800000
+	b -= over &^ (over >> 31) // above 1 → 1
+	return uint16(math.Float32frombits(uint32(b)) * 256)
+}
+
+// bucketCount adds up a bucket's interleaved counters.
+func bucketCount(c *[4]uint16) int {
+	return int(c[0]) + int(c[1]) + int(c[2]) + int(c[3])
+}
+
+// orderKey maps a float to a uint32 that orders as its value does, with −0
+// just below +0: a negative value has every bit flipped, any other value
+// only its sign bit.
+func orderKey(v float32) uint32 {
+	b := math.Float32bits(v)
+	return b ^ (uint32(int32(b)>>31) | 0x80000000)
+}
+
+// keyValue inverts orderKey, widened to float64.
+func keyValue(k uint32) float64 {
+	return float64(math.Float32frombits(k ^ (^uint32(int32(k)>>31) | 0x80000000)))
+}
+
+// selectKey returns the key a full sort of s would put at s[k]. even
+// reports that every key in s is equal, found by one min/max scan, and then
+// s is left as it was: an 8-bit image fills each bucket with one level, so
+// this is the common case. Otherwise s is partially ordered by Hoare
+// quickselect with a median-of-three pivot, leaving s[:k] ≤ s[k] ≤ s[k+1:].
+func selectKey(s []uint32, k int) (key uint32, even bool) {
+	lo, hi := s[0], s[0]
+	for _, v := range s {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if lo == hi {
+		return lo, true
+	}
+	l, h := 0, len(s)-1
+	for l < h {
+		m := l + (h-l)/2
+		if s[m] < s[l] {
+			s[m], s[l] = s[l], s[m]
 		}
-		pivot := s[mid]
-		i, j := lo, hi
+		if s[h] < s[l] {
+			s[h], s[l] = s[l], s[h]
+		}
+		if s[h] < s[m] {
+			s[h], s[m] = s[m], s[h]
+		}
+		pivot := s[m]
+		i, j := l, h
 		for i <= j {
 			for s[i] < pivot {
 				i++
@@ -108,14 +231,23 @@ func nthElement(s []float64, k int) float64 {
 			}
 		}
 		if k <= j {
-			hi = j
+			h = j
 		} else if k >= i {
-			lo = i
+			l = i
 		} else {
 			break
 		}
 	}
-	return s[k]
+	return s[k], false
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 func clamp01(x float64) float64 {
