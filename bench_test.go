@@ -567,9 +567,9 @@ func BenchmarkEngineAlwaysConvertEasy(b *testing.B) {
 }
 
 // BenchmarkPlanExecuteTraced is BenchmarkPlanExecute with the observability
-// layer attached (span ring + step meter, the engine worker's production
-// wiring). Read the two together: the gap is the tracing overhead, bounded
-// by TestTracingOverhead.
+// layer attached (a span ring, the engine worker's production wiring). Read
+// the two together: the gap is the tracing overhead, bounded by
+// TestTracingOverhead.
 func BenchmarkPlanExecuteTraced(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
@@ -580,7 +580,7 @@ func BenchmarkPlanExecuteTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps.EnableTracing(trace.NewRecorder(256), trace.NewMeter(), "")
+	ps.EnableTracing(trace.NewRecorder(256))
 	x := hostBatch(16)
 	dst := make([]int, 16)
 	b.ReportAllocs()
@@ -593,7 +593,7 @@ func BenchmarkPlanExecuteTraced(b *testing.B) {
 
 // TestTracingOverhead enforces the observability layer's hard budget:
 // fully traced plan execution must stay within 2% of untraced (the overhead
-// itself is a few atomic stores per step, well under 1%). The two sets run
+// itself is one span emitted per step, well under 1%). The two sets run
 // in short alternating rounds and an attempt is read as the median of the
 // traced/untraced ratios of adjacent rounds, so a host that changes speed or
 // runs other packages' tests meanwhile moves both sides of a pair alike
@@ -619,7 +619,7 @@ func TestTracingOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced.EnableTracing(trace.NewRecorder(256), trace.NewMeter(), "")
+	traced.EnableTracing(trace.NewRecorder(256))
 	x := hostBatch(16)
 	dst := make([]int, 16)
 	const (

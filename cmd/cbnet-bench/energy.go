@@ -15,7 +15,7 @@ import (
 // on each device profile by core.PriceImage — the function behind
 // /classify's energyEstimateMj and the /metrics cbnet_energy_* series — and
 // the Pi 4 split of the same work plan step by plan step, under the fused
-// names -exp profile and cbnet_plan_step_* use. A model, not a measurement:
+// names -exp profile and the plan-step spans use. A model, not a measurement:
 // nothing is executed or timed here.
 func runEnergy(w io.Writer) error {
 	models := profiledModels()

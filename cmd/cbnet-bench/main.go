@@ -35,8 +35,8 @@
 // "profile" compiles every shipped model into an execution plan with
 // per-step tracing attached, runs warm batches, and prints a table per
 // model: per-step wall time, share of plan time, achieved GFLOPS against
-// the compile-time FLOP model, and arithmetic intensity — the offline twin
-// of the serving stack's /metrics cbnet_plan_step_* series.
+// the compile-time FLOP model, and arithmetic intensity — each summed from
+// the plan's own step spans.
 //
 // "energy" executes nothing: it takes the work the plan compiler counts for
 // the same models (device.SequentialCost, the Table-II-calibrated cost

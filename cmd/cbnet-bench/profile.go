@@ -33,31 +33,53 @@ func profiledModels() []profiledModel {
 	}
 }
 
+// stepTotal is one plan step's account over a profiling run: the step's
+// spans summed — Dur, FLOPs and Bytes added up, Batch counting images —
+// and execs the number of spans.
+type stepTotal struct {
+	trace.Span
+	execs int
+}
+
+// profilePlan runs plan once untimed to warm every buffer, then iters times
+// on x with a recorder sized to hold every step span, and sums those spans
+// by step index. The recorder is returned so callers can check nothing was
+// dropped.
+func profilePlan(plan *nn.Plan, x *tensor.Tensor, iters int) ([]stepTotal, *trace.Recorder) {
+	plan.Execute(nil, x)
+	steps := make([]stepTotal, len(plan.Steps()))
+	rec := trace.NewRecorder(len(steps) * iters)
+	plan.EnableTracing(rec)
+	for i := 0; i < iters; i++ {
+		plan.Execute(nil, x)
+	}
+	for _, s := range rec.Snapshot() {
+		t := &steps[s.Step]
+		t.Dur += s.Dur
+		t.FLOPs += s.FLOPs
+		t.Bytes += s.Bytes
+		t.Batch += s.Batch
+		t.execs++
+	}
+	return steps, rec
+}
+
 // runProfile executes every shipped model on a traced plan and prints a
-// per-step time/GFLOPS table — the command-line view of the /metrics
-// cbnet_plan_step_* series.
+// per-step time/GFLOPS table summed from the plan's own step spans.
 func runProfile(w io.Writer, batch, iters int) error {
 	for _, m := range profiledModels() {
 		plan, err := nn.Compile(m.net, batch)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.name, err)
 		}
-		meter := trace.NewMeter()
-		plan.EnableTracing(nil, meter, "")
-
 		x := tensor.New(batch, m.inW)
 		x.RandUniform(rng.New(99), 0, 1)
-		plan.Execute(nil, x) // warm: touch every buffer once untimed
-		meter = trace.NewMeter()
-		plan.EnableTracing(nil, meter, "")
-		for i := 0; i < iters; i++ {
-			plan.Execute(nil, x)
-		}
+		steps, _ := profilePlan(plan, x, iters)
+		names := plan.StepNames()
 
-		steps := meter.Snapshot()
 		var totalNS, totalFLOPs int64
 		for _, s := range steps {
-			totalNS += s.Nanos
+			totalNS += s.Dur
 			totalFLOPs += s.FLOPs
 		}
 		fmt.Fprintf(w, "\n%s  (batch %d × %d iterations, %.2f ms/batch, %.2f GFLOPS overall)\n",
@@ -66,21 +88,21 @@ func runProfile(w io.Writer, batch, iters int) error {
 			float64(totalFLOPs)/float64(totalNS))
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintf(tw, "%s\n", "step\tname\tms/exec\t%time\tGFLOPS\tFLOP/B\tMFLOP/img\t")
-		for _, s := range steps {
+		for i, s := range steps {
 			pct := 0.0
 			if totalNS > 0 {
-				pct = 100 * float64(s.Nanos) / float64(totalNS)
+				pct = 100 * float64(s.Dur) / float64(totalNS)
 			}
 			msPerExec := 0.0
-			if s.Execs > 0 {
-				msPerExec = float64(s.Nanos) / float64(s.Execs) / 1e6
+			if s.execs > 0 {
+				msPerExec = float64(s.Dur) / float64(s.execs) / 1e6
 			}
 			mflopPerImg := 0.0
-			if s.Images > 0 {
-				mflopPerImg = float64(s.FLOPs) / float64(s.Images) / 1e6
+			if s.Batch > 0 {
+				mflopPerImg = float64(s.FLOPs) / float64(s.Batch) / 1e6
 			}
 			fmt.Fprintf(tw, "%d\t%s\t%.3f\t%.1f\t%.2f\t%.1f\t%.3f\t\n",
-				s.Index, s.Step, msPerExec, pct, s.GFLOPS(), s.Intensity(), mflopPerImg)
+				i, names[i], msPerExec, pct, s.GFLOPS(), s.Intensity(), mflopPerImg)
 		}
 		if err := tw.Flush(); err != nil {
 			return err

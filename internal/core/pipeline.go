@@ -93,17 +93,14 @@ func PlanSetFor(net *nn.Sequential, batchCap int) (*PlanSet, error) {
 // BatchCap returns the largest batch the set's plans accept.
 func (ps *PlanSet) BatchCap() int { return ps.cap }
 
-// EnableTracing attaches a span recorder and/or step meter to every plan in
-// the set under a meter scope — the engine route the set serves, "" outside
-// an engine — so identical plans on different routes keep separate per-step
-// series (see nn.Plan.EnableTracing). Call before the set's first execution;
-// either of rec and m may be nil.
-func (ps *PlanSet) EnableTracing(rec *trace.Recorder, m *trace.Meter, scope string) {
+// EnableTracing attaches a span recorder to every plan in the set (see
+// nn.Plan.EnableTracing). Call before the set's first execution.
+func (ps *PlanSet) EnableTracing(rec *trace.Recorder) {
 	if ps.ae != nil {
-		ps.ae.EnableTracing(rec, m, scope)
+		ps.ae.EnableTracing(rec)
 	}
 	if ps.cls != nil {
-		ps.cls.EnableTracing(rec, m, scope)
+		ps.cls.EnableTracing(rec)
 	}
 }
 

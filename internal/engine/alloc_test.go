@@ -11,7 +11,7 @@ import (
 // TestRunBatchZeroAlloc pins the plan-backed worker's steady state: once
 // its PlanSet is warm, running a fully traced hard-route batch — assemble
 // input, emit queue/execute/respond spans, execute the AE and
-// classifier plans with per-step span and meter recording, argmax, answer
+// classifier plans with one span per step, argmax, answer
 // every request — performs zero heap allocations and starts no goroutine.
 // The count is taken at two procs at least (testing.AllocsPerRun would pin
 // one) and under both GEMM dispatches: the host's, and the scalar one a CPU

@@ -247,10 +247,8 @@ type Engine struct {
 	// the hot path skips the type assertion.
 	batchFault BatchFaultInjector
 
-	// meter aggregates per-plan-step counters across all workers (the
-	// cbnet_plan_step_* series on /metrics); reqID and batchSeq issue the
-	// correlation IDs carried by lifecycle spans.
-	meter    *trace.Meter
+	// reqID and batchSeq issue the correlation IDs carried by lifecycle
+	// spans.
 	reqID    atomic.Uint64
 	batchSeq atomic.Uint64
 
@@ -268,7 +266,6 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		cfg:    cfg,
 		pipe:   pipe,
 		stats:  newEngineStats(),
-		meter:  trace.NewMeter(),
 		byName: make(map[RouteName]*route),
 		fault:  cfg.Fault,
 	}

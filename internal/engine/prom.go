@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -83,33 +82,6 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	p.HistogramVec("cbnet_queue_wait_seconds", "Admission-to-execution wait per request.", queueWait)
 	p.HistogramVec("cbnet_infer_seconds", "Forward-pass time per micro-batch.", infer)
 	p.HistogramVec("cbnet_batch_size", "Micro-batch size distribution.", sizes)
-
-	// Per-plan-step series from the trace meter: cumulative counters plus
-	// derived throughput gauges. The step label carries the step's index
-	// so dashboards sort in execution order without string tricks.
-	steps := e.meter.Snapshot()
-	var secs, execs, imgs, flops, bytes, gflops, intensity []metrics.VecSample
-	for _, s := range steps {
-		ls := metrics.Labels{
-			metrics.L("plan", s.Plan),
-			metrics.L("route", s.Scope),
-			metrics.L("step", fmt.Sprintf("%02d-%s", s.Index, s.Step)),
-		}
-		secs = append(secs, metrics.VecSample{Labels: ls, Value: float64(s.Nanos) / 1e9})
-		execs = append(execs, metrics.VecSample{Labels: ls, Value: float64(s.Execs)})
-		imgs = append(imgs, metrics.VecSample{Labels: ls, Value: float64(s.Images)})
-		flops = append(flops, metrics.VecSample{Labels: ls, Value: float64(s.FLOPs)})
-		bytes = append(bytes, metrics.VecSample{Labels: ls, Value: float64(s.Bytes)})
-		gflops = append(gflops, metrics.VecSample{Labels: ls, Value: s.GFLOPS()})
-		intensity = append(intensity, metrics.VecSample{Labels: ls, Value: s.Intensity()})
-	}
-	p.CounterVec("cbnet_plan_step_seconds_total", "Cumulative wall time per compiled plan step.", secs)
-	p.CounterVec("cbnet_plan_step_executions_total", "Executions per compiled plan step.", execs)
-	p.CounterVec("cbnet_plan_step_images_total", "Images processed per compiled plan step.", imgs)
-	p.CounterVec("cbnet_plan_step_flops_total", "Model FLOPs executed per compiled plan step.", flops)
-	p.CounterVec("cbnet_plan_step_bytes_total", "Modelled bytes moved per compiled plan step.", bytes)
-	p.GaugeVec("cbnet_plan_step_gflops", "Achieved GFLOPS per compiled plan step (cumulative FLOPs over cumulative time).", gflops)
-	p.GaugeVec("cbnet_plan_step_arithmetic_intensity", "FLOPs per byte moved per compiled plan step.", intensity)
 
 	// Energy: each route's recorded per-image cost, priced on every
 	// shipped edge profile (Pi 4 / cloud instance / K80) by core.PriceImage —

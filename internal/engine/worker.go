@@ -197,7 +197,7 @@ func (e *Engine) newWorker(rt *route) *worker {
 		routeName: trace.Intern(string(rt.name)),
 	}
 	w.x = tensor.Tensor{Shape: []int{0, dataset.Pixels}}
-	ps.EnableTracing(w.rec, e.meter, string(rt.name))
+	ps.EnableTracing(w.rec)
 	return w
 }
 

@@ -1,12 +1,9 @@
-// Package metrics provides the evaluation statistics reported in the paper:
-// classification accuracy, normalized prediction entropy (BranchyNet's
-// early-exit confidence measure), and confusion matrices.
+// Package metrics provides the prediction entropy behind BranchyNet's
+// early-exit confidence measure, the lock-free counters and histograms the
+// serving stack keeps, and their Prometheus text exposition.
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Entropy returns the Shannon entropy (nats) of a probability distribution.
 // Zero-probability entries contribute zero, by the usual 0·log 0 = 0
@@ -19,92 +16,4 @@ func Entropy(probs []float32) float64 {
 		}
 	}
 	return h
-}
-
-// NormalizedEntropy returns Entropy(probs)/log(K), mapping confidence into
-// [0, 1] independently of the class count. BranchyNet-style exit thresholds
-// (0.05, 0.5, 0.025 in the paper) are compared against this quantity: a low
-// value means the classifier is confident and the sample may exit early.
-func NormalizedEntropy(probs []float32) float64 {
-	k := len(probs)
-	if k <= 1 {
-		return 0
-	}
-	return Entropy(probs) / math.Log(float64(k))
-}
-
-// ConfusionMatrix accumulates predicted-vs-true class counts.
-type ConfusionMatrix struct {
-	K      int
-	Counts []int // Counts[true*K + pred]
-}
-
-// NewConfusionMatrix creates a K-class confusion matrix.
-func NewConfusionMatrix(k int) *ConfusionMatrix {
-	return &ConfusionMatrix{K: k, Counts: make([]int, k*k)}
-}
-
-// Add records one prediction.
-func (c *ConfusionMatrix) Add(trueLabel, pred int) {
-	if trueLabel < 0 || trueLabel >= c.K || pred < 0 || pred >= c.K {
-		panic(fmt.Sprintf("metrics: label/pred %d/%d outside [0,%d)", trueLabel, pred, c.K))
-	}
-	c.Counts[trueLabel*c.K+pred]++
-}
-
-// Total returns the number of recorded predictions.
-func (c *ConfusionMatrix) Total() int {
-	n := 0
-	for _, v := range c.Counts {
-		n += v
-	}
-	return n
-}
-
-// Accuracy returns trace/total, or 0 when empty.
-func (c *ConfusionMatrix) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	diag := 0
-	for i := 0; i < c.K; i++ {
-		diag += c.Counts[i*c.K+i]
-	}
-	return float64(diag) / float64(total)
-}
-
-// PerClassRecall returns recall for each true class (diag/row-sum); classes
-// with no samples report NaN.
-func (c *ConfusionMatrix) PerClassRecall() []float64 {
-	out := make([]float64, c.K)
-	for i := 0; i < c.K; i++ {
-		row := 0
-		for j := 0; j < c.K; j++ {
-			row += c.Counts[i*c.K+j]
-		}
-		if row == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = float64(c.Counts[i*c.K+i]) / float64(row)
-	}
-	return out
-}
-
-// MeanStd returns the mean and (population) standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -22,63 +22,9 @@ func TestEntropyDelta(t *testing.T) {
 	}
 }
 
-func TestNormalizedEntropyBounds(t *testing.T) {
-	if v := NormalizedEntropy([]float32{0.5, 0.5}); math.Abs(v-1) > 1e-9 {
-		t.Fatalf("normalized entropy of uniform = %v, want 1", v)
-	}
-	if v := NormalizedEntropy([]float32{1}); v != 0 {
-		t.Fatalf("single-class entropy = %v, want 0", v)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	cm := NewConfusionMatrix(3)
-	cm.Add(0, 0)
-	cm.Add(0, 0)
-	cm.Add(1, 2)
-	cm.Add(2, 2)
-	if cm.Total() != 4 {
-		t.Fatalf("total %d", cm.Total())
-	}
-	if a := cm.Accuracy(); math.Abs(a-0.75) > 1e-9 {
-		t.Fatalf("accuracy %v", a)
-	}
-	rec := cm.PerClassRecall()
-	if rec[0] != 1 || rec[1] != 0 || rec[2] != 1 {
-		t.Fatalf("recall %v", rec)
-	}
-}
-
-func TestConfusionMatrixEmptyClassNaN(t *testing.T) {
-	cm := NewConfusionMatrix(2)
-	cm.Add(0, 0)
-	rec := cm.PerClassRecall()
-	if !math.IsNaN(rec[1]) {
-		t.Fatalf("recall of empty class = %v, want NaN", rec[1])
-	}
-}
-
-func TestConfusionMatrixPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewConfusionMatrix(2).Add(2, 0)
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-9 || math.Abs(std-2) > 1e-9 {
-		t.Fatalf("mean/std = %v/%v, want 5/2", mean, std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Fatalf("empty MeanStd = %v/%v", m, s)
-	}
-}
-
-// Property: normalized entropy of any distribution lies in [0, 1].
-func TestQuickNormalizedEntropyRange(t *testing.T) {
+// Property: the entropy of any distribution over k classes lies in
+// [0, ln k].
+func TestQuickEntropyRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		k := r.Intn(10) + 2
@@ -94,8 +40,8 @@ func TestQuickNormalizedEntropyRange(t *testing.T) {
 		for i := range probs {
 			probs[i] /= sum
 		}
-		h := NormalizedEntropy(probs)
-		return h >= 0 && h <= 1+1e-9
+		h := Entropy(probs)
+		return h >= 0 && h <= math.Log(float64(k))+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 )
 
 // This file provides the thread-safe runtime counters and histograms used by
-// the serving-side stats surface (internal/engine). Unlike the offline
-// evaluation statistics above, these are designed for concurrent updates on
-// the request hot path: all mutation is lock-free atomics.
+// the serving-side stats surface (internal/engine). Unlike Entropy, an
+// offline evaluation statistic, these are designed for concurrent updates
+// on the request hot path: all mutation is lock-free atomics.
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {

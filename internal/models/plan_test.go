@@ -91,7 +91,7 @@ func TestModelPlanConstructors(t *testing.T) {
 	}
 
 	br := NewBranchyLeNet(rng.New(22), 0.05)
-	brPlan, err := br.CompileBranchPlan(8)
+	brPlan, err := nn.Compile(ExtractLightweight(br), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

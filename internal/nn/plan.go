@@ -102,8 +102,8 @@ type planStep struct {
 	// Compile-time cost model: the per-sample work counted as the step is
 	// lowered, and, filled by annotateCosts, its FLOPs, the activation
 	// traffic per sample and the per-execution parameter traffic that is
-	// independent of batch size. Spans and the meter derive achieved GFLOPS
-	// and arithmetic intensity from these (see StepInfo for the model's
+	// independent of batch size. Step spans derive achieved GFLOPS and
+	// arithmetic intensity from these (see StepInfo for the model's
 	// definition).
 	work        Work
 	flopsPerImg int64
@@ -151,14 +151,14 @@ type Plan struct {
 	pack     tensor.PackScratch // plan-owned GEMM A panel and accumulator tile
 	outHdr   tensor.Tensor      // reusable view header returned by Execute
 
-	// Tracing, attached by EnableTracing. All nil/empty by default, in
-	// which case Execute pays one branch per step and nothing else. Like
+	// Tracing, attached by EnableTracing. Nil by default, in which case
+	// Execute pays one branch per step and nothing else. Each traced step
+	// emits one span, the step's only record of its time and work. Like
 	// the plan's buffers, the recorder and traceID belong to the plan's
-	// single executing goroutine; the StepStats are shared, atomic.
+	// single executing goroutine.
 	rec     *trace.Recorder
-	stats   []*trace.StepStats // parallel to steps; nil entries allowed
-	nameIDs []trace.NameID     // parallel to steps
-	traceID uint64             // correlation ID stamped on emitted spans
+	nameIDs []trace.NameID // parallel to steps
+	traceID uint64         // correlation ID stamped on emitted spans
 }
 
 // Compile builds the static execution plan of net for batches of up to
@@ -440,28 +440,16 @@ func (p *Plan) Steps() []StepInfo {
 	return out
 }
 
-// EnableTracing attaches a span recorder and/or a cumulative meter to the
-// plan. Either may be nil. The recorder must belong to the same single
-// goroutine that calls Execute (engine workers own one each); meter series
-// are shared and atomic, so plans compiled for the same network on
-// different workers fold into one per-step series. scope keys those series —
-// typically the engine route ("easy"/"hard") the plan executes under, so the
-// same network serving two routes yields two distinguishable series; pass ""
-// outside an engine. Call before serving — attachment interns names and
-// allocates; Execute afterwards does not.
-func (p *Plan) EnableTracing(rec *trace.Recorder, m *trace.Meter, scope string) {
+// EnableTracing attaches a span recorder to the plan; nil detaches it. The
+// recorder must belong to the same single goroutine that calls Execute
+// (engine workers own one each). Call before serving — attachment interns
+// names and allocates; Execute afterwards does not.
+func (p *Plan) EnableTracing(rec *trace.Recorder) {
 	p.rec = rec
 	if p.nameIDs == nil {
 		p.nameIDs = make([]trace.NameID, len(p.steps))
 		for i := range p.steps {
 			p.nameIDs[i] = trace.Intern(p.steps[i].name)
-		}
-	}
-	if m != nil {
-		p.stats = make([]*trace.StepStats, len(p.steps))
-		for i := range p.steps {
-			st := &p.steps[i]
-			p.stats[i] = m.Step(scope, p.name, st.name, i, st.flopsPerImg, st.ioPerImg, st.fixedBytes)
 		}
 	}
 }
@@ -512,7 +500,7 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		return p.view(n, cur)
 	}
 	last := len(p.steps) - 1
-	traced := p.rec != nil || p.stats != nil
+	traced := p.rec != nil
 	// The clock is read once per step boundary, k+1 times for k steps: step
 	// i ends on the stamp step i+1 starts on, so the step spans tile the
 	// plan's interval and their durations add up to it.
@@ -538,23 +526,17 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		}
 		if traced {
 			t1 := trace.Now()
-			dur := t1 - t0
-			if p.stats != nil {
-				p.stats[i].Observe(dur, n)
-			}
-			if p.rec != nil {
-				p.rec.Emit(trace.Span{
-					ID:    p.traceID,
-					Kind:  trace.KindPlanStep,
-					Name:  p.nameIDs[i],
-					Step:  i,
-					Batch: n,
-					Start: t0,
-					Dur:   dur,
-					FLOPs: int64(n) * st.flopsPerImg,
-					Bytes: int64(n)*st.ioPerImg + st.fixedBytes,
-				})
-			}
+			p.rec.Emit(trace.Span{
+				ID:    p.traceID,
+				Kind:  trace.KindPlanStep,
+				Name:  p.nameIDs[i],
+				Step:  i,
+				Batch: n,
+				Start: t0,
+				Dur:   t1 - t0,
+				FLOPs: int64(n) * st.flopsPerImg,
+				Bytes: int64(n)*st.ioPerImg + st.fixedBytes,
+			})
 			t0 = t1
 		}
 		cur = out

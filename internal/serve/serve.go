@@ -10,15 +10,15 @@
 //	GET  /info          model and device-profile metadata
 //	GET  /stats         inference-engine counters, batch histograms, latencies
 //	GET  /metrics       Prometheus text exposition (per-route counters,
-//	                    latency histograms, per-plan-step time/FLOPs series,
-//	                    modelled per-route energy on each device profile,
-//	                    SLO burn rates)
+//	                    latency histograms, modelled per-route energy on
+//	                    each device profile, SLO burn rates)
 //	GET  /slo           machine-readable SLO verdict: per-objective budget
 //	                    remaining and multi-window burn rates
 //	GET  /debug/trace   recent spans as Chrome trace-event JSON — the
 //	                    "serve" track (one bar per request, admission to
 //	                    reply) above one track per engine worker (queue,
-//	                    execute, respond, plan steps); load in Perfetto or
+//	                    execute, respond, and one span per plan step with
+//	                    its FLOPs and bytes); load in Perfetto or
 //	                    chrome://tracing
 //	GET  /debug/flight  flight-recorder dump: the serve track as a list of
 //	                    request outcomes + the /debug/trace document +

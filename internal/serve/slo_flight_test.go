@@ -143,13 +143,14 @@ func TestMetricsIncludeSLOAndEnergy(t *testing.T) {
 		"cbnet_energy_joules_total{device=\"RaspberryPi4\"",
 		"cbnet_energy_joules_per_image{device=\"GCI\"",
 		"cbnet_energy_seconds_per_image",
-		// The per-step series are now route-scoped.
-		"cbnet_plan_step_seconds_total{plan=",
 		"route=\"easy\"",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	if strings.Contains(page, "cbnet_plan_step_") {
+		t.Error("scrape still carries a cbnet_plan_step_ family")
 	}
 
 	// At least one energy counter must be non-zero once traffic flowed.

@@ -46,6 +46,24 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanRatesDegradeToZero: a span with no positive duration or byte
+// count — an untimed span, or a sum of spans that wrapped negative — reads
+// 0 GFLOPS and 0 FLOP/B rather than a negative or infinite rate.
+func TestSpanRatesDegradeToZero(t *testing.T) {
+	for _, s := range []Span{
+		{FLOPs: 1000, Dur: 0, Bytes: 0},
+		{FLOPs: 1000, Dur: -5, Bytes: -5},
+		{FLOPs: -1000, Dur: 50, Bytes: 100},
+	} {
+		if g := s.GFLOPS(); g != 0 {
+			t.Errorf("%+v: GFLOPS() = %v, want 0", s, g)
+		}
+		if ai := s.Intensity(); ai != 0 {
+			t.Errorf("%+v: Intensity() = %v, want 0", s, ai)
+		}
+	}
+}
+
 func TestRecorderWrapKeepsNewest(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
@@ -223,59 +241,6 @@ func BenchmarkRecorderEmit(b *testing.B) {
 		})
 		b.ReportMetric(float64(r.Dropped())/float64(b.N), "dropped/op")
 	})
-}
-
-func TestMeterAggregation(t *testing.T) {
-	m := NewMeter()
-	// Two plans compiled for the same network share the series.
-	a := m.Step("", "cls", "conv1+relu1", 0, 1000, 100, 4000)
-	b := m.Step("", "cls", "conv1+relu1", 0, 1000, 100, 4000)
-	if a != b {
-		t.Fatal("same (plan, step) returned distinct handles")
-	}
-	m.Step("", "ae", "enc", 0, 10, 20, 30)
-	a.Observe(500, 16)
-	a.Observe(300, 8)
-
-	snap := m.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("got %d series, want 2", len(snap))
-	}
-	// Sorted by plan name: "ae" first.
-	if snap[0].Plan != "ae" || snap[1].Plan != "cls" {
-		t.Fatalf("order %s, %s", snap[0].Plan, snap[1].Plan)
-	}
-	s := snap[1]
-	if s.Execs != 2 || s.Images != 24 || s.Nanos != 800 {
-		t.Fatalf("series %+v", s)
-	}
-	if s.FLOPs != 24*1000 {
-		t.Fatalf("FLOPs %d", s.FLOPs)
-	}
-	if s.Bytes != 24*100+2*4000 {
-		t.Fatalf("Bytes %d", s.Bytes)
-	}
-	if s.GFLOPS() != float64(24000)/800 {
-		t.Fatalf("GFLOPS %v", s.GFLOPS())
-	}
-}
-
-func TestMeterObserveZeroAlloc(t *testing.T) {
-	m := NewMeter()
-	s := m.Step("", "p", "s", 0, 1, 1, 1)
-	allocs := testing.AllocsPerRun(100, func() { s.Observe(100, 16) })
-	if allocs != 0 {
-		t.Fatalf("Observe allocates %v per call, want 0", allocs)
-	}
-}
-
-func TestNilMeterIsSafe(t *testing.T) {
-	var m *Meter
-	s := m.Step("", "p", "s", 0, 1, 1, 1)
-	s.Observe(1, 1) // nil StepStats
-	if snap := m.Snapshot(); snap != nil {
-		t.Fatalf("nil meter snapshot = %v", snap)
-	}
 }
 
 func TestWriteChrome(t *testing.T) {
