@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -99,9 +102,10 @@ func (st *classifyState) decodeJSON() (pixels []float32, includeConverted bool, 
 // It reports ok=false, never an error, for anything else — other keys,
 // escapes in a key, null, nesting, a 785th pixel, a number float32 cannot
 // hold, malformed input — and the caller hands the same bytes to
-// encoding/json. Each number token is checked against the JSON grammar here
-// and converted by strconv.ParseFloat(token, 32), the call encoding/json
-// makes, so pixels are bit-identical between the two decoders.
+// encoding/json. Each number token is checked against the JSON grammar and
+// converted in one pass by parseNumber, whose result has the bits of
+// strconv.ParseFloat(token, 32), the call encoding/json makes, so pixels are
+// bit-identical between the two decoders.
 func scanClassify(b []byte, px *[dataset.Pixels]float32) (n int, includeConverted, ok bool) {
 	i := skipSpace(b, 0)
 	if i >= len(b) || b[i] != '{' {
@@ -192,7 +196,8 @@ func scanKey(b []byte, i int) ([]byte, int) {
 
 // scanPixels reads an array of JSON numbers at b[i] into px and returns how
 // many it read and the index after the closing bracket, or a negative index
-// when the array is not one scanClassify handles.
+// when the array is not one scanClassify handles. Each number is read by
+// parseNumber, in one pass over its bytes.
 func scanPixels(b []byte, i int, px *[dataset.Pixels]float32) (n, next int) {
 	if i >= len(b) || b[i] != '[' {
 		return 0, -1
@@ -202,17 +207,14 @@ func scanPixels(b []byte, i int, px *[dataset.Pixels]float32) (n, next int) {
 		return 0, i + 1
 	}
 	for {
-		end := scanNumber(b, i)
-		if end < 0 || n == len(px) {
+		if n == len(px) {
 			return 0, -1
 		}
-		// The conversion does not allocate: ParseFloat does not retain its
-		// argument, so the compiler keeps short tokens on the stack.
-		v, err := strconv.ParseFloat(string(b[i:end]), 32)
-		if err != nil {
+		v, end := parseNumber(b, i)
+		if end < 0 {
 			return 0, -1
 		}
-		px[n] = float32(v)
+		px[n] = v
 		n++
 		i = skipSpace(b, end)
 		if i >= len(b) {
@@ -229,51 +231,156 @@ func scanPixels(b []byte, i int, px *[dataset.Pixels]float32) (n, next int) {
 	}
 }
 
-// scanNumber returns the index after the JSON number that starts at b[i],
-// or -1 when b[i:] does not start with one. The grammar is RFC 8259's:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — which is narrower than
-// what strconv.ParseFloat accepts (inf, nan, hex, underscores, a leading
-// plus or point), so those spellings never reach it from here.
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+// parseNumber reads the JSON number that starts at b[i] and returns the
+// float32 strconv.ParseFloat(token, 32) returns for it, with the index after
+// the token; the index is -1 when b[i:] does not start with a JSON number or
+// ParseFloat fails on the token. The grammar is RFC 8259's:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — narrower than what
+// ParseFloat accepts (inf, nan, hex, underscores, a leading plus or point),
+// so those spellings are never converted from here.
+//
+// The pass that checks the grammar also builds the decimal mantissa and
+// exponent. When the mantissa has at most 19 digits and is at most 2⁵³, and
+// the exponent is within ±22, float64(mantissa) times or divided by the
+// exact power 1e|exp| is the correctly rounded float64 f of the token
+// (Clinger's fast path). Within that window f is zero only when the
+// mantissa is, and otherwise lies inside float32's normal range (1e-22 to
+// 2⁵³·1e22), never past it to ±Inf. float32(f) then has ParseFloat's bits
+// unless f is itself the midpoint of two adjacent float32s: every such
+// midpoint is a float64, so rounding the token to float64 cannot carry it
+// across one, and f and the token round to the same float32. The midpoint
+// case, and every token outside the window, goes to ParseFloat on the same
+// bytes.
+func parseNumber(b []byte, i int) (float32, int) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	switch {
-	case i >= len(b):
-		return -1
-	case b[i] == '0':
+	if i >= len(b) {
+		return 0, -1
+	}
+	var mant uint64
+	var digits, exp int // significant digits in mant; decimal exponent
+	switch c := b[i]; {
+	case c == '0':
 		i++
-	case b[i] >= '1' && b[i] <= '9':
-		i = skipDigits(b, i+1)
+	case c >= '1' && c <= '9':
+		j := i
+		mant, i = readDigits(b, i, 0)
+		digits = i - j
 	default:
-		return -1
+		return 0, -1
 	}
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
+		i++
+		frac := i
+		if mant == 0 { // the fraction's leading zeros are not significant
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
 		}
-		i = j
+		sig := i
+		mant, i = readDigits(b, i, mant)
+		if i == frac {
+			return 0, -1
+		}
+		digits += i - sig
+		exp = frac - i
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		expNeg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			expNeg = b[i] == '-'
+			i++
 		}
-		k := skipDigits(b, j)
-		if k == j {
-			return -1
+		j, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // any larger exponent is past the window
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = k
+		if i == j {
+			return 0, -1
+		}
+		if expNeg {
+			e = -e
+		}
+		exp += e
 	}
-	return i
+	if digits <= 19 && mant <= 1<<53 && exp >= -22 && exp <= 22 {
+		f := float64(mant)
+		if exp >= 0 {
+			f *= float64pow10[exp]
+		} else {
+			f /= float64pow10[-exp]
+		}
+		// The 29 bits float32 drops from a normal float64 are 1 followed
+		// by 28 zeros exactly at a midpoint.
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			if neg {
+				f = -f
+			}
+			return float32(f), i
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[start:i]), 32)
+	if err != nil {
+		return 0, -1
+	}
+	return float32(v), i
 }
 
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
+// float64pow10 holds the powers of ten a float64 holds exactly.
+var float64pow10 = [23]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// uint64pow10 holds 10ⁿ for the n < 8 digits that end a run.
+var uint64pow10 = [8]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
+
+// readDigits reads the run of ASCII digits at b[i], appends it to mant in
+// base 10 and returns the new mantissa and the index after the run. The
+// mantissa wraps past 19 digits; the caller counts them.
+//
+// The run is read eight bytes at a time while eight remain. In a
+// little-endian word w of eight bytes, the lowest byte with its high bit set
+// in (w + 0x46…46) | (w − 0x30…30) is the first byte that is not a digit:
+// the bytes below it are digits, which neither carry out of the sum nor
+// borrow from the difference, so that byte is computed exactly, and a byte
+// above '9' sets the bit in the sum (from 0x3a up to 0xb9) or the
+// difference (from 0xba up), one below '0' in the difference. The digits
+// below it are shifted to the top of the word, above zero digits, and
+// eightDigits converts them at once.
+func readDigits(b []byte, i int, mant uint64) (uint64, int) {
+	for i+8 <= len(b) {
+		w := binary.LittleEndian.Uint64(b[i:])
+		d := w - 0x3030303030303030
+		nonDigit := ((w + 0x4646464646464646) | d) & 0x8080808080808080
+		if nonDigit == 0 {
+			mant = mant*1e8 + eightDigits(d)
+			i += 8
+			continue
+		}
+		n := bits.TrailingZeros64(nonDigit) >> 3
+		return mant*uint64pow10[n] + eightDigits(d<<(64-8*n)), i + n
 	}
-	return i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	return mant, i
+}
+
+// eightDigits returns the number whose decimal digits, most significant
+// first, are the eight bytes of d from the lowest up (each 0–9): adjacent
+// digits are paired into bytes, then the four pairs are weighted by 10⁶,
+// 10⁴, 10² and 1 in two multiplies whose sums land in the high half.
+func eightDigits(d uint64) uint64 {
+	d = d*10 + d>>8
+	const mask = 0x000000ff000000ff
+	return ((d&mask)*(100+1000000<<32) + (d>>16&mask)*(1+10000<<32)) >> 32
 }
 
 // decodePNG decodes a 28×28 PNG body into st.pixels as grayscale in [0,1].

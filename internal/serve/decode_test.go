@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"image"
 	"image/color"
@@ -13,13 +14,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/engine"
+	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
 
@@ -80,6 +85,33 @@ func decodeSeeds() [][]byte {
 	full := []byte(`{"pixels":[0.5, -1.25e-3 ,1],"includeConverted":false}`)
 	for i := range full {
 		seeds = append(seeds, full[:i])
+	}
+	// The edges of parseNumber's eight-byte digit windows: `{"pixels":[` is
+	// 11 bytes, so a window of the first number starts at its first digit.
+	seeds = append(seeds,
+		// Runs straddling a window, and runs of exactly 8 and 16 digits.
+		[]byte(`{"pixels":[0.1234567,0.12345678,0.123456789,12345678,1234567890123456,0.0017519225]}`),
+		[]byte(`{"pixels":[1234567,123456789e-9,0.5]}`),
+		// Digits running to the last byte of the body, and numbers inside
+		// its last eight bytes, where the scalar tail reads them.
+		[]byte(`{"pixels":[0.5,0.123456789`), []byte(`{"pixels":[0.123456789012`),
+		[]byte(`{"pixels":[0.5,1e-5]}`), []byte(`{"pixels":[0.5,12]}`), []byte(`{"pixels":[1,0.25`),
+		// A byte at or above 0x80 right after a digit or a point.
+		[]byte("{\"pixels\":[0.\xb0]}"), []byte("{\"pixels\":[1\xb0]}"), []byte("{\"pixels\":[0.5\xff,1]}"),
+		[]byte("{\"pixels\":[12345678\x80]}"), []byte("{\"pixels\":[0.1234\xba5678]}"), []byte("{\"pixels\":[0.12345\x7f]}"),
+		[]byte("{\"pixels\":[1e1\xb0]}"), []byte("{\"pixels\":[0.:]}"), []byte("{\"pixels\":[0.1/]}"),
+		// The bytes just outside '0'–'9' and at the sum's wrap, with a
+		// window's worth of body after them.
+		[]byte("{\"pixels\":[0.1:2345678,0.5]}"), []byte("{\"pixels\":[1/,0.12345678]}"),
+		[]byte("{\"pixels\":[123\xb9,0.12345678]}"), []byte("{\"pixels\":[0.123\xba,0.12345678]}"),
+	)
+	for _, num := range []string{
+		// 9- and 17-digit fractions with leading zeros.
+		"0.0017519225", "0.000000001", "0.001234567", "0.00000000000000001", "0.00123456789012345",
+		"0.000000000000000000000000000001", "1e00001", "1e22", "1e23", "1e-22", "1e-23",
+		"16777217", "1.6777217e7", "33554435", "9007199254740993", "1234567890123456789", "12345678901234567890",
+	} {
+		seeds = append(seeds, []byte(`{"pixels":[`+num+`,0.5]}`), []byte(`{"pixels":[0.5,`+num+`]}`))
 	}
 	return seeds
 }
@@ -151,6 +183,160 @@ func TestScanClassifyTakesClientBodies(t *testing.T) {
 	}
 }
 
+// parseNumberMismatch returns what parseNumber gets wrong on tok, read as
+// the whole input (where the scalar tail reads it) and followed by more of
+// a body (where the eight-byte windows do), against want and err, what
+// strconv.ParseFloat(tok, 32) returns; "" when it agrees. pad is scratch.
+func parseNumberMismatch(tok []byte, want float64, err error, pad *[]byte) string {
+	*pad = append(append((*pad)[:0], tok...), ",0.12345]}"...)
+	for _, in := range [][]byte{tok, *pad} {
+		got, next := parseNumber(in, 0)
+		switch {
+		case err != nil && next >= 0:
+			return fmt.Sprintf("parseNumber(%q) = %v, ParseFloat: %v", in, got, err)
+		case err == nil && next != len(tok):
+			return fmt.Sprintf("parseNumber(%q) stopped at %d, want %d", in, next, len(tok))
+		case err == nil && math.Float32bits(got) != math.Float32bits(float32(want)):
+			return fmt.Sprintf("parseNumber(%q) = %v (%#x), ParseFloat: %v (%#x)",
+				in, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+		}
+	}
+	return ""
+}
+
+func checkParseNumber(t *testing.T, tok []byte, pad *[]byte) {
+	t.Helper()
+	want, err := strconv.ParseFloat(string(tok), 32)
+	if msg := parseNumberMismatch(tok, want, err, pad); msg != "" {
+		t.Error(msg)
+	}
+}
+
+// TestParseNumberEveryUnitFloat32 holds parseNumber to
+// strconv.ParseFloat(token, 32) on every float32 from 0 to 1 — the range a
+// pixel has — in its shortest 'g' spelling (how clients and the benchmark
+// encode) and its shortest 'e' spelling, and on the tokens at the edges of
+// the fast path: midpoints of two float32s, 19- and 20-digit mantissas,
+// exponents at ±22 and ±23. Asked for by name (go test -run
+// 'TestParseNumberEveryUnitFloat32$' ./internal/serve, as CI does) it
+// sweeps all 0x3f800001 bit patterns, split over GOMAXPROCS goroutines; as
+// part of a plain go test it takes every 4099th.
+func TestParseNumberEveryUnitFloat32(t *testing.T) {
+	full := strings.Contains(flag.Lookup("test.run").Value.String(), "ParseNumberEveryUnitFloat32")
+	pad := new([]byte)
+	for _, tok := range []string{
+		"0", "-0", "0.0", "-0.0", "0e5", "-0e-400", "1", "-1",
+		// Exact midpoints, which the fast path hands to ParseFloat, and
+		// their neighbours.
+		"16777217", "1.6777217e7", "16777216", "16777218", "16777219", "33554435", "33554434",
+		"9007199254740993", "9007199254740992", "9007199254740991", "0.500000029802322387695312",
+		// 19 and 20 significant digits, with and without leading zeros.
+		"1234567890123456789", "9999999999999999999", "12345678901234567890", "18446744073709551616",
+		"0.1234567890123456789", "0.01234567890123456789", "1.2345678901234567891", "0.12345678901234567890",
+		// The exponent window.
+		"1e22", "1e23", "1e-22", "1e-23", "9e22", "9.999999e22", "4.5e-23", "123e20", "123e21",
+		"0.0000000000000000000001", "0.00000000000000000000001", "1e00001", "1E+00022", "1e-000000000000000000022",
+		"1e99999999999999999999", "1e-99999999999999999999", "1e39", "3.4028235e38", "1.4e-45", "1e-46",
+	} {
+		checkParseNumber(t, []byte(tok), pad)
+		checkParseNumber(t, []byte("-"+tok), pad)
+	}
+	// Every byte that cannot go on a number ends a run of every length, in
+	// the integer part and the fraction, at every offset in an eight-byte
+	// window.
+	for c := 0; c < 256; c++ {
+		if c >= '0' && c <= '9' || strings.IndexByte(".eE", byte(c)) >= 0 {
+			continue
+		}
+		for n := 1; n <= 17; n++ {
+			for _, lead := range []string{"", "0."} {
+				tok := []byte(lead + "12345678901234567"[:n])
+				in := append(append([]byte(nil), tok...), byte(c))
+				in = append(in, "12345678"...)
+				want, _ := strconv.ParseFloat(string(tok), 32)
+				if got, next := parseNumber(in, 0); next != len(tok) || got != float32(want) {
+					t.Errorf("parseNumber(%q) = (%v, %d), want (%v, %d)", in, got, next, float32(want), len(tok))
+				}
+			}
+		}
+	}
+	// Decimals near midpoints, 1 to 17 digits, where a float64 may round
+	// onto the midpoint itself.
+	r := rng.New(34)
+	for k := 0; k < 20000; k++ {
+		lo := math.Float32frombits(uint32(r.Intn(0x7f000000-0x0c000000) + 0x0c000000)) // 1e-31 … 1.7e38
+		mid := (float64(lo) + float64(math.Nextafter32(lo, 2*lo))) / 2
+		for prec := 0; prec < 17; prec++ {
+			checkParseNumber(t, strconv.AppendFloat(nil, mid, 'e', prec, 64), pad)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	stride := uint32(4099)
+	if full {
+		stride = 1
+	}
+	workers := uint32(runtime.GOMAXPROCS(0))
+	var failures atomic.Int64
+	var wg sync.WaitGroup
+	for w := uint32(0); w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var g, e, pad []byte
+			for b := w * stride; b <= 0x3f800000 && failures.Load() < 10; b += workers * stride {
+				f := float64(math.Float32frombits(b))
+				g = strconv.AppendFloat(g[:0], f, 'g', -1, 32)
+				// The two spellings are one decimal, so ParseFloat reads the
+				// 'g' one for both; below 1e-4 'g' is the 'e' form already.
+				want, err := strconv.ParseFloat(string(g), 32)
+				toks := [][]byte{g}
+				if bytes.IndexByte(g, 'e') < 0 {
+					e = strconv.AppendFloat(e[:0], f, 'e', -1, 32)
+					toks = append(toks, e)
+				}
+				for _, tok := range toks {
+					if msg := parseNumberMismatch(tok, want, err, &pad); msg != "" {
+						t.Error(msg)
+						failures.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkScanClassify decodes 64 clean FashionMNIST renders spelled as
+// the benchmark's clients spell them (shortest 'g' digits that read back
+// as the same float32), rotating through the bodies.
+func BenchmarkScanClassify(b *testing.B) {
+	bodies := make([][]byte, 64)
+	size := 0
+	for i := range bodies {
+		px := dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, false, rng.New(uint64(i)+1))
+		body := []byte(`{"pixels":[`)
+		for j, v := range px {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, float64(v), 'g', -1, 32)
+		}
+		bodies[i] = append(body, "]}"...)
+		size += len(bodies[i])
+	}
+	b.SetBytes(int64(size / len(bodies)))
+	var px [dataset.Pixels]float32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, _, ok := scanClassify(bodies[i%len(bodies)], &px); !ok || n != dataset.Pixels {
+			b.Fatalf("body %d: scanClassify = (%d, %v)", i%len(bodies), n, ok)
+		}
+	}
+}
+
 // Measured 7 and 55 on go1.24 linux/amd64; the budgets leave one of slack.
 // Not held under -race, where sync.Pool drops a share of its Puts and the
 // count wanders past any fixed budget.
@@ -199,8 +385,8 @@ func serveBody(ctx context.Context, s *Server, body []byte, hdr map[string]strin
 }
 
 // TestNonJSONNumberSpellingsRejected: strconv.ParseFloat reads nan, inf,
-// hex floats and digit separators; the handler now calls it directly, so
-// the JSON grammar check in front of it is what keeps them out.
+// hex floats and digit separators; parseNumber falls back to it, so the
+// JSON grammar check in front of it is what keeps them out.
 func TestNonJSONNumberSpellingsRejected(t *testing.T) {
 	s := serverWithEngineConfig(t, engine.Config{}, quietOptions)
 	for _, num := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "Infinity", "0x1p-1", "0x0", "1_0", "0_1", "+1", ".5", "1."} {
@@ -230,6 +416,31 @@ func TestBodyCapIsWholeBody(t *testing.T) {
 	hdr := map[string]string{"Content-Type": "image/png"}
 	if rec := serveBody(context.Background(), s, append(atCap, ' '), hdr); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("png cap+1: status %d (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestPNGContentTypeSpellings: a PNG body is decoded as PNG whatever the
+// case of its media type and whatever parameters follow it.
+func TestPNGContentTypeSpellings(t *testing.T) {
+	s := serverWithEngineConfig(t, engine.Config{}, quietOptions)
+	gray := image.NewGray(image.Rect(0, 0, dataset.Side, dataset.Side))
+	for i, v := range serveEasyImage(6) {
+		gray.Pix[i] = uint8(v * 255)
+	}
+	var body bytes.Buffer
+	if err := png.Encode(&body, gray); err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range []string{"image/png", "Image/PNG", "image/png; charset=binary", " IMAGE/png ;q=1"} {
+		rec := serveBody(context.Background(), s, body.Bytes(), map[string]string{"Content-Type": ct})
+		if rec.Code != http.StatusOK {
+			t.Errorf("Content-Type %q: status %d (%s)", ct, rec.Code, rec.Body)
+		}
+	}
+	for _, ct := range []string{"image/pngx", "image/jpeg", "application/json", ""} {
+		if isPNGType(ct) {
+			t.Errorf("Content-Type %q taken for image/png", ct)
+		}
 	}
 }
 

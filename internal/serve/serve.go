@@ -27,6 +27,7 @@
 //	POST /classify  classify one image; accepts either
 //	                  application/json  {"pixels": [784 floats in 0..1]}
 //	                  image/png         a 28×28 grayscale (or color) PNG
+//	                                    (any case, parameters ignored)
 //	                and returns prediction, route taken, per-stage latency
 //	                and energy estimates and optionally the converted image.
 //
@@ -68,6 +69,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -600,6 +602,18 @@ func parseDeadline(h string) (time.Duration, bool) {
 	return time.Duration(min(max(ns, 1), float64(maxDeadline))), true
 }
 
+// isPNGType reports whether a Content-Type header value names image/png:
+// media types match without regard to case and parameters do not count
+// (RFC 9110 §8.3.1), so "Image/PNG" and "image/png; charset=binary" do. The
+// spelling clients send is matched first, before any parsing.
+func isPNGType(ct string) bool {
+	if ct == "image/png" {
+		return true
+	}
+	mediaType, _, _ := strings.Cut(ct, ";")
+	return strings.EqualFold(strings.TrimSpace(mediaType), "image/png")
+}
+
 // classify serves one /classify request out of st and reports whether st may
 // be pooled again. It may not once the engine has queued the request and
 // Submit has given up on it (deadline, cancellation): the queued request
@@ -612,7 +626,7 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, st *classifySt
 	// a correlatable requestId in its response, logs, and spans.
 	st.id, st.admitted = s.Engine.IssueRequestID(), 0
 	ctx := r.Context()
-	isPNG := r.Header.Get("Content-Type") == "image/png"
+	isPNG := isPNGType(r.Header.Get("Content-Type"))
 	format := "json"
 	if isPNG {
 		format = "png"
