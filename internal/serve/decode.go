@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"image"
@@ -10,7 +9,6 @@ import (
 	"image/png"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -249,8 +247,9 @@ func scanPixels(b []byte, i int, px *[dataset.Pixels]float32) (n, next int) {
 // unless f is itself the midpoint of two adjacent float32s: every such
 // midpoint is a float64, so rounding the token to float64 cannot carry it
 // across one, and f and the token round to the same float32. The midpoint
-// case, and every token outside the window, goes to ParseFloat on the same
-// bytes.
+// case, every token outside the window and every token whose written
+// exponent reaches 10000, where the pass stops accumulating it, go to
+// ParseFloat on the same bytes.
 func parseNumber(b []byte, i int) (float32, int) {
 	start := i
 	neg := i < len(b) && b[i] == '-'
@@ -262,6 +261,7 @@ func parseNumber(b []byte, i int) (float32, int) {
 	}
 	var mant uint64
 	var digits, exp int // significant digits in mant; decimal exponent
+	saturated := false
 	switch c := b[i]; {
 	case c == '0':
 		i++
@@ -297,19 +297,23 @@ func parseNumber(b []byte, i int) (float32, int) {
 		}
 		j, e := i, 0
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
-			if e < 10000 { // any larger exponent is past the window
+			if e < 10000 {
 				e = e*10 + int(b[i]-'0')
 			}
 		}
 		if i == j {
 			return 0, -1
 		}
+		// An exponent that reached 10000 stopped growing, so it is not the
+		// token's, and a fraction with that many leading zeros could cancel
+		// it back into the window.
+		saturated = e >= 10000
 		if expNeg {
 			e = -e
 		}
 		exp += e
 	}
-	if digits <= 19 && mant <= 1<<53 && exp >= -22 && exp <= 22 {
+	if !saturated && digits <= 19 && mant <= 1<<53 && exp >= -22 && exp <= 22 {
 		f := float64(mant)
 		if exp >= 0 {
 			f *= float64pow10[exp]
@@ -338,49 +342,14 @@ var float64pow10 = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// uint64pow10 holds 10ⁿ for the n < 8 digits that end a run.
-var uint64pow10 = [8]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
-
 // readDigits reads the run of ASCII digits at b[i], appends it to mant in
 // base 10 and returns the new mantissa and the index after the run. The
 // mantissa wraps past 19 digits; the caller counts them.
-//
-// The run is read eight bytes at a time while eight remain. In a
-// little-endian word w of eight bytes, the lowest byte with its high bit set
-// in (w + 0x46…46) | (w − 0x30…30) is the first byte that is not a digit:
-// the bytes below it are digits, which neither carry out of the sum nor
-// borrow from the difference, so that byte is computed exactly, and a byte
-// above '9' sets the bit in the sum (from 0x3a up to 0xb9) or the
-// difference (from 0xba up), one below '0' in the difference. The digits
-// below it are shifted to the top of the word, above zero digits, and
-// eightDigits converts them at once.
 func readDigits(b []byte, i int, mant uint64) (uint64, int) {
-	for i+8 <= len(b) {
-		w := binary.LittleEndian.Uint64(b[i:])
-		d := w - 0x3030303030303030
-		nonDigit := ((w + 0x4646464646464646) | d) & 0x8080808080808080
-		if nonDigit == 0 {
-			mant = mant*1e8 + eightDigits(d)
-			i += 8
-			continue
-		}
-		n := bits.TrailingZeros64(nonDigit) >> 3
-		return mant*uint64pow10[n] + eightDigits(d<<(64-8*n)), i + n
-	}
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
 		mant = mant*10 + uint64(b[i]-'0')
 	}
 	return mant, i
-}
-
-// eightDigits returns the number whose decimal digits, most significant
-// first, are the eight bytes of d from the lowest up (each 0–9): adjacent
-// digits are paired into bytes, then the four pairs are weighted by 10⁶,
-// 10⁴, 10² and 1 in two multiplies whose sums land in the high half.
-func eightDigits(d uint64) uint64 {
-	d = d*10 + d>>8
-	const mask = 0x000000ff000000ff
-	return ((d&mask)*(100+1000000<<32) + (d>>16&mask)*(1+10000<<32)) >> 32
 }
 
 // decodePNG decodes a 28×28 PNG body into st.pixels as grayscale in [0,1].

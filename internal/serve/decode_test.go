@@ -86,24 +86,20 @@ func decodeSeeds() [][]byte {
 	for i := range full {
 		seeds = append(seeds, full[:i])
 	}
-	// The edges of parseNumber's eight-byte digit windows: `{"pixels":[` is
-	// 11 bytes, so a window of the first number starts at its first digit.
+	// The edges of a digit run: where it ends, what ends it, and the end of
+	// the body.
 	seeds = append(seeds,
-		// Runs straddling a window, and runs of exactly 8 and 16 digits.
+		// Runs of 7 to 16 digits.
 		[]byte(`{"pixels":[0.1234567,0.12345678,0.123456789,12345678,1234567890123456,0.0017519225]}`),
 		[]byte(`{"pixels":[1234567,123456789e-9,0.5]}`),
-		// Digits running to the last byte of the body, and numbers inside
-		// its last eight bytes, where the scalar tail reads them.
+		// Digits running to the last byte of the body, and short numbers
+		// at its end.
 		[]byte(`{"pixels":[0.5,0.123456789`), []byte(`{"pixels":[0.123456789012`),
 		[]byte(`{"pixels":[0.5,1e-5]}`), []byte(`{"pixels":[0.5,12]}`), []byte(`{"pixels":[1,0.25`),
 		// A byte at or above 0x80 right after a digit or a point.
 		[]byte("{\"pixels\":[0.\xb0]}"), []byte("{\"pixels\":[1\xb0]}"), []byte("{\"pixels\":[0.5\xff,1]}"),
 		[]byte("{\"pixels\":[12345678\x80]}"), []byte("{\"pixels\":[0.1234\xba5678]}"), []byte("{\"pixels\":[0.12345\x7f]}"),
 		[]byte("{\"pixels\":[1e1\xb0]}"), []byte("{\"pixels\":[0.:]}"), []byte("{\"pixels\":[0.1/]}"),
-		// The bytes just outside '0'–'9' and at the sum's wrap, with a
-		// window's worth of body after them.
-		[]byte("{\"pixels\":[0.1:2345678,0.5]}"), []byte("{\"pixels\":[1/,0.12345678]}"),
-		[]byte("{\"pixels\":[123\xb9,0.12345678]}"), []byte("{\"pixels\":[0.123\xba,0.12345678]}"),
 	)
 	for _, num := range []string{
 		// 9- and 17-digit fractions with leading zeros.
@@ -113,6 +109,9 @@ func decodeSeeds() [][]byte {
 	} {
 		seeds = append(seeds, []byte(`{"pixels":[`+num+`,0.5]}`), []byte(`{"pixels":[0.5,`+num+`]}`))
 	}
+	// A fraction whose leading zeros cancel an exponent that reaches 10000.
+	zeros := strings.Repeat("0", 9999)
+	seeds = append(seeds, []byte(`{"pixels":[0.`+zeros+`1e100000]}`), []byte(`{"pixels":[0.5,0.`+zeros+`1e10000,1]}`))
 	return seeds
 }
 
@@ -184,9 +183,9 @@ func TestScanClassifyTakesClientBodies(t *testing.T) {
 }
 
 // parseNumberMismatch returns what parseNumber gets wrong on tok, read as
-// the whole input (where the scalar tail reads it) and followed by more of
-// a body (where the eight-byte windows do), against want and err, what
-// strconv.ParseFloat(tok, 32) returns; "" when it agrees. pad is scratch.
+// the whole input and followed by more of a body, against want and err,
+// what strconv.ParseFloat(tok, 32) returns; "" when it agrees. pad is
+// scratch.
 func parseNumberMismatch(tok []byte, want float64, err error, pad *[]byte) string {
 	*pad = append(append((*pad)[:0], tok...), ",0.12345]}"...)
 	for _, in := range [][]byte{tok, *pad} {
@@ -241,9 +240,16 @@ func TestParseNumberEveryUnitFloat32(t *testing.T) {
 		checkParseNumber(t, []byte(tok), pad)
 		checkParseNumber(t, []byte("-"+tok), pad)
 	}
+	// Written exponents of 10000 and more, which neither parseNumber nor
+	// ParseFloat accumulates past five digits, after fractions whose
+	// leading zeros cancel them into the fast path's window and past it.
+	for _, zeros := range []int{998, 999, 9998, 9999, 10000, 19999} {
+		for _, exp := range []string{"e1000", "e10000", "e10005", "e20000", "e100000", "e99999999999", "e-10000"} {
+			checkParseNumber(t, []byte("0."+strings.Repeat("0", zeros)+"1"+exp), pad)
+		}
+	}
 	// Every byte that cannot go on a number ends a run of every length, in
-	// the integer part and the fraction, at every offset in an eight-byte
-	// window.
+	// the integer part and the fraction.
 	for c := 0; c < 256; c++ {
 		if c >= '0' && c <= '9' || strings.IndexByte(".eE", byte(c)) >= 0 {
 			continue
