@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"image/png"
@@ -37,13 +40,21 @@ type classifyState struct {
 	rd     bytes.Reader // over body, for png.Decode
 	pixels [dataset.Pixels]float32
 	reply  []byte
+
+	// scanPNG's inflate: the zlib reader, re-armed for each body, the
+	// IDAT run it reads and the filtered rows it writes, with one byte
+	// of room past them.
+	zr   io.ReadCloser
+	idat idatReader
+	raw  [dataset.Side*pngRowBytes + 1]byte
 }
 
 var statePool = sync.Pool{New: func() any { return new(classifyState) }}
 
 func putState(st *classifyState) {
 	if cap(st.body) > maxPooledBody {
-		st.body = nil
+		// The readers over the body would keep it alive.
+		st.body, st.rd, st.idat = nil, bytes.Reader{}, idatReader{}
 	}
 	statePool.Put(st)
 }
@@ -353,7 +364,18 @@ func readDigits(b []byte, i int, mant uint64) (uint64, int) {
 }
 
 // decodePNG decodes a 28×28 PNG body into st.pixels as grayscale in [0,1].
+// Bodies of the shape clients send go through scanPNG; every other body,
+// valid or not, is decoded by image/png, so what is accepted, what is
+// rejected and with which error are image/png's — except that a body whose
+// IHDR has a valid CRC and declares another size is refused before
+// anything is decoded.
 func (st *classifyState) decodePNG() ([]float32, error) {
+	switch ok, err := st.scanPNG(); {
+	case err != nil:
+		return nil, err
+	case ok:
+		return st.pixels[:], nil
+	}
 	st.rd.Reset(st.body)
 	img, err := png.Decode(&st.rd)
 	if err != nil {
@@ -363,6 +385,219 @@ func (st *classifyState) decodePNG() ([]float32, error) {
 		return nil, err
 	}
 	return st.pixels[:], nil
+}
+
+// pngSignature starts every PNG file.
+const pngSignature = "\x89PNG\r\n\x1a\n"
+
+// pngRowBytes is one row of a 28-wide 8-bit gray image as the zlib stream
+// holds it: a filter byte and the row.
+const pngRowBytes = 1 + dataset.Side
+
+// scanPNG is the single-pass decoder for the PNG clients send: 8-bit
+// grayscale, 28×28, not interlaced, one run of consecutive IDAT chunks whose
+// zlib stream ends exactly at the run's last byte, and no PLTE or tRNS. It
+// walks the chunks up to IEND, checking every CRC and skipping the chunks
+// image/png ignores, then inflates the IDAT run with st.zr into st.raw,
+// undoes the row filters in place and writes st.pixels. Bytes after IEND are
+// ignored, as image/png ignores them.
+//
+// It reports ok=false and no error for any other body, and the caller hands
+// the same bytes to image/png. The one body it refuses itself is one whose
+// IHDR has a valid CRC and does not declare 28×28: image/png would allocate
+// the whole declared image before reading a pixel of it.
+func (st *classifyState) scanPNG() (ok bool, err error) {
+	b := st.body
+	if len(b) < len(pngSignature) || string(b[:len(pngSignature)]) != pngSignature {
+		return false, nil
+	}
+	var sawIHDR bool
+	runStart, runEnd := -1, -1 // the IDAT run: its first chunk, the index after its last
+	for i := len(pngSignature); ; {
+		if len(b)-i < 12 {
+			return false, nil
+		}
+		n := binary.BigEndian.Uint32(b[i:])
+		if uint64(n) > uint64(len(b)-i-12) {
+			return false, nil
+		}
+		end := i + 12 + int(n)
+		if crc32.ChecksumIEEE(b[i+4:end-4]) != binary.BigEndian.Uint32(b[end-4:]) {
+			return false, nil
+		}
+		switch string(b[i+4 : i+8]) {
+		case "IHDR":
+			if sawIHDR || n != 13 {
+				return false, nil
+			}
+			h := b[i+8 : i+8+13]
+			width, height := binary.BigEndian.Uint32(h), binary.BigEndian.Uint32(h[4:])
+			if width != dataset.Side || height != dataset.Side {
+				return false, sizeError(int(width), int(height))
+			}
+			// 8-bit gray, deflate, PNG's filters, not interlaced.
+			if h[8] != 8 || h[9] != 0 || h[10] != 0 || h[11] != 0 || h[12] != 0 {
+				return false, nil
+			}
+			sawIHDR = true
+		case "IDAT":
+			switch {
+			case !sawIHDR || runStart >= 0 && runEnd != i:
+				return false, nil
+			case runStart < 0:
+				runStart = i
+			}
+			runEnd = end
+		case "IEND":
+			if runStart < 0 || n != 0 {
+				return false, nil
+			}
+			return st.inflateGray(runStart, runEnd), nil
+		case "PLTE", "tRNS":
+			return false, nil
+		}
+		i = end
+	}
+}
+
+// inflateGray inflates the IDAT run that spans st.body[start:end] of a
+// checked 8-bit gray 28×28 body into st.raw and unfilters it into
+// st.pixels. It reports false when the zlib stream is not exactly 28 rows,
+// fails its adler-32, leaves IDAT bytes unread or has a row filter other
+// than the five PNG defines.
+func (st *classifyState) inflateGray(start, end int) bool {
+	// Positioned as if at the end of a chunk whose CRC ends at start.
+	st.idat = idatReader{b: st.body, i: start - 4, end: start - 4, runEnd: end}
+	var err error
+	if st.zr == nil {
+		st.zr, err = zlib.NewReader(&st.idat)
+	} else {
+		err = st.zr.(zlib.Resetter).Reset(&st.idat, nil)
+	}
+	if err != nil {
+		return false
+	}
+	// One byte of room past the image tells a long stream from an exact one.
+	n := 0
+	for err == nil && n < len(st.raw) {
+		var m int
+		m, err = st.zr.Read(st.raw[n:])
+		n += m
+	}
+	if n != dataset.Side*pngRowBytes || err != io.EOF || st.idat.more() {
+		return false
+	}
+	var zero [dataset.Side]byte
+	prev := zero[:]
+	for y := 0; y < dataset.Side; y++ {
+		row := st.raw[y*pngRowBytes:][:pngRowBytes]
+		cur := row[1:]
+		if !unfilter(row[0], cur, prev) {
+			return false
+		}
+		out := st.pixels[y*dataset.Side:][:dataset.Side]
+		for x, v := range cur {
+			out[x] = grayLuma[v]
+		}
+		prev = cur
+	}
+	return true
+}
+
+// unfilter undoes PNG filter f (0 none, 1 sub, 2 up, 3 average, 4 Paeth) on
+// one row of one byte per pixel, given the unfiltered row above it, and
+// reports false for any other filter byte.
+func unfilter(f byte, cur, prev []byte) bool {
+	prev = prev[:len(cur)]
+	switch f {
+	case 0:
+	case 1:
+		var left byte
+		for x := range cur {
+			cur[x] += left
+			left = cur[x]
+		}
+	case 2:
+		for x := range cur {
+			cur[x] += prev[x]
+		}
+	case 3:
+		var left byte
+		for x := range cur {
+			cur[x] += uint8((int(left) + int(prev[x])) / 2)
+			left = cur[x]
+		}
+	case 4:
+		var left, upLeft byte
+		for x := range cur {
+			cur[x] += paeth(left, prev[x], upLeft)
+			left, upLeft = cur[x], prev[x]
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// paeth is the PNG Paeth predictor of a (left), b (up) and c (up-left).
+func paeth(a, b, c uint8) uint8 {
+	pa := absInt(int(b) - int(c))
+	pb := absInt(int(a) - int(c))
+	pc := absInt(int(a) + int(b) - 2*int(c))
+	switch {
+	case pa <= pb && pa <= pc:
+		return a
+	case pb <= pc:
+		return b
+	}
+	return c
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// idatReader reads the data of a run of consecutive IDAT chunks that
+// scanPNG has checked as one stream, without the chunks' lengths, types and
+// CRCs. It is an io.ByteReader, so flate reads it directly with no buffer
+// of its own.
+type idatReader struct {
+	b      []byte
+	i, end int // the next byte; the end of the current chunk's data
+	runEnd int // the index after the run's last CRC
+}
+
+// more steps over exhausted chunks and reports whether any data is left.
+func (r *idatReader) more() bool {
+	for r.i == r.end {
+		if r.end+4 == r.runEnd {
+			return false
+		}
+		r.i = r.end + 4 + 8
+		r.end = r.i + int(binary.BigEndian.Uint32(r.b[r.i-8:]))
+	}
+	return true
+}
+
+func (r *idatReader) ReadByte() (byte, error) {
+	if r.i == r.end && !r.more() {
+		return 0, io.EOF
+	}
+	c := r.b[r.i]
+	r.i++
+	return c, nil
+}
+
+func (r *idatReader) Read(p []byte) (int, error) {
+	if !r.more() {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.i:r.end])
+	r.i += n
+	return n, nil
 }
 
 // luma is the ITU-R BT.601 luma of 16-bit channels, scaled to [0,1].
@@ -380,13 +615,18 @@ var grayLuma = func() (t [256]float32) {
 	return t
 }()
 
+// sizeError is the answer to an image that is not 28×28.
+func sizeError(w, h int) error {
+	return fmt.Errorf("image is %dx%d, want %dx%d", w, h, dataset.Side, dataset.Side)
+}
+
 // pngToPixels flattens a decoded 28×28 PNG to grayscale in [0,1]. 8-bit
 // gray images, the format an edge camera pipeline sends, index grayLuma;
 // colour and 16-bit images go through color.Color per pixel.
 func pngToPixels(img image.Image, out *[dataset.Pixels]float32) error {
 	b := img.Bounds()
 	if b.Dx() != dataset.Side || b.Dy() != dataset.Side {
-		return fmt.Errorf("image is %dx%d, want %dx%d", b.Dx(), b.Dy(), dataset.Side, dataset.Side)
+		return sizeError(b.Dx(), b.Dy())
 	}
 	if g, ok := img.(*image.Gray); ok {
 		for y := 0; y < dataset.Side; y++ {
