@@ -336,8 +336,10 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 // BenchmarkPlanExecute is the engine worker's actual hot loop: the compiled
 // AE and classifier plans executed back to back (pipeline-b16), then each
 // plan alone, and LeNet's beside them, at the paper's one hard image and at
-// the engine's batch, in GFLOP/s of its cost model — the step-level figures
-// the benchmark's nn.clf_gflops_b32 and core.convert_us_b1 move with.
+// the engine's batch — the classifier also at two, the batch /classify runs
+// under two connections — in GFLOP/s of its cost model: the step-level
+// figures the benchmark's nn.clf_gflops_b32 and core.convert_us_b1 move
+// with.
 // -benchmem must report 0 allocs/op throughout.
 func BenchmarkPlanExecute(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
@@ -360,10 +362,15 @@ func BenchmarkPlanExecute(b *testing.B) {
 		b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 	})
 	for _, m := range []struct {
-		name string
-		net  *nn.Sequential
-	}{{"clf", pipe.Classifier}, {"ae", pipe.AE.Net}, {"lenet", models.NewLeNet(rng.New(1))}} {
-		for _, n := range []int{1, 32} {
+		name    string
+		net     *nn.Sequential
+		batches []int
+	}{
+		{"clf", pipe.Classifier, []int{1, 2, 32}},
+		{"ae", pipe.AE.Net, []int{1, 32}},
+		{"lenet", models.NewLeNet(rng.New(1)), []int{1, 32}},
+	} {
+		for _, n := range m.batches {
 			b.Run(fmt.Sprintf("%s/b%d", m.name, n), func(b *testing.B) {
 				p, err := nn.Compile(m.net, n)
 				if err != nil {

@@ -3,9 +3,11 @@ package models
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"cbnet/internal/dataset"
+	"cbnet/internal/nn"
 	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -239,6 +241,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		for j := range pa[i].Value.Data {
 			if pa[i].Value.Data[j] != pb[i].Value.Data[j] {
 				t.Fatalf("param %s differs after round trip", pa[i].Name)
+			}
+		}
+	}
+}
+
+// TestSaveParamsIsDeterministic: equal weights make equal checkpoint bytes,
+// so a checkpoint's hash names its weights.
+func TestSaveParamsIsDeterministic(t *testing.T) {
+	b := NewBranchyLeNet(rng.New(19), 0.05)
+	var first bytes.Buffer
+	if err := SaveParams(&first, b.Stem, b.Branch, b.Trunk); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var again bytes.Buffer
+		if err := SaveParams(&again, b.Stem, b.Branch, b.Trunk); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d: %d bytes that differ from the first save's %d", i+2, again.Len(), first.Len())
+		}
+	}
+}
+
+// TestLoadParamsReadsMapCheckpoint: a checkpoint in the older format, a gob
+// name → values map (testdata/params-map.ck, the tiny net below built from
+// seed 7), still loads.
+func TestLoadParamsReadsMapCheckpoint(t *testing.T) {
+	tiny := func(seed uint64) *nn.Sequential {
+		r := rng.New(seed)
+		return nn.NewSequential("tiny", nn.MustConv2D("conv", 1, 4, 4, 2, 3, 3, 1, 0, r), nn.NewDense("fc", 8, 3, r))
+	}
+	want, got := tiny(7), tiny(8)
+	if err := LoadFile(filepath.Join("testdata", "params-map.ck"), got); err != nil {
+		t.Fatal(err)
+	}
+	pw, pg := want.Params(), got.Params()
+	for i := range pw {
+		for j, v := range pw[i].Value.Data {
+			if math.Float32bits(pg[i].Value.Data[j]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d] = %v after loading, want %v", pw[i].Name, j, pg[i].Value.Data[j], v)
 			}
 		}
 	}

@@ -4,15 +4,22 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"cbnet/internal/nn"
 )
 
-// checkpoint is the on-disk format: parameter name → flat values. Shapes
-// are re-derived from the freshly-constructed model at load time, so a
-// checkpoint only loads into an architecture that matches it.
+// checkpoint is the on-disk format: parameter names in sorted order and
+// their flat values, so equal weights make equal files. Params, a name →
+// values map whose gob bytes follow map order, is the older format; it is
+// still read, never written. Shapes are re-derived from the
+// freshly-constructed model at load time, so a checkpoint only loads into
+// an architecture that matches it.
 type checkpoint struct {
+	Names  []string
+	Values [][]float32
 	Params map[string][]float32
 }
 
@@ -36,9 +43,10 @@ func SaveParams(w io.Writer, nets ...*nn.Sequential) error {
 	if err != nil {
 		return err
 	}
-	ck := checkpoint{Params: make(map[string][]float32, len(params))}
-	for name, p := range params {
-		ck.Params[name] = append([]float32(nil), p.Value.Data...)
+	ck := checkpoint{Names: slices.Collect(maps.Keys(params))}
+	slices.Sort(ck.Names)
+	for _, name := range ck.Names {
+		ck.Values = append(ck.Values, params[name].Value.Data)
 	}
 	return gob.NewEncoder(w).Encode(ck)
 }
@@ -51,6 +59,15 @@ func LoadParams(r io.Reader, nets ...*nn.Sequential) error {
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return fmt.Errorf("models: decoding checkpoint: %w", err)
+	}
+	if len(ck.Names) != len(ck.Values) {
+		return fmt.Errorf("models: checkpoint has %d names for %d parameters", len(ck.Names), len(ck.Values))
+	}
+	if ck.Names != nil {
+		ck.Params = make(map[string][]float32, len(ck.Names))
+		for i, name := range ck.Names {
+			ck.Params[name] = ck.Values[i]
+		}
 	}
 	params, err := collectParams(nets)
 	if err != nil {

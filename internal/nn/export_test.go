@@ -10,11 +10,13 @@ var MixedTestNet = mixedTestNet
 // their operands were bound to the micro-kernel: dense weights read
 // row-major through tensor.GEMMEpilogue, the column matrix expanded
 // row-major by tensor.Im2ColInto and packed inside the product, pooling
-// through the general loop that also tracks the arg-max. It allocates its
-// own buffers and shares nothing with Execute but the step list and the
-// layers, so equal bits from the two mean the packed forms changed no
-// arithmetic. Test-only: the external tests of this package walk every
-// shipped network through it.
+// through the general loop that also tracks the arg-max. A direct conv step
+// runs tensor.ConvDirect, which tensor's tests hold to im2col + the blocked
+// GEMM bit for bit. It allocates its own buffers and shares nothing with
+// Execute but the step list and the layers, so equal bits from the two mean
+// the packed forms and the plan's buffer offsets changed no arithmetic.
+// Test-only: the external tests of this package walk every shipped network
+// through it.
 func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	cur := x.Data[:n*p.inW]
@@ -33,13 +35,17 @@ func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 			}
 		case opConv:
 			c := st.conv
+			ep := tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}
+			if st.direct {
+				tensor.ConvDirect(make([]float32, tensor.ConvDirectLen(c.Dims, c.OutC)), cur, n, c.Dims, c.W.Value.Data, c.OutC, ep, out)
+				break
+			}
 			colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
 			batchCols := n * colCols
 			col := make([]float32, colRows*batchCols)
 			c.im2colRange(cur, col, batchCols, 0, n)
 			gemmOut := make([]float32, c.OutC*batchCols)
-			tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols,
-				tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}, nil)
+			tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, nil)
 			c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
 		case opPool:
 			st.pool.poolRange(cur, out, make([]int32, len(out)), 0, n)

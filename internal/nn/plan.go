@@ -27,24 +27,25 @@ import (
 // i%2, and each slot is sized to the widest tensor it ever holds at the
 // plan's batch capacity. Convolution steps additionally share one scratch
 // region — an im2col column matrix and a channel-major GEMM output, or for
-// a direct step one padded frame and one output plane — sized to the
-// largest conv step under the micro-kernel and blocked gate in force at
+// a direct step one padded frame and one group of output planes — sized to
+// the largest conv step under the micro-kernel and blocked gate in force at
 // Compile (tests that swap either do it before compiling). Everything lives
 // in a single []float32 owned by the plan.
 //
 // What a step's GEMM reads as its B operand is bound to the micro-kernel
 // ahead of the product wherever the product takes the blocked path
-// (tensor.BlockedGEMM; single rows and small shapes read B row-major as
-// before, so every shape keeps its dispatch and its bits). A dense step's
-// weights are packed once, at Compile, into the kernel's sliver layout and
-// kept on the layer, one copy for all plans of the network; Execute packs
-// nothing constant. A conv step's column matrix is expanded straight into
-// that layout, in the conv scratch region, and never exists row-major — and
-// where the blocked product would fill fewer rows than the kernel's tile
-// (tensor.DirectConv: conv1 and bconv, every conv of the lightweight
-// classifier) there is no column matrix at all: the step accumulates each
-// output plane over the image's padded frame, the blocked path's arithmetic
-// tap for tap.
+// (tensor.BlockedGEMM, asked per Execute of the live batch; single rows and
+// small shapes read B row-major). A dense step's weights are packed once,
+// at Compile, into the kernel's sliver layout and kept on the layer, one
+// copy for all plans of the network; Execute packs nothing constant. A conv
+// step's column matrix is expanded straight into that layout, in the conv
+// scratch region, and never exists row-major. A conv with fewer output
+// channels than the kernel's tile has rows (tensor.DirectConv: conv1 and
+// bconv, every conv of the lightweight classifier) has no column matrix at
+// all: Compile makes it a direct step once, for every batch size, and the
+// step accumulates each output plane over the image's padded frame, the
+// blocked path's arithmetic tap for tap, so an image's bits do not depend
+// on the batch it rides in.
 //
 // A plan runs on the goroutine that calls Execute, and nothing beneath
 // Execute starts a goroutine, on any kernel and at any tensor.SetGEMMThreads
@@ -66,9 +67,8 @@ const (
 	opDense planOp = iota
 	// opConv is a fused convolution stage: batched im2col, one GEMM with
 	// the per-channel bias and activation in its write-back epilogue, and
-	// a pure regroup copy to sample-major layout — or, for a step
-	// tensor.DirectConv serves, the direct convolution with the same
-	// epilogue.
+	// a pure regroup copy to sample-major layout — or, for a direct
+	// step, the direct convolution with the same epilogue.
 	opConv
 	// opPool is a max-pooling stage.
 	opPool
@@ -93,10 +93,12 @@ type planStep struct {
 	conv  *Conv2D
 	pool  *MaxPool2D
 
-	// conv-only scratch into Plan.buf: colOff/colLen hold the batch's
-	// column matrix (packed for the blocked path, row-major otherwise) or
-	// the direct path's frame and plane, gemmOff the channel-major GEMM
-	// output.
+	// conv-only: direct is Compile's tensor.DirectConv verdict, which
+	// every batch follows. Scratch into Plan.buf: colOff/colLen hold the
+	// batch's column matrix (packed for the blocked path, row-major
+	// otherwise) or the direct path's frame and planes, gemmOff the
+	// channel-major GEMM output.
+	direct                  bool
 	colOff, colLen, gemmOff int
 
 	// Compile-time cost model: the per-sample work counted as the step is
@@ -246,7 +248,8 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 				return nil, fmt.Errorf("nn: Compile %s: %w", net.Name(), err)
 			}
 			p.steps = append(p.steps, planStep{op: opConv, name: l.Name(), conv: l, outW: out,
-				work: Work{ConvMACs: out * l.Dims.ColRows(), ElemOps: out, Layers: 1}}) // + bias adds
+				direct: tensor.DirectConv(l.OutC, l.Dims),
+				work:   Work{ConvMACs: out * l.Dims.ColRows(), ElemOps: out, Layers: 1}}) // + bias adds
 			width = out
 		case *MaxPool2D:
 			if err := shaped(l.Name(), l.InSize()); err != nil {
@@ -321,7 +324,7 @@ func (p *Plan) annotateCosts() {
 			colRows, colCols := int64(c.Dims.ColRows()), int64(c.Dims.ColCols())
 			outEls := int64(st.outW)
 			frame := int64(c.Dims.InC) * int64(c.Dims.InH+2*c.Dims.Pad) * int64(c.Dims.InW+2*c.Dims.Pad)
-			if tensor.DirectConv(c.OutC, c.Dims, p.batchCap) {
+			if st.direct {
 				// input read + frame written and re-read + each plane
 				// written, re-read and compacted into the output slot.
 				st.ioPerImg = f32 * (int64(c.InSize()) + 2*frame + 3*outEls)
@@ -356,19 +359,10 @@ func (p *Plan) planBuffer() {
 		}
 		if st.op == opConv {
 			c := st.conv
-			colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-			gemmOut := c.OutC * p.batchCap * colCols
 			st.colLen = tensor.Im2ColPackedLen(p.batchCap, c.Dims)
-			if tensor.DirectConv(c.OutC, c.Dims, p.batchCap) {
-				// The frame and one plane; no batch writes a packed column
-				// matrix. Batches below the blocked gate still expand a
-				// row-major one for the scalar GEMM.
-				sub := 0
-				for sub < p.batchCap && !tensor.BlockedGEMM(c.OutC, colRows, (sub+1)*colCols) {
-					sub++
-				}
-				st.colLen = max(tensor.ConvDirectLen(c.Dims, c.OutC), colRows*sub*colCols)
-				gemmOut = c.OutC * sub * colCols
+			gemmOut := c.OutC * p.batchCap * c.Dims.ColCols()
+			if st.direct { // the frame and a group of planes, nothing else
+				st.colLen, gemmOut = tensor.ConvDirectLen(c.Dims, c.OutC), 0
 			}
 			if need := st.colLen + gemmOut; need > convScratch {
 				convScratch = need
@@ -587,23 +581,23 @@ func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	}
 }
 
-// runConv executes the batched convolution step. Where the product takes the
-// blocked path: the direct convolution if the step is one tensor.DirectConv
-// serves, otherwise one im2col expansion of the whole batch straight into
+// runConv executes the batched convolution step. A direct step runs the
+// direct convolution at every batch size. Otherwise, where the product takes
+// the blocked path: one im2col expansion of the whole batch straight into
 // the kernel's packed layout, one GEMM whose epilogue applies the
 // per-channel bias and activation in its write-back tail, and a pure regroup
 // copy to sample-major layout. Below the gate: the same three stages over a
 // row-major column matrix and the scalar GEMM.
 func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 	c := st.conv
-	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-	batchCols := n * colCols
 	col := p.buf[st.colOff : st.colOff+st.colLen]
 	ep := tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}
-	if tensor.DirectConv(c.OutC, c.Dims, n) {
+	if st.direct {
 		tensor.ConvDirect(col, in, n, c.Dims, c.W.Value.Data, c.OutC, ep, out)
 		return
 	}
+	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
+	batchCols := n * colCols
 	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
 	if tensor.BlockedGEMM(c.OutC, colRows, batchCols) {
 		b := tensor.Im2ColPacked(col, in, n, c.Dims)

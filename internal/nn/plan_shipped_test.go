@@ -3,6 +3,7 @@ package nn_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"cbnet/internal/compress"
@@ -242,6 +243,59 @@ func TestPlanRepacksWhenKernelWidthChanges(t *testing.T) {
 		for _, kernel := range []string{"generic-8x8", "generic-8x16", "generic-8x8"} {
 			tensor.SetGEMMKernelForTest(kernel)
 			requireSameBits(t, m.name+" under "+kernel, p.Execute(nil, x), p.ReferenceExecute(x))
+		}
+	}
+}
+
+// TestConvStepsAreBatchInvariant: a conv step's bits do not depend on the
+// batch an image rides in. The conv stacks (conv1 … brelu) of the
+// lightweight classifier and of its pruned variant, compiled at capacities
+// 1, 2, 3, 7 and 32 and run over 32 images a full batch at a time, give
+// every image the bits of its row in the one batch of 32, under every
+// kernel the host runs.
+func TestConvStepsAreBatchInvariant(t *testing.T) {
+	light := models.ExtractLightweight(models.NewBranchyLeNet(rng.New(51), 0.05))
+	pruned, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	x := tensor.New(n, dataset.Pixels)
+	x.RandUniform(rng.New(52), 0, 1)
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
+	for _, k := range tensor.GEMMKernels() {
+		if !k.Available {
+			continue
+		}
+		tensor.SetGEMMKernelForTest(k.Name)
+		for _, net := range []*nn.Sequential{light, pruned} {
+			stack := nn.NewSequential(net.Name()+"-convs", net.Layers[:5]...)
+			if last := stack.Layers[4].Name(); !strings.HasPrefix(last, "brelu") {
+				t.Fatalf("%s: conv stack ends at %s, want brelu", net.Name(), last)
+			}
+			var want []float32
+			for _, c := range []int{n, 1, 2, 3, 7} {
+				p, err := nn.Compile(stack, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outW := p.OutWidth()
+				got := make([]float32, 0, n*outW)
+				for lo := 0; lo < n; lo += c {
+					hi := min(n, lo+c)
+					got = append(got, p.Execute(nil, tensor.FromSlice(x.Data[lo*dataset.Pixels:hi*dataset.Pixels], hi-lo, dataset.Pixels)).Data...)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s %s at capacity %d: image %d output[%d] = %#08x, %#08x in a batch of %d", k.Name, net.Name(), c,
+							i/outW, i%outW, math.Float32bits(got[i]), math.Float32bits(want[i]), n)
+					}
+				}
+			}
 		}
 	}
 }

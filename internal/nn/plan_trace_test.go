@@ -205,10 +205,10 @@ func TestTracedExecuteZeroAlloc(t *testing.T) {
 // TestDirectConvStepCostAndBuffer: under a kernel with a tap-accumulate
 // routine the lightweight classifier's conv steps are direct steps — same
 // modelled FLOPs as through im2col, fewer modelled bytes (the frame and the
-// planes in place of the column matrix and the channel-major output), and a
-// conv scratch that holds one frame, one group of planes and the row-major matrix of
-// the batches below the blocked gate, which still run and still match the
-// reference.
+// planes in place of the column matrix and the channel-major output), a
+// conv scratch that holds one frame and one group of planes and nothing
+// else, and the reference's bits at every batch, the ones below the blocked
+// gate's flop floor included.
 func TestDirectConvStepCostAndBuffer(t *testing.T) {
 	r := rng.New(31)
 	net := NewSequential("lightweight-shaped",
@@ -232,7 +232,7 @@ func TestDirectConvStepCostAndBuffer(t *testing.T) {
 	direct := 0
 	for _, k := range tensor.GEMMKernels() {
 		tensor.SetGEMMKernelForTest(k.Name)
-		if !k.Available || !tensor.DirectConv(conv1.OutC, conv1.Dims, 32) {
+		if !k.Available || !tensor.DirectConv(conv1.OutC, conv1.Dims) {
 			continue
 		}
 		direct++
@@ -263,7 +263,11 @@ func TestDirectConvStepCostAndBuffer(t *testing.T) {
 		if got, want := p.Steps()[0].BytesPerImage, int64(4*(784+2*32*32+3*3*784)); got != want {
 			t.Errorf("%s conv1: %d bytes an image, want %d", k.Name, got, want)
 		}
-		for _, n := range []int{1, 2, 3, 32} { // bconv is scalar at 1 and 2
+		bconv := net.Layers[3].(*Conv2D)
+		if got, want := len(p.buf)-p.steps[0].colOff, max(tensor.ConvDirectLen(conv1.Dims, 3), tensor.ConvDirectLen(bconv.Dims, 3)); got != want {
+			t.Errorf("%s: conv scratch %d floats, want the %d of the larger frame and plane group", k.Name, got, want)
+		}
+		for _, n := range []int{1, 2, 3, 32} { // bconv is direct at every batch
 			x := tensor.New(n, 784)
 			x.RandUniform(rng.New(uint64(n)), 0, 1)
 			got, want := p.Execute(nil, x), p.ReferenceExecute(x)

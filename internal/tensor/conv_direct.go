@@ -17,8 +17,10 @@ import (
 // is the blocked path's arithmetic exactly: one fused multiply-add per tap
 // in (c, ky, kx) order from a zero accumulator (a single depth block, hence
 // the ColRows ≤ blockKC condition), the bias added, the activation applied —
-// so a step that moves from im2col + blocked GEMM to this path keeps its
-// bits.
+// the bits the blocked micro-kernel gives the same product. The path is
+// taken at every batch size, also where the blocked gate's flop floor would
+// send the product to the scalar fallback, so an image's bits do not depend
+// on the batch it rides in.
 
 // tapBlock is how many plane positions a tap-accumulate routine covers per
 // block of accumulators; planes are rounded up to it and frames carry that
@@ -32,16 +34,14 @@ const (
 	tapGroup = 3
 )
 
-// DirectConv reports whether ConvDirect serves the convolution of n images
-// of geometry d into outC channels: the product would take the blocked path
-// (BlockedGEMM(outC, ColRows, n·ColCols) — so every shape keeps its
-// dispatch), in one depth block, on fewer rows than the active kernel's
-// tile, at stride 1, and the active kernel comes with a tap-accumulate
-// routine.
-func DirectConv(outC int, d ConvDims, n int) bool {
-	k := d.ColRows()
-	return activeKernel.vec != vecNone && d.Stride == 1 && outC < activeKernel.mr &&
-		k <= blockKC && useBlocked(outC, k, n*d.ColCols())
+// DirectConv reports whether ConvDirect serves the convolution of geometry
+// d into outC channels, at any batch size: the blocked path is on, the
+// active kernel comes with a tap-accumulate routine, the stride is 1, there
+// are fewer channels than the kernel's tile has rows and the taps fit one
+// depth block. Nothing is packed, so no flop count has to pay for it.
+func DirectConv(outC int, d ConvDims) bool {
+	return blockedEnabled && activeKernel.vec != vecNone && d.Stride == 1 &&
+		outC < activeKernel.mr && d.ColRows() <= blockKC
 }
 
 // planeLen is the flat extent of one output plane laid over the frame: the
@@ -58,13 +58,13 @@ func ConvDirectLen(d ConvDims, outC int) int {
 // ConvDirect convolves the n images of in (sample-major rows of
 // InC·InH·InW) with the outC×ColRows row-major kernels w, applies ep (a
 // RowBias per output channel and an activation; no ColBias) and writes out
-// sample-major, n rows of outC·OutH·OutW. DirectConv(outC, d, n) must hold.
+// sample-major, n rows of outC·OutH·OutW. DirectConv(outC, d) must hold.
 // scratch (ConvDirectLen(d, outC) float32s) is overwritten. w and the bias
 // are read in place, nothing is packed. The channels are taken tapGroup at a
 // time, the last group holding what is left.
 func ConvDirect(scratch, in []float32, n int, d ConvDims, w []float32, outC int, ep Epilogue, out []float32) {
-	if !DirectConv(outC, d, n) {
-		panic(fmt.Sprintf("tensor: ConvDirect on a convolution the direct path does not serve (%+v, %d channels, %d images, kernel %s)", d, outC, n, activeKernel.name))
+	if !DirectConv(outC, d) {
+		panic(fmt.Sprintf("tensor: ConvDirect on a convolution the direct path does not serve (%+v, %d channels, kernel %s)", d, outC, activeKernel.name))
 	}
 	k, cols := d.ColRows(), d.ColCols()
 	imgLen := d.InC * d.InH * d.InW

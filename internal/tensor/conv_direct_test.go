@@ -7,16 +7,19 @@ import (
 )
 
 // The direct convolution against the path it replaces for small-OutC steps:
-// Im2ColPacked, GEMMEpiloguePacked, regroup to sample-major. Same bits, under
-// every kernel that comes with a tap-accumulate routine.
+// Im2ColPacked, the blocked GEMM, regroup to sample-major. Same bits, under
+// every kernel that comes with a tap-accumulate routine, at every batch size.
 
-// convViaIm2Col is a conv step as plans ran it before the direct path, into
-// caller-owned buffers: col (Im2ColPackedLen), chanMajor (outC·n·ColCols)
-// and the sample-major out.
+// convViaIm2Col is a conv step through im2col and the blocked micro-kernel,
+// into caller-owned buffers: col (Im2ColPackedLen), chanMajor
+// (outC·n·ColCols) and the sample-major out. It calls the blocked driver
+// itself, because the direct path serves products (a single channel, a batch
+// of one) that the blocked gate sends elsewhere and GEMMEpiloguePacked
+// refuses.
 func convViaIm2Col(col, chanMajor, out, in []float32, n int, d ConvDims, w []float32, outC int, ep Epilogue, ps *PackScratch) {
-	cols := d.ColCols()
+	k, cols := d.ColRows(), d.ColCols()
 	pb := Im2ColPacked(col, in, n, d)
-	GEMMEpiloguePacked(w, &pb, chanMajor, outC, ep, ps)
+	gemmBlocked(w, k, 1, nil, 0, 0, chanMajor, outC, k, n*cols, 1, 0, ep, ps, &pb)
 	for i := 0; i < n; i++ {
 		for oc := 0; oc < outC; oc++ {
 			copy(out[(i*outC+oc)*cols:][:cols], chanMajor[oc*n*cols+i*cols:])
@@ -32,7 +35,7 @@ func convViaIm2Col(col, chanMajor, out, in []float32, n int, d ConvDims, w []flo
 // NaN sum meets it the bias add shows which operand it keeps.
 func checkDirectConv(t *testing.T, d ConvDims, outC, n int, seed uint32, special bool) bool {
 	t.Helper()
-	if !DirectConv(outC, d, n) {
+	if !DirectConv(outC, d) {
 		return false
 	}
 	in := make([]float32, n*d.InC*d.InH*d.InW)
@@ -79,7 +82,7 @@ func TestDirectConvMatchesIm2ColGEMM(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		if activeKernel.vec == vecNone {
 			conv1, _ := NewConvDims(1, 28, 28, 5, 5, 1, 2)
-			if DirectConv(3, conv1, 32) {
+			if DirectConv(3, conv1) {
 				t.Fatal("direct path offered under a kernel without a tap-accumulate routine")
 			}
 			return
@@ -91,9 +94,10 @@ func TestDirectConvMatchesIm2ColGEMM(t *testing.T) {
 			{1, 28, 28, 5, 5, 2, 3, 1, true},  // conv1, the paper's one hard image
 			{1, 28, 28, 5, 5, 2, 3, 32, true}, // conv1 at the engine's batch
 			{3, 14, 14, 3, 3, 0, 3, 32, true}, // bconv
-			{3, 14, 14, 3, 3, 0, 3, 3, true},  // bconv, first batch over the gate
-			{3, 14, 14, 3, 3, 0, 3, 2, false}, // bconv below it: stays scalar
-			{1, 28, 28, 5, 5, 2, 1, 7, false}, // pruned lightweight, one channel: a single-row product, gemvRow's
+			{3, 14, 14, 3, 3, 0, 3, 3, true},  // bconv, the first batch the blocked gate passes
+			{3, 14, 14, 3, 3, 0, 3, 2, true},  // bconv below the gate's flop floor
+			{3, 14, 14, 3, 3, 0, 3, 1, true},  // bconv on the paper's one hard image
+			{1, 28, 28, 5, 5, 2, 1, 7, true},  // pruned lightweight, one channel: a single-row product
 			{1, 28, 28, 5, 5, 2, 2, 7, true},
 			{3, 14, 14, 5, 5, 0, 7, 7, true},   // widest OutC below mr
 			{3, 14, 14, 5, 5, 0, 8, 7, false},  // a full tile of rows keeps im2col
@@ -117,8 +121,15 @@ func TestDirectConvMatchesIm2ColGEMM(t *testing.T) {
 			}
 		}
 		stride2, _ := NewConvDims(1, 28, 28, 5, 5, 2, 2)
-		if DirectConv(3, stride2, 32) {
+		if DirectConv(3, stride2) {
 			t.Fatal("direct path offered for a strided convolution")
+		}
+		bconv, _ := NewConvDims(3, 14, 14, 3, 3, 1, 0)
+		prev := SetBlockedKernelForTest(false)
+		offered := DirectConv(3, bconv)
+		SetBlockedKernelForTest(prev)
+		if offered {
+			t.Fatal("direct path offered with the blocked path switched off")
 		}
 	})
 }
@@ -135,6 +146,7 @@ func FuzzDirectConvGeometry(f *testing.F) {
 	f.Add(uint8(3), uint8(14), uint8(14), uint8(3), uint8(3), uint8(0), uint8(3), uint8(5), uint32(2), true)
 	f.Add(uint8(1), uint8(8), uint8(8), uint8(8), uint8(8), uint8(0), uint8(7), uint8(200), uint32(3), true)
 	f.Add(uint8(2), uint8(5), uint8(31), uint8(3), uint8(3), uint8(1), uint8(2), uint8(40), uint32(4), false)
+	f.Add(uint8(2), uint8(14), uint8(14), uint8(3), uint8(3), uint8(0), uint8(3), uint8(0), uint32(5), true) // bconv's geometry, one image
 	f.Fuzz(func(t *testing.T, c, h, w, kh, kw, pad, _, n uint8, seed uint32, special bool) {
 		d, err := NewConvDims(int(c%12)+1, int(h%33), int(w%33), int(kh%9), int(kw%9), 1, int(pad%4))
 		if err != nil {
@@ -154,19 +166,23 @@ func FuzzDirectConvGeometry(f *testing.F) {
 }
 
 // BenchmarkDirectConv times the two conv steps of the lightweight classifier
-// at the engine's batch, direct — their three channels as one plane group,
-// compacted by the vector row copy — against the im2col + GEMM + regroup
-// they ran before, in GFLOP/s of the convolution itself.
+// on the paper's one hard image and at the engine's batch, direct — their
+// three channels as one plane group, compacted by the vector row copy —
+// against im2col + the blocked GEMM + regroup, in GFLOP/s of the convolution
+// itself.
 func BenchmarkDirectConv(b *testing.B) {
 	for _, g := range []struct {
 		name            string
 		c, h, w, k, pad int
+		n               int
 	}{
-		{"conv1", 1, 28, 28, 5, 2},
-		{"bconv", 3, 14, 14, 3, 0},
+		{"conv1", 1, 28, 28, 5, 2, 1},
+		{"conv1", 1, 28, 28, 5, 2, 32},
+		{"bconv", 3, 14, 14, 3, 0, 1},
+		{"bconv", 3, 14, 14, 3, 0, 32},
 	} {
 		d, _ := NewConvDims(g.c, g.h, g.w, g.k, g.k, 1, g.pad)
-		const n, outC = 32, 3
+		n, outC := g.n, 3
 		// Inputs rotate so the relu floor is not a learned pattern.
 		ins := make([][]float32, 4)
 		for i := range ins {
@@ -182,8 +198,8 @@ func BenchmarkDirectConv(b *testing.B) {
 		gflops := func(b *testing.B) {
 			b.ReportMetric(2*float64(outC*d.ColRows()*n*d.ColCols())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		}
-		b.Run(fmt.Sprintf("%s/direct", g.name), func(b *testing.B) {
-			if !DirectConv(outC, d, n) {
+		b.Run(fmt.Sprintf("%s/b%d/direct", g.name, n), func(b *testing.B) {
+			if !DirectConv(outC, d) {
 				b.Skip("no tap-accumulate routine under " + GEMMKernelName())
 			}
 			scratch := make([]float32, ConvDirectLen(d, outC))
@@ -193,8 +209,8 @@ func BenchmarkDirectConv(b *testing.B) {
 			}
 			gflops(b)
 		})
-		b.Run(fmt.Sprintf("%s/im2col", g.name), func(b *testing.B) {
-			if !BlockedGEMM(outC, d.ColRows(), n*d.ColCols()) {
+		b.Run(fmt.Sprintf("%s/b%d/im2col", g.name, n), func(b *testing.B) {
+			if !blockedEnabled {
 				b.Skip("no FMA micro-kernel on this CPU")
 			}
 			col := make([]float32, Im2ColPackedLen(n, d))
