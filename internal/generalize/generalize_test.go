@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"cbnet/internal/device"
 	"cbnet/internal/models"
 	"cbnet/internal/rng"
+	"cbnet/internal/tensor"
 )
 
 func TestHardnessScoreSeparatesEasyHard(t *testing.T) {
@@ -38,35 +40,33 @@ func TestHardnessScorePanicsOnBadSize(t *testing.T) {
 	HardnessScore(make([]float32, 10))
 }
 
+// TestLabelEasyHeuristicCalibration labels the easiest 75 % of a dataset
+// easy by score alone, the BranchyNet-free substitute for the Fig. 4
+// labelling stage, and holds the labels to the generator's hard flags.
 func TestLabelEasyHeuristicCalibration(t *testing.T) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.FashionMNIST, N: 600, HardFraction: 0.25, Seed: 2})
-	easy, err := LabelEasyHeuristic(ds, 0.25)
-	if err != nil {
-		t.Fatal(err)
+	n := ds.Len()
+	byScore := make([]int, n)
+	scores := make([]float64, n)
+	for i := range byScore {
+		byScore[i] = i
+		scores[i] = HardnessScore(ds.Image(i))
 	}
-	nEasy := 0
-	for _, e := range easy {
-		if e {
-			nEasy++
-		}
-	}
-	if nEasy < 440 || nEasy > 460 {
-		t.Fatalf("easy count %d, want ≈450", nEasy)
+	sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] < scores[byScore[b]] })
+	easy := make([]bool, n)
+	for _, i := range byScore[:n-n/4] {
+		easy[i] = true
 	}
 	// The heuristic should agree with the generator's ground truth much
 	// better than chance (chance for a 25/75 split ≈ 62.5%).
-	if agree := HeuristicAgreement(ds, easy); agree < 0.75 {
-		t.Errorf("heuristic agreement %.3f, want ≥0.75", agree)
+	agree := 0
+	for i, e := range easy {
+		if e != ds.Hard[i] {
+			agree++
+		}
 	}
-}
-
-func TestLabelEasyHeuristicErrors(t *testing.T) {
-	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 10, HardFraction: 0, Seed: 3})
-	if _, err := LabelEasyHeuristic(ds, 1.0); err == nil {
-		t.Fatal("hard fraction 1.0 should error")
-	}
-	if _, err := LabelEasyHeuristic(ds, -0.1); err == nil {
-		t.Fatal("negative fraction should error")
+	if share := float64(agree) / float64(n); share < 0.75 {
+		t.Errorf("heuristic agreement %.3f, want ≥0.75", share)
 	}
 }
 
@@ -313,13 +313,44 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkAgainstReference holds HardnessScore to the sort: sharpness and both
-// order statistics equal (== lets −0 stand for +0), and the score bit-equal
-// where the background sum is exact, else on the same side of the routing
-// threshold (engine.DefaultHardnessThreshold, 1.05).
+// forEachBody runs f under each body pixelStats has on this host — Go, and
+// the vector body of each width tensor's available kernels run — selected
+// the way serving selects it, through the active kernel.
+func forEachBody(f func(body string)) {
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
+	var done []int
+	for _, k := range tensor.GEMMKernels() {
+		if !k.Available {
+			continue
+		}
+		tensor.SetGEMMKernelForTest(k.Name)
+		if w := tensor.VectorWidth(); !slices.Contains(done, w) {
+			done = append(done, w)
+			f(fmt.Sprintf("%d-lane", w))
+		}
+	}
+}
+
+// checkAgainstReference holds HardnessScore under the active body to the
+// Go body, bit for bit in all four terms and the score, and to the sort:
+// sharpness and both order statistics equal (== lets −0 stand for +0), and
+// the score bit-equal where the background sum is exact, else on the same
+// side of the routing threshold (engine.DefaultHardnessThreshold, 1.05).
 func checkAgainstReference(t *testing.T, what string, img []float32) {
 	t.Helper()
-	sharp, p50, p95, _ := pixelStats((*[dataset.Pixels]float32)(img))
+	px := (*[dataset.Pixels]float32)(img)
+	sharp, p50, p95, bg := pixelStats(px)
+	gSharp, g50, g95, gbg := goStats(px)
+	for _, p := range [][2]float64{{sharp, gSharp}, {p50, g50}, {p95, g95}, {bg, gbg}} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			t.Fatalf("%s: sharp, p50, p95, bg = %x; the Go body gives %x", what,
+				[]uint64{math.Float64bits(sharp), math.Float64bits(p50), math.Float64bits(p95), math.Float64bits(bg)},
+				[]uint64{math.Float64bits(gSharp), math.Float64bits(g50), math.Float64bits(g95), math.Float64bits(gbg)})
+		}
+	}
+	if got, want := HardnessScore(img), score(gSharp, g50, g95, gbg); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: score %#x, the Go body gives %#x", what, math.Float64bits(got), math.Float64bits(want))
+	}
 	rSharp, r50, r95, _ := referenceStats(img)
 	if !sameFloat(sharp, rSharp) || !(p50 == r50 || sameFloat(p50, r50)) || !(p95 == r95 || sameFloat(p95, r95)) {
 		t.Fatalf("%s: sharp, p50, p95 = %v, %v, %v; sort gives %v, %v, %v", what, sharp, p50, p95, rSharp, r50, r95)
@@ -340,23 +371,27 @@ func checkAgainstReference(t *testing.T, what string, img []float32) {
 // repository benchmark's pools are drawn from (FMNIST, the easy stream raw,
 // the hard stream through PNG).
 func TestHardnessScoreMatchesSortReference(t *testing.T) {
-	r := rng.New(777)
-	for _, fam := range []dataset.Family{dataset.MNIST, dataset.FashionMNIST, dataset.KMNIST} {
-		for _, hard := range []bool{false, true} {
-			for i := 0; i < 500; i++ {
-				img := dataset.RenderSample(fam, i%dataset.NumClasses, hard, r)
-				what := fmt.Sprintf("%v hard=%v #%d", fam, hard, i)
-				checkAgainstReference(t, what, img)
-				checkAgainstReference(t, what+" 8-bit", quantise8(img))
+	forEachBody(func(body string) {
+		t.Run(body, func(t *testing.T) {
+			r := rng.New(777)
+			for _, fam := range []dataset.Family{dataset.MNIST, dataset.FashionMNIST, dataset.KMNIST} {
+				for _, hard := range []bool{false, true} {
+					for i := 0; i < 500; i++ {
+						img := dataset.RenderSample(fam, i%dataset.NumClasses, hard, r)
+						what := fmt.Sprintf("%v hard=%v #%d", fam, hard, i)
+						checkAgainstReference(t, what, img)
+						checkAgainstReference(t, what+" 8-bit", quantise8(img))
+					}
+				}
 			}
-		}
-	}
-	easy, hard := rng.New(1^0xEA5E), rng.New(1^0x4A2D)
-	for i := 0; i < 1000; i++ {
-		checkAgainstReference(t, fmt.Sprintf("easy pool #%d", i), dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, false, easy))
-		checkAgainstReference(t, fmt.Sprintf("hard pool #%d", i), quantise8(dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, true, hard)))
-	}
-	checkAgainstReference(t, "flat image", make([]float32, dataset.Pixels))
+			easy, hard := rng.New(1^0xEA5E), rng.New(1^0x4A2D)
+			for i := 0; i < 1000; i++ {
+				checkAgainstReference(t, fmt.Sprintf("easy pool #%d", i), dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, false, easy))
+				checkAgainstReference(t, fmt.Sprintf("hard pool #%d", i), quantise8(dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, true, hard)))
+			}
+			checkAgainstReference(t, "flat image", make([]float32, dataset.Pixels))
+		})
+	})
 }
 
 // TestHardnessScoreSpecialValues pins what the score does with pixels
@@ -380,6 +415,14 @@ func TestHardnessScoreSpecialValues(t *testing.T) {
 		}
 		return img
 	}
+	// The one inked centre, (1, 1), of an otherwise dark image: 4·1 − 1 −
+	// 2⁻⁵² − 1 is 2 left to right (3 − 2⁻⁵² rounds to 3), and 2 − 2⁻⁵² with
+	// the left neighbour taken before the lower one.
+	subtractionOrder := make([]float32, dataset.Pixels)
+	subtractionOrder[1] = 1
+	subtractionOrder[dataset.Side] = 1
+	subtractionOrder[dataset.Side+1] = 1
+	subtractionOrder[2*dataset.Side+1] = 0x1p-52
 	negZeros := append([]float32(nil), base...)
 	for i, v := range negZeros {
 		if v == 0 {
@@ -403,31 +446,39 @@ func TestHardnessScoreSpecialValues(t *testing.T) {
 		"smallest subnormal":   fill(math.SmallestNonzeroFloat32, 300),
 		"bucket edges at 392":  fill(1.0/256, 450),
 		"one level everywhere": fill(0.5, dataset.Pixels),
+		"+Inf centre":          set(map[int]float32{14*dataset.Side + 14: inf}),
+		"+Inf beside +Inf":     set(map[int]float32{14*dataset.Side + 14: inf, 14*dataset.Side + 15: inf}),
+		"subtraction order":    subtractionOrder,
 	} {
-		checkAgainstReference(t, what, img)
+		forEachBody(func(body string) { checkAgainstReference(t, body+" "+what, img) })
 	}
-	for what, at := range map[string]int{"corner": 0, "border": 5, "interior": 14*dataset.Side + 14} {
-		for _, nan := range []float32{float32(math.NaN()), math.Float32frombits(0xffc00001)} {
-			img := set(map[int]float32{at: nan})
-			if h := HardnessScore(img); !math.IsNaN(h) {
-				t.Errorf("NaN (%#x) at the %s: score %v, want NaN", math.Float32bits(nan), what, h)
+	forEachBody(func(body string) {
+		for what, at := range map[string]int{"corner": 0, "border": 5, "interior": 14*dataset.Side + 14, "last": dataset.Pixels - 1} {
+			for _, nan := range []float32{float32(math.NaN()), math.Float32frombits(0xffc00001)} {
+				img := set(map[int]float32{at: nan})
+				if h := HardnessScore(img); !math.IsNaN(h) {
+					t.Errorf("%s: NaN (%#x) at the %s: score %v, want NaN", body, math.Float32bits(nan), what, h)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestHardnessScoreAllocates0: the score sits on every admission.
 func TestHardnessScoreAllocates0(t *testing.T) {
 	img := dataset.RenderSample(dataset.FashionMNIST, 2, true, rng.New(6))
-	if n := testing.AllocsPerRun(100, func() { HardnessScore(img) }); n != 0 {
-		t.Fatalf("HardnessScore allocates %v times a call", n)
-	}
+	forEachBody(func(body string) {
+		if n := testing.AllocsPerRun(100, func() { HardnessScore(img) }); n != 0 {
+			t.Errorf("%s: HardnessScore allocates %v times a call", body, n)
+		}
+	})
 }
 
 // fuzzImage builds 784 pixels from fuzz bytes. Each pixel or run starts
-// with an op byte: an 8-bit level, raw float32 bits clamped to [0,1] (NaN
-// to 0, −0 kept), a bucket edge k/256 or 1.0 or its neighbour float, or a
-// run of up to 1 021 equal pixels, long enough to straddle the median.
+// with an op byte: an 8-bit level, raw float32 bits (NaN to 0; clamped to
+// [0,1], −0 kept, unless op has bit 2 set), a bucket edge k/256 or 1.0 or
+// its neighbour float, or a run of up to 1 021 equal pixels, long enough to
+// straddle the median.
 func fuzzImage(data []byte) []float32 {
 	next := func() byte {
 		if len(data) == 0 {
@@ -445,10 +496,12 @@ func fuzzImage(data []byte) []float32 {
 		switch op % 4 {
 		case 1:
 			v = math.Float32frombits(uint32(b) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
-			if !(v >= 0) {
+			switch {
+			case v != v, op&4 == 0 && v < 0:
 				v = 0
+			case op&4 == 0:
+				v = min(v, 1) // −0 stays −0
 			}
-			v = min(v, 1)
 		case 2:
 			v = float32(int(b)+int(op>>2&1)) / 256
 			switch op >> 3 % 3 {
@@ -468,17 +521,28 @@ func fuzzImage(data []byte) []float32 {
 	return img
 }
 
-// FuzzHardnessScore holds HardnessScore to the sort over fuzzed pixels:
-// bit-equal where the background sum is exact, on the same side of the
-// routing threshold otherwise.
+// FuzzHardnessScore holds HardnessScore under every body to the Go body's
+// bits on every input, and to the sort: bit-equal where the background sum
+// is exact, on the same side of the routing threshold otherwise.
 func FuzzHardnessScore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 120, 3, 40, 60, 3, 255, 200})    // ties across rank 392
 	f.Add([]byte{3, 7, 110, 2, 3, 3, 30, 255, 1, 1, 0}) // an edge, then 1.0
 	f.Add([]byte{1, 1, 0, 0, 0, 1, 0, 0, 0x80, 0x80})   // subnormal and −0
 	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 5, 2, 255})    // 1.0, a level, an edge
+	// +Inf at (14, 14) among bright pixels.
+	f.Add([]byte{3, 200, 101, 0, 200, 5, 0, 0, 0x80, 0x7f, 3, 200, 255})
+	// −Inf below the median's bucket.
+	f.Add([]byte{3, 0, 50, 5, 0, 0, 0x80, 0xff, 3, 120, 255})
+	// A −0 background under a nonzero median.
+	f.Add(append(bytes.Repeat([]byte{1, 0, 0, 0, 0x80}, 30), 3, 0, 20, 3, 100, 255))
+	// An all-dark interior (no inked centre) under a bright first row.
+	f.Add([]byte{3, 255, 6, 3, 10, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstReference(t, fmt.Sprintf("% x", data), fuzzImage(data))
+		img := fuzzImage(data)
+		forEachBody(func(body string) {
+			checkAgainstReference(t, fmt.Sprintf("%s % x", body, data), img)
+		})
 	})
 }
 

@@ -18,21 +18,35 @@ package resilience
 import "math"
 
 // Fingerprint hashes an input image into the 64-bit content key the
-// quarantine ring stores: FNV-1a over the raw float bits, so bit-identical
-// resubmissions of a poison pill collide and nothing else plausibly does.
-// Never returns 0 (the quarantine's empty-slot sentinel). Zero allocs.
+// quarantine ring stores: FNV-1a over the raw float bits in four lanes
+// (pixel i feeds lane i mod 4, the pixels past the last whole four lane 0),
+// each its own multiply chain so the four run side by side, folded by one
+// more FNV-1a round per lane. Bit-identical resubmissions of a poison pill
+// collide and nothing else plausibly does. Never returns 0 (the
+// quarantine's empty-slot sentinel). Zero allocs.
 func Fingerprint(pixels []float32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64)
-	for _, v := range pixels {
-		h ^= uint64(math.Float32bits(v))
-		h *= prime64
+	h := [4]uint64{offset64, offset64, offset64, offset64}
+	i := 0
+	for ; i+4 <= len(pixels); i += 4 {
+		q := pixels[i : i+4 : i+4]
+		h[0] = (h[0] ^ uint64(math.Float32bits(q[0]))) * prime64
+		h[1] = (h[1] ^ uint64(math.Float32bits(q[1]))) * prime64
+		h[2] = (h[2] ^ uint64(math.Float32bits(q[2]))) * prime64
+		h[3] = (h[3] ^ uint64(math.Float32bits(q[3]))) * prime64
 	}
-	if h == 0 {
-		h = 1
+	for _, v := range pixels[i:] {
+		h[0] = (h[0] ^ uint64(math.Float32bits(v))) * prime64
 	}
-	return h
+	fp := uint64(offset64)
+	for _, lane := range h {
+		fp = (fp ^ lane) * prime64
+	}
+	if fp == 0 {
+		fp = 1
+	}
+	return fp
 }

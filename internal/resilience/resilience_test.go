@@ -321,6 +321,22 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkFingerprint hashes one 784-pixel image, the admission path's
+// quarantine key.
+func BenchmarkFingerprint(b *testing.B) {
+	px := make([]float32, 784)
+	for i := range px {
+		px[i] = float32(i) / 784
+	}
+	var sink uint64
+	for b.Loop() {
+		sink += Fingerprint(px)
+	}
+	if sink == 0 {
+		b.Log(sink)
+	}
+}
+
 // BenchmarkBreakerObserve measures the resilience tax added to every
 // healthy micro-batch: one circuit-breaker admission check plus one outcome
 // observation — a handful of atomics that must stay at zero allocations

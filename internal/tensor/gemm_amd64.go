@@ -4,7 +4,7 @@ package tensor
 
 // Assembly bindings and CPU-feature detection for the x86 micro-kernels
 // (gemm_amd64.s). The AVX2 kernel needs AVX2 (8-wide float32 YMM ops), FMA,
-// and an OS that context-switches the YMM state; the AVX-512 kernel
+// POPCNT and an OS that context-switches the YMM state; the AVX-512 kernel
 // additionally needs AVX512F and OS-managed opmask/ZMM state. Each check
 // runs once at init; unsupported kernels register as unavailable and
 // selection falls back down the priority order.
@@ -55,8 +55,10 @@ func avx512Kernel(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32) {
 }
 
 // hasAVX2FMA reports whether the CPU and OS support the AVX2 kernel:
-// CPUID leaf 1 must advertise FMA, AVX, and OSXSAVE; XCR0 must show the OS
-// saving XMM+YMM state; and CPUID leaf 7 must advertise AVX2.
+// CPUID leaf 1 must advertise FMA, POPCNT (which vector bodies outside this
+// package count their compacted lanes with; see VectorWidth), AVX, and
+// OSXSAVE; XCR0 must show the OS saving XMM+YMM state; and CPUID leaf 7
+// must advertise AVX2.
 func hasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
@@ -64,11 +66,12 @@ func hasAVX2FMA() bool {
 	}
 	const (
 		fmaBit     = 1 << 12
+		popcntBit  = 1 << 23
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	_, _, ecx1, _ := cpuidex(1, 0)
-	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
+	if ecx1&fmaBit == 0 || ecx1&popcntBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return false
 	}
 	xcr0, _ := xgetbv0()

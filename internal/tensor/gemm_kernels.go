@@ -146,6 +146,13 @@ func GEMMKernels() []KernelInfo {
 // GEMMKernelName reports the active micro-kernel's registry name.
 func GEMMKernelName() string { return activeKernel.name }
 
+// VectorWidth reports the float32 lanes of the active kernel's vector loops:
+// 16 for AVX-512, 8 for AVX2, 0 where they are Go loops (the generic
+// kernels, and every kernel off amd64). A package with vector bodies of its
+// own picks them by it, so CBNET_GEMM_KERNEL and SetGEMMKernelForTest choose
+// those bodies too, and the CPUID gate that admitted the kernel covers them.
+func VectorWidth() int { return activeKernel.vec.width() }
+
 // SetGEMMKernelForTest selects a registered, available kernel by name and
 // returns the previously active kernel's name so tests can restore it. It
 // does not touch the blocked-dispatch gate (SetBlockedKernelForTest); the
