@@ -206,7 +206,7 @@ func BenchmarkAblationBottleneck(b *testing.B) {
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
 			if i == 0 {
 				b.Logf("bottleneck %3d: recon loss %.5f, CBNet accuracy %.2f%%",
-					width, h.FinalLoss(), 100*pipe.Accuracy(std.Test))
+					width, h.EpochLoss[len(h.EpochLoss)-1], 100*pipe.Accuracy(std.Test))
 			}
 		}
 	}

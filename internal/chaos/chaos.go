@@ -43,9 +43,7 @@ type Injector struct {
 	// means all routes): a device wedged hard, the breaker's natural prey.
 	stuckRoute atomic.Value // string
 
-	batches        atomic.Uint64
-	injectedErrors atomic.Uint64
-	injectedPanics atomic.Uint64
+	batches atomic.Uint64
 }
 
 // NewInjector returns an injector with every fault disabled.
@@ -84,15 +82,6 @@ func (i *Injector) SetPoisonValue(v float32) { i.poisonBits.Store(math.Float32bi
 // ErrInjected until cleared. Route "*" wedges all routes; "" un-wedges.
 func (i *Injector) SetStuck(route string) { i.stuckRoute.Store(route) }
 
-// InjectedErrors reports how many batches were failed with ErrInjected.
-func (i *Injector) InjectedErrors() uint64 { return i.injectedErrors.Load() }
-
-// InjectedPanics reports how many batches were panicked.
-func (i *Injector) InjectedPanics() uint64 { return i.injectedPanics.Load() }
-
-// Batches reports how many batches passed through the injector.
-func (i *Injector) Batches() uint64 { return i.batches.Load() }
-
 // BeforeInfer implements engine.FaultInjector: it runs on the worker
 // goroutine just before the batch's forward pass.
 func (i *Injector) BeforeInfer(route string, batchSize int) error {
@@ -107,15 +96,12 @@ func (i *Injector) BeforeInfer(route string, batchSize int) error {
 	}
 	n := i.batches.Add(1)
 	if stuck, _ := i.stuckRoute.Load().(string); stuck != "" && (stuck == "*" || stuck == route) {
-		i.injectedErrors.Add(1)
 		return fmt.Errorf("%w: route %s is stuck", ErrInjected, route)
 	}
 	if every := i.panicEvery.Load(); every > 0 && n%uint64(every) == 0 {
-		i.injectedPanics.Add(1)
 		panic(fmt.Sprintf("chaos: injected panic on %s batch %d (size %d)", route, n, batchSize))
 	}
 	if every := i.errEvery.Load(); every > 0 && n%uint64(every) == 0 {
-		i.injectedErrors.Add(1)
 		return ErrInjected
 	}
 	return nil

@@ -29,9 +29,6 @@ func TestInjectorFaultSchedules(t *testing.T) {
 	if errs != 3 {
 		t.Fatalf("every-3rd error: got %d in 9 batches, want 3", errs)
 	}
-	if inj.InjectedErrors() != 3 {
-		t.Fatalf("InjectedErrors = %d, want 3", inj.InjectedErrors())
-	}
 
 	inj.SetErrorEvery(0)
 	inj.SetPanicEvery(1)
@@ -43,9 +40,6 @@ func TestInjectorFaultSchedules(t *testing.T) {
 		}()
 		_ = inj.BeforeInfer("easy", 2)
 	}()
-	if inj.InjectedPanics() != 1 {
-		t.Fatalf("InjectedPanics = %d, want 1", inj.InjectedPanics())
-	}
 }
 
 func TestInjectorPerRouteLatency(t *testing.T) {
@@ -120,29 +114,6 @@ func TestWaveArrivalsIntegrateTheProfile(t *testing.T) {
 		if arr[i] != arr2[i] {
 			t.Fatalf("non-deterministic arrival %d", i)
 		}
-	}
-}
-
-func TestCohortsSpreadSkew(t *testing.T) {
-	w := Wave{Base: 1, Peak: 10, Ramp: time.Second, Hold: time.Second, Decay: time.Second}
-	single := Cohorts(w, 1, time.Second)
-	if len(single) != 1 || single[0].Skew != 0 {
-		t.Fatalf("n=1 should return the wave unchanged: %+v", single)
-	}
-	cs := Cohorts(w, 5, 100*time.Millisecond)
-	if len(cs) != 5 {
-		t.Fatalf("got %d cohorts, want 5", len(cs))
-	}
-	if cs[0].Skew != -100*time.Millisecond || cs[4].Skew != 100*time.Millisecond {
-		t.Fatalf("skew endpoints %v..%v, want ±100ms", cs[0].Skew, cs[4].Skew)
-	}
-	if cs[2].Skew != 0 {
-		t.Fatalf("middle cohort skew %v, want 0", cs[2].Skew)
-	}
-	// A skewed cohort sees the crowd earlier: at the same elapsed time its
-	// rate is further along the profile.
-	if cs[4].RateAt(500*time.Millisecond) <= cs[0].RateAt(500*time.Millisecond) {
-		t.Fatal("positive skew should lead the wave")
 	}
 }
 

@@ -3,23 +3,18 @@ package chaos
 import "time"
 
 // Wave is a trapezoidal open-loop load profile: a baseline rate ramps
-// linearly to a peak (the flash crowd), holds, and decays back. Skew
-// shifts the whole profile in time, modelling a client cohort whose clock
-// (or traffic trigger — a push notification, a cache expiry) fires early
-// or late relative to the others.
+// linearly to a peak (the flash crowd), holds, and decays back.
 type Wave struct {
 	Base  float64 // requests/second before and after the crowd
 	Peak  float64 // requests/second at the top of the crowd
 	Ramp  time.Duration
 	Hold  time.Duration
 	Decay time.Duration
-	Skew  time.Duration
 }
 
 // RateAt returns the instantaneous request rate at a point in elapsed
 // experiment time.
-func (w Wave) RateAt(elapsed time.Duration) float64 {
-	t := elapsed + w.Skew
+func (w Wave) RateAt(t time.Duration) float64 {
 	if t < 0 {
 		return w.Base
 	}
@@ -52,22 +47,6 @@ func (w Wave) Arrivals(total time.Duration) []time.Duration {
 			rate = 1
 		}
 		t += time.Duration(float64(time.Second) / rate)
-	}
-	return out
-}
-
-// Cohorts splits a wave into n copies whose skews are spread evenly over
-// ±spread, modelling clients whose synchronized retries or triggers are
-// only approximately aligned. n ≤ 1 returns the wave unchanged.
-func Cohorts(w Wave, n int, spread time.Duration) []Wave {
-	if n <= 1 {
-		return []Wave{w}
-	}
-	out := make([]Wave, n)
-	for i := range out {
-		out[i] = w
-		// i spans [0,n-1] → skew spans [-spread, +spread].
-		out[i].Skew = w.Skew + time.Duration(int64(spread)*int64(2*i-(n-1))/int64(n-1))
 	}
 	return out
 }

@@ -36,7 +36,7 @@ var adaDeepCandidates = []PruneConfig{
 type AdaDeepOptions struct {
 	// MinAccuracy is the validation-accuracy floor a candidate must meet.
 	MinAccuracy float64
-	// FinetuneEpochs of SGD after each pruning (0 disables fine-tuning).
+	// FinetuneEpochs of Adam after each pruning (0 disables fine-tuning).
 	FinetuneEpochs int
 	BatchSize      int
 	LR             float32

@@ -121,7 +121,9 @@ func TestPruneDoesNotMutateOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned.Params()[0].Value.Fill(42)
+	for i := range pruned.Params()[0].Value.Data {
+		pruned.Params()[0].Value.Data[i] = 42
+	}
 	for i := range before.Data {
 		if lenet.Params()[0].Value.Data[i] != before.Data[i] {
 			t.Fatal("pruning mutated the original network")

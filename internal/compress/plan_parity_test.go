@@ -59,7 +59,8 @@ func variantParityNets(t *testing.T) []variantParityNet {
 		nets = append(nets, variantParityNet{"light-pruned-" + cfg.String(), p})
 	}
 
-	nets = append(nets, variantParityNet{"main-net", models.ExtractMainNet(br)})
+	mainNet := nn.NewSequential("lenet", append(append([]nn.Layer{}, br.Stem.Layers...), br.Trunk.Layers...)...)
+	nets = append(nets, variantParityNet{"main-net", mainNet})
 	return nets
 }
 

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"cbnet/internal/dataset"
@@ -56,11 +55,10 @@ type Pipeline struct {
 // goroutine; compile one per worker via Pipeline.Plans (or PlanSetFor on
 // the classifier for the AE-free easy route). The plans read the
 // pipeline's parameters, not copies, and serve their values as of the last
-// nn.Param.Touch (the optimisers and the checkpoint loader call it).
+// nn.Param.Touch (the optimiser and the checkpoint loader call it).
 type PlanSet struct {
 	ae  *nn.Plan
 	cls *nn.Plan
-	cap int
 }
 
 // Plans compiles a fresh full plan set (AE + classifier) for batches of up
@@ -74,7 +72,7 @@ func (p *Pipeline) Plans(batchCap int) (*PlanSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: classifier plan: %w", err)
 	}
-	return &PlanSet{ae: ae, cls: cls, cap: batchCap}, nil
+	return &PlanSet{ae: ae, cls: cls}, nil
 }
 
 // PlanSetFor compiles a standalone pixels→logits network — the pipeline's
@@ -87,11 +85,8 @@ func PlanSetFor(net *nn.Sequential, batchCap int) (*PlanSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s plan: %w", net.Name(), err)
 	}
-	return &PlanSet{cls: cls, cap: batchCap}, nil
+	return &PlanSet{cls: cls}, nil
 }
-
-// BatchCap returns the largest batch the set's plans accept.
-func (ps *PlanSet) BatchCap() int { return ps.cap }
 
 // EnableTracing attaches a span recorder to every plan in the set (see
 // nn.Plan.EnableTracing). Call before the set's first execution.
@@ -155,7 +150,7 @@ func (p *Pipeline) planSetLocked(n int) *PlanSet {
 		p.plans = nil
 		p.plansAE, p.plansCls = p.AE, p.Classifier
 	}
-	if p.plans != nil && n <= p.plans.cap {
+	if p.plans != nil && n <= p.plans.cls.BatchCap() {
 		return p.plans
 	}
 	c := n
@@ -405,12 +400,4 @@ func BranchyKernelTime(prof device.Profile, b *models.BranchyNet, exitRate float
 	lightPath := device.SequentialCost(b.Stem).Add(device.SequentialCost(b.Branch))
 	mainNet := device.SequentialCost(b.Stem).Add(device.SequentialCost(b.Trunk))
 	return prof.KernelTime(lightPath) + (1-exitRate)*prof.KernelTime(mainNet)
-}
-
-// Speedup returns baseline/lat, guarding against division by zero.
-func Speedup(baseline, lat float64) float64 {
-	if lat <= 0 {
-		return math.Inf(1)
-	}
-	return baseline / lat
 }

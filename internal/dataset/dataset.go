@@ -283,21 +283,6 @@ func (d *Dataset) Batch(i0, i1 int) (*tensor.Tensor, []int) {
 	return x, d.Labels[i0:i1]
 }
 
-// Shuffled returns a copy of the dataset in a new random order.
-func (d *Dataset) Shuffled(r *rng.RNG) *Dataset {
-	idx := r.Perm(d.Len())
-	return d.Select(idx)
-}
-
-// ClassIndices returns, for each class, the row indices with that label.
-func (d *Dataset) ClassIndices() [][]int {
-	out := make([][]int, NumClasses)
-	for i, lbl := range d.Labels {
-		out[lbl] = append(out[lbl], i)
-	}
-	return out
-}
-
 // Standard holds the paired train/test sets for one family.
 type Standard struct {
 	Train, Test *Dataset

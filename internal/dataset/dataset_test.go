@@ -208,43 +208,6 @@ func TestBatchPanicsOnBadRange(t *testing.T) {
 	d.Batch(3, 3)
 }
 
-func TestShuffledKeepsContent(t *testing.T) {
-	d := MustGenerate(Config{Family: MNIST, N: 50, HardFraction: 0.2, Seed: 13})
-	s := d.Shuffled(rng.New(14))
-	if s.Len() != d.Len() {
-		t.Fatal("length changed")
-	}
-	// Class histogram must be preserved.
-	want := make([]int, NumClasses)
-	got := make([]int, NumClasses)
-	for i := range d.Labels {
-		want[d.Labels[i]]++
-		got[s.Labels[i]]++
-	}
-	for c := range want {
-		if want[c] != got[c] {
-			t.Fatalf("class %d count changed %d→%d", c, want[c], got[c])
-		}
-	}
-}
-
-func TestClassIndices(t *testing.T) {
-	d := MustGenerate(Config{Family: MNIST, N: 100, HardFraction: 0, Seed: 15})
-	ci := d.ClassIndices()
-	total := 0
-	for cls, idx := range ci {
-		total += len(idx)
-		for _, i := range idx {
-			if d.Labels[i] != cls {
-				t.Fatalf("index %d listed under class %d but has label %d", i, cls, d.Labels[i])
-			}
-		}
-	}
-	if total != 100 {
-		t.Fatalf("class indices cover %d of 100", total)
-	}
-}
-
 func TestLoadStandardDefaults(t *testing.T) {
 	std, err := LoadStandard(MNIST, 200, 50, 1)
 	if err != nil {

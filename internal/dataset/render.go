@@ -17,13 +17,6 @@ type Canvas struct {
 // NewCanvas returns a black Side×Side canvas.
 func NewCanvas() *Canvas { return &Canvas{Pix: make([]float32, Pixels)} }
 
-// Reset clears the canvas to black.
-func (c *Canvas) Reset() {
-	for i := range c.Pix {
-		c.Pix[i] = 0
-	}
-}
-
 // blend deposits intensity v at integer pixel (x, y), saturating at 1.
 func (c *Canvas) blend(x, y int, v float32) {
 	if x < 0 || x >= Side || y < 0 || y >= Side || v <= 0 {

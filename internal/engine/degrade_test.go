@@ -120,13 +120,15 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	e := testEngine(t, Config{Workers: 1, Fault: inj})
 
 	inj.SetPanicEvery(1)
-	if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(1)}); !errors.Is(err, ErrInferFailed) {
-		t.Fatalf("panicking infer err = %v, want ErrInferFailed", err)
+	_, err := e.Submit(context.Background(), Request{Pixels: hardImage(1)})
+	if !errors.Is(err, ErrInferFailed) || !strings.Contains(err.Error(), "panic: chaos: injected panic") {
+		t.Fatalf("panicking infer err = %v, want ErrInferFailed from the injected panic", err)
 	}
 	inj.SetPanicEvery(0)
 	inj.SetErrorEvery(1)
-	if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(2)}); !errors.Is(err, ErrInferFailed) {
-		t.Fatalf("erroring infer err = %v, want ErrInferFailed", err)
+	_, err = e.Submit(context.Background(), Request{Pixels: hardImage(2)})
+	if !errors.Is(err, ErrInferFailed) || !strings.Contains(err.Error(), chaos.ErrInjected.Error()) || strings.Contains(err.Error(), "panic") {
+		t.Fatalf("erroring infer err = %v, want ErrInferFailed from the injected error", err)
 	}
 	inj.SetErrorEvery(0)
 	if _, err := e.Submit(context.Background(), Request{Pixels: hardImage(3)}); err != nil {
@@ -138,9 +140,6 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 	if s.Completed == 0 {
 		t.Fatal("no completions after faults cleared")
-	}
-	if inj.InjectedPanics() != 1 || inj.InjectedErrors() != 1 {
-		t.Fatalf("injector counted %d panics / %d errors, want 1/1", inj.InjectedPanics(), inj.InjectedErrors())
 	}
 }
 

@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/loss"
@@ -64,7 +63,7 @@ func (b *BranchyNet) Params() []*nn.Param {
 type JointTrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer opt.Optimizer
+	Optimizer *opt.Adam
 	// BranchWeight and MainWeight scale the two cross-entropy terms of the
 	// joint loss; BranchyNet trains both heads together so the stem learns
 	// features useful to each.
@@ -274,7 +273,3 @@ func argmax32(xs []float32) int {
 	}
 	return arg
 }
-
-// MaxEntropy returns the maximum possible entropy for the class count,
-// ln(K) nats, useful for threshold sanity checks.
-func MaxEntropy() float64 { return math.Log(float64(dataset.NumClasses)) }

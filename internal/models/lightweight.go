@@ -15,14 +15,3 @@ func ExtractLightweight(b *BranchyNet) *nn.Sequential {
 	layers = append(layers, b.Branch.Layers...)
 	return nn.NewSequential("lightweight", layers...)
 }
-
-// ExtractMainNet returns the BranchyNet's full-depth path — stem plus
-// trunk, which is exactly the NewLeNet layout — as a standalone network.
-// Like ExtractLightweight it shares parameter tensors with b, so the
-// compression family (compress.PruneLeNet, SubFlow, AdaDeep) can be
-// derived from the same trained weights the serving branch uses.
-func ExtractMainNet(b *BranchyNet) *nn.Sequential {
-	layers := append([]nn.Layer{}, b.Stem.Layers...)
-	layers = append(layers, b.Trunk.Layers...)
-	return nn.NewSequential("lenet", layers...)
-}

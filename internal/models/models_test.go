@@ -163,7 +163,7 @@ func TestBranchyInferConsistency(t *testing.T) {
 		if p < 0 || p >= dataset.NumClasses {
 			t.Fatalf("pred[%d] = %d out of range", i, p)
 		}
-		if res.BranchEntropy[i] < 0 || res.BranchEntropy[i] > MaxEntropy()+1e-9 {
+		if res.BranchEntropy[i] < 0 || res.BranchEntropy[i] > math.Log(dataset.NumClasses)+1e-9 {
 			t.Fatalf("entropy[%d] = %v out of range", i, res.BranchEntropy[i])
 		}
 	}
@@ -174,7 +174,7 @@ func TestBranchyThresholdExtremes(t *testing.T) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 40, HardFraction: 0.3, Seed: 9})
 	b := NewBranchyLeNet(r, 0.05)
 	// Threshold above max entropy: everything exits early.
-	b.Threshold = MaxEntropy() + 1
+	b.Threshold = math.Log(dataset.NumClasses) + 1
 	if rate := b.EarlyExitRate(ds); rate != 1 {
 		t.Fatalf("exit rate %v with huge threshold, want 1", rate)
 	}

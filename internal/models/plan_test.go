@@ -82,8 +82,9 @@ func TestModelPlanConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aePlan.InWidth() != dataset.Pixels || aePlan.OutWidth() != dataset.Pixels {
-		t.Fatalf("AE plan geometry %d→%d, want %d→%d", aePlan.InWidth(), aePlan.OutWidth(), dataset.Pixels, dataset.Pixels)
+	aePlan.Execute(nil, tensor.New(1, dataset.Pixels)) // panics on any other input width
+	if aePlan.OutWidth() != dataset.Pixels {
+		t.Fatalf("AE plan output width %d, want %d", aePlan.OutWidth(), dataset.Pixels)
 	}
 	// Table I MNIST: fc1+relu, fc2+relu, fc3 (linear), [reg elided], fc4+sigmoid.
 	if got := len(aePlan.StepNames()); got != 4 {
@@ -95,8 +96,9 @@ func TestModelPlanConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if brPlan.InWidth() != dataset.Pixels || brPlan.OutWidth() != dataset.NumClasses {
-		t.Fatalf("branch plan geometry %d→%d, want %d→%d", brPlan.InWidth(), brPlan.OutWidth(), dataset.Pixels, dataset.NumClasses)
+	brPlan.Execute(nil, tensor.New(1, dataset.Pixels))
+	if brPlan.OutWidth() != dataset.NumClasses {
+		t.Fatalf("branch plan output width %d, want %d", brPlan.OutWidth(), dataset.NumClasses)
 	}
 	// Stem conv1+relu1, pool1, branch bconv+brelu, bpool, bfc.
 	if got := len(brPlan.StepNames()); got != 5 {

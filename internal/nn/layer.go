@@ -36,7 +36,7 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Touch records that Value's elements were changed in place. Whatever writes
 // a parameter after its network may have been compiled calls it — the
-// optimisers and the checkpoint loader do — and compiled plans then serve
+// optimiser and the checkpoint loader do — and compiled plans then serve
 // the new values from their next Execute. A write without a Touch may be
 // served stale. Like the write itself, not safe concurrently with inference.
 func (p *Param) Touch() { p.gen++ }
@@ -110,22 +110,6 @@ func (s *Sequential) OutSize(inSize int) (int, error) {
 		}
 	}
 	return size, nil
-}
-
-// ZeroGrad clears all parameter gradients in the stack.
-func (s *Sequential) ZeroGrad() {
-	for _, p := range s.Params() {
-		p.ZeroGrad()
-	}
-}
-
-// ParamCount returns the total number of scalar parameters.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
 }
 
 // InitHe fills a weight tensor with He-normal samples: N(0, sqrt(2/fanIn)).

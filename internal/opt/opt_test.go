@@ -18,28 +18,6 @@ func paramWithGrad(vals, grads []float32) *nn.Param {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := paramWithGrad([]float32{1, 2}, []float32{0.5, -0.5})
-	NewSGD(0.1, 0).Step([]*nn.Param{p})
-	if math.Abs(float64(p.Value.Data[0])-0.95) > 1e-6 || math.Abs(float64(p.Value.Data[1])-2.05) > 1e-6 {
-		t.Fatalf("values %v", p.Value.Data)
-	}
-	if p.Grad.AbsSum() != 0 {
-		t.Fatal("grads not cleared after step")
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := paramWithGrad([]float32{0}, []float32{1})
-	s := NewSGD(0.1, 0.9)
-	s.Step([]*nn.Param{p}) // v = -0.1, w = -0.1
-	p.Grad.Data[0] = 1
-	s.Step([]*nn.Param{p}) // v = -0.19, w = -0.29
-	if math.Abs(float64(p.Value.Data[0])+0.29) > 1e-6 {
-		t.Fatalf("w = %v, want -0.29", p.Value.Data[0])
-	}
-}
-
 func TestAdamFirstStepIsLR(t *testing.T) {
 	// With bias correction, the very first Adam step moves each weight by
 	// almost exactly lr in the negative gradient direction.
@@ -60,18 +38,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if math.Abs(float64(p.Value.Data[0])-3) > 0.01 {
 		t.Fatalf("Adam failed to converge: w = %v", p.Value.Data[0])
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := paramWithGrad([]float32{10}, []float32{0})
-	s := NewSGD(0.1, 0.5)
-	for i := 0; i < 300; i++ {
-		p.Grad.Data[0] = 2 * (p.Value.Data[0] + 5)
-		s.Step([]*nn.Param{p})
-	}
-	if math.Abs(float64(p.Value.Data[0])+5) > 0.01 {
-		t.Fatalf("SGD failed to converge: w = %v", p.Value.Data[0])
 	}
 }
 

@@ -74,12 +74,3 @@ func Energy(watts, seconds float64) (float64, error) {
 	}
 	return watts * seconds, nil
 }
-
-// SavingsVs returns the fractional energy saving of e relative to the
-// baseline: 1 − e/baseline. A negative result means e uses more energy.
-func SavingsVs(baseline, e float64) (float64, error) {
-	if baseline <= 0 {
-		return 0, fmt.Errorf("power: non-positive baseline energy %v", baseline)
-	}
-	return 1 - e/baseline, nil
-}

@@ -96,22 +96,6 @@ func TestEnergy(t *testing.T) {
 	}
 }
 
-func TestSavingsVs(t *testing.T) {
-	s, err := SavingsVs(10, 2)
-	if err != nil || math.Abs(s-0.8) > 1e-9 {
-		t.Fatalf("savings %v, %v", s, err)
-	}
-	s, _ = SavingsVs(10, 15)
-	if s >= 0 {
-		t.Fatalf("higher energy should give negative savings, got %v", s)
-	}
-	if _, err := SavingsVs(0, 1); err == nil {
-		t.Fatal("zero baseline should error")
-	}
-}
-
-// Property: both CPU power models are monotone nondecreasing in utilization
-// and bounded by their idle/peak values.
 func TestQuickPowerMonotoneBounded(t *testing.T) {
 	f := func(a, b uint16) bool {
 		u1 := float64(a) / 65535

@@ -71,35 +71,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape sharing the same storage.
-// The element count must match. A single -1 dimension is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	infer := -1
-	for i, d := range shape {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: multiple -1 dims in Reshape")
-			}
-			infer = i
-			continue
-		}
-		n *= d
-	}
-	out := append([]int(nil), shape...)
-	if infer >= 0 {
-		if n == 0 || len(t.Data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dim for reshape %v of %d elements", shape, len(t.Data)))
-		}
-		out[infer] = len(t.Data) / n
-		n *= out[infer]
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v incompatible with %d elements", shape, len(t.Data)))
-	}
-	return &Tensor{Shape: out, Data: t.Data}
-}
-
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
@@ -124,13 +95,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -148,79 +112,11 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// SubInPlace subtracts o elementwise from t. Shapes must match.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: SubInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t elementwise by o (Hadamard). Shapes must match.
-func (t *Tensor) MulInPlace(o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: MulInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// AxpyInPlace computes t += alpha*o. Shapes must match.
-func (t *Tensor) AxpyInPlace(alpha float32, o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: Axpy shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
-	}
-}
-
-// Add returns a new tensor a+b.
-func Add(a, b *Tensor) *Tensor {
-	c := a.Clone()
-	c.AddInPlace(b)
-	return c
-}
-
-// Sub returns a new tensor a-b.
-func Sub(a, b *Tensor) *Tensor {
-	c := a.Clone()
-	c.SubInPlace(b)
-	return c
-}
-
-// Mul returns the elementwise product a*b.
-func Mul(a, b *Tensor) *Tensor {
-	c := a.Clone()
-	c.MulInPlace(b)
-	return c
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements; 0 for empty tensors.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // AbsSum returns the L1 norm of the elements.
@@ -239,34 +135,6 @@ func (t *Tensor) SumSquares() float64 {
 		s += float64(v) * float64(v)
 	}
 	return s
-}
-
-// Max returns the maximum element. It panics on empty tensors.
-func (t *Tensor) Max() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on empty tensors.
-func (t *Tensor) Min() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the first maximum element in flat order.

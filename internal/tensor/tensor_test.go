@@ -52,32 +52,6 @@ func TestAtPanicsOutOfBounds(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
-func TestReshapeSharesStorage(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	y.Set(99, 0, 0)
-	if x.Data[0] != 99 {
-		t.Fatal("reshape did not share storage")
-	}
-}
-
-func TestReshapeInfer(t *testing.T) {
-	x := New(4, 6)
-	y := x.Reshape(-1, 8)
-	if y.Shape[0] != 3 || y.Shape[1] != 8 {
-		t.Fatalf("inferred shape %v, want [3 8]", y.Shape)
-	}
-}
-
-func TestReshapeBadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(4, 6).Reshape(5, 5)
-}
-
 func TestCloneIndependence(t *testing.T) {
 	x := FromSlice([]float32{1, 2}, 2)
 	y := x.Clone()
@@ -90,22 +64,10 @@ func TestCloneIndependence(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{10, 20, 30, 40}, 2, 2)
-	sum := Add(a, b)
+	a.AddInPlace(b)
 	for i, want := range []float32{11, 22, 33, 44} {
-		if sum.Data[i] != want {
-			t.Fatalf("Add[%d] = %v, want %v", i, sum.Data[i], want)
-		}
-	}
-	diff := Sub(b, a)
-	for i, want := range []float32{9, 18, 27, 36} {
-		if diff.Data[i] != want {
-			t.Fatalf("Sub[%d] = %v, want %v", i, diff.Data[i], want)
-		}
-	}
-	prod := Mul(a, b)
-	for i, want := range []float32{10, 40, 90, 160} {
-		if prod.Data[i] != want {
-			t.Fatalf("Mul[%d] = %v, want %v", i, prod.Data[i], want)
+		if a.Data[i] != want {
+			t.Fatalf("AddInPlace[%d] = %v, want %v", i, a.Data[i], want)
 		}
 	}
 }
@@ -116,38 +78,27 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Add(New(2, 2), New(2, 3))
+	New(2, 2).AddInPlace(New(2, 3))
 }
 
 func TestScaleAxpy(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	a.Scale(2)
-	b := FromSlice([]float32{1, 1, 1}, 3)
-	a.AxpyInPlace(0.5, b)
-	want := []float32{2.5, 4.5, 6.5}
+	want := []float32{2, 4, 6}
 	for i := range want {
 		if a.Data[i] != want[i] {
-			t.Fatalf("axpy[%d] = %v, want %v", i, a.Data[i], want[i])
+			t.Fatalf("scale[%d] = %v, want %v", i, a.Data[i], want[i])
 		}
 	}
 }
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float32{-1, 2, -3, 4}, 4)
-	if !almostEq(x.Sum(), 2, 1e-9) {
-		t.Errorf("Sum = %v", x.Sum())
-	}
-	if !almostEq(x.Mean(), 0.5, 1e-9) {
-		t.Errorf("Mean = %v", x.Mean())
-	}
 	if !almostEq(x.AbsSum(), 10, 1e-9) {
 		t.Errorf("AbsSum = %v", x.AbsSum())
 	}
 	if !almostEq(x.SumSquares(), 30, 1e-9) {
 		t.Errorf("SumSquares = %v", x.SumSquares())
-	}
-	if x.Max() != 4 || x.Min() != -3 {
-		t.Errorf("Max/Min = %v/%v", x.Max(), x.Min())
 	}
 	if x.ArgMax() != 3 {
 		t.Errorf("ArgMax = %d", x.ArgMax())
@@ -329,7 +280,9 @@ func TestQuickAddCommutative(t *testing.T) {
 		a, b := New(n), New(n)
 		a.RandNormal(r, 0, 1)
 		b.RandNormal(r, 0, 1)
-		ab, ba := Add(a, b), Add(b, a)
+		ab, ba := a.Clone(), b.Clone()
+		ab.AddInPlace(b)
+		ba.AddInPlace(a)
 		for i := range ab.Data {
 			if ab.Data[i] != ba.Data[i] {
 				return false
@@ -366,13 +319,22 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 
 // Property: Sum(A + B) == Sum(A) + Sum(B) within tolerance.
 func TestQuickSumLinear(t *testing.T) {
+	sum := func(x *Tensor) float64 {
+		var s float64
+		for _, v := range x.Data {
+			s += float64(v)
+		}
+		return s
+	}
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := r.Intn(100) + 1
 		a, b := New(n), New(n)
 		a.RandUniform(r, -1, 1)
 		b.RandUniform(r, -1, 1)
-		return almostEq(Add(a, b).Sum(), a.Sum()+b.Sum(), 1e-3)
+		ab := a.Clone()
+		ab.AddInPlace(b)
+		return almostEq(sum(ab), sum(a)+sum(b), 1e-3)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ import (
 type Config struct {
 	Epochs    int
 	BatchSize int
-	Optimizer opt.Optimizer
+	Optimizer *opt.Adam
 	// ClipNorm bounds the global gradient L2 norm; 0 disables clipping.
 	ClipNorm float64
 	Seed     uint64
@@ -46,6 +46,15 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// step applies one optimizer update to net's gradients, clipped first when
+// ClipNorm is set.
+func (c *Config) step(net *nn.Sequential) {
+	if c.ClipNorm > 0 {
+		opt.ClipGradNorm(net.Params(), c.ClipNorm)
+	}
+	c.Optimizer.Step(net.Params())
+}
+
 // History records per-epoch statistics of a run.
 type History struct {
 	// EpochLoss holds the mean training loss of each epoch.
@@ -53,14 +62,6 @@ type History struct {
 	// EpochAccuracy holds the training accuracy per epoch (classifier runs
 	// only; empty for regression).
 	EpochAccuracy []float64
-}
-
-// FinalLoss returns the last epoch's mean loss.
-func (h *History) FinalLoss() float64 {
-	if len(h.EpochLoss) == 0 {
-		return 0
-	}
-	return h.EpochLoss[len(h.EpochLoss)-1]
 }
 
 // Classifier trains net on ds with softmax cross-entropy.
@@ -97,10 +98,7 @@ func Classifier(net *nn.Sequential, ds *dataset.Dataset, cfg Config) (*History, 
 			correct += int(loss.Accuracy(logits, labels)*float64(bs) + 0.5)
 			seen += bs
 			net.Backward(grad)
-			if cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(net.Params(), cfg.ClipNorm)
-			}
-			cfg.Optimizer.Step(net.Params())
+			cfg.step(net)
 		}
 		h.EpochLoss = append(h.EpochLoss, epochLoss/float64(seen))
 		h.EpochAccuracy = append(h.EpochAccuracy, float64(correct)/float64(seen))
@@ -152,10 +150,7 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 			epochLoss += l * float64(bs)
 			seen += bs
 			net.Backward(grad)
-			if cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(net.Params(), cfg.ClipNorm)
-			}
-			cfg.Optimizer.Step(net.Params())
+			cfg.step(net)
 		}
 		h.EpochLoss = append(h.EpochLoss, epochLoss/float64(seen))
 		if cfg.Log != nil {

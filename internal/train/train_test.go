@@ -32,8 +32,8 @@ func TestClassifierLearns(t *testing.T) {
 	if len(h.EpochLoss) != 8 {
 		t.Fatalf("epochs recorded %d", len(h.EpochLoss))
 	}
-	if h.EpochLoss[0] <= h.FinalLoss() {
-		t.Fatalf("loss did not decrease: %v → %v", h.EpochLoss[0], h.FinalLoss())
+	if h.EpochLoss[0] <= h.EpochLoss[len(h.EpochLoss)-1] {
+		t.Fatalf("loss did not decrease: %v → %v", h.EpochLoss[0], h.EpochLoss[len(h.EpochLoss)-1])
 	}
 	if acc := EvalClassifier(net, ds); acc < 0.9 {
 		t.Fatalf("train accuracy %v, want ≥0.9 on clean data", acc)
@@ -74,8 +74,8 @@ func TestRegressorLearnsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.FinalLoss() > 0.05 {
-		t.Fatalf("identity reconstruction loss %v, want <0.05", h.FinalLoss())
+	if h.EpochLoss[len(h.EpochLoss)-1] > 0.05 {
+		t.Fatalf("identity reconstruction loss %v, want <0.05", h.EpochLoss[len(h.EpochLoss)-1])
 	}
 }
 
@@ -86,13 +86,13 @@ func TestRegressorReportsExtraLoss(t *testing.T) {
 	net := nn.NewSequential("ae", nn.NewDense("d", 4, 4, r))
 	const penalty = 0.75
 	h, err := Regressor(net, x, x.Clone(), Config{
-		Epochs: 1, BatchSize: 16, Optimizer: opt.NewSGD(0.001, 0), Seed: 10,
+		Epochs: 1, BatchSize: 16, Optimizer: opt.NewAdam(0.001), Seed: 10,
 	}, func() float64 { return penalty })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.FinalLoss() < penalty {
-		t.Fatalf("loss %v should include the %v penalty", h.FinalLoss(), penalty)
+	if h.EpochLoss[len(h.EpochLoss)-1] < penalty {
+		t.Fatalf("loss %v should include the %v penalty", h.EpochLoss[len(h.EpochLoss)-1], penalty)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestRegressorShapeMismatch(t *testing.T) {
 	net := nn.NewSequential("n", nn.NewDense("d", 4, 4, r))
 	x := tensor.New(8, 4)
 	y := tensor.New(6, 4)
-	if _, err := Regressor(net, x, y, Config{Epochs: 1, BatchSize: 4, Optimizer: opt.NewSGD(0.1, 0)}, nil); err == nil {
+	if _, err := Regressor(net, x, y, Config{Epochs: 1, BatchSize: 4, Optimizer: opt.NewAdam(0.1)}, nil); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
@@ -142,7 +142,7 @@ func TestClipNormPathRuns(t *testing.T) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 40, HardFraction: 0, Seed: 18})
 	net := tinyMLP(r)
 	if _, err := Classifier(net, ds, Config{
-		Epochs: 1, BatchSize: 16, Optimizer: opt.NewSGD(0.05, 0.9), ClipNorm: 1, Seed: 19,
+		Epochs: 1, BatchSize: 16, Optimizer: opt.NewAdam(0.05), ClipNorm: 1, Seed: 19,
 	}); err != nil {
 		t.Fatal(err)
 	}
