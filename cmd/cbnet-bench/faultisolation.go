@@ -231,7 +231,7 @@ func breakerDrill(w io.Writer) []string {
 		Resilience: engine.ResilienceConfig{
 			Enabled: true,
 			Breaker: resilience.BreakerConfig{
-				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+				Window: 4, MinSamples: 2,
 				Cooldown: 30 * time.Millisecond, Probes: 1,
 			},
 		},

@@ -18,11 +18,12 @@
 //
 // "overload" throws the same 5×-capacity trapezoidal flash crowd (chaos
 // latency injection pins per-route capacity) at two identical engines —
-// one with the spill down the ladder hard → easy → pruned armed, one
-// without — and fails unless the armed one answers ≥99% of the crowd with
-// p99 under the request deadline, serves part of it on every route, puts a
-// hard image back on hard straight after the crowd, and rejects ≥10× fewer
-// requests than the baseline. It is the CI chaos smoke's first gate.
+// one whose crowd may spill down the ladder hard → easy → pruned, one whose
+// crowd asks for the converted image and so is pinned to hard — and fails
+// unless the ladder run answers ≥99% of the crowd with p99 under the
+// request deadline, serves part of it on every route, puts a hard image
+// back on hard straight after the crowd, and rejects ≥10× fewer requests
+// than the pinned baseline. It is the CI chaos smoke's first gate.
 //
 // "faultisolation" drills the resilience layer: a poison-pill input rides
 // every Nth coalesced micro-batch and bisection must serve ≥99% of the

@@ -54,12 +54,15 @@ func (r *overloadResult) okFraction() float64 {
 
 // runOverload is the chaos experiment behind -exp overload: the same
 // trapezoidal flash crowd (5× the hard route's injected capacity at peak)
-// is thrown at two identically-provisioned engines, one with the spill down
-// the ladder armed and one without. The ladder run must answer at least 99%
-// of the crowd with p99 under the request deadline, spread it over all three
-// routes (hard keeps what it has room for, the overflow rides easy, then
-// pruned), answer a hard image on hard again the moment the crowd has
-// passed, and reject at least 10× fewer requests than the baseline.
+// is thrown at two identically-provisioned engines. In the ladder run the
+// crowd's requests may spill down the ladder; in the baseline every request
+// sets IncludeConverted, which pins it to hard whatever hard's queue holds,
+// so the baseline sees what an engine without the spill would. The ladder
+// run must answer at least 99% of the crowd with p99 under the request
+// deadline, spread it over all three routes (hard keeps what it has room
+// for, the overflow rides easy, then pruned), answer a hard image on hard
+// again the moment the crowd has passed, and reject at least 10× fewer
+// requests than the baseline.
 func runOverload(w io.Writer) error {
 	wave := chaos.Wave{
 		Base:  40,
@@ -70,11 +73,11 @@ func runOverload(w io.Writer) error {
 	}
 	arrivals := wave.Arrivals(2500 * time.Millisecond)
 
-	ladder, err := overloadRun("ladder", arrivals, true)
+	ladder, err := overloadRun("ladder", arrivals, false)
 	if err != nil {
 		return err
 	}
-	baseline, err := overloadRun("no-ladder", arrivals, false)
+	baseline, err := overloadRun("no-ladder", arrivals, true)
 	if err != nil {
 		return err
 	}
@@ -123,8 +126,9 @@ func runOverload(w io.Writer) error {
 // overloadRun drives one open-loop flash crowd against a fresh engine.
 // Chaos latency injection pins the capacity ledger: the hard route serves
 // ~200 img/s, the early exit ~800, the pruned exit ~4000 — so the 1000/s
-// peak overwhelms the paper-faithful path but fits the cheaper routes.
-func overloadRun(name string, arrivals []time.Duration, degrade bool) (*overloadResult, error) {
+// peak overwhelms the paper-faithful path but fits the cheaper routes. With
+// pinned set, every request asks for the converted image and so rides hard.
+func overloadRun(name string, arrivals []time.Duration, pinned bool) (*overloadResult, error) {
 	r := rng.New(7)
 	branchy := models.NewBranchyLeNet(r, 0.05)
 	light := models.ExtractLightweight(branchy)
@@ -139,15 +143,13 @@ func overloadRun(name string, arrivals []time.Duration, degrade bool) (*overload
 	inj.SetLatency("easy", 5*time.Millisecond)
 	inj.SetLatency("pruned", time.Millisecond)
 
-	cfg := engine.Config{
+	e := engine.New(pipe, engine.Config{
 		Workers:    1,
 		MaxBatch:   4,
 		QueueDepth: 64,
 		Fault:      inj,
 		Variants:   []engine.Variant{{Name: "pruned", Net: pruned}},
-	}
-	cfg.Degrade.Enabled = degrade
-	e := engine.New(pipe, cfg)
+	})
 	defer e.Close()
 
 	res := &overloadResult{name: name, offered: len(arrivals)}
@@ -173,7 +175,7 @@ func overloadRun(name string, arrivals []time.Duration, degrade bool) (*overload
 			ctx, cancel := context.WithTimeout(context.Background(), overloadDeadline)
 			defer cancel()
 			t0 := time.Now()
-			_, err := e.Submit(ctx, engine.Request{Pixels: img})
+			_, err := e.Submit(ctx, engine.Request{Pixels: img, IncludeConverted: pinned})
 			switch {
 			case err == nil:
 				served.Add(1)

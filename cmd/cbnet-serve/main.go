@@ -17,9 +17,9 @@
 // engine.DefaultHardnessThreshold: easy ones skip the autoencoder, hard ones
 // take it, and a client that wants the paper's always-convert answer asks
 // for it per request with "includeConverted". A pruned early-exit variant is
-// mounted as a third route, and a request whose preferred route's queue is
-// half full is answered by the next route down the ladder hard → easy →
-// pruned instead of waiting or being refused (watch
+// mounted as a third route, and, as in every engine, a request whose
+// preferred route's queue is half full is answered by the next route down
+// the ladder hard → easy → pruned instead of waiting or being refused (watch
 // cbnet_requests_diverted_total and cbnet_route_images_total on /metrics).
 // The choice is made per request from the queues as they are; nothing is
 // refused for lack of room until every route is half full. A client bounds a
@@ -143,8 +143,8 @@ func validateEngineConfig(cfg engine.Config) error {
 // mode, from freshly initialised untrained networks); split from run so
 // tests can exercise validation and loading without binding a socket. cfg
 // carries what the flags set; the serving shape around it is fixed here: the
-// pruned rung mounted at the end of the ladder, the spill and the
-// fault-isolation layer armed.
+// pruned rung mounted at the end of the ladder and the fault-isolation layer
+// armed.
 func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Options, demo bool) (*serve.Server, error) {
 	family, err := dataset.FamilyByName(name)
 	if err != nil {
@@ -180,7 +180,6 @@ func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Optio
 		return nil, fmt.Errorf("building pruned variant: %w", err)
 	}
 	cfg.Variants = append(cfg.Variants, engine.Variant{Name: "pruned", Net: pruned})
-	cfg.Degrade = engine.DegradeConfig{Enabled: true}
 	cfg.Resilience = engine.ResilienceConfig{Enabled: true}
 	return serve.NewWithOptions(pipe, engine.New(pipe, cfg), prof, family, opts), nil
 }

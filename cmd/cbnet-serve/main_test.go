@@ -85,7 +85,7 @@ func TestBuildServerMountsDegradeLadder(t *testing.T) {
 	defer srv.Close()
 	ladder := srv.Engine.DegradeLadder()
 	if want := []string{"hard", "easy", "pruned"}; !slices.Equal(ladder, want) {
-		t.Fatalf("ladder %v, want %v: the pruned variant is mounted as the last route and the spill armed", ladder, want)
+		t.Fatalf("ladder %v, want %v: the pruned variant is mounted as the last route", ladder, want)
 	}
 }
 

@@ -83,8 +83,13 @@ func (i *Injector) SetPoisonValue(v float32) { i.poisonBits.Store(math.Float32bi
 func (i *Injector) SetStuck(route string) { i.stuckRoute.Store(route) }
 
 // BeforeInfer implements engine.FaultInjector: it runs on the worker
-// goroutine just before the batch's forward pass.
-func (i *Injector) BeforeInfer(route string, batchSize int) error {
+// goroutine just before the batch's forward pass. The batch is counted and
+// delayed first; then a stuck route, a panic or error tick fails it; then,
+// with a poison value armed, a batch containing any row whose first pixel
+// carries the poison bit pattern panics, the way a malformed input crashing
+// a kernel would. Bit-exact comparison keeps that content-keyed and
+// deterministic.
+func (i *Injector) BeforeInfer(route string, x *tensor.Tensor) error {
 	i.mu.RLock()
 	d, ok := i.lat[route]
 	if !ok {
@@ -99,19 +104,11 @@ func (i *Injector) BeforeInfer(route string, batchSize int) error {
 		return fmt.Errorf("%w: route %s is stuck", ErrInjected, route)
 	}
 	if every := i.panicEvery.Load(); every > 0 && n%uint64(every) == 0 {
-		panic(fmt.Sprintf("chaos: injected panic on %s batch %d (size %d)", route, n, batchSize))
+		panic(fmt.Sprintf("chaos: injected panic on %s batch %d (size %d)", route, n, x.Shape[0]))
 	}
 	if every := i.errEvery.Load(); every > 0 && n%uint64(every) == 0 {
 		return ErrInjected
 	}
-	return nil
-}
-
-// BeforeInferBatch implements engine.BatchFaultInjector: with a poison
-// value armed, a batch containing any row whose first pixel carries the
-// poison bit pattern panics, the way a malformed input crashing a kernel
-// would. Bit-exact comparison keeps it content-keyed and deterministic.
-func (i *Injector) BeforeInferBatch(route string, x *tensor.Tensor) error {
 	bits := i.poisonBits.Load()
 	if bits == 0 || len(x.Shape) != 2 {
 		return nil

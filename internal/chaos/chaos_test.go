@@ -12,14 +12,14 @@ func TestInjectorFaultSchedules(t *testing.T) {
 	inj := NewInjector()
 	// Disabled injector passes everything through.
 	for i := 0; i < 5; i++ {
-		if err := inj.BeforeInfer("hard", 4); err != nil {
+		if err := inj.BeforeInfer("hard", tensor.New(4, 4)); err != nil {
 			t.Fatalf("idle injector returned %v", err)
 		}
 	}
 	inj.SetErrorEvery(3)
 	errs := 0
 	for i := 0; i < 9; i++ {
-		if err := inj.BeforeInfer("hard", 1); err != nil {
+		if err := inj.BeforeInfer("hard", tensor.New(1, 4)); err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("err = %v, want ErrInjected", err)
 			}
@@ -38,7 +38,7 @@ func TestInjectorFaultSchedules(t *testing.T) {
 				t.Error("panic-every-1 did not panic")
 			}
 		}()
-		_ = inj.BeforeInfer("easy", 2)
+		_ = inj.BeforeInfer("easy", tensor.New(2, 4))
 	}()
 }
 
@@ -47,12 +47,12 @@ func TestInjectorPerRouteLatency(t *testing.T) {
 	inj.SetLatency("", 2*time.Millisecond)      // default
 	inj.SetLatency("hard", 20*time.Millisecond) // specific
 	start := time.Now()
-	_ = inj.BeforeInfer("hard", 1)
+	_ = inj.BeforeInfer("hard", tensor.New(1, 4))
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("hard batch took %v, want >= 20ms", d)
 	}
 	start = time.Now()
-	_ = inj.BeforeInfer("easy", 1)
+	_ = inj.BeforeInfer("easy", tensor.New(1, 4))
 	if d := time.Since(start); d < 2*time.Millisecond {
 		t.Fatalf("default-latency batch took %v, want >= 2ms", d)
 	}
@@ -143,14 +143,14 @@ func TestParseSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := inj.BeforeInfer("hard", 1); !errors.Is(err, ErrInjected) {
+	if err := inj.BeforeInfer("hard", tensor.New(1, 4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("stuck=hard: hard batch err = %v, want ErrInjected", err)
 	}
 	if d := time.Since(start); d < time.Millisecond {
 		t.Fatalf("latency=all:1ms: batch took %v", d)
 	}
-	_ = inj.BeforeInfer("easy", 1) // batch 2
-	if err := inj.BeforeInfer("easy", 1); !errors.Is(err, ErrInjected) {
+	_ = inj.BeforeInfer("easy", tensor.New(1, 4)) // batch 2
+	if err := inj.BeforeInfer("easy", tensor.New(1, 4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("error-every=3: third batch err = %v, want ErrInjected", err)
 	}
 	x := tensor.New(2, 4)
@@ -161,13 +161,13 @@ func TestParseSpec(t *testing.T) {
 				t.Error("poison=0.77777: a batch holding the pixel did not panic")
 			}
 		}()
-		_ = inj.BeforeInferBatch("easy", x)
+		_ = inj.BeforeInfer("easy", x) // batch 4 is no error tick, so the poison check runs
 	}()
 
 	if inj, err = ParseSpec("stuck=all,panic-every=1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.BeforeInfer("pruned", 1); !errors.Is(err, ErrInjected) {
+	if err := inj.BeforeInfer("pruned", tensor.New(1, 4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("stuck=all: err = %v, want ErrInjected on any route", err)
 	}
 	for _, bad := range []string{

@@ -62,7 +62,6 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		Workers:  1,
 		Variants: []Variant{v},
 		Fault:    inj,
-		Degrade:  DegradeConfig{Enabled: true},
 		Resilience: ResilienceConfig{
 			Enabled: true,
 			// Two failures open a breaker and nothing in the test's lifetime
@@ -268,8 +267,7 @@ func TestShutdownDrainWhileSpilling(t *testing.T) {
 	gate := make(gateFault)
 	e := New(testPipeline(), Config{
 		MaxBatch: 4, Workers: 1, QueueDepth: 8,
-		Fault:   gate,
-		Degrade: DegradeConfig{Enabled: true},
+		Fault: gate,
 	})
 
 	// More callers than two wedged routes can hold at their fullest: four

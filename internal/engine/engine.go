@@ -24,9 +24,9 @@
 // reason it has none, from the request and the routes' state at that
 // moment: an expired context is ErrDeadline, a quarantined input is
 // ErrPoisoned, and otherwise the request takes the first route — starting
-// at the one its hardness score prefers — that has queue room
-// (Config.Degrade) and whose circuit breaker admits (Config.Resilience);
-// none is ErrOverloaded. Overload therefore costs the overflow its accuracy
+// at the one its hardness score prefers — whose queue is under spillMark
+// and whose circuit breaker admits (Config.Resilience); none is
+// ErrOverloaded. Overload therefore costs the overflow its accuracy
 // before it costs anyone an answer, and there is no controller, level or
 // timer behind the decision.
 //
@@ -94,22 +94,15 @@ var ErrInferFailed = errors.New("engine: inference failed")
 // calibration check.
 const DefaultHardnessThreshold = 1.05
 
-// FaultInjector intercepts every batch just before its forward pass; the
-// chaos harness (internal/chaos) implements it to inject latency, errors,
-// and panics through the exact path real faults would take. A returned
-// error or a panic fails the batch's callers with ErrInferFailed; the
-// worker itself always survives.
+// FaultInjector intercepts every batch just before its forward pass, with
+// the assembled batch tensor in hand; the chaos harness (internal/chaos)
+// implements it to inject latency, errors, panics and content-keyed faults
+// (a poison pixel value that panics any batch containing it, the way a
+// malformed input would) through the exact path real faults would take. A
+// returned error or a panic fails the batch's callers with ErrInferFailed;
+// the worker itself always survives.
 type FaultInjector interface {
-	BeforeInfer(route string, batchSize int) error
-}
-
-// BatchFaultInjector is an optional FaultInjector extension that sees the
-// assembled batch tensor, enabling content-keyed faults (a poison pixel
-// value that panics any batch containing it, the way a malformed input
-// would). Injectors implementing it get both hooks, BeforeInfer first.
-type BatchFaultInjector interface {
-	FaultInjector
-	BeforeInferBatch(route string, x *tensor.Tensor) error
+	BeforeInfer(route string, x *tensor.Tensor) error
 }
 
 // Variant registers one extra inference route: a standalone pixels→logits
@@ -135,16 +128,13 @@ type Config struct {
 	// Default max(1, GOMAXPROCS/2) so the two routes together roughly
 	// fill the machine.
 	Workers int
-	// QueueDepth bounds each route's admission queue; a full queue makes
-	// Submit return ErrOverloaded. With Degrade on, a route stops taking
-	// new requests at half of it (spillMark). Default 256.
+	// QueueDepth bounds each route's admission queue; a route stops taking
+	// new requests at half of it (spillMark), and a queue found full at
+	// the send makes Submit return ErrOverloaded. Default 256.
 	QueueDepth int
 	// Variants adds extra compiled routes beyond the easy/hard pair.
 	// New panics on duplicate or reserved names and nil networks.
 	Variants []Variant
-	// Degrade arms the spill down the ladder; the zero value leaves it
-	// off.
-	Degrade DegradeConfig
 	// Fault, when non-nil, intercepts every batch before its forward pass
 	// (see FaultInjector). Testing and chaos drills only.
 	Fault FaultInjector
@@ -243,9 +233,6 @@ type Engine struct {
 	stats  *engineStats
 	res    *resilienceState
 	fault  FaultInjector
-	// batchFault is fault pre-asserted to its batch-level extension, so
-	// the hot path skips the type assertion.
-	batchFault BatchFaultInjector
 
 	// reqID and batchSeq issue the correlation IDs carried by lifecycle
 	// spans.
@@ -269,11 +256,10 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		byName: make(map[RouteName]*route),
 		fault:  cfg.Fault,
 	}
-	e.batchFault, _ = cfg.Fault.(BatchFaultInjector)
 	if cfg.Resilience.Enabled {
 		// Built before the routes so newRoute can attach a breaker to
 		// each as it is constructed.
-		e.res = &resilienceState{quar: resilience.NewQuarantine(cfg.Resilience.Quarantine)}
+		e.res = &resilienceState{quar: resilience.NewQuarantine()}
 	}
 	// The one place a route is paired with what an image costs on it: the
 	// AE pipeline, the classifier alone, a variant's own network.

@@ -15,6 +15,7 @@ import (
 
 	"cbnet/internal/chaos"
 	"cbnet/internal/metrics"
+	"cbnet/internal/tensor"
 	"cbnet/internal/trace"
 )
 
@@ -211,7 +212,8 @@ type gaugeProbe struct {
 	bad atomic.Pointer[string]
 }
 
-func (p *gaugeProbe) BeforeInfer(route string, batchSize int) error {
+func (p *gaugeProbe) BeforeInfer(route string, x *tensor.Tensor) error {
+	batchSize := x.Shape[0]
 	rt := p.e.byName[RouteName(route)]
 	q := len(rt.queue)
 	if in := rt.stats.inflight.Value(); in < int64(q+batchSize) {

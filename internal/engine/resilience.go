@@ -27,8 +27,6 @@ type ResilienceConfig struct {
 	Enabled bool
 	// Breaker tunes the per-route circuit breakers.
 	Breaker resilience.BreakerConfig
-	// Quarantine tunes the poison-pill fingerprint ring.
-	Quarantine resilience.QuarantineConfig
 }
 
 // BreakerTransition describes one circuit-breaker state change, delivered

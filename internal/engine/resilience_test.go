@@ -305,7 +305,7 @@ func TestBreakerDivertsAndRecovers(t *testing.T) {
 		Resilience: ResilienceConfig{
 			Enabled: true,
 			Breaker: resilience.BreakerConfig{
-				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+				Window: 4, MinSamples: 2,
 				Cooldown: 30 * time.Millisecond, Probes: 1,
 			},
 		},
@@ -383,12 +383,11 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 	inj.SetStuck(string(RouteHard))
 	e := testEngine(t, Config{
 		MaxBatch: 4, Workers: 1,
-		Fault:   inj,
-		Degrade: DegradeConfig{Enabled: true},
+		Fault: inj,
 		Resilience: ResilienceConfig{
 			Enabled: true,
 			Breaker: resilience.BreakerConfig{
-				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+				Window: 4, MinSamples: 2,
 				Cooldown: 20 * time.Millisecond, Probes: 1,
 			},
 		},

@@ -20,17 +20,10 @@ func RouteOf(pixels []float32) (RouteName, float64) {
 	return RouteHard, h
 }
 
-// DegradeConfig arms graceful degradation: overload costs the overflow its
-// accuracy before it costs anyone an answer.
-type DegradeConfig struct {
-	// Enabled makes place pass over a route whose queue has reached
-	// spillMark and try the next one down the ladder (hard, easy, then
-	// Config.Variants in the order given).
-	Enabled bool
-}
-
 // spillMark is the queue occupancy, as a fraction of QueueDepth, at which a
-// route stops taking new requests while a cheaper one still has room. One
+// route stops taking new requests and place tries the next one down the
+// ladder (hard, easy, then Config.Variants in the order given), so overload
+// costs the overflow its accuracy before it costs anyone an answer. One
 // value, chosen by the flash-crowd drill (cbnet-bench -exp overload, 5× the
 // hard route's capacity, 250 ms deadline, 2-core host): at 0.5, 1251–1252
 // of 1252 requests are answered in 10 of 10 runs with p99 217–248 ms and
@@ -48,7 +41,7 @@ func (rt *route) pastMark() bool {
 // has none. In order: a context already expired is ErrDeadline; a
 // quarantined fingerprint is ErrPoisoned; the preferred route is RouteOf's
 // answer; then the ladder is walked from the preferred route, wrapping, and
-// the first route with room (spill armed) whose breaker admits (resilience
+// the first route under its spill mark whose breaker admits (resilience
 // armed) takes the request. The queue is asked before the breaker because
 // Breaker.Allow spends a half-open probe. No route left is ErrOverloaded.
 // The bool reports a diversion, a route other than the preferred one; Submit
@@ -87,7 +80,7 @@ func (e *Engine) place(r *request) (*route, bool, error) {
 	}
 	for i := range e.routes {
 		rt := e.routes[(first+i)%len(e.routes)]
-		if e.cfg.Degrade.Enabled && rt.pastMark() {
+		if rt.pastMark() {
 			continue
 		}
 		if rt.breaker != nil && !rt.breaker.Allow() {
@@ -100,12 +93,9 @@ func (e *Engine) place(r *request) (*route, bool, error) {
 }
 
 // Shedding reports whether place would refuse a request for lack of room
-// right now: the spill is armed and every ladder route is at or past
-// spillMark. Surfaced by /readyz.
+// right now: every ladder route is at or past spillMark. Surfaced by
+// /readyz.
 func (e *Engine) Shedding() bool {
-	if !e.cfg.Degrade.Enabled {
-		return false
-	}
 	for _, rt := range e.routes {
 		if !rt.pastMark() {
 			return false
@@ -114,12 +104,9 @@ func (e *Engine) Shedding() bool {
 	return true
 }
 
-// DegradeLadder returns the route names in the order place walks them, or
-// nil when the spill is not armed (surfaced by /info and /stats).
+// DegradeLadder returns the route names in the order place walks them
+// (surfaced by /info and /stats).
 func (e *Engine) DegradeLadder() []string {
-	if !e.cfg.Degrade.Enabled {
-		return nil
-	}
 	names := make([]string, len(e.routes))
 	for i, rt := range e.routes {
 		names[i] = string(rt.name)

@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"cbnet/internal/resilience"
+	"cbnet/internal/tensor"
 )
 
 // scoringImage returns a render that RouteOf sends to want.
@@ -38,8 +40,8 @@ func wedge(t *testing.T, e *Engine) {
 
 // TestPlace holds the one placement function to a table over everything it
 // reads: the route the score prefers, each route's queue fill, each route's
-// breaker, IncludeConverted, and the two switches. Queues hold 4, so the
-// spill mark is 2 queued requests.
+// breaker, IncludeConverted, and the resilience switch. Queues hold 4, so
+// the spill mark is 2 queued requests.
 func TestPlace(t *testing.T) {
 	const (
 		below  = 1 // one short of the mark
@@ -52,7 +54,6 @@ func TestPlace(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		degrade   bool
 		resil     bool
 		prefer    RouteName
 		converted bool
@@ -63,22 +64,21 @@ func TestPlace(t *testing.T) {
 		want      RouteName // "" = refused with wantErr
 		wantErr   error
 	}{
-		// Both switches off: the parent's answer, whatever the queues hold.
+		// Resilience off, queues empty: the score's route.
 		{name: "off/easy", prefer: RouteEasy, want: RouteEasy},
 		{name: "off/hard", prefer: RouteHard, want: RouteHard},
 		{name: "off/easy-converted", prefer: RouteEasy, converted: true, want: RouteHard},
-		{name: "off/full-queues-ignored", prefer: RouteHard, fill: fill{4, 4, 4}, want: RouteHard},
 		{name: "off/expired", prefer: RouteEasy, ctx: expired, wantErr: ErrDeadline},
 
-		// Spill armed: the first route from the preferred one with room.
-		{name: "spill/room", degrade: true, prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
-		{name: "spill/hard-at-mark", degrade: true, prefer: RouteHard, fill: fill{hard: atMark}, want: RouteEasy},
-		{name: "spill/hard-easy-at-mark", degrade: true, prefer: RouteHard, fill: fill{hard: atMark, easy: 3}, want: "pruned"},
-		{name: "spill/all-at-mark", degrade: true, prefer: RouteHard, fill: fill{atMark, atMark, atMark}, wantErr: ErrOverloaded},
-		{name: "spill/easy-at-mark", degrade: true, prefer: RouteEasy, fill: fill{easy: atMark}, want: "pruned"},
-		{name: "spill/wraps-to-hard", degrade: true, prefer: RouteEasy, fill: fill{easy: atMark, variant: atMark}, want: RouteHard},
-		{name: "spill/converted-stays", degrade: true, prefer: RouteHard, converted: true, fill: fill{hard: atMark}, want: RouteHard},
-		{name: "spill/expired-before-room", degrade: true, prefer: RouteHard, ctx: expired, fill: fill{atMark, atMark, atMark}, wantErr: ErrDeadline},
+		// The spill: the first route from the preferred one under its mark.
+		{name: "spill/room", prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
+		{name: "spill/hard-at-mark", prefer: RouteHard, fill: fill{hard: atMark}, want: RouteEasy},
+		{name: "spill/hard-easy-at-mark", prefer: RouteHard, fill: fill{hard: atMark, easy: 3}, want: "pruned"},
+		{name: "spill/all-at-mark", prefer: RouteHard, fill: fill{atMark, atMark, atMark}, wantErr: ErrOverloaded},
+		{name: "spill/easy-at-mark", prefer: RouteEasy, fill: fill{easy: atMark}, want: "pruned"},
+		{name: "spill/wraps-to-hard", prefer: RouteEasy, fill: fill{easy: atMark, variant: atMark}, want: RouteHard},
+		{name: "spill/converted-stays", prefer: RouteHard, converted: true, fill: fill{hard: atMark}, want: RouteHard},
+		{name: "spill/expired-before-room", prefer: RouteHard, ctx: expired, fill: fill{atMark, atMark, atMark}, wantErr: ErrDeadline},
 
 		// Breakers armed: the first route from the preferred one that admits.
 		{name: "breaker/closed", resil: true, prefer: RouteHard, want: RouteHard},
@@ -87,14 +87,14 @@ func TestPlace(t *testing.T) {
 		{name: "breaker/all-open", resil: true, prefer: RouteEasy, open: open{true, true, true}, wantErr: ErrOverloaded},
 		{name: "breaker/easy-open-wraps", resil: true, prefer: RouteEasy, open: open{easy: true, variant: true}, want: RouteHard},
 		{name: "breaker/converted-stays", resil: true, prefer: RouteHard, converted: true, open: open{hard: true}, want: RouteHard},
-		{name: "breaker/fill-ignored", resil: true, prefer: RouteHard, fill: fill{hard: 4}, want: RouteHard},
+		{name: "breaker/fill-ignored", resil: true, prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
 		{name: "breaker/poisoned", resil: true, prefer: RouteEasy, poisoned: true, wantErr: ErrPoisoned},
 		{name: "breaker/expired-before-poisoned", resil: true, prefer: RouteEasy, poisoned: true, ctx: expired, wantErr: ErrDeadline},
 
 		// Both: a route is taken only if it passes both.
-		{name: "both/full-then-open", degrade: true, resil: true, prefer: RouteHard, fill: fill{hard: atMark}, open: open{easy: true}, want: "pruned"},
-		{name: "both/open-then-full", degrade: true, resil: true, prefer: RouteHard, fill: fill{easy: atMark}, open: open{hard: true}, want: "pruned"},
-		{name: "both/nothing-left", degrade: true, resil: true, prefer: RouteEasy, fill: fill{hard: atMark}, open: open{easy: true, variant: true}, wantErr: ErrOverloaded},
+		{name: "both/full-then-open", resil: true, prefer: RouteHard, fill: fill{hard: atMark}, open: open{easy: true}, want: "pruned"},
+		{name: "both/open-then-full", resil: true, prefer: RouteHard, fill: fill{easy: atMark}, open: open{hard: true}, want: "pruned"},
+		{name: "both/nothing-left", resil: true, prefer: RouteEasy, fill: fill{hard: atMark}, open: open{easy: true, variant: true}, wantErr: ErrOverloaded},
 	}
 	pruned := subflowVariant(t)
 	pruned.Name = "pruned"
@@ -105,7 +105,6 @@ func TestPlace(t *testing.T) {
 				MaxBatch: 1, Workers: 1, QueueDepth: 4,
 				Fault:    gate,
 				Variants: []Variant{pruned},
-				Degrade:  DegradeConfig{Enabled: c.degrade},
 				Resilience: ResilienceConfig{
 					Enabled: c.resil,
 					Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
@@ -166,16 +165,13 @@ func TestPlace(t *testing.T) {
 					t.Errorf("IncludeConverted placed on %s: only hard produces the converted image", got.name)
 				}
 			} else {
-				if c.degrade && got.pastMark() {
-					t.Errorf("placed on %s with %d of %d queued: at or past its mark with the spill armed",
+				if got.pastMark() {
+					t.Errorf("placed on %s with %d of %d queued: at or past its mark",
 						got.name, len(got.queue), cap(got.queue))
 				}
 				if c.resil && state[got.name].open {
 					t.Errorf("placed on %s, whose breaker refuses", got.name)
 				}
-			}
-			if !c.degrade && !c.resil && got.name != preferred {
-				t.Errorf("both switches off: placed on %s, the rule before there was a ladder answers %s", got.name, preferred)
 			}
 			if diverted != (got.name != preferred) {
 				t.Errorf("diverted %v with %s preferred and %s chosen", diverted, preferred, got.name)
@@ -206,8 +202,7 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	gate := make(gateFault)
 	e := testEngine(t, Config{
 		MaxBatch: 1, Workers: 1, QueueDepth: depth,
-		Fault:   gate,
-		Degrade: DegradeConfig{Enabled: true},
+		Fault: gate,
 	})
 	wedge(t, e)
 
@@ -270,10 +265,84 @@ func TestSpillMovesOnlyTheOverflow(t *testing.T) {
 	}
 }
 
+// holdFault holds every forward pass until release is closed, first
+// telling entered which route's worker arrived.
+type holdFault struct {
+	entered chan RouteName
+	release chan struct{}
+}
+
+func (h holdFault) BeforeInfer(route string, _ *tensor.Tensor) error {
+	h.entered <- RouteName(route)
+	<-h.release
+	return nil
+}
+
+// TestZeroConfigSpills: the spill is not a setting. An engine built from the
+// zero Config — the test's gate is the only field set, and it touches only
+// the forward pass — passes over hard once hard's queue holds spillMark of
+// the default QueueDepth, and the next hard-preferring request is answered
+// on easy.
+func TestZeroConfigSpills(t *testing.T) {
+	// entered holds one send per batch without blocking: more than the
+	// wedges, hard's queue at its mark and the spilled request can form.
+	hold := holdFault{entered: make(chan RouteName, 1024), release: make(chan struct{})}
+	e := testEngine(t, Config{Fault: hold})
+	release := sync.OnceFunc(func() { close(hold.release) })
+	t.Cleanup(release) // before Close: the held workers must finish
+	cfg := e.Config()
+
+	// One request at a time, each taken before the next is sent, so every
+	// hard worker holds exactly one at the gate.
+	for range cfg.Workers {
+		e.hard.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
+		if got := <-hold.entered; got != RouteHard {
+			t.Fatalf("wedge request reached %s, want hard", got)
+		}
+	}
+	mark := int(spillMark * float64(cfg.QueueDepth))
+	for len(e.hard.queue) < mark {
+		e.hard.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
+	}
+
+	img := stubbornHardImage(t, 5)
+	results := make(chan Result, 1)
+	go func() {
+		res, err := e.Submit(context.Background(), Request{Pixels: img})
+		if err != nil {
+			t.Errorf("submit: %v", err)
+		}
+		results <- res
+	}()
+	// Placed: either an easy worker reached the gate, or the request was
+	// queued behind hard's mark.
+	for start := time.Now(); len(hold.entered) == 0 && len(e.hard.queue) == mark; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the hard-preferring request was never placed")
+		}
+	}
+	if n := len(e.hard.queue); n != mark {
+		t.Fatalf("hard queue at %d with its mark at %d: the zero Config did not spill", n, mark)
+	}
+	release()
+	if res := <-results; res.Route != string(RouteEasy) {
+		t.Fatalf("answered on %q, want easy: hard's queue was at its mark", res.Route)
+	}
+	if s := e.Stats(); s.Diverted != 1 {
+		t.Fatalf("diverted %d, want 1", s.Diverted)
+	}
+}
+
 // TestRefusedDiversionIsNotCounted: a request diverted to a route whose
 // queue turns out full at the send was never answered by that route. It is
 // rejected, and only rejected: place had counted the diversion before the
 // send, so the same request read as both diverted and rejected.
+//
+// place only picks a route under its mark, so the queue has to fill between
+// place and the send. The test holds the engine's lock, which Submit takes
+// after place, and learns that place has chosen easy from easy's breaker:
+// it is open with its cooldown spent, so choosing easy moves it to
+// half-open.
 func TestRefusedDiversionIsNotCounted(t *testing.T) {
 	gate := make(gateFault)
 	e := testEngine(t, Config{
@@ -281,19 +350,41 @@ func TestRefusedDiversionIsNotCounted(t *testing.T) {
 		Fault: gate,
 		Resilience: ResilienceConfig{
 			Enabled: true,
-			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
+			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Nanosecond},
 		},
 	})
 	t.Cleanup(func() { close(gate) }) // before Close: the wedged workers must finish
 	wedge(t, e)
+	e.hard.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)} // at its mark
+	e.easy.breaker.Observe(false)
+	e.easy.breaker.Observe(false)
+	chosen := make(chan struct{}, 1)
+	e.OnBreaker(func(tr BreakerTransition) {
+		if tr.Route == RouteEasy && tr.To == resilience.HalfOpen {
+			chosen <- struct{}{}
+		}
+	})
+
+	img := scoringImage(t, RouteHard)
+	e.mu.Lock()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(context.Background(), Request{Pixels: img})
+		errc <- err
+	}()
+	select {
+	case <-chosen:
+	case <-time.After(10 * time.Second):
+		e.mu.Unlock()
+		t.Fatal("place never chose easy")
+	}
 	for len(e.easy.queue) < cap(e.easy.queue) {
 		e.easy.queue <- &request{ctx: context.Background(), pixels: easyImage(1), done: make(chan outcome, 1)}
 	}
-	e.hard.breaker.Observe(false)
-	e.hard.breaker.Observe(false)
+	e.mu.Unlock()
 
-	if _, err := e.Submit(context.Background(), Request{Pixels: scoringImage(t, RouteHard)}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("hard breaker open, easy queue full: err = %v, want ErrOverloaded", err)
+	if err := <-errc; !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("diverted to easy, easy queue full at the send: err = %v, want ErrOverloaded", err)
 	}
 	if s := e.Stats(); s.Diverted != 0 || s.Rejected != 1 {
 		t.Fatalf("diverted %d rejected %d, want 0 and 1", s.Diverted, s.Rejected)

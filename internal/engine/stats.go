@@ -115,9 +115,8 @@ type Snapshot struct {
 	Abandoned        int64           `json:"abandoned"`
 	ThroughputPerSec float64         `json:"throughputPerSec"`
 	Routes           []RouteSnapshot `json:"routes"`
-	// Ladder lists the route names in the order place walks them; present
-	// when the spill is armed.
-	Ladder     []string            `json:"ladder,omitempty"`
+	// Ladder lists the route names in the order place walks them.
+	Ladder     []string            `json:"ladder"`
 	Resilience *ResilienceSnapshot `json:"resilience,omitempty"`
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cbnet/internal/dataset"
+	"cbnet/internal/tensor"
 )
 
 // TestStressConcurrentSubmitters hammers the engine from many goroutines
@@ -99,7 +100,7 @@ func TestStressConcurrentSubmitters(t *testing.T) {
 // channel is closed.
 type gateFault chan struct{}
 
-func (g gateFault) BeforeInfer(string, int) error {
+func (g gateFault) BeforeInfer(string, *tensor.Tensor) error {
 	<-g
 	return nil
 }
@@ -119,7 +120,9 @@ func TestBackpressureOverload(t *testing.T) {
 	// With the workers wedged, capacity is finite (the queue plus one
 	// request per worker), so a submit loop must eventually observe
 	// ErrOverloaded — and every admitted request must still succeed once
-	// the gate opens.
+	// the gate opens. Every request asks for the converted image, which
+	// pins it to hard past the spill mark, so it is hard's queue, full at
+	// the send, that refuses it.
 	e, gate := gateEngine(t, Config{MaxBatch: 1, Workers: 1, QueueDepth: 2})
 
 	var wg sync.WaitGroup
@@ -131,7 +134,7 @@ func TestBackpressureOverload(t *testing.T) {
 			// Retry on overload: the flood below keeps the queue full, so
 			// patience means polling for a free slot.
 			for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
-				_, err := e.Submit(context.Background(), Request{Pixels: hardImage(1)})
+				_, err := e.Submit(context.Background(), Request{Pixels: hardImage(1), IncludeConverted: true})
 				if errors.Is(err, ErrOverloaded) {
 					time.Sleep(time.Millisecond)
 					continue
@@ -156,7 +159,7 @@ func TestBackpressureOverload(t *testing.T) {
 		// abandon after a millisecond — leaving the queue full. The stale
 		// entries are shed by the worker that takes them once the gate opens.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := e.Submit(ctx, Request{Pixels: hardImage(1)})
+		_, err := e.Submit(ctx, Request{Pixels: hardImage(1), IncludeConverted: true})
 		cancel()
 		switch {
 		case errors.Is(err, ErrOverloaded):

@@ -213,12 +213,7 @@ func (e *Engine) safeInfer(rt *route, w *worker, x *tensor.Tensor) (logits, conv
 		}
 	}()
 	if e.fault != nil {
-		if ferr := e.fault.BeforeInfer(string(rt.name), x.Shape[0]); ferr != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrInferFailed, ferr)
-		}
-	}
-	if e.batchFault != nil {
-		if ferr := e.batchFault.BeforeInferBatch(string(rt.name), x); ferr != nil {
+		if ferr := e.fault.BeforeInfer(string(rt.name), x); ferr != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrInferFailed, ferr)
 		}
 	}

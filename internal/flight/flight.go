@@ -22,8 +22,15 @@ import (
 	"cbnet/internal/trace"
 )
 
-// logLines bounds the retained slog tail.
-const logLines = 64
+const (
+	// logLines bounds the retained slog tail.
+	logLines = 64
+	// dumpCooldown is the minimum spacing between auto-dumps.
+	dumpCooldown = 30 * time.Second
+	// burstRejects rejects within burstWindow trigger a 503-burst dump.
+	burstRejects = 10
+	burstWindow  = time.Second
+)
 
 // Entry is one span of the serve track as a dump lists it, names resolved.
 type Entry struct {
@@ -67,23 +74,10 @@ type Dump struct {
 	Context       map[string]any `json:"context,omitempty"`
 }
 
-// Config assembles a Recorder.
-type Config struct {
-	// Dir, when non-empty, receives auto-dump files
-	// (flight-<unix>-<n>.json). Empty keeps dumps in memory only.
-	Dir string
-	// Cooldown is the minimum spacing between auto-dumps; default 30s.
-	Cooldown time.Duration
-	// BurstThreshold rejects within BurstWindow trigger a 503-burst dump;
-	// defaults 10 within 1s.
-	BurstThreshold int
-	BurstWindow    time.Duration
-}
-
 // Recorder owns the log tail, the burst detector and the dump policy, and
 // reads the request outcomes it dumps from the serve layer's span recorder.
 type Recorder struct {
-	cfg     Config // defaults applied
+	dir     string // receives dump files; "" keeps dumps in memory only
 	events  *trace.Recorder
 	logs    *LogBuffer
 	context func() map[string]any
@@ -102,24 +96,17 @@ type Recorder struct {
 }
 
 // New builds a Recorder whose dumps list the spans of events, the recorder
-// the serve layer writes request outcomes to.
-func New(cfg Config, events *trace.Recorder) *Recorder {
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 30 * time.Second
-	}
-	if cfg.BurstThreshold <= 0 {
-		cfg.BurstThreshold = 10
-	}
-	if cfg.BurstWindow <= 0 {
-		cfg.BurstWindow = time.Second
-	}
+// the serve layer writes request outcomes to. A non-empty dir receives
+// every dump as a file (flight-<unix>-<n>.json); empty keeps dumps in
+// memory only.
+func New(dir string, events *trace.Recorder) *Recorder {
 	return &Recorder{
-		cfg:    cfg,
+		dir:    dir,
 		events: events,
 		logs:   newLogBuffer(logLines),
 		// N-1 slots: overwriting the (N-1)-back timestamp with the current
 		// one means N rejects span the gap being tested.
-		rejects: make([]int64, max(1, cfg.BurstThreshold-1)),
+		rejects: make([]int64, burstRejects-1),
 	}
 }
 
@@ -145,10 +132,10 @@ func (r *Recorder) NoteReject(now int64) {
 	r.rejectHead = (r.rejectHead + 1) % len(r.rejects)
 	// The slot we just overwrote held the Nth-most-recent reject; if it
 	// happened within the window, N rejects landed inside it.
-	burst := oldest != 0 && now-oldest <= int64(r.cfg.BurstWindow)
+	burst := oldest != 0 && now-oldest <= int64(burstWindow)
 	r.mu.Unlock()
 	if burst {
-		r.Trip(fmt.Sprintf("503-burst: >=%d rejects within %s", r.cfg.BurstThreshold, r.cfg.BurstWindow))
+		r.Trip(fmt.Sprintf("503-burst: >=%d rejects within %s", burstRejects, burstWindow))
 	}
 }
 
@@ -159,7 +146,7 @@ func (r *Recorder) Trip(reason string) {
 	r.mu.Lock()
 	// A suppressed trigger is still remembered so /debug/flight shows it.
 	r.lastTrigger, r.lastTripAt = reason, now
-	cooling := !r.lastDump.IsZero() && now.Sub(r.lastDump) < r.cfg.Cooldown
+	cooling := !r.lastDump.IsZero() && now.Sub(r.lastDump) < dumpCooldown
 	if !cooling {
 		r.lastDump = now
 	}
@@ -180,11 +167,11 @@ func (r *Recorder) DumpNow(reason string) {
 	r.dumpSeq++
 	seq, hook := r.dumpSeq, r.onDump
 	r.mu.Unlock()
-	if r.cfg.Dir != "" {
+	if r.dir != "" {
 		buf, err := json.MarshalIndent(d, "", "  ")
 		if err == nil {
 			name := fmt.Sprintf("flight-%d-%03d.json", d.At.Unix(), seq)
-			err = os.WriteFile(filepath.Join(r.cfg.Dir, name), buf, 0o644)
+			err = os.WriteFile(filepath.Join(r.dir, name), buf, 0o644)
 		}
 		if err != nil {
 			// Dumping is best-effort; leave a trace in the log tail.

@@ -22,7 +22,7 @@ import (
 // between the count and the first seq.
 func TestDumpListsServeTrack(t *testing.T) {
 	events := trace.NewRecorder(4)
-	rec := New(Config{}, events)
+	rec := New("", events)
 	route := trace.Intern("easy")
 	events.Emit(trace.Span{ID: 1, Kind: trace.KindAdmit, Start: 500})
 	events.Emit(trace.Span{ID: 1, Kind: trace.KindAdmit, Start: 1_000_000})
@@ -59,7 +59,7 @@ func TestDumpListsServeTrack(t *testing.T) {
 // TestTracklessRecorderDumpsAnEmptyList: without a serve track (the policy
 // tests below) a dump still carries an events array, not null.
 func TestTracklessRecorderDumpsAnEmptyList(t *testing.T) {
-	if d := New(Config{}, nil).Snapshot("manual"); d.Trigger != "manual" || d.Events == nil || len(d.Events) != 0 || d.DroppedEvents != 0 {
+	if d := New("", nil).Snapshot("manual"); d.Trigger != "manual" || d.Events == nil || len(d.Events) != 0 || d.DroppedEvents != 0 {
 		t.Fatalf("trackless recorder dumped %+v", d)
 	}
 }
@@ -67,11 +67,7 @@ func TestTracklessRecorderDumpsAnEmptyList(t *testing.T) {
 func TestBurstDetectorTripsAndDumps(t *testing.T) {
 	dir := t.TempDir()
 	events := trace.NewRecorder(16)
-	rec := New(Config{
-		Dir:            dir,
-		BurstThreshold: 5,
-		BurstWindow:    time.Second,
-	}, events)
+	rec := New(dir, events)
 	rec.SetContext(func() map[string]any {
 		return map[string]any{"queueDepth": 42}
 	})
@@ -79,12 +75,12 @@ func TestBurstDetectorTripsAndDumps(t *testing.T) {
 	rec.onDump = func(d *Dump) { dumped = d }
 
 	base := trace.Now()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < burstRejects; i++ {
 		events.Emit(trace.Span{ID: uint64(i), Kind: trace.KindReject, Step: 503, Start: base})
 		rec.NoteReject(base + int64(i)*int64(time.Millisecond))
 	}
 	if dumped == nil {
-		t.Fatal("5 rejects within 1s did not trigger a dump")
+		t.Fatalf("%d rejects within %v did not trigger a dump", burstRejects, burstWindow)
 	}
 	if !strings.Contains(dumped.Trigger, "503-burst") {
 		t.Fatalf("trigger %q, want 503-burst", dumped.Trigger)
@@ -92,8 +88,8 @@ func TestBurstDetectorTripsAndDumps(t *testing.T) {
 	if dumped.Context["queueDepth"] != 42 {
 		t.Fatalf("context not attached: %v", dumped.Context)
 	}
-	if len(dumped.Events) != 5 {
-		t.Fatalf("dump carries %d events, want 5", len(dumped.Events))
+	if len(dumped.Events) != burstRejects {
+		t.Fatalf("dump carries %d events, want %d", len(dumped.Events), burstRejects)
 	}
 
 	files, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
@@ -108,21 +104,22 @@ func TestBurstDetectorTripsAndDumps(t *testing.T) {
 	if err := json.Unmarshal(raw, &d); err != nil {
 		t.Fatalf("dump file is not valid JSON: %v", err)
 	}
-	if d.Trigger != dumped.Trigger || len(d.Events) != 5 {
+	if d.Trigger != dumped.Trigger || len(d.Events) != burstRejects {
 		t.Fatalf("dump file mismatch: %+v", d)
 	}
 }
 
 func TestBurstBelowThresholdDoesNotTrip(t *testing.T) {
-	rec := New(Config{BurstThreshold: 5, BurstWindow: time.Second}, nil)
+	rec := New("", nil)
 	tripped := false
 	rec.onDump = func(*Dump) { tripped = true }
-	// 4 rejects in the window, then 4 more spaced far apart.
+	// One reject short of a burst in the window, then as many again spaced
+	// far apart.
 	base := int64(0)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < burstRejects-1; i++ {
 		rec.NoteReject(base + int64(i)*int64(time.Millisecond))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < burstRejects-1; i++ {
 		rec.NoteReject(base + int64(10+i*10)*int64(time.Second))
 	}
 	if tripped {
@@ -131,7 +128,7 @@ func TestBurstBelowThresholdDoesNotTrip(t *testing.T) {
 }
 
 func TestCooldownSuppressesRepeatDumps(t *testing.T) {
-	rec := New(Config{Cooldown: time.Hour}, nil)
+	rec := New("", nil)
 	dumps := 0
 	rec.onDump = func(*Dump) { dumps++ }
 	rec.Trip("slo trip one")
@@ -147,7 +144,7 @@ func TestCooldownSuppressesRepeatDumps(t *testing.T) {
 }
 
 func TestLogBufferTee(t *testing.T) {
-	rec := New(Config{}, nil)
+	rec := New("", nil)
 	h := rec.Logs().Wrap(slog.NewTextHandler(io.Discard, nil))
 	log := slog.New(h).With("route", "easy")
 	for i := 0; i < logLines+2; i++ {
@@ -170,7 +167,7 @@ func TestLogBufferTee(t *testing.T) {
 }
 
 func TestLogBufferGroups(t *testing.T) {
-	rec := New(Config{}, nil)
+	rec := New("", nil)
 	h := rec.Logs().Wrap(slog.NewTextHandler(io.Discard, nil))
 	slog.New(h).WithGroup("engine").Info("drained", "inflight", 0)
 	tail := rec.Logs().Tail()

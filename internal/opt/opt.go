@@ -62,21 +62,3 @@ func (a *Adam) Step(params []*nn.Param) {
 		p.ZeroGrad()
 	}
 }
-
-// ClipGradNorm rescales all gradients so their global L2 norm does not
-// exceed maxNorm, a standard stabilizer for small-batch CNN training.
-// It returns the pre-clip norm.
-func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		sq += p.Grad.SumSquares()
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			p.Grad.Scale(scale)
-		}
-	}
-	return norm
-}

@@ -41,29 +41,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	p := paramWithGrad([]float32{0, 0}, []float32{3, 4}) // norm 5
-	norm := ClipGradNorm([]*nn.Param{p}, 1)
-	if math.Abs(norm-5) > 1e-6 {
-		t.Fatalf("pre-clip norm %v, want 5", norm)
-	}
-	var sq float64
-	for _, g := range p.Grad.Data {
-		sq += float64(g) * float64(g)
-	}
-	if math.Abs(math.Sqrt(sq)-1) > 1e-5 {
-		t.Fatalf("post-clip norm %v, want 1", math.Sqrt(sq))
-	}
-}
-
-func TestClipGradNormNoopUnderLimit(t *testing.T) {
-	p := paramWithGrad([]float32{0}, []float32{0.5})
-	ClipGradNorm([]*nn.Param{p}, 10)
-	if p.Grad.Data[0] != 0.5 {
-		t.Fatal("clip modified an in-bounds gradient")
-	}
-}
-
 func TestNonPositiveLRPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -32,6 +32,10 @@ func (s State) String() string {
 	}
 }
 
+// failureThreshold is the windowed failure fraction at or above which a
+// Breaker trips open.
+const failureThreshold = 0.5
+
 // BreakerConfig tunes a Breaker. Zero values take the defaults below.
 type BreakerConfig struct {
 	// Window is the number of most-recent batch outcomes the rolling
@@ -41,9 +45,6 @@ type BreakerConfig struct {
 	// many outcomes are in the window, so one early failure on a cold
 	// route can't open it. Default 10.
 	MinSamples int
-	// FailureThreshold is the windowed failure fraction at or above
-	// which the breaker trips open. Default 0.5.
-	FailureThreshold float64
 	// Cooldown is how long an open breaker waits before admitting
 	// half-open probes. It also re-arms a stalled half-open state whose
 	// probes were admitted but never produced an outcome (e.g. shed
@@ -63,9 +64,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.MinSamples > c.Window {
 		c.MinSamples = c.Window
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 0.5
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
@@ -190,7 +188,7 @@ func (b *Breaker) Observe(success bool) {
 			return
 		}
 		f := b.failures.Load()
-		if f > 0 && float64(f) >= b.cfg.FailureThreshold*float64(samples) {
+		if f > 0 && float64(f) >= failureThreshold*float64(samples) {
 			b.transition(Closed, Open)
 		}
 	case HalfOpen:

@@ -2,19 +2,9 @@ package resilience
 
 import "sync/atomic"
 
-// QuarantineConfig tunes a Quarantine. Zero values take the defaults.
-type QuarantineConfig struct {
-	// Capacity is the number of poison-pill fingerprints retained; when
-	// full the oldest entry is overwritten. Default 64.
-	Capacity int
-}
-
-func (c QuarantineConfig) withDefaults() QuarantineConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = 64
-	}
-	return c
-}
+// quarantineSlots is the number of poison-pill fingerprints a Quarantine
+// retains; when full the oldest entry is overwritten.
+const quarantineSlots = 64
 
 // Quarantine is a fixed-size ring of poison-pill fingerprints. Admission
 // calls Check on every request's fingerprint — a linear scan over a few
@@ -29,10 +19,9 @@ type Quarantine struct {
 	hits atomic.Uint64
 }
 
-// NewQuarantine builds an empty quarantine ring.
-func NewQuarantine(cfg QuarantineConfig) *Quarantine {
-	cfg = cfg.withDefaults()
-	return &Quarantine{slots: make([]atomic.Uint64, cfg.Capacity)}
+// NewQuarantine builds an empty quarantine ring of quarantineSlots.
+func NewQuarantine() *Quarantine {
+	return &Quarantine{slots: make([]atomic.Uint64, quarantineSlots)}
 }
 
 // Check reports whether fp is quarantined, counting a hit if so.

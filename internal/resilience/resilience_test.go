@@ -37,7 +37,7 @@ func TestFingerprint(t *testing.T) {
 func TestBreakerStateMachine(t *testing.T) {
 	var edges []string
 	b, clk := testBreaker(BreakerConfig{
-		Window: 10, MinSamples: 4, FailureThreshold: 0.5,
+		Window: 10, MinSamples: 4,
 		Cooldown: time.Second, Probes: 2,
 	}, func(from, to State) {
 		edges = append(edges, from.String()+"->"+to.String())
@@ -120,7 +120,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerWindowEviction(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{Window: 8, MinSamples: 8, FailureThreshold: 0.5}, nil)
+	b, _ := testBreaker(BreakerConfig{Window: 8, MinSamples: 8}, nil)
 	// 3 failures then 8 successes: the failure rate never reaches 50%
 	// while they're in the window, and they then age out entirely.
 	for i := 0; i < 3; i++ {
@@ -138,7 +138,7 @@ func TestBreakerWindowEviction(t *testing.T) {
 }
 
 func TestBreakerMixedRateTrips(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{Window: 10, MinSamples: 10, FailureThreshold: 0.5}, nil)
+	b, _ := testBreaker(BreakerConfig{Window: 10, MinSamples: 10}, nil)
 	// Alternate success/failure: exactly 50% — at threshold, must trip.
 	for i := 0; i < 10; i++ {
 		b.Observe(i%2 == 0)
@@ -150,7 +150,7 @@ func TestBreakerMixedRateTrips(t *testing.T) {
 
 func TestBreakerHalfOpenRearm(t *testing.T) {
 	b, clk := testBreaker(BreakerConfig{
-		Window: 4, MinSamples: 4, FailureThreshold: 0.5,
+		Window: 4, MinSamples: 4,
 		Cooldown: time.Second, Probes: 2,
 	}, nil)
 	for i := 0; i < 4; i++ {
@@ -184,7 +184,7 @@ func TestBreakerHalfOpenRearm(t *testing.T) {
 func TestBreakerConcurrent(t *testing.T) {
 	var transitions atomic.Int64
 	b, clk := testBreaker(BreakerConfig{
-		Window: 16, MinSamples: 8, FailureThreshold: 0.5,
+		Window: 16, MinSamples: 8,
 		Cooldown: time.Millisecond, Probes: 3,
 	}, func(from, to State) { transitions.Add(1) })
 
@@ -239,7 +239,7 @@ func TestBreakerConcurrent(t *testing.T) {
 }
 
 func TestQuarantine(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{Capacity: 4})
+	q := NewQuarantine()
 	if q.Check(42) {
 		t.Fatal("empty quarantine matched")
 	}
@@ -255,17 +255,17 @@ func TestQuarantine(t *testing.T) {
 		t.Fatalf("Size() = %d, want 1", q.Size())
 	}
 	// Fill past capacity: oldest is evicted, newest retained.
-	for fp := uint64(100); fp < 104; fp++ {
+	for fp := uint64(100); fp < 100+quarantineSlots; fp++ {
 		q.Add(fp)
 	}
 	if q.Check(42) {
 		t.Fatal("oldest entry should have been evicted")
 	}
-	if !q.Check(103) {
+	if !q.Check(100 + quarantineSlots - 1) {
 		t.Fatal("newest entry must be retained")
 	}
-	if q.Size() != 4 {
-		t.Fatalf("Size() = %d, want capacity 4", q.Size())
+	if q.Size() != quarantineSlots {
+		t.Fatalf("Size() = %d, want capacity %d", q.Size(), quarantineSlots)
 	}
 	if q.Hits() == 0 {
 		t.Fatal("hits counter never moved")
@@ -273,7 +273,7 @@ func TestQuarantine(t *testing.T) {
 }
 
 func TestQuarantineConcurrent(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{Capacity: 16})
+	q := NewQuarantine()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -303,7 +303,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		px[i] = float32(i) / 784
 	}
 	b, _ := testBreaker(BreakerConfig{}, nil)
-	q := NewQuarantine(QuarantineConfig{})
+	q := NewQuarantine()
 	q.Add(12345)
 	checks := []struct {
 		name string

@@ -552,17 +552,13 @@ type gateInjector struct {
 	rows [][]float32
 }
 
-func (g *gateInjector) BeforeInfer(route string, n int) error {
+func (g *gateInjector) BeforeInfer(route string, x *tensor.Tensor) error {
 	if route != string(engine.RouteEasy) {
 		return nil
 	}
-	g.entered <- n
-	return <-g.verdict
-}
-
-func (g *gateInjector) BeforeInferBatch(route string, x *tensor.Tensor) error {
-	if route != string(engine.RouteEasy) {
-		return nil
+	g.entered <- x.Shape[0]
+	if err := <-g.verdict; err != nil {
+		return err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()

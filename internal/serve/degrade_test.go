@@ -19,6 +19,7 @@ import (
 	"cbnet/internal/engine"
 	"cbnet/internal/metrics"
 	"cbnet/internal/rng"
+	"cbnet/internal/tensor"
 )
 
 // serverWithEngineConfig builds a server around an untrained pipeline with
@@ -104,7 +105,7 @@ type routeFault struct {
 	stuck   string
 }
 
-func (f *routeFault) BeforeInfer(route string, _ int) error {
+func (f *routeFault) BeforeInfer(route string, _ *tensor.Tensor) error {
 	if route == f.stuck {
 		return errors.New("route is stuck")
 	}
@@ -119,8 +120,7 @@ func (f *routeFault) BeforeInfer(route string, _ int) error {
 func spillConfig(fault engine.FaultInjector) engine.Config {
 	return engine.Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 2,
-		Fault:   fault,
-		Degrade: engine.DegradeConfig{Enabled: true},
+		Fault: fault,
 	}
 }
 

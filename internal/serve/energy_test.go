@@ -78,7 +78,6 @@ func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequent
 		t.Fatal(err)
 	}
 	cfg.Variants = []engine.Variant{{Name: "pruned", Net: pruned}}
-	cfg.Degrade = engine.DegradeConfig{Enabled: true}
 	return serverWithEngineConfig(t, cfg, Options{}), pruned
 }
 

@@ -161,7 +161,7 @@ func TestBreakerOpenSurfacesEverywhere(t *testing.T) {
 			// Tiny window so two singleton failures trip it; a long
 			// cooldown holds it open for the assertions below.
 			Breaker: resilience.BreakerConfig{
-				Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+				Window: 4, MinSamples: 2,
 				Cooldown: time.Minute, Probes: 1,
 			},
 		},
@@ -396,7 +396,7 @@ func TestReadyzVariantBreakerOpen(t *testing.T) {
 	cfg.Resilience = engine.ResilienceConfig{
 		Enabled: true,
 		Breaker: resilience.BreakerConfig{
-			Window: 4, MinSamples: 2, FailureThreshold: 0.5,
+			Window: 4, MinSamples: 2,
 			Cooldown: time.Minute, Probes: 1,
 		},
 	}

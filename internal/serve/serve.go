@@ -39,12 +39,11 @@
 // A /classify call may carry a deadline in the X-CBNet-Deadline-Ms header;
 // it bounds the request's end-to-end time, and a request whose deadline
 // expires before its batch runs is answered 504 without consuming inference
-// capacity. A call without the header has no deadline. When the engine's
-// spill is armed (cbnet-serve always arms it), a request whose preferred
-// route is half full is answered by the next route down the ladder (hard →
-// easy → variants) instead of waiting or being refused; the engine decides
-// that per request (engine.place), and this package only reports it: the
-// route a reply names, "diverted" and "ladder" on /stats,
+// capacity. A call without the header has no deadline. A request whose
+// preferred route is half full is answered by the next route down the
+// ladder (hard → easy → variants) instead of waiting or being refused; the
+// engine decides that per request (engine.place), and this package only
+// reports it: the route a reply names, "diverted" and "ladder" on /stats,
 // cbnet_requests_diverted_total on /metrics. The SLO objectives are fixed:
 // 99% of successful requests within 50 ms of wall time, and 99.9% of all
 // terminal responses not 5xx. SLO burn is not an input to routing; the
@@ -213,7 +212,7 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 		}
 	}
 	s.events = trace.NewRecorder(eventRing)
-	s.flight = flight.New(flight.Config{Dir: opts.FlightDir}, s.events)
+	s.flight = flight.New(opts.FlightDir, s.events)
 	s.flight.SetContext(s.flightContext)
 	// Route the server's own records through the flight log tee so dumps
 	// always carry the request-log tail; cmd/cbnet-serve additionally
@@ -221,16 +220,16 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 	s.log = slog.New(s.flight.Logs().Wrap(s.log.Handler()))
 
 	now := time.Now()
-	s.availT = mustTracker(slo.Config{Objective: slo.Objective{
+	s.availT = mustTracker(slo.Objective{
 		Name:        "availability",
 		Target:      sloAvailability,
 		Description: "non-5xx responses over all terminal responses",
-	}}, now)
-	s.latT = mustTracker(slo.Config{Objective: slo.Objective{
+	}, now)
+	s.latT = mustTracker(slo.Objective{
 		Name:        "latency",
 		Target:      0.99,
 		Description: fmt.Sprintf("successful responses within %v wall time", sloLatencyP99),
-	}}, now)
+	}, now)
 	s.sloMon = slo.NewMonitor([]*slo.Tracker{s.availT, s.latT}, func(tp slo.Trip) {
 		s.log.Warn("slo burn-rate trip",
 			"slo", tp.Objective, "window", tp.Window,
@@ -276,8 +275,8 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 
 // mustTracker builds an SLO tracker. Its callers validated the target, so an
 // error is a programming error.
-func mustTracker(cfg slo.Config, now time.Time) *slo.Tracker {
-	t, err := slo.NewTracker(cfg, now)
+func mustTracker(obj slo.Objective, now time.Time) *slo.Tracker {
+	t, err := slo.NewTracker(obj, now)
 	if err != nil {
 		panic(err)
 	}
@@ -390,8 +389,8 @@ type InfoResponse struct {
 	Workers           int     `json:"workers"`
 	HardnessThreshold float64 `json:"hardnessThreshold"`
 	// DegradeLadder lists the route names in the order an overflowing
-	// request tries them; absent when the spill is off.
-	DegradeLadder []string `json:"degradeLadder,omitempty"`
+	// request tries them.
+	DegradeLadder []string `json:"degradeLadder"`
 	// ResilienceEnabled reports whether the fault-isolation layer (batch
 	// bisection, poison-pill quarantine, per-route circuit breakers) is
 	// armed; when true, /readyz also tracks breaker state.

@@ -9,7 +9,7 @@
 // path (one atomic add per request), so Tracker.Observe is lock-free and
 // allocation-free, while the windowing machinery runs on a cold periodic
 // tick. Windows are computed from a ring of cumulative (good, bad)
-// checkpoints written every Resolution; a window's totals are the live
+// checkpoints written every resolution; a window's totals are the live
 // counters minus the checkpoint at the window's start, so the current
 // partial bucket is always included and a fresh burst is visible on the
 // very next tick rather than after a full bucket rolls.
@@ -39,11 +39,8 @@ type Objective struct {
 // Budget returns the objective's error budget, 1−Target.
 func (o Objective) Budget() float64 { return 1 - o.Target }
 
-// Window is one burn-rate look-back window with its trip threshold. The
-// default set follows the SRE workbook's multi-window alert: a fast-burn
-// page threshold on the short window and progressively lower thresholds on
-// the longer ones.
-type Window struct {
+// window is one burn-rate look-back window with its trip threshold.
+type window struct {
 	Name string
 	Dur  time.Duration
 	// Burn is the burn-rate threshold at which the window trips: a burn
@@ -52,29 +49,24 @@ type Window struct {
 	Burn float64
 }
 
-// DefaultWindows returns the monitor's standard window set.
-func DefaultWindows() []Window {
-	return []Window{
-		{Name: "5m", Dur: 5 * time.Minute, Burn: 14.4},
-		{Name: "1h", Dur: time.Hour, Burn: 6},
-		{Name: "6h", Dur: 6 * time.Hour, Burn: 1},
-	}
+// windows is every tracker's window set, ascending by duration; the longest
+// is the budget-remaining horizon. It follows the SRE workbook's
+// multi-window alert: a fast-burn page threshold on the short window and
+// progressively lower thresholds on the longer ones.
+var windows = [...]window{
+	{Name: "5m", Dur: 5 * time.Minute, Burn: 14.4},
+	{Name: "1h", Dur: time.Hour, Burn: 6},
+	{Name: "6h", Dur: 6 * time.Hour, Burn: 1},
 }
 
-// Config assembles a Tracker.
-type Config struct {
-	Objective Objective
-	// Windows defaults to DefaultWindows(). Must be sorted ascending by
-	// duration; the longest window is the budget-remaining horizon.
-	Windows []Window
-	// Resolution is the checkpoint spacing; windows are quantised to it.
-	// Defaults to 5s. The ring holds longest-window/Resolution entries.
-	Resolution time.Duration
-	// MinEvents is the minimum event count a window must hold before it
-	// may trip, so a single failed request on an idle server does not
-	// page. Defaults to 10.
-	MinEvents int64
-}
+const (
+	// resolution is the checkpoint spacing; windows are quantised to it,
+	// and the ring holds longest-window/resolution entries.
+	resolution = 5 * time.Second
+	// minEvents is the event count a window must hold before it may trip,
+	// so a single failed request on an idle server does not page.
+	minEvents = 10
+)
 
 // Trip describes one window crossing its burn threshold (a rising edge).
 type Trip struct {
@@ -100,63 +92,36 @@ type checkpoint struct {
 // Tracker follows one objective. Observe is the lock-free hot path; Advance
 // and Snapshot are cold, mutex-guarded.
 type Tracker struct {
-	obj       Objective
-	windows   []Window
-	res       time.Duration
-	minEvents int64
+	obj Objective
 
 	good atomic.Int64
 	bad  atomic.Int64
 
 	mu       sync.Mutex
-	ring     []checkpoint // cumulative totals, one per elapsed resolution
-	head     int          // index of the most recent checkpoint
-	filled   int          // number of valid entries
-	lastTick time.Time    // time of the most recent checkpoint
-	tripped  []bool       // per window, current trip state
-	trips    []int64      // per window, cumulative rising edges
+	ring     []checkpoint        // cumulative totals, one per elapsed resolution
+	head     int                 // index of the most recent checkpoint
+	filled   int                 // number of valid entries
+	lastTick time.Time           // time of the most recent checkpoint
+	tripped  [len(windows)]bool  // per window, current trip state
+	trips    [len(windows)]int64 // per window, cumulative rising edges
 }
 
-// NewTracker builds a tracker; now anchors the first checkpoint.
-func NewTracker(cfg Config, now time.Time) (*Tracker, error) {
-	if cfg.Objective.Target <= 0 || cfg.Objective.Target >= 1 {
-		return nil, fmt.Errorf("slo: objective %q target %v outside (0,1)", cfg.Objective.Name, cfg.Objective.Target)
+// NewTracker builds a tracker for obj; now anchors the first checkpoint.
+func NewTracker(obj Objective, now time.Time) (*Tracker, error) {
+	if obj.Target <= 0 || obj.Target >= 1 {
+		return nil, fmt.Errorf("slo: objective %q target %v outside (0,1)", obj.Name, obj.Target)
 	}
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = DefaultWindows()
-	}
-	if cfg.Resolution <= 0 {
-		cfg.Resolution = 5 * time.Second
-	}
-	if cfg.MinEvents <= 0 {
-		cfg.MinEvents = 10
-	}
-	for i := 1; i < len(cfg.Windows); i++ {
-		if cfg.Windows[i].Dur <= cfg.Windows[i-1].Dur {
-			return nil, fmt.Errorf("slo: windows not ascending at %q", cfg.Windows[i].Name)
-		}
-	}
-	longest := cfg.Windows[len(cfg.Windows)-1].Dur
-	capacity := int(longest/cfg.Resolution) + 1
+	longest := windows[len(windows)-1].Dur
 	return &Tracker{
-		obj:       cfg.Objective,
-		windows:   append([]Window(nil), cfg.Windows...),
-		res:       cfg.Resolution,
-		minEvents: cfg.MinEvents,
-		ring:      make([]checkpoint, capacity),
-		lastTick:  now,
-		tripped:   make([]bool, len(cfg.Windows)),
-		trips:     make([]int64, len(cfg.Windows)),
+		obj:      obj,
+		ring:     make([]checkpoint, int(longest/resolution)+1),
+		lastTick: now,
 	}, nil
 }
 
 // Observe records one event outcome. Lock-free and allocation-free; safe
-// for concurrent use from any goroutine. Nil-safe so unconfigured SLOs cost
-// one branch.
+// for concurrent use from any goroutine.
 func (t *Tracker) Observe(good bool) {
-	if t == nil {
-		return
-	}
 	if good {
 		t.good.Add(1)
 	} else {
@@ -174,7 +139,7 @@ func (t *Tracker) Advance(now time.Time) []Trip {
 	curGood, curBad := t.good.Load(), t.bad.Load()
 	steps := 0
 	if now.After(t.lastTick) {
-		steps = int(now.Sub(t.lastTick) / t.res)
+		steps = int(now.Sub(t.lastTick) / resolution)
 	}
 	if steps > 0 {
 		if steps > len(t.ring) {
@@ -190,13 +155,13 @@ func (t *Tracker) Advance(now time.Time) []Trip {
 		if t.filled += steps; t.filled > len(t.ring) {
 			t.filled = len(t.ring)
 		}
-		t.lastTick = t.lastTick.Add(time.Duration(steps) * t.res)
+		t.lastTick = t.lastTick.Add(time.Duration(steps) * resolution)
 	}
 
 	var fired []Trip
-	for i, w := range t.windows {
+	for i, w := range windows {
 		ws := t.windowLocked(w, curGood, curBad)
-		trippedNow := ws.BurnRate >= w.Burn && ws.Good+ws.Bad >= t.minEvents
+		trippedNow := ws.BurnRate >= w.Burn && ws.Good+ws.Bad >= minEvents
 		if trippedNow && !t.tripped[i] {
 			t.trips[i]++
 			fired = append(fired, Trip{
@@ -245,8 +210,8 @@ type Snapshot struct {
 
 // windowLocked computes one window's totals from the live counters and the
 // checkpoint at the window's start. t.mu must be held.
-func (t *Tracker) windowLocked(w Window, curGood, curBad int64) WindowSnapshot {
-	k := int(w.Dur / t.res)
+func (t *Tracker) windowLocked(w window, curGood, curBad int64) WindowSnapshot {
+	k := int(w.Dur / resolution)
 	if k > t.filled {
 		// The process is younger than the window: measure since start
 		// (all-zero baseline).
@@ -282,7 +247,7 @@ func (t *Tracker) Snapshot(now time.Time) Snapshot {
 		Target:      t.obj.Target,
 		State:       "ok",
 	}
-	for i, w := range t.windows {
+	for i, w := range windows {
 		ws := t.windowLocked(w, curGood, curBad)
 		ws.Tripped = t.tripped[i]
 		ws.Trips = t.trips[i]

@@ -128,15 +128,6 @@ func (t *Tensor) AbsSum() float64 {
 	return s
 }
 
-// SumSquares returns the squared L2 norm of the elements.
-func (t *Tensor) SumSquares() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return s
-}
-
 // ArgMax returns the index of the first maximum element in flat order.
 func (t *Tensor) ArgMax() int {
 	if len(t.Data) == 0 {

@@ -97,9 +97,6 @@ func TestReductions(t *testing.T) {
 	if !almostEq(x.AbsSum(), 10, 1e-9) {
 		t.Errorf("AbsSum = %v", x.AbsSum())
 	}
-	if !almostEq(x.SumSquares(), 30, 1e-9) {
-		t.Errorf("SumSquares = %v", x.SumSquares())
-	}
 	if x.ArgMax() != 3 {
 		t.Errorf("ArgMax = %d", x.ArgMax())
 	}

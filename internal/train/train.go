@@ -26,9 +26,7 @@ type Config struct {
 	Epochs    int
 	BatchSize int
 	Optimizer *opt.Adam
-	// ClipNorm bounds the global gradient L2 norm; 0 disables clipping.
-	ClipNorm float64
-	Seed     uint64
+	Seed      uint64
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
 }
@@ -44,15 +42,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("train: nil optimizer")
 	}
 	return nil
-}
-
-// step applies one optimizer update to net's gradients, clipped first when
-// ClipNorm is set.
-func (c *Config) step(net *nn.Sequential) {
-	if c.ClipNorm > 0 {
-		opt.ClipGradNorm(net.Params(), c.ClipNorm)
-	}
-	c.Optimizer.Step(net.Params())
 }
 
 // History records per-epoch statistics of a run.
@@ -98,7 +87,7 @@ func Classifier(net *nn.Sequential, ds *dataset.Dataset, cfg Config) (*History, 
 			correct += int(loss.Accuracy(logits, labels)*float64(bs) + 0.5)
 			seen += bs
 			net.Backward(grad)
-			cfg.step(net)
+			cfg.Optimizer.Step(net.Params())
 		}
 		h.EpochLoss = append(h.EpochLoss, epochLoss/float64(seen))
 		h.EpochAccuracy = append(h.EpochAccuracy, float64(correct)/float64(seen))
@@ -150,7 +139,7 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 			epochLoss += l * float64(bs)
 			seen += bs
 			net.Backward(grad)
-			cfg.step(net)
+			cfg.Optimizer.Step(net.Params())
 		}
 		h.EpochLoss = append(h.EpochLoss, epochLoss/float64(seen))
 		if cfg.Log != nil {

@@ -137,17 +137,6 @@ func TestTrainingLogsEpochs(t *testing.T) {
 	}
 }
 
-func TestClipNormPathRuns(t *testing.T) {
-	r := rng.New(17)
-	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 40, HardFraction: 0, Seed: 18})
-	net := tinyMLP(r)
-	if _, err := Classifier(net, ds, Config{
-		Epochs: 1, BatchSize: 16, Optimizer: opt.NewAdam(0.05), ClipNorm: 1, Seed: 19,
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeterministicTraining(t *testing.T) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 80, HardFraction: 0, Seed: 20})
 	run := func() []float32 {
