@@ -15,6 +15,9 @@ func fmaKernel8x8(kc int, ap, bp, acc *float32)
 //go:noescape
 func avx512Kernel8x16(kc int, ap, bp, acc *float32)
 
+//go:noescape
+func avx512Kernel8x32(kc int, ap, bp, acc *float32)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
@@ -22,10 +25,12 @@ func xgetbv0() (eax, edx uint32)
 // archKernels registers the x86 assembly kernels. AVX-512 outranks AVX2:
 // twice the tile width per identical instruction count, and none of the
 // shipped kernels use enough ZMM pressure to trigger license-based
-// downclocking concerns on modern parts.
+// downclocking concerns on modern parts. Only AVX-512 has a pair body: its
+// 32 ZMM registers hold two tiles' 16 accumulators beside the operands,
+// where AVX2's 16 YMM registers cannot.
 func archKernels() []kernelDesc {
 	return []kernelDesc{
-		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel, vec: vecAVX512},
+		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel, pair: avx512PairKernel, vec: vecAVX512},
 		{name: "avx2-8x8", mr: 8, nr: 8, fma: true, available: hasAVX2FMA(), priority: 10, fn: fmaKernel, vec: vecAVX2},
 	}
 }
@@ -52,6 +57,13 @@ func avx512Kernel(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32) {
 		return
 	}
 	avx512Kernel8x16(kc, &ap[0], &bp[0], &acc[0])
+}
+
+// avx512PairKernel adapts the AVX-512 pair body to the registry calling
+// shape. The blocked driver calls it with kc ≥ 1.
+func avx512PairKernel(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32) {
+	_, _ = ap[kc*8-1], bp[2*kc*16-1]
+	avx512Kernel8x32(kc, &ap[0], &bp[0], &acc[0][0])
 }
 
 // hasAVX2FMA reports whether the CPU and OS support the AVX2 kernel:

@@ -123,6 +123,100 @@ zstore:
 	VZEROUPPER
 	RET
 
+// func avx512Kernel8x32(kc int, ap, bp, acc *float32)
+//
+// The pair body of the 8×16 kernel: two 8×16 tiles side by side, over two
+// adjacent packed B slivers (bp: the first sliver's kc groups of 16 B
+// values, the second's kc groups right after them). acc receives the first
+// tile's 128 values, then the second's. Sixteen ZMM registers hold both
+// tiles; each k step is two 16-wide B loads, eight scalar broadcasts from A,
+// and sixteen fused multiply-adds — 512 flops per 10 loads. Every
+// accumulator takes the same FMA, operands in the same roles, in the same
+// ascending k order as avx512Kernel8x16's, so each tile has its bits.
+TEXT ·avx512Kernel8x32(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ acc+24(FP), DX
+	MOVQ CX, R8
+	SHLQ $6, R8
+	ADDQ DI, R8 // the second sliver, kc·16 floats on
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+	TESTQ CX, CX
+	JZ    pstore
+
+	PCALIGN $32 // the loop head starts a 32-byte fetch block
+
+ploop:
+	VMOVUPS      (DI), Z16
+	VMOVUPS      (R8), Z17
+	VBROADCASTSS (SI), Z18
+	VBROADCASTSS 4(SI), Z19
+	VFMADD231PS  Z16, Z18, Z0
+	VFMADD231PS  Z17, Z18, Z8
+	VFMADD231PS  Z16, Z19, Z1
+	VFMADD231PS  Z17, Z19, Z9
+	VBROADCASTSS 8(SI), Z20
+	VBROADCASTSS 12(SI), Z21
+	VFMADD231PS  Z16, Z20, Z2
+	VFMADD231PS  Z17, Z20, Z10
+	VFMADD231PS  Z16, Z21, Z3
+	VFMADD231PS  Z17, Z21, Z11
+	VBROADCASTSS 16(SI), Z18
+	VBROADCASTSS 20(SI), Z19
+	VFMADD231PS  Z16, Z18, Z4
+	VFMADD231PS  Z17, Z18, Z12
+	VFMADD231PS  Z16, Z19, Z5
+	VFMADD231PS  Z17, Z19, Z13
+	VBROADCASTSS 24(SI), Z20
+	VBROADCASTSS 28(SI), Z21
+	VFMADD231PS  Z16, Z20, Z6
+	VFMADD231PS  Z17, Z20, Z14
+	VFMADD231PS  Z16, Z21, Z7
+	VFMADD231PS  Z17, Z21, Z15
+	ADDQ         $32, SI
+	ADDQ         $64, DI
+	ADDQ         $64, R8
+	DECQ         CX
+	JNZ          ploop
+
+pstore:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, 128(DX)
+	VMOVUPS Z3, 192(DX)
+	VMOVUPS Z4, 256(DX)
+	VMOVUPS Z5, 320(DX)
+	VMOVUPS Z6, 384(DX)
+	VMOVUPS Z7, 448(DX)
+	VMOVUPS Z8, 512(DX)
+	VMOVUPS Z9, 576(DX)
+	VMOVUPS Z10, 640(DX)
+	VMOVUPS Z11, 704(DX)
+	VMOVUPS Z12, 768(DX)
+	VMOVUPS Z13, 832(DX)
+	VMOVUPS Z14, 896(DX)
+	VMOVUPS Z15, 960(DX)
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -20,7 +20,11 @@ import "sync"
 // streams both packed slivers sequentially. Its tile shape comes from the
 // kernel registry (gemm_kernels.go): 8×8 YMM on AVX2/FMA, 8×16 ZMM on
 // AVX-512, 8×8 over NEON quads on arm64, with the portable generic kernel
-// as the universal fallback and oracle reference.
+// as the universal fallback and oracle reference. A kernel with a pair body
+// (AVX-512's: an 8×32 register tile, 16 ZMM accumulators) takes the jr loop
+// two slivers at a time while two remain, and an odd last sliver through
+// its single body; each 8×nr half is written back as a tile of its own, so
+// pairing changes no bit.
 //
 // A blocked GEMM runs on the goroutine that calls it, one A row block after
 // another against the packed B panel: parallelism is the caller's business —
@@ -75,11 +79,12 @@ func SetBlockedKernelForTest(enabled bool) bool {
 // blocked GEMM. Buffers grow to the block maxima on first use and are then
 // recycled — through gemmBufPool for ad-hoc callers, held for life by
 // PackScratch owners — so steady-state GEMM calls allocate nothing. The
-// accumulator is sized for the largest registered tile.
+// accumulator holds two of the largest registered tiles: what a pair body
+// fills.
 type gemmBuf struct {
 	ap  []float32
 	bp  []float32
-	acc [maxMR * maxNR]float32
+	acc [2][maxMR * maxNR]float32
 }
 
 var gemmBufPool = sync.Pool{New: func() any { return new(gemmBuf) }}
@@ -234,46 +239,63 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 
 // blockSerial packs the A row block starting at row ic into mr-row slivers
 // and runs the micro-kernel over its tile grid against every packed B sliver
-// of the panel — one packed block reused across the full JR range. Each
-// tile's write-back (with the bias and relu on the final depth block) is
-// tileTail for a full tile of a panel that has one, writeTile and
-// epilogueTile otherwise. A sigmoid is elementwise, so it waits for the
-// block: one SigmoidSlice per finished row, in long vector runs, instead of
-// nr elements at a time per tile.
+// of the panel — one packed block reused across the full JR range, two
+// slivers per call where the kernel has a pair body. A sigmoid is
+// elementwise, so it waits for the block: one SigmoidSlice per finished
+// row, in long vector runs, instead of nr elements at a time per tile.
 func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 	mr, nr := pn.kern.mr, pn.kern.nr
 	mc := min(blockMC, pn.m-ic)
 	ap := wb.ensureA(roundUp(mc, mr) * pn.kc)
 	packA(pn.kern.vec, pn.a, pn.ars, pn.acs, ic, pn.pc, mc, pn.kc, mr, ap)
-	for jr := 0; jr < pn.nc; jr += nr {
-		bs := pn.bp[(jr/nr)*pn.kc*nr:][:pn.kc*nr]
+	for jr := 0; jr < pn.nc; {
+		slivers := 1
+		if pn.kern.pair != nil && jr+nr < pn.nc {
+			slivers = 2
+		}
+		bs := pn.bp[(jr/nr)*pn.kc*nr:][:slivers*pn.kc*nr]
 		for ir := 0; ir < mc; ir += mr {
 			as := ap[(ir/mr)*pn.kc*mr:][:pn.kc*mr]
-			pn.kern.fn(pn.kc, as, bs, &wb.acc)
-			mEff, nEff := min(mr, mc-ir), min(nr, pn.nc-jr)
-			i0, j0 := ic+ir, pn.jc+jr
-			if pn.tail >= 0 && mEff == mr && nEff == nr {
-				var bias []float32
-				switch {
-				case pn.tail&tailColBias != 0:
-					bias = pn.ep.ColBias[j0:]
-				case pn.tail&tailRowBias != 0:
-					bias = pn.ep.RowBias[i0:]
-				}
-				tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, &wb.acc, bias, pn.tail)
-				continue
+			if slivers == 2 {
+				pn.kern.pair(pn.kc, as, bs, &wb.acc)
+			} else {
+				pn.kern.fn(pn.kc, as, bs, &wb.acc[0])
 			}
-			writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, &wb.acc, pn.alpha, pn.beta)
-			if pn.applyEp {
-				epilogueTile(pn.c, pn.n, i0, j0, mEff, nEff, &pn.ep)
+			for h := range slivers {
+				pn.writeBack(&wb.acc[h], ic+ir, pn.jc+jr+h*nr, min(mr, mc-ir))
 			}
 		}
+		jr += slivers * nr
 	}
 	if pn.sigmoid {
 		for i := ic; i < ic+mc; i++ {
 			row := pn.c[i*pn.n+pn.jc:][:pn.nc]
 			SigmoidSlice(row, row)
 		}
+	}
+}
+
+// writeBack folds one mr×nr accumulator tile into C at (i0, j0), mEff of
+// its rows real, with the bias and relu on the final depth block: tileTail
+// for a full tile of a panel that has one, writeTile and epilogueTile
+// otherwise.
+func (pn *gemmPanel) writeBack(acc *[maxMR * maxNR]float32, i0, j0, mEff int) {
+	mr, nr := pn.kern.mr, pn.kern.nr
+	nEff := min(nr, pn.jc+pn.nc-j0)
+	if pn.tail >= 0 && mEff == mr && nEff == nr {
+		var bias []float32
+		switch {
+		case pn.tail&tailColBias != 0:
+			bias = pn.ep.ColBias[j0:]
+		case pn.tail&tailRowBias != 0:
+			bias = pn.ep.RowBias[i0:]
+		}
+		tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, acc, bias, pn.tail)
+		return
+	}
+	writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, acc, pn.alpha, pn.beta)
+	if pn.applyEp {
+		epilogueTile(pn.c, pn.n, i0, j0, mEff, nEff, &pn.ep)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // needs only a registry entry — no changes to the blocked driver.
 
 const (
-	// maxMR/maxNR bound any registered kernel's tile, sizing the shared
-	// accumulator scratch. 8×16 is the AVX-512 tile (one ZMM row).
+	// maxMR/maxNR bound any registered kernel's tile — the mr×nr the
+	// operands are packed for — sizing the accumulator scratch, one tile of
+	// it per sliver a kernel call covers. 8×16 is the AVX-512 packing shape
+	// (one ZMM row per tile row); its pair body fills two such tiles.
 	maxMR = 8
 	maxNR = 16
 )
@@ -27,6 +29,12 @@ const (
 // values, and the leading mr*nr of acc receive the row-major product tile
 // with row stride nr (overwritten, not accumulated).
 type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
+
+// pairKernelFunc is a kernel's pair body: the microKernelFunc of one A
+// sliver against two adjacent packed B slivers at once — bp holds the first
+// sliver's kc groups of nr values, then the second's — into acc[0] and
+// acc[1], each tile with the bits the single body gives its sliver.
+type pairKernelFunc func(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32)
 
 // vecISA names the instruction set of the vector loops that sit outside the
 // micro-kernel — the write-back tail of a full tile (tileTail), the body of
@@ -67,6 +75,11 @@ type kernelDesc struct {
 	priority  int  // selection rank among available kernels; higher wins
 	fn        microKernelFunc
 	vec       vecISA // the vector loops available with this kernel
+	// pair is the two-sliver body (AVX-512's 8×32). It is nil where the
+	// registers cannot hold two tiles of accumulators beside the operands:
+	// AVX2's 16 YMM registers, and NEON, whose 8×8 tile already takes 16
+	// of its 32; the generic kernels have none.
+	pair pairKernelFunc
 }
 
 // kernelTable lists every registered kernel; activeKernel is the selected

@@ -360,6 +360,39 @@ func BenchmarkGEMMLeNetShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkGEMMAEShapes times the FashionMNIST converting autoencoder's four
+// dense products (784-512r-256r-128-784) at batch 32 as its plans run them:
+// through GEMMEpiloguePacked on weights packed once, each with its layer's
+// epilogue.
+func BenchmarkGEMMAEShapes(b *testing.B) {
+	const m = 32
+	for _, s := range []struct {
+		name string
+		k, n int
+		act  EpilogueAct
+	}{
+		{"ae_fc1", 784, 512, EpActReLU},
+		{"ae_fc2", 512, 256, EpActReLU},
+		{"ae_fc3", 256, 128, EpActNone},
+		{"ae_fc4", 128, 784, EpActSigmoid},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			if !BlockedGEMM(m, s.k, s.n) {
+				b.Skip("the blocked path does not serve this product on this CPU")
+			}
+			w := make([]float32, s.k*s.n)
+			bias := make([]float32, s.n)
+			fillMantissa(w, 5)
+			fillMantissa(bias, 7)
+			var pb PackedB
+			pb.Pack(w, s.k, s.n)
+			var ps PackScratch
+			ep := Epilogue{ColBias: bias, Act: s.act}
+			benchGEMM(b, m, s.k, s.n, func(a, _, c []float32) { GEMMEpiloguePacked(a, &pb, c, m, ep, &ps) })
+		})
+	}
+}
+
 func BenchmarkAddRowVector(b *testing.B) {
 	t := New(32, 784)
 	v := New(784)

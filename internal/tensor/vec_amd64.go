@@ -60,11 +60,12 @@ func axpy1AVX512(c, b *float32, n int, a float32)
 func axpy1AVX2(c, b *float32, n int, a float32)
 
 // tileTail is the write-back of one full tile of the instruction set's
-// micro-kernel (8×16 for AVX-512, 8×8 for AVX2): acc's rows, plus C under
-// tailAccumulate, plus bias under tailColBias (one value per tile column) or
-// tailRowBias (one per tile row), floored at 0 under tailReLU, stored to the
-// tile whose first element is c[0] and whose rows are ldc apart. bias is
-// read only under a bias flag; the two bias flags do not combine.
+// micro-kernel (8×16 for AVX-512, each half of its 8×32 pair body in turn;
+// 8×8 for AVX2): acc's rows, plus C under tailAccumulate, plus bias under
+// tailColBias (one value per tile column) or tailRowBias (one per tile
+// row), floored at 0 under tailReLU, stored to the tile whose first element
+// is c[0] and whose rows are ldc apart. bias is read only under a bias
+// flag; the two bias flags do not combine.
 func tileTail(isa vecISA, c []float32, ldc int, acc *[maxMR * maxNR]float32, bias []float32, flags int) {
 	nr := isa.width()
 	_ = c[(maxMR-1)*ldc+nr-1]
