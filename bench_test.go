@@ -29,7 +29,6 @@ import (
 	"cbnet/internal/harness"
 	"cbnet/internal/models"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/trace"
@@ -166,8 +165,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, th := range []float64{0.01, 0.05, 0.2, 0.5, 1.0, 1.8} {
 			sys.Branchy.Threshold = th
-			exit := sys.Branchy.EarlyExitRate(std.Test)
-			acc := sys.Branchy.Accuracy(std.Test)
+			acc, exit := sys.Branchy.Evaluate(std.Test)
 			lat := core.BranchyLatency(pi, sys.Branchy, exit)
 			if i == 0 {
 				b.Logf("threshold %.2f: exit %.1f%% acc %.2f%% latency %.3fms",
@@ -197,16 +195,14 @@ func BenchmarkAblationBottleneck(b *testing.B) {
 			arch := models.TableIArch(dataset.MNIST)
 			arch.Widths[2] = width
 			ae := models.NewConvertingAE(arch, models.OutputSigmoid, models.L1Coefficient, rng.New(uint64(width)))
-			h, err := train.Regressor(ae.Net, inputs, targets, train.Config{
-				Epochs: 4, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: uint64(width),
-			}, nil)
+			losses, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: uint64(width)}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
 			if i == 0 {
 				b.Logf("bottleneck %3d: recon loss %.5f, CBNet accuracy %.2f%%",
-					width, h.EpochLoss[len(h.EpochLoss)-1], 100*pipe.Accuracy(std.Test))
+					width, losses[len(losses)-1], 100*pipe.Accuracy(std.Test))
 			}
 		}
 	}
@@ -229,9 +225,7 @@ func BenchmarkAblationL1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, lambda := range []float32{0, 1e-7, 1e-4} {
 			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.OutputSigmoid, lambda, rng.New(99))
-			if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{
-				Epochs: 4, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 100,
-			}, ae.Reg.Penalty); err != nil {
+			if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: 100}, ae.Reg.Penalty); err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
@@ -295,9 +289,7 @@ func BenchmarkAblationTarget(b *testing.B) {
 			{"class-prototype", protoTargets},
 		} {
 			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.OutputSigmoid, models.L1Coefficient, rng.New(55))
-			if _, err := train.Regressor(ae.Net, inputs, mode.targets, train.Config{
-				Epochs: 4, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 56,
-			}, nil); err != nil {
+			if _, err := train.Regressor(ae.Net, inputs, mode.targets, train.Config{Epochs: 4, Seed: 56}, nil); err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
@@ -423,13 +415,9 @@ func BenchmarkHostBranchyInfer(b *testing.B) {
 func BenchmarkHostTrainStep(b *testing.B) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 32, HardFraction: 0.2, Seed: 8})
 	br := models.NewBranchyLeNet(rng.New(9), 0.05)
-	o := opt.NewAdam(0.001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := br.TrainJointly(ds, models.JointTrainConfig{
-			Epochs: 1, BatchSize: 32, Optimizer: o,
-			BranchWeight: 1, MainWeight: 0.5, Seed: uint64(i),
-		}); err != nil {
+		if err := br.TrainJointly(ds, train.Config{Epochs: 1, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

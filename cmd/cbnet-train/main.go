@@ -83,12 +83,12 @@ func run(name string, trainN, testN int, outDir string, seed uint64, eL, eB, eA 
 		return err
 	}
 
-	exitRate := sys.Branchy.EarlyExitRate(std.Test)
+	branchyAcc, exitRate := sys.Branchy.Evaluate(std.Test)
 	fmt.Printf("dataset          %s (train %d / test %d, hard fraction %.2f)\n",
 		family, std.Train.Len(), std.Test.Len(), std.Test.HardFraction())
 	fmt.Printf("LeNet accuracy   %.2f%%\n", 100*train.EvalClassifier(sys.LeNet, std.Test))
 	fmt.Printf("Branchy accuracy %.2f%% (early-exit rate %.2f%%, threshold %.3f nats)\n",
-		100*sys.Branchy.Accuracy(std.Test), 100*exitRate, sys.Branchy.Threshold)
+		100*branchyAcc, 100*exitRate, sys.Branchy.Threshold)
 	fmt.Printf("CBNet accuracy   %.2f%%\n", 100*sys.CBNet.Accuracy(std.Test))
 	for _, p := range device.All() {
 		lenetLat := p.Latency(device.SequentialCost(sys.LeNet))

@@ -7,7 +7,6 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/train"
 )
 
@@ -38,8 +37,6 @@ type AdaDeepOptions struct {
 	MinAccuracy float64
 	// FinetuneEpochs of Adam after each pruning (0 disables fine-tuning).
 	FinetuneEpochs int
-	BatchSize      int
-	LR             float32
 	Seed           uint64
 	Log            io.Writer
 }
@@ -50,12 +47,6 @@ type AdaDeepOptions struct {
 // accuracy stays at or above the floor. If no candidate meets the floor, the
 // most accurate one is returned (AdaDeep always emits a model).
 func AdaDeepSearch(lenet *nn.Sequential, trainSet, valSet *dataset.Dataset, profile device.Profile, o AdaDeepOptions) (AdaDeepResult, error) {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 32
-	}
-	if o.LR <= 0 {
-		o.LR = 0.002
-	}
 	var best AdaDeepResult
 	var fallback AdaDeepResult
 	found := false
@@ -66,10 +57,7 @@ func AdaDeepSearch(lenet *nn.Sequential, trainSet, valSet *dataset.Dataset, prof
 		}
 		if o.FinetuneEpochs > 0 {
 			if _, err := train.Classifier(net, trainSet, train.Config{
-				Epochs:    o.FinetuneEpochs,
-				BatchSize: o.BatchSize,
-				Optimizer: opt.NewAdam(o.LR),
-				Seed:      o.Seed + uint64(i),
+				Epochs: o.FinetuneEpochs, Seed: o.Seed + uint64(i),
 			}); err != nil {
 				return AdaDeepResult{}, fmt.Errorf("compress: fine-tuning %v: %w", cand, err)
 			}

@@ -7,7 +7,6 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/train"
@@ -215,9 +214,7 @@ func TestAdaDeepSearchMeetsFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	lenet := models.NewLeNet(r)
-	if _, err := train.Classifier(lenet, std.Train, train.Config{
-		Epochs: 2, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 11,
-	}); err != nil {
+	if _, err := train.Classifier(lenet, std.Train, train.Config{Epochs: 2, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 	base := train.EvalClassifier(lenet, std.Test)

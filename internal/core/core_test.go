@@ -56,7 +56,7 @@ func TestTrainSystemProducesAllModels(t *testing.T) {
 func TestSystemAccuracies(t *testing.T) {
 	sys, std := testSystem(t)
 	lenetAcc := train.EvalClassifier(sys.LeNet, std.Test)
-	branchyAcc := sys.Branchy.Accuracy(std.Test)
+	branchyAcc, _ := sys.Branchy.Evaluate(std.Test)
 	cbAcc := sys.CBNet.Accuracy(std.Test)
 	t.Logf("accuracies: lenet %.3f branchy %.3f cbnet %.3f", lenetAcc, branchyAcc, cbAcc)
 	if lenetAcc < 0.6 {
@@ -75,7 +75,7 @@ func TestCBNetLatencyShape(t *testing.T) {
 	sys, std := testSystem(t)
 	pi := device.RaspberryPi4()
 	lenetLat := pi.Latency(device.SequentialCost(sys.LeNet))
-	exitRate := sys.Branchy.EarlyExitRate(std.Test)
+	_, exitRate := sys.Branchy.Evaluate(std.Test)
 	branchyLat := BranchyLatency(pi, sys.Branchy, exitRate)
 	cbLat := pi.Latency(sys.CBNet.Cost())
 	t.Logf("Pi latencies: lenet %.3fms branchy %.3fms cbnet %.3fms (exit %.2f)",
@@ -194,21 +194,6 @@ func TestBuildConversionPairsErrors(t *testing.T) {
 	}
 }
 
-func TestNormalizeRowsToSum1(t *testing.T) {
-	x := tensor.FromSlice([]float32{1, 3, 0, 0, 2, 2}, 3, 2)
-	NormalizeRowsToSum1(x)
-	sums := []float64{1, 0, 1} // zero row untouched
-	for i, want := range sums {
-		var s float64
-		for j := 0; j < 2; j++ {
-			s += float64(x.At(i, j))
-		}
-		if math.Abs(s-want) > 1e-6 {
-			t.Fatalf("row %d sums to %v, want %v", i, s, want)
-		}
-	}
-}
-
 func TestEnergyPerImageAllDevices(t *testing.T) {
 	for _, prof := range device.All() {
 		e, err := EnergyPerImage(prof, 1e-3, 0.5e-3)
@@ -255,15 +240,16 @@ func TestSystemConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultSystemConfig(dataset.MNIST)
-	bad.LeNetEpochs = 0
-	if _, err := TrainSystem(std, bad); err == nil {
-		t.Fatal("expected config error")
-	}
-	bad2 := DefaultSystemConfig(dataset.MNIST)
-	bad2.BatchSize = 0
-	if _, err := TrainSystem(std, bad2); err == nil {
-		t.Fatal("expected batch size error")
+	for _, set := range []func(*SystemConfig){
+		func(c *SystemConfig) { c.LeNetEpochs = 0 },
+		func(c *SystemConfig) { c.BranchyEpochs = -1 },
+		func(c *SystemConfig) { c.AEEpochs = 0 },
+	} {
+		bad := DefaultSystemConfig(dataset.MNIST)
+		set(&bad)
+		if _, err := TrainSystem(std, bad); err == nil {
+			t.Errorf("%+v: expected config error", bad)
+		}
 	}
 }
 

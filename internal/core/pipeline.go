@@ -19,6 +19,7 @@ import (
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/trace"
+	"cbnet/internal/train"
 )
 
 // Pipeline is the CBNet inference path: every image is pushed through the
@@ -211,25 +212,7 @@ func (p *Pipeline) ClassifyDirectInto(dst []int, x *tensor.Tensor) {
 
 // Accuracy returns pipeline classification accuracy over a dataset.
 func (p *Pipeline) Accuracy(ds *dataset.Dataset) float64 {
-	const bs = 256
-	n := ds.Len()
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for i0 := 0; i0 < n; i0 += bs {
-		i1 := i0 + bs
-		if i1 > n {
-			i1 = n
-		}
-		x, labels := ds.Batch(i0, i1)
-		for j, pred := range p.Infer(x) {
-			if pred == labels[j] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n)
+	return train.Accuracy(ds, p.InferInto)
 }
 
 // Cost returns the per-image work of the full pipeline (AE + classifier).
@@ -317,27 +300,6 @@ func BuildConversionPairs(ds *dataset.Dataset, res models.InferenceResult, r *rn
 		copy(targets.Data[i*dataset.Pixels:(i+1)*dataset.Pixels], ds.Image(tgt))
 	}
 	return inputs, targets, nil
-}
-
-// NormalizeRowsToSum1 rescales each row to sum to one, the target transform
-// required when the autoencoder uses the paper's Table I softmax output
-// with MSE loss. Zero rows are left untouched.
-func NormalizeRowsToSum1(t *tensor.Tensor) {
-	n, w := t.Shape[0], t.Shape[1]
-	for i := 0; i < n; i++ {
-		row := t.Data[i*w : (i+1)*w]
-		var sum float64
-		for _, v := range row {
-			sum += float64(v)
-		}
-		if sum <= 0 {
-			continue
-		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
-		}
-	}
 }
 
 // EnergyPerImage evaluates the paper's energy model (§IV-C) for one

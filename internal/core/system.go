@@ -7,42 +7,26 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/models"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/train"
 )
 
 // SystemConfig controls the end-to-end training workflow that produces all
-// evaluated models for one dataset family.
+// evaluated models for one dataset family. Every stage trains with Adam at
+// train.LR in batches of train.BatchSize; BranchyNet starts from the paper's
+// exit threshold for the family (models.DefaultThreshold) and weighs its
+// joint loss by models.BranchWeight and models.MainWeight; the autoencoder
+// is Table I's with a sigmoid output and the paper's L1 coefficient
+// (models.NewTableIAE).
 type SystemConfig struct {
 	Family dataset.Family
 	// Stage epoch counts.
 	LeNetEpochs, BranchyEpochs, AEEpochs int
-	BatchSize                            int
-	// Stage learning rates (Adam).
-	LeNetLR, BranchyLR, AELR float32
-	// Threshold overrides the paper's per-dataset entropy threshold when
-	// positive.
-	Threshold float64
-	// SkipThresholdTuning keeps Threshold fixed. By default the workflow
-	// re-tunes the exit threshold on the training set after joint training
-	// (the paper's "thresholds were tuned to achieve the maximum
-	// performance for BranchyNet"), which adapts the paper's constants to
-	// the reproduction's smaller training runs.
-	SkipThresholdTuning bool
 	// MaxAccuracyDrop bounds the accuracy loss tolerated while tuning the
-	// exit threshold for maximum exit rate (default 0.01).
+	// exit threshold for maximum exit rate (0 selects 0.01).
 	MaxAccuracyDrop float64
-	// BranchWeight and MainWeight scale BranchyNet's joint loss terms.
-	// BranchyNet weights earlier exits higher so the branch classifier gets
-	// strong enough to exit confidently; defaults are 1.0 and 0.5.
-	BranchWeight, MainWeight float32
-	// AEOutput selects sigmoid (default) or the paper's Table I softmax.
-	AEOutput models.OutputActivation
-	// L1Lambda is the activity-regularization coefficient (paper: 1e-7).
-	L1Lambda float32
-	Seed     uint64
-	Log      io.Writer
+	Seed            uint64
+	Log             io.Writer
 }
 
 // DefaultSystemConfig returns settings tuned for the reproduction's default
@@ -53,24 +37,12 @@ func DefaultSystemConfig(f dataset.Family) SystemConfig {
 		LeNetEpochs:   4,
 		BranchyEpochs: 4,
 		AEEpochs:      8,
-		BatchSize:     32,
-		LeNetLR:       0.002,
-		BranchyLR:     0.002,
-		AELR:          0.002,
-		Threshold:     models.DefaultThreshold(f),
-		AEOutput:      models.OutputSigmoid,
-		L1Lambda:      models.L1Coefficient,
-		BranchWeight:  1,
-		MainWeight:    0.5,
 	}
 }
 
 func (c *SystemConfig) validate() error {
 	if c.LeNetEpochs <= 0 || c.BranchyEpochs <= 0 || c.AEEpochs <= 0 {
 		return fmt.Errorf("core: non-positive stage epochs %+v", c)
-	}
-	if c.BatchSize <= 0 {
-		return fmt.Errorf("core: non-positive batch size %d", c.BatchSize)
 	}
 	return nil
 }
@@ -110,12 +82,6 @@ func TrainSystem(std dataset.Standard, cfg SystemConfig) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = models.DefaultThreshold(cfg.Family)
-	}
-	if cfg.L1Lambda == 0 {
-		cfg.L1Lambda = models.L1Coefficient
-	}
 	r := rng.New(cfg.Seed ^ 0xCB11E7)
 
 	logf := func(format string, args ...any) {
@@ -128,8 +94,7 @@ func TrainSystem(std dataset.Standard, cfg SystemConfig) (*System, error) {
 	logf("== stage 1: LeNet baseline (%d epochs)\n", cfg.LeNetEpochs)
 	lenet := models.NewLeNet(r.Split())
 	if _, err := train.Classifier(lenet, std.Train, train.Config{
-		Epochs: cfg.LeNetEpochs, BatchSize: cfg.BatchSize,
-		Optimizer: opt.NewAdam(cfg.LeNetLR), Seed: cfg.Seed + 1, Log: cfg.Log,
+		Epochs: cfg.LeNetEpochs, Seed: cfg.Seed + 1, Log: cfg.Log,
 	}); err != nil {
 		return nil, fmt.Errorf("core: training LeNet: %w", err)
 	}
@@ -137,38 +102,32 @@ func TrainSystem(std dataset.Standard, cfg SystemConfig) (*System, error) {
 	// Stage 2: BranchyNet joint training. A held-out slice of the training
 	// set (≈15%) is reserved for exit-threshold tuning: tuning on data the
 	// branch was trained on always accepts the loosest threshold, because
-	// the branch is confidently correct on samples it has memorized.
+	// the branch is confidently correct on samples it has memorized. Below
+	// 40 images there is nothing to spare, and both use the whole set.
 	logf("== stage 2: BranchyNet joint training (%d epochs)\n", cfg.BranchyEpochs)
-	bw, mw := cfg.BranchWeight, cfg.MainWeight
-	if bw == 0 && mw == 0 {
-		bw, mw = 1, 0.5
-	}
 	branchyTrain, tuneSet := std.Train, std.Train
-	if !cfg.SkipThresholdTuning && std.Train.Len() >= 40 {
+	if std.Train.Len() >= 40 {
 		cut := std.Train.Len() * 85 / 100
 		branchyTrain = std.Train.Select(indexRange(0, cut))
 		tuneSet = std.Train.Select(indexRange(cut, std.Train.Len()))
 	}
-	branchy := models.NewBranchyLeNet(r.Split(), cfg.Threshold)
-	if err := branchy.TrainJointly(branchyTrain, models.JointTrainConfig{
-		Epochs: cfg.BranchyEpochs, BatchSize: cfg.BatchSize,
-		Optimizer:    opt.NewAdam(cfg.BranchyLR),
-		BranchWeight: bw, MainWeight: mw,
-		Seed: cfg.Seed + 2, Log: cfg.Log,
+	branchy := models.NewBranchyLeNet(r.Split(), models.DefaultThreshold(cfg.Family))
+	if err := branchy.TrainJointly(branchyTrain, train.Config{
+		Epochs: cfg.BranchyEpochs, Seed: cfg.Seed + 2, Log: cfg.Log,
 	}); err != nil {
 		return nil, fmt.Errorf("core: training BranchyNet: %w", err)
 	}
 
-	// Stage 2.5: exit-threshold tuning for maximum performance (§IV-B1),
-	// on the held-out slice.
-	if !cfg.SkipThresholdTuning {
-		drop := cfg.MaxAccuracyDrop
-		if drop == 0 {
-			drop = 0.01
-		}
-		tuned := branchy.TuneThreshold(tuneSet, drop)
-		logf("== stage 2.5: exit threshold tuned to %.3f nats (held-out n=%d)\n", tuned, tuneSet.Len())
+	// Stage 2.5: exit-threshold tuning for maximum performance (§IV-B1:
+	// "thresholds were tuned to achieve the maximum performance for
+	// BranchyNet"), on the held-out slice. It adapts the paper's constants
+	// to the reproduction's smaller training runs.
+	drop := cfg.MaxAccuracyDrop
+	if drop == 0 {
+		drop = 0.01
 	}
+	tuned := branchy.TuneThreshold(tuneSet, drop)
+	logf("== stage 2.5: exit threshold tuned to %.3f nats (held-out n=%d)\n", tuned, tuneSet.Len())
 
 	// Stage 3: easy/hard labelling via early exits (Fig. 4).
 	res := branchy.InferDataset(std.Train)
@@ -187,14 +146,10 @@ func TrainSystem(std dataset.Standard, cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building conversion pairs: %w", err)
 	}
-	if cfg.AEOutput == models.OutputSoftmax {
-		NormalizeRowsToSum1(targets)
-	}
-	ae := models.NewConvertingAE(models.TableIArch(cfg.Family), cfg.AEOutput, cfg.L1Lambda, r.Split())
+	ae := models.NewTableIAE(cfg.Family, r.Split())
 	logf("== stage 4: converting autoencoder (%d epochs, bottleneck %d)\n", cfg.AEEpochs, ae.BottleneckWidth())
 	if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{
-		Epochs: cfg.AEEpochs, BatchSize: cfg.BatchSize,
-		Optimizer: opt.NewAdam(cfg.AELR), Seed: cfg.Seed + 3, Log: cfg.Log,
+		Epochs: cfg.AEEpochs, Seed: cfg.Seed + 3, Log: cfg.Log,
 	}, ae.Reg.Penalty); err != nil {
 		return nil, fmt.Errorf("core: training autoencoder: %w", err)
 	}

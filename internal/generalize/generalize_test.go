@@ -14,6 +14,7 @@ import (
 	"cbnet/internal/models"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
+	"cbnet/internal/train"
 )
 
 func TestHardnessScoreSeparatesEasyHard(t *testing.T) {
@@ -120,7 +121,7 @@ func TestEncoderPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := BuildEncoderPipeline(sys.CBNet.AE, std.Train, TrainOptions{Seed: 8})
+	ep, err := BuildEncoderPipeline(sys.CBNet.AE, std.Train, train.Config{Epochs: 6, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestBuildEncoderPipelineEmptyDataset(t *testing.T) {
 	r := rng.New(9)
 	ae := models.NewTableIAE(dataset.MNIST, r)
 	empty := &dataset.Dataset{Family: dataset.MNIST}
-	if _, err := BuildEncoderPipeline(ae, empty, TrainOptions{}); err == nil {
+	if _, err := BuildEncoderPipeline(ae, empty, train.Config{Epochs: 1}); err == nil {
 		t.Fatal("expected empty-dataset error")
 	}
 }

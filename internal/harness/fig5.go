@@ -26,7 +26,7 @@ func (r *Runner) Fig5() ([]Fig5Bar, error) {
 		return nil, err
 	}
 	pi := device.RaspberryPi4()
-	exitRate := sys.Branchy.EarlyExitRate(std.Test)
+	branchyAcc, exitRate := sys.Branchy.Evaluate(std.Test)
 
 	lenetLat := pi.Latency(device.SequentialCost(sys.LeNet))
 	lenetAcc := train.EvalClassifier(sys.LeNet, std.Test)
@@ -57,7 +57,7 @@ func (r *Runner) Fig5() ([]Fig5Bar, error) {
 		{Model: "LeNet", LatencyMS: lenetLat * 1e3, AccuracyPct: 100 * lenetAcc},
 		{Model: "BranchyNet",
 			LatencyMS:   core.BranchyLatency(pi, sys.Branchy, exitRate) * 1e3,
-			AccuracyPct: 100 * sys.Branchy.Accuracy(std.Test)},
+			AccuracyPct: 100 * branchyAcc},
 		{Model: "AdaDeep", LatencyMS: ada.Latency * 1e3, AccuracyPct: 100 * ada.Accuracy},
 		{Model: "SubFlow",
 			LatencyMS:   pi.Latency(device.SequentialCost(sfNet)) * 1e3,

@@ -156,7 +156,7 @@ func (r *Runner) TableII() ([]TableIIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		exitRate := sys.Branchy.EarlyExitRate(std.Test)
+		branchyAcc, exitRate := sys.Branchy.Evaluate(std.Test)
 
 		lenetCost := device.SequentialCost(sys.LeNet)
 		cbCost := sys.CBNet.Cost()
@@ -195,7 +195,7 @@ func (r *Runner) TableII() ([]TableIIRow, error) {
 			TableIIRow{Dataset: f.String(), Model: "LeNet", LatencyMS: ms(lenetL),
 				AccuracyPct: 100 * train.EvalClassifier(sys.LeNet, std.Test)},
 			TableIIRow{Dataset: f.String(), Model: "BranchyNet", LatencyMS: ms(branchyL),
-				EnergySavingsPct: savings(branchyE), AccuracyPct: 100 * sys.Branchy.Accuracy(std.Test)},
+				EnergySavingsPct: savings(branchyE), AccuracyPct: 100 * branchyAcc},
 			TableIIRow{Dataset: f.String(), Model: "CBNet", LatencyMS: ms(cbL),
 				EnergySavingsPct: savings(cbE), AccuracyPct: 100 * sys.CBNet.Accuracy(std.Test)},
 		)
@@ -292,7 +292,7 @@ func (r *Runner) Fig3() ([]Fig3Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		exitRate := sys.Branchy.EarlyExitRate(std.Test)
+		_, exitRate := sys.Branchy.Evaluate(std.Test)
 		lenetLat := pi.Latency(device.SequentialCost(sys.LeNet))
 		branchyLat := core.BranchyLatency(pi, sys.Branchy, exitRate)
 		pts = append(pts, Fig3Point{
@@ -357,10 +357,10 @@ func (r *Runner) FigScalability(f dataset.Family) ([]ScalSeries, error) {
 					return nil, err
 				}
 				n := float64(sub.Len())
-				exitRate := sys.Branchy.EarlyExitRate(sub)
+				branchyAcc, exitRate := sys.Branchy.Evaluate(sub)
 				pt.BranchyTimeS += n * core.BranchyLatency(prof, sys.Branchy, exitRate)
 				pt.CBNetTimeS += n * prof.Latency(sys.CBNet.Cost())
-				pt.BranchyAccPct += 100 * sys.Branchy.Accuracy(sub)
+				pt.BranchyAccPct += 100 * branchyAcc
 				pt.CBNetAccPct += 100 * sys.CBNet.Accuracy(sub)
 			}
 			reps := float64(r.opts.Repetitions)

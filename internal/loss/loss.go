@@ -74,25 +74,3 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
 	grad.Scale(1 / float32(n))
 	return total / float64(n), grad
 }
-
-// Accuracy returns the fraction of rows whose argmax equals the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n, k := logits.Shape[0], logits.Shape[1]
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		best, arg := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, arg = v, j+1
-			}
-		}
-		if arg == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

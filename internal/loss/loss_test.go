@@ -106,17 +106,6 @@ func TestCrossEntropyRejectsBadLabel(t *testing.T) {
 	CrossEntropy(tensor.New(1, 3), []int{3})
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		1, 5, 0, // pred 1
-		9, 0, 0, // pred 0
-		0, 0, 2, // pred 2
-	}, 3, 3)
-	if a := Accuracy(logits, []int{1, 0, 0}); math.Abs(a-2.0/3) > 1e-9 {
-		t.Fatalf("accuracy %v, want 2/3", a)
-	}
-}
-
 // Property: cross-entropy loss is non-negative and grad rows sum to ≈0
 // (softmax minus one-hot sums to zero).
 func TestQuickCrossEntropyInvariants(t *testing.T) {

@@ -1,16 +1,13 @@
 package models
 
 import (
-	"fmt"
-	"io"
-
 	"cbnet/internal/dataset"
 	"cbnet/internal/loss"
 	"cbnet/internal/metrics"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
+	"cbnet/internal/train"
 )
 
 // BranchyNet is the BranchyNet-LeNet early-exit network (Teerapittayanon et
@@ -59,77 +56,40 @@ func (b *BranchyNet) Params() []*nn.Param {
 	return ps
 }
 
-// JointTrainConfig controls BranchyNet's joint training.
-type JointTrainConfig struct {
-	Epochs    int
-	BatchSize int
-	Optimizer *opt.Adam
-	// BranchWeight and MainWeight scale the two cross-entropy terms of the
-	// joint loss; BranchyNet trains both heads together so the stem learns
-	// features useful to each.
-	BranchWeight, MainWeight float32
-	Seed                     uint64
-	Log                      io.Writer
-}
+// BranchWeight and MainWeight scale the branch's and the main exit's
+// cross-entropy in BranchyNet's joint loss. The branch weighs more, so it
+// grows strong enough to exit confidently.
+const (
+	BranchWeight = 1
+	MainWeight   = 0.5
+)
 
 // TrainJointly optimizes the weighted sum of the branch and main-exit
 // cross-entropies, the paper's "jointly trains the branches with the
-// original network".
-func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg JointTrainConfig) error {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
-		return fmt.Errorf("models: bad joint train config %+v", cfg)
-	}
-	if cfg.Optimizer == nil {
-		return fmt.Errorf("models: nil optimizer")
-	}
-	if cfg.BranchWeight == 0 && cfg.MainWeight == 0 {
-		return fmt.Errorf("models: both loss weights zero")
-	}
-	r := rng.New(cfg.Seed ^ 0xB7A9C4)
-	n := ds.Len()
-	xBuf := tensor.New(cfg.BatchSize, dataset.Pixels)
-	params := b.Params()
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := r.Perm(n)
-		var sumLoss float64
-		var seen int
-		for i0 := 0; i0 < n; i0 += cfg.BatchSize {
-			i1 := i0 + cfg.BatchSize
-			if i1 > n {
-				i1 = n
-			}
-			bs := i1 - i0
-			for j, p := range perm[i0:i1] {
-				copy(xBuf.Data[j*dataset.Pixels:(j+1)*dataset.Pixels], ds.Image(p))
-			}
-			x := tensor.FromSlice(xBuf.Data[:bs*dataset.Pixels], bs, dataset.Pixels)
-			labels := make([]int, bs)
-			for j, p := range perm[i0:i1] {
-				labels[j] = ds.Labels[p]
-			}
-
-			stemOut := b.Stem.Forward(x)
-			branchLogits := b.Branch.Forward(stemOut)
-			mainLogits := b.Trunk.Forward(stemOut)
-
-			lb, gb := loss.CrossEntropy(branchLogits, labels)
-			lm, gm := loss.CrossEntropy(mainLogits, labels)
-			gb.Scale(cfg.BranchWeight)
-			gm.Scale(cfg.MainWeight)
-
-			stemGrad := b.Branch.Backward(gb)
-			stemGrad.AddInPlace(b.Trunk.Backward(gm))
-			b.Stem.Backward(stemGrad)
-
-			cfg.Optimizer.Step(params)
-			sumLoss += (float64(cfg.BranchWeight)*lb + float64(cfg.MainWeight)*lm) * float64(bs)
-			seen += bs
+// original network": both heads train together, so the stem learns features
+// useful to each.
+func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg train.Config) error {
+	lbl := make([]int, train.BatchSize)
+	_, err := train.Minibatches("branchynet", ds.Images, b.Params(), 0xB7A9C4, cfg, func(x *tensor.Tensor, idx []int) float64 {
+		labels := lbl[:len(idx)]
+		for j, p := range idx {
+			labels[j] = ds.Labels[p]
 		}
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "branchynet epoch %d/%d joint-loss %.4f\n", epoch+1, cfg.Epochs, sumLoss/float64(seen))
-		}
-	}
-	return nil
+		stemOut := b.Stem.Forward(x)
+		branchLogits := b.Branch.Forward(stemOut)
+		mainLogits := b.Trunk.Forward(stemOut)
+
+		lb, gb := loss.CrossEntropy(branchLogits, labels)
+		lm, gm := loss.CrossEntropy(mainLogits, labels)
+		gb.Scale(BranchWeight)
+		gm.Scale(MainWeight)
+
+		stemGrad := b.Branch.Backward(gb)
+		stemGrad.AddInPlace(b.Trunk.Backward(gm))
+		b.Stem.Backward(stemGrad)
+		return BranchWeight*lb + MainWeight*lm
+	})
+	return err
 }
 
 // InferenceResult reports BranchyNet's decision for a batch.
@@ -186,57 +146,40 @@ func (b *BranchyNet) Infer(x *tensor.Tensor) InferenceResult {
 // InferDataset runs Infer over a dataset in batches and concatenates the
 // results.
 func (b *BranchyNet) InferDataset(ds *dataset.Dataset) InferenceResult {
-	const bs = 256
 	n := ds.Len()
 	out := InferenceResult{
 		Pred:          make([]int, n),
 		Exited:        make([]bool, n),
 		BranchEntropy: make([]float64, n),
 	}
-	for i0 := 0; i0 < n; i0 += bs {
-		i1 := i0 + bs
-		if i1 > n {
-			i1 = n
-		}
-		x, _ := ds.Batch(i0, i1)
+	train.EvalBatches(ds, func(i0 int, x *tensor.Tensor, _ []int) {
 		r := b.Infer(x)
-		copy(out.Pred[i0:i1], r.Pred)
-		copy(out.Exited[i0:i1], r.Exited)
-		copy(out.BranchEntropy[i0:i1], r.BranchEntropy)
-	}
+		copy(out.Pred[i0:], r.Pred)
+		copy(out.Exited[i0:], r.Exited)
+		copy(out.BranchEntropy[i0:], r.BranchEntropy)
+	})
 	return out
 }
 
-// Accuracy returns classification accuracy with early exiting active.
-func (b *BranchyNet) Accuracy(ds *dataset.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	res := b.InferDataset(ds)
-	correct := 0
-	for i, p := range res.Pred {
-		if p == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len())
-}
-
-// EarlyExitRate returns the fraction of samples that exit at the branch —
+// Evaluate returns, from one pass over ds, the classification accuracy with
+// early exiting active and the share of samples that exit at the branch —
 // the statistic behind the paper's Fig. 3 and §IV-D (94.88% MNIST, 76.91%
 // FMNIST, 63.08% KMNIST).
-func (b *BranchyNet) EarlyExitRate(ds *dataset.Dataset) float64 {
+func (b *BranchyNet) Evaluate(ds *dataset.Dataset) (accuracy, exitRate float64) {
 	if ds.Len() == 0 {
-		return 0
+		return 0, 0
 	}
-	res := b.InferDataset(ds)
-	n := 0
-	for _, e := range res.Exited {
-		if e {
-			n++
+	exits := 0
+	accuracy = train.Accuracy(ds, func(dst []int, x *tensor.Tensor) {
+		r := b.Infer(x)
+		copy(dst, r.Pred)
+		for _, e := range r.Exited {
+			if e {
+				exits++
+			}
 		}
-	}
-	return float64(n) / float64(ds.Len())
+	})
+	return accuracy, float64(exits) / float64(ds.Len())
 }
 
 // TuneThreshold sweeps candidate entropy thresholds on a validation set and
@@ -247,17 +190,14 @@ func (b *BranchyNet) TuneThreshold(val *dataset.Dataset, maxAccuracyDrop float64
 	orig := b.Threshold
 	// Trunk-only reference: threshold below any achievable entropy.
 	b.Threshold = -1
-	ref := b.Accuracy(val)
+	ref, _ := b.Evaluate(val)
 	best := orig
 	bestRate := -1.0
 	for _, th := range []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.4, 1.8} {
 		b.Threshold = th
-		acc := b.Accuracy(val)
-		if acc+1e-9 >= ref-maxAccuracyDrop {
-			rate := b.EarlyExitRate(val)
-			if rate > bestRate {
-				bestRate, best = rate, th
-			}
+		acc, rate := b.Evaluate(val)
+		if acc+1e-9 >= ref-maxAccuracyDrop && rate > bestRate {
+			bestRate, best = rate, th
 		}
 	}
 	b.Threshold = best

@@ -8,7 +8,6 @@ import (
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/train"
@@ -175,12 +174,12 @@ func TestBranchyThresholdExtremes(t *testing.T) {
 	b := NewBranchyLeNet(r, 0.05)
 	// Threshold above max entropy: everything exits early.
 	b.Threshold = math.Log(dataset.NumClasses) + 1
-	if rate := b.EarlyExitRate(ds); rate != 1 {
+	if _, rate := b.Evaluate(ds); rate != 1 {
 		t.Fatalf("exit rate %v with huge threshold, want 1", rate)
 	}
 	// Negative threshold: nothing exits.
 	b.Threshold = -1
-	if rate := b.EarlyExitRate(ds); rate != 0 {
+	if _, rate := b.Evaluate(ds); rate != 0 {
 		t.Fatalf("exit rate %v with negative threshold, want 0", rate)
 	}
 }
@@ -189,38 +188,46 @@ func TestJointTrainingImprovesBothHeads(t *testing.T) {
 	r := rng.New(10)
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 300, HardFraction: 0.1, Seed: 11})
 	b := NewBranchyLeNet(r, DefaultThreshold(dataset.MNIST))
-	before := b.Accuracy(ds)
-	err := b.TrainJointly(ds, JointTrainConfig{
-		Epochs: 3, BatchSize: 32, Optimizer: opt.NewAdam(0.002),
-		BranchWeight: 1, MainWeight: 1, Seed: 12,
-	})
-	if err != nil {
+	before, _ := b.Evaluate(ds)
+	if err := b.TrainJointly(ds, train.Config{Epochs: 3, Seed: 12}); err != nil {
 		t.Fatal(err)
 	}
-	after := b.Accuracy(ds)
+	after, _ := b.Evaluate(ds)
 	if after < 0.8 {
 		t.Fatalf("joint-trained accuracy %v (was %v), want ≥0.8", after, before)
 	}
 	// Trunk alone must also classify well (threshold -1 = never exit).
 	b.Threshold = -1
-	if acc := b.Accuracy(ds); acc < 0.8 {
+	if acc, _ := b.Evaluate(ds); acc < 0.8 {
 		t.Fatalf("trunk accuracy %v, want ≥0.8", acc)
 	}
 }
 
+// TestJointTrainConfigValidation checks that joint training rejects the
+// inputs the training loop cannot run (a non-positive epoch count, no
+// samples) and leaves the weights untouched when it does.
 func TestJointTrainConfigValidation(t *testing.T) {
 	r := rng.New(13)
 	b := NewBranchyLeNet(r, 0.05)
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 10, HardFraction: 0, Seed: 14})
-	bad := []JointTrainConfig{
-		{Epochs: 0, BatchSize: 8, Optimizer: opt.NewAdam(0.01), BranchWeight: 1, MainWeight: 1},
-		{Epochs: 1, BatchSize: 0, Optimizer: opt.NewAdam(0.01), BranchWeight: 1, MainWeight: 1},
-		{Epochs: 1, BatchSize: 8, Optimizer: nil, BranchWeight: 1, MainWeight: 1},
-		{Epochs: 1, BatchSize: 8, Optimizer: opt.NewAdam(0.01)},
+	before := make([][]float32, 0, len(b.Params()))
+	for _, p := range b.Params() {
+		before = append(before, append([]float32(nil), p.Value.Data...))
 	}
-	for i, cfg := range bad {
-		if err := b.TrainJointly(ds, cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
+	for _, epochs := range []int{0, -1} {
+		if err := b.TrainJointly(ds, train.Config{Epochs: epochs, Seed: 14}); err == nil {
+			t.Errorf("%d epochs: expected error", epochs)
+		}
+	}
+	empty := &dataset.Dataset{Family: dataset.MNIST, Images: tensor.New(0, dataset.Pixels)}
+	if err := b.TrainJointly(empty, train.Config{Epochs: 1, Seed: 14}); err == nil {
+		t.Error("no samples: expected error")
+	}
+	for i, p := range b.Params() {
+		for j, v := range p.Value.Data {
+			if v != before[i][j] {
+				t.Fatalf("param %d changed at %d after rejected configs", i, j)
+			}
 		}
 	}
 }
@@ -326,9 +333,7 @@ func TestLeNetTrainsOnSmallSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := NewLeNet(r)
-	if _, err := train.Classifier(net, std.Train, train.Config{
-		Epochs: 3, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 22,
-	}); err != nil {
+	if _, err := train.Classifier(net, std.Train, train.Config{Epochs: 3, Seed: 22}); err != nil {
 		t.Fatal(err)
 	}
 	if acc := train.EvalClassifier(net, std.Test); acc < 0.6 {

@@ -1,12 +1,12 @@
 package train
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/nn"
-	"cbnet/internal/opt"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -23,17 +23,15 @@ func TestClassifierLearns(t *testing.T) {
 	r := rng.New(1)
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 400, HardFraction: 0, Seed: 2})
 	net := tinyMLP(r)
-	h, err := Classifier(net, ds, Config{
-		Epochs: 8, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 3,
-	})
+	losses, err := Classifier(net, ds, Config{Epochs: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.EpochLoss) != 8 {
-		t.Fatalf("epochs recorded %d", len(h.EpochLoss))
+	if len(losses) != 8 {
+		t.Fatalf("epochs recorded %d", len(losses))
 	}
-	if h.EpochLoss[0] <= h.EpochLoss[len(h.EpochLoss)-1] {
-		t.Fatalf("loss did not decrease: %v → %v", h.EpochLoss[0], h.EpochLoss[len(h.EpochLoss)-1])
+	if losses[0] <= losses[len(losses)-1] {
+		t.Fatalf("loss did not decrease: %v → %v", losses[0], losses[len(losses)-1])
 	}
 	if acc := EvalClassifier(net, ds); acc < 0.9 {
 		t.Fatalf("train accuracy %v, want ≥0.9 on clean data", acc)
@@ -47,9 +45,7 @@ func TestClassifierGeneralizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := tinyMLP(r)
-	if _, err := Classifier(net, std.Train, Config{
-		Epochs: 10, BatchSize: 32, Optimizer: opt.NewAdam(0.002), Seed: 6,
-	}); err != nil {
+	if _, err := Classifier(net, std.Train, Config{Epochs: 10, Seed: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if acc := EvalClassifier(net, std.Test); acc < 0.75 {
@@ -68,14 +64,12 @@ func TestRegressorLearnsIdentity(t *testing.T) {
 		nn.NewReLU("r"),
 		nn.NewDense("dec", 16, d, r),
 	)
-	h, err := Regressor(net, x, x.Clone(), Config{
-		Epochs: 60, BatchSize: 32, Optimizer: opt.NewAdam(0.005), Seed: 8,
-	}, nil)
+	losses, err := Regressor(net, x, x.Clone(), Config{Epochs: 200, Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.EpochLoss[len(h.EpochLoss)-1] > 0.05 {
-		t.Fatalf("identity reconstruction loss %v, want <0.05", h.EpochLoss[len(h.EpochLoss)-1])
+	if last := losses[len(losses)-1]; last > 0.05 {
+		t.Fatalf("identity reconstruction loss %v, want <0.05", last)
 	}
 }
 
@@ -85,30 +79,45 @@ func TestRegressorReportsExtraLoss(t *testing.T) {
 	x.RandNormal(r, 0, 1)
 	net := nn.NewSequential("ae", nn.NewDense("d", 4, 4, r))
 	const penalty = 0.75
-	h, err := Regressor(net, x, x.Clone(), Config{
-		Epochs: 1, BatchSize: 16, Optimizer: opt.NewAdam(0.001), Seed: 10,
-	}, func() float64 { return penalty })
+	losses, err := Regressor(net, x, x.Clone(), Config{Epochs: 1, Seed: 10}, func() float64 { return penalty })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.EpochLoss[len(h.EpochLoss)-1] < penalty {
-		t.Fatalf("loss %v should include the %v penalty", h.EpochLoss[len(h.EpochLoss)-1], penalty)
+	if losses[0] < penalty {
+		t.Fatalf("loss %v should include the %v penalty", losses[0], penalty)
 	}
 }
 
+// TestConfigValidation holds every trainer to the inputs the one loop
+// rejects: a non-positive epoch count, whichever trainer passes it (the
+// classifier, the regressor, BranchyNet's joint training and the latent
+// head all run Minibatches), and no samples.
 func TestConfigValidation(t *testing.T) {
 	r := rng.New(11)
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 10, HardFraction: 0, Seed: 12})
 	net := tinyMLP(r)
-	cases := []Config{
-		{Epochs: 0, BatchSize: 8, Optimizer: opt.NewAdam(0.01)},
-		{Epochs: 1, BatchSize: 0, Optimizer: opt.NewAdam(0.01)},
-		{Epochs: 1, BatchSize: 8, Optimizer: nil},
+	noStep := func(*tensor.Tensor, []int) float64 {
+		t.Fatal("step ran on a rejected config")
+		return 0
 	}
-	for i, cfg := range cases {
+	for _, epochs := range []int{0, -1} {
+		cfg := Config{Epochs: epochs}
 		if _, err := Classifier(net, ds, cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
+			t.Errorf("Classifier with %d epochs: expected error", epochs)
 		}
+		if _, err := Regressor(net, ds.Images, ds.Images, cfg, nil); err == nil {
+			t.Errorf("Regressor with %d epochs: expected error", epochs)
+		}
+		if _, err := Minibatches("n", ds.Images, net.Params(), 0, cfg, noStep); err == nil {
+			t.Errorf("Minibatches with %d epochs: expected error", epochs)
+		}
+	}
+	empty := &dataset.Dataset{Family: dataset.MNIST, Images: tensor.New(0, dataset.Pixels)}
+	if _, err := Classifier(net, empty, Config{Epochs: 1}); err == nil {
+		t.Error("Classifier on no samples: expected error")
+	}
+	if _, err := Minibatches("n", tensor.New(0, 4), nil, 0, Config{Epochs: 1}, noStep); err == nil {
+		t.Error("Minibatches on no samples: expected error")
 	}
 }
 
@@ -117,7 +126,7 @@ func TestRegressorShapeMismatch(t *testing.T) {
 	net := nn.NewSequential("n", nn.NewDense("d", 4, 4, r))
 	x := tensor.New(8, 4)
 	y := tensor.New(6, 4)
-	if _, err := Regressor(net, x, y, Config{Epochs: 1, BatchSize: 4, Optimizer: opt.NewAdam(0.1)}, nil); err == nil {
+	if _, err := Regressor(net, x, y, Config{Epochs: 1}, nil); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
@@ -127,9 +136,7 @@ func TestTrainingLogsEpochs(t *testing.T) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 40, HardFraction: 0, Seed: 15})
 	var sb strings.Builder
 	net := tinyMLP(r)
-	if _, err := Classifier(net, ds, Config{
-		Epochs: 2, BatchSize: 16, Optimizer: opt.NewAdam(0.01), Seed: 16, Log: &sb,
-	}); err != nil {
+	if _, err := Classifier(net, ds, Config{Epochs: 2, Seed: 16, Log: &sb}); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(sb.String(), "epoch"); got != 2 {
@@ -142,9 +149,7 @@ func TestDeterministicTraining(t *testing.T) {
 	run := func() []float32 {
 		r := rng.New(21)
 		net := tinyMLP(r)
-		if _, err := Classifier(net, ds, Config{
-			Epochs: 2, BatchSize: 16, Optimizer: opt.NewAdam(0.01), Seed: 22,
-		}); err != nil {
+		if _, err := Classifier(net, ds, Config{Epochs: 2, Seed: 22}); err != nil {
 			t.Fatal(err)
 		}
 		return append([]float32(nil), net.Params()[0].Value.Data[:32]...)
@@ -154,5 +159,90 @@ func TestDeterministicTraining(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("weights diverged at %d between identically-seeded runs", i)
 		}
+	}
+}
+
+// TestMinibatchesWalksEachPermutation checks the loop's bookkeeping: every
+// epoch hands each sample to the step exactly once, in BatchSize slices with
+// a short last one, the gathered rows are the samples' own, and one Adam
+// step follows each batch.
+func TestMinibatchesWalksEachPermutation(t *testing.T) {
+	const n, w, epochs = 70, 3, 2
+	x := tensor.New(n, w)
+	for i := range x.Data {
+		x.Data[i] = float32(i)
+	}
+	p := &nn.Param{Name: "p", Value: tensor.New(1), Grad: tensor.New(1)}
+	var sizes []int
+	seen := make([]int, n)
+	prev := float32(1)
+	losses, err := Minibatches("walk", x, []*nn.Param{p}, 0x5A17, Config{Epochs: epochs, Seed: 1}, func(b *tensor.Tensor, idx []int) float64 {
+		// Each earlier batch's gradient of 1 was stepped (the weight fell)
+		// and cleared before this batch.
+		if v := p.Value.Data[0]; v >= prev || p.Grad.Data[0] != 0 {
+			t.Fatalf("batch %d: weight %v after %v, gradient %v: no optimizer step between batches", len(sizes), v, prev, p.Grad.Data[0])
+		}
+		prev = p.Value.Data[0]
+		p.Grad.Data[0] = 1
+		sizes = append(sizes, len(idx))
+		for j, s := range idx {
+			seen[s]++
+			if got := b.Data[j*w]; got != float32(s*w) {
+				t.Fatalf("row %d of the batch holds sample %v, want %d", j, got/w, s)
+			}
+		}
+		return float64(len(sizes))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{32, 32, 6, 32, 32, 6}
+	if !slices.Equal(sizes, want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	}
+	for s, c := range seen {
+		if c != epochs {
+			t.Fatalf("sample %d seen %d times, want %d", s, c, epochs)
+		}
+	}
+	if len(losses) != epochs {
+		t.Fatalf("%d epoch losses, want %d", len(losses), epochs)
+	}
+	// Epoch 1's batches return 1, 2, 3: the mean weighs each by its rows.
+	if want := (1*32 + 2*32 + 3*6) / float64(n); losses[0] != want {
+		t.Fatalf("epoch loss %v, want %v", losses[0], want)
+	}
+}
+
+// TestAccuracy checks the evaluation pass: 256-row batches in order, every
+// row once, and the share of rows classified as their label.
+func TestAccuracy(t *testing.T) {
+	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 600, HardFraction: 0, Seed: 30})
+	var starts, sizes []int
+	EvalBatches(ds, func(i0 int, x *tensor.Tensor, labels []int) {
+		starts, sizes = append(starts, i0), append(sizes, x.Shape[0])
+		if len(labels) != x.Shape[0] || &x.Data[0] != &ds.Image(i0)[0] {
+			t.Fatalf("batch at %d is not rows %d on", i0, i0)
+		}
+	})
+	if !slices.Equal(starts, []int{0, 256, 512}) || !slices.Equal(sizes, []int{256, 256, 88}) {
+		t.Fatalf("batches start at %v with %v rows", starts, sizes)
+	}
+	// Right on the even samples, wrong on the odd ones.
+	i := 0
+	acc := Accuracy(ds, func(dst []int, x *tensor.Tensor) {
+		for j := range dst {
+			dst[j] = ds.Labels[i]
+			if i%2 == 1 {
+				dst[j] = (dst[j] + 1) % dataset.NumClasses
+			}
+			i++
+		}
+	})
+	if acc != 0.5 {
+		t.Fatalf("accuracy %v, want 0.5", acc)
+	}
+	if acc := Accuracy(&dataset.Dataset{}, nil); acc != 0 {
+		t.Fatalf("accuracy of no samples %v, want 0", acc)
 	}
 }
