@@ -72,7 +72,7 @@ func main() {
 		name      = flag.String("dataset", "mnist", "dataset family: mnist, fmnist, kmnist")
 		addr      = flag.String("addr", ":8080", "listen address")
 		devName   = flag.String("device", "RaspberryPi4", "device profile for latency estimates")
-		workers   = flag.Int("workers", 0, "inference workers per route, the server's only parallelism (0 = auto: GOMAXPROCS/2)")
+		workers   = flag.Int("workers", 0, "inference workers per route, the server's only parallelism (0 = auto: GOMAXPROCS)")
 		queue     = flag.Int("queue-depth", 256, "per-route admission queue bound; past half of it a route passes new requests down the ladder")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug logs every request)")

@@ -115,15 +115,7 @@ func cloneConv(c *nn.Conv2D) *nn.Conv2D {
 		LayerName: c.LayerName + "~p",
 		Dims:      c.Dims,
 		OutC:      c.OutC,
-		W: &nn.Param{
-			Name:  c.LayerName + "~p/W",
-			Value: c.W.Value.Clone(),
-			Grad:  c.W.Grad.Clone(),
-		},
-		B: &nn.Param{
-			Name:  c.LayerName + "~p/b",
-			Value: c.B.Value.Clone(),
-			Grad:  c.B.Grad.Clone(),
-		},
+		W:         &nn.Param{Name: c.LayerName + "~p/W", Value: c.W.Value.Clone()},
+		B:         &nn.Param{Name: c.LayerName + "~p/b", Value: c.B.Value.Clone()},
 	}
 }

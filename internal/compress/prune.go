@@ -100,16 +100,8 @@ func sliceConvOutputs(c *nn.Conv2D, keep []int) *nn.Conv2D {
 		LayerName: c.LayerName + "~p",
 		Dims:      c.Dims,
 		OutC:      len(keep),
-		W: &nn.Param{
-			Name:  c.LayerName + "~p/W",
-			Value: tensor.New(len(keep), cols),
-			Grad:  tensor.New(len(keep), cols),
-		},
-		B: &nn.Param{
-			Name:  c.LayerName + "~p/b",
-			Value: tensor.New(len(keep)),
-			Grad:  tensor.New(len(keep)),
-		},
+		W:         &nn.Param{Name: c.LayerName + "~p/W", Value: tensor.New(len(keep), cols)},
+		B:         &nn.Param{Name: c.LayerName + "~p/b", Value: tensor.New(len(keep))},
 	}
 	for o, src := range keep {
 		copy(out.W.Value.Data[o*cols:(o+1)*cols], c.W.Value.Data[src*cols:(src+1)*cols])
@@ -131,16 +123,8 @@ func sliceConvInputs(c *nn.Conv2D, keep []int) (*nn.Conv2D, error) {
 		LayerName: c.LayerName + "~p",
 		Dims:      newDims,
 		OutC:      c.OutC,
-		W: &nn.Param{
-			Name:  c.LayerName + "~p/W",
-			Value: tensor.New(c.OutC, newDims.ColRows()),
-			Grad:  tensor.New(c.OutC, newDims.ColRows()),
-		},
-		B: &nn.Param{
-			Name:  c.LayerName + "~p/b",
-			Value: c.B.Value.Clone(),
-			Grad:  tensor.New(c.OutC),
-		},
+		W:         &nn.Param{Name: c.LayerName + "~p/W", Value: tensor.New(c.OutC, newDims.ColRows())},
+		B:         &nn.Param{Name: c.LayerName + "~p/b", Value: c.B.Value.Clone()},
 	}
 	oldCols := d.ColRows()
 	newCols := newDims.ColRows()
@@ -167,16 +151,8 @@ func sliceDense(d *nn.Dense, keepIn, keepOut []int) *nn.Dense {
 		LayerName: d.LayerName + "~p",
 		In:        len(keepIn),
 		Out:       len(keepOut),
-		W: &nn.Param{
-			Name:  d.LayerName + "~p/W",
-			Value: tensor.New(len(keepIn), len(keepOut)),
-			Grad:  tensor.New(len(keepIn), len(keepOut)),
-		},
-		B: &nn.Param{
-			Name:  d.LayerName + "~p/b",
-			Value: tensor.New(len(keepOut)),
-			Grad:  tensor.New(len(keepOut)),
-		},
+		W:         &nn.Param{Name: d.LayerName + "~p/W", Value: tensor.New(len(keepIn), len(keepOut))},
+		B:         &nn.Param{Name: d.LayerName + "~p/b", Value: tensor.New(len(keepOut))},
 	}
 	for ni, si := range keepIn {
 		for nj, sj := range keepOut {

@@ -124,9 +124,9 @@ type Config struct {
 	// MaxBatch caps how many queued requests a worker takes into one
 	// batch. Default 32.
 	MaxBatch int
-	// Workers is the number of inference goroutines per route.
-	// Default max(1, GOMAXPROCS/2) so the two routes together roughly
-	// fill the machine.
+	// Workers is the number of inference goroutines per route. Default
+	// max(1, GOMAXPROCS), so any one route can use every core: under a
+	// load that is all hard images, the AE route alone fills the machine.
 	Workers int
 	// QueueDepth bounds each route's admission queue; a route stops taking
 	// new requests at half of it (spillMark), and a queue found full at
@@ -149,7 +149,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 32
 	}
 	if c.Workers <= 0 {
-		c.Workers = max(1, runtime.GOMAXPROCS(0)/2)
+		c.Workers = max(1, runtime.GOMAXPROCS(0))
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -286,8 +286,10 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 			rt.workers = append(rt.workers, e.newWorker(rt))
 		}
 	}
-	// Workers × routes are this process's parallelism: a compiled plan runs
-	// on its worker's goroutine and fans out no further, at any width.
+	// Workers × routes are this process's parallelism. At the default each
+	// route alone has a worker per core, so whichever route the load falls
+	// on can use the whole machine; a compiled plan runs on its worker's
+	// goroutine and fans out no further, at any width.
 	e.wg.Add(len(e.routes) * cfg.Workers)
 	for _, rt := range e.routes {
 		for _, w := range rt.workers {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,9 +155,10 @@ func TestIncludeConvertedForcesHardRoute(t *testing.T) {
 // runs the primer alone, then exactly MaxBatch of the queued requests, then
 // the 7 left over.
 func TestBatchCoalescing(t *testing.T) {
-	gate := make(gateFault)
-	e := testEngine(t, Config{MaxBatch: 16, Workers: 1, Fault: gate})
-	release := sync.OnceFunc(func() { close(gate) })
+	// Three batches report their start: the primer, MaxBatch, the rest.
+	f := &holdFirst{route: RouteEasy, started: make(chan struct{}, 3), gate: make(chan struct{})}
+	e := testEngine(t, Config{MaxBatch: 16, Workers: 1, Fault: f})
+	release := sync.OnceFunc(func() { close(f.gate) })
 	t.Cleanup(release) // before Close, should the test stop early
 	const n = 24
 	images := stubbornEasyImages(t, 0, n, nil) // one route, one worker
@@ -169,22 +172,22 @@ func TestBatchCoalescing(t *testing.T) {
 			results <- res
 		}()
 	}
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %+v", what, e.Stats())
-			}
-		}
-	}
 	submit(0)
-	waitFor("the primer never reached the worker", func() bool {
-		return e.Stats().Submitted == 1 && len(e.easy.queue) == 0
-	})
+	// The primer's batch is formed once it reaches the injector: the burst
+	// cannot join it.
+	select {
+	case <-f.started:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the primer never reached the worker: %+v", e.Stats())
+	}
 	for i := 1; i < n; i++ {
 		submit(i)
 	}
-	waitFor("the burst never queued", func() bool { return len(e.easy.queue) == n-1 })
+	for deadline := time.Now().Add(10 * time.Second); len(e.easy.queue) != n-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the burst never queued: %+v", e.Stats())
+		}
+	}
 	release() // the primer and everything queued behind it
 	sizes := map[int]int{}
 	for i := 0; i < n; i++ {
@@ -264,6 +267,71 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.MaxBatch <= 0 || cfg.Workers <= 0 || cfg.QueueDepth <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	// One worker per core on every route, so any one route can use the
+	// whole machine.
+	if procs := runtime.GOMAXPROCS(0); cfg.Workers != procs {
+		t.Fatalf("default Workers %d, want GOMAXPROCS = %d per route", cfg.Workers, procs)
+	}
+}
+
+// holdFirst holds the first batch that reaches route until gate closes, and
+// reports every batch of that route on started as it begins.
+type holdFirst struct {
+	route   RouteName
+	started chan struct{}
+	gate    chan struct{}
+	calls   atomic.Int32
+}
+
+func (f *holdFirst) BeforeInfer(route string, _ *tensor.Tensor) error {
+	if route != string(f.route) {
+		return nil
+	}
+	f.started <- struct{}{}
+	if f.calls.Add(1) == 1 {
+		<-f.gate
+	}
+	return nil
+}
+
+// TestHardRouteRunsBatchesInParallel: at the default worker count a second
+// hard batch starts while the first is still running, so the AE route is not
+// one goroutine wide. The first batch is held inside the fault injector; the
+// second must reach it all the same.
+func TestHardRouteRunsBatchesInParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("one proc: the default is one worker per route")
+	}
+	// Sized to the two hard batches.
+	f := &holdFirst{route: RouteHard, started: make(chan struct{}, 2), gate: make(chan struct{})}
+	e := testEngine(t, Config{Fault: f})
+	release := sync.OnceFunc(func() { close(f.gate) })
+	t.Cleanup(release) // before Close, should the test stop early
+	errs := make(chan error, 2)
+	submit := func(seed uint64) {
+		go func() {
+			_, err := e.Submit(context.Background(), Request{Pixels: easyImage(seed), IncludeConverted: true})
+			errs <- err
+		}()
+	}
+	waitStarted := func(what string) {
+		t.Helper()
+		select {
+		case <-f.started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: %+v", what, e.Stats())
+		}
+	}
+	submit(1)
+	waitStarted("the first hard batch never started")
+	submit(2)
+	waitStarted("a second hard batch did not start while the first was held: the hard route runs one batch at a time")
+	release()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -81,8 +81,8 @@ func NewConv2D(name string, inC, inH, inW, outC, kh, kw, stride, pad int, r *rng
 		LayerName: name,
 		Dims:      dims,
 		OutC:      outC,
-		W:         &Param{Name: name + "/W", Value: w, Grad: tensor.New(outC, dims.ColRows())},
-		B:         &Param{Name: name + "/b", Value: tensor.New(outC), Grad: tensor.New(outC)},
+		W:         &Param{Name: name + "/W", Value: w},
+		B:         &Param{Name: name + "/b", Value: tensor.New(outC)},
 	}, nil
 }
 
@@ -225,8 +225,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	for w := 0; w < chunks; w++ {
-		c.W.Grad.AddInPlace(c.bwd.dWs[w])
-		c.B.Grad.AddInPlace(c.bwd.dBs[w])
+		c.W.Grad().AddInPlace(c.bwd.dWs[w])
+		c.B.Grad().AddInPlace(c.bwd.dBs[w])
 	}
 	return dx
 }

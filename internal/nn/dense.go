@@ -60,8 +60,8 @@ func NewDense(name string, in, out int, r *rng.RNG) *Dense {
 		LayerName: name,
 		In:        in,
 		Out:       out,
-		W:         &Param{Name: name + "/W", Value: w, Grad: tensor.New(in, out)},
-		B:         &Param{Name: name + "/b", Value: tensor.New(out), Grad: tensor.New(out)},
+		W:         &Param{Name: name + "/W", Value: w},
+		B:         &Param{Name: name + "/b", Value: tensor.New(out)},
 	}
 }
 
@@ -106,8 +106,8 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
 		panic(fmt.Sprintf("dense %s: Backward before Forward", d.LayerName))
 	}
-	tensor.MatMulTransAAcc(d.W.Grad, d.lastInput, grad, &d.pack)
-	grad.SumRowsInto(d.B.Grad)
+	tensor.MatMulTransAAcc(d.W.Grad(), d.lastInput, grad, &d.pack)
+	grad.SumRowsInto(d.B.Grad())
 	dx := tensor.New(grad.Shape[0], d.In)
 	tensor.MatMulTransBInto(dx, grad, d.W.Value, &d.pack)
 	return dx

@@ -24,15 +24,33 @@ type Param struct {
 	// Name identifies the parameter for checkpointing, e.g. "conv1/W".
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+
+	// grad is allocated by the first Grad call: a network that is only
+	// served never trains, and holds no gradient buffers.
+	grad *tensor.Tensor
 
 	// gen counts Touch calls: the version of Value that copies derived from
 	// it (the packed weights compiled plans run on) are checked against.
 	gen uint64
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// Grad returns the accumulated gradient, shaped like Value, allocating it
+// (zeroed) on first use. Every reader and writer of a gradient — Backward,
+// ZeroGrad, the optimiser — goes through it.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.grad == nil {
+		p.grad = tensor.New(p.Value.Shape...)
+	}
+	return p.grad
+}
+
+// ZeroGrad clears the accumulated gradient. A gradient never allocated is
+// zero already, and stays unallocated.
+func (p *Param) ZeroGrad() {
+	if p.grad != nil {
+		p.grad.Zero()
+	}
+}
 
 // Touch records that Value's elements were changed in place. Whatever writes
 // a parameter after its network may have been compiled calls it — the

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,7 @@ func checkGradients(t *testing.T, net Layer, x *tensor.Tensor, tol float64) {
 			down := lossOf(net, x, c)
 			p.Value.Data[i] = orig
 			num := (up - down) / (2 * eps)
-			ana := float64(p.Grad.Data[i])
+			ana := float64(p.Grad().Data[i])
 			if math.Abs(num-ana) > tol*(1+math.Abs(num)) {
 				t.Errorf("%s[%d]: analytic %.6f numeric %.6f", p.Name, i, ana, num)
 			}
@@ -346,6 +347,33 @@ func TestConvPoolStackGradients(t *testing.T) {
 	checkGradients(t, net, randInput(r, 2, 64), 3e-2)
 }
 
+// TestServingHoldsNoGradients: a network that is built, compiled and run but
+// never trained holds no gradient buffers, ZeroGrad leaves them unallocated,
+// and the first Backward allocates them shaped like their parameters.
+func TestServingHoldsNoGradients(t *testing.T) {
+	r := rng.New(15)
+	net := NewSequential("cnn",
+		MustConv2D("c1", 1, 8, 8, 2, 3, 3, 1, 0, r),
+		NewReLU("r1"),
+		NewDense("d1", 2*6*6, 4, r),
+	)
+	x := randInput(r, 3, 64)
+	Run(net, x)
+	for _, p := range net.Params() {
+		p.ZeroGrad()
+		if p.grad != nil {
+			t.Fatalf("%s holds a gradient buffer without ever training", p.Name)
+		}
+	}
+	y := net.Forward(x)
+	net.Backward(tensor.New(y.Shape...))
+	for _, p := range net.Params() {
+		if p.grad == nil || !slices.Equal(p.grad.Shape, p.Value.Shape) {
+			t.Fatalf("%s after Backward: gradient %v, want one shaped %v", p.Name, p.grad, p.Value.Shape)
+		}
+	}
+}
+
 func TestZeroGradClears(t *testing.T) {
 	r := rng.New(14)
 	net := NewSequential("n", NewDense("d", 3, 2, r))
@@ -356,12 +384,12 @@ func TestZeroGradClears(t *testing.T) {
 		g.Data[i] = 1
 	}
 	net.Backward(g)
-	if net.Params()[0].Grad.AbsSum() == 0 {
+	if net.Params()[0].Grad().AbsSum() == 0 {
 		t.Fatal("expected nonzero grads after backward")
 	}
 	for _, p := range net.Params() {
 		p.ZeroGrad()
-		if p.Grad.AbsSum() != 0 {
+		if p.Grad().AbsSum() != 0 {
 			t.Fatalf("grad %s not cleared", p.Name)
 		}
 	}

@@ -38,7 +38,7 @@ func (a *Adam) Step(params []*nn.Param) {
 	b1t := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
 	b2t := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
 	for _, p := range params {
-		g := p.Grad.Data
+		g := p.Grad().Data
 		w := p.Value.Data
 		m, ok := a.m[p]
 		if !ok {

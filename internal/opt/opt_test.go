@@ -11,11 +11,9 @@ import (
 )
 
 func paramWithGrad(vals, grads []float32) *nn.Param {
-	return &nn.Param{
-		Name:  "p",
-		Value: tensor.FromSlice(append([]float32(nil), vals...), len(vals)),
-		Grad:  tensor.FromSlice(append([]float32(nil), grads...), len(grads)),
-	}
+	p := &nn.Param{Name: "p", Value: tensor.FromSlice(append([]float32(nil), vals...), len(vals))}
+	copy(p.Grad().Data, grads)
+	return p
 }
 
 func TestAdamFirstStepIsLR(t *testing.T) {
@@ -33,7 +31,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := paramWithGrad([]float32{0}, []float32{0})
 	a := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
-		p.Grad.Data[0] = 2 * (p.Value.Data[0] - 3)
+		p.Grad().Data[0] = 2 * (p.Value.Data[0] - 3)
 		a.Step([]*nn.Param{p})
 	}
 	if math.Abs(float64(p.Value.Data[0])-3) > 0.01 {

@@ -172,18 +172,18 @@ func TestMinibatchesWalksEachPermutation(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(i)
 	}
-	p := &nn.Param{Name: "p", Value: tensor.New(1), Grad: tensor.New(1)}
+	p := &nn.Param{Name: "p", Value: tensor.New(1)}
 	var sizes []int
 	seen := make([]int, n)
 	prev := float32(1)
 	losses, err := Minibatches("walk", x, []*nn.Param{p}, 0x5A17, Config{Epochs: epochs, Seed: 1}, func(b *tensor.Tensor, idx []int) float64 {
 		// Each earlier batch's gradient of 1 was stepped (the weight fell)
 		// and cleared before this batch.
-		if v := p.Value.Data[0]; v >= prev || p.Grad.Data[0] != 0 {
-			t.Fatalf("batch %d: weight %v after %v, gradient %v: no optimizer step between batches", len(sizes), v, prev, p.Grad.Data[0])
+		if v := p.Value.Data[0]; v >= prev || p.Grad().Data[0] != 0 {
+			t.Fatalf("batch %d: weight %v after %v, gradient %v: no optimizer step between batches", len(sizes), v, prev, p.Grad().Data[0])
 		}
 		prev = p.Value.Data[0]
-		p.Grad.Data[0] = 1
+		p.Grad().Data[0] = 1
 		sizes = append(sizes, len(idx))
 		for j, s := range idx {
 			seen[s]++
