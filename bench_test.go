@@ -329,9 +329,10 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 // AE and classifier plans executed back to back (pipeline-b16), then each
 // plan alone, and LeNet's beside them, at the paper's one hard image and at
 // the engine's batch — the classifier also at two, the batch /classify runs
-// under two connections — in GFLOP/s of its cost model: the step-level
-// figures the benchmark's nn.clf_gflops_b32 and core.convert_us_b1 move
-// with.
+// under two connections; the AE also at the short batches a mixed stream's
+// hard route runs (3, 7 and 12 rows beside the whole tiles of 8 and 16) —
+// in GFLOP/s of its cost model: the step-level figures the benchmark's
+// nn.clf_gflops_b32 and core.convert_us_b1 move with.
 // -benchmem must report 0 allocs/op throughout.
 func BenchmarkPlanExecute(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
@@ -359,7 +360,7 @@ func BenchmarkPlanExecute(b *testing.B) {
 		batches []int
 	}{
 		{"clf", pipe.Classifier, []int{1, 2, 32}},
-		{"ae", pipe.AE.Net, []int{1, 32}},
+		{"ae", pipe.AE.Net, []int{1, 3, 7, 8, 12, 16, 32}},
 		{"lenet", models.NewLeNet(rng.New(1)), []int{1, 32}},
 	} {
 		for _, n := range m.batches {

@@ -214,7 +214,6 @@ type request struct {
 	pixels        []float32
 	wantConverted bool
 	hardness      float64
-	fp            uint64       // content fingerprint (resilience armed), else 0
 	tEnq          int64        // admission
 	tRun          int64        // a worker took the batch: queue wait ends, execution starts
 	done          chan outcome // buffered(1): answer never blocks

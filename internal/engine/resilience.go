@@ -131,9 +131,10 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64)
 	if served > 0 {
 		// In the quarantine before the culprit hears of its failure: a caller
 		// that resubmits the moment it is answered is turned away at
-		// admission instead of failing a second batch.
+		// admission instead of failing a second batch. Admission hashes
+		// nothing while the ring is empty, so the culprit is hashed here.
 		for _, r := range convicted {
-			e.res.quar.Add(r.fp)
+			e.res.quar.Add(resilience.Fingerprint(r.pixels))
 			e.res.culprits.Inc()
 		}
 	}

@@ -149,8 +149,7 @@ func TestBisectIsolatesPoison(t *testing.T) {
 func handBatch(e *Engine, rt *route, w *worker, images [][]float32) []error {
 	batch := make([]*request, len(images))
 	for i, img := range images {
-		batch[i] = &request{id: e.IssueRequestID(), pixels: img,
-			fp: resilience.Fingerprint(img), done: make(chan outcome, 1)}
+		batch[i] = &request{id: e.IssueRequestID(), pixels: img, done: make(chan outcome, 1)}
 	}
 	rt.stats.inflight.Add(int64(len(batch)))
 	e.runBatch(rt, batch, w)

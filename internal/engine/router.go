@@ -59,12 +59,12 @@ func (e *Engine) place(r *request) (*route, bool, error) {
 		}
 		return nil, false, err
 	}
-	if e.res != nil {
-		r.fp = resilience.Fingerprint(r.pixels)
-		if e.res.quar.Check(r.fp) {
-			e.res.poisoned.Inc()
-			return nil, false, ErrPoisoned
-		}
+	// The ring only fills (bisection's Add) and overwrites, never empties:
+	// while it has taken nothing no fingerprint can match, and the hash is
+	// skipped — every request's case until a culprit is convicted.
+	if e.res != nil && e.res.quar.Adds() > 0 && e.res.quar.Check(resilience.Fingerprint(r.pixels)) {
+		e.res.poisoned.Inc()
+		return nil, false, ErrPoisoned
 	}
 	var name RouteName
 	name, r.hardness = RouteOf(r.pixels)

@@ -7,10 +7,11 @@ import "sync/atomic"
 const quarantineSlots = 64
 
 // Quarantine is a fixed-size ring of poison-pill fingerprints. Admission
-// calls Check on every request's fingerprint — a linear scan over a few
-// cache lines of atomics, lock- and allocation-free — and bisection calls
-// Add when it convicts a culprit. Slot value 0 means empty (Fingerprint
-// never returns 0).
+// calls Check on every request's fingerprint once Adds is nonzero — a linear
+// scan over a few cache lines of atomics, lock- and allocation-free; before
+// that the ring is empty and admission neither hashes nor checks — and
+// bisection calls Add when it convicts a culprit. Slot value 0 means empty
+// (Fingerprint never returns 0); no slot is ever emptied again.
 type Quarantine struct {
 	slots []atomic.Uint64
 	head  atomic.Uint64

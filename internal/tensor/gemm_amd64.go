@@ -18,6 +18,9 @@ func avx512Kernel8x16(kc int, ap, bp, acc *float32)
 //go:noescape
 func avx512Kernel8x32(kc int, ap, bp, acc *float32)
 
+//go:noescape
+func avx512Kernel4x32(kc int, ap, bp, acc *float32)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
@@ -30,7 +33,7 @@ func xgetbv0() (eax, edx uint32)
 // where AVX2's 16 YMM registers cannot.
 func archKernels() []kernelDesc {
 	return []kernelDesc{
-		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel, pair: avx512PairKernel, vec: vecAVX512},
+		{name: "avx512-8x16", mr: 8, nr: 16, fma: true, available: hasAVX512(), priority: 20, fn: avx512Kernel, pair: avx512PairKernel, pair4: avx512Pair4Kernel, vec: vecAVX512},
 		{name: "avx2-8x8", mr: 8, nr: 8, fma: true, available: hasAVX2FMA(), priority: 10, fn: fmaKernel, vec: vecAVX2},
 	}
 }
@@ -64,6 +67,14 @@ func avx512Kernel(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32) {
 func avx512PairKernel(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32) {
 	_, _ = ap[kc*8-1], bp[2*kc*16-1]
 	avx512Kernel8x32(kc, &ap[0], &bp[0], &acc[0][0])
+}
+
+// avx512Pair4Kernel adapts the AVX-512 4-row pair body to the registry
+// calling shape: ap is a whole packed 8-row sliver. The blocked driver calls
+// it with kc ≥ 1.
+func avx512Pair4Kernel(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32) {
+	_, _ = ap[kc*8-1], bp[2*kc*16-1]
+	avx512Kernel4x32(kc, &ap[0], &bp[0], &acc[0][0])
 }
 
 // hasAVX2FMA reports whether the CPU and OS support the AVX2 kernel:

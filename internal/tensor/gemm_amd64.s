@@ -217,6 +217,70 @@ pstore:
 	VZEROUPPER
 	RET
 
+// func avx512Kernel4x32(kc int, ap, bp, acc *float32)
+//
+// The first four rows of avx512Kernel8x32, for a sliver with at most four
+// real rows: the same packed operands (ap: kc groups of 8 A values, of which
+// it reads the first four), eight ZMM accumulators, and per k step two
+// 16-wide B loads, four scalar broadcasts and eight fused multiply-adds —
+// each the pair body's, operands in the same roles, in the same ascending k
+// order, so rows 0–3 of each tile have its bits. acc receives rows 0–3 of
+// the first tile at 0–255 and of the second at 512–767; rows 4–7 of each
+// are not written.
+TEXT ·avx512Kernel4x32(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ acc+24(FP), DX
+	MOVQ CX, R8
+	SHLQ $6, R8
+	ADDQ DI, R8 // the second sliver, kc·16 floats on
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+
+	TESTQ CX, CX
+	JZ    qstore
+
+qloop:
+	VMOVUPS      (DI), Z16
+	VMOVUPS      (R8), Z17
+	VBROADCASTSS (SI), Z18
+	VBROADCASTSS 4(SI), Z19
+	VFMADD231PS  Z16, Z18, Z0
+	VFMADD231PS  Z17, Z18, Z8
+	VFMADD231PS  Z16, Z19, Z1
+	VFMADD231PS  Z17, Z19, Z9
+	VBROADCASTSS 8(SI), Z20
+	VBROADCASTSS 12(SI), Z21
+	VFMADD231PS  Z16, Z20, Z2
+	VFMADD231PS  Z17, Z20, Z10
+	VFMADD231PS  Z16, Z21, Z3
+	VFMADD231PS  Z17, Z21, Z11
+	ADDQ         $32, SI
+	ADDQ         $64, DI
+	ADDQ         $64, R8
+	DECQ         CX
+	JNZ          qloop
+
+qstore:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, 128(DX)
+	VMOVUPS Z3, 192(DX)
+	VMOVUPS Z8, 512(DX)
+	VMOVUPS Z9, 576(DX)
+	VMOVUPS Z10, 640(DX)
+	VMOVUPS Z11, 704(DX)
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

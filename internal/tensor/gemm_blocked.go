@@ -24,7 +24,10 @@ import "sync"
 // (AVX-512's: an 8×32 register tile, 16 ZMM accumulators) takes the jr loop
 // two slivers at a time while two remain, and an odd last sliver through
 // its single body; each 8×nr half is written back as a tile of its own, so
-// pairing changes no bit.
+// pairing changes no bit. A row sliver with at most four real rows — the
+// last of a batch of 9–12, 17–20, … or the only one of a batch of 2–4 —
+// takes the pair body's first four rows instead (pair4: 8 accumulators, half
+// the multiply-adds), which are the same operations on the same operands.
 //
 // A blocked GEMM runs on the goroutine that calls it, one A row block after
 // another against the packed B panel: parallelism is the caller's business —
@@ -32,16 +35,19 @@ import "sync"
 // training — and nothing fans out beneath either.
 //
 // Packing uses zero padding up to the mr/nr multiple, so the micro-kernel
-// never sees a partial tile; the write-back handles ragged C edges.
+// never sees a partial tile; the write-back handles ragged C edges. A
+// row-major A sliver, short or full, is transposed by the vector body
+// (packRows8) where the kernel has one, its missing rows as zeros.
 //
 // The write-back has two forms that produce the same bits. writeTile and
-// epilogueTile are the Go loops, the reference, and what ragged edge tiles,
-// general alpha/beta and hosts without a vector ISA run. A full tile of a
-// product with alpha 1 and beta 0 or 1 — every product the layers and the
-// plans issue — goes through tileTail instead: one vector routine of the
-// active kernel's vecISA that takes the accumulator rows through C's
-// addition, the bias and the relu in the Go loops' order and stores each row
-// once, on every depth block.
+// epilogueTile are the Go loops, the reference, and what tiles with ragged
+// columns, general alpha/beta and hosts without a vector ISA run. A tile of
+// full nr width — however many of its rows are real — of a product with
+// alpha 1 and beta 0 or 1 — every product the layers and the plans issue —
+// goes through tileTail instead: one vector routine of the active kernel's
+// vecISA that takes the real accumulator rows through C's addition, the bias
+// and the relu in the Go loops' order and stores each row once, on every
+// depth block.
 const (
 	blockKC = 256  // depth block: an mr×kc A sliver (8 KB) stays L1-resident
 	blockMC = 128  // row block: the packed A panel (mc×kc ≈ 128 KB) fits L2
@@ -140,7 +146,7 @@ type gemmPanel struct {
 	ep       Epilogue // the tiles' epilogue: the caller's, less its sigmoid
 	applyEp  bool     // final depth block: run ep on write-back
 	sigmoid  bool     // final depth block: sweep the finished rows with SigmoidSlice
-	tail     int      // tileTail flags for this panel's full tiles; −1: they take the Go loops
+	tail     int      // tileTail flags for this panel's full-width tiles; −1: they take the Go loops
 	kern     kernelDesc
 }
 
@@ -153,7 +159,7 @@ const (
 )
 
 // tailFlags returns the tileTail flags that stand for writeTile (+
-// epilogueTile when applyEp) on a full tile of this panel, or −1 when the
+// epilogueTile when applyEp) on a full-width tile of this panel, or −1 when the
 // active kernel has no vector tail or the scaling is not one it covers.
 func (pn *gemmPanel) tailFlags() int {
 	if pn.kern.vec == vecNone || pn.alpha != 1 || (pn.beta != 0 && pn.beta != 1) {
@@ -240,9 +246,10 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 // blockSerial packs the A row block starting at row ic into mr-row slivers
 // and runs the micro-kernel over its tile grid against every packed B sliver
 // of the panel — one packed block reused across the full JR range, two
-// slivers per call where the kernel has a pair body. A sigmoid is
-// elementwise, so it waits for the block: one SigmoidSlice per finished
-// row, in long vector runs, instead of nr elements at a time per tile.
+// slivers per call where the kernel has a pair body, through its 4-row body
+// for a row sliver with at most four real rows. A sigmoid is elementwise,
+// so it waits for the block: one SigmoidSlice per finished row, in long
+// vector runs, instead of nr elements at a time per tile.
 func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 	mr, nr := pn.kern.mr, pn.kern.nr
 	mc := min(blockMC, pn.m-ic)
@@ -256,13 +263,17 @@ func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 		bs := pn.bp[(jr/nr)*pn.kc*nr:][:slivers*pn.kc*nr]
 		for ir := 0; ir < mc; ir += mr {
 			as := ap[(ir/mr)*pn.kc*mr:][:pn.kc*mr]
-			if slivers == 2 {
-				pn.kern.pair(pn.kc, as, bs, &wb.acc)
-			} else {
+			rows := min(mr, mc-ir)
+			switch {
+			case slivers == 1:
 				pn.kern.fn(pn.kc, as, bs, &wb.acc[0])
+			case rows <= 4 && pn.kern.pair4 != nil:
+				pn.kern.pair4(pn.kc, as, bs, &wb.acc)
+			default:
+				pn.kern.pair(pn.kc, as, bs, &wb.acc)
 			}
 			for h := range slivers {
-				pn.writeBack(&wb.acc[h], ic+ir, pn.jc+jr+h*nr, min(mr, mc-ir))
+				pn.writeBack(&wb.acc[h], ic+ir, pn.jc+jr+h*nr, rows)
 			}
 		}
 		jr += slivers * nr
@@ -277,20 +288,20 @@ func (pn *gemmPanel) blockSerial(wb *gemmBuf, ic int) {
 
 // writeBack folds one mr×nr accumulator tile into C at (i0, j0), mEff of
 // its rows real, with the bias and relu on the final depth block: tileTail
-// for a full tile of a panel that has one, writeTile and epilogueTile
+// for a full-width tile of a panel that has one, writeTile and epilogueTile
 // otherwise.
 func (pn *gemmPanel) writeBack(acc *[maxMR * maxNR]float32, i0, j0, mEff int) {
-	mr, nr := pn.kern.mr, pn.kern.nr
+	nr := pn.kern.nr
 	nEff := min(nr, pn.jc+pn.nc-j0)
-	if pn.tail >= 0 && mEff == mr && nEff == nr {
+	if pn.tail >= 0 && nEff == nr {
 		var bias []float32
 		switch {
 		case pn.tail&tailColBias != 0:
 			bias = pn.ep.ColBias[j0:]
 		case pn.tail&tailRowBias != 0:
-			bias = pn.ep.RowBias[i0:]
+			bias = pn.ep.RowBias[i0 : i0+mEff]
 		}
-		tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, acc, bias, pn.tail)
+		tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, acc, bias, pn.tail, mEff)
 		return
 	}
 	writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, acc, pn.alpha, pn.beta)
@@ -308,24 +319,25 @@ func packA(isa vecISA, a []float32, ars, acs, ic, pc, mc, kc, mr int, dst []floa
 		rows := min(mr, mc-ir)
 		sliver := dst[di : di+kc*mr]
 		if acs == 1 {
-			// Row-major A: a full eight-row sliver is transposed 8×8 blocks
-			// at a time by the vector body (packRows8) where the kernel has
-			// one; what it leaves — the last kc mod 8 depths, a ragged
-			// sliver, every sliver on other hosts — reads each source row
-			// sequentially and scatters into the sliver's strided lanes.
-			if rows < mr {
-				for i := range sliver {
-					sliver[i] = 0
-				}
-			}
+			// Row-major A: an eight-row sliver, short or full, is transposed
+			// 8×8 blocks at a time by the vector body (packRows8) where the
+			// kernel has one, a short sliver's padding lanes zeroed with
+			// them; what it leaves — the last kc mod 8 depths, every sliver
+			// on other hosts — reads each source row sequentially, scatters
+			// into the sliver's strided lanes and zeroes the padding lanes.
 			p0 := 0
-			if mr == 8 && rows == mr {
-				p0 = packRows8(isa, sliver, a[(ic+ir)*ars+pc:], ars, kc)
+			if mr == 8 {
+				p0 = packRows8(isa, sliver, a[(ic+ir)*ars+pc:], ars, kc, rows)
 			}
 			for ii := 0; ii < rows; ii++ {
 				row := a[(ic+ir+ii)*ars+pc:][:kc]
 				for p := p0; p < kc; p++ {
 					sliver[p*mr+ii] = row[p]
+				}
+			}
+			if rows < mr {
+				for p := p0; p < kc; p++ {
+					clear(sliver[p*mr+rows : p*mr+mr])
 				}
 			}
 		} else {

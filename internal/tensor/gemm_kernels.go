@@ -33,7 +33,8 @@ type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 // pairKernelFunc is a kernel's pair body: the microKernelFunc of one A
 // sliver against two adjacent packed B slivers at once — bp holds the first
 // sliver's kc groups of nr values, then the second's — into acc[0] and
-// acc[1], each tile with the bits the single body gives its sliver.
+// acc[1], each tile with the bits the single body gives its sliver. A 4-row
+// pair body has the same shape and writes only rows 0–3 of each tile.
 type pairKernelFunc func(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32)
 
 // vecISA names the instruction set of the vector loops that sit outside the
@@ -80,6 +81,10 @@ type kernelDesc struct {
 	// AVX2's 16 YMM registers, and NEON, whose 8×8 tile already takes 16
 	// of its 32; the generic kernels have none.
 	pair pairKernelFunc
+	// pair4 is pair's first four rows (AVX-512's 4×32: half the
+	// multiply-adds), for a sliver with at most four real rows — a short
+	// batch's last. Nil where pair is, and read only where pair is not nil.
+	pair4 pairKernelFunc
 }
 
 // kernelTable lists every registered kernel; activeKernel is the selected

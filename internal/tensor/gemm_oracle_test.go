@@ -361,23 +361,27 @@ func BenchmarkGEMMLeNetShapes(b *testing.B) {
 }
 
 // BenchmarkGEMMAEShapes times the FashionMNIST converting autoencoder's four
-// dense products (784-512r-256r-128-784) at batch 32 as its plans run them:
-// through GEMMEpiloguePacked on weights packed once, each with its layer's
-// epilogue.
+// dense products (784-512r-256r-128-784) as its plans run them: through
+// GEMMEpiloguePacked on weights packed once, each with its layer's epilogue,
+// at batch 32 (ae_fc1 … ae_fc4) and at batch 12 (ae_fc1_b12 …), a full row
+// sliver and a 4-row one, the batch a mixed stream's hard route runs.
 func BenchmarkGEMMAEShapes(b *testing.B) {
-	const m = 32
 	for _, s := range []struct {
-		name string
-		k, n int
-		act  EpilogueAct
+		name    string
+		m, k, n int
+		act     EpilogueAct
 	}{
-		{"ae_fc1", 784, 512, EpActReLU},
-		{"ae_fc2", 512, 256, EpActReLU},
-		{"ae_fc3", 256, 128, EpActNone},
-		{"ae_fc4", 128, 784, EpActSigmoid},
+		{"ae_fc1", 32, 784, 512, EpActReLU},
+		{"ae_fc2", 32, 512, 256, EpActReLU},
+		{"ae_fc3", 32, 256, 128, EpActNone},
+		{"ae_fc4", 32, 128, 784, EpActSigmoid},
+		{"ae_fc1_b12", 12, 784, 512, EpActReLU},
+		{"ae_fc2_b12", 12, 512, 256, EpActReLU},
+		{"ae_fc3_b12", 12, 256, 128, EpActNone},
+		{"ae_fc4_b12", 12, 128, 784, EpActSigmoid},
 	} {
 		b.Run(s.name, func(b *testing.B) {
-			if !BlockedGEMM(m, s.k, s.n) {
+			if !BlockedGEMM(s.m, s.k, s.n) {
 				b.Skip("the blocked path does not serve this product on this CPU")
 			}
 			w := make([]float32, s.k*s.n)
@@ -388,7 +392,7 @@ func BenchmarkGEMMAEShapes(b *testing.B) {
 			pb.Pack(w, s.k, s.n)
 			var ps PackScratch
 			ep := Epilogue{ColBias: bias, Act: s.act}
-			benchGEMM(b, m, s.k, s.n, func(a, _, c []float32) { GEMMEpiloguePacked(a, &pb, c, m, ep, &ps) })
+			benchGEMM(b, s.m, s.k, s.n, func(a, _, c []float32) { GEMMEpiloguePacked(a, &pb, c, s.m, ep, &ps) })
 		})
 	}
 }

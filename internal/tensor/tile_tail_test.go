@@ -39,11 +39,12 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestTileTailMatchesGo holds tileTail, under every kernel that has one, to
-// writeTile + epilogueTile on one full tile inside a wider C: every stage
-// combination (beta 0/1 × no, column or row bias × no activation or relu),
-// operands salted with specials, the whole of C compared bit for bit — the
-// tile for the arithmetic, the rest for stores that strayed. It also holds
-// the flag derivation to the cases it must refuse.
+// writeTile + epilogueTile on one full-width tile inside a wider C, with
+// every row count from one to mr (the row bias cut to the real rows): every
+// stage combination (beta 0/1 × no, column or row bias × no activation or
+// relu), operands salted with specials, the whole of C compared bit for bit
+// — the real rows for the arithmetic, the rest for stores that strayed. It
+// also holds the flag derivation to the cases it must refuse.
 func TestTileTailMatchesGo(t *testing.T) {
 	for _, k := range vecKernels() {
 		t.Run(k.name, func(t *testing.T) {
@@ -65,32 +66,34 @@ func TestTileTailMatchesGo(t *testing.T) {
 					saltSpecials(cInit, 31+round)
 					saltSpecials(acc[:], 37+round)
 				}
-				for _, beta := range []float32{0, 1} {
-					for _, ep := range []Epilogue{
-						{}, {Act: EpActReLU},
-						{ColBias: cb}, {ColBias: cb, Act: EpActReLU},
-						{RowBias: rb}, {RowBias: rb, Act: EpActReLU},
-					} {
-						pn := gemmPanel{kern: k, alpha: 1, beta: beta, ep: ep, applyEp: !ep.isIdentity()}
-						flags := pn.tailFlags()
-						if flags < 0 {
-							t.Fatalf("beta %v epilogue %+v: no tail flags", beta, ep)
+				for rows := 1; rows <= k.mr; rows++ {
+					for _, beta := range []float32{0, 1} {
+						for _, ep := range []Epilogue{
+							{}, {Act: EpActReLU},
+							{ColBias: cb}, {ColBias: cb, Act: EpActReLU},
+							{RowBias: rb}, {RowBias: rb, Act: EpActReLU},
+						} {
+							pn := gemmPanel{kern: k, alpha: 1, beta: beta, ep: ep, applyEp: !ep.isIdentity()}
+							flags := pn.tailFlags()
+							if flags < 0 {
+								t.Fatalf("beta %v epilogue %+v: no tail flags", beta, ep)
+							}
+							want := append([]float32(nil), cInit...)
+							writeTile(want, ldc, i0, j0, rows, k.nr, k.nr, &acc, 1, beta)
+							if pn.applyEp {
+								epilogueTile(want, ldc, i0, j0, rows, k.nr, &ep)
+							}
+							got := append([]float32(nil), cInit...)
+							var bias []float32
+							switch {
+							case ep.ColBias != nil:
+								bias = cb[j0:]
+							case ep.RowBias != nil:
+								bias = rb[i0 : i0+rows]
+							}
+							tileTail(k.vec, got[i0*ldc+j0:], ldc, &acc, bias, flags, rows)
+							sameBits(t, fmt.Sprintf("round %d rows %d beta %v flags %04b", round, rows, beta, flags), got, want)
 						}
-						want := append([]float32(nil), cInit...)
-						writeTile(want, ldc, i0, j0, k.mr, k.nr, k.nr, &acc, 1, beta)
-						if pn.applyEp {
-							epilogueTile(want, ldc, i0, j0, k.mr, k.nr, &ep)
-						}
-						got := append([]float32(nil), cInit...)
-						var bias []float32
-						switch {
-						case ep.ColBias != nil:
-							bias = cb[j0:]
-						case ep.RowBias != nil:
-							bias = rb[i0:]
-						}
-						tileTail(k.vec, got[i0*ldc+j0:], ldc, &acc, bias, flags)
-						sameBits(t, fmt.Sprintf("round %d beta %v flags %04b", round, beta, flags), got, want)
 					}
 				}
 			}
@@ -117,11 +120,12 @@ func TestTileTailMatchesGo(t *testing.T) {
 
 // TestPackAVectorMatchesGo holds packA with the vector transpose to packA
 // without it (the Go scatter alone) on row-major blocks whose rows and
-// depths are and are not multiples of eight, out of a wider A, bit for bit
-// on salted values: the body only copies.
+// depths are and are not multiples of eight — a short last sliver of every
+// row count among them — out of a wider A, bit for bit on salted values:
+// the body only copies, and zeroes a short sliver's padding lanes.
 func TestPackAVectorMatchesGo(t *testing.T) {
 	for _, k := range vecKernels() {
-		for _, s := range []struct{ mc, kc int }{{8, 8}, {8, 7}, {32, 256}, {29, 131}, {5, 40}, {128, 16}, {17, 9}} {
+		for _, s := range []struct{ mc, kc int }{{8, 8}, {8, 7}, {32, 256}, {29, 131}, {5, 40}, {128, 16}, {17, 9}, {1, 16}, {2, 256}, {3, 8}, {4, 24}, {6, 17}, {7, 64}, {12, 784}, {20, 255}} {
 			const ic, pc = 3, 5
 			lda := pc + s.kc + 6
 			a := make([]float32, (ic+s.mc+1)*lda)
@@ -138,14 +142,32 @@ func TestPackAVectorMatchesGo(t *testing.T) {
 	}
 }
 
-// FuzzGEMMEpilogueTail compares whole blocked products — full tiles through
-// tileTail, ragged edge tiles through the Go loops beside them, a sigmoid as
-// the row sweep — with the same products run with the all-Go write-back (the
-// same micro-kernel, its vec taken away), bit for bit: ragged m/k/n past one
-// depth and one row block, beta 0 and 1, every epilogue, salted operands.
+// tailEpilogues is every epilogue a blocked product takes: none, each
+// activation alone, each bias with each activation, and both biases (which
+// tileTail refuses) with relu.
+func tailEpilogues(rb, cb []float32) []Epilogue {
+	return []Epilogue{
+		{}, {Act: EpActReLU}, {Act: EpActSigmoid},
+		{ColBias: cb}, {ColBias: cb, Act: EpActReLU}, {ColBias: cb, Act: EpActSigmoid},
+		{RowBias: rb}, {RowBias: rb, Act: EpActReLU}, {RowBias: rb, Act: EpActSigmoid},
+		{RowBias: rb, ColBias: cb, Act: EpActReLU},
+	}
+}
+
+// FuzzGEMMEpilogueTail compares whole blocked products — full-width tiles
+// through tileTail whatever their real rows, ragged-column tiles through the
+// Go loops beside them, a sigmoid as the row sweep, short slivers packed by
+// the vector transpose — with the same products run with the all-Go
+// write-back and packing (the same micro-kernel, its vec taken away), bit
+// for bit: ragged m/k/n past one depth and one row block, every last-sliver
+// row count from one to eight (the seeds), the row bias m long, beta 0 and
+// 1, every epilogue, salted operands.
 func FuzzGEMMEpilogueTail(f *testing.F) {
 	f.Add(uint16(31), uint16(783), uint16(127), uint8(4), true, uint32(3))
 	f.Add(uint16(7), uint16(24), uint16(783), uint8(5), false, uint32(5))
+	for rows := range 8 {
+		f.Add(uint16(rows), uint16(255+rows), uint16(16*rows+40), uint8(rows+4), rows&1 == 0, uint32(rows+7))
+	}
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint16, variant uint8, accumulate bool, seed uint32) {
 		m, k, n := int(mRaw)%160+1, int(kRaw)%800+1, int(nRaw)%200+1
 		a := make([]float32, m*k)
@@ -164,12 +186,7 @@ func FuzzGEMMEpilogueTail(f *testing.F) {
 			saltSpecials(cb, seed+701)
 			saltSpecials(a[:min(len(a), 64)], seed+809)
 		}
-		eps := []Epilogue{
-			{}, {Act: EpActReLU}, {Act: EpActSigmoid},
-			{ColBias: cb}, {ColBias: cb, Act: EpActReLU}, {ColBias: cb, Act: EpActSigmoid},
-			{RowBias: rb}, {RowBias: rb, Act: EpActReLU}, {RowBias: rb, Act: EpActSigmoid},
-			{RowBias: rb, ColBias: cb, Act: EpActReLU},
-		}
+		eps := tailEpilogues(rb, cb)
 		ep := eps[int(variant)%len(eps)]
 		beta := float32(0)
 		if accumulate {
@@ -223,7 +240,7 @@ func BenchmarkTileTail(b *testing.B) {
 			}
 			b.Run(k.name+"/"+v.name+"/vector", func(b *testing.B) {
 				each(b, func(i0, j0 int) {
-					tileTail(k.vec, c[i0*n+j0:], n, &acc, cb[j0:], flags)
+					tileTail(k.vec, c[i0*n+j0:], n, &acc, cb[j0:], flags, k.mr)
 				})
 			})
 			b.Run(k.name+"/"+v.name+"/go", func(b *testing.B) {

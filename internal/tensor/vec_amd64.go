@@ -9,13 +9,13 @@ package tensor
 // group's biases, gemvRow's coefficient group) stay on the stack.
 
 //go:noescape
-func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags int)
+func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags, rows int)
 
 //go:noescape
-func tileTailAVX2(c *float32, ldc int, acc, bias *float32, flags int)
+func tileTailAVX2(c *float32, ldc int, acc, bias *float32, flags, rows int)
 
 //go:noescape
-func packRows8AVX2(dst, src *float32, lda, blocks int)
+func packRows8AVX2(dst, src *float32, lda, blocks, rows int)
 
 //go:noescape
 func sigmoidAVX512(dst, src *float32, n int) int
@@ -59,45 +59,52 @@ func axpy1AVX512(c, b *float32, n int, a float32)
 //go:noescape
 func axpy1AVX2(c, b *float32, n int, a float32)
 
-// tileTail is the write-back of one full tile of the instruction set's
-// micro-kernel (8×16 for AVX-512, each half of its 8×32 pair body in turn;
-// 8×8 for AVX2): acc's rows, plus C under tailAccumulate, plus bias under
-// tailColBias (one value per tile column) or tailRowBias (one per tile
-// row), floored at 0 under tailReLU, stored to the tile whose first element
-// is c[0] and whose rows are ldc apart. bias is read only under a bias
-// flag; the two bias flags do not combine.
-func tileTail(isa vecISA, c []float32, ldc int, acc *[maxMR * maxNR]float32, bias []float32, flags int) {
+// tileTail is the write-back of one full-width tile of the instruction
+// set's micro-kernel (8×16 for AVX-512, each half of its 8×32 pair body in
+// turn; 8×8 for AVX2) with rows real rows, 1 to 8: acc's leading rows, plus
+// C under tailAccumulate, plus bias under tailColBias (one value per tile
+// column) or tailRowBias (one per real row), floored at 0 under tailReLU,
+// stored to the tile whose first element is c[0] and whose rows are ldc
+// apart. bias is read only under a bias flag; the two bias flags do not
+// combine.
+func tileTail(isa vecISA, c []float32, ldc int, acc *[maxMR * maxNR]float32, bias []float32, flags, rows int) {
 	nr := isa.width()
-	_ = c[(maxMR-1)*ldc+nr-1]
+	if rows < 1 || rows > maxMR {
+		panic("tensor: tile write-back row count out of range")
+	}
+	_ = c[(rows-1)*ldc+nr-1]
 	var bp *float32 // stays nil, and unread, without a bias flag
 	switch {
 	case flags&tailColBias != 0:
 		bp = &bias[:nr][0]
 	case flags&tailRowBias != 0:
-		bp = &bias[:maxMR][0]
+		bp = &bias[:rows][0]
 	}
 	switch isa {
 	case vecAVX512:
-		tileTailAVX512(&c[0], ldc, &acc[0], bp, flags)
+		tileTailAVX512(&c[0], ldc, &acc[0], bp, flags, rows)
 	case vecAVX2:
-		tileTailAVX2(&c[0], ldc, &acc[0], bp, flags)
+		tileTailAVX2(&c[0], ldc, &acc[0], bp, flags, rows)
 	default:
 		panic("tensor: active kernel has no tile write-back routine")
 	}
 }
 
-// packRows8 packs the leading depths of one full eight-row sliver of a
-// row-major A — dst[p·8+i] = src[i·lda+p] — in whole 8×8 blocks and returns
-// how many depths that was; packA's Go loop finishes the rest. Both
-// instruction sets run the AVX2 transpose: the sliver is eight rows under
-// either.
-func packRows8(isa vecISA, dst, src []float32, lda, kc int) int {
+// packRows8 packs the leading depths of one eight-row sliver of a
+// row-major A with rows real rows, 1 to 8 — dst[p·8+i] = src[i·lda+p] for
+// i < rows, +0 past them — in whole 8×8 blocks and returns how many depths
+// that was; packA's Go loop finishes the rest. Both instruction sets run the
+// AVX2 transpose: the sliver is eight rows under either.
+func packRows8(isa vecISA, dst, src []float32, lda, kc, rows int) int {
 	n := kc &^ 7
 	if isa == vecNone || n == 0 {
 		return 0
 	}
-	_, _ = dst[n*8-1], src[7*lda+n-1]
-	packRows8AVX2(&dst[0], &src[0], lda, n/8)
+	if rows < 1 || rows > 8 {
+		panic("tensor: packed sliver row count out of range")
+	}
+	_, _ = dst[n*8-1], src[(rows-1)*lda+n-1]
+	packRows8AVX2(&dst[0], &src[0], lda, n/8, rows)
 	return n
 }
 

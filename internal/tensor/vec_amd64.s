@@ -3,20 +3,22 @@
 #include "textflag.h"
 
 // The vector loops that sit outside the micro-kernel: the write-back tail of
-// a full blocked-GEMM tile (gemm_blocked.go), the body of SigmoidSlice
-// (gemm_epilogue.go), the tap-accumulate kernel and the row compaction of the
-// direct convolution (conv_direct.go), the 2×2 max-pool body (maxpool.go),
-// the narrow product of gemmNaive and the bodies of gemvRow's fused
-// passes (gemm.go). Each comes in an AVX-512 and an AVX2 form, selected by
-// the vecISA of the registry entry whose CPUID gate covers it
-// (gemm_amd64.go); the AVX-512 forms use AVX-512F instructions only, the
+// a full-width blocked-GEMM tile and the row-major A packing
+// (gemm_blocked.go), the body of SigmoidSlice (gemm_epilogue.go), the
+// tap-accumulate kernel and the row compaction of the direct convolution
+// (conv_direct.go), the 2×2 max-pool body (maxpool.go), the narrow product of
+// gemmNaive and the bodies of gemvRow's fused passes (gemm.go). Each but the
+// packing (one AVX2 transpose under both) comes in an AVX-512 and an AVX2
+// form, selected by the vecISA of the registry entry whose CPUID gate covers
+// it (gemm_amd64.go); the AVX-512 forms use AVX-512F instructions only, the
 // gate's one feature.
 
-// func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags int)
+// func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags, rows int)
 //
-// The write-back tail of one full 8×16 tile: the accumulator rows the
-// micro-kernel left in acc (row stride 16) go to the eight C rows at c (row
-// stride ldc floats) through, in this order and only where flags ask,
+// The write-back tail of one 8×16 tile, rows (1 to 8) of it real: the
+// accumulator rows the micro-kernel left in acc (row stride 16) go to the
+// rows C rows at c (row stride ldc floats) through, in this order and only
+// where flags ask,
 //
 //	v = acc + C        tailAccumulate (1): writeTile's crow[j] += v
 //	v = v + bias[j]    tailColBias (2): epilogueTile's row[j] += cb[j]
@@ -26,14 +28,19 @@
 // one VADDPS each with the running value as first source — the operand the
 // compiled Go loops keep in the destination register — so where two NaNs
 // meet, the payload that survives is the one the Go loop keeps. One store per
-// row; C is read only under tailAccumulate.
-TEXT ·tileTailAVX512(SB), NOSPLIT, $0-40
+// row; C is read only under tailAccumulate, and acc, C and a row bias only
+// for the real rows. A full tile runs unrolled; a short one, a row at a time
+// through the same operations.
+TEXT ·tileTailAVX512(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ acc+16(FP), SI
 	MOVQ bias+24(FP), DX
 	MOVQ flags+32(FP), CX
+	MOVQ rows+40(FP), BX
 	SHLQ $2, R8
+	CMPQ BX, $8
+	JLT  ztshort
 	LEAQ (R8)(R8*2), R9
 	LEAQ (DI)(R8*4), R10
 	VMOVUPS (SI), Z0
@@ -113,16 +120,59 @@ ztstore:
 	VZEROUPPER
 	RET
 
-// func tileTailAVX2(c *float32, ldc int, acc, bias *float32, flags int)
+ztshort:
+	TESTQ $2, CX
+	JZ    ztszero
+	VMOVUPS (DX), Z8
+
+ztszero:
+	VPXORD Z10, Z10, Z10
+
+ztsrow:
+	VMOVUPS (SI), Z0
+	TESTQ   $1, CX
+	JZ      ztscol
+	VADDPS  (DI), Z0, Z0
+
+ztscol:
+	TESTQ  $2, CX
+	JZ     ztsbias
+	VADDPS Z8, Z0, Z0
+
+ztsbias:
+	TESTQ        $4, CX
+	JZ           ztsrelu
+	VBROADCASTSS (DX), Z9
+	VADDPS       Z9, Z0, Z0
+	ADDQ         $4, DX
+
+ztsrelu:
+	TESTQ  $8, CX
+	JZ     ztsstore
+	VMAXPS Z0, Z10, Z0
+
+ztsstore:
+	VMOVUPS Z0, (DI)
+	ADDQ    $64, SI
+	ADDQ    R8, DI
+	DECQ    BX
+	JNZ     ztsrow
+	VZEROUPPER
+	RET
+
+// func tileTailAVX2(c *float32, ldc int, acc, bias *float32, flags, rows int)
 //
-// tileTailAVX512 for the 8×8 tile: accumulator row stride 8, eight YMM rows.
-TEXT ·tileTailAVX2(SB), NOSPLIT, $0-40
+// tileTailAVX512 for the 8×8 tile: accumulator row stride 8, YMM rows.
+TEXT ·tileTailAVX2(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ acc+16(FP), SI
 	MOVQ bias+24(FP), DX
 	MOVQ flags+32(FP), CX
+	MOVQ rows+40(FP), BX
 	SHLQ $2, R8
+	CMPQ BX, $8
+	JLT  ytshort
 	LEAQ (R8)(R8*2), R9
 	LEAQ (DI)(R8*4), R10
 	VMOVUPS (SI), Y0
@@ -202,23 +252,68 @@ ytstore:
 	VZEROUPPER
 	RET
 
-// func packRows8AVX2(dst, src *float32, lda, blocks int)
+ytshort:
+	TESTQ $2, CX
+	JZ    ytszero
+	VMOVUPS (DX), Y8
+
+ytszero:
+	VXORPS Y10, Y10, Y10
+
+ytsrow:
+	VMOVUPS (SI), Y0
+	TESTQ   $1, CX
+	JZ      ytscol
+	VADDPS  (DI), Y0, Y0
+
+ytscol:
+	TESTQ  $2, CX
+	JZ     ytsbias
+	VADDPS Y8, Y0, Y0
+
+ytsbias:
+	TESTQ        $4, CX
+	JZ           ytsrelu
+	VBROADCASTSS (DX), Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $4, DX
+
+ytsrelu:
+	TESTQ  $8, CX
+	JZ     ytsstore
+	VMAXPS Y0, Y10, Y0
+
+ytsstore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    R8, DI
+	DECQ    BX
+	JNZ     ytsrow
+	VZEROUPPER
+	RET
+
+// func packRows8AVX2(dst, src *float32, lda, blocks, rows int)
 //
-// packA's row-major case for one full sliver: eight rows of A, lda floats
-// apart from src, are copied depth-major — dst[p·8+i] = src[i·lda+p] — for
-// blocks·8 depths, an 8×8 transpose in YMM registers per block (unpack
-// pairs, shuffle quads, swap 128-bit halves) and eight contiguous stores
-// where the Go loop scatters. Copies only: any operand's bits survive.
-TEXT ·packRows8AVX2(SB), NOSPLIT, $0-32
+// packA's row-major case for one sliver: rows (1 to 8) rows of A, lda
+// floats apart from src, are copied depth-major — dst[p·8+i] = src[i·lda+p],
+// and +0 for i ≥ rows — for blocks·8 depths, an 8×8 transpose in YMM
+// registers per block (unpack pairs, shuffle quads, swap 128-bit halves) and
+// eight contiguous stores where the Go loop scatters. A short sliver loads
+// its real rows over zeroed registers and reads nothing past its last row.
+// Copies only: any operand's bits survive.
+TEXT ·packRows8AVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ lda+16(FP), R8
 	MOVQ blocks+24(FP), CX
+	MOVQ rows+32(FP), BX
 	SHLQ $2, R8
 	LEAQ (R8)(R8*2), R9
 	LEAQ (SI)(R8*4), R10
 
-ptrans:
+pblock:
+	CMPQ       BX, $8
+	JLT        pshort
 	VMOVUPS    (SI), Y0
 	VMOVUPS    (SI)(R8*1), Y1
 	VMOVUPS    (SI)(R8*2), Y2
@@ -227,6 +322,8 @@ ptrans:
 	VMOVUPS    (R10)(R8*1), Y5
 	VMOVUPS    (R10)(R8*2), Y6
 	VMOVUPS    (R10)(R9*1), Y7
+
+ptrans:
 	VUNPCKLPS  Y1, Y0, Y8
 	VUNPCKHPS  Y1, Y0, Y9
 	VUNPCKLPS  Y3, Y2, Y10
@@ -263,9 +360,38 @@ ptrans:
 	ADDQ       $32, R10
 	ADDQ       $256, DI
 	DECQ       CX
-	JNZ        ptrans
+	JNZ        pblock
 	VZEROUPPER
 	RET
+
+pshort:
+	VXORPS     Y1, Y1, Y1
+	VXORPS     Y2, Y2, Y2
+	VXORPS     Y3, Y3, Y3
+	VXORPS     Y4, Y4, Y4
+	VXORPS     Y5, Y5, Y5
+	VXORPS     Y6, Y6, Y6
+	VXORPS     Y7, Y7, Y7
+	VMOVUPS    (SI), Y0
+	CMPQ       BX, $2
+	JLT        ptrans
+	VMOVUPS    (SI)(R8*1), Y1
+	CMPQ       BX, $3
+	JLT        ptrans
+	VMOVUPS    (SI)(R8*2), Y2
+	CMPQ       BX, $4
+	JLT        ptrans
+	VMOVUPS    (SI)(R9*1), Y3
+	CMPQ       BX, $5
+	JLT        ptrans
+	VMOVUPS    (R10), Y4
+	CMPQ       BX, $6
+	JLT        ptrans
+	VMOVUPS    (R10)(R8*1), Y5
+	CMPQ       BX, $7
+	JLT        ptrans
+	VMOVUPS    (R10)(R8*2), Y6
+	JMP        ptrans
 
 // SIGMOID_TIE_MARGIN is how close, in float64 ulps, the vector sigmoid lets
 // its y = 1/(1+e) come to a float32 rounding tie before it stops trusting

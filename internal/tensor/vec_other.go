@@ -7,11 +7,11 @@ package tensor
 // epilogueTile, SigmoidSlice, gemvRow, MaxPool2 and gemmNaive run their
 // Go loops and no convolution takes the direct path.
 
-func tileTail(vecISA, []float32, int, *[maxMR * maxNR]float32, []float32, int) {
+func tileTail(vecISA, []float32, int, *[maxMR * maxNR]float32, []float32, int, int) {
 	panic("tensor: active kernel has no tile write-back routine")
 }
 
-func packRows8(vecISA, []float32, []float32, int, int) int { return 0 }
+func packRows8(vecISA, []float32, []float32, int, int, int) int { return 0 }
 
 func sigmoidVec(vecISA, []float32, []float32) int { return 0 }
 
