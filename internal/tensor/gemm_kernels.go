@@ -38,8 +38,8 @@ type microKernelFunc func(kc int, ap, bp []float32, acc *[maxMR * maxNR]float32)
 type pairKernelFunc func(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float32)
 
 // vecISA names the instruction set of the vector loops that sit outside the
-// micro-kernel — the write-back tail of a full tile (tileTail), the body of
-// SigmoidSlice, the direct convolution's tap-accumulate kernel and row
+// micro-kernel — the write-back tail of a full-width tile (tileTail), the
+// body of SigmoidSlice, the direct convolution's tap-accumulate kernel and row
 // compaction (conv_direct.go), the bodies of gemvRow's fused passes, the 2×2
 // max-pool body (MaxPool2) and the narrow product (gemmNaive) — for the
 // registry entry whose CPUID gate covers them. vecNone: tiles are written
