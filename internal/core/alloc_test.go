@@ -17,9 +17,9 @@ import (
 // The serving path's zero-allocation promise: once a pipeline's compiled
 // plans have been built, steady-state classification performs no heap
 // allocations — on one proc or several, at one row or a full batch of 32,
-// under any micro-kernel, at whatever tensor.SetGEMMThreads width the
-// process runs (nothing beneath a plan fans out). The count is taken at two
-// procs at least (testing.AllocsPerRun would pin the run to one).
+// under any micro-kernel (nothing beneath a plan fans out). The count is
+// taken at two procs at least (testing.AllocsPerRun would pin the run to
+// one).
 
 func allocTestPipeline() *Pipeline {
 	br := models.NewBranchyLeNet(rng.New(11), 0.05)

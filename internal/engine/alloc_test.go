@@ -15,8 +15,7 @@ import (
 // every request — performs zero heap allocations and starts no goroutine.
 // The count is taken at two procs at least (testing.AllocsPerRun would pin
 // one) and under both GEMM dispatches: the host's, and the scalar one a CPU
-// without an FMA kernel gets. Neither fans out beneath a plan, at any
-// tensor.SetGEMMThreads width, and New leaves the width as it found it.
+// without an FMA kernel gets. Neither fans out beneath a plan.
 // The worker comes from e.newWorker, i.e. exactly the production wiring
 // with tracing attached.
 func TestRunBatchZeroAlloc(t *testing.T) {

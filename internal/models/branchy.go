@@ -86,7 +86,7 @@ func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg train.Config) error {
 
 		stemGrad := b.Branch.Backward(gb)
 		stemGrad.AddInPlace(b.Trunk.Backward(gm))
-		b.Stem.Backward(stemGrad)
+		b.Stem.BackwardParams(stemGrad)
 		return BranchWeight*lb + MainWeight*lm
 	})
 	return err

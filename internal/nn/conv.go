@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -11,58 +12,26 @@ import (
 // implemented as im2col + GEMM. The weight has shape
 // (OutC, InC*KH*KW) and the bias (OutC).
 //
-// Both passes split the batch through tensor.ParallelFor. The forward pass
-// expands each sample into its own slice of one batch column buffer, kept
-// for Backward. The backward pass cuts the batch into backwardChunks chunks,
-// whatever the width, gives each chunk private weight/bias gradient
-// accumulators and reduces them in chunk order: the classic data-parallel
-// gradient pattern, with bits that do not depend on the host's core count.
+// Training lowers a conv the way a compiled plan does: the whole batch
+// expands into one column matrix, ColRows × n·ColCols with sample i in
+// columns [i·ColCols, (i+1)·ColCols), and each pass is one product over it.
+// Everything runs on the calling goroutine.
 type Conv2D struct {
 	LayerName string
 	Dims      tensor.ConvDims
 	OutC      int
 	W, B      *Param
 
-	// lastInput and lastCols cache the last Forward's state for Backward.
-	lastInput *tensor.Tensor
-	lastCols  []float32 // batch of im2col matrices, one per sample
-
-	// bwd holds the per-worker backward scratch (gradient accumulators,
-	// dcol buffers, GEMM packing panels), retained across steps so the
-	// training loop stops reallocating them every minibatch.
-	bwd convBackward
-}
-
-// backwardChunks is how many contiguous chunks Conv2D.Backward cuts a batch
-// of at least that many samples into, each with its own gradient accumulators,
-// reduced in chunk order. The chunking fixes the order of the float additions
-// and so the trained bits. 2 is the split the benchmark fixture was trained
-// with on the 2-core reference host, when the chunk count was the core count.
-// Fixing it keeps that fixture's bits and makes them every host's bits.
-const backwardChunks = 2
-
-// convBackward is the retained backward-pass scratch of one Conv2D: slot w
-// belongs to chunk w of the data-parallel gradient split.
-type convBackward struct {
-	dWs   []*tensor.Tensor
-	dBs   []*tensor.Tensor
-	dcols [][]float32
-	packs []tensor.PackScratch
-}
-
-// ensure grows the scratch to cover chunks slots and zeroes the gradient
-// accumulators of the slots about to be used.
-func (s *convBackward) ensure(chunks, outC, colRows, colCols int) {
-	for len(s.dWs) < chunks {
-		s.dWs = append(s.dWs, tensor.New(outC, colRows))
-		s.dBs = append(s.dBs, tensor.New(outC))
-		s.dcols = append(s.dcols, make([]float32, colRows*colCols))
-		s.packs = append(s.packs, tensor.PackScratch{})
-	}
-	for w := 0; w < chunks; w++ {
-		s.dWs[w].Zero()
-		s.dBs[w].Zero()
-	}
+	// lastN is the batch size of the Forward that Backward has not yet
+	// consumed, 0 when there is none.
+	lastN int
+	// The training scratch, grown by the first Forward and reused by every
+	// step after it; a network that is only served holds none. cols is the
+	// batch's column matrix, and after dW has read it Backward's dcol = Wᵀ·g
+	// (the same shape). g is the channel-major output gradient
+	// (OutC × n·ColCols), and Forward's channel-major product before it.
+	cols, g []float32
+	pack    tensor.PackScratch
 }
 
 // NewConv2D creates a convolution layer. Geometry errors (kernel larger than
@@ -113,120 +82,104 @@ func (c *Conv2D) OutSize(inSize int) (int, error) {
 	return c.OutC * c.Dims.OutH * c.Dims.OutW, nil
 }
 
-// Forward convolves every sample in the batch.
+// Forward convolves every sample in the batch: one im2col expansion of the
+// whole batch, one GEMM with the per-channel bias in its epilogue, and a
+// regroup copy to sample-major rows.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
 	if len(x.Shape) != 2 || x.Shape[1] != c.InSize() {
 		panic(fmt.Sprintf("conv %s: input shape %v, want (N, %d)", c.LayerName, x.Shape, c.InSize()))
 	}
-	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-	outWidth := c.OutC * colCols
-	y := tensor.New(n, outWidth)
-
-	c.lastInput = x
-	cols := make([]float32, n*colRows*colCols)
-	c.lastCols = cols
-
-	perSampleCost := colRows * colCols * c.OutC
-	tensor.ParallelFor(n, perSampleCost, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			img := x.Data[i*c.InSize() : (i+1)*c.InSize()]
-			buf := cols[i*colRows*colCols : (i+1)*colRows*colCols]
-			tensor.Im2Col(img, c.Dims, buf)
-			colMat := tensor.FromSlice(buf, colRows, colCols)
-			out := tensor.FromSlice(y.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
-			tensor.MatMulInto(out, c.W.Value, colMat, 1, 0)
-			// Add per-channel bias across the spatial extent.
-			for oc := 0; oc < c.OutC; oc++ {
-				b := c.B.Value.Data[oc]
-				row := out.Data[oc*colCols : (oc+1)*colCols]
-				for j := range row {
-					row[j] += b
-				}
-			}
-		}
-	})
+	n := x.Shape[0]
+	colRows, batchCols := c.Dims.ColRows(), n*c.Dims.ColCols()
+	c.cols = slices.Grow(c.cols[:0], colRows*batchCols)[:colRows*batchCols]
+	c.g = slices.Grow(c.g[:0], c.OutC*batchCols)[:c.OutC*batchCols]
+	c.im2col(x.Data, c.cols, n)
+	tensor.GEMMEpilogue(c.W.Value.Data, c.cols, c.g, c.OutC, colRows, batchCols,
+		tensor.Epilogue{RowBias: c.B.Value.Data}, &c.pack)
+	y := tensor.New(n, c.OutC*c.Dims.ColCols())
+	c.scatter(c.g, y.Data, n)
+	c.lastN = n
 	return y
 }
 
-// im2colRange expands samples [i0, i1) of the flattened batch in into their
-// column windows of the batch column matrix.
-func (c *Conv2D) im2colRange(in, col []float32, batchCols, i0, i1 int) {
-	inSize := c.InSize()
+// im2col expands the n samples of the flattened batch in into their column
+// windows of the batch column matrix col.
+func (c *Conv2D) im2col(in, col []float32, n int) {
+	inSize, colCols := c.InSize(), c.Dims.ColCols()
+	for i := 0; i < n; i++ {
+		tensor.Im2ColInto(in[i*inSize:(i+1)*inSize], c.Dims, col, n*colCols, i*colCols)
+	}
+}
+
+// scatter writes the n samples of the channel-major matrix src
+// (OutC × n·ColCols) into sample-major rows of dst — a pure regroup copy,
+// the bias having been fused into the GEMM. gather is its inverse.
+func (c *Conv2D) scatter(src, dst []float32, n int) {
 	colCols := c.Dims.ColCols()
-	for i := i0; i < i1; i++ {
-		img := in[i*inSize : (i+1)*inSize]
-		tensor.Im2ColInto(img, c.Dims, col, batchCols, i*colCols)
-	}
-}
-
-// scatterRange writes samples [i0, i1) of the channel-major GEMM output src
-// into sample-major layout in dst — a pure regroup copy, the bias having been
-// fused into the GEMM.
-func (c *Conv2D) scatterRange(src, dst []float32, colCols, batchCols, i0, i1 int) {
-	outWidth := c.OutC * colCols
-	for i := i0; i < i1; i++ {
-		row := dst[i*outWidth : (i+1)*outWidth]
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < c.OutC; oc++ {
-			copy(row[oc*colCols:(oc+1)*colCols], src[oc*batchCols+i*colCols:oc*batchCols+(i+1)*colCols])
+			off := (oc*n + i) * colCols
+			copy(dst[(i*c.OutC+oc)*colCols:], src[off:off+colCols])
 		}
 	}
 }
 
-// Backward computes parameter gradients and the input gradient. Each of
-// backwardChunks chunks of the batch accumulates into private dW/db buffers,
-// so no locks are held inside the hot loop; tensor.ParallelFor runs the
-// chunks, and the buffers are reduced serially in chunk order after it.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastInput == nil || c.lastCols == nil {
-		panic(fmt.Sprintf("conv %s: Backward before Forward", c.LayerName))
+// gather regroups the n sample-major rows of src into the channel-major
+// matrix dst (OutC × n·ColCols).
+func (c *Conv2D) gather(src, dst []float32, n int) {
+	colCols := c.Dims.ColCols()
+	for i := 0; i < n; i++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			off := (i*c.OutC + oc) * colCols
+			copy(dst[(oc*n+i)*colCols:], src[off:off+colCols])
+		}
 	}
-	n := grad.Shape[0]
-	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-	outWidth := c.OutC * colCols
-	if len(grad.Shape) != 2 || grad.Shape[1] != outWidth || n != c.lastInput.Shape[0] {
-		panic(fmt.Sprintf("conv %s: grad shape %v, want (%d, %d)", c.LayerName, grad.Shape, c.lastInput.Shape[0], outWidth))
-	}
-	dx := tensor.New(n, c.InSize())
+}
 
-	chunks := max(1, min(backwardChunks, n))
-	c.bwd.ensure(chunks, c.OutC, colRows, colCols)
-	chunk := (n + chunks - 1) / chunks
-	share := func(w int) {
-		dW, dB := c.bwd.dWs[w], c.bwd.dBs[w]
-		dcol := c.bwd.dcols[w]
-		pack := &c.bwd.packs[w]
-		dcolMat := tensor.FromSlice(dcol, colRows, colCols)
-		for i := w * chunk; i < min((w+1)*chunk, n); i++ {
-			gOut := tensor.FromSlice(grad.Data[i*outWidth:(i+1)*outWidth], c.OutC, colCols)
-			col := tensor.FromSlice(c.lastCols[i*colRows*colCols:(i+1)*colRows*colCols], colRows, colCols)
-			// dW += gOut · colᵀ, accumulated in place through the
-			// chunk's retained packing panels.
-			tensor.MatMulTransBAcc(dW, gOut, col, pack)
-			// db += spatial sums of gOut
-			for oc := 0; oc < c.OutC; oc++ {
-				row := gOut.Data[oc*colCols : (oc+1)*colCols]
-				var s float32
-				for _, v := range row {
-					s += v
-				}
-				dB.Data[oc] += s
-			}
-			// dcol = Wᵀ · gOut, then scatter back to image space.
-			tensor.MatMulTransAInto(dcolMat, c.W.Value, gOut, pack)
-			img := dx.Data[i*c.InSize() : (i+1)*c.InSize()]
-			tensor.Col2Im(dcol, c.Dims, img)
-		}
-	}
-	// Two products a sample: the dW update and dcol.
-	tensor.ParallelFor(chunks, 2*chunk*colRows*colCols*c.OutC, func(w0, w1 int) {
-		for w := w0; w < w1; w++ {
-			share(w)
-		}
-	})
-	for w := 0; w < chunks; w++ {
-		c.W.Grad().AddInPlace(c.bwd.dWs[w])
-		c.B.Grad().AddInPlace(c.bwd.dBs[w])
+// Backward accumulates the parameter gradients (backwardParams) and returns
+// the input gradient: dcol = Wᵀ·g, one product over the whole batch, written
+// over the column matrix and scattered back to image space sample by
+// sample. Each Backward consumes one Forward.
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	n := c.backwardParams(grad)
+	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
+	batchCols := n * colCols
+	dcol := c.cols
+	tensor.MatMulTransAInto(tensor.FromSlice(dcol, colRows, batchCols), c.W.Value,
+		tensor.FromSlice(c.g, c.OutC, batchCols), &c.pack)
+	dx := tensor.New(n, c.InSize())
+	for i := 0; i < n; i++ {
+		tensor.Col2ImFrom(dx.Data[i*c.InSize():(i+1)*c.InSize()], c.Dims, dcol, batchCols, i*colCols)
 	}
 	return dx
+}
+
+// backwardParams is the parameter half of Backward, and consumes the
+// Forward as Backward does: it regroups grad channel-major into g, then
+// accumulates dW += g·colsᵀ, one product over the whole batch, and db += the
+// row sums of g. It returns the batch size. A network's first layer stops
+// here (Sequential.BackwardParams): nothing reads its input gradient.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) int {
+	n := c.lastN
+	if n == 0 {
+		panic(fmt.Sprintf("conv %s: Backward without a Forward to consume", c.LayerName))
+	}
+	c.lastN = 0
+	outWidth := c.OutC * c.Dims.ColCols()
+	if len(grad.Shape) != 2 || grad.Shape[0] != n || grad.Shape[1] != outWidth {
+		panic(fmt.Sprintf("conv %s: grad shape %v, want (%d, %d)", c.LayerName, grad.Shape, n, outWidth))
+	}
+	colRows, batchCols := c.Dims.ColRows(), n*c.Dims.ColCols()
+	c.gather(grad.Data, c.g, n)
+	g := tensor.FromSlice(c.g, c.OutC, batchCols)
+	tensor.MatMulTransBAcc(c.W.Grad(), g, tensor.FromSlice(c.cols, colRows, batchCols), &c.pack)
+	db := c.B.Grad().Data
+	for oc := range c.OutC {
+		var s float32
+		for _, v := range c.g[oc*batchCols : (oc+1)*batchCols] {
+			s += v
+		}
+		db[oc] += s
+	}
+	return n
 }

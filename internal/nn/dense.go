@@ -98,17 +98,23 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// Backward accumulates dW = xᵀ·dy and db = Σ_batch dy, and returns
-// dx = dy·Wᵀ. The gradient products accumulate directly into the parameter
-// gradients through the layer's retained packing panels, so a training step
-// allocates only the returned dx.
+// Backward accumulates the parameter gradients (backwardParams) and returns
+// dx = dy·Wᵀ. The products run through the layer's retained packing panels,
+// so a training step allocates only the returned dx.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
+	dx := tensor.New(grad.Shape[0], d.In)
+	tensor.MatMulTransBInto(dx, grad, d.W.Value, &d.pack)
+	return dx
+}
+
+// backwardParams is the parameter half of Backward: dW += xᵀ·dy and
+// db += Σ_batch dy, accumulated directly into the parameter gradients. A
+// network's first layer stops here (Sequential.BackwardParams).
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if d.lastInput == nil {
 		panic(fmt.Sprintf("dense %s: Backward before Forward", d.LayerName))
 	}
 	tensor.MatMulTransAAcc(d.W.Grad(), d.lastInput, grad, &d.pack)
 	grad.SumRowsInto(d.B.Grad())
-	dx := tensor.New(grad.Shape[0], d.In)
-	tensor.MatMulTransBInto(dx, grad, d.W.Value, &d.pack)
-	return dx
 }

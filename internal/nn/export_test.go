@@ -40,15 +40,14 @@ func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 				tensor.ConvDirect(make([]float32, tensor.ConvDirectLen(c.Dims, c.OutC)), cur, n, c.Dims, c.W.Value.Data, c.OutC, ep, out)
 				break
 			}
-			colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-			batchCols := n * colCols
+			colRows, batchCols := c.Dims.ColRows(), n*c.Dims.ColCols()
 			col := make([]float32, colRows*batchCols)
-			c.im2colRange(cur, col, batchCols, 0, n)
+			c.im2col(cur, col, n)
 			gemmOut := make([]float32, c.OutC*batchCols)
 			tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, nil)
-			c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
+			c.scatter(gemmOut, out, n)
 		case opPool:
-			st.pool.poolRange(cur, out, make([]int32, len(out)), 0, n)
+			st.pool.poolRange(cur, out, make([]int32, len(out)), n)
 		case opAct:
 			runAct(st, cur, out, n)
 		}

@@ -108,6 +108,26 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// BackwardParams is Backward for a trainer that reads no gradient with
+// respect to the network input: it accumulates every parameter gradient,
+// and a Conv2D or Dense first layer builds no input gradient.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	switch l := s.Layers[0].(type) {
+	case *Conv2D:
+		l.backwardParams(grad)
+	case *Dense:
+		l.backwardParams(grad)
+	default:
+		l.Backward(grad)
+	}
+}
+
 // Params returns all trainable parameters in layer order.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -113,16 +114,31 @@ func TestDenseBias(t *testing.T) {
 	}
 }
 
+// convBatches are the batch sizes the conv gradient checks run at: one
+// sample, a few, and a training minibatch.
+var convBatches = []int{1, 3, 32}
+
+// forConvBatches runs check as one subtest per batch size of convBatches.
+func forConvBatches(t *testing.T, check func(t *testing.T, n int)) {
+	for _, n := range convBatches {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { check(t, n) })
+	}
+}
+
 func TestConvGradients(t *testing.T) {
-	r := rng.New(2)
-	c := MustConv2D("c", 2, 6, 6, 3, 3, 3, 1, 1, r)
-	checkGradients(t, c, randInput(r, 2, 2*6*6), 2e-2)
+	forConvBatches(t, func(t *testing.T, n int) {
+		r := rng.New(2)
+		c := MustConv2D("c", 2, 6, 6, 3, 3, 3, 1, 1, r)
+		checkGradients(t, c, randInput(r, n, 2*6*6), 2e-2)
+	})
 }
 
 func TestConvStrideGradients(t *testing.T) {
-	r := rng.New(3)
-	c := MustConv2D("c", 1, 8, 8, 2, 3, 3, 2, 0, r)
-	checkGradients(t, c, randInput(r, 2, 64), 2e-2)
+	forConvBatches(t, func(t *testing.T, n int) {
+		r := rng.New(3)
+		c := MustConv2D("c", 1, 8, 8, 2, 3, 3, 2, 0, r)
+		checkGradients(t, c, randInput(r, n, 64), 2e-2)
+	})
 }
 
 func TestConvOutSize(t *testing.T) {
@@ -337,19 +353,58 @@ func TestSequentialGradients(t *testing.T) {
 }
 
 func TestConvPoolStackGradients(t *testing.T) {
-	r := rng.New(13)
-	net := NewSequential("cnn",
-		MustConv2D("c1", 1, 8, 8, 2, 3, 3, 1, 0, r),
-		NewReLU("r1"),
-		MustMaxPool2D("p1", 2, 6, 6, 2, 2),
-		NewDense("d1", 2*3*3, 4, r),
-	)
-	checkGradients(t, net, randInput(r, 2, 64), 3e-2)
+	forConvBatches(t, func(t *testing.T, n int) {
+		r := rng.New(13)
+		net := NewSequential("cnn",
+			MustConv2D("c1", 1, 8, 8, 2, 3, 3, 1, 0, r),
+			NewReLU("r1"),
+			MustMaxPool2D("p1", 2, 6, 6, 2, 2),
+			NewDense("d1", 2*3*3, 4, r),
+		)
+		checkGradients(t, net, randInput(r, n, 64), 3e-2)
+	})
+}
+
+// TestBackwardParamsMatchesBackward: BackwardParams, which builds no input
+// gradient for the first layer, accumulates the same parameter gradient bits
+// as Backward, with a conv or a dense layer first.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	for _, first := range []string{"conv", "dense"} {
+		build := func() *Sequential {
+			r := rng.New(17)
+			if first == "conv" {
+				return NewSequential("cnn",
+					MustConv2D("c1", 1, 8, 8, 2, 3, 3, 1, 1, r),
+					NewReLU("r1"),
+					MustConv2D("c2", 2, 8, 8, 3, 3, 3, 2, 0, r),
+					NewDense("d1", 3*3*3, 4, r),
+				)
+			}
+			return NewSequential("mlp", NewDense("d1", 64, 16, r), NewReLU("r1"), NewDense("d2", 16, 4, r))
+		}
+		x := randInput(rng.New(18), 5, 64)
+		full, params := build(), build()
+		y := full.Forward(x)
+		g := randInput(rng.New(19), y.Shape[0], y.Shape[1])
+		full.Backward(g)
+		params.Forward(x)
+		params.BackwardParams(g)
+		for i, p := range params.Params() {
+			want := full.Params()[i].Grad().Data
+			for j, v := range p.Grad().Data {
+				if math.Float32bits(v) != math.Float32bits(want[j]) {
+					t.Errorf("%s first: %s grad[%d] = %v, Backward's %v", first, p.Name, j, v, want[j])
+					break
+				}
+			}
+		}
+	}
 }
 
 // TestServingHoldsNoGradients: a network that is built, compiled and run but
-// never trained holds no gradient buffers, ZeroGrad leaves them unallocated,
-// and the first Backward allocates them shaped like their parameters.
+// never trained holds no gradient buffers and no conv training scratch,
+// ZeroGrad leaves them unallocated, and the first Backward allocates the
+// gradients shaped like their parameters.
 func TestServingHoldsNoGradients(t *testing.T) {
 	r := rng.New(15)
 	net := NewSequential("cnn",
@@ -364,6 +419,9 @@ func TestServingHoldsNoGradients(t *testing.T) {
 		if p.grad != nil {
 			t.Fatalf("%s holds a gradient buffer without ever training", p.Name)
 		}
+	}
+	if c := net.Layers[0].(*Conv2D); c.cols != nil || c.g != nil || c.pack.PanelBytes() != 0 {
+		t.Fatal("c1 holds training scratch without ever training")
 	}
 	y := net.Forward(x)
 	net.Backward(tensor.New(y.Shape...))

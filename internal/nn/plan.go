@@ -48,8 +48,8 @@ import (
 // on the batch it rides in.
 //
 // A plan runs on the goroutine that calls Execute, and nothing beneath
-// Execute starts a goroutine, on any kernel and at any tensor.SetGEMMThreads
-// width: tensor's one fan-out, ParallelFor, serves the training layers only.
+// Execute starts a goroutine, on any kernel: nothing in tensor or nn does.
+// The engine's workers are the one fan-out.
 //
 // Weights contract: a plan serves the parameter values as of their last
 // Param.Touch. Conv weights and all biases are read in place; packed dense
@@ -508,7 +508,7 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		case opConv:
 			p.runConv(st, cur, out, n)
 		case opPool:
-			st.pool.poolInfer(cur, out, 0, n)
+			st.pool.poolInfer(cur, out, n)
 		case opAct:
 			runAct(st, cur, out, n)
 		}
@@ -590,17 +590,16 @@ func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 		tensor.ConvDirect(col, in, n, c.Dims, c.W.Value.Data, c.OutC, ep, out)
 		return
 	}
-	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-	batchCols := n * colCols
+	colRows, batchCols := c.Dims.ColRows(), n*c.Dims.ColCols()
 	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
 	if tensor.BlockedGEMM(c.OutC, colRows, batchCols) {
 		b := tensor.Im2ColPacked(col, in, n, c.Dims)
 		tensor.GEMMEpiloguePacked(c.W.Value.Data, &b, gemmOut, c.OutC, ep, &p.pack)
 	} else {
-		c.im2colRange(in, col, batchCols, 0, n)
+		c.im2col(in, col, n)
 		tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, &p.pack)
 	}
-	c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
+	c.scatter(gemmOut, out, n)
 }
 
 // runAct executes a standalone activation step (copy-apply into the output

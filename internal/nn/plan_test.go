@@ -168,8 +168,8 @@ func allocsPerRunMulticore(runs int, f func()) uint64 {
 
 // TestPlanExecuteZeroAlloc is the plan's allocation contract: a warm
 // Plan.Execute performs no heap allocation and starts no goroutine, at one
-// row, at a full batch of 32, on more than one proc and at the process's
-// fan-out width, whatever it is — on every kernel: neither the blocked path
+// row, at a full batch of 32, on more than one proc — on every kernel:
+// neither the blocked path
 // nor the scalar path of a host without an FMA kernel
 // (CBNET_GEMM_KERNEL=generic-8x8) fans out.
 func TestPlanExecuteZeroAlloc(t *testing.T) {
@@ -233,8 +233,8 @@ func TestPoolInferMatchesGeneralLoop(t *testing.T) {
 		}
 		outW := g.c * p.OutH * p.OutW
 		want, got := make([]float32, n*outW), make([]float32, n*outW)
-		p.poolRange(x.Data, want, make([]int32, n*outW), 0, n)
-		p.poolInfer(x.Data, got, 0, n)
+		p.poolRange(x.Data, want, make([]int32, n*outW), n)
+		p.poolInfer(x.Data, got, n)
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%+v: poolInfer[%d] = %v (%#x), general loop %v (%#x)", g, i,
@@ -277,8 +277,8 @@ func TestMaxPool2MatchesGo(t *testing.T) {
 				}
 				outLen := n * g.c * p.OutH * p.OutW
 				want, got := make([]float32, outLen), make([]float32, outLen)
-				p.poolRange(x.Data, want, make([]int32, outLen), 0, n)
-				p.poolInfer(x.Data, got, 0, n)
+				p.poolRange(x.Data, want, make([]int32, outLen), n)
+				p.poolInfer(x.Data, got, n)
 				for i := range want {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("%s %+v n=%d: pooled[%d] = %#08x, general loop %#08x", k.Name, g, n, i,
@@ -293,8 +293,7 @@ func TestMaxPool2MatchesGo(t *testing.T) {
 // TestDenseBackwardPackScratchAllocs pins the training-path satellite: a
 // dense backward step allocates only its returned dx once the layer's
 // retained packing panels are warm — on a host without a blocked kernel too,
-// where the transposed products and the bias sum run their scalar loops,
-// inline at every fan-out width.
+// where the transposed products and the bias sum run their scalar loops.
 func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -313,5 +312,38 @@ func TestDenseBackwardPackScratchAllocs(t *testing.T) {
 	// implementation paid three full product tensors plus panel churn.
 	if allocs > 4 {
 		t.Errorf("dense backward: %v allocs per warm step, want ≤ 4 (dx only)", allocs)
+	}
+}
+
+// TestConvStepReusesScratch: a warm conv training step — Forward, then
+// Backward — allocates the tensors it returns, rounded up to whole pages,
+// and a few headers; not its column matrix (960 KB here), channel-major
+// gradient or packing panels, which the layer keeps from the first step on.
+func TestConvStepReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	c := MustConv2D("conv2", 3, 14, 14, 48, 5, 5, 1, 0, rng.New(5))
+	x := tensor.New(32, c.InSize())
+	x.RandUniform(rng.New(6), -1, 1)
+	out, _ := c.OutSize(c.InSize())
+	grad := tensor.New(32, out)
+	grad.RandUniform(rng.New(7), -1, 1)
+	step := func() {
+		c.Forward(x)
+		c.Backward(grad)
+	}
+	step()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for range runs {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	returned := 4 * (len(x.Data) + len(grad.Data)) // y and dx
+	if got := int(after.TotalAlloc-before.TotalAlloc) / runs; got > returned+16384 {
+		t.Errorf("conv step allocates %d B, want ≤ %d (y and dx) + 16384", got, returned)
 	}
 }

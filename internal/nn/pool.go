@@ -75,18 +75,16 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	args := make([]int32, n*outWidth)
 	p.lastArg = args
 	p.lastBatch = n
-	tensor.ParallelFor(n, p.InSize()*p.Pool, func(i0, i1 int) {
-		p.poolRange(x.Data, y.Data, args, i0, i1)
-	})
+	p.poolRange(x.Data, y.Data, args, n)
 	return y
 }
 
-// poolRange pools samples [i0, i1) of the flattened batch x into y; when
-// args is non-nil it also records the winning input index of every output
+// poolRange pools the n samples of the flattened batch x into y; when args
+// is non-nil it also records the winning input index of every output
 // element for the backward pass.
-func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
+func (p *MaxPool2D) poolRange(x, y []float32, args []int32, n int) {
 	outWidth := p.C * p.OutH * p.OutW
-	for i := i0; i < i1; i++ {
+	for i := 0; i < n; i++ {
 		in := x[i*p.InSize() : (i+1)*p.InSize()]
 		out := y[i*outWidth : (i+1)*outWidth]
 		oi := 0
@@ -125,21 +123,18 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, i0, i1 int) {
 	}
 }
 
-// poolInfer is the plan's pooling step over samples [i0, i1). The 2×2
+// poolInfer is the plan's pooling step over n samples. The 2×2
 // stride-2 window of every shipped network is tensor.MaxPool2 (a vector body
 // under a vector ISA), which scans each window in poolRange's order with the
 // same v > best test from the same first element, so NaN and −Inf come out
 // as they do from Forward. Any other window runs poolRange itself, keeping no
 // winning index.
-func (p *MaxPool2D) poolInfer(x, y []float32, i0, i1 int) {
+func (p *MaxPool2D) poolInfer(x, y []float32, n int) {
 	if p.Pool != 2 || p.Stride != 2 {
-		p.poolRange(x, y, nil, i0, i1)
+		p.poolRange(x, y, nil, n)
 		return
 	}
-	planes := (i1 - i0) * p.C
-	in := x[i0*p.InSize() : i1*p.InSize()]
-	out := y[i0*p.C*p.OutH*p.OutW : i1*p.C*p.OutH*p.OutW]
-	tensor.MaxPool2(out, in, planes, p.H, p.W)
+	tensor.MaxPool2(y[:n*p.C*p.OutH*p.OutW], x[:n*p.InSize()], n*p.C, p.H, p.W)
 }
 
 // Backward routes each output gradient to the input position that won the
@@ -154,15 +149,13 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("maxpool %s: grad shape %v, want (%d, %d)", p.LayerName, grad.Shape, p.lastBatch, outWidth))
 	}
 	dx := tensor.New(n, p.InSize())
-	tensor.ParallelFor(n, outWidth, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			gRow := grad.Data[i*outWidth : (i+1)*outWidth]
-			dRow := dx.Data[i*p.InSize() : (i+1)*p.InSize()]
-			aRow := p.lastArg[i*outWidth : (i+1)*outWidth]
-			for j, g := range gRow {
-				dRow[aRow[j]] += g
-			}
+	for i := 0; i < n; i++ {
+		gRow := grad.Data[i*outWidth : (i+1)*outWidth]
+		dRow := dx.Data[i*p.InSize() : (i+1)*p.InSize()]
+		aRow := p.lastArg[i*outWidth : (i+1)*outWidth]
+		for j, g := range gRow {
+			dRow[aRow[j]] += g
 		}
-	})
+	}
 	return dx
 }

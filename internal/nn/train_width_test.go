@@ -3,6 +3,7 @@ package nn_test
 import (
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"cbnet/internal/loss"
@@ -13,27 +14,26 @@ import (
 )
 
 // TestTrainingIsWidthIndependent: trained weights are the same bits at every
-// fan-out width, so a fixture trained on one host is every host's fixture. A
-// small convolutional net takes a few Adam steps from one seed at widths 1, 2
-// and 4, and the FNV-64 of every parameter's bits must agree across the
-// three. Conv2D.Backward's per-chunk gradient accumulators are what a width
-// could reach: their count, and so the order of the float additions that
-// reduce them, must not follow it.
+// core count, so a fixture trained on one host is every host's fixture. A
+// small convolutional net takes a few Adam steps from one seed at GOMAXPROCS
+// 1, 2 and 4, and the FNV-64 of every parameter's bits must agree across the
+// three. Nothing in training reads the proc count, so this holds by
+// construction; the test keeps it so.
 func TestTrainingIsWidthIndependent(t *testing.T) {
 	want := trainAtWidth(1)
-	for _, width := range []int{2, 4} {
-		for name, sum := range trainAtWidth(width) {
+	for _, procs := range []int{2, 4} {
+		for name, sum := range trainAtWidth(procs) {
 			if sum != want[name] {
-				t.Errorf("width %d: %s hashes %#016x, width 1 %#016x", width, name, sum, want[name])
+				t.Errorf("GOMAXPROCS %d: %s hashes %#016x, GOMAXPROCS 1 %#016x", procs, name, sum, want[name])
 			}
 		}
 	}
 }
 
-// trainAtWidth trains the test net for a few Adam steps at fan-out width
-// width and returns the FNV-64 of each parameter's bits, by parameter name.
-func trainAtWidth(width int) map[string]uint64 {
-	defer tensor.SetGEMMThreads(tensor.SetGEMMThreads(width))
+// trainAtWidth trains the test net for a few Adam steps at GOMAXPROCS procs
+// and returns the FNV-64 of each parameter's bits, by parameter name.
+func trainAtWidth(procs int) map[string]uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	r := rng.New(21)
 	net := nn.NewSequential("width-net",
 		nn.MustConv2D("conv", 1, 8, 8, 4, 3, 3, 1, 1, r),

@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -13,16 +8,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	c := New(m, n)
 	GEMM(a.Data, b.Data, c.Data, m, k, n, 1, 0)
 	return c
-}
-
-// MatMulInto computes C = alpha*(A×B) + beta*C into an existing tensor,
-// avoiding an allocation. C must be m×n.
-func MatMulInto(c, a, b *Tensor, alpha, beta float32) {
-	m, k, n := checkMatMul(a, b)
-	if len(c.Shape) != 2 || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto output shape %v, want [%d %d]", c.Shape, m, n))
-	}
-	GEMM(a.Data, b.Data, c.Data, m, k, n, alpha, beta)
 }
 
 // GEMM computes C = alpha*(A×B) + beta*C over raw row-major slices: A is
@@ -315,87 +300,11 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 	}
 }
 
-// ParallelFor is the package's one fan-out, and the only code in tensor or
-// nn that starts a goroutine. The training layers' per-sample loops are its
-// only callers: every kernel beneath them, scalar or blocked, runs on the
-// goroutine that calls it, so one product never splits inside another's split.
-//
-// parallelThreshold is the least work, in approximate flops, that it spreads
-// over more than one goroutine: below it the handoff costs more than it saves.
-// A goroutine handoff + WaitGroup wake costs on the order of a few thousand
-// flops' worth of time, so a worker whose slice is only an item or two of
-// light work loses more to scheduling than it computes. Light items therefore
-// need minRowsPerWorker items each before another worker pays off; items heavy
-// enough to dwarf the handoff (heavyRowFlops: one that would cross the
-// threshold by itself) may split all the way down to one a worker — a batch
-// of a handful of expensive images. BenchmarkParallelRowsFloor holds the line
-// between the two: two items of half a threshold each run as fast on one
-// goroutine as on two (161–208 µs against 197–213 µs on the 2-core reference
-// host), without the four allocations of the split.
-const (
-	parallelThreshold = 64 * 64 * 64
-	minRowsPerWorker  = 4
-	heavyRowFlops     = parallelThreshold
-)
-
-// gemmThreadsVal is the fan-out width: the most goroutines one ParallelFor
-// spreads its range over. Default GOMAXPROCS.
-var gemmThreadsVal atomic.Int64
-
-func init() { gemmThreadsVal.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetGEMMThreads sets the process-wide width of ParallelFor and returns the
-// previous setting. Values below 1 clamp to 1, at which ParallelFor runs its
-// whole range on the calling goroutine; values above GOMAXPROCS are honored
-// rather than clamped. Nothing else reads it: no kernel fans out at any width,
-// so serving, whose parallelism is the engine's workers, never needs to set it.
-func SetGEMMThreads(n int) int {
-	return int(gemmThreadsVal.Swap(int64(max(n, 1))))
-}
-
-// GEMMThreads reports the current fan-out width.
-func GEMMThreads() int { return int(gemmThreadsVal.Load()) }
-
-// maxRowWorkers returns how many goroutines rows items totalling flops flops
-// deserve (1 = stay serial), at most GEMMThreads.
-func maxRowWorkers(rows, flops int) int {
-	workers := GEMMThreads()
-	if flops < parallelThreshold || workers < 2 || rows < 2 {
-		return 1
-	}
-	workers = min(workers, rows)
-	if flops/rows < heavyRowFlops {
-		workers = min(workers, max(rows/minRowsPerWorker, 1))
-	}
-	return workers
-}
-
-// ParallelFor splits [0, n) into contiguous chunks and runs fn on each chunk,
-// on up to GEMMThreads goroutines when n*costPerItem (an approximate flop
-// count) reaches parallelThreshold, and as one call fn(0, n) on the calling
-// goroutine otherwise. fn must be safe to call concurrently on disjoint
-// ranges, and must not depend on how the range was cut for its bits.
-func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
-	if n == 0 {
-		return
-	}
-	workers := maxRowWorkers(n, n*costPerItem)
-	if workers < 2 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i0 := 0; i0 < n; i0 += chunk {
-		i1 := min(i0+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i0, i1)
-		}()
-	}
-	wg.Wait()
-}
+// SetGEMMThreads does nothing and returns 1: nothing in tensor or nn fans
+// out, and nothing reads a width. It stays only because the benchmark
+// (benchmark/workloads.go) calls it; ROADMAP item 5 deletes it with that
+// caller.
+func SetGEMMThreads(int) int { return 1 }
 
 // AddRowVector adds vector v (length n) to every row of the m×n matrix t.
 func (t *Tensor) AddRowVector(v *Tensor) {

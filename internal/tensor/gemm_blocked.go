@@ -31,8 +31,8 @@ import "sync"
 //
 // A blocked GEMM runs on the goroutine that calls it, one A row block after
 // another against the packed B panel: parallelism is the caller's business —
-// engine workers across batches in serving, ParallelFor across samples in
-// training — and nothing fans out beneath either.
+// the engine's workers across batches in serving; training runs on one
+// goroutine — and nothing fans out beneath it.
 //
 // Packing uses zero padding up to the mr/nr multiple, so the micro-kernel
 // never sees a partial tile; the write-back handles ragged C edges. A
@@ -100,7 +100,8 @@ var gemmBufPool = sync.Pool{New: func() any { return new(gemmBuf) }}
 // sync.Pool contents are dropped at every GC cycle — and training loops
 // allocate enough elsewhere to GC constantly, so backward passes kept
 // regrowing panels. A PackScratch held by the caller (one per goroutine; the
-// layers keep one per backward worker) makes the reuse deterministic. The
+// training layers and the plans keep one each) makes the reuse
+// deterministic. A B panel is as deep as the product, up to blockKC. The
 // zero value is ready to use.
 type PackScratch struct {
 	buf gemmBuf
@@ -218,7 +219,7 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 		nc := min(blockNC, n-jc)
 		var bp []float32
 		if pb == nil {
-			bp = db.ensureB(blockKC * roundUp(nc, kern.nr))
+			bp = db.ensureB(min(blockKC, k) * roundUp(nc, kern.nr))
 		}
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)

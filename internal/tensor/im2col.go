@@ -39,31 +39,19 @@ func (d ConvDims) ColRows() int { return d.InC * d.KH * d.KW }
 // ColCols returns the column count of the im2col matrix: OutH*OutW.
 func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
 
-// Im2Col expands a single C×H×W image (len InC*InH*InW) into the column
-// matrix used by GEMM-based convolution. The output has shape
-// (InC*KH*KW) × (OutH*OutW) and is written into col, which must have
-// capacity ColRows()*ColCols().
-//
-// Row (c*KH*KW + ky*KW + kx) column (oy*OutW + ox) holds input pixel
-// (c, oy*Stride+ky-Pad, ox*Stride+kx-Pad), or 0 when that falls in padding.
-func Im2Col(img []float32, d ConvDims, col []float32) {
-	rows, cols := d.ColRows(), d.ColCols()
-	if len(col) != rows*cols {
-		panic(fmt.Sprintf("tensor: Im2Col col len %d, want %d", len(col), rows*cols))
-	}
-	Im2ColInto(img, d, col, cols, 0)
-}
-
-// Im2ColInto writes one image's im2col expansion into a wider column
-// matrix whose rows are rowStride long, starting at column colOff. Batched
-// convolution lays N samples side by side — sample i at colOff =
-// i*ColCols() with rowStride = N*ColCols() — producing a single
-// (InC*KH*KW) × (N*OutH*OutW) matrix that feeds one large GEMM instead of
-// N small ones.
+// Im2ColInto writes one C×H×W image's im2col expansion — the
+// (InC*KH*KW) × (OutH*OutW) column matrix of GEMM-based convolution — into
+// a wider column matrix whose rows are rowStride long, starting at column
+// colOff. Row (c*KH*KW + ky*KW + kx) column (oy*OutW + ox) of the expansion
+// holds input pixel (c, oy*Stride+ky-Pad, ox*Stride+kx-Pad), or 0 when that
+// falls in padding. Batched convolution lays N samples side by side —
+// sample i at colOff = i*ColCols() with rowStride = N*ColCols() — producing
+// a single (InC*KH*KW) × (N*OutH*OutW) matrix that feeds one large GEMM
+// instead of N small ones.
 func Im2ColInto(img []float32, d ConvDims, col []float32, rowStride, colOff int) {
 	cols := d.ColCols()
 	if len(img) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2Col image len %d, want %d", len(img), d.InC*d.InH*d.InW))
+		panic(fmt.Sprintf("tensor: Im2ColInto image len %d, want %d", len(img), d.InC*d.InH*d.InW))
 	}
 	if colOff < 0 || colOff+cols > rowStride {
 		panic(fmt.Sprintf("tensor: Im2ColInto column window [%d,%d) outside row stride %d", colOff, colOff+cols, rowStride))
@@ -234,38 +222,40 @@ func (pb *PackedB) zeroColumns(j, cnt int) {
 	}
 }
 
-// Col2Im scatters a column matrix back into image space, accumulating
-// overlapping contributions. It is the adjoint of Im2Col and is used for the
-// gradient with respect to the convolution input. img must be pre-zeroed by
-// the caller if accumulation from a clean slate is desired.
-func Col2Im(col []float32, d ConvDims, img []float32) {
-	rows, cols := d.ColRows(), d.ColCols()
+// Col2ImFrom is the adjoint of Im2ColInto: it adds one image's columns of
+// the wider column matrix col — rows rowStride long, the image's window
+// starting at column colOff — back into image space, summing the
+// contributions of overlapping windows into img. It is the gradient with
+// respect to the convolution input; img accumulates, so a caller that wants
+// the gradient alone passes it zeroed.
+func Col2ImFrom(img []float32, d ConvDims, col []float32, rowStride, colOff int) {
+	cols := d.ColCols()
 	if len(img) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Col2Im image len %d, want %d", len(img), d.InC*d.InH*d.InW))
+		panic(fmt.Sprintf("tensor: Col2ImFrom image len %d, want %d", len(img), d.InC*d.InH*d.InW))
 	}
-	if len(col) != rows*cols {
-		panic(fmt.Sprintf("tensor: Col2Im col len %d, want %d", len(col), rows*cols))
+	if colOff < 0 || colOff+cols > rowStride {
+		panic(fmt.Sprintf("tensor: Col2ImFrom column window [%d,%d) outside row stride %d", colOff, colOff+cols, rowStride))
+	}
+	if need := (d.ColRows()-1)*rowStride + colOff + cols; len(col) < need {
+		panic(fmt.Sprintf("tensor: Col2ImFrom col len %d, want ≥ %d", len(col), need))
 	}
 	r := 0
 	for c := 0; c < d.InC; c++ {
 		plane := img[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
-				src := col[r*cols : (r+1)*cols]
-				si := 0
+				src := col[r*rowStride+colOff : r*rowStride+colOff+cols]
+				lo, hi := d.validSpan(kx)
 				for oy := 0; oy < d.OutH; oy++ {
 					iy := oy*d.Stride + ky - d.Pad
 					if iy < 0 || iy >= d.InH {
-						si += d.OutW
 						continue
 					}
-					rowBase := iy * d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix >= 0 && ix < d.InW {
-							plane[rowBase+ix] += src[si]
-						}
-						si++
+					row := plane[iy*d.InW : (iy+1)*d.InW]
+					ix := lo*d.Stride + kx - d.Pad
+					for _, v := range src[oy*d.OutW+lo : oy*d.OutW+hi] {
+						row[ix] += v
+						ix += d.Stride
 					}
 				}
 				r++

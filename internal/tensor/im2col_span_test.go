@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// The span-copy im2col and the packed im2col against the loop they replaced,
-// kept here as the reference: one bounds test and one store per element.
+// The span-copy im2col, the packed im2col and the span col2im against the
+// loops they replaced, kept here as the references: one bounds test and one
+// store (or add) per element.
 
 // im2colRef is the element-wise Im2ColInto the span version replaced.
 func im2colRef(img []float32, d ConvDims, col []float32, rowStride, colOff int) {
@@ -36,10 +37,38 @@ func im2colRef(img []float32, d ConvDims, col []float32, rowStride, colOff int) 
 	}
 }
 
+// col2imRef is the element-wise Col2ImFrom.
+func col2imRef(img []float32, d ConvDims, col []float32, rowStride, colOff int) {
+	cols := d.ColCols()
+	r := 0
+	for c := 0; c < d.InC; c++ {
+		plane := img[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
+		for ky := 0; ky < d.KH; ky++ {
+			for kx := 0; kx < d.KW; kx++ {
+				src := col[r*rowStride+colOff : r*rowStride+colOff+cols]
+				si := 0
+				for oy := 0; oy < d.OutH; oy++ {
+					iy := oy*d.Stride + ky - d.Pad
+					for ox := 0; ox < d.OutW; ox++ {
+						ix := ox*d.Stride + kx - d.Pad
+						if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
+							plane[iy*d.InW+ix] += src[si]
+						}
+						si++
+					}
+				}
+				r++
+			}
+		}
+	}
+}
+
 // checkIm2Col compares both production expansions of n images of geometry
 // d with the reference: Im2ColInto into the batched row-major matrix, and
 // Im2ColPacked with that matrix packed by the GEMM's own packB, under every
-// kernel this CPU runs.
+// kernel this CPU runs — and the adjoint, Col2ImFrom, which adds each
+// image's window of a batched matrix back into an image that already holds
+// values.
 func checkIm2Col(t *testing.T, d ConvDims, n int) {
 	t.Helper()
 	imgLen := d.InC * d.InH * d.InW
@@ -60,6 +89,19 @@ func checkIm2Col(t *testing.T, d ConvDims, n int) {
 	}
 	if i, ok := bitsEqual(got, want); !ok {
 		t.Fatalf("%+v n=%d: span im2col[%d] (row %d col %d) = %v, reference %v", d, n, i, i/(n*cols), i%(n*cols), got[i], want[i])
+	}
+
+	// got, overwritten with values, is the column matrix col2im reads.
+	fillDeterministic(got, 17)
+	imgWant, imgGot := make([]float32, n*imgLen), make([]float32, n*imgLen)
+	fillDeterministic(imgWant, 19)
+	copy(imgGot, imgWant)
+	for i := 0; i < n; i++ {
+		col2imRef(imgWant[i*imgLen:(i+1)*imgLen], d, got, n*cols, i*cols)
+		Col2ImFrom(imgGot[i*imgLen:(i+1)*imgLen], d, got, n*cols, i*cols)
+	}
+	if i, ok := bitsEqual(imgGot, imgWant); !ok {
+		t.Fatalf("%+v n=%d: span col2im[%d] = %v, reference %v", d, n, i, imgGot[i], imgWant[i])
 	}
 
 	prev := GEMMKernelName()
@@ -108,7 +150,7 @@ func TestIm2ColSpanAndPackedMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzIm2ColGeometry drives both expansions over arbitrary small geometries.
+// FuzzIm2ColGeometry drives both expansions and col2im over arbitrary small geometries.
 // The seed corpus under testdata/fuzz holds the geometries that exercised a
 // boundary while this was written; `go test` replays it.
 func FuzzIm2ColGeometry(f *testing.F) {

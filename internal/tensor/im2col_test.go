@@ -94,7 +94,7 @@ func TestIm2ColGEMMEqualsNaiveConv(t *testing.T) {
 			w[i] = r.NormFloat32()
 		}
 		col := make([]float32, d.ColRows()*d.ColCols())
-		Im2Col(img, d, col)
+		Im2ColInto(img, d, col, d.ColCols(), 0)
 		wMat := FromSlice(w, g.outC, d.ColRows())
 		colMat := FromSlice(col, d.ColRows(), d.ColCols())
 		got := MatMul(wMat, colMat)
@@ -107,36 +107,43 @@ func TestIm2ColGEMMEqualsNaiveConv(t *testing.T) {
 	}
 }
 
-// TestCol2ImAdjoint verifies <Im2Col(x), y> == <x, Col2Im(y)>, the defining
-// property of an adjoint pair, which is exactly what backprop requires.
+// TestCol2ImAdjoint verifies <Im2ColInto(x), y> == <x, Col2ImFrom(y)>, the
+// defining property of an adjoint pair, which is exactly what backprop
+// requires, for each image of a batch laid side by side in one matrix.
 func TestCol2ImAdjoint(t *testing.T) {
 	r := rng.New(11)
 	d, err := NewConvDims(2, 10, 10, 3, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float32, d.InC*d.InH*d.InW)
-	for i := range x {
-		x[i] = r.NormFloat32()
-	}
-	y := make([]float32, d.ColRows()*d.ColCols())
+	const n = 3
+	imgLen, cols := d.InC*d.InH*d.InW, d.ColCols()
+	y := make([]float32, d.ColRows()*n*cols)
 	for i := range y {
 		y[i] = r.NormFloat32()
 	}
 	colX := make([]float32, len(y))
-	Im2Col(x, d, colX)
-	var lhs float64
-	for i := range y {
-		lhs += float64(colX[i]) * float64(y[i])
-	}
-	imgY := make([]float32, len(x))
-	Col2Im(y, d, imgY)
-	var rhs float64
-	for i := range x {
-		rhs += float64(x[i]) * float64(imgY[i])
-	}
-	if !almostEq(lhs, rhs, 1e-2*(1+abs64(lhs))) {
-		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
+	for s := 0; s < n; s++ {
+		x := make([]float32, imgLen)
+		for i := range x {
+			x[i] = r.NormFloat32()
+		}
+		Im2ColInto(x, d, colX, n*cols, s*cols)
+		var lhs float64
+		for row := 0; row < d.ColRows(); row++ {
+			for j := s * cols; j < (s+1)*cols; j++ {
+				lhs += float64(colX[row*n*cols+j]) * float64(y[row*n*cols+j])
+			}
+		}
+		imgY := make([]float32, imgLen)
+		Col2ImFrom(imgY, d, y, n*cols, s*cols)
+		var rhs float64
+		for i := range x {
+			rhs += float64(x[i]) * float64(imgY[i])
+		}
+		if !almostEq(lhs, rhs, 1e-2*(1+abs64(lhs))) {
+			t.Fatalf("image %d: adjoint identity violated: %v vs %v", s, lhs, rhs)
+		}
 	}
 }
 
@@ -165,7 +172,7 @@ func TestQuickIm2ColValuesFromInput(t *testing.T) {
 			present[img[i]] = true
 		}
 		col := make([]float32, d.ColRows()*d.ColCols())
-		Im2Col(img, d, col)
+		Im2ColInto(img, d, col, d.ColCols(), 0)
 		for _, v := range col {
 			if !present[v] {
 				return false
@@ -184,7 +191,7 @@ func BenchmarkIm2Col28x28(b *testing.B) {
 	col := make([]float32, d.ColRows()*d.ColCols())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Im2Col(img, d, col)
+		Im2ColInto(img, d, col, d.ColCols(), 0)
 	}
 }
 

@@ -182,19 +182,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMatMulInto(t *testing.T) {
-	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	c := FromSlice([]float32{1, 1, 1, 1}, 2, 2)
-	MatMulInto(c, a, b, 2, 1) // c = 2*I*b + c
-	want := []float32{7, 9, 11, 13}
-	for i := range want {
-		if c.Data[i] != want[i] {
-			t.Fatalf("MatMulInto[%d] = %v, want %v", i, c.Data[i], want[i])
-		}
-	}
-}
-
 func TestMatMulTransA(t *testing.T) {
 	r := rng.New(3)
 	a, b := New(9, 5), New(9, 7)

@@ -12,10 +12,10 @@
 // EvalBatches reads a dataset in 256-row batches in order; Accuracy, and
 // every inference pass over a whole dataset, go through it.
 //
-// Parallelism lives in the layers rather than in the loop: the convolution
-// and pooling layers split the batch's samples over tensor.ParallelFor,
-// while every GEMM, the dense layers' included, runs serially on the
-// goroutine that calls it.
+// Training runs on the goroutine that calls it: each conv and dense pass is
+// one product over the whole minibatch, and nothing beneath starts a
+// goroutine. A step propagates through Sequential.BackwardParams, so a
+// network's first layer builds no input gradient nobody reads.
 package train
 
 import (
@@ -101,7 +101,7 @@ func CrossEntropy(net *nn.Sequential, labels []int) Step {
 			lbl[j] = labels[p]
 		}
 		l, grad := loss.CrossEntropy(net.Forward(x), lbl)
-		net.Backward(grad)
+		net.BackwardParams(grad)
 		return l
 	}
 }
@@ -131,7 +131,7 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 		if extraLoss != nil {
 			l += extraLoss()
 		}
-		net.Backward(grad)
+		net.BackwardParams(grad)
 		return l
 	})
 }
