@@ -24,7 +24,7 @@ import (
 const faultPoisonPixel = float32(0.66666)
 
 // runFaultIsolation is the chaos experiment behind -exp faultisolation.
-// Two drills, each against a fresh resilience-armed engine:
+// Two drills, each against a fresh engine (every engine arms the layer):
 //
 // Poison drill — a stream of coalesced micro-batches carries one
 // poison-pill input in every Nth batch (bit-identical each time, the way a
@@ -123,9 +123,7 @@ func poisonDrill(w io.Writer) []string {
 	inj.SetLatency("", 5*time.Millisecond)
 	inj.SetPoisonValue(faultPoisonPixel)
 	e := engine.New(faultPipeline(), engine.Config{
-		MaxBatch: 32, Workers: 1,
-		Fault:      inj,
-		Resilience: engine.ResilienceConfig{Enabled: true},
+		MaxBatch: 32, Workers: 1, Fault: inj,
 	})
 	defer e.Close()
 
@@ -229,7 +227,6 @@ func breakerDrill(w io.Writer) []string {
 		Workers: 1,
 		Fault:   inj,
 		Resilience: engine.ResilienceConfig{
-			Enabled: true,
 			Breaker: resilience.BreakerConfig{
 				Window: 4, MinSamples: 2,
 				Cooldown: 30 * time.Millisecond, Probes: 1,

@@ -128,6 +128,9 @@ func runOverload(w io.Writer) error {
 // ~200 img/s, the early exit ~800, the pruned exit ~4000 — so the 1000/s
 // peak overwhelms the paper-faithful path but fits the cheaper routes. With
 // pinned set, every request asks for the converted image and so rides hard.
+// The engine arms fault isolation like every other, but the crowd injects
+// latency and no failures: every batch that runs succeeds, so its breakers
+// only ever hear "ok" and the spill mark alone moves the crowd.
 func overloadRun(name string, arrivals []time.Duration, pinned bool) (*overloadResult, error) {
 	r := rng.New(7)
 	branchy := models.NewBranchyLeNet(r, 0.05)

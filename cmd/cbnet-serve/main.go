@@ -28,13 +28,13 @@
 // into the inference path for drills (chaos.ParseSpec has the grammar) —
 // never set it in production.
 //
-// The fault-isolation layer is always armed: failed micro-batches are
-// bisected so one bad input cannot fail its co-batched neighbours, convicted
-// poison pills are quarantined and rejected 422 at admission, and each route
-// carries a circuit breaker, told once per batch whether the route could
-// serve anyone, that diverts traffic off a failing route. GET /readyz reports
-// not-ready while draining, while no route has room, or while a serving
-// route's breaker is open.
+// The engine's fault-isolation layer is always armed, in this server as in
+// every engine: failed micro-batches are bisected so one bad input cannot
+// fail its co-batched neighbours, convicted poison pills are quarantined and
+// rejected 422 at admission, and each route carries a circuit breaker, told
+// once per batch whether the route could serve anyone, that diverts traffic
+// off a failing route. GET /readyz reports not-ready while draining, while
+// no route has room, or while a serving route's breaker is open.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503, the
 // listener stops, in-flight requests drain through the engine, a final
@@ -180,7 +180,6 @@ func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Optio
 		return nil, fmt.Errorf("building pruned variant: %w", err)
 	}
 	cfg.Variants = append(cfg.Variants, engine.Variant{Name: "pruned", Net: pruned})
-	cfg.Resilience = engine.ResilienceConfig{Enabled: true}
 	return serve.NewWithOptions(pipe, engine.New(pipe, cfg), prof, family, opts), nil
 }
 

@@ -11,8 +11,9 @@ import (
 // TestRunBatchZeroAlloc pins the plan-backed worker's steady state: once
 // its PlanSet is warm, running a fully traced hard-route batch — assemble
 // input, emit queue/execute/respond spans, execute the AE and
-// classifier plans with one span per step, argmax, answer
-// every request — performs zero heap allocations and starts no goroutine.
+// classifier plans with one span per step, argmax, give the route's
+// breaker the batch's verdict, answer every request — performs zero heap
+// allocations and starts no goroutine.
 // The count is taken at two procs at least (testing.AllocsPerRun would pin
 // one) and under both GEMM dispatches: the host's, and the scalar one a CPU
 // without an FMA kernel gets. Neither fans out beneath a plan.

@@ -63,7 +63,6 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		Variants: []Variant{v},
 		Fault:    inj,
 		Resilience: ResilienceConfig{
-			Enabled: true,
 			// Two failures open a breaker and nothing in the test's lifetime
 			// closes it again.
 			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},

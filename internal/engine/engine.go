@@ -25,10 +25,15 @@
 // moment: an expired context is ErrDeadline, a quarantined input is
 // ErrPoisoned, and otherwise the request takes the first route — starting
 // at the one its hardness score prefers — whose queue is under spillMark
-// and whose circuit breaker admits (Config.Resilience); none is
-// ErrOverloaded. Overload therefore costs the overflow its accuracy
-// before it costs anyone an answer, and there is no controller, level or
-// timer behind the decision.
+// and whose circuit breaker admits; none is ErrOverloaded. Overload
+// therefore costs the overflow its accuracy before it costs anyone an
+// answer, and there is no controller, level or timer behind the decision.
+//
+// Fault isolation is always armed (resilience.go): a failed multi-request
+// batch is bisected so only its culprit fails, a convicted poison pill is
+// quarantined and refused at admission, and every route carries a circuit
+// breaker that hears one verdict per batch. Config.Resilience only tunes
+// the breakers.
 //
 // Admission is bounded: when a route's queue is full, Submit fails fast
 // with ErrOverloaded so the caller can shed load instead of piling up
@@ -61,6 +66,7 @@ import (
 	"cbnet/internal/core"
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
+	"cbnet/internal/metrics"
 	"cbnet/internal/nn"
 	"cbnet/internal/resilience"
 	"cbnet/internal/tensor"
@@ -138,9 +144,9 @@ type Config struct {
 	// Fault, when non-nil, intercepts every batch before its forward pass
 	// (see FaultInjector). Testing and chaos drills only.
 	Fault FaultInjector
-	// Resilience arms the fault-isolation layer: batch bisection,
-	// poison-pill quarantine and per-route circuit breakers. Off by default
-	// — the zero value keeps whole-batch failure semantics.
+	// Resilience tunes the fault-isolation layer — batch bisection,
+	// poison-pill quarantine and per-route circuit breakers — which every
+	// engine arms; the zero value takes the breaker defaults.
 	Resilience ResilienceConfig
 }
 
@@ -230,8 +236,17 @@ type Engine struct {
 	easy   *route
 	hard   *route
 	stats  *engineStats
-	res    *resilienceState
 	fault  FaultInjector
+
+	// The fault-isolation layer (resilience.go): the poison-pill
+	// quarantine place consults, bisection's counters and the breaker
+	// observer. Each route carries its own breaker.
+	quar        *resilience.Quarantine
+	poisoned    metrics.Counter // admissions rejected by quarantine
+	bisectRuns  metrics.Counter // sub-batch re-runs executed
+	bisectSaved metrics.Counter // innocent requests served via bisection
+	culprits    metrics.Counter // requests convicted and quarantined
+	onBreaker   atomic.Value    // func(BreakerTransition)
 
 	// reqID and batchSeq issue the correlation IDs carried by lifecycle
 	// spans.
@@ -254,11 +269,7 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 		stats:  newEngineStats(),
 		byName: make(map[RouteName]*route),
 		fault:  cfg.Fault,
-	}
-	if cfg.Resilience.Enabled {
-		// Built before the routes so newRoute can attach a breaker to
-		// each as it is constructed.
-		e.res = &resilienceState{quar: resilience.NewQuarantine()}
+		quar:   resilience.NewQuarantine(),
 	}
 	// The one place a route is paired with what an image costs on it: the
 	// AE pipeline, the classifier alone, a variant's own network.

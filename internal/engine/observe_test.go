@@ -15,6 +15,7 @@ import (
 
 	"cbnet/internal/chaos"
 	"cbnet/internal/metrics"
+	"cbnet/internal/resilience"
 	"cbnet/internal/tensor"
 	"cbnet/internal/trace"
 )
@@ -179,17 +180,21 @@ func requireIdleGauges(t *testing.T, e *Engine) bool {
 // rounds (the TestStatsGaugesAndP95 flake).
 func TestInFlightGaugeSettlesBeforeReply(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const rounds = 8000
 	failing := chaos.NewInjector()
 	failing.SetErrorEvery(1)
+	// A window longer than the test keeps the failing routes' breakers
+	// closed: every round must reach a worker and fail there.
+	closed := ResilienceConfig{Breaker: resilience.BreakerConfig{Window: rounds, MinSamples: rounds}}
 	for name, cfg := range map[string]Config{
 		"served": {MaxBatch: 1, Workers: 1},
-		"failed": {MaxBatch: 1, Workers: 1, Fault: failing},
+		"failed": {MaxBatch: 1, Workers: 1, Fault: failing, Resilience: closed},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := New(testPipeline(), cfg)
 			defer e.Close()
 			imgs := [][]float32{easyImage(3), hardImage(3)}
-			for round := 0; round < 8000; round++ {
+			for round := 0; round < rounds; round++ {
 				_, err := e.Submit(context.Background(), Request{Pixels: imgs[round%2]})
 				if cfg.Fault == nil && err != nil || cfg.Fault != nil && !errors.Is(err, ErrInferFailed) {
 					t.Fatalf("round %d: Submit err = %v", round, err)
@@ -328,7 +333,7 @@ func TestSpansAgreeWithStats(t *testing.T) {
 				t.Errorf("request %d: queue span ends at %d, batch %d's execute span starts at %d", s.ID, s.Start+s.Dur, s.Ref, ex.Start)
 			}
 		}
-		if images := rt.stats.images.Value(); queues != images || images == 0 {
+		if images := rt.stats.images(); queues != images || images == 0 {
 			t.Errorf("route %s: %d queue spans for %d images", rt.name, queues, images)
 		}
 		served += queues

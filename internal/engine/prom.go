@@ -36,39 +36,34 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 	p.Counter("cbnet_requests_abandoned_total", "Requests whose caller context expired after admission.",
 		nil, float64(e.stats.abandoned.Value()))
 
-	if r := e.res; r != nil {
-		var state, trans []metrics.VecSample
-		for _, rt := range e.routes {
-			if rt.breaker == nil {
-				continue
-			}
-			ls := metrics.Labels{metrics.L("route", string(rt.name))}
-			state = append(state, metrics.VecSample{Labels: ls, Value: float64(rt.breaker.State())})
-			trans = append(trans, metrics.VecSample{Labels: ls, Value: float64(rt.breaker.Transitions())})
-		}
-		p.GaugeVec("cbnet_breaker_state", "Circuit breaker state per route (0 closed, 1 open, 2 half-open).", state)
-		p.CounterVec("cbnet_breaker_transitions_total", "Circuit breaker state changes per route.", trans)
-		p.Gauge("cbnet_quarantine_size", "Poison-pill fingerprints currently quarantined.",
-			nil, float64(r.quar.Size()))
-		p.Counter("cbnet_quarantine_adds_total", "Poison-pill fingerprints convicted by bisection.",
-			nil, float64(r.quar.Adds()))
-		p.Counter("cbnet_quarantine_hits_total", "Admissions matching a quarantined fingerprint.",
-			nil, float64(r.quar.Hits()))
-		p.Counter("cbnet_requests_poisoned_total", "Requests rejected at admission as quarantined poison pills.",
-			nil, float64(r.poisoned.Value()))
-		p.Counter("cbnet_bisect_runs_total", "Sub-batch re-runs executed while isolating batch failures.",
-			nil, float64(r.bisectRuns.Value()))
-		p.Counter("cbnet_bisect_saved_total", "Innocent requests served by bisection that whole-batch failure would have failed.",
-			nil, float64(r.bisectSaved.Value()))
+	var state, trans []metrics.VecSample
+	for _, rt := range e.routes {
+		ls := metrics.Labels{metrics.L("route", string(rt.name))}
+		state = append(state, metrics.VecSample{Labels: ls, Value: float64(rt.breaker.State())})
+		trans = append(trans, metrics.VecSample{Labels: ls, Value: float64(rt.breaker.Transitions())})
 	}
+	p.GaugeVec("cbnet_breaker_state", "Circuit breaker state per route (0 closed, 1 open, 2 half-open).", state)
+	p.CounterVec("cbnet_breaker_transitions_total", "Circuit breaker state changes per route.", trans)
+	p.Gauge("cbnet_quarantine_size", "Poison-pill fingerprints currently quarantined.",
+		nil, float64(e.quar.Size()))
+	p.Counter("cbnet_quarantine_adds_total", "Poison-pill fingerprints convicted by bisection.",
+		nil, float64(e.quar.Adds()))
+	p.Counter("cbnet_quarantine_hits_total", "Admissions matching a quarantined fingerprint.",
+		nil, float64(e.quar.Hits()))
+	p.Counter("cbnet_requests_poisoned_total", "Requests rejected at admission as quarantined poison pills.",
+		nil, float64(e.poisoned.Value()))
+	p.Counter("cbnet_bisect_runs_total", "Sub-batch re-runs executed while isolating batch failures.",
+		nil, float64(e.bisectRuns.Value()))
+	p.Counter("cbnet_bisect_saved_total", "Innocent requests served by bisection that whole-batch failure would have failed.",
+		nil, float64(e.bisectSaved.Value()))
 
 	var images, batches, inflight, depth []metrics.VecSample
 	var queueWait, infer, sizes []metrics.HistSample
 	for _, rt := range e.routes {
 		ls := metrics.Labels{metrics.L("route", string(rt.name))}
 		rs := rt.stats
-		images = append(images, metrics.VecSample{Labels: ls, Value: float64(rs.images.Value())})
-		batches = append(batches, metrics.VecSample{Labels: ls, Value: float64(rs.batches.Value())})
+		images = append(images, metrics.VecSample{Labels: ls, Value: float64(rs.images())})
+		batches = append(batches, metrics.VecSample{Labels: ls, Value: float64(rs.batches())})
 		inflight = append(inflight, metrics.VecSample{Labels: ls, Value: float64(rs.inflight.Value())})
 		depth = append(depth, metrics.VecSample{Labels: ls, Value: float64(len(rt.queue))})
 		queueWait = append(queueWait, metrics.HistSample{Labels: ls, Hist: rs.queueWaitMS, Scale: 1e-3})

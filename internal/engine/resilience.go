@@ -3,10 +3,8 @@ package engine
 import (
 	"errors"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
-	"cbnet/internal/metrics"
 	"cbnet/internal/resilience"
 	"cbnet/internal/trace"
 )
@@ -18,12 +16,14 @@ import (
 // request is rejected because of what it contains, not because of load.
 var ErrPoisoned = errors.New("engine: input quarantined as a poison pill")
 
-// ResilienceConfig arms the fault-isolation layer: batch bisection on
+// ResilienceConfig tunes the fault-isolation layer: batch bisection on
 // infer failure, the poison-pill quarantine and the per-route circuit
-// breakers that place consults. The zero value leaves it off (a failed batch
-// fails all its callers).
+// breakers that place consults. The layer is always armed; the zero value
+// takes the breaker defaults.
 type ResilienceConfig struct {
-	// Enabled turns the layer on.
+	// Enabled is read by nothing. It is kept only because the repository
+	// benchmark's engine config (benchmark/workloads.go) spells it, and it
+	// goes with that literal (ROADMAP item 5).
 	Enabled bool
 	// Breaker tunes the per-route circuit breakers.
 	Breaker resilience.BreakerConfig
@@ -38,48 +38,25 @@ type BreakerTransition struct {
 	To    resilience.State
 }
 
-// resilienceState is the engine side of the fault-isolation layer.
-type resilienceState struct {
-	quar *resilience.Quarantine
-
-	poisoned    metrics.Counter // admissions rejected by quarantine
-	bisectRuns  metrics.Counter // sub-batch re-runs executed
-	bisectSaved metrics.Counter // innocent requests served via bisection
-	culprits    metrics.Counter // requests convicted and quarantined
-
-	onBreaker atomic.Value // func(BreakerTransition)
-}
-
 // breakerChanged is the per-route breaker callback: it runs on whichever
 // goroutine won the transition CAS (a worker observing a failure, or a
 // Submit admitting the first probe). Cold path.
 func (e *Engine) breakerChanged(rt *route, from, to resilience.State) {
-	if fn, ok := e.res.onBreaker.Load().(func(BreakerTransition)); ok && fn != nil {
+	if fn, ok := e.onBreaker.Load().(func(BreakerTransition)); ok && fn != nil {
 		fn(BreakerTransition{Route: rt.name, From: from, To: to})
 	}
 }
 
 // OnBreaker installs the breaker-transition observer (replacing any
 // previous one). The callback runs on the goroutine that won the
-// transition — keep it cheap. No-op when resilience is off.
-func (e *Engine) OnBreaker(fn func(BreakerTransition)) {
-	if e.res == nil {
-		return
-	}
-	e.res.onBreaker.Store(fn)
-}
+// transition — keep it cheap.
+func (e *Engine) OnBreaker(fn func(BreakerTransition)) { e.onBreaker.Store(fn) }
 
 // BreakerOpen reports whether the named route's breaker is currently
-// open. False when resilience is off or the route is unknown.
+// open. False when the route is unknown.
 func (e *Engine) BreakerOpen(name RouteName) bool {
-	if e.res == nil {
-		return false
-	}
 	rt, ok := e.byName[name]
-	if !ok || rt.breaker == nil {
-		return false
-	}
-	return rt.breaker.State() == resilience.Open
+	return ok && rt.breaker.State() == resilience.Open
 }
 
 // bisect isolates the culprit(s) of a failed multi-request batch by
@@ -126,16 +103,16 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64)
 	mid := len(batch) / 2
 	run(batch[:mid])
 	run(batch[mid:])
-	e.res.bisectRuns.Add(int64(runs))
-	e.res.bisectSaved.Add(int64(served))
+	e.bisectRuns.Add(int64(runs))
+	e.bisectSaved.Add(int64(served))
 	if served > 0 {
 		// In the quarantine before the culprit hears of its failure: a caller
 		// that resubmits the moment it is answered is turned away at
 		// admission instead of failing a second batch. Admission hashes
 		// nothing while the ring is empty, so the culprit is hashed here.
 		for _, r := range convicted {
-			e.res.quar.Add(resilience.Fingerprint(r.pixels))
-			e.res.culprits.Inc()
+			e.quar.Add(resilience.Fingerprint(r.pixels))
+			e.culprits.Inc()
 		}
 	}
 	return append(failed, convicted...)
@@ -179,25 +156,18 @@ type BreakerSnapshot struct {
 	WindowFailures int64  `json:"windowFailures"`
 }
 
-// Resilience returns a point-in-time view of the fault-isolation layer,
-// or nil when it is off.
-func (e *Engine) Resilience() *ResilienceSnapshot {
-	if e.res == nil {
-		return nil
-	}
-	s := &ResilienceSnapshot{
-		QuarantineSize: e.res.quar.Size(),
-		QuarantineAdds: e.res.quar.Adds(),
-		QuarantineHits: e.res.quar.Hits(),
-		Poisoned:       e.res.poisoned.Value(),
-		BisectRuns:     e.res.bisectRuns.Value(),
-		BisectSaved:    e.res.bisectSaved.Value(),
-		Culprits:       e.res.culprits.Value(),
+// Resilience returns a point-in-time view of the fault-isolation layer.
+func (e *Engine) Resilience() ResilienceSnapshot {
+	s := ResilienceSnapshot{
+		QuarantineSize: e.quar.Size(),
+		QuarantineAdds: e.quar.Adds(),
+		QuarantineHits: e.quar.Hits(),
+		Poisoned:       e.poisoned.Value(),
+		BisectRuns:     e.bisectRuns.Value(),
+		BisectSaved:    e.bisectSaved.Value(),
+		Culprits:       e.culprits.Value(),
 	}
 	for _, rt := range e.routes {
-		if rt.breaker == nil {
-			continue
-		}
 		total, failed := rt.breaker.Samples()
 		s.Breakers = append(s.Breakers, BreakerSnapshot{
 			Route:          string(rt.name),

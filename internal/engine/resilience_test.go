@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -96,8 +95,7 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	inj.SetPoisonValue(poisonPixel)
 	e := testEngine(t, Config{
 		MaxBatch: 16, Workers: 1,
-		Fault:      inj,
-		Resilience: ResilienceConfig{Enabled: true},
+		Fault: inj,
 	})
 
 	// Every image scores easy, so the whole batch lands on one route.
@@ -123,9 +121,6 @@ func TestBisectIsolatesPoison(t *testing.T) {
 	}
 
 	s := e.Resilience()
-	if s == nil {
-		t.Fatal("Resilience() = nil with the layer armed")
-	}
 	if s.Culprits != 1 || s.QuarantineSize != 1 {
 		t.Fatalf("culprits=%d quarantineSize=%d, want 1/1", s.Culprits, s.QuarantineSize)
 	}
@@ -184,8 +179,7 @@ func TestPillOnAColdRouteLeavesTheBreakerClosed(t *testing.T) {
 		for _, at := range []int{0, n / 2, n - 1} {
 			inj := chaos.NewInjector()
 			inj.SetPoisonValue(poisonPixel)
-			e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
-				Resilience: ResilienceConfig{Enabled: true}})
+			e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj})
 			w := e.newWorker(e.easy)
 			if errs := handBatch(e, e.easy, w, [][]float32{easyImage(999)}); errs[0] != nil {
 				t.Fatal(errs[0])
@@ -227,8 +221,7 @@ func TestBisectConvictsAtAnyBatchSize(t *testing.T) {
 	const n, at = 128, 77
 	inj := chaos.NewInjector()
 	inj.SetPoisonValue(poisonPixel)
-	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
-		Resilience: ResilienceConfig{Enabled: true}})
+	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj})
 	images := make([][]float32, n)
 	for i := range images {
 		images[i] = easyImage(uint64(i))
@@ -261,8 +254,7 @@ func TestRouteFaultBoundsBisect(t *testing.T) {
 	const n, batches = 8, 3
 	inj := chaos.NewInjector()
 	inj.SetStuck("*")
-	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj,
-		Resilience: ResilienceConfig{Enabled: true}})
+	e := testEngine(t, Config{MaxBatch: n, Workers: 1, Fault: inj})
 	w := e.newWorker(e.easy)
 	images := make([][]float32, n)
 	for i := range images {
@@ -302,7 +294,6 @@ func TestBreakerDivertsAndRecovers(t *testing.T) {
 		MaxBatch: 4, Workers: 1,
 		Fault: inj,
 		Resilience: ResilienceConfig{
-			Enabled: true,
 			Breaker: resilience.BreakerConfig{
 				Window: 4, MinSamples: 2,
 				Cooldown: 30 * time.Millisecond, Probes: 1,
@@ -384,7 +375,6 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 		MaxBatch: 4, Workers: 1,
 		Fault: inj,
 		Resilience: ResilienceConfig{
-			Enabled: true,
 			Breaker: resilience.BreakerConfig{
 				Window: 4, MinSamples: 2,
 				Cooldown: 20 * time.Millisecond, Probes: 1,
@@ -447,38 +437,6 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 	}
 }
 
-// TestRunBatchZeroAllocResilience re-pins the steady-state zero-alloc
-// contract with the fault-isolation layer armed: the batch's verdict to the
-// breaker must stay off the heap.
-func TestRunBatchZeroAllocResilience(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
-	}
-	const n = 16
-	pipe := testPipeline()
-	e := New(pipe, Config{MaxBatch: n, Workers: 1,
-		Resilience: ResilienceConfig{Enabled: true}})
-	defer e.Close()
-
-	w := e.newWorker(e.hard)
-	batch := make([]*request, n)
-	for i := range batch {
-		batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}
-	}
-	run := func() {
-		e.runBatch(e.hard, batch, w)
-		for _, r := range batch {
-			<-r.done
-		}
-	}
-	run()
-	run()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-		t.Errorf("resilience-armed runBatch: %v allocs per warm batch, want 0", allocs)
-	}
-}
-
 // BenchmarkBisectOverhead measures the failure-isolation worst case end to
 // end: a 16-request coalesced batch carrying one never-seen-before poison
 // pill panics, and bisection re-runs sub-batches until the 15 innocents
@@ -492,8 +450,7 @@ func BenchmarkBisectOverhead(b *testing.B) {
 	inj.SetPoisonValue(poisonVal)
 	e := New(testPipeline(), Config{
 		MaxBatch: 32, Workers: 1, QueueDepth: 256,
-		Fault:      inj,
-		Resilience: ResilienceConfig{Enabled: true},
+		Fault: inj,
 	})
 	defer e.Close()
 
@@ -526,7 +483,7 @@ func BenchmarkBisectOverhead(b *testing.B) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	if snap := e.Resilience(); snap != nil && b.N > 0 {
-		b.ReportMetric(float64(snap.BisectSaved)/float64(b.N), "saved/op")
+	if b.N > 0 {
+		b.ReportMetric(float64(e.Resilience().BisectSaved)/float64(b.N), "saved/op")
 	}
 }

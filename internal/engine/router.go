@@ -41,8 +41,8 @@ func (rt *route) pastMark() bool {
 // has none. In order: a context already expired is ErrDeadline; a
 // quarantined fingerprint is ErrPoisoned; the preferred route is RouteOf's
 // answer; then the ladder is walked from the preferred route, wrapping, and
-// the first route under its spill mark whose breaker admits (resilience
-// armed) takes the request. The queue is asked before the breaker because
+// the first route under its spill mark whose breaker admits takes the
+// request. The queue is asked before the breaker because
 // Breaker.Allow spends a half-open probe. No route left is ErrOverloaded.
 // The bool reports a diversion, a route other than the preferred one; Submit
 // counts it once the request is on that route's queue.
@@ -62,8 +62,8 @@ func (e *Engine) place(r *request) (*route, bool, error) {
 	// The ring only fills (bisection's Add) and overwrites, never empties:
 	// while it has taken nothing no fingerprint can match, and the hash is
 	// skipped — every request's case until a culprit is convicted.
-	if e.res != nil && e.res.quar.Adds() > 0 && e.res.quar.Check(resilience.Fingerprint(r.pixels)) {
-		e.res.poisoned.Inc()
+	if e.quar.Adds() > 0 && e.quar.Check(resilience.Fingerprint(r.pixels)) {
+		e.poisoned.Inc()
 		return nil, false, ErrPoisoned
 	}
 	var name RouteName
@@ -83,7 +83,7 @@ func (e *Engine) place(r *request) (*route, bool, error) {
 		if rt.pastMark() {
 			continue
 		}
-		if rt.breaker != nil && !rt.breaker.Allow() {
+		if !rt.breaker.Allow() {
 			continue
 		}
 		return rt, i > 0, nil

@@ -40,8 +40,8 @@ func wedge(t *testing.T, e *Engine) {
 
 // TestPlace holds the one placement function to a table over everything it
 // reads: the route the score prefers, each route's queue fill, each route's
-// breaker, IncludeConverted, and the resilience switch. Queues hold 4, so
-// the spill mark is 2 queued requests.
+// breaker, the quarantine and IncludeConverted. Queues hold 4, so the spill
+// mark is 2 queued requests.
 func TestPlace(t *testing.T) {
 	const (
 		below  = 1 // one short of the mark
@@ -54,7 +54,6 @@ func TestPlace(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		resil     bool
 		prefer    RouteName
 		converted bool
 		ctx       context.Context
@@ -64,11 +63,11 @@ func TestPlace(t *testing.T) {
 		want      RouteName // "" = refused with wantErr
 		wantErr   error
 	}{
-		// Resilience off, queues empty: the score's route.
-		{name: "off/easy", prefer: RouteEasy, want: RouteEasy},
-		{name: "off/hard", prefer: RouteHard, want: RouteHard},
-		{name: "off/easy-converted", prefer: RouteEasy, converted: true, want: RouteHard},
-		{name: "off/expired", prefer: RouteEasy, ctx: expired, wantErr: ErrDeadline},
+		// Queues empty, breakers closed: the score's route.
+		{name: "idle/easy", prefer: RouteEasy, want: RouteEasy},
+		{name: "idle/hard", prefer: RouteHard, want: RouteHard},
+		{name: "idle/easy-converted", prefer: RouteEasy, converted: true, want: RouteHard},
+		{name: "idle/expired", prefer: RouteEasy, ctx: expired, wantErr: ErrDeadline},
 
 		// The spill: the first route from the preferred one under its mark.
 		{name: "spill/room", prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
@@ -80,21 +79,21 @@ func TestPlace(t *testing.T) {
 		{name: "spill/converted-stays", prefer: RouteHard, converted: true, fill: fill{hard: atMark}, want: RouteHard},
 		{name: "spill/expired-before-room", prefer: RouteHard, ctx: expired, fill: fill{atMark, atMark, atMark}, wantErr: ErrDeadline},
 
-		// Breakers armed: the first route from the preferred one that admits.
-		{name: "breaker/closed", resil: true, prefer: RouteHard, want: RouteHard},
-		{name: "breaker/hard-open", resil: true, prefer: RouteHard, open: open{hard: true}, want: RouteEasy},
-		{name: "breaker/hard-easy-open", resil: true, prefer: RouteHard, open: open{hard: true, easy: true}, want: "pruned"},
-		{name: "breaker/all-open", resil: true, prefer: RouteEasy, open: open{true, true, true}, wantErr: ErrOverloaded},
-		{name: "breaker/easy-open-wraps", resil: true, prefer: RouteEasy, open: open{easy: true, variant: true}, want: RouteHard},
-		{name: "breaker/converted-stays", resil: true, prefer: RouteHard, converted: true, open: open{hard: true}, want: RouteHard},
-		{name: "breaker/fill-ignored", resil: true, prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
-		{name: "breaker/poisoned", resil: true, prefer: RouteEasy, poisoned: true, wantErr: ErrPoisoned},
-		{name: "breaker/expired-before-poisoned", resil: true, prefer: RouteEasy, poisoned: true, ctx: expired, wantErr: ErrDeadline},
+		// Breakers: the first route from the preferred one that admits.
+		{name: "breaker/closed", prefer: RouteHard, want: RouteHard},
+		{name: "breaker/hard-open", prefer: RouteHard, open: open{hard: true}, want: RouteEasy},
+		{name: "breaker/hard-easy-open", prefer: RouteHard, open: open{hard: true, easy: true}, want: "pruned"},
+		{name: "breaker/all-open", prefer: RouteEasy, open: open{true, true, true}, wantErr: ErrOverloaded},
+		{name: "breaker/easy-open-wraps", prefer: RouteEasy, open: open{easy: true, variant: true}, want: RouteHard},
+		{name: "breaker/converted-stays", prefer: RouteHard, converted: true, open: open{hard: true}, want: RouteHard},
+		{name: "breaker/fill-ignored", prefer: RouteHard, fill: fill{hard: below}, want: RouteHard},
+		{name: "breaker/poisoned", prefer: RouteEasy, poisoned: true, wantErr: ErrPoisoned},
+		{name: "breaker/expired-before-poisoned", prefer: RouteEasy, poisoned: true, ctx: expired, wantErr: ErrDeadline},
 
 		// Both: a route is taken only if it passes both.
-		{name: "both/full-then-open", resil: true, prefer: RouteHard, fill: fill{hard: atMark}, open: open{easy: true}, want: "pruned"},
-		{name: "both/open-then-full", resil: true, prefer: RouteHard, fill: fill{easy: atMark}, open: open{hard: true}, want: "pruned"},
-		{name: "both/nothing-left", resil: true, prefer: RouteEasy, fill: fill{hard: atMark}, open: open{easy: true, variant: true}, wantErr: ErrOverloaded},
+		{name: "both/full-then-open", prefer: RouteHard, fill: fill{hard: atMark}, open: open{easy: true}, want: "pruned"},
+		{name: "both/open-then-full", prefer: RouteHard, fill: fill{easy: atMark}, open: open{hard: true}, want: "pruned"},
+		{name: "both/nothing-left", prefer: RouteEasy, fill: fill{hard: atMark}, open: open{easy: true, variant: true}, wantErr: ErrOverloaded},
 	}
 	pruned := subflowVariant(t)
 	pruned.Name = "pruned"
@@ -106,7 +105,6 @@ func TestPlace(t *testing.T) {
 				Fault:    gate,
 				Variants: []Variant{pruned},
 				Resilience: ResilienceConfig{
-					Enabled: c.resil,
 					Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
 				},
 			})
@@ -133,7 +131,7 @@ func TestPlace(t *testing.T) {
 				}
 			}
 			if c.poisoned {
-				e.res.quar.Add(resilience.Fingerprint(img))
+				e.quar.Add(resilience.Fingerprint(img))
 			}
 
 			r := &request{ctx: c.ctx, pixels: img, wantConverted: c.converted}
@@ -169,7 +167,7 @@ func TestPlace(t *testing.T) {
 					t.Errorf("placed on %s with %d of %d queued: at or past its mark",
 						got.name, len(got.queue), cap(got.queue))
 				}
-				if c.resil && state[got.name].open {
+				if state[got.name].open {
 					t.Errorf("placed on %s, whose breaker refuses", got.name)
 				}
 			}
@@ -349,7 +347,6 @@ func TestRefusedDiversionIsNotCounted(t *testing.T) {
 		MaxBatch: 1, Workers: 1, QueueDepth: 2,
 		Fault: gate,
 		Resilience: ResilienceConfig{
-			Enabled: true,
 			Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Nanosecond},
 		},
 	})

@@ -22,9 +22,9 @@ type engineStats struct {
 	routes      map[RouteName]*routeStats
 }
 
+// routeStats is one route's store. Its batch-size histogram is the one
+// record of the route's batches: images and batches are its Sum and Count.
 type routeStats struct {
-	images      metrics.Counter
-	batches     metrics.Counter
 	inflight    metrics.Gauge // admitted, result not yet delivered
 	batchSizes  *metrics.Histogram
 	queueWaitMS *metrics.Histogram
@@ -55,11 +55,16 @@ func (s *engineStats) route(name RouteName) *routeStats {
 }
 
 func (r *routeStats) observeBatch(n int, infer time.Duration) {
-	r.batches.Inc()
-	r.images.Add(int64(n))
 	r.batchSizes.Observe(float64(n))
 	r.inferMS.Observe(float64(infer) / float64(time.Millisecond))
 }
+
+// images is how many images the route has inferred: the sum of its batch
+// sizes, exact while it stays below 2⁵³.
+func (r *routeStats) images() int64 { return int64(r.batchSizes.Sum()) }
+
+// batches is how many batches the route has executed.
+func (r *routeStats) batches() int64 { return r.batchSizes.Count() }
 
 // RouteSnapshot is the exported per-route stats view.
 type RouteSnapshot struct {
@@ -116,8 +121,8 @@ type Snapshot struct {
 	ThroughputPerSec float64         `json:"throughputPerSec"`
 	Routes           []RouteSnapshot `json:"routes"`
 	// Ladder lists the route names in the order place walks them.
-	Ladder     []string            `json:"ladder"`
-	Resilience *ResilienceSnapshot `json:"resilience,omitempty"`
+	Ladder     []string           `json:"ladder"`
+	Resilience ResilienceSnapshot `json:"resilience"`
 }
 
 // Stats returns a point-in-time view of the engine's counters and
@@ -145,8 +150,8 @@ func (e *Engine) Stats() Snapshot {
 		rs := rt.stats
 		r := RouteSnapshot{
 			Route:         string(rt.name),
-			Images:        rs.images.Value(),
-			Batches:       rs.batches.Value(),
+			Images:        rs.images(),
+			Batches:       rs.batches(),
 			BatchSizeHist: rs.batchSizes.Buckets(),
 			QueueDepth:    len(rt.queue),
 			QueueCap:      cap(rt.queue),

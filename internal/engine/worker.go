@@ -66,7 +66,7 @@ type route struct {
 	plans   func(batchCap int) (*core.PlanSet, error)
 	workers []*worker // built by New
 	stats   *routeStats
-	breaker *resilience.Breaker // nil unless resilience is armed
+	breaker *resilience.Breaker // hears one verdict per batch (runBatch)
 }
 
 // newRoute constructs a route and registers it at the end of the ladder.
@@ -78,10 +78,8 @@ func (e *Engine) newRoute(name RouteName, cost device.Cost, plans func(batchCap 
 		plans: plans,
 		stats: e.stats.route(name),
 	}
-	if e.res != nil {
-		rt.breaker = resilience.NewBreaker(e.cfg.Resilience.Breaker,
-			func(from, to resilience.State) { e.breakerChanged(rt, from, to) })
-	}
+	rt.breaker = resilience.NewBreaker(e.cfg.Resilience.Breaker,
+		func(from, to resilience.State) { e.breakerChanged(rt, from, to) })
 	e.routes = append(e.routes, rt)
 	e.byName[name] = rt
 	return rt
@@ -305,20 +303,17 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 		Name: w.routeName, Batch: n, Start: t0, Dur: tExec - t0})
 	var failed []*request
 	if inferErr != nil {
-		// With resilience armed, a multi-request batch is bisected so only
-		// the culprit fails; otherwise (or for singletons, where there is
-		// nothing to split) the batch's callers fail. The next batch is a
-		// fresh plan run.
+		// A multi-request batch is bisected so only the culprit fails; a
+		// singleton has nothing to split and fails alone. The next batch is
+		// a fresh plan run.
 		failed = batch
-		if e.res != nil && n > 1 {
+		if n > 1 {
 			failed = e.bisect(rt, w, batch, batchID)
 		}
 	}
 	// Before the answers: a caller holding a failure must find the breaker
 	// already knows of it.
-	if rt.breaker != nil {
-		rt.breaker.Observe(len(failed) < n)
-	}
+	rt.breaker.Observe(len(failed) < n)
 	if inferErr == nil {
 		e.reply(rt, w, batch, logits, converted, time.Duration(tExec-t0))
 	}

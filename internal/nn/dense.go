@@ -87,14 +87,17 @@ func (d *Dense) OutSize(inSize int) (int, error) {
 	return d.Out, nil
 }
 
-// Forward computes y = xW + b.
+// Forward computes y = xW + b as one product with the bias added in its
+// write-back, on the layer's own packing panels — the plan's lowering of a
+// dense layer, unfused from its activation.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("dense %s: input shape %v, want (N, %d)", d.LayerName, x.Shape, d.In))
 	}
 	d.lastInput = x
-	y := tensor.MatMul(x, d.W.Value)
-	y.AddRowVector(d.B.Value)
+	y := tensor.New(x.Shape[0], d.Out)
+	tensor.GEMMEpilogue(x.Data, d.W.Value.Data, y.Data, x.Shape[0], d.In, d.Out,
+		tensor.Epilogue{ColBias: d.B.Value.Data}, &d.pack)
 	return y
 }
 

@@ -577,8 +577,7 @@ func TestAbandonedRequestKeepsItsPixels(t *testing.T) {
 	gate := &gateInjector{entered: make(chan int), verdict: make(chan error)}
 	s := serverWithEngineConfig(t, engine.Config{
 		MaxBatch: 2, Workers: 1,
-		Fault:      gate,
-		Resilience: engine.ResilienceConfig{Enabled: true},
+		Fault: gate,
 	}, quietOptions)
 	// The primer, A and B score easy; the others ask for the converted image.
 	easy := serveEasyImages(t, 1, 3, nil)

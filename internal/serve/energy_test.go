@@ -88,7 +88,6 @@ func stickyBreakers(cfg engine.Config) (engine.Config, *chaos.Injector) {
 	inj := chaos.NewInjector()
 	cfg.Fault = inj
 	cfg.Resilience = engine.ResilienceConfig{
-		Enabled: true,
 		Breaker: resilience.BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour},
 	}
 	return cfg, inj

@@ -241,8 +241,7 @@ func NewWithOptions(p *core.Pipeline, eng *engine.Engine, prof device.Profile, f
 
 	// Fault-isolation wiring: circuit-breaker transitions land in the log
 	// and on the serve track (Step carries the new state — 0 closed, 1 open,
-	// 2 half-open — Name the breaker's route). No-op when the engine's
-	// resilience layer is off.
+	// 2 half-open — Name the breaker's route).
 	eng.OnBreaker(func(tr engine.BreakerTransition) {
 		s.log.Warn("breaker transition",
 			"route", string(tr.Route), "from", tr.From.String(), "to", tr.To.String())
@@ -361,12 +360,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Engine.Shedding() {
 		reasons = append(reasons, "shedding: no route has room")
 	}
-	if res := s.Engine.Resilience(); res != nil {
-		// Every route, variants included: the overflow lands on them.
-		for _, b := range res.Breakers {
-			if b.State == resilience.Open.String() {
-				reasons = append(reasons, fmt.Sprintf("breaker open: route %s", b.Route))
-			}
+	// Every route, variants included: the overflow lands on them.
+	for _, b := range s.Engine.Resilience().Breakers {
+		if b.State == resilience.Open.String() {
+			reasons = append(reasons, fmt.Sprintf("breaker open: route %s", b.Route))
 		}
 	}
 	status := http.StatusOK
@@ -391,10 +388,6 @@ type InfoResponse struct {
 	// DegradeLadder lists the route names in the order an overflowing
 	// request tries them.
 	DegradeLadder []string `json:"degradeLadder"`
-	// ResilienceEnabled reports whether the fault-isolation layer (batch
-	// bisection, poison-pill quarantine, per-route circuit breakers) is
-	// armed; when true, /readyz also tracks breaker state.
-	ResilienceEnabled bool `json:"resilienceEnabled"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
@@ -411,7 +404,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		Workers:           cfg.Workers,
 		HardnessThreshold: engine.DefaultHardnessThreshold,
 		DegradeLadder:     s.Engine.DegradeLadder(),
-		ResilienceEnabled: cfg.Resilience.Enabled,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

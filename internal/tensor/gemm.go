@@ -2,14 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	c := New(m, n)
-	GEMM(a.Data, b.Data, c.Data, m, k, n, 1, 0)
-	return c
-}
-
 // GEMM computes C = alpha*(A×B) + beta*C over raw row-major slices: A is
 // m×k, B is k×n, C is m×n. It is the hot-path entry point used by the
 // layers in internal/nn; large problems take the cache-blocked micro-kernel
@@ -174,18 +166,6 @@ func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
 	}
 }
 
-func checkMatMul(a, b *Tensor) (m, k, n int) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul on non-matrices %v × %v", a.Shape, b.Shape))
-	}
-	m, k = a.Shape[0], a.Shape[1]
-	if b.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions %d vs %d", k, b.Shape[0]))
-	}
-	n = b.Shape[1]
-	return m, k, n
-}
-
 // GEMMNaive runs the retained axpy reference kernel regardless of what the
 // dispatcher would pick — the baseline that perf tooling and oracle tests
 // measure the blocked kernel against.
@@ -305,28 +285,6 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 // (benchmark/workloads.go) calls it; ROADMAP item 5 deletes it with that
 // caller.
 func SetGEMMThreads(int) int { return 1 }
-
-// AddRowVector adds vector v (length n) to every row of the m×n matrix t.
-func (t *Tensor) AddRowVector(v *Tensor) {
-	if len(t.Shape) != 2 || len(v.Shape) != 1 || t.Shape[1] != v.Shape[0] {
-		panic(fmt.Sprintf("tensor: AddRowVector shapes %v + %v", t.Shape, v.Shape))
-	}
-	n := t.Shape[1]
-	vd := v.Data[:n]
-	for i := 0; i < t.Shape[0]; i++ {
-		row := t.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			row[j] += vd[j]
-			row[j+1] += vd[j+1]
-			row[j+2] += vd[j+2]
-			row[j+3] += vd[j+3]
-		}
-		for ; j < n; j++ {
-			row[j] += vd[j]
-		}
-	}
-}
 
 // SumRows returns the column-wise sum of a 2-D tensor as a length-n vector.
 func (t *Tensor) SumRows() *Tensor {

@@ -40,7 +40,7 @@ func TestKernelsRunInline(t *testing.T) {
 	const matRows = 8 * rows
 	mat := FromSlice(make([]float32, matRows*n), matRows, n)
 	fillDeterministic(mat.Data, 127)
-	rowVec, colAcc := FromSlice(bias, n), New(n)
+	colAcc := New(n)
 	ep := Epilogue{Act: EpActReLU, ColBias: bias}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -52,7 +52,6 @@ func TestKernelsRunInline(t *testing.T) {
 		{"GEMMEpilogue", func() { GEMMEpilogue(a.Data, b.Data, c.Data, rows, k, n, ep, nil) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(c, at, b, nil) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(c, a, bt, nil) }},
-		{"AddRowVector", func() { mat.AddRowVector(rowVec) }},
 		{"SumRowsInto", func() { mat.SumRowsInto(colAcc) }},
 	} {
 		goroutines := runtime.NumGoroutine()

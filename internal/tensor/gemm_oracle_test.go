@@ -127,7 +127,7 @@ func TestTransposeOracle(t *testing.T) {
 		b := New(s.k, s.n)
 		fillDeterministic(a.Data, 31)
 		fillDeterministic(b.Data, 37)
-		want := MatMul(a.Transpose(), b)
+		want := matMul(a.Transpose(), b)
 		got := MatMulTransA(a, b)
 		if d := maxAbsDiff(got.Data, want.Data); d > oracleTol {
 			t.Fatalf("MatMulTransA %v: max abs diff %g", s, d)
@@ -137,7 +137,7 @@ func TestTransposeOracle(t *testing.T) {
 		b2 := New(s.n, s.k) // stored n×k, logically transposed to k×n
 		fillDeterministic(a2.Data, 41)
 		fillDeterministic(b2.Data, 43)
-		want2 := MatMul(a2, b2.Transpose())
+		want2 := matMul(a2, b2.Transpose())
 		got2 := MatMulTransB(a2, b2)
 		if d := maxAbsDiff(got2.Data, want2.Data); d > oracleTol {
 			t.Fatalf("MatMulTransB %v: max abs diff %g", s, d)
@@ -394,18 +394,6 @@ func BenchmarkGEMMAEShapes(b *testing.B) {
 			ep := Epilogue{ColBias: bias, Act: s.act}
 			benchGEMM(b, s.m, s.k, s.n, func(a, _, c []float32) { GEMMEpiloguePacked(a, &pb, c, s.m, ep, &ps) })
 		})
-	}
-}
-
-func BenchmarkAddRowVector(b *testing.B) {
-	t := New(32, 784)
-	v := New(784)
-	fillDeterministic(t.Data, 19)
-	fillDeterministic(v.Data, 21)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.AddRowVector(v)
 	}
 }
 

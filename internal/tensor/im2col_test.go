@@ -97,7 +97,7 @@ func TestIm2ColGEMMEqualsNaiveConv(t *testing.T) {
 		Im2ColInto(img, d, col, d.ColCols(), 0)
 		wMat := FromSlice(w, g.outC, d.ColRows())
 		colMat := FromSlice(col, d.ColRows(), d.ColCols())
-		got := MatMul(wMat, colMat)
+		got := matMul(wMat, colMat)
 		want := naiveConv(img, d, w, g.outC)
 		for i := range want {
 			if !almostEq(float64(got.Data[i]), float64(want[i]), 1e-3) {
@@ -202,7 +202,7 @@ func BenchmarkMatMul128(b *testing.B) {
 	bb.RandNormal(r, 0, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MatMul(a, bb)
+		_ = matMul(a, bb)
 	}
 }
 

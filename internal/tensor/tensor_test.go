@@ -109,6 +109,14 @@ func TestArgMaxFirstOfTies(t *testing.T) {
 	}
 }
 
+// matMul is C = A × B for 2-D tensors through the GEMM dispatch.
+func matMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	c := New(m, n)
+	GEMM(a.Data, b.Data, c.Data, m, k, n, 1, 0)
+	return c
+}
+
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	c := New(m, n)
@@ -139,11 +147,11 @@ func TestArgMaxRows(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i := range want {
 		if c.Data[i] != want[i] {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data[i], want[i])
+			t.Fatalf("GEMM[%d] = %v, want %v", i, c.Data[i], want[i])
 		}
 	}
 }
@@ -156,7 +164,7 @@ func TestMatMulMatchesNaiveLarge(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		a.RandNormal(r, 0, 1)
 		b.RandNormal(r, 0, 1)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := naiveMatMul(a, b)
 		for i := range want.Data {
 			if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-3) {
@@ -174,7 +182,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		eye.Data[i*17+i] = 1
 	}
-	c := MatMul(a, eye)
+	c := matMul(a, eye)
 	for i := range a.Data {
 		if a.Data[i] != c.Data[i] {
 			t.Fatalf("A×I != A at %d", i)
@@ -228,14 +236,18 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+// TestAddRowVectorSumRows: a dense layer's bias, added to every row by the
+// product's ColBias epilogue (here over an identity product), and its
+// gradient's row sums.
 func TestAddRowVectorSumRows(t *testing.T) {
-	m := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	v := FromSlice([]float32{10, 20, 30}, 3)
-	m.AddRowVector(v)
+	x := []float32{1, 2, 3, 4, 5, 6}
+	eye := []float32{1, 0, 0, 0, 1, 0, 0, 0, 1}
+	m := New(2, 3)
+	GEMMEpilogue(x, eye, m.Data, 2, 3, 3, Epilogue{ColBias: []float32{10, 20, 30}}, nil)
 	want := []float32{11, 22, 33, 14, 25, 36}
 	for i := range want {
 		if m.Data[i] != want[i] {
-			t.Fatalf("AddRowVector[%d] = %v, want %v", i, m.Data[i], want[i])
+			t.Fatalf("ColBias epilogue[%d] = %v, want %v", i, m.Data[i], want[i])
 		}
 	}
 	s := m.SumRows()
@@ -287,8 +299,8 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		a.RandNormal(r, 0, 1)
 		b.RandNormal(r, 0, 1)
-		left := MatMul(a, b).Transpose()
-		right := MatMul(b.Transpose(), a.Transpose())
+		left := matMul(a, b).Transpose()
+		right := matMul(b.Transpose(), a.Transpose())
 		for i := range left.Data {
 			if !almostEq(float64(left.Data[i]), float64(right.Data[i]), 1e-3) {
 				return false
