@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -434,6 +435,37 @@ func TestOpenBreakerHealsWithoutALadderRule(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("breaker edges %q missing %q", joined, want)
 		}
+	}
+}
+
+// TestRunBatchZeroAllocResilience re-pins the steady-state zero-alloc
+// contract at one proc (testing.AllocsPerRun pins GOMAXPROCS to 1;
+// TestRunBatchZeroAlloc counts at two or more): the batch's verdict to the
+// route's breaker must stay off the heap.
+func TestRunBatchZeroAllocResilience(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; zero-alloc assertion only meaningful without -race")
+	}
+	const n = 16
+	e := New(testPipeline(), Config{MaxBatch: n, Workers: 1})
+	defer e.Close()
+
+	w := e.newWorker(e.hard)
+	batch := make([]*request, n)
+	for i := range batch {
+		batch[i] = &request{id: uint64(i), pixels: hardImage(uint64(i)), done: make(chan outcome, 1)}
+	}
+	run := func() {
+		e.runBatch(e.hard, batch, w)
+		for _, r := range batch {
+			<-r.done
+		}
+	}
+	run()
+	run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
+		t.Errorf("resilience-armed runBatch: %v allocs per warm batch, want 0", allocs)
 	}
 }
 
