@@ -311,6 +311,22 @@ func hostBatch(n int) *tensor.Tensor {
 	return x
 }
 
+// hardBatches splits 64 degraded FashionMNIST renders — what the
+// benchmark's hard pool draws from, zero pixels and all — into batches of n.
+func hardBatches(n int) []*tensor.Tensor {
+	const renders = 64
+	r := rng.New(9)
+	px := make([]float32, 0, renders*dataset.Pixels)
+	for i := range renders {
+		px = append(px, dataset.RenderSample(dataset.FashionMNIST, i%dataset.NumClasses, true, r)...)
+	}
+	xs := make([]*tensor.Tensor, renders/n)
+	for i := range xs {
+		xs[i] = tensor.FromSlice(px[i*n*dataset.Pixels:(i+1)*n*dataset.Pixels], n, dataset.Pixels)
+	}
+	return xs
+}
+
 func BenchmarkHostCBNetPipeline(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
 	pipe := &core.Pipeline{
@@ -332,7 +348,12 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 // under two connections; the AE also at the short batches a mixed stream's
 // hard route runs (3, 7 and 12 rows beside the whole tiles of 8 and 16) —
 // in GFLOP/s of its cost model: the step-level figures the benchmark's
-// nn.clf_gflops_b32 and core.convert_us_b1 move with.
+// nn.clf_gflops_b32 and core.convert_us_b1 move with. hostBatch's uniform
+// pixels have no zeros, so the -hard cases run the classifier at one and
+// two images and the FashionMNIST AE the benchmark serves (784-512-256-
+// 128-784) at one on degraded FashionMNIST renders, built as the
+// benchmark's hard pool is, whose zero pixels the one-row gemv skips; 64
+// of them rotate, so no branch learns one input.
 // -benchmem must report 0 allocs/op throughout.
 func BenchmarkPlanExecute(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(4), 0.05)
@@ -358,10 +379,13 @@ func BenchmarkPlanExecute(b *testing.B) {
 		name    string
 		net     *nn.Sequential
 		batches []int
+		hard    bool // hardBatches' renders in place of hostBatch's pixels
 	}{
-		{"clf", pipe.Classifier, []int{1, 2, 32}},
-		{"ae", pipe.AE.Net, []int{1, 3, 7, 8, 12, 16, 32}},
-		{"lenet", models.NewLeNet(rng.New(1)), []int{1, 32}},
+		{"clf", pipe.Classifier, []int{1, 2, 32}, false},
+		{"ae", pipe.AE.Net, []int{1, 3, 7, 8, 12, 16, 32}, false},
+		{"lenet", models.NewLeNet(rng.New(1)), []int{1, 32}, false},
+		{"clf-hard", pipe.Classifier, []int{1, 2}, true},
+		{"ae-fmnist-hard", models.NewTableIAE(dataset.FashionMNIST, rng.New(6)).Net, []int{1}, true},
 	} {
 		for _, n := range m.batches {
 			b.Run(fmt.Sprintf("%s/b%d", m.name, n), func(b *testing.B) {
@@ -373,11 +397,14 @@ func BenchmarkPlanExecute(b *testing.B) {
 				for _, st := range p.Steps() {
 					flops += int64(n) * st.FLOPsPerImage
 				}
-				x := hostBatch(n)
+				xs := []*tensor.Tensor{hostBatch(n)}
+				if m.hard {
+					xs = hardBatches(n)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.Execute(nil, x)
+					p.Execute(nil, xs[i%len(xs)])
 				}
 				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})

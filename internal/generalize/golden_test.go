@@ -16,27 +16,20 @@ import (
 )
 
 // goldenBits pins the sha256 of each network's checkpoint bytes after
-// TestTrainingGoldenBits's run, per GEMM kernel. avx512-8x16 and avx2-8x8
-// train the same autoencoder. LeNet, BranchyNet and the latent head differ:
-// the blocked GEMM takes a product only when it is at least one tile wide
-// (useBlocked), so a 10-class output, or conv3's batch of 8 to 15 one-column
-// samples (an epoch's last, short minibatch), runs blocked under the 8-wide
-// tile and on the plain loop under the 16-wide one. generic-8x8 rounds
-// every multiply before it adds, and trains other weights again.
+// TestTrainingGoldenBits's run, per kind of GEMM kernel. Every product of
+// two rows or more under an FMA kernel takes the blocked micro-kernel and
+// every one-row product the gemv in the same order, whatever its width, so
+// avx512-8x16 and avx2-8x8 train the same bits. Without FMA every product
+// takes gemmNaive, which rounds every multiply before it adds, and
+// generic-8x8 and generic-8x16 train other bits, the same for both.
 var goldenBits = map[string]map[string]string{
-	"avx512-8x16": {
-		"lenet":       "084eaca521ac577009e0f7152a1841c76f79205a35d92ebee11d9223f2f84dba",
-		"branchy":     "e09505379c5014d691b637a2573118a8de201cd1a5230893e84af2b97aed3365",
+	"fma": {
+		"lenet":       "bc017bb5ee9304a3edcf236178a0b6e58b11b3224f8a3d8cb90033ffab81b8f3",
+		"branchy":     "7d95d7b6fa8b2db55ff7beb1f7864895683be8646ed61b827b74b45468139dd8",
 		"ae":          "19e99ea6bdd1b13e4014bad5534764115e3e0b0b09a282d464750af0e79ebb33",
-		"latent-head": "0ff6ceb0c5e13152c6eb11c6f69169b17963867af5424fcabad6a67131c488d0",
+		"latent-head": "89b3ef3f7bd1cc44c249c257d67ef5559e14d4934fffd10dec51ccbb8e0be056",
 	},
-	"avx2-8x8": {
-		"lenet":       "8811b3af7b3daceaf3a333bd577d8b309ff2d4bd7d7a5102ef3ca4b208d28eba",
-		"branchy":     "cc5215fd60c4b5247156eb98b84f8c11d5cec06498b20bebc193c95a7d7dfd7b",
-		"ae":          "19e99ea6bdd1b13e4014bad5534764115e3e0b0b09a282d464750af0e79ebb33",
-		"latent-head": "133cd7e68b4dfb3b111043ed897a2247947f97a0873f64a466ea4b3032b93a49",
-	},
-	"generic-8x8": {
+	"generic": {
 		"lenet":       "2e3c88f103a23748e03966a5af4cecb04464dce0a9a660efbd37f83f2588907a",
 		"branchy":     "b761fc3e8ae403adf9ed74380c6b8e4a4f88e299a27dc42892ad4f5055ce6145",
 		"ae":          "bbbd222e69511db489ba98822a5355ce151973db5d626459c5af272fb249a7f3",
@@ -47,7 +40,9 @@ var goldenBits = map[string]map[string]string{
 // TestTrainingGoldenBits trains a small system through core.TrainSystem —
 // LeNet, BranchyNet's joint training, exit-threshold tuning, the stage-3
 // easy/hard labels and the autoencoder — and a latent head on its encoder,
-// and holds each trained network to pinned hashes. A change that claims to
+// and holds each trained network to pinned hashes, once under every kernel
+// the host runs, each with the dispatch it would get at init (the blocked
+// path for an FMA kernel, gemmNaive for a generic one). A change that claims to
 // keep the trained bits keeps these; one that moves them says so and pins
 // the new hashes. It is the quick first check before retraining the
 // benchmark's 1 000-image fixture.
@@ -57,15 +52,36 @@ func TestTrainingGoldenBits(t *testing.T) {
 		// scalar loops round differently there.
 		t.Skip("hashes are pinned for amd64")
 	}
-	kernel := tensor.GEMMKernelName()
-	want, ok := goldenBits[kernel]
-	if !ok {
-		t.Skipf("no hashes pinned for kernel %s", kernel)
-	}
+	defer tensor.SetBlockedKernelForTest(tensor.SetBlockedKernelForTest(tensor.BlockedKernelEnabled()))
+	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
 	std, err := dataset.LoadStandard(dataset.FashionMNIST, 200, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, k := range tensor.GEMMKernels() {
+		if !k.Available {
+			continue
+		}
+		t.Run(k.Name, func(t *testing.T) {
+			tensor.SetGEMMKernelForTest(k.Name)
+			tensor.SetBlockedKernelForTest(k.FMA)
+			want := goldenBits["generic"]
+			if k.FMA {
+				want = goldenBits["fma"]
+			}
+			for name, sum := range trainGolden(t, std) {
+				if sum != want[name] {
+					t.Errorf("%s under %s: sha256 %s, want %s", name, k.Name, sum, want[name])
+				}
+			}
+		})
+	}
+}
+
+// trainGolden runs TestTrainingGoldenBits's training under the active
+// kernel and returns each network's checkpoint sha256.
+func trainGolden(t *testing.T, std dataset.Standard) map[string]string {
+	t.Helper()
 	cfg := core.DefaultSystemConfig(dataset.FashionMNIST)
 	cfg.LeNetEpochs, cfg.BranchyEpochs, cfg.AEEpochs = 1, 1, 1
 	cfg.Seed = 1
@@ -78,6 +94,7 @@ func TestTrainingGoldenBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sys.Branchy
+	sums := map[string]string{}
 	for name, nets := range map[string][]*nn.Sequential{
 		"lenet":       {sys.LeNet},
 		"branchy":     {b.Stem, b.Branch, b.Trunk},
@@ -89,8 +106,7 @@ func TestTrainingGoldenBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != want[name] {
-			t.Errorf("%s under %s: sha256 %s, want %s", name, kernel, got, want[name])
-		}
+		sums[name] = hex.EncodeToString(sum[:])
 	}
+	return sums
 }

@@ -34,8 +34,9 @@ import (
 //
 // What a step's GEMM reads as its B operand is bound to the micro-kernel
 // ahead of the product wherever the product takes the blocked path
-// (tensor.BlockedGEMM, asked per Execute of the live batch; single rows and
-// small shapes read B row-major). A dense step's weights are packed once,
+// (tensor.BlockedGEMM, asked per Execute of the live batch: under an FMA
+// kernel every batch of two rows or more; a single row's gemv, summing in
+// the same order, reads B row-major). A dense step's weights are packed once,
 // at Compile, into the kernel's sliver layout and kept on the layer, one
 // copy for all plans of the network; Execute packs nothing constant. A conv
 // step's column matrix is expanded straight into that layout, in the conv
@@ -559,7 +560,8 @@ func (p *Plan) view(n int, data []float32) *tensor.Tensor {
 // runDense executes y = act(xW + b) with the bias and activation fused into
 // the GEMM epilogue, plus the optional fused row softmax. A batch that takes
 // the blocked path multiplies by the layer's packed weights; a single row
-// (gemv) or a shape below the blocked gate reads W itself.
+// (the gemv, in the blocked kernel's order) or a batch on a kernel without
+// FMA reads W itself.
 func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	d := st.dense
 	ep := tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}

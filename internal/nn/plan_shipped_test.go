@@ -3,7 +3,6 @@ package nn_test
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"cbnet/internal/compress"
@@ -263,35 +262,48 @@ func TestPlanRepacksWhenKernelWidthChanges(t *testing.T) {
 	}
 }
 
-// TestConvStepsAreBatchInvariant: a conv step's bits do not depend on the
-// batch an image rides in. The conv stacks (conv1 … brelu) of the
-// lightweight classifier and of its pruned variant, compiled at capacities
-// 1, 2, 3, 7 and 32 and run over 32 images a full batch at a time, give
-// every image the bits of its row in the one batch of 32, under every
-// kernel the host runs.
-func TestConvStepsAreBatchInvariant(t *testing.T) {
+// TestPlansAreBatchInvariant: an image's bits do not depend on the batch it
+// rides in. The whole plans of the MNIST and FashionMNIST autoencoders
+// (sigmoid output), the lightweight classifier, its pruned variant and
+// LeNet, compiled at capacities 1, 2, 3, 7 and 32 and run over 32 images a
+// full batch at a time, give every image the bits of its row in the one
+// batch of 32, under every kernel the host runs with the dispatch it would
+// get at init. About 40 % of the pixels are zero, so the one-row gemv's
+// zero skip runs.
+func TestPlansAreBatchInvariant(t *testing.T) {
 	light := models.ExtractLightweight(models.NewBranchyLeNet(rng.New(51), 0.05))
 	pruned, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nets := []shippedNet{
+		{"ae-mnist-sigmoid", models.NewTableIAE(dataset.MNIST, rng.New(53)).Net, dataset.Pixels},
+		{"ae-fmnist-sigmoid", models.NewTableIAE(dataset.FashionMNIST, rng.New(54)).Net, dataset.Pixels},
+		{"lightweight", light, dataset.Pixels},
+		{"lightweight-pruned", pruned, dataset.Pixels},
+		{"lenet", models.NewLeNet(rng.New(55)), dataset.Pixels},
+	}
 	const n = 32
 	x := tensor.New(n, dataset.Pixels)
-	x.RandUniform(rng.New(52), 0, 1)
+	r := rng.New(52)
+	x.RandUniform(r, 0, 1)
+	for i := range x.Data {
+		if r.Float64() < 0.4 {
+			x.Data[i] = 0
+		}
+	}
+	defer tensor.SetBlockedKernelForTest(tensor.SetBlockedKernelForTest(tensor.BlockedKernelEnabled()))
 	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())
 	for _, k := range tensor.GEMMKernels() {
 		if !k.Available {
 			continue
 		}
 		tensor.SetGEMMKernelForTest(k.Name)
-		for _, net := range []*nn.Sequential{light, pruned} {
-			stack := nn.NewSequential(net.Name()+"-convs", net.Layers[:5]...)
-			if last := stack.Layers[4].Name(); !strings.HasPrefix(last, "brelu") {
-				t.Fatalf("%s: conv stack ends at %s, want brelu", net.Name(), last)
-			}
+		tensor.SetBlockedKernelForTest(k.FMA)
+		for _, net := range nets {
 			var want []float32
 			for _, c := range []int{n, 1, 2, 3, 7} {
-				p, err := nn.Compile(stack, c)
+				p, err := nn.Compile(net.net, c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,7 +319,7 @@ func TestConvStepsAreBatchInvariant(t *testing.T) {
 				}
 				for i := range want {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s %s at capacity %d: image %d output[%d] = %#08x, %#08x in a batch of %d", k.Name, net.Name(), c,
+						t.Fatalf("%s %s at capacity %d: image %d output[%d] = %#08x, %#08x in a batch of %d", k.Name, net.name, c,
 							i/outW, i%outW, math.Float32bits(got[i]), math.Float32bits(want[i]), n)
 					}
 				}

@@ -18,9 +18,8 @@ import (
 // in (c, ky, kx) order from a zero accumulator (a single depth block, hence
 // the ColRows ≤ blockKC condition), the bias added, the activation applied —
 // the bits the blocked micro-kernel gives the same product. The path is
-// taken at every batch size, also where the blocked gate's flop floor would
-// send the product to the scalar fallback, so an image's bits do not depend
-// on the batch it rides in.
+// taken at every batch size, so an image's bits do not depend on the batch
+// it rides in.
 
 // tapBlock is how many plane positions a tap-accumulate routine covers per
 // block of accumulators; planes are rounded up to it and frames carry that

@@ -1,13 +1,18 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GEMM computes C = alpha*(A×B) + beta*C over raw row-major slices: A is
 // m×k, B is k×n, C is m×n. It is the hot-path entry point used by the
-// layers in internal/nn; large problems take the cache-blocked micro-kernel
-// path (gemm_blocked.go), single-row products the unrolled gemv, and
-// everything else the axpy reference kernel. With beta == 0, C is stored
-// without being read, so uninitialized scratch output buffers are safe.
+// layers in internal/nn. Under an FMA kernel a product of two rows or more
+// takes the cache-blocked micro-kernel path (gemm_blocked.go) and a single
+// row with alpha 1 and beta 0 the gemv, which sums in the same order; every
+// other product takes the axpy reference kernel. With beta == 0, C is
+// stored without being read, so uninitialized scratch output buffers are
+// safe.
 func GEMM(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: GEMM operand sizes %d/%d/%d too small for (%d×%d)·(%d×%d)",
@@ -15,22 +20,27 @@ func GEMM(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	}
 	switch {
 	case m == 0 || n == 0:
-	case m == 1:
-		gemvRow(a, b, c, k, n, alpha, beta)
-	case useBlocked(m, k, n):
+	case useBlocked(m, k):
 		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, alpha, beta, Epilogue{}, nil, nil)
+	case useGemv(m, k) && alpha == 1 && beta == 0:
+		gemvRow(a, b, c, k, n)
 	default:
 		gemmNaive(a, b, c, m, k, n, alpha, beta)
 	}
 }
 
 // useBlocked is the single dispatch gate for the blocked micro-kernel path:
-// an FMA kernel must exist, the problem must be large enough to amortize
-// packing, at least one full tile column of the active kernel's width must
-// exist, the depth must cover the kernel's unrolled loads, and multi-row
-// (m==1 is gemv's job).
-func useBlocked(m, k, n int) bool {
-	return blockedEnabled && m > 1 && m*k*n >= blockedMinFlops && n >= activeKernel.nr && k >= 4
+// an FMA kernel must exist, the product must have two rows or more (one row
+// is gemvRow's, in the same order) and the depth must cover the kernel's
+// unrolled loads. It does not look at the width or the size: every product
+// it admits sums each element in one order, whatever the batch.
+func useBlocked(m, k int) bool {
+	return blockedEnabled && m > 1 && k >= 4
+}
+
+// useGemv is useBlocked's one-row counterpart: the products gemvRow takes.
+func useGemv(m, k int) bool {
+	return blockedEnabled && m == 1 && k >= 4
 }
 
 // MatMulTransA computes C = Aᵀ × B without materializing Aᵀ.
@@ -79,7 +89,7 @@ func checkTransOut(c *Tensor, m, n int, what string) {
 // matMulTransA computes C = Aᵀ×B + beta·C (beta must be 0 or 1). Off the
 // blocked path cᵢⱼ = Σ_p a_{p,i} b_{p,j}, for each p a rank-1 update of C.
 func matMulTransA(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
-	if useBlocked(m, k, n) {
+	if useBlocked(m, k) {
 		// op(A)[i,p] = a[p*m+i]: unit row stride, column stride m.
 		gemmBlocked(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
@@ -142,7 +152,7 @@ func checkTransB(a, b *Tensor) (m, k, n int) {
 
 // matMulTransB computes C = A×Bᵀ + beta·C (beta must be 0 or 1).
 func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
-	if useBlocked(m, k, n) {
+	if useBlocked(m, k) {
 		// op(B)[p,j] = b[j*k+p]: row stride 1, column stride k.
 		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
 		return
@@ -179,25 +189,12 @@ func GEMMNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 
 // gemmNaive computes C = alpha*A*B + beta*C over raw row-major slices with
 // the i-p-j axpy formulation: the innermost loop streams both B's row p and
-// C's row i sequentially. It is the small-problem fallback and the oracle
-// the blocked kernel is tested against.
-//
-// Where C is no wider than one vector of the active kernel's ISA (the
-// classifier head's 10 classes on AVX-512) and alpha is 1, beta 0 or 1, the
-// rows run in narrowGEMM instead: each row's C stays in one masked register
-// for the whole depth loop, and for every p the row's update is the Go
-// loop's — bv·av, then that product plus C, unfused and in those operand
-// roles (the order the compiler gives `crow[j] += av * bv`) — merged into C
-// under a mask of av ≠ 0. That mask is the Go loop's zero-skip without its
-// branch: an av of ±0 leaves C as it was, a NaN av is applied. Each element
-// therefore has the Go loop's bits, NaN payloads included. `av *= 1` is
-// left out: it changes no av but a signalling NaN, which it quiets — and the
-// product quiets it the same way.
+// C's row i sequentially, multiplying and adding as the compiler writes
+// `crow[j] += av * bv`, and skips a zero coefficient. Each row is summed
+// alone, so a row's bits do not depend on the rows beside it. It is every
+// product's path on a kernel without FMA and the oracle the blocked kernel
+// is tested against.
 func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
-	if alpha == 1 && (beta == 0 || beta == 1) &&
-		narrowGEMM(activeKernel.vec, a[:m*k], b, c[:m*n], m, k, n, beta == 1) {
-		return
-	}
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
 		if beta == 0 {
@@ -223,59 +220,74 @@ func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	}
 }
 
-// gemvRow computes the single-row product c = alpha*(a·B) + beta*c for a
-// length-k vector a and k×n matrix B. Zero coefficients are skipped exactly
-// like the axpy reference — single-image inputs and post-relu activations
-// are sparse, and skipping a zero skips a whole row of B — while the
-// surviving nonzero coefficients are compacted into groups of four and
-// fused into one pass over c, so each c element costs one load/store per
-// eight flops instead of per two. The m==1 shape (ClassifyDirect on one
-// image) is too small to amortize micro-kernel packing, but not too small
-// for instruction-level parallelism: where the active kernel comes with
-// vector bodies (axpy4, axpy1) they run both passes over the leading vector
-// multiple of c, in the association the Go loops below spell out —
-// c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3), multiply and add unfused — and
-// the Go loops finish the n mod width tail, so a row has the same bits
-// under every kernel (of an amd64 build whose Go loops the compiler leaves
-// unfused — any below GOAMD64=v3; no other architecture has the bodies).
-func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
+// gemvRow computes the single-row product c = a·B for a length-k vector a
+// and k×n matrix B in the blocked kernel's order (gemmBlocked with
+// tileTail or writeTile): for each blockKC-deep block, an accumulator that
+// starts at +0 takes acc = fma(a_p, b_p, acc) for p ascending; block 0's
+// accumulator is stored to c, and each later block's is added to c,
+// unfused. So a row's bits are its row's in any blocked product. The
+// caller applies the epilogue after, as the blocked path does on its last
+// depth block.
+//
+// Zero coefficients are skipped — single-image inputs and post-relu
+// activations are sparse, and skipping a zero skips a whole row of B — and
+// each block runs as one gemvBlock call over the rows of the nonzero
+// coefficients, its accumulators in registers. Skipping a zero term changes no sum of finite
+// operands but the sign of a zero: the kernel's +0·b added to a −0 gives
+// +0. A skipped sum can only be a −0 where the kernel's is a +0, so a
+// result holding a −0 is summed again with every term. B must be finite
+// (0·Inf is NaN in the kernel, and skipped here).
+func gemvRow(a, b, c []float32, k, n int) {
 	c = c[:n]
-	vec := activeKernel.vec
-	if beta == 0 {
-		for j := range c {
-			c[j] = 0
-		}
-	} else if beta != 1 {
-		for j := range c {
-			c[j] *= beta
+	gemvSum(a, b, c, k, true)
+	for _, v := range c {
+		if math.Float32bits(v) == 1<<31 {
+			gemvSum(a, b, c, k, false)
+			return
 		}
 	}
-	var coef [4]float32
-	var brow [4][]float32
-	cnt := 0
-	for p := 0; p < k; p++ {
-		av := alpha * a[p]
-		if av == 0 {
-			continue
+}
+
+// gemvSum is one pass of gemvRow, skipping zero coefficients when skip is
+// set.
+func gemvSum(a, b, c []float32, k int, skip bool) {
+	var off [blockKC]int
+	var coef [blockKC]float32
+	for pc := 0; pc < k; pc += blockKC {
+		cnt := 0
+		for p, av := range a[pc:min(pc+blockKC, k)] {
+			if skip && av == 0 {
+				continue
+			}
+			off[cnt], coef[cnt] = (pc+p)*len(c), av
+			cnt++
 		}
-		coef[cnt] = av
-		brow[cnt] = b[p*n : p*n+n]
-		cnt++
-		if cnt < 4 {
-			continue
-		}
-		cnt = 0
-		a0, a1, a2, a3 := coef[0], coef[1], coef[2], coef[3]
-		b0, b1, b2, b3 := brow[0], brow[1], brow[2], brow[3]
-		for j := axpy4(vec, c, b0, b1, b2, b3, a0, a1, a2, a3); j < n; j++ {
-			c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
+		gemvBlock(activeKernel.vec, c, b, &off, &coef, cnt, pc > 0)
 	}
-	for g := 0; g < cnt; g++ {
-		av := coef[g]
-		row := brow[g]
-		for j := axpy1(vec, c, row, av); j < n; j++ {
-			c[j] += av * row[j]
+}
+
+// gemvBlockGo is gemvBlock without a vector body, sixteen columns at a
+// time. Each step is the generic micro-kernel's `acc += a * b`, fused
+// wherever the compiler fuses that one (never below GOAMD64=v3, always on arm64), so
+// the row has the bits of the blocked product under the same kernel.
+func gemvBlockGo(c, b []float32, off []int, coef []float32, accumulate bool) {
+	var acc [16]float32
+	for j0 := 0; j0 < len(c); j0 += len(acc) {
+		crow := c[j0:min(j0+len(acc), len(c))]
+		t := acc[:len(crow)]
+		clear(t)
+		for i, o := range off {
+			av, row := coef[i], b[o+j0:][:len(t)]
+			for j := range t {
+				t[j] += av * row[j]
+			}
+		}
+		if !accumulate {
+			copy(crow, t)
+			continue
+		}
+		for j, v := range t {
+			crow[j] += v
 		}
 	}
 }

@@ -52,10 +52,6 @@ const (
 	blockKC = 256  // depth block: an mr×kc A sliver (8 KB) stays L1-resident
 	blockMC = 128  // row block: the packed A panel (mc×kc ≈ 128 KB) fits L2
 	blockNC = 2048 // col block: the packed B panel (kc×nc ≈ 2 MB) fits L3
-
-	// blockedMinFlops gates the blocked path: below it the packing traffic
-	// costs more than the micro-kernel saves and the axpy fallback wins.
-	blockedMinFlops = 32 * 32 * 32
 )
 
 // blockedEnabled reports whether the blocked path beats the axpy fallback on

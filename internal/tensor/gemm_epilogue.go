@@ -101,11 +101,11 @@ func GEMMEpilogue(a, b, c []float32, m, k, n int, ep Epilogue, ps *PackScratch) 
 	ep.checkBias(m, n)
 	switch {
 	case m == 0 || n == 0:
-	case m == 1:
-		gemvRow(a, b, c, k, n, 1, 0)
-		epilogueTile(c, n, 0, 0, 1, n, &ep)
-	case useBlocked(m, k, n):
+	case useBlocked(m, k):
 		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, ep, ps, nil)
+	case useGemv(m, k):
+		gemvRow(a, b, c, k, n)
+		epilogueTile(c, n, 0, 0, 1, n, &ep)
 	default:
 		gemmNaive(a, b, c, m, k, n, 1, 0)
 		epilogueTile(c, n, 0, 0, m, n, &ep)

@@ -40,12 +40,11 @@ type pairKernelFunc func(kc int, ap, bp []float32, acc *[2][maxMR * maxNR]float3
 // vecISA names the instruction set of the vector loops that sit outside the
 // micro-kernel — the write-back tail of a full-width tile (tileTail), the
 // body of SigmoidSlice, the direct convolution's tap-accumulate kernel and row
-// compaction (conv_direct.go), the bodies of gemvRow's fused passes, the 2×2
-// max-pool body (MaxPool2) and the narrow product (gemmNaive) — for the
-// registry entry whose CPUID gate covers them. vecNone: tiles are written
-// back by writeTile and epilogueTile, SigmoidSlice is a loop over Sigmoid32,
-// convolutions go through im2col, and gemvRow, MaxPool2 and gemmNaive
-// run their Go loops.
+// compaction (conv_direct.go), the bodies of gemvRow's multiply-add passes
+// and the 2×2 max-pool body (MaxPool2) — for the registry entry whose CPUID
+// gate covers them. vecNone: tiles are written back by writeTile and
+// epilogueTile, SigmoidSlice is a loop over Sigmoid32, convolutions go
+// through im2col, and gemvRow and MaxPool2 run their Go loops.
 type vecISA uint8
 
 const (

@@ -250,8 +250,9 @@ func absAll(v []float32) []float32 {
 // FuzzGEMMKernelsVsNaive holds every micro-kernel this CPU runs to the naive
 // reference over ragged shapes — rows, depths and widths that are no
 // multiple of any tile, past one depth block and one row block — through the
-// blocked driver and through GEMM's own dispatch (for a single row that is
-// gemvRow and its vector bodies), on operands that round.
+// blocked driver and through GEMM's own dispatch (for a single row with
+// alpha 1 and beta 0 that is gemvRow and its vector bodies), on operands
+// that round.
 func FuzzGEMMKernelsVsNaive(f *testing.F) {
 	f.Add(uint16(1), uint16(784), uint16(37), float32(1), float32(0), uint32(3))
 	f.Add(uint16(3), uint16(25), uint16(784), float32(1), float32(0), uint32(5))

@@ -69,9 +69,9 @@ func (pb *PackedB) at(pc, j int) int {
 
 // BlockedGEMM reports whether an (m×k)·(k×n) product dispatches to the
 // blocked micro-kernel path — the products GEMMEpiloguePacked serves. The
-// rest (single rows, shapes too small to amortize packing, hosts without an
-// FMA kernel) read B row-major through GEMMEpilogue.
-func BlockedGEMM(m, k, n int) bool { return useBlocked(m, k, n) }
+// rest (single rows, depths below 4, hosts without an FMA kernel) read B
+// row-major through GEMMEpilogue.
+func BlockedGEMM(m, k, n int) bool { return useBlocked(m, k) }
 
 // GEMMEpiloguePacked is GEMMEpilogue for a product that dispatches to the
 // blocked path (BlockedGEMM(m, pb's k, pb's n) must hold) with B already
@@ -80,7 +80,7 @@ func BlockedGEMM(m, k, n int) bool { return useBlocked(m, k, n) }
 // packed under the current PackedWidth.
 func GEMMEpiloguePacked(a []float32, pb *PackedB, c []float32, m int, ep Epilogue, ps *PackScratch) {
 	k, n := pb.k, pb.n
-	if !useBlocked(m, k, n) {
+	if !useBlocked(m, k) {
 		panic(fmt.Sprintf("tensor: GEMMEpiloguePacked on a (%d×%d)·(%d×%d) product the blocked path does not serve", m, k, k, n))
 	}
 	if pb.nr != activeKernel.nr {

@@ -20,80 +20,68 @@ func fillMantissa(data []float32, seed uint32) {
 	}
 }
 
-// gemvRow under a kernel with vector bodies against gemvRow under a generic
-// kernel — the Go loops alone, kept as the reference. The bodies multiply
-// and add unfused in the loops' association, so every finite, infinite and
-// signed-zero result has the reference's bits; a NaN has to be a NaN, its
-// payload being whichever operand the hardware forwards.
-func TestGemvVectorMatchesGoLoop(t *testing.T) {
+// saltZerosAndSubnormals overwrites about a third of data with zeros of
+// both signs and a sixth with subnormals of either sign: the coefficients
+// gemvRow skips, and products that round to a zero of the product's sign.
+func saltZerosAndSubnormals(data []float32, seed uint32) {
+	s := seed*2654435761 + 0x9E3779B9 | 1
+	for i := range data {
+		s ^= s << 13
+		s ^= s >> 17
+		s ^= s << 5
+		switch r := s >> 8 % 6; {
+		case r == 0:
+			data[i] = 0
+		case r == 1:
+			data[i] = float32(math.Copysign(0, -1))
+		case r == 2:
+			data[i] = math.Float32frombits(s>>9 | s<<31) // |a| < 2⁻¹²⁶
+		}
+	}
+}
+
+// TestGemvMatchesBlockedRow holds gemvRow's row to the same row of a
+// two-row blocked product, bit for bit, under every kernel the host runs
+// (a generic one with the blocked path forced on, so that both sides are
+// its Go loops): depths on both sides of a depth block, widths below, at
+// and past each vector width, B finite with full mantissas. A's row
+// carries ±0 and subnormals, so the zero skip runs; in the "tiny" rows
+// every coefficient is ±0 or one of the smallest subnormals, every product
+// rounds to a zero and the sums are zeros whose sign only the kernel's
+// order gives — the skipped sum's −0 that gemvRow sums again.
+func TestGemvMatchesBlockedRow(t *testing.T) {
+	defer SetBlockedKernelForTest(SetBlockedKernelForTest(true))
 	negZero := float32(math.Copysign(0, -1))
-	odd := []float32{0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32, math.SmallestNonzeroFloat32}
-	widths := []int{512, 784}
-	for n := 1; n <= 40; n++ {
-		widths = append(widths, n)
-	}
-	type variant struct {
-		name        string
-		coef        func(p int, v float32) float32
-		special     bool
-		alpha, beta float32
-	}
-	dense := func(_ int, v float32) float32 {
-		if v == 0 {
-			return 0.25
-		}
-		return v
-	}
-	variants := []variant{
-		{"dense", dense, false, 1, 0},
-		{"all-zero", func(int, float32) float32 { return 0 }, false, 1, 0},
-		{"every-other-zero", func(p int, v float32) float32 { return float32(p%2) * dense(p, v) }, false, 1, 0},
-		{"accumulate", dense, false, 1, 1},
-		{"scaled", dense, false, 0.5, -1},
-		{"scaled-sparse", func(p int, v float32) float32 { return float32((p+1)%3%2) * dense(p, v) }, false, 2, 0.25},
-		{"alpha-zero", dense, false, 0, 1},
-		{"special", dense, true, 1, 0},
-		{"special-accumulate", dense, true, 1, 1},
-	}
-	run := func(kernel string, v variant, k, n int) []float32 {
-		defer SetGEMMKernelForTest(SetGEMMKernelForTest(kernel))
-		a := make([]float32, k)
-		b := make([]float32, k*n)
-		c := make([]float32, n)
-		fillMantissa(a, uint32(k*977+n))
-		fillMantissa(b, uint32(n*983+k))
-		fillMantissa(c, uint32(k+n))
-		for p := range a {
-			a[p] = v.coef(p, a[p])
-		}
-		if v.special {
-			for i := 0; i < len(b); i += 5 {
-				b[i] = odd[(i/5)%len(odd)]
-			}
-			for p := 2; p < k; p += 7 {
-				a[p] = odd[(p/7)%len(odd)]
-			}
-			for j := 1; j < n; j += 9 {
-				c[j] = odd[(j/9)%len(odd)]
-			}
-		}
-		gemvRow(a, b, c, k, n, v.alpha, v.beta)
-		return c
-	}
+	tiny := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 2 * math.SmallestNonzeroFloat32}
 	for _, kern := range GEMMKernels() {
-		if !kern.Available || kern.Name == "generic-8x8" {
+		if !kern.Available {
 			continue
 		}
 		t.Run(kern.Name, func(t *testing.T) {
-			for _, v := range variants {
-				for _, n := range widths {
-					for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 37} {
-						got, want := run(kern.Name, v, k, n), run("generic-8x8", v, k, n)
-						for j := range want {
-							g, w := got[j], want[j]
-							if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-								t.Fatalf("%s k=%d n=%d: c[%d] = %v (%#x), Go loop %v (%#x)", v.name, k, n, j, g, math.Float32bits(g), w, math.Float32bits(w))
+			defer SetGEMMKernelForTest(SetGEMMKernelForTest(kern.Name))
+			for _, k := range []int{1, 255, 256, 257, 784} {
+				for _, n := range []int{1, 10, 15, 16, 17, 130, 512, 784} {
+					for _, variant := range []string{"salted", "tiny"} {
+						seed := uint32(k*1000 + n)
+						a := make([]float32, 2*k)
+						b := make([]float32, k*n)
+						fillMantissa(a, seed)
+						fillMantissa(b, seed+1)
+						if variant == "salted" {
+							saltZerosAndSubnormals(a[:k], seed+2)
+						} else {
+							for p := range k {
+								a[p] = tiny[(p*7+int(seed))%len(tiny)]
 							}
+						}
+						want := make([]float32, 2*n)
+						gemmBlocked(a, k, 1, b, n, 1, want, 2, k, n, 1, 0, Epilogue{}, nil, nil)
+						got := make([]float32, n)
+						fillMantissa(got, seed+3) // stored, not read
+						gemvRow(a[:k], b, got, k, n)
+						if j, ok := bitsEqual(got, want[:n]); !ok {
+							t.Fatalf("%s k=%d n=%d: c[%d] = %#08x, the blocked row %#08x", variant, k, n, j,
+								math.Float32bits(got[j]), math.Float32bits(want[j]))
 						}
 					}
 				}
@@ -120,7 +108,7 @@ func BenchmarkGemvRow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemvRow(as[i%len(as)], bb, c, s.k, s.n, 1, 0)
+				gemvRow(as[i%len(as)], bb, c, s.k, s.n)
 			}
 			b.ReportMetric(2*float64(s.k)*float64(s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})

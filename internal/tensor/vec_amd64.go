@@ -6,7 +6,7 @@ package tensor
 // slices it is handed against what the routine will touch, then calls the
 // routine of the registry entry's instruction set directly — a static,
 // noescape call, so the callers' stack operands (the tap offsets and a plane
-// group's biases, gemvRow's coefficient group) stay on the stack.
+// group's biases, gemvRow's row offsets and coefficients) stay on the stack.
 
 //go:noescape
 func tileTailAVX512(c *float32, ldc int, acc, bias *float32, flags, rows int)
@@ -42,22 +42,10 @@ func maxPool2AVX512(dst, src *float32, w, outW, rows int)
 func maxPool2AVX2(dst, src *float32, w, outW, rows int)
 
 //go:noescape
-func narrowGEMMAVX512(a, b, c *float32, m, k, n, accumulate int)
+func gemvBlockAVX512(c, b *float32, n int, off *int, coef *float32, cnt, accumulate int)
 
 //go:noescape
-func narrowGEMMAVX2(a, b, c *float32, m, k, n, accumulate int)
-
-//go:noescape
-func axpy4AVX512(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-
-//go:noescape
-func axpy4AVX2(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-
-//go:noescape
-func axpy1AVX512(c, b *float32, n int, a float32)
-
-//go:noescape
-func axpy1AVX2(c, b *float32, n int, a float32)
+func gemvBlockAVX2(c, b *float32, n int, off *int, coef *float32, cnt, accumulate int)
 
 // tileTail is the write-back of one full-width tile of the instruction
 // set's micro-kernel (8×16 for AVX-512, each half of its 8×32 pair body in
@@ -196,58 +184,29 @@ func maxPool2Vec(isa vecISA, dst, src []float32, w, outW, rows int) {
 	}
 }
 
-// narrowGEMM is gemmNaive's body for alpha 1, beta 0 or 1 (accumulate)
-// and a C no wider than one vector: the m rows of C = A·B (+ C), A m×k, B
-// k×n. It reports whether it ran; without a vector ISA, for a wider C or an
-// empty depth it leaves the product to the Go loop.
-func narrowGEMM(isa vecISA, a, b, c []float32, m, k, n int, accumulate bool) bool {
-	if m == 0 || k == 0 || n == 0 || n > isa.width() {
-		return false
+// gemvBlock runs one depth block of gemvRow over every column j of c: an
+// accumulator starts at +0 and takes acc = fma(coef[i], b[off[i]+j], acc)
+// for i in [0, cnt); then c[j] = acc, or c[j] += acc under accumulate. The
+// instruction set's body keeps the accumulators in registers; without one
+// it is gemvBlockGo.
+func gemvBlock(isa vecISA, c, b []float32, off *[blockKC]int, coef *[blockKC]float32, cnt int, accumulate bool) {
+	n := len(c)
+	if isa == vecNone || n == 0 {
+		gemvBlockGo(c, b, off[:cnt], coef[:cnt], accumulate)
+		return
 	}
-	_, _, _ = a[m*k-1], b[k*n-1], c[m*n-1]
+	for _, o := range off[:cnt] {
+		if o < 0 || o+n > len(b) {
+			panic("tensor: gemv row outside B")
+		}
+	}
 	acc := 0
 	if accumulate {
 		acc = 1
 	}
 	if isa == vecAVX512 {
-		narrowGEMMAVX512(&a[0], &b[0], &c[0], m, k, n, acc)
+		gemvBlockAVX512(&c[0], &b[0], n, &off[0], &coef[0], cnt, acc)
 	} else {
-		narrowGEMMAVX2(&a[0], &b[0], &c[0], m, k, n, acc)
+		gemvBlockAVX2(&c[0], &b[0], n, &off[0], &coef[0], cnt, acc)
 	}
-	return true
-}
-
-// axpy4 runs gemvRow's fused four-row pass, c[j] += ((a0·b0[j] + a1·b1[j]) +
-// a2·b2[j]) + a3·b3[j], over the leading vector multiple of c and returns
-// how many elements that was; the caller's Go loop finishes the rest. The
-// rows must be at least as long as c.
-func axpy4(isa vecISA, c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) int {
-	w := isa.width()
-	if len(c) < w || w == 0 {
-		return 0
-	}
-	n := len(c) &^ (w - 1)
-	_, _, _, _ = b0[n-1], b1[n-1], b2[n-1], b3[n-1]
-	if isa == vecAVX512 {
-		axpy4AVX512(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
-	} else {
-		axpy4AVX2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
-	}
-	return n
-}
-
-// axpy1 is axpy4 for the one-row tail, c[j] += a·b[j].
-func axpy1(isa vecISA, c, b []float32, a float32) int {
-	w := isa.width()
-	if len(c) < w || w == 0 {
-		return 0
-	}
-	n := len(c) &^ (w - 1)
-	_ = b[n-1]
-	if isa == vecAVX512 {
-		axpy1AVX512(&c[0], &b[0], n, a)
-	} else {
-		axpy1AVX2(&c[0], &b[0], n, a)
-	}
-	return n
 }

@@ -6,8 +6,8 @@
 // a full-width blocked-GEMM tile and the row-major A packing
 // (gemm_blocked.go), the body of SigmoidSlice (gemm_epilogue.go), the
 // tap-accumulate kernel and the row compaction of the direct convolution
-// (conv_direct.go), the 2×2 max-pool body (maxpool.go), the narrow product of
-// gemmNaive and the bodies of gemvRow's fused passes (gemm.go). Each but the
+// (conv_direct.go), the 2×2 max-pool body (maxpool.go) and the bodies of
+// gemvRow's multiply-add passes (gemm.go). Each but the
 // packing (one AVX2 transpose under both) comes in an AVX-512 and an AVX2
 // form, selected by the vecISA of the registry entry whose CPUID gate covers
 // it (gemm_amd64.go); the AVX-512 forms use AVX-512F instructions only, the
@@ -1272,318 +1272,288 @@ ycnext:
 	VZEROUPPER
 	RET
 
-// ZNROW is one row's step p of the narrow product (CX = 4p, the row of A at
-// ap, the row of B in Z4): av broadcast; kk = the n-column mask K1 where av
-// ≠ 0 — unordered counts as unequal, so a NaN av is applied and ±0 is not;
-// bv·av with B's row as first source, then that product plus C with the
-// product as first source — gemmNaive's MULSS and ADDSS, operand for
-// operand — written into C only under kk.
-#define ZNROW(ap, cz, kk) \
-	VBROADCASTSS (ap)(CX*1), Z5; \
-	VCMPPS       $4, Z31, Z5, K1, kk; \
-	VMULPS       Z5, Z4, Z6; \
-	VADDPS       cz, Z6, kk, cz
+// ZROW points DX at coefficient AX's row of the chunk — b (R12) + 4·off[AX]
+// + the chunk's byte offset SI — and broadcasts the coefficient to Z8; the
+// caller then takes it into each accumulator with one VFMADD231PS, the row
+// as the memory operand: the micro-kernel's acc = fma(a, b, acc).
+#define ZROW \
+	MOVQ         (R8)(AX*8), DX; \
+	LEAQ         (R12)(DX*4), DX; \
+	ADDQ         SI, DX; \
+	VBROADCASTSS (R9)(AX*4), Z8
 
-// func narrowGEMMAVX512(a, b, c *float32, m, k, n, accumulate int)
+// func gemvBlockAVX512(c, b *float32, n int, off *int, coef *float32, cnt, accumulate int)
 //
-// C = A·B, or C += A·B when accumulate is 1, for A m×k, B k×n, C m×n, all
-// row-major, 1 ≤ n ≤ 16 and k ≥ 1: gemmNaive for alpha 1 and beta 0 or
-// 1. Each row of C lives in one ZMM for the whole depth loop (masked to n
-// columns on load and store, B's rows loaded under the same mask), four rows
-// at a time — four independent addition chains sharing each row of B — and
-// the rows left over one at a time.
-TEXT ·narrowGEMMAVX512(SB), NOSPLIT, $0-56
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), AX
-	MOVQ k+32(FP), R11
-	MOVQ n+40(FP), CX
-	MOVL $1, R8
-	SHLL CX, R8
-	DECL R8
-	KMOVW R8, K1 // C's n columns
-	MOVQ CX, R8
-	SHLQ $2, R8  // row stride of B and C, bytes
-	SHLQ $2, R11 // row stride of A, bytes
-	VPXORD Z31, Z31, Z31
+// One depth block of gemvRow: for each column j of c (n ≥ 1 of them), an
+// accumulator starts at +0 and takes acc = fma(coef[i], b[off[i]+j], acc)
+// for i in [0, cnt), cnt ≥ 0; then c[j] = acc, or c[j] = acc + c[j] when
+// accumulate is 1 (tileTail's VADDPS, the accumulator as first source).
+// The accumulators stay in registers for the whole block: eight vectors
+// (128 columns) at a time, then one, then the last n mod 16 columns under a
+// mask on every load and on the store, so nothing past a row is read.
+TEXT ·gemvBlockAVX512(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+8(FP), R12
+	MOVQ n+16(FP), BX
+	MOVQ off+24(FP), R8
+	MOVQ coef+32(FP), R9
+	MOVQ cnt+40(FP), R10
+	MOVQ accumulate+48(FP), R11
+	MOVQ BX, CX
+	ANDQ $15, CX
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX
+	KMOVW DX, K1 // the last, partial vector
+	XORQ SI, SI  // byte offset of the chunk in a row and in c
 
-zn4:
-	CMPQ   AX, $4
-	JLT    zn1
-	LEAQ   (SI)(R11*1), R12
-	LEAQ   (R12)(R11*1), R13
-	LEAQ   (R13)(R11*1), BX
-	LEAQ   (DI)(R8*2), R10
+zg8:
+	CMPQ   BX, $128
+	JLT    zg1
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
 	VPXORD Z3, Z3, Z3
-	CMPQ   accumulate+48(FP), $0
-	JEQ    zn4go
-	VMOVUPS.Z (DI), K1, Z0
-	VMOVUPS.Z (DI)(R8*1), K1, Z1
-	VMOVUPS.Z (R10), K1, Z2
-	VMOVUPS.Z (R10)(R8*1), K1, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    zg8w
 
-zn4go:
-	MOVQ DX, R9
-	XORQ CX, CX
+zg8p:
+	ZROW
+	VFMADD231PS (DX), Z8, Z0
+	VFMADD231PS 64(DX), Z8, Z1
+	VFMADD231PS 128(DX), Z8, Z2
+	VFMADD231PS 192(DX), Z8, Z3
+	VFMADD231PS 256(DX), Z8, Z4
+	VFMADD231PS 320(DX), Z8, Z5
+	VFMADD231PS 384(DX), Z8, Z6
+	VFMADD231PS 448(DX), Z8, Z7
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         zg8p
 
-zn4p:
-	VMOVUPS.Z (R9), K1, Z4
-	ZNROW(SI, Z0, K2)
-	ZNROW(R12, Z1, K3)
-	ZNROW(R13, Z2, K4)
-	ZNROW(BX, Z3, K5)
-	ADDQ      R8, R9
-	ADDQ      $4, CX
-	CMPQ      CX, R11
-	JLT       zn4p
-	VMOVUPS   Z0, K1, (DI)
-	VMOVUPS   Z1, K1, (DI)(R8*1)
-	VMOVUPS   Z2, K1, (R10)
-	VMOVUPS   Z3, K1, (R10)(R8*1)
-	LEAQ      (DI)(R8*4), DI
-	LEAQ      (SI)(R11*4), SI
-	SUBQ      $4, AX
-	JMP       zn4
+zg8w:
+	LEAQ  (DI)(SI*1), DX
+	TESTQ R11, R11
+	JZ    zg8s
+	VADDPS (DX), Z0, Z0
+	VADDPS 64(DX), Z1, Z1
+	VADDPS 128(DX), Z2, Z2
+	VADDPS 192(DX), Z3, Z3
+	VADDPS 256(DX), Z4, Z4
+	VADDPS 320(DX), Z5, Z5
+	VADDPS 384(DX), Z6, Z6
+	VADDPS 448(DX), Z7, Z7
 
-zn1:
-	TESTQ  AX, AX
-	JZ     zndone
+zg8s:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, 128(DX)
+	VMOVUPS Z3, 192(DX)
+	VMOVUPS Z4, 256(DX)
+	VMOVUPS Z5, 320(DX)
+	VMOVUPS Z6, 384(DX)
+	VMOVUPS Z7, 448(DX)
+	ADDQ    $512, SI
+	SUBQ    $128, BX
+	JMP     zg8
+
+zg1:
+	CMPQ   BX, $16
+	JLT    zgt
 	VPXORD Z0, Z0, Z0
-	CMPQ   accumulate+48(FP), $0
-	JEQ    zn1go
-	VMOVUPS.Z (DI), K1, Z0
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    zg1w
 
-zn1go:
-	MOVQ DX, R9
-	XORQ CX, CX
+zg1p:
+	ZROW
+	VFMADD231PS (DX), Z8, Z0
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         zg1p
 
-zn1p:
-	VMOVUPS.Z (R9), K1, Z4
-	ZNROW(SI, Z0, K2)
-	ADDQ      R8, R9
-	ADDQ      $4, CX
-	CMPQ      CX, R11
-	JLT       zn1p
-	VMOVUPS   Z0, K1, (DI)
-	ADDQ      R8, DI
-	ADDQ      R11, SI
-	DECQ      AX
-	JMP       zn1
+zg1w:
+	LEAQ   (DI)(SI*1), DX
+	TESTQ  R11, R11
+	JZ     zg1s
+	VADDPS (DX), Z0, Z0
 
-zndone:
+zg1s:
+	VMOVUPS Z0, (DX)
+	ADDQ    $64, SI
+	SUBQ    $16, BX
+	JMP     zg1
+
+zgt:
+	TESTQ  BX, BX
+	JZ     zgdone
+	VPXORD Z0, Z0, Z0
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    zgtw
+
+zgtp:
+	ZROW
+	VFMADD231PS (DX), Z8, K1, Z0
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         zgtp
+
+zgtw:
+	LEAQ      (DI)(SI*1), DX
+	TESTQ     R11, R11
+	JZ        zgts
+	VMOVUPS.Z (DX), K1, Z9
+	VADDPS    Z9, Z0, Z0
+
+zgts:
+	VMOVUPS Z0, K1, (DX)
+
+zgdone:
 	VZEROUPPER
 	RET
 
-// YNROW is ZNROW without opmasks: the av ≠ 0 mask is a vector (Y6) and the
-// merge a VBLENDVPS that takes product plus C where it is set and C where it
-// is clear.
-#define YNROW(ap, cy) \
-	VBROADCASTSS (ap)(CX*1), Y5; \
-	VCMPPS       $4, Y15, Y5, Y6; \
-	VMULPS       Y5, Y4, Y7; \
-	VADDPS       cy, Y7, Y7; \
-	VBLENDVPS    Y6, Y7, cy, cy
+// YROW is ZROW for the AVX2 body: the coefficient broadcast to Y8.
+#define YROW \
+	MOVQ         (R8)(AX*8), DX; \
+	LEAQ         (R12)(DX*4), DX; \
+	ADDQ         SI, DX; \
+	VBROADCASTSS (R9)(AX*4), Y8
 
-// func narrowGEMMAVX2(a, b, c *float32, m, k, n, accumulate int)
+// func gemvBlockAVX2(c, b *float32, n int, off *int, coef *float32, cnt, accumulate int)
 //
-// narrowGEMMAVX512 for 1 ≤ n ≤ 8, one YMM a row, its loads and stores
-// through VMASKMOVPS.
-TEXT ·narrowGEMMAVX2(SB), NOSPLIT, $0-56
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), AX
-	MOVQ k+32(FP), R11
-	MOVQ n+40(FP), R8
-	SHLQ $2, R8  // row stride of B and C, bytes
-	SHLQ $2, R11 // row stride of A, bytes
-	LEAQ laneMask<>+32(SB), R9
-	SUBQ R8, R9
-	VMOVUPS (R9), Y14 // C's n columns
-	VXORPS  Y15, Y15, Y15
+// gemvBlockAVX512 in YMM vectors: eight of them (64 columns) at a time,
+// then one, then the last n mod 8 columns through VMASKMOVPS.
+TEXT ·gemvBlockAVX2(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+8(FP), R12
+	MOVQ n+16(FP), BX
+	MOVQ off+24(FP), R8
+	MOVQ coef+32(FP), R9
+	MOVQ cnt+40(FP), R10
+	MOVQ accumulate+48(FP), R11
+	MOVQ BX, CX
+	ANDQ $7, CX
+	SHLQ $2, CX
+	LEAQ laneMask<>+32(SB), DX
+	SUBQ CX, DX
+	VMOVUPS (DX), Y15 // the last, partial vector
+	XORQ SI, SI       // byte offset of the chunk in a row and in c
 
-yn4:
-	CMPQ   AX, $4
-	JLT    yn1
-	LEAQ   (SI)(R11*1), R12
-	LEAQ   (R12)(R11*1), R13
-	LEAQ   (R13)(R11*1), BX
-	LEAQ   (DI)(R8*2), R10
+yg8:
+	CMPQ   BX, $64
+	JLT    yg1
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	CMPQ   accumulate+48(FP), $0
-	JEQ    yn4go
-	VMASKMOVPS (DI), Y14, Y0
-	VMASKMOVPS (DI)(R8*1), Y14, Y1
-	VMASKMOVPS (R10), Y14, Y2
-	VMASKMOVPS (R10)(R8*1), Y14, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    yg8w
+	PCALIGN $32 // the loop head starts a 32-byte fetch block
 
-yn4go:
-	MOVQ DX, R9
-	XORQ CX, CX
+yg8p:
+	YROW
+	VFMADD231PS (DX), Y8, Y0
+	VFMADD231PS 32(DX), Y8, Y1
+	VFMADD231PS 64(DX), Y8, Y2
+	VFMADD231PS 96(DX), Y8, Y3
+	VFMADD231PS 128(DX), Y8, Y4
+	VFMADD231PS 160(DX), Y8, Y5
+	VFMADD231PS 192(DX), Y8, Y6
+	VFMADD231PS 224(DX), Y8, Y7
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         yg8p
 
-yn4p:
-	VMASKMOVPS (R9), Y14, Y4
-	YNROW(SI, Y0)
-	YNROW(R12, Y1)
-	YNROW(R13, Y2)
-	YNROW(BX, Y3)
-	ADDQ       R8, R9
-	ADDQ       $4, CX
-	CMPQ       CX, R11
-	JLT        yn4p
-	VMASKMOVPS Y0, Y14, (DI)
-	VMASKMOVPS Y1, Y14, (DI)(R8*1)
-	VMASKMOVPS Y2, Y14, (R10)
-	VMASKMOVPS Y3, Y14, (R10)(R8*1)
-	LEAQ       (DI)(R8*4), DI
-	LEAQ       (SI)(R11*4), SI
-	SUBQ       $4, AX
-	JMP        yn4
+yg8w:
+	LEAQ  (DI)(SI*1), DX
+	TESTQ R11, R11
+	JZ    yg8s
+	VADDPS (DX), Y0, Y0
+	VADDPS 32(DX), Y1, Y1
+	VADDPS 64(DX), Y2, Y2
+	VADDPS 96(DX), Y3, Y3
+	VADDPS 128(DX), Y4, Y4
+	VADDPS 160(DX), Y5, Y5
+	VADDPS 192(DX), Y6, Y6
+	VADDPS 224(DX), Y7, Y7
 
-yn1:
-	TESTQ  AX, AX
-	JZ     yndone
+yg8s:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
+	ADDQ    $256, SI
+	SUBQ    $64, BX
+	JMP     yg8
+
+yg1:
+	CMPQ   BX, $8
+	JLT    ygt
 	VXORPS Y0, Y0, Y0
-	CMPQ   accumulate+48(FP), $0
-	JEQ    yn1go
-	VMASKMOVPS (DI), Y14, Y0
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    yg1w
 
-yn1go:
-	MOVQ DX, R9
-	XORQ CX, CX
+yg1p:
+	YROW
+	VFMADD231PS (DX), Y8, Y0
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         yg1p
 
-yn1p:
-	VMASKMOVPS (R9), Y14, Y4
-	YNROW(SI, Y0)
-	ADDQ       R8, R9
-	ADDQ       $4, CX
-	CMPQ       CX, R11
-	JLT        yn1p
-	VMASKMOVPS Y0, Y14, (DI)
-	ADDQ       R8, DI
-	ADDQ       R11, SI
-	DECQ       AX
-	JMP        yn1
+yg1w:
+	LEAQ   (DI)(SI*1), DX
+	TESTQ  R11, R11
+	JZ     yg1s
+	VADDPS (DX), Y0, Y0
 
-yndone:
-	VZEROUPPER
-	RET
+yg1s:
+	VMOVUPS Y0, (DX)
+	ADDQ    $32, SI
+	SUBQ    $8, BX
+	JMP     yg1
 
-// func axpy4AVX512(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-//
-// c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j] for j in
-// [0, n), n a positive multiple of 16. Products and sums are separate
-// instructions in the Go loop's left-to-right association, so every element
-// has the Go loop's bits.
-TEXT ·axpy4AVX512(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DX
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VBROADCASTSS a0+48(FP), Z0
-	VBROADCASTSS a1+52(FP), Z1
-	VBROADCASTSS a2+56(FP), Z2
-	VBROADCASTSS a3+60(FP), Z3
-	SHLQ $2, CX
-	XORQ AX, AX
+ygt:
+	TESTQ  BX, BX
+	JZ     ygdone
+	VXORPS Y0, Y0, Y0
+	XORQ   AX, AX
+	CMPQ   AX, R10
+	JGE    ygtw
 
-z4loop:
-	VMULPS  (R8)(AX*1), Z0, Z4
-	VMULPS  (R9)(AX*1), Z1, Z5
-	VADDPS  Z5, Z4, Z4
-	VMULPS  (R10)(AX*1), Z2, Z5
-	VADDPS  Z5, Z4, Z4
-	VMULPS  (R11)(AX*1), Z3, Z5
-	VADDPS  Z5, Z4, Z4
-	VADDPS  (DX)(AX*1), Z4, Z4
-	VMOVUPS Z4, (DX)(AX*1)
-	ADDQ    $64, AX
-	CMPQ    AX, CX
-	JLT     z4loop
-	VZEROUPPER
-	RET
+ygtp:
+	YROW
+	VMASKMOVPS  (DX), Y15, Y9
+	VFMADD231PS Y9, Y8, Y0
+	INCQ        AX
+	CMPQ        AX, R10
+	JLT         ygtp
 
-// func axpy4AVX2(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-//
-// axpy4AVX512 eight floats at a time; n a positive multiple of 8.
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DX
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VBROADCASTSS a0+48(FP), Y0
-	VBROADCASTSS a1+52(FP), Y1
-	VBROADCASTSS a2+56(FP), Y2
-	VBROADCASTSS a3+60(FP), Y3
-	SHLQ $2, CX
-	XORQ AX, AX
+ygtw:
+	LEAQ       (DI)(SI*1), DX
+	TESTQ      R11, R11
+	JZ         ygts
+	VMASKMOVPS (DX), Y15, Y9
+	VADDPS     Y9, Y0, Y0
 
-y4loop:
-	VMULPS  (R8)(AX*1), Y0, Y4
-	VMULPS  (R9)(AX*1), Y1, Y5
-	VADDPS  Y5, Y4, Y4
-	VMULPS  (R10)(AX*1), Y2, Y5
-	VADDPS  Y5, Y4, Y4
-	VMULPS  (R11)(AX*1), Y3, Y5
-	VADDPS  Y5, Y4, Y4
-	VADDPS  (DX)(AX*1), Y4, Y4
-	VMOVUPS Y4, (DX)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     y4loop
-	VZEROUPPER
-	RET
+ygts:
+	VMASKMOVPS Y0, Y15, (DX)
 
-// func axpy1AVX512(c, b *float32, n int, a float32)
-//
-// c[j] += a·b[j] for j in [0, n), n a positive multiple of 16; multiply and
-// add unfused.
-TEXT ·axpy1AVX512(SB), NOSPLIT, $0-28
-	MOVQ c+0(FP), DX
-	MOVQ b+8(FP), R8
-	MOVQ n+16(FP), CX
-	VBROADCASTSS a+24(FP), Z0
-	SHLQ $2, CX
-	XORQ AX, AX
-
-z1loop:
-	VMULPS  (R8)(AX*1), Z0, Z4
-	VADDPS  (DX)(AX*1), Z4, Z4
-	VMOVUPS Z4, (DX)(AX*1)
-	ADDQ    $64, AX
-	CMPQ    AX, CX
-	JLT     z1loop
-	VZEROUPPER
-	RET
-
-// func axpy1AVX2(c, b *float32, n int, a float32)
-//
-// axpy1AVX512 eight floats at a time; n a positive multiple of 8.
-TEXT ·axpy1AVX2(SB), NOSPLIT, $0-28
-	MOVQ c+0(FP), DX
-	MOVQ b+8(FP), R8
-	MOVQ n+16(FP), CX
-	VBROADCASTSS a+24(FP), Y0
-	SHLQ $2, CX
-	XORQ AX, AX
-
-y1loop:
-	VMULPS  (R8)(AX*1), Y0, Y4
-	VADDPS  (DX)(AX*1), Y4, Y4
-	VMOVUPS Y4, (DX)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     y1loop
+ygdone:
 	VZEROUPPER
 	RET

@@ -4,8 +4,10 @@ package tensor
 
 // No vector loops outside the micro-kernel on this architecture: every
 // registry entry is vecNone, tiles are written back by writeTile and
-// epilogueTile, SigmoidSlice, gemvRow, MaxPool2 and gemmNaive run their
-// Go loops and no convolution takes the direct path.
+// epilogueTile, SigmoidSlice, gemvRow and MaxPool2 run their Go loops and
+// no convolution takes the direct path. gemvRow's Go loops are written as
+// the generic micro-kernel's, `acc += a * b`, which the compiler fuses here
+// wherever it fuses the micro-kernels' (arm64: NEON's FMLA).
 
 func tileTail(vecISA, []float32, int, *[maxMR * maxNR]float32, []float32, int, int) {
 	panic("tensor: active kernel has no tile write-back routine")
@@ -27,10 +29,6 @@ func maxPool2Vec(vecISA, []float32, []float32, int, int, int) {
 	panic("tensor: active kernel has no max-pool routine")
 }
 
-func narrowGEMM(vecISA, []float32, []float32, []float32, int, int, int, bool) bool { return false }
-
-func axpy4(vecISA, []float32, []float32, []float32, []float32, []float32, float32, float32, float32, float32) int {
-	return 0
+func gemvBlock(_ vecISA, c, b []float32, off *[blockKC]int, coef *[blockKC]float32, cnt int, accumulate bool) {
+	gemvBlockGo(c, b, off[:cnt], coef[:cnt], accumulate)
 }
-
-func axpy1(vecISA, []float32, []float32, float32) int { return 0 }
