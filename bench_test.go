@@ -194,7 +194,7 @@ func BenchmarkAblationBottleneck(b *testing.B) {
 		for _, width := range []int{8, 32, 128} {
 			arch := models.TableIArch(dataset.MNIST)
 			arch.Widths[2] = width
-			ae := models.NewConvertingAE(arch, models.OutputSigmoid, models.L1Coefficient, rng.New(uint64(width)))
+			ae := models.NewConvertingAE(arch, models.L1Coefficient, rng.New(uint64(width)))
 			losses, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: uint64(width)}, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -224,7 +224,7 @@ func BenchmarkAblationL1(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, lambda := range []float32{0, 1e-7, 1e-4} {
-			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.OutputSigmoid, lambda, rng.New(99))
+			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), lambda, rng.New(99))
 			if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: 100}, ae.Reg.Penalty); err != nil {
 				b.Fatal(err)
 			}
@@ -288,7 +288,7 @@ func BenchmarkAblationTarget(b *testing.B) {
 			{"random-easy (paper)", randomTargets},
 			{"class-prototype", protoTargets},
 		} {
-			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.OutputSigmoid, models.L1Coefficient, rng.New(55))
+			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.L1Coefficient, rng.New(55))
 			if _, err := train.Regressor(ae.Net, inputs, mode.targets, train.Config{Epochs: 4, Seed: 56}, nil); err != nil {
 				b.Fatal(err)
 			}

@@ -25,8 +25,8 @@ type profiledModel struct {
 func profiledModels() []profiledModel {
 	br := models.NewBranchyLeNet(rng.New(11), 0.05)
 	return []profiledModel{
-		{"converting-ae-sigmoid", models.NewTableIAE(dataset.MNIST, rng.New(12)).Net, dataset.Pixels},
-		{"converting-ae-softmax", models.NewConvertingAE(models.TableIArch(dataset.FashionMNIST), models.OutputSoftmax, models.L1Coefficient, rng.New(13)).Net, dataset.Pixels},
+		{"converting-ae-mnist", models.NewTableIAE(dataset.MNIST, rng.New(12)).Net, dataset.Pixels},
+		{"converting-ae-fmnist", models.NewTableIAE(dataset.FashionMNIST, rng.New(13)).Net, dataset.Pixels},
 		{"lightweight", models.ExtractLightweight(br), dataset.Pixels},
 		{"lenet", models.NewLeNet(rng.New(14)), dataset.Pixels},
 		{"branchy-branch", br.Branch, 3 * 14 * 14},

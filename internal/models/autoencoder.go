@@ -8,21 +8,6 @@ import (
 	"cbnet/internal/rng"
 )
 
-// OutputActivation selects the converting autoencoder's final activation.
-type OutputActivation int
-
-// Supported output activations.
-//
-// The paper's Table I lists Softmax on the 784-unit output layer. A softmax
-// output trained with MSE only reconstructs images whose pixels sum to one,
-// so the pipeline sum-normalizes targets in that mode; the default Sigmoid
-// mode reconstructs [0,1] images directly and is used for the headline
-// experiments (see README.md, "Reproduction substitutions").
-const (
-	OutputSigmoid OutputActivation = iota
-	OutputSoftmax
-)
-
 // AEArch describes a converting-autoencoder architecture: the widths of the
 // three hidden fully-connected layers of Table I and whether each uses relu
 // (true) or linear (false) activation.
@@ -58,7 +43,6 @@ type ConvertingAE struct {
 	Net  *nn.Sequential
 	Reg  *nn.ActivityRegularizer
 	Arch AEArch
-	Out  OutputActivation
 }
 
 // L1Coefficient is the paper's activity-regularization strength ("L1
@@ -67,8 +51,11 @@ const L1Coefficient = 1e-7
 
 // NewConvertingAE builds the converting autoencoder for the given
 // architecture. lambda is the L1 activity coefficient (use L1Coefficient
-// for the paper's setting).
-func NewConvertingAE(arch AEArch, out OutputActivation, lambda float32, r *rng.RNG) *ConvertingAE {
+// for the paper's setting). Table I ends the AE in a softmax over the 784
+// output pixels; trained with MSE that reconstructs only images whose pixels
+// sum to one, so the output here is a sigmoid, which reconstructs [0,1]
+// images directly (see README.md, "Reproduction substitutions").
+func NewConvertingAE(arch AEArch, lambda float32, r *rng.RNG) *ConvertingAE {
 	mk := func(name string, in, width int, relu bool, idx int) []nn.Layer {
 		var layers []nn.Layer
 		if relu {
@@ -83,28 +70,18 @@ func NewConvertingAE(arch AEArch, out OutputActivation, lambda float32, r *rng.R
 	layers = append(layers, mk("ae_fc2", arch.Widths[0], arch.Widths[1], arch.Relu[1], 2)...)
 	layers = append(layers, mk("ae_fc3", arch.Widths[1], arch.Widths[2], arch.Relu[2], 3)...)
 	reg := nn.NewActivityRegularizer("ae_l1", lambda)
-	layers = append(layers, reg)
-	layers = append(layers, nn.NewDense("ae_fc4", arch.Widths[2], dataset.Pixels, r))
-	switch out {
-	case OutputSigmoid:
-		layers = append(layers, nn.NewSigmoid("ae_out"))
-	case OutputSoftmax:
-		layers = append(layers, nn.NewSoftmax("ae_out"))
-	default:
-		panic(fmt.Sprintf("models: unknown output activation %d", out))
-	}
+	layers = append(layers, reg, nn.NewDense("ae_fc4", arch.Widths[2], dataset.Pixels, r), nn.NewSigmoid("ae_out"))
 	return &ConvertingAE{
 		Net:  nn.NewSequential("converting-ae", layers...),
 		Reg:  reg,
 		Arch: arch,
-		Out:  out,
 	}
 }
 
 // NewTableIAE builds the paper's Table I autoencoder for a dataset family
-// with the default sigmoid output and paper L1 coefficient.
+// with the paper's L1 coefficient.
 func NewTableIAE(f dataset.Family, r *rng.RNG) *ConvertingAE {
-	return NewConvertingAE(TableIArch(f), OutputSigmoid, L1Coefficient, r)
+	return NewConvertingAE(TableIArch(f), L1Coefficient, r)
 }
 
 // BottleneckWidth returns the encoder output width (Table I's third hidden

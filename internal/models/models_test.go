@@ -133,23 +133,6 @@ func TestConvertingAEShapes(t *testing.T) {
 	}
 }
 
-func TestConvertingAESoftmaxOutput(t *testing.T) {
-	r := rng.New(5)
-	ae := NewConvertingAE(TableIArch(dataset.MNIST), OutputSoftmax, L1Coefficient, r)
-	x := tensor.New(2, dataset.Pixels)
-	x.RandUniform(r, 0, 1)
-	y := ae.Net.Forward(x)
-	for i := 0; i < 2; i++ {
-		var s float64
-		for j := 0; j < dataset.Pixels; j++ {
-			s += float64(y.At(i, j))
-		}
-		if math.Abs(s-1) > 1e-4 {
-			t.Fatalf("softmax output row %d sums to %v", i, s)
-		}
-	}
-}
-
 func TestBranchyInferConsistency(t *testing.T) {
 	r := rng.New(6)
 	b := NewBranchyLeNet(r, 0.05)

@@ -19,8 +19,8 @@ type planParityNet struct {
 func planParityNets() []planParityNet {
 	br := NewBranchyLeNet(rng.New(11), 0.05)
 	return []planParityNet{
-		{"converting-ae-sigmoid", NewTableIAE(dataset.MNIST, rng.New(12)).Net, dataset.Pixels},
-		{"converting-ae-softmax", NewConvertingAE(TableIArch(dataset.FashionMNIST), OutputSoftmax, L1Coefficient, rng.New(13)).Net, dataset.Pixels},
+		{"converting-ae-mnist", NewTableIAE(dataset.MNIST, rng.New(12)).Net, dataset.Pixels},
+		{"converting-ae-fmnist", NewTableIAE(dataset.FashionMNIST, rng.New(13)).Net, dataset.Pixels},
 		{"lightweight", ExtractLightweight(br), dataset.Pixels},
 		{"lenet", NewLeNet(rng.New(14)), dataset.Pixels},
 		{"branchy-branch", br.Branch, 3 * 14 * 14},

@@ -95,66 +95,8 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// Softmax normalizes each row into a probability distribution. The paper's
-// converting autoencoder (Table I) ends in a softmax over the 784 output
-// pixels, trained with MSE against the easy target image, so unlike the
-// usual fused softmax+cross-entropy this layer implements the full softmax
-// Jacobian in Backward.
-type Softmax struct {
-	LayerName string
-	lastOut   *tensor.Tensor
-}
-
-// NewSoftmax creates a softmax activation layer.
-func NewSoftmax(name string) *Softmax { return &Softmax{LayerName: name} }
-
-// Name returns the layer's label.
-func (s *Softmax) Name() string { return s.LayerName }
-
-// Params returns nil.
-func (s *Softmax) Params() []*Param { return nil }
-
-// OutSize is the identity.
-func (s *Softmax) OutSize(inSize int) (int, error) { return inSize, nil }
-
-// Forward applies a numerically-stable row softmax.
-func (s *Softmax) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 2 {
-		panic(fmt.Sprintf("softmax %s: input shape %v, want 2-D", s.LayerName, x.Shape))
-	}
-	y := x.Clone()
-	n, w := y.Shape[0], y.Shape[1]
-	for i := 0; i < n; i++ {
-		row := y.Data[i*w : (i+1)*w]
-		SoftmaxRow(row)
-	}
-	s.lastOut = y
-	return y
-}
-
-// Backward applies the softmax Jacobian: dx_i = y_i (g_i − Σ_j y_j g_j).
-func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if s.lastOut == nil {
-		panic(fmt.Sprintf("softmax %s: Backward before Forward", s.LayerName))
-	}
-	n, w := grad.Shape[0], grad.Shape[1]
-	dx := tensor.New(n, w)
-	for i := 0; i < n; i++ {
-		g := grad.Data[i*w : (i+1)*w]
-		y := s.lastOut.Data[i*w : (i+1)*w]
-		var dot float32
-		for j := range g {
-			dot += y[j] * g[j]
-		}
-		d := dx.Data[i*w : (i+1)*w]
-		for j := range g {
-			d[j] = y[j] * (g[j] - dot)
-		}
-	}
-	return dx
-}
-
 // SoftmaxRow normalizes a single row in place with the max-subtraction trick.
+// The cross-entropy loss and BranchyNet's exit entropy apply it to logits.
 func SoftmaxRow(row []float32) {
 	maxV := row[0]
 	for _, v := range row[1:] {

@@ -28,11 +28,6 @@ func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 			d := st.dense
 			tensor.GEMMEpilogue(cur, d.W.Value.Data, out, n, d.In, d.Out,
 				tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}, nil)
-			if st.softmax {
-				for r := 0; r < n; r++ {
-					SoftmaxRow(out[r*d.Out : (r+1)*d.Out])
-				}
-			}
 		case opConv:
 			c := st.conv
 			ep := tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}
@@ -48,8 +43,6 @@ func (p *Plan) ReferenceExecute(x *tensor.Tensor) *tensor.Tensor {
 			c.scatter(gemmOut, out, n)
 		case opPool:
 			st.pool.poolRange(cur, out, make([]int32, len(out)), n)
-		case opAct:
-			runAct(st, cur, out, n)
 		}
 		cur = out
 	}

@@ -1,7 +1,8 @@
 // Package nn implements the neural-network layers used by the CBNet
-// reproduction: fully-connected and convolutional layers, max pooling, and
-// the activation functions from the paper's Table I (relu, linear, softmax)
-// plus sigmoid and the L1 activity regularizer.
+// reproduction: fully-connected and convolutional layers, max pooling, the
+// relu and sigmoid activations (a linear layer is a Dense with none), and the
+// L1 activity regularizer. The classifiers' softmax is not a layer: SoftmaxRow
+// applies it to logits, for the loss and the early-exit entropy.
 //
 // All layers consume and produce 2-D tensors of shape (batch, features);
 // spatial layers carry their own channel/height/width geometry and interpret

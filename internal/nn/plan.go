@@ -10,8 +10,9 @@ import (
 
 // The plan compiler: ahead-of-time inference compilation for Sequential
 // networks. Compile runs shape inference once, drops the inference-identity
-// ActivityRegularizer, fuses activations into their producing GEMM's
-// epilogue (Conv2D+ReLU, Dense+ReLU, Dense+Sigmoid, Dense+Softmax, …),
+// ActivityRegularizer, fuses every activation into the epilogue of the dense
+// or conv step directly before it (Conv2D+ReLU, Conv2D+Sigmoid, Dense+ReLU,
+// Dense+Sigmoid), so a plan has dense, conv and pool steps and no other kind,
 // counts each step's work (Work: the one count of a network's work, which
 // device.Cost prices), and assigns every intermediate a fixed offset in one
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
@@ -63,8 +64,7 @@ import (
 type planOp uint8
 
 const (
-	// opDense is a fused dense stage: y = act(xW + b), with an optional
-	// row softmax applied in the same step.
+	// opDense is a fused dense stage: y = act(xW + b).
 	opDense planOp = iota
 	// opConv is a fused convolution stage: batched im2col, one GEMM with
 	// the per-channel bias and activation in its write-back epilogue, and
@@ -73,19 +73,15 @@ const (
 	opConv
 	// opPool is a max-pooling stage.
 	opPool
-	// opAct is a standalone elementwise activation or row softmax, used
-	// only when an activation has no GEMM producer to fuse into.
-	opAct
 )
 
 // planStep is one precompiled stage of a Plan. Steps reference their source
 // layers (read-only at inference) rather than copies of their parameters;
 // see the weights contract above.
 type planStep struct {
-	op      planOp
-	name    string             // fused label, e.g. "conv1+relu1"
-	act     tensor.EpilogueAct // fused activation (opDense/opConv/opAct)
-	softmax bool               // row softmax after the step body
+	op   planOp
+	name string             // fused label, e.g. "conv1+relu1"
+	act  tensor.EpilogueAct // fused activation (opDense/opConv)
 
 	outW   int
 	outOff int // output offset into Plan.buf (the step's ping-pong slot)
@@ -121,7 +117,7 @@ type Work struct {
 	ConvMACs  int // multiply-accumulates in convolutions
 	DenseMACs int // multiply-accumulates in dense products
 	PoolOps   int // comparisons in pooling windows
-	ElemOps   int // bias adds and activation ops (actOps)
+	ElemOps   int // bias adds and activation ops, one an element each
 	Layers    int // source layers fused into the step: dispatch overhead
 }
 
@@ -129,15 +125,6 @@ type Work struct {
 // and one per every other op.
 func (w Work) flops() int64 {
 	return 2*int64(w.ConvMACs+w.DenseMACs) + int64(w.PoolOps+w.ElemOps)
-}
-
-// actOps is the elementwise work of an activation over width elements: one
-// op per element (relu, sigmoid), four for a softmax (exp, max, sum, divide).
-func actOps(softmax bool, width int) int {
-	if softmax {
-		return 4 * width
-	}
-	return width
 }
 
 // Plan is a compiled inference program for one Sequential at a fixed batch
@@ -166,7 +153,8 @@ type Plan struct {
 
 // Compile builds the static execution plan of net for batches of up to
 // batchCap rows. It fails on non-positive capacities, on layer types it has
-// no step for, and on networks whose input width cannot be inferred (no
+// no step for, on an activation that does not directly follow a dense or conv
+// layer free of one, and on networks whose input width cannot be inferred (no
 // shape-bearing layer).
 func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	if net == nil {
@@ -178,40 +166,18 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	p := &Plan{name: net.Name(), batchCap: batchCap, inW: -1}
 	width := -1
 
-	// fuse tries to fold an activation into the preceding GEMM step's
-	// epilogue; it fails when there is no preceding step or that step
-	// already carries an activation.
-	fuse := func(act tensor.EpilogueAct, softmax bool, name string) bool {
-		if len(p.steps) == 0 {
-			return false
+	// fuse folds an activation into the epilogue of the step before it,
+	// which must be a dense or conv step that carries no activation yet.
+	fuse := func(act tensor.EpilogueAct, name string) error {
+		n := len(p.steps)
+		if n == 0 || p.steps[n-1].op == opPool || p.steps[n-1].act != tensor.EpActNone {
+			return fmt.Errorf("nn: Compile %s: activation %s has no step to fuse into: it must directly follow a dense or conv layer that carries no activation", net.Name(), name)
 		}
-		st := &p.steps[len(p.steps)-1]
-		if st.act != tensor.EpActNone || st.softmax {
-			return false
-		}
-		switch {
-		case st.op == opDense:
-		case st.op == opConv && !softmax:
-			// A conv's softmax spans each sample's full channel×spatial
-			// row, which the channel-major epilogue cannot see; only
-			// elementwise activations fuse into conv steps.
-		default:
-			return false
-		}
+		st := &p.steps[n-1]
 		st.act = act
-		st.softmax = softmax
 		st.name += "+" + name
-		st.work.ElemOps += actOps(softmax, st.outW)
+		st.work.ElemOps += st.outW
 		st.work.Layers++
-		return true
-	}
-	// standalone appends an unfused activation step.
-	standalone := func(act tensor.EpilogueAct, softmax bool, name string) error {
-		if width < 0 {
-			return fmt.Errorf("nn: Compile %s: activation %s before any shape-bearing layer", net.Name(), name)
-		}
-		p.steps = append(p.steps, planStep{op: opAct, name: name, act: act, softmax: softmax, outW: width,
-			work: Work{ElemOps: actOps(softmax, width), Layers: 1}})
 		return nil
 	}
 	shaped := func(name string, in int) error {
@@ -264,22 +230,12 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 				work: Work{PoolOps: out * l.Pool * l.Pool, Layers: 1}})
 			width = out
 		case *ReLU:
-			if !fuse(tensor.EpActReLU, false, l.Name()) {
-				if err := standalone(tensor.EpActReLU, false, l.Name()); err != nil {
-					return nil, err
-				}
+			if err := fuse(tensor.EpActReLU, l.Name()); err != nil {
+				return nil, err
 			}
 		case *Sigmoid:
-			if !fuse(tensor.EpActSigmoid, false, l.Name()) {
-				if err := standalone(tensor.EpActSigmoid, false, l.Name()); err != nil {
-					return nil, err
-				}
-			}
-		case *Softmax:
-			if !fuse(tensor.EpActNone, true, l.Name()) {
-				if err := standalone(tensor.EpActNone, true, l.Name()); err != nil {
-					return nil, err
-				}
+			if err := fuse(tensor.EpActSigmoid, l.Name()); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("nn: Compile %s: no plan step for layer %s (%T): add one to Compile, inference runs on plans only", net.Name(), l.Name(), l)
@@ -341,8 +297,6 @@ func (p *Plan) annotateCosts() {
 			st.fixedBytes = f32 * (int64(c.OutC)*colRows + int64(c.OutC))
 		case opPool:
 			st.ioPerImg = f32 * int64(st.pool.InSize()+st.outW)
-		case opAct:
-			st.ioPerImg = f32 * 2 * int64(st.outW)
 		}
 	}
 }
@@ -402,7 +356,7 @@ type StepInfo struct {
 	Work
 	Index         int
 	Name          string
-	Op            string // "dense", "conv", "pool", "act"
+	Op            string // "dense", "conv" or "pool"
 	OutWidth      int
 	FLOPsPerImage int64
 	BytesPerImage int64
@@ -411,7 +365,7 @@ type StepInfo struct {
 
 // Steps returns the compiled steps' static descriptions in execution order.
 func (p *Plan) Steps() []StepInfo {
-	ops := map[planOp]string{opDense: "dense", opConv: "conv", opPool: "pool", opAct: "act"}
+	ops := map[planOp]string{opDense: "dense", opConv: "conv", opPool: "pool"}
 	out := make([]StepInfo, len(p.steps))
 	for i := range p.steps {
 		st := &p.steps[i]
@@ -448,7 +402,7 @@ func (p *Plan) EnableTracing(rec *trace.Recorder) {
 func (p *Plan) SetTraceID(id uint64) { p.traceID = id }
 
 // StepNames returns the fused step labels in execution order, e.g.
-// ["conv1+relu1" "pool1" "fc1+relu" "fc2+sm"], for introspection and tests.
+// ["conv1+relu1" "pool1" "fc1+relu" "fc2"], for introspection and tests.
 func (p *Plan) StepNames() []string {
 	names := make([]string, len(p.steps))
 	for i := range p.steps {
@@ -481,14 +435,7 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: plan %s: dst shape %v, want (%d, %d)", p.name, dst.Shape, n, p.outW))
 	}
 	cur := x.Data[:n*p.inW]
-	if len(p.steps) == 0 {
-		if dst != nil {
-			copy(dst.Data, cur)
-			return dst
-		}
-		return p.view(n, cur)
-	}
-	last := len(p.steps) - 1
+	last := len(p.steps) - 1 // Compile refuses a network with no step
 	traced := p.rec != nil
 	// The clock is read once per step boundary, k+1 times for k steps: step
 	// i ends on the stamp step i+1 starts on, so the step spans tile the
@@ -510,8 +457,6 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 			p.runConv(st, cur, out, n)
 		case opPool:
 			st.pool.poolInfer(cur, out, n)
-		case opAct:
-			runAct(st, cur, out, n)
 		}
 		if traced {
 			t1 := trace.Now()
@@ -558,10 +503,9 @@ func (p *Plan) view(n int, data []float32) *tensor.Tensor {
 }
 
 // runDense executes y = act(xW + b) with the bias and activation fused into
-// the GEMM epilogue, plus the optional fused row softmax. A batch that takes
-// the blocked path multiplies by the layer's packed weights; a single row
-// (the gemv, in the blocked kernel's order) or a batch on a kernel without
-// FMA reads W itself.
+// the GEMM epilogue. A batch that takes the blocked path multiplies by the
+// layer's packed weights; a single row (the gemv, in the blocked kernel's
+// order) or a batch on a kernel without FMA reads W itself.
 func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	d := st.dense
 	ep := tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}
@@ -569,11 +513,6 @@ func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 		tensor.GEMMEpiloguePacked(in, d.packed(), out, n, ep, &p.pack)
 	} else {
 		tensor.GEMMEpilogue(in, d.W.Value.Data, out, n, d.In, d.Out, ep, &p.pack)
-	}
-	if st.softmax {
-		for i := 0; i < n; i++ {
-			SoftmaxRow(out[i*d.Out : (i+1)*d.Out])
-		}
 	}
 }
 
@@ -602,27 +541,4 @@ func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 		tensor.GEMMEpilogue(c.W.Value.Data, col, gemmOut, c.OutC, colRows, batchCols, ep, &p.pack)
 	}
 	c.scatter(gemmOut, out, n)
-}
-
-// runAct executes a standalone activation step (copy-apply into the output
-// slot, preserving the ping-pong discipline).
-func runAct(st *planStep, in, out []float32, n int) {
-	switch st.act {
-	case tensor.EpActReLU:
-		for i, v := range in {
-			if v < 0 {
-				v = 0
-			}
-			out[i] = v
-		}
-	case tensor.EpActSigmoid:
-		tensor.SigmoidSlice(out[:len(in)], in)
-	default:
-		copy(out, in)
-	}
-	if st.softmax {
-		for i := 0; i < n; i++ {
-			SoftmaxRow(out[i*st.outW : (i+1)*st.outW])
-		}
-	}
 }

@@ -8,15 +8,16 @@ import (
 	"cbnet/internal/tensor"
 )
 
-// fuzzNet decodes spec into a small Sequential over all eight Layer types.
+// fuzzNet decodes spec into a small Sequential over all seven Layer types.
 // The first three bytes give the input volume (1–3 channels of 4–12 × 4–12);
 // after that one byte picks a layer and the next few its parameters, the
 // decoder tracking the running shape so that convs and pools get a geometry
 // that fits (one that does not, or that follows a dense layer, is skipped).
 // reject reports whether Compile must refuse the result: it holds a nested
 // Sequential (the one Layer type with no plan step), a dense layer of the
-// wrong input width, an activation ahead of every shape-bearing layer, or no
-// shape-bearing layer at all.
+// wrong input width, an activation with no step to fuse into (one that does
+// not follow a dense or conv layer free of one, activity regularizers
+// aside), or no shape-bearing layer at all.
 func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 	next := func() int {
 		if len(spec) == 0 {
@@ -27,7 +28,9 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 		return int(b)
 	}
 	c, h, w := 1+next()%3, 4+next()%9, 4+next()%9
-	width, volume, shaped := c*h*w, true, false
+	// fusable: the last step compiled so far is a dense or conv step that
+	// carries no activation yet.
+	width, volume, shaped, fusable := c*h*w, true, false, false
 	var layers []Layer
 	for len(spec) > 0 && len(layers) < 12 {
 		name := fmt.Sprintf("l%d", len(layers))
@@ -40,7 +43,7 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 			}
 			out := 1 + next()%48
 			layers = append(layers, NewDense(name, in, out, r))
-			width, volume, shaped = out, false, true
+			width, volume, shaped, fusable = out, false, true, true
 		case 1:
 			if !volume {
 				continue
@@ -51,7 +54,7 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 			}
 			layers = append(layers, conv)
 			c, h, w = conv.OutC, conv.Dims.OutH, conv.Dims.OutW
-			width, shaped = c*h*w, true
+			width, shaped, fusable = c*h*w, true, true
 		case 2:
 			if !volume {
 				continue
@@ -62,16 +65,15 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 			}
 			layers = append(layers, pool)
 			h, w = pool.OutH, pool.OutW
-			width, shaped = c*h*w, true
-		case 3:
-			layers = append(layers, NewReLU(name))
-			reject = reject || !shaped
-		case 4:
-			layers = append(layers, NewSigmoid(name))
-			reject = reject || !shaped
-		case 5:
-			layers = append(layers, NewSoftmax(name))
-			reject = reject || !shaped
+			width, shaped, fusable = c*h*w, true, false
+		case 3, 4, 5:
+			var act Layer = NewReLU(name)
+			if op != 3 {
+				act = NewSigmoid(name)
+			}
+			layers = append(layers, act)
+			reject = reject || !fusable
+			fusable = false
 		case 6, 7:
 			if op == 6 {
 				next() // skipped, so the seed corpus still decodes to the networks its names describe
@@ -91,12 +93,12 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 // capacity into a plan whose Execute agrees with Forward(x), within a
 // bound that grows with the stack's depth, at one row, a ragged batch and
 // the full capacity, one plan serving all three.
-// Shape inference, the dropped identity layers, activations fused and
-// standalone, the ping-pong buffers and both GEMM dispatches (the larger
+// Shape inference, the dropped identity layers, activations fused (and
+// refused where there is no step to fuse them into), the ping-pong buffers and both GEMM dispatches (the larger
 // nets at the larger capacities take the blocked, packed path) are all
 // under it. The seed corpus under testdata/fuzz is replayed by `go test`.
 func FuzzCompileMatchesForward(f *testing.F) {
-	// conv+relu, pool, conv+sigmoid, dense, activity reg ×2, dense+softmax
+	// conv+relu, pool, conv+sigmoid, dense, activity reg ×2, dense+sigmoid
 	f.Add(uint64(42), byte(15), []byte{0, 8, 8, 1, 3, 2, 2, 0, 1, 3, 2, 1, 1, 1, 5, 2, 2, 0, 0, 4, 0, 31, 6, 3, 7, 0, 9, 5})
 	f.Add(uint64(7), byte(31), []byte{2, 3, 3, 3, 0, 20}) // leading relu: rejected
 	f.Fuzz(func(t *testing.T, seed uint64, capByte byte, spec []byte) {

@@ -17,7 +17,6 @@ func wideTestNet(r *rng.RNG) *Sequential {
 		NewDense("fc2", 512, 256, r),
 		NewReLU("relu2"),
 		NewDense("fc3", 256, 10, r),
-		NewSoftmax("sm"),
 	)
 }
 

@@ -25,11 +25,11 @@ type shippedNet struct {
 }
 
 // shippedNets builds every network a plan is compiled for in serving, the
-// harness or the degradation ladder: the converting autoencoders of Table I
-// with both output activations, the lightweight classifier, LeNet, the
-// early-exit branch alone, the BranchyNet main net, and the pruned, SubFlow
-// and pruned-lightweight variants — plus the package's mixed test net, for
-// the step kinds no shipped network has (a sigmoid fused into a conv).
+// harness or the degradation ladder: the converting autoencoders of Table I,
+// the lightweight classifier, LeNet, the early-exit branch alone, the
+// BranchyNet main net, and the pruned, SubFlow and pruned-lightweight
+// variants — plus the package's mixed test net, for the step kinds no
+// shipped network has (a sigmoid fused into a conv).
 func shippedNets(t *testing.T) []shippedNet {
 	t.Helper()
 	br := models.NewBranchyLeNet(rng.New(11), 0.05)
@@ -38,7 +38,6 @@ func shippedNets(t *testing.T) []shippedNet {
 		{"ae-mnist-sigmoid", models.NewTableIAE(dataset.MNIST, rng.New(12)).Net, dataset.Pixels},
 		{"ae-fmnist-sigmoid", models.NewTableIAE(dataset.FashionMNIST, rng.New(13)).Net, dataset.Pixels},
 		{"ae-kmnist-sigmoid", models.NewTableIAE(dataset.KMNIST, rng.New(14)).Net, dataset.Pixels},
-		{"ae-fmnist-softmax", models.NewConvertingAE(models.TableIArch(dataset.FashionMNIST), models.OutputSoftmax, models.L1Coefficient, rng.New(15)).Net, dataset.Pixels},
 		{"lightweight", light, dataset.Pixels},
 		{"lenet", models.NewLeNet(rng.New(16)), dataset.Pixels},
 		{"branch", br.Branch, 3 * 14 * 14},

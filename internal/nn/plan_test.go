@@ -12,9 +12,9 @@ import (
 )
 
 // mixedTestNet has a step of every kind the compiler emits: convs with and
-// without padding, relu and sigmoid fused into a conv, a pool, dense layers
-// bare and with a fused softmax, and the identity-at-inference
-// ActivityRegularizer the compiler drops.
+// without padding, relu and sigmoid fused into a conv, a pool, bare dense
+// layers, and the identity-at-inference ActivityRegularizer the compiler
+// drops.
 func mixedTestNet(r *rng.RNG) *Sequential {
 	return NewSequential("mixed-test",
 		MustConv2D("conv1", 1, 12, 12, 4, 3, 3, 1, 1, r),
@@ -25,7 +25,6 @@ func mixedTestNet(r *rng.RNG) *Sequential {
 		NewDense("fc1", 6*4*4, 32, r),
 		NewActivityRegularizer("reg", 1e-6),
 		NewDense("fc2", 32, 10, r),
-		NewSoftmax("sm"),
 	)
 }
 
@@ -39,7 +38,7 @@ func TestCompileFusionAndElision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"conv1+relu1", "pool1", "conv2+sig", "fc1", "fc2+sm"}
+	want := []string{"conv1+relu1", "pool1", "conv2+sig", "fc1", "fc2"}
 	got := p.StepNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("compiled steps %v, want %v", got, want)
@@ -49,11 +48,39 @@ func TestCompileFusionAndElision(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsUnfusedActivation: an activation runs only in the
+// epilogue of the dense or conv step directly before it, so one after a pool,
+// after a step that already carries an activation, or ahead of every layer is
+// a Compile error that names it; an elided ActivityRegularizer between a
+// dense layer and its relu does not stop the fusion.
+func TestCompileRejectsUnfusedActivation(t *testing.T) {
+	r := rng.New(2)
+	for _, c := range []struct {
+		net  *Sequential
+		name string // the activation the error must name
+	}{
+		{NewSequential("relu-after-pool",
+			MustConv2D("conv", 1, 8, 8, 2, 3, 3, 1, 1, r), MustMaxPool2D("pool", 2, 8, 8, 2, 2), NewReLU("late-relu")), "late-relu"},
+		{NewSequential("sigmoid-after-relu",
+			NewDense("fc", 4, 3, r), NewReLU("relu"), NewSigmoid("second-sig")), "second-sig"},
+		{NewSequential("leading-activation", NewReLU("first-relu"), NewDense("fc", 4, 2, r)), "first-relu"},
+	} {
+		_, err := Compile(c.net, 8)
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: Compile error %v, want one naming %s", c.net.Name(), err, c.name)
+		}
+	}
+	p, err := Compile(NewSequential("reg-between", NewDense("fc", 4, 3, r), NewActivityRegularizer("reg", 1e-6), NewReLU("relu")), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.StepNames(); len(got) != 1 || got[0] != "fc+relu" {
+		t.Fatalf("dense, activity regularizer, relu compiled to %v, want [fc+relu]", got)
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	r := rng.New(1)
-	if _, err := Compile(NewSequential("bad", NewReLU("r"), NewDense("fc", 4, 2, r)), 8); err == nil {
-		t.Error("leading activation with unknown width: want error")
-	}
 	if _, err := Compile(NewSequential("empty", NewActivityRegularizer("reg", 1e-6)), 8); err == nil {
 		t.Error("no shape-bearing layer: want error")
 	}

@@ -9,7 +9,7 @@ import (
 	"cbnet/internal/trace"
 )
 
-// traceTestNet builds a small conv→pool→dense→softmax network covering
+// traceTestNet builds a small conv→pool→dense→sigmoid network covering
 // every step kind the compiler emits.
 func traceTestNet(t *testing.T) (*Sequential, int) {
 	t.Helper()
@@ -21,7 +21,7 @@ func traceTestNet(t *testing.T) (*Sequential, int) {
 		NewDense("fc1", 4*5*5, 32, r),
 		NewReLU("relu2"),
 		NewDense("fc2", 32, 10, r),
-		NewSoftmax("sm"),
+		NewSigmoid("sig"),
 	)
 	return net, 12 * 12
 }
@@ -33,7 +33,7 @@ func TestPlanStepCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := p.Steps()
-	if len(steps) != 4 { // conv1+relu1 | pool1 | fc1+relu2 | fc2+sm
+	if len(steps) != 4 { // conv1+relu1 | pool1 | fc1+relu2 | fc2+sig
 		t.Fatalf("%d steps: %v", len(steps), p.StepNames())
 	}
 
@@ -64,12 +64,12 @@ func TestPlanStepCostModel(t *testing.T) {
 		t.Fatalf("conv FLOPs/img = %d, want %d", conv.FLOPsPerImage, wantConv)
 	}
 
-	// The fc2+sm step carries the softmax surcharge: four ops an element.
+	// A fused sigmoid costs one op an element, as a relu does.
 	fc2 := steps[3]
-	if want := (Work{DenseMACs: 32 * 10, ElemOps: 10 + 4*10, Layers: 2}); fc2.Work != want {
+	if want := (Work{DenseMACs: 32 * 10, ElemOps: 10 + 10, Layers: 2}); fc2.Work != want {
 		t.Fatalf("fc2 work = %+v, want %+v", fc2.Work, want)
 	}
-	wantFC2 := int64(2*32*10+10) + 4*10
+	wantFC2 := int64(2*32*10 + 10 + 10)
 	if fc2.FLOPsPerImage != wantFC2 {
 		t.Fatalf("fc2 FLOPs/img = %d, want %d", fc2.FLOPsPerImage, wantFC2)
 	}
@@ -207,8 +207,7 @@ func TestTracedExecuteZeroAlloc(t *testing.T) {
 // modelled FLOPs as through im2col, fewer modelled bytes (the frame and the
 // planes in place of the column matrix and the channel-major output), a
 // conv scratch that holds one frame and one group of planes and nothing
-// else, and the reference's bits at every batch, the ones below the blocked
-// gate's flop floor included.
+// else, and the reference's bits at every batch.
 func TestDirectConvStepCostAndBuffer(t *testing.T) {
 	r := rng.New(31)
 	net := NewSequential("lightweight-shaped",
@@ -219,7 +218,6 @@ func TestDirectConvStepCostAndBuffer(t *testing.T) {
 		NewReLU("brelu"),
 		MustMaxPool2D("bpool", 3, 12, 12, 2, 2),
 		NewDense("bfc", 3*6*6, 10, r),
-		NewSoftmax("sm"),
 	)
 	defer tensor.SetBlockedKernelForTest(tensor.SetBlockedKernelForTest(true))
 	defer tensor.SetGEMMKernelForTest(tensor.GEMMKernelName())

@@ -94,8 +94,8 @@ func TestDirectConvMatchesIm2ColGEMM(t *testing.T) {
 			{1, 28, 28, 5, 5, 2, 3, 1, true},  // conv1, the paper's one hard image
 			{1, 28, 28, 5, 5, 2, 3, 32, true}, // conv1 at the engine's batch
 			{3, 14, 14, 3, 3, 0, 3, 32, true}, // bconv
-			{3, 14, 14, 3, 3, 0, 3, 3, true},  // bconv, the first batch the blocked gate passes
-			{3, 14, 14, 3, 3, 0, 3, 2, true},  // bconv below the gate's flop floor
+			{3, 14, 14, 3, 3, 0, 3, 3, true},  // bconv, an odd batch
+			{3, 14, 14, 3, 3, 0, 3, 2, true},  // bconv, the smallest batch of more than one image
 			{3, 14, 14, 3, 3, 0, 3, 1, true},  // bconv on the paper's one hard image
 			{1, 28, 28, 5, 5, 2, 1, 7, true},  // pruned lightweight, one channel: a single-row product
 			{1, 28, 28, 5, 5, 2, 2, 7, true},

@@ -35,8 +35,9 @@ const (
 	BatchSize = 32
 	// LR is the Adam learning rate of every training run.
 	LR = 0.002
-	// evalRows is the batch of every evaluation pass. A dense step's bits
-	// depend on its batch size, so every pass reads the same batches.
+	// evalRows is the batch of every evaluation pass: it bounds what one
+	// pass holds (the rows, their activations and a plan of that capacity)
+	// whatever the dataset's size.
 	evalRows = 256
 )
 
