@@ -26,10 +26,9 @@ var keptExports = map[string]string{
 	"cbnet/internal/tensor.GEMMKernels":               "test hook: the kernels a parity test loops over",
 	"(*cbnet/internal/tensor.PackScratch).PanelBytes": "test hook: the packed-panel size a test checks",
 
-	// References that tests compare the fast paths against.
-	"cbnet/internal/tensor.GEMMNaive":           "reference for the blocked GEMM",
-	"cbnet/internal/tensor.MatMulTransA":        "reference for the backward GEMMs",
-	"cbnet/internal/tensor.MatMulTransB":        "reference for the backward GEMMs",
+	// References that tests compare the fast paths against: tests hold the
+	// transposed products to GEMM on a materialized transpose, and the
+	// blocked GEMM to the naive loop inside package tensor.
 	"(*cbnet/internal/tensor.Tensor).Transpose": "reference for the transposed GEMMs",
 	"(*cbnet/internal/tensor.Tensor).SumRows":   "reference for the bias gradients",
 

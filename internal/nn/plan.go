@@ -203,7 +203,7 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			p.steps = append(p.steps, planStep{op: opDense, name: l.Name(), dense: l, outW: l.Out,
 				work: Work{DenseMACs: l.In * l.Out, ElemOps: l.Out, Layers: 1}}) // + bias adds
 			width = l.Out
-			if tensor.BlockedGEMM(batchCap, l.In, l.Out) {
+			if tensor.BlockedGEMM(batchCap, l.In) {
 				l.packed() // some batch ≤ batchCap takes the blocked path: pack W now
 			}
 		case *Conv2D:
@@ -509,7 +509,7 @@ func (p *Plan) view(n int, data []float32) *tensor.Tensor {
 func (p *Plan) runDense(st *planStep, in, out []float32, n int) {
 	d := st.dense
 	ep := tensor.Epilogue{Act: st.act, ColBias: d.B.Value.Data}
-	if tensor.BlockedGEMM(n, d.In, d.Out) {
+	if tensor.BlockedGEMM(n, d.In) {
 		tensor.GEMMEpiloguePacked(in, d.packed(), out, n, ep, &p.pack)
 	} else {
 		tensor.GEMMEpilogue(in, d.W.Value.Data, out, n, d.In, d.Out, ep, &p.pack)
@@ -533,7 +533,7 @@ func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 	}
 	colRows, batchCols := c.Dims.ColRows(), n*c.Dims.ColCols()
 	gemmOut := p.buf[st.gemmOff : st.gemmOff+c.OutC*batchCols]
-	if tensor.BlockedGEMM(c.OutC, colRows, batchCols) {
+	if tensor.BlockedGEMM(c.OutC, colRows) {
 		b := tensor.Im2ColPacked(col, in, n, c.Dims)
 		tensor.GEMMEpiloguePacked(c.W.Value.Data, &b, gemmOut, c.OutC, ep, &p.pack)
 	} else {

@@ -19,7 +19,7 @@ import (
 func convViaIm2Col(col, chanMajor, out, in []float32, n int, d ConvDims, w []float32, outC int, ep Epilogue, ps *PackScratch) {
 	k, cols := d.ColRows(), d.ColCols()
 	pb := Im2ColPacked(col, in, n, d)
-	gemmBlocked(w, k, 1, nil, 0, 0, chanMajor, outC, k, n*cols, 1, 0, ep, ps, &pb)
+	gemmBlocked(w, k, 1, nil, 0, 0, chanMajor, outC, k, n*cols, false, ep, ps, &pb)
 	for i := 0; i < n; i++ {
 		for oc := 0; oc < outC; oc++ {
 			copy(out[(i*outC+oc)*cols:][:cols], chanMajor[oc*n*cols+i*cols:])

@@ -6,26 +6,48 @@ import (
 )
 
 // GEMM computes C = alpha*(A×B) + beta*C over raw row-major slices: A is
-// m×k, B is k×n, C is m×n. It is the hot-path entry point used by the
-// layers in internal/nn. Under an FMA kernel a product of two rows or more
-// takes the cache-blocked micro-kernel path (gemm_blocked.go) and a single
-// row with alpha 1 and beta 0 the gemv, which sums in the same order; every
-// other product takes the axpy reference kernel. With beta == 0, C is
-// stored without being read, so uninitialized scratch output buffers are
-// safe.
+// m×k, B is k×n, C is m×n. With alpha 1 and beta 0 or 1 — every product the
+// program issues — it takes gemm's dispatch; any other scaling takes
+// gemmNaive. With beta == 0, C is stored without being read, so
+// uninitialized scratch output buffers are safe.
 func GEMM(a, b, c []float32, m, k, n int, alpha, beta float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: GEMM operand sizes %d/%d/%d too small for (%d×%d)·(%d×%d)",
 			len(a), len(b), len(c), m, k, k, n))
 	}
+	if alpha == 1 && (beta == 0 || beta == 1) {
+		gemm(a, k, 1, b, n, 1, c, m, k, n, beta == 1, Epilogue{}, nil)
+		return
+	}
+	gemmNaive(a, k, 1, b, n, 1, c, m, k, n, alpha, beta)
+}
+
+// gemm is the one dispatch of every product: C = op(A)·op(B), plus C when
+// accumulate, then ep, for row-major C (m×n) and operands addressed through
+// strides as gemmBlocked's are. Under an FMA kernel a product of two rows or
+// more takes the blocked micro-kernel path (gemm_blocked.go) and a one-row
+// product that overwrites C the gemv, which sums in the same order; every
+// other product takes gemmNaive. The gemv reads op(A)'s row and B's rows
+// contiguous: a one-row op(A) is, under every stride the entries pass (a
+// transposed one has column stride m = 1), and B is unless transposed. So a
+// one-row transposed-A product takes the gemv too, though nothing in the
+// program issues one. A non-nil ps supplies the blocked path's packing
+// panels; nil borrows them from the pool.
+func gemm(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, accumulate bool, ep Epilogue, ps *PackScratch) {
 	switch {
 	case m == 0 || n == 0:
 	case useBlocked(m, k):
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, alpha, beta, Epilogue{}, nil, nil)
-	case useGemv(m, k) && alpha == 1 && beta == 0:
+		gemmBlocked(a, ars, acs, b, brs, bcs, c, m, k, n, accumulate, ep, ps, nil)
+	case blockedEnabled && m == 1 && k >= 4 && !accumulate && bcs == 1:
 		gemvRow(a, b, c, k, n)
+		epilogueTile(c, n, 0, 0, 1, n, &ep)
 	default:
-		gemmNaive(a, b, c, m, k, n, alpha, beta)
+		beta := float32(0)
+		if accumulate {
+			beta = 1
+		}
+		gemmNaive(a, ars, acs, b, brs, bcs, c, m, k, n, 1, beta)
+		epilogueTile(c, n, 0, 0, m, n, &ep)
 	}
 }
 
@@ -38,183 +60,105 @@ func useBlocked(m, k int) bool {
 	return blockedEnabled && m > 1 && k >= 4
 }
 
-// useGemv is useBlocked's one-row counterpart: the products gemvRow takes.
-func useGemv(m, k int) bool {
-	return blockedEnabled && m == 1 && k >= 4
-}
-
-// MatMulTransA computes C = Aᵀ × B without materializing Aᵀ.
-// A is k×m, B is k×n, C is m×n.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m, n := checkTransA(a, b)
-	c := New(m, n)
-	matMulTransA(c, a, b, m, k, n, 0, nil)
-	return c
-}
-
-// MatMulTransAInto computes C = Aᵀ × B into an existing m×n tensor, routing
-// the blocked path's packing panels through ps (shared pool when nil).
+// MatMulTransAInto computes C = Aᵀ × B into an existing m×n tensor (A is
+// k×m, B is k×n), routing the blocked path's packing panels through ps
+// (shared pool when nil).
 func MatMulTransAInto(c, a, b *Tensor, ps *PackScratch) {
-	k, m, n := checkTransA(a, b)
-	checkTransOut(c, m, n, "MatMulTransAInto")
-	matMulTransA(c, a, b, m, k, n, 0, ps)
+	matMulTransA(c, a, b, false, ps, "MatMulTransAInto")
 }
 
 // MatMulTransAAcc computes C += Aᵀ × B into an existing m×n tensor — the
 // gradient-accumulation shape of the backward passes — without allocating
 // an intermediate product.
 func MatMulTransAAcc(c, a, b *Tensor, ps *PackScratch) {
-	k, m, n := checkTransA(a, b)
-	checkTransOut(c, m, n, "MatMulTransAAcc")
-	matMulTransA(c, a, b, m, k, n, 1, ps)
+	matMulTransA(c, a, b, true, ps, "MatMulTransAAcc")
 }
 
-func checkTransA(a, b *Tensor) (k, m, n int) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMulTransA on non-matrices")
+func matMulTransA(c, a, b *Tensor, accumulate bool, ps *PackScratch, what string) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: %s operands %v and %v", what, a.Shape, b.Shape))
 	}
-	k, m = a.Shape[0], a.Shape[1]
-	if b.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, b.Shape[0]))
-	}
-	return k, m, b.Shape[1]
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	checkOut(c, m, n, what)
+	// op(A)[i,p] = a[p*m+i]: unit row stride, column stride m.
+	gemm(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, accumulate, Epilogue{}, ps)
 }
 
-func checkTransOut(c *Tensor, m, n int, what string) {
+// MatMulTransBInto computes C = A × Bᵀ into an existing m×n tensor (A is
+// m×k, B is n×k), routing the blocked path's packing panels through ps
+// (shared pool when nil).
+func MatMulTransBInto(c, a, b *Tensor, ps *PackScratch) {
+	matMulTransB(c, a, b, false, ps, "MatMulTransBInto")
+}
+
+// MatMulTransBAcc computes C += A × Bᵀ into an existing m×n tensor.
+func MatMulTransBAcc(c, a, b *Tensor, ps *PackScratch) {
+	matMulTransB(c, a, b, true, ps, "MatMulTransBAcc")
+}
+
+func matMulTransB(c, a, b *Tensor, accumulate bool, ps *PackScratch, what string) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: %s operands %v and %v", what, a.Shape, b.Shape))
+	}
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	checkOut(c, m, n, what)
+	// op(B)[p,j] = b[j*k+p]: row stride 1, column stride k.
+	gemm(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, accumulate, Epilogue{}, ps)
+}
+
+func checkOut(c *Tensor, m, n int, what string) {
 	if len(c.Shape) != 2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", what, c.Shape, m, n))
 	}
 }
 
-// matMulTransA computes C = Aᵀ×B + beta·C (beta must be 0 or 1). Off the
-// blocked path cᵢⱼ = Σ_p a_{p,i} b_{p,j}, for each p a rank-1 update of C.
-func matMulTransA(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
-	if useBlocked(m, k) {
-		// op(A)[i,p] = a[p*m+i]: unit row stride, column stride m.
-		gemmBlocked(a.Data, 1, m, b.Data, n, 1, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
-		return
-	}
-	cd := c.Data[:m*n]
-	if beta == 0 {
-		for i := range cd {
-			cd[i] = 0
-		}
-	}
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulTransB computes C = A × Bᵀ without materializing Bᵀ.
-// A is m×k, B is n×k, C is m×n.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := checkTransB(a, b)
-	c := New(m, n)
-	matMulTransB(c, a, b, m, k, n, 0, nil)
-	return c
-}
-
-// MatMulTransBInto computes C = A × Bᵀ into an existing m×n tensor, routing
-// the blocked path's packing panels through ps (shared pool when nil).
-func MatMulTransBInto(c, a, b *Tensor, ps *PackScratch) {
-	m, k, n := checkTransB(a, b)
-	checkTransOut(c, m, n, "MatMulTransBInto")
-	matMulTransB(c, a, b, m, k, n, 0, ps)
-}
-
-// MatMulTransBAcc computes C += A × Bᵀ into an existing m×n tensor.
-func MatMulTransBAcc(c, a, b *Tensor, ps *PackScratch) {
-	m, k, n := checkTransB(a, b)
-	checkTransOut(c, m, n, "MatMulTransBAcc")
-	matMulTransB(c, a, b, m, k, n, 1, ps)
-}
-
-func checkTransB(a, b *Tensor) (m, k, n int) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMulTransB on non-matrices")
-	}
-	m, k = a.Shape[0], a.Shape[1]
-	if b.Shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, b.Shape[1]))
-	}
-	return m, k, b.Shape[0]
-}
-
-// matMulTransB computes C = A×Bᵀ + beta·C (beta must be 0 or 1).
-func matMulTransB(c, a, b *Tensor, m, k, n int, beta float32, ps *PackScratch) {
-	if useBlocked(m, k) {
-		// op(B)[p,j] = b[j*k+p]: row stride 1, column stride k.
-		gemmBlocked(a.Data, k, 1, b.Data, 1, k, c.Data, m, k, n, 1, beta, Epilogue{}, ps, nil)
-		return
-	}
-	acc := beta == 1
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := c.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			if acc {
-				crow[j] += s
-			} else {
-				crow[j] = s
-			}
-		}
-	}
-}
-
-// GEMMNaive runs the retained axpy reference kernel regardless of what the
-// dispatcher would pick — the baseline that perf tooling and oracle tests
-// measure the blocked kernel against.
-func GEMMNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: GEMMNaive operand sizes %d/%d/%d too small for (%d×%d)·(%d×%d)",
-			len(a), len(b), len(c), m, k, k, n))
-	}
-	gemmNaive(a, b, c, m, k, n, alpha, beta)
-}
-
-// gemmNaive computes C = alpha*A*B + beta*C over raw row-major slices with
-// the i-p-j axpy formulation: the innermost loop streams both B's row p and
-// C's row i sequentially, multiplying and adding as the compiler writes
-// `crow[j] += av * bv`, and skips a zero coefficient. Each row is summed
-// alone, so a row's bits do not depend on the rows beside it. It is every
-// product's path on a kernel without FMA and the oracle the blocked kernel
-// is tested against.
-func gemmNaive(a, b, c []float32, m, k, n int, alpha, beta float32) {
+// gemmNaive computes C = alpha·op(A)·op(B) + beta·C for row-major C (m×n),
+// the operands addressed through strides as gemmBlocked's are. Each element
+// takes its terms in one order, c += alpha·op(A)[i,p] · op(B)[p,j] for p
+// ascending as the compiler writes `c += av * bv`, a zero coefficient
+// skipped, and each row alone. It is the one summation order off the blocked
+// path — every product without FMA, depths below 4, any scaling but alpha 1
+// with beta 0 or 1 — and the blocked kernel's reference. A row's nonzero
+// coefficients are listed a blockKC-deep chunk at a time; with bcs == 1,
+// every B the program passes but a transposed one, each adds its row of
+// op(B) into C's as a contiguous slice, and a transposed B is read down its
+// contiguous columns, each element summing the chunk's terms in a register:
+// the same additions in the same order, without a strided pass per term.
+func gemmNaive(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, alpha, beta float32) {
+	var offs [blockKC]int
+	var coefs [blockKC]float32
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
 		if beta == 0 {
-			for j := range crow {
-				crow[j] = 0
-			}
+			clear(crow)
 		} else if beta != 1 {
 			for j := range crow {
 				crow[j] *= beta
 			}
 		}
-		arow := a[i*k : (i+1)*k]
-		for p, av := range arow {
-			av *= alpha
-			if av == 0 {
+		for p0 := 0; p0 < k; p0 += blockKC {
+			cnt := 0
+			for p := p0; p < min(p0+blockKC, k); p++ {
+				if av := alpha * a[i*ars+p*acs]; av != 0 {
+					offs[cnt], coefs[cnt] = p*brs, av
+					cnt++
+				}
+			}
+			off, coef := offs[:cnt], coefs[:cnt]
+			if bcs != 1 {
+				for j, s := range crow {
+					col := b[j*bcs:]
+					for q, av := range coef {
+						s += av * col[off[q]]
+					}
+					crow[j] = s
+				}
 				continue
 			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			for q, av := range coef {
+				for j, bv := range b[off[q]:][:n] {
+					crow[j] += av * bv
+				}
 			}
 		}
 	}

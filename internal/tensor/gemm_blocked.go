@@ -14,7 +14,7 @@ import "sync"
 //	      pack A[ic:ic+mc, pc:pc+kc] into mr-row slivers
 //	      for jr, ir over the panel:   // register-tiled micro-kernel
 //	        acc[mr×nr] = Asliver × Bsliver
-//	        C[ic+ir, jc+jr] = beta*C + alpha*acc   // the tile's write-back
+//	        C[ic+ir, jc+jr] = acc, or += acc  // the tile's write-back
 //
 // The mr×nr micro-kernel keeps the full accumulator tile in registers and
 // streams both packed slivers sequentially. Its tile shape comes from the
@@ -39,11 +39,12 @@ import "sync"
 // row-major A sliver, short or full, is transposed by the vector body
 // (packRows8) where the kernel has one, its missing rows as zeros.
 //
-// The write-back has two forms that produce the same bits. writeTile and
-// epilogueTile are the Go loops, the reference, and what tiles with ragged
-// columns, general alpha/beta and hosts without a vector ISA run. A tile of
-// full nr width — however many of its rows are real — of a product with
-// alpha 1 and beta 0 or 1 — every product the layers and the plans issue —
+// The write-back stores the tile over C, or adds it to C where the product
+// accumulates or past the first depth block: the driver takes no other
+// scaling (GEMM sends that to gemmNaive). It has two forms that produce the
+// same bits. writeTile and epilogueTile are the Go loops, the reference, and
+// what tiles with ragged columns or both biases and hosts without a vector
+// ISA run. A tile of full nr width — however many of its rows are real —
 // goes through tileTail instead: one vector routine of the active kernel's
 // vecISA that takes the real accumulator rows through C's addition, the bias
 // and the relu in the Go loops' order and stores each row once, on every
@@ -129,27 +130,26 @@ func (g *gemmBuf) ensureB(n int) []float32 {
 func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // gemmPanel carries one (jc, pc) panel's full geometry: operand views, the
-// shared packed B panel, scaling, and the kernel in use.
+// shared packed B panel, and the kernel in use.
 type gemmPanel struct {
-	a        []float32
-	ars, acs int
-	bp       []float32 // packed B panel for (jc, pc), shared read-only
-	c        []float32
-	m, n     int
-	jc, pc   int
-	kc, nc   int
-	alpha    float32
-	beta     float32  // effective beta for this depth block (1 past pc=0)
-	ep       Epilogue // the tiles' epilogue: the caller's, less its sigmoid
-	applyEp  bool     // final depth block: run ep on write-back
-	sigmoid  bool     // final depth block: sweep the finished rows with SigmoidSlice
-	tail     int      // tileTail flags for this panel's full-width tiles; −1: they take the Go loops
-	kern     kernelDesc
+	a          []float32
+	ars, acs   int
+	bp         []float32 // packed B panel for (jc, pc), shared read-only
+	c          []float32
+	m, n       int
+	jc, pc     int
+	kc, nc     int
+	accumulate bool     // add the tiles into C: past pc=0, or the caller's choice
+	ep         Epilogue // the tiles' epilogue: the caller's, less its sigmoid
+	applyEp    bool     // final depth block: run ep on write-back
+	sigmoid    bool     // final depth block: sweep the finished rows with SigmoidSlice
+	tail       int      // tileTail flags for this panel's full-width tiles; −1: they take the Go loops
+	kern       kernelDesc
 }
 
 // tileTail's flags: which of its stages a tile's write-back runs.
 const (
-	tailAccumulate = 1 << iota // add C (beta == 1); without it C is not read
+	tailAccumulate = 1 << iota // add C; without it C is not read
 	tailColBias                // add bias[j] to column j of the tile
 	tailRowBias                // add bias[i] to row i of the tile
 	tailReLU                   // floor at 0; −0 and NaN pass
@@ -157,13 +157,13 @@ const (
 
 // tailFlags returns the tileTail flags that stand for writeTile (+
 // epilogueTile when applyEp) on a full-width tile of this panel, or −1 when the
-// active kernel has no vector tail or the scaling is not one it covers.
+// active kernel has no vector tail or the epilogue has both biases.
 func (pn *gemmPanel) tailFlags() int {
-	if pn.kern.vec == vecNone || pn.alpha != 1 || (pn.beta != 0 && pn.beta != 1) {
+	if pn.kern.vec == vecNone {
 		return -1
 	}
 	flags := 0
-	if pn.beta == 1 {
+	if pn.accumulate {
 		flags |= tailAccumulate
 	}
 	if !pn.applyEp {
@@ -183,11 +183,11 @@ func (pn *gemmPanel) tailFlags() int {
 	return flags
 }
 
-// gemmBlocked computes C = alpha·op(A)·op(B) + beta·C for row-major C
-// (m×n). The operands are addressed through explicit strides — element
-// op(A)[i,p] lives at a[i*ars+p*acs] and op(B)[p,j] at b[p*brs+j*bcs] — so
-// the same driver serves the plain, transposed-A, and transposed-B products
-// without materializing a transpose.
+// gemmBlocked computes C = op(A)·op(B), plus C when accumulate, for
+// row-major C (m×n). The operands are addressed through explicit strides —
+// element op(A)[i,p] lives at a[i*ars+p*acs] and op(B)[p,j] at
+// b[p*brs+j*bcs] — so the same driver serves the plain, transposed-A, and
+// transposed-B products without materializing a transpose.
 //
 // A non-identity ep is applied on the final depth block: bias and relu to
 // each C tile as part of its write-back, a sigmoid to the rows of each
@@ -196,7 +196,7 @@ func (pn *gemmPanel) tailFlags() int {
 // shared pool. A non-nil pb is op(B) already in packed form
 // (gemm_packed.go): its panels are used as they are, b and its strides are
 // ignored, and no B panel is packed or grown.
-func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, alpha, beta float32, ep Epilogue, ps *PackScratch, pb *PackedB) {
+func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int, accumulate bool, ep Epilogue, ps *PackScratch, pb *PackedB) {
 	var db *gemmBuf
 	if ps != nil {
 		db = &ps.buf
@@ -210,7 +210,7 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 	if sigmoid {
 		ep.Act = EpActNone
 	}
-	pn := gemmPanel{a: a, ars: ars, acs: acs, c: c, m: m, n: n, alpha: alpha, ep: ep, kern: kern}
+	pn := gemmPanel{a: a, ars: ars, acs: acs, c: c, m: m, n: n, ep: ep, kern: kern}
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
 		var bp []float32
@@ -220,10 +220,7 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
 			pn.jc, pn.pc, pn.kc, pn.nc = jc, pc, kc, nc
-			pn.beta = 1
-			if pc == 0 {
-				pn.beta = beta
-			}
+			pn.accumulate = accumulate || pc > 0
 			last := pc+kc == k
 			pn.applyEp, pn.sigmoid = last && !ep.isIdentity(), last && sigmoid
 			pn.tail = pn.tailFlags()
@@ -301,7 +298,7 @@ func (pn *gemmPanel) writeBack(acc *[maxMR * maxNR]float32, i0, j0, mEff int) {
 		tileTail(pn.kern.vec, pn.c[i0*pn.n+j0:], pn.n, acc, bias, pn.tail, mEff)
 		return
 	}
-	writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, acc, pn.alpha, pn.beta)
+	writeTile(pn.c, pn.n, i0, j0, mEff, nEff, nr, acc, pn.accumulate)
 	if pn.applyEp {
 		epilogueTile(pn.c, pn.n, i0, j0, mEff, nEff, &pn.ep)
 	}
@@ -382,32 +379,19 @@ func packB(b []float32, brs, bcs, pc, jc, kc, nc, nr int, dst []float32) {
 }
 
 // writeTile folds one micro-kernel product tile into C:
-// C[i0:i0+mEff, j0:j0+nEff] = beta*C + alpha*acc, where acc rows have
-// stride accStride (the kernel's nr). beta==0 stores without reading C, so
-// it is safe on uninitialized (scratch) output buffers.
-func writeTile(c []float32, ldc, i0, j0, mEff, nEff, accStride int, acc *[maxMR * maxNR]float32, alpha, beta float32) {
+// C[i0:i0+mEff, j0:j0+nEff] = acc, or += acc when accumulate, where acc rows
+// have stride accStride (the kernel's nr). A store does not read C, so it is
+// safe on uninitialized (scratch) output buffers.
+func writeTile(c []float32, ldc, i0, j0, mEff, nEff, accStride int, acc *[maxMR * maxNR]float32, accumulate bool) {
 	for i := 0; i < mEff; i++ {
 		crow := c[(i0+i)*ldc+j0:][:nEff]
 		arow := acc[i*accStride : i*accStride+nEff]
-		switch {
-		case beta == 0 && alpha == 1:
+		if !accumulate {
 			copy(crow, arow)
-		case beta == 1 && alpha == 1:
-			for j, v := range arow {
-				crow[j] += v
-			}
-		case beta == 0:
-			for j, v := range arow {
-				crow[j] = alpha * v
-			}
-		case beta == 1:
-			for j, v := range arow {
-				crow[j] += alpha * v
-			}
-		default:
-			for j, v := range arow {
-				crow[j] = beta*crow[j] + alpha*v
-			}
+			continue
+		}
+		for j, v := range arow {
+			crow[j] += v
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // write-back instead of run as separate memory-bound sweeps. On the blocked
 // path bias and relu are part of each tile's write-back (gemm_blocked.go)
 // and a sigmoid sweeps the rows of each finished row block while they are
-// cache-hot; the gemv and axpy fallbacks apply the epilogue as a single row
+// cache-hot; the gemv and gemmNaive apply the epilogue as a single row
 // sweep after the product. Every stage is elementwise and every form of it —
 // Go loop or vector routine — produces the Go loop's bits, so every dispatch
 // path computes bit-identical results.
@@ -87,9 +87,9 @@ func SigmoidSlice(dst, src []float32) {
 
 // GEMMEpilogue computes C = act((A×B) + bias) over raw row-major slices: A
 // is m×k, B is k×n, C is m×n (stored without being read, like GEMM with
-// beta = 0). Dispatch mirrors GEMM — blocked micro-kernel, gemv, or axpy
-// fallback — with the epilogue folded into the blocked path's write-back
-// tail and applied as one sweep on the scalar paths. A non-nil ps supplies
+// beta = 0). It takes GEMM's dispatch — blocked micro-kernel, gemv, or
+// gemmNaive — with the epilogue folded into the blocked path's write-back
+// tail and applied as one sweep on the others. A non-nil ps supplies
 // caller-owned packing panels for the blocked path (compiled plans keep one
 // per plan, so their serial hot path never touches the shared pool); nil
 // borrows from the pool.
@@ -99,25 +99,15 @@ func GEMMEpilogue(a, b, c []float32, m, k, n int, ep Epilogue, ps *PackScratch) 
 			len(a), len(b), len(c), m, k, k, n))
 	}
 	ep.checkBias(m, n)
-	switch {
-	case m == 0 || n == 0:
-	case useBlocked(m, k):
-		gemmBlocked(a, k, 1, b, n, 1, c, m, k, n, 1, 0, ep, ps, nil)
-	case useGemv(m, k):
-		gemvRow(a, b, c, k, n)
-		epilogueTile(c, n, 0, 0, 1, n, &ep)
-	default:
-		gemmNaive(a, b, c, m, k, n, 1, 0)
-		epilogueTile(c, n, 0, 0, m, n, &ep)
-	}
+	gemm(a, k, 1, b, n, 1, c, m, k, n, false, ep, ps)
 }
 
 // epilogueTile applies ep to the mEff×nEff tile of C whose top-left element
 // is (i0, j0): bias first (row then column, global indices), activation
 // after, matching the unfused layer order (Dense/Conv2D then activation).
-// The gemv and axpy paths call it with one tile spanning whole rows. On the
-// blocked path it follows writeTile on the final depth block for the tiles
-// tileTail does not take (ragged edges, general alpha/beta, no vector ISA)
+// The gemv and gemmNaive paths call it with one tile spanning whole rows. On
+// the blocked path it follows writeTile on the final depth block for the
+// tiles tileTail does not take (ragged edges, both biases, no vector ISA)
 // and is the reference tileTail is held to; the sigmoid never reaches it
 // there (gemmBlocked holds it back for the row sweep).
 func epilogueTile(c []float32, ldc, i0, j0, mEff, nEff int, ep *Epilogue) {

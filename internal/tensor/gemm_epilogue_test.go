@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestGEMMEpilogueOracle(t *testing.T) {
 			fillDeterministic(b, uint32(s.n+2))
 			for vi, ep := range epilogueVariants(s.m, s.n) {
 				want := make([]float32, s.m*s.n)
-				gemmNaive(a, b, want, s.m, s.k, s.n, 1, 0)
+				naiveGEMM(a, b, want, s.m, s.k, s.n, 1, 0)
 				refEpilogue(want, s.m, s.n, ep)
 				got := make([]float32, s.m*s.n)
 				GEMMEpilogue(a, b, got, s.m, s.k, s.n, ep, &ps)
@@ -107,9 +108,61 @@ func TestGEMMEpilogueBitwiseVsUnfused(t *testing.T) {
 	}
 }
 
+// TestTransposedProductsTakeGEMMsOrder holds the transposed products to
+// GEMM on the materialized transpose, bit for bit, storing and accumulating
+// into a nonzero C: there is one summation order per dispatch, whichever
+// operand is transposed — gemmNaive's off the blocked path, the blocked
+// kernel's on it. The one exception is a stored one-row product with B
+// transposed, which takes gemmNaive where GEMM takes the gemv (it reads B's
+// rows contiguous). Depths below the blocked gate, past one depth block and
+// single rows are among the shapes, on operands with full mantissas so that
+// a reordered sum shows, zero coefficients and −0s in C.
+func TestTransposedProductsTakeGEMMsOrder(t *testing.T) {
+	defer SetBlockedKernelForTest(SetBlockedKernelForTest(false))
+	for _, blocked := range []bool{false, true} {
+		SetBlockedKernelForTest(blocked)
+		for _, s := range []struct{ m, k, n int }{{1, 9, 7}, {5, 3, 11}, {5, 7, 9}, {33, 120, 65}, {17, 300, 40}} {
+			aT, b := New(s.k, s.m), New(s.k, s.n) // Aᵀ·B
+			a, bT := New(s.m, s.k), New(s.n, s.k) // A·Bᵀ
+			cInit := New(s.m, s.n)
+			for i, d := range [][]float32{aT.Data, b.Data, a.Data, bT.Data, cInit.Data} {
+				fillMantissa(d, uint32(s.m*31+s.k*7+s.n+i))
+				for j := i; j < len(d); j += 5 {
+					d[j] = 0 // zero coefficients are skipped: a −0 in C stays
+				}
+			}
+			for j := 0; j < len(cInit.Data); j += 3 {
+				cInit.Data[j] = float32(math.Copysign(0, -1))
+			}
+			for p := 0; p < s.k; p++ { // op(A)'s row 0 all zero: C's row 0 keeps its −0s
+				aT.Data[p*s.m], a.Data[p] = 0, 0
+			}
+			for _, e := range []struct {
+				name string
+				beta float32
+				run  func(c *Tensor)
+				a, b *Tensor
+			}{
+				{"MatMulTransAAcc", 1, func(c *Tensor) { MatMulTransAAcc(c, aT, b, nil) }, aT.Transpose(), b},
+				{"MatMulTransBAcc", 1, func(c *Tensor) { MatMulTransBAcc(c, a, bT, nil) }, a, bT.Transpose()},
+				{"MatMulTransAInto", 0, func(c *Tensor) { MatMulTransAInto(c, aT, b, nil) }, aT.Transpose(), b},
+				{"MatMulTransBInto", 0, func(c *Tensor) { MatMulTransBInto(c, a, bT, nil) }, a, bT.Transpose()},
+			} {
+				if blocked && s.m == 1 && e.name == "MatMulTransBInto" {
+					continue
+				}
+				got, want := cInit.Clone(), cInit.Clone()
+				e.run(got)
+				GEMM(e.a.Data, e.b.Data, want.Data, s.m, s.k, s.n, 1, e.beta)
+				sameBits(t, fmt.Sprintf("blocked=%v %s %v", blocked, e.name, s), got.Data, want.Data)
+			}
+		}
+	}
+}
+
 // TestMatMulTransScratchVariants checks the Into/Acc trans products — with
 // and without a caller-owned PackScratch, on both dispatch paths — against
-// the allocating originals.
+// the product of the materialized transpose.
 func TestMatMulTransScratchVariants(t *testing.T) {
 	var ps PackScratch
 	for _, forced := range []bool{false, true} {
@@ -119,7 +172,7 @@ func TestMatMulTransScratchVariants(t *testing.T) {
 			bT := New(s.k, s.n)
 			fillDeterministic(aT.Data, uint32(s.m+11))
 			fillDeterministic(bT.Data, uint32(s.n+13))
-			want := MatMulTransA(aT, bT)
+			want := matMul(aT.Transpose(), bT)
 
 			got := New(s.m, s.n)
 			MatMulTransAInto(got, aT, bT, &ps)
@@ -139,7 +192,7 @@ func TestMatMulTransScratchVariants(t *testing.T) {
 			bB := New(s.n, s.k) // TransB operand: n×k
 			fillDeterministic(a.Data, uint32(s.m+19))
 			fillDeterministic(bB.Data, uint32(s.n+23))
-			wantB := MatMulTransB(a, bB)
+			wantB := matMul(a, bB.Transpose())
 			gotB := New(s.m, s.n)
 			MatMulTransBInto(gotB, a, bB, nil)
 			if d := maxAbsDiff(gotB.Data, wantB.Data); d > oracleTol {

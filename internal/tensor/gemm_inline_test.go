@@ -48,7 +48,7 @@ func TestKernelsRunInline(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"gemmNaive", func() { gemmNaive(a.Data, b.Data, c.Data, rows, k, n, 1, 0) }},
+		{"gemmNaive", func() { naiveGEMM(a.Data, b.Data, c.Data, rows, k, n, 1, 0) }},
 		{"GEMMEpilogue", func() { GEMMEpilogue(a.Data, b.Data, c.Data, rows, k, n, ep, nil) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(c, at, b, nil) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(c, a, bt, nil) }},

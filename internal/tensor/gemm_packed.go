@@ -67,14 +67,14 @@ func (pb *PackedB) at(pc, j int) int {
 	return pb.k*jc + pc*w + (j-jc)/pb.nr*kc*pb.nr + j%pb.nr
 }
 
-// BlockedGEMM reports whether an (m×k)·(k×n) product dispatches to the
+// BlockedGEMM reports whether an m-row product of depth k dispatches to the
 // blocked micro-kernel path — the products GEMMEpiloguePacked serves. The
 // rest (single rows, depths below 4, hosts without an FMA kernel) read B
-// row-major through GEMMEpilogue.
-func BlockedGEMM(m, k, n int) bool { return useBlocked(m, k) }
+// row-major through GEMMEpilogue. The width does not enter.
+func BlockedGEMM(m, k int) bool { return useBlocked(m, k) }
 
 // GEMMEpiloguePacked is GEMMEpilogue for a product that dispatches to the
-// blocked path (BlockedGEMM(m, pb's k, pb's n) must hold) with B already
+// blocked path (BlockedGEMM(m, pb's k) must hold) with B already
 // packed: C = act((A×B) + bias), A m×k row-major, through the same driver,
 // kernel and summation order, minus the packing of B. pb must have been
 // packed under the current PackedWidth.
@@ -90,5 +90,5 @@ func GEMMEpiloguePacked(a []float32, pb *PackedB, c []float32, m int, ep Epilogu
 		panic(fmt.Sprintf("tensor: GEMMEpiloguePacked operand sizes %d/%d too small for (%d×%d)·(%d×%d)", len(a), len(c), m, k, k, n))
 	}
 	ep.checkBias(m, n)
-	gemmBlocked(a, k, 1, nil, 0, 0, c, m, k, n, 1, 0, ep, ps, pb)
+	gemmBlocked(a, k, 1, nil, 0, 0, c, m, k, n, false, ep, ps, pb)
 }

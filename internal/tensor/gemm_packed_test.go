@@ -57,7 +57,7 @@ func TestPackedBMatchesGEMMEpilogue(t *testing.T) {
 			fillDeterministic(a, uint32(7*s.m+s.k))
 			fillDeterministic(b, uint32(11*s.n+s.k))
 			b[2] = float32(math.NaN()) // a NaN column through every epilogue
-			if !BlockedGEMM(s.m, s.k, s.n) {
+			if !BlockedGEMM(s.m, s.k) {
 				if s.m > 1 {
 					t.Fatalf("%v: expected a blocked-path shape", s)
 				}

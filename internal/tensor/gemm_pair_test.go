@@ -83,19 +83,19 @@ func pairOperands(m, k, n int, seed uint32) (a, b, cInit, rb, cb []float32) {
 	return a, b, cInit, rb, cb
 }
 
-// sameBlockedProduct runs C = A·B + beta·C with epilogue ep through
+// sameBlockedProduct runs C = A·B, plus C when accumulate, with epilogue ep through
 // gemmBlocked under kern, then under kern as ref changes it, and holds the
 // two C's to the same bits.
-func sameBlockedProduct(t *testing.T, what string, kern kernelDesc, ref func(*kernelDesc), a, b, cInit []float32, m, k, n int, beta float32, ep Epilogue) {
+func sameBlockedProduct(t *testing.T, what string, kern kernelDesc, ref func(*kernelDesc), a, b, cInit []float32, m, k, n int, accumulate bool, ep Epilogue) {
 	t.Helper()
 	saved := activeKernel
 	defer func() { activeKernel = saved }()
 	activeKernel = kern
 	got := append([]float32(nil), cInit...)
-	gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, 1, beta, ep, nil, nil)
+	gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, accumulate, ep, nil, nil)
 	ref(&activeKernel)
 	want := append([]float32(nil), cInit...)
-	gemmBlocked(a, k, 1, b, n, 1, want, m, k, n, 1, beta, ep, nil, nil)
+	gemmBlocked(a, k, 1, b, n, 1, want, m, k, n, accumulate, ep, nil, nil)
 	sameBits(t, what, got, want)
 }
 
@@ -115,7 +115,7 @@ func counted(body pairKernelFunc, calls *int) pairKernelFunc {
 // its pair bodies taken away, and holds the two C's to the same bits. It
 // returns how many calls of the pair body or its 4-row body the first
 // product made.
-func checkPairedProduct(t *testing.T, kern kernelDesc, m, k, n int, beta float32, variant int, seed uint32) int {
+func checkPairedProduct(t *testing.T, kern kernelDesc, m, k, n int, accumulate bool, variant int, seed uint32) int {
 	t.Helper()
 	a, b, cInit, rb, cb := pairOperands(m, k, n, seed)
 	// No epilogue, the hidden layers' column bias + relu, the convolutions'
@@ -123,8 +123,8 @@ func checkPairedProduct(t *testing.T, kern kernelDesc, m, k, n int, beta float32
 	eps := []Epilogue{{}, {ColBias: cb, Act: EpActReLU}, {RowBias: rb}, {Act: EpActSigmoid}}
 	calls := 0
 	kern.pair, kern.pair4 = counted(kern.pair, &calls), counted(kern.pair4, &calls)
-	sameBlockedProduct(t, fmt.Sprintf("%s %dx%dx%d beta %v epilogue %d", kern.name, m, k, n, beta, variant%len(eps)),
-		kern, func(k *kernelDesc) { k.pair, k.pair4 = nil, nil }, a, b, cInit, m, k, n, beta, eps[variant%len(eps)])
+	sameBlockedProduct(t, fmt.Sprintf("%s %dx%dx%d accumulate %v epilogue %d", kern.name, m, k, n, accumulate, variant%len(eps)),
+		kern, func(k *kernelDesc) { k.pair, k.pair4 = nil, nil }, a, b, cInit, m, k, n, accumulate, eps[variant%len(eps)])
 	return calls
 }
 
@@ -132,14 +132,14 @@ func checkPairedProduct(t *testing.T, kern kernelDesc, m, k, n int, beta float32
 // its 4-row pair body taken away — every short sliver through the full-height
 // pair body — and holds the two C's to the same bits. It returns how many
 // calls of the 4-row body the first product made.
-func checkShortSlivers(t *testing.T, kern kernelDesc, m, k, n int, beta float32, variant int, seed uint32) int {
+func checkShortSlivers(t *testing.T, kern kernelDesc, m, k, n int, accumulate bool, variant int, seed uint32) int {
 	t.Helper()
 	a, b, cInit, rb, cb := pairOperands(m, k, n, seed)
 	eps := tailEpilogues(rb, cb)
 	calls := 0
 	kern.pair4 = counted(kern.pair4, &calls)
-	sameBlockedProduct(t, fmt.Sprintf("%s %dx%dx%d beta %v epilogue %d", kern.name, m, k, n, beta, variant%len(eps)),
-		kern, func(k *kernelDesc) { k.pair4 = nil }, a, b, cInit, m, k, n, beta, eps[variant%len(eps)])
+	sameBlockedProduct(t, fmt.Sprintf("%s %dx%dx%d accumulate %v epilogue %d", kern.name, m, k, n, accumulate, variant%len(eps)),
+		kern, func(k *kernelDesc) { k.pair4 = nil }, a, b, cInit, m, k, n, accumulate, eps[variant%len(eps)])
 	return calls
 }
 
@@ -147,7 +147,7 @@ func checkShortSlivers(t *testing.T, kern kernelDesc, m, k, n int, beta float32,
 // bodies to the same products without them, bit for bit: widths one sliver
 // short of, at and past a pair — ragged last slivers and the odd sliver of
 // the autoencoder's 784-wide output among them — rows around one tile and
-// one row block, depths around one depth block, beta 0 and 1, every
+// one row block, depths around one depth block, stored and accumulated, every
 // write-back form. It also checks that the paired products did pair, through
 // the pair body or its 4-row body.
 func TestPairedTilesMatchUnpaired(t *testing.T) {
@@ -159,10 +159,10 @@ func TestPairedTilesMatchUnpaired(t *testing.T) {
 	for _, n := range []int{16, 17, 31, 32, 33, 47, 48, 49, 784} {
 		for _, m := range []int{2, 7, 8, 9, 15, 32, 129} {
 			for _, k := range ks {
-				for i, beta := range []float32{0, 1} {
+				for i, accumulate := range []bool{false, true} {
 					for variant := range 4 {
 						seed := uint32(n*7919+m*104729+k*31+variant*2+i) | uint32(variant&1)
-						calls := checkPairedProduct(t, kern, m, k, n, beta, variant, seed)
+						calls := checkPairedProduct(t, kern, m, k, n, accumulate, variant, seed)
 						if wantPairs := n > kern.nr; (calls > 0) != wantPairs {
 							t.Fatalf("%s %dx%dx%d: %d pair calls", kern.name, m, k, n, calls)
 						}
@@ -177,10 +177,10 @@ func TestPairedTilesMatchUnpaired(t *testing.T) {
 // row sliver is short to the same products with the 4-row pair body taken
 // away, bit for bit: every row count of a last sliver, at one, two and three
 // slivers and past one row block, widths one sliver, a pair and the
-// autoencoder's 784, depths inside and past one depth block, beta 0 and 1,
-// every epilogue. It also checks that the 4-row body ran exactly where a
-// last sliver holds one to four rows and the product is wider than one
-// sliver.
+// autoencoder's 784, depths inside and past one depth block, stored and
+// accumulated, every epilogue. It also checks that the 4-row body ran
+// exactly where a last sliver holds one to four rows and the product is
+// wider than one sliver.
 func TestShortSliversMatchFullHeight(t *testing.T) {
 	kern := pairKernelOrSkip(t)
 	if kern.pair4 == nil {
@@ -194,10 +194,10 @@ func TestShortSliversMatchFullHeight(t *testing.T) {
 	for _, m := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 17, 18, 19, 20, 129} {
 		for _, n := range []int{16, 33, 784} {
 			for _, k := range ks {
-				for i, beta := range []float32{0, 1} {
+				for i, accumulate := range []bool{false, true} {
 					for variant := range nVariants {
 						seed := uint32(m*7919+n*104729+k*31+variant*2+i) | uint32(variant&1)
-						calls := checkShortSlivers(t, kern, m, k, n, beta, variant, seed)
+						calls := checkShortSlivers(t, kern, m, k, n, accumulate, variant, seed)
 						if want := m%8 >= 1 && m%8 <= 4 && n > kern.nr; (calls > 0) != want {
 							t.Fatalf("%s %dx%dx%d: %d calls of the 4-row body", kern.name, m, k, n, calls)
 						}
@@ -209,7 +209,7 @@ func TestShortSliversMatchFullHeight(t *testing.T) {
 }
 
 // FuzzPairedTiles is TestPairedTilesMatchUnpaired and
-// TestShortSliversMatchFullHeight over fuzzed shapes, betas, epilogues and
+// TestShortSliversMatchFullHeight over fuzzed shapes, accumulation, epilogues and
 // operands; the seeds include short last slivers of one to four rows.
 func FuzzPairedTiles(f *testing.F) {
 	f.Add(uint16(32), uint16(784), uint16(784), uint8(3), false, uint32(1))
@@ -220,12 +220,8 @@ func FuzzPairedTiles(f *testing.F) {
 	f.Add(uint16(19), uint16(128), uint16(784), uint8(8), false, uint32(6))
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint16, variant uint8, accumulate bool, seed uint32) {
 		m, k, n := int(mRaw)%160+1, int(kRaw)%800+1, int(nRaw)%800+1
-		beta := float32(0)
-		if accumulate {
-			beta = 1
-		}
 		kern := pairKernelOrSkip(t)
-		checkPairedProduct(t, kern, m, k, n, beta, int(variant), seed)
-		checkShortSlivers(t, kern, m, k, n, beta, int(variant), seed)
+		checkPairedProduct(t, kern, m, k, n, accumulate, int(variant), seed)
+		checkShortSlivers(t, kern, m, k, n, accumulate, int(variant), seed)
 	})
 }

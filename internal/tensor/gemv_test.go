@@ -75,7 +75,7 @@ func TestGemvMatchesBlockedRow(t *testing.T) {
 							}
 						}
 						want := make([]float32, 2*n)
-						gemmBlocked(a, k, 1, b, n, 1, want, 2, k, n, 1, 0, Epilogue{}, nil, nil)
+						gemmBlocked(a, k, 1, b, n, 1, want, 2, k, n, false, Epilogue{}, nil, nil)
 						got := make([]float32, n)
 						fillMantissa(got, seed+3) // stored, not read
 						gemvRow(a[:k], b, got, k, n)

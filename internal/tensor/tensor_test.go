@@ -195,7 +195,8 @@ func TestMatMulTransA(t *testing.T) {
 	a, b := New(9, 5), New(9, 7)
 	a.RandNormal(r, 0, 1)
 	b.RandNormal(r, 0, 1)
-	got := MatMulTransA(a, b)
+	got := New(5, 7)
+	MatMulTransAInto(got, a, b, nil)
 	want := naiveMatMul(a.Transpose(), b)
 	if !got.SameShape(want) {
 		t.Fatalf("shape %v, want %v", got.Shape, want.Shape)
@@ -212,7 +213,8 @@ func TestMatMulTransB(t *testing.T) {
 	a, b := New(6, 8), New(11, 8)
 	a.RandNormal(r, 0, 1)
 	b.RandNormal(r, 0, 1)
-	got := MatMulTransB(a, b)
+	got := New(6, 11)
+	MatMulTransBInto(got, a, b, nil)
 	want := naiveMatMul(a, b.Transpose())
 	if !got.SameShape(want) {
 		t.Fatalf("shape %v, want %v", got.Shape, want.Shape)

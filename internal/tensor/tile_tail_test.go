@@ -41,7 +41,7 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 // TestTileTailMatchesGo holds tileTail, under every kernel that has one, to
 // writeTile + epilogueTile on one full-width tile inside a wider C, with
 // every row count from one to mr (the row bias cut to the real rows): every
-// stage combination (beta 0/1 × no, column or row bias × no activation or
+// stage combination (store or accumulate × no, column or row bias × no activation or
 // relu), operands salted with specials, the whole of C compared bit for bit
 // — the real rows for the arithmetic, the rest for stores that strayed. It
 // also holds the flag derivation to the cases it must refuse.
@@ -67,19 +67,19 @@ func TestTileTailMatchesGo(t *testing.T) {
 					saltSpecials(acc[:], 37+round)
 				}
 				for rows := 1; rows <= k.mr; rows++ {
-					for _, beta := range []float32{0, 1} {
+					for _, accumulate := range []bool{false, true} {
 						for _, ep := range []Epilogue{
 							{}, {Act: EpActReLU},
 							{ColBias: cb}, {ColBias: cb, Act: EpActReLU},
 							{RowBias: rb}, {RowBias: rb, Act: EpActReLU},
 						} {
-							pn := gemmPanel{kern: k, alpha: 1, beta: beta, ep: ep, applyEp: !ep.isIdentity()}
+							pn := gemmPanel{kern: k, accumulate: accumulate, ep: ep, applyEp: !ep.isIdentity()}
 							flags := pn.tailFlags()
 							if flags < 0 {
-								t.Fatalf("beta %v epilogue %+v: no tail flags", beta, ep)
+								t.Fatalf("accumulate %v epilogue %+v: no tail flags", accumulate, ep)
 							}
 							want := append([]float32(nil), cInit...)
-							writeTile(want, ldc, i0, j0, rows, k.nr, k.nr, &acc, 1, beta)
+							writeTile(want, ldc, i0, j0, rows, k.nr, k.nr, &acc, accumulate)
 							if pn.applyEp {
 								epilogueTile(want, ldc, i0, j0, rows, k.nr, &ep)
 							}
@@ -92,25 +92,22 @@ func TestTileTailMatchesGo(t *testing.T) {
 								bias = rb[i0 : i0+rows]
 							}
 							tileTail(k.vec, got[i0*ldc+j0:], ldc, &acc, bias, flags, rows)
-							sameBits(t, fmt.Sprintf("round %d rows %d beta %v flags %04b", round, rows, beta, flags), got, want)
+							sameBits(t, fmt.Sprintf("round %d rows %d accumulate %v flags %04b", round, rows, accumulate, flags), got, want)
 						}
 					}
 				}
 			}
 
 			for _, pn := range []gemmPanel{
-				{kern: k, alpha: 2, beta: 0},
-				{kern: k, alpha: 1, beta: 0.5},
-				{kern: k, alpha: 1, beta: float32(math.NaN())},
-				{kern: k, alpha: 1, beta: 0, ep: Epilogue{RowBias: rb, ColBias: cb}, applyEp: true},
-				{kern: kernelDesc{mr: k.mr, nr: k.nr, fn: k.fn}, alpha: 1, beta: 0},
+				{kern: k, ep: Epilogue{RowBias: rb, ColBias: cb}, applyEp: true},
+				{kern: kernelDesc{mr: k.mr, nr: k.nr, fn: k.fn}},
 			} {
 				if flags := pn.tailFlags(); flags >= 0 {
-					t.Errorf("alpha %v beta %v epilogue %+v vec %d: tail flags %04b, want none", pn.alpha, pn.beta, pn.ep, pn.kern.vec, flags)
+					t.Errorf("epilogue %+v vec %d: tail flags %04b, want none", pn.ep, pn.kern.vec, flags)
 				}
 			}
 			// Biases that are not applied on this depth block are not flagged.
-			pn := gemmPanel{kern: k, alpha: 1, beta: 1, ep: Epilogue{ColBias: cb, Act: EpActReLU}}
+			pn := gemmPanel{kern: k, accumulate: true, ep: Epilogue{ColBias: cb, Act: EpActReLU}}
 			if flags := pn.tailFlags(); flags != tailAccumulate {
 				t.Errorf("depth block before the last: tail flags %04b, want accumulate alone", flags)
 			}
@@ -160,8 +157,8 @@ func tailEpilogues(rb, cb []float32) []Epilogue {
 // the vector transpose — with the same products run with the all-Go
 // write-back and packing (the same micro-kernel, its vec taken away), bit
 // for bit: ragged m/k/n past one depth and one row block, every last-sliver
-// row count from one to eight (the seeds), the row bias m long, beta 0 and
-// 1, every epilogue, salted operands.
+// row count from one to eight (the seeds), the row bias m long, stored and
+// accumulated, every epilogue, salted operands.
 func FuzzGEMMEpilogueTail(f *testing.F) {
 	f.Add(uint16(31), uint16(783), uint16(127), uint8(4), true, uint32(3))
 	f.Add(uint16(7), uint16(24), uint16(783), uint8(5), false, uint32(5))
@@ -188,20 +185,16 @@ func FuzzGEMMEpilogueTail(f *testing.F) {
 		}
 		eps := tailEpilogues(rb, cb)
 		ep := eps[int(variant)%len(eps)]
-		beta := float32(0)
-		if accumulate {
-			beta = 1
-		}
 		saved := activeKernel
 		defer func() { activeKernel = saved }()
 		for _, kern := range vecKernels() {
 			activeKernel = kern
 			got := append([]float32(nil), cInit...)
-			gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, 1, beta, ep, nil, nil)
+			gemmBlocked(a, k, 1, b, n, 1, got, m, k, n, accumulate, ep, nil, nil)
 			activeKernel.vec = vecNone
 			want := append([]float32(nil), cInit...)
-			gemmBlocked(a, k, 1, b, n, 1, want, m, k, n, 1, beta, ep, nil, nil)
-			sameBits(t, fmt.Sprintf("%s %dx%dx%d beta %v epilogue %d", kern.name, m, k, n, beta, int(variant)%len(eps)), got, want)
+			gemmBlocked(a, k, 1, b, n, 1, want, m, k, n, accumulate, ep, nil, nil)
+			sameBits(t, fmt.Sprintf("%s %dx%dx%d accumulate %v epilogue %d", kern.name, m, k, n, accumulate, int(variant)%len(eps)), got, want)
 		}
 	})
 }
@@ -221,15 +214,15 @@ func BenchmarkTileTail(b *testing.B) {
 	fillMantissa(acc[:], 7)
 	for _, k := range vecKernels() {
 		for _, v := range []struct {
-			name string
-			beta float32
-			ep   Epilogue
+			name       string
+			accumulate bool
+			ep         Epilogue
 		}{
-			{"beta0+bias+relu", 0, Epilogue{ColBias: cb, Act: EpActReLU}},
-			{"beta1+bias+relu", 1, Epilogue{ColBias: cb, Act: EpActReLU}},
-			{"beta1", 1, Epilogue{}},
+			{"beta0+bias+relu", false, Epilogue{ColBias: cb, Act: EpActReLU}},
+			{"beta1+bias+relu", true, Epilogue{ColBias: cb, Act: EpActReLU}},
+			{"beta1", true, Epilogue{}},
 		} {
-			pn := gemmPanel{kern: k, alpha: 1, beta: v.beta, ep: v.ep, applyEp: !v.ep.isIdentity()}
+			pn := gemmPanel{kern: k, accumulate: v.accumulate, ep: v.ep, applyEp: !v.ep.isIdentity()}
 			flags := pn.tailFlags()
 			tilesPerRow := n / k.nr
 			each := func(b *testing.B, f func(i0, j0 int)) {
@@ -245,7 +238,7 @@ func BenchmarkTileTail(b *testing.B) {
 			})
 			b.Run(k.name+"/"+v.name+"/go", func(b *testing.B) {
 				each(b, func(i0, j0 int) {
-					writeTile(c, n, i0, j0, k.mr, k.nr, k.nr, &acc, 1, v.beta)
+					writeTile(c, n, i0, j0, k.mr, k.nr, k.nr, &acc, v.accumulate)
 					if pn.applyEp {
 						epilogueTile(c, n, i0, j0, k.mr, k.nr, &v.ep)
 					}
