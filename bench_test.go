@@ -176,8 +176,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 }
 
 // BenchmarkAblationBottleneck varies the converting autoencoder's encoder
-// output width (Table I uses 32 for MNIST) and reports reconstruction loss
-// and downstream CBNet accuracy.
+// output width (Table I uses 32 for MNIST) and reports the final training
+// loss — reconstruction MSE plus the L1 activity penalty — and downstream
+// CBNet accuracy.
 func BenchmarkAblationBottleneck(b *testing.B) {
 	r := sharedRunner(b)
 	sys, std, err := r.System(dataset.MNIST)
@@ -195,13 +196,13 @@ func BenchmarkAblationBottleneck(b *testing.B) {
 			arch := models.TableIArch(dataset.MNIST)
 			arch.Widths[2] = width
 			ae := models.NewConvertingAE(arch, models.L1Coefficient, rng.New(uint64(width)))
-			losses, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: uint64(width)}, nil)
+			losses, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: uint64(width)})
 			if err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
 			if i == 0 {
-				b.Logf("bottleneck %3d: recon loss %.5f, CBNet accuracy %.2f%%",
+				b.Logf("bottleneck %3d: loss (MSE + L1) %.5f, CBNet accuracy %.2f%%",
 					width, losses[len(losses)-1], 100*pipe.Accuracy(std.Test))
 			}
 		}
@@ -225,7 +226,7 @@ func BenchmarkAblationL1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, lambda := range []float32{0, 1e-7, 1e-4} {
 			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), lambda, rng.New(99))
-			if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: 100}, ae.Reg.Penalty); err != nil {
+			if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{Epochs: 4, Seed: 100}); err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
@@ -289,7 +290,7 @@ func BenchmarkAblationTarget(b *testing.B) {
 			{"class-prototype", protoTargets},
 		} {
 			ae := models.NewConvertingAE(models.TableIArch(dataset.MNIST), models.L1Coefficient, rng.New(55))
-			if _, err := train.Regressor(ae.Net, inputs, mode.targets, train.Config{Epochs: 4, Seed: 56}, nil); err != nil {
+			if _, err := train.Regressor(ae.Net, inputs, mode.targets, train.Config{Epochs: 4, Seed: 56}); err != nil {
 				b.Fatal(err)
 			}
 			pipe := &core.Pipeline{AE: ae, Classifier: sys.Lightweight}
@@ -439,16 +440,40 @@ func BenchmarkHostBranchyInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkHostTrainStep measures one joint-training minibatch.
+// BenchmarkHostTrainStep measures one 32-row training epoch of each
+// trainer: BranchyNet's joint minibatch, the FashionMNIST autoencoder
+// through train.Regressor and LeNet through train.Classifier. Each epoch
+// compiles its training plans, as a training run does.
 func BenchmarkHostTrainStep(b *testing.B) {
 	ds := dataset.MustGenerate(dataset.Config{Family: dataset.MNIST, N: 32, HardFraction: 0.2, Seed: 8})
-	br := models.NewBranchyLeNet(rng.New(9), 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := br.TrainJointly(ds, train.Config{Epochs: 1, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
+	fm := dataset.MustGenerate(dataset.Config{Family: dataset.FashionMNIST, N: 32, HardFraction: 0.2, Seed: 10})
+	b.Run("branchy", func(b *testing.B) {
+		br := models.NewBranchyLeNet(rng.New(9), 0.05)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := br.TrainJointly(ds, train.Config{Epochs: 1, Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("ae-fmnist", func(b *testing.B) {
+		ae := models.NewTableIAE(dataset.FashionMNIST, rng.New(11))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := train.Regressor(ae.Net, fm.Images, fm.Images, train.Config{Epochs: 1, Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lenet", func(b *testing.B) {
+		net := models.NewLeNet(rng.New(12))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := train.Classifier(net, ds, train.Config{Epochs: 1, Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

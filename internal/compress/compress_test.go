@@ -7,6 +7,7 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/train"
@@ -57,8 +58,8 @@ func TestPruneFullKeepMatchesOriginal(t *testing.T) {
 	}
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	want := lenet.Forward(x)
-	got := pruned.Forward(x)
+	want := nn.Run(lenet, x)
+	got := nn.Run(pruned, x)
 	for i := range want.Data {
 		if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {
 			t.Fatalf("output %d differs: %v vs %v", i, want.Data[i], got.Data[i])
@@ -78,7 +79,7 @@ func TestPruneShapesAndLatency(t *testing.T) {
 	}
 	x := tensor.New(3, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := pruned.Forward(x)
+	y := nn.Run(pruned, x)
 	if y.Shape[0] != 3 || y.Shape[1] != dataset.NumClasses {
 		t.Fatalf("forward shape %v", y.Shape)
 	}

@@ -132,8 +132,8 @@ func TestPooledWrappersBounded(t *testing.T) {
 	}
 }
 
-// TestInferIntoMatchesInfer guards the plan-backed fast paths against each
-// other and against the layers' own Forward, the ground truth.
+// TestInferIntoMatchesInfer guards the pipeline's cached plan set against
+// each other and against plans of its networks compiled apart (nn.Run).
 func TestInferIntoMatchesInfer(t *testing.T) {
 	pipe := allocTestPipeline()
 	x := testBatch(16)
@@ -154,16 +154,16 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 	}
 
 	forward := make([]int, 16)
-	pipe.Classifier.Forward(pipe.AE.Net.Forward(x)).ArgMaxRows(forward)
+	nn.Run(pipe.Classifier, nn.Run(pipe.AE.Net, x)).ArgMaxRows(forward)
 	for i := range want {
 		if want[i] != forward[i] {
-			t.Fatalf("plan pred[%d] = %d, Forward = %d", i, want[i], forward[i])
+			t.Fatalf("plan pred[%d] = %d, nn.Run = %d", i, want[i], forward[i])
 		}
 	}
-	pipe.Classifier.Forward(x).ArgMaxRows(forward)
+	nn.Run(pipe.Classifier, x).ArgMaxRows(forward)
 	for i := range wantD {
 		if wantD[i] != forward[i] {
-			t.Fatalf("plan direct pred[%d] = %d, Forward = %d", i, wantD[i], forward[i])
+			t.Fatalf("plan direct pred[%d] = %d, nn.Run = %d", i, wantD[i], forward[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/train"
@@ -318,7 +319,7 @@ func TestClassifyDirectMatchesClassifierOnly(t *testing.T) {
 	if len(preds) != 4 {
 		t.Fatalf("got %d predictions, want 4", len(preds))
 	}
-	logits := pipe.Classifier.Forward(x)
+	logits := nn.Run(pipe.Classifier, x)
 	for i, p := range preds {
 		if want := logits.Row(i).ArgMax(); p != want {
 			t.Fatalf("row %d: direct pred %d, classifier argmax %d", i, p, want)

@@ -150,7 +150,7 @@ func TrainSystem(std dataset.Standard, cfg SystemConfig) (*System, error) {
 	logf("== stage 4: converting autoencoder (%d epochs, bottleneck %d)\n", cfg.AEEpochs, ae.BottleneckWidth())
 	if _, err := train.Regressor(ae.Net, inputs, targets, train.Config{
 		Epochs: cfg.AEEpochs, Seed: cfg.Seed + 3, Log: cfg.Log,
-	}, ae.Reg.Penalty); err != nil {
+	}); err != nil {
 		return nil, fmt.Errorf("core: training autoencoder: %w", err)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"cbnet/internal/compress"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/resilience"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
@@ -52,9 +53,9 @@ func openBreaker(t *testing.T, e *Engine, inj *chaos.Injector, name RouteName) {
 
 // TestVariantRouteServesAndMatchesForward: a compression-family network
 // registered as a variant route serves real traffic once the routes before
-// it on the ladder refuse, and its compiled answers agree with the network's
-// own Forward pass. When the variant refuses too the request is shed, with
-// its own counter.
+// it on the ladder refuse, and its answers agree with a plan of the network
+// compiled apart from the engine's (nn.Run). When the variant refuses too
+// the request is shed, with its own counter.
 func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 	v := subflowVariant(t)
 	inj := chaos.NewInjector()
@@ -80,7 +81,7 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		t.Fatalf("route %q, want %q with hard and easy refusing", res.Route, v.Name)
 	}
 	x := tensor.FromSlice(append([]float32(nil), img...), 1, len(img))
-	logits := v.Net.Forward(x)
+	logits := nn.Run(v.Net, x)
 	want := 0
 	for j, l := range logits.Data {
 		if l > logits.Data[want] {
@@ -88,7 +89,7 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		}
 	}
 	if res.Class != want {
-		t.Fatalf("variant route class %d, Forward argmax %d", res.Class, want)
+		t.Fatalf("variant route class %d, the variant's own plan says %d", res.Class, want)
 	}
 
 	openBreaker(t, e, inj, v.Name)

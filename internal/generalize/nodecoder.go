@@ -64,7 +64,11 @@ func BuildEncoderPipeline(ae *models.ConvertingAE, ds *dataset.Dataset, cfg trai
 	train.EvalBatches(ds, func(i0 int, x *tensor.Tensor, _ []int) {
 		copy(codes.Data[i0*w:], nn.Run(encoder, x).Data)
 	})
-	if _, err := train.Minibatches(head.Name(), codes, head.Params(), 0x1A7E48, cfg, train.CrossEntropy(head, ds.Labels)); err != nil {
+	step, err := train.CrossEntropy(head, ds.Labels)
+	if err != nil {
+		return nil, fmt.Errorf("generalize: compiling the latent head: %w", err)
+	}
+	if _, err := train.Minibatches(head.Name(), codes, head.Params(), 0x1A7E48, cfg, step); err != nil {
 		return nil, fmt.Errorf("generalize: training the latent head: %w", err)
 	}
 	return &EncoderPipeline{Encoder: encoder, Head: head}, nil

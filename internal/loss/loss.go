@@ -3,8 +3,8 @@
 // mean squared error for the converting autoencoder's reconstruction loss.
 //
 // Every loss returns both the scalar value and the gradient with respect to
-// the network output, averaged over the batch, ready to feed into
-// Sequential.Backward.
+// the network output, averaged over the batch, ready to feed into a training
+// plan's Backward (nn.TrainPlan).
 package loss
 
 import (

@@ -37,11 +37,10 @@ func TableIArch(f dataset.Family) AEArch {
 
 // ConvertingAE is the paper's core contribution: an autoencoder trained to
 // transform an arbitrary (possibly hard) image into an easy image of the
-// same class. Net maps (N,784)→(N,784); Reg is the L1 activity regularizer
-// attached to the encoder output (bottleneck) per §III-A3.
+// same class. Net maps (N,784)→(N,784), with the L1 activity regularizer
+// on the encoder output (bottleneck) per §III-A3.
 type ConvertingAE struct {
 	Net  *nn.Sequential
-	Reg  *nn.ActivityRegularizer
 	Arch AEArch
 }
 
@@ -69,11 +68,10 @@ func NewConvertingAE(arch AEArch, lambda float32, r *rng.RNG) *ConvertingAE {
 	layers = append(layers, mk("ae_fc1", dataset.Pixels, arch.Widths[0], arch.Relu[0], 1)...)
 	layers = append(layers, mk("ae_fc2", arch.Widths[0], arch.Widths[1], arch.Relu[1], 2)...)
 	layers = append(layers, mk("ae_fc3", arch.Widths[1], arch.Widths[2], arch.Relu[2], 3)...)
-	reg := nn.NewActivityRegularizer("ae_l1", lambda)
-	layers = append(layers, reg, nn.NewDense("ae_fc4", arch.Widths[2], dataset.Pixels, r), nn.NewSigmoid("ae_out"))
+	layers = append(layers, nn.NewActivityRegularizer("ae_l1", lambda),
+		nn.NewDense("ae_fc4", arch.Widths[2], dataset.Pixels, r), nn.NewSigmoid("ae_out"))
 	return &ConvertingAE{
 		Net:  nn.NewSequential("converting-ae", layers...),
-		Reg:  reg,
 		Arch: arch,
 	}
 }

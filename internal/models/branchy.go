@@ -69,24 +69,30 @@ const (
 // original network": both heads train together, so the stem learns features
 // useful to each.
 func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg train.Config) error {
+	var plans [3]*nn.TrainPlan
+	for i, net := range []*nn.Sequential{b.Stem, b.Branch, b.Trunk} {
+		p, err := nn.CompileTraining(net, train.BatchSize)
+		if err != nil {
+			return err
+		}
+		plans[i] = p
+	}
+	stem, branch, trunk := plans[0], plans[1], plans[2]
 	lbl := make([]int, train.BatchSize)
 	_, err := train.Minibatches("branchynet", ds.Images, b.Params(), 0xB7A9C4, cfg, func(x *tensor.Tensor, idx []int) float64 {
 		labels := lbl[:len(idx)]
 		for j, p := range idx {
 			labels[j] = ds.Labels[p]
 		}
-		stemOut := b.Stem.Forward(x)
-		branchLogits := b.Branch.Forward(stemOut)
-		mainLogits := b.Trunk.Forward(stemOut)
-
-		lb, gb := loss.CrossEntropy(branchLogits, labels)
-		lm, gm := loss.CrossEntropy(mainLogits, labels)
+		stemOut := stem.Forward(x)
+		lb, gb := loss.CrossEntropy(branch.Forward(stemOut), labels)
+		lm, gm := loss.CrossEntropy(trunk.Forward(stemOut), labels)
 		gb.Scale(BranchWeight)
 		gm.Scale(MainWeight)
 
-		stemGrad := b.Branch.Backward(gb)
-		stemGrad.AddInPlace(b.Trunk.Backward(gm))
-		b.Stem.BackwardParams(stemGrad)
+		stemGrad := branch.Backward(gb)
+		stemGrad.AddInPlace(trunk.Backward(gm))
+		stem.BackwardParams(stemGrad)
 		return BranchWeight*lb + MainWeight*lm
 	})
 	return err

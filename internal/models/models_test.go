@@ -25,7 +25,7 @@ func TestLeNetShapes(t *testing.T) {
 	}
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := net.Forward(x)
+	y := nn.Run(net, x)
 	if y.Shape[0] != 2 || y.Shape[1] != dataset.NumClasses {
 		t.Fatalf("forward shape %v", y.Shape)
 	}
@@ -120,7 +120,7 @@ func TestConvertingAEShapes(t *testing.T) {
 		}
 		x := tensor.New(3, dataset.Pixels)
 		x.RandUniform(r, 0, 1)
-		y := ae.Net.Forward(x)
+		y := nn.Run(ae.Net, x)
 		if y.Shape[0] != 3 || y.Shape[1] != dataset.Pixels {
 			t.Fatalf("%v: forward shape %v", f, y.Shape)
 		}

@@ -9,10 +9,11 @@ import (
 	"cbnet/internal/tensor"
 )
 
-// BenchmarkConvBackward times one training Backward of each shipped conv
-// at a minibatch of 32 — LeNet's conv1, conv2 and conv3 (conv3 is also
-// BranchyNet's trunk) and BranchyNet's branch conv bconv: the dW product,
-// the dcol product and its col2im, the bias sums and the regroup copy.
+// BenchmarkConvBackward times one training-plan Backward of each shipped
+// conv alone at a minibatch of 32 — LeNet's conv1, conv2 and conv3 (conv3
+// is also BranchyNet's trunk) and BranchyNet's branch conv bconv: the
+// regroup copy, the column matrix rebuilt from the retained input, the dW
+// product, the bias sums, the dcol product and its col2im.
 // ROADMAP item 1 holds the numbers.
 func BenchmarkConvBackward(b *testing.B) {
 	const batch = 32
@@ -25,6 +26,10 @@ func BenchmarkConvBackward(b *testing.B) {
 	}
 	convs = append(convs, models.NewBranchyLeNet(r, 0).Branch.Layers[0].(*nn.Conv2D))
 	for _, c := range convs {
+		plan, err := nn.CompileTraining(nn.NewSequential(c.Name(), c), batch)
+		if err != nil {
+			b.Fatal(err)
+		}
 		x := tensor.New(batch, c.InSize())
 		x.RandNormal(r, 0, 1)
 		out, err := c.OutSize(c.InSize())
@@ -33,13 +38,15 @@ func BenchmarkConvBackward(b *testing.B) {
 		}
 		grad := tensor.New(batch, out)
 		grad.RandNormal(r, 0, 1)
+		g := tensor.New(batch, out)
 		b.Run(c.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				b.StopTimer()
-				c.Forward(x)
+				plan.Forward(x)
+				copy(g.Data, grad.Data)
 				b.StartTimer()
-				c.Backward(grad)
+				plan.Backward(g)
 			}
 		})
 	}

@@ -15,11 +15,6 @@ type Dense struct {
 	In, Out   int
 	W, B      *Param
 
-	// the last Forward's input, cached for the backward pass
-	lastInput *tensor.Tensor
-	// pack retains the blocked-GEMM packing panels of the backward
-	// products across training steps.
-	pack tensor.PackScratch
 	// packedW is W in the micro-kernel's packed-B form, made by the first
 	// compiled plan that needs it and shared by every plan of the network.
 	packedW atomic.Pointer[packedWeights]
@@ -85,39 +80,4 @@ func (d *Dense) OutSize(inSize int) (int, error) {
 		return 0, fmt.Errorf("dense %s: input size %d, want %d", d.LayerName, inSize, d.In)
 	}
 	return d.Out, nil
-}
-
-// Forward computes y = xW + b as one product with the bias added in its
-// write-back, on the layer's own packing panels — the plan's lowering of a
-// dense layer, unfused from its activation.
-func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("dense %s: input shape %v, want (N, %d)", d.LayerName, x.Shape, d.In))
-	}
-	d.lastInput = x
-	y := tensor.New(x.Shape[0], d.Out)
-	tensor.GEMMEpilogue(x.Data, d.W.Value.Data, y.Data, x.Shape[0], d.In, d.Out,
-		tensor.Epilogue{ColBias: d.B.Value.Data}, &d.pack)
-	return y
-}
-
-// Backward accumulates the parameter gradients (backwardParams) and returns
-// dx = dy·Wᵀ. The products run through the layer's retained packing panels,
-// so a training step allocates only the returned dx.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	d.backwardParams(grad)
-	dx := tensor.New(grad.Shape[0], d.In)
-	tensor.MatMulTransBInto(dx, grad, d.W.Value, &d.pack)
-	return dx
-}
-
-// backwardParams is the parameter half of Backward: dW += xᵀ·dy and
-// db += Σ_batch dy, accumulated directly into the parameter gradients. A
-// network's first layer stops here (Sequential.BackwardParams).
-func (d *Dense) backwardParams(grad *tensor.Tensor) {
-	if d.lastInput == nil {
-		panic(fmt.Sprintf("dense %s: Backward before Forward", d.LayerName))
-	}
-	tensor.MatMulTransAAcc(d.W.Grad(), d.lastInput, grad, &d.pack)
-	grad.SumRowsInto(d.B.Grad())
 }

@@ -6,6 +6,10 @@ import "cbnet/internal/tensor"
 // tests, which walk it through ReferenceExecute beside the shipped ones.
 var MixedTestNet = mixedTestNet
 
+// RaceEnabled tells the external tests whether the race detector, which
+// allocates, is on.
+const RaceEnabled = raceEnabled
+
 // ReferenceExecute runs p's compiled steps on x the way plans ran before
 // their operands were bound to the micro-kernel: dense weights read
 // row-major through tensor.GEMMEpilogue, the column matrix expanded

@@ -4,12 +4,15 @@
 // L1 activity regularizer. The classifiers' softmax is not a layer: SoftmaxRow
 // applies it to logits, for the loss and the early-exit entropy.
 //
-// All layers consume and produce 2-D tensors of shape (batch, features);
-// spatial layers carry their own channel/height/width geometry and interpret
-// each row as a C×H×W volume. Every layer implements forward and backward
-// passes explicitly (no tape autodiff): Backward receives dL/d(output),
-// accumulates dL/d(param) into the layer's parameter gradients, and returns
-// dL/d(input).
+// A layer describes a stage — its shapes and parameters — and runs nowhere
+// by itself. A Sequential of layers runs only as a compiled plan, which
+// lowers it to dense, conv and pool steps with every activation fused into
+// the step before it: an inference plan (Compile, Run) for serving and
+// evaluation, and a training plan (CompileTraining) for the trainers, whose
+// forward pass is the same steps and whose Backward walks them in reverse
+// (no tape autodiff). Rows are samples: every step consumes and produces
+// (batch, features) matrices, and spatial layers carry their own
+// channel/height/width geometry and interpret each row as a C×H×W volume.
 package nn
 
 import (
@@ -36,21 +39,13 @@ type Param struct {
 }
 
 // Grad returns the accumulated gradient, shaped like Value, allocating it
-// (zeroed) on first use. Every reader and writer of a gradient — Backward,
-// ZeroGrad, the optimiser — goes through it.
+// (zeroed) on first use. Every reader and writer of a gradient — a training
+// plan's Backward, the optimiser, which zeroes it — goes through it.
 func (p *Param) Grad() *tensor.Tensor {
 	if p.grad == nil {
 		p.grad = tensor.New(p.Value.Shape...)
 	}
 	return p.grad
-}
-
-// ZeroGrad clears the accumulated gradient. A gradient never allocated is
-// zero already, and stays unallocated.
-func (p *Param) ZeroGrad() {
-	if p.grad != nil {
-		p.grad.Zero()
-	}
 }
 
 // Touch records that Value's elements were changed in place. Whatever writes
@@ -60,17 +55,10 @@ func (p *Param) ZeroGrad() {
 // served stale. Like the write itself, not safe concurrently with inference.
 func (p *Param) Touch() { p.gen++ }
 
-// Layer is a differentiable network stage.
-//
-// Forward is the training pass: it runs the layer on a (batch, features)
-// input and caches what Backward needs. Backward must be called after
-// Forward with the gradient of the loss with respect to the layer output,
-// and returns the gradient with respect to the layer input. Inference runs
-// on compiled plans (Compile, Run), never through Forward.
+// Layer is a network stage: a name, its parameters and its shape. Compile
+// and CompileTraining know each layer type's step.
 type Layer interface {
 	Name() string
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	// OutSize returns the per-sample output width given the per-sample
 	// input width, used for static shape validation when stacking layers.
@@ -91,43 +79,6 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 
 // Name returns the network's label.
 func (s *Sequential) Name() string { return s.SeqName }
-
-// Forward runs all layers in order, the training pass.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates the output gradient through all layers in reverse,
-// returning the gradient with respect to the network input.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// BackwardParams is Backward for a trainer that reads no gradient with
-// respect to the network input: it accumulates every parameter gradient,
-// and a Conv2D or Dense first layer builds no input gradient.
-func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
-	if len(s.Layers) == 0 {
-		return
-	}
-	for i := len(s.Layers) - 1; i > 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	switch l := s.Layers[0].(type) {
-	case *Conv2D:
-		l.backwardParams(grad)
-	case *Dense:
-		l.backwardParams(grad)
-	default:
-		l.Backward(grad)
-	}
-}
 
 // Params returns all trainable parameters in layer order.
 func (s *Sequential) Params() []*Param {

@@ -8,25 +8,27 @@ import (
 	"cbnet/internal/trace"
 )
 
-// The plan compiler: ahead-of-time inference compilation for Sequential
-// networks. Compile runs shape inference once, drops the inference-identity
-// ActivityRegularizer, fuses every activation into the epilogue of the dense
-// or conv step directly before it (Conv2D+ReLU, Conv2D+Sigmoid, Dense+ReLU,
-// Dense+Sigmoid), so a plan has dense, conv and pool steps and no other kind,
-// counts each step's work (Work: the one count of a network's work, which
+// The plan compiler: ahead-of-time compilation for Sequential networks, the
+// one lowering both inference and training run. Compile runs shape
+// inference once, drops the inference-identity ActivityRegularizer, fuses
+// every activation into the epilogue of the dense or conv step directly
+// before it (Conv2D+ReLU, Conv2D+Sigmoid, Dense+ReLU, Dense+Sigmoid), so a
+// plan has dense, conv and pool steps and no other kind, counts each step's
+// work (Work: the one count of a network's work, which
 // device.Cost prices), and assigns every intermediate a fixed offset in one
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
 // steps — no interface dispatch, no type assertions, and zero steady-state
-// heap allocations. It is the only way a trained network runs outside
-// training — serving compiles once per worker, everything else calls Run:
-// Layer.Forward is the training pass, and the oracle the plan tests compare
-// against, and a network with a layer type the compiler does not know is
-// rejected at Compile, not run some other way.
+// heap allocations. It is the only way a network runs: serving compiles once
+// per worker, evaluation calls Run, and the trainers step through a training
+// plan (CompileTraining, train_plan.go) of the same steps. A network with a
+// layer type the compiler does not know is rejected at Compile, not run some
+// other way.
 //
 // Buffer planning is ping-pong liveness: only one intermediate is live
 // between consecutive steps, so step i reads slot i%2−1 and writes slot
 // i%2, and each slot is sized to the widest tensor it ever holds at the
-// plan's batch capacity. Convolution steps additionally share one scratch
+// plan's batch capacity (a training plan instead keeps every step's output
+// for its backward pass). Convolution steps additionally share one scratch
 // region — an im2col column matrix and a channel-major GEMM output, or for
 // a direct step one padded frame and one group of output planes — sized to
 // the largest conv step under the micro-kernel and blocked gate in force at
@@ -89,6 +91,9 @@ type planStep struct {
 	dense *Dense
 	conv  *Conv2D
 	pool  *MaxPool2D
+	// reg is the activity regularizer on the step's output, in a training
+	// plan only: an inference plan elides it.
+	reg *ActivityRegularizer
 
 	// conv-only: direct is Compile's tensor.DirectConv verdict, which
 	// every batch follows. Scratch into Plan.buf: colOff/colLen hold the
@@ -157,6 +162,14 @@ type Plan struct {
 // layer free of one, and on networks whose input width cannot be inferred (no
 // shape-bearing layer).
 func Compile(net *Sequential, batchCap int) (*Plan, error) {
+	return compile(net, batchCap, false)
+}
+
+// compile lowers net for Compile, or with training set for CompileTraining,
+// whose plan gives every step its own output slot, hangs each activity
+// regularizer on the step before it and multiplies dense steps by W
+// row-major instead of packing it.
+func compile(net *Sequential, batchCap int, training bool) (*Plan, error) {
 	if net == nil {
 		return nil, fmt.Errorf("nn: Compile of nil network")
 	}
@@ -174,6 +187,9 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			return fmt.Errorf("nn: Compile %s: activation %s has no step to fuse into: it must directly follow a dense or conv layer that carries no activation", net.Name(), name)
 		}
 		st := &p.steps[n-1]
+		if st.reg != nil {
+			return fmt.Errorf("nn: CompileTraining %s: activation %s follows activity regularizer %s, whose gradient needs the pre-activation values the step does not keep", net.Name(), name, st.reg.Name())
+		}
 		st.act = act
 		st.name += "+" + name
 		st.work.ElemOps += st.outW
@@ -195,7 +211,15 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	for _, l := range net.Layers {
 		switch l := l.(type) {
 		case *ActivityRegularizer:
-			// Identity at inference: elided, no work.
+			// Identity at inference: elided, no work. In training its L1
+			// term rides the step before it.
+			if !training {
+				break
+			}
+			if n := len(p.steps); n == 0 || p.steps[n-1].reg != nil {
+				return nil, fmt.Errorf("nn: CompileTraining %s: activity regularizer %s has no step of its own to follow", net.Name(), l.Name())
+			}
+			p.steps[len(p.steps)-1].reg = l
 		case *Dense:
 			if err := shaped(l.Name(), l.In); err != nil {
 				return nil, err
@@ -203,7 +227,7 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 			p.steps = append(p.steps, planStep{op: opDense, name: l.Name(), dense: l, outW: l.Out,
 				work: Work{DenseMACs: l.In * l.Out, ElemOps: l.Out, Layers: 1}}) // + bias adds
 			width = l.Out
-			if tensor.BlockedGEMM(batchCap, l.In) {
+			if !training && tensor.BlockedGEMM(batchCap, l.In) {
 				l.packed() // some batch ≤ batchCap takes the blocked path: pack W now
 			}
 		case *Conv2D:
@@ -245,7 +269,7 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 		return nil, fmt.Errorf("nn: Compile %s: no shape-bearing layer to infer the input width from", net.Name())
 	}
 	p.outW = width
-	p.planBuffer()
+	p.planBuffer(training)
 	p.annotateCosts()
 	return p, nil
 }
@@ -302,34 +326,44 @@ func (p *Plan) annotateCosts() {
 }
 
 // planBuffer assigns every step its fixed buffer offsets: two ping-pong
-// slots for the inter-step activations plus one shared conv scratch region,
-// all inside a single allocation.
-func (p *Plan) planBuffer() {
+// slots for the inter-step activations, or in a training plan a slot of its
+// own for every step's output, plus one shared conv scratch region, all
+// inside a single allocation. A training plan's conv scratch also holds
+// the backward pass's row-major column matrix and channel-major gradient.
+func (p *Plan) planBuffer(training bool) {
 	var slotW [2]int
 	convScratch := 0
 	for i := range p.steps {
 		st := &p.steps[i]
-		if st.outW > slotW[i%2] {
-			slotW[i%2] = st.outW
-		}
+		slotW[i%2] = max(slotW[i%2], st.outW)
 		if st.op == opConv {
 			c := st.conv
+			batchCols := p.batchCap * c.Dims.ColCols()
 			st.colLen = tensor.Im2ColPackedLen(p.batchCap, c.Dims)
-			gemmOut := c.OutC * p.batchCap * c.Dims.ColCols()
+			gemmOut := c.OutC * batchCols
 			if st.direct { // the frame and a group of planes, nothing else
 				st.colLen, gemmOut = tensor.ConvDirectLen(c.Dims, c.OutC), 0
 			}
-			if need := st.colLen + gemmOut; need > convScratch {
-				convScratch = need
+			if training {
+				st.colLen, gemmOut = max(st.colLen, c.Dims.ColRows()*batchCols), c.OutC*batchCols
 			}
+			convScratch = max(convScratch, st.colLen+gemmOut)
 		}
 	}
 	slotOff := [2]int{0, p.batchCap * slotW[0]}
 	convBase := p.batchCap * (slotW[0] + slotW[1])
+	if training {
+		convBase = 0
+	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		st.outOff = slotOff[i%2]
-		if st.op == opConv {
+		if training {
+			st.outOff, convBase = convBase, convBase+p.batchCap*st.outW
+		}
+	}
+	for i := range p.steps {
+		if st := &p.steps[i]; st.op == opConv {
 			st.colOff = convBase
 			st.gemmOff = convBase + st.colLen
 		}

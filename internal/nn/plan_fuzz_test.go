@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cbnet/internal/rng"
@@ -87,17 +88,19 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 	return NewSequential("fuzz", layers...), reject || !shaped
 }
 
-// FuzzCompileMatchesForward holds the compiler to the layers it compiles:
+// FuzzCompileMatchesReference holds the compiler to the layers it compiles:
 // a random small network either is refused with an error — exactly when
 // fuzzNet says it must be, and never by a panic — or compiles at a random
-// capacity into a plan whose Execute agrees with Forward(x), within a
-// bound that grows with the stack's depth, at one row, a ragged batch and
-// the full capacity, one plan serving all three.
+// capacity into a plan whose Execute gives, bit for bit, what
+// ReferenceExecute gives running the same steps through the unpacked GEMM,
+// the row-major im2col and the general pooling loop, at one row, a ragged
+// batch and the full capacity, one plan serving all three.
 // Shape inference, the dropped identity layers, activations fused (and
-// refused where there is no step to fuse them into), the ping-pong buffers and both GEMM dispatches (the larger
-// nets at the larger capacities take the blocked, packed path) are all
-// under it. The seed corpus under testdata/fuzz is replayed by `go test`.
-func FuzzCompileMatchesForward(f *testing.F) {
+// refused where there is no step to fuse them into), the ping-pong buffers
+// and both GEMM dispatches (the larger nets at the larger capacities take
+// the blocked, packed path) are all under it. The seed corpus under
+// testdata/fuzz is replayed by `go test`.
+func FuzzCompileMatchesReference(f *testing.F) {
 	// conv+relu, pool, conv+sigmoid, dense, activity reg ×2, dense+sigmoid
 	f.Add(uint64(42), byte(15), []byte{0, 8, 8, 1, 3, 2, 2, 0, 1, 3, 2, 1, 1, 1, 5, 2, 2, 0, 0, 4, 0, 31, 6, 3, 7, 0, 9, 5})
 	f.Add(uint64(7), byte(31), []byte{2, 3, 3, 3, 0, 20}) // leading relu: rejected
@@ -114,36 +117,17 @@ func FuzzCompileMatchesForward(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile refused %v: %v", layerNames(net), err)
 		}
-		// Plan and Forward sum each dot product in a different order (packed,
-		// blocked GEMM against the plain loops), so every layer that sums —
-		// Dense, Conv2D — may move a value by about one part in 1e5, and the
-		// next one carries that forward: the bound is 1e-5 per summing layer
-		// in the stack (relative above 1), not 1e-5 whatever the depth. Nine
-		// of them at batch 32 differ by 1.27e-5 (corpus entry
-		// nine-layers-cap32-depth-tolerance).
-		summing := 0
-		for _, l := range net.Layers {
-			switch l.(type) {
-			case *Dense, *Conv2D:
-				summing++
-			}
-		}
-		depthTol := 1e-5 * float32(max(summing, 1))
 		for _, n := range []int{1, 1 + int(seed%uint64(batchCap)), batchCap} {
 			x := tensor.New(n, p.inW)
 			x.RandUniform(rng.New(seed+uint64(n)), -1, 1)
-			want := net.Forward(x)
+			want := p.ReferenceExecute(x)
 			got := p.Execute(nil, x)
 			if !got.SameShape(want) {
-				t.Fatalf("%v batch %d: plan shape %v, forward %v", p.StepNames(), n, got.Shape, want.Shape)
+				t.Fatalf("%v batch %d: plan shape %v, reference %v", p.StepNames(), n, got.Shape, want.Shape)
 			}
 			for i, v := range want.Data {
-				tol := depthTol
-				if v > 1 || v < -1 {
-					tol *= max(v, -v)
-				}
-				if d := got.Data[i] - v; !(d >= -tol && d <= tol) {
-					t.Fatalf("%v batch %d of %d: plan[%d] = %v, forward = %v", p.StepNames(), n, batchCap, i, got.Data[i], v)
+				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%v batch %d of %d: plan[%d] = %v, reference = %v", p.StepNames(), n, batchCap, i, got.Data[i], v)
 				}
 			}
 		}

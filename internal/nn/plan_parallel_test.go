@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestPlansRepackSharedWeightsConcurrently(t *testing.T) {
 			}
 			p.Touch()
 		}
-		want := net.Forward(x)
+		want := plans[0].ReferenceExecute(x)
 		var wg sync.WaitGroup
 		errs := make(chan string, workers)
 		for w, p := range plans {
@@ -67,7 +68,7 @@ func TestPlansRepackSharedWeightsConcurrently(t *testing.T) {
 				defer wg.Done()
 				out := p.Execute(nil, x)
 				for i := range want.Data {
-					if d := out.Data[i] - want.Data[i]; d < -1e-5 || d > 1e-5 {
+					if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
 						errs <- "a plan served stale or torn weights after a concurrent repack"
 						return
 					}

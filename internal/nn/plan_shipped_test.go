@@ -97,10 +97,13 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 
 // TestShippedPlansBitwiseVsUnpackedReference is the regression that lets
 // the benchmark's accuracy and oracle counts be predicted exactly: every
-// shipped plan, at batches 1, 7, 16 and 32, produces the bits of the same
-// steps run through the unpacked GEMM, the row-major im2col and the general
-// pooling loop — under the host's own dispatch and under every micro-kernel
-// it can run with the blocked path forced on.
+// shipped plan — the models' networks and every compressed variant the
+// degradation ladder can mount — at batches 1, 7, 16 and 32, produces the
+// bits of the same steps run through the unpacked GEMM, the row-major im2col
+// and the general pooling loop, and so does the forward pass of the
+// network's training plan, whose dense steps read W row-major. Under the
+// host's own dispatch, with the blocked path off (the scalar kernels), and
+// under every micro-kernel the host can run with the blocked path forced on.
 func TestShippedPlansBitwiseVsUnpackedReference(t *testing.T) {
 	nets := shippedNets(t)
 	check := func(t *testing.T) {
@@ -109,21 +112,29 @@ func TestShippedPlansBitwiseVsUnpackedReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", m.name, err)
 			}
+			tp, err := nn.CompileTraining(m.net, 32)
+			if err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
 			for _, n := range []int{1, 7, 16, 32} {
 				x := tensor.New(n, m.inW)
 				x.RandUniform(rng.New(uint64(n)*31+uint64(len(m.name))), 0, 1)
-				requireSameBits(t, m.name, p.Execute(nil, x), p.ReferenceExecute(x))
+				want := p.ReferenceExecute(x)
+				requireSameBits(t, m.name, p.Execute(nil, x), want)
+				requireSameBits(t, m.name+" training forward", tp.Forward(x), want)
 			}
 		}
 	}
 	t.Run("host-dispatch", check)
 
-	prevBlocked := tensor.SetBlockedKernelForTest(true)
+	prevBlocked := tensor.SetBlockedKernelForTest(false)
 	prevKernel := tensor.GEMMKernelName()
 	defer func() {
 		tensor.SetGEMMKernelForTest(prevKernel)
 		tensor.SetBlockedKernelForTest(prevBlocked)
 	}()
+	t.Run("scalar-kernels", check)
+	tensor.SetBlockedKernelForTest(true)
 	for _, k := range tensor.GEMMKernels() {
 		if k.Available {
 			tensor.SetGEMMKernelForTest(k.Name)
@@ -132,33 +143,62 @@ func TestShippedPlansBitwiseVsUnpackedReference(t *testing.T) {
 	}
 }
 
-// farFrom returns the first element of got that is farther from want than
-// the plan and Forward may differ by summing in their own orders, or -1 if
-// none is. The bound is 1e-5 of want's largest magnitude (at least 1): a
-// float32 sum's rounding grows with the terms it adds, not with its result.
-// After TestPlanServesTouchedWeights's optimiser step LeNet's logits reach
-// 9 928; there the avx2-8x8 plan and Forward differ by up to 2.9e-3 while
-// each stays within 3.1e-7 × 9 928 of a float64 recomputation, and at the
-// rounding of one logit near -62.6 that is 5e-6 of the logit itself.
-func farFrom(got, want *tensor.Tensor) int {
-	var scale float32 = 1
-	for _, v := range want.Data {
-		scale = max(scale, v, -v)
+// TestTrainPlanZeroAlloc: a warm training plan's Forward and Backward
+// allocate nothing — the FashionMNIST autoencoder and LeNet at a full
+// minibatch of 32 and at a short last one of 7.
+func TestTrainPlanZeroAlloc(t *testing.T) {
+	if nn.RaceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	tol := 1e-5 * scale
-	for i := range want.Data {
-		if d := got.Data[i] - want.Data[i]; d < -tol || d > tol {
-			return i
+	for _, m := range []shippedNet{
+		{"ae-fmnist", models.NewTableIAE(dataset.FashionMNIST, rng.New(61)).Net, dataset.Pixels},
+		{"lenet", models.NewLeNet(rng.New(62)), dataset.Pixels},
+	} {
+		plan, err := nn.CompileTraining(m.net, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outW, err := m.net.OutSize(m.inW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{32, 7} {
+			x := tensor.New(n, m.inW)
+			x.RandUniform(rng.New(63), 0, 1)
+			grad, g := tensor.New(n, outW), tensor.New(n, outW)
+			grad.RandUniform(rng.New(64), -1, 1)
+			step := func() {
+				plan.Forward(x)
+				copy(g.Data, grad.Data)
+				plan.Backward(g)
+			}
+			step()
+			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+				t.Errorf("%s batch %d: %v allocs per warm Forward + Backward, want 0", m.name, n, allocs)
+			}
 		}
 	}
-	return -1
 }
 
-func requireClose(t *testing.T, what string, got, want *tensor.Tensor) {
+// reference compiles a fresh plan of net and returns its ReferenceExecute
+// of x: the network's current weights, read in place.
+func reference(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	if i := farFrom(got, want); i >= 0 {
-		t.Fatalf("%s: plan[%d] = %v, forward = %v", what, i, got.Data[i], want.Data[i])
+	p, err := nn.Compile(net, x.Shape[0])
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p.ReferenceExecute(x)
+}
+
+// sameBits reports whether a and b hold the same float32 bits.
+func sameBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPlanServesTouchedWeights pins the weights contract: a plan compiled
@@ -179,22 +219,25 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		}
 		x := tensor.New(batch, m.inW)
 		x.RandUniform(rng.New(24), 0, 1)
-		requireClose(t, m.name+" as compiled", p.Execute(nil, x), m.net.Forward(x))
+		requireSameBits(t, m.name+" as compiled", p.Execute(nil, x), reference(t, m.net, x))
 		before := append([]float32(nil), p.Execute(nil, x).Data...)
 
 		// One optimiser step on a large learning rate, so that stale
 		// weights could not pass for the new ones. Adam calls Touch.
-		y := m.net.Forward(x)
+		tp, err := nn.CompileTraining(m.net, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := tp.Forward(x)
 		target := tensor.New(y.Shape...)
 		target.RandUniform(rng.New(25), 0, 1)
 		_, grad := loss.MSE(y, target)
-		m.net.Backward(grad)
+		tp.BackwardParams(grad)
 		opt.NewAdam(0.1).Step(m.net.Params())
-		after := p.Execute(nil, x)
-		want := m.net.Forward(x)
-		requireClose(t, m.name+" after an optimiser step", after, want)
-		if farFrom(tensor.FromSlice(before, want.Shape...), want) < 0 {
-			t.Fatalf("%s: the optimiser step moved no output past the bound; the test would not see a stale plan", m.name)
+		want := reference(t, m.net, x)
+		requireSameBits(t, m.name+" after an optimiser step", p.Execute(nil, x), want)
+		if sameBits(before, want.Data) {
+			t.Fatalf("%s: the optimiser step moved no output; the test would not see a stale plan", m.name)
 		}
 
 		// A checkpoint of other weights, loaded into the same tensors.
@@ -210,7 +253,7 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		if err := models.LoadParams(&ckpt, m.net); err != nil {
 			t.Fatal(err)
 		}
-		requireClose(t, m.name+" after a checkpoint load", p.Execute(nil, x), other.Forward(x))
+		requireSameBits(t, m.name+" after a checkpoint load", p.Execute(nil, x), reference(t, other, x))
 
 		// One conv kernel and its bias rewritten in place.
 		for _, l := range m.net.Layers {
@@ -225,11 +268,10 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 			conv.W.Touch()
 			conv.B.Value.Data[0] += 0.25
 			conv.B.Touch()
-			rewritten := p.Execute(nil, x)
-			want := m.net.Forward(x)
-			requireClose(t, m.name+" after rewriting "+conv.Name(), rewritten, want)
-			if farFrom(tensor.FromSlice(loaded, want.Shape...), want) < 0 {
-				t.Fatalf("%s: rewriting %s moved no output past the bound", m.name, conv.Name())
+			want := reference(t, m.net, x)
+			requireSameBits(t, m.name+" after rewriting "+conv.Name(), p.Execute(nil, x), want)
+			if sameBits(loaded, want.Data) {
+				t.Fatalf("%s: rewriting %s moved no output", m.name, conv.Name())
 			}
 			break
 		}

@@ -14,11 +14,6 @@ type MaxPool2D struct {
 	C, H, W      int
 	Pool, Stride int
 	OutH, OutW   int
-
-	// lastArg records, for each output element of the last Forward, the
-	// flat input index that produced the max, for gradient routing.
-	lastArg   []int32
-	lastBatch int
 }
 
 // NewMaxPool2D creates a pooling layer. Stride defaults to the pool size
@@ -64,24 +59,9 @@ func (p *MaxPool2D) OutSize(inSize int) (int, error) {
 	return p.C * p.OutH * p.OutW, nil
 }
 
-// Forward max-pools every sample.
-func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
-	if len(x.Shape) != 2 || x.Shape[1] != p.InSize() {
-		panic(fmt.Sprintf("maxpool %s: input shape %v, want (N, %d)", p.LayerName, x.Shape, p.InSize()))
-	}
-	outWidth := p.C * p.OutH * p.OutW
-	y := tensor.New(n, outWidth)
-	args := make([]int32, n*outWidth)
-	p.lastArg = args
-	p.lastBatch = n
-	p.poolRange(x.Data, y.Data, args, n)
-	return y
-}
-
 // poolRange pools the n samples of the flattened batch x into y; when args
-// is non-nil it also records the winning input index of every output
-// element for the backward pass.
+// is non-nil it also records the winning input index (within its sample) of
+// every output element, for a training plan's backward pass.
 func (p *MaxPool2D) poolRange(x, y []float32, args []int32, n int) {
 	outWidth := p.C * p.OutH * p.OutW
 	for i := 0; i < n; i++ {
@@ -127,35 +107,12 @@ func (p *MaxPool2D) poolRange(x, y []float32, args []int32, n int) {
 // stride-2 window of every shipped network is tensor.MaxPool2 (a vector body
 // under a vector ISA), which scans each window in poolRange's order with the
 // same v > best test from the same first element, so NaN and −Inf come out
-// as they do from Forward. Any other window runs poolRange itself, keeping no
-// winning index.
+// as they do from poolRange. Any other window runs poolRange itself, keeping
+// no winning index.
 func (p *MaxPool2D) poolInfer(x, y []float32, n int) {
 	if p.Pool != 2 || p.Stride != 2 {
 		p.poolRange(x, y, nil, n)
 		return
 	}
 	tensor.MaxPool2(y[:n*p.C*p.OutH*p.OutW], x[:n*p.InSize()], n*p.C, p.H, p.W)
-}
-
-// Backward routes each output gradient to the input position that won the
-// max in the forward pass.
-func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastArg == nil {
-		panic(fmt.Sprintf("maxpool %s: Backward before Forward", p.LayerName))
-	}
-	n := grad.Shape[0]
-	outWidth := p.C * p.OutH * p.OutW
-	if len(grad.Shape) != 2 || grad.Shape[1] != outWidth || n != p.lastBatch {
-		panic(fmt.Sprintf("maxpool %s: grad shape %v, want (%d, %d)", p.LayerName, grad.Shape, p.lastBatch, outWidth))
-	}
-	dx := tensor.New(n, p.InSize())
-	for i := 0; i < n; i++ {
-		gRow := grad.Data[i*outWidth : (i+1)*outWidth]
-		dRow := dx.Data[i*p.InSize() : (i+1)*p.InSize()]
-		aRow := p.lastArg[i*outWidth : (i+1)*outWidth]
-		for j, g := range gRow {
-			dRow[aRow[j]] += g
-		}
-	}
-	return dx
 }

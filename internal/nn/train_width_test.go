@@ -48,10 +48,14 @@ func trainAtWidth(procs int) map[string]uint64 {
 	for i := range labels {
 		labels[i] = r.Intn(10)
 	}
+	plan, err := nn.CompileTraining(net, batch)
+	if err != nil {
+		panic(err)
+	}
 	adam := opt.NewAdam(0.01)
 	for step := 0; step < 3; step++ {
-		_, grad := loss.CrossEntropy(net.Forward(x), labels)
-		net.Backward(grad)
+		_, grad := loss.CrossEntropy(plan.Forward(x), labels)
+		plan.Backward(grad)
 		adam.Step(net.Params())
 	}
 	sums := make(map[string]uint64)

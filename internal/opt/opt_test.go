@@ -26,6 +26,33 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	}
 }
 
+// TestAdamZeroesGradients: a step consumes the gradients it reads, so the
+// next minibatch accumulates from zero.
+func TestAdamZeroesGradients(t *testing.T) {
+	ps := []*nn.Param{paramWithGrad([]float32{1, 2}, []float32{3, -4}), paramWithGrad([]float32{5}, []float32{6})}
+	NewAdam(0.01).Step(ps)
+	for _, p := range ps {
+		for i, g := range p.Grad().Data {
+			if g != 0 {
+				t.Fatalf("%s grad[%d] = %v after a step, want 0", p.Name, i, g)
+			}
+		}
+	}
+}
+
+// TestAdamKeepsItsParams: the moments are parallel to the params of the
+// first step, so a step with another count of params is refused.
+func TestAdamKeepsItsParams(t *testing.T) {
+	a := NewAdam(0.01)
+	a.Step([]*nn.Param{paramWithGrad([]float32{1}, []float32{1})})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a step with two params after one with one: want panic")
+		}
+	}()
+	a.Step([]*nn.Param{paramWithGrad([]float32{1}, []float32{1}), paramWithGrad([]float32{1}, []float32{1})})
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(w) = (w-3)², starting at 0.
 	p := paramWithGrad([]float32{0}, []float32{0})
@@ -70,13 +97,16 @@ func TestOptimizerTrainsNetwork(t *testing.T) {
 			labels[i] = 1
 		}
 	}
+	plan, err := nn.CompileTraining(net, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for epoch := 0; epoch < 200; epoch++ {
-		logits := net.Forward(x)
-		_, grad := loss.CrossEntropy(logits, labels)
-		net.Backward(grad)
+		_, grad := loss.CrossEntropy(plan.Forward(x), labels)
+		plan.BackwardParams(grad)
 		adam.Step(net.Params())
 	}
-	logits := net.Forward(x)
+	logits := nn.Run(net, x)
 	correct := 0
 	for i := 0; i < n; i++ {
 		if logits.Row(i).ArgMax() == labels[i] {

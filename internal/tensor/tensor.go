@@ -95,13 +95,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // AddInPlace adds o elementwise into t. Shapes must match.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if !t.SameShape(o) {

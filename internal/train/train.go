@@ -12,9 +12,13 @@
 // EvalBatches reads a dataset in 256-row batches in order; Accuracy, and
 // every inference pass over a whole dataset, go through it.
 //
-// Training runs on the goroutine that calls it: each conv and dense pass is
-// one product over the whole minibatch, and nothing beneath starts a
-// goroutine. A step propagates through Sequential.BackwardParams, so a
+// Every trainer steps through a training plan of its network
+// (nn.CompileTraining: the steps an inference plan runs, each keeping its
+// output for the backward pass), compiled at BatchSize when training starts
+// and dropped when it ends, so a trained network carries no training
+// scratch. Training runs on the goroutine that calls it: each conv and dense
+// pass is one product over the whole minibatch, and nothing beneath starts a
+// goroutine. A step propagates through the plan's BackwardParams, so a
 // network's first layer builds no input gradient nobody reads.
 package train
 
@@ -92,35 +96,46 @@ func Minibatches(name string, inputs *tensor.Tensor, params []*nn.Param, salt ui
 	return losses, nil
 }
 
-// CrossEntropy is the Step that trains net to predict labels[i] for sample
-// i with softmax cross-entropy.
-func CrossEntropy(net *nn.Sequential, labels []int) Step {
+// CrossEntropy returns the Step that trains net to predict labels[i] for
+// sample i with softmax cross-entropy, through a training plan of net.
+func CrossEntropy(net *nn.Sequential, labels []int) (Step, error) {
+	plan, err := nn.CompileTraining(net, BatchSize)
+	if err != nil {
+		return nil, err
+	}
 	buf := make([]int, BatchSize)
 	return func(x *tensor.Tensor, idx []int) float64 {
 		lbl := buf[:len(idx)]
 		for j, p := range idx {
 			lbl[j] = labels[p]
 		}
-		l, grad := loss.CrossEntropy(net.Forward(x), lbl)
-		net.BackwardParams(grad)
+		l, grad := loss.CrossEntropy(plan.Forward(x), lbl)
+		plan.BackwardParams(grad)
 		return l
-	}
+	}, nil
 }
 
 // Classifier trains net on ds with softmax cross-entropy and returns each
 // epoch's mean loss.
 func Classifier(net *nn.Sequential, ds *dataset.Dataset, cfg Config) ([]float64, error) {
-	return Minibatches(net.Name(), ds.Images, net.Params(), 0x7121A111, cfg, CrossEntropy(net, ds.Labels))
+	step, err := CrossEntropy(net, ds.Labels)
+	if err != nil {
+		return nil, err
+	}
+	return Minibatches(net.Name(), ds.Images, net.Params(), 0x7121A111, cfg, step)
 }
 
 // Regressor trains net to map inputs to targets (both (N, D)) with MSE —
 // the converting autoencoder's objective — and returns each epoch's mean
-// loss. extraLoss, when non-nil, is added to each batch's reported loss
-// (the L1 activity regularizer's penalty; the layer injects its gradient
-// itself).
-func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, extraLoss func() float64) ([]float64, error) {
+// loss. Each batch's loss includes the L1 penalty of the network's activity
+// regularizers, whose gradient the training plan adds itself.
+func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config) ([]float64, error) {
 	if len(inputs.Shape) != 2 || len(targets.Shape) != 2 || inputs.Shape[0] != targets.Shape[0] {
 		return nil, fmt.Errorf("train: inputs %v and targets %v incompatible", inputs.Shape, targets.Shape)
+	}
+	plan, err := nn.CompileTraining(net, BatchSize)
+	if err != nil {
+		return nil, err
 	}
 	tw := targets.Shape[1]
 	tBuf := tensor.New(BatchSize, tw)
@@ -128,11 +143,9 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config, e
 		for j, p := range idx {
 			copy(tBuf.Data[j*tw:(j+1)*tw], targets.Data[p*tw:(p+1)*tw])
 		}
-		l, grad := loss.MSE(net.Forward(x), tensor.FromSlice(tBuf.Data[:len(idx)*tw], len(idx), tw))
-		if extraLoss != nil {
-			l += extraLoss()
-		}
-		net.BackwardParams(grad)
+		l, grad := loss.MSE(plan.Forward(x), tensor.FromSlice(tBuf.Data[:len(idx)*tw], len(idx), tw))
+		l += plan.Penalty()
+		plan.BackwardParams(grad)
 		return l
 	})
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestRegressorLearnsIdentity(t *testing.T) {
 		nn.NewReLU("r"),
 		nn.NewDense("dec", 16, d, r),
 	)
-	losses, err := Regressor(net, x, x.Clone(), Config{Epochs: 200, Seed: 8}, nil)
+	losses, err := Regressor(net, x, x.Clone(), Config{Epochs: 200, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +74,35 @@ func TestRegressorLearnsIdentity(t *testing.T) {
 	}
 }
 
-func TestRegressorReportsExtraLoss(t *testing.T) {
+// TestRegressorReportsPenalty: a network with an activity regularizer
+// reports its L1 penalty λ·Σ|y| with each batch's loss. One batch of 16 is
+// one epoch, so the epoch's loss is the MSE plus the penalty of the first
+// forward pass, and the same network without the regularizer reports the
+// MSE alone.
+func TestRegressorReportsPenalty(t *testing.T) {
 	r := rng.New(9)
 	x := tensor.New(16, 4)
 	x.RandNormal(r, 0, 1)
-	net := nn.NewSequential("ae", nn.NewDense("d", 4, 4, r))
-	const penalty = 0.75
-	losses, err := Regressor(net, x, x.Clone(), Config{Epochs: 1, Seed: 10}, func() float64 { return penalty })
+	const lambda = 0.75
+	build := func(layers ...nn.Layer) *nn.Sequential {
+		d := nn.NewDense("d", 4, 4, rng.New(10))
+		return nn.NewSequential("ae", append([]nn.Layer{d}, layers...)...)
+	}
+	var penalty float64
+	for _, v := range nn.Run(build(), x).Data {
+		penalty += math.Abs(float64(v))
+	}
+	penalty *= lambda
+	plain, err := Regressor(build(), x, x.Clone(), Config{Epochs: 1, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if losses[0] < penalty {
-		t.Fatalf("loss %v should include the %v penalty", losses[0], penalty)
+	withReg, err := Regressor(build(nn.NewActivityRegularizer("l1", lambda)), x, x.Clone(), Config{Epochs: 1, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := withReg[0] - plain[0]; math.Abs(d-penalty) > 1e-6*penalty {
+		t.Fatalf("loss with the regularizer %v, without %v: differs by %v, want the penalty %v", withReg[0], plain[0], d, penalty)
 	}
 }
 
@@ -105,7 +123,7 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Classifier(net, ds, cfg); err == nil {
 			t.Errorf("Classifier with %d epochs: expected error", epochs)
 		}
-		if _, err := Regressor(net, ds.Images, ds.Images, cfg, nil); err == nil {
+		if _, err := Regressor(net, ds.Images, ds.Images, cfg); err == nil {
 			t.Errorf("Regressor with %d epochs: expected error", epochs)
 		}
 		if _, err := Minibatches("n", ds.Images, net.Params(), 0, cfg, noStep); err == nil {
@@ -126,7 +144,7 @@ func TestRegressorShapeMismatch(t *testing.T) {
 	net := nn.NewSequential("n", nn.NewDense("d", 4, 4, r))
 	x := tensor.New(8, 4)
 	y := tensor.New(6, 4)
-	if _, err := Regressor(net, x, y, Config{Epochs: 1}, nil); err == nil {
+	if _, err := Regressor(net, x, y, Config{Epochs: 1}); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
