@@ -23,10 +23,9 @@ type TrainPlan struct {
 	n    int
 	grad [2][]float32 // input gradients: step i writes grad[i%2]
 	args []int32      // a pool step's winning input indices
-	// mats are reusable matrix headers for the transposed products,
-	// gradHdr the view Backward returns.
-	mats    [3]tensor.Tensor
-	gradHdr tensor.Tensor
+	// mats are reusable matrix headers: 0 and 1 for the transposed
+	// products and Penalty, 2 the view Backward returns.
+	mats [3]tensor.Tensor
 }
 
 // CompileTraining compiles net for training in batches of up to batchCap
@@ -41,7 +40,8 @@ func CompileTraining(net *Sequential, batchCap int) (*TrainPlan, error) {
 	}
 	t := &TrainPlan{p: p}
 	gradW, args, in := [2]int{}, 0, p.inW
-	for i, st := range p.steps {
+	for i := range p.steps {
+		st := &p.steps[i]
 		gradW[i%2] = max(gradW[i%2], in)
 		if st.op == opPool {
 			args = max(args, st.outW)
@@ -53,7 +53,6 @@ func CompileTraining(net *Sequential, batchCap int) (*TrainPlan, error) {
 	for i := range t.mats {
 		t.mats[i].Shape = make([]int, 2)
 	}
-	t.gradHdr.Shape = make([]int, 2)
 	return t, nil
 }
 
@@ -97,8 +96,8 @@ func (t *TrainPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (t *TrainPlan) Penalty() float64 {
 	var s float64
 	for i := range t.p.steps {
-		if reg := t.p.steps[i].reg; reg != nil {
-			s += float64(reg.Lambda) * t.mat(0, t.stepOut(i), t.n, t.p.steps[i].outW).AbsSum()
+		if st := &t.p.steps[i]; st.reg != nil {
+			s += float64(st.reg.Lambda) * t.mat(0, t.stepOut(i), t.n, st.outW).AbsSum()
 		}
 	}
 	return s
@@ -110,9 +109,7 @@ func (t *TrainPlan) Penalty() float64 {
 // to the input as a plan-owned view, valid until the next Backward. grad is
 // overwritten.
 func (t *TrainPlan) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := t.backward(grad, true)
-	t.gradHdr.Shape[0], t.gradHdr.Shape[1], t.gradHdr.Data = t.n, t.p.inW, g
-	return &t.gradHdr
+	return t.mat(2, t.backward(grad, true), t.n, t.p.inW)
 }
 
 // BackwardParams is Backward for a trainer that reads no input gradient: it
