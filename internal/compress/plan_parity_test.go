@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"math"
 	"testing"
 
 	"cbnet/internal/dataset"
@@ -11,7 +12,7 @@ import (
 )
 
 // variantParityNet names one compressed-family network that the engine can
-// now mount as a first-class route, for the plan-vs-Forward oracle.
+// mount as a first-class route, for the plan-vs-training-forward oracle.
 type variantParityNet struct {
 	name string
 	net  *nn.Sequential
@@ -64,20 +65,19 @@ func variantParityNets(t *testing.T) []variantParityNet {
 	return nets
 }
 
-// TestVariantPlanParityOracle extends the PR 5 plan-vs-Forward oracle to
-// every compressed variant the degradation ladder can mount as a route:
-// pruned LeNets, SubFlow utilization levels, the pruned lightweight exit,
-// and the BranchyNet main net. Tolerances match the shipped-model oracle:
-// scalar dispatch must agree to 1e-6, production dispatch to the
-// blocked-vs-axpy kernel tolerance.
+// TestVariantPlanParityOracle extends the shipped-model oracle
+// (models.TestPlanParityOracle) to every compressed variant the degradation
+// ladder can mount as a route: pruned LeNets, SubFlow utilization levels,
+// the pruned lightweight exit, and the BranchyNet main net. The served
+// plan's Execute and the training plan's Forward must agree bit for bit,
+// with the blocked path off and on the host's own dispatch.
 func TestVariantPlanParityOracle(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
 		blocked bool
-		tol     float32
 	}{
-		{"scalar-kernels", false, 1e-6},
-		{"production-dispatch", tensor.BlockedKernelEnabled(), 1e-5},
+		{"scalar-kernels", false},
+		{"production-dispatch", tensor.BlockedKernelEnabled()},
 	} {
 		prev := tensor.SetBlockedKernelForTest(mode.blocked)
 		for _, m := range variantParityNets(t) {
@@ -86,19 +86,25 @@ func TestVariantPlanParityOracle(t *testing.T) {
 				tensor.SetBlockedKernelForTest(prev)
 				t.Fatalf("%s: %v", m.name, err)
 			}
+			tp, err := nn.CompileTraining(m.net, 16)
+			if err != nil {
+				tensor.SetBlockedKernelForTest(prev)
+				t.Fatalf("%s: %v", m.name, err)
+			}
 			for _, n := range []int{1, 7, 16} {
 				x := tensor.New(n, dataset.Pixels)
 				x.RandUniform(rng.New(uint64(n)*31+uint64(dataset.Pixels)), 0, 1)
-				want := m.net.Forward(x)
+				want := tp.Forward(x)
 				got := p.Execute(nil, x)
 				if !got.SameShape(want) {
-					t.Fatalf("%s/%s batch %d: plan shape %v, want %v", mode.name, m.name, n, got.Shape, want.Shape)
+					tensor.SetBlockedKernelForTest(prev)
+					t.Fatalf("%s/%s batch %d: plan shape %v, training forward %v", mode.name, m.name, n, got.Shape, want.Shape)
 				}
 				for i := range want.Data {
-					d := got.Data[i] - want.Data[i]
-					if d < -mode.tol || d > mode.tol {
-						t.Fatalf("%s/%s batch %d: plan[%d] = %v, forward = %v (|diff| > %g)",
-							mode.name, m.name, n, i, got.Data[i], want.Data[i], mode.tol)
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						tensor.SetBlockedKernelForTest(prev)
+						t.Fatalf("%s/%s batch %d: plan[%d] = %v, training forward = %v",
+							mode.name, m.name, n, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

@@ -242,10 +242,11 @@ func TestReLUGradients(t *testing.T) {
 	checkGradients(t, NewSequential("r", identityDense("d", 10), NewReLU("r")), x, 2e-2)
 }
 
-// TestReLUGradientMask: a training plan masks a fused relu's gradient to
-// y > 0 — the set x > 0 — so a negative input, a zero and a NaN pass no
-// gradient back.
-func TestReLUGradientMask(t *testing.T) {
+// TestReLUForward pins a fused relu in a training plan: its forward pass
+// zeroes where v < 0 and lets NaN through, as EpActReLU does in serving, and
+// its backward masks the gradient to y > 0 — the set x > 0 — so a negative
+// input, a zero and a NaN pass no gradient back.
+func TestReLUForward(t *testing.T) {
 	nan := float32(math.NaN())
 	x := tensor.FromSlice([]float32{-1, 0, 2, nan}, 4, 1)
 	net := NewSequential("r", identityDense("d", 1), NewReLU("r"))

@@ -88,7 +88,7 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 	return NewSequential("fuzz", layers...), reject || !shaped
 }
 
-// FuzzCompileMatchesReference holds the compiler to the layers it compiles:
+// FuzzCompileMatchesForward holds the compiler to the layers it compiles:
 // a random small network either is refused with an error — exactly when
 // fuzzNet says it must be, and never by a panic — or compiles at a random
 // capacity into a plan whose Execute gives, bit for bit, what
@@ -100,7 +100,7 @@ func fuzzNet(spec []byte, r *rng.RNG) (net *Sequential, reject bool) {
 // and both GEMM dispatches (the larger nets at the larger capacities take
 // the blocked, packed path) are all under it. The seed corpus under
 // testdata/fuzz is replayed by `go test`.
-func FuzzCompileMatchesReference(f *testing.F) {
+func FuzzCompileMatchesForward(f *testing.F) {
 	// conv+relu, pool, conv+sigmoid, dense, activity reg ×2, dense+sigmoid
 	f.Add(uint64(42), byte(15), []byte{0, 8, 8, 1, 3, 2, 2, 0, 1, 3, 2, 1, 1, 1, 5, 2, 2, 0, 0, 4, 0, 31, 6, 3, 7, 0, 9, 5})
 	f.Add(uint64(7), byte(31), []byte{2, 3, 3, 3, 0, 20}) // leading relu: rejected

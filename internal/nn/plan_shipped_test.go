@@ -180,6 +180,35 @@ func TestTrainPlanZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestZeroGradClears: a training plan's Backward leaves gradients in the
+// params, and the Adam step that reads them clears them, so the next
+// minibatch accumulates from zero.
+func TestZeroGradClears(t *testing.T) {
+	r := rng.New(14)
+	net := nn.NewSequential("n", nn.NewDense("d", 3, 2, r))
+	tp, err := nn.CompileTraining(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(2, 3)
+	x.RandNormal(r, 0, 1)
+	y := tp.Forward(x)
+	g := tensor.New(y.Shape...)
+	for i := range g.Data {
+		g.Data[i] = 1
+	}
+	tp.Backward(g)
+	if net.Params()[0].Grad().AbsSum() == 0 {
+		t.Fatal("expected nonzero grads after backward")
+	}
+	opt.NewAdam(0.01).Step(net.Params())
+	for _, p := range net.Params() {
+		if p.Grad().AbsSum() != 0 {
+			t.Fatalf("grad %s not cleared", p.Name)
+		}
+	}
+}
+
 // reference compiles a fresh plan of net and returns its ReferenceExecute
 // of x: the network's current weights, read in place.
 func reference(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {

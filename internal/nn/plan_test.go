@@ -92,6 +92,50 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestPlanMatchesForward pins both forward passes of the mixed test net —
+// the plan's Execute and its training plan's Forward — to ReferenceExecute
+// bit for bit, at batches 1, 7 and 16, with the blocked path off (the scalar
+// kernels) and on the host's own dispatch.
+func TestPlanMatchesForward(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		blocked bool
+	}{
+		{"scalar-kernels", false},
+		{"production-dispatch", tensor.BlockedKernelEnabled()},
+	} {
+		prev := tensor.SetBlockedKernelForTest(mode.blocked)
+		net := mixedTestNet(rng.New(7))
+		p, err := Compile(net, 16)
+		if err != nil {
+			tensor.SetBlockedKernelForTest(prev)
+			t.Fatal(err)
+		}
+		tp, err := CompileTraining(net, 16)
+		if err != nil {
+			tensor.SetBlockedKernelForTest(prev)
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 7, 16} {
+			x := tensor.New(n, 144)
+			x.RandUniform(rng.New(uint64(n+3)), -1, 1)
+			want := p.ReferenceExecute(x)
+			for _, pass := range []struct {
+				name string
+				got  *tensor.Tensor
+			}{{"plan", p.Execute(nil, x)}, {"training forward", tp.Forward(x)}} {
+				for i := range want.Data {
+					if math.Float32bits(pass.got.Data[i]) != math.Float32bits(want.Data[i]) {
+						tensor.SetBlockedKernelForTest(prev)
+						t.Fatalf("%s batch %d: %s output[%d] = %v, reference = %v", mode.name, n, pass.name, i, pass.got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+		tensor.SetBlockedKernelForTest(prev)
+	}
+}
+
 // TestPlanRepeatedMixedBatches reuses one plan across varying batch sizes,
 // the engine worker's usage pattern, including executions into a
 // caller-owned destination.
@@ -276,5 +320,73 @@ func TestMaxPool2MatchesGo(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDenseBackwardPackScratchAllocs: a dense step's backward in a warm
+// training plan allocates nothing — its transposed products run on the
+// plan's own packing panels and dx lands in the plan's gradient buffer — on
+// a host without a blocked kernel too, where the transposed products and the
+// bias sum run their scalar loops.
+func TestDenseBackwardPackScratchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tp, err := CompileTraining(NewSequential("fc", NewDense("fc", 128, 64, rng.New(5))), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(32, 128)
+	x.RandUniform(rng.New(6), -1, 1)
+	grad := tensor.New(32, 64)
+	grad.RandUniform(rng.New(7), -1, 1)
+	g := tensor.New(32, 64)
+	backward := func() {
+		copy(g.Data, grad.Data)
+		tp.Backward(g)
+	}
+	tp.Forward(x)
+	backward() // warm panels
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(20, backward); allocs != 0 {
+		t.Errorf("dense backward: %v allocs per warm step, want 0", allocs)
+	}
+}
+
+// TestConvStepReusesScratch: a warm conv training step — Forward, then
+// Backward — allocates no more than a few headers; not its column matrix
+// (960 KB here), channel-major gradient or packing panels, which the
+// training plan keeps from compile time on, nor the output and input
+// gradient, which are views of the plan's buffers.
+func TestConvStepReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	c := MustConv2D("conv2", 3, 14, 14, 48, 5, 5, 1, 0, rng.New(5))
+	tp, err := CompileTraining(NewSequential("conv", c), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(32, c.InSize())
+	x.RandUniform(rng.New(6), -1, 1)
+	out, _ := c.OutSize(c.InSize())
+	grad, g := tensor.New(32, out), tensor.New(32, out)
+	grad.RandUniform(rng.New(7), -1, 1)
+	step := func() {
+		tp.Forward(x)
+		copy(g.Data, grad.Data)
+		tp.Backward(g)
+	}
+	step()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for range runs {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if got := int(after.TotalAlloc-before.TotalAlloc) / runs; got > 16384 {
+		t.Errorf("conv step allocates %d B, want ≤ 16384", got)
 	}
 }

@@ -74,12 +74,12 @@ func TestRegressorLearnsIdentity(t *testing.T) {
 	}
 }
 
-// TestRegressorReportsPenalty: a network with an activity regularizer
+// TestRegressorReportsExtraLoss: a network with an activity regularizer
 // reports its L1 penalty λ·Σ|y| with each batch's loss. One batch of 16 is
 // one epoch, so the epoch's loss is the MSE plus the penalty of the first
 // forward pass, and the same network without the regularizer reports the
 // MSE alone.
-func TestRegressorReportsPenalty(t *testing.T) {
+func TestRegressorReportsExtraLoss(t *testing.T) {
 	r := rng.New(9)
 	x := tensor.New(16, 4)
 	x.RandNormal(r, 0, 1)
