@@ -430,13 +430,18 @@ func BenchmarkHostClassifyDirectPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkHostBranchyInfer times one warm run of BranchyNet's exit cascade
+// over a 16-row batch.
 func BenchmarkHostBranchyInfer(b *testing.B) {
 	br := models.NewBranchyLeNet(rng.New(6), 0.2)
-	x := hostBatch(16)
+	const n = 16
+	c := br.CompileCascade(n)
+	x := hostBatch(n)
+	res := models.InferenceResult{Pred: make([]int, n), Exited: make([]bool, n), BranchEntropy: make([]float64, n)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = br.Infer(x)
+		c.Run(res, x, br.Threshold)
 	}
 }
 

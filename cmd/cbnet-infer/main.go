@@ -51,15 +51,18 @@ func run(ckpt, name string, n int, hard bool, seed uint64) error {
 	if err := models.LoadFile(filepath.Join(ckpt, "ae.ck"), ae.Net); err != nil {
 		return fmt.Errorf("loading ae.ck: %w", err)
 	}
-	pipe := &core.Pipeline{AE: ae, Classifier: models.ExtractLightweight(branchy)}
+	plans, err := (&core.Pipeline{AE: ae, Classifier: models.ExtractLightweight(branchy)}).Plans(1)
+	if err != nil {
+		return err
+	}
 
 	gen := rng.New(seed)
 	for i := 0; i < n; i++ {
 		class := gen.Intn(dataset.NumClasses)
 		img := dataset.RenderSample(family, class, hard, gen)
 		x := tensor.FromSlice(append([]float32(nil), img...), 1, dataset.Pixels)
-		converted := pipe.Convert(x)
-		pred := pipe.Infer(x)[0]
+		logits, converted := plans.Logits(x)
+		pred := logits.ArgMax()
 		kind := "easy"
 		if hard {
 			kind = "hard"

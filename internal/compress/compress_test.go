@@ -49,6 +49,16 @@ func TestKeepCountBounds(t *testing.T) {
 	}
 }
 
+// runNet compiles net at x's batch and executes it into a fresh tensor.
+func runNet(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	p, err := nn.Compile(net, x.Shape[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Execute(tensor.New(x.Shape[0], p.OutWidth()), x)
+}
+
 func TestPruneFullKeepMatchesOriginal(t *testing.T) {
 	r := rng.New(1)
 	lenet := models.NewLeNet(r)
@@ -58,8 +68,8 @@ func TestPruneFullKeepMatchesOriginal(t *testing.T) {
 	}
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	want := nn.Run(lenet, x)
-	got := nn.Run(pruned, x)
+	want := runNet(t, lenet, x)
+	got := runNet(t, pruned, x)
 	for i := range want.Data {
 		if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {
 			t.Fatalf("output %d differs: %v vs %v", i, want.Data[i], got.Data[i])
@@ -79,7 +89,7 @@ func TestPruneShapesAndLatency(t *testing.T) {
 	}
 	x := tensor.New(3, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := nn.Run(pruned, x)
+	y := runNet(t, pruned, x)
 	if y.Shape[0] != 3 || y.Shape[1] != dataset.NumClasses {
 		t.Fatalf("forward shape %v", y.Shape)
 	}

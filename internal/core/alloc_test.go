@@ -133,7 +133,7 @@ func TestPooledWrappersBounded(t *testing.T) {
 }
 
 // TestInferIntoMatchesInfer guards the pipeline's cached plan set against
-// each other and against plans of its networks compiled apart (nn.Run).
+// each other and against plans of its networks compiled apart (runNet).
 func TestInferIntoMatchesInfer(t *testing.T) {
 	pipe := allocTestPipeline()
 	x := testBatch(16)
@@ -154,18 +154,28 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 	}
 
 	forward := make([]int, 16)
-	nn.Run(pipe.Classifier, nn.Run(pipe.AE.Net, x)).ArgMaxRows(forward)
+	runNet(t, pipe.Classifier, runNet(t, pipe.AE.Net, x)).ArgMaxRows(forward)
 	for i := range want {
 		if want[i] != forward[i] {
-			t.Fatalf("plan pred[%d] = %d, nn.Run = %d", i, want[i], forward[i])
+			t.Fatalf("plan pred[%d] = %d, plans compiled apart = %d", i, want[i], forward[i])
 		}
 	}
-	nn.Run(pipe.Classifier, x).ArgMaxRows(forward)
+	runNet(t, pipe.Classifier, x).ArgMaxRows(forward)
 	for i := range wantD {
 		if wantD[i] != forward[i] {
-			t.Fatalf("plan direct pred[%d] = %d, nn.Run = %d", i, wantD[i], forward[i])
+			t.Fatalf("plan direct pred[%d] = %d, plans compiled apart = %d", i, wantD[i], forward[i])
 		}
 	}
+}
+
+// runNet compiles net at x's batch and executes it into a fresh tensor.
+func runNet(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	p, err := nn.Compile(net, x.Shape[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Execute(tensor.New(x.Shape[0], p.OutWidth()), x)
 }
 
 // TestPipelinePlanCacheInvalidation: replacing the pipeline's exported

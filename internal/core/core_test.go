@@ -7,7 +7,6 @@ import (
 	"cbnet/internal/dataset"
 	"cbnet/internal/device"
 	"cbnet/internal/models"
-	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 	"cbnet/internal/train"
@@ -257,7 +256,7 @@ func TestSystemConfigValidation(t *testing.T) {
 func TestPipelineConvertProducesImages(t *testing.T) {
 	sys, std := testSystem(t)
 	x, _ := std.Test.Batch(0, 4)
-	conv := sys.CBNet.Convert(x)
+	conv := convert(t, sys.CBNet, x)
 	if conv.Shape[0] != 4 || conv.Shape[1] != dataset.Pixels {
 		t.Fatalf("converted shape %v", conv.Shape)
 	}
@@ -285,7 +284,7 @@ func TestConversionReducesEntropy(t *testing.T) {
 	}
 	hard := std.Test.Select(hardIdx)
 	x, _ := hard.Batch(0, hard.Len())
-	converted := sys.CBNet.Convert(x)
+	converted := convert(t, sys.CBNet, x)
 	convDs := &dataset.Dataset{
 		Family: hard.Family,
 		Images: converted,
@@ -298,6 +297,17 @@ func TestConversionReducesEntropy(t *testing.T) {
 	if after >= before {
 		t.Errorf("conversion did not reduce branch entropy (%v → %v)", before, after)
 	}
+}
+
+// convert runs pipe's autoencoder on x through a plan set compiled at x's
+// batch and returns the converted images.
+func convert(t *testing.T, pipe *Pipeline, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	ps, err := pipe.Plans(x.Shape[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps.Convert(x).Clone()
 }
 
 func meanEntropy(b *models.BranchyNet, ds *dataset.Dataset) float64 {
@@ -319,10 +329,11 @@ func TestClassifyDirectMatchesClassifierOnly(t *testing.T) {
 	if len(preds) != 4 {
 		t.Fatalf("got %d predictions, want 4", len(preds))
 	}
-	logits := nn.Run(pipe.Classifier, x)
+	want := make([]int, 4)
+	runNet(t, pipe.Classifier, x).ArgMaxRows(want)
 	for i, p := range preds {
-		if want := logits.Row(i).ArgMax(); p != want {
-			t.Fatalf("row %d: direct pred %d, classifier argmax %d", i, p, want)
+		if p != want[i] {
+			t.Fatalf("row %d: direct pred %d, classifier argmax %d", i, p, want[i])
 		}
 		if p < 0 || p >= dataset.NumClasses {
 			t.Fatalf("row %d: class %d out of range", i, p)

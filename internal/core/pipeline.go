@@ -4,7 +4,8 @@
 // from BranchyNet's early-exit branch (Fig. 2). It also provides the
 // training workflow of Fig. 4 (easy/hard labelling via BranchyNet exits,
 // conversion-pair construction, autoencoder training) and the latency and
-// energy accounting used throughout the evaluation.
+// energy accounting used throughout the evaluation. The labelling and the
+// exit-threshold tuning run BranchyNet's exit cascade (models.Cascade).
 package core
 
 import (
@@ -164,12 +165,6 @@ func (p *Pipeline) planSetLocked(n int) *PlanSet {
 	}
 	p.plans = ps
 	return ps
-}
-
-// Convert runs only the autoencoder stage on a compiled plan, returning the
-// transformed images as a caller-owned tensor.
-func (p *Pipeline) Convert(x *tensor.Tensor) *tensor.Tensor {
-	return nn.Run(p.AE.Net, x)
 }
 
 // Infer classifies a batch through the full pipeline.

@@ -46,12 +46,8 @@ func (c Cost) TotalMACs() int { return c.ConvMACs + c.DenseMACs }
 // nn.Compile rejects, as the engine does: a network nothing can run has no
 // cost.
 func SequentialCost(net *nn.Sequential) Cost {
-	p, err := nn.Compile(net, 1)
-	if err != nil {
-		panic(err)
-	}
 	var total Cost
-	for _, st := range p.Steps() {
+	for _, st := range nn.MustCompile(net, 1).Steps() {
 		total = total.Add(Cost(st.Work))
 	}
 	return total

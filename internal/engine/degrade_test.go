@@ -54,7 +54,7 @@ func openBreaker(t *testing.T, e *Engine, inj *chaos.Injector, name RouteName) {
 // TestVariantRouteServesAndMatchesForward: a compression-family network
 // registered as a variant route serves real traffic once the routes before
 // it on the ladder refuse, and its answers agree with a plan of the network
-// compiled apart from the engine's (nn.Run). When the variant refuses too
+// compiled apart from the engine's. When the variant refuses too
 // the request is shed, with its own counter.
 func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 	v := subflowVariant(t)
@@ -81,7 +81,11 @@ func TestVariantRouteServesAndMatchesForward(t *testing.T) {
 		t.Fatalf("route %q, want %q with hard and easy refusing", res.Route, v.Name)
 	}
 	x := tensor.FromSlice(append([]float32(nil), img...), 1, len(img))
-	logits := nn.Run(v.Net, x)
+	plan, err := nn.Compile(v.Net, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits := plan.Execute(nil, x)
 	want := 0
 	for j, l := range logits.Data {
 		if l > logits.Data[want] {

@@ -58,11 +58,12 @@ func NewLatentHead(bottleneck int, r *rng.RNG) *nn.Sequential {
 func BuildEncoderPipeline(ae *models.ConvertingAE, ds *dataset.Dataset, cfg train.Config) (*EncoderPipeline, error) {
 	encoder := ExtractEncoder(ae)
 	head := NewLatentHead(ae.BottleneckWidth(), rng.New(cfg.Seed^0x1A7E47))
-	// The encoder is frozen: its codes are computed once.
+	// The encoder is frozen: its codes are computed once, on one plan.
+	plan := nn.MustCompile(encoder, train.EvalRows)
 	w := ae.BottleneckWidth()
 	codes := tensor.New(ds.Len(), w)
 	train.EvalBatches(ds, func(i0 int, x *tensor.Tensor, _ []int) {
-		copy(codes.Data[i0*w:], nn.Run(encoder, x).Data)
+		copy(codes.Data[i0*w:], plan.Execute(nil, x).Data)
 	})
 	step, err := train.CrossEntropy(head, ds.Labels)
 	if err != nil {
@@ -74,19 +75,13 @@ func BuildEncoderPipeline(ae *models.ConvertingAE, ds *dataset.Dataset, cfg trai
 	return &EncoderPipeline{Encoder: encoder, Head: head}, nil
 }
 
-// Infer classifies a batch of images.
-func (p *EncoderPipeline) Infer(x *tensor.Tensor) []int {
-	logits := nn.Run(p.Head, nn.Run(p.Encoder, x))
-	preds := make([]int, x.Shape[0])
-	for i := range preds {
-		preds[i] = logits.Row(i).ArgMax()
-	}
-	return preds
-}
-
-// Accuracy evaluates the pipeline over a dataset.
+// Accuracy evaluates the pipeline over a dataset, on an encoder plan and a
+// head plan compiled once for the pass.
 func (p *EncoderPipeline) Accuracy(ds *dataset.Dataset) float64 {
-	return train.Accuracy(ds, func(dst []int, x *tensor.Tensor) { copy(dst, p.Infer(x)) })
+	enc, head := nn.MustCompile(p.Encoder, train.EvalRows), nn.MustCompile(p.Head, train.EvalRows)
+	return train.Accuracy(ds, func(dst []int, x *tensor.Tensor) {
+		head.Execute(nil, enc.Execute(nil, x)).ArgMaxRows(dst)
+	})
 }
 
 // Cost returns the per-image work of the decoder-free path.

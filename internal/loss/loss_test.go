@@ -9,9 +9,21 @@ import (
 	"cbnet/internal/tensor"
 )
 
+// mse and crossEntropy call the losses with a fresh gradient of the
+// output's shape and return it.
+func mse(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+	g := tensor.New(pred.Shape...)
+	return MSE(g, pred, target), g
+}
+
+func crossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	g := tensor.New(logits.Shape...)
+	return CrossEntropy(g, logits, labels), g
+}
+
 func TestMSEZeroWhenEqual(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3}, 1, 3)
-	l, g := MSE(x, x.Clone())
+	l, g := mse(x, x.Clone())
 	if l != 0 {
 		t.Fatalf("MSE = %v, want 0", l)
 	}
@@ -25,7 +37,7 @@ func TestMSEZeroWhenEqual(t *testing.T) {
 func TestMSEValueAndGrad(t *testing.T) {
 	pred := tensor.FromSlice([]float32{1, 3}, 1, 2)
 	tgt := tensor.FromSlice([]float32{0, 0}, 1, 2)
-	l, g := MSE(pred, tgt)
+	l, g := mse(pred, tgt)
 	if math.Abs(l-5) > 1e-6 { // (1+9)/2
 		t.Fatalf("MSE = %v, want 5", l)
 	}
@@ -41,15 +53,15 @@ func TestMSEGradMatchesNumeric(t *testing.T) {
 	tgt := tensor.New(3, 7)
 	pred.RandNormal(r, 0, 1)
 	tgt.RandNormal(r, 0, 1)
-	_, g := MSE(pred, tgt)
+	_, g := mse(pred, tgt)
 	const eps = 1e-3
 	for s := 0; s < 10; s++ {
 		i := r.Intn(pred.Len())
 		orig := pred.Data[i]
 		pred.Data[i] = orig + eps
-		up, _ := MSE(pred, tgt)
+		up, _ := mse(pred, tgt)
 		pred.Data[i] = orig - eps
-		down, _ := MSE(pred, tgt)
+		down, _ := mse(pred, tgt)
 		pred.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(g.Data[i])) > 1e-3 {
@@ -61,7 +73,7 @@ func TestMSEGradMatchesNumeric(t *testing.T) {
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	// Very confident, correct logits → loss near zero.
 	logits := tensor.FromSlice([]float32{20, 0, 0}, 1, 3)
-	l, _ := CrossEntropy(logits, []int{0})
+	l, _ := crossEntropy(logits, []int{0})
 	if l > 1e-6 {
 		t.Fatalf("CE = %v, want ≈0", l)
 	}
@@ -69,7 +81,7 @@ func TestCrossEntropyPerfectPrediction(t *testing.T) {
 
 func TestCrossEntropyUniform(t *testing.T) {
 	logits := tensor.New(1, 10)
-	l, _ := CrossEntropy(logits, []int{4})
+	l, _ := crossEntropy(logits, []int{4})
 	if math.Abs(l-math.Log(10)) > 1e-5 {
 		t.Fatalf("CE = %v, want ln10 = %v", l, math.Log(10))
 	}
@@ -80,15 +92,15 @@ func TestCrossEntropyGradMatchesNumeric(t *testing.T) {
 	logits := tensor.New(4, 5)
 	logits.RandNormal(r, 0, 1)
 	labels := []int{0, 3, 2, 4}
-	_, g := CrossEntropy(logits, labels)
+	_, g := crossEntropy(logits, labels)
 	const eps = 1e-3
 	for s := 0; s < 12; s++ {
 		i := r.Intn(logits.Len())
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		up, _ := CrossEntropy(logits, labels)
+		up, _ := crossEntropy(logits, labels)
 		logits.Data[i] = orig - eps
-		down, _ := CrossEntropy(logits, labels)
+		down, _ := crossEntropy(logits, labels)
 		logits.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(num-float64(g.Data[i])) > 1e-3 {
@@ -103,7 +115,7 @@ func TestCrossEntropyRejectsBadLabel(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CrossEntropy(tensor.New(1, 3), []int{3})
+	crossEntropy(tensor.New(1, 3), []int{3})
 }
 
 // Property: cross-entropy loss is non-negative and grad rows sum to ≈0
@@ -118,7 +130,7 @@ func TestQuickCrossEntropyInvariants(t *testing.T) {
 		for i := range labels {
 			labels[i] = r.Intn(k)
 		}
-		l, g := CrossEntropy(logits, labels)
+		l, g := crossEntropy(logits, labels)
 		if l < 0 {
 			return false
 		}
@@ -138,7 +150,7 @@ func TestQuickCrossEntropyInvariants(t *testing.T) {
 	}
 }
 
-// Property: MSE(a,b) == MSE(b,a) and is non-negative.
+// Property: mse(a,b) == mse(b,a) and is non-negative.
 func TestQuickMSESymmetric(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -146,11 +158,45 @@ func TestQuickMSESymmetric(t *testing.T) {
 		a, b := tensor.New(1, n), tensor.New(1, n)
 		a.RandNormal(r, 0, 1)
 		b.RandNormal(r, 0, 1)
-		l1, _ := MSE(a, b)
-		l2, _ := MSE(b, a)
+		l1, _ := mse(a, b)
+		l2, _ := mse(b, a)
 		return l1 >= 0 && math.Abs(l1-l2) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLossesReuseOneGradient: a gradient held at a full batch serves a
+// short one — re-viewed at the short batch's shape, with the bits of a fresh
+// gradient — and then the full batch again.
+func TestLossesReuseOneGradient(t *testing.T) {
+	r := rng.New(3)
+	full, short, target := tensor.New(4, 5), tensor.New(2, 5), tensor.New(4, 5)
+	full.RandNormal(r, 0, 1)
+	short.RandNormal(r, 0, 1)
+	target.RandNormal(r, 0, 1)
+	labels := []int{1, 4, 0, 2}
+	g := tensor.New(4, 5)
+	same := func(what string, l, wl float64, want *tensor.Tensor) {
+		t.Helper()
+		if l != wl || !g.SameShape(want) {
+			t.Fatalf("%s: loss %v shape %v, fresh %v %v", what, l, g.Shape, wl, want.Shape)
+		}
+		for i := range want.Data {
+			if math.Float32bits(g.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: grad[%d] %v, fresh %v", what, i, g.Data[i], want.Data[i])
+			}
+		}
+	}
+	for _, x := range []*tensor.Tensor{full, short, full} {
+		n := x.Shape[0]
+		l := CrossEntropy(g, x, labels[:n])
+		wl, want := crossEntropy(x, labels[:n])
+		same("CrossEntropy", l, wl, want)
+		tgt := tensor.FromSlice(target.Data[:len(x.Data)], x.Shape...)
+		l = MSE(g, x, tgt)
+		wl, want = mse(x, tgt)
+		same("MSE", l, wl, want)
 	}
 }

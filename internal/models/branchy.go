@@ -1,6 +1,8 @@
 package models
 
 import (
+	"math"
+
 	"cbnet/internal/dataset"
 	"cbnet/internal/loss"
 	"cbnet/internal/metrics"
@@ -79,14 +81,15 @@ func (b *BranchyNet) TrainJointly(ds *dataset.Dataset, cfg train.Config) error {
 	}
 	stem, branch, trunk := plans[0], plans[1], plans[2]
 	lbl := make([]int, train.BatchSize)
+	gb, gm := new(tensor.Tensor), new(tensor.Tensor)
 	_, err := train.Minibatches("branchynet", ds.Images, b.Params(), 0xB7A9C4, cfg, func(x *tensor.Tensor, idx []int) float64 {
 		labels := lbl[:len(idx)]
 		for j, p := range idx {
 			labels[j] = ds.Labels[p]
 		}
 		stemOut := stem.Forward(x)
-		lb, gb := loss.CrossEntropy(branch.Forward(stemOut), labels)
-		lm, gm := loss.CrossEntropy(trunk.Forward(stemOut), labels)
+		lb := loss.CrossEntropy(gb, branch.Forward(stemOut), labels)
+		lm := loss.CrossEntropy(gm, trunk.Forward(stemOut), labels)
 		gb.Scale(BranchWeight)
 		gm.Scale(MainWeight)
 
@@ -108,63 +111,63 @@ type InferenceResult struct {
 	BranchEntropy []float64
 }
 
-// Infer classifies a batch with early exiting: the stem and branch run for
-// every sample; only the low-confidence remainder enters the trunk.
-func (b *BranchyNet) Infer(x *tensor.Tensor) InferenceResult {
-	n := x.Shape[0]
-	res := InferenceResult{
-		Pred:          make([]int, n),
-		Exited:        make([]bool, n),
-		BranchEntropy: make([]float64, n),
-	}
-	stemOut := nn.Run(b.Stem, x)
-	branchLogits := nn.Run(b.Branch, stemOut)
-	k := dataset.NumClasses
+// Cascade is BranchyNet's exit cascade: its stem, branch and trunk plans,
+// compiled at one batch capacity. Like a plan it serves one goroutine, and
+// a warm run allocates nothing.
+type Cascade struct{ stem, branch, trunk *nn.Plan }
 
-	var hardRows []int
-	probs := make([]float32, k)
-	for i := 0; i < n; i++ {
-		copy(probs, branchLogits.Data[i*k:(i+1)*k])
-		nn.SoftmaxRow(probs)
-		h := metrics.Entropy(probs)
-		res.BranchEntropy[i] = h
-		if h < b.Threshold {
-			res.Exited[i] = true
-			res.Pred[i] = argmax32(probs)
-		} else {
-			hardRows = append(hardRows, i)
-		}
-	}
-	if len(hardRows) > 0 {
-		stemW := stemOut.Shape[1]
-		sub := tensor.New(len(hardRows), stemW)
-		for j, i := range hardRows {
-			copy(sub.Data[j*stemW:(j+1)*stemW], stemOut.Data[i*stemW:(i+1)*stemW])
-		}
-		mainLogits := nn.Run(b.Trunk, sub)
-		for j, i := range hardRows {
-			res.Pred[i] = mainLogits.Row(j).ArgMax()
-		}
-	}
-	return res
+// CompileCascade compiles b's exit cascade for batches of up to batchCap
+// rows.
+func (b *BranchyNet) CompileCascade(batchCap int) *Cascade {
+	return &Cascade{nn.MustCompile(b.Stem, batchCap), nn.MustCompile(b.Branch, batchCap), nn.MustCompile(b.Trunk, batchCap)}
 }
 
-// InferDataset runs Infer over a dataset in batches and concatenates the
-// results.
-func (b *BranchyNet) InferDataset(ds *dataset.Dataset) InferenceResult {
-	n := ds.Len()
-	out := InferenceResult{
-		Pred:          make([]int, n),
-		Exited:        make([]bool, n),
-		BranchEntropy: make([]float64, n),
+// Run classifies x into the first x.Shape[0] entries of res's slices: a row
+// whose branch entropy is below threshold exits with the branch's answer;
+// the others are gathered to the front of the stem's output view, which is
+// narrowed to them, and the trunk runs on them alone.
+func (c *Cascade) Run(res InferenceResult, x *tensor.Tensor, threshold float64) {
+	feat := c.stem.Execute(nil, x)
+	probs := c.branch.Execute(nil, feat)
+	k, w, m := probs.Shape[1], feat.Shape[1], 0
+	for i := range x.Shape[0] {
+		p := probs.Data[i*k : (i+1)*k]
+		nn.SoftmaxRow(p)
+		res.BranchEntropy[i] = metrics.Entropy(p)
+		if res.Exited[i] = res.BranchEntropy[i] < threshold; res.Exited[i] {
+			res.Pred[i] = argmax32(p)
+		} else {
+			copy(feat.Data[m*w:], feat.Data[i*w:(i+1)*w])
+			m++
+		}
 	}
+	if m == 0 {
+		return
+	}
+	feat.Shape[0], feat.Data = m, feat.Data[:m*w]
+	logits := c.trunk.Execute(nil, feat).Data
+	for i, j := 0, 0; j < m; i++ {
+		if !res.Exited[i] {
+			res.Pred[i] = argmax32(logits[j*k : (j+1)*k])
+			j++
+		}
+	}
+}
+
+// InferDataset classifies every sample of ds with early exiting at
+// b.Threshold, on one cascade compiled for the pass.
+func (b *BranchyNet) InferDataset(ds *dataset.Dataset) InferenceResult {
+	return b.CompileCascade(train.EvalRows).inferDataset(ds, b.Threshold)
+}
+
+// inferDataset runs the cascade over ds at threshold, a batch at a time.
+func (c *Cascade) inferDataset(ds *dataset.Dataset, threshold float64) InferenceResult {
+	n := ds.Len()
+	r := InferenceResult{Pred: make([]int, n), Exited: make([]bool, n), BranchEntropy: make([]float64, n)}
 	train.EvalBatches(ds, func(i0 int, x *tensor.Tensor, _ []int) {
-		r := b.Infer(x)
-		copy(out.Pred[i0:], r.Pred)
-		copy(out.Exited[i0:], r.Exited)
-		copy(out.BranchEntropy[i0:], r.BranchEntropy)
+		c.Run(InferenceResult{Pred: r.Pred[i0:], Exited: r.Exited[i0:], BranchEntropy: r.BranchEntropy[i0:]}, x, threshold)
 	})
-	return out
+	return r
 }
 
 // Evaluate returns, from one pass over ds, the classification accuracy with
@@ -172,36 +175,41 @@ func (b *BranchyNet) InferDataset(ds *dataset.Dataset) InferenceResult {
 // the statistic behind the paper's Fig. 3 and §IV-D (94.88% MNIST, 76.91%
 // FMNIST, 63.08% KMNIST).
 func (b *BranchyNet) Evaluate(ds *dataset.Dataset) (accuracy, exitRate float64) {
-	if ds.Len() == 0 {
-		return 0, 0
-	}
-	exits := 0
-	accuracy = train.Accuracy(ds, func(dst []int, x *tensor.Tensor) {
-		r := b.Infer(x)
-		copy(dst, r.Pred)
-		for _, e := range r.Exited {
-			if e {
-				exits++
-			}
-		}
-	})
-	return accuracy, float64(exits) / float64(ds.Len())
+	r := b.InferDataset(ds)
+	return score(ds.Labels, r.BranchEntropy, b.Threshold, r.Pred, r.Pred)
 }
 
-// TuneThreshold sweeps candidate entropy thresholds on a validation set and
-// returns the one maximizing exitRate while keeping accuracy within
-// maxAccuracyDrop of the trunk-only accuracy — the "thresholds were tuned to
-// achieve the maximum performance" protocol.
+// score returns the accuracy and exit rate of answering row i with branch[i]
+// if its branch entropy h[i] is below th, else trunk[i]: 0, 0 for no rows.
+func score(labels []int, h []float64, th float64, branch, trunk []int) (accuracy, exitRate float64) {
+	correct, exits := 0, 0
+	for i, hi := range h {
+		p := trunk[i]
+		if hi < th {
+			p = branch[i]
+			exits++
+		}
+		if p == labels[i] {
+			correct++
+		}
+	}
+	n := float64(max(len(labels), 1))
+	return float64(correct) / n, float64(exits) / n
+}
+
+// TuneThreshold sets b.Threshold to, and returns, the candidate with the
+// highest exit rate on val whose accuracy is within maxAccuracyDrop of the
+// trunk-only accuracy — the "thresholds were tuned to achieve the maximum
+// performance" protocol. It reads val twice, every row exiting and then
+// none: a trunk row's bits do not depend on its batch-mates, so each
+// candidate's cascade takes each row's answer from one of the two.
 func (b *BranchyNet) TuneThreshold(val *dataset.Dataset, maxAccuracyDrop float64) float64 {
-	orig := b.Threshold
-	// Trunk-only reference: threshold below any achievable entropy.
-	b.Threshold = -1
-	ref, _ := b.Evaluate(val)
-	best := orig
-	bestRate := -1.0
+	c := b.CompileCascade(train.EvalRows)
+	branch, trunk := c.inferDataset(val, math.Inf(1)), c.inferDataset(val, -1)
+	ref, _ := score(val.Labels, branch.BranchEntropy, -1, branch.Pred, trunk.Pred)
+	best, bestRate := b.Threshold, -1.0
 	for _, th := range []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.4, 1.8} {
-		b.Threshold = th
-		acc, rate := b.Evaluate(val)
+		acc, rate := score(val.Labels, branch.BranchEntropy, th, branch.Pred, trunk.Pred)
 		if acc+1e-9 >= ref-maxAccuracyDrop && rate > bestRate {
 			bestRate, best = rate, th
 		}

@@ -74,10 +74,10 @@ func TestLoadMissingFile(t *testing.T) {
 }
 
 // TestConcurrentInference runs every inference path on one shared model from
-// eight goroutines at once — BranchyNet's early-exit Infer, and nn.Run on the
+// eight goroutines at once — BranchyNet's exit cascade, and plans of the
 // lightweight classifier and the autoencoder — and holds each result bit for
 // bit to a serial run of the same input on a twin built from the same seed.
-// Each call compiles its own plans, with private buffers; what the plans
+// Each call compiles its own cascade and plans, with private buffers; what they
 // share is the layers' parameters, read only, and Dense's packed weights,
 // which the goroutines race to pack first on the fresh shared model and
 // publish through an atomic pointer: a single loaded model serves parallel
@@ -97,7 +97,10 @@ func TestConcurrentInference(t *testing.T) {
 		lw, rec []float32
 	}
 	run := func(m model, x *tensor.Tensor) result {
-		return result{infer: m.b.Infer(x), lw: nn.Run(m.lw, x).Data, rec: nn.Run(m.ae, x).Data}
+		n := x.Shape[0]
+		infer := InferenceResult{Pred: make([]int, n), Exited: make([]bool, n), BranchEntropy: make([]float64, n)}
+		m.b.CompileCascade(n).Run(infer, x, m.b.Threshold)
+		return result{infer: infer, lw: runNet(m.lw, x).Data, rec: runNet(m.ae, x).Data}
 	}
 	const workers = 8
 	serial, shared := build(), build()
@@ -124,7 +127,7 @@ func TestConcurrentInference(t *testing.T) {
 	for w, rs := range got {
 		for i, g := range rs {
 			if !reflect.DeepEqual(g.infer, want[w].infer) {
-				t.Errorf("worker %d round %d: Infer %+v, serial %+v", w, i, g.infer, want[w].infer)
+				t.Errorf("worker %d round %d: cascade %+v, serial %+v", w, i, g.infer, want[w].infer)
 			}
 			requireBits(t, fmt.Sprintf("worker %d round %d: lightweight", w, i), g.lw, want[w].lw)
 			requireBits(t, fmt.Sprintf("worker %d round %d: autoencoder", w, i), g.rec, want[w].rec)
@@ -139,7 +142,7 @@ func TestConcurrentInferenceDeterministic(t *testing.T) {
 	net := NewLeNet(r)
 	x := tensor.New(8, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	want := nn.Run(net, x)
+	want := runNet(net, x)
 
 	var wg sync.WaitGroup
 	results := make([]*tensor.Tensor, 6)
@@ -147,7 +150,7 @@ func TestConcurrentInferenceDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[w] = nn.Run(net, x)
+			results[w] = runNet(net, x)
 		}()
 	}
 	wg.Wait()

@@ -1,7 +1,8 @@
 // Package models builds the paper's networks: the LeNet baseline, the
-// BranchyNet-LeNet early-exit network, the per-dataset converting
-// autoencoders of Table I, and the lightweight DNN extracted from the
-// early-exit branch. It also provides parameter checkpointing.
+// BranchyNet-LeNet early-exit network and its exit cascade
+// (CompileCascade), the per-dataset converting autoencoders of Table I, and
+// the lightweight DNN extracted from the early-exit branch. It also
+// provides parameter checkpointing.
 package models
 
 import (

@@ -13,6 +13,13 @@ import (
 	"cbnet/internal/train"
 )
 
+// runNet compiles net at x's batch and executes it into a fresh tensor. It
+// panics on a network the compiler rejects, so goroutines may call it.
+func runNet(net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
+	p := nn.MustCompile(net, x.Shape[0])
+	return p.Execute(tensor.New(x.Shape[0], p.OutWidth()), x)
+}
+
 func TestLeNetShapes(t *testing.T) {
 	r := rng.New(1)
 	net := NewLeNet(r)
@@ -25,7 +32,7 @@ func TestLeNetShapes(t *testing.T) {
 	}
 	x := tensor.New(2, dataset.Pixels)
 	x.RandUniform(r, 0, 1)
-	y := nn.Run(net, x)
+	y := runNet(net, x)
 	if y.Shape[0] != 2 || y.Shape[1] != dataset.NumClasses {
 		t.Fatalf("forward shape %v", y.Shape)
 	}
@@ -120,7 +127,7 @@ func TestConvertingAEShapes(t *testing.T) {
 		}
 		x := tensor.New(3, dataset.Pixels)
 		x.RandUniform(r, 0, 1)
-		y := nn.Run(ae.Net, x)
+		y := runNet(ae.Net, x)
 		if y.Shape[0] != 3 || y.Shape[1] != dataset.Pixels {
 			t.Fatalf("%v: forward shape %v", f, y.Shape)
 		}

@@ -111,6 +111,12 @@ func randInput(r *rng.RNG, n, w int) *tensor.Tensor {
 	return x
 }
 
+// runNet compiles net at x's batch and executes it into a fresh tensor.
+func runNet(net *Sequential, x *tensor.Tensor) *tensor.Tensor {
+	p := MustCompile(net, x.Shape[0])
+	return p.Execute(tensor.New(x.Shape[0], p.outW), x)
+}
+
 func TestDenseGradients(t *testing.T) {
 	r := rng.New(1)
 	checkGradients(t, NewSequential("d", NewDense("d", 7, 5, r)), randInput(r, 3, 7), 2e-2)
@@ -119,7 +125,7 @@ func TestDenseGradients(t *testing.T) {
 func TestDenseForwardShape(t *testing.T) {
 	r := rng.New(1)
 	d := NewDense("d", 4, 6, r)
-	y := Run(NewSequential("d", d), randInput(r, 2, 4))
+	y := runNet(NewSequential("d", d), randInput(r, 2, 4))
 	if y.Shape[0] != 2 || y.Shape[1] != 6 {
 		t.Fatalf("shape %v, want [2 6]", y.Shape)
 	}
@@ -136,7 +142,7 @@ func TestDenseBias(t *testing.T) {
 	d := NewDense("d", 2, 2, r)
 	clear(d.W.Value.Data)
 	d.B.Value.Data[0], d.B.Value.Data[1] = 3, -4
-	y := Run(NewSequential("d", d), randInput(r, 1, 2))
+	y := runNet(NewSequential("d", d), randInput(r, 1, 2))
 	if y.Data[0] != 3 || y.Data[1] != -4 {
 		t.Fatalf("bias not applied: %v", y.Data)
 	}
@@ -196,7 +202,7 @@ func TestMaxPoolForward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 16)
-	y := Run(NewSequential("p", p), x)
+	y := runNet(NewSequential("p", p), x)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -268,7 +274,7 @@ func TestSigmoidGradients(t *testing.T) {
 
 func TestSigmoidRange(t *testing.T) {
 	r := rng.New(6)
-	y := Run(NewSequential("s", identityDense("d", 16), NewSigmoid("s")), randInput(r, 4, 16))
+	y := runNet(NewSequential("s", identityDense("d", 16), NewSigmoid("s")), randInput(r, 4, 16))
 	for _, v := range y.Data {
 		if v <= 0 || v >= 1 {
 			t.Fatalf("sigmoid out of (0,1): %v", v)
@@ -314,14 +320,14 @@ func TestActivityRegularizerIdentityForward(t *testing.T) {
 	r := rng.New(8)
 	x := randInput(r, 2, 5)
 	d := NewDense("d", 5, 4, r)
-	want := Run(NewSequential("plain", d), x)
+	want := runNet(NewSequential("plain", d), x)
 	plan, err := CompileTraining(NewSequential("reg", d, NewActivityRegularizer("ar", 0.1)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, y := range map[string]*tensor.Tensor{
 		"training":  plan.Forward(x),
-		"inference": Run(NewSequential("reg", d, NewActivityRegularizer("ar", 0.1)), x),
+		"inference": runNet(NewSequential("reg", d, NewActivityRegularizer("ar", 0.1)), x),
 	} {
 		for i := range want.Data {
 			if math.Float32bits(y.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -480,7 +486,7 @@ func TestServingHoldsNoGradients(t *testing.T) {
 		NewDense("d1", 2*6*6, 4, r),
 	)
 	x := randInput(r, 3, 64)
-	Run(net, x)
+	runNet(net, x)
 	for _, p := range net.Params() {
 		if p.grad != nil {
 			t.Fatalf("%s holds a gradient buffer without ever training", p.Name)
@@ -528,8 +534,8 @@ func TestQuickReLUIdempotent(t *testing.T) {
 		x := tensor.New(1, 20)
 		x.RandNormal(r, 0, 2)
 		relu := NewSequential("relu", identityDense("d", 20), NewReLU("r"))
-		once := Run(relu, x)
-		twice := Run(relu, once)
+		once := runNet(relu, x)
+		twice := runNet(relu, once)
 		for i := range once.Data {
 			if once.Data[i] != twice.Data[i] {
 				return false

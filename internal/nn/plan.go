@@ -515,17 +515,14 @@ func (p *Plan) Execute(dst, x *tensor.Tensor) *tensor.Tensor {
 	return p.view(n, cur)
 }
 
-// Run compiles net at x's batch size and executes it into a fresh
-// caller-owned tensor: inference outside a serving loop (evaluation,
-// labelling, encoding) in one call. The networks are built in code, so one
-// the compiler rejects is a programming error and Run panics with it.
-func Run(net *Sequential, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
-	p, err := Compile(net, max(1, n))
+// MustCompile is Compile for a network built in code, which the compiler
+// rejects only through a programming error: MustCompile panics with it.
+func MustCompile(net *Sequential, batchCap int) *Plan {
+	p, err := Compile(net, batchCap)
 	if err != nil {
 		panic(err)
 	}
-	return p.Execute(tensor.New(n, p.outW), x)
+	return p
 }
 
 // view returns the plan-owned output header over data.

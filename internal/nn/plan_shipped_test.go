@@ -143,38 +143,46 @@ func TestShippedPlansBitwiseVsUnpackedReference(t *testing.T) {
 	}
 }
 
-// TestTrainPlanZeroAlloc: a warm training plan's Forward and Backward
-// allocate nothing — the FashionMNIST autoencoder and LeNet at a full
-// minibatch of 32 and at a short last one of 7.
+// TestTrainPlanZeroAlloc: a warm training step — the plan's Forward, the
+// loss into the trainer's one gradient, and Backward — allocates nothing:
+// the FashionMNIST autoencoder under MSE and LeNet under cross-entropy, at a
+// full minibatch of 32 and then at a short last one of 7 on the same
+// gradient.
 func TestTrainPlanZeroAlloc(t *testing.T) {
 	if nn.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, m := range []shippedNet{
-		{"ae-fmnist", models.NewTableIAE(dataset.FashionMNIST, rng.New(61)).Net, dataset.Pixels},
-		{"lenet", models.NewLeNet(rng.New(62)), dataset.Pixels},
+	target := tensor.New(32, dataset.Pixels)
+	target.RandUniform(rng.New(64), 0, 1)
+	labels := make([]int, 32)
+	for i := range labels {
+		labels[i] = i % dataset.NumClasses
+	}
+	for _, m := range []struct {
+		shippedNet
+		loss func(g, y, target *tensor.Tensor, labels []int) float64
+	}{
+		{shippedNet{"ae-fmnist", models.NewTableIAE(dataset.FashionMNIST, rng.New(61)).Net, dataset.Pixels},
+			func(g, y, target *tensor.Tensor, _ []int) float64 { return loss.MSE(g, y, target) }},
+		{shippedNet{"lenet", models.NewLeNet(rng.New(62)), dataset.Pixels},
+			func(g, y, _ *tensor.Tensor, labels []int) float64 { return loss.CrossEntropy(g, y, labels) }},
 	} {
 		plan, err := nn.CompileTraining(m.net, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outW, err := m.net.OutSize(m.inW)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := new(tensor.Tensor)
 		for _, n := range []int{32, 7} {
 			x := tensor.New(n, m.inW)
 			x.RandUniform(rng.New(63), 0, 1)
-			grad, g := tensor.New(n, outW), tensor.New(n, outW)
-			grad.RandUniform(rng.New(64), -1, 1)
+			tgt, lbl := tensor.FromSlice(target.Data[:n*dataset.Pixels], n, dataset.Pixels), labels[:n]
 			step := func() {
-				plan.Forward(x)
-				copy(g.Data, grad.Data)
+				m.loss(g, plan.Forward(x), tgt, lbl)
 				plan.Backward(g)
 			}
 			step()
 			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-				t.Errorf("%s batch %d: %v allocs per warm Forward + Backward, want 0", m.name, n, allocs)
+				t.Errorf("%s batch %d: %v allocs per warm training step, want 0", m.name, n, allocs)
 			}
 		}
 	}
@@ -260,7 +268,8 @@ func TestPlanServesTouchedWeights(t *testing.T) {
 		y := tp.Forward(x)
 		target := tensor.New(y.Shape...)
 		target.RandUniform(rng.New(25), 0, 1)
-		_, grad := loss.MSE(y, target)
+		grad := new(tensor.Tensor)
+		loss.MSE(grad, y, target)
 		tp.BackwardParams(grad)
 		opt.NewAdam(0.1).Step(m.net.Params())
 		want := reference(t, m.net, x)
@@ -334,14 +343,21 @@ func TestPlanRepacksWhenKernelWidthChanges(t *testing.T) {
 
 // TestPlansAreBatchInvariant: an image's bits do not depend on the batch it
 // rides in. The whole plans of the MNIST and FashionMNIST autoencoders
-// (sigmoid output), the lightweight classifier, its pruned variant and
-// LeNet, compiled at capacities 1, 2, 3, 7 and 32 and run over 32 images a
-// full batch at a time, give every image the bits of its row in the one
-// batch of 32, under every kernel the host runs with the dispatch it would
-// get at init. About 40 % of the pixels are zero, so the one-row gemv's
+// (sigmoid output), the lightweight classifier, its pruned variant, LeNet
+// and BranchyNet's stem, branch and trunk, compiled at capacities 1, 2, 3, 7
+// and 32 and run over 32 inputs a full batch at a time, give every input the
+// bits of its row in the one batch of 32, under every kernel the host runs
+// with the dispatch it would get at init. BranchyNet's exit cascade and its
+// threshold tuner rest on this: the trunk runs on whichever rows a batch
+// sends it. About 40 % of the inputs' values are zero, so the one-row gemv's
 // zero skip runs.
 func TestPlansAreBatchInvariant(t *testing.T) {
-	light := models.ExtractLightweight(models.NewBranchyLeNet(rng.New(51), 0.05))
+	br := models.NewBranchyLeNet(rng.New(51), 0.05)
+	light := models.ExtractLightweight(br)
+	stemW, err := br.Stem.OutSize(dataset.Pixels)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pruned, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +368,12 @@ func TestPlansAreBatchInvariant(t *testing.T) {
 		{"lightweight", light, dataset.Pixels},
 		{"lightweight-pruned", pruned, dataset.Pixels},
 		{"lenet", models.NewLeNet(rng.New(55)), dataset.Pixels},
+		{"branchy-stem", br.Stem, dataset.Pixels},
+		{"branchy-branch", br.Branch, stemW},
+		{"branchy-trunk", br.Trunk, stemW},
 	}
 	const n = 32
-	x := tensor.New(n, dataset.Pixels)
+	x := tensor.New(n, max(dataset.Pixels, stemW))
 	r := rng.New(52)
 	x.RandUniform(r, 0, 1)
 	for i := range x.Data {
@@ -381,7 +400,7 @@ func TestPlansAreBatchInvariant(t *testing.T) {
 				got := make([]float32, 0, n*outW)
 				for lo := 0; lo < n; lo += c {
 					hi := min(n, lo+c)
-					got = append(got, p.Execute(nil, tensor.FromSlice(x.Data[lo*dataset.Pixels:hi*dataset.Pixels], hi-lo, dataset.Pixels)).Data...)
+					got = append(got, p.Execute(nil, tensor.FromSlice(x.Data[lo*net.inW:hi*net.inW], hi-lo, net.inW)).Data...)
 				}
 				if want == nil {
 					want = got

@@ -53,8 +53,9 @@ func trainAtWidth(procs int) map[string]uint64 {
 		panic(err)
 	}
 	adam := opt.NewAdam(0.01)
+	grad := new(tensor.Tensor)
 	for step := 0; step < 3; step++ {
-		_, grad := loss.CrossEntropy(plan.Forward(x), labels)
+		loss.CrossEntropy(grad, plan.Forward(x), labels)
 		plan.Backward(grad)
 		adam.Step(net.Params())
 	}

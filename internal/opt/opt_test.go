@@ -101,15 +101,21 @@ func TestOptimizerTrainsNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grad := new(tensor.Tensor)
 	for epoch := 0; epoch < 200; epoch++ {
-		_, grad := loss.CrossEntropy(plan.Forward(x), labels)
+		loss.CrossEntropy(grad, plan.Forward(x), labels)
 		plan.BackwardParams(grad)
 		adam.Step(net.Params())
 	}
-	logits := nn.Run(net, x)
+	infer, err := nn.Compile(net, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := make([]int, n)
+	infer.Execute(nil, x).ArgMaxRows(pred)
 	correct := 0
 	for i := 0; i < n; i++ {
-		if logits.Row(i).ArgMax() == labels[i] {
+		if pred[i] == labels[i] {
 			correct++
 		}
 	}

@@ -136,8 +136,7 @@ func (t *Tensor) ArgMax() int {
 }
 
 // ArgMaxRows writes the flat argmax of each row of a 2-D tensor into dst,
-// which must have length Shape[0]. It is the allocation-free batch variant
-// of Row(i).ArgMax().
+// which must have length Shape[0]: ArgMax of each row, allocating nothing.
 func (t *Tensor) ArgMaxRows(dst []int) {
 	if len(t.Shape) != 2 {
 		panic("tensor: ArgMaxRows on non-matrix")
@@ -159,15 +158,6 @@ func (t *Tensor) ArgMaxRows(dst []int) {
 		}
 		dst[i] = arg
 	}
-}
-
-// Row returns row i of a 2-D tensor as a view (shared storage).
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.Shape) != 2 {
-		panic("tensor: Row on non-matrix")
-	}
-	cols := t.Shape[1]
-	return &Tensor{Shape: []int{cols}, Data: t.Data[i*cols : (i+1)*cols]}
 }
 
 // Transpose returns a new transposed copy of a 2-D tensor.

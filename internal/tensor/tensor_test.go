@@ -261,15 +261,6 @@ func TestAddRowVectorSumRows(t *testing.T) {
 	}
 }
 
-func TestRowView(t *testing.T) {
-	m := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	r1 := m.Row(1)
-	r1.Data[0] = 40
-	if m.At(1, 0) != 40 {
-		t.Fatal("Row is not a view")
-	}
-}
-
 // Property: matrix addition commutes.
 func TestQuickAddCommutative(t *testing.T) {
 	f := func(seed uint64) bool {

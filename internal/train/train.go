@@ -9,8 +9,8 @@
 // the latent head with theirs. Each caller names its own RNG salt, so two
 // trainers given one seed walk different permutations.
 //
-// EvalBatches reads a dataset in 256-row batches in order; Accuracy, and
-// every inference pass over a whole dataset, go through it.
+// EvalBatches reads a dataset in EvalRows-row batches in order; Accuracy,
+// and every inference pass over a whole dataset, go through it.
 //
 // Every trainer steps through a training plan of its network
 // (nn.CompileTraining: the steps an inference plan runs, each keeping its
@@ -39,10 +39,10 @@ const (
 	BatchSize = 32
 	// LR is the Adam learning rate of every training run.
 	LR = 0.002
-	// evalRows is the batch of every evaluation pass: it bounds what one
-	// pass holds (the rows, their activations and a plan of that capacity)
-	// whatever the dataset's size.
-	evalRows = 256
+	// EvalRows is the batch of every evaluation pass: it bounds what one
+	// pass holds (the rows, their activations and the plans, compiled once
+	// per pass at this capacity) whatever the dataset's size.
+	EvalRows = 256
 )
 
 // Config controls a training run.
@@ -103,13 +103,13 @@ func CrossEntropy(net *nn.Sequential, labels []int) (Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]int, BatchSize)
+	buf, grad := make([]int, BatchSize), new(tensor.Tensor)
 	return func(x *tensor.Tensor, idx []int) float64 {
 		lbl := buf[:len(idx)]
 		for j, p := range idx {
 			lbl[j] = labels[p]
 		}
-		l, grad := loss.CrossEntropy(plan.Forward(x), lbl)
+		l := loss.CrossEntropy(grad, plan.Forward(x), lbl)
 		plan.BackwardParams(grad)
 		return l
 	}, nil
@@ -138,23 +138,23 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config) (
 		return nil, err
 	}
 	tw := targets.Shape[1]
-	tBuf := tensor.New(BatchSize, tw)
+	tBuf, grad := tensor.New(BatchSize, tw), new(tensor.Tensor)
 	return Minibatches(net.Name(), inputs, net.Params(), 0x7121A222, cfg, func(x *tensor.Tensor, idx []int) float64 {
 		for j, p := range idx {
 			copy(tBuf.Data[j*tw:(j+1)*tw], targets.Data[p*tw:(p+1)*tw])
 		}
-		l, grad := loss.MSE(plan.Forward(x), tensor.FromSlice(tBuf.Data[:len(idx)*tw], len(idx), tw))
+		l := loss.MSE(grad, plan.Forward(x), tensor.FromSlice(tBuf.Data[:len(idx)*tw], len(idx), tw))
 		l += plan.Penalty()
 		plan.BackwardParams(grad)
 		return l
 	})
 }
 
-// EvalBatches calls fn on ds's rows in 256-row batches, in order: x holds
+// EvalBatches calls fn on ds's rows in EvalRows-row batches, in order: x holds
 // the rows from i0 on and labels their classes.
 func EvalBatches(ds *dataset.Dataset, fn func(i0 int, x *tensor.Tensor, labels []int)) {
-	for i0, n := 0, ds.Len(); i0 < n; i0 += evalRows {
-		x, labels := ds.Batch(i0, min(i0+evalRows, n))
+	for i0, n := 0, ds.Len(); i0 < n; i0 += EvalRows {
+		x, labels := ds.Batch(i0, min(i0+EvalRows, n))
 		fn(i0, x, labels)
 	}
 }
@@ -166,7 +166,7 @@ func Accuracy(ds *dataset.Dataset, classify func(dst []int, x *tensor.Tensor)) f
 		return 0
 	}
 	correct := 0
-	pred := make([]int, evalRows)
+	pred := make([]int, EvalRows)
 	EvalBatches(ds, func(_ int, x *tensor.Tensor, labels []int) {
 		dst := pred[:len(labels)]
 		classify(dst, x)
@@ -179,8 +179,9 @@ func Accuracy(ds *dataset.Dataset, classify func(dst []int, x *tensor.Tensor)) f
 	return float64(correct) / float64(ds.Len())
 }
 
-// EvalClassifier returns net's accuracy on ds, running net's compiled plan
-// (nn.Run).
+// EvalClassifier returns net's accuracy on ds, running one plan of net
+// compiled at EvalRows on every batch.
 func EvalClassifier(net *nn.Sequential, ds *dataset.Dataset) float64 {
-	return Accuracy(ds, func(dst []int, x *tensor.Tensor) { nn.Run(net, x).ArgMaxRows(dst) })
+	plan := nn.MustCompile(net, EvalRows)
+	return Accuracy(ds, func(dst []int, x *tensor.Tensor) { plan.Execute(nil, x).ArgMaxRows(dst) })
 }

@@ -88,8 +88,12 @@ func TestRegressorReportsExtraLoss(t *testing.T) {
 		d := nn.NewDense("d", 4, 4, rng.New(10))
 		return nn.NewSequential("ae", append([]nn.Layer{d}, layers...)...)
 	}
+	plan, err := nn.Compile(build(), x.Shape[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	var penalty float64
-	for _, v := range nn.Run(build(), x).Data {
+	for _, v := range plan.Execute(nil, x).Data {
 		penalty += math.Abs(float64(v))
 	}
 	penalty *= lambda
