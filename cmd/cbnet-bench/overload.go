@@ -135,7 +135,7 @@ func overloadRun(name string, arrivals []time.Duration, pinned bool) (*overloadR
 	r := rng.New(7)
 	branchy := models.NewBranchyLeNet(r, 0.05)
 	light := models.ExtractLightweight(branchy)
-	pruned, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 1. / 3., BranchKeep: 1. / 3.})
+	pruned, err := compress.Prune(light, map[string]float64{"conv1": 1. / 3., "bconv": 1. / 3.})
 	if err != nil {
 		return nil, err
 	}

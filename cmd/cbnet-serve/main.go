@@ -174,8 +174,7 @@ func buildServer(ckpt, name, devName string, cfg engine.Config, opts serve.Optio
 	// early-exit network, mounted as a first-class engine route. It shares
 	// no tensors with the serving classifier, so pruning cannot perturb the
 	// healthy path.
-	pruned, err := compress.PruneLightweight(pipe.Classifier,
-		compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	pruned, err := compress.Prune(pipe.Classifier, map[string]float64{"conv1": 2. / 3., "bconv": 2. / 3.})
 	if err != nil {
 		return nil, fmt.Errorf("building pruned variant: %w", err)
 	}

@@ -34,10 +34,11 @@ var keptExports = map[string]string{
 
 	// Helpers that tests in other packages call; deleting them would move
 	// the same code into each test.
-	"cbnet/internal/dataset.MustGenerate": "test helper in 6 packages",
-	"(*cbnet/internal/tensor.Tensor).At":  "test helper: element read",
-	"(*cbnet/internal/tensor.Tensor).Set": "test helper: element write",
-	"(*cbnet/internal/nn.Plan).OutWidth":  "test helper: a plan's output width",
+	"cbnet/internal/dataset.MustGenerate":   "test helper in 6 packages",
+	"(*cbnet/internal/tensor.Tensor).At":    "test helper: element read",
+	"(*cbnet/internal/tensor.Tensor).Set":   "test helper: element write",
+	"(*cbnet/internal/tensor.Tensor).Clone": "test helper: deep copy in 6 packages",
+	"(*cbnet/internal/nn.Plan).OutWidth":    "test helper: a plan's output width",
 
 	// The encoder-only route waits on ROADMAP item 3, which decides it.
 	"cbnet/internal/generalize.BuildEncoderPipeline":        "decided by ROADMAP item 3",

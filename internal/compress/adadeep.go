@@ -13,22 +13,23 @@ import (
 // AdaDeepResult is the outcome of an AdaDeep-style compression search.
 type AdaDeepResult struct {
 	Net      *nn.Sequential
-	Config   PruneConfig
-	Accuracy float64 // validation accuracy after fine-tuning
-	Latency  float64 // modelled seconds/image on the target device
+	Keep     map[string]float64 // the Prune fractions it was built with
+	Accuracy float64            // validation accuracy after fine-tuning
+	Latency  float64            // modelled seconds/image on the target device
 }
 
 // adaDeepCandidates is the usage-driven search space: progressively more
 // aggressive combinations of channel pruning and unit pruning, mirroring
 // AdaDeep's exploration of compression-technique combinations under
-// resource constraints.
-var adaDeepCandidates = []PruneConfig{
-	{Conv2Keep: 1.0, Conv3Keep: 1.0, FC1Keep: 1.0},
-	{Conv2Keep: 0.85, Conv3Keep: 0.8, FC1Keep: 0.9},
-	{Conv2Keep: 0.7, Conv3Keep: 0.6, FC1Keep: 0.8},
-	{Conv2Keep: 0.55, Conv3Keep: 0.45, FC1Keep: 0.7},
-	{Conv2Keep: 0.4, Conv3Keep: 0.3, FC1Keep: 0.6},
-	{Conv2Keep: 0.3, Conv3Keep: 0.2, FC1Keep: 0.5},
+// resource constraints. Each is the fraction of conv2, conv3 and fc1 kept
+// (lenetKeep).
+var adaDeepCandidates = [][3]float64{
+	{1.0, 1.0, 1.0},
+	{0.85, 0.8, 0.9},
+	{0.7, 0.6, 0.8},
+	{0.55, 0.45, 0.7},
+	{0.4, 0.3, 0.6},
+	{0.3, 0.2, 0.5},
 }
 
 // AdaDeepOptions controls the search.
@@ -50,8 +51,10 @@ func AdaDeepSearch(lenet *nn.Sequential, trainSet, valSet *dataset.Dataset, prof
 	var best AdaDeepResult
 	var fallback AdaDeepResult
 	found := false
-	for i, cand := range adaDeepCandidates {
-		net, err := PruneLeNet(lenet, cand)
+	for i, c := range adaDeepCandidates {
+		cand := fmt.Sprintf("conv2=%.2f conv3=%.2f fc1=%.2f", c[0], c[1], c[2])
+		keep := lenetKeep(c[0], c[1], c[2])
+		net, err := Prune(lenet, keep)
 		if err != nil {
 			return AdaDeepResult{}, fmt.Errorf("compress: candidate %v: %w", cand, err)
 		}
@@ -64,7 +67,7 @@ func AdaDeepSearch(lenet *nn.Sequential, trainSet, valSet *dataset.Dataset, prof
 		}
 		acc := train.EvalClassifier(net, valSet)
 		lat := profile.Latency(device.SequentialCost(net))
-		res := AdaDeepResult{Net: net, Config: cand, Accuracy: acc, Latency: lat}
+		res := AdaDeepResult{Net: net, Keep: keep, Accuracy: acc, Latency: lat}
 		if o.Log != nil {
 			fmt.Fprintf(o.Log, "adadeep candidate %s: acc %.4f lat %.3gms\n", cand, acc, lat*1e3)
 		}

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cbnet/internal/dataset"
@@ -19,7 +20,7 @@ func TestTopKByImportance(t *testing.T) {
 		5, 5, // row 1: norm 10
 		0, 0.5, // row 2: norm 0.5
 	}, 3, 2)
-	keep := topKByImportance(w, 2)
+	keep := topKByImportance(w, false, 2)
 	if len(keep) != 2 || keep[0] != 0 || keep[1] != 1 {
 		t.Fatalf("keep = %v, want [0 1]", keep)
 	}
@@ -31,7 +32,7 @@ func TestDenseTopKByImportance(t *testing.T) {
 		1, 4, 0.1,
 		1, 4, 0,
 	}, 2, 3)
-	keep := denseTopKByImportance(w, 2)
+	keep := topKByImportance(w, true, 2)
 	if len(keep) != 2 || keep[0] != 0 || keep[1] != 1 {
 		t.Fatalf("keep = %v, want [0 1]", keep)
 	}
@@ -62,7 +63,7 @@ func runNet(t *testing.T, net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
 func TestPruneFullKeepMatchesOriginal(t *testing.T) {
 	r := rng.New(1)
 	lenet := models.NewLeNet(r)
-	pruned, err := PruneLeNet(lenet, PruneConfig{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: 1})
+	pruned, err := Prune(lenet, lenetKeep(1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestPruneFullKeepMatchesOriginal(t *testing.T) {
 func TestPruneShapesAndLatency(t *testing.T) {
 	r := rng.New(2)
 	lenet := models.NewLeNet(r)
-	pruned, err := PruneLeNet(lenet, PruneConfig{Conv2Keep: 0.5, Conv3Keep: 0.5, FC1Keep: 0.5})
+	pruned, err := Prune(lenet, lenetKeep(0.5, 0.5, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,17 @@ func TestPruneShapesAndLatency(t *testing.T) {
 func TestPruneRejectsBadConfig(t *testing.T) {
 	r := rng.New(3)
 	lenet := models.NewLeNet(r)
-	for _, cfg := range []PruneConfig{
-		{Conv2Keep: 0, Conv3Keep: 1, FC1Keep: 1},
-		{Conv2Keep: 1, Conv3Keep: 1.5, FC1Keep: 1},
-		{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: -0.1},
+	for _, keep := range []map[string]float64{
+		lenetKeep(0, 1, 1),
+		lenetKeep(1, 1.5, 1),
+		lenetKeep(1, 1, -0.1),
+		lenetKeep(1, math.NaN(), 1),
+		{"conv2": 1, "conv9": 0.5}, // a layer the net lacks
+		{"pool2": 0.5},             // not a conv or dense layer
+		{"relu3": 0.5},
 	} {
-		if _, err := PruneLeNet(lenet, cfg); err == nil {
-			t.Errorf("config %+v should be rejected", cfg)
+		if _, err := Prune(lenet, keep); err == nil {
+			t.Errorf("keep %v should be rejected", keep)
 		}
 	}
 }
@@ -118,8 +123,12 @@ func TestPruneRejectsBadConfig(t *testing.T) {
 func TestPruneRejectsNonLeNet(t *testing.T) {
 	r := rng.New(4)
 	ae := models.NewTableIAE(dataset.MNIST, r)
-	if _, err := PruneLeNet(ae.Net, PruneConfig{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: 1}); err == nil {
+	if _, err := Prune(ae.Net, lenetKeep(1, 1, 1)); err == nil {
 		t.Fatal("expected layout error")
+	}
+	// The AE's sigmoid has no pruning rule, whatever keep names.
+	if _, err := Prune(ae.Net, nil); err == nil || !strings.Contains(err.Error(), "no pruning rule") {
+		t.Fatalf("err = %v, want no pruning rule for the sigmoid", err)
 	}
 }
 
@@ -127,7 +136,7 @@ func TestPruneDoesNotMutateOriginal(t *testing.T) {
 	r := rng.New(5)
 	lenet := models.NewLeNet(r)
 	before := lenet.Params()[0].Value.Clone()
-	pruned, err := PruneLeNet(lenet, PruneConfig{Conv2Keep: 0.5, Conv3Keep: 0.5, FC1Keep: 0.5})
+	pruned, err := Prune(lenet, lenetKeep(0.5, 0.5, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func pinnedNets(t *testing.T) []pinnedNet {
 	var nets []pinnedNet
 	base := models.NewLeNet(rng.New(41))
 	for i, cand := range adaDeepCandidates {
-		net, err := PruneLeNet(base, cand)
+		net, err := Prune(base, lenetKeep(cand[0], cand[1], cand[2]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func pinnedNets(t *testing.T) []pinnedNet {
 	}
 	light := models.ExtractLightweight(models.NewBranchyLeNet(rng.New(43), 0.05))
 	for _, f := range []float64{1. / 3., 2. / 3.} {
-		net, err := PruneLightweight(light, LightweightPruneConfig{Conv1Keep: f, BranchKeep: f})
+		net, err := Prune(light, map[string]float64{"conv1": f, "bconv": f})
 		if err != nil {
 			t.Fatal(err)
 		}

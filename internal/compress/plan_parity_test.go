@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,16 +24,12 @@ func variantParityNets(t *testing.T) []variantParityNet {
 	base := models.NewLeNet(rng.New(41))
 	var nets []variantParityNet
 
-	for _, cfg := range []PruneConfig{
-		{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: 1},
-		{Conv2Keep: 0.5, Conv3Keep: 0.5, FC1Keep: 0.5},
-		{Conv2Keep: 0.25, Conv3Keep: 0.5, FC1Keep: 0.75},
-	} {
-		p, err := PruneLeNet(base, cfg)
+	for _, c := range [][3]float64{{1, 1, 1}, {0.5, 0.5, 0.5}, {0.25, 0.5, 0.75}} {
+		p, err := Prune(base, lenetKeep(c[0], c[1], c[2]))
 		if err != nil {
-			t.Fatalf("PruneLeNet %+v: %v", cfg, err)
+			t.Fatalf("Prune %v: %v", c, err)
 		}
-		nets = append(nets, variantParityNet{"prune-" + cfg.String(), p})
+		nets = append(nets, variantParityNet{fmt.Sprintf("prune-conv2=%.2f conv3=%.2f fc1=%.2f", c[0], c[1], c[2]), p})
 	}
 
 	sf, err := NewSubFlow(models.NewLeNet(rng.New(42)))
@@ -49,15 +46,12 @@ func variantParityNets(t *testing.T) []variantParityNet {
 
 	br := models.NewBranchyLeNet(rng.New(43), 0.05)
 	light := models.ExtractLightweight(br)
-	for _, cfg := range []LightweightPruneConfig{
-		{Conv1Keep: 1. / 3., BranchKeep: 1. / 3.},
-		{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.},
-	} {
-		p, err := PruneLightweight(light, cfg)
+	for _, f := range []float64{1. / 3., 2. / 3.} {
+		p, err := Prune(light, map[string]float64{"conv1": f, "bconv": f})
 		if err != nil {
-			t.Fatalf("PruneLightweight %v: %v", cfg, err)
+			t.Fatalf("Prune lightweight at %v: %v", f, err)
 		}
-		nets = append(nets, variantParityNet{"light-pruned-" + cfg.String(), p})
+		nets = append(nets, variantParityNet{fmt.Sprintf("light-pruned-conv1=%.2f branch=%.2f", f, f), p})
 	}
 
 	mainNet := nn.NewSequential("lenet", append(append([]nn.Layer{}, br.Stem.Layers...), br.Trunk.Layers...)...)

@@ -18,12 +18,21 @@ type SubFlow struct {
 	cache map[float64]*nn.Sequential
 }
 
-// NewSubFlow wraps a trained LeNet.
+// NewSubFlow wraps a trained LeNet; it fails if base does not prune as
+// one.
 func NewSubFlow(base *nn.Sequential) (*SubFlow, error) {
-	if _, err := dissectLeNet(base); err != nil {
+	full, err := Prune(base, lenetKeep(1, 1, 1))
+	if err != nil {
 		return nil, err
 	}
-	return &SubFlow{base: base, cache: make(map[float64]*nn.Sequential)}, nil
+	return &SubFlow{base: base, cache: map[float64]*nn.Sequential{1: full}}, nil
+}
+
+// lenetKeep is the keep map of a NewLeNet network that keeps the given
+// fractions of conv2's and conv3's channels and of fc1's units. conv1 (3
+// channels) and the 10-way output stay whole.
+func lenetKeep(conv2, conv3, fc1 float64) map[string]float64 {
+	return map[string]float64{"conv2": conv2, "conv3": conv3, "fc1": fc1}
 }
 
 // NetworkAt returns the induced subgraph executing the given fraction of
@@ -35,11 +44,7 @@ func (s *SubFlow) NetworkAt(utilization float64) (*nn.Sequential, error) {
 	if net, ok := s.cache[utilization]; ok {
 		return net, nil
 	}
-	net, err := PruneLeNet(s.base, PruneConfig{
-		Conv2Keep: utilization,
-		Conv3Keep: utilization,
-		FC1Keep:   utilization,
-	})
+	net, err := Prune(s.base, lenetKeep(utilization, utilization, utilization))
 	if err != nil {
 		return nil, err
 	}

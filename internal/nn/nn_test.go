@@ -547,3 +547,44 @@ func TestQuickReLUIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrainPlanGradSlots: a training plan sizes its input-gradient slots
+// for the steps after the first, whose input gradients BackwardParams
+// writes; step 0's is Backward's alone, and slot 0 grows for it on
+// Backward's first call. BranchyNet's stem (conv, pool) then holds no slot
+// 0 at all, and a dense stack's slot 0 is sized by step 2's input.
+func TestTrainPlanGradSlots(t *testing.T) {
+	const n = 32
+	r := rng.New(5)
+	for _, c := range []struct {
+		net          *Sequential
+		in           int
+		slot0, slot1 int
+	}{
+		{NewSequential("stem", MustConv2D("conv1", 1, 28, 28, 3, 5, 5, 1, 2, r), NewReLU("relu1"),
+			MustMaxPool2D("pool1", 3, 28, 28, 2, 2)), 784, 0, 3 * 28 * 28},
+		{NewSequential("dense", NewDense("d1", 784, 256, r), NewDense("d2", 256, 128, r),
+			NewDense("d3", 128, 256, r), NewDense("d4", 256, 784, r)), 784, 128, 256},
+	} {
+		plan, err := CompileTraining(c.net, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.grad[0]) != n*c.slot0 || len(plan.grad[1]) != n*c.slot1 {
+			t.Fatalf("%s: slots of %d and %d floats, want %d and %d",
+				c.net.Name(), len(plan.grad[0]), len(plan.grad[1]), n*c.slot0, n*c.slot1)
+		}
+		x := tensor.New(n, c.in)
+		x.RandUniform(r, 0, 1)
+		g := tensor.New(plan.Forward(x).Shape...)
+		g.RandUniform(r, -1, 1)
+		plan.BackwardParams(g.Clone())
+		if len(plan.grad[0]) != n*c.slot0 {
+			t.Fatalf("%s: BackwardParams grew slot 0 to %d floats", c.net.Name(), len(plan.grad[0]))
+		}
+		if dx := plan.Backward(g); !dx.SameShape(x) || len(plan.grad[0]) != n*c.in {
+			t.Fatalf("%s: Backward gave %v with a slot 0 of %d floats, want %v and %d",
+				c.net.Name(), dx.Shape, len(plan.grad[0]), x.Shape, n*c.in)
+		}
+	}
+}

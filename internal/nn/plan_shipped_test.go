@@ -2,6 +2,7 @@ package nn_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,16 +48,12 @@ func shippedNets(t *testing.T) []shippedNet {
 		{"mixed-test", nn.MixedTestNet(rng.New(42)), 144},
 	}
 	base := models.NewLeNet(rng.New(41))
-	for _, cfg := range []compress.PruneConfig{
-		{Conv2Keep: 1, Conv3Keep: 1, FC1Keep: 1},
-		{Conv2Keep: 0.5, Conv3Keep: 0.5, FC1Keep: 0.5},
-		{Conv2Keep: 0.25, Conv3Keep: 0.5, FC1Keep: 0.75},
-	} {
-		p, err := compress.PruneLeNet(base, cfg)
+	for _, c := range [][3]float64{{1, 1, 1}, {0.5, 0.5, 0.5}, {0.25, 0.5, 0.75}} {
+		p, err := compress.Prune(base, map[string]float64{"conv2": c[0], "conv3": c[1], "fc1": c[2]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets = append(nets, shippedNet{"prune-" + cfg.String(), p, dataset.Pixels})
+		nets = append(nets, shippedNet{fmt.Sprintf("prune-conv2=%.2f conv3=%.2f fc1=%.2f", c[0], c[1], c[2]), p, dataset.Pixels})
 	}
 	sf, err := compress.NewSubFlow(models.NewLeNet(rng.New(42)))
 	if err != nil {
@@ -69,15 +66,12 @@ func shippedNets(t *testing.T) []shippedNet {
 		}
 		nets = append(nets, shippedNet{"subflow-" + p.Name(), p, dataset.Pixels})
 	}
-	for _, cfg := range []compress.LightweightPruneConfig{
-		{Conv1Keep: 1. / 3., BranchKeep: 1. / 3.},
-		{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.},
-	} {
-		pl, err := compress.PruneLightweight(light, cfg)
+	for _, f := range []float64{1. / 3., 2. / 3.} {
+		pl, err := compress.Prune(light, map[string]float64{"conv1": f, "bconv": f})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets = append(nets, shippedNet{"light-pruned-" + cfg.String(), pl, dataset.Pixels})
+		nets = append(nets, shippedNet{fmt.Sprintf("light-pruned-conv1=%.2f branch=%.2f", f, f), pl, dataset.Pixels})
 	}
 	return nets
 }
@@ -358,7 +352,7 @@ func TestPlansAreBatchInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := compress.PruneLightweight(light, compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	pruned, err := compress.Prune(light, map[string]float64{"conv1": 2. / 3., "bconv": 2. / 3.})
 	if err != nil {
 		t.Fatal(err)
 	}

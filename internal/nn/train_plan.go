@@ -39,10 +39,15 @@ func CompileTraining(net *Sequential, batchCap int) (*TrainPlan, error) {
 		return nil, err
 	}
 	t := &TrainPlan{p: p}
+	// Step i writes its input gradient to slot i%2. Step 0's is Backward's
+	// alone, which grows slot 0 for it on its first call: a trainer that
+	// only calls BackwardParams never holds one.
 	gradW, args, in := [2]int{}, 0, p.inW
 	for i := range p.steps {
 		st := &p.steps[i]
-		gradW[i%2] = max(gradW[i%2], in)
+		if i > 0 {
+			gradW[i%2] = max(gradW[i%2], in)
+		}
 		if st.op == opPool {
 			args = max(args, st.outW)
 		}
@@ -109,6 +114,9 @@ func (t *TrainPlan) Penalty() float64 {
 // to the input as a plan-owned view, valid until the next Backward. grad is
 // overwritten.
 func (t *TrainPlan) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if need := t.p.batchCap * t.p.inW; len(t.grad[0]) < need {
+		t.grad[0] = make([]float32, need)
+	}
 	return t.mat(2, t.backward(grad, true), t.n, t.p.inW)
 }
 

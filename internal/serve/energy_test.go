@@ -72,8 +72,7 @@ func relClose(got, want float64) bool {
 // beside the server.
 func serverWithPrunedRung(t *testing.T, cfg engine.Config) (*Server, *nn.Sequential) {
 	t.Helper()
-	pruned, err := compress.PruneLightweight(testPipeline().Classifier,
-		compress.LightweightPruneConfig{Conv1Keep: 2. / 3., BranchKeep: 2. / 3.})
+	pruned, err := compress.Prune(testPipeline().Classifier, map[string]float64{"conv1": 2. / 3., "bconv": 2. / 3.})
 	if err != nil {
 		t.Fatal(err)
 	}

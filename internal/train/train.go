@@ -54,8 +54,8 @@ type Config struct {
 }
 
 // Step runs one minibatch's forward pass, loss and backward pass. x holds
-// the batch's input rows and idx the sample index of each row. It returns
-// the batch's mean loss.
+// the batch's input rows and idx the sample index of each row; both are
+// rewritten for the next batch. It returns the batch's mean loss.
 type Step func(x *tensor.Tensor, idx []int) float64
 
 // Minibatches trains params for cfg.Epochs epochs over the rows of inputs:
@@ -74,7 +74,9 @@ func Minibatches(name string, inputs *tensor.Tensor, params []*nn.Param, salt ui
 	w := inputs.Shape[1]
 	r := rng.New(cfg.Seed ^ salt)
 	adam := opt.NewAdam(LR)
-	buf := tensor.New(BatchSize, w)
+	// One header over one buffer serves every batch: each batch reslices
+	// its row count and data.
+	buf, x := make([]float32, BatchSize*w), &tensor.Tensor{Shape: []int{0, w}}
 	losses := make([]float64, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := r.Perm(n)
@@ -82,9 +84,9 @@ func Minibatches(name string, inputs *tensor.Tensor, params []*nn.Param, salt ui
 		for i0 := 0; i0 < n; i0 += BatchSize {
 			idx := perm[i0:min(i0+BatchSize, n)]
 			for j, p := range idx {
-				copy(buf.Data[j*w:(j+1)*w], inputs.Data[p*w:(p+1)*w])
+				copy(buf[j*w:(j+1)*w], inputs.Data[p*w:(p+1)*w])
 			}
-			x := tensor.FromSlice(buf.Data[:len(idx)*w], len(idx), w)
+			x.Shape[0], x.Data = len(idx), buf[:len(idx)*w]
 			sum += step(x, idx) * float64(len(idx))
 			adam.Step(params)
 		}
@@ -138,12 +140,13 @@ func Regressor(net *nn.Sequential, inputs, targets *tensor.Tensor, cfg Config) (
 		return nil, err
 	}
 	tw := targets.Shape[1]
-	tBuf, grad := tensor.New(BatchSize, tw), new(tensor.Tensor)
+	tBuf, t, grad := make([]float32, BatchSize*tw), &tensor.Tensor{Shape: []int{0, tw}}, new(tensor.Tensor)
 	return Minibatches(net.Name(), inputs, net.Params(), 0x7121A222, cfg, func(x *tensor.Tensor, idx []int) float64 {
 		for j, p := range idx {
-			copy(tBuf.Data[j*tw:(j+1)*tw], targets.Data[p*tw:(p+1)*tw])
+			copy(tBuf[j*tw:(j+1)*tw], targets.Data[p*tw:(p+1)*tw])
 		}
-		l := loss.MSE(grad, plan.Forward(x), tensor.FromSlice(tBuf.Data[:len(idx)*tw], len(idx), tw))
+		t.Shape[0], t.Data = len(idx), tBuf[:len(idx)*tw]
+		l := loss.MSE(grad, plan.Forward(x), t)
 		l += plan.Penalty()
 		plan.BackwardParams(grad)
 		return l

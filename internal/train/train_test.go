@@ -268,3 +268,38 @@ func TestAccuracy(t *testing.T) {
 		t.Fatalf("accuracy of no samples %v, want 0", acc)
 	}
 }
+
+// TestEpochAllocsDoNotGrowWithBatches holds Minibatches and Regressor to a
+// fixed number of allocations per run, whatever the number of batches: one
+// batch header (and Regressor's one target header) serves every batch.
+func TestEpochAllocsDoNotGrowWithBatches(t *testing.T) {
+	noop := func(*tensor.Tensor, []int) float64 { return 0 }
+	runs := map[string]func(rows int) func(){
+		"minibatches": func(rows int) func() {
+			x := tensor.New(rows, 4)
+			return func() {
+				if _, err := Minibatches("noop", x, nil, 1, Config{Epochs: 1}, noop); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"regressor": func(rows int) func() {
+			x := tensor.New(rows, 4)
+			net := nn.NewSequential("lin", nn.NewDense("d", 4, 4, rng.New(1)))
+			return func() {
+				if _, err := Regressor(net, x, x, Config{Epochs: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			few := testing.AllocsPerRun(3, run(2*BatchSize))
+			many := testing.AllocsPerRun(3, run(8*BatchSize))
+			if few != many {
+				t.Fatalf("%v allocations over 2 batches, %v over 8", few, many)
+			}
+		})
+	}
+}
